@@ -86,14 +86,6 @@ let run nodes rings mcas net sessions groups rate periodic seconds keys theta
     }
   in
   if rings > 1 then begin
-    (* Sharded multi-ring deployment: the churn / storm / slow-receiver /
-       geo dimensions stay single-ring, so reject them before Mload does
-       with a friendlier message. *)
-    if churn <> None || slow <> None || geo <> None then begin
-      prerr_endline
-        "--rings > 1 is incompatible with --churn/--storm/--slow/--wan-ns";
-      exit 2
-    end;
     let module Mload = Aring_multiring.Mload in
     let result = Mload.run spec in
     Format.printf "%a@." Mload.pp_result result;

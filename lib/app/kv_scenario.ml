@@ -52,6 +52,12 @@ type result = {
 
 let ms n = n * 1_000_000
 
+let pad tag bytes =
+  let len = max (String.length tag) bytes in
+  let b = Bytes.make len '.' in
+  Bytes.blit_string tag 0 b 0 (String.length tag);
+  Bytes.to_string b
+
 (* Fast membership timeouts: scenario runs are short, and partition
    merges must complete well inside the drain budget. *)
 let snappy_params () =
@@ -115,12 +121,15 @@ let build_cluster ~n ~net ~tier ~params ~seed =
       if not v.transitional then view_ns.(node) <- now);
   { sim; kvs; daemons; oracle; view_ns }
 
+(* Participant [pid] is physical node [pid mod n]: on a multi-ring
+   deployment the island is cut away in every ring. *)
 let install_partition sim n (p : partition) =
   let inside = Array.make n false in
   List.iter (fun i -> if i >= 0 && i < n then inside.(i) <- true) p.island;
   Netsim.set_drop sim (fun ~src ~dst _ ->
       let now = Netsim.now sim in
-      now >= p.part_at_ns && now < p.heal_at_ns && inside.(src) <> inside.(dst))
+      now >= p.part_at_ns && now < p.heal_at_ns
+      && inside.(src mod n) <> inside.(dst mod n))
 
 let kv_converged kvs =
   let n = Array.length kvs in
@@ -189,12 +198,6 @@ let run spec =
      aggregate op rate, with a skewed key distribution. *)
   let prng = Prng.create ~seed:(Int64.logxor spec.seed 0x6B767363L) in
   let writes_submitted = ref 0 in
-  let pad tag =
-    let len = max (String.length tag) spec.value_bytes in
-    let b = Bytes.make len '.' in
-    Bytes.blit_string tag 0 b 0 (String.length tag);
-    Bytes.to_string b
-  in
   for node = 0 to n - 1 do
     let counter = ref 0 in
     let key () =
@@ -231,7 +234,7 @@ let run spec =
           end
           else if r < cas_edge then begin
             incr writes_submitted;
-            let value = pad (Printf.sprintf "c:%d:%d:" node !counter) in
+            let value = pad (Printf.sprintf "c:%d:%d:" node !counter) spec.value_bytes in
             Hashtbl.replace in_flight.(node) value now;
             let expect, _ = Kv.read kv ~key in
             Kv.cas kv ~key ~expect ~value
@@ -242,7 +245,7 @@ let run spec =
           end
           else begin
             incr writes_submitted;
-            let value = pad (Printf.sprintf "w:%d:%d:" node !counter) in
+            let value = pad (Printf.sprintf "w:%d:%d:" node !counter) spec.value_bytes in
             Hashtbl.replace in_flight.(node) value now;
             Kv.put kv ~key ~value
           end;

@@ -77,6 +77,19 @@ val snappy_params : unit -> Aring_ring.Params.t
     partition merges complete well inside a scenario's drain budget.
     Shared by the KV and workload-harness scenarios. *)
 
+val pad : string -> int -> string
+(** [pad tag bytes]: a workload value of [max bytes (length tag)] bytes
+    that starts with the unique [tag], padded with dots. *)
+
+val install_partition : Netsim.t -> int -> partition -> unit
+(** Drop every packet across the island boundary inside the window,
+    for a cluster of [n] physical nodes: participant [pid] is node
+    [pid mod n], so on a multi-ring deployment the island is cut away
+    in every ring. Replaces the sim's drop predicate. *)
+
+val kv_converged : Kv.t array -> bool
+(** Every replica settled, synced and at equal (applied, digest). *)
+
 val default_spec : spec
 (** 4 nodes, 1-gigabit network, daemon tier, accelerated params, 64-key
     space with 8 hot keys taking 80% of traffic, 128-byte values,

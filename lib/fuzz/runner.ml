@@ -7,6 +7,7 @@ module Health = Aring_obs.Health
 module Daemon = Aring_daemon.Daemon
 module Kv = Aring_app.Kv
 module Oracle = Aring_app.Oracle
+module Kv_scenario = Aring_app.Kv_scenario
 module Cluster = Aring_multiring.Cluster
 open Aring_wire
 open Aring_ring
@@ -77,182 +78,14 @@ let probe_payload node = Printf.sprintf "probe:%d" node
    arbitrarily overlapping fault windows (the LIFO-scoped
    [Netsim.set_drop_until] cannot). Burst losses consume a dedicated PRNG;
    predicate evaluation order is deterministic, so the draw stream is
-   too. *)
-let install_faults sim (s : Schedule.t) =
+   too. On an M-ring cluster, partitions and blackouts carry an optional
+   ring scope (-1 = every ring, the only value single-ring schedules
+   carry); islands stay physical ([pid mod n]), so a scoped partition
+   cuts the same physical nodes but only inside one ordering ring's
+   multicast domain. Crashes are physical: [crash node] kills the
+   node's participant in every ring. *)
+let install_faults sim (s : Schedule.t) ~crash =
   let n = s.config.Schedule.n_nodes in
-  let partitions =
-    List.filter_map
-      (function
-        | Schedule.Partition { at_ns; until_ns; island; ring = _ } ->
-            let inside = Array.make n false in
-            List.iter
-              (fun i -> if i >= 0 && i < n then inside.(i) <- true)
-              island;
-            Some (at_ns, until_ns, inside)
-        | _ -> None)
-      s.faults
-  in
-  let bursts =
-    List.filter_map
-      (function
-        | Schedule.Loss_burst { at_ns; until_ns; permille } ->
-            Some (at_ns, until_ns, permille)
-        | _ -> None)
-      s.faults
-  in
-  let blackouts =
-    List.filter_map
-      (function
-        | Schedule.Token_blackout { at_ns; until_ns; ring = _ } ->
-            Some (at_ns, until_ns)
-        | _ -> None)
-      s.faults
-  in
-  let burst_prng = Prng.create ~seed:(Int64.logxor s.seed 0x6275727374L) in
-  Netsim.set_drop sim (fun ~src ~dst msg ->
-      let now = Netsim.now sim in
-      let active at until = now >= at && now < until in
-      List.exists
-        (fun (at, until, inside) ->
-          active at until && inside.(src) <> inside.(dst))
-        partitions
-      || (match msg with
-         | Message.Token _ | Message.Commit _ ->
-             List.exists (fun (at, until) -> active at until) blackouts
-         | _ -> false)
-      ||
-      let permille =
-        List.fold_left
-          (fun acc (at, until, p) -> if active at until then max acc p else acc)
-          0 bursts
-      in
-      permille > 0 && Prng.int burst_prng 1000 < permille);
-  List.iter
-    (function
-      | Schedule.Crash { at_ns; node } ->
-          if node >= 0 && node < n then
-            Netsim.call_at sim ~at:at_ns (fun () ->
-                Netsim.crash sim node;
-                (* The watchdog must not flag a dead node as stuck. *)
-                Health.note_crash ~node)
-      | _ -> ())
-    s.faults
-
-let install_workload sim (s : Schedule.t) (members : Member.t array) =
-  let c = s.config in
-  let n = c.Schedule.n_nodes in
-  let wl_prng = Prng.create ~seed:(Int64.logxor s.seed 0x776F726BL) in
-  let pad tag =
-    let len = max (String.length tag) c.Schedule.payload in
-    let b = Bytes.make len '.' in
-    Bytes.blit_string tag 0 b 0 (String.length tag);
-    b
-  in
-  for node = 0 to n - 1 do
-    let counter = ref 0 in
-    let rec tick () =
-      if Netsim.now sim < c.Schedule.horizon_ns && Netsim.is_alive sim node
-      then begin
-        incr counter;
-        let service =
-          if
-            c.Schedule.safe_permille > 0
-            && Prng.int wl_prng 1000 < c.Schedule.safe_permille
-          then Types.Safe
-          else Types.Agreed
-        in
-        Member.submit members.(node) service
-          (pad (Printf.sprintf "m:%d:%d" node !counter));
-        Netsim.call_at sim
-          ~at:(Netsim.now sim + c.Schedule.submit_gap_ns)
-          tick
-      end
-    in
-    (* Stagger the start so nodes do not tick in lockstep. *)
-    Netsim.call_at sim ~at:(ms 1 + (node * 97_000)) tick
-  done
-
-(* KV workload: every node's replica issues a skewed read/write mix at
-   the schedule's submission rate. The schedule's safe-permille knob
-   doubles as the sync-read fraction (sync reads are the Safe-service
-   traffic of the app layer). Value padding follows the schedule's
-   payload knob but is capped: full-MTU values on top of the per-op
-   envelope framing would turn every membership-recovery exchange into a
-   switch-buffer endurance test (the raw-member workload already covers
-   full-size payloads); the kv suite is after consistency bugs, not
-   congestion collapse. *)
-let kv_key_space = 64
-let kv_hot_keys = 8
-let kv_max_value = 160
-
-let install_kv_workload sim (s : Schedule.t) (kvs : Kv.t array) =
-  let c = s.config in
-  let n = c.Schedule.n_nodes in
-  let wl_prng = Prng.create ~seed:(Int64.logxor s.seed 0x6B76776CL) in
-  let pad tag =
-    let len =
-      max (String.length tag) (min c.Schedule.payload kv_max_value)
-    in
-    let b = Bytes.make len '.' in
-    Bytes.blit_string tag 0 b 0 (String.length tag);
-    Bytes.to_string b
-  in
-  for node = 0 to n - 1 do
-    let counter = ref 0 in
-    let key () =
-      let j =
-        if Prng.int wl_prng 1000 < 800 then Prng.int wl_prng kv_hot_keys
-        else kv_hot_keys + Prng.int wl_prng (kv_key_space - kv_hot_keys)
-      in
-      Printf.sprintf "k%02d" j
-    in
-    let rec tick () =
-      if Netsim.now sim < c.Schedule.horizon_ns && Netsim.is_alive sim node
-      then begin
-        incr counter;
-        let kv = kvs.(node) in
-        let key = key () in
-        if
-          c.Schedule.safe_permille > 0
-          && Prng.int wl_prng 1000 < c.Schedule.safe_permille
-        then Kv.sync_read kv ~key ~on_result:(fun _ ~token:_ -> ())
-        else begin
-          let r = Prng.int wl_prng 1000 in
-          if r < 250 then ignore (Kv.read kv ~key)
-          else if r < 320 then Kv.del kv ~key
-          else if r < 420 then
-            (* CAS against the local view: sometimes stale, so both the
-               success and failure paths execute at every replica. *)
-            let expect, _ = Kv.read kv ~key in
-            Kv.cas kv ~key ~expect
-              ~value:(pad (Printf.sprintf "c:%d:%d" node !counter))
-          else
-            Kv.put kv ~key
-              ~value:(pad (Printf.sprintf "v:%d:%d" node !counter))
-        end;
-        Netsim.call_at sim
-          ~at:(Netsim.now sim + c.Schedule.submit_gap_ns)
-          tick
-      end
-    in
-    Netsim.call_at sim ~at:(ms 1 + (node * 97_000)) tick
-  done
-
-
-(* ---------- Multi-ring runs (config.rings > 1) ---------- *)
-
-(* Fault translation for an M-ring cluster: partitions and blackouts are
-   drawn with an optional ring scope (-1 = every ring); islands stay
-   physical, so a scoped partition cuts the same physical nodes but only
-   inside one ordering ring's multicast domain. Crashes are physical:
-   {!Cluster.crash} kills the node's participant in every ring. The
-   burst PRNG seed matches the single-ring path, though the draw
-   streams diverge (different message populations) — multi-ring
-   schedules are a distinct reproducer universe in any case. *)
-let install_faults_multiring cluster (s : Schedule.t) =
-  let n = s.config.Schedule.n_nodes in
-  let rings = s.config.Schedule.rings in
-  let sim = Cluster.sim cluster in
   let partitions =
     List.filter_map
       (function
@@ -310,46 +143,79 @@ let install_faults_multiring cluster (s : Schedule.t) =
     (function
       | Schedule.Crash { at_ns; node } ->
           if node >= 0 && node < n then
-            Netsim.call_at sim ~at:at_ns (fun () ->
-                Cluster.crash cluster ~node;
-                for r = 0 to rings - 1 do
-                  Health.note_crash ~node:(Cluster.pid cluster ~ring:r ~node)
-                done)
+            Netsim.call_at sim ~at:at_ns (fun () -> crash node)
       | _ -> ())
     s.faults
 
-(* Multi-ring KV workload: the single-ring mix (same key space, skew,
-   seed and pacing) with ops routed through the cluster's shard map,
-   plus a cross-shard mcas slice. Half the mcas ops carry a check read
-   from the local replica so both the commit and abort paths run. *)
-let install_kv_workload_multiring cluster (s : Schedule.t) =
+let install_workload sim (s : Schedule.t) (members : Member.t array) =
   let c = s.config in
   let n = c.Schedule.n_nodes in
-  let sim = Cluster.sim cluster in
-  let wl_prng = Prng.create ~seed:(Int64.logxor s.seed 0x6B76776CL) in
-  let pad tag =
-    let len =
-      max (String.length tag) (min c.Schedule.payload kv_max_value)
+  let wl_prng = Prng.create ~seed:(Int64.logxor s.seed 0x776F726BL) in
+  let payload tag = Bytes.of_string (Kv_scenario.pad tag c.Schedule.payload) in
+  for node = 0 to n - 1 do
+    let counter = ref 0 in
+    let rec tick () =
+      if Netsim.now sim < c.Schedule.horizon_ns && Netsim.is_alive sim node
+      then begin
+        incr counter;
+        let service =
+          if
+            c.Schedule.safe_permille > 0
+            && Prng.int wl_prng 1000 < c.Schedule.safe_permille
+          then Types.Safe
+          else Types.Agreed
+        in
+        Member.submit members.(node) service
+          (payload (Printf.sprintf "m:%d:%d" node !counter));
+        Netsim.call_at sim
+          ~at:(Netsim.now sim + c.Schedule.submit_gap_ns)
+          tick
+      end
     in
-    let b = Bytes.make len '.' in
-    Bytes.blit_string tag 0 b 0 (String.length tag);
-    Bytes.to_string b
-  in
+    (* Stagger the start so nodes do not tick in lockstep. *)
+    Netsim.call_at sim ~at:(ms 1 + (node * 97_000)) tick
+  done
+
+(* KV workload: every node issues a skewed read/write mix at the
+   schedule's submission rate, each op on the replica [kv] of the ring
+   [shard] maps its key to. The schedule's safe-permille knob doubles
+   as the sync-read fraction (sync reads are the Safe-service traffic of
+   the app layer). Value padding follows the schedule's payload knob but
+   is capped: full-MTU values on top of the per-op envelope framing
+   would turn every membership-recovery exchange into a switch-buffer
+   endurance test (the raw-member workload already covers full-size
+   payloads); the kv suite is after consistency bugs, not congestion
+   collapse. On a multi-ring cluster [mcas] is given and a cross-shard
+   slice rides along; half of those carry a check read from the local
+   replica so both the commit and abort paths run. A node's workload
+   stops when sim participant [node] dies — on a cluster that is its
+   ring-0 member, and a crash kills every ring's. *)
+let kv_key_space = 64
+let kv_hot_keys = 8
+let kv_max_value = 160
+
+let install_kv_workload sim (s : Schedule.t) ~shard
+    ~(kv : ring:int -> node:int -> Kv.t) ~mcas =
+  let c = s.config in
+  let n = c.Schedule.n_nodes in
+  let wl_prng = Prng.create ~seed:(Int64.logxor s.seed 0x6B76776CL) in
+  let value tag = Kv_scenario.pad tag (min c.Schedule.payload kv_max_value) in
   let key_j () =
     if Prng.int wl_prng 1000 < 800 then Prng.int wl_prng kv_hot_keys
     else kv_hot_keys + Prng.int wl_prng (kv_key_space - kv_hot_keys)
   in
   let key () = Printf.sprintf "k%02d" (key_j ()) in
+  let read ~node key = Kv.read (kv ~ring:(shard key) ~node) ~key in
   (* A pair of distinct keys, preferably on different rings; after 8
      failed draws settle for a same-shard (still multi-key) mcas. *)
   let cross_pair () =
     let j1 = key_j () in
     let k1 = Printf.sprintf "k%02d" j1 in
-    let s1 = Cluster.shard_of_key cluster k1 in
+    let s1 = shard k1 in
     let rec go tries =
       let j = key_j () in
       let k = Printf.sprintf "k%02d" j in
-      if j <> j1 && Cluster.shard_of_key cluster k <> s1 then k
+      if j <> j1 && shard k <> s1 then k
       else if tries = 0 then Printf.sprintf "k%02d" ((j1 + 1) mod kv_key_space)
       else go (tries - 1)
     in
@@ -358,47 +224,44 @@ let install_kv_workload_multiring cluster (s : Schedule.t) =
   for node = 0 to n - 1 do
     let counter = ref 0 in
     let rec tick () =
-      if Netsim.now sim < c.Schedule.horizon_ns && Cluster.alive cluster ~node
+      if Netsim.now sim < c.Schedule.horizon_ns && Netsim.is_alive sim node
       then begin
         incr counter;
         let key = key () in
+        let kv = kv ~ring:(shard key) ~node in
         if
           c.Schedule.safe_permille > 0
           && Prng.int wl_prng 1000 < c.Schedule.safe_permille
-        then
-          Kv.sync_read
-            (Cluster.kv cluster
-               ~ring:(Cluster.shard_of_key cluster key)
-               ~node)
-            ~key
-            ~on_result:(fun _ ~token:_ -> ())
+        then Kv.sync_read kv ~key ~on_result:(fun _ ~token:_ -> ())
         else begin
           let r = Prng.int wl_prng 1000 in
-          if r < 250 then ignore (Cluster.read cluster ~node ~key)
-          else if r < 320 then Cluster.del cluster ~node ~key
+          if r < 250 then ignore (Kv.read kv ~key)
+          else if r < 320 then Kv.del kv ~key
           else if r < 420 then
-            let expect, _ = Cluster.read cluster ~node ~key in
-            Cluster.cas cluster ~node ~key ~expect
-              ~value:(pad (Printf.sprintf "c:%d:%d" node !counter))
-          else if r < 480 then begin
-            let k1, k2 = cross_pair () in
-            let checks =
-              if Prng.bool wl_prng then
-                [ (k1, fst (Cluster.read cluster ~node ~key:k1)) ]
-              else []
-            in
-            Cluster.mcas cluster ~node
-              ~id:(Printf.sprintf "fm:%d:%d" node !counter)
-              ~checks
-              ~writes:
-                [
-                  (k1, pad (Printf.sprintf "x:%d:%d:a" node !counter));
-                  (k2, pad (Printf.sprintf "x:%d:%d:b" node !counter));
-                ]
-          end
+            (* CAS against the local view: sometimes stale, so both the
+               success and failure paths execute at every replica. *)
+            let expect, _ = Kv.read kv ~key in
+            Kv.cas kv ~key ~expect
+              ~value:(value (Printf.sprintf "c:%d:%d" node !counter))
           else
-            Cluster.put cluster ~node ~key
-              ~value:(pad (Printf.sprintf "v:%d:%d" node !counter))
+            match mcas with
+            | Some mcas when r < 480 ->
+                let k1, k2 = cross_pair () in
+                let checks =
+                  if Prng.bool wl_prng then [ (k1, fst (read ~node k1)) ]
+                  else []
+                in
+                mcas ~node
+                  ~id:(Printf.sprintf "fm:%d:%d" node !counter)
+                  ~checks
+                  ~writes:
+                    [
+                      (k1, value (Printf.sprintf "x:%d:%d:a" node !counter));
+                      (k2, value (Printf.sprintf "x:%d:%d:b" node !counter));
+                    ]
+            | Some _ | None ->
+                Kv.put kv ~key
+                  ~value:(value (Printf.sprintf "v:%d:%d" node !counter))
         end;
         Netsim.call_at sim
           ~at:(Netsim.now sim + c.Schedule.submit_gap_ns)
@@ -407,6 +270,128 @@ let install_kv_workload_multiring cluster (s : Schedule.t) =
     in
     Netsim.call_at sim ~at:(ms 1 + (node * 97_000)) tick
   done
+
+(* One controller per member: the adaptive window is node-local state, so
+   each node learns independently. The controller draws no entropy of its
+   own, so runs stay deterministic per schedule. *)
+let controller ~adaptive (params : Params.t) =
+  if adaptive then
+    Some
+      (Aring_control.Controller.create
+         ~config:
+           (Aring_control.Controller.default_config
+              ~aw_max:params.Params.personal_window ())
+         ~init:params.Params.accelerated_window ())
+  else None
+
+(* The formation-cycle threshold must scale with the schedule: a
+   membership attempt rides token circuits of ~2n hops, so under
+   sustained per-hop loss p each attempt fails with probability about
+   1 - (1-p)^(2n) from loss alone -- at 27 nodes and 19 permille
+   that is ~65%, and runs of 8+ consecutive loss-killed attempts are
+   routine, not a livelock. Pick the smallest k that bounds the
+   false-positive odds of k consecutive legitimate failures below
+   ~1e-4; a true livelock (which never succeeds) still trips it, and
+   the deadline oracles keep judging final convergence regardless. *)
+let health_config (c : Schedule.config) =
+  let base = Health.default_config in
+  let p = float_of_int c.Schedule.base_loss_permille /. 1000. in
+  let attempt_fail = 1. -. ((1. -. p) ** float_of_int (2 * c.Schedule.n_nodes)) in
+  if attempt_fail <= 0. || attempt_fail >= 1. then base
+  else
+    let k = int_of_float (ceil (log 1e-4 /. log attempt_fail)) in
+    { base with Health.k_formation = max base.Health.k_formation k }
+
+(* Liveness stage 1, per ring: the survivors' [members] (pids [pids])
+   all operational in one common regular view whose membership is
+   exactly [pids]. All fault windows close inside the horizon and
+   crashes are permanent, so once reached this is stable (absent real
+   liveness bugs). The state_name check is load-bearing: [current_view]
+   reports the last *installed* view, so a node mid-formation still
+   answers with a stale view — without the check, probes can be
+   submitted while nodes are re-forming, land in client_pending, and get
+   sequenced in whichever (possibly partial) ring installs next, never
+   reaching the full membership. *)
+let ring_merged members ~pids =
+  let pids = List.sort compare pids in
+  List.for_all (fun m -> Member.state_name m = "operational") members
+  &&
+  let views = List.map Member.current_view members in
+  List.for_all
+    (function
+      | Some v ->
+          (not v.Participant.transitional)
+          && List.sort compare v.Participant.members = pids
+      | None -> false)
+    views
+  && (match views with
+     | Some v0 :: rest ->
+         List.for_all
+           (function
+             | Some v ->
+                 Types.ring_id_equal v.Participant.view_id v0.Participant.view_id
+             | None -> false)
+           rest
+     | _ -> true)
+
+(* Chunked execution, shared by both paths: stop at the first chunk
+   boundary with a violation (fast failure) or full convergence (fast
+   success). Chunk boundaries and every decision depend only on the
+   schedule and the trace so far, so stopping early keeps the trace hash
+   reproducible. At each boundary [violation] names an oracle failure
+   and [before_judging] runs path work (the probe submission); at the
+   deadline [unconverged] explains a liveness miss. Returns the failure,
+   the trace hash and the end-of-run watchdog report. *)
+let drive_chunks sim (s : Schedule.t) ~checker ~health ?extra_sink ~violation
+    ?(before_judging = fun _ -> ()) ~converged ~unconverged () =
+  let c = s.config in
+  let hash = ref fnv_offset in
+  let hash_sink =
+    Trace.fn_sink (fun ev ->
+        hash := fnv_string (fnv_string !hash (Trace_json.to_line ev)) "\n")
+  in
+  let deadline = c.Schedule.horizon_ns + c.Schedule.drain_ns in
+  let failure = ref None in
+  let finished = ref false in
+  let stop f =
+    failure := f;
+    finished := true
+  in
+  let sink =
+    Trace.tee
+      ([ Checker.as_sink checker; hash_sink ]
+      @ Option.to_list extra_sink)
+  in
+  (try
+     Trace.with_sink sink (fun () ->
+         let t = ref 0 in
+         while not !finished do
+           t := min deadline (!t + ms 25);
+           Netsim.run_until sim !t;
+           if Checker.violation_count checker > 0 then
+             stop (Some (Invariant (Checker.verdict checker)))
+           else
+             match violation () with
+             | Some f -> stop (Some f)
+             | None ->
+                 before_judging !t;
+                 if c.Schedule.liveness && converged () then stop None
+                 else if
+                   c.Schedule.liveness && Health.check health ~now:!t <> []
+                 then
+                   (* Stalled: stop now with an explanation instead of
+                      burning the rest of the drain budget to a timeout. *)
+                   stop
+                     (Some (Health_stall { report = Health.report health ~now:!t }))
+                 else if !t >= deadline then
+                   stop (if c.Schedule.liveness then unconverged () else None)
+         done)
+   with e -> failure := Some (Run_exception (Printexc.to_string e)));
+  let report = Health.report health ~now:(Netsim.now sim) in
+  Health.detach ();
+  (!failure, !hash, report)
+
+(* ---------- Multi-ring runs (config.rings > 1) ---------- *)
 
 (* The multi-ring twin of [run_single]. Always KV-hosted ([App_none]
    merely skips the workload); probes are never sent — EVS raw payloads
@@ -422,16 +407,6 @@ let run_multiring ~bug ~adaptive ~app ?extra_sink (s : Schedule.t) =
   let tiers =
     Array.of_list (List.map Schedule.tier c.Schedule.tier_ids)
   in
-  let controller ~pid:_ =
-    if adaptive then
-      Some
-        (Aring_control.Controller.create
-           ~config:
-             (Aring_control.Controller.default_config
-                ~aw_max:params.Params.personal_window ())
-           ~init:params.Params.accelerated_window ())
-    else None
-  in
   let kv_bug ~ring ~node =
     match bug with
     | Bug.Kv_skip_apply { node = bn; every } when bn = node && ring = 0 ->
@@ -439,84 +414,48 @@ let run_multiring ~bug ~adaptive ~app ?extra_sink (s : Schedule.t) =
     | _ -> None
   in
   Flight.reset ();
-  let health_config =
-    let base = Health.default_config in
-    let p = float_of_int c.Schedule.base_loss_permille /. 1000. in
-    let attempt_fail = 1. -. ((1. -. p) ** float_of_int (2 * n)) in
-    if attempt_fail <= 0. || attempt_fail >= 1. then base
-    else
-      let k = int_of_float (ceil (log 1e-4 /. log attempt_fail)) in
-      { base with Health.k_formation = max base.Health.k_formation k }
-  in
-  let health = Health.create ~config:health_config ~n:(rings * n) () in
+  let health = Health.create ~config:(health_config c) ~n:(rings * n) () in
   Health.attach health;
   let cluster =
     Cluster.create ~params ~net:(Schedule.net c) ~tiers ~seed:s.seed
-      ~controller
+      ~controller:(fun ~pid:_ -> controller ~adaptive params)
       ~wrap:(fun ~pid p -> Bug.wrap bug ~node:pid p)
       ~kv_bug ~rings ~nodes:n ()
   in
   let sim = Cluster.sim cluster in
   let checker = Checker.create () in
-  let hash = ref fnv_offset in
-  let hash_sink =
-    Trace.fn_sink (fun ev ->
-        hash := fnv_string (fnv_string !hash (Trace_json.to_line ev)) "\n")
-  in
   let deliveries = ref 0 in
   let views = ref 0 in
   Netsim.on_deliver sim (fun ~at:_ ~now:_ _ -> incr deliveries);
   Netsim.on_view sim (fun ~at:_ ~now:_ _ -> incr views);
-  install_faults_multiring cluster s;
+  install_faults sim s ~crash:(fun node ->
+      Cluster.crash cluster ~node;
+      (* The watchdog must not flag a dead node as stuck. *)
+      for r = 0 to rings - 1 do
+        Health.note_crash ~node:(Cluster.pid cluster ~ring:r ~node)
+      done);
   (match app with
   | App_none -> ()
-  | App_kv -> install_kv_workload_multiring cluster s);
+  | App_kv ->
+      install_kv_workload sim s
+        ~shard:(Cluster.shard_of_key cluster)
+        ~kv:(Cluster.kv cluster)
+        ~mcas:(Some (Cluster.mcas cluster)));
   let alive_phys () =
     List.filter (fun i -> Cluster.alive cluster ~node:i) (List.init n Fun.id)
   in
-  (* Liveness stage 1, per ring: every ring's survivors operational in
-     one common non-transitional view holding exactly that ring's
-     survivor pids. A run only counts as merged when ALL rings have
-     re-formed — an idle or slow ring must not be vacuously skipped. *)
+  (* Merged only when ALL rings have re-formed: an idle or slow ring
+     must not be vacuously skipped. *)
   let merged () =
     match alive_phys () with
     | [] -> true
     | survivors ->
-        let ring_ok r =
-          let pids =
-            List.sort compare
-              (List.map (fun i -> Cluster.pid cluster ~ring:r ~node:i) survivors)
-          in
-          List.for_all
-            (fun i ->
-              Member.state_name (Cluster.member cluster ~ring:r ~node:i)
-              = "operational")
-            survivors
-          &&
-          let ring_views =
-            List.map
-              (fun i -> Member.current_view (Cluster.member cluster ~ring:r ~node:i))
-              survivors
-          in
-          List.for_all
-            (function
-              | Some v ->
-                  (not v.Participant.transitional)
-                  && List.sort compare v.Participant.members = pids
-              | None -> false)
-            ring_views
-          && (match ring_views with
-             | Some v0 :: rest ->
-                 List.for_all
-                   (function
-                     | Some v ->
-                         Types.ring_id_equal v.Participant.view_id
-                           v0.Participant.view_id
-                     | None -> false)
-                   rest
-             | _ -> true)
-        in
-        List.for_all ring_ok (List.init rings Fun.id)
+        List.for_all
+          (fun r ->
+            ring_merged
+              (List.map (fun i -> Cluster.member cluster ~ring:r ~node:i) survivors)
+              ~pids:(List.map (fun i -> Cluster.pid cluster ~ring:r ~node:i) survivors))
+          (List.init rings Fun.id)
   in
   let kv_states () =
     List.concat_map
@@ -570,91 +509,49 @@ let run_multiring ~bug ~adaptive ~app ?extra_sink (s : Schedule.t) =
   let converged () =
     merged () && Cluster.kv_converged cluster && Cluster.merge_settled cluster
   in
-  let deadline = c.Schedule.horizon_ns + c.Schedule.drain_ns in
-  let chunk = ms 25 in
-  let failure = ref None in
-  let finished = ref false in
-  let sink =
-    Trace.tee
-      ([ Checker.as_sink checker; hash_sink ]
-      @ Option.to_list extra_sink)
+  let failure, trace_hash, health_report =
+    drive_chunks sim s ~checker ~health ?extra_sink
+      ~violation:(fun () ->
+        if Cluster.oracle_violations cluster > 0 then
+          Some (kv_violation_failure ())
+        else mcas_divergence ())
+      ~converged
+      ~unconverged:(fun () ->
+        if not (merged ()) then
+          Some
+            (No_merge
+               {
+                 states =
+                   List.concat_map
+                     (fun r ->
+                       List.map
+                         (fun i ->
+                           ( Cluster.pid cluster ~ring:r ~node:i,
+                             Member.state_name (Cluster.member cluster ~ring:r ~node:i) ))
+                         (alive_phys ()))
+                     (List.init rings Fun.id);
+               })
+        else if not (Cluster.kv_converged cluster && Cluster.merge_settled cluster)
+        then Some (Kv_unsettled { nodes = kv_states () })
+        else None)
+      ()
   in
-  (try
-     Trace.with_sink sink (fun () ->
-         let t = ref 0 in
-         while not !finished do
-           t := min deadline (!t + chunk);
-           Netsim.run_until sim !t;
-           if Checker.violation_count checker > 0 then begin
-             failure := Some (Invariant (Checker.verdict checker));
-             finished := true
-           end
-           else if Cluster.oracle_violations cluster > 0 then begin
-             failure := Some (kv_violation_failure ());
-             finished := true
-           end
-           else
-             match mcas_divergence () with
-             | Some f ->
-                 failure := Some f;
-                 finished := true
-             | None ->
-                 if c.Schedule.liveness && converged () then finished := true
-                 else if
-                   c.Schedule.liveness && Health.check health ~now:!t <> []
-                 then begin
-                   failure :=
-                     Some
-                       (Health_stall
-                          { report = Health.report health ~now:!t });
-                   finished := true
-                 end
-                 else if !t >= deadline then begin
-                   if c.Schedule.liveness then
-                     if not (merged ()) then
-                       failure :=
-                         Some
-                           (No_merge
-                              {
-                                states =
-                                  List.concat_map
-                                    (fun r ->
-                                      List.map
-                                        (fun i ->
-                                          ( Cluster.pid cluster ~ring:r
-                                              ~node:i,
-                                            Member.state_name
-                                              (Cluster.member cluster
-                                                 ~ring:r ~node:i) ))
-                                        (alive_phys ()))
-                                    (List.init rings Fun.id);
-                              })
-                     else if
-                       not
-                         (Cluster.kv_converged cluster
-                         && Cluster.merge_settled cluster)
-                     then
-                       failure := Some (Kv_unsettled { nodes = kv_states () });
-                   finished := true
-                 end
-         done)
-   with e -> failure := Some (Run_exception (Printexc.to_string e)));
-  let health_report = Health.report health ~now:(Netsim.now sim) in
-  Health.detach ();
-  (match !failure with
-  | None ->
-      if c.Schedule.liveness then Cluster.check_convergence cluster;
-      if Cluster.oracle_violations cluster > 0 then
-        failure := Some (kv_violation_failure ())
-      else failure := mcas_divergence ()
-  | Some _ -> ());
+  let failure =
+    match failure with
+    | Some _ -> failure
+    | None ->
+        if c.Schedule.liveness then Cluster.check_convergence cluster;
+        if Cluster.oracle_violations cluster > 0 then
+          Some (kv_violation_failure ())
+        else mcas_divergence ()
+  in
   {
     schedule = s;
-    failure = !failure;
+    failure;
     verdict = Checker.verdict checker;
     deliveries = !deliveries;
     views = !views;
-    trace_hash = !hash;
+    trace_hash;
     end_ns = Netsim.now sim;
     health = health_report;
   }
@@ -667,23 +564,10 @@ let run_single ~bug ~adaptive ~app ?extra_sink (s : Schedule.t) =
     Array.of_list (List.map Schedule.tier c.Schedule.tier_ids)
   in
   let initial_ring = Array.init n (fun i -> i) in
-  (* One controller per member: the adaptive window is node-local state, so
-     each node learns independently. The controller draws no entropy of its
-     own, so runs stay deterministic per schedule. *)
-  let controller () =
-    if adaptive then
-      Some
-        (Aring_control.Controller.create
-           ~config:
-             (Aring_control.Controller.default_config
-                ~aw_max:params.Params.personal_window ())
-           ~init:params.Params.accelerated_window ())
-    else None
-  in
   let legacy_flood = bug = Bug.Recovery_flood in
   let members =
     Array.init n (fun me ->
-        Member.create ~params ~me ~initial_ring ?controller:(controller ())
+        Member.create ~params ~me ~initial_ring ?controller:(controller ~adaptive params)
           ~legacy_flood ())
   in
   (* With the kv app, each member hosts a daemon and a KV replica; the
@@ -725,35 +609,12 @@ let run_single ~bug ~adaptive ~app ?extra_sink (s : Schedule.t) =
      The flight recorder restarts empty so a post-mortem dump shows only
      this run. Neither touches the hashed trace stream. *)
   Flight.reset ();
-  (* The formation-cycle threshold must scale with the schedule: a
-     membership attempt rides token circuits of ~2n hops, so under
-     sustained per-hop loss p each attempt fails with probability about
-     1 - (1-p)^(2n) from loss alone -- at 27 nodes and 19 permille
-     that is ~65%, and runs of 8+ consecutive loss-killed attempts are
-     routine, not a livelock. Pick the smallest k that bounds the
-     false-positive odds of k consecutive legitimate failures below
-     ~1e-4; a true livelock (which never succeeds) still trips it, and
-     the deadline oracles keep judging final convergence regardless. *)
-  let health_config =
-    let base = Health.default_config in
-    let p = float_of_int c.Schedule.base_loss_permille /. 1000. in
-    let attempt_fail = 1. -. ((1. -. p) ** float_of_int (2 * n)) in
-    if attempt_fail <= 0. || attempt_fail >= 1. then base
-    else
-      let k = int_of_float (ceil (log 1e-4 /. log attempt_fail)) in
-      { base with Health.k_formation = max base.Health.k_formation k }
-  in
-  let health = Health.create ~config:health_config ~n () in
+  let health = Health.create ~config:(health_config c) ~n () in
   Health.attach health;
   let sim =
     Netsim.create ~net:(Schedule.net c) ~tiers ~participants ~seed:s.seed ()
   in
   let checker = Checker.create () in
-  let hash = ref fnv_offset in
-  let hash_sink =
-    Trace.fn_sink (fun ev ->
-        hash := fnv_string (fnv_string !hash (Trace_json.to_line ev)) "\n")
-  in
   let deliveries = ref 0 in
   let views = ref 0 in
   (* (node, probe payload) pairs actually delivered. *)
@@ -764,51 +625,23 @@ let run_single ~bug ~adaptive ~app ?extra_sink (s : Schedule.t) =
       if String.length p >= 6 && String.sub p 0 6 = "probe:" then
         Hashtbl.replace got (node, p) ());
   Netsim.on_view sim (fun ~at:_ ~now:_ _ -> incr views);
-  install_faults sim s;
+  install_faults sim s ~crash:(fun node ->
+      Netsim.crash sim node;
+      (* The watchdog must not flag a dead node as stuck. *)
+      Health.note_crash ~node);
   (match app with
   | App_none -> install_workload sim s members
-  | App_kv -> install_kv_workload sim s kvs);
+  | App_kv ->
+      install_kv_workload sim s
+        ~shard:(fun _ -> 0)
+        ~kv:(fun ~ring:_ ~node -> kvs.(node))
+        ~mcas:None);
   let alive () = List.filter (Netsim.is_alive sim) (List.init n Fun.id) in
-  (* Liveness stage 1: all survivors operational in one common regular
-     view whose membership is exactly the survivor set. All fault windows
-     close inside the horizon and crashes are permanent, so once reached
-     this is stable (absent real liveness bugs). The state_name check is
-     load-bearing: [current_view] reports the last *installed* view, so a
-     node mid-formation still answers with a stale view — without the
-     check, probes can be submitted while nodes are re-forming, land in
-     client_pending, and get sequenced in whichever (possibly partial)
-     ring installs next, never reaching the full membership. *)
   let merged () =
     match alive () with
     | [] -> true
     | survivors ->
-        if
-          not
-            (List.for_all
-               (fun i -> Member.state_name members.(i) = "operational")
-               survivors)
-        then false
-        else
-        let views =
-          List.map (fun i -> Member.current_view members.(i)) survivors
-        in
-        List.for_all
-          (function
-            | Some v ->
-                (not v.Participant.transitional)
-                && List.sort compare v.Participant.members = survivors
-            | None -> false)
-          views
-        && (match views with
-           | Some v0 :: rest ->
-               List.for_all
-                 (function
-                   | Some v ->
-                       Types.ring_id_equal v.Participant.view_id
-                         v0.Participant.view_id
-                   | None -> false)
-                 rest
-           | _ -> true)
+        ring_merged (List.map (fun i -> members.(i)) survivors) ~pids:survivors
   in
   let probes = ref [] in
   let probes_sent = ref false in
@@ -871,9 +704,6 @@ let run_single ~bug ~adaptive ~app ?extra_sink (s : Schedule.t) =
             s.Kv.decode_errors ))
       (alive ())
   in
-  let oracle_violations () =
-    match oracle with Some o -> Oracle.violation_count o | None -> 0
-  in
   let kv_violation_failure o =
     let messages = Oracle.messages o in
     let keep = List.filteri (fun i _ -> i < 8) messages in
@@ -885,94 +715,50 @@ let run_single ~bug ~adaptive ~app ?extra_sink (s : Schedule.t) =
     && (app = App_none || merged ())
     && kv_ok ()
   in
-  let deadline = c.Schedule.horizon_ns + c.Schedule.drain_ns in
-  let chunk = ms 25 in
-  (* Chunked execution: stop at the first chunk boundary with a violation
-     (fast failure) or with full probe convergence (fast success). Chunk
-     boundaries and the probe-submission point depend only on the
-     schedule and the trace so far, so stopping early keeps the trace
-     hash reproducible. *)
-  let failure = ref None in
-  let finished = ref false in
-  let sink =
-    Trace.tee
-      ([ Checker.as_sink checker; hash_sink ]
-      @ Option.to_list extra_sink)
+  let failure, trace_hash, health_report =
+    drive_chunks sim s ~checker ~health ?extra_sink
+      ~violation:(fun () ->
+        match oracle with
+        | Some o when Oracle.violation_count o > 0 -> Some (kv_violation_failure o)
+        | _ -> None)
+      ~before_judging:(fun t ->
+        if (not !probes_sent) && t > c.Schedule.horizon_ns && merged () then
+          send_probes ())
+      ~converged
+      ~unconverged:(fun () ->
+        if not !probes_sent then
+          Some
+            (No_merge
+               {
+                 states =
+                   List.map (fun i -> (i, Member.state_name members.(i))) (alive ());
+               })
+        else
+          let missing = List.sort compare (missing_probes ()) in
+          if missing <> [] then Some (No_convergence { missing })
+          else if not (kv_ok ()) then Some (Kv_unsettled { nodes = kv_states () })
+          else None)
+      ()
   in
-  (try
-     Trace.with_sink sink (fun () ->
-         let t = ref 0 in
-         while not !finished do
-           t := min deadline (!t + chunk);
-           Netsim.run_until sim !t;
-           if Checker.violation_count checker > 0 then begin
-             failure := Some (Invariant (Checker.verdict checker));
-             finished := true
-           end
-           else if oracle_violations () > 0 then begin
-             failure := Some (kv_violation_failure (Option.get oracle));
-             finished := true
-           end
-           else begin
-             if
-               (not !probes_sent)
-               && !t > c.Schedule.horizon_ns
-               && merged ()
-             then send_probes ();
-             if c.Schedule.liveness && converged () then finished := true
-             else if
-               c.Schedule.liveness && Health.check health ~now:!t <> []
-             then begin
-               (* Stalled: stop now with an explanation instead of
-                  burning the rest of the drain budget to a timeout. *)
-               failure :=
-                 Some
-                   (Health_stall { report = Health.report health ~now:!t });
-               finished := true
-             end
-             else if !t >= deadline then begin
-               if c.Schedule.liveness then
-                 if not !probes_sent then
-                   failure :=
-                     Some
-                       (No_merge
-                          {
-                            states =
-                              List.map
-                                (fun i -> (i, Member.state_name members.(i)))
-                                (alive ());
-                          })
-                 else begin
-                   let missing = List.sort compare (missing_probes ()) in
-                   if missing <> [] then
-                     failure := Some (No_convergence { missing })
-                   else if not (kv_ok ()) then
-                     failure := Some (Kv_unsettled { nodes = kv_states () })
-                 end;
-               finished := true
-             end
-           end
-         done)
-   with e -> failure := Some (Run_exception (Printexc.to_string e)));
-  let health_report = Health.report health ~now:(Netsim.now sim) in
-  Health.detach ();
   (* Final oracle pass: end-of-run convergence (survivor stores equal and
      byte-identical to their shadows) plus any violation recorded after
      the last chunk boundary. *)
-  (match (!failure, oracle) with
-  | None, Some o ->
-      if c.Schedule.liveness then
-        Oracle.check_convergence o (List.map (fun i -> kvs.(i)) (alive ()));
-      if Oracle.violation_count o > 0 then
-        failure := Some (kv_violation_failure o)
-  | _ -> ());
+  let failure =
+    match (failure, oracle) with
+    | None, Some o ->
+        if c.Schedule.liveness then
+          Oracle.check_convergence o (List.map (fun i -> kvs.(i)) (alive ()));
+        if Oracle.violation_count o > 0 then Some (kv_violation_failure o)
+        else None
+    | _ -> failure
+  in
   {
     schedule = s;
-    failure = !failure;
+    failure;
     verdict = Checker.verdict checker;
     deliveries = !deliveries;
     views = !views;
-    trace_hash = !hash;
+    trace_hash;
     end_ns = Netsim.now sim;
     health = health_report;
   }

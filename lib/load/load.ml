@@ -60,6 +60,25 @@ type spec = {
   seed : int64;
 }
 
+type sessions = {
+  sessions_started : int;
+  sessions_peak : int;
+  reconnects : int;
+  ops_offered : int;
+  ops_skipped : int;
+  writes_offered : int;
+  sync_read_latency_us : Stats.t;
+  queue_depth_peak : int;
+  queue_depth_end : int;
+  slow_inbox_peak : int;
+  slow_inbox_end : int;
+  storm_steady_rate : float;
+  storm_rate : float;
+  storm_degradation : float;
+  storm_recovered_ms : float;
+  storm_all_reconnected : bool;
+}
+
 type result = {
   spec : spec;
   sessions_started : int;
@@ -87,6 +106,17 @@ type result = {
   converged : bool;
   end_ns : int;
   metrics : Metrics.t;
+}
+
+type target = {
+  sim : Netsim.t;
+  daemon : ring:int -> node:int -> Daemon.t;
+  kv : ring:int -> node:int -> Kv.t;
+  shard : string -> int;
+  mcas : (node:int -> id:string -> writes:(string * string) list -> unit) option;
+  completes_at : int -> int;
+  on_applied : (node:int -> Op.t -> int option) -> unit;
+  settled : unit -> bool;
 }
 
 let ms n = n * 1_000_000
@@ -123,11 +153,13 @@ let default_spec =
     seed = 21L;
   }
 
-(* One open-loop client slot. [gen] guards delayed churn/reconnect
-   callbacks against acting on a slot whose session has turned over. *)
+(* One open-loop client slot, hosted by the daemon of ring [ring] at
+   [node]. [gen] guards delayed churn/reconnect callbacks against acting
+   on a slot whose session has turned over. *)
 type sess = {
   id : int;
   node : int;
+  ring : int;
   group : string;
   mutable handle : Daemon.session option;
   mutable gen : int;
@@ -140,99 +172,77 @@ let no_callbacks =
     on_group_view = (fun ~group:_ ~members:_ -> ());
   }
 
-let validate spec =
-  if spec.n_nodes < 2 then invalid_arg "Load.run: n_nodes < 2";
-  if spec.rings <> 1 then
-    invalid_arg "Load.run: multi-ring specs run via Aring_multiring.Mload.run";
-  if spec.mcas_permille <> 0 then
-    invalid_arg "Load.run: mcas needs a multi-ring run (Mload)";
-  if spec.sessions_per_node < 1 then
-    invalid_arg "Load.run: sessions_per_node < 1";
-  if spec.n_groups < 1 then invalid_arg "Load.run: n_groups < 1";
-  if spec.key_space < 1 then invalid_arg "Load.run: key_space < 1";
-  if spec.value_mix = [] then invalid_arg "Load.run: empty value_mix";
+let validate ~prefix spec =
+  let fail what = invalid_arg (String.capitalize_ascii prefix ^ ".run: " ^ what) in
+  if spec.n_nodes < 2 then fail "n_nodes < 2";
+  if spec.sessions_per_node < 1 then fail "sessions_per_node < 1";
+  if spec.n_groups < 1 then fail "n_groups < 1";
+  if spec.key_space < 1 then fail "key_space < 1";
+  if spec.value_mix = [] then fail "empty value_mix";
   if List.exists (fun (_, w) -> w < 0) spec.value_mix then
-    invalid_arg "Load.run: negative value_mix weight";
+    fail "negative value_mix weight";
   if List.fold_left (fun a (_, w) -> a + w) 0 spec.value_mix <= 0 then
-    invalid_arg "Load.run: value_mix weights sum to zero"
-
-let install_partition sim n (p : Kv_scenario.partition) =
-  let inside = Array.make n false in
-  List.iter (fun i -> if i >= 0 && i < n then inside.(i) <- true) p.island;
-  Netsim.set_drop sim (fun ~src ~dst _ ->
-      let now = Netsim.now sim in
-      now >= p.part_at_ns && now < p.heal_at_ns && inside.(src) <> inside.(dst))
-
-let kv_converged kvs =
-  let n = Array.length kvs in
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    if not (Kv.settled kvs.(i) && Kv.synced kvs.(i)) then ok := false
-  done;
-  for i = 1 to n - 1 do
-    if
-      Kv.applied kvs.(i) <> Kv.applied kvs.(0)
-      || Kv.digest kvs.(i) <> Kv.digest kvs.(0)
-    then ok := false
-  done;
-  !ok
-
-let run spec =
-  validate spec;
-  let n = spec.n_nodes in
-  let initial_ring = Array.init n (fun i -> i) in
-  let members =
-    Array.init n (fun me ->
-        Member.create ~params:spec.params ~me ~initial_ring ())
-  in
-  let daemons =
-    Array.init n (fun i -> Daemon.create ~member:members.(i) ())
-  in
-  let kvs =
-    Array.init n (fun i -> Kv.create ~cluster_size:n ~daemon:daemons.(i) ())
-  in
-  let oracle = Oracle.create () in
-  Array.iter (fun kv -> Oracle.attach oracle kv) kvs;
-  let sim =
-    Netsim.create ~net:spec.net
-      ~tiers:(Array.make n spec.tier)
-      ~participants:(Array.map Daemon.participant daemons)
-      ~seed:spec.seed ()
-  in
-  (* Network shape: per-node link-rate overrides and WAN latency
-     classes. Applied before the first event runs. *)
+    fail "value_mix weights sum to zero";
+  if spec.mcas_permille < 0 || spec.mcas_permille > 1000 then
+    fail "mcas_permille out of range";
+  (* A cross-shard pair needs two distinct keys. *)
+  if spec.mcas_permille > 0 && spec.key_space < 2 then
+    fail "mcas needs key_space >= 2";
   List.iter
     (fun l ->
-      Netsim.set_link_rates sim ~node:l.l_node ?up_bps:l.l_up_bps
-        ?down_bps:l.l_down_bps ())
+      if l.l_node < 0 || l.l_node >= spec.n_nodes then
+        fail "link node out of range")
     spec.links;
   Option.iter
     (fun g ->
-      Netsim.set_latency_classes sim ~classes:g.classes
+      if Array.length g.classes <> spec.n_nodes then
+        fail "geo classes must cover n_nodes")
+    spec.geo
+
+(* The generator's PRNG salt: the ASCII bytes of the metric prefix
+   ("load" = 0x6C6F6164). *)
+let salt prefix =
+  String.fold_left
+    (fun acc c -> Int64.logor (Int64.shift_left acc 8) (Int64.of_int (Char.code c)))
+    0L prefix
+
+let drive ~prefix ~metrics spec target =
+  let n = spec.n_nodes and rings = spec.rings in
+  let sim = target.sim in
+  (* Network shape over every ring's participants [ring * n + node]:
+     per-node link-rate overrides, WAN latency classes and the partition
+     window, all keyed by the physical node. Applied before the first
+     event runs. *)
+  List.iter
+    (fun l ->
+      for r = 0 to rings - 1 do
+        Netsim.set_link_rates sim ~node:((r * n) + l.l_node) ?up_bps:l.l_up_bps
+          ?down_bps:l.l_down_bps ()
+      done)
+    spec.links;
+  Option.iter
+    (fun g ->
+      Netsim.set_latency_classes sim
+        ~classes:(Array.init (rings * n) (fun p -> g.classes.(p mod n)))
         ~matrix:g.latency_matrix)
     spec.geo;
-  Option.iter (install_partition sim n) spec.partition;
-  let metrics = Metrics.create () in
-  let span = Span.create ~metrics () in
-  Span.attach span;
+  Option.iter (Kv_scenario.install_partition sim n) spec.partition;
   let horizon = spec.warmup_ns + spec.measure_ns in
   let deadline = horizon + spec.drain_ns in
   (* ---------------- instruments ---------------- *)
-  let m_offered = Metrics.counter metrics "load.ops_offered" in
-  let m_skipped = Metrics.counter metrics "load.ops_skipped_disconnected" in
-  let m_reconnects = Metrics.counter metrics "load.reconnects" in
-  let m_sessions = Metrics.gauge metrics "load.sessions_connected" in
-  let m_queue = Metrics.gauge metrics "load.queue_depth" in
-  let m_queue_peak = Metrics.gauge metrics "load.queue_depth_peak" in
-  let m_slow_inbox = Metrics.gauge metrics "load.slow_inbox_depth" in
-  let m_slow_drained = Metrics.counter metrics "load.slow_drained" in
-  let m_latency = Metrics.histogram metrics "load.write_latency_us" in
-  let write_latency = Stats.create () in
+  let metric name = prefix ^ "." ^ name in
+  let m_offered = Metrics.counter metrics (metric "ops_offered") in
+  let m_skipped = Metrics.counter metrics (metric "ops_skipped_disconnected") in
+  let m_reconnects = Metrics.counter metrics (metric "reconnects") in
+  let m_sessions = Metrics.gauge metrics (metric "sessions_connected") in
+  let m_queue = Metrics.gauge metrics (metric "queue_depth") in
+  let m_queue_peak = Metrics.gauge metrics (metric "queue_depth_peak") in
+  let m_slow_inbox = Metrics.gauge metrics (metric "slow_inbox_depth") in
+  let m_slow_drained = Metrics.counter metrics (metric "slow_drained") in
   let sync_latency = Stats.create () in
   let ops_offered = ref 0 in
   let ops_skipped = ref 0 in
   let writes_offered = ref 0 in
-  let writes_applied = ref 0 in
   let in_flight_total = ref 0 in
   let queue_peak = ref 0 in
   let connected = ref 0 in
@@ -242,34 +252,30 @@ let run spec =
      degradation and recovery SLOs. *)
   let bin_ns = ms 1 in
   let applied_bins = Array.make ((deadline / bin_ns) + 2) 0 in
-  (* Submit times of tracked in-flight writes, per node, keyed by the
-     unique value string the op carries (as in Kv_scenario). *)
+  (* Submit times of tracked in-flight writes, per completing node,
+     keyed by the unique value string the op carries (as in
+     Kv_scenario). *)
   let in_flight = Array.init n (fun _ -> Hashtbl.create 1024) in
-  Array.iteri
-    (fun node kv ->
-      Kv.add_observer kv (function
-        | Kv.Applied { op; _ } -> (
-            let now = Netsim.now sim in
-            if node = 0 then begin
-              if now >= spec.warmup_ns && now < horizon then
-                incr writes_applied;
-              let b = now / bin_ns in
-              if b >= 0 && b < Array.length applied_bins then
-                applied_bins.(b) <- applied_bins.(b) + 1
-            end;
-            match op with
-            | Op.Put { value; _ } | Op.Cas { value; _ } -> (
-                match Hashtbl.find_opt in_flight.(node) value with
-                | Some t0 ->
-                    Hashtbl.remove in_flight.(node) value;
-                    decr in_flight_total;
-                    let us = float_of_int (now - t0) /. 1e3 in
-                    Stats.add write_latency us;
-                    Metrics.observe m_latency us
-                | None -> ())
-            | _ -> ())
-        | _ -> ()))
-    kvs;
+  target.on_applied (fun ~node op ->
+      if node = 0 then begin
+        let b = Netsim.now sim / bin_ns in
+        if b >= 0 && b < Array.length applied_bins then
+          applied_bins.(b) <- applied_bins.(b) + 1
+      end;
+      match op with
+      | Op.Put { value; _ } | Op.Cas { value; _ } ->
+          let t0 = Hashtbl.find_opt in_flight.(node) value in
+          if Option.is_some t0 then begin
+            Hashtbl.remove in_flight.(node) value;
+            decr in_flight_total
+          end;
+          t0
+      | _ -> None);
+  let track ss value now =
+    Hashtbl.replace in_flight.(target.completes_at ss.node) value now;
+    incr in_flight_total;
+    if !in_flight_total > !queue_peak then queue_peak := !in_flight_total
+  in
   (* ---------------- session population ---------------- *)
   let total_sessions = n * spec.sessions_per_node in
   let sessions =
@@ -277,13 +283,14 @@ let run spec =
         {
           id = i;
           node = i mod n;
+          ring = i / n mod rings;
           group = Printf.sprintf "g%03d" (i mod spec.n_groups);
           handle = None;
           gen = 0;
           counter = 0;
         })
   in
-  let prng = Prng.create ~seed:(Int64.logxor spec.seed 0x6C6F6164L) in
+  let prng = Prng.create ~seed:(Int64.logxor spec.seed (salt prefix)) in
   let zipf = Prng.zipf_table ~n:spec.key_space ~theta:spec.zipf_theta in
   let value_total =
     List.fold_left (fun a (_, w) -> a + w) 0 spec.value_mix
@@ -297,20 +304,27 @@ let run spec =
     in
     pick 0 spec.value_mix
   in
-  let pad tag bytes =
-    let len = max (String.length tag) bytes in
-    let b = Bytes.make len '.' in
-    Bytes.blit_string tag 0 b 0 (String.length tag);
-    Bytes.to_string b
-  in
+  let draw_value tag = Kv_scenario.pad tag (draw_value_bytes ()) in
   let key () = Printf.sprintf "k%05d" (Prng.zipf prng zipf) in
+  (* A cross-shard pair: draw until the second key lands on a different
+     ring (bounded — heavy skew can defeat it, a same-shard mcas is
+     still a valid single-part commit). *)
+  let cross_shard_pair () =
+    let k1 = key () in
+    let s1 = target.shard k1 in
+    let rec other tries =
+      let k2 = key () in
+      if k2 <> k1 && (target.shard k2 <> s1 || tries >= 8) then k2
+      else other (tries + 1)
+    in
+    (k1, other 0)
+  in
+  let daemon ss = target.daemon ~ring:ss.ring ~node:ss.node in
   let connect_session ss =
     let h =
-      Daemon.connect daemons.(ss.node)
-        ~name:(Printf.sprintf "u%05d" ss.id)
-        no_callbacks
+      Daemon.connect (daemon ss) ~name:(Printf.sprintf "u%05d" ss.id) no_callbacks
     in
-    Daemon.join daemons.(ss.node) h ss.group;
+    Daemon.join (daemon ss) h ss.group;
     ss.handle <- Some h;
     ss.gen <- ss.gen + 1;
     incr connected;
@@ -320,23 +334,25 @@ let run spec =
     match ss.handle with
     | None -> ()
     | Some h ->
-        Daemon.disconnect daemons.(ss.node) h;
+        Daemon.disconnect (daemon ss) h;
         ss.handle <- None;
         ss.gen <- ss.gen + 1;
         decr connected
   in
-  (* One KV op per arrival, independent of any completion. *)
+  (* One KV op per arrival, independent of any completion, on the
+     replica the key routes to from the session's node. *)
   let do_op ss now =
     let in_window = now >= spec.warmup_ns && now < horizon in
     if in_window then incr ops_offered;
     Metrics.incr m_offered;
     ss.counter <- ss.counter + 1;
-    let kv = kvs.(ss.node) in
     let key = key () in
+    let kv = target.kv ~ring:(target.shard key) ~node:ss.node in
     let r = Prng.int prng 1000 in
     let sync_edge = spec.read_permille + spec.sync_read_permille in
     let cas_edge = sync_edge + spec.cas_permille in
     let del_edge = cas_edge + spec.del_permille in
+    let mcas_edge = del_edge + spec.mcas_permille in
     if r < spec.read_permille then ignore (Kv.read kv ~key)
     else if r < sync_edge then
       let t0 = now in
@@ -344,11 +360,8 @@ let run spec =
           Stats.add sync_latency (float_of_int (Netsim.now sim - t0) /. 1e3))
     else if r < cas_edge then begin
       if in_window then incr writes_offered;
-      let value =
-        pad (Printf.sprintf "c:%d:%d:" ss.id ss.counter) (draw_value_bytes ())
-      in
-      Hashtbl.replace in_flight.(ss.node) value now;
-      incr in_flight_total;
+      let value = draw_value (Printf.sprintf "c:%d:%d:" ss.id ss.counter) in
+      track ss value now;
       let expect, _ = Kv.read kv ~key in
       Kv.cas kv ~key ~expect ~value
     end
@@ -356,13 +369,23 @@ let run spec =
       if in_window then incr writes_offered;
       Kv.del kv ~key
     end
+    else if r < mcas_edge then begin
+      (* Cross-shard multi-key cas, both writes tracked. *)
+      if in_window then incr writes_offered;
+      let k1, k2 = cross_shard_pair () in
+      let id = Printf.sprintf "m:%d:%d" ss.id ss.counter in
+      let v1 = draw_value (Printf.sprintf "x:%s:a:" id) in
+      let v2 = draw_value (Printf.sprintf "x:%s:b:" id) in
+      track ss v1 now;
+      track ss v2 now;
+      Option.iter
+        (fun mcas -> mcas ~node:ss.node ~id ~writes:[ (k1, v1); (k2, v2) ])
+        target.mcas
+    end
     else begin
       if in_window then incr writes_offered;
-      let value =
-        pad (Printf.sprintf "w:%d:%d:" ss.id ss.counter) (draw_value_bytes ())
-      in
-      Hashtbl.replace in_flight.(ss.node) value now;
-      incr in_flight_total;
+      let value = draw_value (Printf.sprintf "w:%d:%d:" ss.id ss.counter) in
+      track ss value now;
       Kv.put kv ~key ~value
     end
   in
@@ -466,55 +489,57 @@ let run spec =
             storm_set))
     storm;
   (* ---------------- slow receivers ---------------- *)
+  (* [slow_per_node] per daemon, i.e. per (ring, node) participant. *)
   let slow_sessions = ref [] in
   let slow_inbox_peak = ref 0 in
   Option.iter
     (fun sl ->
-      for node = 0 to n - 1 do
-        for i = 0 to sl.slow_per_node - 1 do
-          Netsim.call_at sim ~at:(200_000 + (((node * sl.slow_per_node) + i) * 7_000))
-            (fun () ->
-              let h =
-                Daemon.connect daemons.(node)
-                  ~name:(Printf.sprintf "slow%d" i)
-                  {
-                    Daemon.on_message =
-                      (fun ~sender:_ ~groups:_ _ _ ->
-                        Metrics.incr m_slow_drained);
-                    on_group_view = (fun ~group:_ ~members:_ -> ());
-                  }
-              in
-              (* Subscribing to the KV group puts the full ordered write
-                 stream through this session. *)
-              Daemon.join daemons.(node) h Kv.group;
-              Daemon.set_slow_receiver daemons.(node) h true;
-              slow_sessions := (node, h) :: !slow_sessions;
-              let batch =
-                max 1 (int_of_float (sl.drain_per_sec *. 0.004))
-              in
-              let rec pump_tick () =
-                let now = Netsim.now sim in
-                if now < deadline then begin
-                  ignore (Daemon.pump daemons.(node) h ~max:batch);
-                  Netsim.call_at sim ~at:(now + ms 4) pump_tick
-                end
-              in
-              Netsim.call_at sim ~at:(Netsim.now sim + ms 4) pump_tick)
+      for ring = 0 to rings - 1 do
+        for node = 0 to n - 1 do
+          let d = target.daemon ~ring ~node and pid = (ring * n) + node in
+          for i = 0 to sl.slow_per_node - 1 do
+            Netsim.call_at sim ~at:(200_000 + (((pid * sl.slow_per_node) + i) * 7_000))
+              (fun () ->
+                let h =
+                  Daemon.connect d
+                    ~name:(Printf.sprintf "slow%d" i)
+                    {
+                      Daemon.on_message =
+                        (fun ~sender:_ ~groups:_ _ _ ->
+                          Metrics.incr m_slow_drained);
+                      on_group_view = (fun ~group:_ ~members:_ -> ());
+                    }
+                in
+                (* Subscribing to the KV group puts the ring's full
+                   ordered write stream through this session. *)
+                Daemon.join d h Kv.group;
+                Daemon.set_slow_receiver d h true;
+                slow_sessions := (d, h) :: !slow_sessions;
+                let batch =
+                  max 1 (int_of_float (sl.drain_per_sec *. 0.004))
+                in
+                let rec pump_tick () =
+                  let now = Netsim.now sim in
+                  if now < deadline then begin
+                    ignore (Daemon.pump d h ~max:batch);
+                    Netsim.call_at sim ~at:(now + ms 4) pump_tick
+                  end
+                in
+                Netsim.call_at sim ~at:(Netsim.now sim + ms 4) pump_tick)
+          done
         done
       done)
     spec.slow;
+  let slow_inbox () =
+    List.fold_left (fun acc (d, h) -> acc + Daemon.inbox_depth d h) 0 !slow_sessions
+  in
   (* ---------------- periodic sampler ---------------- *)
   let rec sample () =
     let now = Netsim.now sim in
     Metrics.set m_sessions (float_of_int !connected);
     Metrics.set m_queue (float_of_int !in_flight_total);
-    if !in_flight_total > !queue_peak then queue_peak := !in_flight_total;
     Metrics.set m_queue_peak (float_of_int !queue_peak);
-    let inbox_total =
-      List.fold_left
-        (fun acc (node, h) -> acc + Daemon.inbox_depth daemons.(node) h)
-        0 !slow_sessions
-    in
+    let inbox_total = slow_inbox () in
     if inbox_total > !slow_inbox_peak then slow_inbox_peak := inbox_total;
     Metrics.set m_slow_inbox (float_of_int inbox_total);
     (match storm with
@@ -531,22 +556,23 @@ let run spec =
   Netsim.call_at sim ~at:(ms 1) sample;
   (* ---------------- drive + drain ---------------- *)
   let pending () =
-    Array.fold_left (fun acc kv -> acc + Kv.pending_sync_reads kv) 0 kvs
+    let total = ref 0 in
+    for ring = 0 to rings - 1 do
+      for node = 0 to n - 1 do
+        total := !total + Kv.pending_sync_reads (target.kv ~ring ~node)
+      done
+    done;
+    !total
   in
   let t = ref 0 in
   let stop = ref false in
-  Fun.protect ~finally:Span.detach (fun () ->
-      while not !stop do
-        t := min deadline (!t + ms 25);
-        Netsim.run_until sim !t;
-        if !t >= deadline then stop := true
-        else if !t > horizon && kv_converged kvs && pending () = 0 then
-          stop := true
-      done);
-  Oracle.check_convergence oracle (Array.to_list kvs);
-  Netsim.record_metrics sim metrics;
-  Array.iter (fun d -> Daemon.record_metrics d metrics) daemons;
-  Array.iter (fun kv -> Kv.record_metrics kv metrics) kvs;
+  while not !stop do
+    t := min deadline (!t + ms 25);
+    Netsim.run_until sim !t;
+    if !t >= deadline then stop := true
+    else if !t > horizon && target.settled () && pending () = 0 then
+      stop := true
+  done;
   (* ---------------- storm SLOs ---------------- *)
   let rate_over a b =
     if b <= a then 0.0
@@ -580,37 +606,123 @@ let run spec =
           recovered_ms,
           Array.for_all (fun ss -> ss.handle <> None) storm_set )
   in
-  let slow_inbox_end =
-    List.fold_left
-      (fun acc (node, h) -> acc + Daemon.inbox_depth daemons.(node) h)
-      0 !slow_sessions
+  ({
+     sessions_started = total_sessions;
+     sessions_peak = !sessions_peak;
+     reconnects = !reconnects;
+     ops_offered = !ops_offered;
+     ops_skipped = !ops_skipped;
+     writes_offered = !writes_offered;
+     sync_read_latency_us = sync_latency;
+     queue_depth_peak = !queue_peak;
+     queue_depth_end = !in_flight_total;
+     slow_inbox_peak = !slow_inbox_peak;
+     slow_inbox_end = slow_inbox ();
+     storm_steady_rate;
+     storm_rate;
+     storm_degradation;
+     storm_recovered_ms;
+     storm_all_reconnected;
+   }
+    : sessions)
+
+(* The 1-ring target: Member/Daemon/Kv per node on one Netsim, with the
+   span collector attached. A write completes on apply at the replica
+   that submitted it. *)
+let run spec =
+  if spec.rings <> 1 then
+    invalid_arg "Load.run: multi-ring specs run via Aring_multiring.Mload.run";
+  if spec.mcas_permille <> 0 then
+    invalid_arg "Load.run: mcas needs a multi-ring run (Mload)";
+  validate ~prefix:"load" spec;
+  let n = spec.n_nodes in
+  let initial_ring = Array.init n (fun i -> i) in
+  let members =
+    Array.init n (fun me ->
+        Member.create ~params:spec.params ~me ~initial_ring ())
   in
+  let daemons =
+    Array.init n (fun i -> Daemon.create ~member:members.(i) ())
+  in
+  let kvs =
+    Array.init n (fun i -> Kv.create ~cluster_size:n ~daemon:daemons.(i) ())
+  in
+  let oracle = Oracle.create () in
+  Array.iter (fun kv -> Oracle.attach oracle kv) kvs;
+  let sim =
+    Netsim.create ~net:spec.net
+      ~tiers:(Array.make n spec.tier)
+      ~participants:(Array.map Daemon.participant daemons)
+      ~seed:spec.seed ()
+  in
+  let metrics = Metrics.create () in
+  let span = Span.create ~metrics () in
+  Span.attach span;
+  let horizon = spec.warmup_ns + spec.measure_ns in
+  let m_latency = Metrics.histogram metrics "load.write_latency_us" in
+  let write_latency = Stats.create () in
+  let writes_applied = ref 0 in
+  let on_applied applied =
+    Array.iteri
+      (fun node kv ->
+        Kv.add_observer kv (function
+          | Kv.Applied { op; _ } -> (
+              let now = Netsim.now sim in
+              if node = 0 && now >= spec.warmup_ns && now < horizon then
+                incr writes_applied;
+              match applied ~node op with
+              | Some t0 ->
+                  let us = float_of_int (now - t0) /. 1e3 in
+                  Stats.add write_latency us;
+                  Metrics.observe m_latency us
+              | None -> ())
+          | _ -> ()))
+      kvs
+  in
+  let s =
+    Fun.protect ~finally:Span.detach (fun () ->
+        drive ~prefix:"load" ~metrics spec
+          {
+            sim;
+            daemon = (fun ~ring:_ ~node -> daemons.(node));
+            kv = (fun ~ring:_ ~node -> kvs.(node));
+            shard = (fun _ -> 0);
+            mcas = None;
+            completes_at = Fun.id;
+            on_applied;
+            settled = (fun () -> Kv_scenario.kv_converged kvs);
+          })
+  in
+  Oracle.check_convergence oracle (Array.to_list kvs);
+  Netsim.record_metrics sim metrics;
+  Array.iter (fun d -> Daemon.record_metrics d metrics) daemons;
+  Array.iter (fun kv -> Kv.record_metrics kv metrics) kvs;
   let measure_s = float_of_int spec.measure_ns /. 1e9 in
   {
     spec;
-    sessions_started = total_sessions;
-    sessions_peak = !sessions_peak;
-    reconnects = !reconnects;
-    ops_offered = !ops_offered;
-    ops_skipped = !ops_skipped;
-    writes_offered = !writes_offered;
+    sessions_started = s.sessions_started;
+    sessions_peak = s.sessions_peak;
+    reconnects = s.reconnects;
+    ops_offered = s.ops_offered;
+    ops_skipped = s.ops_skipped;
+    writes_offered = s.writes_offered;
     writes_applied = !writes_applied;
-    offered_write_rate = float_of_int !writes_offered /. measure_s;
+    offered_write_rate = float_of_int s.writes_offered /. measure_s;
     applied_write_rate = float_of_int !writes_applied /. measure_s;
     write_latency_us = write_latency;
-    sync_read_latency_us = sync_latency;
-    queue_depth_peak = !queue_peak;
-    queue_depth_end = !in_flight_total;
-    slow_inbox_peak = !slow_inbox_peak;
-    slow_inbox_end;
-    storm_steady_rate;
-    storm_rate;
-    storm_degradation;
-    storm_recovered_ms;
-    storm_all_reconnected;
+    sync_read_latency_us = s.sync_read_latency_us;
+    queue_depth_peak = s.queue_depth_peak;
+    queue_depth_end = s.queue_depth_end;
+    slow_inbox_peak = s.slow_inbox_peak;
+    slow_inbox_end = s.slow_inbox_end;
+    storm_steady_rate = s.storm_steady_rate;
+    storm_rate = s.storm_rate;
+    storm_degradation = s.storm_degradation;
+    storm_recovered_ms = s.storm_recovered_ms;
+    storm_all_reconnected = s.storm_all_reconnected;
     oracle;
     oracle_violations = Oracle.violation_count oracle;
-    converged = kv_converged kvs;
+    converged = Kv_scenario.kv_converged kvs;
     end_ns = Netsim.now sim;
     metrics;
   }

@@ -13,8 +13,8 @@
     - {b Sessions}: [sessions_per_node] real {!Aring_daemon.Daemon}
       sessions per daemon, spread over [n_groups] groups, so membership
       state, union routing and Join/Leave traffic are at production
-      scale. KV ops ride the per-daemon replica; the session population
-      drives who offers them.
+      scale. KV ops ride the replica their key routes to; the session
+      population drives who offers them.
     - {b Skew}: Zipf(θ) key popularity over [key_space] keys
       ({!Aring_util.Prng.zipf}), a weighted mix of op types and value
       sizes.
@@ -24,11 +24,15 @@
     - {b Slow receivers}: extra sessions subscribed to the KV group
       that drain through {!Aring_daemon.Daemon.pump} at a bounded rate,
       exercising head-of-line isolation.
-    - {b Network asymmetry}: per-node link-rate overrides and a WAN/geo
-      latency-class matrix ({!Aring_sim.Netsim.set_latency_classes}).
+    - {b Network asymmetry}: per-node link-rate overrides, a WAN/geo
+      latency-class matrix ({!Aring_sim.Netsim.set_latency_classes}) and
+      a partition window.
     - {b Shapes}: diurnal/step/ramp/square offered-rate schedules via
       {!Aring_harness.Scenario} builders.
 
+    One generator, {!drive}, serves every ring count: it runs against a
+    small {!target}. {!run} supplies the single-ring target;
+    [Aring_multiring.Mload.run] supplies the sharded multi-ring one.
     Every run carries the KV consistency oracle; results surface the
     SLO inputs the [load] bench gates on: p99/p99.9 write latency,
     offered vs. applied rate, open-loop queue depth, storm degradation
@@ -98,35 +102,34 @@ type spec = {
       (** Number of ordering rings. 1 = classic single-ring {!run};
           multi-ring specs execute via [Aring_multiring.Mload.run]. *)
   churn : churn option;
-  slow : slow_spec option;
+  slow : slow_spec option;  (** Per daemon: on every ring at [rings > 1]. *)
   geo : geo option;
   links : link list;
+      (** Per physical node: on [rings > 1] a link override applies to
+          the node's participant in every ring. *)
   partition : Aring_app.Kv_scenario.partition option;
+      (** Islands are physical nodes, cut away in every ring. *)
   warmup_ns : int;
   measure_ns : int;
   drain_ns : int;
   seed : int64;
 }
 
-type result = {
-  spec : spec;
+(** The session-level outcome of {!drive}, common to every ring count. *)
+type sessions = {
   sessions_started : int;  (** Distinct session slots (excluding slow receivers). *)
   sessions_peak : int;  (** Peak concurrently connected sessions. *)
   reconnects : int;  (** Churn + storm reconnects completed. *)
   ops_offered : int;  (** Arrivals fired inside the measurement window. *)
   ops_skipped : int;  (** Arrivals at disconnected sessions (not offered). *)
   writes_offered : int;
-  writes_applied : int;  (** Applied at node 0 inside the window. *)
-  offered_write_rate : float;
-  applied_write_rate : float;
-  write_latency_us : Stats.t;  (** Submit→apply, tracked puts and cas. *)
   sync_read_latency_us : Stats.t;
-  queue_depth_peak : int;  (** Peak open-loop in-flight writes. *)
+  queue_depth_peak : int;  (** Peak open-loop in-flight tracked writes. *)
   queue_depth_end : int;  (** In-flight residue after the drain. *)
   slow_inbox_peak : int;
   slow_inbox_end : int;
-  storm_steady_rate : float;  (** Applied writes/s before the storm. *)
-  storm_rate : float;  (** Applied writes/s during the storm window. *)
+  storm_steady_rate : float;  (** Applied writes/s at node 0 before the storm. *)
+  storm_rate : float;  (** Applied writes/s at node 0 during the storm window. *)
   storm_degradation : float;
       (** [1 - storm_rate/storm_steady_rate], clamped to [0, 1]; 0 when
           no storm ran. *)
@@ -135,6 +138,32 @@ type result = {
           in-flight queue back under twice its pre-storm peak. Negative
           when it never recovered (or no storm ran: 0). *)
   storm_all_reconnected : bool;  (** True (vacuously) when no storm ran. *)
+}
+
+(** The single-ring result: the {!sessions} fields (same meaning) plus
+    the replica outcome. *)
+type result = {
+  spec : spec;
+  sessions_started : int;
+  sessions_peak : int;
+  reconnects : int;
+  ops_offered : int;
+  ops_skipped : int;
+  writes_offered : int;
+  writes_applied : int;  (** Applied at node 0 inside the window. *)
+  offered_write_rate : float;
+  applied_write_rate : float;
+  write_latency_us : Stats.t;  (** Submit→apply, tracked puts and cas. *)
+  sync_read_latency_us : Stats.t;
+  queue_depth_peak : int;
+  queue_depth_end : int;
+  slow_inbox_peak : int;
+  slow_inbox_end : int;
+  storm_steady_rate : float;
+  storm_rate : float;
+  storm_degradation : float;
+  storm_recovered_ms : float;
+  storm_all_reconnected : bool;
   oracle : Aring_app.Oracle.t;
   oracle_violations : int;
   converged : bool;
@@ -151,7 +180,45 @@ val default_spec : spec
     network. 100 ms warmup, 300 ms measurement. *)
 
 val run : spec -> result
-(** Execute the workload on the discrete-event simulator. Deterministic
-    for a given spec. *)
+(** Execute the workload on a single ring of the discrete-event
+    simulator, with the span collector attached. Deterministic for a
+    given spec.
+    @raise Invalid_argument on an invalid spec, [rings <> 1] or
+    [mcas_permille <> 0]. *)
+
+(** {1 The shared driver} *)
+
+(** What {!drive} runs against. Participant [ring * n_nodes + node] is
+    [node]'s member of ring [ring]; sessions [i] live on the daemon of
+    ring [i / n_nodes mod rings] at node [i mod n_nodes]. *)
+type target = {
+  sim : Aring_sim.Netsim.t;  (** Not yet run: {!drive} shapes it first. *)
+  daemon : ring:int -> node:int -> Aring_daemon.Daemon.t;
+  kv : ring:int -> node:int -> Aring_app.Kv.t;
+  shard : string -> int;  (** The ring a key routes to. *)
+  mcas :
+    (node:int -> id:string -> writes:(string * string) list -> unit) option;
+      (** Cross-shard multi-key cas; required when [mcas_permille > 0]. *)
+  completes_at : int -> int;
+      (** The node whose stream completes a write submitted from node
+          [i]: its own replica, or node 0's merged stream. *)
+  on_applied : (node:int -> Aring_app.Op.t -> int option) -> unit;
+      (** The completion hook: install observers that call [applied
+          ~node op] for every op applied (or emerged) at [node]. Ops at
+          node 0 feed the storm series; [applied] returns the submit time
+          of a tracked write completing there, once. *)
+  settled : unit -> bool;
+      (** Replicas agree: with no sync read pending, the drain ends. *)
+}
+
+val validate : prefix:string -> spec -> unit
+(** The spec checks common to every ring count.
+    @raise Invalid_argument ["<Prefix>.run: ..."] on a bad dimension. *)
+
+val drive : prefix:string -> metrics:Metrics.t -> spec -> target -> sessions
+(** Shape the network, populate and drive the open-loop sessions to the
+    horizon, and drain until [settled] or the drain deadline. Counters
+    and gauges land in [metrics] as ["<prefix>.*"]; the PRNG salt is the
+    prefix's ASCII bytes. Call {!validate} first. *)
 
 val pp_result : Format.formatter -> result -> unit

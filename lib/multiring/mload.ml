@@ -1,27 +1,24 @@
 open Aring_sim
-module Daemon = Aring_daemon.Daemon
 module Kv = Aring_app.Kv
-module Op = Aring_app.Op
 module Load = Aring_load.Load
 module Stats = Aring_util.Stats
-module Prng = Aring_util.Prng
 module Metrics = Aring_obs.Metrics
-module Scenario = Aring_harness.Scenario
 
-(* Multi-ring open-loop load driver: the PR-8 workload generator pointed
-   at a sharded {!Cluster}. Sessions spread over every ring's daemons
-   (membership traffic at scale on all rings); KV ops route by key shard;
-   a slice of the write mix becomes cross-shard multi-key cas. Write
-   latency is submit -> emergence in node 0's *merged* stream — the
-   client-visible total-order latency of a sharded deployment — and the
-   merge-added wait (ring apply -> merged emergence) is surfaced
+(* Multi-ring open-loop load: the {!Load} driver pointed at a sharded
+   {!Cluster}. Sessions spread over every ring's daemons; KV ops route
+   by key shard; a slice of the write mix becomes cross-shard multi-key
+   cas. Write latency is submit -> emergence in node 0's *merged* stream
+   — the client-visible total-order latency of a sharded deployment —
+   and the merge-added wait (ring apply -> merged emergence) is surfaced
    separately, since that is the price of the learner merge itself. *)
 
 type result = {
   spec : Load.spec;
   ops_offered : int;
   writes_offered : int;
-  writes_applied : int;  (* merged at node 0 inside the window *)
+  writes_applied : int;
+      (* tracked writes submitted inside the window that emerged merged
+         at node 0 by the end of the drain *)
   offered_write_rate : float;
   applied_write_rate : float;
   write_latency_us : Stats.t;
@@ -39,243 +36,52 @@ type result = {
   converged : bool;
   end_ns : int;
   metrics : Metrics.t;
+  sessions : Load.sessions;
 }
-
-let ms n = n * 1_000_000
-
-type sess = {
-  id : int;
-  node : int;
-  ring : int;  (* daemon hosting the session's group memberships *)
-  mutable handle : Daemon.session option;
-  mutable counter : int;
-}
-
-let no_callbacks =
-  {
-    Daemon.on_message = (fun ~sender:_ ~groups:_ _ _ -> ());
-    on_group_view = (fun ~group:_ ~members:_ -> ());
-  }
-
-let validate (spec : Load.spec) =
-  if spec.rings < 1 then invalid_arg "Mload.run: rings < 1";
-  if spec.n_nodes < 2 then invalid_arg "Mload.run: n_nodes < 2";
-  if spec.sessions_per_node < 1 then
-    invalid_arg "Mload.run: sessions_per_node < 1";
-  if spec.n_groups < 1 then invalid_arg "Mload.run: n_groups < 1";
-  if spec.key_space < 1 then invalid_arg "Mload.run: key_space < 1";
-  if spec.value_mix = [] then invalid_arg "Mload.run: empty value_mix";
-  if spec.mcas_permille < 0 || spec.mcas_permille > 1000 then
-    invalid_arg "Mload.run: mcas_permille out of range";
-  (* The single-ring driver owns the churn/storm/slow-receiver/geo
-     dimensions; the multi-ring one measures sharded ordering. *)
-  if spec.churn <> None then invalid_arg "Mload.run: churn unsupported";
-  if spec.slow <> None then invalid_arg "Mload.run: slow unsupported";
-  if spec.geo <> None then invalid_arg "Mload.run: geo unsupported";
-  if spec.partition <> None then invalid_arg "Mload.run: partition unsupported"
 
 let run (spec : Load.spec) =
-  validate spec;
+  if spec.rings < 1 then invalid_arg "Mload.run: rings < 1";
+  Load.validate ~prefix:"mload" spec;
   let n = spec.n_nodes and rings = spec.rings in
   let cluster =
     Cluster.create ~params:spec.params ~net:spec.net ~tier:spec.tier
       ~seed:spec.seed ~rings ~nodes:n ()
   in
   let sim = Cluster.sim cluster in
-  List.iter
-    (fun (l : Load.link) ->
-      if l.l_node >= 0 && l.l_node < n then
-        for r = 0 to rings - 1 do
-          Netsim.set_link_rates sim
-            ~node:(Cluster.pid cluster ~ring:r ~node:l.l_node)
-            ?up_bps:l.l_up_bps ?down_bps:l.l_down_bps ()
-        done)
-    spec.links;
   let metrics = Metrics.create () in
-  let m_offered = Metrics.counter metrics "mload.ops_offered" in
   let m_merged = Metrics.counter metrics "mload.merged" in
-  let m_queue = Metrics.gauge metrics "mload.queue_depth" in
   let m_latency =
     Metrics.histogram
       ~bounds:(Metrics.exponential_bounds ~lo:100.0 ~factor:2.0 ~count:16)
       metrics "mload.write_latency_us"
   in
   let horizon = spec.warmup_ns + spec.measure_ns in
-  let deadline = horizon + spec.drain_ns in
-  let ops_offered = ref 0 in
-  let writes_offered = ref 0 in
+  let in_window t = t >= spec.warmup_ns && t < horizon in
   let writes_applied = ref 0 in
   let merged_total = ref 0 in
   let per_ring_applied = Array.make rings 0 in
   let write_latency = Stats.create () in
   let merge_wait = Stats.create () in
-  let in_flight : (string, int) Hashtbl.t = Hashtbl.create 4096 in
-  let in_flight_total = ref 0 in
-  let queue_peak = ref 0 in
   (* Latency closes at merged emergence in node 0's learner stream. *)
-  Cluster.on_merged cluster (fun ~node ~ring (it : Cluster.merged_item) ->
-      if node = 0 then begin
-        let now = Netsim.now sim in
-        if now >= spec.warmup_ns && now < horizon then begin
-          incr merged_total;
-          Metrics.incr m_merged;
-          per_ring_applied.(ring) <- per_ring_applied.(ring) + 1;
-          Stats.add merge_wait (float_of_int (now - it.mi_applied_at) /. 1e3)
-        end;
-        let written =
-          match it.mi_op with
-          | Op.Put { value; _ } | Op.Cas { value; _ } -> Some value
-          | _ -> None
-        in
-        match written with
-        | Some value -> (
-            match Hashtbl.find_opt in_flight value with
-            | Some t0 ->
-                Hashtbl.remove in_flight value;
-                decr in_flight_total;
-                if t0 >= spec.warmup_ns && t0 < horizon then begin
-                  incr writes_applied;
-                  let us = float_of_int (now - t0) /. 1e3 in
-                  Stats.add write_latency us;
-                  Metrics.observe m_latency us
-                end
-            | None -> ())
-        | None -> ()
-      end);
-  (* ---------------- session population ---------------- *)
-  let total_sessions = n * spec.sessions_per_node in
-  let sessions =
-    Array.init total_sessions (fun i ->
-        {
-          id = i;
-          node = i mod n;
-          ring = i / n mod rings;
-          handle = None;
-          counter = 0;
-        })
+  let on_applied applied =
+    Cluster.on_merged cluster (fun ~node ~ring (it : Cluster.merged_item) ->
+        if node = 0 then begin
+          let now = Netsim.now sim in
+          if in_window now then begin
+            incr merged_total;
+            Metrics.incr m_merged;
+            per_ring_applied.(ring) <- per_ring_applied.(ring) + 1;
+            Stats.add merge_wait (float_of_int (now - it.mi_applied_at) /. 1e3)
+          end;
+          match applied ~node it.mi_op with
+          | Some t0 when in_window t0 ->
+              incr writes_applied;
+              let us = float_of_int (now - t0) /. 1e3 in
+              Stats.add write_latency us;
+              Metrics.observe m_latency us
+          | Some _ | None -> ()
+        end)
   in
-  let prng = Prng.create ~seed:(Int64.logxor spec.seed 0x6D6C6F6164L) in
-  let zipf = Prng.zipf_table ~n:spec.key_space ~theta:spec.zipf_theta in
-  let value_total = List.fold_left (fun a (_, w) -> a + w) 0 spec.value_mix in
-  let draw_value_bytes () =
-    let r = Prng.int prng value_total in
-    let rec pick acc = function
-      | [] -> 64
-      | (bytes, w) :: rest -> if r < acc + w then bytes else pick (acc + w) rest
-    in
-    pick 0 spec.value_mix
-  in
-  let pad tag bytes =
-    let len = max (String.length tag) bytes in
-    let b = Bytes.make len '.' in
-    Bytes.blit_string tag 0 b 0 (String.length tag);
-    Bytes.to_string b
-  in
-  let key () = Printf.sprintf "k%05d" (Prng.zipf prng zipf) in
-  (* A cross-shard pair: draw until the second key lands on a different
-     ring (bounded — heavy skew can defeat it, a same-shard mcas is
-     still a valid single-part commit). *)
-  let cross_shard_pair () =
-    let k1 = key () in
-    let s1 = Cluster.shard_of_key cluster k1 in
-    let rec other tries =
-      let k2 = key () in
-      if k2 <> k1 && (Cluster.shard_of_key cluster k2 <> s1 || tries >= 8) then
-        k2
-      else other (tries + 1)
-    in
-    (k1, other 0)
-  in
-  let track_write value now =
-    Hashtbl.replace in_flight value now;
-    incr in_flight_total;
-    if !in_flight_total > !queue_peak then queue_peak := !in_flight_total;
-    Metrics.set m_queue (float_of_int !in_flight_total)
-  in
-  let do_op ss now =
-    let in_window = now >= spec.warmup_ns && now < horizon in
-    if in_window then incr ops_offered;
-    Metrics.incr m_offered;
-    ss.counter <- ss.counter + 1;
-    let key = key () in
-    let r = Prng.int prng 1000 in
-    let sync_edge = spec.read_permille + spec.sync_read_permille in
-    let cas_edge = sync_edge + spec.cas_permille in
-    let del_edge = cas_edge + spec.del_permille in
-    let mcas_edge = del_edge + spec.mcas_permille in
-    if r < sync_edge then
-      (* Local reads only: the Safe-path sync read is the single-ring
-         driver's dimension. *)
-      ignore (Cluster.read cluster ~node:ss.node ~key)
-    else if r < cas_edge then begin
-      if in_window then incr writes_offered;
-      let value =
-        pad (Printf.sprintf "c:%d:%d:" ss.id ss.counter) (draw_value_bytes ())
-      in
-      track_write value now;
-      let expect, _ = Cluster.read cluster ~node:ss.node ~key in
-      Cluster.cas cluster ~node:ss.node ~key ~expect ~value
-    end
-    else if r < del_edge then begin
-      if in_window then incr writes_offered;
-      Cluster.del cluster ~node:ss.node ~key
-    end
-    else if r < mcas_edge then begin
-      if in_window then incr writes_offered;
-      let k1, k2 = cross_shard_pair () in
-      let id = Printf.sprintf "m:%d:%d" ss.id ss.counter in
-      let v1 = pad (Printf.sprintf "x:%s:a:" id) (draw_value_bytes ()) in
-      let v2 = pad (Printf.sprintf "x:%s:b:" id) (draw_value_bytes ()) in
-      track_write v1 now;
-      track_write v2 now;
-      Cluster.mcas cluster ~node:ss.node ~id ~checks:[]
-        ~writes:[ (k1, v1); (k2, v2) ]
-    end
-    else begin
-      if in_window then incr writes_offered;
-      let value =
-        pad (Printf.sprintf "w:%d:%d:" ss.id ss.counter) (draw_value_bytes ())
-      in
-      track_write value now;
-      Cluster.put cluster ~node:ss.node ~key ~value
-    end
-  in
-  let rec arrive ss () =
-    let now = Netsim.now sim in
-    if now < horizon then begin
-      let rate =
-        Scenario.rate_at_schedule ~default:spec.ops_per_sec spec.load now
-      in
-      if rate <= 0.0 then Netsim.call_at sim ~at:(now + ms 1) (arrive ss)
-      else begin
-        do_op ss now;
-        let mean_ns = 1e9 /. (rate /. float_of_int total_sessions) in
-        let interval =
-          match spec.arrival with
-          | Load.Poisson -> Prng.exponential prng ~mean:mean_ns
-          | Load.Periodic -> mean_ns
-        in
-        Netsim.call_at sim
-          ~at:(now + max 1_000 (int_of_float interval))
-          (arrive ss)
-      end
-    end
-  in
-  let connect_spread = max 5_000 (spec.warmup_ns * 3 / 5 / total_sessions) in
-  Array.iter
-    (fun ss ->
-      Netsim.call_at sim
-        ~at:(500_000 + (ss.id * connect_spread))
-        (fun () ->
-          let d = Cluster.daemon cluster ~ring:ss.ring ~node:ss.node in
-          let h =
-            Daemon.connect d ~name:(Printf.sprintf "u%05d" ss.id) no_callbacks
-          in
-          Daemon.join d h (Printf.sprintf "g%03d" (ss.id mod spec.n_groups));
-          ss.handle <- Some h;
-          arrive ss ()))
-    sessions;
-  (* ---------------- drive + drain ---------------- *)
   let all_mcas_decided () =
     List.for_all
       (fun (id, _, _) ->
@@ -287,56 +93,58 @@ let run (spec : Load.spec) =
         !ok)
       (Cluster.mcas_ids cluster)
   in
-  let t = ref 0 in
-  let stop = ref false in
-  while not !stop do
-    t := min deadline (!t + ms 25);
-    Netsim.run_until sim !t;
-    if !t >= deadline then stop := true
-    else if
-      !t > horizon && Cluster.kv_converged cluster
-      && Cluster.merge_settled cluster
-      && all_mcas_decided ()
-    then stop := true
-  done;
+  let sessions =
+    Load.drive ~prefix:"mload" ~metrics spec
+      {
+        Load.sim;
+        daemon = Cluster.daemon cluster;
+        kv = Cluster.kv cluster;
+        shard = Cluster.shard_of_key cluster;
+        mcas =
+          Some
+            (fun ~node ~id ~writes -> Cluster.mcas cluster ~node ~id ~checks:[] ~writes);
+        completes_at = (fun _ -> 0);
+        on_applied;
+        settled =
+          (fun () ->
+            Cluster.kv_converged cluster
+            && Cluster.merge_settled cluster
+            && all_mcas_decided ());
+      }
+  in
   Cluster.check_convergence cluster;
   Cluster.record_metrics cluster metrics;
-  let mcas_commits = ref 0 and mcas_aborts = ref 0 in
-  for r = 0 to rings - 1 do
-    let st = Kv.stats (Cluster.kv cluster ~ring:r ~node:0) in
-    mcas_commits := !mcas_commits + st.Kv.mcas_commits;
-    mcas_aborts := !mcas_aborts + st.Kv.mcas_aborts
-  done;
-  let skip_credits_spent =
+  let node0_stats f =
     let total = ref 0 in
     for r = 0 to rings - 1 do
-      total := !total + (Kv.stats (Cluster.kv cluster ~ring:r ~node:0)).Kv.skips
+      total := !total + f (Kv.stats (Cluster.kv cluster ~ring:r ~node:0))
     done;
     !total
   in
   let measure_s = float_of_int spec.measure_ns /. 1e9 in
   {
     spec;
-    ops_offered = !ops_offered;
-    writes_offered = !writes_offered;
+    ops_offered = sessions.ops_offered;
+    writes_offered = sessions.writes_offered;
     writes_applied = !writes_applied;
-    offered_write_rate = float_of_int !writes_offered /. measure_s;
+    offered_write_rate = float_of_int sessions.writes_offered /. measure_s;
     applied_write_rate = float_of_int !merged_total /. measure_s;
     write_latency_us = write_latency;
     merge_wait_us = merge_wait;
     merged_total = !merged_total;
     per_ring_applied;
     mcas_submitted = Cluster.mcas_submitted cluster;
-    mcas_commits = !mcas_commits;
-    mcas_aborts = !mcas_aborts;
+    mcas_commits = node0_stats (fun st -> st.Kv.mcas_commits);
+    mcas_aborts = node0_stats (fun st -> st.Kv.mcas_aborts);
     mcas_retries = Cluster.mcas_retries cluster;
-    skip_credits_spent;
-    queue_depth_peak = !queue_peak;
-    queue_depth_end = !in_flight_total;
+    skip_credits_spent = node0_stats (fun st -> st.Kv.skips);
+    queue_depth_peak = sessions.queue_depth_peak;
+    queue_depth_end = sessions.queue_depth_end;
     oracle_violations = Cluster.oracle_violations cluster;
     converged = Cluster.kv_converged cluster && Cluster.merge_settled cluster;
     end_ns = Netsim.now sim;
     metrics;
+    sessions;
   }
 
 let pp_result ppf r =
@@ -344,6 +152,8 @@ let pp_result ppf r =
     "@[<v>%s: rings=%d offered=%d merged=%d applied_rate=%.0f/s@,\
      write p50=%.0fus p99=%.0fus  merge-wait p50=%.0fus p99=%.0fus@,\
      per-ring=%s mcas=%d (commit %d abort %d retry %d) queue peak=%d end=%d@,\
+     sessions peak=%d reconnects=%d skipped=%d sync reads=%d storm all \
+     back=%b@,\
      oracle=%d converged=%b@]" r.spec.Load.label r.spec.Load.rings
     r.ops_offered r.merged_total r.applied_write_rate
     (Stats.percentile r.write_latency_us 50.0)
@@ -353,4 +163,7 @@ let pp_result ppf r =
     (String.concat ","
        (Array.to_list (Array.map string_of_int r.per_ring_applied)))
     r.mcas_submitted r.mcas_commits r.mcas_aborts r.mcas_retries
-    r.queue_depth_peak r.queue_depth_end r.oracle_violations r.converged
+    r.queue_depth_peak r.queue_depth_end r.sessions.sessions_peak
+    r.sessions.reconnects r.sessions.ops_skipped
+    (Stats.count r.sessions.sync_read_latency_us)
+    r.sessions.storm_all_reconnected r.oracle_violations r.converged

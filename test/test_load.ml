@@ -199,7 +199,80 @@ let test_invalid_specs () =
       ignore (Load.run { small_spec with sessions_per_node = 0 }));
   Alcotest.check_raises "empty value mix"
     (Invalid_argument "Load.run: empty value_mix") (fun () ->
-      ignore (Load.run { small_spec with value_mix = [] }))
+      ignore (Load.run { small_spec with value_mix = [] }));
+  (* Mload shares these checks: a zero-sum mix would otherwise reach
+     [Prng.int prng 0] inside a Netsim callback. *)
+  let two_rings = { small_spec with rings = 2; mcas_permille = 40 } in
+  Alcotest.check_raises "2 rings: negative weight"
+    (Invalid_argument "Mload.run: negative value_mix weight") (fun () ->
+      ignore
+        (Aring_multiring.Mload.run
+           { two_rings with value_mix = [ (64, 2); (256, -1) ] }));
+  Alcotest.check_raises "2 rings: zero-sum mix"
+    (Invalid_argument "Mload.run: value_mix weights sum to zero") (fun () ->
+      ignore (Aring_multiring.Mload.run { two_rings with value_mix = [ (64, 0) ] }))
+
+(* Outputs pinned across refactors of the shared driver: a 1-ring spec
+   with churn and slow receivers, and a 2-ring spec with cross-shard
+   mcas. Any change here means the generator's draw order, scheduling
+   or completion accounting moved. *)
+let pinned_1r =
+  {
+    Load.default_spec with
+    label = "pin-1r";
+    sessions_per_node = 20;
+    n_groups = 8;
+    ops_per_sec = 3_000.0;
+    key_space = 64;
+    warmup_ns = ms 40;
+    measure_ns = ms 100;
+    drain_ns = ms 800;
+    seed = 5L;
+    churn =
+      Some { Load.mean_lifetime_ns = ms 50; reconnect_delay_ns = ms 4; storm = None };
+    slow = Some { Load.slow_per_node = 1; drain_per_sec = 500.0 };
+  }
+
+let pinned_2r =
+  {
+    Load.default_spec with
+    label = "pin-2r";
+    rings = 2;
+    sessions_per_node = 20;
+    n_groups = 8;
+    ops_per_sec = 2_000.0;
+    key_space = 64;
+    mcas_permille = 40;
+    sync_read_permille = 0;
+    warmup_ns = ms 60;
+    measure_ns = ms 100;
+    drain_ns = ms 1_500;
+    seed = 9L;
+  }
+
+let test_pinned_outputs () =
+  let pin label ~ops ~applied ~samples ~queue_end ~end_ns
+      (ops', applied', samples', queue_end', end_ns') =
+    check Alcotest.int (label ^ " ops_offered") ops ops';
+    check Alcotest.int (label ^ " writes_applied") applied applied';
+    check Alcotest.int (label ^ " latency samples") samples samples';
+    check Alcotest.int (label ^ " queue_depth_end") queue_end queue_end';
+    check Alcotest.int (label ^ " end_ns") end_ns end_ns'
+  in
+  let r = Load.run pinned_1r in
+  pin "1 ring" ~ops:287 ~applied:205 ~samples:295 ~queue_end:0 ~end_ns:150_000_000
+    ( r.Load.ops_offered,
+      r.Load.writes_applied,
+      Stats.count r.Load.write_latency_us,
+      r.Load.queue_depth_end,
+      r.Load.end_ns );
+  let m = Aring_multiring.Mload.run pinned_2r in
+  pin "2 rings" ~ops:198 ~applied:138 ~samples:138 ~queue_end:0 ~end_ns:175_000_000
+    ( m.ops_offered,
+      m.writes_applied,
+      Stats.count m.write_latency_us,
+      m.queue_depth_end,
+      m.end_ns )
 
 let suite =
   [
@@ -216,4 +289,6 @@ let suite =
     Alcotest.test_case "background churn keeps converging" `Quick
       test_background_churn;
     Alcotest.test_case "invalid specs rejected" `Quick test_invalid_specs;
+    Alcotest.test_case "pinned outputs (1 and 2 rings)" `Quick
+      test_pinned_outputs;
   ]

@@ -457,26 +457,50 @@ let test_mload_deterministic () =
     b.Mload.mcas_commits;
   check Alcotest.int "end time equal" a.Mload.end_ns b.Mload.end_ns
 
-(* Single-ring spec must be rejected by Mload only on bad dims, and
-   Load must reject multi-ring specs. *)
+(* Load must reject multi-ring specs. *)
 let test_dispatch_guards () =
   Alcotest.check_raises "Load rejects rings=2"
     (Invalid_argument "Load.run: multi-ring specs run via Aring_multiring.Mload.run")
-    (fun () -> ignore (Load.run { Load.default_spec with rings = 2 }));
-  Alcotest.check_raises "Mload rejects churn"
-    (Invalid_argument "Mload.run: churn unsupported") (fun () ->
-      ignore
-        (Mload.run
-           {
-             mload_spec with
-             churn =
-               Some
-                 {
-                   Load.mean_lifetime_ns = ms 50;
-                   reconnect_delay_ns = ms 5;
-                   storm = None;
-                 };
-           }))
+    (fun () -> ignore (Load.run { Load.default_spec with rings = 2 }))
+
+(* The session-level dimensions at two rings: background churn, a
+   reconnect storm, slow receivers on every ring's daemons and physical
+   node 3 cut away (in both rings) for 60 ms, all in one run. *)
+let test_mload_sessions_dimensions () =
+  let r =
+    Mload.run
+      {
+        mload_spec with
+        label = "mload-sessions";
+        churn =
+          Some
+            {
+              Load.mean_lifetime_ns = ms 80;
+              reconnect_delay_ns = ms 4;
+              storm =
+                Some
+                  {
+                    Load.storm_at_ns = ms 150;
+                    storm_sessions = 20;
+                    storm_window_ns = ms 15;
+                  };
+            };
+        slow = Some { Load.slow_per_node = 1; drain_per_sec = 500.0 };
+        partition =
+          Some
+            {
+              Aring_app.Kv_scenario.part_at_ns = ms 100;
+              heal_at_ns = ms 160;
+              island = [ 3 ];
+            };
+      }
+  in
+  check Alcotest.int "no oracle violations" 0 r.Mload.oracle_violations;
+  check Alcotest.bool "converged" true r.Mload.converged;
+  check Alcotest.bool "every storm session back" true
+    r.Mload.sessions.Load.storm_all_reconnected;
+  check Alcotest.bool "reconnects" true (r.Mload.sessions.Load.reconnects > 0);
+  check Alcotest.bool "merged traffic" true (r.Mload.merged_total > 0)
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -497,4 +521,7 @@ let suite =
     ("mload smoke", `Quick, test_mload_smoke);
     ("mload deterministic", `Quick, test_mload_deterministic);
     ("dispatch guards", `Quick, test_dispatch_guards);
+    ( "mload churn, storm, slow receivers and partition",
+      `Quick,
+      test_mload_sessions_dimensions );
   ]
