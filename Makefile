@@ -19,6 +19,9 @@ fmt:
 
 check: build test fmt
 
+# bench/main.exe runs one suite: `paper` (the default, the paper's
+# figures and ablations) or a budget-gated one (hotpath, adaptive, kv, obs,
+# recovery, load, multiring), e.g. `dune exec bench/main.exe -- kv quick`.
 bench:
 	dune exec bench/main.exe
 
