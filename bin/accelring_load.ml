@@ -2,8 +2,10 @@
    scale against the replicated KV stack on the simulated cluster.
    Prints offered vs applied rate, p99/p99.9 write latency, open-loop
    queue depth and (when enabled) reconnect-storm degradation and
-   recovery. The consistency oracle rides every run; a violation is a
-   hard error. *)
+   recovery. The consistency oracle rides every run; a violation (or a
+   cluster that fails to re-converge) is a hard error, exit 1. With one
+   periodic session per node it is the paper's KV workload, and
+   --partition drives freeze, re-merge and state transfer under it. *)
 
 open Aring_sim
 module Load = Aring_load.Load
@@ -15,7 +17,7 @@ let net_of_string = function
 
 let run nodes rings mcas net sessions groups rate periodic seconds keys theta
     reads sync_reads cas dels churn_ms storm_spec slow_spec wan_ns
-    seed verbose show_metrics =
+    partition_spec seed verbose trace_file chrome_file show_metrics =
   if verbose then Aring_util.Log.setup ~level:Logs.Info ();
   if rings < 1 then begin
     prerr_endline "--rings must be >= 1";
@@ -57,6 +59,16 @@ let run nodes rings mcas net sessions groups rate periodic seconds keys theta
           latency_matrix = [| [| 0; wan_ns |]; [| wan_ns; 0 |] |];
         }
   in
+  let partition =
+    Option.map
+      (fun (at_ms, heal_ms) ->
+        {
+          Aring_app.Kv_scenario.part_at_ns = at_ms * 1_000_000;
+          heal_at_ns = heal_ms * 1_000_000;
+          island = [ nodes - 1 ];
+        })
+      partition_spec
+  in
   let spec =
     {
       Load.default_spec with
@@ -81,13 +93,22 @@ let run nodes rings mcas net sessions groups rate periodic seconds keys theta
       churn;
       slow;
       geo;
+      partition;
       measure_ns = int_of_float (seconds *. 1e9);
       seed = Int64.of_int seed;
     }
   in
+  (* Reject a malformed spec (e.g. a partition that heals before it
+     starts) as a usage error, before any sink is opened. *)
+  (try Load.validate ~prefix:(if rings > 1 then "mload" else "load") spec
+   with Invalid_argument msg ->
+     prerr_endline msg;
+     exit 2);
+  let trace = Trace_sinks.install ~trace_file ~chrome_file () in
   if rings > 1 then begin
     let module Mload = Aring_multiring.Mload in
     let result = Mload.run spec in
+    Trace_sinks.finish trace;
     Format.printf "%a@." Mload.pp_result result;
     if show_metrics then
       Format.printf "%a@." Aring_obs.Metrics.pp result.Mload.metrics;
@@ -102,6 +123,7 @@ let run nodes rings mcas net sessions groups rate periodic seconds keys theta
   end
   else begin
     let result = Load.run spec in
+    Trace_sinks.finish trace;
     Format.printf "%a@." Load.pp_result result;
     if show_metrics then
       Format.printf "%a@." Aring_obs.Metrics.pp result.Load.metrics;
@@ -229,6 +251,16 @@ let wan_ns =
           "Extra one-way latency (ns) between the two halves of the \
            cluster, emulating a WAN/geo tier (0 = none).")
 
+let partition_spec =
+  Arg.(
+    value
+    & opt (some (pair ~sep:':' int int)) None
+    & info [ "partition" ] ~docv:"AT:HEAL"
+        ~doc:
+          "Cut the last node away at $(i,AT) ms and heal at $(i,HEAL) ms \
+           (simulated), exercising freeze, re-merge and state transfer \
+           under load.")
+
 let seed = Arg.(value & opt int 21 & info [ "seed" ] ~doc:"Simulation seed.")
 let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Log progress.")
 
@@ -250,6 +282,7 @@ let cmd =
       const run $ nodes $ rings_arg $ mcas_arg $ net $ sessions $ groups $ rate
       $ periodic $ seconds
       $ keys $ theta $ reads $ sync_reads $ cas $ dels $ churn_ms $ storm_spec
-      $ slow_spec $ wan_ns $ seed $ verbose $ show_metrics)
+      $ slow_spec $ wan_ns $ partition_spec $ seed $ verbose
+      $ Trace_sinks.trace_file $ Trace_sinks.chrome_file $ show_metrics)
 
 let () = exit (Cmd.eval cmd)

@@ -28,22 +28,12 @@ let run nodes net tier protocol service payload rate pw gw aw seconds
     find_max seed verbose trace_file chrome_file check rotation adaptive spans
     =
   if verbose then Aring_util.Log.setup ~level:Logs.Info ();
-  let module Trace = Aring_obs.Trace in
-  (* Assemble the requested trace sinks: a JSONL stream, an in-memory
-     buffer feeding the Chrome exporter, and/or the live invariant
-     checker. With none requested, tracing stays disabled and free. *)
-  let jsonl_oc = Option.map open_out trace_file in
-  let mem = if chrome_file <> None then Some (Trace.memory ()) else None in
   let checker = if check then Some (Aring_obs.Checker.create ()) else None in
-  let sinks =
-    List.filter_map Fun.id
-      [
-        Option.map Aring_obs.Trace_json.jsonl_sink jsonl_oc;
-        Option.map Trace.memory_sink mem;
-        Option.map Aring_obs.Checker.as_sink checker;
-      ]
+  let trace =
+    Trace_sinks.install ~trace_file ~chrome_file
+      ~extra:(Option.to_list (Option.map Aring_obs.Checker.as_sink checker))
+      ()
   in
-  (match sinks with [] -> () | [ s ] -> Trace.install s | ss -> Trace.install (Trace.tee ss));
   let params =
     match protocol with
     | "original" ->
@@ -102,15 +92,7 @@ let run nodes net tier protocol service payload rate pw gw aw seconds
         if find_max then Scenario.find_max_throughput spec else Scenario.run spec
   in
   if spans then Aring_obs.Span.detach ();
-  if sinks <> [] then Trace.uninstall ();
-  Option.iter close_out jsonl_oc;
-  Option.iter
-    (fun m ->
-      let path = Option.get chrome_file in
-      Aring_obs.Chrome_trace.write_file path (Trace.memory_events m);
-      Format.printf "chrome trace (%d events) written to %s@."
-        (Trace.memory_count m) path)
-    mem;
+  Trace_sinks.finish trace;
   Format.printf "%a@." Scenario.pp_result result;
   Option.iter
     (fun s ->
@@ -175,19 +157,6 @@ let find_max =
 let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Simulation seed.")
 let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Verbose logging.")
 
-let trace_file =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE" ~doc:"Write the structured event trace as JSONL to $(docv).")
-
-let chrome_file =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "chrome" ] ~docv:"FILE"
-        ~doc:"Write a Chrome trace-event file to $(docv) (open in chrome://tracing or ui.perfetto.dev).")
-
 let check =
   Arg.(
     value & flag
@@ -224,7 +193,8 @@ let cmd =
     (Cmd.info "accelring_sim" ~doc)
     Term.(
       const run $ nodes $ net $ tier $ protocol $ service $ payload $ rate
-      $ pw $ gw $ aw $ seconds $ find_max $ seed $ verbose $ trace_file
-      $ chrome_file $ check $ rotation $ adaptive $ spans)
+      $ pw $ gw $ aw $ seconds $ find_max $ seed $ verbose
+      $ Trace_sinks.trace_file $ Trace_sinks.chrome_file $ check $ rotation
+      $ adaptive $ spans)
 
 let () = exit (Cmd.eval cmd)

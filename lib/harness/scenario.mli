@@ -104,7 +104,7 @@ val rate_at_schedule : default:float -> (int * float) list -> int -> float
 (** Evaluate a piecewise-constant [(t_ns, rate)] schedule at a time:
     [default] before the first entry, then the latest entry at or before
     the time. The rate unit is the caller's (the load builders above work
-    for any unit — {!Kv_scenario} reuses them with ops/sec). *)
+    for any unit — [Aring_load.Load] reuses them with ops/sec). *)
 
 val rate_at : spec -> int -> float
 (** The offered load the schedule prescribes at a given simulated time. *)

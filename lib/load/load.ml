@@ -197,7 +197,18 @@ let validate ~prefix spec =
     (fun g ->
       if Array.length g.classes <> spec.n_nodes then
         fail "geo classes must cover n_nodes")
-    spec.geo
+    spec.geo;
+  Option.iter
+    (fun (p : Kv_scenario.partition) ->
+      let island = List.sort_uniq compare p.island in
+      if island = [] then fail "empty partition island";
+      if List.exists (fun i -> i < 0 || i >= spec.n_nodes) island then
+        fail "partition island node out of range";
+      if List.length island = spec.n_nodes then
+        fail "partition island holds every node";
+      if p.heal_at_ns <= p.part_at_ns then
+        fail "partition heals before it starts")
+    spec.partition
 
 (* The generator's PRNG salt: the ASCII bytes of the metric prefix
    ("load" = 0x6C6F6164). *)
@@ -253,8 +264,7 @@ let drive ~prefix ~metrics spec target =
   let bin_ns = ms 1 in
   let applied_bins = Array.make ((deadline / bin_ns) + 2) 0 in
   (* Submit times of tracked in-flight writes, per completing node,
-     keyed by the unique value string the op carries (as in
-     Kv_scenario). *)
+     keyed by the unique value string the op carries. *)
   let in_flight = Array.init n (fun _ -> Hashtbl.create 1024) in
   target.on_applied (fun ~node op ->
       if node = 0 then begin
@@ -626,8 +636,8 @@ let drive ~prefix ~metrics spec target =
    }
     : sessions)
 
-(* The 1-ring target: Member/Daemon/Kv per node on one Netsim, with the
-   span collector attached. A write completes on apply at the replica
+(* The 1-ring target: {!Kv_scenario.build_cluster}, with the span
+   collector attached. A write completes on apply at the replica
    that submitted it. *)
 let run spec =
   if spec.rings <> 1 then
@@ -635,25 +645,9 @@ let run spec =
   if spec.mcas_permille <> 0 then
     invalid_arg "Load.run: mcas needs a multi-ring run (Mload)";
   validate ~prefix:"load" spec;
-  let n = spec.n_nodes in
-  let initial_ring = Array.init n (fun i -> i) in
-  let members =
-    Array.init n (fun me ->
-        Member.create ~params:spec.params ~me ~initial_ring ())
-  in
-  let daemons =
-    Array.init n (fun i -> Daemon.create ~member:members.(i) ())
-  in
-  let kvs =
-    Array.init n (fun i -> Kv.create ~cluster_size:n ~daemon:daemons.(i) ())
-  in
-  let oracle = Oracle.create () in
-  Array.iter (fun kv -> Oracle.attach oracle kv) kvs;
-  let sim =
-    Netsim.create ~net:spec.net
-      ~tiers:(Array.make n spec.tier)
-      ~participants:(Array.map Daemon.participant daemons)
-      ~seed:spec.seed ()
+  let { Kv_scenario.sim; kvs; daemons; oracle } =
+    Kv_scenario.build_cluster ~n:spec.n_nodes ~net:spec.net ~tier:spec.tier
+      ~params:spec.params ~seed:spec.seed
   in
   let metrics = Metrics.create () in
   let span = Span.create ~metrics () in

@@ -31,8 +31,12 @@
       {!Aring_harness.Scenario} builders.
 
     One generator, {!drive}, serves every ring count: it runs against a
-    small {!target}. {!run} supplies the single-ring target;
+    small {!target}. {!run} supplies the single-ring target, built by
+    {!Aring_app.Kv_scenario.build_cluster};
     [Aring_multiring.Mload.run] supplies the sharded multi-ring one.
+    At its small end, one [Periodic] session per node, a spec is the
+    paper's KV workload (one client per server at a fixed rate): the
+    [kv] bench runs that preset.
     Every run carries the KV consistency oracle; results surface the
     SLO inputs the [load] bench gates on: p99/p99.9 write latency,
     offered vs. applied rate, open-loop queue depth, storm degradation
@@ -108,7 +112,10 @@ type spec = {
       (** Per physical node: on [rings > 1] a link override applies to
           the node's participant in every ring. *)
   partition : Aring_app.Kv_scenario.partition option;
-      (** Islands are physical nodes, cut away in every ring. *)
+      (** Islands are physical nodes, cut away in every ring.
+          {!validate} rejects an empty island, a node outside
+          [[0, n_nodes)], an island holding every node and a window
+          with [heal_at_ns <= part_at_ns]. *)
   warmup_ns : int;
   measure_ns : int;
   drain_ns : int;

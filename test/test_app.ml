@@ -403,52 +403,7 @@ let test_oracle_install_rebases () =
   check Alcotest.int "clean" 0 (Oracle.violation_count o)
 
 (* -------------------------------------------------------------------- *)
-(* Scenario-driven workload                                              *)
-
-let test_kv_scenario_smoke () =
-  let spec =
-    {
-      Kv_scenario.default_spec with
-      Kv_scenario.n_nodes = 3;
-      ops_per_sec = 4_000.0;
-      warmup_ns = ms 20;
-      measure_ns = ms 80;
-      drain_ns = ms 800;
-      seed = 5L;
-    }
-  in
-  let r = Kv_scenario.run spec in
-  check Alcotest.int "oracle clean" 0 r.Kv_scenario.oracle_violations;
-  check Alcotest.bool "converged" true r.Kv_scenario.converged;
-  check Alcotest.bool "applied writes" true (r.Kv_scenario.writes_applied > 0);
-  check Alcotest.bool "measured write latency" true
-    (Aring_util.Stats.count r.Kv_scenario.write_latency_us > 0);
-  check Alcotest.bool "measured sync reads" true
-    (Aring_util.Stats.count r.Kv_scenario.sync_read_latency_us > 0)
-
-let test_kv_scenario_partition () =
-  let spec =
-    {
-      Kv_scenario.default_spec with
-      Kv_scenario.n_nodes = 4;
-      ops_per_sec = 3_000.0;
-      warmup_ns = ms 20;
-      measure_ns = ms 200;
-      drain_ns = ms 1_500;
-      seed = 6L;
-      partition =
-        Some
-          {
-            Kv_scenario.part_at_ns = ms 60;
-            heal_at_ns = ms 140;
-            island = [ 3 ];
-          };
-    }
-  in
-  let r = Kv_scenario.run spec in
-  check Alcotest.int "oracle clean" 0 r.Kv_scenario.oracle_violations;
-  check Alcotest.bool "converged" true r.Kv_scenario.converged;
-  check Alcotest.bool "state transfer happened" true (r.Kv_scenario.installs >= 1)
+(* State-transfer timing                                                 *)
 
 let test_measure_transfer () =
   let r = Kv_scenario.measure_transfer ~store_entries:500 () in
@@ -482,8 +437,5 @@ let suite =
       test_oracle_flags_non_monotonic_read;
     Alcotest.test_case "oracle: install re-bases" `Quick
       test_oracle_install_rebases;
-    Alcotest.test_case "kv scenario smoke" `Quick test_kv_scenario_smoke;
-    Alcotest.test_case "kv scenario with partition" `Quick
-      test_kv_scenario_partition;
     Alcotest.test_case "measure transfer" `Quick test_measure_transfer;
   ]

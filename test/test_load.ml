@@ -57,7 +57,9 @@ let test_offered_rate_periodic () =
   let err = Float.abs (float_of_int r.Load.ops_offered -. expect) in
   if err > slack then
     Alcotest.failf "periodic offered %d ops vs expected %.0f (err %.0f > %.0f)"
-      r.Load.ops_offered expect err slack
+      r.Load.ops_offered expect err slack;
+  if Stats.count r.Load.sync_read_latency_us = 0 then
+    Alcotest.fail "no sync read was answered"
 
 (* The defining open-loop property: arrivals never wait for
    completions. Split the cluster 2v2 for the whole measurement window
@@ -193,6 +195,51 @@ let test_background_churn () =
   if r.Load.writes_applied = 0 then
     Alcotest.fail "churn starved the workload entirely"
 
+(* The KV bench's shape (one periodic session per node, 128-byte values)
+   across a partition: the island [3] is cut away and healed inside the
+   window, and rejoins through a snapshot install. *)
+let test_kv_preset_partition () =
+  let r =
+    Load.run
+      {
+        Load.default_spec with
+        label = "kv-partition-test";
+        sessions_per_node = 1;
+        n_groups = 1;
+        arrival = Load.Periodic;
+        ops_per_sec = 3_000.0;
+        key_space = 64;
+        value_mix = [ (128, 1) ];
+        warmup_ns = ms 20;
+        measure_ns = ms 200;
+        drain_ns = ms 1_500;
+        seed = 6L;
+        partition =
+          Some
+            { Kv_scenario.part_at_ns = ms 60; heal_at_ns = ms 140; island = [ 3 ] };
+      }
+  in
+  check_clean r;
+  if Aring_obs.Metrics.counter_value r.Load.metrics "app.installs" < 1 then
+    Alcotest.fail "no state transfer after the heal";
+  if Stats.count r.Load.sync_read_latency_us = 0 then
+    Alcotest.fail "no sync read was answered"
+
+(* A malformed partition window is rejected at every ring count, not
+   silently dropped. *)
+let bad_partitions =
+  let p island part_at_ns heal_at_ns =
+    Some { Kv_scenario.part_at_ns; heal_at_ns; island }
+  in
+  [
+    ("empty partition island", p [] (ms 10) (ms 20));
+    ("partition island node out of range", p [ 4 ] (ms 10) (ms 20));
+    ("partition island node out of range", p [ -1 ] (ms 10) (ms 20));
+    ("partition island holds every node", p [ 0; 1; 2; 3 ] (ms 10) (ms 20));
+    ("partition heals before it starts", p [ 3 ] (ms 20) (ms 20));
+    ("partition heals before it starts", p [ 3 ] (ms 20) (ms 10));
+  ]
+
 let test_invalid_specs () =
   Alcotest.check_raises "zero sessions"
     (Invalid_argument "Load.run: sessions_per_node < 1") (fun () ->
@@ -210,7 +257,16 @@ let test_invalid_specs () =
            { two_rings with value_mix = [ (64, 2); (256, -1) ] }));
   Alcotest.check_raises "2 rings: zero-sum mix"
     (Invalid_argument "Mload.run: value_mix weights sum to zero") (fun () ->
-      ignore (Aring_multiring.Mload.run { two_rings with value_mix = [ (64, 0) ] }))
+      ignore (Aring_multiring.Mload.run { two_rings with value_mix = [ (64, 0) ] }));
+  List.iter
+    (fun (what, partition) ->
+      Alcotest.check_raises ("1 ring: " ^ what)
+        (Invalid_argument ("Load.run: " ^ what)) (fun () ->
+          ignore (Load.run { small_spec with partition }));
+      Alcotest.check_raises ("2 rings: " ^ what)
+        (Invalid_argument ("Mload.run: " ^ what)) (fun () ->
+          ignore (Aring_multiring.Mload.run { two_rings with partition })))
+    bad_partitions
 
 (* Outputs pinned across refactors of the shared driver: a 1-ring spec
    with churn and slow receivers, and a 2-ring spec with cross-shard
@@ -291,4 +347,6 @@ let suite =
     Alcotest.test_case "invalid specs rejected" `Quick test_invalid_specs;
     Alcotest.test_case "pinned outputs (1 and 2 rings)" `Quick
       test_pinned_outputs;
+    Alcotest.test_case "kv preset heals a partition" `Quick
+      test_kv_preset_partition;
   ]
