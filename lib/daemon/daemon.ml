@@ -2,6 +2,7 @@ open Aring_wire
 open Aring_ring
 module Span = Aring_obs.Span
 module Deque = Aring_util.Deque
+module Names = Map.Make (String)
 
 type callbacks = {
   on_message :
@@ -28,11 +29,22 @@ type stats = {
   mutable envelopes_packed : int;
 }
 
+(* The two halves of union routing (see [multicast] in the interface), as
+   bits: a local session receives a group's traffic while either is set. *)
+let joined = 1  (* the group is in the session's own [s_joined] *)
+let tabled = 2  (* its member name is in the delivered table *)
+
 type t = {
   member : Member.t;
   me : Types.pid;
+  member_suffix : string;  (* "#<me>": how every local member name ends *)
   groups : Groups.t;
   sessions : (string, session) Hashtbl.t;
+  (* Group -> the local session names it routes to, in name order, each
+     with its halves. Names, not sessions: resolved through [sessions] at
+     delivery, so a session reconnected under the same name still matches
+     its predecessor's table entry until the ordered Leave lands. *)
+  routes : (string, int Names.t) Hashtbl.t;
   stats : stats;
   packing : bool;
   pack_threshold : int;
@@ -55,8 +67,10 @@ let create ?(packing = false) ?(pack_threshold = 1300) ~member () =
   {
     member;
     me = Member.me member;
+    member_suffix = "#" ^ string_of_int (Member.me member);
     groups = Groups.create ();
     sessions = Hashtbl.create 8;
+    routes = Hashtbl.create 16;
     stats =
       {
         client_deliveries = 0;
@@ -188,9 +202,36 @@ let submit_envelope t service env =
     end
   end
 
+let routes_of t group =
+  match Hashtbl.find t.routes group with
+  | r -> r
+  | exception Not_found -> Names.empty
+
+let update_routes t group f =
+  let r = f (routes_of t group) in
+  if Names.is_empty r then Hashtbl.remove t.routes group
+  else Hashtbl.replace t.routes group r
+
+let with_half half name =
+  Names.update name (function None -> Some half | Some h -> Some (h lor half))
+
+let without_half half name =
+  Names.update name (function
+    | Some h when h land lnot half <> 0 -> Some (h land lnot half)
+    | _ -> None)
+
+(* The session name behind [member] when this daemon hosts it, i.e. when
+   [member = Envelope.member_name ~daemon:t.me ~session]. *)
+let local_session t member =
+  let n = String.length member and k = String.length t.member_suffix in
+  if n > k && member.[0] = '#' && String.ends_with ~suffix:t.member_suffix member
+  then Some (String.sub member 1 (n - k - 1))
+  else None
+
 let join t s group =
   if s.s_open then begin
     if not (List.mem group s.s_joined) then s.s_joined <- group :: s.s_joined;
+    update_routes t group (with_half joined s.s_name);
     submit_envelope t Types.Agreed (Envelope.Join { member = s.s_member; group })
   end
 
@@ -200,6 +241,7 @@ let join t s group =
 let leave t s group =
   if s.s_open && List.mem group s.s_joined then begin
     s.s_joined <- List.filter (fun g -> g <> group) s.s_joined;
+    update_routes t group (without_half joined s.s_name);
     submit_envelope t Types.Agreed (Envelope.Leave { member = s.s_member; group })
   end
 
@@ -207,6 +249,7 @@ let disconnect t s =
   if s.s_open then begin
     List.iter
       (fun group ->
+        update_routes t group (without_half joined s.s_name);
         submit_envelope t Types.Agreed
           (Envelope.Leave { member = s.s_member; group }))
       s.s_joined;
@@ -222,19 +265,37 @@ let multicast t s ?(service = Types.Agreed) ~groups payload =
     submit_envelope t service
       (Envelope.App { sender = s.s_member; groups; payload })
 
-(* Local sessions that belong to [group]. *)
-let local_members_of t group =
-  let members = Groups.members t.groups group in
-  Hashtbl.fold
-    (fun _ s acc -> if List.mem s.s_member members then s :: acc else acc)
-    t.sessions []
-
+(* Tell the local sessions in [group]'s table, in name order. *)
 let notify_group_view t group members =
-  List.iter
-    (fun s ->
-      t.stats.group_notifications <- t.stats.group_notifications + 1;
-      s.s_callbacks.on_group_view ~group ~members)
-    (local_members_of t group)
+  Names.iter
+    (fun name halves ->
+      if halves land tabled <> 0 then
+        match Hashtbl.find t.sessions name with
+        | exception Not_found -> ()
+        | s ->
+            t.stats.group_notifications <- t.stats.group_notifications + 1;
+            s.s_callbacks.on_group_view ~group ~members)
+    (routes_of t group)
+
+(* Rebuild [group]'s tabled half from its full member list. *)
+let retable t group members =
+  update_routes t group (fun r ->
+      List.fold_left
+        (fun r m ->
+          match local_session t m with
+          | Some name -> with_half tabled name r
+          | None -> r)
+        (Names.fold (fun name _ -> without_half tabled name) r r)
+        members)
+
+(* Local session names routed an envelope addressed to [groups]: the
+   union of the groups' routes, so a name listed twice counts once. *)
+let recipients t = function
+  | [ group ] -> routes_of t group
+  | groups ->
+      List.fold_left
+        (fun acc g -> Names.union (fun _ a b -> Some (a lor b)) acc (routes_of t g))
+        Names.empty groups
 
 (* Apply one totally-ordered envelope. Returns one [Deliver] action per
    local recipient so a driving runtime charges per-client delivery cost. *)
@@ -247,35 +308,41 @@ let rec apply_envelope t (d : Message.data) env =
          membership ([s_joined], effective from the join call — so a
          rejoining session never misses a message ordered before its
          re-announced Join lands) or the delivered-join table (effective
-         until the ordered Leave lands) says it belongs. *)
-      let in_table s g = List.mem s.s_member (Groups.members t.groups g) in
-      let joined s g = List.mem g s.s_joined || in_table s g in
-      let recipients =
-        Hashtbl.fold
-          (fun _ s acc ->
-            if s.s_open && List.exists (joined s) groups then s :: acc else acc)
-          t.sessions []
-        |> List.sort (fun a b -> compare a.s_name b.s_name)
-      in
-      List.map
-        (fun s ->
-          t.stats.client_deliveries <- t.stats.client_deliveries + 1;
-          (* A slow receiver parks the message; the daemon's routing work
-             (and the Deliver action's CPU charge) happens either way, so
-             one stalled client never blocks the others. *)
-          (match s.s_inbox with
-          | Some q -> Deque.push_back q (sender, groups, d.service, payload)
-          | None -> s.s_callbacks.on_message ~sender ~groups d.service payload);
-          Participant.Deliver d)
-        recipients
+         until the ordered Leave lands) says it belongs: the [routes]
+         index holds both halves, in session-name order. *)
+      (* Every recipient yields the same action, so one value serves all
+         and the list's order carries nothing. *)
+      let deliver = Participant.Deliver d in
+      Names.fold
+        (fun name _ acc ->
+          match Hashtbl.find t.sessions name with
+          | exception Not_found -> acc  (* a table entry with no session *)
+          | s ->
+              t.stats.client_deliveries <- t.stats.client_deliveries + 1;
+              (* A slow receiver parks the message; the daemon's routing
+                 work (and the Deliver action's CPU charge) happens either
+                 way, so one stalled client never blocks the others. *)
+              (match s.s_inbox with
+              | Some q -> Deque.push_back q (sender, groups, d.service, payload)
+              | None -> s.s_callbacks.on_message ~sender ~groups d.service payload);
+              deliver :: acc)
+        (recipients t groups) []
   | Envelope.Join { member; group } ->
       (match Groups.join t.groups ~group ~member with
-      | Some members -> notify_group_view t group members
+      | Some members ->
+          Option.iter
+            (fun name -> update_routes t group (with_half tabled name))
+            (local_session t member);
+          notify_group_view t group members
       | None -> ());
       []
   | Envelope.Leave { member; group } ->
       (match Groups.leave t.groups ~group ~member with
-      | Some members -> notify_group_view t group members
+      | Some members ->
+          Option.iter
+            (fun name -> update_routes t group (without_half tabled name))
+            (local_session t member);
+          notify_group_view t group members
       | None -> ());
       []
 
@@ -302,7 +369,11 @@ let handle_view t (v : Participant.view) =
   if not v.transitional then begin
     let keep pid = List.mem pid v.members in
     let changed = Groups.prune t.groups ~keep in
-    List.iter (fun (group, members) -> notify_group_view t group members) changed;
+    List.iter
+      (fun (group, members) ->
+        retable t group members;
+        notify_group_view t group members)
+      changed;
     Hashtbl.iter
       (fun _ s ->
         List.iter

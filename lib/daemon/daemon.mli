@@ -14,7 +14,24 @@
     After a configuration change, each daemon prunes group members hosted
     by departed daemons, notifies affected local clients, and re-announces
     its own clients' memberships in the new configuration — a state
-    transfer that reconverges group views after partitions and merges. *)
+    transfer that reconverges group views after partitions and merges.
+
+    {b Host cost.} Each daemon keeps an index from every group to the
+    names of its local recipients under union routing (see {!multicast}),
+    in session-name order, updated where membership changes. Routing
+    therefore costs in proportion to the recipients, never to the number
+    of sessions the daemon hosts:
+    - a [join] or [leave] call costs O(log r) for the group's r local
+      recipients;
+    - a delivered Join or Leave costs O(log m) in the group table of m
+      members, O(m) to build the sorted member list, and a walk of the
+      group's r index entries with one [on_group_view] per local member
+      in the table;
+    - a delivered single-group App envelope costs O(r), one
+      [on_message] (or inbox push) per recipient, and no sort; an
+      envelope naming k groups first merges their k indexes;
+    - a configuration change rebuilds the index of each group it prunes,
+      O(m) for that group. *)
 
 open Aring_wire
 open Aring_ring
@@ -28,7 +45,10 @@ type callbacks = {
       (** Invoked once per delivered application message addressed to a
           group this session belongs to (multi-group sends arrive once). *)
   on_group_view : group:string -> members:string list -> unit;
-      (** Invoked when the membership of a joined group changes. *)
+      (** Invoked when the delivered membership of a group changes, for
+          each local session the delivered table names in that group;
+          [members] is sorted. One change notifies its local sessions in
+          session-name order, the order deliveries use too. *)
 }
 
 type stats = {
@@ -125,10 +145,17 @@ val multicast :
     configuration, every daemon therefore hands the same per-group
     envelope stream to each member session — the property the
     replicated-KV layer's "equal op streams per view" argument rests on
-    (see {!Aring_app.Kv}). *)
+    (see {!Aring_app.Kv}). The table half is matched by session name, so
+    a session reconnected under a name still receives what is ordered
+    before its predecessor's Leave lands.
+
+    Local recipients are handed the envelope in session-name order, once
+    each however many of [groups] they are in; the runtime is returned
+    one {!Participant.Deliver} per recipient (one in all when there is
+    none), which is what the simulator charges delivery CPU for. *)
 
 val group_members : t -> string -> string list
-(** This daemon's current view of a group. *)
+(** This daemon's current view of a group, sorted. *)
 
 val stats : t -> stats
 

@@ -1,14 +1,17 @@
-type t = (string, string list) Hashtbl.t
+module Members = Set.Make (String)
+
+type t = (string, Members.t) Hashtbl.t
 
 let create () = Hashtbl.create 16
 
-let members t group = Option.value ~default:[] (Hashtbl.find_opt t group)
+let find t group = Option.value ~default:Members.empty (Hashtbl.find_opt t group)
+
+let members t group = Members.elements (find t group)
 
 let group_names t = Hashtbl.fold (fun g _ acc -> g :: acc) t []
 
-let set t group = function
-  | [] -> Hashtbl.remove t group
-  | ms -> Hashtbl.replace t group ms
+let set t group ms =
+  if Members.is_empty ms then Hashtbl.remove t group else Hashtbl.replace t group ms
 
 let daemon_of_member name =
   match String.rindex_opt name '#' with
@@ -24,21 +27,21 @@ let valid_member_name name = Option.is_some (daemon_of_member name)
 let join t ~group ~member =
   if not (valid_member_name member) then None
   else
-    let current = members t group in
-    if List.mem member current then None
+    let current = find t group in
+    if Members.mem member current then None
     else begin
-      let updated = List.sort compare (member :: current) in
+      let updated = Members.add member current in
       set t group updated;
-      Some updated
+      Some (Members.elements updated)
     end
 
 let leave t ~group ~member =
-  let current = members t group in
-  if not (List.mem member current) then None
+  let current = find t group in
+  if not (Members.mem member current) then None
   else begin
-    let updated = List.filter (fun m -> m <> member) current in
+    let updated = Members.remove member current in
     set t group updated;
-    Some updated
+    Some (Members.elements updated)
   end
 
 let prune t ~keep =
@@ -46,9 +49,9 @@ let prune t ~keep =
   let names = group_names t in
   List.iter
     (fun group ->
-      let current = members t group in
+      let current = find t group in
       let kept =
-        List.filter
+        Members.filter
           (fun m ->
             (* [join] rejects unparsable names, so the [None] branch is
                unreachable on a well-formed table; kept as defense in
@@ -57,9 +60,9 @@ let prune t ~keep =
             match daemon_of_member m with Some d -> keep d | None -> false)
           current
       in
-      if List.length kept <> List.length current then begin
+      if Members.cardinal kept <> Members.cardinal current then begin
         set t group kept;
-        changed := (group, kept) :: !changed
+        changed := (group, Members.elements kept) :: !changed
       end)
     names;
   !changed

@@ -1,6 +1,9 @@
 (** Group-membership bookkeeping.
 
-    Pure state: maps group names to sorted member names. All mutations are
+    Pure state: maps each group name to the set of its member names, a
+    balanced tree, so a join or leave is an O(log members) insert or
+    removal and never re-sorts. The member lists returned below are built
+    from the set, in sorted order, at O(members) each. All mutations are
     applied in the ring's total order (see {!Daemon}), so every daemon's
     instance evolves identically. Member names follow
     {!Envelope.member_name} and embed the hosting daemon's pid, which lets
@@ -21,7 +24,7 @@ val leave : t -> group:string -> member:string -> string list option
 (** [Some members'] when the view changed ([] deletes the group). *)
 
 val members : t -> string -> string list
-(** Current members of a group (empty when unknown). *)
+(** Current members of a group, sorted (empty when unknown). *)
 
 val group_names : t -> string list
 

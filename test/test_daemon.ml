@@ -296,7 +296,18 @@ let test_multi_group_delivered_once () =
   Netsim.run_until c.sim (ms 40);
   check Alcotest.int "member of both groups gets one copy" 1
     (List.length both.inbox);
-  check Alcotest.int "g1 member gets one copy" 1 (List.length g1only.inbox)
+  check Alcotest.int "g1 member gets one copy" 1 (List.length g1only.inbox);
+  (* A group named more than once counts once. *)
+  Daemon.multicast c.daemons.(1) s_g1 ~groups:[ "g1"; "g1" ] (Bytes.of_string "g1g1");
+  Daemon.multicast c.daemons.(1) s_g1 ~groups:[ "g2"; "g1"; "g2" ]
+    (Bytes.of_string "g2g1g2");
+  Netsim.run_until c.sim (ms 60);
+  List.iter
+    (fun (who, (cl : client)) ->
+      check (Alcotest.list Alcotest.string) (who ^ ": one copy each")
+        [ "cross-post"; "g1g1"; "g2g1g2" ]
+        (List.rev_map (fun (_, _, p) -> p) cl.inbox))
+    [ ("both", both); ("g1only", g1only) ]
 
 let test_group_views_consistent () =
   let c = make_dcluster () in
@@ -1014,6 +1025,348 @@ let test_reconnect_storm_mid_view () =
       (Daemon.group_members c.daemons.(i) "storm")
   done
 
+(* --------------------------------------------------------------------
+   Routing edge cases. Union routing (see [Daemon.multicast]) admits a
+   local session while the group is in its own joined set or its member
+   name is in the delivered table; each case below pins one corner of
+   that rule that a per-group recipient index can get wrong. *)
+
+let test_reconnect_inherits_table_entry () =
+  (* [a] disconnects and reconnects under the same name in one instant,
+     right after a message was submitted from its daemon. Per-daemon FIFO
+     orders that message before the predecessor's Leave, and the
+     delivered table still names "#a#0" when it lands, so the new session
+     receives it; nothing ordered after the Leave reaches it. *)
+  let c = make_dcluster () in
+  let old_a = fresh_client () and new_a = fresh_client () in
+  let sa = Daemon.connect c.daemons.(0) ~name:"a" (callbacks_of old_a) in
+  let tx = Daemon.connect c.daemons.(0) ~name:"tx" (callbacks_of (fresh_client ())) in
+  Daemon.join c.daemons.(0) sa "g";
+  Netsim.run_until c.sim (ms 20);
+  Daemon.multicast c.daemons.(0) tx ~groups:[ "g" ] (Bytes.of_string "before");
+  Daemon.disconnect c.daemons.(0) sa;
+  ignore (Daemon.connect c.daemons.(0) ~name:"a" (callbacks_of new_a));
+  Netsim.run_until c.sim (ms 40);
+  check (Alcotest.list Alcotest.string) "Leave landed" []
+    (Daemon.group_members c.daemons.(0) "g");
+  Daemon.multicast c.daemons.(0) tx ~groups:[ "g" ] (Bytes.of_string "after");
+  Netsim.run_until c.sim (ms 60);
+  check (Alcotest.list Alcotest.string) "old session got nothing" []
+    (payloads_oldest_first old_a);
+  check (Alcotest.list Alcotest.string) "new session: only what preceded the Leave"
+    [ "before" ] (payloads_oldest_first new_a)
+
+let test_leave_and_rejoin_same_instant () =
+  (* Leaving and rejoining in one instant keeps the session routed the
+     whole way: the joined half covers it from the rejoin call, the table
+     from its re-announced Join. Its group views come from the table, so
+     it is not told of its own Leave, and the last view names it again. *)
+  let c = make_dcluster () in
+  let alog = fresh_log () in
+  let sa = Daemon.connect c.daemons.(0) ~name:"a" (logging_callbacks alog) in
+  let sb = Daemon.connect c.daemons.(1) ~name:"b" (callbacks_of (fresh_client ())) in
+  let tx = Daemon.connect c.daemons.(2) ~name:"tx" (callbacks_of (fresh_client ())) in
+  Daemon.join c.daemons.(0) sa "g";
+  Daemon.join c.daemons.(1) sb "g";
+  Netsim.run_until c.sim (ms 20);
+  alog := [];
+  for i = 0 to 39 do
+    Netsim.call_at c.sim
+      ~at:(ms 20 + (i * 250_000))
+      (fun () ->
+        Daemon.multicast c.daemons.(2) tx ~groups:[ "g" ]
+          (Bytes.of_string (Printf.sprintf "m%02d" i)))
+  done;
+  Netsim.call_at c.sim ~at:(ms 22) (fun () ->
+      Daemon.leave c.daemons.(0) sa "g";
+      Daemon.join c.daemons.(0) sa "g");
+  Netsim.run_until c.sim (ms 60);
+  let events = List.rev !alog in
+  check (Alcotest.list Alcotest.string) "every message, in order"
+    (List.init 40 (Printf.sprintf "m%02d"))
+    (List.filter_map (function Msg (_, p) -> Some p | View _ -> None) events);
+  check
+    (Alcotest.list (Alcotest.list Alcotest.string))
+    "one view: the re-announced Join"
+    [ [ "#a#0"; "#b#1" ] ]
+    (List.filter_map (function View (_, ms) -> Some ms | Msg _ -> None) events);
+  check (Alcotest.list Alcotest.string) "member again everywhere"
+    [ "#a#0"; "#b#1" ]
+    (Daemon.group_members c.daemons.(2) "g")
+
+let test_prune_keeps_local_members () =
+  (* Cut daemon 2 away: its table drops the members of daemons 0 and 1
+     and keeps its own, whose sessions are told of the shrunk view and
+     keep receiving on their side. The heal restores the full view. *)
+  let c = make_dcluster () in
+  let a = fresh_client () and b = fresh_client () in
+  let s0 = Daemon.connect c.daemons.(0) ~name:"x" (callbacks_of (fresh_client ())) in
+  let s1 = Daemon.connect c.daemons.(1) ~name:"y" (callbacks_of (fresh_client ())) in
+  let sa = Daemon.connect c.daemons.(2) ~name:"a" (callbacks_of a) in
+  let sb = Daemon.connect c.daemons.(2) ~name:"b" (callbacks_of b) in
+  List.iter (fun (i, s) -> Daemon.join c.daemons.(i) s "g")
+    [ (0, s0); (1, s1); (2, sa); (2, sb) ];
+  Netsim.run_until c.sim (ms 20);
+  let full = [ "#a#2"; "#b#2"; "#x#0"; "#y#1" ] in
+  check (Alcotest.list Alcotest.string) "full view" full
+    (Daemon.group_members c.daemons.(2) "g");
+  a.group_views <- [];
+  Netsim.set_drop_until c.sim ~until:(ms 1000) (fun ~src ~dst _ ->
+      src = 2 <> (dst = 2));
+  Netsim.run_until c.sim (ms 900);
+  check (Alcotest.list Alcotest.string) "cut side keeps its own" [ "#a#2"; "#b#2" ]
+    (Daemon.group_members c.daemons.(2) "g");
+  check (Alcotest.list Alcotest.string) "other side keeps its own" [ "#x#0"; "#y#1" ]
+    (Daemon.group_members c.daemons.(0) "g");
+  check Alcotest.bool "local session told of the pruned view" true
+    (List.mem ("g", [ "#a#2"; "#b#2" ]) a.group_views);
+  Daemon.multicast c.daemons.(2) sb ~groups:[ "g" ] (Bytes.of_string "cut");
+  Netsim.run_until c.sim (ms 950);
+  check (Alcotest.list Alcotest.string) "local delivery while cut" [ "cut" ]
+    (payloads_oldest_first a);
+  Netsim.run_until c.sim (ms 3000);
+  for i = 0 to 2 do
+    check (Alcotest.list Alcotest.string)
+      (Printf.sprintf "daemon %d healed" i)
+      full
+      (Daemon.group_members c.daemons.(i) "g")
+  done;
+  check (Alcotest.list Alcotest.string) "last view is the full one" full
+    (snd (List.hd a.group_views))
+
+let test_notifications_and_deliveries_in_name_order () =
+  (* '!' sorts before '#', so "x!" follows "x" in session-name order but
+     precedes it in member-name order ("#x!#0" < "#x#0"). *)
+  let c = make_dcluster () in
+  let log = ref [] in
+  let cb name =
+    {
+      Daemon.on_message =
+        (fun ~sender:_ ~groups:_ _ _ -> log := ("msg", name) :: !log);
+      on_group_view = (fun ~group:_ ~members:_ -> log := ("view", name) :: !log);
+    }
+  in
+  List.iter
+    (fun name ->
+      Daemon.join c.daemons.(0) (Daemon.connect c.daemons.(0) ~name (cb name)) "g")
+    [ "x!"; "b"; "x" ];
+  Netsim.run_until c.sim (ms 20);
+  log := [];
+  let late = Daemon.connect c.daemons.(1) ~name:"late" (callbacks_of (fresh_client ())) in
+  Daemon.join c.daemons.(1) late "g";
+  Netsim.run_until c.sim (ms 40);
+  Daemon.multicast c.daemons.(1) late ~groups:[ "g" ] (Bytes.of_string "m");
+  Netsim.run_until c.sim (ms 60);
+  let in_order = [ "b"; "x"; "x!" ] in
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
+    "views, then messages, each in session-name order"
+    (List.map (fun n -> ("view", n)) in_order
+    @ List.map (fun n -> ("msg", n)) in_order)
+    (List.rev !log)
+
+(* --------------------------------------------------------------------
+   Model-based routing. Random connect / join / leave / disconnect /
+   reconnect / cut-and-heal sequences on a 3-daemon cluster, probed by
+   outside sessions around every step: from the step's own daemon just
+   before it (FIFO orders that probe ahead of the step's Join or Leave,
+   so it lands while the table and the joined set disagree), from the
+   next daemon just after it, and once more after the cluster settles.
+   The reference is the union-routing rule itself,
+   evaluated over this test's own record of join calls and the delivered
+   table [Daemon.group_members], at the instant the probe is delivered:
+   a witness session joined to every group captures that instant at each
+   daemon, since one delivery reaches all its local recipients at once. *)
+
+type rstep =
+  | R_connect of int * string
+  | R_join of int * string * string
+  | R_leave of int * string * string
+  | R_disconnect of int * string
+  | R_reconnect of int * string
+  | R_cut of int
+
+let rgroups = [ "g0"; "g1" ]
+
+let rstep_gen =
+  QCheck.Gen.(
+    let daemon = int_bound 2 and name = oneofl [ "a"; "b" ] in
+    let group = oneofl rgroups in
+    frequency
+      [
+        (3, map2 (fun d n -> R_connect (d, n)) daemon name);
+        (5, map3 (fun d n g -> R_join (d, n, g)) daemon name group);
+        (3, map3 (fun d n g -> R_leave (d, n, g)) daemon name group);
+        (2, map2 (fun d n -> R_disconnect (d, n)) daemon name);
+        (2, map2 (fun d n -> R_reconnect (d, n)) daemon name);
+        (1, map (fun d -> R_cut d) daemon);
+      ])
+
+let pp_rstep = function
+  | R_connect (d, n) -> Printf.sprintf "connect(%d,%s)" d n
+  | R_join (d, n, g) -> Printf.sprintf "join(%d,%s,%s)" d n g
+  | R_leave (d, n, g) -> Printf.sprintf "leave(%d,%s,%s)" d n g
+  | R_disconnect (d, n) -> Printf.sprintf "disconnect(%d,%s)" d n
+  | R_reconnect (d, n) -> Printf.sprintf "reconnect(%d,%s)" d n
+  | R_cut d -> Printf.sprintf "cut(%d)" d
+
+let rsteps_arb =
+  QCheck.make
+    ~print:(fun steps -> String.concat ";" (List.map pp_rstep steps))
+    QCheck.Gen.(list_size (int_range 1 14) rstep_gen)
+
+(* One connected session incarnation, as this test recorded it. *)
+type rsess = {
+  r_id : int;
+  r_daemon : int;
+  r_name : string;
+  r_handle : Daemon.session;
+  mutable r_joined : string list;
+}
+
+let is_probe payload = String.length payload > 6 && String.sub payload 0 6 = "probe:"
+
+let check_routing_model steps =
+  let c = make_dcluster () in
+  let live = Hashtbl.create 8 in  (* (daemon, name) -> rsess *)
+  let received = Hashtbl.create 64 in  (* (incarnation, probe) -> copies *)
+  let expected = Hashtbl.create 64 in  (* (daemon, probe) -> incarnations *)
+  let owner = Hashtbl.create 16 in  (* incarnation -> daemon *)
+  let in_union_routing d s groups =
+    let tabled g =
+      List.mem
+        (Envelope.member_name ~daemon:d ~session:s.r_name)
+        (Daemon.group_members c.daemons.(d) g)
+    in
+    List.exists (fun g -> List.mem g s.r_joined || tabled g) groups
+  in
+  let witness d =
+    {
+      Daemon.on_message =
+        (fun ~sender:_ ~groups _ payload ->
+          let p = Bytes.to_string payload in
+          if Hashtbl.mem expected (d, p) then
+            Alcotest.failf "witness %d saw %s twice" d p;
+          Hashtbl.replace expected (d, p)
+            (Hashtbl.fold
+               (fun _ s acc ->
+                 if s.r_daemon = d && in_union_routing d s groups then
+                   s.r_id :: acc
+                 else acc)
+               live []));
+      on_group_view = (fun ~group:_ ~members:_ -> ());
+    }
+  in
+  let probers =
+    Array.init 3 (fun d ->
+        let w = Daemon.connect c.daemons.(d) ~name:"w" (witness d) in
+        List.iter (Daemon.join c.daemons.(d) w) rgroups;
+        Daemon.connect c.daemons.(d) ~name:"p" (callbacks_of (fresh_client ())))
+  in
+  Netsim.run_until c.sim (ms 20);
+  let connect d name =
+    let id = Hashtbl.length owner in
+    Hashtbl.replace owner id d;
+    let cb =
+      {
+        Daemon.on_message =
+          (fun ~sender:_ ~groups:_ _ payload ->
+            let p = Bytes.to_string payload in
+            if is_probe p then
+              Hashtbl.replace received (id, p)
+                (1 + Option.value ~default:0 (Hashtbl.find_opt received (id, p))));
+        on_group_view = (fun ~group:_ ~members:_ -> ());
+      }
+    in
+    let h = Daemon.connect c.daemons.(d) ~name cb in
+    Hashtbl.replace live (d, name)
+      { r_id = id; r_daemon = d; r_name = name; r_handle = h; r_joined = [] }
+  in
+  let disconnect d name =
+    Option.iter
+      (fun s ->
+        Daemon.disconnect c.daemons.(d) s.r_handle;
+        Hashtbl.remove live (d, name))
+      (Hashtbl.find_opt live (d, name))
+  in
+  let with_live d name f = Option.iter f (Hashtbl.find_opt live (d, name)) in
+  let probe_all ~from k tag =
+    let probe tag groups =
+      Daemon.multicast c.daemons.(from) probers.(from) ~groups
+        (Bytes.of_string (Printf.sprintf "probe:%d:%s" k tag))
+    in
+    List.iter (fun g -> probe (tag ^ g) [ g ]) rgroups;
+    probe (tag ^ "*") [ "g1"; "g0"; "g1" ]
+  in
+  List.iteri
+    (fun k step ->
+      let at =
+        match step with
+        | R_connect (d, _) | R_join (d, _, _) | R_leave (d, _, _)
+        | R_disconnect (d, _) | R_reconnect (d, _) | R_cut d -> d
+      in
+      probe_all ~from:at k "before:";
+      let settle =
+        match step with
+        | R_connect (d, n) ->
+            if not (Hashtbl.mem live (d, n)) then connect d n;
+            ms 30
+        | R_join (d, n, g) ->
+            with_live d n (fun s ->
+                Daemon.join c.daemons.(d) s.r_handle g;
+                if not (List.mem g s.r_joined) then s.r_joined <- g :: s.r_joined);
+            ms 30
+        | R_leave (d, n, g) ->
+            with_live d n (fun s ->
+                Daemon.leave c.daemons.(d) s.r_handle g;
+                s.r_joined <- List.filter (( <> ) g) s.r_joined);
+            ms 30
+        | R_disconnect (d, n) ->
+            disconnect d n;
+            ms 30
+        | R_reconnect (d, n) ->
+            disconnect d n;
+            connect d n;
+            ms 30
+        | R_cut d ->
+            let now = Netsim.now c.sim in
+            Netsim.set_drop_until c.sim ~until:(now + ms 150) (fun ~src ~dst _ ->
+                src = d <> (dst = d));
+            ms 1200
+      in
+      probe_all ~from:((at + 1) mod 3) k "after:";
+      Netsim.run_until c.sim (Netsim.now c.sim + settle);
+      probe_all ~from:(k mod 3) k "settled:";
+      Netsim.run_until c.sim (Netsim.now c.sim + ms 30))
+    steps;
+  (* Every expected copy arrived exactly once ... *)
+  Hashtbl.iter
+    (fun (d, p) ids ->
+      List.iter
+        (fun id ->
+          match Hashtbl.find_opt received (id, p) with
+          | Some 1 -> ()
+          | got ->
+              QCheck.Test.fail_reportf "daemon %d, %s: session %d got %d copies" d
+                p id (Option.value ~default:0 got))
+        ids)
+    expected;
+  (* ... and nothing else did. *)
+  Hashtbl.iter
+    (fun (id, p) _ ->
+      match Hashtbl.find_opt expected (Hashtbl.find owner id, p) with
+      | Some ids when List.mem id ids -> ()
+      | _ ->
+          QCheck.Test.fail_reportf
+            "session %d got %s, which the rule does not route to it" id p)
+    received;
+  true
+
+let prop_routing_matches_union_rule =
+  QCheck.Test.make ~count:40
+    ~name:"routing matches the union rule across connect/join/leave/reconnect/cut"
+    rsteps_arb check_routing_model
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -1050,4 +1403,12 @@ let suite =
     ("slow receiver unmark + disconnect", `Quick,
       test_slow_receiver_unmark_and_disconnect);
     ("reconnect storm mid-view", `Quick, test_reconnect_storm_mid_view);
+    ("reconnect inherits the table entry until the Leave", `Quick,
+     test_reconnect_inherits_table_entry);
+    ("leave and rejoin in the same instant", `Quick,
+     test_leave_and_rejoin_same_instant);
+    ("prune keeps local members", `Quick, test_prune_keeps_local_members);
+    ("notifications and deliveries in name order", `Quick,
+     test_notifications_and_deliveries_in_name_order);
+    qtest prop_routing_matches_union_rule;
   ]
