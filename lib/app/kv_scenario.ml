@@ -27,25 +27,51 @@ let snappy_params () =
 
 type cluster = {
   sim : Netsim.t;
-  kvs : Kv.t array;
+  members : Member.t array;
   daemons : Daemon.t array;
-  oracle : Oracle.t;
+  kvs : Kv.t array;
+  oracles : Oracle.t array;
 }
 
-let build_cluster ~n ~net ~tier ~params ~seed =
-  let initial_ring = Array.init n (fun i -> i) in
+(* Construction order is part of every pinned stream: all members, then
+   all daemons, then all replicas, then the oracles attach, then the
+   sim. Callers that observe replicas register after this returns. *)
+let build_cluster ?tiers ?controller ?wrap ?kv_bug ~rings ~n ~net ~tier ~params
+    ~seed () =
+  let total = rings * n in
   let members =
-    Array.init n (fun me -> Member.create ~params ~me ~initial_ring ())
+    Array.init total (fun p ->
+        let initial_ring = Array.init n (fun i -> (p / n * n) + i) in
+        let controller = Option.bind controller (fun f -> f ~pid:p) in
+        Member.create ~params ~me:p ~initial_ring ?controller ())
   in
-  let daemons = Array.init n (fun i -> Daemon.create ~member:members.(i) ()) in
+  let daemons = Array.map (fun member -> Daemon.create ~member ()) members in
   let kvs =
-    Array.init n (fun i -> Kv.create ~cluster_size:n ~daemon:daemons.(i) ())
+    Array.init total (fun p ->
+        let ring = p / n in
+        let bug = Option.bind kv_bug (fun f -> f ~ring ~node:(p mod n)) in
+        Kv.create ?bug ~ring ~cluster_size:n ~daemon:daemons.(p) ())
   in
-  let oracle = Oracle.create () in
-  Array.iter (fun kv -> Oracle.attach oracle kv) kvs;
-  let participants = Array.map Daemon.participant daemons in
-  let sim = Netsim.create ~net ~tiers:(Array.make n tier) ~participants ~seed () in
-  { sim; kvs; daemons; oracle }
+  let oracles = Array.init rings (fun _ -> Oracle.create ()) in
+  Array.iteri (fun p kv -> Oracle.attach oracles.(p / n) kv) kvs;
+  let participants =
+    Array.mapi
+      (fun p d ->
+        let part = Daemon.participant d in
+        match wrap with None -> part | Some f -> f ~pid:p part)
+      daemons
+  in
+  let tiers =
+    match tiers with
+    | None -> Array.make total tier
+    | Some phys ->
+        if Array.length phys <> n then
+          invalid_arg "Kv_scenario.build_cluster: tiers must cover the nodes";
+        Array.init total (fun p -> phys.(p mod n))
+  in
+  let sim = Netsim.create ~net ~tiers ~participants ~seed () in
+  if rings > 1 then Netsim.set_domains sim (Array.init total (fun p -> p / n));
+  { sim; members; daemons; kvs; oracles }
 
 (* Participant [pid] is physical node [pid mod n]: on a multi-ring
    deployment the island is cut away in every ring. *)
@@ -83,8 +109,8 @@ let measure_transfer ?(n_nodes = 4) ?(value_bytes = 128) ?(seed = 7L)
   let n = n_nodes in
   if n < 3 then invalid_arg "Kv_scenario.measure_transfer: n_nodes < 3";
   let cl =
-    build_cluster ~n ~net:Profile.gigabit ~tier:Profile.daemon
-      ~params:(snappy_params ()) ~seed
+    build_cluster ~rings:1 ~n ~net:Profile.gigabit ~tier:Profile.daemon
+      ~params:(snappy_params ()) ~seed ()
   in
   let sim = cl.sim and kvs = cl.kvs in
   (* Last regular-view delivery time per node: the install is timed
@@ -138,11 +164,11 @@ let measure_transfer ?(n_nodes = 4) ?(value_bytes = 128) ?(seed = 7L)
   | Some (entries_transferred, bytes_transferred, xfer_us) ->
       (* Let the replay settle, then sanity-check convergence. *)
       Netsim.run_until sim (!t + ms 200);
-      Oracle.check_convergence cl.oracle (Array.to_list kvs);
-      if Oracle.violation_count cl.oracle > 0 then
+      let oracle = cl.oracles.(0) in
+      Oracle.check_convergence oracle (Array.to_list kvs);
+      if Oracle.violation_count oracle > 0 then
         failwith
-          (Format.asprintf "Kv_scenario.measure_transfer: %a" Oracle.pp
-             cl.oracle);
+          (Format.asprintf "Kv_scenario.measure_transfer: %a" Oracle.pp oracle);
       {
         entries_transferred;
         bytes_transferred;

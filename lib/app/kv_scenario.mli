@@ -1,12 +1,10 @@
-(** Single-ring KV cluster plumbing shared by the workload drivers: the
-    one daemon+replica cluster builder on the simulator, a partition
-    window, the convergence test and the snappy membership params. The
-    open-loop KV workload itself is a {!Aring_load.Load} spec (one
-    periodic session per node is the paper's methodology); this module
-    also keeps the isolated state-transfer timing, which is not a
-    workload.
-
-    Every cluster built here carries the consistency {!Oracle}. *)
+(** Replicated-KV cluster plumbing: the one builder of the
+    Member+Daemon+Kv+Oracle stack on the simulator, at any ring count, a
+    partition window, the convergence test and the snappy membership
+    params. The open-loop KV workload itself is a {!Aring_load.Load}
+    spec (one periodic session per node is the paper's methodology);
+    this module also keeps the isolated state-transfer timing, which is
+    not a workload. *)
 
 open Aring_sim
 
@@ -29,20 +27,40 @@ val pad : string -> int -> string
 
 type cluster = {
   sim : Netsim.t;  (** Not yet run. *)
-  kvs : Kv.t array;
+  members : Aring_ring.Member.t array;
+      (** By participant id [ring * n + node], as are the next two. *)
   daemons : Aring_daemon.Daemon.t array;
-  oracle : Oracle.t;  (** Attached to every replica. *)
+  kvs : Kv.t array;
+  oracles : Oracle.t array;  (** One per ring, attached to its replicas. *)
 }
 
 val build_cluster :
+  ?tiers:Profile.tier array ->
+  ?controller:(pid:int -> Aring_control.Controller.t option) ->
+  ?wrap:(pid:int -> Aring_ring.Participant.t -> Aring_ring.Participant.t) ->
+  ?kv_bug:(ring:int -> node:int -> Kv.bug option) ->
+  rings:int ->
   n:int ->
   net:Profile.net ->
   tier:Profile.tier ->
   params:Aring_ring.Params.t ->
   seed:int64 ->
+  unit ->
   cluster
-(** One ring of [n] nodes: a Member, Daemon and Kv replica per node on
-    one Netsim, with the oracle attached. Node [i] is participant [i]. *)
+(** [rings] rings of [n] physical nodes on one Netsim: a Member, Daemon
+    and Kv replica at participant [ring * n + node], each ring its own
+    multicast domain when [rings > 1]. {!Aring_load.Load.run} builds
+    with it at one ring, {!Aring_multiring.Cluster.create} at any count.
+    [tiers] gives per-physical-node cost profiles (length [n];
+    [tier] is the uniform default), [controller] each participant's
+    adaptive controller, [wrap] wraps each participant (fault injection)
+    and [kv_bug] seeds a replica bug (fuzzer self-test).
+
+    The order is fixed, as it fixes every seeded stream: all members,
+    all daemons, all replicas, then the oracles attach; a caller's
+    replica observers run after the oracle's.
+
+    @raise Invalid_argument if [tiers] does not have length [n]. *)
 
 val install_partition : Netsim.t -> int -> partition -> unit
 (** Drop every packet across the island boundary inside the window,
@@ -52,7 +70,8 @@ val install_partition : Netsim.t -> int -> partition -> unit
     lie in [[0, n)] ({!Aring_load.Load.validate} checks it). *)
 
 val kv_converged : Kv.t array -> bool
-(** Every replica settled, synced and at equal (applied, digest). *)
+(** Every replica settled, synced and at equal (applied, digest); true
+    for no replicas. *)
 
 type transfer_result = {
   entries_transferred : int;

@@ -30,7 +30,9 @@ type t =
           exchange (unpaced, undeduplicated, no retransmission). On
           schedules with near-MTU payloads and a small switch buffer this
           livelocks formation — caught by the health watchdog judge.
-          {!wrap} is the identity for it. *)
+          {!wrap} is the identity for it. Only the bare single ring
+          (no app, one ring) builds members this way, so
+          {!Runner.run} rejects it anywhere else. *)
 
 val label : t -> string
 val of_string : string -> (t, string) result

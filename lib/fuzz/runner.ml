@@ -4,7 +4,6 @@ module Trace = Aring_obs.Trace
 module Trace_json = Aring_obs.Trace_json
 module Flight = Aring_obs.Flight
 module Health = Aring_obs.Health
-module Daemon = Aring_daemon.Daemon
 module Kv = Aring_app.Kv
 module Oracle = Aring_app.Oracle
 module Kv_scenario = Aring_app.Kv_scenario
@@ -335,13 +334,16 @@ let ring_merged members ~pids =
      | _ -> true)
 
 (* Chunked execution, shared by both paths: stop at the first chunk
-   boundary with a violation (fast failure) or full convergence (fast
-   success). Chunk boundaries and every decision depend only on the
-   schedule and the trace so far, so stopping early keeps the trace hash
-   reproducible. At each boundary [violation] names an oracle failure
-   and [before_judging] runs path work (the probe submission); at the
-   deadline [unconverged] explains a liveness miss. Returns the failure,
-   the trace hash and the end-of-run watchdog report. *)
+   boundary with a violation (fast failure) or, past the horizon, full
+   convergence (fast success). No run passes before its horizon: the
+   workload and the fault windows run until then, so agreement earlier
+   says nothing about the faults still to come. Chunk boundaries and
+   every decision depend only on the schedule and the trace so far, so
+   stopping early keeps the trace hash reproducible. At each boundary
+   [violation] names an oracle failure and [before_judging] runs path
+   work (the probe submission); at the deadline [unconverged] explains a
+   liveness miss. Returns the failure, the trace hash and the end-of-run
+   watchdog report. *)
 let drive_chunks sim (s : Schedule.t) ~checker ~health ?extra_sink ~violation
     ?(before_judging = fun _ -> ()) ~converged ~unconverged () =
   let c = s.config in
@@ -375,7 +377,9 @@ let drive_chunks sim (s : Schedule.t) ~checker ~health ?extra_sink ~violation
              | Some f -> stop (Some f)
              | None ->
                  before_judging !t;
-                 if c.Schedule.liveness && converged () then stop None
+                 if c.Schedule.liveness && !t > c.Schedule.horizon_ns
+                    && converged ()
+                 then stop None
                  else if
                    c.Schedule.liveness && Health.check health ~now:!t <> []
                  then
@@ -391,15 +395,16 @@ let drive_chunks sim (s : Schedule.t) ~checker ~health ?extra_sink ~violation
   Health.detach ();
   (!failure, !hash, report)
 
-(* ---------- Multi-ring runs (config.rings > 1) ---------- *)
+(* ---------- KV runs, at every ring count ---------- *)
 
-(* The multi-ring twin of [run_single]. Always KV-hosted ([App_none]
-   merely skips the workload); probes are never sent — EVS raw payloads
-   do not survive post-horizon membership churn, so convergence is
-   judged on replica equality, merge quiescence and cross-shard
-   decision agreement. [Bug.Recovery_flood] is not plumbed through the
-   cluster builder and behaves as [Clean] here. *)
-let run_multiring ~bug ~adaptive ~app ?extra_sink (s : Schedule.t) =
+(* The replicated-KV stack on a {!Cluster}: every KV run at any ring
+   count, and bare multi-ring runs ([App_none] merely skips the
+   workload). Probes are never sent — EVS raw payloads do not survive
+   post-horizon membership churn, and the app's per-view traffic makes
+   such churn routine — so convergence is judged on replica equality
+   (which state transfer does guarantee), merge quiescence and
+   cross-shard decision agreement. *)
+let run_cluster ~bug ~adaptive ~app ?extra_sink (s : Schedule.t) =
   let c = s.config in
   let n = c.Schedule.n_nodes in
   let rings = c.Schedule.rings in
@@ -440,9 +445,19 @@ let run_multiring ~bug ~adaptive ~app ?extra_sink (s : Schedule.t) =
       install_kv_workload sim s
         ~shard:(Cluster.shard_of_key cluster)
         ~kv:(Cluster.kv cluster)
-        ~mcas:(Some (Cluster.mcas cluster)));
+        ~mcas:(if rings > 1 then Some (Cluster.mcas cluster) else None));
+  let ring_ids = List.init rings Fun.id in
   let alive_phys () =
     List.filter (fun i -> Cluster.alive cluster ~node:i) (List.init n Fun.id)
+  in
+  (* One line per surviving (ring, node), keyed by its pid. *)
+  let per_survivor line =
+    List.concat_map
+      (fun ring ->
+        List.map
+          (fun node -> (Cluster.pid cluster ~ring ~node, line ~ring ~node))
+          (alive_phys ()))
+      ring_ids
   in
   (* Merged only when ALL rings have re-formed: an idle or slow ring
      must not be vacuously skipped. *)
@@ -455,38 +470,26 @@ let run_multiring ~bug ~adaptive ~app ?extra_sink (s : Schedule.t) =
             ring_merged
               (List.map (fun i -> Cluster.member cluster ~ring:r ~node:i) survivors)
               ~pids:(List.map (fun i -> Cluster.pid cluster ~ring:r ~node:i) survivors))
-          (List.init rings Fun.id)
+          ring_ids
   in
-  let kv_states () =
-    List.concat_map
-      (fun r ->
-        List.map
-          (fun i ->
-            let kv = Cluster.kv cluster ~ring:r ~node:i in
-            ( Cluster.pid cluster ~ring:r ~node:i,
-              Printf.sprintf
-                "ring=%d node=%d applied=%d digest=%Lx synced=%b settled=%b \
-                 parked=%b merge_blocked=%d state=%s view=%s"
-                r i (Kv.applied kv) (Kv.digest kv) (Kv.synced kv)
-                (Kv.settled kv) (Kv.mcas_parked kv)
-                (Cluster.merge_blocked cluster ~node:i ~ring:r)
-                (Member.state_name (Cluster.member cluster ~ring:r ~node:i))
-                (match Member.current_view (Cluster.member cluster ~ring:r ~node:i) with
-                 | None -> "-"
-                 | Some v ->
-                     Format.asprintf "%a[%s]" Aring_wire.Types.pp_ring_id v.Participant.view_id
-                       (String.concat "," (List.map string_of_int v.Participant.members))) ))
-          (alive_phys ()))
-      (List.init rings Fun.id)
-  in
-  let kv_violation_failure () =
-    let messages =
-      List.concat_map
-        (fun r -> Oracle.messages (Cluster.oracle cluster ~ring:r))
-        (List.init rings Fun.id)
-    in
-    let keep = List.filteri (fun i _ -> i < 8) messages in
-    Kv_violation { total = Cluster.oracle_violations cluster; messages = keep }
+  let kv_state ~ring ~node =
+    let kv = Cluster.kv cluster ~ring ~node in
+    let st = Kv.stats kv in
+    let m = Cluster.member cluster ~ring ~node in
+    Printf.sprintf
+      "ring=%d node=%d applied=%d digest=%Lx synced=%b settled=%b parked=%b \
+       merge_blocked=%d rejected=%d installs=%d aborts=%d resets=%d \
+       state=%s view=%s"
+      ring node (Kv.applied kv) (Kv.digest kv) (Kv.synced kv) (Kv.settled kv)
+      (Kv.mcas_parked kv)
+      (Cluster.merge_blocked cluster ~node ~ring)
+      st.Kv.rejected_writes st.Kv.installs st.Kv.xfer_aborts st.Kv.cold_resets
+      (Member.state_name m)
+      (match Member.current_view m with
+      | None -> "-"
+      | Some v ->
+          Format.asprintf "%a[%s]" Types.pp_ring_id v.Participant.view_id
+            (String.concat "," (List.map string_of_int v.Participant.members)))
   in
   (* Cross-shard atomicity: every decision observation for one mcas id —
      any node, any ring, any time — must carry the same commit bit. *)
@@ -506,44 +509,50 @@ let run_multiring ~bug ~adaptive ~app ?extra_sink (s : Schedule.t) =
             else None)
       (Cluster.mcas_ids cluster)
   in
-  let converged () =
-    merged () && Cluster.kv_converged cluster && Cluster.merge_settled cluster
+  let kv_failure () =
+    if Cluster.oracle_violations cluster > 0 then
+      let messages =
+        List.concat_map
+          (fun ring -> Oracle.messages (Cluster.oracle cluster ~ring))
+          ring_ids
+      in
+      Some
+        (Kv_violation
+           {
+             total = Cluster.oracle_violations cluster;
+             messages = List.filteri (fun i _ -> i < 8) messages;
+           })
+    else mcas_divergence ()
+  in
+  let settled () =
+    Cluster.kv_converged cluster && Cluster.merge_settled cluster
   in
   let failure, trace_hash, health_report =
-    drive_chunks sim s ~checker ~health ?extra_sink
-      ~violation:(fun () ->
-        if Cluster.oracle_violations cluster > 0 then
-          Some (kv_violation_failure ())
-        else mcas_divergence ())
-      ~converged
+    drive_chunks sim s ~checker ~health ?extra_sink ~violation:kv_failure
+      ~converged:(fun () -> merged () && settled ())
       ~unconverged:(fun () ->
         if not (merged ()) then
           Some
             (No_merge
                {
                  states =
-                   List.concat_map
-                     (fun r ->
-                       List.map
-                         (fun i ->
-                           ( Cluster.pid cluster ~ring:r ~node:i,
-                             Member.state_name (Cluster.member cluster ~ring:r ~node:i) ))
-                         (alive_phys ()))
-                     (List.init rings Fun.id);
+                   per_survivor (fun ~ring ~node ->
+                       Member.state_name (Cluster.member cluster ~ring ~node));
                })
-        else if not (Cluster.kv_converged cluster && Cluster.merge_settled cluster)
-        then Some (Kv_unsettled { nodes = kv_states () })
+        else if not (settled ()) then
+          Some (Kv_unsettled { nodes = per_survivor kv_state })
         else None)
       ()
   in
+  (* Final oracle pass: end-of-run convergence (survivor stores equal and
+     byte-identical to their shadows) plus any violation recorded after
+     the last chunk boundary. *)
   let failure =
     match failure with
     | Some _ -> failure
     | None ->
         if c.Schedule.liveness then Cluster.check_convergence cluster;
-        if Cluster.oracle_violations cluster > 0 then
-          Some (kv_violation_failure ())
-        else mcas_divergence ()
+        kv_failure ()
   in
   {
     schedule = s;
@@ -556,7 +565,12 @@ let run_multiring ~bug ~adaptive ~app ?extra_sink (s : Schedule.t) =
     health = health_report;
   }
 
-let run_single ~bug ~adaptive ~app ?extra_sink (s : Schedule.t) =
+(* ---------- Bare-ring runs (App_none, one ring) ---------- *)
+
+(* Raw ring members with the padded byte workload, judged by probes:
+   once the survivors have merged past the horizon, every survivor
+   multicasts a probe and every survivor must deliver all of them. *)
+let run_single ~bug ~adaptive ?extra_sink (s : Schedule.t) =
   let c = s.config in
   let n = c.Schedule.n_nodes in
   let params = Schedule.params c in
@@ -570,39 +584,8 @@ let run_single ~bug ~adaptive ~app ?extra_sink (s : Schedule.t) =
         Member.create ~params ~me ~initial_ring ?controller:(controller ~adaptive params)
           ~legacy_flood ())
   in
-  (* With the kv app, each member hosts a daemon and a KV replica; the
-     injected bug wraps the daemon participant (the full stack), and
-     app-layer bugs are planted inside the replica itself. One shared
-     oracle shadows every replica. *)
-  let daemons, kvs, oracle =
-    match app with
-    | App_none -> (None, [||], None)
-    | App_kv ->
-        let daemons =
-          Array.init n (fun i -> Daemon.create ~member:members.(i) ())
-        in
-        let kv_bug i =
-          match bug with
-          | Bug.Kv_skip_apply { node; every } when node = i ->
-              Kv.Bug_skip_apply { every }
-          | _ -> Kv.Bug_none
-        in
-        let kvs =
-          Array.init n (fun i ->
-              Kv.create ~bug:(kv_bug i) ~cluster_size:n ~daemon:daemons.(i) ())
-        in
-        let oracle = Oracle.create () in
-        Array.iter (fun kv -> Oracle.attach oracle kv) kvs;
-        (Some daemons, kvs, Some oracle)
-  in
   let participants =
-    Array.init n (fun i ->
-        let inner =
-          match daemons with
-          | Some ds -> Daemon.participant ds.(i)
-          | None -> Member.participant members.(i)
-        in
-        Bug.wrap bug ~node:i inner)
+    Array.init n (fun i -> Bug.wrap bug ~node:i (Member.participant members.(i)))
   in
   (* Fourth judge: the recovery/stall health watchdog, attached for the
      whole run and fed by Member/Engine through the global instrument.
@@ -629,13 +612,7 @@ let run_single ~bug ~adaptive ~app ?extra_sink (s : Schedule.t) =
       Netsim.crash sim node;
       (* The watchdog must not flag a dead node as stuck. *)
       Health.note_crash ~node);
-  (match app with
-  | App_none -> install_workload sim s members
-  | App_kv ->
-      install_kv_workload sim s
-        ~shard:(fun _ -> 0)
-        ~kv:(fun ~ring:_ ~node -> kvs.(node))
-        ~mcas:None);
+  install_workload sim s members;
   let alive () = List.filter (Netsim.is_alive sim) (List.init n Fun.id) in
   let merged () =
     match alive () with
@@ -647,21 +624,13 @@ let run_single ~bug ~adaptive ~app ?extra_sink (s : Schedule.t) =
   let probes_sent = ref false in
   let send_probes () =
     probes_sent := true;
-    (* Raw ring payloads are only delivered inside the configuration that
-       ordered them — they are never state-transferred across a later
-       merge. The KV app's per-view traffic makes post-horizon membership
-       changes routine, so in KV mode convergence is judged on replica
-       equality (which state transfer does guarantee) and the probe set
-       stays empty. *)
-    if app = App_none then begin
-      List.iter
-        (fun node ->
-          probes := probe_payload node :: !probes;
-          Member.submit members.(node) Types.Agreed
-            (Bytes.of_string (probe_payload node)))
-        (alive ());
-      probes := List.rev !probes
-    end
+    List.iter
+      (fun node ->
+        probes := probe_payload node :: !probes;
+        Member.submit members.(node) Types.Agreed
+          (Bytes.of_string (probe_payload node)))
+      (alive ());
+    probes := List.rev !probes
   in
   let missing_probes () =
     List.concat_map
@@ -672,59 +641,13 @@ let run_single ~bug ~adaptive ~app ?extra_sink (s : Schedule.t) =
           !probes)
       (alive ())
   in
-  (* KV quiescence: every surviving replica settled (election done, no
-     transfer in flight), synced, and at the same (applied, digest). *)
-  let kv_ok () =
-    match app with
-    | App_none -> true
-    | App_kv -> (
-        match alive () with
-        | [] -> true
-        | first :: _ as survivors ->
-            List.for_all
-              (fun i -> Kv.settled kvs.(i) && Kv.synced kvs.(i))
-              survivors
-            && List.for_all
-                 (fun i ->
-                   Kv.applied kvs.(i) = Kv.applied kvs.(first)
-                   && Kv.digest kvs.(i) = Kv.digest kvs.(first))
-                 survivors)
-  in
-  let kv_states () =
-    List.map
-      (fun i ->
-        let s = Kv.stats kvs.(i) in
-        ( i,
-          Printf.sprintf
-            "applied=%d digest=%Lx synced=%b settled=%b rejected=%d \
-             installs=%d aborts=%d resets=%d hellos=%d decode_errs=%d"
-            (Kv.applied kvs.(i)) (Kv.digest kvs.(i)) (Kv.synced kvs.(i))
-            (Kv.settled kvs.(i)) s.Kv.rejected_writes s.Kv.installs
-            s.Kv.xfer_aborts s.Kv.cold_resets s.Kv.hellos_sent
-            s.Kv.decode_errors ))
-      (alive ())
-  in
-  let kv_violation_failure o =
-    let messages = Oracle.messages o in
-    let keep = List.filteri (fun i _ -> i < 8) messages in
-    Kv_violation { total = Oracle.violation_count o; messages = keep }
-  in
-  let converged () =
-    !probes_sent
-    && missing_probes () = []
-    && (app = App_none || merged ())
-    && kv_ok ()
-  in
   let failure, trace_hash, health_report =
     drive_chunks sim s ~checker ~health ?extra_sink
-      ~violation:(fun () ->
-        match oracle with
-        | Some o when Oracle.violation_count o > 0 -> Some (kv_violation_failure o)
-        | _ -> None)
+      ~violation:(fun () -> None)
       ~before_judging:(fun t ->
         if (not !probes_sent) && t > c.Schedule.horizon_ns && merged () then
           send_probes ())
-      ~converged
+      ~converged:(fun () -> !probes_sent && missing_probes () = [])
       ~unconverged:(fun () ->
         if not !probes_sent then
           Some
@@ -734,23 +657,10 @@ let run_single ~bug ~adaptive ~app ?extra_sink (s : Schedule.t) =
                    List.map (fun i -> (i, Member.state_name members.(i))) (alive ());
                })
         else
-          let missing = List.sort compare (missing_probes ()) in
-          if missing <> [] then Some (No_convergence { missing })
-          else if not (kv_ok ()) then Some (Kv_unsettled { nodes = kv_states () })
-          else None)
+          match List.sort compare (missing_probes ()) with
+          | [] -> None
+          | missing -> Some (No_convergence { missing }))
       ()
-  in
-  (* Final oracle pass: end-of-run convergence (survivor stores equal and
-     byte-identical to their shadows) plus any violation recorded after
-     the last chunk boundary. *)
-  let failure =
-    match (failure, oracle) with
-    | None, Some o ->
-        if c.Schedule.liveness then
-          Oracle.check_convergence o (List.map (fun i -> kvs.(i)) (alive ()));
-        if Oracle.violation_count o > 0 then Some (kv_violation_failure o)
-        else None
-    | _ -> failure
   in
   {
     schedule = s;
@@ -765,9 +675,13 @@ let run_single ~bug ~adaptive ~app ?extra_sink (s : Schedule.t) =
 
 let run ?(bug = Bug.Clean) ?(adaptive = false) ?(app = App_none) ?extra_sink
     (s : Schedule.t) =
-  if s.config.Schedule.rings > 1 then
-    run_multiring ~bug ~adaptive ~app ?extra_sink s
-  else run_single ~bug ~adaptive ~app ?extra_sink s
+  let bare = app = App_none && s.config.Schedule.rings = 1 in
+  if bug = Bug.Recovery_flood && not bare then
+    invalid_arg
+      "Runner.run: Bug.Recovery_flood runs only on the bare single ring \
+       (App_none, rings = 1)";
+  if bare then run_single ~bug ~adaptive ?extra_sink s
+  else run_cluster ~bug ~adaptive ~app ?extra_sink s
 
 let pp_failure ppf = function
   | Invariant v ->

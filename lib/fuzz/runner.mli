@@ -1,10 +1,13 @@
 (** Execute one fault schedule on the simulator and judge it.
 
-    The runner builds a full membership-capable cluster ({!Aring_ring.Member})
-    from the schedule's config, attaches the trace-driven EVS invariant
-    checker as a live sink, injects the schedule's faults, drives a padded
-    workload until the horizon, then submits per-node convergence probes
-    and drains. Two oracles:
+    Two stacks run schedules. The bare ring ([App_none], one ring) builds
+    raw membership-capable members ({!Aring_ring.Member}), drives a
+    padded workload until the horizon, then submits per-node convergence
+    probes and drains. Every other run — every KV run at any ring count,
+    and every multi-ring run — goes through {!Aring_multiring.Cluster}
+    (built by {!Aring_app.Kv_scenario.build_cluster}), with one KV judge.
+    Both attach the trace-driven EVS invariant checker as a live sink and
+    inject the schedule's faults. Two oracles:
 
     - {b Safety}: any {!Aring_obs.Checker} violation (total order, delivery
       gaps, aru/safe-line regressions, duplicate token holders) fails the
@@ -19,6 +22,10 @@
       Once probed, every survivor must deliver every survivor's probe
       within the remaining drain budget.
 
+    No run passes before its horizon, whatever its stack: the workload
+    and the fault windows last until then, so agreement earlier proves
+    nothing about the faults still to come.
+
     Everything — including the early-exit points — is a deterministic
     function of the schedule, so [run] is referentially transparent:
     {!outcome.trace_hash} is byte-stable across replays of equal
@@ -28,11 +35,12 @@ type app =
   | App_none  (** Raw ring members with a padded byte workload. *)
   | App_kv
       (** Every member hosts a daemon plus a replicated-KV replica
-          ({!Aring_app.Kv}); the workload becomes a skewed
-          put/del/cas/read mix (the schedule's safe-permille drives sync
-          reads), and a shared end-to-end consistency oracle
-          ({!Aring_app.Oracle}) becomes a third judge alongside the
-          trace checker and probe liveness. *)
+          ({!Aring_app.Kv}) on an {!Aring_multiring.Cluster}, at every
+          ring count; the workload becomes a skewed put/del/cas/read mix
+          (the schedule's safe-permille drives sync reads; cross-shard
+          mcas joins it only with more than one ring), and the per-ring
+          end-to-end consistency oracle ({!Aring_app.Oracle}) becomes a
+          third judge alongside the trace checker and liveness. *)
 
 type failure =
   | Invariant of Aring_obs.Checker.verdict
@@ -48,8 +56,10 @@ type failure =
       (** The KV consistency oracle recorded violations (stale state or
           reads, op-log gaps, divergence); [messages] is a prefix. *)
   | Kv_unsettled of { nodes : (int * string) list }
-      (** Probes converged but the KV replicas never reached a common
-          settled (applied, digest) state within the drain budget. *)
+      (** Every ring re-formed, but the KV replicas never reached a
+          common settled (applied, digest) state, or a merge kept items
+          blocked, within the drain budget; [nodes] holds one state line
+          per surviving (ring, node), keyed by pid. *)
   | Mcas_divergence of { id : string; decisions : (int * int * bool) list }
       (** Multi-ring only: one cross-shard mcas was decided commit on
           some (node, ring) observation and abort on another —
@@ -90,7 +100,7 @@ val run :
     catches seeded protocol defects ({!Bug.Kv_skip_apply} instead plants
     inside the replica and needs [app = App_kv]; {!Bug.Recovery_flood}
     instead builds every member with the pre-overhaul recovery
-    exchange). With [adaptive]
+    exchange, and only the bare ring has that flag). With [adaptive]
     (default [false]), every member runs the AIMD accelerated-window
     controller ({!Aring_control.Controller}), exercising the ordering and
     membership invariants while the per-node window moves; [app]
@@ -99,13 +109,18 @@ val run :
     hash differs between modes (the controller changes send timing, the
     kv app adds its own traffic and trace events).
 
-    A schedule with [config.rings > 1] runs on an
-    {!Aring_multiring.Cluster} instead: every physical node joins all
-    rings, the workload becomes the sharded put/del/cas/read mix plus
-    cross-shard mcas, and convergence is judged per ring on replica
-    equality, merge quiescence and cross-shard decision agreement
-    (probes are never sent; [Bug.Recovery_flood] is not plumbed through
-    the cluster builder and behaves as [Clean]). *)
+    A KV run, or any schedule with [config.rings > 1], runs on an
+    {!Aring_multiring.Cluster}: every physical node joins all rings,
+    and convergence is judged per ring on replica equality, merge
+    quiescence and cross-shard decision agreement, with one
+    [Kv_unsettled] line format for every ring count. Probes are never
+    sent there: raw payloads do not survive post-horizon membership
+    churn. At one ring the cluster runs no skip generator and offers no
+    mcas, so a single-ring KV run's trace is the one the stack has
+    always produced.
+
+    @raise Invalid_argument if [bug] is {!Bug.Recovery_flood} and the
+    run is not the bare single ring ([app = App_none], one ring). *)
 
 val passed : outcome -> bool
 

@@ -645,10 +645,11 @@ let run spec =
   if spec.mcas_permille <> 0 then
     invalid_arg "Load.run: mcas needs a multi-ring run (Mload)";
   validate ~prefix:"load" spec;
-  let { Kv_scenario.sim; kvs; daemons; oracle } =
-    Kv_scenario.build_cluster ~n:spec.n_nodes ~net:spec.net ~tier:spec.tier
-      ~params:spec.params ~seed:spec.seed
+  let { Kv_scenario.sim; kvs; daemons; oracles; _ } =
+    Kv_scenario.build_cluster ~rings:1 ~n:spec.n_nodes ~net:spec.net
+      ~tier:spec.tier ~params:spec.params ~seed:spec.seed ()
   in
+  let oracle = oracles.(0) in
   let metrics = Metrics.create () in
   let span = Span.create ~metrics () in
   Span.attach span;

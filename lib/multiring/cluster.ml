@@ -15,7 +15,9 @@ module Flight = Aring_obs.Flight
    physical node is a learner of every ring: its per-ring replica
    observations feed one deterministic round-robin {!Merge}, and a
    per-node coordinator resolves cross-shard cas ops from its own
-   replicas' votes — votes never cross the network. *)
+   replicas' votes — votes never cross the network. The replicated stack
+   itself comes from Kv_scenario.build_cluster; this module adds only
+   the merge, the skip generators and the coordinator. *)
 
 type merged_item = {
   mi_ring : int;
@@ -305,50 +307,10 @@ let create ?(params = Kv_scenario.snappy_params ()) ?(net = Profile.gigabit)
     ?kv_bug ~rings ~nodes () =
   if rings < 1 then invalid_arg "Cluster.create: rings < 1";
   if nodes < 2 then invalid_arg "Cluster.create: nodes < 2";
-  let total = rings * nodes in
-  let members =
-    Array.init total (fun p ->
-        let ring = p / nodes in
-        let initial_ring = Array.init nodes (fun i -> (ring * nodes) + i) in
-        let controller =
-          match controller with None -> None | Some f -> f ~pid:p
-        in
-        Member.create ~params ~me:p ~initial_ring ?controller ())
+  let { Kv_scenario.sim; members; daemons; kvs; oracles } =
+    Kv_scenario.build_cluster ?tiers ?controller ?wrap ?kv_bug ~rings ~n:nodes
+      ~net ~tier ~params ~seed ()
   in
-  let daemons =
-    Array.init total (fun p -> Daemon.create ~member:members.(p) ())
-  in
-  let kvs =
-    Array.init total (fun p ->
-        let ring = p / nodes and node = p mod nodes in
-        let bug =
-          match kv_bug with None -> None | Some f -> f ~ring ~node
-        in
-        Kv.create ?bug ~ring ~cluster_size:nodes ~daemon:daemons.(p) ())
-  in
-  let oracles = Array.init rings (fun _ -> Oracle.create ()) in
-  for r = 0 to rings - 1 do
-    for i = 0 to nodes - 1 do
-      Oracle.attach oracles.(r) kvs.((r * nodes) + i)
-    done
-  done;
-  let participants =
-    Array.mapi
-      (fun p d ->
-        let part = Daemon.participant d in
-        match wrap with None -> part | Some f -> f ~pid:p part)
-      daemons
-  in
-  let tiers =
-    match tiers with
-    | None -> Array.make total tier
-    | Some phys ->
-        if Array.length phys <> nodes then
-          invalid_arg "Cluster.create: tiers must cover the physical nodes";
-        Array.init total (fun p -> phys.(p mod nodes))
-  in
-  let sim = Netsim.create ~net ~tiers ~participants ~seed () in
-  Netsim.set_domains sim (Array.init total (fun p -> p / nodes));
   let t =
     {
       rings;
@@ -362,7 +324,7 @@ let create ?(params = Kv_scenario.snappy_params ()) ?(net = Profile.gigabit)
       merged_cbs = [];
       registry = Hashtbl.create 64;
       decisions = Hashtbl.create 64;
-      last_activity = Array.make total 0;
+      last_activity = Array.make (rings * nodes) 0;
       alive_phys = Array.make nodes true;
       skip_every_ns;
       skip_credits;
@@ -376,7 +338,8 @@ let create ?(params = Kv_scenario.snappy_params ()) ?(net = Profile.gigabit)
       let ring = p / nodes and node = p mod nodes in
       Kv.add_observer kv (fun obs -> observe t ~node ~ring obs))
     kvs;
-  install_skip_generators t;
+  (* One ring's merge is the identity: a skip there is only traffic. *)
+  if rings > 1 then install_skip_generators t;
   t
 
 let on_merged t f = t.merged_cbs <- t.merged_cbs @ [ f ]
@@ -468,35 +431,26 @@ let crash t ~node =
 
 (* --- convergence ------------------------------------------------------ *)
 
-(* Every surviving replica of every ring settled, synced, pairwise equal
-   on (applied, digest) with its ring peers, with no undecided parked
-   mcas anywhere. The park check only applies while the survivors can
-   still form a primary component: resolving a park takes an ordered
-   Mdecide write, and a minority component deterministically rejects
-   writes — a park frozen in a minority is correct, not stuck. *)
+(* The surviving replicas of [ring], in node order. *)
+let survivors t ~ring =
+  List.filter_map
+    (fun i -> if t.alive_phys.(i) then Some (kv t ~ring ~node:i) else None)
+    (List.init t.nodes Fun.id)
+
+(* Every ring's survivors pass {!Kv_scenario.kv_converged}, with no
+   undecided parked mcas anywhere. The park check only applies while the
+   survivors can still form a primary component: resolving a park takes
+   an ordered Mdecide write, and a minority component deterministically
+   rejects writes — a park frozen in a minority is correct, not stuck. *)
 let kv_converged t =
   let alive = Array.fold_left (fun a b -> if b then a + 1 else a) 0 t.alive_phys in
   let primary = 2 * alive > t.nodes in
-  let ok = ref true in
-  for r = 0 to t.rings - 1 do
-    let survivors = ref [] in
-    for i = t.nodes - 1 downto 0 do
-      if t.alive_phys.(i) then survivors := kv t ~ring:r ~node:i :: !survivors
-    done;
-    (match !survivors with
-    | [] -> ()
-    | first :: rest ->
-        if not (Kv.settled first && Kv.synced first) then ok := false;
-        if primary && Kv.mcas_parked first then ok := false;
-        List.iter
-          (fun k ->
-            if not (Kv.settled k && Kv.synced k) then ok := false;
-            if primary && Kv.mcas_parked k then ok := false;
-            if Kv.applied k <> Kv.applied first || Kv.digest k <> Kv.digest first
-            then ok := false)
-          rest)
-  done;
-  !ok
+  List.for_all
+    (fun ring ->
+      let kvs = survivors t ~ring in
+      Kv_scenario.kv_converged (Array.of_list kvs)
+      && not (primary && List.exists Kv.mcas_parked kvs))
+    (List.init t.rings Fun.id)
 
 (* Every delivered item has drained through every survivor's merge —
    nothing is stuck behind a silent ring. Merged-stream *lengths* are
@@ -518,13 +472,9 @@ let oracle_violations t =
   Array.fold_left (fun acc o -> acc + Oracle.violation_count o) 0 t.oracles
 
 let check_convergence t =
-  for r = 0 to t.rings - 1 do
-    let survivors = ref [] in
-    for i = t.nodes - 1 downto 0 do
-      if t.alive_phys.(i) then survivors := kv t ~ring:r ~node:i :: !survivors
-    done;
-    Oracle.check_convergence t.oracles.(r) !survivors
-  done
+  Array.iteri
+    (fun ring o -> Oracle.check_convergence o (survivors t ~ring))
+    t.oracles
 
 let record_metrics t reg =
   for r = 0 to t.rings - 1 do

@@ -13,8 +13,12 @@
     node's replicas' votes (votes never cross the network) and retries
     lost copies deterministically.
 
-    With [rings = 1] the cluster degenerates to the classic single-ring
-    deployment (no domains pruning anything, merge = identity). *)
+    The Member+Daemon+Kv+Oracle stack is built by
+    {!Aring_app.Kv_scenario.build_cluster}; this module adds only what
+    sharding needs: the merge, the skip generators and the mcas
+    coordinator. With [rings = 1] the cluster is the classic single-ring
+    deployment: no multicast domain, the merge is the identity and no
+    skip generator runs (a skip there would only be traffic). *)
 
 open Aring_ring
 open Aring_sim
@@ -56,7 +60,8 @@ val create :
     (length [nodes], replicated across rings); [tier] is the uniform
     default. [skip_every_ns] (default 250 µs) is the per-(node, ring)
     idle window after which a skip of [skip_credits] (default 32) merge
-    turns is multicast — but only by the lowest-pid alive node, and only
+    turns is multicast (only with [rings > 1]: one ring runs no skip
+    generator) — but only by the lowest-pid alive node, and only
     while its own merge holds no pending items and fewer than
     [skip_credits] unspent units for that ring, so a long idle period
     cannot pile up credits that would strand the ring's next item
@@ -65,6 +70,9 @@ val create :
     participant (global pid) to give each member its own adaptive
     controller; [wrap] wraps each participant before the sim is built
     (fault injection); [kv_bug] seeds a replica bug (fuzzer self-test).
+    [tiers], [controller], [wrap] and [kv_bug] pass through to
+    {!Aring_app.Kv_scenario.build_cluster}; this module's replica
+    observer registers after the oracles.
 
     @raise Invalid_argument if [rings < 1] or [nodes < 2]. *)
 
@@ -142,8 +150,9 @@ val crash : t -> node:int -> unit
 (** Crash the physical node: its participant in {e every} ring. *)
 
 val kv_converged : t -> bool
-(** Every surviving replica of every ring settled, synced and pairwise
-    equal on (applied, digest), with no undecided parked mcas. *)
+(** {!Aring_app.Kv_scenario.kv_converged} over every ring's surviving
+    replicas, with no undecided parked mcas while the survivors can form
+    a primary component. *)
 
 val merge_settled : t -> bool
 (** No delivered item is stuck behind any survivor's merge. Stream

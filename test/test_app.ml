@@ -7,7 +7,6 @@
 open Aring_wire
 open Aring_ring
 open Aring_sim
-open Aring_daemon
 open Aring_app
 
 let check = Alcotest.check
@@ -100,25 +99,13 @@ type kcluster = {
 }
 
 let make_kcluster ?(n = 3) ?(seed = 3L) ?(bug = fun _ -> Kv.Bug_none) () =
-  let ring = Array.init n (fun i -> i) in
-  let members =
-    Array.init n (fun me ->
-        Member.create ~params:test_params ~me ~initial_ring:ring ())
-  in
-  let daemons = Array.map (fun m -> Daemon.create ~member:m ()) members in
-  let kvs =
-    Array.init n (fun i ->
-        Kv.create ~bug:(bug i) ~cluster_size:n ~daemon:daemons.(i) ())
-  in
-  let oracle = Oracle.create () in
-  Array.iter (fun kv -> Oracle.attach oracle kv) kvs;
-  let sim =
-    Netsim.create ~net:Profile.gigabit
-      ~tiers:(Array.make n Profile.daemon)
-      ~participants:(Array.map Daemon.participant daemons)
+  let { Kv_scenario.sim; kvs; oracles; _ } =
+    Kv_scenario.build_cluster
+      ~kv_bug:(fun ~ring:_ ~node -> Some (bug node))
+      ~rings:1 ~n ~net:Profile.gigabit ~tier:Profile.daemon ~params:test_params
       ~seed ()
   in
-  { sim; kvs; oracle }
+  { sim; kvs; oracle = oracles.(0) }
 
 let assert_oracle_clean c =
   if Oracle.violation_count c.oracle > 0 then

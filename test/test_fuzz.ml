@@ -511,6 +511,38 @@ let test_watchdog_flags_recovery_flood_livelock () =
         "recovery-flood bug injected but schedule passed — either the \
          legacy-flood gate is dead or the watchdog regressed"
 
+(* No KV run passes before its horizon, at any ring count: the workload
+   and the fault windows run until then. Seed 5004 at 2 rings used to
+   pass at the first 25 ms chunk of its 228 ms horizon. *)
+let test_kv_judged_after_horizon () =
+  List.iter
+    (fun rings ->
+      for seed = 5001 to 5006 do
+        let s = Schedule.generate ~rings ~seed:(Int64.of_int seed) () in
+        let o = Runner.run ~app:Runner.App_kv s in
+        if Runner.passed o then
+          Alcotest.(check bool)
+            (Printf.sprintf "rings=%d seed=%d ends after its horizon" rings seed)
+            true
+            (o.Runner.end_ns > s.Schedule.config.Schedule.horizon_ns)
+      done)
+    [ 1; 2 ]
+
+(* [Bug.Recovery_flood] is a construction flag of the bare ring's
+   members; outside that stack it would silently run as [Clean]. *)
+let test_recovery_flood_bare_ring_only () =
+  let expected =
+    Invalid_argument
+      "Runner.run: Bug.Recovery_flood runs only on the bare single ring \
+       (App_none, rings = 1)"
+  in
+  let one = Schedule.generate ~seed:5001L () in
+  let two = Schedule.generate ~rings:2 ~seed:5001L () in
+  Alcotest.check_raises "kv app on one ring" expected (fun () ->
+      ignore (Runner.run ~bug:Bug.Recovery_flood ~app:Runner.App_kv one));
+  Alcotest.check_raises "bare two rings" expected (fun () ->
+      ignore (Runner.run ~bug:Bug.Recovery_flood two))
+
 let test_corpus_save_load () =
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "aring-corpus-test" in
   let s = Schedule.generate ~seed:99L () in
@@ -544,5 +576,9 @@ let suite =
      test_gather_stall_schedule_converges);
     ("watchdog flags recovery-flood livelock", `Slow,
      test_watchdog_flags_recovery_flood_livelock);
+    ("kv runs judged only after the horizon", `Quick,
+     test_kv_judged_after_horizon);
+    ("recovery-flood only on the bare single ring", `Quick,
+     test_recovery_flood_bare_ring_only);
     ("corpus save/load", `Quick, test_corpus_save_load);
   ]

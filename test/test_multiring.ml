@@ -257,6 +257,25 @@ let test_cluster_smoke () =
         ks)
     buckets
 
+(* One ring's merge is the identity, so [Cluster.create ~rings:1] runs
+   no skip generators: an idle cluster delivers no skip at any replica.
+   Two rings idle the same way do, which keeps the counter honest. *)
+let test_one_ring_no_skips () =
+  let skips ~rings =
+    let cluster = Cluster.create ~rings ~nodes:3 ~seed:5L () in
+    Netsim.run_until (Cluster.sim cluster) (ms 50);
+    List.concat_map
+      (fun ring ->
+        List.init 3 (fun node ->
+            (Kv.stats (Cluster.kv cluster ~ring ~node)).Kv.skips))
+      (List.init rings Fun.id)
+  in
+  List.iteri
+    (fun i n -> check Alcotest.int (Printf.sprintf "1 ring: replica %d skips" i) 0 n)
+    (skips ~rings:1);
+  check Alcotest.bool "2 rings: idle replicas see skips" true
+    (List.for_all (fun n -> n > 0) (skips ~rings:2))
+
 let test_cluster_mcas_commit_and_abort () =
   let cluster = Cluster.create ~rings:2 ~nodes:3 ~seed:9L () in
   let sim = Cluster.sim cluster in
@@ -512,6 +531,7 @@ let suite =
     ("merge blocks on silent ring", `Quick, test_merge_blocks_on_silent_ring);
     ("merge skips keep queue position", `Quick, test_merge_skip_queue_position);
     ("cluster smoke: identical merged streams", `Quick, test_cluster_smoke);
+    ("one ring gets no skip generators", `Quick, test_one_ring_no_skips);
     ("mcas commit and abort", `Quick, test_cluster_mcas_commit_and_abort);
     ("mcas vs partition of one ring", `Quick, test_mcas_partition_one_ring);
     ( "mcas vs membership change between writes",
