@@ -73,7 +73,6 @@ let run ~quick =
           | Message.Data _ -> dst = n - 1
           | _ -> false));
     Netsim.call_at sim ~at:crash_ns (fun () ->
-        Health.note_crash ~node:1;
         Netsim.crash sim 1;
         Netsim.set_drop sim (fun ~src:_ ~dst:_ _ -> false));
     let h = Health.create ~n () in

@@ -1,5 +1,6 @@
 open Aring_wire
 module Daemon = Aring_daemon.Daemon
+module Fnv = Aring_util.Fnv
 module Trace = Aring_obs.Trace
 module Metrics = Aring_obs.Metrics
 
@@ -117,20 +118,6 @@ let entries t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.store []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-(* Order-independent store digest: per-entry FNV-1a hashes summed, seeded
-   with the entry count. Election compares (applied, digest) pairs, so the
-   digest need only separate states that differ in content. *)
-let fnv_offset = 0xCBF29CE484222325L
-let fnv_prime = 0x100000001B3L
-
-let fnv_string h s =
-  let h = ref h in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
-  !h
-
 (* Status codes carried by Op.Mcas_table and folded into the digest. *)
 let status_code = function
   | Mcas_voted false -> 0
@@ -144,12 +131,15 @@ let status_of_code = function
   | 2 -> Mcas_decided false
   | _ -> Mcas_decided true
 
+(* Order-independent store digest: per-entry FNV-1a hashes summed, seeded
+   with the entry count. Election compares (applied, digest) pairs, so the
+   digest need only separate states that differ in content. *)
 let digest t =
   let base =
     Hashtbl.fold
       (fun k v acc ->
         Int64.add acc
-          (fnv_string (fnv_string (fnv_string fnv_offset k) "\x00") v))
+          (Fnv.string (Fnv.string (Fnv.string Fnv.offset k) "\x00") v))
       t.store
       (Int64.of_int (Hashtbl.length t.store))
   in
@@ -161,7 +151,7 @@ let digest t =
     Hashtbl.fold
       (fun id st acc ->
         Int64.add acc
-          (fnv_string (fnv_string fnv_offset id)
+          (Fnv.string (Fnv.string Fnv.offset id)
              (String.make 1 (Char.chr (status_code st + 1)))))
       t.mcas_meta base
   in
@@ -169,11 +159,11 @@ let digest t =
   | None -> base
   | Some { mc_op; _ } ->
       let h =
-        fnv_string fnv_offset (Bytes.unsafe_to_string (Op.encode mc_op))
+        Fnv.string Fnv.offset (Bytes.unsafe_to_string (Op.encode mc_op))
       in
       let h =
         Queue.fold
-          (fun h op -> fnv_string h (Bytes.unsafe_to_string (Op.encode op)))
+          (fun h op -> Fnv.string h (Bytes.unsafe_to_string (Op.encode op)))
           h t.mcas_q
       in
       Int64.add base h
@@ -217,7 +207,6 @@ let apply_write t op =
   observe t (Applied { index = t.applied_n; op; value });
   Aring_obs.Flight.record ~node:t.me ~code:Aring_obs.Flight.ev_apply
     ~a:t.applied_n ~b:(if value = None then 1 else 0) ~c:0 ~d:0;
-  Aring_obs.Span.note_applied ~node:t.me;
   if Trace.enabled () then
     Trace.emit ~node:t.me
       (Trace.App_apply { index = t.applied_n; key; deleted = value = None })

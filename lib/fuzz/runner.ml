@@ -1,4 +1,5 @@
 module Prng = Aring_util.Prng
+module Fnv = Aring_util.Fnv
 module Checker = Aring_obs.Checker
 module Trace = Aring_obs.Trace
 module Trace_json = Aring_obs.Trace_json
@@ -58,18 +59,6 @@ let failure_label = function
   | Run_exception _ -> "exception"
 
 let ms n = n * 1_000_000
-
-(* FNV-1a, 64-bit, over the JSONL rendering of each trace event. *)
-let fnv_offset = 0xCBF29CE484222325L
-let fnv_prime = 0x100000001B3L
-
-let fnv_string h s =
-  let h = ref h in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
-  !h
 
 let probe_payload node = Printf.sprintf "probe:%d" node
 
@@ -347,10 +336,11 @@ let ring_merged members ~pids =
 let drive_chunks sim (s : Schedule.t) ~checker ~health ?extra_sink ~violation
     ?(before_judging = fun _ -> ()) ~converged ~unconverged () =
   let c = s.config in
-  let hash = ref fnv_offset in
+  (* FNV-1a, 64-bit, over the JSONL rendering of each trace event. *)
+  let hash = ref Fnv.offset in
   let hash_sink =
     Trace.fn_sink (fun ev ->
-        hash := fnv_string (fnv_string !hash (Trace_json.to_line ev)) "\n")
+        hash := Fnv.string (Fnv.string !hash (Trace_json.to_line ev)) "\n")
   in
   let deadline = c.Schedule.horizon_ns + c.Schedule.drain_ns in
   let failure = ref None in
@@ -433,12 +423,7 @@ let run_cluster ~bug ~adaptive ~app ?extra_sink (s : Schedule.t) =
   let views = ref 0 in
   Netsim.on_deliver sim (fun ~at:_ ~now:_ _ -> incr deliveries);
   Netsim.on_view sim (fun ~at:_ ~now:_ _ -> incr views);
-  install_faults sim s ~crash:(fun node ->
-      Cluster.crash cluster ~node;
-      (* The watchdog must not flag a dead node as stuck. *)
-      for r = 0 to rings - 1 do
-        Health.note_crash ~node:(Cluster.pid cluster ~ring:r ~node)
-      done);
+  install_faults sim s ~crash:(fun node -> Cluster.crash cluster ~node);
   (match app with
   | App_none -> ()
   | App_kv ->
@@ -588,9 +573,9 @@ let run_single ~bug ~adaptive ?extra_sink (s : Schedule.t) =
     Array.init n (fun i -> Bug.wrap bug ~node:i (Member.participant members.(i)))
   in
   (* Fourth judge: the recovery/stall health watchdog, attached for the
-     whole run and fed by Member/Engine through the global instrument.
-     The flight recorder restarts empty so a post-mortem dump shows only
-     this run. Neither touches the hashed trace stream. *)
+     whole run and fed by the Flight records of Member, Engine and
+     Netsim. The flight recorder restarts empty so a post-mortem dump
+     shows only this run. Neither touches the hashed trace stream. *)
   Flight.reset ();
   let health = Health.create ~config:(health_config c) ~n () in
   Health.attach health;
@@ -608,10 +593,7 @@ let run_single ~bug ~adaptive ?extra_sink (s : Schedule.t) =
       if String.length p >= 6 && String.sub p 0 6 = "probe:" then
         Hashtbl.replace got (node, p) ());
   Netsim.on_view sim (fun ~at:_ ~now:_ _ -> incr views);
-  install_faults sim s ~crash:(fun node ->
-      Netsim.crash sim node;
-      (* The watchdog must not flag a dead node as stuck. *)
-      Health.note_crash ~node);
+  install_faults sim s ~crash:(Netsim.crash sim);
   install_workload sim s members;
   let alive () = List.filter (Netsim.is_alive sim) (List.init n Fun.id) in
   let merged () =

@@ -654,7 +654,6 @@ let run spec =
   let span = Span.create ~metrics () in
   Span.attach span;
   let horizon = spec.warmup_ns + spec.measure_ns in
-  let m_latency = Metrics.histogram metrics "load.write_latency_us" in
   let write_latency = Stats.create () in
   let writes_applied = ref 0 in
   let on_applied applied =
@@ -666,10 +665,7 @@ let run spec =
               if node = 0 && now >= spec.warmup_ns && now < horizon then
                 incr writes_applied;
               match applied ~node op with
-              | Some t0 ->
-                  let us = float_of_int (now - t0) /. 1e3 in
-                  Stats.add write_latency us;
-                  Metrics.observe m_latency us
+              | Some t0 -> Stats.add write_latency (float_of_int (now - t0) /. 1e3)
               | None -> ())
           | _ -> ()))
       kvs

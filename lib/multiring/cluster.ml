@@ -68,16 +68,9 @@ let alive t ~node = t.alive_phys.(node)
 
 (* --- shard map -------------------------------------------------------- *)
 
-let fnv_offset = 0xCBF29CE484222325L
-let fnv_prime = 0x100000001B3L
-
 let shard_of_key t key =
-  let h = ref fnv_offset in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    key;
-  Int64.to_int (Int64.logand !h 0x3FFFFFFFL) mod t.rings
+  let h = Aring_util.Fnv.(string offset key) in
+  Int64.to_int (Int64.logand h 0x3FFFFFFFL) mod t.rings
 
 (* --- coordinator ------------------------------------------------------ *)
 

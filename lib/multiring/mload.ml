@@ -50,11 +50,6 @@ let run (spec : Load.spec) =
   let sim = Cluster.sim cluster in
   let metrics = Metrics.create () in
   let m_merged = Metrics.counter metrics "mload.merged" in
-  let m_latency =
-    Metrics.histogram
-      ~bounds:(Metrics.exponential_bounds ~lo:100.0 ~factor:2.0 ~count:16)
-      metrics "mload.write_latency_us"
-  in
   let horizon = spec.warmup_ns + spec.measure_ns in
   let in_window t = t >= spec.warmup_ns && t < horizon in
   let writes_applied = ref 0 in
@@ -76,9 +71,7 @@ let run (spec : Load.spec) =
           match applied ~node it.mi_op with
           | Some t0 when in_window t0 ->
               incr writes_applied;
-              let us = float_of_int (now - t0) /. 1e3 in
-              Stats.add write_latency us;
-              Metrics.observe m_latency us
+              Stats.add write_latency (float_of_int (now - t0) /. 1e3)
           | Some _ | None -> ()
         end)
   in

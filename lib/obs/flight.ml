@@ -10,7 +10,14 @@
    node its ring exists and steady-state recording allocates nothing.
    The recorder is deliberately outside the {!Trace} sink stream — it
    never feeds the FNV-hashed JSONL rendering, so enabling or dumping it
-   cannot perturb pinned corpus trace hashes. *)
+   cannot perturb pinned corpus trace hashes.
+
+   Every record is also handed to the subscribers (the health watchdog
+   and the span collector), which decode the codes they need. The
+   subscriber list is a plain list walked by a top-level function, so
+   dispatch allocates nothing; with no subscriber a record pays one load
+   and one branch more. Disabling the recorder stops only the ring
+   writes: subscribers still see every record. *)
 
 let slot_words = 6
 let default_capacity = 512
@@ -57,6 +64,7 @@ let ev_resend = 16
 let ev_mcas = 17
 let ev_skip = 18
 let ev_merge = 19
+let ev_crash = 20
 
 let code_name = function
   | 1 -> "token_recv"
@@ -78,6 +86,7 @@ let code_name = function
   | 17 -> "mcas"
   | 18 -> "skip"
   | 19 -> "merge"
+  | 20 -> "crash"
   | _ -> "unknown"
 
 (* ------------------------------------------------------------------ *)
@@ -88,6 +97,22 @@ let grow node =
   let grown = Array.make (max (node + 1) (2 * Array.length r)) None in
   Array.blit r 0 grown 0 (Array.length r);
   rings := grown
+
+type subscriber = node:int -> code:int -> a:int -> b:int -> c:int -> d:int -> unit
+
+let subscribers : subscriber list ref = ref []
+
+let subscribe f =
+  if not (List.memq f !subscribers) then subscribers := !subscribers @ [ f ]
+
+let unsubscribe f = subscribers := List.filter (fun g -> g != f) !subscribers
+
+let rec dispatch subs node code a b c d =
+  match subs with
+  | [] -> ()
+  | f :: rest ->
+      f ~node ~code ~a ~b ~c ~d;
+      dispatch rest node code a b c d
 
 let record ~node ~code ~a ~b ~c ~d =
   if !on && node >= 0 then begin
@@ -112,7 +137,10 @@ let record ~node ~code ~a ~b ~c ~d =
     let next = ring.next + 1 in
     ring.next <- (if next = ring.cap then 0 else next);
     ring.total <- ring.total + 1
-  end
+  end;
+  match !subscribers with
+  | [] -> ()
+  | subs -> dispatch subs node code a b c d
 
 (* ------------------------------------------------------------------ *)
 (* Readout                                                             *)
@@ -174,36 +202,6 @@ let dump_jsonl oc =
         "{\"ns\":%d,\"node\":%d,\"ev\":\"%s\",\"a\":%d,\"b\":%d,\"c\":%d,\"d\":%d}\n"
         r.r_ns r.r_node (code_name r.r_code) r.r_a r.r_b r.r_c r.r_d)
     (records ())
-
-let chrome_json () =
-  let instant r =
-    Json.Obj
-      [
-        ("name", Json.String (code_name r.r_code));
-        ("ph", Json.String "i");
-        ("ts", Json.Int (r.r_ns / 1_000));
-        ("pid", Json.Int 0);
-        ("tid", Json.Int r.r_node);
-        ("s", Json.String "t");
-        ("args",
-         Json.Obj
-           [
-             ("a", Json.Int r.r_a);
-             ("b", Json.Int r.r_b);
-             ("c", Json.Int r.r_c);
-             ("d", Json.Int r.r_d);
-           ]);
-      ]
-  in
-  Json.Obj
-    [
-      ("traceEvents", Json.List (List.map instant (records ())));
-      ("displayTimeUnit", Json.String "ms");
-    ]
-
-let dump_chrome oc =
-  output_string oc (Json.to_string (chrome_json ()));
-  output_char oc '\n'
 
 let dump_jsonl_file path =
   let oc = open_out path in

@@ -3,11 +3,16 @@
     kept even when no {!Trace} sink is installed. Steady-state recording
     allocates nothing once a node's ring exists; the recorder never
     feeds the hashed trace stream, so pinned corpus hashes are
-    unaffected by it. Dump on demand as JSONL or a Chrome trace. *)
+    unaffected by it. Dump on demand as JSONL.
+
+    The recorder is also the one feed of the always-on instruments:
+    {!Health} and {!Span} subscribe and decode the records they need,
+    so each protocol step is reported once, here. *)
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit
-(** Recording is on by default; disabling is for overhead baselines. *)
+(** Recording is on by default; disabling is for overhead baselines. It
+    stops only the ring writes: subscribers still see every record. *)
 
 val reset : unit -> unit
 (** Drop every ring (a fresh run should start from an empty recorder). *)
@@ -19,18 +24,54 @@ val capacity : unit -> int
 
 (** {2 Event codes} *)
 
+(** Arguments not listed are 0. *)
+
 val ev_token_recv : int
+(** A regular token accepted: [a] = token id, [b] = token seq, [c] =
+    token aru, [d] = this node's local aru. *)
+
 val ev_token_send : int
+(** The updated token forwarded: [a] = token id, [b] = token seq, [c] =
+    token aru, [d] = retransmission requests carried. *)
+
 val ev_token_retransmit : int
+(** [a] = token id, [b] = retransmission attempt. *)
+
 val ev_token_lost : int
+(** The token-loss timer fired: [a] = this node's round. *)
+
 val ev_data_send : int
+(** [a] = seq, [b] = 1 when sent after the token, [c] = 1 on a
+    retransmission. For a new message [d] = its submit stamp
+    ({!Span.submit_stamp}: 0 when no span collector was attached); 0 on
+    retransmissions. *)
+
 val ev_data_recv : int
+(** [a] = seq, [b] = sender, [c] = 1 for a duplicate. *)
+
 val ev_deliver : int
+(** [a] = seq, [b] = sender. *)
+
 val ev_phase : int
+(** A membership phase entered: [a] = {!Health} phase code, [b] =
+    membership generation. *)
+
 val ev_recheck : int
+(** An exchange recheck fired: [a] = recheck number, [b] = membership
+    generation. *)
+
 val ev_recheck_giveup : int
+(** Rechecks exhausted, the node re-gathers: [a] = recheck number, [b] =
+    membership generation. *)
+
 val ev_flood : int
+(** Recovery entry: [a] = exchange messages multicast at once (legacy
+    flood) or queued for paced bursts, [b] = lowest survivor aru, [c] =
+    highest seq held, [d] = 1 for the legacy flood (its [a] messages are
+    sent now) and 0 for the paced path (counted at each {!ev_burst}). *)
+
 val ev_apply : int
+(** A replica applied an op: [a] = applied index, [b] = 1 for a delete. *)
 
 val ev_dedup : int
 (** Designated-holder dedup at recovery entry: [a] = exchange-range
@@ -51,9 +92,10 @@ val ev_resend : int
     messages queued for resend, [b] = nack'd seqnos examined. *)
 
 val ev_mcas : int
-(** Cross-shard cas life cycle at a replica: [a] = ring id, on park
-    [b] = this ring's vote and [d] = involved-ring count; on resolve
-    [b] = 2 (abort) / 3 (commit) with [c] = 1. *)
+(** Cross-shard cas life cycle at a replica: [a] = ring id; on park
+    [b] = this ring's vote (1 = yes), [c] = 2 when the vote wounded a
+    waiter and [d] = involved-ring count; on resolve [b] = 2 (abort) /
+    3 (commit) with [c] = 1. *)
 
 val ev_skip : int
 (** A skip-generator fired on an idle ring: [a] = ring id, [b] =
@@ -61,7 +103,10 @@ val ev_skip : int
 
 val ev_merge : int
 (** Learner merge progress at a node: [a] = ring id popped, [b] =
-    merged-stream length, [c] = credits consumed since the last pop. *)
+    merged-stream length. *)
+
+val ev_crash : int
+(** The simulator crashed this participant ({!Aring_sim.Netsim.crash}). *)
 
 val code_name : int -> string
 
@@ -69,8 +114,21 @@ val code_name : int -> string
 
 val record : node:int -> code:int -> a:int -> b:int -> c:int -> d:int -> unit
 (** Append one record to [node]'s ring, overwriting the oldest once
-    full. Zero-allocation after the node's first record. No-op when
-    disabled or [node < 0]. *)
+    full, then hand it to every subscriber. Zero-allocation after the
+    node's first record. The ring write is skipped when disabled or
+    [node < 0]; subscribers see the record either way. *)
+
+(** {2 Subscribers} *)
+
+type subscriber = node:int -> code:int -> a:int -> b:int -> c:int -> d:int -> unit
+
+val subscribe : subscriber -> unit
+(** Add a subscriber (a no-op if this very function is subscribed
+    already). Subscribers run in subscription order, synchronously,
+    inside {!record}; they must not allocate on records they ignore. *)
+
+val unsubscribe : subscriber -> unit
+(** Remove a subscriber, compared by physical equality. *)
 
 (** {2 Readout} *)
 
@@ -95,4 +153,3 @@ val stored : unit -> int
 
 val dump_jsonl : out_channel -> unit
 val dump_jsonl_file : string -> unit
-val dump_chrome : out_channel -> unit

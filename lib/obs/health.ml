@@ -19,9 +19,11 @@
      virtual time while some live node is stuck outside operational.
 
    Like Trace and Span, the watchdog is a global attach/detach
-   instrument: Member and Engine feed it through self-guarded notes, so
-   a run without a watchdog pays one ref read per note site. It emits
-   no trace events — pinned corpus hashes cannot see it. *)
+   instrument. Its one feed is the Flight recorder: attaching subscribes
+   [on_record], which decodes the phase, recheck, flood, dedup, burst,
+   nack, resend, deliver and crash records; detaching unsubscribes, so a
+   run without a watchdog pays nothing per record. It emits no trace
+   events — pinned corpus hashes cannot see it. *)
 
 type config = { k_formation : int; stall_ns : int }
 
@@ -122,16 +124,8 @@ let create ?(config = default_config) ~n () =
 
 let current : t option ref = ref None
 
-let enabled () = Option.is_some !current
-let attach t = current := Some t
-let detach () = current := None
-
-let with_health t f =
-  attach t;
-  Fun.protect ~finally:detach f
-
 (* ------------------------------------------------------------------ *)
-(* Feeds                                                               *)
+(* Feed                                                                *)
 
 let push_trail ns code now =
   ns.trail.(ns.trail_next) <- code;
@@ -144,122 +138,90 @@ let close_phase ns now =
     ns.ns_time_in.(ns.ns_phase) <-
       ns.ns_time_in.(ns.ns_phase) + max 0 (now - ns.ns_phase_since)
 
-let node_state t node =
-  if node >= 0 && node < Array.length t.nodes then Some t.nodes.(node)
-  else None
+let on_phase t ns phase =
+  if ns.ns_phase <> trail_crash then begin
+    let now = Trace.now () in
+    close_phase ns now;
+    ns.ns_phase <- phase;
+    ns.ns_phase_since <- now;
+    if phase >= 0 && phase < n_phases then
+      ns.ns_entries.(phase) <- ns.ns_entries.(phase) + 1;
+    if phase = phase_gather then begin
+      ns.ns_attempts <- ns.ns_attempts + 1;
+      ns.ns_max_attempts <- max ns.ns_max_attempts ns.ns_attempts
+    end;
+    if phase = phase_operational then begin
+      t.last_operational_ns <- now;
+      ns.ns_attempts <- 0;
+      ns.ns_rechecks <- 0;
+      ns.ns_giveups <- 0;
+      ns.ns_floods <- 0;
+      ns.ns_resends <- 0
+    end;
+    push_trail ns phase now
+  end
 
-let note_phase ~node ~phase =
-  match !current with
-  | None -> ()
-  | Some t -> (
-      match node_state t node with
-      | None -> ()
-      | Some ns ->
-          if ns.ns_phase <> trail_crash then begin
-            let now = Trace.now () in
-            close_phase ns now;
-            ns.ns_phase <- phase;
-            ns.ns_phase_since <- now;
-            if phase >= 0 && phase < n_phases then
-              ns.ns_entries.(phase) <- ns.ns_entries.(phase) + 1;
-            if phase = phase_gather then begin
-              ns.ns_attempts <- ns.ns_attempts + 1;
-              ns.ns_max_attempts <- max ns.ns_max_attempts ns.ns_attempts
-            end;
-            if phase = phase_operational then begin
-              t.last_operational_ns <- now;
-              ns.ns_attempts <- 0;
-              ns.ns_rechecks <- 0;
-              ns.ns_giveups <- 0;
-              ns.ns_floods <- 0;
-              ns.ns_resends <- 0
-            end;
-            push_trail ns phase now
-          end)
+let on_flood ns count =
+  ns.ns_floods <- ns.ns_floods + count;
+  ns.ns_flood_total <- ns.ns_flood_total + count
 
-let note_recheck ~node =
-  match !current with
-  | None -> ()
-  | Some t -> (
-      match node_state t node with
-      | None -> ()
-      | Some ns ->
-          ns.ns_rechecks <- ns.ns_rechecks + 1;
-          push_trail ns trail_recheck (Trace.now ()))
+let on_crash ns =
+  let now = Trace.now () in
+  close_phase ns now;
+  ns.ns_phase <- trail_crash;
+  ns.ns_phase_since <- now;
+  push_trail ns trail_crash now
 
-let note_recheck_giveup ~node =
-  match !current with
-  | None -> ()
-  | Some t -> (
-      match node_state t node with
-      | None -> ()
-      | Some ns ->
-          ns.ns_giveups <- ns.ns_giveups + 1;
-          push_trail ns trail_giveup (Trace.now ()))
-
-let note_flood ~node ~count =
-  match !current with
-  | None -> ()
-  | Some t -> (
-      match node_state t node with
-      | None -> ()
-      | Some ns ->
-          ns.ns_floods <- ns.ns_floods + count;
-          ns.ns_flood_total <- ns.ns_flood_total + count)
-
-let note_dedup ~node ~saved =
-  match !current with
-  | None -> ()
-  | Some t -> (
-      match node_state t node with
-      | None -> ()
-      | Some ns -> ns.ns_dedup_saved <- ns.ns_dedup_saved + saved)
-
-let note_burst ~node =
-  match !current with
-  | None -> ()
-  | Some t -> (
-      match node_state t node with
-      | None -> ()
-      | Some ns -> ns.ns_bursts <- ns.ns_bursts + 1)
-
-let note_resend_req ~node =
-  match !current with
-  | None -> ()
-  | Some t -> (
-      match node_state t node with
-      | None -> ()
-      | Some ns -> ns.ns_resend_reqs <- ns.ns_resend_reqs + 1)
-
-let note_resend ~node ~count =
-  match !current with
-  | None -> ()
-  | Some t -> (
-      match node_state t node with
-      | None -> ()
-      | Some ns ->
-          ns.ns_resends <- ns.ns_resends + count;
-          ns.ns_resend_total <- ns.ns_resend_total + count)
-
-let note_delivery () =
+(* The one feed: decode the Flight records the watchdog needs (argument
+   layouts in flight.mli); every other code falls through untouched. *)
+let on_record ~node ~code ~a ~b:_ ~c ~d =
   match !current with
   | None -> ()
   | Some t ->
-      t.last_delivery_ns <- Trace.now ();
-      t.deliveries <- t.deliveries + 1
+      if code = Flight.ev_deliver then begin
+        t.last_delivery_ns <- Trace.now ();
+        t.deliveries <- t.deliveries + 1
+      end
+      else if node >= 0 && node < Array.length t.nodes then begin
+        let ns = t.nodes.(node) in
+        if code = Flight.ev_phase then on_phase t ns a
+        else if code = Flight.ev_recheck then begin
+          ns.ns_rechecks <- ns.ns_rechecks + 1;
+          push_trail ns trail_recheck (Trace.now ())
+        end
+        else if code = Flight.ev_recheck_giveup then begin
+          ns.ns_giveups <- ns.ns_giveups + 1;
+          push_trail ns trail_giveup (Trace.now ())
+        end
+        else if code = Flight.ev_flood then (if d = 1 then on_flood ns a)
+        else if code = Flight.ev_dedup then
+          ns.ns_dedup_saved <- ns.ns_dedup_saved + c
+        else if code = Flight.ev_burst then begin
+          ns.ns_bursts <- ns.ns_bursts + 1;
+          on_flood ns a
+        end
+        else if code = Flight.ev_nack then
+          ns.ns_resend_reqs <- ns.ns_resend_reqs + 1
+        else if code = Flight.ev_resend then begin
+          ns.ns_resends <- ns.ns_resends + a;
+          ns.ns_resend_total <- ns.ns_resend_total + a
+        end
+        else if code = Flight.ev_crash then on_crash ns
+      end
 
-let note_crash ~node =
-  match !current with
-  | None -> ()
-  | Some t -> (
-      match node_state t node with
-      | None -> ()
-      | Some ns ->
-          let now = Trace.now () in
-          close_phase ns now;
-          ns.ns_phase <- trail_crash;
-          ns.ns_phase_since <- now;
-          push_trail ns trail_crash now)
+let enabled () = Option.is_some !current
+
+let attach t =
+  current := Some t;
+  Flight.subscribe on_record
+
+let detach () =
+  current := None;
+  Flight.unsubscribe on_record
+
+let with_health t f =
+  attach t;
+  Fun.protect ~finally:detach f
 
 (* ------------------------------------------------------------------ *)
 (* Stall detection                                                     *)

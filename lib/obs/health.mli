@@ -1,11 +1,15 @@
 (** Recovery/stall health watchdog. Tracks per-node membership-phase
-    time-in-state and entry counters (fed by [Member]), exchange-recheck
-    and recovery-flood volume, and cluster-wide delivery progress (fed
-    by [Engine]); detects formation livelock ("K gather attempts without
-    reaching operational") and delivery stalls ("no progress for T
-    virtual ns while a node is stuck outside operational"). Global
-    attach/detach like {!Trace}; emits no trace events, so pinned corpus
-    hashes never see it. *)
+    time-in-state and entry counters, exchange-recheck and
+    recovery-flood volume, crashes, and cluster-wide delivery progress;
+    detects formation livelock ("K gather attempts without reaching
+    operational") and delivery stalls ("no progress for T virtual ns
+    while a node is stuck outside operational"). The feed is {!Flight}:
+    an attached watchdog subscribes to it and decodes the [ev_phase],
+    [ev_recheck], [ev_recheck_giveup], [ev_flood] (legacy, [d] = 1),
+    [ev_dedup], [ev_burst], [ev_nack], [ev_resend], [ev_deliver] and
+    [ev_crash] records, so a crash reaches it through
+    [Netsim.crash] alone. Global attach/detach like {!Trace}; emits no
+    trace events, so pinned corpus hashes never see it. *)
 
 type config = { k_formation : int; stall_ns : int }
 
@@ -28,32 +32,10 @@ val create : ?config:config -> n:int -> unit -> t
 
 val enabled : unit -> bool
 val attach : t -> unit
+(** Make [t] the watchdog and subscribe it to {!Flight}. *)
+
 val detach : unit -> unit
 val with_health : t -> (unit -> 'a) -> 'a
-
-(** {2 Feeds} (self-guarded: no-ops when nothing is attached) *)
-
-val note_phase : node:int -> phase:int -> unit
-val note_recheck : node:int -> unit
-val note_recheck_giveup : node:int -> unit
-
-val note_flood : node:int -> count:int -> unit
-(** Exchange messages actually multicast (initial bursts and resends). *)
-
-val note_dedup : node:int -> saved:int -> unit
-(** Sends avoided at recovery entry by designated-holder dedup. *)
-
-val note_burst : node:int -> unit
-(** One paced flood burst fired. *)
-
-val note_resend_req : node:int -> unit
-(** A cumulative nack multicast after a recheck found messages missing. *)
-
-val note_resend : node:int -> count:int -> unit
-(** Messages queued for re-flooding in answer to a nack. *)
-
-val note_delivery : unit -> unit
-val note_crash : node:int -> unit
 
 (** {2 Stall detection} *)
 

@@ -9,11 +9,16 @@
      submit -> delivered      span.e2e_us
 
    The collector is opt-in and global (attach/detach, like the Trace
-   sink): when detached, the engine stamps nothing and every note is a
-   single ref read. Spans never emit trace events, so pinned corpus
-   hashes are unaffected. In-flight bookkeeping is bounded: the
-   (sender, seq) table is cleared if it ever exceeds [max_inflight]
-   entries, trading a few lost samples for a hard memory cap. *)
+   sink). The order, deliver and apply stages come from the Flight
+   recorder: attaching subscribes [on_record], which decodes the
+   engine's data-send (carrying the submit stamp) and deliver records
+   and the replica's apply record. The daemon's pack step has no Flight
+   record and calls [note_packed] directly. When detached, the engine
+   stamps nothing and nothing is subscribed. Spans never emit trace
+   events, so pinned corpus hashes are unaffected. In-flight bookkeeping
+   is bounded: the (sender, seq) table is cleared if it ever exceeds
+   [max_inflight] entries, trading a few lost samples for a hard memory
+   cap. *)
 
 let max_inflight = 1 lsl 16
 
@@ -57,14 +62,6 @@ let metrics t = t.sp_metrics
 
 let current : t option ref = ref None
 
-let enabled () = Option.is_some !current
-let attach t = current := Some t
-let detach () = current := None
-
-let with_span t f =
-  attach t;
-  Fun.protect ~finally:detach f
-
 (* ------------------------------------------------------------------ *)
 (* Stage notes                                                         *)
 
@@ -86,17 +83,11 @@ let note_packed ~submit_ns =
       if submit_ns > 0 then
         Metrics.observe t.h_submit_wait (us (Trace.now () - submit_ns))
 
-let note_ordered ~sender ~seq ~submit_ns =
-  match !current with
-  | None -> ()
-  | Some t ->
-      if submit_ns > 0 then begin
-        let now = Trace.now () in
-        Metrics.observe t.h_order (us (now - submit_ns));
-        if Hashtbl.length t.inflight >= max_inflight then
-          Hashtbl.reset t.inflight;
-        Hashtbl.replace t.inflight (key ~sender ~seq) (submit_ns, now)
-      end
+let on_ordered t ~sender ~seq ~submit_ns =
+  let now = Trace.now () in
+  Metrics.observe t.h_order (us (now - submit_ns));
+  if Hashtbl.length t.inflight >= max_inflight then Hashtbl.reset t.inflight;
+  Hashtbl.replace t.inflight (key ~sender ~seq) (submit_ns, now)
 
 let ensure_node t node =
   if node >= Array.length t.deliver_ns then begin
@@ -105,28 +96,48 @@ let ensure_node t node =
     t.deliver_ns <- grown
   end
 
-let note_delivered ~node ~sender ~seq =
-  match !current with
+let on_delivered t ~node ~sender ~seq =
+  let now = Trace.now () in
+  if node >= 0 then begin
+    ensure_node t node;
+    t.deliver_ns.(node) <- now
+  end;
+  match Hashtbl.find_opt t.inflight (key ~sender ~seq) with
+  | Some (submit_ns, ordered_ns) ->
+      Metrics.observe t.h_deliver (us (now - ordered_ns));
+      Metrics.observe t.h_e2e (us (now - submit_ns))
   | None -> ()
-  | Some t ->
-      let now = Trace.now () in
-      if node >= 0 then begin
-        ensure_node t node;
-        t.deliver_ns.(node) <- now
-      end;
-      (match Hashtbl.find_opt t.inflight (key ~sender ~seq) with
-      | Some (submit_ns, ordered_ns) ->
-          Metrics.observe t.h_deliver (us (now - ordered_ns));
-          Metrics.observe t.h_e2e (us (now - submit_ns))
-      | None -> ())
 
-let note_applied ~node =
+let on_applied t ~node =
+  if node >= 0 && node < Array.length t.deliver_ns && t.deliver_ns.(node) >= 0
+  then Metrics.observe t.h_apply (us (Trace.now () - t.deliver_ns.(node)))
+
+(* The one feed: decode the Flight records the spans need (argument
+   layouts in flight.mli). A data-send record carries a non-zero submit
+   stamp only for a new message stamped while a collector was attached. *)
+let on_record ~node ~code ~a ~b ~c:_ ~d =
   match !current with
   | None -> ()
   | Some t ->
-      if node >= 0 && node < Array.length t.deliver_ns
-         && t.deliver_ns.(node) >= 0
-      then Metrics.observe t.h_apply (us (Trace.now () - t.deliver_ns.(node)))
+      if code = Flight.ev_data_send then begin
+        if d > 0 then on_ordered t ~sender:node ~seq:a ~submit_ns:d
+      end
+      else if code = Flight.ev_deliver then on_delivered t ~node ~sender:b ~seq:a
+      else if code = Flight.ev_apply then on_applied t ~node
+
+let enabled () = Option.is_some !current
+
+let attach t =
+  current := Some t;
+  Flight.subscribe on_record
+
+let detach () =
+  current := None;
+  Flight.unsubscribe on_record
+
+let with_span t f =
+  attach t;
+  Fun.protect ~finally:detach f
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)

@@ -2,9 +2,12 @@
     the virtual clock ({!Trace.now}); stage transitions (submit →
     packed → token-ordered → delivered → applied) land in per-stage
     mergeable {!Metrics} histograms, decomposing where end-to-end
-    latency goes. Opt-in and global: when no collector is attached
-    every hook is a single ref read, and spans never feed the hashed
-    trace stream. *)
+    latency goes. The feed is {!Flight}: an attached collector
+    subscribes to it and decodes the data-send, deliver and apply
+    records; only the daemon's pack step calls {!note_packed} directly.
+    Opt-in and global: when no collector is attached nothing is
+    subscribed and the remaining hooks are a single ref read; spans
+    never feed the hashed trace stream. *)
 
 type t
 
@@ -18,19 +21,21 @@ val metrics : t -> Metrics.t
 
 val enabled : unit -> bool
 val attach : t -> unit
+(** Make [t] the collector and subscribe it to {!Flight}. *)
+
 val detach : unit -> unit
 val with_span : t -> (unit -> 'a) -> 'a
 
-(** {2 Stage notes} (called by the protocol stack; self-guarded) *)
+(** {2 Hooks outside the Flight feed} (self-guarded) *)
 
 val submit_stamp : unit -> int
-(** Submission timestamp to carry alongside the message; [0] when no
-    collector is attached (callers skip later notes on a zero stamp). *)
+(** Submission timestamp to carry alongside the message (the engine
+    puts it in a new message's {!Flight.ev_data_send} record); [0] when
+    no collector is attached, and a zero stamp is never measured. *)
 
 val note_packed : submit_ns:int -> unit
-val note_ordered : sender:int -> seq:int -> submit_ns:int -> unit
-val note_delivered : node:int -> sender:int -> seq:int -> unit
-val note_applied : node:int -> unit
+(** The daemon flushed a pack buffer holding a message stamped
+    [submit_ns]. *)
 
 (** {2 Stage names} *)
 

@@ -3,7 +3,6 @@ module Trace = Aring_obs.Trace
 module Metrics = Aring_obs.Metrics
 module Flight = Aring_obs.Flight
 module Span = Aring_obs.Span
-module Health = Aring_obs.Health
 
 type timer_kind = Token_retransmit | Token_loss
 
@@ -210,8 +209,6 @@ let deliver_ready_into t tail =
           t.stats.delivered <- t.stats.delivered + 1;
           Flight.record ~node:t.me ~code:Flight.ev_deliver ~a:next ~b:d.pid
             ~c:0 ~d:0;
-          Span.note_delivered ~node:t.me ~sender:d.pid ~seq:next;
-          Health.note_delivery ();
           loop (Deliver d :: acc)
         end
   in
@@ -386,10 +383,8 @@ let handle_token t (tok : Message.token) =
       (* We trivially "have" our own message the moment it exists. *)
       Hashtbl.replace t.buffer d.seq d;
       t.stats.new_sent <- t.stats.new_sent + 1;
-      if p.p_submit_ns > 0 then
-        Span.note_ordered ~sender:t.me ~seq:d.seq ~submit_ns:p.p_submit_ns;
       Flight.record ~node:t.me ~code:Flight.ev_data_send ~a:d.seq
-        ~b:(if d.post_token then 1 else 0) ~c:0 ~d:0;
+        ~b:(if d.post_token then 1 else 0) ~c:0 ~d:p.p_submit_ns;
       if Trace.enabled () then
         Trace.emit ~node:t.me
           (Trace.Data_send

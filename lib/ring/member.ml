@@ -151,12 +151,11 @@ let phase_code t =
   | Recover _ -> Health.phase_recover
 
 (* Note the phase just entered (call after updating [t.phase]): flight
-   recorder always, health watchdog when attached, trace sink when
+   recorder (and through it the health watchdog) always, trace sink when
    installed. Only the trace event is part of the hashed stream. *)
 let trace_phase t =
   Flight.record ~node:t.me ~code:Flight.ev_phase ~a:(phase_code t)
     ~b:t.memb_gen ~c:0 ~d:0;
-  Health.note_phase ~node:t.me ~phase:(phase_code t);
   if Aring_obs.Trace.enabled () then
     Aring_obs.Trace.emit ~node:t.me (Phase { phase = state_name t })
 
@@ -658,8 +657,7 @@ and enter_recover t (c : Message.commit) order =
     if t.legacy_flood then begin
       let n_flood = List.length !floods in
       Flight.record ~node:t.me ~code:Flight.ev_flood ~a:n_flood ~b:min_aru
-        ~c:max_high ~d:0;
-      Health.note_flood ~node:t.me ~count:n_flood;
+        ~c:max_high ~d:1;
       !floods
     end
     else begin
@@ -667,7 +665,6 @@ and enter_recover t (c : Message.commit) order =
         ~c:max_high ~d:0;
       Flight.record ~node:t.me ~code:Flight.ev_dedup ~a:!held_in_range
         ~b:!queued ~c:(!held_in_range - !queued) ~d:pos;
-      Health.note_dedup ~node:t.me ~saved:(!held_in_range - !queued);
       if Deque.is_empty flood_q then []
       else begin
         r.r_burst_armed <- true;
@@ -742,7 +739,6 @@ and handle_nack t (c : Message.commit) =
           else begin
             Flight.record ~node:t.me ~code:Flight.ev_resend ~a:!queued
               ~b:(List.length seqs) ~c:0 ~d:0;
-            Health.note_resend ~node:t.me ~count:!queued;
             if r.r_burst_armed then []
             else begin
               (* Resends skip the position stagger: the requester has
@@ -793,7 +789,6 @@ and handle_nack t (c : Message.commit) =
           else begin
             Flight.record ~node:t.me ~code:Flight.ev_resend ~a:!queued
               ~b:(List.length seqs) ~c:0 ~d:0;
-            Health.note_resend ~node:t.me ~count:!queued;
             if res.res_burst_armed then []
             else begin
               res.res_burst_armed <- true;
@@ -980,8 +975,6 @@ let drain_burst t ~q ~queued ~exchange ~set_armed =
   let remaining = Deque.length q in
   Flight.record ~node:t.me ~code:Flight.ev_burst ~a:!sent ~b:remaining ~c:0
     ~d:0;
-  Health.note_burst ~node:t.me;
-  Health.note_flood ~node:t.me ~count:!sent;
   let follow =
     if remaining > 0 then
       [
@@ -1058,11 +1051,9 @@ let fire_memb_timer t kind gen =
               r.r_rechecks <- r.r_rechecks + 1;
               Flight.record ~node:t.me ~code:Flight.ev_recheck ~a:r.r_rechecks
                 ~b:t.memb_gen ~c:0 ~d:0;
-              Health.note_recheck ~node:t.me;
               if r.r_rechecks > 5 then begin
                 Flight.record ~node:t.me ~code:Flight.ev_recheck_giveup
                   ~a:r.r_rechecks ~b:t.memb_gen ~c:0 ~d:0;
-                Health.note_recheck_giveup ~node:t.me;
                 enter_gather t
               end
               else handle_commit t c
@@ -1079,14 +1070,12 @@ let fire_memb_timer t kind gen =
                 r.r_rechecks <- r.r_rechecks + 1;
                 Flight.record ~node:t.me ~code:Flight.ev_recheck
                   ~a:r.r_rechecks ~b:t.memb_gen ~c:0 ~d:0;
-                Health.note_recheck ~node:t.me;
                 if r.r_rechecks > 5 then begin
                   (* Repeated nacks went unanswered: every candidate
                      holder is gone or partitioned away. This formation
                      attempt cannot install consistently. *)
                   Flight.record ~node:t.me ~code:Flight.ev_recheck_giveup
                     ~a:r.r_rechecks ~b:t.memb_gen ~c:0 ~d:0;
-                  Health.note_recheck_giveup ~node:t.me;
                   enter_gather t
                 end
                 else begin
@@ -1097,7 +1086,6 @@ let fire_memb_timer t kind gen =
                   Flight.record ~node:t.me ~code:Flight.ev_nack
                     ~a:(List.length missing) ~b:(List.length ranges)
                     ~c:r.r_rechecks ~d:0;
-                  Health.note_resend_req ~node:t.me;
                   let nack : Message.commit =
                     {
                       c_ring = r.r_ring;

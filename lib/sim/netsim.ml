@@ -3,6 +3,7 @@ open Aring_ring
 module Heap = Aring_util.Heap
 module Prng = Aring_util.Prng
 module Trace = Aring_obs.Trace
+module Flight = Aring_obs.Flight
 module Metrics = Aring_obs.Metrics
 
 (* The event queue is allocation-free in steady state: events live in a
@@ -488,6 +489,7 @@ let set_latency_classes t ~classes ~matrix =
 
 let crash t node =
   t.alive.(node) <- false;
+  Flight.record ~node ~code:Flight.ev_crash ~a:0 ~b:0 ~c:0 ~d:0;
   if Trace.enabled () then Trace.emit ~node Crash
 
 let record_metrics t reg =

@@ -130,7 +130,9 @@ val set_domains : t -> int array -> unit
     cover every node. By default all nodes share one domain. *)
 
 val crash : t -> int -> unit
-(** Node stops processing and receiving, permanently. *)
+(** Node stops processing and receiving, permanently. Records
+    [Flight.ev_crash], which is how an attached health watchdog learns
+    of the crash. *)
 
 val is_alive : t -> int -> bool
 

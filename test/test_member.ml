@@ -949,9 +949,7 @@ let test_64_node_reformation_within_budget () =
     Netsim.call_at c.sim ~at:(k * 200_000) (fun () ->
         submit c (k mod n) Types.Agreed (Printf.sprintf "w%d" k))
   done;
-  Netsim.call_at c.sim ~at:(ms 10) (fun () ->
-      Aring_obs.Health.note_crash ~node:5;
-      Netsim.crash c.sim 5);
+  Netsim.call_at c.sim ~at:(ms 10) (fun () -> Netsim.crash c.sim 5);
   Aring_obs.Health.with_health h (fun () -> Netsim.run_until c.sim (ms 4000));
   let survivors = List.filter (fun i -> i <> 5) (List.init n Fun.id) in
   List.iter

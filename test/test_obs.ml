@@ -513,6 +513,10 @@ let test_flight_wrap_and_dump () =
 
 module Span = Aring_obs.Span
 
+(* The instruments' one feed is Flight.record; these helpers emit the
+   records the protocol stack emits at each step (layouts in flight.mli). *)
+let record ~node code ~a ~b ~d = Flight.record ~node ~code ~a ~b ~c:0 ~d
+
 let test_span_stages () =
   with_virtual_clock (fun t ->
       check Alcotest.int "stamp is 0 when detached" 0 (Span.submit_stamp ());
@@ -523,10 +527,10 @@ let test_span_stages () =
           let stamp = Span.submit_stamp () in
           check Alcotest.int "stamp reads the virtual clock" 1_000 stamp;
           t := 51_000;
-          Span.note_ordered ~sender:0 ~seq:5 ~submit_ns:stamp;
+          record ~node:0 Flight.ev_data_send ~a:5 ~b:0 ~d:stamp;
           t := 101_000;
-          Span.note_delivered ~node:0 ~sender:0 ~seq:5;
-          Span.note_applied ~node:0);
+          record ~node:0 Flight.ev_deliver ~a:5 ~b:0 ~d:0;
+          record ~node:0 Flight.ev_apply ~a:1 ~b:0 ~d:0);
       let stages = Span.report span in
       let find name =
         List.find_opt (fun (s : Span.stage_report) -> s.Span.stage = name) stages
@@ -544,7 +548,7 @@ let test_span_stages () =
       | None -> Alcotest.fail "e2e stage missing");
       (* Unknown (sender, seq) pairs are ignored, not counted. *)
       Span.with_span span (fun () ->
-          Span.note_delivered ~node:0 ~sender:3 ~seq:999);
+          record ~node:0 Flight.ev_deliver ~a:999 ~b:3 ~d:0);
       let stages' = Span.report span in
       let e2e_count =
         match
@@ -560,6 +564,11 @@ let test_span_stages () =
 
 module Health = Aring_obs.Health
 
+let phase node p = record ~node Flight.ev_phase ~a:p ~b:0 ~d:0
+let recheck node = record ~node Flight.ev_recheck ~a:1 ~b:0 ~d:0
+let delivery () = record ~node:0 Flight.ev_deliver ~a:1 ~b:0 ~d:0
+let crash node = record ~node Flight.ev_crash ~a:0 ~b:0 ~d:0
+
 let test_health_formation_cycle () =
   with_virtual_clock (fun t ->
       let h = Health.create ~n:2 () in
@@ -568,14 +577,14 @@ let test_health_formation_cycle () =
              reaching operational; node 1 is healthy. The cycling must
              outlast [stall_ns] with no formation completing anywhere
              before the verdict fires. *)
-          Health.note_phase ~node:1 ~phase:Health.phase_operational;
+          phase 1 Health.phase_operational;
           for i = 1 to 8 do
             t := i * 200_000_000;
-            Health.note_phase ~node:0 ~phase:Health.phase_gather;
-            Health.note_recheck ~node:0;
-            Health.note_phase ~node:0 ~phase:Health.phase_commit;
-            Health.note_phase ~node:0 ~phase:Health.phase_recover;
-            Health.note_delivery ()
+            phase 0 Health.phase_gather;
+            recheck 0;
+            phase 0 Health.phase_commit;
+            phase 0 Health.phase_recover;
+            delivery ()
           done;
           (match Health.check h ~now:!t with
           | [ Health.Formation_cycle { fc_node; fc_attempts; fc_rechecks; _ } ]
@@ -589,7 +598,7 @@ let test_health_formation_cycle () =
           (* A formation completing anywhere re-opens the grace window:
              attempt-burning while views keep installing is churn making
              progress, not a livelock. *)
-          Health.note_phase ~node:1 ~phase:Health.phase_operational;
+          phase 1 Health.phase_operational;
           check Alcotest.int "install elsewhere clears the verdict" 0
             (List.length (Health.check h ~now:!t))))
 
@@ -599,19 +608,19 @@ let test_health_operational_resets () =
       Health.with_health h (fun () ->
           for i = 1 to 7 do
             t := i * 200_000_000;
-            Health.note_phase ~node:0 ~phase:Health.phase_gather;
-            Health.note_phase ~node:0 ~phase:Health.phase_recover
+            phase 0 Health.phase_gather;
+            phase 0 Health.phase_recover
           done;
           (* Reaching operational resets the attempt counter... *)
-          Health.note_phase ~node:0 ~phase:Health.phase_operational;
-          Health.note_delivery ();
-          Health.note_phase ~node:0 ~phase:Health.phase_gather;
+          phase 0 Health.phase_operational;
+          delivery ();
+          phase 0 Health.phase_gather;
           check Alcotest.int "no stall after operational" 0
             (List.length (Health.check h ~now:!t));
           (* ...so the next cycle needs K fresh attempts. *)
           for i = 8 to 14 do
             t := i * 200_000_000;
-            Health.note_phase ~node:0 ~phase:Health.phase_gather
+            phase 0 Health.phase_gather
           done;
           check Alcotest.int "8 fresh attempts stall again" 1
             (List.length (Health.check h ~now:!t))))
@@ -621,9 +630,9 @@ let test_health_no_progress_and_crash () =
       let h = Health.create ~n:2 () in
       Health.with_health h (fun () ->
           t := 1_000;
-          Health.note_delivery ();
-          Health.note_phase ~node:0 ~phase:Health.phase_gather;
-          Health.note_phase ~node:1 ~phase:Health.phase_gather;
+          delivery ();
+          phase 0 Health.phase_gather;
+          phase 1 Health.phase_gather;
           (* Two virtual seconds with no delivery and both nodes stuck. *)
           t := 2_000_000_000;
           (match Health.check h ~now:!t with
@@ -635,8 +644,8 @@ let test_health_no_progress_and_crash () =
               Alcotest.failf "expected no_progress, got %d stalls"
                 (List.length other));
           (* Crashed nodes are excluded; a crashed-only stall clears. *)
-          Health.note_crash ~node:0;
-          Health.note_crash ~node:1;
+          crash 0;
+          crash 1;
           check Alcotest.int "crashed nodes never stall" 0
             (List.length (Health.check h ~now:!t))))
 
@@ -646,9 +655,9 @@ let test_health_report_renders () =
       Health.with_health h (fun () ->
           for i = 1 to 8 do
             t := i * 200_000_000;
-            Health.note_phase ~node:0 ~phase:Health.phase_gather;
-            Health.note_recheck ~node:0;
-            Health.note_phase ~node:0 ~phase:Health.phase_recover
+            phase 0 Health.phase_gather;
+            recheck 0;
+            phase 0 Health.phase_recover
           done);
       let r = Health.report h ~now:!t in
       let text = Format.asprintf "%a" Health.pp_report r in
@@ -659,6 +668,91 @@ let test_health_report_renders () =
            i + nl <= tl && (String.sub text i nl = needle || scan (i + 1))
          in
          scan 0))
+
+(* Netsim.crash records ev_crash, so no crash path needs a second call
+   to keep the watchdog from flagging a dead node as stuck. *)
+let test_health_crash_via_netsim () =
+  let n = 4 in
+  let initial_ring = Array.init n Fun.id in
+  let params =
+    {
+      (Params.accelerated ()) with
+      token_loss_ns = ms 50;
+      token_retransmit_ns = ms 10;
+      join_retransmit_ns = ms 20;
+      consensus_timeout_ns = ms 100;
+    }
+  in
+  let members =
+    Array.init n (fun me -> Member.create ~params ~me ~initial_ring ())
+  in
+  let h = Health.create ~n () in
+  Health.with_health h (fun () ->
+      let sim =
+        Netsim.create ~net:Profile.gigabit
+          ~tiers:(Array.make n Profile.library)
+          ~participants:(Array.map Member.participant members)
+          ~seed:7L ()
+      in
+      Netsim.call_at sim ~at:(ms 5) (fun () -> Netsim.crash sim 2);
+      Netsim.run_until sim (ms 800));
+  let r = Health.report h ~now:(ms 800) in
+  List.iter
+    (fun (nr : Health.node_report) ->
+      check Alcotest.string
+        (Printf.sprintf "node %d phase" nr.nr_node)
+        (if nr.nr_node = 2 then "crashed" else "operational")
+        nr.nr_phase)
+    r.r_nodes;
+  check Alcotest.int "no stall flagged" 0 (List.length r.Health.r_stalls)
+
+let test_subscribers_see_disabled_records () =
+  with_virtual_clock (fun t ->
+      let h = Health.create ~n:1 () in
+      let span = Span.create () in
+      Flight.reset ();
+      Flight.set_enabled false;
+      Fun.protect
+        ~finally:(fun () -> Flight.set_enabled true)
+        (fun () ->
+          Health.with_health h (fun () ->
+              Span.with_span span (fun () ->
+                  t := 1_000;
+                  let stamp = Span.submit_stamp () in
+                  t := 3_000;
+                  record ~node:0 Flight.ev_data_send ~a:1 ~b:0 ~d:stamp;
+                  phase 0 Health.phase_gather;
+                  delivery ())));
+      check Alcotest.int "nothing stored while disabled" 0 (Flight.total ());
+      let r = Health.report h ~now:!t in
+      check Alcotest.int "watchdog saw the delivery" 1 r.Health.r_deliveries;
+      check Alcotest.string "watchdog saw the phase" "gather"
+        (List.hd r.Health.r_nodes).Health.nr_phase;
+      check Alcotest.int "spans saw the order and deliver steps" 1
+        (List.length
+           (List.filter
+              (fun (s : Span.stage_report) ->
+                s.Span.stage = Span.stage_e2e && s.Span.count = 1)
+              (Span.report span))))
+
+let test_watchdog_feed_allocates_nothing () =
+  let h = Health.create ~n:1 () in
+  Health.with_health h (fun () ->
+      let token_recv i =
+        Flight.record ~node:0 ~code:Flight.ev_token_recv ~a:i ~b:i ~c:i ~d:i
+      in
+      for i = 1 to 1_000 do
+        token_recv i
+      done;
+      let n = 100_000 in
+      let before = Gc.minor_words () in
+      for i = 1 to n do
+        token_recv i
+      done;
+      let words = Gc.minor_words () -. before in
+      check Alcotest.int "words allocated by 100k ev_token_recv records" 0
+        (int_of_float words));
+  Flight.reset ()
 
 let suite =
   [
@@ -695,6 +789,12 @@ let suite =
       test_health_operational_resets;
     Alcotest.test_case "health: no-progress stall and crash exclusion" `Quick
       test_health_no_progress_and_crash;
+    Alcotest.test_case "health: a crash reaches the watchdog through Netsim.crash alone"
+      `Quick test_health_crash_via_netsim;
+    Alcotest.test_case "flight: subscribers still see records while the recorder is disabled"
+      `Quick test_subscribers_see_disabled_records;
+    Alcotest.test_case "flight: 0 words per ev_token_recv record with a watchdog attached"
+      `Quick test_watchdog_feed_allocates_nothing;
     Alcotest.test_case "health: report names the cycle" `Quick
       test_health_report_renders;
   ]
