@@ -1,25 +1,85 @@
 (* Hot-path allocation benchmark (`-- hotpath [quick]`): allocated bytes
    per message of the pooled codec against the Buffer-based reference
-   encoder, and allocation and host rate of the full simulated pipeline.
-   Gated by bench/hotpath_budget.json. Schema documented in
+   encoder, of the KV write path's app payload (encode, and delivery to
+   a replica), and allocation and host rate of the full simulated
+   pipeline. Gated by bench/hotpath_budget.json. Schema documented in
    EXPERIMENTS.md. *)
 
 open Aring_wire
+open Aring_ring
 open Aring_sim
 open Aring_harness
 module Json = Aring_obs.Json
 module Stats = Aring_util.Stats
+module Daemon = Aring_daemon.Daemon
+module Envelope = Aring_daemon.Envelope
+module Kv = Aring_app.Kv
+module Op = Aring_app.Op
 
 let ms n = n * 1_000_000
 
 (* Allocated bytes per call of [f], measured with [Gc.allocated_bytes]
-   (precise: counts minor allocations, independent of GC timing). *)
+   (counts minor and direct-to-major allocations; the counters are exact
+   only after a minor collection, hence one at each end). *)
 let alloc_per_call ~iters f =
   for _ = 1 to 1_000 do f () done;
+  Gc.minor ();
   let before = Gc.allocated_bytes () in
   for _ = 1 to iters do f () done;
+  Gc.minor ();
   let after = Gc.allocated_bytes () in
   (after -. before) /. float_of_int iters
+
+let value_bytes = 1024
+
+(* The KV write path's payload encode: a put's op, then the envelope
+   carrying it to the KV group. *)
+let put_envelope value =
+  Envelope.encode
+    (Envelope.App
+       {
+         sender = "#kv#1";
+         groups = [ Kv.group ];
+         payload = Op.encode (Op.Put { key = "k00001"; value });
+       })
+
+let ring_size = 4
+
+(* Delivery of that envelope to a KV replica: one operational member of
+   a 4-member ring, fed in-order data from pid 1 through the daemon's
+   participant, with a caught-up token every 256 messages so the
+   engine's retention stays bounded. Each call delivers and applies one
+   put. *)
+let deliver_put envelope =
+  let m =
+    Member.create ~params:Params.default ~me:0
+      ~initial_ring:(Array.init ring_size Fun.id) ()
+  in
+  ignore ((Member.participant m).start ());
+  let d = Daemon.create ~member:m () in
+  ignore (Kv.create ~cluster_size:ring_size ~daemon:d ());
+  let rid =
+    match Member.node m with
+    | Some node ->
+        ignore (Engine.drain_pending (Node.engine node));
+        Engine.ring_id (Node.engine node)
+    | None -> invalid_arg "Bench_hotpath: a member with an initial ring starts operational"
+  in
+  let p = Daemon.participant d in
+  let seq = ref 0 in
+  fun () ->
+    incr seq;
+    ignore
+      (p.process
+         (Message.Data
+            { d_ring = rid; seq = !seq; pid = 1; d_round = 1; post_token = false;
+              service = Types.Agreed; payload = envelope }));
+    if !seq land 255 = 0 then
+      ignore
+        (p.process
+           (Message.Token
+              { t_ring = rid; token_id = !seq / 256 * ring_size; t_round = 1;
+                t_seq = !seq; aru = !seq; aru_id = None; fcc = 0; rtr = [] }))
 
 let run ~quick =
   Printf.printf "=== Hot-path allocation benchmark%s ===\n%!"
@@ -90,6 +150,15 @@ let run ~quick =
     \  decode   reference %8.1f   pooled %8.1f\n\
     \  roundtrip reduction %.1f%%\n%!"
     enc_ref enc_pool dec_ref dec_pool codec_reduction;
+  (* App payload: the KV write path's bytes per put, at a 1 KB value. *)
+  let value = String.make value_bytes 'v' in
+  let app_encode = alloc_per_call ~iters (fun () -> ignore (put_envelope value)) in
+  let app_deliver = alloc_per_call ~iters (deliver_put (put_envelope value)) in
+  Printf.printf
+    "app payload (bytes allocated, %d B put):\n\
+    \  encode (op + envelope) %8.1f per put\n\
+    \  deliver to a KV replica %8.1f per message\n%!"
+    value_bytes app_encode app_deliver;
   (* Pipeline: the paper's 10G library-tier Agreed workload, run once
      untraced to measure allocation and wall rate, once with the rotation
      profiler (whose trace sink itself allocates) for rotation latency. *)
@@ -166,11 +235,20 @@ let run ~quick =
               ("decode_pooled_bytes_per_msg", Json.Float dec_pool);
               ("roundtrip_reduction_percent", Json.Float codec_reduction);
             ] );
+        ( "app",
+          Json.Obj
+            [
+              ("value_bytes", Json.Int value_bytes);
+              ("encode_alloc_bytes_per_put", Json.Float app_encode);
+              ("deliver_alloc_bytes_per_msg", Json.Float app_deliver);
+            ] );
       ];
     checks =
       [
         Max ("max_pipeline_alloc_bytes_per_msg", alloc_per_msg);
         Min ("min_codec_reduction_percent", codec_reduction);
+        Max ("max_app_encode_alloc_bytes_per_put", app_encode);
+        Max ("max_app_deliver_alloc_bytes_per_msg", app_deliver);
       ];
     echo = [];
     conditions = [];

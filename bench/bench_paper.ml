@@ -496,6 +496,7 @@ let ablation_packing ~quick =
     in
     let lat = Stats.create () in
     let delivered = ref 0 in
+    let stamp = Codec.decoder_empty () in
     let warmup = ms 100 and t_end = ms 300 in
     let sessions =
       Array.init n (fun i ->
@@ -506,7 +507,8 @@ let ablation_packing ~quick =
                   let now = Netsim.now sim in
                   if now >= warmup && now < t_end then begin
                     incr delivered;
-                    let sent = Int64.to_int (Bytes.get_int64_be payload 0) in
+                    Codec.decoder_reset_view stamp payload;
+                    let sent = Codec.read_i64 stamp in
                     Stats.add lat (float_of_int (now - sent) /. 1e3)
                   end);
               on_group_view = (fun ~group:_ ~members:_ -> ());

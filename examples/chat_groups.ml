@@ -35,7 +35,8 @@ let () =
         (fun ~sender ~groups _service payload ->
           transcript :=
             Printf.sprintf "%-8s got [%s] %s: %s" who
-              (String.concat "," groups) sender (Bytes.to_string payload)
+              (String.concat "," groups) sender
+              (Aring_wire.Codec.view_to_string payload)
             :: !transcript);
       on_group_view =
         (fun ~group ~members ->

@@ -94,6 +94,7 @@ type t = {
   mcas_q : Op.t Queue.t;
   mutable next_nonce : int;
   mutable observers : (observation -> unit) list;  (* registration order *)
+  dec : Codec.decoder;  (* delivered ops are decoded in place through it *)
   stats : stats;
 }
 
@@ -623,7 +624,8 @@ let handle_op t op =
       end
 
 let on_message t ~sender:_ ~groups:_ _service payload =
-  match Op.decode payload with
+  Codec.decoder_reset_view t.dec payload;
+  match Op.decode_from t.dec with
   | op -> handle_op t op
   | exception Codec.Decode_error _ ->
       t.stats.decode_errors <- t.stats.decode_errors + 1
@@ -721,6 +723,7 @@ let create ?(bug = Bug_none) ?(max_chunk_bytes = 4096) ?(session_name = "kv")
       mcas_q = Queue.create ();
       next_nonce = 0;
       observers = [];
+      dec = Codec.decoder_empty ();
       stats =
         {
           ops_applied = 0;

@@ -72,103 +72,102 @@ let tag_skip = 8
 let tag_mcas_table = 9
 let tag_mdecide = 10
 
-let write_str e s = Codec.write_bytes e (Bytes.unsafe_of_string s)
+let put_str s str = Codec.put_bytes s (Bytes.unsafe_of_string str)
 let read_str d = Bytes.unsafe_to_string (Codec.read_bytes d)
 
-let write_ring e (r : Types.ring_id) =
-  Codec.write_i32 e r.rep;
-  Codec.write_i32 e r.ring_seq
+let put_ring s (r : Types.ring_id) =
+  Codec.put_i32 s r.rep;
+  Codec.put_i32 s r.ring_seq
 
 let read_ring d : Types.ring_id =
   let rep = Codec.read_i32 d in
   let ring_seq = Codec.read_i32 d in
   { rep; ring_seq }
 
-let encode op =
-  let e = Codec.encoder () in
-  (match op with
+let write s op =
+  match op with
   | Put { key; value } ->
-      Codec.write_u8 e tag_put;
-      write_str e key;
-      write_str e value
+      Codec.put_u8 s tag_put;
+      put_str s key;
+      put_str s value
   | Del { key } ->
-      Codec.write_u8 e tag_del;
-      write_str e key
+      Codec.put_u8 s tag_del;
+      put_str s key
   | Cas { key; expect; value } ->
-      Codec.write_u8 e tag_cas;
-      write_str e key;
+      Codec.put_u8 s tag_cas;
+      put_str s key;
       (match expect with
-      | None -> Codec.write_bool e false
+      | None -> Codec.put_bool s false
       | Some x ->
-          Codec.write_bool e true;
-          write_str e x);
-      write_str e value
+          Codec.put_bool s true;
+          put_str s x);
+      put_str s value
   | Sync_read { reader; nonce; key } ->
-      Codec.write_u8 e tag_sync_read;
-      write_str e reader;
-      Codec.write_i32 e nonce;
-      write_str e key
+      Codec.put_u8 s tag_sync_read;
+      put_str s reader;
+      Codec.put_i32 s nonce;
+      put_str s key
   | Hello { view; daemon; applied; digest; synced } ->
-      Codec.write_u8 e tag_hello;
-      write_ring e view;
-      Codec.write_i32 e daemon;
-      Codec.write_i32 e applied;
-      Codec.write_i64 e (Int64.to_int digest);
-      Codec.write_bool e synced
+      Codec.put_u8 s tag_hello;
+      put_ring s view;
+      Codec.put_i32 s daemon;
+      Codec.put_i32 s applied;
+      Codec.put_i64 s (Int64.to_int digest);
+      Codec.put_bool s synced
   | Chunk { view; donor; index; total; applied; entries } ->
-      Codec.write_u8 e tag_chunk;
-      write_ring e view;
-      Codec.write_i32 e donor;
-      Codec.write_i32 e index;
-      Codec.write_i32 e total;
-      Codec.write_i32 e applied;
-      Codec.write_list e
+      Codec.put_u8 s tag_chunk;
+      put_ring s view;
+      Codec.put_i32 s donor;
+      Codec.put_i32 s index;
+      Codec.put_i32 s total;
+      Codec.put_i32 s applied;
+      Codec.put_list s
         (fun (k, v) ->
-          write_str e k;
-          write_str e v)
+          put_str s k;
+          put_str s v)
         entries
   | Mcas { id; parts } ->
-      Codec.write_u8 e tag_mcas;
-      write_str e id;
-      Codec.write_list e
+      Codec.put_u8 s tag_mcas;
+      put_str s id;
+      Codec.put_list s
         (fun p ->
-          Codec.write_i32 e p.mp_ring;
-          Codec.write_list e
+          Codec.put_i32 s p.mp_ring;
+          Codec.put_list s
             (fun (k, x) ->
-              write_str e k;
+              put_str s k;
               match x with
-              | None -> Codec.write_bool e false
+              | None -> Codec.put_bool s false
               | Some v ->
-                  Codec.write_bool e true;
-                  write_str e v)
+                  Codec.put_bool s true;
+                  put_str s v)
             p.mp_checks;
-          Codec.write_list e
+          Codec.put_list s
             (fun (k, v) ->
-              write_str e k;
-              write_str e v)
+              put_str s k;
+              put_str s v)
             p.mp_writes)
         parts
   | Mdecide { id; commit } ->
-      Codec.write_u8 e tag_mdecide;
-      write_str e id;
-      Codec.write_bool e commit
+      Codec.put_u8 s tag_mdecide;
+      put_str s id;
+      Codec.put_bool s commit
   | Skip { credits } ->
-      Codec.write_u8 e tag_skip;
-      Codec.write_i32 e credits
+      Codec.put_u8 s tag_skip;
+      Codec.put_i32 s credits
   | Mcas_table { view; donor; entries; parked } ->
-      Codec.write_u8 e tag_mcas_table;
-      write_ring e view;
-      Codec.write_i32 e donor;
-      Codec.write_list e
+      Codec.put_u8 s tag_mcas_table;
+      put_ring s view;
+      Codec.put_i32 s donor;
+      Codec.put_list s
         (fun (id, st) ->
-          write_str e id;
-          Codec.write_u8 e st)
+          put_str s id;
+          Codec.put_u8 s st)
         entries;
-      Codec.write_list e (fun b -> Codec.write_bytes e b) parked);
-  Codec.to_bytes e
+      Codec.put_list s (Codec.put_bytes s) parked
 
-let decode bytes =
-  let d = Codec.decoder bytes in
+let encode op = Codec.encode_exact write op
+
+let decode_from d =
   let tag = Codec.read_u8 d in
   let op =
     if tag = tag_put then
@@ -255,6 +254,8 @@ let decode bytes =
   in
   Codec.expect_end d;
   op
+
+let decode bytes = decode_from (Codec.decoder bytes)
 
 let pp ppf = function
   | Put { key; value } ->

@@ -99,8 +99,18 @@ val write_key : t -> string option
 (** The key a write targets; [None] for non-writes. *)
 
 val encode : t -> bytes
+(** Exact-size encoding, written through the shared scratch
+    ({!Aring_wire.Codec.encode_exact}). *)
 
 val decode : bytes -> t
 (** @raise Aring_wire.Codec.Decode_error on malformed input. *)
+
+val decode_from : Codec.decoder -> t
+(** Decode the op that fills the rest of the cursor's slice, e.g. one
+    re-pointed at a delivered payload view with
+    {!Aring_wire.Codec.decoder_reset_view}: only the op's own strings
+    are copied out.
+    @raise Aring_wire.Codec.Decode_error on malformed input, or if the
+    op does not end exactly at the end of the slice. *)
 
 val pp : Format.formatter -> t -> unit

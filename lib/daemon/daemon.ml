@@ -6,7 +6,7 @@ module Names = Map.Make (String)
 
 type callbacks = {
   on_message :
-    sender:string -> groups:string list -> Types.service -> bytes -> unit;
+    sender:string -> groups:string list -> Types.service -> Codec.view -> unit;
   on_group_view : group:string -> members:string list -> unit;
 }
 
@@ -19,7 +19,8 @@ type session = {
   (* Slow-receiver mode: [Some q] parks delivered messages in [q]
      instead of invoking [on_message]; the client drains with {!pump} at
      its own pace, off the daemon's delivery path. *)
-  mutable s_inbox : (string * string list * Types.service * bytes) Deque.t option;
+  mutable s_inbox :
+    (string * string list * Types.service * Codec.view) Deque.t option;
 }
 
 type stats = {
@@ -45,6 +46,8 @@ type t = {
      delivery, so a session reconnected under the same name still matches
      its predecessor's table entry until the ordered Leave lands. *)
   routes : (string, int Names.t) Hashtbl.t;
+  (* Cursor every delivered envelope is parsed through. *)
+  dec : Codec.decoder;
   stats : stats;
   packing : bool;
   pack_threshold : int;
@@ -71,6 +74,7 @@ let create ?(packing = false) ?(pack_threshold = 1300) ~member () =
     groups = Groups.create ();
     sessions = Hashtbl.create 8;
     routes = Hashtbl.create 16;
+    dec = Codec.decoder_empty ();
     stats =
       {
         client_deliveries = 0;
@@ -299,7 +303,7 @@ let recipients t = function
 
 (* Apply one totally-ordered envelope. Returns one [Deliver] action per
    local recipient so a driving runtime charges per-client delivery cost. *)
-let rec apply_envelope t (d : Message.data) env =
+let rec apply_envelope t (d : Message.data) (env : Envelope.parsed) =
   match env with
   | Envelope.Batch entries ->
       List.concat_map (fun entry -> apply_envelope t d entry) entries
@@ -321,7 +325,10 @@ let rec apply_envelope t (d : Message.data) env =
               t.stats.client_deliveries <- t.stats.client_deliveries + 1;
               (* A slow receiver parks the message; the daemon's routing
                  work (and the Deliver action's CPU charge) happens either
-                 way, so one stalled client never blocks the others. *)
+                 way, so one stalled client never blocks the others. The
+                 payload is a view into [d.payload] wherever it goes:
+                 parked or handed over, it keeps that buffer alive, never
+                 a copy of it. *)
               (match s.s_inbox with
               | Some q -> Deque.push_back q (sender, groups, d.service, payload)
               | None -> s.s_callbacks.on_message ~sender ~groups d.service payload);
@@ -347,7 +354,8 @@ let rec apply_envelope t (d : Message.data) env =
       []
 
 let handle_delivery t (d : Message.data) =
-  match Envelope.decode d.payload with
+  Codec.decoder_reset t.dec d.payload ~pos:0 ~len:(Bytes.length d.payload);
+  match Envelope.parse t.dec with
   | env -> (
       match apply_envelope t d env with
       | [] ->

@@ -41,9 +41,14 @@ type session
 
 type callbacks = {
   on_message :
-    sender:string -> groups:string list -> Types.service -> bytes -> unit;
+    sender:string -> groups:string list -> Types.service -> Codec.view -> unit;
       (** Invoked once per delivered application message addressed to a
-          group this session belongs to (multi-group sends arrive once). *)
+          group this session belongs to (multi-group sends arrive once).
+          The payload is a read-only view into the delivered frame, not a
+          copy: every recipient of one envelope is handed the same bytes.
+          Decode it in place or copy it ({!Codec.view_to_bytes}) to keep
+          a value to mutate; a held view keeps the frame's payload alive,
+          not the engine's message. *)
   on_group_view : group:string -> members:string list -> unit;
       (** Invoked when the delivered membership of a group changes, for
           each local session the delivered table names in that group;
@@ -108,7 +113,10 @@ val session_member_name : t -> session -> string
     and the client pulls them with {!pump} at whatever pace it manages.
     The daemon's routing work — and the per-delivery CPU charge the
     runtime accounts — is unchanged, so healthy sessions on the same
-    daemon observe identical delivery timing. *)
+    daemon observe identical delivery timing. The inbox parks each
+    payload as the view delivery made, not a copy; it stays valid
+    however long it waits, after the engine has dropped the message it
+    came in. *)
 
 val set_slow_receiver : t -> session -> bool -> unit
 (** [set_slow_receiver t s true] installs the inbox (idempotent);

@@ -73,6 +73,36 @@ let put_list s f l =
   put_i32 s (List.length l);
   List.iter f l
 
+(* The scratch every [encode_exact] call shares. [shared_busy] is held
+   for the whole call, so a nested call, or one from another thread,
+   writes into a private scratch instead of over a frame in progress. *)
+let shared = scratch ()
+let shared_busy = Atomic.make false
+
+(* Past this capacity the shared buffer is dropped after use, so one
+   outsized frame does not stay resident. *)
+let shared_keep = 65_536
+
+let encode_exact write x =
+  if Atomic.compare_and_set shared_busy false true then begin
+    scratch_reset shared;
+    match write shared x with
+    | () ->
+        let b = scratch_contents shared in
+        if Bytes.length shared.sbuf > shared_keep then
+          shared.sbuf <- Bytes.create 256;
+        Atomic.set shared_busy false;
+        b
+    | exception e ->
+        Atomic.set shared_busy false;
+        raise e
+  end
+  else begin
+    let s = scratch () in
+    write s x;
+    scratch_contents s
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Buffer-based encoder (reference implementation)                      *)
 
@@ -149,10 +179,15 @@ let read_i64 d =
   d.pos <- d.pos + 8;
   n
 
-let read_bytes d =
+(* The length prefix of a byte string, checked against the input left. *)
+let read_len d =
   let len = read_i32 d in
   if len < 0 then raise (Decode_error "negative byte-string length");
   need d len;
+  len
+
+let read_bytes d =
+  let len = read_len d in
   let b = Bytes.sub d.dbuf d.pos len in
   d.pos <- d.pos + len;
   b
@@ -177,3 +212,27 @@ let read_list d f =
 let expect_end d =
   if remaining d <> 0 then
     raise (Decode_error (Printf.sprintf "%d trailing bytes" (remaining d)))
+
+(* ------------------------------------------------------------------ *)
+(* Read-only views: a byte-string field left in place                   *)
+
+type view = { vbuf : bytes; vpos : int; vlen : int }
+
+let view buf ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Bytes.length buf then
+    invalid_arg "Codec.view: slice out of bounds";
+  { vbuf = buf; vpos = pos; vlen = len }
+
+let view_to_bytes v = Bytes.sub v.vbuf v.vpos v.vlen
+let view_to_string v = Bytes.sub_string v.vbuf v.vpos v.vlen
+
+let read_view d =
+  let len = read_len d in
+  let v = { vbuf = d.dbuf; vpos = d.pos; vlen = len } in
+  d.pos <- d.pos + len;
+  v
+
+let decoder_reset_view d v =
+  d.dbuf <- v.vbuf;
+  d.pos <- v.vpos;
+  d.limit <- v.vpos + v.vlen

@@ -14,7 +14,14 @@
     - the {!scratch} path — explicit-offset stores into a caller-owned,
       grow-in-place byte buffer. Once the buffer has grown to the working
       set's frame size, encoding allocates {e nothing}; this is the hot
-      path used by the pooled message codec (see {!Aring_wire.Message.Pool}). *)
+      path used by the pooled message codec (see {!Aring_wire.Message.Pool}),
+      and, through {!encode_exact}, by the application payload encoders
+      ([Aring_app.Op.encode], [Aring_daemon.Envelope.encode]), which
+      allocate only their exact-size result.
+
+    On the read side, {!read_view} leaves a byte-string field in place as
+    a read-only {!view}, so a payload nested in a frame is decoded where
+    it lies instead of being copied out first. *)
 
 exception Decode_error of string
 
@@ -59,6 +66,12 @@ val put_i32 : scratch -> int -> unit
 val put_i64 : scratch -> int -> unit
 val put_bytes : scratch -> bytes -> unit
 val put_list : scratch -> ('a -> unit) -> 'a list -> unit
+
+val encode_exact : (scratch -> 'a -> unit) -> 'a -> bytes
+(** [encode_exact write x] runs [write] on a scratch shared by every
+    call, reset first, and returns an exact-size copy of what it wrote:
+    warm, the copy is the only allocation. A nested call, or one from
+    another thread or domain, gets a private scratch instead. *)
 
 (** {2 Buffer-based reference encoder} *)
 
@@ -113,3 +126,30 @@ val read_list : decoder -> (unit -> 'a) -> 'a list
 val expect_end : decoder -> unit
 (** [expect_end d] raises {!Decode_error} unless the input was fully
     consumed — every complete message must account for all its bytes. *)
+
+(** {2 Read-only views}
+
+    A {!view} is a slice (bytes, offset, length) of a buffer another
+    value owns — typically a payload inside a delivered frame. Reading
+    one copies nothing; the view keeps its buffer alive for as long as
+    it is held. A view is read-only: nothing writes through it, and its
+    holder copies it ({!view_to_bytes}) to keep a value it may mutate. *)
+
+type view
+
+val view : bytes -> pos:int -> len:int -> view
+(** The slice [\[pos, pos+len)] of a buffer, not copied.
+    @raise Invalid_argument if the slice is out of bounds. *)
+
+val view_to_bytes : view -> bytes
+(** A fresh, mutable copy of the viewed bytes. *)
+
+val view_to_string : view -> string
+
+val read_view : decoder -> view
+(** Like {!read_bytes}, but the field is left in place: the result views
+    the decoder's buffer. *)
+
+val decoder_reset_view : decoder -> view -> unit
+(** [decoder_reset_view d v] re-points [d] at exactly the bytes of [v],
+    so a decode from it never reads past the view. *)

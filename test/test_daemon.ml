@@ -254,7 +254,8 @@ let callbacks_of client =
   {
     Daemon.on_message =
       (fun ~sender ~groups _service payload ->
-        client.inbox <- (sender, groups, Bytes.to_string payload) :: client.inbox);
+        client.inbox <-
+          (sender, groups, Codec.view_to_string payload) :: client.inbox);
     on_group_view =
       (fun ~group ~members ->
         client.group_views <- (group, members) :: client.group_views);
@@ -415,7 +416,7 @@ let logging_callbacks log =
   {
     Daemon.on_message =
       (fun ~sender ~groups:_ _service payload ->
-        log := Msg (sender, Bytes.to_string payload) :: !log);
+        log := Msg (sender, Codec.view_to_string payload) :: !log);
     on_group_view =
       (fun ~group ~members -> log := View (group, members) :: !log);
   }
@@ -1244,7 +1245,7 @@ let check_routing_model steps =
     {
       Daemon.on_message =
         (fun ~sender:_ ~groups _ payload ->
-          let p = Bytes.to_string payload in
+          let p = Codec.view_to_string payload in
           if Hashtbl.mem expected (d, p) then
             Alcotest.failf "witness %d saw %s twice" d p;
           Hashtbl.replace expected (d, p)
@@ -1271,7 +1272,7 @@ let check_routing_model steps =
       {
         Daemon.on_message =
           (fun ~sender:_ ~groups:_ _ payload ->
-            let p = Bytes.to_string payload in
+            let p = Codec.view_to_string payload in
             if is_probe p then
               Hashtbl.replace received (id, p)
                 (1 + Option.value ~default:0 (Hashtbl.find_opt received (id, p))));

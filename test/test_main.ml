@@ -14,6 +14,7 @@ let () =
       ("obs", Test_obs.suite);
       ("member", Test_member.suite);
       ("daemon", Test_daemon.suite);
+      ("payload", Test_payload.suite);
       ("baselines", Test_baselines.suite);
       ("udp", Test_udp.suite);
       ("fuzz", Test_fuzz.suite);

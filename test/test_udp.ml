@@ -98,7 +98,8 @@ let test_daemon_stack_over_udp () =
       Aring_daemon.Daemon.on_message =
         (fun ~sender ~groups:_ _service payload ->
           Mutex.lock mutex;
-          received := (tag, sender, Bytes.to_string payload) :: !received;
+          received :=
+            (tag, sender, Aring_wire.Codec.view_to_string payload) :: !received;
           Mutex.unlock mutex);
       on_group_view = (fun ~group:_ ~members:_ -> ());
     }
