@@ -1,9 +1,9 @@
 (* Hot-path allocation benchmark (`-- hotpath [quick]`): allocated bytes
    per message of the pooled codec against the Buffer-based reference
    encoder, of the KV write path's app payload (encode, and delivery to
-   a replica), and allocation and host rate of the full simulated
-   pipeline. Gated by bench/hotpath_budget.json. Schema documented in
-   EXPERIMENTS.md. *)
+   a replica), per item of the multi-ring learner merge, and allocation
+   and host rate of the full simulated pipeline. Gated by
+   bench/hotpath_budget.json. Schema documented in EXPERIMENTS.md. *)
 
 open Aring_wire
 open Aring_ring
@@ -15,6 +15,7 @@ module Daemon = Aring_daemon.Daemon
 module Envelope = Aring_daemon.Envelope
 module Kv = Aring_app.Kv
 module Op = Aring_app.Op
+module Merge = Aring_multiring.Merge
 
 let ms n = n * 1_000_000
 
@@ -80,6 +81,19 @@ let deliver_put envelope =
            (Message.Token
               { t_ring = rid; token_id = !seq / 256 * ring_size; t_round = 1;
                 t_seq = !seq; aru = !seq; aru_id = None; fcc = 0; rtr = [] }))
+
+let merge_rings = 4
+
+(* One item per ring pushed into a learner merge, then drained. *)
+let merge_push_drain () =
+  let m = Merge.create ~rings:merge_rings in
+  let items = Array.init merge_rings (fun r -> ref r) in
+  let emit _ _ = () in
+  fun () ->
+    for ring = 0 to merge_rings - 1 do
+      Merge.push_item m ~ring items.(ring)
+    done;
+    Merge.drain m emit
 
 let run ~quick =
   Printf.printf "=== Hot-path allocation benchmark%s ===\n%!"
@@ -159,6 +173,11 @@ let run ~quick =
     \  encode (op + envelope) %8.1f per put\n\
     \  deliver to a KV replica %8.1f per message\n%!"
     value_bytes app_encode app_deliver;
+  let merge_alloc =
+    alloc_per_call ~iters (merge_push_drain ()) /. float_of_int merge_rings
+  in
+  Printf.printf "merge (%d rings): push + drain %.2f bytes allocated per item\n%!"
+    merge_rings merge_alloc;
   (* Pipeline: the paper's 10G library-tier Agreed workload, run once
      untraced to measure allocation and wall rate, once with the rotation
      profiler (whose trace sink itself allocates) for rotation latency. *)
@@ -242,6 +261,12 @@ let run ~quick =
               ("encode_alloc_bytes_per_put", Json.Float app_encode);
               ("deliver_alloc_bytes_per_msg", Json.Float app_deliver);
             ] );
+        ( "merge",
+          Json.Obj
+            [
+              ("rings", Json.Int merge_rings);
+              ("push_drain_alloc_bytes_per_item", Json.Float merge_alloc);
+            ] );
       ];
     checks =
       [
@@ -249,6 +274,7 @@ let run ~quick =
         Min ("min_codec_reduction_percent", codec_reduction);
         Max ("max_app_encode_alloc_bytes_per_put", app_encode);
         Max ("max_app_deliver_alloc_bytes_per_msg", app_deliver);
+        Max ("max_merge_push_drain_alloc_bytes_per_item", merge_alloc);
       ];
     echo = [];
     conditions = [];

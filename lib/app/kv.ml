@@ -113,7 +113,14 @@ let store_size t = Hashtbl.length t.store
 let pending_sync_reads t = Hashtbl.length t.pending
 let stats t = t.stats
 let add_observer t f = t.observers <- t.observers @ [ f ]
-let observe t obs = List.iter (fun f -> f obs) t.observers
+
+let rec notify obs = function
+  | [] -> ()
+  | f :: rest ->
+      f obs;
+      notify obs rest
+
+let observe t obs = notify obs t.observers
 
 let entries t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.store []
@@ -184,7 +191,6 @@ let multicast_op ?service t op =
 
 let apply_write t op =
   t.applied_n <- t.applied_n + 1;
-  let key = Option.get (Op.write_key op) in
   let skip =
     match t.bug with
     | Bug_none -> false
@@ -192,17 +198,24 @@ let apply_write t op =
         t.bug_writes <- t.bug_writes + 1;
         t.bug_writes mod every = 0
   in
-  (match op with
-  | Op.Put { key; value } -> if not skip then Hashtbl.replace t.store key value
-  | Op.Del { key } -> if not skip then Hashtbl.remove t.store key
-  | Op.Cas { key; expect; value } ->
-      if Hashtbl.find_opt t.store key = expect then begin
-        if not skip then Hashtbl.replace t.store key value
-      end
-      else t.stats.cas_failures <- t.stats.cas_failures + 1
-  | Op.Sync_read _ | Op.Hello _ | Op.Chunk _ | Op.Mcas _ | Op.Mdecide _
-  | Op.Skip _ | Op.Mcas_table _ ->
-      assert false);
+  let key =
+    match op with
+    | Op.Put { key; value } ->
+        if not skip then Hashtbl.replace t.store key value;
+        key
+    | Op.Del { key } ->
+        if not skip then Hashtbl.remove t.store key;
+        key
+    | Op.Cas { key; expect; value } ->
+        if Hashtbl.find_opt t.store key = expect then begin
+          if not skip then Hashtbl.replace t.store key value
+        end
+        else t.stats.cas_failures <- t.stats.cas_failures + 1;
+        key
+    | Op.Sync_read _ | Op.Hello _ | Op.Chunk _ | Op.Mcas _ | Op.Mdecide _
+    | Op.Skip _ | Op.Mcas_table _ ->
+        assert false
+  in
   t.stats.ops_applied <- t.stats.ops_applied + 1;
   let value = Hashtbl.find_opt t.store key in
   observe t (Applied { index = t.applied_n; op; value });

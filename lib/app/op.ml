@@ -53,12 +53,6 @@ let is_write = function
   | Put _ | Del _ | Cas _ | Mcas _ | Mdecide _ -> true
   | Sync_read _ | Hello _ | Chunk _ | Skip _ | Mcas_table _ -> false
 
-let write_key = function
-  | Put { key; _ } | Del { key } | Cas { key; _ } -> Some key
-  | Sync_read _ | Hello _ | Chunk _ | Mcas _ | Mdecide _ | Skip _
-  | Mcas_table _ ->
-      None
-
 (* Tags. The encoding reuses the wire codec primitives but lives entirely
    inside daemon App payloads — no frame-level format change. *)
 let tag_put = 1

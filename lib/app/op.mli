@@ -95,9 +95,6 @@ val is_write : t -> bool
     replica-log delivery path (primary-gated, buffered during
     transfers). *)
 
-val write_key : t -> string option
-(** The key a write targets; [None] for non-writes. *)
-
 val encode : t -> bytes
 (** Exact-size encoding, written through the shared scratch
     ({!Aring_wire.Codec.encode_exact}). *)

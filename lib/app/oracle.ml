@@ -54,12 +54,18 @@ let violation t ~node kind fmt =
     fmt
 
 let shadow_of t node =
-  match Hashtbl.find_opt t.shadows node with
-  | Some s -> s
-  | None ->
+  match Hashtbl.find t.shadows node with
+  | s -> s
+  | exception Not_found ->
       let s = { sh_store = Hashtbl.create 64; sh_index = 0; sh_token = 0 } in
       Hashtbl.replace t.shadows node s;
       s
+
+(* [Hashtbl.find_opt store key = v] without building the option. *)
+let holds store key v =
+  match Hashtbl.find store key with
+  | x -> ( match v with Some y -> String.equal x y | None -> false)
+  | exception Not_found -> Option.is_none v
 
 let str_opt = function None -> "absent" | Some v -> Printf.sprintf "%S" v
 
@@ -71,22 +77,28 @@ let observe t ~node (obs : Kv.observation) =
         violation t ~node Apply_gap "apply index %d after shadow index %d"
           index sh.sh_index;
       sh.sh_index <- index;
-      (match op with
-      | Op.Put { key; value } -> Hashtbl.replace sh.sh_store key value
-      | Op.Del { key } -> Hashtbl.remove sh.sh_store key
-      | Op.Cas { key; expect; value } ->
-          if Hashtbl.find_opt sh.sh_store key = expect then
-            Hashtbl.replace sh.sh_store key value
-      | Op.Sync_read _ | Op.Hello _ | Op.Chunk _ | Op.Mcas _ | Op.Mdecide _
-      | Op.Skip _ | Op.Mcas_table _ ->
-          ());
-      let key = Option.value ~default:"" (Op.write_key op) in
-      let expected = Hashtbl.find_opt sh.sh_store key in
-      if expected <> value then begin
+      let key =
+        match op with
+        | Op.Put { key; value } ->
+            Hashtbl.replace sh.sh_store key value;
+            key
+        | Op.Del { key } ->
+            Hashtbl.remove sh.sh_store key;
+            key
+        | Op.Cas { key; expect; value } ->
+            if holds sh.sh_store key expect then
+              Hashtbl.replace sh.sh_store key value;
+            key
+        | Op.Sync_read _ | Op.Hello _ | Op.Chunk _ | Op.Mcas _ | Op.Mdecide _
+        | Op.Skip _ | Op.Mcas_table _ ->
+            ""
+      in
+      if not (holds sh.sh_store key value) then begin
         violation t ~node Stale_state
           "apply %d (%s): store has %s, shadow expects %s" index
           (Format.asprintf "%a" Op.pp op)
-          (str_opt value) (str_opt expected);
+          (str_opt value)
+          (str_opt (Hashtbl.find_opt sh.sh_store key));
         (* Adopt the reported value so one bug is one violation, not a
            cascade on every later touch of the key. *)
         match value with

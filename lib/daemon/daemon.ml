@@ -393,18 +393,24 @@ let handle_view t (v : Participant.view) =
   end;
   match t.on_view with None -> () | Some f -> f v
 
-let transform_actions t actions =
-  List.concat_map
-    (fun action ->
+(* One pass in list order (deliveries and views have effects), one cons
+   per action kept. *)
+let rec transform_actions t actions =
+  match actions with
+  | [] -> []
+  | action :: rest -> (
       match action with
-      | Participant.Deliver d -> handle_delivery t d
+      | Participant.Deliver d -> (
+          let delivered = handle_delivery t d in
+          match transform_actions t rest with
+          | [] -> delivered
+          | rest -> delivered @ rest)
       | Participant.Deliver_config v ->
           handle_view t v;
-          [ action ]
+          action :: transform_actions t rest
       | Participant.Unicast _ | Participant.Multicast _
       | Participant.Arm_timer _ | Participant.Token_loss_detected ->
-          [ action ])
-    actions
+          action :: transform_actions t rest)
 
 let participant t : Participant.t =
   let inner = Member.participant t.member in

@@ -43,6 +43,8 @@ type t = {
   kvs : Kv.t array;
   oracles : Oracle.t array;  (* per ring *)
   merges : merged_item Merge.t array;  (* per physical node *)
+  emitters : (int -> merged_item -> unit) array;
+      (* per physical node: {!Merge.drain}'s callback, built once *)
   mutable merged_cbs : (node:int -> ring:int -> merged_item -> unit) list;
   registry : (string, mcas_reg) Hashtbl.t;
   decisions : (string, (int * int * bool) list ref) Hashtbl.t;
@@ -185,35 +187,38 @@ let note_decision t ~node ~ring ~id commit =
   in
   l := (node, ring, commit) :: !l
 
-let drain_merge t ~node =
+let rec notify_merged ~node ~ring it = function
+  | [] -> ()
+  | f :: rest ->
+      f ~node ~ring it;
+      notify_merged ~node ~ring it rest
+
+(* Node [node]'s emitter: what each merged element at that node does. A
+   closure of exactly two arguments, so {!Merge.drain} applies it whole. *)
+let emitter t node =
   let m = t.merges.(node) in
-  let rec go () =
-    match Merge.pop m with
-    | None -> ()
-    | Some (ring, it) ->
-        Flight.record ~node:(pid t ~ring ~node) ~code:Flight.ev_merge ~a:ring
-          ~b:(Merge.emitted m) ~c:0 ~d:0;
-        List.iter (fun f -> f ~node ~ring it) t.merged_cbs;
-        go ()
-  in
-  go ()
+  fun ring it ->
+    Flight.record ~node:(pid t ~ring ~node) ~code:Flight.ev_merge ~a:ring
+      ~b:(Merge.emitted m) ~c:0 ~d:0;
+    notify_merged ~node ~ring it t.merged_cbs
+
+let drain_merge t ~node = Merge.drain t.merges.(node) t.emitters.(node)
 
 let observe t ~node ~ring (obs : Kv.observation) =
   t.last_activity.(pid t ~ring ~node) <- Netsim.now t.sim;
   match obs with
   | Kv.Applied { index; op; value } ->
-      Merge.push t.merges.(node) ~ring
-        (Merge.Item
-           {
-             mi_ring = ring;
-             mi_index = index;
-             mi_op = op;
-             mi_value = value;
-             mi_applied_at = Netsim.now t.sim;
-           });
+      Merge.push_item t.merges.(node) ~ring
+        {
+          mi_ring = ring;
+          mi_index = index;
+          mi_op = op;
+          mi_value = value;
+          mi_applied_at = Netsim.now t.sim;
+        };
       drain_merge t ~node
   | Kv.Skipped { credits } ->
-      Merge.push t.merges.(node) ~ring (Merge.Skip credits);
+      Merge.push_skip t.merges.(node) ~ring credits;
       drain_merge t ~node
   | Kv.Voted { id; rings; parts; _ } ->
       register t ~node ~id ~parts rings;
@@ -314,6 +319,7 @@ let create ?(params = Kv_scenario.snappy_params ()) ?(net = Profile.gigabit)
       kvs;
       oracles;
       merges = Array.init nodes (fun _ -> Merge.create ~rings);
+      emitters = Array.make nodes (fun _ _ -> ());
       merged_cbs = [];
       registry = Hashtbl.create 64;
       decisions = Hashtbl.create 64;
@@ -326,6 +332,7 @@ let create ?(params = Kv_scenario.snappy_params ()) ?(net = Profile.gigabit)
       mcas_retries = 0;
     }
   in
+  Array.iteri (fun node _ -> t.emitters.(node) <- emitter t node) t.emitters;
   Array.iteri
     (fun p kv ->
       let ring = p / nodes and node = p mod nodes in

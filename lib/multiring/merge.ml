@@ -1,15 +1,15 @@
 (* Deterministic round-robin learner merge over M ring streams.
 
-   Each ring feeds the merge a FIFO sequence of [Item]s (its agreed
-   deliveries) and [Skip]s (liveness hints from idle periods). The merge
+   Each ring feeds the merge a FIFO sequence of items (its agreed
+   deliveries) and skips (liveness hints from idle periods). The merge
    holds a cursor and visits rings strictly round-robin; at each visit
    the front of the cursor ring's sequence decides what happens:
 
-   - [Item x]: emit [(ring, x)] and advance the cursor;
-   - [Skip k] (one unit per visit): cede this turn, leave [k - 1] units
-     at the front, advance the cursor;
-   - empty queue with no front credit: the merge blocks (returns [None])
-     until that ring supplies an item or a skip.
+   - an item: emit [(ring, x)] and advance the cursor;
+   - a skip block of [k] units: cede this turn, leave [k - 1] units at
+     the front, advance the cursor;
+   - nothing: the merge blocks until that ring supplies an item or a
+     skip.
 
    Consuming skip credits strictly in queue position — never folding
    them past items pushed later — is what makes the merged order a pure
@@ -17,98 +17,161 @@
    pops interleave in real time, the same per-ring sequences produce the
    same output. An idle ring keeps the merge live by emitting skips; a
    ring that is idle *and* silent correctly stalls it (the learner has
-   no way to know that ring won't deliver something that sorts next). *)
+   no way to know that ring won't deliver something that sorts next).
+
+   Each ring's sequence lives in one lane: a circular buffer of cells
+   that doubles when full, so a steady push/drain allocates nothing. A
+   cell is an item slot plus an [int] kind — 0 for an item, k > 0 for a
+   skip block with k units left. Skip cells and taken cells hold
+   [empty], so the merge never keeps an emitted item alive. *)
 
 type 'a input = Item of 'a | Skip of int
 
-type 'a cell = C_item of 'a | C_skip of int
+type 'a lane = {
+  mutable slots : 'a array;  (* the item of each item cell, else [empty] *)
+  mutable kinds : int array;  (* 0 = item, k > 0 = skip units left *)
+  mutable head : int;
+  mutable len : int;
+  mutable items : int;  (* item cells in the lane *)
+  mutable credits : int;  (* skip units in the lane *)
+}
 
 type 'a t = {
-  rings : int;
-  queues : 'a cell Queue.t array;
-  (* Units remaining of a partially-consumed skip at the front of each
-     ring's sequence — kept outside the queue so consuming one unit per
-     visit is O(1). *)
-  front_credit : int array;
-  items : int array;  (* count of C_item cells per ring, for blocked-check *)
-  credits : int array;  (* unconsumed skip units per ring, incl. front *)
+  lanes : 'a lane array;
+  mutable held : int;  (* item cells over all lanes *)
   mutable cursor : int;
   mutable emitted : int;
   mutable credits_spent : int;
 }
 
+(* The filler of every slot that holds no item. An immediate, so it is
+   never scanned and keeps nothing alive; it is never returned. *)
+let empty () : 'a = Obj.magic 0
+
+let initial_cells = 16
+
 let create ~rings =
   if rings < 1 then invalid_arg "Merge.create: rings < 1";
   {
-    rings;
-    queues = Array.init rings (fun _ -> Queue.create ());
-    front_credit = Array.make rings 0;
-    items = Array.make rings 0;
-    credits = Array.make rings 0;
+    lanes =
+      Array.init rings (fun _ ->
+          {
+            slots = Array.make initial_cells (empty ());
+            kinds = Array.make initial_cells 0;
+            head = 0;
+            len = 0;
+            items = 0;
+            credits = 0;
+          });
+    held = 0;
     cursor = 0;
     emitted = 0;
     credits_spent = 0;
   }
 
-let rings t = t.rings
+let rings t = Array.length t.lanes
 let emitted t = t.emitted
 let credits_spent t = t.credits_spent
-let pending t ~ring = t.items.(ring)
-let unspent_credits t ~ring = t.credits.(ring)
+let pending t ~ring = t.lanes.(ring).items
+let unspent_credits t ~ring = t.lanes.(ring).credits
 
-let push t ~ring input =
-  if ring < 0 || ring >= t.rings then invalid_arg "Merge.push: ring";
-  match input with
-  | Item x ->
-      Queue.push (C_item x) t.queues.(ring);
-      t.items.(ring) <- t.items.(ring) + 1
-  | Skip k ->
-      if k > 0 then begin
-        Queue.push (C_skip k) t.queues.(ring);
-        t.credits.(ring) <- t.credits.(ring) + k
-      end
+let lane t ring =
+  if ring < 0 || ring >= Array.length t.lanes then invalid_arg "Merge.push: ring";
+  t.lanes.(ring)
 
-(* True iff some ring holds an item — i.e. burning credits can reach an
-   emission. Without this check an all-idle merge would eat its credits
-   emitting nothing. *)
-let has_item t =
-  let rec go r = r < t.rings && (t.items.(r) > 0 || go (r + 1)) in
-  go 0
+(* Double a full lane, unwrapping its cells to start at index 0. *)
+let grow l =
+  let cap = Array.length l.kinds in
+  let slots = Array.make (2 * cap) (empty ()) and kinds = Array.make (2 * cap) 0 in
+  for i = 0 to l.len - 1 do
+    let j = (l.head + i) land (cap - 1) in
+    slots.(i) <- l.slots.(j);
+    kinds.(i) <- l.kinds.(j)
+  done;
+  l.slots <- slots;
+  l.kinds <- kinds;
+  l.head <- 0
+
+(* Index of a new cell at the back of [l]. *)
+let append l =
+  if l.len = Array.length l.kinds then grow l;
+  let i = (l.head + l.len) land (Array.length l.kinds - 1) in
+  l.len <- l.len + 1;
+  i
+
+let drop_front l =
+  l.head <- (l.head + 1) land (Array.length l.kinds - 1);
+  l.len <- l.len - 1
+
+let push_item t ~ring x =
+  let l = lane t ring in
+  let i = append l in
+  l.slots.(i) <- x;
+  l.kinds.(i) <- 0;
+  l.items <- l.items + 1;
+  t.held <- t.held + 1
+
+let push_skip t ~ring k =
+  let l = lane t ring in
+  if k > 0 then begin
+    let i = append l in
+    l.kinds.(i) <- k;
+    l.credits <- l.credits + k
+  end
+
+let push t ~ring = function
+  | Item x -> push_item t ~ring x
+  | Skip k -> push_skip t ~ring k
+
+let advance t = t.cursor <- (t.cursor + 1) mod Array.length t.lanes
+
+(* Visit rings from the cursor, spending one skip unit per visit, until
+   the cursor ring's front is an item (its ring) or the cursor ring is
+   empty (-1: blocked). Callers first check that some ring holds an
+   item: without that an all-idle merge would eat its credits emitting
+   nothing. *)
+let rec visit t =
+  let r = t.cursor in
+  let l = t.lanes.(r) in
+  if l.len = 0 then -1
+  else
+    let k = l.kinds.(l.head) in
+    if k = 0 then r
+    else begin
+      if k = 1 then drop_front l else l.kinds.(l.head) <- k - 1;
+      l.credits <- l.credits - 1;
+      t.credits_spent <- t.credits_spent + 1;
+      advance t;
+      visit t
+    end
+
+(* Emit the item at the front of ring [r]'s lane, clearing its slot. *)
+let take t r =
+  let l = t.lanes.(r) in
+  let x = l.slots.(l.head) in
+  l.slots.(l.head) <- empty ();
+  drop_front l;
+  l.items <- l.items - 1;
+  t.held <- t.held - 1;
+  t.emitted <- t.emitted + 1;
+  advance t;
+  x
+
+let rec drain t f =
+  if t.held > 0 then
+    let r = visit t in
+    if r >= 0 then begin
+      f r (take t r);
+      drain t f
+    end
 
 let pop t =
-  if not (has_item t) then None
+  if t.held = 0 then None
   else
-    let rec visit () =
-      let r = t.cursor in
-      if t.front_credit.(r) > 0 then begin
-        t.front_credit.(r) <- t.front_credit.(r) - 1;
-        t.credits.(r) <- t.credits.(r) - 1;
-        t.credits_spent <- t.credits_spent + 1;
-        t.cursor <- (r + 1) mod t.rings;
-        visit ()
-      end
-      else
-        match Queue.peek_opt t.queues.(r) with
-        | Some (C_skip k) ->
-            ignore (Queue.pop t.queues.(r));
-            (* Consume one unit now; the rest waits at the front. *)
-            t.front_credit.(r) <- k - 1;
-            t.credits.(r) <- t.credits.(r) - 1;
-            t.credits_spent <- t.credits_spent + 1;
-            t.cursor <- (r + 1) mod t.rings;
-            visit ()
-        | Some (C_item x) ->
-            ignore (Queue.pop t.queues.(r));
-            t.items.(r) <- t.items.(r) - 1;
-            t.cursor <- (r + 1) mod t.rings;
-            t.emitted <- t.emitted + 1;
-            Some (r, x)
-        | None -> None  (* blocked on ring r *)
-    in
-    visit ()
+    let r = visit t in
+    if r < 0 then None else Some (r, take t r)
 
 let pop_all t =
-  let rec go acc =
-    match pop t with None -> List.rev acc | Some e -> go (e :: acc)
-  in
-  go []
+  let out = ref [] in
+  drain t (fun r x -> out := (r, x) :: !out);
+  List.rev !out

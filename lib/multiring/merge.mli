@@ -2,19 +2,25 @@
     (Multi-Ring Paxos, with Ring-Paxos-style skips).
 
     A learner subscribed to several rings feeds each ring's agreed
-    deliveries ([Item]) and idle-period liveness hints ([Skip]) into one
-    {!t}; {!pop} emits the merged total order. The merge visits rings
-    strictly round-robin: the cursor ring's front element either emits
-    (an item), cedes the turn (one unit of a skip), or blocks the merge
-    (nothing there — the ring must speak before anything can sort after
-    its silence).
+    deliveries ({!push_item}) and idle-period liveness hints
+    ({!push_skip}) into one {!t}; {!drain} emits the merged total order.
+    The merge visits rings strictly round-robin: the cursor ring's front
+    element either emits (an item), cedes the turn (one unit of a skip),
+    or blocks the merge (nothing there — the ring must speak before
+    anything can sort after its silence).
 
     The merged order is a {e pure function of the per-ring input
     sequences}: skip units are consumed in queue position, never folded
     past items pushed later, so any real-time interleaving of pushes and
     pops yields the same output (the property [test/test_multiring.ml]
     checks by qcheck). With one ring the merge is the identity stream —
-    skips are transparent. *)
+    skips are transparent.
+
+    Each ring's sequence is held in one lane, a circular buffer that
+    doubles when full: once the lanes have grown to the backlog,
+    {!push_item}, {!push_skip} and {!drain} allocate nothing. A taken
+    slot keeps nothing alive — an emitted item is reachable only through
+    what the caller kept of it. *)
 
 type 'a input =
   | Item of 'a  (** One agreed delivery of the ring. *)
@@ -27,8 +33,23 @@ type 'a t
 val create : rings:int -> 'a t
 (** @raise Invalid_argument if [rings < 1]. *)
 
+val push_item : 'a t -> ring:int -> 'a -> unit
+(** Append an item to ring [ring]'s input sequence (FIFO).
+    @raise Invalid_argument if [ring] is out of range. *)
+
+val push_skip : 'a t -> ring:int -> int -> unit
+(** [push_skip t ~ring k] appends a skip block ceding ring [ring]'s next
+    [k] merge turns; [k <= 0] is dropped.
+    @raise Invalid_argument if [ring] is out of range. *)
+
+val drain : 'a t -> (int -> 'a -> unit) -> unit
+(** [drain t f] calls [f ring x] for each element of the merged order
+    the merge can reach, in order, and returns when it is blocked (see
+    {!pop}). [f] may push into [t]; the element is taken before [f]
+    runs, and the drain goes on with whatever [f] pushed. *)
+
 val push : 'a t -> ring:int -> 'a input -> unit
-(** Append to ring [ring]'s input sequence (FIFO). *)
+(** {!push_item} or {!push_skip}. *)
 
 val pop : 'a t -> (int * 'a) option
 (** Next element of the merged order, or [None] if the merge is blocked:
@@ -37,7 +58,7 @@ val pop : 'a t -> (int * 'a) option
     final — push more and pop again. *)
 
 val pop_all : 'a t -> (int * 'a) list
-(** Drain until blocked. *)
+(** {!drain} into a list. *)
 
 val rings : 'a t -> int
 

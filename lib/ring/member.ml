@@ -210,26 +210,37 @@ let missing_from_exchange t (r : recover) holds =
 (* ------------------------------------------------------------------ *)
 (* Node action post-processing                                         *)
 
+(* True iff [actions] holds an action the member must rewrap. *)
+let rec node_control = function
+  | [] -> false
+  | (Participant.Arm_timer _ | Participant.Token_loss_detected) :: _ -> true
+  | ( Participant.Unicast _ | Participant.Multicast _ | Participant.Deliver _
+    | Participant.Deliver_config _ )
+    :: rest ->
+      node_control rest
+
 (* Tag node-armed timers with the current epoch so that timers armed by a
    torn-down configuration cannot fire into its successor (engine timer
-   generations restart from zero in each new engine). *)
+   generations restart from zero in each new engine). A list of sends and
+   deliveries only — every data-path delivery — is returned as it is. *)
 let rec rewrap_node_actions t actions =
-  (* Direct recursion: one cons per action — the seed's [List.concat_map]
-     built a closure plus a singleton list for every action on the hot
-     token/data path. *)
+  if node_control actions then rewrap_each t actions else actions
+
+(* Direct recursion: one cons per action. *)
+and rewrap_each t actions =
   match actions with
   | [] -> []
   | action :: rest -> (
       match action with
       | Participant.Arm_timer (timer, delay) ->
           Participant.Arm_timer (Epoch_timer (t.node_epoch, timer), delay)
-          :: rewrap_node_actions t rest
+          :: rewrap_each t rest
       | Participant.Token_loss_detected ->
           let gather = enter_gather t in
-          gather @ rewrap_node_actions t rest
+          gather @ rewrap_each t rest
       | Participant.Unicast _ | Participant.Multicast _
       | Participant.Deliver _ | Participant.Deliver_config _ ->
-          action :: rewrap_node_actions t rest)
+          action :: rewrap_each t rest)
 
 (* ------------------------------------------------------------------ *)
 (* Gather                                                              *)

@@ -189,6 +189,204 @@ let test_merge_skip_queue_position () =
   check Alcotest.bool "a1 emits after the credit runs out" true
     (Merge.pop m = Some (0, "a1"))
 
+(* ---------------- merge: lanes against a queue model ---------------- *)
+
+(* The merge as it was built on [Queue]: one cell per input, a skip's
+   remaining units held beside the queue. Kept here only to pin the lane
+   implementation to the same outputs and counters. *)
+module Queue_model = struct
+  type 'a cell = C_item of 'a | C_skip of int
+
+  type 'a t = {
+    queues : 'a cell Queue.t array;
+    front_credit : int array;
+    items : int array;
+    credits : int array;  (* including the front's remaining units *)
+    mutable cursor : int;
+    mutable emitted : int;
+    mutable credits_spent : int;
+  }
+
+  let create rings =
+    {
+      queues = Array.init rings (fun _ -> Queue.create ());
+      front_credit = Array.make rings 0;
+      items = Array.make rings 0;
+      credits = Array.make rings 0;
+      cursor = 0;
+      emitted = 0;
+      credits_spent = 0;
+    }
+
+  let push t r = function
+    | Merge.Item x ->
+        Queue.push (C_item x) t.queues.(r);
+        t.items.(r) <- t.items.(r) + 1
+    | Merge.Skip k ->
+        if k > 0 then begin
+          Queue.push (C_skip k) t.queues.(r);
+          t.credits.(r) <- t.credits.(r) + k
+        end
+
+  let spend t r =
+    t.credits.(r) <- t.credits.(r) - 1;
+    t.credits_spent <- t.credits_spent + 1;
+    t.cursor <- (r + 1) mod Array.length t.queues
+
+  let rec visit t =
+    let r = t.cursor in
+    if t.front_credit.(r) > 0 then begin
+      t.front_credit.(r) <- t.front_credit.(r) - 1;
+      spend t r;
+      visit t
+    end
+    else
+      match Queue.take_opt t.queues.(r) with
+      | Some (C_skip k) ->
+          t.front_credit.(r) <- k - 1;
+          spend t r;
+          visit t
+      | Some (C_item x) ->
+          t.items.(r) <- t.items.(r) - 1;
+          t.cursor <- (r + 1) mod Array.length t.queues;
+          t.emitted <- t.emitted + 1;
+          Some (r, x)
+      | None -> None
+
+  let pop t = if Array.for_all (( = ) 0) t.items then None else visit t
+end
+
+type merge_step = Push of int * [ `Item | `Skip of int ] | Drain | Pop | Pop_all
+
+(* Long runs of pushes (a silent ring lets the others pile up past a
+   lane's 16 initial cells while their heads have moved), skips of every
+   sign, and the three ways to take output. *)
+let gen_merge_steps =
+  QCheck.Gen.(
+    let* rings = int_range 1 4 in
+    let push =
+      let* r = int_bound (rings - 1) in
+      let+ input =
+        frequency [ (4, return `Item); (1, map (fun k -> `Skip k) (int_range (-2) 6)) ]
+      in
+      Push (r, input)
+    in
+    let+ steps =
+      list_size (int_range 0 400)
+        (frequency
+           [ (24, push); (1, return Drain); (1, return Pop); (1, return Pop_all) ])
+    in
+    (rings, steps))
+
+let arb_merge_steps =
+  QCheck.make
+    ~print:(fun (rings, steps) ->
+      Printf.sprintf "rings=%d [%s]" rings
+        (String.concat " "
+           (List.map
+              (function
+                | Push (r, `Item) -> Printf.sprintf "I%d" r
+                | Push (r, `Skip k) -> Printf.sprintf "S%d:%d" r k
+                | Drain -> "D"
+                | Pop -> "P"
+                | Pop_all -> "A")
+              steps)))
+    gen_merge_steps
+
+let rec model_pop_all m =
+  match Queue_model.pop m with None -> [] | Some e -> e :: model_pop_all m
+
+let prop_merge_matches_queue_model =
+  QCheck.Test.make ~name:"merge lanes match the queue model" ~count:500
+    arb_merge_steps (fun (rings, steps) ->
+      let m = Merge.create ~rings and q = Queue_model.create rings in
+      let next = ref 0 in
+      let same_counters () =
+        Merge.emitted m = q.emitted
+        && Merge.credits_spent m = q.credits_spent
+        && List.for_all
+             (fun r ->
+               Merge.pending m ~ring:r = q.items.(r)
+               && Merge.unspent_credits m ~ring:r = q.credits.(r))
+             (List.init rings Fun.id)
+      in
+      List.for_all
+        (fun step ->
+          let same_output =
+            match step with
+            | Push (ring, `Item) ->
+                incr next;
+                Merge.push_item m ~ring !next;
+                Queue_model.push q ring (Merge.Item !next);
+                true
+            | Push (ring, `Skip k) ->
+                Merge.push_skip m ~ring k;
+                Queue_model.push q ring (Merge.Skip k);
+                true
+            | Drain ->
+                let out = ref [] in
+                Merge.drain m (fun r x -> out := (r, x) :: !out);
+                List.rev !out = model_pop_all q
+            | Pop -> Merge.pop m = Queue_model.pop q
+            | Pop_all -> Merge.pop_all m = model_pop_all q
+          in
+          same_output && same_counters ())
+        (steps @ [ Drain ]))
+
+(* Push [n] fresh boxed items round-robin over the rings, recording each
+   in [w]; nothing here outlives the call but the merge's own cells. *)
+let[@inline never] push_tracked m w n =
+  for i = 0 to n - 1 do
+    let x = ref i in
+    Weak.set w i (Some x);
+    Merge.push_item m ~ring:(i mod Merge.rings m) x;
+    if i mod 1_000 = 999 then Merge.drain m (fun _ _ -> ())
+  done
+
+(* A taken slot keeps nothing alive: every drained item is collectable
+   while the merge itself is still live. *)
+let test_merge_drained_items_collectable () =
+  let n = 10_000 in
+  let m = Merge.create ~rings:4 and w = Weak.create n in
+  push_tracked m w n;
+  Merge.drain m (fun _ _ -> ());
+  Gc.full_major ();
+  let alive = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check w i then incr alive
+  done;
+  check Alcotest.int "items emitted" n (Merge.emitted m);
+  check Alcotest.int "items still reachable after drain" 0 !alive
+
+(* Once the lanes have grown, steady-state push + drain allocates
+   nothing per item. *)
+let test_merge_push_drain_allocation_free () =
+  let rings = 4 in
+  let m = Merge.create ~rings in
+  let items = Array.init rings (fun r -> ref r) in
+  let seen = ref 0 in
+  let f _ _ = incr seen in
+  let burst () =
+    for _ = 1 to 8 do
+      for ring = 0 to rings - 1 do
+        Merge.push_item m ~ring items.(ring)
+      done
+    done;
+    Merge.drain m f
+  in
+  for _ = 1 to 100 do
+    burst ()
+  done;
+  let bursts = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to bursts do
+    burst ()
+  done;
+  let words = Gc.minor_words () -. before in
+  check Alcotest.int "items emitted" ((100 + bursts) * 8 * rings) !seen;
+  check Alcotest.int "words allocated by 320k items pushed and drained" 0
+    (int_of_float words)
+
 (* ---------------- cluster: end-to-end ---------------- *)
 
 let drive ?(deadline = ms 3_000) ?(settle_after = ms 200) cluster =
@@ -530,6 +728,13 @@ let suite =
     qtest prop_merge_single_ring_identity;
     ("merge blocks on silent ring", `Quick, test_merge_blocks_on_silent_ring);
     ("merge skips keep queue position", `Quick, test_merge_skip_queue_position);
+    qtest prop_merge_matches_queue_model;
+    ( "merge keeps no drained item alive",
+      `Quick,
+      test_merge_drained_items_collectable );
+    ( "merge push and drain allocate nothing",
+      `Quick,
+      test_merge_push_drain_allocation_free );
     ("cluster smoke: identical merged streams", `Quick, test_cluster_smoke);
     ("one ring gets no skip generators", `Quick, test_one_ring_no_skips);
     ("mcas commit and abort", `Quick, test_cluster_mcas_commit_and_abort);
