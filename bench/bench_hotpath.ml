@@ -1,9 +1,11 @@
 (* Hot-path allocation benchmark (`-- hotpath [quick]`): allocated bytes
    per message of the pooled codec against the Buffer-based reference
    encoder, of the KV write path's app payload (encode, and delivery to
-   a replica), per item of the multi-ring learner merge, and allocation
-   and host rate of the full simulated pipeline. Gated by
-   bench/hotpath_budget.json. Schema documented in EXPERIMENTS.md. *)
+   a replica), per item of the multi-ring learner merge, per call of the
+   shared host primitives (FNV-1a, the PRNG, histogram and sample
+   accumulators), and allocation and host rate of the full simulated
+   pipeline. Gated by bench/hotpath_budget.json. Schema documented in
+   EXPERIMENTS.md. *)
 
 open Aring_wire
 open Aring_ring
@@ -16,6 +18,9 @@ module Envelope = Aring_daemon.Envelope
 module Kv = Aring_app.Kv
 module Op = Aring_app.Op
 module Merge = Aring_multiring.Merge
+module Fnv = Aring_util.Fnv
+module Prng = Aring_util.Prng
+module Metrics = Aring_obs.Metrics
 
 let ms n = n * 1_000_000
 
@@ -94,6 +99,37 @@ let merge_push_drain () =
       Merge.push_item m ~ring items.(ring)
     done;
     Merge.drain m emit
+
+(* Host primitives. FNV-1a over a 64 KiB string, reported per KiB (the
+   boxed result is the call's one allocation). The histogram uses
+   bench/e2e's 1,850-bucket latency ladder, the deepest search in the
+   tree. Samples are float constants, so no caller boxing is counted. *)
+let fnv_kib = 64
+
+let fnv_hash () =
+  let s = String.init (fnv_kib * 1024) (fun i -> Char.chr (i land 255)) in
+  fun () -> ignore (Fnv.string Fnv.offset s)
+
+let prng_int () =
+  let p = Prng.create ~seed:21L in
+  fun () -> ignore (Prng.int p 1000)
+
+let ladder_buckets = 1_850
+
+let histogram_observe () =
+  let bounds = Metrics.exponential_bounds ~lo:0.1 ~factor:1.01 ~count:ladder_buckets in
+  let h = Metrics.histogram ~bounds (Metrics.create ()) "bench.latency_us" in
+  fun () -> Metrics.observe h 250.0
+
+(* Minor-heap bytes per [Stats.add]: past 256 samples the sample array
+   grows in the major heap, amortised over the samples it keeps, so the
+   minor heap sees only what [add] itself allocates per call. *)
+let stats_add_minor_bytes ~iters =
+  let st = Stats.create () in
+  for _ = 1 to 1_000 do Stats.add st 250.0 done;
+  let before = Gc.minor_words () in
+  for _ = 1 to iters do Stats.add st 250.0 done;
+  (Gc.minor_words () -. before) *. float_of_int (Sys.word_size / 8) /. float_of_int iters
 
 let run ~quick =
   Printf.printf "=== Hot-path allocation benchmark%s ===\n%!"
@@ -178,6 +214,15 @@ let run ~quick =
   in
   Printf.printf "merge (%d rings): push + drain %.2f bytes allocated per item\n%!"
     merge_rings merge_alloc;
+  let fnv_alloc = alloc_per_call ~iters:(iters / 100) (fnv_hash ()) /. float_of_int fnv_kib in
+  let prng_alloc = alloc_per_call ~iters (prng_int ()) in
+  let observe_alloc = alloc_per_call ~iters (histogram_observe ()) in
+  let stats_alloc = stats_add_minor_bytes ~iters in
+  Printf.printf
+    "primitives (bytes allocated):\n\
+    \  fnv-1a %8.2f per KiB hashed   prng int %8.2f per draw\n\
+    \  histogram observe %8.2f   stats add %8.2f\n%!"
+    fnv_alloc prng_alloc observe_alloc stats_alloc;
   (* Pipeline: the paper's 10G library-tier Agreed workload, run once
      untraced to measure allocation and wall rate, once with the rotation
      profiler (whose trace sink itself allocates) for rotation latency. *)
@@ -267,6 +312,16 @@ let run ~quick =
               ("rings", Json.Int merge_rings);
               ("push_drain_alloc_bytes_per_item", Json.Float merge_alloc);
             ] );
+        ( "primitives",
+          Json.Obj
+            [
+              ("fnv_input_kib", Json.Int fnv_kib);
+              ("fnv_alloc_bytes_per_kib", Json.Float fnv_alloc);
+              ("prng_int_alloc_bytes_per_draw", Json.Float prng_alloc);
+              ("histogram_buckets", Json.Int ladder_buckets);
+              ("histogram_observe_alloc_bytes", Json.Float observe_alloc);
+              ("stats_add_alloc_bytes", Json.Float stats_alloc);
+            ] );
       ];
     checks =
       [
@@ -275,6 +330,10 @@ let run ~quick =
         Max ("max_app_encode_alloc_bytes_per_put", app_encode);
         Max ("max_app_deliver_alloc_bytes_per_msg", app_deliver);
         Max ("max_merge_push_drain_alloc_bytes_per_item", merge_alloc);
+        Max ("max_fnv_alloc_bytes_per_kib", fnv_alloc);
+        Max ("max_prng_int_alloc_bytes_per_draw", prng_alloc);
+        Max ("max_histogram_observe_alloc_bytes", observe_alloc);
+        Max ("max_stats_add_alloc_bytes", stats_alloc);
       ];
     echo = [];
     conditions = [];

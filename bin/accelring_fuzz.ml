@@ -3,9 +3,10 @@
    Generates random fault schedules from a campaign seed, runs each on the
    discrete-event simulator with the EVS invariant checker attached, and
    on the first failure shrinks the schedule to a minimal reproducer.
-   Output for a fixed seed is byte-for-byte reproducible (no wall-clock
-   content); --time-budget can only cut a campaign short between trials,
-   never change what an executed trial does. *)
+   Standard output for a fixed seed is byte-for-byte reproducible (no
+   wall-clock content; the campaign's trials/s goes to stderr);
+   --time-budget can only cut a campaign short between trials, never
+   change what an executed trial does. *)
 
 open Aring_fuzz
 
@@ -113,11 +114,16 @@ let run trials seed max_nodes rings bug_name adaptive app_name shrink
           log;
         }
       in
+      let t0 = Unix.gettimeofday () in
       let report = Fuzzer.run_campaign cfg in
       (match report.Fuzzer.failure with
       | None ->
-          Printf.printf "campaign seed=%d: %d trials, no failures\n" seed
+          let wall_s = Unix.gettimeofday () -. t0 in
+          Printf.printf "campaign seed=%d: %d trials, no failures\n%!" seed
             report.Fuzzer.trials_run;
+          Printf.eprintf "campaign rate: %d trials in %.1f s wall, %.1f trials/s\n%!"
+            report.Fuzzer.trials_run wall_s
+            (float_of_int report.Fuzzer.trials_run /. Float.max wall_s 1e-9);
           exit 0
       | Some t ->
           let reproducer =

@@ -83,19 +83,22 @@ let install_partition sim n (p : partition) =
       now >= p.part_at_ns && now < p.heal_at_ns
       && inside.(src mod n) <> inside.(dst mod n))
 
+(* Cheapest check first: a digest hashes the whole store, so each
+   replica is hashed at most once, and only once every replica is
+   settled, synced and at the same applied count. *)
 let kv_converged kvs =
-  let n = Array.length kvs in
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    if not (Kv.settled kvs.(i) && Kv.synced kvs.(i)) then ok := false
-  done;
-  for i = 1 to n - 1 do
-    if
-      Kv.applied kvs.(i) <> Kv.applied kvs.(0)
-      || Kv.digest kvs.(i) <> Kv.digest kvs.(0)
-    then ok := false
-  done;
-  !ok
+  Array.length kvs = 0
+  ||
+  let applied0 = Kv.applied kvs.(0) in
+  Array.for_all
+    (fun kv -> Kv.settled kv && Kv.synced kv && Kv.applied kv = applied0)
+    kvs
+  &&
+  let digest0 = Kv.digest kvs.(0) in
+  let rec same_digest i =
+    i >= Array.length kvs || (Kv.digest kvs.(i) = digest0 && same_digest (i + 1))
+  in
+  same_digest 1
 
 type transfer_result = {
   entries_transferred : int;

@@ -10,11 +10,16 @@
 type counter = { c_name : string; mutable c_value : int }
 type gauge = { g_name : string; mutable g_value : float }
 
+(* The sum sits in a one-field all-float record, which OCaml stores
+   flat: a [mutable float] field of the mixed [histogram] record would
+   box a fresh float on every [observe]. *)
+type sum_cell = { mutable sum : float }
+
 type histogram = {
   h_name : string;
   bounds : float array;  (* strictly increasing upper bounds *)
   counts : int array;  (* length = Array.length bounds + 1 (overflow) *)
-  mutable h_sum : float;
+  h_sum : sum_cell;
   mutable h_count : int;
 }
 
@@ -97,33 +102,31 @@ let histogram ?(bounds = default_bounds) t name =
           h_name = name;
           bounds = Array.copy bounds;
           counts = Array.make (Array.length bounds + 1) 0;
-          h_sum = 0.0;
+          h_sum = { sum = 0.0 };
           h_count = 0;
         }
       in
       Hashtbl.replace t.histograms name h;
       h
 
-let bucket_index bounds v =
-  (* First bucket whose upper bound holds v; binary search. *)
-  let n = Array.length bounds in
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if v <= bounds.(mid) then go lo mid else go (mid + 1) hi
-  in
-  go 0 n
+(* First bucket in [lo, hi) whose upper bound holds v; binary search.
+   Top level, so a search builds no closure over [bounds] and [v]. *)
+let rec bucket_index (bounds : float array) (v : float) lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if v <= bounds.(mid) then bucket_index bounds v lo mid
+    else bucket_index bounds v (mid + 1) hi
 
 let observe h v =
-  let i = bucket_index h.bounds v in
+  let i = bucket_index h.bounds v 0 (Array.length h.bounds) in
   h.counts.(i) <- h.counts.(i) + 1;
-  h.h_sum <- h.h_sum +. v;
+  h.h_sum.sum <- h.h_sum.sum +. v;
   h.h_count <- h.h_count + 1
 
 let hist_count h = h.h_count
-let hist_sum h = h.h_sum
-let hist_mean h = if h.h_count = 0 then nan else h.h_sum /. float_of_int h.h_count
+let hist_sum h = h.h_sum.sum
+let hist_mean h = if h.h_count = 0 then nan else h.h_sum.sum /. float_of_int h.h_count
 
 let hist_bucket_counts h = Array.copy h.counts
 let hist_bounds h = Array.copy h.bounds
@@ -171,7 +174,7 @@ let hist_merge a b =
       counts =
         Array.init (Array.length a.counts) (fun i ->
             sat_add a.counts.(i) b.counts.(i));
-      h_sum = a.h_sum +. b.h_sum;
+      h_sum = { sum = a.h_sum.sum +. b.h_sum.sum };
       h_count = sat_add a.h_count b.h_count;
     }
   in
@@ -197,7 +200,7 @@ let merge a b =
         | None ->
             let fresh = histogram ~bounds:h.bounds t name in
             Array.blit h.counts 0 fresh.counts 0 (Array.length h.counts);
-            fresh.h_sum <- h.h_sum;
+            fresh.h_sum.sum <- h.h_sum.sum;
             fresh.h_count <- h.h_count
         | Some existing ->
             Hashtbl.replace t.histograms name (hist_merge existing h))

@@ -45,6 +45,12 @@ val histogram : ?bounds:float array -> t -> string -> histogram
     already exists. *)
 
 val observe : histogram -> float -> unit
+(** [observe h v] counts [v] in its bucket and adds it to the sum.
+    Allocates nothing, whatever the number of buckets (a caller that
+    computes [v] may box it). Counts, sum, mean and quantiles are
+    bit-identical to the previous boxed-sum histogram's over the same
+    samples. *)
+
 val hist_count : histogram -> int
 val hist_sum : histogram -> float
 val hist_mean : histogram -> float

@@ -85,23 +85,19 @@ type t = {
   stats : stats;
 }
 
-let position ring pid =
-  let rec loop i =
-    if i >= Array.length ring then None
-    else if ring.(i) = pid then Some i
-    else loop (i + 1)
-  in
-  loop 0
+(* Index of [pid] in [ring] from [i] on, or -1: no option, so the
+   per-message progress check allocates nothing. *)
+let rec index_of (ring : Types.pid array) pid i =
+  if i >= Array.length ring then -1
+  else if ring.(i) = pid then i
+  else index_of ring pid (i + 1)
 
 let create ~params ~ring_id ~ring ~me =
   (match Params.validate params with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Engine.create: " ^ msg));
-  let my_pos =
-    match position ring me with
-    | Some i -> i
-    | None -> invalid_arg "Engine.create: me not in ring"
-  in
+  let my_pos = index_of ring me 0 in
+  if my_pos < 0 then invalid_arg "Engine.create: me not in ring";
   {
     params;
     ring_id;
@@ -232,11 +228,7 @@ let collect_garbage t =
    was received — it cancels our retransmission responsibility. *)
 let is_progress_evidence t (d : Message.data) =
   d.d_round > t.round
-  || d.d_round = t.round
-     &&
-     match position t.ring d.pid with
-     | Some pos -> pos > t.my_pos
-     | None -> false
+  || (d.d_round = t.round && index_of t.ring d.pid 0 > t.my_pos)
 
 let handle_data t (d : Message.data) =
   if is_progress_evidence t d then t.progress_gen <- t.progress_gen + 1;

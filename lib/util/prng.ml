@@ -1,38 +1,45 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives unboxed in 8 bytes: a [mutable int64]
+   field would box a fresh int64 on every store. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create ~seed = { state = seed }
+let create ~seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 seed;
+  t
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let[@inline] next_int64 t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t = { state = next_int64 t }
+let split t = create ~seed:(next_int64 t)
 
 (* Draw uniformly from [0, 2^62) and reject the tail that does not divide
    evenly into [bound]: a plain [r mod bound] over-represents the low
    residues by one part in 2^62/bound, which is measurable for bounds near
    max_int. Rejection probability is bound/2^62 < 1/4, so the loop
-   terminates after ~1 draw in expectation. *)
+   terminates after ~1 draw in expectation. [limit] is 2^62 - (2^62 mod
+   bound), the largest multiple of bound; 0 when bound divides 2^62. *)
+let rec draw t bound limit =
+  (* Mask to 62 bits so the value is a non-negative OCaml int. *)
+  let r = Int64.to_int (Int64.logand (next_int64 t) 0x3FFF_FFFF_FFFF_FFFFL) in
+  if limit > 0 && r >= limit then draw t bound limit else r mod bound
+
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
   (* 2^62 mod bound, computed in Int64 because 2^62 overflows OCaml int. *)
   let rem62 = Int64.to_int (Int64.rem 0x4000_0000_0000_0000L (Int64.of_int bound)) in
-  let rec draw () =
-    (* Mask to 62 bits so the value is a non-negative OCaml int. *)
-    let r = Int64.to_int (Int64.logand (next_int64 t) 0x3FFF_FFFF_FFFF_FFFFL) in
-    (* Accept r < 2^62 - rem62, i.e. the largest multiple of bound. *)
-    if rem62 > 0 && r >= Int64.to_int (Int64.sub 0x4000_0000_0000_0000L (Int64.of_int rem62))
-    then draw ()
-    else r mod bound
+  let limit =
+    if rem62 > 0 then Int64.to_int (Int64.sub 0x4000_0000_0000_0000L (Int64.of_int rem62))
+    else 0
   in
-  draw ()
+  draw t bound limit
 
-let float t bound =
+let[@inline] float t bound =
   (* 53 uniform bits, as in the standard double construction. *)
   let bits = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   bits /. 9007199254740992.0 *. bound

@@ -3,7 +3,15 @@
     The simulator must be fully reproducible: every run with the same seed
     produces the same event trace. SplitMix64 is small, fast, and passes
     BigCrush; it is more than adequate for workload generation and loss
-    injection. *)
+    injection.
+
+    Allocation: the state is held unboxed, so {!int}, {!bool},
+    {!bernoulli} and {!zipf} allocate nothing per draw; {!next_int64},
+    {!float} and {!exponential} allocate only their boxed result, and
+    {!split} the new generator. Every stream is bit-identical to the
+    previous boxed-state generator's for the same seed and call
+    sequence, so workloads, fault schedules and pinned trace hashes do
+    not depend on how the state is stored. *)
 
 type t
 

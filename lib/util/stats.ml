@@ -1,10 +1,17 @@
-type t = {
-  mutable samples : float array;
-  mutable size : int;
+(* The running moments sit in an all-float record, which OCaml stores
+   flat: updating them stores raw doubles instead of boxing a fresh float
+   per field, as the float fields of a mixed record would. *)
+type moments = {
   mutable sum : float;
   mutable sum_sq : float;
   mutable lo : float;
   mutable hi : float;
+}
+
+type t = {
+  mutable samples : float array;
+  mutable size : int;
+  m : moments;
   mutable sorted : bool;
 }
 
@@ -12,10 +19,7 @@ let create () =
   {
     samples = [||];
     size = 0;
-    sum = 0.0;
-    sum_sq = 0.0;
-    lo = infinity;
-    hi = neg_infinity;
+    m = { sum = 0.0; sum_sq = 0.0; lo = infinity; hi = neg_infinity };
     sorted = true;
   }
 
@@ -28,28 +32,29 @@ let add t x =
   end;
   t.samples.(t.size) <- x;
   t.size <- t.size + 1;
-  t.sum <- t.sum +. x;
-  t.sum_sq <- t.sum_sq +. (x *. x);
-  if x < t.lo then t.lo <- x;
-  if x > t.hi then t.hi <- x;
+  let m = t.m in
+  m.sum <- m.sum +. x;
+  m.sum_sq <- m.sum_sq +. (x *. x);
+  if x < m.lo then m.lo <- x;
+  if x > m.hi then m.hi <- x;
   t.sorted <- false
 
 let count t = t.size
 
-let mean t = if t.size = 0 then nan else t.sum /. float_of_int t.size
+let mean t = if t.size = 0 then nan else t.m.sum /. float_of_int t.size
 
 let stddev t =
   if t.size < 2 then 0.0
   else begin
     let n = float_of_int t.size in
-    let m = t.sum /. n in
-    let v = (t.sum_sq /. n) -. (m *. m) in
+    let m = t.m.sum /. n in
+    let v = (t.m.sum_sq /. n) -. (m *. m) in
     if v <= 0.0 then 0.0 else sqrt v
   end
 
-let min_value t = if t.size = 0 then nan else t.lo
+let min_value t = if t.size = 0 then nan else t.m.lo
 
-let max_value t = if t.size = 0 then nan else t.hi
+let max_value t = if t.size = 0 then nan else t.m.hi
 
 let ensure_sorted t =
   if not t.sorted then begin

@@ -2,7 +2,12 @@
 
     Collects samples and reports count, mean, min, max, standard deviation,
     and percentiles. Percentiles retain all samples (the experiment harness
-    collects bounded sample counts, so this is acceptable and exact). *)
+    collects bounded sample counts, so this is acceptable and exact).
+
+    Allocation: {!add} allocates nothing per sample beyond the sample
+    array's amortised doubling; the running moments are stored as raw
+    doubles. Every statistic is bit-identical to the previous
+    boxed-moment accumulator's over the same samples. *)
 
 type t
 

@@ -407,6 +407,107 @@ let prop_hist_merge_counts =
              (Metrics.hist_bucket_counts ha)
              (Metrics.hist_bucket_counts hb))
 
+(* Test-only copy of the histogram as it was before its sum moved into
+   an unboxed cell and its search into a top-level function: sum, mean,
+   quantiles and bucket counts must stay bit-identical. *)
+module Ref_hist = struct
+  type t = { bounds : float array; counts : int array; mutable sum : float; mutable count : int }
+
+  let create bounds =
+    { bounds; counts = Array.make (Array.length bounds + 1) 0; sum = 0.0; count = 0 }
+
+  let bucket_index bounds v =
+    let n = Array.length bounds in
+    let rec go lo hi =
+      if lo >= hi then lo
+      else
+        let mid = (lo + hi) / 2 in
+        if v <= bounds.(mid) then go lo mid else go (mid + 1) hi
+    in
+    go 0 n
+
+  let observe h v =
+    let i = bucket_index h.bounds v in
+    h.counts.(i) <- h.counts.(i) + 1;
+    h.sum <- h.sum +. v;
+    h.count <- h.count + 1
+
+  let mean h = if h.count = 0 then nan else h.sum /. float_of_int h.count
+
+  let quantile h q =
+    if h.count = 0 then nan
+    else begin
+      let q = Float.max 0.0 (Float.min 1.0 q) in
+      let target = q *. float_of_int h.count in
+      let n = Array.length h.counts in
+      let rec go i cum =
+        if i >= n then h.bounds.(Array.length h.bounds - 1)
+        else
+          let cum' = cum +. float_of_int h.counts.(i) in
+          if cum' >= target && h.counts.(i) > 0 then begin
+            let lo = if i = 0 then 0.0 else h.bounds.(i - 1) in
+            let hi =
+              if i < Array.length h.bounds then h.bounds.(i)
+              else h.bounds.(Array.length h.bounds - 1) *. 2.0
+            in
+            let frac = (target -. cum) /. float_of_int h.counts.(i) in
+            lo +. (frac *. (hi -. lo))
+          end
+          else go (i + 1) cum'
+      in
+      go 0 0.0
+    end
+end
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* The span collector's default ladder and bench/e2e's 1,850-bucket one. *)
+let ladders =
+  [| Metrics.default_bounds; Metrics.exponential_bounds ~lo:0.1 ~factor:1.01 ~count:1_850 |]
+
+let prop_hist_matches_reference =
+  QCheck.Test.make ~count:300 ~name:"histogram sum, mean and quantiles equal the boxed copy's"
+    QCheck.(pair bool (list_of_size Gen.(0 -- 300) (float_range (-10.0) 2e7)))
+    (fun (fine, xs) ->
+      let bounds = ladders.(if fine then 1 else 0) in
+      let h = Metrics.histogram ~bounds (Metrics.create ()) "h" in
+      let r = Ref_hist.create bounds in
+      List.iter (Metrics.observe h) xs;
+      List.iter (Ref_hist.observe r) xs;
+      Metrics.hist_count h = r.Ref_hist.count
+      && Metrics.hist_bucket_counts h = r.Ref_hist.counts
+      && same_bits (Metrics.hist_sum h) r.Ref_hist.sum
+      && same_bits (Metrics.hist_mean h) (Ref_hist.mean r)
+      && List.for_all
+           (fun q -> same_bits (Metrics.hist_quantile h q) (Ref_hist.quantile r q))
+           [ 0.0; 0.1; 0.5; 0.9; 0.99; 0.999; 1.0 ])
+
+let test_observe_allocation () =
+  (* The only words left are the caller's boxing of the sample (2);
+     the boxed sum and the search closure cost 18 words per observe on
+     the default ladder and 31 on the fine one. *)
+  Array.iter
+    (fun bounds ->
+      let h = Metrics.histogram ~bounds (Metrics.create ()) "h" in
+      let n = 100_000 in
+      let i = ref 0 in
+      let sample () =
+        incr i;
+        Metrics.observe h (float_of_int (!i land 0xFFFF))
+      in
+      for _ = 1 to 1_000 do
+        sample ()
+      done;
+      let before = Gc.minor_words () in
+      for _ = 1 to n do
+        sample ()
+      done;
+      let words = (Gc.minor_words () -. before) /. float_of_int n in
+      check Alcotest.bool
+        (Printf.sprintf "%.2f words per observe (%d buckets) <= 2" words (Array.length bounds))
+        true (words <= 2.0))
+    ladders
+
 (* -------------------------------------------------------------------- *)
 (* Chrome exporter JSON escaping                                         *)
 
@@ -797,4 +898,7 @@ let suite =
       `Quick test_watchdog_feed_allocates_nothing;
     Alcotest.test_case "health: report names the cycle" `Quick
       test_health_report_renders;
+    QCheck_alcotest.to_alcotest prop_hist_matches_reference;
+    Alcotest.test_case "metrics: at most 2 words per observe" `Quick
+      test_observe_allocation;
   ]

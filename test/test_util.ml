@@ -4,6 +4,7 @@ module Heap = Aring_util.Heap
 module Deque = Aring_util.Deque
 module Stats = Aring_util.Stats
 module Prng = Aring_util.Prng
+module Fnv = Aring_util.Fnv
 
 let check = Alcotest.check
 
@@ -496,6 +497,254 @@ let test_zipf_invalid_args () =
     (Invalid_argument "Prng.zipf_table: theta must be >= 0") (fun () ->
       ignore (Prng.zipf_table ~n:4 ~theta:(-0.5)))
 
+(* -------------------------------------------------------------------- *)
+(* Reference copies of the boxed implementations                         *)
+
+(* Test-only copies of the FNV-1a fold, the generator and the sample
+   accumulator as they were before they stopped allocating: the live
+   modules must reproduce them bit for bit, or every digest, shard map,
+   workload and pinned trace hash would move. *)
+
+module Ref_fnv = struct
+  let string h s =
+    let h = ref h in
+    String.iter
+      (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001B3L)
+      s;
+    !h
+end
+
+module Ref_prng = struct
+  type t = { mutable state : int64 }
+
+  let create ~seed = { state = seed }
+
+  let next_int64 t =
+    t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;
+    let z = t.state in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let split t = { state = next_int64 t }
+
+  let int t bound =
+    let rem62 = Int64.to_int (Int64.rem 0x4000_0000_0000_0000L (Int64.of_int bound)) in
+    let rec draw () =
+      let r = Int64.to_int (Int64.logand (next_int64 t) 0x3FFF_FFFF_FFFF_FFFFL) in
+      if rem62 > 0 && r >= Int64.to_int (Int64.sub 0x4000_0000_0000_0000L (Int64.of_int rem62))
+      then draw ()
+      else r mod bound
+    in
+    draw ()
+
+  let float t bound =
+    let bits = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
+    bits /. 9007199254740992.0 *. bound
+
+  let exponential t ~mean =
+    let u = float t 1.0 in
+    let u = if u <= 0.0 then 1e-12 else u in
+    -.mean *. log u
+
+  (* The alias table is unchanged code; the copy pins the draw. *)
+  let zipf_table ~n ~theta =
+    let w = Array.init n (fun i -> 1.0 /. (float_of_int (i + 1) ** theta)) in
+    let total = Array.fold_left ( +. ) 0.0 w in
+    let p = Array.map (fun x -> x /. total *. float_of_int n) w in
+    let prob = Array.make n 1.0 in
+    let alias = Array.init n (fun i -> i) in
+    let small = Stack.create () and large = Stack.create () in
+    Array.iteri (fun i x -> if x < 1.0 then Stack.push i small else Stack.push i large) p;
+    while (not (Stack.is_empty small)) && not (Stack.is_empty large) do
+      let s = Stack.pop small and l = Stack.pop large in
+      prob.(s) <- p.(s);
+      alias.(s) <- l;
+      p.(l) <- p.(l) -. (1.0 -. p.(s));
+      if p.(l) < 1.0 then Stack.push l small else Stack.push l large
+    done;
+    Stack.iter (fun i -> prob.(i) <- 1.0) small;
+    Stack.iter (fun i -> prob.(i) <- 1.0) large;
+    (n, prob, alias)
+
+  let zipf t (n, prob, alias) =
+    let j = int t n in
+    let u = float t 1.0 in
+    if u < prob.(j) then j else alias.(j)
+end
+
+module Ref_stats = struct
+  type t = {
+    mutable size : int;
+    mutable sum : float;
+    mutable sum_sq : float;
+    mutable lo : float;
+    mutable hi : float;
+  }
+
+  let of_list xs =
+    let t = { size = 0; sum = 0.0; sum_sq = 0.0; lo = infinity; hi = neg_infinity } in
+    List.iter
+      (fun x ->
+        t.size <- t.size + 1;
+        t.sum <- t.sum +. x;
+        t.sum_sq <- t.sum_sq +. (x *. x);
+        if x < t.lo then t.lo <- x;
+        if x > t.hi then t.hi <- x)
+      xs;
+    t
+
+  let mean t = if t.size = 0 then nan else t.sum /. float_of_int t.size
+
+  let stddev t =
+    if t.size < 2 then 0.0
+    else begin
+      let n = float_of_int t.size in
+      let m = t.sum /. n in
+      let v = (t.sum_sq /. n) -. (m *. m) in
+      if v <= 0.0 then 0.0 else sqrt v
+    end
+
+  let min_value t = if t.size = 0 then nan else t.lo
+  let max_value t = if t.size = 0 then nan else t.hi
+end
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Minor-heap words per call of [f], after a warm-up. A block past the
+   minor heap's size limit goes straight to the major heap and is not
+   counted: the Stats test relies on that for the sample array. *)
+let minor_words_per_call ~n f =
+  for _ = 1 to 1_000 do
+    f ()
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+(* -------------------------------------------------------------------- *)
+(* FNV-1a                                                                *)
+
+let test_fnv_vectors () =
+  (* The published FNV-1a 64 test vectors. *)
+  List.iter
+    (fun (s, h) -> check Alcotest.int64 (Printf.sprintf "%S" s) h (Fnv.string Fnv.offset s))
+    [ ("", 0xcbf29ce484222325L); ("a", 0xaf63dc4c8601ec8cL); ("foobar", 0x85944171f73967e8L) ];
+  check Alcotest.int64 "folding is chaining" (Fnv.string Fnv.offset "foobar")
+    (Fnv.string (Fnv.string Fnv.offset "foo") "bar")
+
+let prop_fnv_matches_reference =
+  QCheck.Test.make ~name:"Fnv.string equals the String.iter fold" ~count:200
+    QCheck.(pair int64 (string_of_size Gen.(oneof [ 0 -- 64; 0 -- 65_536 ])))
+    (fun (h, s) -> Int64.equal (Fnv.string h s) (Ref_fnv.string h s))
+
+let test_fnv_allocates_nothing_per_byte () =
+  (* 1 MiB hashed in 64 KiB strings: the only allocation is the boxed
+     result of each call, under a word per KiB. The per-byte closure
+     fold allocated 3 words per byte. *)
+  let s = String.init 65_536 (fun i -> Char.chr (i land 255)) in
+  let words = minor_words_per_call ~n:16 (fun () -> ignore (Fnv.string Fnv.offset s)) in
+  check Alcotest.int "words per KiB hashed" 0 (int_of_float (words /. 64.))
+
+(* -------------------------------------------------------------------- *)
+(* Prng against the boxed generator                                      *)
+
+type prng_op = Next | Int of int | Float of float | Exp of float | Zipf of int | Split
+
+let prng_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, return Next);
+        ( 4,
+          map
+            (fun b -> Int b)
+            (oneof [ 1 -- 1_000; oneofl [ 1 lsl 61; (1 lsl 61) + 1; 3 * (1 lsl 60); max_int ] ]) );
+        (2, map (fun b -> Float b) (float_bound_inclusive 1e6));
+        (2, map (fun m -> Exp m) (float_bound_inclusive 1e3));
+        (2, map (fun i -> Zipf i) (0 -- 3));
+        (1, return Split);
+      ])
+
+let prng_op_print = function
+  | Next -> "next"
+  | Int b -> Printf.sprintf "int %d" b
+  | Float b -> Printf.sprintf "float %g" b
+  | Exp m -> Printf.sprintf "exp %g" m
+  | Zipf i -> Printf.sprintf "zipf %d" i
+  | Split -> "split"
+
+let prop_prng_matches_reference =
+  (* The same op sequence on the live and the boxed generator, from one
+     seed: every output equal bit for bit. A split continues on the
+     child, so split streams are compared too. *)
+  let tables = [| (1, 0.0); (7, 0.5); (64, 0.99); (1000, 1.2) |] in
+  let live_tables = Array.map (fun (n, theta) -> Prng.zipf_table ~n ~theta) tables in
+  let ref_tables = Array.map (fun (n, theta) -> Ref_prng.zipf_table ~n ~theta) tables in
+  QCheck.Test.make ~name:"Prng streams equal the boxed generator's" ~count:300
+    QCheck.(
+      pair int64
+        (make ~print:(Print.list prng_op_print) Gen.(list_size (1 -- 200) prng_op_gen)))
+    (fun (seed, ops) ->
+      let live = ref (Prng.create ~seed) and boxed = ref (Ref_prng.create ~seed) in
+      List.for_all
+        (fun op ->
+          match op with
+          | Next -> Int64.equal (Prng.next_int64 !live) (Ref_prng.next_int64 !boxed)
+          | Int b -> Prng.int !live b = Ref_prng.int !boxed b
+          | Float b -> same_bits (Prng.float !live b) (Ref_prng.float !boxed b)
+          | Exp mean ->
+              same_bits (Prng.exponential !live ~mean) (Ref_prng.exponential !boxed ~mean)
+          | Zipf i -> Prng.zipf !live live_tables.(i) = Ref_prng.zipf !boxed ref_tables.(i)
+          | Split ->
+              live := Prng.split !live;
+              boxed := Ref_prng.split !boxed;
+              Int64.equal (Prng.next_int64 !live) (Ref_prng.next_int64 !boxed))
+        ops)
+
+let test_prng_draws_allocate_nothing () =
+  let p = Prng.create ~seed:5L in
+  let z = Prng.zipf_table ~n:1000 ~theta:0.99 in
+  let n = 100_000 in
+  check Alcotest.int "words per Prng.int" 0
+    (int_of_float (minor_words_per_call ~n (fun () -> ignore (Prng.int p 1000))));
+  check Alcotest.int "words per Prng.int near max_int" 0
+    (int_of_float (minor_words_per_call ~n (fun () -> ignore (Prng.int p (3 * (1 lsl 60))))));
+  check Alcotest.int "words per Prng.zipf" 0
+    (int_of_float (minor_words_per_call ~n (fun () -> ignore (Prng.zipf p z))))
+
+(* -------------------------------------------------------------------- *)
+(* Stats against the boxed accumulator                                   *)
+
+let prop_stats_match_reference =
+  QCheck.Test.make ~name:"Stats moments equal the boxed accumulator's" ~count:300
+    QCheck.(list_of_size Gen.(0 -- 300) (float_range (-1e6) 1e6))
+    (fun xs ->
+      let s = Stats.create () in
+      List.iter (Stats.add s) xs;
+      let r = Ref_stats.of_list xs in
+      Stats.count s = r.Ref_stats.size
+      && same_bits (Stats.mean s) (Ref_stats.mean r)
+      && same_bits (Stats.stddev s) (Ref_stats.stddev r)
+      && same_bits (Stats.min_value s) (Ref_stats.min_value r)
+      && same_bits (Stats.max_value s) (Ref_stats.max_value r))
+
+let test_stats_add_allocation () =
+  (* Past 256 samples the sample array grows in the major heap, so the
+     minor words measured are [add]'s own: the caller's boxing of the
+     sample (2 words) and nothing for the moments. The boxed moments cost
+     up to 6 words per add. *)
+  let s = Stats.create () in
+  let i = ref 0 in
+  let words =
+    minor_words_per_call ~n:100_000 (fun () ->
+        incr i;
+        Stats.add s (float_of_int !i))
+  in
+  check Alcotest.bool (Printf.sprintf "%.2f words per add <= 2" words) true (words <= 2.0)
+
 let test_deque_push_front_wrap_growth () =
   (* Alternating front/back pushes keep the head wrapped behind the tail
      while the ring grows several times; the logical order must survive. *)
@@ -551,4 +800,11 @@ let suite =
     qtest prop_zipf_seed_deterministic;
     ("zipf mass conservation", `Quick, test_zipf_mass_conservation);
     ("zipf invalid args", `Quick, test_zipf_invalid_args);
+    ("fnv-1a 64 reference vectors", `Quick, test_fnv_vectors);
+    qtest prop_fnv_matches_reference;
+    ("fnv: 0 words per KiB hashed", `Quick, test_fnv_allocates_nothing_per_byte);
+    qtest prop_prng_matches_reference;
+    ("prng: 0 words per int and zipf draw", `Quick, test_prng_draws_allocate_nothing);
+    qtest prop_stats_match_reference;
+    ("stats: at most 2 words per add", `Quick, test_stats_add_allocation);
   ]
