@@ -220,19 +220,13 @@ let apply_write t op =
   let value = Hashtbl.find_opt t.store key in
   observe t (Applied { index = t.applied_n; op; value });
   Aring_obs.Flight.record ~node:t.me ~code:Aring_obs.Flight.ev_apply
-    ~a:t.applied_n ~b:(if value = None then 1 else 0) ~c:0 ~d:0;
-  if Trace.enabled () then
-    Trace.emit ~node:t.me
-      (Trace.App_apply { index = t.applied_n; key; deleted = value = None })
+    ~a:t.applied_n ~b:(if value = None then 1 else 0) ~c:0 ~d:0
 
 let serve_sync t ~nonce ~key =
   t.stats.sync_reads <- t.stats.sync_reads + 1;
   let value = Hashtbl.find_opt t.store key in
   let token = t.applied_n in
   observe t (Read { key; value; token; sync = true });
-  if Trace.enabled () then
-    Trace.emit ~node:t.me
-      (Trace.App_read { key; found = value <> None; token; sync = true });
   match Hashtbl.find_opt t.pending nonce with
   | Some cb ->
       Hashtbl.remove t.pending nonce;
@@ -683,9 +677,6 @@ let read t ~key =
   let value = Hashtbl.find_opt t.store key in
   let token = t.applied_n in
   observe t (Read { key; value; token; sync = false });
-  if Trace.enabled () then
-    Trace.emit ~node:t.me
-      (Trace.App_read { key; found = value <> None; token; sync = false });
   (value, token)
 
 let sync_read t ~key ~on_result =

@@ -49,10 +49,6 @@ type t =
           streamed ahead of the snapshot chunks so receivers dedup
           retried Mcas copies and reconstruct an undecided park. *)
 
-let is_write = function
-  | Put _ | Del _ | Cas _ | Mcas _ | Mdecide _ -> true
-  | Sync_read _ | Hello _ | Chunk _ | Skip _ | Mcas_table _ -> false
-
 (* Tags. The encoding reuses the wire codec primitives but lives entirely
    inside daemon App payloads — no frame-level format change. *)
 let tag_put = 1

@@ -90,11 +90,6 @@ type t =
           retried [Mcas] copies and reconstructs the donor's park instead
           of silently dropping an undecided cross-shard cas. *)
 
-val is_write : t -> bool
-(** True for [Put]/[Del]/[Cas]/[Mcas]/[Mdecide] — ops that take the
-    replica-log delivery path (primary-gated, buffered during
-    transfers). *)
-
 val encode : t -> bytes
 (** Exact-size encoding, written through the shared scratch
     ({!Aring_wire.Codec.encode_exact}). *)

@@ -6,12 +6,9 @@
     grows. File names are a deterministic function of the schedule, so
     re-saving the same reproducer is idempotent. *)
 
-val entry_name : label:string -> Schedule.t -> string
-(** [label-seed<unsigned-seed>-f<faultcount>.json]; deterministic. *)
-
 val save : dir:string -> label:string -> Schedule.t -> string
-(** Write the schedule under its {!entry_name} in [dir] (created if
-    missing); returns the path. *)
+(** Write the schedule in [dir] (created if missing) as
+    [label-seed<unsigned-seed>-f<faultcount>.json]; returns the path. *)
 
 val load_file : string -> Schedule.t
 (** @raise Aring_obs.Json.Parse_error on malformed content. *)

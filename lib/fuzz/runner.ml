@@ -15,8 +15,6 @@ open Aring_sim
 
 type app = App_none | App_kv
 
-let app_label = function App_none -> "none" | App_kv -> "kv"
-
 let app_of_string = function
   | "none" -> Ok App_none
   | "kv" -> Ok App_kv

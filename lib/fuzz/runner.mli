@@ -124,7 +124,6 @@ val run :
 
 val passed : outcome -> bool
 
-val app_label : app -> string
 val app_of_string : string -> (app, string) result
 (** ["none"] or ["kv"]. *)
 

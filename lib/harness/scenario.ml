@@ -84,23 +84,6 @@ let rate_at spec now =
 let step_load ~low ~high ~at_ns ~until_ns =
   [ (0, low); (at_ns, high); (until_ns, low) ]
 
-let ramp_load ~from_mbps ~to_mbps ~start_ns ~stop_ns ~steps =
-  if steps < 1 then invalid_arg "Scenario.ramp_load: steps < 1";
-  if stop_ns <= start_ns then invalid_arg "Scenario.ramp_load: empty ramp";
-  (0, from_mbps)
-  :: List.init steps (fun i ->
-         let frac = float_of_int (i + 1) /. float_of_int steps in
-         ( start_ns + ((stop_ns - start_ns) * i / steps),
-           from_mbps +. ((to_mbps -. from_mbps) *. frac) ))
-
-let square_load ~low ~high ~period_ns ~until_ns =
-  if period_ns <= 0 then invalid_arg "Scenario.square_load: period <= 0";
-  let rec segs t level acc =
-    if t >= until_ns then List.rev acc
-    else segs (t + (period_ns / 2)) (not level) ((t, if level then high else low) :: acc)
-  in
-  segs 0 true []
-
 (* Each sending client injects at a fixed rate; the aggregate offered load
    is split evenly. Node phases are staggered and each inter-submission
    interval carries ±25% jitter (mean preserved): a perfectly periodic
@@ -320,13 +303,3 @@ let pp_result ppf r =
     (Stats.mean r.latency_us) (Stats.median r.latency_us)
     (Stats.percentile r.latency_us 99.0)
     r.deliveries r.token_rounds r.retransmissions r.switch_drops
-
-let pp_phase ppf p =
-  Format.fprintf ppf
-    "[%3d..%3d ms] offered=%7.0f Mbps delivered=%7.1f Mbps lat(mean=%7.1f \
-     p99=%8.1f us) n=%d"
-    (p.p_start_ns / 1_000_000)
-    (p.p_end_ns / 1_000_000)
-    p.p_offered_mbps p.p_delivered_mbps (Stats.mean p.p_latency_us)
-    (Stats.percentile p.p_latency_us 99.0)
-    p.p_deliveries

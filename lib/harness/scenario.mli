@@ -24,7 +24,7 @@ type spec = {
           aggregate offered load to [mbps] from simulated time [t_ns] on.
           Before the first entry the rate is [offered_mbps]; entries must
           be ascending. Empty (the default) = constant [offered_mbps].
-          Build with {!step_load}, {!ramp_load} or {!square_load}. *)
+          Build with {!step_load}. *)
   warmup_ns : int;
   measure_ns : int;
   seed : int64;
@@ -87,27 +87,11 @@ val step_load :
   low:float -> high:float -> at_ns:int -> until_ns:int -> (int * float) list
 (** [low] until [at_ns], [high] until [until_ns], then [low] again. *)
 
-val ramp_load :
-  from_mbps:float ->
-  to_mbps:float ->
-  start_ns:int ->
-  stop_ns:int ->
-  steps:int ->
-  (int * float) list
-(** Piecewise approximation of a linear ramp in [steps] equal segments. *)
-
-val square_load :
-  low:float -> high:float -> period_ns:int -> until_ns:int -> (int * float) list
-(** Alternating [high]/[low] half-periods starting high at t=0. *)
-
 val rate_at_schedule : default:float -> (int * float) list -> int -> float
 (** Evaluate a piecewise-constant [(t_ns, rate)] schedule at a time:
     [default] before the first entry, then the latest entry at or before
-    the time. The rate unit is the caller's (the load builders above work
-    for any unit — [Aring_load.Load] reuses them with ops/sec). *)
-
-val rate_at : spec -> int -> float
-(** The offered load the schedule prescribes at a given simulated time. *)
+    the time. The rate unit is the caller's (the load builder above works
+    for any unit — [Aring_load.Load] reuses it with ops/sec). *)
 
 val run : spec -> result
 (** Execute the scenario on the discrete-event simulator. *)
@@ -124,4 +108,3 @@ val find_max_throughput :
     result at that load. *)
 
 val pp_result : Format.formatter -> result -> unit
-val pp_phase : Format.formatter -> phase -> unit

@@ -343,7 +343,6 @@ let create ?(params = Kv_scenario.snappy_params ()) ?(net = Profile.gigabit)
   t
 
 let on_merged t f = t.merged_cbs <- t.merged_cbs @ [ f ]
-let merged_count t ~node = Merge.emitted t.merges.(node)
 let merge_blocked t ~node ~ring = Merge.pending t.merges.(node) ~ring
 
 (* --- client operations ------------------------------------------------ *)

@@ -139,7 +139,6 @@ val on_merged : t -> (node:int -> ring:int -> merged_item -> unit) -> unit
 (** Called for every element of each node's merged stream, in merged
     order; callbacks run in registration order. *)
 
-val merged_count : t -> node:int -> int
 val merge_blocked : t -> node:int -> ring:int -> int
 (** Items of [ring] delivered at [node] but not yet emitted by the
     merge. *)

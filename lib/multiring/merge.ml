@@ -14,7 +14,7 @@
    Consuming skip credits strictly in queue position — never folding
    them past items pushed later — is what makes the merged order a pure
    function of the per-ring input sequences: no matter how pushes and
-   pops interleave in real time, the same per-ring sequences produce the
+   drains interleave in real time, the same per-ring sequences produce the
    same output. An idle ring keeps the merge live by emitting skips; a
    ring that is idle *and* silent correctly stalls it (the learner has
    no way to know that ring won't deliver something that sorts next).
@@ -164,12 +164,6 @@ let rec drain t f =
       f r (take t r);
       drain t f
     end
-
-let pop t =
-  if t.held = 0 then None
-  else
-    let r = visit t in
-    if r < 0 then None else Some (r, take t r)
 
 let pop_all t =
   let out = ref [] in

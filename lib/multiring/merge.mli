@@ -12,7 +12,7 @@
     The merged order is a {e pure function of the per-ring input
     sequences}: skip units are consumed in queue position, never folded
     past items pushed later, so any real-time interleaving of pushes and
-    pops yields the same output (the property [test/test_multiring.ml]
+    drains yields the same output (the property [test/test_multiring.ml]
     checks by qcheck). With one ring the merge is the identity stream —
     skips are transparent.
 
@@ -44,18 +44,15 @@ val push_skip : 'a t -> ring:int -> int -> unit
 
 val drain : 'a t -> (int -> 'a -> unit) -> unit
 (** [drain t f] calls [f ring x] for each element of the merged order
-    the merge can reach, in order, and returns when it is blocked (see
-    {!pop}). [f] may push into [t]; the element is taken before [f]
-    runs, and the drain goes on with whatever [f] pushed. *)
+    the merge can reach, in order, and returns when it is blocked:
+    either no ring holds an item, or the cursor reaches a ring that is
+    empty with no skip credit before any item can emit. Blocked is not
+    final — push more and drain again. [f] may push into [t]; the
+    element is taken before [f] runs, and the drain goes on with
+    whatever [f] pushed. *)
 
 val push : 'a t -> ring:int -> 'a input -> unit
 (** {!push_item} or {!push_skip}. *)
-
-val pop : 'a t -> (int * 'a) option
-(** Next element of the merged order, or [None] if the merge is blocked:
-    either no ring holds an item, or the cursor reaches a ring that is
-    empty with no skip credit before any item can emit. Blocked is not
-    final — push more and pop again. *)
 
 val pop_all : 'a t -> (int * 'a) list
 (** {!drain} into a list. *)

@@ -159,9 +159,8 @@ let observe t (ev : Trace.event) =
   | View_install { transitional; _ } ->
       if transitional then Hashtbl.replace t.in_recovery node ()
       else Hashtbl.remove t.in_recovery node
-  | Token_dup _ | Token_retransmit _ | Token_lost | Data_send _ | Data_recv _
-  | Flow_control _ | Timer_arm _ | Timer_fire _ | Phase _ | Crash | Drop _
-  | Control _ | App_apply _ | App_read _ | App_xfer _ ->
+  | Token_retransmit _ | Token_lost | Data_send _ | Phase _ | Crash | Drop _
+  | Control _ | App_xfer _ ->
       ()
 
 let as_sink t = Trace.fn_sink (fun ev -> observe t ev)

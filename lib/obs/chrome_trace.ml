@@ -146,12 +146,7 @@ let to_json (events : Trace.event list) =
                  ("donor", Json.Int donor);
                  ("applied", Json.Int applied);
                  ("entries", Json.Int entries);
-               ])
-      | Token_dup _ | Data_recv _ | Flow_control _ | Timer_arm _ | Timer_fire _
-      | App_apply _ | App_read _ ->
-          (* High-volume bookkeeping; slices and counters carry the same
-             information with far fewer objects. *)
-          ())
+               ]))
     events;
   (match events with
   | [] -> ()

@@ -11,5 +11,4 @@ val to_json : Trace.event list -> Json.t
 (** Events need not be sorted; output object has a ["traceEvents"] list. *)
 
 val to_string : Trace.event list -> string
-val write_channel : out_channel -> Trace.event list -> unit
 val write_file : string -> Trace.event list -> unit

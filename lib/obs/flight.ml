@@ -8,16 +8,18 @@
    arguments) written into a preallocated flat [int array] per node, in
    the spirit of the Netsim event arena: after the first record from a
    node its ring exists and steady-state recording allocates nothing.
-   The recorder is deliberately outside the {!Trace} sink stream — it
-   never feeds the FNV-hashed JSONL rendering, so enabling or dumping it
-   cannot perturb pinned corpus trace hashes.
+   Enabling, disabling or dumping the rings cannot perturb pinned corpus
+   trace hashes.
 
    Every record is also handed to the subscribers (the health watchdog
    and the span collector), which decode the codes they need. The
    subscriber list is a plain list walked by a top-level function, so
    dispatch allocates nothing; with no subscriber a record pays one load
-   and one branch more. Disabling the recorder stops only the ring
-   writes: subscribers still see every record. *)
+   and one branch more. The four codes whose record holds every field
+   of their trace event (token retransmit, token lost, phase, crash) are
+   decoded into the installed trace sink here, so the protocol reports
+   each of those steps once. Disabling the recorder stops only the ring
+   writes: subscribers and the trace sink still see every record. *)
 
 let slot_words = 6
 let default_capacity = 512
@@ -65,6 +67,19 @@ let ev_mcas = 17
 let ev_skip = 18
 let ev_merge = 19
 let ev_crash = 20
+
+(* Membership phase codes: [ev_phase]'s argument [a]. *)
+let phase_operational = 0
+let phase_gather = 1
+let phase_commit = 2
+let phase_recover = 3
+
+let phase_name = function
+  | 0 -> "operational"
+  | 1 -> "gather"
+  | 2 -> "commit"
+  | 3 -> "recover"
+  | _ -> "unknown"
 
 let code_name = function
   | 1 -> "token_recv"
@@ -114,6 +129,19 @@ let rec dispatch subs node code a b c d =
       f ~node ~code ~a ~b ~c ~d;
       dispatch rest node code a b c d
 
+(* The steps whose record carries every field of their trace event reach
+   the trace sink from here, whether or not ring writes are enabled. *)
+let traced code =
+  code = ev_token_retransmit || code = ev_token_lost || code = ev_phase
+  || code = ev_crash
+
+let to_trace ~node ~code ~a ~b =
+  if code = ev_token_retransmit then
+    Trace.emit ~node (Token_retransmit { token_id = a; attempt = b })
+  else if code = ev_token_lost then Trace.emit ~node Token_lost
+  else if code = ev_phase then Trace.emit ~node (Phase { phase = phase_name a })
+  else Trace.emit ~node Crash
+
 let record ~node ~code ~a ~b ~c ~d =
   if !on && node >= 0 then begin
     if node >= Array.length !rings then grow node;
@@ -138,9 +166,10 @@ let record ~node ~code ~a ~b ~c ~d =
     ring.next <- (if next = ring.cap then 0 else next);
     ring.total <- ring.total + 1
   end;
-  match !subscribers with
+  (match !subscribers with
   | [] -> ()
-  | subs -> dispatch subs node code a b c d
+  | subs -> dispatch subs node code a b c d);
+  if traced code && Trace.enabled () then to_trace ~node ~code ~a ~b
 
 (* ------------------------------------------------------------------ *)
 (* Readout                                                             *)

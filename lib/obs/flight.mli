@@ -1,18 +1,21 @@
 (** Always-on flight recorder: per-node fixed-capacity rings of compact
     six-word binary records (timestamp, event code, four int arguments),
     kept even when no {!Trace} sink is installed. Steady-state recording
-    allocates nothing once a node's ring exists; the recorder never
-    feeds the hashed trace stream, so pinned corpus hashes are
-    unaffected by it. Dump on demand as JSONL.
+    allocates nothing once a node's ring exists. Dump on demand as JSONL.
 
     The recorder is also the one feed of the always-on instruments:
     {!Health} and {!Span} subscribe and decode the records they need,
-    so each protocol step is reported once, here. *)
+    so each protocol step is reported once, here. Four codes whose
+    record carries every field of their trace event — {!ev_token_retransmit},
+    {!ev_token_lost}, {!ev_phase} and {!ev_crash} — also reach the
+    installed {!Trace} sink from {!record}, as [Token_retransmit],
+    [Token_lost], [Phase] and [Crash]; no other code does. *)
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit
 (** Recording is on by default; disabling is for overhead baselines. It
-    stops only the ring writes: subscribers still see every record. *)
+    stops only the ring writes: subscribers and the trace sink still see
+    every record. *)
 
 val reset : unit -> unit
 (** Drop every ring (a fresh run should start from an empty recorder). *)
@@ -53,7 +56,7 @@ val ev_deliver : int
 (** [a] = seq, [b] = sender. *)
 
 val ev_phase : int
-(** A membership phase entered: [a] = {!Health} phase code, [b] =
+(** A membership phase entered: [a] = phase code (below), [b] =
     membership generation. *)
 
 val ev_recheck : int
@@ -108,15 +111,26 @@ val ev_merge : int
 val ev_crash : int
 (** The simulator crashed this participant ({!Aring_sim.Netsim.crash}). *)
 
-val code_name : int -> string
+(** {2 Phase codes} ([ev_phase]'s argument [a]) *)
+
+val phase_operational : int
+val phase_gather : int
+val phase_commit : int
+val phase_recover : int
+
+val phase_name : int -> string
+(** ["operational"], ["gather"], ["commit"], ["recover"]; ["unknown"]
+    for any other code. The [Phase] trace event carries this name. *)
 
 (** {2 Recording} *)
 
 val record : node:int -> code:int -> a:int -> b:int -> c:int -> d:int -> unit
 (** Append one record to [node]'s ring, overwriting the oldest once
-    full, then hand it to every subscriber. Zero-allocation after the
-    node's first record. The ring write is skipped when disabled or
-    [node < 0]; subscribers see the record either way. *)
+    full, then hand it to every subscriber and, for the four traced
+    codes, emit its trace event when a sink is installed. Zero-allocation
+    after the node's first record when no sink is installed. The ring
+    write is skipped when disabled or [node < 0]; subscribers and the
+    trace sink see the record either way. *)
 
 (** {2 Subscribers} *)
 
@@ -151,5 +165,6 @@ val total : unit -> int
 val stored : unit -> int
 (** Records currently retained. *)
 
-val dump_jsonl : out_channel -> unit
 val dump_jsonl_file : string -> unit
+(** One JSON object per retained record, time-ordered, with the code's
+    name in ["ev"]. *)

@@ -30,12 +30,8 @@ type config = { k_formation : int; stall_ns : int }
 let default_config = { k_formation = 8; stall_ns = 1_000_000_000 }
 
 (* ------------------------------------------------------------------ *)
-(* Phase codes (shared with Flight's ev_phase argument)                *)
+(* Phase codes (Flight's ev_phase argument, 0 to 3)                    *)
 
-let phase_operational = 0
-let phase_gather = 1
-let phase_commit = 2
-let phase_recover = 3
 let n_phases = 4
 
 (* Trail entries extend the phase codes with watchdog-relevant moments. *)
@@ -44,14 +40,10 @@ let trail_recheck = 5
 let trail_giveup = 6
 
 let phase_name = function
-  | 0 -> "operational"
-  | 1 -> "gather"
-  | 2 -> "commit"
-  | 3 -> "recover"
   | 4 -> "crashed"
   | 5 -> "exchange-recheck"
   | 6 -> "recheck-giveup"
-  | _ -> "unknown"
+  | code -> Flight.phase_name code
 
 let trail_capacity = 64
 
@@ -146,11 +138,11 @@ let on_phase t ns phase =
     ns.ns_phase_since <- now;
     if phase >= 0 && phase < n_phases then
       ns.ns_entries.(phase) <- ns.ns_entries.(phase) + 1;
-    if phase = phase_gather then begin
+    if phase = Flight.phase_gather then begin
       ns.ns_attempts <- ns.ns_attempts + 1;
       ns.ns_max_attempts <- max ns.ns_max_attempts ns.ns_attempts
     end;
-    if phase = phase_operational then begin
+    if phase = Flight.phase_operational then begin
       t.last_operational_ns <- now;
       ns.ns_attempts <- 0;
       ns.ns_rechecks <- 0;
@@ -266,7 +258,7 @@ let check t ~now =
            if
              ns.ns_phase >= 0
              && ns.ns_phase <> trail_crash
-             && ns.ns_phase <> phase_operational
+             && ns.ns_phase <> Flight.phase_operational
              && now - ns.ns_phase_since > t.cfg.stall_ns
            then Some (node, phase_name ns.ns_phase)
            else None)

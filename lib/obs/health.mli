@@ -16,14 +16,6 @@ type config = { k_formation : int; stall_ns : int }
 val default_config : config
 (** [k_formation = 8] attempts, [stall_ns] = 1 virtual second. *)
 
-(** {2 Phase codes} (shared with {!Flight}'s [ev_phase] argument) *)
-
-val phase_operational : int
-val phase_gather : int
-val phase_commit : int
-val phase_recover : int
-val phase_name : int -> string
-
 type t
 
 val create : ?config:config -> n:int -> unit -> t
@@ -84,5 +76,4 @@ type report = {
 }
 
 val report : t -> now:int -> report
-val pp_stall : Format.formatter -> stall -> unit
 val pp_report : Format.formatter -> report -> unit

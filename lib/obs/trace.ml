@@ -1,11 +1,11 @@
 open Aring_wire
 
-(* Structured trace events covering the protocol's internal rhythm: token
-   motion, data motion, delivery, timers, flow-control decisions,
-   membership phases and faults. One event = one observable step of one
-   node; timestamps come from a pluggable clock so the same hooks serve
-   the discrete-event simulator (virtual ns) and the UDP runtime (wall
-   clock ns). *)
+(* Structured trace events covering the protocol's steps: token motion,
+   data sends, delivery, views, membership phases and faults. One event =
+   one observable step of one node, reported once (the steps a Flight
+   record holds in full are emitted by Flight.record); timestamps come
+   from a pluggable clock so the same hooks serve the discrete-event
+   simulator (virtual ns) and the UDP runtime (wall clock ns). *)
 
 type kind =
   | Token_recv of {
@@ -28,7 +28,6 @@ type kind =
       local_aru : int;
       safe_line : int;
     }
-  | Token_dup of { token_id : int }
   | Token_retransmit of { token_id : int; attempt : int }
   | Token_lost
   | Data_send of {
@@ -38,18 +37,7 @@ type kind =
       post_token : bool;
       retrans : bool;
     }
-  | Data_recv of { ring : Types.ring_id; seq : int; sender : int; dup : bool }
   | Deliver of { ring : Types.ring_id; seq : int; sender : int; service : string }
-  | Flow_control of {
-      allowed_new : int;
-      n_post : int;
-      fcc : int;
-      pending : int;
-      by_global : int;
-      by_gap : int;
-    }
-  | Timer_arm of { timer : string; delay_ns : int }
-  | Timer_fire of { timer : string }
   | View_install of {
       ring : Types.ring_id;
       members : Types.pid list;
@@ -68,8 +56,6 @@ type kind =
       retrans : int;
       backlog : int;
     }
-  | App_apply of { index : int; key : string; deleted : bool }
-  | App_read of { key : string; found : bool; token : int; sync : bool }
   | App_xfer of {
       view : Types.ring_id;
       donor : Types.pid;
@@ -127,8 +113,6 @@ let tee sinks =
     flush = (fun () -> List.iter (fun s -> s.flush ()) sinks);
   }
 
-let null_sink = { emit = (fun _ -> ()); flush = (fun () -> ()) }
-
 let fn_sink f = { emit = f; flush = (fun () -> ()) }
 
 (* Unbounded in-memory collector (tests, exporters). *)
@@ -148,65 +132,21 @@ let memory_sink m =
 let memory_events m = List.rev m.rev_events
 let memory_count m = m.n
 
-(* Bounded ring buffer keeping the last [capacity] events: the
-   always-on-able sink for long runs. *)
-type ring_buffer = {
-  buf : event option array;
-  mutable next : int;
-  mutable total : int;
-}
-
-let ring_buffer ~capacity =
-  if capacity <= 0 then invalid_arg "Trace.ring_buffer: capacity must be > 0";
-  { buf = Array.make capacity None; next = 0; total = 0 }
-
-let ring_sink r =
-  {
-    emit =
-      (fun ev ->
-        r.buf.(r.next) <- Some ev;
-        r.next <- (r.next + 1) mod Array.length r.buf;
-        r.total <- r.total + 1);
-    flush = (fun () -> ());
-  }
-
-(* Oldest first. *)
-let ring_events r =
-  let n = Array.length r.buf in
-  let rec collect i acc =
-    if i = 0 then acc
-    else
-      let idx = (r.next - i + (2 * n)) mod n in
-      match r.buf.(idx) with
-      | Some ev -> collect (i - 1) (ev :: acc)
-      | None -> collect (i - 1) acc
-  in
-  List.rev (collect n [])
-
-let ring_total r = r.total
-
 (* ------------------------------------------------------------------ *)
 (* Pretty-printing                                                     *)
 
 let kind_name = function
   | Token_recv _ -> "token_recv"
   | Token_send _ -> "token_send"
-  | Token_dup _ -> "token_dup"
   | Token_retransmit _ -> "token_retransmit"
   | Token_lost -> "token_lost"
   | Data_send _ -> "data_send"
-  | Data_recv _ -> "data_recv"
   | Deliver _ -> "deliver"
-  | Flow_control _ -> "flow_control"
-  | Timer_arm _ -> "timer_arm"
-  | Timer_fire _ -> "timer_fire"
   | View_install _ -> "view_install"
   | Phase _ -> "phase"
   | Crash -> "crash"
   | Drop _ -> "drop"
   | Control _ -> "control"
-  | App_apply _ -> "app_apply"
-  | App_read _ -> "app_read"
   | App_xfer _ -> "app_xfer"
 
 let pp_kind ppf k =
@@ -218,7 +158,6 @@ let pp_kind ppf k =
   | Token_send { token_id; round; seq; aru; fcc; rtr; _ } ->
       Format.fprintf ppf "token_send(id=%d round=%d seq=%d aru=%d fcc=%d rtr=%d)"
         token_id round seq aru fcc rtr
-  | Token_dup { token_id } -> Format.fprintf ppf "token_dup(id=%d)" token_id
   | Token_retransmit { token_id; attempt } ->
       Format.fprintf ppf "token_retransmit(id=%d attempt=%d)" token_id attempt
   | Token_lost -> Format.pp_print_string ppf "token_lost"
@@ -226,18 +165,8 @@ let pp_kind ppf k =
       Format.fprintf ppf "data_send(seq=%d size=%d%s%s)" seq size
         (if post_token then " post" else "")
         (if retrans then " retrans" else "")
-  | Data_recv { seq; sender; dup; _ } ->
-      Format.fprintf ppf "data_recv(seq=%d from=%d%s)" seq sender
-        (if dup then " dup" else "")
   | Deliver { seq; sender; service; _ } ->
       Format.fprintf ppf "deliver(seq=%d from=%d %s)" seq sender service
-  | Flow_control { allowed_new; n_post; fcc; pending; by_global; by_gap } ->
-      Format.fprintf ppf
-        "flow_control(new=%d post=%d fcc=%d pending=%d by_global=%d by_gap=%d)"
-        allowed_new n_post fcc pending by_global by_gap
-  | Timer_arm { timer; delay_ns } ->
-      Format.fprintf ppf "timer_arm(%s %dns)" timer delay_ns
-  | Timer_fire { timer } -> Format.fprintf ppf "timer_fire(%s)" timer
   | View_install { ring; members; transitional } ->
       Format.fprintf ppf "view_install(%a %s n=%d)" Types.pp_ring_id ring
         (if transitional then "trans" else "reg")
@@ -252,14 +181,6 @@ let pp_kind ppf k =
         round aw_before aw_after
         (if congested then " congested" else "")
         rotation_ns fcc retrans backlog
-  | App_apply { index; key; deleted } ->
-      Format.fprintf ppf "app_apply(#%d %s%s)" index key
-        (if deleted then " del" else "")
-  | App_read { key; found; token; sync } ->
-      Format.fprintf ppf "app_read(%s%s tok=%d%s)" key
-        (if found then "" else " miss")
-        token
-        (if sync then " sync" else "")
   | App_xfer { view; donor; phase; applied; entries } ->
       Format.fprintf ppf "app_xfer(%s %a donor=%d applied=%d entries=%d)" phase
         Types.pp_ring_id view donor applied entries

@@ -1,11 +1,21 @@
 (** Structured protocol tracing.
 
     A trace event records one observable step of one node: token motion,
-    data motion, delivery, timer activity, flow-control decisions,
-    membership phase changes and faults. Events flow into a pluggable
+    data sends, delivery, views, membership phase changes, faults,
+    window decisions and state transfer. Events flow into a pluggable
     {!sink}; when no sink is installed, instrumentation costs one branch
     ([enabled ()] is false), so production and benchmark runs are
     unaffected — pay for what you use.
+
+    Each step is reported once. A step that {!Flight} records in full
+    reaches the sink through the record: [Token_retransmit],
+    [Token_lost], [Phase] and [Crash] are emitted only by
+    {!Flight.record}. The other kinds carry fields a flight record
+    cannot hold, and only the fields the trace's readers need: the
+    invariant {!Checker}, the {!Rotation} profiler and the
+    {!Chrome_trace} view. Steps nothing reads (data receipt, timer
+    activity, flow-control decisions, duplicate tokens, KV applies and
+    reads) are flight records or counters, not trace events.
 
     The clock is pluggable so the same hooks serve the discrete-event
     simulator (virtual nanoseconds) and the UDP runtime (wall clock). *)
@@ -33,9 +43,9 @@ type kind =
       local_aru : int;
       safe_line : int;
     }  (** The updated token forwarded to the successor. *)
-  | Token_dup of { token_id : int }
   | Token_retransmit of { token_id : int; attempt : int }
-  | Token_lost
+      (** Decoded from {!Flight.ev_token_retransmit}. *)
+  | Token_lost  (** Decoded from {!Flight.ev_token_lost}. *)
   | Data_send of {
       ring : Types.ring_id;
       seq : int;
@@ -43,25 +53,16 @@ type kind =
       post_token : bool;
       retrans : bool;
     }
-  | Data_recv of { ring : Types.ring_id; seq : int; sender : int; dup : bool }
   | Deliver of { ring : Types.ring_id; seq : int; sender : int; service : string }
-  | Flow_control of {
-      allowed_new : int;
-      n_post : int;
-      fcc : int;
-      pending : int;
-      by_global : int;
-      by_gap : int;
-    }  (** The per-round window decision (Section III-A.1). *)
-  | Timer_arm of { timer : string; delay_ns : int }
-  | Timer_fire of { timer : string }
   | View_install of {
       ring : Types.ring_id;
       members : Types.pid list;
       transitional : bool;
     }
-  | Phase of { phase : string }  (** Membership phase entered. *)
-  | Crash
+  | Phase of { phase : string }
+      (** Membership phase entered, decoded from {!Flight.ev_phase}
+          ({!Flight.phase_name}). *)
+  | Crash  (** Decoded from {!Flight.ev_crash}. *)
   | Drop of { reason : string; size : int }
   | Control of {
       round : int;
@@ -77,13 +78,6 @@ type kind =
           node-local accelerated window. Emitted only when a controller
           is attached, so controller-off traces are byte-identical to
           pre-controller runs. *)
-  | App_apply of { index : int; key : string; deleted : bool }
-      (** A replicated-KV replica applied write [index] of its op log
-          (see {!Aring_app.Kv}). Emitted only by KV replicas, so
-          KV-less traces are byte-identical to earlier runs. *)
-  | App_read of { key : string; found : bool; token : int; sync : bool }
-      (** A KV read served ([token] = the replica's applied-prefix
-          consistency token; [sync] = Safe-ordered SyncRead). *)
   | App_xfer of {
       view : Types.ring_id;
       donor : Types.pid;
@@ -133,7 +127,6 @@ val with_sink : sink -> (unit -> 'a) -> 'a
 (** {1 Sinks} *)
 
 val tee : sink list -> sink
-val null_sink : sink
 val fn_sink : (event -> unit) -> sink
 
 type memory
@@ -145,17 +138,6 @@ val memory_events : memory -> event list
 (** In emission order. *)
 
 val memory_count : memory -> int
-
-type ring_buffer
-(** Bounded buffer keeping the last [capacity] events. *)
-
-val ring_buffer : capacity:int -> ring_buffer
-val ring_sink : ring_buffer -> sink
-val ring_events : ring_buffer -> event list
-(** Oldest first; at most [capacity] events. *)
-
-val ring_total : ring_buffer -> int
-(** Total events ever emitted (including overwritten ones). *)
 
 (** {1 Printing} *)
 

@@ -39,7 +39,6 @@ let kind_fields (k : Trace.kind) : (string * Json.t) list =
         ("local_aru", Json.Int local_aru);
         ("safe_line", Json.Int safe_line);
       ]
-  | Token_dup { token_id } -> [ ("token_id", Json.Int token_id) ]
   | Token_retransmit { token_id; attempt } ->
       [ ("token_id", Json.Int token_id); ("attempt", Json.Int attempt) ]
   | Token_lost -> []
@@ -51,13 +50,6 @@ let kind_fields (k : Trace.kind) : (string * Json.t) list =
         ("post_token", Json.Bool post_token);
         ("retrans", Json.Bool retrans);
       ]
-  | Data_recv { ring; seq; sender; dup } ->
-      [
-        ("ring", ring_json ring);
-        ("seq", Json.Int seq);
-        ("sender", Json.Int sender);
-        ("dup", Json.Bool dup);
-      ]
   | Deliver { ring; seq; sender; service } ->
       [
         ("ring", ring_json ring);
@@ -65,18 +57,6 @@ let kind_fields (k : Trace.kind) : (string * Json.t) list =
         ("sender", Json.Int sender);
         ("service", Json.String service);
       ]
-  | Flow_control { allowed_new; n_post; fcc; pending; by_global; by_gap } ->
-      [
-        ("allowed_new", Json.Int allowed_new);
-        ("n_post", Json.Int n_post);
-        ("fcc", Json.Int fcc);
-        ("pending", Json.Int pending);
-        ("by_global", Json.Int by_global);
-        ("by_gap", Json.Int by_gap);
-      ]
-  | Timer_arm { timer; delay_ns } ->
-      [ ("timer", Json.String timer); ("delay_ns", Json.Int delay_ns) ]
-  | Timer_fire { timer } -> [ ("timer", Json.String timer) ]
   | View_install { ring; members; transitional } ->
       [
         ("ring", ring_json ring);
@@ -98,19 +78,6 @@ let kind_fields (k : Trace.kind) : (string * Json.t) list =
         ("fcc", Json.Int fcc);
         ("retrans", Json.Int retrans);
         ("backlog", Json.Int backlog);
-      ]
-  | App_apply { index; key; deleted } ->
-      [
-        ("index", Json.Int index);
-        ("key", Json.String key);
-        ("deleted", Json.Bool deleted);
-      ]
-  | App_read { key; found; token; sync } ->
-      [
-        ("key", Json.String key);
-        ("found", Json.Bool found);
-        ("token", Json.Int token);
-        ("sync", Json.Bool sync);
       ]
   | App_xfer { view; donor; phase; applied; entries } ->
       [
@@ -164,7 +131,6 @@ let kind_of_json name j : Trace.kind =
           local_aru = req "local_aru" Json.to_int j;
           safe_line = req "safe_line" Json.to_int j;
         }
-  | "token_dup" -> Token_dup { token_id = req "token_id" Json.to_int j }
   | "token_retransmit" ->
       Token_retransmit
         {
@@ -181,14 +147,6 @@ let kind_of_json name j : Trace.kind =
           post_token = req "post_token" Json.to_bool j;
           retrans = req "retrans" Json.to_bool j;
         }
-  | "data_recv" ->
-      Data_recv
-        {
-          ring = req_ring "ring" j;
-          seq = req "seq" Json.to_int j;
-          sender = req "sender" Json.to_int j;
-          dup = req "dup" Json.to_bool j;
-        }
   | "deliver" ->
       Deliver
         {
@@ -197,23 +155,6 @@ let kind_of_json name j : Trace.kind =
           sender = req "sender" Json.to_int j;
           service = req "service" Json.to_str j;
         }
-  | "flow_control" ->
-      Flow_control
-        {
-          allowed_new = req "allowed_new" Json.to_int j;
-          n_post = req "n_post" Json.to_int j;
-          fcc = req "fcc" Json.to_int j;
-          pending = req "pending" Json.to_int j;
-          by_global = req "by_global" Json.to_int j;
-          by_gap = req "by_gap" Json.to_int j;
-        }
-  | "timer_arm" ->
-      Timer_arm
-        {
-          timer = req "timer" Json.to_str j;
-          delay_ns = req "delay_ns" Json.to_int j;
-        }
-  | "timer_fire" -> Timer_fire { timer = req "timer" Json.to_str j }
   | "view_install" ->
       View_install
         {
@@ -241,21 +182,6 @@ let kind_of_json name j : Trace.kind =
           fcc = req "fcc" Json.to_int j;
           retrans = req "retrans" Json.to_int j;
           backlog = req "backlog" Json.to_int j;
-        }
-  | "app_apply" ->
-      App_apply
-        {
-          index = req "index" Json.to_int j;
-          key = req "key" Json.to_str j;
-          deleted = req "deleted" Json.to_bool j;
-        }
-  | "app_read" ->
-      App_read
-        {
-          key = req "key" Json.to_str j;
-          found = req "found" Json.to_bool j;
-          token = req "token" Json.to_int j;
-          sync = req "sync" Json.to_bool j;
         }
   | "app_xfer" ->
       App_xfer

@@ -176,12 +176,6 @@ let set_accelerated_window t w =
 
 let last_round_signals t = t.last_signals
 
-let undelivered_after_cursor t =
-  Hashtbl.fold
-    (fun seq d acc -> if seq > t.delivered then d :: acc else acc)
-    t.buffer []
-  |> List.sort (fun (a : Message.data) b -> compare a.seq b.seq)
-
 let advance_local_aru t =
   while Hashtbl.mem t.buffer (t.local_aru + 1) do
     t.local_aru <- t.local_aru + 1
@@ -235,9 +229,6 @@ let handle_data t (d : Message.data) =
   let dup = d.seq <= t.discard_floor || Hashtbl.mem t.buffer d.seq in
   Flight.record ~node:t.me ~code:Flight.ev_data_recv ~a:d.seq ~b:d.pid
     ~c:(if dup then 1 else 0) ~d:0;
-  if Trace.enabled () then
-    Trace.emit ~node:t.me
-      (Trace.Data_recv { ring = t.ring_id; seq = d.seq; sender = d.pid; dup });
   if dup then begin
     t.stats.dup_data <- t.stats.dup_data + 1;
     []
@@ -278,8 +269,6 @@ let rec merge_sorted a b =
 let handle_token t (tok : Message.token) =
   if tok.token_id <= t.last_token_id then begin
     t.stats.dup_tokens <- t.stats.dup_tokens + 1;
-    if Trace.enabled () then
-      Trace.emit ~node:t.me (Trace.Token_dup { token_id = tok.token_id });
     []
   end
   else begin
@@ -347,17 +336,6 @@ let handle_token t (tok : Message.token) =
        pre-token phase and the post-token phase (at most
        accelerated_window messages follow the token). *)
     let n_pre = max 0 (allowed_new - t.accelerated_window) in
-    if Trace.enabled () then
-      Trace.emit ~node:t.me
-        (Trace.Flow_control
-           {
-             allowed_new;
-             n_post = allowed_new - n_pre;
-             fcc = tok.fcc;
-             pending = Queue.length t.pending;
-             by_global;
-             by_gap;
-           });
     let rev_pre = ref [] and rev_post = ref [] in
     for i = 0 to allowed_new - 1 do
       let p = Queue.pop t.pending in
@@ -440,7 +418,7 @@ let handle_token t (tok : Message.token) =
     if line > t.safe_line then t.safe_line <- line;
     Flight.record ~node:t.me ~code:Flight.ev_token_send ~a:token'.token_id
       ~b:token'.t_seq ~c:token'.aru ~d:(List.length token'.rtr);
-    if Trace.enabled () then begin
+    if Trace.enabled () then
       Trace.emit ~node:t.me
         (Trace.Token_send
            {
@@ -454,15 +432,6 @@ let handle_token t (tok : Message.token) =
              local_aru = t.local_aru;
              safe_line = t.safe_line;
            });
-      Trace.emit ~node:t.me
-        (Trace.Timer_arm
-           {
-             timer = "token_retransmit";
-             delay_ns = t.params.token_retransmit_ns;
-           });
-      Trace.emit ~node:t.me
-        (Trace.Timer_arm { timer = "token_loss"; delay_ns = t.params.token_loss_ns })
-    end;
     (* 8. Deliver and discard; assemble the action list back to front so
        each phase is prepended once — no intermediate lists, no appends. *)
     let deliveries_on =
@@ -506,13 +475,6 @@ let handle_timer t kind gen =
               t.stats.token_retransmits <- t.stats.token_retransmits + 1;
               Flight.record ~node:t.me ~code:Flight.ev_token_retransmit
                 ~a:tok.token_id ~b:t.retransmit_count ~c:0 ~d:0;
-              if Trace.enabled () then begin
-                Trace.emit ~node:t.me
-                  (Trace.Timer_fire { timer = "token_retransmit" });
-                Trace.emit ~node:t.me
-                  (Trace.Token_retransmit
-                     { token_id = tok.token_id; attempt = t.retransmit_count })
-              end;
               [
                 Send_token (successor t, tok);
                 Set_timer
@@ -524,10 +486,6 @@ let handle_timer t kind gen =
       else begin
         Flight.record ~node:t.me ~code:Flight.ev_token_lost ~a:t.round ~b:0
           ~c:0 ~d:0;
-        if Trace.enabled () then begin
-          Trace.emit ~node:t.me (Trace.Timer_fire { timer = "token_loss" });
-          Trace.emit ~node:t.me Trace.Token_lost
-        end;
         [ Token_lost ]
       end
 

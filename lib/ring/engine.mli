@@ -164,7 +164,3 @@ val buffered_message : t -> Types.seqno -> Message.data option
 val drain_pending : t -> (Types.service * bytes) list
 (** Remove and return the client messages still waiting for a token visit —
     the membership layer carries them into the next configuration. *)
-
-val undelivered_after_cursor : t -> Message.data list
-(** Messages received but not yet delivered, ascending by sequence — used
-    by recovery when a configuration dies. *)

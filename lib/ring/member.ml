@@ -1,7 +1,6 @@
 open Aring_wire
 module Deque = Aring_util.Deque
 module Flight = Aring_obs.Flight
-module Health = Aring_obs.Health
 
 type memb_timer_kind =
   | Join_retransmit
@@ -136,28 +135,21 @@ let current_view t = t.last_view
 
 let node t = match t.phase with Operational n -> Some n | _ -> None
 
-let state_name t =
-  match t.phase with
-  | Operational _ -> "operational"
-  | Gather _ -> "gather"
-  | Commit_wait _ -> "commit"
-  | Recover _ -> "recover"
-
 let phase_code t =
   match t.phase with
-  | Operational _ -> Health.phase_operational
-  | Gather _ -> Health.phase_gather
-  | Commit_wait _ -> Health.phase_commit
-  | Recover _ -> Health.phase_recover
+  | Operational _ -> Flight.phase_operational
+  | Gather _ -> Flight.phase_gather
+  | Commit_wait _ -> Flight.phase_commit
+  | Recover _ -> Flight.phase_recover
 
-(* Note the phase just entered (call after updating [t.phase]): flight
-   recorder (and through it the health watchdog) always, trace sink when
-   installed. Only the trace event is part of the hashed stream. *)
+let state_name t = Flight.phase_name (phase_code t)
+
+(* Note the phase just entered (call after updating [t.phase]). The
+   record reaches the health watchdog and, when a sink is installed, the
+   trace stream as a [Phase] event. *)
 let trace_phase t =
   Flight.record ~node:t.me ~code:Flight.ev_phase ~a:(phase_code t)
-    ~b:t.memb_gen ~c:0 ~d:0;
-  if Aring_obs.Trace.enabled () then
-    Aring_obs.Trace.emit ~node:t.me (Phase { phase = state_name t })
+    ~b:t.memb_gen ~c:0 ~d:0
 
 let create ~params ~me ?initial_ring ?controller ?(legacy_flood = false) () =
   let singleton_ring : Types.ring_id = { rep = me; ring_seq = 0 } in

@@ -145,7 +145,6 @@ let receive t msg =
 let has_work t =
   not (Deque.is_empty t.token_q.q && Deque.is_empty t.data_q.q)
 
-let queued_messages t = Deque.length t.token_q.q + Deque.length t.data_q.q
 
 let dequeue queue =
   match Deque.pop_front queue.q with

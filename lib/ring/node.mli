@@ -68,7 +68,6 @@ val receive : t -> Message.t -> [ `Queued | `Dropped ]
     data queue) and buffered, or dropped when the queue is full. *)
 
 val has_work : t -> bool
-val queued_messages : t -> int
 
 val take_next : t -> Message.t option
 (** Remove the next message to process, per the priority policy: data

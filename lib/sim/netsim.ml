@@ -489,8 +489,7 @@ let set_latency_classes t ~classes ~matrix =
 
 let crash t node =
   t.alive.(node) <- false;
-  Flight.record ~node ~code:Flight.ev_crash ~a:0 ~b:0 ~c:0 ~d:0;
-  if Trace.enabled () then Trace.emit ~node Crash
+  Flight.record ~node ~code:Flight.ev_crash ~a:0 ~b:0 ~c:0 ~d:0
 
 let record_metrics t reg =
   let c name v = Metrics.add (Metrics.counter reg name) v in
@@ -510,14 +509,4 @@ let run_until t horizon =
       continue := false;
       t.now <- max t.now horizon
     end
-  done
-
-let run_while_work t ~max_ns =
-  let continue = ref true in
-  while !continue do
-    if
-      (not (Heap.is_empty t.events))
-      && (!(t.arena)).(Heap.top_exn t.events).at <= max_ns
-    then step t
-    else continue := false
   done

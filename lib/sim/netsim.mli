@@ -140,6 +140,3 @@ val is_alive : t -> int -> bool
 
 val run_until : t -> int -> unit
 (** Process all events with time ≤ the given horizon (ns). *)
-
-val run_while_work : t -> max_ns:int -> unit
-(** Run until the event queue empties or the horizon is reached. *)

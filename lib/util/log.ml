@@ -1,8 +1,3 @@
 let setup ?(level = Logs.Warning) () =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (Some level)
-
-let ring_src = Logs.Src.create "accelring.ring" ~doc:"Ordering protocol"
-let memb_src = Logs.Src.create "accelring.memb" ~doc:"Membership algorithm"
-let sim_src = Logs.Src.create "accelring.sim" ~doc:"Network simulator"
-let daemon_src = Logs.Src.create "accelring.daemon" ~doc:"Daemon layer"

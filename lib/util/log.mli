@@ -1,20 +1,8 @@
 (** Logging setup shared by executables and tests.
 
-    A thin wrapper over [Logs] that installs an [Fmt]-based reporter and
-    creates per-subsystem sources. *)
+    A thin wrapper over [Logs] that installs an [Fmt]-based reporter.
+    Modules that log create their own source (e.g. [accelring.member]). *)
 
 val setup : ?level:Logs.level -> unit -> unit
 (** [setup ~level ()] installs a formatted stderr reporter. Defaults to
     [Logs.Warning] so tests stay quiet unless asked. *)
-
-val ring_src : Logs.src
-(** Log source for the ordering protocol. *)
-
-val memb_src : Logs.src
-(** Log source for the membership algorithm. *)
-
-val sim_src : Logs.src
-(** Log source for the network simulator. *)
-
-val daemon_src : Logs.src
-(** Log source for the Spread-like daemon layer. *)

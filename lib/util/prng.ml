@@ -66,7 +66,6 @@ type zipf = {
   z_alias : int array;  (* fallback rank per column *)
 }
 
-let zipf_n z = z.z_n
 let zipf_theta z = z.z_theta
 
 let zipf_table ~n ~theta =

@@ -62,6 +62,4 @@ val zipf : t -> zipf -> int
 (** [zipf t z] draws a rank in [0 .. n-1]; lower ranks are more
     popular. Deterministic for a given seed and draw sequence. *)
 
-val zipf_n : zipf -> int
-
 val zipf_theta : zipf -> float

@@ -5,9 +5,6 @@ type ring_id = { rep : pid; ring_seq : int }
 
 let ring_id_equal a b = a.rep = b.rep && a.ring_seq = b.ring_seq
 
-let ring_id_compare a b =
-  match compare a.ring_seq b.ring_seq with 0 -> compare a.rep b.rep | c -> c
-
 let pp_ring_id ppf r = Format.fprintf ppf "ring(%d.%d)" r.rep r.ring_seq
 
 type service = Fifo | Causal | Agreed | Safe
@@ -26,5 +23,3 @@ let service_to_string = function
   | Causal -> "causal"
   | Agreed -> "agreed"
   | Safe -> "safe"
-
-let pp_service ppf s = Format.pp_print_string ppf (service_to_string s)

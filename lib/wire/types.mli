@@ -23,7 +23,6 @@ type ring_id = { rep : pid; ring_seq : int }
     with every installation attempt so re-formations are distinguishable. *)
 
 val ring_id_equal : ring_id -> ring_id -> bool
-val ring_id_compare : ring_id -> ring_id -> int
 val pp_ring_id : Format.formatter -> ring_id -> unit
 
 type service =
@@ -39,5 +38,4 @@ val service_equal : service -> service -> bool
 val service_requires_stability : service -> bool
 (** [true] only for {!Safe}: delivery must wait for the aru line. *)
 
-val pp_service : Format.formatter -> service -> unit
 val service_to_string : service -> string

@@ -158,17 +158,19 @@ let prop_merge_single_ring_identity =
 
 (* Blocking: with an item-holding ring and a silent one, nothing emits
    until the silent ring speaks — then everything does. *)
+let merged = Alcotest.(list (pair int string))
+
 let test_merge_blocks_on_silent_ring () =
   let m = Merge.create ~rings:2 in
   Merge.push m ~ring:1 (Merge.Item "b1");
-  check Alcotest.bool "blocked while ring 0 silent" true (Merge.pop m = None);
+  check merged "blocked while ring 0 silent" [] (Merge.pop_all m);
   Merge.push m ~ring:0 (Merge.Item "a1");
-  check Alcotest.bool "ring 0 emits first" true (Merge.pop m = Some (0, "a1"));
-  check Alcotest.bool "then ring 1" true (Merge.pop m = Some (1, "b1"));
+  check merged "ring 0 emits first, then ring 1" [ (0, "a1"); (1, "b1") ]
+    (Merge.pop_all m);
   Merge.push m ~ring:1 (Merge.Item "b2");
-  check Alcotest.bool "blocked again" true (Merge.pop m = None);
+  check merged "blocked again" [] (Merge.pop_all m);
   Merge.push m ~ring:0 (Merge.Skip 5);
-  check Alcotest.bool "skip unblocks" true (Merge.pop m = Some (1, "b2"));
+  check merged "skip unblocks" [ (1, "b2") ] (Merge.pop_all m);
   check Alcotest.int "credit spent" 1 (Merge.credits_spent m)
 
 (* Skip credits must not let later-pushed items jump unconsumed
@@ -177,17 +179,16 @@ let test_merge_skip_queue_position () =
   let m = Merge.create ~rings:2 in
   Merge.push m ~ring:0 (Merge.Skip 3);
   Merge.push m ~ring:1 (Merge.Item "b1");
-  check Alcotest.bool "b1 emits through the skip" true
-    (Merge.pop m = Some (1, "b1"));
+  check merged "b1 emits through the skip" [ (1, "b1") ] (Merge.pop_all m);
   (* An item pushed on ring 0 now queues *behind* the skip's remaining
      units — ring 1 still owns the next turns the skip ceded. *)
   Merge.push m ~ring:0 (Merge.Item "a1");
   Merge.push m ~ring:1 (Merge.Item "b2");
-  check Alcotest.bool "remaining credit still cedes to ring 1" true
-    (Merge.pop m = Some (1, "b2"));
+  check merged "remaining credit still cedes to ring 1" [ (1, "b2") ]
+    (Merge.pop_all m);
   Merge.push m ~ring:1 (Merge.Skip 1_000);
-  check Alcotest.bool "a1 emits after the credit runs out" true
-    (Merge.pop m = Some (0, "a1"))
+  check merged "a1 emits after the credit runs out" [ (0, "a1") ]
+    (Merge.pop_all m)
 
 (* ---------------- merge: lanes against a queue model ---------------- *)
 
@@ -256,11 +257,11 @@ module Queue_model = struct
   let pop t = if Array.for_all (( = ) 0) t.items then None else visit t
 end
 
-type merge_step = Push of int * [ `Item | `Skip of int ] | Drain | Pop | Pop_all
+type merge_step = Push of int * [ `Item | `Skip of int ] | Drain | Pop_all
 
 (* Long runs of pushes (a silent ring lets the others pile up past a
    lane's 16 initial cells while their heads have moved), skips of every
-   sign, and the three ways to take output. *)
+   sign, and both ways to take output. *)
 let gen_merge_steps =
   QCheck.Gen.(
     let* rings = int_range 1 4 in
@@ -274,7 +275,7 @@ let gen_merge_steps =
     let+ steps =
       list_size (int_range 0 400)
         (frequency
-           [ (24, push); (1, return Drain); (1, return Pop); (1, return Pop_all) ])
+           [ (24, push); (1, return Drain); (1, return Pop_all) ])
     in
     (rings, steps))
 
@@ -288,7 +289,6 @@ let arb_merge_steps =
                 | Push (r, `Item) -> Printf.sprintf "I%d" r
                 | Push (r, `Skip k) -> Printf.sprintf "S%d:%d" r k
                 | Drain -> "D"
-                | Pop -> "P"
                 | Pop_all -> "A")
               steps)))
     gen_merge_steps
@@ -327,7 +327,6 @@ let prop_merge_matches_queue_model =
                 let out = ref [] in
                 Merge.drain m (fun r x -> out := (r, x) :: !out);
                 List.rev !out = model_pop_all q
-            | Pop -> Merge.pop m = Queue_model.pop q
             | Pop_all -> Merge.pop_all m = model_pop_all q
           in
           same_output && same_counters ())

@@ -19,6 +19,11 @@ let ms n = n * 1_000_000
 let rid : Types.ring_id = { rep = 0; ring_seq = 1 }
 let ev t_ns node kind : Trace.event = { t_ns; node; kind }
 
+let contains text needle =
+  let nl = String.length needle and tl = String.length text in
+  let rec scan i = i + nl <= tl && (String.sub text i nl = needle || scan (i + 1)) in
+  scan 0
+
 (* -------------------------------------------------------------------- *)
 (* Metrics registry                                                      *)
 
@@ -108,18 +113,7 @@ let test_sinks () =
       Trace.emit_at ~t_ns:1 ~node:0 Trace.Token_lost;
       Trace.emit_at ~t_ns:2 ~node:1 Trace.Crash);
   check Alcotest.bool "restored" false (Trace.enabled ());
-  check Alcotest.int "memory collected" 2 (Trace.memory_count mem);
-  (* Ring buffer keeps only the newest [capacity] events. *)
-  let rb = Trace.ring_buffer ~capacity:3 in
-  Trace.with_sink (Trace.ring_sink rb) (fun () ->
-      for i = 1 to 5 do
-        Trace.emit_at ~t_ns:i ~node:0 Trace.Token_lost
-      done);
-  check Alcotest.int "ring total" 5 (Trace.ring_total rb);
-  check
-    Alcotest.(list int)
-    "ring keeps newest, oldest first" [ 3; 4; 5 ]
-    (List.map (fun (e : Trace.event) -> e.t_ns) (Trace.ring_events rb))
+  check Alcotest.int "memory collected" 2 (Trace.memory_count mem)
 
 (* dune runtest runs in the sandboxed test dir; dune exec from the root. *)
 let golden path =
@@ -128,7 +122,7 @@ let golden path =
 
 let test_jsonl_roundtrip () =
   let events = Trace_json.read_file (golden "events.jsonl") in
-  check Alcotest.int "golden event count" 20 (List.length events);
+  check Alcotest.int "golden event count" 16 (List.length events);
   List.iter
     (fun e ->
       let e' = Trace_json.of_line (Trace_json.to_line e) in
@@ -514,7 +508,7 @@ let test_observe_allocation () =
 module Json = Aring_obs.Json
 
 (* Strings that ride inside trace events (service names, drop reasons,
-   membership phases, timer labels) must be escaped into valid JSON no
+   membership phases, transfer phases) must be escaped into valid JSON no
    matter what bytes they hold. *)
 let test_chrome_escaping () =
   let hostile = "ag\"re\\ed\n\t\r\x01end" in
@@ -524,7 +518,9 @@ let test_chrome_escaping () =
       ev 2_000 0 (Trace.Deliver { ring = rid; seq = 2; sender = 1; service = hostile });
       ev 3_000 1 (Trace.Drop { reason = hostile; size = 10 });
       ev 4_000 1 (Trace.Phase { phase = hostile });
-      ev 5_000 2 (Trace.Timer_arm { timer = hostile; delay_ns = 5 });
+      ev 5_000 2
+        (Trace.App_xfer
+           { view = rid; donor = 1; phase = hostile; applied = 0; entries = 0 });
     ]
   in
   let s = Chrome_trace.to_string events in
@@ -678,13 +674,13 @@ let test_health_formation_cycle () =
              reaching operational; node 1 is healthy. The cycling must
              outlast [stall_ns] with no formation completing anywhere
              before the verdict fires. *)
-          phase 1 Health.phase_operational;
+          phase 1 Flight.phase_operational;
           for i = 1 to 8 do
             t := i * 200_000_000;
-            phase 0 Health.phase_gather;
+            phase 0 Flight.phase_gather;
             recheck 0;
-            phase 0 Health.phase_commit;
-            phase 0 Health.phase_recover;
+            phase 0 Flight.phase_commit;
+            phase 0 Flight.phase_recover;
             delivery ()
           done;
           (match Health.check h ~now:!t with
@@ -699,7 +695,7 @@ let test_health_formation_cycle () =
           (* A formation completing anywhere re-opens the grace window:
              attempt-burning while views keep installing is churn making
              progress, not a livelock. *)
-          phase 1 Health.phase_operational;
+          phase 1 Flight.phase_operational;
           check Alcotest.int "install elsewhere clears the verdict" 0
             (List.length (Health.check h ~now:!t))))
 
@@ -709,19 +705,19 @@ let test_health_operational_resets () =
       Health.with_health h (fun () ->
           for i = 1 to 7 do
             t := i * 200_000_000;
-            phase 0 Health.phase_gather;
-            phase 0 Health.phase_recover
+            phase 0 Flight.phase_gather;
+            phase 0 Flight.phase_recover
           done;
           (* Reaching operational resets the attempt counter... *)
-          phase 0 Health.phase_operational;
+          phase 0 Flight.phase_operational;
           delivery ();
-          phase 0 Health.phase_gather;
+          phase 0 Flight.phase_gather;
           check Alcotest.int "no stall after operational" 0
             (List.length (Health.check h ~now:!t));
           (* ...so the next cycle needs K fresh attempts. *)
           for i = 8 to 14 do
             t := i * 200_000_000;
-            phase 0 Health.phase_gather
+            phase 0 Flight.phase_gather
           done;
           check Alcotest.int "8 fresh attempts stall again" 1
             (List.length (Health.check h ~now:!t))))
@@ -732,8 +728,8 @@ let test_health_no_progress_and_crash () =
       Health.with_health h (fun () ->
           t := 1_000;
           delivery ();
-          phase 0 Health.phase_gather;
-          phase 1 Health.phase_gather;
+          phase 0 Flight.phase_gather;
+          phase 1 Flight.phase_gather;
           (* Two virtual seconds with no delivery and both nodes stuck. *)
           t := 2_000_000_000;
           (match Health.check h ~now:!t with
@@ -756,19 +752,14 @@ let test_health_report_renders () =
       Health.with_health h (fun () ->
           for i = 1 to 8 do
             t := i * 200_000_000;
-            phase 0 Health.phase_gather;
+            phase 0 Flight.phase_gather;
             recheck 0;
-            phase 0 Health.phase_recover
+            phase 0 Flight.phase_recover
           done);
       let r = Health.report h ~now:!t in
       let text = Format.asprintf "%a" Health.pp_report r in
       Alcotest.(check bool) "names the cycle" true
-        (let needle = "recheck cycling" in
-         let nl = String.length needle and tl = String.length text in
-         let rec scan i =
-           i + nl <= tl && (String.sub text i nl = needle || scan (i + 1))
-         in
-         scan 0))
+        (contains text "recheck cycling"))
 
 (* Netsim.crash records ev_crash, so no crash path needs a second call
    to keep the watchdog from flagging a dead node as stuck. *)
@@ -822,7 +813,7 @@ let test_subscribers_see_disabled_records () =
                   let stamp = Span.submit_stamp () in
                   t := 3_000;
                   record ~node:0 Flight.ev_data_send ~a:1 ~b:0 ~d:stamp;
-                  phase 0 Health.phase_gather;
+                  phase 0 Flight.phase_gather;
                   delivery ())));
       check Alcotest.int "nothing stored while disabled" 0 (Flight.total ());
       let r = Health.report h ~now:!t in
@@ -854,6 +845,168 @@ let test_watchdog_feed_allocates_nothing () =
       check Alcotest.int "words allocated by 100k ev_token_recv records" 0
         (int_of_float words));
   Flight.reset ()
+
+(* Token retransmit, token lost, phase and crash reach the trace sink
+   from Flight.record alone, decoded from the record's arguments. *)
+let traced_codes =
+  [ Flight.ev_token_retransmit; Flight.ev_token_lost; Flight.ev_phase; Flight.ev_crash ]
+
+let test_flight_decodes_traced_steps () =
+  with_virtual_clock (fun t ->
+      let trace_of ~node ~code ~a ~b =
+        let mem = Trace.memory () in
+        Trace.with_sink (Trace.memory_sink mem) (fun () ->
+            Flight.record ~node ~code ~a ~b ~c:5 ~d:6);
+        Trace.memory_events mem
+      in
+      let expect name ~node ~code ~a ~b kind =
+        List.iter
+          (fun recording ->
+            Flight.set_enabled recording;
+            Fun.protect
+              ~finally:(fun () -> Flight.set_enabled true)
+              (fun () ->
+                t := !t + 100;
+                match trace_of ~node ~code ~a ~b with
+                | [ e ] ->
+                    check Alcotest.bool
+                      (Printf.sprintf "%s decoded (recording=%b)" name recording)
+                      true
+                      (e = { Trace.t_ns = !t; node; kind })
+                | evs ->
+                    Alcotest.failf "%s (recording=%b): %d trace events" name
+                      recording (List.length evs)))
+          [ true; false ]
+      in
+      expect "token_retransmit" ~node:2 ~code:Flight.ev_token_retransmit ~a:41
+        ~b:3
+        (Trace.Token_retransmit { token_id = 41; attempt = 3 });
+      expect "token_lost" ~node:1 ~code:Flight.ev_token_lost ~a:7 ~b:0
+        Trace.Token_lost;
+      List.iter
+        (fun (code, name) ->
+          expect ("phase " ^ name) ~node:3 ~code:Flight.ev_phase ~a:code ~b:9
+            (Trace.Phase { phase = name }))
+        [
+          (Flight.phase_operational, "operational");
+          (Flight.phase_gather, "gather");
+          (Flight.phase_commit, "commit");
+          (Flight.phase_recover, "recover");
+        ];
+      expect "crash" ~node:0 ~code:Flight.ev_crash ~a:0 ~b:0 Trace.Crash;
+      for code = 0 to 24 do
+        if not (List.mem code traced_codes) then
+          check Alcotest.int
+            (Printf.sprintf "code %d yields no trace event" code)
+            0
+            (List.length (trace_of ~node:0 ~code ~a:1 ~b:1))
+      done);
+  (* With no sink installed, a traced code records as cheaply as any other. *)
+  let record_all () =
+    for code = 1 to 20 do
+      Flight.record ~node:0 ~code ~a:1 ~b:1 ~c:0 ~d:0
+    done
+  in
+  record_all ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 5_000 do
+    record_all ()
+  done;
+  let words = Gc.minor_words () -. before in
+  Flight.reset ();
+  check Alcotest.int "words allocated by 100k records with no sink" 0
+    (int_of_float words)
+
+(* Over a faulty run, the trace sink sees exactly the traced steps a
+   Flight subscriber sees, node by node. *)
+let test_traced_steps_match_flight () =
+  let n = 4 in
+  let params =
+    {
+      (Params.accelerated ()) with
+      token_loss_ns = ms 50;
+      token_retransmit_ns = ms 10;
+      join_retransmit_ns = ms 20;
+      consensus_timeout_ns = ms 100;
+    }
+  in
+  let initial_ring = Array.init n Fun.id in
+  let members =
+    Array.init n (fun me -> Member.create ~params ~me ~initial_ring ())
+  in
+  let slots = Array.of_list traced_codes in
+  let from_flight = Array.make_matrix n (Array.length slots) 0 in
+  let from_trace = Array.make_matrix n (Array.length slots) 0 in
+  let bump counts node i = counts.(node).(i) <- counts.(node).(i) + 1 in
+  let subscriber ~node ~code ~a:_ ~b:_ ~c:_ ~d:_ =
+    Array.iteri (fun i c -> if c = code then bump from_flight node i) slots
+  in
+  let slot_of_kind : Trace.kind -> int option = function
+    | Token_retransmit _ -> Some 0
+    | Token_lost -> Some 1
+    | Phase _ -> Some 2
+    | Crash -> Some 3
+    | _ -> None
+  in
+  let sink =
+    Trace.fn_sink (fun (e : Trace.event) ->
+        Option.iter (bump from_trace e.node) (slot_of_kind e.kind))
+  in
+  Flight.subscribe subscriber;
+  Fun.protect
+    ~finally:(fun () -> Flight.unsubscribe subscriber)
+    (fun () ->
+      Trace.with_sink sink (fun () ->
+          let sim =
+            Netsim.create
+              ~net:(Profile.with_loss Profile.gigabit 0.01)
+              ~tiers:(Array.make n Profile.library)
+              ~participants:(Array.map Member.participant members)
+              ~seed:17L ()
+          in
+          for node = 0 to n - 1 do
+            let rec tick () =
+              let now = Netsim.now sim in
+              if now < ms 300 && Netsim.is_alive sim node then begin
+                Netsim.submit_now sim ~node Types.Agreed (Bytes.create 200);
+                Netsim.call_at sim ~at:(now + 1_000_000) tick
+              end
+            in
+            Netsim.call_at sim ~at:(node * 100_000) tick
+          done;
+          Netsim.call_at sim ~at:(ms 100) (fun () -> Netsim.crash sim 2);
+          Netsim.run_until sim (ms 500)));
+  Flight.reset ();
+  for node = 0 to n - 1 do
+    check
+      Alcotest.(array int)
+      (Printf.sprintf "node %d: retransmit/lost/phase/crash" node)
+      from_flight.(node) from_trace.(node)
+  done;
+  let total i = Array.fold_left (fun acc row -> acc + row.(i)) 0 from_trace in
+  List.iteri
+    (fun i name ->
+      check Alcotest.bool (name ^ " occurred") true (total i > 0))
+    [ "token_retransmit"; "token_lost"; "phase"; "crash" ]
+
+(* A deleted kind is a parse error naming the line and the kind. *)
+let test_deleted_kind_rejected () =
+  let path = Filename.temp_file "trace" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out path in
+      output_string oc
+        "{\"ts\":1,\"node\":0,\"ev\":\"token_lost\"}\n\
+         {\"ts\":2,\"node\":0,\"ev\":\"timer_arm\",\"timer\":\"token_loss\",\"delay_ns\":5}\n";
+      close_out oc;
+      match Trace_json.read_file path with
+      | _ -> Alcotest.fail "a timer_arm line parsed"
+      | exception Json.Parse_error msg ->
+          check Alcotest.bool ("names the line: " ^ msg) true
+            (contains msg "line 2");
+          check Alcotest.bool ("names the kind: " ^ msg) true
+            (contains msg "timer_arm"))
 
 let suite =
   [
@@ -901,4 +1054,10 @@ let suite =
     QCheck_alcotest.to_alcotest prop_hist_matches_reference;
     Alcotest.test_case "metrics: at most 2 words per observe" `Quick
       test_observe_allocation;
+    Alcotest.test_case "flight: traced codes decode into one trace event each"
+      `Quick test_flight_decodes_traced_steps;
+    Alcotest.test_case "flight: traced steps match a subscriber's counts per node"
+      `Quick test_traced_steps_match_flight;
+    Alcotest.test_case "trace: a deleted kind is a parse error" `Quick
+      test_deleted_kind_rejected;
   ]
