@@ -1,7 +1,8 @@
 (* Observability overhead benchmark (`-- obs [quick]`). The flight
    recorder is always on in every run, so its per-event cost IS protocol
    overhead: measure ns/event and allocated bytes/event in steady state
-   (after the per-node rings exist), the disabled recorder, the same
+   (after the per-node rings exist), for a four-argument record and for
+   the widest one (a token send), the disabled recorder, the same
    records with a health watchdog subscribed (the feed of the always-on
    instruments), and the detached span stamp hook (a single ref read).
    Gated by bench/obs_budget.json. *)
@@ -19,7 +20,7 @@ let run ~quick =
   let iters = if quick then 2_000_000 else 10_000_000 in
   let nodes = 8 in
   (* Warm the recorder: the per-node rings allocate lazily on first
-     record; steady state is six int stores into a flat array. *)
+     record; steady state is eleven int stores into a flat array. *)
   Flight.reset ();
   for node = 0 to nodes - 1 do
     for i = 0 to 1023 do
@@ -44,6 +45,13 @@ let run ~quick =
   in
   let flight_ns = time_per_call ~iters record_event in
   let flight_alloc = alloc_per_call ~iters record_event in
+  let record_wide_event () =
+    incr i;
+    Flight.record_wide ~node:(!i land 7) ~code:Flight.ev_token_send ~a:!i
+      ~b:!i ~c:!i ~d:0 ~e:1 ~f:!i ~g:!i ~h:3 ~i:!i
+  in
+  let wide_ns = time_per_call ~iters record_wide_event in
+  let wide_alloc = alloc_per_call ~iters record_wide_event in
   Flight.set_enabled false;
   let disabled_ns = time_per_call ~iters record_event in
   let disabled_alloc = alloc_per_call ~iters record_event in
@@ -63,11 +71,12 @@ let run ~quick =
   let span_alloc = alloc_per_call ~iters span_hook in
   Printf.printf
     "flight recorder (enabled, warm): %7.1f ns/event  %5.2f bytes/event\n\
+     flight recorder (widest record): %7.1f ns/event  %5.2f bytes/event\n\
      flight recorder (disabled):      %7.1f ns/event  %5.2f bytes/event\n\
      flight recorder + watchdog:      %7.1f ns/event  %5.2f bytes/event\n\
      span hook (detached):            %7.1f ns/call   %5.2f bytes/call\n%!"
-    flight_ns flight_alloc disabled_ns disabled_alloc watched_ns watched_alloc
-    span_ns span_alloc;
+    flight_ns flight_alloc wide_ns wide_alloc disabled_ns disabled_alloc
+    watched_ns watched_alloc span_ns span_alloc;
   {
     Gate.fields =
       [
@@ -77,6 +86,8 @@ let run ~quick =
             [
               ("ns_per_event", Json.Float flight_ns);
               ("alloc_bytes_per_event", Json.Float flight_alloc);
+              ("wide_ns_per_event", Json.Float wide_ns);
+              ("wide_alloc_bytes_per_event", Json.Float wide_alloc);
               ("disabled_ns_per_event", Json.Float disabled_ns);
               ("disabled_alloc_bytes_per_event", Json.Float disabled_alloc);
               ("watched_ns_per_event", Json.Float watched_ns);
@@ -94,6 +105,8 @@ let run ~quick =
       [
         Max ("max_flight_ns_per_event", flight_ns);
         Max ("max_flight_alloc_bytes_per_event", flight_alloc);
+        Max ("max_flight_ns_per_event", wide_ns);
+        Max ("max_flight_alloc_bytes_per_event", wide_alloc);
         Max ("max_disabled_ns_per_event", disabled_ns);
         Max ("max_flight_ns_per_event", watched_ns);
         Max ("max_flight_alloc_bytes_per_event", watched_alloc);

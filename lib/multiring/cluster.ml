@@ -19,6 +19,10 @@ module Flight = Aring_obs.Flight
    itself comes from Kv_scenario.build_cluster; this module adds only
    the merge, the skip generators and the coordinator. *)
 
+let skip_every_ns = 250_000
+let skip_credits = 32
+let mcas_retry_ns = 8_000_000
+
 type merged_item = {
   mi_ring : int;
   mi_index : int;
@@ -51,9 +55,6 @@ type t = {
       (* id -> (node, ring, commit) in observation order *)
   last_activity : int array;  (* per global pid: sim ns of last observation *)
   alive_phys : bool array;
-  skip_every_ns : int;
-  skip_credits : int;
-  mcas_retry_ns : int;
   mutable mcas_submitted : int;
   mutable mcas_retries : int;
 }
@@ -157,7 +158,7 @@ let arm_termination t ~node id =
   | Some reg ->
       if not reg.rg_armed.(node) then begin
         reg.rg_armed.(node) <- true;
-        let period = 3 * t.mcas_retry_ns in
+        let period = 3 * mcas_retry_ns in
         let rec tick () =
           if t.alive_phys.(node) && not (mcas_decided_at t ~node id) then begin
             if reg.rg_parts <> [] then begin
@@ -278,18 +279,16 @@ let install_skip_generators t =
         if t.alive_phys.(node) then begin
           if
             designated node
-            && Netsim.now t.sim - t.last_activity.(p) >= t.skip_every_ns
+            && Netsim.now t.sim - t.last_activity.(p) >= skip_every_ns
             && Kv.synced (kv t ~ring ~node)
             && Merge.pending t.merges.(node) ~ring = 0
-            && Merge.unspent_credits t.merges.(node) ~ring < t.skip_credits
+            && Merge.unspent_credits t.merges.(node) ~ring < skip_credits
           then begin
             Flight.record ~node:p ~code:Flight.ev_skip ~a:ring
-              ~b:t.skip_credits ~c:0 ~d:0;
-            Kv.skip (kv t ~ring ~node) ~credits:t.skip_credits
+              ~b:skip_credits ~c:0 ~d:0;
+            Kv.skip (kv t ~ring ~node) ~credits:skip_credits
           end;
-          Netsim.call_at t.sim
-            ~at:(Netsim.now t.sim + t.skip_every_ns)
-            tick
+          Netsim.call_at t.sim ~at:(Netsim.now t.sim + skip_every_ns) tick
         end
       in
       (* Staggered start so generators don't fire in one burst. *)
@@ -300,9 +299,8 @@ let install_skip_generators t =
 (* --- construction ----------------------------------------------------- *)
 
 let create ?(params = Kv_scenario.snappy_params ()) ?(net = Profile.gigabit)
-    ?(tier = Profile.daemon) ?tiers ?(seed = 1L) ?(skip_every_ns = 250_000)
-    ?(skip_credits = 32) ?(mcas_retry_ns = 8_000_000) ?controller ?wrap
-    ?kv_bug ~rings ~nodes () =
+    ?(tier = Profile.daemon) ?tiers ?(seed = 1L) ?controller ?wrap ?kv_bug
+    ~rings ~nodes () =
   if rings < 1 then invalid_arg "Cluster.create: rings < 1";
   if nodes < 2 then invalid_arg "Cluster.create: nodes < 2";
   let { Kv_scenario.sim; members; daemons; kvs; oracles } =
@@ -325,9 +323,6 @@ let create ?(params = Kv_scenario.snappy_params ()) ?(net = Profile.gigabit)
       decisions = Hashtbl.create 64;
       last_activity = Array.make (rings * nodes) 0;
       alive_phys = Array.make nodes true;
-      skip_every_ns;
-      skip_credits;
-      mcas_retry_ns;
       mcas_submitted = 0;
       mcas_retries = 0;
     }
@@ -404,11 +399,11 @@ let mcas t ~node ~id ~checks ~writes =
       t.mcas_retries <- t.mcas_retries + 1;
       submit ();
       try_resolve t ~node id;
-      Netsim.call_at t.sim ~at:(Netsim.now t.sim + t.mcas_retry_ns) retry
+      Netsim.call_at t.sim ~at:(Netsim.now t.sim + mcas_retry_ns) retry
     end
   in
   submit ();
-  Netsim.call_at t.sim ~at:(Netsim.now t.sim + t.mcas_retry_ns) retry
+  Netsim.call_at t.sim ~at:(Netsim.now t.sim + mcas_retry_ns) retry
 
 let mcas_submitted t = t.mcas_submitted
 let mcas_retries t = t.mcas_retries

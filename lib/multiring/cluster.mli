@@ -45,9 +45,6 @@ val create :
   ?tier:Profile.tier ->
   ?tiers:Profile.tier array ->
   ?seed:int64 ->
-  ?skip_every_ns:int ->
-  ?skip_credits:int ->
-  ?mcas_retry_ns:int ->
   ?controller:(pid:int -> Aring_control.Controller.t option) ->
   ?wrap:(pid:int -> Participant.t -> Participant.t) ->
   ?kv_bug:(ring:int -> node:int -> Kv.bug option) ->
@@ -58,18 +55,17 @@ val create :
 (** Build [rings] rings of [nodes] physical nodes each on one shared
     {!Netsim}. [tiers] gives per-{e physical-node} cost profiles
     (length [nodes], replicated across rings); [tier] is the uniform
-    default. [skip_every_ns] (default 250 µs) is the per-(node, ring)
-    idle window after which a skip of [skip_credits] (default 32) merge
+    default. After 250 µs idle on a (node, ring), a skip of 32 merge
     turns is multicast (only with [rings > 1]: one ring runs no skip
     generator) — but only by the lowest-pid alive node, and only
-    while its own merge holds no pending items and fewer than
-    [skip_credits] unspent units for that ring, so a long idle period
-    cannot pile up credits that would strand the ring's next item
-    behind thousands of ceded turns; [mcas_retry_ns] (default 8 ms)
-    paces the submitter's mcas retry loop. [controller] is called once per sim
-    participant (global pid) to give each member its own adaptive
-    controller; [wrap] wraps each participant before the sim is built
-    (fault injection); [kv_bug] seeds a replica bug (fuzzer self-test).
+    while its own merge holds no pending items and fewer than 32
+    unspent units for that ring, so a long idle period cannot pile up
+    credits that would strand the ring's next item behind thousands of
+    ceded turns. The submitter's mcas retry loop runs every 8 ms.
+    [controller] is called once per sim participant (global pid) to
+    give each member its own adaptive controller; [wrap] wraps each
+    participant before the sim is built (fault injection); [kv_bug]
+    seeds a replica bug (fuzzer self-test).
     [tiers], [controller], [wrap] and [kv_bug] pass through to
     {!Aring_app.Kv_scenario.build_cluster}; this module's replica
     observer registers after the oracles.
@@ -115,7 +111,7 @@ val mcas :
   unit
 (** Cross-shard multi-key cas: split [checks]/[writes] into per-ring
     parts by shard, submit one identical copy on every involved ring
-    from [node], and retry every [mcas_retry_ns] until the submitting
+    from [node], and retry every 8 ms until the submitting
     node sees a decision on all involved rings (retried copies dedup on
     [id]). Commits iff every check holds at delivery on its ring. *)
 

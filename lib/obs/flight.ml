@@ -4,7 +4,7 @@
    recorder — cheap enough to leave on in every run, read out only after
    something goes wrong.
 
-   Records are six machine words (timestamp, event code, four integer
+   Records are eleven machine words (timestamp, event code, nine integer
    arguments) written into a preallocated flat [int array] per node, in
    the spirit of the Netsim event arena: after the first record from a
    node its ring exists and steady-state recording allocates nothing.
@@ -15,13 +15,14 @@
    and the span collector), which decode the codes they need. The
    subscriber list is a plain list walked by a top-level function, so
    dispatch allocates nothing; with no subscriber a record pays one load
-   and one branch more. The four codes whose record holds every field
-   of their trace event (token retransmit, token lost, phase, crash) are
-   decoded into the installed trace sink here, so the protocol reports
-   each of those steps once. Disabling the recorder stops only the ring
-   writes: subscribers and the trace sink still see every record. *)
+   and one branch more. The seven codes whose record holds every field
+   of their trace event (token receipt and send, data send, token
+   retransmit, token lost, phase, crash) are decoded into the installed
+   trace sink here, so the protocol reports each of those steps once.
+   Disabling the recorder stops only the ring writes: subscribers and
+   the trace sink still see every record. *)
 
-let slot_words = 6
+let slot_words = 11
 let default_capacity = 512
 
 type ring = {
@@ -129,20 +130,43 @@ let rec dispatch subs node code a b c d =
       f ~node ~code ~a ~b ~c ~d;
       dispatch rest node code a b c d
 
-(* The steps whose record carries every field of their trace event reach
-   the trace sink from here, whether or not ring writes are enabled. *)
-let traced code =
-  code = ev_token_retransmit || code = ev_token_lost || code = ev_phase
-  || code = ev_crash
+let pack_ring (r : Aring_wire.Types.ring_id) =
+  (r.rep lsl 32) lor (r.ring_seq land 0xFFFF_FFFF)
 
-let to_trace ~node ~code ~a ~b =
-  if code = ev_token_retransmit then
+let unpack_ring k : Aring_wire.Types.ring_id =
+  { rep = k asr 32; ring_seq = ((k land 0xFFFF_FFFF) lxor 0x8000_0000) - 0x8000_0000 }
+
+(* The steps whose record carries every field of their trace event reach
+   the trace sink from here, whether or not ring writes are enabled: codes
+   1–5 (token receipt, send, retransmit and loss, data send), phase and
+   crash. *)
+let traced code =
+  (code >= ev_token_recv && code <= ev_data_send) || code = ev_phase || code = ev_crash
+
+let to_trace ~node ~code ~a ~b ~c ~d ~e ~f ~g ~h ~i =
+  if code = ev_token_recv then
+    Trace.emit ~node
+      (Token_recv
+         { ring = unpack_ring e; token_id = a; round = f; seq = b; aru = c;
+           local_aru = d; safe_line = g })
+  else if code = ev_token_send then
+    Trace.emit ~node
+      (Token_send
+         { ring = unpack_ring e; token_id = a; round = f; seq = b; aru = c;
+           fcc = h; rtr = d; local_aru = i; safe_line = g })
+  else if code = ev_data_send then
+    Trace.emit ~node
+      (Data_send
+         { ring = unpack_ring e; seq = a; size = f; post_token = b = 1;
+           retrans = c = 1 })
+  else if code = ev_token_retransmit then
     Trace.emit ~node (Token_retransmit { token_id = a; attempt = b })
   else if code = ev_token_lost then Trace.emit ~node Token_lost
   else if code = ev_phase then Trace.emit ~node (Phase { phase = phase_name a })
   else Trace.emit ~node Crash
 
-let record ~node ~code ~a ~b ~c ~d =
+(* Inlined into [record], so the four-argument path pays no extra call. *)
+let[@inline] record_wide ~node ~code ~a ~b ~c ~d ~e ~f ~g ~h ~i =
   if !on && node >= 0 then begin
     if node >= Array.length !rings then grow node;
     let ring =
@@ -162,6 +186,11 @@ let record ~node ~code ~a ~b ~c ~d =
     buf.(base + 3) <- b;
     buf.(base + 4) <- c;
     buf.(base + 5) <- d;
+    buf.(base + 6) <- e;
+    buf.(base + 7) <- f;
+    buf.(base + 8) <- g;
+    buf.(base + 9) <- h;
+    buf.(base + 10) <- i;
     let next = ring.next + 1 in
     ring.next <- (if next = ring.cap then 0 else next);
     ring.total <- ring.total + 1
@@ -169,7 +198,11 @@ let record ~node ~code ~a ~b ~c ~d =
   (match !subscribers with
   | [] -> ()
   | subs -> dispatch subs node code a b c d);
-  if traced code && Trace.enabled () then to_trace ~node ~code ~a ~b
+  if traced code && Trace.enabled () then
+    to_trace ~node ~code ~a ~b ~c ~d ~e ~f ~g ~h ~i
+
+let record ~node ~code ~a ~b ~c ~d =
+  record_wide ~node ~code ~a ~b ~c ~d ~e:0 ~f:0 ~g:0 ~h:0 ~i:0
 
 (* ------------------------------------------------------------------ *)
 (* Readout                                                             *)

@@ -1,15 +1,17 @@
 (** Always-on flight recorder: per-node fixed-capacity rings of compact
-    six-word binary records (timestamp, event code, four int arguments),
-    kept even when no {!Trace} sink is installed. Steady-state recording
-    allocates nothing once a node's ring exists. Dump on demand as JSONL.
+    eleven-word binary records (timestamp, event code, nine int arguments
+    [a]–[i]), kept even when no {!Trace} sink is installed. Steady-state
+    recording allocates nothing once a node's ring exists. Dump on demand
+    as JSONL.
 
     The recorder is also the one feed of the always-on instruments:
     {!Health} and {!Span} subscribe and decode the records they need,
-    so each protocol step is reported once, here. Four codes whose
-    record carries every field of their trace event — {!ev_token_retransmit},
+    so each protocol step is reported once, here. Seven codes whose
+    record carries every field of their trace event — {!ev_token_recv},
+    {!ev_token_send}, {!ev_data_send}, {!ev_token_retransmit},
     {!ev_token_lost}, {!ev_phase} and {!ev_crash} — also reach the
-    installed {!Trace} sink from {!record}, as [Token_retransmit],
-    [Token_lost], [Phase] and [Crash]; no other code does. *)
+    installed {!Trace} sink, as the kind of the same name; no other code
+    does. *)
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit
@@ -27,15 +29,19 @@ val capacity : unit -> int
 
 (** {2 Event codes} *)
 
-(** Arguments not listed are 0. *)
+(** Arguments not listed are 0. Only the three codes recorded through
+    {!record_wide} use [e]–[i]; their [e] is the ring id ({!pack_ring}). *)
 
 val ev_token_recv : int
 (** A regular token accepted: [a] = token id, [b] = token seq, [c] =
-    token aru, [d] = this node's local aru. *)
+    token aru, [d] = this node's local aru; [e] = ring, [f] = this
+    node's round, [g] = its safe line. *)
 
 val ev_token_send : int
 (** The updated token forwarded: [a] = token id, [b] = token seq, [c] =
-    token aru, [d] = retransmission requests carried. *)
+    token aru, [d] = retransmission requests carried; [e] = ring, [f] =
+    round, [g] = safe line, [h] = token fcc, [i] = this node's local
+    aru. *)
 
 val ev_token_retransmit : int
 (** [a] = token id, [b] = retransmission attempt. *)
@@ -47,7 +53,7 @@ val ev_data_send : int
 (** [a] = seq, [b] = 1 when sent after the token, [c] = 1 on a
     retransmission. For a new message [d] = its submit stamp
     ({!Span.submit_stamp}: 0 when no span collector was attached); 0 on
-    retransmissions. *)
+    retransmissions. [e] = ring, [f] = the message's wire size. *)
 
 val ev_data_recv : int
 (** [a] = seq, [b] = sender, [c] = 1 for a duplicate. *)
@@ -124,13 +130,23 @@ val phase_name : int -> string
 
 (** {2 Recording} *)
 
-val record : node:int -> code:int -> a:int -> b:int -> c:int -> d:int -> unit
+val record_wide :
+  node:int -> code:int -> a:int -> b:int -> c:int -> d:int -> e:int ->
+  f:int -> g:int -> h:int -> i:int -> unit
 (** Append one record to [node]'s ring, overwriting the oldest once
-    full, then hand it to every subscriber and, for the four traced
-    codes, emit its trace event when a sink is installed. Zero-allocation
-    after the node's first record when no sink is installed. The ring
-    write is skipped when disabled or [node < 0]; subscribers and the
-    trace sink see the record either way. *)
+    full, then hand [a]–[d] to every subscriber and, for the seven
+    traced codes, emit its trace event when a sink is installed.
+    Zero-allocation after the node's first record when no sink is
+    installed. The ring write is skipped when disabled or [node < 0];
+    subscribers and the trace sink see the record either way. *)
+
+val record : node:int -> code:int -> a:int -> b:int -> c:int -> d:int -> unit
+(** {!record_wide} with [e]–[i] = 0, for the codes without a wide layout. *)
+
+val pack_ring : Aring_wire.Types.ring_id -> int
+(** A ring id as one int, exact for [rep] in \[-2{^30}, 2{^30}) and
+    [ring_seq] in \[-2{^31}, 2{^31}) (signed 32 bits, as the KV op codec
+    encodes it); outside those bounds the high bits are lost. *)
 
 (** {2 Subscribers} *)
 
@@ -157,7 +173,8 @@ type record_view = {
 }
 
 val records : unit -> record_view list
-(** Every retained record across all nodes, time-ordered. *)
+(** Every retained record across all nodes, time-ordered. The readout
+    and the dump carry [a]–[d], the part every layout shares. *)
 
 val total : unit -> int
 (** Lifetime records written (including overwritten ones). *)

@@ -7,15 +7,20 @@
     ([enabled ()] is false), so production and benchmark runs are
     unaffected — pay for what you use.
 
-    Each step is reported once. A step that {!Flight} records in full
-    reaches the sink through the record: [Token_retransmit],
-    [Token_lost], [Phase] and [Crash] are emitted only by
-    {!Flight.record}. The other kinds carry fields a flight record
-    cannot hold, and only the fields the trace's readers need: the
-    invariant {!Checker}, the {!Rotation} profiler and the
-    {!Chrome_trace} view. Steps nothing reads (data receipt, timer
-    activity, flow-control decisions, duplicate tokens, KV applies and
-    reads) are flight records or counters, not trace events.
+    Each step is reported once. [Token_recv], [Token_send],
+    [Data_send], [Token_retransmit], [Token_lost], [Phase] and [Crash]
+    are decoded from their step's record by {!Flight.record_wide} and
+    emitted nowhere else. [Deliver] and [View_install] come from the
+    runtimes' interpreters ([Participant.trace_action]): [Deliver]
+    reports what the application got after the participant boundary,
+    where a fault injector may drop it (the {!Checker} sees that only
+    here), and a member's recovery deliveries never pass the engine's
+    {!Flight.ev_deliver} record.
+    Every kind carries only the fields the trace's readers need: the
+    {!Checker}, the {!Rotation} profiler and the {!Chrome_trace} view.
+    Steps nothing reads (data receipt, timer activity, flow-control
+    decisions, duplicate tokens, KV applies and reads) are flight
+    records or counters, not trace events.
 
     The clock is pluggable so the same hooks serve the discrete-event
     simulator (virtual nanoseconds) and the UDP runtime (wall clock). *)
@@ -44,8 +49,7 @@ type kind =
       safe_line : int;
     }  (** The updated token forwarded to the successor. *)
   | Token_retransmit of { token_id : int; attempt : int }
-      (** Decoded from {!Flight.ev_token_retransmit}. *)
-  | Token_lost  (** Decoded from {!Flight.ev_token_lost}. *)
+  | Token_lost
   | Data_send of {
       ring : Types.ring_id;
       seq : int;
@@ -60,9 +64,8 @@ type kind =
       transitional : bool;
     }
   | Phase of { phase : string }
-      (** Membership phase entered, decoded from {!Flight.ev_phase}
-          ({!Flight.phase_name}). *)
-  | Crash  (** Decoded from {!Flight.ev_crash}. *)
+      (** Membership phase entered ({!Flight.phase_name}). *)
+  | Crash
   | Drop of { reason : string; size : int }
   | Control of {
       round : int;

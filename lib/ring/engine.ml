@@ -1,5 +1,4 @@
 open Aring_wire
-module Trace = Aring_obs.Trace
 module Metrics = Aring_obs.Metrics
 module Flight = Aring_obs.Flight
 module Span = Aring_obs.Span
@@ -278,20 +277,9 @@ let handle_token t (tok : Message.token) =
     t.progress_gen <- t.progress_gen + 1;
     t.loss_gen <- t.loss_gen + 1;
     t.retransmit_count <- 0;
-    Flight.record ~node:t.me ~code:Flight.ev_token_recv ~a:tok.token_id
-      ~b:tok.t_seq ~c:tok.aru ~d:t.local_aru;
-    if Trace.enabled () then
-      Trace.emit ~node:t.me
-        (Trace.Token_recv
-           {
-             ring = t.ring_id;
-             token_id = tok.token_id;
-             round = t.round;
-             seq = tok.t_seq;
-             aru = tok.aru;
-             local_aru = t.local_aru;
-             safe_line = t.safe_line;
-           });
+    Flight.record_wide ~node:t.me ~code:Flight.ev_token_recv ~a:tok.token_id
+      ~b:tok.t_seq ~c:tok.aru ~d:t.local_aru ~e:(Flight.pack_ring t.ring_id)
+      ~f:t.round ~g:t.safe_line ~h:0 ~i:0;
     (* 1. Answer retransmission requests we can serve (always pre-token).
        The same pass partitions the token's rtr into answered (counted,
        dropped) and kept (still missing here) — new messages this round all
@@ -304,18 +292,9 @@ let handle_token t (tok : Message.token) =
           match Hashtbl.find_opt t.buffer seq with
           | Some d ->
               t.stats.retrans_sent <- t.stats.retrans_sent + 1;
-              Flight.record ~node:t.me ~code:Flight.ev_data_send ~a:d.seq
-                ~b:0 ~c:1 ~d:0;
-              if Trace.enabled () then
-                Trace.emit ~node:t.me
-                  (Trace.Data_send
-                     {
-                       ring = t.ring_id;
-                       seq = d.seq;
-                       size = Message.wire_size (Message.Data d);
-                       post_token = false;
-                       retrans = true;
-                     });
+              Flight.record_wide ~node:t.me ~code:Flight.ev_data_send ~a:d.seq
+                ~b:0 ~c:1 ~d:0 ~e:(Flight.pack_ring t.ring_id) ~g:0 ~h:0 ~i:0
+                ~f:(Message.data_wire_size ~payload_len:(Bytes.length d.payload));
               scan_rtr rest (Send_data d :: rev_sends) (num + 1) kept_rev
           | None -> scan_rtr rest rev_sends num (seq :: kept_rev))
     in
@@ -353,18 +332,10 @@ let handle_token t (tok : Message.token) =
       (* We trivially "have" our own message the moment it exists. *)
       Hashtbl.replace t.buffer d.seq d;
       t.stats.new_sent <- t.stats.new_sent + 1;
-      Flight.record ~node:t.me ~code:Flight.ev_data_send ~a:d.seq
-        ~b:(if d.post_token then 1 else 0) ~c:0 ~d:p.p_submit_ns;
-      if Trace.enabled () then
-        Trace.emit ~node:t.me
-          (Trace.Data_send
-             {
-               ring = t.ring_id;
-               seq = d.seq;
-               size = Message.wire_size (Message.Data d);
-               post_token = d.post_token;
-               retrans = false;
-             });
+      Flight.record_wide ~node:t.me ~code:Flight.ev_data_send ~a:d.seq
+        ~b:(if d.post_token then 1 else 0) ~c:0 ~d:p.p_submit_ns
+        ~e:(Flight.pack_ring t.ring_id) ~g:0 ~h:0 ~i:0
+        ~f:(Message.data_wire_size ~payload_len:(Bytes.length d.payload));
       if i < n_pre then rev_pre := Send_data d :: !rev_pre
       else rev_post := Send_data d :: !rev_post
     done;
@@ -416,22 +387,10 @@ let handle_token t (tok : Message.token) =
     t.last_sent_aru <- new_aru;
     let line = min t.prev_sent_aru t.last_sent_aru in
     if line > t.safe_line then t.safe_line <- line;
-    Flight.record ~node:t.me ~code:Flight.ev_token_send ~a:token'.token_id
-      ~b:token'.t_seq ~c:token'.aru ~d:(List.length token'.rtr);
-    if Trace.enabled () then
-      Trace.emit ~node:t.me
-        (Trace.Token_send
-           {
-             ring = t.ring_id;
-             token_id = token'.token_id;
-             round = token'.t_round;
-             seq = token'.t_seq;
-             aru = token'.aru;
-             fcc = token'.fcc;
-             rtr = List.length token'.rtr;
-             local_aru = t.local_aru;
-             safe_line = t.safe_line;
-           });
+    Flight.record_wide ~node:t.me ~code:Flight.ev_token_send
+      ~a:token'.token_id ~b:token'.t_seq ~c:token'.aru
+      ~d:(List.length token'.rtr) ~e:(Flight.pack_ring t.ring_id)
+      ~f:token'.t_round ~g:t.safe_line ~h:token'.fcc ~i:t.local_aru;
     (* 8. Deliver and discard; assemble the action list back to front so
        each phase is prepended once — no intermediate lists, no appends. *)
     let deliveries_on =

@@ -278,27 +278,12 @@ let rec interpret t node actions ~cursor =
             cursor
         | Participant.Deliver d ->
             let cursor = cursor + tier.Profile.deliver_ns in
-            if Trace.enabled () then
-              Trace.emit_at ~t_ns:cursor ~node
-                (Deliver
-                   {
-                     ring = d.d_ring;
-                     seq = d.seq;
-                     sender = d.pid;
-                     service = Types.service_to_string d.service;
-                   });
+            if Trace.enabled () then Participant.trace_action ~t_ns:cursor ~node action;
             t.deliver_cb ~at:node ~now:cursor d;
             cursor
         | Participant.Deliver_config v ->
             let cursor = cursor + tier.Profile.deliver_ns in
-            if Trace.enabled () then
-              Trace.emit_at ~t_ns:cursor ~node
-                (View_install
-                   {
-                     ring = v.view_id;
-                     members = v.members;
-                     transitional = v.transitional;
-                   });
+            if Trace.enabled () then Participant.trace_action ~t_ns:cursor ~node action;
             t.view_cb ~at:node ~now:cursor v;
             cursor
         | Participant.Arm_timer (timer, delay) ->

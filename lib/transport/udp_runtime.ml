@@ -113,32 +113,15 @@ let route_of_message = function
 let rec interpret t actions =
   List.iter
     (fun action ->
+      if Trace.enabled () then
+        Participant.trace_action ~t_ns:(Trace.now ()) ~node:t.me action;
       match action with
       | Participant.Unicast (pid, msg) -> send_to t (route_of_message msg) pid msg
       | Participant.Multicast msg ->
           let kind = route_of_message msg in
           List.iter (fun (pid, _, _) -> send_to t kind pid msg) t.peers
-      | Participant.Deliver d ->
-          if Trace.enabled () then
-            Trace.emit ~node:t.me
-              (Deliver
-                 {
-                   ring = d.d_ring;
-                   seq = d.seq;
-                   sender = d.pid;
-                   service = Types.service_to_string d.service;
-                 });
-          t.on_deliver d
-      | Participant.Deliver_config v ->
-          if Trace.enabled () then
-            Trace.emit ~node:t.me
-              (View_install
-                 {
-                   ring = v.view_id;
-                   members = v.members;
-                   transitional = v.transitional;
-                 });
-          t.on_view v
+      | Participant.Deliver d -> t.on_deliver d
+      | Participant.Deliver_config v -> t.on_view v
       | Participant.Arm_timer (timer, delay_ns) ->
           Heap.push t.timers (now_ns () + delay_ns, timer)
       | Participant.Token_loss_detected ->

@@ -846,20 +846,33 @@ let test_watchdog_feed_allocates_nothing () =
         (int_of_float words));
   Flight.reset ()
 
-(* Token retransmit, token lost, phase and crash reach the trace sink
-   from Flight.record alone, decoded from the record's arguments. *)
+(* Token retransmit, token lost, phase, crash, token receipt and send and
+   data send reach the trace sink from Flight.record alone, decoded from
+   the record's arguments. *)
 let traced_codes =
-  [ Flight.ev_token_retransmit; Flight.ev_token_lost; Flight.ev_phase; Flight.ev_crash ]
+  [
+    Flight.ev_token_retransmit; Flight.ev_token_lost; Flight.ev_phase;
+    Flight.ev_crash; Flight.ev_token_recv; Flight.ev_token_send;
+    Flight.ev_data_send;
+  ]
+
+(* Ring ids at the bounds of Flight.pack_ring. *)
+let ring_hi : Types.ring_id = { rep = (1 lsl 30) - 1; ring_seq = (1 lsl 31) - 1 }
+let ring_lo : Types.ring_id = { rep = -(1 lsl 30); ring_seq = -(1 lsl 31) }
 
 let test_flight_decodes_traced_steps () =
   with_virtual_clock (fun t ->
-      let trace_of ~node ~code ~a ~b =
+      let trace_of ~node record =
         let mem = Trace.memory () in
-        Trace.with_sink (Trace.memory_sink mem) (fun () ->
-            Flight.record ~node ~code ~a ~b ~c:5 ~d:6);
+        Trace.with_sink (Trace.memory_sink mem) (fun () -> record ~node);
         Trace.memory_events mem
       in
-      let expect name ~node ~code ~a ~b kind =
+      let narrow ~code ~a ~b ~node = Flight.record ~node ~code ~a ~b ~c:5 ~d:6 in
+      let wide ~code ~a ~b ~c ~d ~ring ~f ~g ~h ~i ~node =
+        Flight.record_wide ~node ~code ~a ~b ~c ~d ~e:(Flight.pack_ring ring) ~f
+          ~g ~h ~i
+      in
+      let expect name ~node record kind =
         List.iter
           (fun recording ->
             Flight.set_enabled recording;
@@ -867,7 +880,7 @@ let test_flight_decodes_traced_steps () =
               ~finally:(fun () -> Flight.set_enabled true)
               (fun () ->
                 t := !t + 100;
-                match trace_of ~node ~code ~a ~b with
+                match trace_of ~node record with
                 | [ e ] ->
                     check Alcotest.bool
                       (Printf.sprintf "%s decoded (recording=%b)" name recording)
@@ -878,14 +891,15 @@ let test_flight_decodes_traced_steps () =
                       recording (List.length evs)))
           [ true; false ]
       in
-      expect "token_retransmit" ~node:2 ~code:Flight.ev_token_retransmit ~a:41
-        ~b:3
+      expect "token_retransmit" ~node:2
+        (narrow ~code:Flight.ev_token_retransmit ~a:41 ~b:3)
         (Trace.Token_retransmit { token_id = 41; attempt = 3 });
-      expect "token_lost" ~node:1 ~code:Flight.ev_token_lost ~a:7 ~b:0
+      expect "token_lost" ~node:1 (narrow ~code:Flight.ev_token_lost ~a:7 ~b:0)
         Trace.Token_lost;
       List.iter
         (fun (code, name) ->
-          expect ("phase " ^ name) ~node:3 ~code:Flight.ev_phase ~a:code ~b:9
+          expect ("phase " ^ name) ~node:3
+            (narrow ~code:Flight.ev_phase ~a:code ~b:9)
             (Trace.Phase { phase = name }))
         [
           (Flight.phase_operational, "operational");
@@ -893,29 +907,64 @@ let test_flight_decodes_traced_steps () =
           (Flight.phase_commit, "commit");
           (Flight.phase_recover, "recover");
         ];
-      expect "crash" ~node:0 ~code:Flight.ev_crash ~a:0 ~b:0 Trace.Crash;
+      expect "crash" ~node:0 (narrow ~code:Flight.ev_crash ~a:0 ~b:0) Trace.Crash;
+      expect "token_recv" ~node:4
+        (wide ~code:Flight.ev_token_recv ~a:11 ~b:12 ~c:13 ~d:14 ~ring:ring_hi
+           ~f:15 ~g:16 ~h:0 ~i:0)
+        (Trace.Token_recv
+           { ring = ring_hi; token_id = 11; round = 15; seq = 12; aru = 13;
+             local_aru = 14; safe_line = 16 });
+      expect "token_send" ~node:5
+        (wide ~code:Flight.ev_token_send ~a:21 ~b:22 ~c:23 ~d:24 ~ring:ring_lo
+           ~f:25 ~g:26 ~h:27 ~i:28)
+        (Trace.Token_send
+           { ring = ring_lo; token_id = 21; round = 25; seq = 22; aru = 23;
+             fcc = 27; rtr = 24; local_aru = 28; safe_line = 26 });
+      expect "data_send new" ~node:6
+        (wide ~code:Flight.ev_data_send ~a:31 ~b:1 ~c:0 ~d:999 ~ring:ring_hi
+           ~f:1_400 ~g:0 ~h:0 ~i:0)
+        (Trace.Data_send
+           { ring = ring_hi; seq = 31; size = 1_400; post_token = true;
+             retrans = false });
+      expect "data_send retransmission" ~node:7
+        (wide ~code:Flight.ev_data_send ~a:32 ~b:0 ~c:1 ~d:0 ~ring:ring_lo
+           ~f:90 ~g:0 ~h:0 ~i:0)
+        (Trace.Data_send
+           { ring = ring_lo; seq = 32; size = 90; post_token = false;
+             retrans = true });
       for code = 0 to 24 do
         if not (List.mem code traced_codes) then
           check Alcotest.int
             (Printf.sprintf "code %d yields no trace event" code)
             0
-            (List.length (trace_of ~node:0 ~code ~a:1 ~b:1))
+            (List.length
+               (trace_of ~node:0
+                  (wide ~code ~a:1 ~b:1 ~c:1 ~d:1 ~ring:ring_hi ~f:1 ~g:1 ~h:1
+                     ~i:1)))
       done);
-  (* With no sink installed, a traced code records as cheaply as any other. *)
-  let record_all () =
-    for code = 1 to 20 do
-      Flight.record ~node:0 ~code ~a:1 ~b:1 ~c:0 ~d:0
-    done
+  (* With no sink installed, a traced code records as cheaply as any
+     other, through either entry point. *)
+  let words_per_100k record =
+    let record_all () =
+      for code = 1 to 20 do
+        record ~code
+      done
+    in
+    record_all ();
+    let before = Gc.minor_words () in
+    for _ = 1 to 5_000 do
+      record_all ()
+    done;
+    let words = Gc.minor_words () -. before in
+    Flight.reset ();
+    int_of_float words
   in
-  record_all ();
-  let before = Gc.minor_words () in
-  for _ = 1 to 5_000 do
-    record_all ()
-  done;
-  let words = Gc.minor_words () -. before in
-  Flight.reset ();
   check Alcotest.int "words allocated by 100k records with no sink" 0
-    (int_of_float words)
+    (words_per_100k (fun ~code -> Flight.record ~node:0 ~code ~a:1 ~b:1 ~c:0 ~d:0));
+  check Alcotest.int "words allocated by 100k wide records with no sink" 0
+    (words_per_100k (fun ~code ->
+         Flight.record_wide ~node:0 ~code ~a:1 ~b:1 ~c:0 ~d:0 ~e:1 ~f:1 ~g:1
+           ~h:1 ~i:1))
 
 (* Over a faulty run, the trace sink sees exactly the traced steps a
    Flight subscriber sees, node by node. *)
@@ -946,6 +995,9 @@ let test_traced_steps_match_flight () =
     | Token_lost -> Some 1
     | Phase _ -> Some 2
     | Crash -> Some 3
+    | Token_recv _ -> Some 4
+    | Token_send _ -> Some 5
+    | Data_send _ -> Some 6
     | _ -> None
   in
   let sink =
@@ -980,14 +1032,17 @@ let test_traced_steps_match_flight () =
   for node = 0 to n - 1 do
     check
       Alcotest.(array int)
-      (Printf.sprintf "node %d: retransmit/lost/phase/crash" node)
+      (Printf.sprintf "node %d: retransmit/lost/phase/crash/recv/send/data" node)
       from_flight.(node) from_trace.(node)
   done;
   let total i = Array.fold_left (fun acc row -> acc + row.(i)) 0 from_trace in
   List.iteri
     (fun i name ->
       check Alcotest.bool (name ^ " occurred") true (total i > 0))
-    [ "token_retransmit"; "token_lost"; "phase"; "crash" ]
+    [
+      "token_retransmit"; "token_lost"; "phase"; "crash"; "token_recv";
+      "token_send"; "data_send";
+    ]
 
 (* A deleted kind is a parse error naming the line and the kind. *)
 let test_deleted_kind_rejected () =
