@@ -1,11 +1,11 @@
 (* Hot-path allocation benchmark (`-- hotpath [quick]`): allocated bytes
    per message of the pooled codec against the Buffer-based reference
    encoder, of the KV write path's app payload (encode, and delivery to
-   a replica), per item of the multi-ring learner merge, per call of the
-   shared host primitives (FNV-1a, the PRNG, histogram and sample
-   accumulators), and allocation and host rate of the full simulated
-   pipeline. Gated by bench/hotpath_budget.json. Schema documented in
-   EXPERIMENTS.md. *)
+   a replica), of the daemon's idle token visit and group change, per
+   item of the multi-ring learner merge, per call of the shared host
+   primitives (FNV-1a, the PRNG, histogram and sample accumulators), and
+   allocation and host rate of the full simulated pipeline. Gated by
+   bench/hotpath_budget.json. Schema documented in EXPERIMENTS.md. *)
 
 open Aring_wire
 open Aring_ring
@@ -51,29 +51,25 @@ let put_envelope value =
 
 let ring_size = 4
 
-(* Delivery of that envelope to a KV replica: one operational member of
-   a 4-member ring, fed in-order data from pid 1 through the daemon's
-   participant, with a caught-up token every 256 messages so the
-   engine's retention stays bounded. Each call delivers and applies one
-   put. *)
-let deliver_put envelope =
+(* One operational member of a 4-member ring with a daemon on it, the
+   ring's id, and [feed], which hands the daemon's participant in-order
+   data from pid 1 with a caught-up token every 256 messages so the
+   engine's retention stays bounded. *)
+let ring_daemon () =
   let m =
     Member.create ~params:Params.default ~me:0
       ~initial_ring:(Array.init ring_size Fun.id) ()
   in
   ignore ((Member.participant m).start ());
   let d = Daemon.create ~member:m () in
-  ignore (Kv.create ~cluster_size:ring_size ~daemon:d ());
   let rid =
     match Member.node m with
-    | Some node ->
-        ignore (Engine.drain_pending (Node.engine node));
-        Engine.ring_id (Node.engine node)
+    | Some node -> Engine.ring_id (Node.engine node)
     | None -> invalid_arg "Bench_hotpath: a member with an initial ring starts operational"
   in
   let p = Daemon.participant d in
   let seq = ref 0 in
-  fun () ->
+  let feed envelope =
     incr seq;
     ignore
       (p.process
@@ -86,6 +82,62 @@ let deliver_put envelope =
            (Message.Token
               { t_ring = rid; token_id = !seq / 256 * ring_size; t_round = 1;
                 t_seq = !seq; aru = !seq; aru_id = None; fcc = 0; rtr = [] }))
+  in
+  (m, d, rid, feed)
+
+let drain_pending m =
+  match Member.node m with
+  | Some node -> ignore (Engine.drain_pending (Node.engine node))
+  | None -> ()
+
+(* Delivery of that envelope to a KV replica. Each call delivers and
+   applies one put. *)
+let deliver_put envelope =
+  let m, d, _, feed = ring_daemon () in
+  ignore (Kv.create ~cluster_size:ring_size ~daemon:d ());
+  drain_pending m;
+  fun () -> feed envelope
+
+(* An idle token visit: a caught-up token, nothing to send or deliver,
+   through the daemon's participant (engine, node, member and daemon).
+   The 88 B token each call builds is counted too. *)
+let idle_token_visit () =
+  let _, d, rid, _ = ring_daemon () in
+  let p = Daemon.participant d in
+  let token_id = ref 0 in
+  fun () ->
+    token_id := !token_id + ring_size;
+    ignore
+      (p.process
+         (Message.Token
+            { t_ring = rid; token_id = !token_id; t_round = 1; t_seq = 0; aru = 0;
+              aru_id = None; fcc = 0; rtr = [] }))
+
+(* Group changes at [join_members] members: a local session in the
+   delivered table (so each change notifies it, and it never reads the
+   member list), and per call one Join and one Leave of the same remote
+   member, delivered through the daemon's participant. *)
+let join_members = 1_000
+
+let group_change () =
+  let m, d, _, feed = ring_daemon () in
+  let quiet =
+    { Daemon.on_message = (fun ~sender:_ ~groups:_ _ _ -> ());
+      on_group_view = (fun ~group:_ ~members:_ -> ()) }
+  in
+  let s = Daemon.connect d ~name:"rx" quiet in
+  let join_of member = Envelope.encode (Envelope.Join { member; group = "big" }) in
+  feed (join_of (Daemon.session_member_name d s));
+  for i = 1 to join_members - 1 do
+    feed (join_of (Envelope.member_name ~daemon:1 ~session:(Printf.sprintf "u%04d" i)))
+  done;
+  drain_pending m;
+  let member = Envelope.member_name ~daemon:2 ~session:"x" in
+  let join = join_of member in
+  let leave = Envelope.encode (Envelope.Leave { member; group = "big" }) in
+  fun () ->
+    feed join;
+    feed leave
 
 let merge_rings = 4
 
@@ -209,6 +261,13 @@ let run ~quick =
     \  encode (op + envelope) %8.1f per put\n\
     \  deliver to a KV replica %8.1f per message\n%!"
     value_bytes app_encode app_deliver;
+  let visit_alloc = alloc_per_call ~iters (idle_token_visit ()) in
+  let change_alloc = alloc_per_call ~iters (group_change ()) /. 2. in
+  Printf.printf
+    "daemon (bytes allocated):\n\
+    \  idle token visit %8.1f\n\
+    \  group change at %d members %8.1f per delivered Join or Leave\n%!"
+    visit_alloc join_members change_alloc;
   let merge_alloc =
     alloc_per_call ~iters (merge_push_drain ()) /. float_of_int merge_rings
   in
@@ -306,6 +365,13 @@ let run ~quick =
               ("encode_alloc_bytes_per_put", Json.Float app_encode);
               ("deliver_alloc_bytes_per_msg", Json.Float app_deliver);
             ] );
+        ( "daemon",
+          Json.Obj
+            [
+              ("idle_token_visit_alloc_bytes", Json.Float visit_alloc);
+              ("group_members", Json.Int join_members);
+              ("group_change_alloc_bytes_per_delivery", Json.Float change_alloc);
+            ] );
         ( "merge",
           Json.Obj
             [
@@ -329,6 +395,8 @@ let run ~quick =
         Min ("min_codec_reduction_percent", codec_reduction);
         Max ("max_app_encode_alloc_bytes_per_put", app_encode);
         Max ("max_app_deliver_alloc_bytes_per_msg", app_deliver);
+        Max ("max_idle_token_visit_alloc_bytes", visit_alloc);
+        Max ("max_group_change_alloc_bytes_per_delivery", change_alloc);
         Max ("max_merge_push_drain_alloc_bytes_per_item", merge_alloc);
         Max ("max_fnv_alloc_bytes_per_kib", fnv_alloc);
         Max ("max_prng_int_alloc_bytes_per_draw", prng_alloc);

@@ -42,7 +42,7 @@ let () =
         (fun ~group ~members ->
           transcript :=
             Printf.sprintf "%-8s sees %s = {%s}" who group
-              (String.concat ", " members)
+              (String.concat ", " (Lazy.force members))
             :: !transcript);
     }
   in

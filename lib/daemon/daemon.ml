@@ -7,7 +7,7 @@ module Names = Map.Make (String)
 type callbacks = {
   on_message :
     sender:string -> groups:string list -> Types.service -> Codec.view -> unit;
-  on_group_view : group:string -> members:string list -> unit;
+  on_group_view : group:string -> members:string list Lazy.t -> unit;
 }
 
 type session = {
@@ -46,8 +46,18 @@ type t = {
      delivery, so a session reconnected under the same name still matches
      its predecessor's table entry until the ordered Leave lands. *)
   routes : (string, int Names.t) Hashtbl.t;
-  (* Cursor every delivered envelope is parsed through. *)
+  (* Cursor every delivered envelope is parsed through, and the table
+     its names are read through. *)
   dec : Codec.decoder;
+  names : Envelope.names;
+  (* The delivery a routing pass hands out, set before the pass so that
+     it folds a top-level function over the recipients, with the daemon
+     as accumulator: no closure per delivery. *)
+  mutable r_sender : string;
+  mutable r_groups : string list;
+  mutable r_service : Types.service;
+  mutable r_payload : Codec.view;
+  mutable r_count : int;  (* recipients handed the delivery *)
   stats : stats;
   packing : bool;
   pack_threshold : int;
@@ -66,6 +76,8 @@ type t = {
   mutable on_view : (Participant.view -> unit) option;
 }
 
+let no_payload = Codec.view Bytes.empty ~pos:0 ~len:0
+
 let create ?(packing = false) ?(pack_threshold = 1300) ~member () =
   {
     member;
@@ -75,6 +87,12 @@ let create ?(packing = false) ?(pack_threshold = 1300) ~member () =
     sessions = Hashtbl.create 8;
     routes = Hashtbl.create 16;
     dec = Codec.decoder_empty ();
+    names = Envelope.names ();
+    r_sender = "";
+    r_groups = [];
+    r_service = Types.Agreed;
+    r_payload = no_payload;
+    r_count = 0;
     stats =
       {
         client_deliveries = 0;
@@ -225,10 +243,11 @@ let without_half half name =
     | _ -> None)
 
 (* The session name behind [member] when this daemon hosts it, i.e. when
-   [member = Envelope.member_name ~daemon:t.me ~session]. *)
+   [member = Envelope.member_name ~daemon:t.me ~session]: the canonical
+   pid parser decides, as it does for [Groups.prune]. *)
 let local_session t member =
   let n = String.length member and k = String.length t.member_suffix in
-  if n > k && member.[0] = '#' && String.ends_with ~suffix:t.member_suffix member
+  if n > k && member.[0] = '#' && Groups.daemon_of_member member = t.me
   then Some (String.sub member 1 (n - k - 1))
   else None
 
@@ -269,7 +288,8 @@ let multicast t s ?(service = Types.Agreed) ~groups payload =
     submit_envelope t service
       (Envelope.App { sender = s.s_member; groups; payload })
 
-(* Tell the local sessions in [group]'s table, in name order. *)
+(* Tell the local sessions in [group]'s table, in name order. [members]
+   is forced only by a reader. *)
 let notify_group_view t group members =
   Names.iter
     (fun name halves ->
@@ -301,12 +321,32 @@ let recipients t = function
         (fun acc g -> Names.union (fun _ a b -> Some (a lor b)) acc (routes_of t g))
         Names.empty groups
 
-(* Apply one totally-ordered envelope. Returns one [Deliver] action per
-   local recipient so a driving runtime charges per-client delivery cost. *)
+(* Hand the delivery being routed to session [name], when it is still
+   connected. *)
+let route_one name _halves t =
+  match Hashtbl.find t.sessions name with
+  | exception Not_found -> t  (* a table entry with no session *)
+  | s ->
+      t.stats.client_deliveries <- t.stats.client_deliveries + 1;
+      t.r_count <- t.r_count + 1;
+      (* A slow receiver parks the message; the daemon's routing work
+         (and the Deliver action's CPU charge) happens either way, so one
+         stalled client never blocks the others. The payload is a view
+         into the delivered frame wherever it goes: parked or handed
+         over, it keeps that buffer alive, never a copy of it. *)
+      (match s.s_inbox with
+      | Some q -> Deque.push_back q (t.r_sender, t.r_groups, t.r_service, t.r_payload)
+      | None ->
+          s.s_callbacks.on_message ~sender:t.r_sender ~groups:t.r_groups t.r_service
+            t.r_payload);
+      t
+
+(* Apply one totally-ordered envelope. Returns its local recipients, the
+   number of [Deliver] actions a driving runtime charges per-client
+   delivery cost for. *)
 let rec apply_envelope t (d : Message.data) (env : Envelope.parsed) =
   match env with
-  | Envelope.Batch entries ->
-      List.concat_map (fun entry -> apply_envelope t d entry) entries
+  | Envelope.Batch entries -> apply_batch t d entries 0
   | Envelope.App { sender; groups; payload } ->
       (* Route to a local session when either its locally-requested
          membership ([s_joined], effective from the join call — so a
@@ -314,61 +354,47 @@ let rec apply_envelope t (d : Message.data) (env : Envelope.parsed) =
          re-announced Join lands) or the delivered-join table (effective
          until the ordered Leave lands) says it belongs: the [routes]
          index holds both halves, in session-name order. *)
-      (* Every recipient yields the same action, so one value serves all
-         and the list's order carries nothing. *)
-      let deliver = Participant.Deliver d in
-      Names.fold
-        (fun name _ acc ->
-          match Hashtbl.find t.sessions name with
-          | exception Not_found -> acc  (* a table entry with no session *)
-          | s ->
-              t.stats.client_deliveries <- t.stats.client_deliveries + 1;
-              (* A slow receiver parks the message; the daemon's routing
-                 work (and the Deliver action's CPU charge) happens either
-                 way, so one stalled client never blocks the others. The
-                 payload is a view into [d.payload] wherever it goes:
-                 parked or handed over, it keeps that buffer alive, never
-                 a copy of it. *)
-              (match s.s_inbox with
-              | Some q -> Deque.push_back q (sender, groups, d.service, payload)
-              | None -> s.s_callbacks.on_message ~sender ~groups d.service payload);
-              deliver :: acc)
-        (recipients t groups) []
+      t.r_sender <- sender;
+      t.r_groups <- groups;
+      t.r_service <- d.service;
+      t.r_payload <- payload;
+      t.r_count <- 0;
+      ignore (Names.fold route_one (recipients t groups) t);
+      t.r_payload <- no_payload;
+      t.r_count
   | Envelope.Join { member; group } ->
-      (match Groups.join t.groups ~group ~member with
-      | Some members ->
-          Option.iter
-            (fun name -> update_routes t group (with_half tabled name))
-            (local_session t member);
-          notify_group_view t group members
-      | None -> ());
-      []
+      if Groups.join t.groups ~group ~member then begin
+        (match local_session t member with
+        | Some name -> update_routes t group (with_half tabled name)
+        | None -> ());
+        notify_group_view t group (Groups.view t.groups group)
+      end;
+      0
   | Envelope.Leave { member; group } ->
-      (match Groups.leave t.groups ~group ~member with
-      | Some members ->
-          Option.iter
-            (fun name -> update_routes t group (without_half tabled name))
-            (local_session t member);
-          notify_group_view t group members
-      | None -> ());
-      []
+      if Groups.leave t.groups ~group ~member then begin
+        (match local_session t member with
+        | Some name -> update_routes t group (without_half tabled name)
+        | None -> ());
+        notify_group_view t group (Groups.view t.groups group)
+      end;
+      0
 
+and apply_batch t d entries n =
+  match entries with
+  | [] -> n
+  | entry :: rest -> apply_batch t d rest (n + apply_envelope t d entry)
+
+(* Local recipients of one delivery, at least one: daemon-internal
+   traffic (Join/Leave, or an App envelope with no local recipient)
+   still consumed its slot in the total order, so one delivery surfaces
+   for the driving runtime to charge and for trace invariants to see a
+   gap-free sequence. So does a payload that is not daemon traffic (e.g.
+   a recovery flood of a foreign payload). *)
 let handle_delivery t (d : Message.data) =
   Codec.decoder_reset t.dec d.payload ~pos:0 ~len:(Bytes.length d.payload);
-  match Envelope.parse t.dec with
-  | env -> (
-      match apply_envelope t d env with
-      | [] ->
-          (* Daemon-internal traffic (Join/Leave, or an App envelope with
-             no local recipient) still consumed its slot in the total
-             order — surface one delivery so the driving runtime charges
-             it and trace invariants see a gap-free sequence. *)
-          [ Participant.Deliver d ]
-      | actions -> actions)
-  | exception Codec.Decode_error _ ->
-      (* Not daemon traffic (e.g. a recovery flood of a foreign payload);
-         surface it unchanged. *)
-      [ Participant.Deliver d ]
+  match Envelope.parse t.names t.dec with
+  | env -> max 1 (apply_envelope t d env)
+  | exception Codec.Decode_error _ -> 1
 
 (* A new regular configuration: prune members of departed daemons, tell
    affected local clients, and re-announce our own sessions so daemons that
@@ -380,7 +406,7 @@ let handle_view t (v : Participant.view) =
     List.iter
       (fun (group, members) ->
         retable t group members;
-        notify_group_view t group members)
+        notify_group_view t group (Lazy.from_val members))
       changed;
     Hashtbl.iter
       (fun _ s ->
@@ -393,24 +419,29 @@ let handle_view t (v : Participant.view) =
   end;
   match t.on_view with None -> () | Some f -> f v
 
-(* One pass in list order (deliveries and views have effects), one cons
-   per action kept. *)
+let rec repeat action n tail =
+  if n = 0 then tail else action :: repeat action (n - 1) tail
+
+(* One pass in list order (deliveries and views have effects). Each
+   engine [Deliver] is re-emitted once per local recipient, the action
+   itself each time; a list in which every delivery has one recipient is
+   returned as it came. *)
 let rec transform_actions t actions =
   match actions with
-  | [] -> []
-  | action :: rest -> (
-      match action with
-      | Participant.Deliver d -> (
-          let delivered = handle_delivery t d in
-          match transform_actions t rest with
-          | [] -> delivered
-          | rest -> delivered @ rest)
-      | Participant.Deliver_config v ->
-          handle_view t v;
-          action :: transform_actions t rest
-      | Participant.Unicast _ | Participant.Multicast _
-      | Participant.Arm_timer _ | Participant.Token_loss_detected ->
-          action :: transform_actions t rest)
+  | [] -> actions
+  | action :: rest ->
+      let copies =
+        match action with
+        | Participant.Deliver d -> handle_delivery t d
+        | Participant.Deliver_config v ->
+            handle_view t v;
+            1
+        | Participant.Unicast _ | Participant.Multicast _
+        | Participant.Arm_timer _ | Participant.Token_loss_detected ->
+            1
+      in
+      let rest' = transform_actions t rest in
+      if copies = 1 && rest' == rest then actions else repeat action copies rest'
 
 let participant t : Participant.t =
   let inner = Member.participant t.member in

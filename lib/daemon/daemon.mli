@@ -24,14 +24,22 @@
     - a [join] or [leave] call costs O(log r) for the group's r local
       recipients;
     - a delivered Join or Leave costs O(log m) in the group table of m
-      members, O(m) to build the sorted member list, and a walk of the
-      group's r index entries with one [on_group_view] per local member
-      in the table;
+      members and a walk of the group's r index entries with one
+      [on_group_view] per local member in the table; the sorted member
+      list costs O(m) more, and only when a reader forces it;
     - a delivered single-group App envelope costs O(r), one
       [on_message] (or inbox push) per recipient, and no sort; an
       envelope naming k groups first merges their k indexes;
     - a configuration change rebuilds the index of each group it prunes,
-      O(m) for that group. *)
+      O(m) for that group.
+
+    Delivery passes through in place. Envelope names and App group lists
+    are read through a bounded per-daemon table ({!Envelope.names}), so
+    a name seen before is handed to clients as the shared string the
+    table holds, with no copy; a single-group App envelope is routed
+    with no closure; and the engine's own [Deliver] action is handed on
+    once per recipient, the action list coming back as it went in when
+    every delivery has one. *)
 
 open Aring_wire
 open Aring_ring
@@ -49,11 +57,13 @@ type callbacks = {
           Decode it in place or copy it ({!Codec.view_to_bytes}) to keep
           a value to mutate; a held view keeps the frame's payload alive,
           not the engine's message. *)
-  on_group_view : group:string -> members:string list -> unit;
+  on_group_view : group:string -> members:string list Lazy.t -> unit;
       (** Invoked when the delivered membership of a group changes, for
-          each local session the delivered table names in that group;
-          [members] is sorted. One change notifies its local sessions in
-          session-name order, the order deliveries use too. *)
+          each local session the delivered table names in that group.
+          [members] is the group's view at that change, sorted, built
+          only when forced: forcing it later, after further changes,
+          still gives this view. One change notifies its local sessions
+          in session-name order, the order deliveries use too. *)
 }
 
 type stats = {
@@ -78,6 +88,15 @@ val flush : t -> unit
 (** Force out any buffered packed submissions now. *)
 
 val participant : t -> Participant.t
+
+val transform_actions : t -> Participant.action list -> Participant.action list
+(** The pass {!participant} runs over the member's actions on every
+    step, in list order: each delivery is applied (routed to local
+    sessions, or to the group table) and its [Deliver] action repeated
+    once per local recipient (kept once when there is none), and each
+    regular configuration prunes and re-announces. When every delivery
+    has exactly one recipient the result is [actions] itself ([==]),
+    with nothing allocated. *)
 
 val pid : t -> Types.pid
 (** The hosting ring member's pid. *)

@@ -15,7 +15,6 @@ let tag_leave = 3
 let tag_batch = 4
 
 let put_string s str = Codec.put_bytes s (Bytes.unsafe_of_string str)
-let read_string d = Bytes.unsafe_to_string (Codec.read_bytes d)
 
 let rec write s t =
   match t with
@@ -62,30 +61,142 @@ let rec encoded_size = function
           | entry -> n + encoded_size entry)
         5 entries
 
-let rec read_one ~nested d =
+(* ------------------------------------------------------------------ *)
+(* Name table                                                          *)
+
+(* An open-addressed table keyed by byte strings, probed with a slice of
+   a frame so a hit copies nothing. [hash] is the key's [hash_slice]. *)
+type 'a slot = Free | Slot of { hash : int; key : string; value : 'a }
+
+type 'a table = { mutable slots : 'a slot array; mutable used : int }
+
+type names = {
+  strings : string table;  (* sender, member and group names *)
+  lists : string list table;  (* App group lists, keyed by their span *)
+}
+
+let names_cap = 4096
+let min_slots = 16
+
+(* Slots stay at most half full, so a table never outgrows this. *)
+let max_slots = 2 * names_cap
+
+let table () = { slots = Array.make min_slots Free; used = 0 }
+let names () = { strings = table (); lists = table () }
+let names_count n = n.strings.used + n.lists.used
+
+(* FNV-1a over the slice, in native ints: no boxing, no closure. *)
+let hash_slice buf pos len =
+  let h = ref 0x811c9dc5 in
+  for i = pos to pos + len - 1 do
+    h := (!h lxor Char.code (Bytes.unsafe_get buf i)) * 0x01000193
+  done;
+  !h land max_int
+
+let rec key_equal key buf pos i len =
+  i = len
+  || String.unsafe_get key i = Bytes.unsafe_get buf (pos + i)
+     && key_equal key buf pos (i + 1) len
+
+(* The value stored under the slice's bytes.
+   @raise Not_found when there is none. *)
+let rec find tbl buf pos len hash i =
+  match Array.unsafe_get tbl.slots i with
+  | Free -> raise Not_found
+  | Slot s ->
+      if s.hash = hash && String.length s.key = len && key_equal s.key buf pos 0 len
+      then s.value
+      else find tbl buf pos len hash ((i + 1) land (Array.length tbl.slots - 1))
+
+let lookup tbl buf pos len hash =
+  find tbl buf pos len hash (hash land (Array.length tbl.slots - 1))
+
+let rec place slots slot i =
+  match slots.(i) with
+  | Free -> slots.(i) <- slot
+  | Slot _ -> place slots slot ((i + 1) land (Array.length slots - 1))
+
+let insert slots = function
+  | Free -> ()
+  | Slot s as slot -> place slots slot (s.hash land (Array.length slots - 1))
+
+(* Past [names_cap] entries in all, both tables start over, as the span
+   collector's in-flight table does: the working set of names is small,
+   so a reset costs a few misses, never unbounded growth. *)
+let add names tbl hash key value =
+  if names_count names >= names_cap then begin
+    Array.fill names.strings.slots 0 (Array.length names.strings.slots) Free;
+    Array.fill names.lists.slots 0 (Array.length names.lists.slots) Free;
+    names.strings.used <- 0;
+    names.lists.used <- 0
+  end;
+  if 2 * (tbl.used + 1) > Array.length tbl.slots && Array.length tbl.slots < max_slots
+  then begin
+    let grown = Array.make (2 * Array.length tbl.slots) Free in
+    Array.iter (insert grown) tbl.slots;
+    tbl.slots <- grown
+  end;
+  insert tbl.slots (Slot { hash; key; value });
+  tbl.used <- tbl.used + 1
+
+let read_name names d =
+  let len = Codec.skip_bytes d in
+  let buf = Codec.decoder_buffer d in
+  let pos = Codec.decoder_pos d - len in
+  let hash = hash_slice buf pos len in
+  match lookup names.strings buf pos len hash with
+  | name -> name
+  | exception Not_found ->
+      let name = Bytes.sub_string buf pos len in
+      add names names.strings hash name name;
+      name
+
+(* An App's group list, looked up by its whole encoded span (count and
+   names); a miss parses the span again, name by name. *)
+let read_groups names d =
+  let start = Codec.decoder_pos d in
+  for _ = 1 to Codec.read_count d do
+    ignore (Codec.skip_bytes d)
+  done;
+  let buf = Codec.decoder_buffer d in
+  let len = Codec.decoder_pos d - start in
+  let hash = hash_slice buf start len in
+  match lookup names.lists buf start len hash with
+  | groups -> groups
+  | exception Not_found ->
+      let span = Codec.decoder_empty () in
+      Codec.decoder_reset span buf ~pos:start ~len;
+      let groups = Codec.read_list span (fun () -> read_name names span) in
+      add names names.lists hash (Bytes.sub_string buf start len) groups;
+      groups
+
+(* ------------------------------------------------------------------ *)
+(* Parsing                                                             *)
+
+let rec read_one names ~nested d =
   let tag = Codec.read_u8 d in
   if tag = tag_app then begin
-    let sender = read_string d in
-    let groups = Codec.read_list d (fun () -> read_string d) in
+    let sender = read_name names d in
+    let groups = read_groups names d in
     let payload = Codec.read_view d in
     App { sender; groups; payload }
   end
   else if tag = tag_join then begin
-    let member = read_string d in
-    let group = read_string d in
+    let member = read_name names d in
+    let group = read_name names d in
     Join { member; group }
   end
   else if tag = tag_leave then begin
-    let member = read_string d in
-    let group = read_string d in
+    let member = read_name names d in
+    let group = read_name names d in
     Leave { member; group }
   end
   else if tag = tag_batch && not nested then
-    Batch (Codec.read_list d (fun () -> read_one ~nested:true d))
+    Batch (Codec.read_list d (fun () -> read_one names ~nested:true d))
   else raise (Codec.Decode_error (Printf.sprintf "unknown envelope tag %d" tag))
 
-let parse d =
-  let t = read_one ~nested:false d in
+let parse names d =
+  let t = read_one names ~nested:false d in
   Codec.expect_end d;
   t
 
@@ -96,7 +207,7 @@ let rec copy : parsed -> t = function
   | Leave { member; group } -> Leave { member; group }
   | Batch entries -> Batch (List.map copy entries)
 
-let decode buf = copy (parse (Codec.decoder buf))
+let decode buf = copy (parse (names ()) (Codec.decoder buf))
 
 let member_name ~daemon ~session = Printf.sprintf "#%s#%d" session daemon
 

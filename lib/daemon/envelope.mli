@@ -29,15 +29,34 @@ val encode : t -> bytes
 (** Exact-size encoding, written through the shared scratch
     ({!Aring_wire.Codec.encode_exact}). *)
 
-val parse : Aring_wire.Codec.decoder -> parsed
+type names
+(** A bounded table of the names parsed envelopes carry (senders,
+    members, groups) and of App group lists, keyed by their encoded
+    bytes. A daemon keeps one for its whole life. *)
+
+val names : unit -> names
+
+val names_cap : int
+(** Entries a table holds, names and group lists together. Adding one
+    past the cap empties it first, so its memory stays bounded however
+    many distinct names go by. *)
+
+val names_count : names -> int
+(** Entries held now: at most {!names_cap}. *)
+
+val parse : names -> Aring_wire.Codec.decoder -> parsed
 (** The envelope parser: reads the envelope that fills the rest of the
-    cursor's slice, copying its names and leaving App payloads in place.
+    cursor's slice, leaving App payloads in place. Names and App group
+    lists are read through the table, where the frame's bytes lie: a
+    name or list seen before comes back as the shared (immutable)
+    string or list the table holds, with nothing copied or allocated,
+    and one not seen before is copied once and added.
     @raise Aring_wire.Codec.Decode_error on malformed input, or if the
     envelope does not end exactly at the end of the slice. *)
 
 val decode : bytes -> t
-(** {!parse} over a whole byte string, with every App payload copied out
-    — for tests and tools.
+(** {!parse} over a whole byte string with a fresh table, with every App
+    payload copied out — for tests and tools.
     @raise Aring_wire.Codec.Decode_error on malformed input. *)
 
 val member_name : daemon:int -> session:string -> string

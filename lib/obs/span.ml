@@ -102,11 +102,11 @@ let on_delivered t ~node ~sender ~seq =
     ensure_node t node;
     t.deliver_ns.(node) <- now
   end;
-  match Hashtbl.find_opt t.inflight (key ~sender ~seq) with
-  | Some (submit_ns, ordered_ns) ->
+  match Hashtbl.find t.inflight (key ~sender ~seq) with
+  | submit_ns, ordered_ns ->
       Metrics.observe t.h_deliver (us (now - ordered_ns));
       Metrics.observe t.h_e2e (us (now - submit_ns))
-  | None -> ()
+  | exception Not_found -> ()
 
 let on_applied t ~node =
   if node >= 0 && node < Array.length t.deliver_ns && t.deliver_ns.(node) >= 0

@@ -33,9 +33,6 @@ type stats = {
    token stays within a single datagram even after catastrophic loss. *)
 let max_rtr_per_round = 512
 
-(* What one token rotation looked like from this node, captured for
-   adaptive-window controllers. Purely observational: nothing in the
-   engine reads it back. *)
 (* A queued client submission. The submit stamp is 0 unless a latency
    span collector is attached at submission time. *)
 type pending = {
@@ -44,6 +41,8 @@ type pending = {
   p_submit_ns : int;
 }
 
+(* What one token rotation looked like from this node, for
+   adaptive-window controllers. *)
 type round_signals = {
   sr_round : Types.round;
   sr_fcc : int;  (* fcc carried by the incoming token *)
@@ -80,7 +79,15 @@ type t = {
      decides how many admitted messages precede the token, so changing
      it never affects flow control or any ring-wide agreement. *)
   mutable accelerated_window : int;
-  mutable last_signals : round_signals option;
+  (* The last accepted token's [round_signals], kept as plain fields and
+     built into a record only when read. Purely observational: nothing
+     in the engine reads them back. *)
+  mutable sig_fcc : int;
+  mutable sig_retrans : int;
+  mutable sig_backlog : int;
+  mutable sig_allowed_new : int;
+  (* [Some me], shared by every token that names this node in aru_id. *)
+  some_me : Types.pid option;
   stats : stats;
 }
 
@@ -121,7 +128,11 @@ let create ~params ~ring_id ~ring ~me =
     loss_gen = 0;
     retransmit_count = 0;
     accelerated_window = params.accelerated_window;
-    last_signals = None;
+    sig_fcc = 0;
+    sig_retrans = 0;
+    sig_backlog = 0;
+    sig_allowed_new = 0;
+    some_me = Some me;
     stats =
       {
         rounds = 0;
@@ -173,7 +184,18 @@ let accelerated_window t = t.accelerated_window
 let set_accelerated_window t w =
   t.accelerated_window <- max 0 (min t.params.personal_window w)
 
-let last_round_signals t = t.last_signals
+(* [t.round] counts accepted tokens, and each one sets the fields. *)
+let last_round_signals t =
+  if t.round = 0 then None
+  else
+    Some
+      {
+        sr_round = t.round;
+        sr_fcc = t.sig_fcc;
+        sr_retrans = t.sig_retrans;
+        sr_backlog = t.sig_backlog;
+        sr_allowed_new = t.sig_allowed_new;
+      }
 
 let advance_local_aru t =
   while Hashtbl.mem t.buffer (t.local_aru + 1) do
@@ -188,9 +210,9 @@ let advance_local_aru t =
 let deliver_ready_into t tail =
   let rec loop acc =
     let next = t.delivered + 1 in
-    match Hashtbl.find_opt t.buffer next with
-    | None -> List.rev_append acc tail
-    | Some d ->
+    match Hashtbl.find t.buffer next with
+    | exception Not_found -> List.rev_append acc tail
+    | d ->
         if Types.service_requires_stability d.service && next > t.safe_line
         then List.rev_append acc tail
         else begin
@@ -265,6 +287,34 @@ let rec merge_sorted a b =
   | x :: xs, (y :: _ as yl) when x <= y -> x :: merge_sorted xs yl
   | xl, y :: ys -> y :: merge_sorted xl ys
 
+(* Answer the token's retransmission requests we can serve (always
+   pre-token), onto [sends] newest first. *)
+let rec serve_rtr t rtr sends =
+  match rtr with
+  | [] -> sends
+  | seq :: rest -> (
+      match Hashtbl.find t.buffer seq with
+      | exception Not_found -> serve_rtr t rest sends
+      | d ->
+          t.stats.retrans_sent <- t.stats.retrans_sent + 1;
+          Flight.record_wide ~node:t.me ~code:Flight.ev_data_send ~a:d.seq ~b:0
+            ~c:1 ~d:0 ~e:(Flight.pack_ring t.ring_id) ~g:0 ~h:0 ~i:0
+            ~f:(Message.data_wire_size ~payload_len:(Bytes.length d.payload));
+          serve_rtr t rest (Send_data d :: sends))
+
+(* The requests [serve_rtr] left unanswered (still missing here), in
+   order: [rtr] itself when it answered none. New messages this round
+   all carry seqs above the token's, so nothing buffered later in the
+   round can retroactively answer one. *)
+let rec unanswered_rtr t rtr =
+  match rtr with
+  | [] -> rtr
+  | seq :: rest ->
+      let kept = unanswered_rtr t rest in
+      if Hashtbl.mem t.buffer seq then kept
+      else if kept == rest then rtr
+      else seq :: kept
+
 let handle_token t (tok : Message.token) =
   if tok.token_id <= t.last_token_id then begin
     t.stats.dup_tokens <- t.stats.dup_tokens + 1;
@@ -280,25 +330,11 @@ let handle_token t (tok : Message.token) =
     Flight.record_wide ~node:t.me ~code:Flight.ev_token_recv ~a:tok.token_id
       ~b:tok.t_seq ~c:tok.aru ~d:t.local_aru ~e:(Flight.pack_ring t.ring_id)
       ~f:t.round ~g:t.safe_line ~h:0 ~i:0;
-    (* 1. Answer retransmission requests we can serve (always pre-token).
-       The same pass partitions the token's rtr into answered (counted,
-       dropped) and kept (still missing here) — new messages this round all
-       carry seqs above tok.t_seq, so nothing buffered later in the round
-       can retroactively answer an rtr entry. *)
-    let rec scan_rtr rtr rev_sends num kept_rev =
-      match rtr with
-      | [] -> (rev_sends, num, List.rev kept_rev)
-      | seq :: rest -> (
-          match Hashtbl.find_opt t.buffer seq with
-          | Some d ->
-              t.stats.retrans_sent <- t.stats.retrans_sent + 1;
-              Flight.record_wide ~node:t.me ~code:Flight.ev_data_send ~a:d.seq
-                ~b:0 ~c:1 ~d:0 ~e:(Flight.pack_ring t.ring_id) ~g:0 ~h:0 ~i:0
-                ~f:(Message.data_wire_size ~payload_len:(Bytes.length d.payload));
-              scan_rtr rest (Send_data d :: rev_sends) (num + 1) kept_rev
-          | None -> scan_rtr rest rev_sends num (seq :: kept_rev))
-    in
-    let rev_retrans, num_retrans, kept_rtr = scan_rtr tok.rtr [] 0 [] in
+    (* 1. Answer retransmission requests we can serve, and keep the rest
+       on the token. *)
+    let rev_retrans = serve_rtr t tok.rtr [] in
+    let num_retrans = List.length rev_retrans in
+    let kept_rtr = unanswered_rtr t tok.rtr in
     (* Backlog as the token arrives — the round's arrival count, which is
        the scale an adaptive accelerated window has to cover. *)
     let backlog_at_token = Queue.length t.pending in
@@ -346,14 +382,16 @@ let handle_token t (tok : Message.token) =
        missing messages; if we lowered it before (aru_id is ours) or the
        token was fully caught up (aru = seq), set it to our local aru so it
        can rise — possibly riding along with the new seq. *)
-    let new_aru, new_aru_id =
-      if
-        t.local_aru < tok.aru
-        || tok.aru_id = Some t.me
-        || tok.aru = tok.t_seq
-      then
-        (t.local_aru, if t.local_aru = new_seq then None else Some t.me)
-      else (tok.aru, tok.aru_id)
+    let set_aru =
+      t.local_aru < tok.aru
+      || (match tok.aru_id with Some id -> id = t.me | None -> false)
+      || tok.aru = tok.t_seq
+    in
+    let new_aru = if set_aru then t.local_aru else tok.aru in
+    let new_aru_id =
+      if not set_aru then tok.aru_id
+      else if t.local_aru = new_seq then None
+      else t.some_me
     in
     (* 5. fcc: replace our contribution from last round with this round's. *)
     let sent_this_round = num_retrans + allowed_new in
@@ -402,15 +440,10 @@ let handle_token t (tok : Message.token) =
         ]
     in
     collect_garbage t;
-    t.last_signals <-
-      Some
-        {
-          sr_round = t.round;
-          sr_fcc = tok.fcc;
-          sr_retrans = num_retrans + List.length my_missing;
-          sr_backlog = backlog_at_token;
-          sr_allowed_new = allowed_new;
-        };
+    t.sig_fcc <- tok.fcc;
+    t.sig_retrans <- num_retrans + List.length my_missing;
+    t.sig_backlog <- backlog_at_token;
+    t.sig_allowed_new <- allowed_new;
     List.rev_append rev_retrans
       (List.rev_append !rev_pre
          (Send_token (successor t, token')

@@ -10,9 +10,7 @@ type memb_timer_kind =
   | Exchange_recheck
   | Flood_burst
 
-type Participant.timer +=
-  | Memb_timer of memb_timer_kind * int
-  | Epoch_timer of int * Participant.timer
+type Participant.timer += Memb_timer of memb_timer_kind * int
 
 let log = Logs.Src.create "accelring.member" ~doc:"Membership algorithm"
 
@@ -119,7 +117,6 @@ type t = {
   mutable highest_ring_seq : int;
   mutable join_seq : int;
   mutable memb_gen : int;  (* invalidates membership timers on phase change *)
-  mutable node_epoch : int;  (* invalidates node timers across installs *)
   mutable last_view : Participant.view option;
   mutable installs : int;
   known_rings : (Types.ring_id, unit) Hashtbl.t;  (* superseded rings *)
@@ -176,7 +173,6 @@ let create ~params ~me ?initial_ring ?controller ?(legacy_flood = false) () =
     highest_ring_seq = 0;
     join_seq = 0;
     memb_gen = 0;
-    node_epoch = 0;
     last_view = None;
     installs = 0;
     known_rings = Hashtbl.create 8;
@@ -202,21 +198,22 @@ let missing_from_exchange t (r : recover) holds =
 (* ------------------------------------------------------------------ *)
 (* Node action post-processing                                         *)
 
-(* True iff [actions] holds an action the member must rewrap. *)
-let rec node_control = function
+(* True iff [actions] holds a token loss the member must act on. *)
+let rec token_lost = function
   | [] -> false
-  | (Participant.Arm_timer _ | Participant.Token_loss_detected) :: _ -> true
+  | Participant.Token_loss_detected :: _ -> true
   | ( Participant.Unicast _ | Participant.Multicast _ | Participant.Deliver _
-    | Participant.Deliver_config _ )
+    | Participant.Deliver_config _ | Participant.Arm_timer _ )
     :: rest ->
-      node_control rest
+      token_lost rest
 
-(* Tag node-armed timers with the current epoch so that timers armed by a
-   torn-down configuration cannot fire into its successor (engine timer
-   generations restart from zero in each new engine). A list of sends and
-   deliveries only — every data-path delivery — is returned as it is. *)
+(* Replace a node's token loss with the membership algorithm's Gather.
+   Node timers pass as they are: each node tags its own with its epoch
+   (see [Node.Engine_timer]), so one armed by a torn-down configuration
+   cannot fire into its successor. Any other list — every token visit
+   and data-path delivery — is returned as it is. *)
 let rec rewrap_node_actions t actions =
-  if node_control actions then rewrap_each t actions else actions
+  if token_lost actions then rewrap_each t actions else actions
 
 (* Direct recursion: one cons per action. *)
 and rewrap_each t actions =
@@ -224,14 +221,11 @@ and rewrap_each t actions =
   | [] -> []
   | action :: rest -> (
       match action with
-      | Participant.Arm_timer (timer, delay) ->
-          Participant.Arm_timer (Epoch_timer (t.node_epoch, timer), delay)
-          :: rewrap_each t rest
       | Participant.Token_loss_detected ->
           let gather = enter_gather t in
           gather @ rewrap_each t rest
-      | Participant.Unicast _ | Participant.Multicast _
-      | Participant.Deliver _ | Participant.Deliver_config _ ->
+      | Participant.Unicast _ | Participant.Multicast _ | Participant.Deliver _
+      | Participant.Deliver_config _ | Participant.Arm_timer _ ->
           action :: rewrap_each t rest)
 
 (* ------------------------------------------------------------------ *)
@@ -481,7 +475,6 @@ and install t (r : recover) =
   t.old_delivered <- 0;
   Hashtbl.reset t.stash;
   t.highest_ring_seq <- max t.highest_ring_seq r.r_ring.ring_seq;
-  t.node_epoch <- t.node_epoch + 1;
   t.memb_gen <- t.memb_gen + 1;
   t.installs <- t.installs + 1;
   t.last_view <- Some regular;
@@ -1141,12 +1134,10 @@ let fire_memb_timer t kind gen =
 let fire_timer t timer =
   match timer with
   | Memb_timer (kind, gen) -> fire_memb_timer t kind gen
-  | Epoch_timer (epoch, inner) -> (
-      if epoch <> t.node_epoch then []
-      else
-        match t.phase with
-        | Operational node -> rewrap_node_actions t (Node.fire_timer node inner)
-        | Gather _ | Commit_wait _ | Recover _ -> [])
+  | Node.Engine_timer _ -> (
+      match t.phase with
+      | Operational node -> rewrap_node_actions t (Node.fire_timer node timer)
+      | Gather _ | Commit_wait _ | Recover _ -> [])
   | _ -> []
 
 (* ------------------------------------------------------------------ *)

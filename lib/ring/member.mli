@@ -67,10 +67,10 @@ type memb_timer_kind =
 type Participant.timer +=
   | Memb_timer of memb_timer_kind * int
         (** Membership timers; the [int] is a generation — stale timers are
-            ignored. *)
-  | Epoch_timer of int * Participant.timer
-        (** A node-level timer tagged with the node's epoch, so timers armed
-            by a torn-down configuration cannot fire into its successor. *)
+            ignored. The operational node's timers reach the runtime as
+            they are ({!Node.Engine_timer}, tagged with that node's
+            epoch) and come back through the participant's [fire_timer]
+            to the node installed now, which ignores any other node's. *)
 
 type t
 

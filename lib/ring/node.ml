@@ -3,7 +3,7 @@ module Deque = Aring_util.Deque
 module Trace = Aring_obs.Trace
 module Controller = Aring_control.Controller
 
-type Participant.timer += Engine_timer of Engine.timer_kind * int
+type Participant.timer += Engine_timer of int * Engine.timer_kind * int
 
 type queue_stats = {
   mutable token_drops : int;
@@ -29,7 +29,14 @@ type t = {
      survives membership changes. *)
   controller : Controller.t option;
   mutable last_token_ns : int;  (* -1 until the first accepted token *)
+  (* Tags every timer this node arms, so a timer armed by a torn-down
+     configuration's node is a no-op in its successor's (engine timer
+     generations restart from zero in each new engine). *)
+  epoch : int;
 }
+
+(* Source of node epochs: each node gets the next one. *)
+let epochs = ref 0
 
 let make_queue cap_bytes = { q = Deque.create (); cap_bytes; occupied = 0 }
 
@@ -41,8 +48,10 @@ let create ~params ~ring_id ~ring ~me ?(token_queue_cap = 256 * 1024)
   (match controller with
   | Some c -> Engine.set_accelerated_window engine (Controller.window c)
   | None -> ());
+  incr epochs;
   {
     engine;
+    epoch = !epochs;
     prio = Priority.create params.Params.priority_method;
     token_q = make_queue token_queue_cap;
     data_q = make_queue data_queue_cap;
@@ -60,48 +69,55 @@ let controller t = t.controller
    it changed something. No controller, no cost — and no trace events,
    keeping controller-off runs byte-identical. *)
 let run_controller t =
-  match (t.controller, Engine.last_round_signals t.engine) with
-  | None, _ | _, None -> ()
-  | Some c, Some (s : Engine.round_signals) ->
-      let now = Trace.now () in
-      let rotation_ns = if t.last_token_ns < 0 then 0 else now - t.last_token_ns in
-      t.last_token_ns <- now;
-      let d =
-        Controller.observe c
-          {
-            Controller.rotation_ns;
-            fcc = s.sr_fcc;
-            retrans = s.sr_retrans;
-            backlog = s.sr_backlog;
-          }
-      in
-      if d.Controller.aw_after <> d.Controller.aw_before then begin
-        Engine.set_accelerated_window t.engine d.Controller.aw_after;
-        if Trace.enabled () then
-          Trace.emit ~node:(Engine.me t.engine)
-            (Trace.Control
-               {
-                 round = s.sr_round;
-                 aw_before = d.Controller.aw_before;
-                 aw_after = d.Controller.aw_after;
-                 congested = d.Controller.congested;
-                 rotation_ns;
-                 fcc = s.sr_fcc;
-                 retrans = s.sr_retrans;
-                 backlog = s.sr_backlog;
-               })
-      end
+  match t.controller with
+  | None -> ()
+  | Some c -> (
+      match Engine.last_round_signals t.engine with
+      | None -> ()
+      | Some (s : Engine.round_signals) ->
+          let now = Trace.now () in
+          let rotation_ns = if t.last_token_ns < 0 then 0 else now - t.last_token_ns in
+          t.last_token_ns <- now;
+          let d =
+            Controller.observe c
+              {
+                Controller.rotation_ns;
+                fcc = s.sr_fcc;
+                retrans = s.sr_retrans;
+                backlog = s.sr_backlog;
+              }
+          in
+          if d.Controller.aw_after <> d.Controller.aw_before then begin
+            Engine.set_accelerated_window t.engine d.Controller.aw_after;
+            if Trace.enabled () then
+              Trace.emit ~node:(Engine.me t.engine)
+                (Trace.Control
+                   {
+                     round = s.sr_round;
+                     aw_before = d.Controller.aw_before;
+                     aw_after = d.Controller.aw_after;
+                     congested = d.Controller.congested;
+                     rotation_ns;
+                     fcc = s.sr_fcc;
+                     retrans = s.sr_retrans;
+                     backlog = s.sr_backlog;
+                   })
+          end)
 
-let action_of_output = function
+let action_of_output t = function
   | Engine.Send_token (pid, tok) -> Participant.Unicast (pid, Message.Token tok)
   | Engine.Send_data d -> Participant.Multicast (Message.Data d)
   | Engine.Deliver d -> Participant.Deliver d
   | Engine.Set_timer (kind, gen, delay) ->
-      Participant.Arm_timer (Engine_timer (kind, gen), delay)
+      Participant.Arm_timer (Engine_timer (t.epoch, kind, gen), delay)
   | Engine.Token_lost -> Participant.Token_loss_detected
 
+let rec actions_of_outputs t = function
+  | [] -> []
+  | output :: rest -> action_of_output t output :: actions_of_outputs t rest
+
 let start t =
-  let timers = List.map (action_of_output) (Engine.start_timers t.engine) in
+  let timers = actions_of_outputs t (Engine.start_timers t.engine) in
   let me = Engine.me t.engine in
   if (Engine.ring t.engine).(0) = me then
     (* The representative holds the first token; route it through the
@@ -168,14 +184,14 @@ let process t msg =
         Priority.note_token_processed t.prio;
         run_controller t
       end;
-      List.map action_of_output outputs
+      actions_of_outputs t outputs
   | Message.Data d ->
       let outputs = Engine.handle t.engine (Engine.Data_received d) in
       Priority.note_data_processed t.prio
         ~predecessor:(Engine.predecessor t.engine)
         ~current_round:(Engine.round t.engine)
         d;
-      List.map action_of_output outputs
+      actions_of_outputs t outputs
   | Message.Join _ | Message.Commit _ ->
       (* Membership traffic is handled by the membership layer wrapping
          this node (see Member); an operational node alone ignores it. *)
@@ -183,8 +199,8 @@ let process t msg =
 
 let fire_timer t timer =
   match timer with
-  | Engine_timer (kind, gen) ->
-      List.map action_of_output
+  | Engine_timer (epoch, kind, gen) when epoch = t.epoch ->
+      actions_of_outputs t
         (Engine.handle t.engine (Engine.Timer_expired (kind, gen)))
   | _ -> []
 

@@ -24,8 +24,13 @@ open Aring_wire
 type t
 
 type Participant.timer +=
-  | Engine_timer of Engine.timer_kind * int
-        (** Ordering-engine timers (exposed for tests). *)
+  | Engine_timer of int * Engine.timer_kind * int
+        (** An ordering-engine timer: the arming node's epoch, then the
+            engine's kind and generation (exposed for tests). Every node
+            gets its own epoch, so a timer armed by a torn-down
+            configuration's node fires into its successor as a no-op;
+            this is the one wrapper a timer gets on its way to the
+            runtime. *)
 
 type queue_stats = {
   mutable token_drops : int;
@@ -80,7 +85,8 @@ val process : t -> Message.t -> Participant.action list
     {!take_next}. *)
 
 val fire_timer : t -> Participant.timer -> Participant.action list
-(** Timers not created by this node are ignored (empty action list). *)
+(** Timers not created by this node, another node's engine timers
+    included, are ignored (empty action list). *)
 
 val participant : t -> Participant.t
 (** Package this node behind the uniform runtime interface. *)

@@ -150,6 +150,8 @@ let decoder_reset d buf ~pos ~len =
   d.limit <- pos + len
 
 let remaining d = d.limit - d.pos
+let decoder_pos d = d.pos
+let decoder_buffer d = d.dbuf
 
 let need d n =
   if remaining d < n then
@@ -192,7 +194,12 @@ let read_bytes d =
   d.pos <- d.pos + len;
   b
 
-let read_list d f =
+let skip_bytes d =
+  let len = read_len d in
+  d.pos <- d.pos + len;
+  len
+
+let read_count d =
   let n = read_i32 d in
   if n < 0 then raise (Decode_error "negative list length");
   (* Every encoded element occupies at least one byte, so a count larger
@@ -203,6 +210,10 @@ let read_list d f =
       (Decode_error
          (Printf.sprintf "list length %d exceeds %d remaining bytes" n
             (remaining d)));
+  n
+
+let read_list d f =
+  let n = read_count d in
   let acc = ref [] in
   for _ = 1 to n do
     acc := f () :: !acc

@@ -113,11 +113,27 @@ val decoder_reset : decoder -> bytes -> pos:int -> len:int -> unit
 
 val remaining : decoder -> int
 
+val decoder_pos : decoder -> int
+(** The offset in {!decoder_buffer} of the next byte to read. *)
+
+val decoder_buffer : decoder -> bytes
+(** The buffer the cursor reads, not a copy: read-only, like a {!view}'s.
+    With {!decoder_pos} and {!skip_bytes} it lets a caller look a field
+    up where it lies (e.g. in an intern table) instead of copying it. *)
+
 val read_u8 : decoder -> int
 val read_bool : decoder -> bool
 val read_i32 : decoder -> int
 val read_i64 : decoder -> int
 val read_bytes : decoder -> bytes
+val skip_bytes : decoder -> int
+(** Skip a length-prefixed byte string and return its length; the field
+    ends at {!decoder_pos}. Allocates nothing. *)
+
+val read_count : decoder -> int
+(** A list's element count, validated as {!read_list} does; the caller
+    reads that many elements. *)
+
 val read_list : decoder -> (unit -> 'a) -> 'a list
 (** Elements are read in order. The count is validated against the bytes
     remaining (each element occupies at least one byte), so corrupted

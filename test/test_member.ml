@@ -976,6 +976,56 @@ let test_64_node_reformation_within_budget () =
 
 let qtest = QCheck_alcotest.to_alcotest
 
+(* A singleton member installs a second configuration; the timers its
+   first node armed then fire into the second node as no-ops. Both
+   engines start their timer generations at zero, so only the node's
+   epoch tells the old token-loss timer from the new one. *)
+let test_torn_down_node_timer_is_ignored () =
+  let m = Member.create ~params:test_params ~me:0 () in
+  let p = Member.participant m in
+  let arm_timers actions =
+    List.filter_map
+      (function Participant.Arm_timer (tm, _) -> Some tm | _ -> None)
+      actions
+  in
+  let is_node_timer = function Node.Engine_timer _ -> true | _ -> false in
+  (* Fire the membership timers armed from [actions], in arming order,
+     until the member is alone and installed; the node timers the install
+     armed are returned. *)
+  let install actions =
+    let pending = Queue.create () in
+    let node = ref [] in
+    let arm actions =
+      List.iter
+        (fun tm -> if is_node_timer tm then node := tm :: !node else Queue.push tm pending)
+        (arm_timers actions)
+    in
+    arm actions;
+    let installs = Member.installs m in
+    while Member.installs m = installs do
+      if Queue.is_empty pending then Alcotest.fail "no install";
+      arm (p.Participant.fire_timer (Queue.pop pending))
+    done;
+    !node
+  in
+  let first = install (p.Participant.start ()) in
+  check Alcotest.string "the first install" "operational" (Member.state_name m);
+  check Alcotest.bool "the first node armed its timers" true (first <> []);
+  let regather =
+    p.Participant.process
+      (Message.Join { j_pid = 1; proc_set = [ 0; 1 ]; fail_set = []; join_seq = 1 })
+  in
+  check Alcotest.string "re-gathering for the joiner" "gather" (Member.state_name m);
+  (* The joiner falls silent: the member fails it and installs alone. *)
+  ignore (install regather);
+  check Alcotest.int "two installs" 2 (Member.installs m);
+  List.iter
+    (fun tm ->
+      check Alcotest.int "an old node's timer is a no-op" 0
+        (List.length (p.Participant.fire_timer tm)))
+    first;
+  check Alcotest.string "still operational" "operational" (Member.state_name m)
+
 let suite =
   [
     ("bootstrap with initial ring", `Quick, test_bootstrap_initial_ring);
@@ -993,6 +1043,7 @@ let suite =
     ("installs counter", `Quick, test_installs_counter);
     ("join during commit is absorbed", `Quick, test_join_during_commit_is_absorbed);
     ("stale membership timer is ignored", `Quick, test_stale_memb_timer_is_ignored);
+    ("torn-down node's timer is ignored", `Quick, test_torn_down_node_timer_is_ignored);
     ("lost flood recovered without re-gather", `Quick,
       test_lost_flood_recovered_without_regather);
     ("donor crash mid-exchange", `Quick, test_donor_crash_mid_exchange);

@@ -153,10 +153,13 @@ let prop_op_views =
     ~print:(Fmt.to_to_string Op.pp) ~encode:Op.encode ~exact:Op.decode
     ~from:Op.decode_from
 
+(* One name table across every case, as a daemon keeps one: names seen
+   in earlier cases come back from it. *)
 let prop_envelope_views =
+  let names = Envelope.names () in
   prop_views ~name:"envelope parsed in place from a view at any offset"
     envelope_gen ~print:pp_envelope ~encode:Envelope.encode
-    ~exact:Envelope.decode ~from:(fun d -> owned (Envelope.parse d))
+    ~exact:Envelope.decode ~from:(fun d -> owned (Envelope.parse names d))
 
 (* -------------------------------------------------------------------- *)
 (* Delivery                                                              *)
