@@ -76,7 +76,7 @@ let run ~quick =
   let sweep =
     List.map
       (fun entries ->
-        let t = Kv_scenario.measure_transfer ~store_entries:entries () in
+        let t = Kv_scenario.measure_transfer ~store_entries:entries in
         Printf.printf
           "  transfer: %6d entries  %8d bytes  %9.0f us to re-sync\n%!"
           t.Kv_scenario.entries_transferred t.Kv_scenario.bytes_transferred

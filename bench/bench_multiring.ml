@@ -61,53 +61,53 @@ let run ~quick =
       }
   in
   List.iter
-    (fun r -> Printf.printf "%s\n%!" (Format.asprintf "%a" Mload.pp_result r))
+    (fun r -> Printf.printf "%s\n%!" (Format.asprintf "%a" Load.pp_result r))
     (runs @ [ mcas_run ]);
   let find rings =
-    List.find (fun r -> r.Mload.spec.Load.rings = rings) runs
+    List.find (fun r -> r.Load.spec.rings = rings) runs
   in
   let r1 = find 1 and r2 = find 2 and r4 = find 4 in
   let p99 s = Stats.percentile s 99.0 in
-  let speedup (r : Mload.result) =
-    if r1.Mload.applied_write_rate <= 0.0 then 0.0
-    else r.Mload.applied_write_rate /. r1.Mload.applied_write_rate
+  let speedup (r : Load.result) =
+    if r1.Load.applied_write_rate <= 0.0 then 0.0
+    else r.Load.applied_write_rate /. r1.Load.applied_write_rate
   in
-  let correctness_ok (r : Mload.result) =
-    r.Mload.oracle_violations = 0 && r.Mload.converged
+  let correctness_ok (r : Load.result) =
+    r.Load.oracle_violations = 0 && r.Load.converged
   in
   let merge_p99_worst =
-    Float.max (p99 r2.Mload.merge_wait_us) (p99 r4.Mload.merge_wait_us)
+    Float.max (p99 r2.Load.merge_wait_us) (p99 r4.Load.merge_wait_us)
   in
-  let run_json ?name (r : Mload.result) =
+  let run_json ?name (r : Load.result) =
     ( (match name with
       | Some n -> n
-      | None -> Printf.sprintf "rings_%d" r.Mload.spec.Load.rings),
+      | None -> Printf.sprintf "rings_%d" r.Load.spec.rings),
       Json.Obj
         [
-          ("rings", Json.Int r.Mload.spec.Load.rings);
-          ("ops_offered", Json.Int r.Mload.ops_offered);
-          ("writes_offered", Json.Int r.Mload.writes_offered);
-          ("writes_applied", Json.Int r.Mload.writes_applied);
-          ("offered_write_rate", Json.Float r.Mload.offered_write_rate);
-          ("applied_write_rate", Json.Float r.Mload.applied_write_rate);
+          ("rings", Json.Int r.Load.spec.rings);
+          ("ops_offered", Json.Int r.Load.ops_offered);
+          ("writes_offered", Json.Int r.Load.writes_offered);
+          ("writes_applied", Json.Int r.Load.writes_applied);
+          ("offered_write_rate", Json.Float r.Load.offered_write_rate);
+          ("applied_write_rate", Json.Float r.Load.applied_write_rate);
           ("speedup_vs_1r", Json.Float (speedup r));
-          ("write_p50_us", Json.Float (Stats.median r.Mload.write_latency_us));
-          ("write_p99_us", Json.Float (p99 r.Mload.write_latency_us));
-          ("merge_wait_p50_us", Json.Float (Stats.median r.Mload.merge_wait_us));
-          ("merge_wait_p99_us", Json.Float (p99 r.Mload.merge_wait_us));
+          ("write_p50_us", Json.Float (Stats.median r.Load.write_latency_us));
+          ("write_p99_us", Json.Float (p99 r.Load.write_latency_us));
+          ("merge_wait_p50_us", Json.Float (Stats.median r.Load.merge_wait_us));
+          ("merge_wait_p99_us", Json.Float (p99 r.Load.merge_wait_us));
           ( "per_ring_applied",
             Json.List
               (Array.to_list
-                 (Array.map (fun n -> Json.Int n) r.Mload.per_ring_applied)) );
-          ("mcas_submitted", Json.Int r.Mload.mcas_submitted);
-          ("mcas_commits", Json.Int r.Mload.mcas_commits);
-          ("mcas_aborts", Json.Int r.Mload.mcas_aborts);
-          ("mcas_retries", Json.Int r.Mload.mcas_retries);
-          ("skip_credits_spent", Json.Int r.Mload.skip_credits_spent);
-          ("queue_depth_peak", Json.Int r.Mload.queue_depth_peak);
-          ("queue_depth_end", Json.Int r.Mload.queue_depth_end);
-          ("oracle_violations", Json.Int r.Mload.oracle_violations);
-          ("converged", Json.Bool r.Mload.converged);
+                 (Array.map (fun n -> Json.Int n) r.Load.per_ring_applied)) );
+          ("mcas_submitted", Json.Int r.Load.mcas_submitted);
+          ("mcas_commits", Json.Int r.Load.mcas_commits);
+          ("mcas_aborts", Json.Int r.Load.mcas_aborts);
+          ("mcas_retries", Json.Int r.Load.mcas_retries);
+          ("skip_credits_spent", Json.Int r.Load.skip_credits_spent);
+          ("queue_depth_peak", Json.Int r.Load.queue_depth_peak);
+          ("queue_depth_end", Json.Int r.Load.queue_depth_end);
+          ("oracle_violations", Json.Int r.Load.oracle_violations);
+          ("converged", Json.Bool r.Load.converged);
         ] )
   in
   {
@@ -120,7 +120,7 @@ let run ~quick =
             ("ops_per_sec_offered", Json.Float (spec 1).Load.ops_per_sec);
             ("zipf_theta", Json.Float (spec 1).Load.zipf_theta);
             ("key_space", Json.Int (spec 1).Load.key_space);
-            ("mcas_permille", Json.Int mcas_run.Mload.spec.Load.mcas_permille);
+            ("mcas_permille", Json.Int mcas_run.Load.spec.mcas_permille);
           ] )
       :: List.map (fun r -> run_json r) runs
       @ [ run_json ~name:"rings_4_mcas" mcas_run ];

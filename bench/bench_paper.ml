@@ -276,7 +276,7 @@ let related ~quick =
       let participants =
         Array.init s.Scenario.n_nodes (fun me ->
             Aring_baselines.Sequencer.participant
-              (Aring_baselines.Sequencer.create ~me ~n:s.Scenario.n_nodes ()))
+              (Aring_baselines.Sequencer.create ~me ~n:s.Scenario.n_nodes))
       in
       let r = Scenario.run_custom s ~participants in
       Printf.printf "  %-10s %-12s %-7s %8.0f %10.1f %10.1f %10.1f %10.1f\n%!"
@@ -307,7 +307,7 @@ let related_ring_paxos ~quick =
     let participants =
       Array.init s.Scenario.n_nodes (fun me ->
           Aring_baselines.Ring_paxos.participant
-            (Aring_baselines.Ring_paxos.create ~me ~n:s.Scenario.n_nodes ()))
+            (Aring_baselines.Ring_paxos.create ~me ~n:s.Scenario.n_nodes))
     in
     let r = Scenario.run_custom s ~participants in
     Printf.printf "  %-10s %-12s %-7s %8.0f %10.1f %10.1f %10.1f %10.1f\n%!"

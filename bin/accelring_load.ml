@@ -105,37 +105,22 @@ let run nodes rings mcas net sessions groups rate periodic seconds keys theta
      prerr_endline msg;
      exit 2);
   let trace = Trace_sinks.install ~trace_file ~chrome_file () in
-  if rings > 1 then begin
-    let module Mload = Aring_multiring.Mload in
-    let result = Mload.run spec in
-    Trace_sinks.finish trace;
-    Format.printf "%a@." Mload.pp_result result;
-    if show_metrics then
-      Format.printf "%a@." Aring_obs.Metrics.pp result.Mload.metrics;
-    if result.Mload.oracle_violations > 0 then begin
-      print_endline "CONSISTENCY VIOLATIONS (see per-ring oracles)";
-      exit 1
-    end;
-    if not result.Mload.converged then begin
-      print_endline "replicas did not converge within the drain budget";
-      exit 1
-    end
-  end
-  else begin
-    let result = Load.run spec in
-    Trace_sinks.finish trace;
-    Format.printf "%a@." Load.pp_result result;
-    if show_metrics then
-      Format.printf "%a@." Aring_obs.Metrics.pp result.Load.metrics;
-    if result.Load.oracle_violations > 0 then begin
-      Format.printf "CONSISTENCY VIOLATIONS:@.%a@." Aring_app.Oracle.pp
-        result.Load.oracle;
-      exit 1
-    end;
-    if not result.Load.converged then begin
-      print_endline "replicas did not converge within the drain budget";
-      exit 1
-    end
+  let result =
+    if rings > 1 then Aring_multiring.Mload.run spec else Load.run spec
+  in
+  Trace_sinks.finish trace;
+  Format.printf "%a@." Load.pp_result result;
+  if show_metrics then Format.printf "%a@." Aring_obs.Metrics.pp result.metrics;
+  if result.oracle_violations > 0 then begin
+    print_endline "CONSISTENCY VIOLATIONS:";
+    Array.iteri
+      (fun ring o -> Format.printf "ring %d: %a@." ring Aring_app.Oracle.pp o)
+      result.oracles;
+    exit 1
+  end;
+  if not result.converged then begin
+    print_endline "replicas did not converge within the drain budget";
+    exit 1
   end
 
 open Cmdliner
@@ -270,7 +255,8 @@ let show_metrics =
     & info [ "metrics" ]
         ~doc:
           "Print the full metrics registry after the run, including the \
-           load.* series and the per-stage latency histograms.")
+           load.* series (mload.* with --rings above 1) and, on one ring, \
+           the per-stage latency histograms.")
 
 let cmd =
   let doc =

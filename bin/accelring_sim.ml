@@ -78,14 +78,14 @@ let run nodes net tier protocol service payload rate pw gw aw seconds
         let participants =
           Array.init nodes (fun me ->
               Aring_baselines.Sequencer.participant
-                (Aring_baselines.Sequencer.create ~me ~n:nodes ()))
+                (Aring_baselines.Sequencer.create ~me ~n:nodes))
         in
         Scenario.run_custom spec ~participants
     | "ring-paxos" ->
         let participants =
           Array.init nodes (fun me ->
               Aring_baselines.Ring_paxos.participant
-                (Aring_baselines.Ring_paxos.create ~me ~n:nodes ()))
+                (Aring_baselines.Ring_paxos.create ~me ~n:nodes))
         in
         Scenario.run_custom spec ~participants
     | _ ->

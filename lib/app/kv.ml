@@ -76,7 +76,6 @@ type t = {
   member_name : string;
   cluster_size : int;
   ring_id : int;  (* which ring of a multi-ring deployment this replica orders on *)
-  max_chunk_bytes : int;
   bug : bug;
   mutable bug_writes : int;
   store : (string, string) Hashtbl.t;
@@ -371,16 +370,18 @@ let cold_reset t =
   observe t Reset;
   trace_xfer t ~phase:"reset" ~donor:t.me ~applied:0 ~entries:0
 
+(* Bound on the encoded size of one snapshot chunk. *)
+let max_chunk_bytes = 4096
+
 (* Greedy size-bounded chunking of the sorted snapshot; an empty store
    still streams one empty chunk so receivers always see [total] >= 1. *)
 let chunk_snapshot t =
-  let budget = t.max_chunk_bytes in
   let cost (k, v) = String.length k + String.length v + 10 in
   let chunks, last, _ =
     List.fold_left
       (fun (chunks, cur, bytes) entry ->
         let c = cost entry in
-        if cur <> [] && bytes + c > budget then
+        if cur <> [] && bytes + c > max_chunk_bytes then
           (List.rev cur :: chunks, [ entry ], c)
         else (chunks, entry :: cur, bytes + c))
       ([], [], 0) (entries t)
@@ -416,7 +417,6 @@ let stream_snapshot t ~view =
              (Queue.fold (fun acc op -> Op.encode op :: acc) [] t.mcas_q)
   in
   let table_batches =
-    let budget = t.max_chunk_bytes in
     let meta_cost (id, _) = String.length id + 12 in
     let park_cost b = Bytes.length b + 8 in
     let flush batches entries parked =
@@ -427,7 +427,7 @@ let stream_snapshot t ~view =
       List.fold_left
         (fun (batches, es, ps, bytes) e ->
           let c = meta_cost e in
-          if (es <> [] || ps <> []) && bytes + c > budget then
+          if (es <> [] || ps <> []) && bytes + c > max_chunk_bytes then
             (flush batches es ps, [ e ], [], c)
           else (batches, e :: es, ps, bytes + c))
         ([], [], [], 0) meta
@@ -436,7 +436,7 @@ let stream_snapshot t ~view =
       List.fold_left
         (fun (batches, es, ps, bytes) b ->
           let c = park_cost b in
-          if (es <> [] || ps <> []) && bytes + c > budget then
+          if (es <> [] || ps <> []) && bytes + c > max_chunk_bytes then
             (flush batches es ps, [], [ b ], c)
           else (batches, es, b :: ps, bytes + c))
         (batches, entries, parked_acc,
@@ -686,8 +686,7 @@ let sync_read t ~key ~on_result =
   multicast_op ~service:Types.Safe t
     (Op.Sync_read { reader = t.member_name; nonce; key })
 
-let create ?(bug = Bug_none) ?(max_chunk_bytes = 4096) ?(session_name = "kv")
-    ?(ring = 0) ~cluster_size ~daemon () =
+let create ?(bug = Bug_none) ?(ring = 0) ~cluster_size ~daemon () =
   if cluster_size < 1 then invalid_arg "Kv.create: cluster_size < 1";
   let tref = ref None in
   let callbacks =
@@ -700,7 +699,7 @@ let create ?(bug = Bug_none) ?(max_chunk_bytes = 4096) ?(session_name = "kv")
       on_group_view = (fun ~group:_ ~members:_ -> ());
     }
   in
-  let session = Daemon.connect daemon ~name:session_name callbacks in
+  let session = Daemon.connect daemon ~name:"kv" callbacks in
   let t =
     {
       daemon;
@@ -709,7 +708,6 @@ let create ?(bug = Bug_none) ?(max_chunk_bytes = 4096) ?(session_name = "kv")
       member_name = Daemon.session_member_name daemon session;
       cluster_size;
       ring_id = ring;
-      max_chunk_bytes;
       bug;
       bug_writes = 0;
       store = Hashtbl.create 64;

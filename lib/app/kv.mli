@@ -121,8 +121,6 @@ val group : string
 
 val create :
   ?bug:bug ->
-  ?max_chunk_bytes:int ->
-  ?session_name:string ->
   ?ring:int ->
   cluster_size:int ->
   daemon:Aring_daemon.Daemon.t ->
@@ -131,9 +129,9 @@ val create :
 (** Attach a replica to [daemon]: connects a client session, joins
     {!group}, and installs the daemon's view hook (so creating a second
     replica on one daemon is not supported). [cluster_size] is the full
-    ring size, used for the primary-component majority test.
-    [max_chunk_bytes] bounds the encoded size of one snapshot chunk
-    (default 4096). [ring] (default 0) names which ring of a multi-ring
+    ring size, used for the primary-component majority test. The
+    session is named ["kv"], and one snapshot chunk encodes to at most
+    4,096 bytes. [ring] (default 0) names which ring of a multi-ring
     deployment this replica orders on — it selects the replica's
     {!Op.mcas_part} of a cross-shard cas. *)
 

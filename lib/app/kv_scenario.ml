@@ -107,13 +107,11 @@ type transfer_result = {
   total_installs : int;
 }
 
-let measure_transfer ?(n_nodes = 4) ?(value_bytes = 128) ?(seed = 7L)
-    ~store_entries () =
-  let n = n_nodes in
-  if n < 3 then invalid_arg "Kv_scenario.measure_transfer: n_nodes < 3";
+let measure_transfer ~store_entries =
+  let n = 4 in
   let cl =
     build_cluster ~rings:1 ~n ~net:Profile.gigabit ~tier:Profile.daemon
-      ~params:(snappy_params ()) ~seed ()
+      ~params:(snappy_params ()) ~seed:7L ()
   in
   let sim = cl.sim and kvs = cl.kvs in
   (* Last regular-view delivery time per node: the install is timed
@@ -121,7 +119,7 @@ let measure_transfer ?(n_nodes = 4) ?(value_bytes = 128) ?(seed = 7L)
   let view_ns = Array.make n 0 in
   Netsim.on_view sim (fun ~at:node ~now (v : Participant.view) ->
       if not v.transitional then view_ns.(node) <- now);
-  let value = String.make value_bytes 'x' in
+  let value = String.make 128 'x' in
   let preloaded =
     List.init store_entries (fun i -> (Printf.sprintf "p%06d" i, value))
   in

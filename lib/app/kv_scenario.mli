@@ -80,15 +80,10 @@ type transfer_result = {
   total_installs : int;
 }
 
-val measure_transfer :
-  ?n_nodes:int ->
-  ?value_bytes:int ->
-  ?seed:int64 ->
-  store_entries:int ->
-  unit ->
-  transfer_result
-(** Isolated state-transfer timing vs store size: preload every replica
-    with [store_entries] identical entries, cut the last node away,
+val measure_transfer : store_entries:int -> transfer_result
+(** Isolated state-transfer timing vs store size on 4 nodes (seed 7):
+    preload every replica with [store_entries] identical 128-byte-value
+    entries, cut the last node away,
     run a short write burst on the majority so states diverge, heal, and
     time the rejoining node's snapshot install. Raises [Failure] if the
     transfer never completes. *)

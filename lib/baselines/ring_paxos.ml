@@ -23,8 +23,7 @@ let role_decision = 2
 type t = {
   me : Types.pid;
   n : int;
-  coordinator : Types.pid;
-  quorum : int;  (* acceptors are pids coordinator..coordinator+quorum-1 *)
+  quorum : int;  (* acceptors are pids 0..quorum-1 *)
   inbox : Message.t Deque.t;
   (* Learner/acceptor state. *)
   values : (int, Message.data) Hashtbl.t;  (* instance -> phase 2a value *)
@@ -42,11 +41,13 @@ type t = {
   mutable delivered_count : int;
 }
 
-let create ~me ~n ?(coordinator = 0) () =
+(* The coordinator is process 0, the first acceptor. *)
+let coordinator = 0
+
+let create ~me ~n =
   {
     me;
     n;
-    coordinator;
     quorum = (n / 2) + 1;
     inbox = Deque.create ();
     values = Hashtbl.create 1024;
@@ -64,15 +65,13 @@ let create ~me ~n ?(coordinator = 0) () =
 let delivered_count t = t.delivered_count
 let decided_count t = t.decided_high
 
-let is_coordinator t = t.me = t.coordinator
+let is_coordinator t = t.me = coordinator
 
-(* Acceptors occupy ring positions 0..quorum-1 starting at the
-   coordinator; position of pid p is (p - coordinator) mod n. *)
-let acceptor_position t pid = (pid - t.coordinator + t.n) mod t.n
+(* Acceptors occupy ring positions 0..quorum-1, starting at the
+   coordinator. *)
+let is_acceptor t = t.me < t.quorum
 
-let is_acceptor t = acceptor_position t t.me < t.quorum
-
-let is_last_acceptor t = acceptor_position t t.me = t.quorum - 1
+let is_last_acceptor t = t.me = t.quorum - 1
 
 let next_acceptor t = (t.me + 1) mod t.n
 
@@ -175,7 +174,7 @@ let handle_proposal t (d : Message.data) =
     Deque.push_back t.pending d;
     open_instances t
   end
-  else [ Participant.Unicast (t.coordinator, Message.Data d) ]
+  else [ Participant.Unicast (coordinator, Message.Data d) ]
 
 let handle_phase2a t (d : Message.data) =
   if Hashtbl.mem t.values d.seq || d.seq <= t.delivered then []
@@ -254,7 +253,7 @@ let fire_gap_check t gen =
           rtr = gaps;
         }
       in
-      Participant.Unicast (t.coordinator, Message.Token nack) :: arm_gap_timer t
+      Participant.Unicast (coordinator, Message.Token nack) :: arm_gap_timer t
     end
   end
 

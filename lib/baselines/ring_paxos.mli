@@ -42,9 +42,9 @@ val history_window : int
 
 type t
 
-val create : me:Types.pid -> n:int -> ?coordinator:Types.pid -> unit -> t
-(** [create ~me ~n ()] is process [me] of [n]; the coordinator defaults to
-    process 0 and the acceptor quorum to the first [n/2 + 1] processes. *)
+val create : me:Types.pid -> n:int -> t
+(** [create ~me ~n] is process [me] of [n]; the coordinator is process 0
+    and the acceptor quorum the first [n/2 + 1] processes. *)
 
 val participant : t -> Participant.t
 

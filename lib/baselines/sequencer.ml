@@ -16,7 +16,6 @@ let seq_ring : Types.ring_id = { rep = -1; ring_seq = -1 }
 type t = {
   me : Types.pid;
   n : int;
-  sequencer : Types.pid;
   inbox : Message.t Deque.t;
   (* Receiver state. *)
   mutable expected : Types.seqno;  (* next sequence number to deliver *)
@@ -32,11 +31,12 @@ type t = {
   mutable nacks_sent : int;
 }
 
-let create ~me ~n ?(sequencer = 0) () =
+let sequencer = 0
+
+let create ~me ~n =
   {
     me;
     n;
-    sequencer;
     inbox = Deque.create ();
     expected = 1;
     pending = Hashtbl.create 256;
@@ -52,7 +52,7 @@ let create ~me ~n ?(sequencer = 0) () =
 let delivered_count t = t.delivered_count
 let nacks_sent t = t.nacks_sent
 
-let is_sequencer t = t.me = t.sequencer
+let is_sequencer t = t.me = sequencer
 
 (* Deliver everything contiguous from [expected]. *)
 let deliver_ready t =
@@ -104,7 +104,7 @@ let handle_data t (d : Message.data) =
        node: forward it (submissions are routed through the own inbox so
        the runtime charges send cost uniformly). *)
     if is_sequencer t then sequence t d
-    else [ Participant.Unicast (t.sequencer, Message.Data d) ]
+    else [ Participant.Unicast (sequencer, Message.Data d) ]
   else handle_ordered t d
 
 (* NACK: a Token whose rtr lists the missing seqs; aru_id is the requester. *)
@@ -148,7 +148,7 @@ let fire_gap_check t gen =
             rtr = gaps;
           }
         in
-        Participant.Unicast (t.sequencer, Message.Token nack) :: arm_gap_timer t
+        Participant.Unicast (sequencer, Message.Token nack) :: arm_gap_timer t
       end
     end
   end

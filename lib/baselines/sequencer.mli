@@ -31,9 +31,9 @@ val history_window : int
 
 type t
 
-val create : me:Types.pid -> n:int -> ?sequencer:Types.pid -> unit -> t
-(** [create ~me ~n ()] is participant [me] of an [n]-process group whose
-    sequencer is process 0 (override with [?sequencer]). *)
+val create : me:Types.pid -> n:int -> t
+(** [create ~me ~n] is participant [me] of an [n]-process group whose
+    sequencer is process 0. *)
 
 val participant : t -> Participant.t
 

@@ -73,13 +73,10 @@ let ring_id : Types.ring_id = { rep = 0; ring_seq = 1 }
 (* The load schedule is piecewise constant: [(t, mbps)] means "from
    simulated time t on, offer mbps (aggregate)". Before the first entry
    the rate is [offered_mbps]. Entries must be ascending in t. *)
-let rate_at_schedule ~default load now =
+let rate_at spec now =
   List.fold_left
     (fun rate (t, rate') -> if now >= t then rate' else rate)
-    default load
-
-let rate_at spec now =
-  rate_at_schedule ~default:spec.offered_mbps spec.load now
+    spec.offered_mbps spec.load
 
 let step_load ~low ~high ~at_ns ~until_ns =
   [ (0, low); (at_ns, high); (until_ns, low) ]

@@ -87,12 +87,6 @@ val step_load :
   low:float -> high:float -> at_ns:int -> until_ns:int -> (int * float) list
 (** [low] until [at_ns], [high] until [until_ns], then [low] again. *)
 
-val rate_at_schedule : default:float -> (int * float) list -> int -> float
-(** Evaluate a piecewise-constant [(t_ns, rate)] schedule at a time:
-    [default] before the first entry, then the latest entry at or before
-    the time. The rate unit is the caller's (the load builder above works
-    for any unit — [Aring_load.Load] reuses it with ops/sec). *)
-
 val run : spec -> result
 (** Execute the scenario on the discrete-event simulator. *)
 

@@ -9,7 +9,6 @@ module Prng = Aring_util.Prng
 module Stats = Aring_util.Stats
 module Metrics = Aring_obs.Metrics
 module Span = Aring_obs.Span
-module Scenario = Aring_harness.Scenario
 
 type arrival = Poisson | Periodic
 
@@ -27,7 +26,6 @@ type churn = {
 
 type slow_spec = { slow_per_node : int; drain_per_sec : float }
 type geo = { classes : int array; latency_matrix : int array array }
-type link = { l_node : int; l_up_bps : int option; l_down_bps : int option }
 
 type spec = {
   label : string;
@@ -39,7 +37,6 @@ type spec = {
   n_groups : int;
   arrival : arrival;
   ops_per_sec : float;
-  load : (int * float) list;
   key_space : int;
   zipf_theta : float;
   value_mix : (int * int) list;
@@ -52,7 +49,6 @@ type spec = {
   churn : churn option;
   slow : slow_spec option;
   geo : geo option;
-  links : link list;
   partition : Kv_scenario.partition option;
   warmup_ns : int;
   measure_ns : int;
@@ -101,7 +97,15 @@ type result = {
   storm_degradation : float;
   storm_recovered_ms : float;
   storm_all_reconnected : bool;
-  oracle : Oracle.t;
+  merge_wait_us : Stats.t;
+  merged_total : int;
+  per_ring_applied : int array;
+  mcas_submitted : int;
+  mcas_commits : int;
+  mcas_aborts : int;
+  mcas_retries : int;
+  skip_credits_spent : int;
+  oracles : Oracle.t array;
   oracle_violations : int;
   converged : bool;
   end_ns : int;
@@ -132,7 +136,6 @@ let default_spec =
     n_groups = 16;
     arrival = Poisson;
     ops_per_sec = 12_000.0;
-    load = [];
     key_space = 512;
     zipf_theta = 0.99;
     value_mix = [ (64, 6); (256, 3); (1024, 1) ];
@@ -145,7 +148,6 @@ let default_spec =
     churn = None;
     slow = None;
     geo = None;
-    links = [];
     partition = None;
     warmup_ns = ms 100;
     measure_ns = ms 300;
@@ -177,6 +179,8 @@ let validate ~prefix spec =
   if spec.n_nodes < 2 then fail "n_nodes < 2";
   if spec.sessions_per_node < 1 then fail "sessions_per_node < 1";
   if spec.n_groups < 1 then fail "n_groups < 1";
+  if not (Float.is_finite spec.ops_per_sec && spec.ops_per_sec >= 0.0) then
+    fail "ops_per_sec must be finite and >= 0";
   if spec.key_space < 1 then fail "key_space < 1";
   if spec.value_mix = [] then fail "empty value_mix";
   if List.exists (fun (_, w) -> w < 0) spec.value_mix then
@@ -188,11 +192,6 @@ let validate ~prefix spec =
   (* A cross-shard pair needs two distinct keys. *)
   if spec.mcas_permille > 0 && spec.key_space < 2 then
     fail "mcas needs key_space >= 2";
-  List.iter
-    (fun l ->
-      if l.l_node < 0 || l.l_node >= spec.n_nodes then
-        fail "link node out of range")
-    spec.links;
   Option.iter
     (fun g ->
       if Array.length g.classes <> spec.n_nodes then
@@ -221,16 +220,8 @@ let drive ~prefix ~metrics spec target =
   let n = spec.n_nodes and rings = spec.rings in
   let sim = target.sim in
   (* Network shape over every ring's participants [ring * n + node]:
-     per-node link-rate overrides, WAN latency classes and the partition
-     window, all keyed by the physical node. Applied before the first
-     event runs. *)
-  List.iter
-    (fun l ->
-      for r = 0 to rings - 1 do
-        Netsim.set_link_rates sim ~node:((r * n) + l.l_node) ?up_bps:l.l_up_bps
-          ?down_bps:l.l_down_bps ()
-      done)
-    spec.links;
+     WAN latency classes and the partition window, both keyed by the
+     physical node. Applied before the first event runs. *)
   Option.iter
     (fun g ->
       Netsim.set_latency_classes sim
@@ -402,29 +393,21 @@ let drive ~prefix ~metrics spec target =
   (* The open-loop arrival process: fire, then reschedule by the
      arrival law — never by completions. Disconnected slots keep their
      clock running (arrivals are skipped, not deferred). *)
+  let mean_ns = 1e9 /. (spec.ops_per_sec /. float_of_int total_sessions) in
   let rec arrive ss () =
     let now = Netsim.now sim in
     if now < horizon then begin
-      let rate =
-        Scenario.rate_at_schedule ~default:spec.ops_per_sec spec.load now
+      (if ss.handle <> None then do_op ss now
+       else begin
+         incr ops_skipped;
+         Metrics.incr m_skipped
+       end);
+      let interval =
+        match spec.arrival with
+        | Poisson -> Prng.exponential prng ~mean:mean_ns
+        | Periodic -> mean_ns
       in
-      if rate <= 0.0 then Netsim.call_at sim ~at:(now + ms 1) (arrive ss)
-      else begin
-        (if ss.handle <> None then do_op ss now
-         else begin
-           incr ops_skipped;
-           Metrics.incr m_skipped
-         end);
-        let mean_ns = 1e9 /. (rate /. float_of_int total_sessions) in
-        let interval =
-          match spec.arrival with
-          | Poisson -> Prng.exponential prng ~mean:mean_ns
-          | Periodic -> mean_ns
-        in
-        Netsim.call_at sim
-          ~at:(now + max 1_000 (int_of_float interval))
-          (arrive ss)
-      end
+      Netsim.call_at sim ~at:(now + max 1_000 (int_of_float interval)) (arrive ss)
     end
   in
   (* Background churn: exponential lifetimes, fixed reconnect delay. *)
@@ -453,7 +436,7 @@ let drive ~prefix ~metrics spec target =
     end
   in
   (* Staggered connect + arrival start: the whole population is up by
-     60% of the warmup. *)
+     60% of the warmup. A zero rate starts no arrivals. *)
   let connect_spread = max 5_000 (spec.warmup_ns * 3 / 5 / total_sessions) in
   Array.iter
     (fun ss ->
@@ -462,7 +445,7 @@ let drive ~prefix ~metrics spec target =
         (fun () ->
           connect_session ss;
           Option.iter (schedule_lifetime ss) spec.churn;
-          arrive ss ()))
+          if spec.ops_per_sec > 0.0 then arrive ss ()))
     sessions;
   (* ---------------- reconnect storm ---------------- *)
   let storm = Option.bind spec.churn (fun c -> c.storm) in
@@ -636,6 +619,51 @@ let drive ~prefix ~metrics spec target =
    }
     : sessions)
 
+(* The result of a driven run, at any ring count: [s]'s session fields,
+   the replica outcome and rates over the measurement window ([applied]
+   items at node 0). The merge and mcas fields are empty; a multi-ring
+   run sets them on the returned record. *)
+let result spec (s : sessions) ~writes_applied ~applied ~write_latency_us
+    ~oracles ~converged ~end_ns ~metrics =
+  let measure_s = float_of_int spec.measure_ns /. 1e9 in
+  {
+    spec;
+    sessions_started = s.sessions_started;
+    sessions_peak = s.sessions_peak;
+    reconnects = s.reconnects;
+    ops_offered = s.ops_offered;
+    ops_skipped = s.ops_skipped;
+    writes_offered = s.writes_offered;
+    writes_applied;
+    offered_write_rate = float_of_int s.writes_offered /. measure_s;
+    applied_write_rate = float_of_int applied /. measure_s;
+    write_latency_us;
+    sync_read_latency_us = s.sync_read_latency_us;
+    queue_depth_peak = s.queue_depth_peak;
+    queue_depth_end = s.queue_depth_end;
+    slow_inbox_peak = s.slow_inbox_peak;
+    slow_inbox_end = s.slow_inbox_end;
+    storm_steady_rate = s.storm_steady_rate;
+    storm_rate = s.storm_rate;
+    storm_degradation = s.storm_degradation;
+    storm_recovered_ms = s.storm_recovered_ms;
+    storm_all_reconnected = s.storm_all_reconnected;
+    merge_wait_us = Stats.create ();
+    merged_total = 0;
+    per_ring_applied = [||];
+    mcas_submitted = 0;
+    mcas_commits = 0;
+    mcas_aborts = 0;
+    mcas_retries = 0;
+    skip_credits_spent = 0;
+    oracles;
+    oracle_violations =
+      Array.fold_left (fun acc o -> acc + Oracle.violation_count o) 0 oracles;
+    converged;
+    end_ns;
+    metrics;
+  }
+
 (* The 1-ring target: {!Kv_scenario.build_cluster}, with the span
    collector attached. A write completes on apply at the replica
    that submitted it. *)
@@ -649,7 +677,6 @@ let run spec =
     Kv_scenario.build_cluster ~rings:1 ~n:spec.n_nodes ~net:spec.net
       ~tier:spec.tier ~params:spec.params ~seed:spec.seed ()
   in
-  let oracle = oracles.(0) in
   let metrics = Metrics.create () in
   let span = Span.create ~metrics () in
   Span.attach span;
@@ -684,39 +711,13 @@ let run spec =
             settled = (fun () -> Kv_scenario.kv_converged kvs);
           })
   in
-  Oracle.check_convergence oracle (Array.to_list kvs);
+  Oracle.check_convergence oracles.(0) (Array.to_list kvs);
   Netsim.record_metrics sim metrics;
   Array.iter (fun d -> Daemon.record_metrics d metrics) daemons;
   Array.iter (fun kv -> Kv.record_metrics kv metrics) kvs;
-  let measure_s = float_of_int spec.measure_ns /. 1e9 in
-  {
-    spec;
-    sessions_started = s.sessions_started;
-    sessions_peak = s.sessions_peak;
-    reconnects = s.reconnects;
-    ops_offered = s.ops_offered;
-    ops_skipped = s.ops_skipped;
-    writes_offered = s.writes_offered;
-    writes_applied = !writes_applied;
-    offered_write_rate = float_of_int s.writes_offered /. measure_s;
-    applied_write_rate = float_of_int !writes_applied /. measure_s;
-    write_latency_us = write_latency;
-    sync_read_latency_us = s.sync_read_latency_us;
-    queue_depth_peak = s.queue_depth_peak;
-    queue_depth_end = s.queue_depth_end;
-    slow_inbox_peak = s.slow_inbox_peak;
-    slow_inbox_end = s.slow_inbox_end;
-    storm_steady_rate = s.storm_steady_rate;
-    storm_rate = s.storm_rate;
-    storm_degradation = s.storm_degradation;
-    storm_recovered_ms = s.storm_recovered_ms;
-    storm_all_reconnected = s.storm_all_reconnected;
-    oracle;
-    oracle_violations = Oracle.violation_count oracle;
-    converged = Kv_scenario.kv_converged kvs;
-    end_ns = Netsim.now sim;
-    metrics;
-  }
+  result spec s ~writes_applied:!writes_applied ~applied:!writes_applied
+    ~write_latency_us:write_latency ~oracles
+    ~converged:(Kv_scenario.kv_converged kvs) ~end_ns:(Netsim.now sim) ~metrics
 
 let pp_result ppf r =
   Format.fprintf ppf
@@ -726,8 +727,7 @@ let pp_result ppf r =
     \  write latency p50=%.0fus p99=%.0fus p99.9=%.0fus; sync reads: %d \
      (p99=%.0fus)@,\
     \  open-loop queue: peak %d, end %d; slow inbox: peak %d, end %d@,\
-    \  churn: %d reconnects%s@,\
-    \  oracle: %d violation(s), converged=%b"
+    \  churn: %d reconnects%s"
     r.spec.label r.spec.n_nodes r.sessions_started r.sessions_peak
     r.spec.ops_per_sec r.ops_offered r.writes_offered r.offered_write_rate
     r.ops_skipped r.writes_applied r.applied_write_rate
@@ -746,7 +746,19 @@ let pp_result ppf r =
            %.1fms, all back=%b"
           r.storm_steady_rate r.storm_rate
           (100.0 *. r.storm_degradation)
-          r.storm_recovered_ms r.storm_all_reconnected)
+          r.storm_recovered_ms r.storm_all_reconnected);
+  if r.spec.rings > 1 then
+    Format.fprintf ppf
+      "@,  merge (%d rings): %d merged, per ring %s; wait p50=%.0fus \
+       p99=%.0fus; skips %d@,\
+      \  mcas: %d submitted, %d commits, %d aborts, %d retries"
+      r.spec.rings r.merged_total
+      (String.concat "," (Array.to_list (Array.map string_of_int r.per_ring_applied)))
+      (Stats.percentile r.merge_wait_us 50.0)
+      (Stats.percentile r.merge_wait_us 99.0)
+      r.skip_credits_spent r.mcas_submitted r.mcas_commits r.mcas_aborts
+      r.mcas_retries;
+  Format.fprintf ppf "@,  oracle: %d violation(s), converged=%b"
     r.oracle_violations r.converged;
   (match Span.report_of_metrics r.metrics with
   | [] -> ()

@@ -24,16 +24,15 @@
     - {b Slow receivers}: extra sessions subscribed to the KV group
       that drain through {!Aring_daemon.Daemon.pump} at a bounded rate,
       exercising head-of-line isolation.
-    - {b Network asymmetry}: per-node link-rate overrides, a WAN/geo
-      latency-class matrix ({!Aring_sim.Netsim.set_latency_classes}) and
-      a partition window.
-    - {b Shapes}: diurnal/step/ramp/square offered-rate schedules via
-      {!Aring_harness.Scenario} builders.
+    - {b Network asymmetry}: a WAN/geo latency-class matrix
+      ({!Aring_sim.Netsim.set_latency_classes}) and a partition window.
 
     One generator, {!drive}, serves every ring count: it runs against a
     small {!target}. {!run} supplies the single-ring target, built by
     {!Aring_app.Kv_scenario.build_cluster};
     [Aring_multiring.Mload.run] supplies the sharded multi-ring one.
+    Both return one {!result}, built by {!val-result}, and print through
+    one {!pp_result}.
     At its small end, one [Periodic] session per node, a spec is the
     paper's KV workload (one client per server at a fixed rate): the
     [kv] bench runs that preset.
@@ -78,8 +77,6 @@ type geo = {
   latency_matrix : int array array;  (** Extra one-way ns, class × class. *)
 }
 
-type link = { l_node : int; l_up_bps : int option; l_down_bps : int option }
-
 type spec = {
   label : string;
   n_nodes : int;
@@ -89,10 +86,9 @@ type spec = {
   sessions_per_node : int;
   n_groups : int;  (** Sessions join group [i mod n_groups]. *)
   arrival : arrival;
-  ops_per_sec : float;  (** Aggregate offered rate across all sessions. *)
-  load : (int * float) list;
-      (** Piecewise-constant rate schedule (ops/sec), reusing the
-          {!Aring_harness.Scenario} step/ramp/square builders. *)
+  ops_per_sec : float;
+      (** Aggregate offered rate across all sessions, constant over the
+          run; finite and [>= 0] ({!validate}). Zero offers nothing. *)
   key_space : int;
   zipf_theta : float;
   value_mix : (int * int) list;  (** [(bytes, weight)] value-size mix. *)
@@ -108,9 +104,6 @@ type spec = {
   churn : churn option;
   slow : slow_spec option;  (** Per daemon: on every ring at [rings > 1]. *)
   geo : geo option;
-  links : link list;
-      (** Per physical node: on [rings > 1] a link override applies to
-          the node's participant in every ring. *)
   partition : Aring_app.Kv_scenario.partition option;
       (** Islands are physical nodes, cut away in every ring.
           {!validate} rejects an empty island, a node outside
@@ -147,8 +140,9 @@ type sessions = {
   storm_all_reconnected : bool;  (** True (vacuously) when no storm ran. *)
 }
 
-(** The single-ring result: the {!sessions} fields (same meaning) plus
-    the replica outcome. *)
+(** The result of a run at any ring count: the {!sessions} fields (same
+    meaning), the replica outcome and, on [rings > 1], the merge and
+    mcas outcome. *)
 type result = {
   spec : spec;
   sessions_started : int;
@@ -157,10 +151,18 @@ type result = {
   ops_offered : int;
   ops_skipped : int;
   writes_offered : int;
-  writes_applied : int;  (** Applied at node 0 inside the window. *)
+  writes_applied : int;
+      (** One ring: ops applied at node 0 inside the window. More rings:
+          tracked writes submitted inside the window that emerged in node
+          0's merged stream by the end of the drain. *)
   offered_write_rate : float;
   applied_write_rate : float;
-  write_latency_us : Stats.t;  (** Submit→apply, tracked puts and cas. *)
+      (** In-window applied ops (one ring) or merged items (more rings)
+          per second at node 0. *)
+  write_latency_us : Stats.t;
+      (** One ring: submit → apply at the submitting replica, tracked
+          puts and cas. More rings: submit → merged emergence at node 0,
+          for writes submitted inside the window. *)
   sync_read_latency_us : Stats.t;
   queue_depth_peak : int;
   queue_depth_end : int;
@@ -168,16 +170,32 @@ type result = {
   slow_inbox_end : int;
   storm_steady_rate : float;
   storm_rate : float;
+      (** On [rings > 1] the storm series counts merged emergence at node
+          0. *)
   storm_degradation : float;
   storm_recovered_ms : float;
   storm_all_reconnected : bool;
-  oracle : Aring_app.Oracle.t;
-  oracle_violations : int;
+  merge_wait_us : Stats.t;
+      (** Ring apply → merged emergence at node 0; empty on one ring. *)
+  merged_total : int;  (** In-window merged items at node 0; 0 on one ring. *)
+  per_ring_applied : int array;
+      (** In-window merged items per ring; empty on one ring. *)
+  mcas_submitted : int;  (** The mcas fields are 0 on one ring. *)
+  mcas_commits : int;  (** Summed over node 0's per-ring replicas. *)
+  mcas_aborts : int;
+  mcas_retries : int;
+  skip_credits_spent : int;
+      (** Skip ops delivered at node 0, all rings; 0 on one ring. *)
+  oracles : Aring_app.Oracle.t array;  (** One consistency oracle per ring. *)
+  oracle_violations : int;  (** Summed over [oracles]. *)
   converged : bool;
+      (** Replica convergence (per ring), and drained merges on
+          [rings > 1]. *)
   end_ns : int;
   metrics : Metrics.t;
-      (** Carries the run's ["load.*"] series alongside netsim / daemon /
-          app counters and the ["span.*"] stage histograms. *)
+      (** Carries the run's ["load.*"] series (["mload.*"] on a
+          multi-ring run) alongside netsim / daemon / app counters; on
+          one ring also the ["span.*"] stage histograms. *)
 }
 
 val default_spec : spec
@@ -228,4 +246,23 @@ val drive : prefix:string -> metrics:Metrics.t -> spec -> target -> sessions
     and gauges land in [metrics] as ["<prefix>.*"]; the PRNG salt is the
     prefix's ASCII bytes. Call {!validate} first. *)
 
+val result :
+  spec ->
+  sessions ->
+  writes_applied:int ->
+  applied:int ->
+  write_latency_us:Stats.t ->
+  oracles:Aring_app.Oracle.t array ->
+  converged:bool ->
+  end_ns:int ->
+  metrics:Metrics.t ->
+  result
+(** The one builder of a {!result}: the [sessions] fields, the replica
+    outcome, [offered_write_rate] and [applied_write_rate] ([applied]
+    items at node 0) over the measurement window, and
+    [oracle_violations] summed over [oracles]. The merge and mcas fields
+    are 0 or empty; a multi-ring run sets them on the returned record. *)
+
 val pp_result : Format.formatter -> result -> unit
+(** The one printer, at every ring count: merge and mcas lines only on
+    [rings > 1], per-stage latency when [metrics] holds ["span.*"]. *)

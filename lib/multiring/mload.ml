@@ -12,32 +12,7 @@ module Metrics = Aring_obs.Metrics
    and the merge-added wait (ring apply -> merged emergence) is surfaced
    separately, since that is the price of the learner merge itself. *)
 
-type result = {
-  spec : Load.spec;
-  ops_offered : int;
-  writes_offered : int;
-  writes_applied : int;
-      (* tracked writes submitted inside the window that emerged merged
-         at node 0 by the end of the drain *)
-  offered_write_rate : float;
-  applied_write_rate : float;
-  write_latency_us : Stats.t;
-  merge_wait_us : Stats.t;
-  merged_total : int;
-  per_ring_applied : int array;
-  mcas_submitted : int;
-  mcas_commits : int;
-  mcas_aborts : int;
-  mcas_retries : int;
-  skip_credits_spent : int;
-  queue_depth_peak : int;
-  queue_depth_end : int;
-  oracle_violations : int;
-  converged : bool;
-  end_ns : int;
-  metrics : Metrics.t;
-  sessions : Load.sessions;
-}
+type result = Load.result
 
 let run (spec : Load.spec) =
   if spec.rings < 1 then invalid_arg "Mload.run: rings < 1";
@@ -114,15 +89,13 @@ let run (spec : Load.spec) =
     done;
     !total
   in
-  let measure_s = float_of_int spec.measure_ns /. 1e9 in
   {
-    spec;
-    ops_offered = sessions.ops_offered;
-    writes_offered = sessions.writes_offered;
-    writes_applied = !writes_applied;
-    offered_write_rate = float_of_int sessions.writes_offered /. measure_s;
-    applied_write_rate = float_of_int !merged_total /. measure_s;
-    write_latency_us = write_latency;
+    (Load.result spec sessions ~writes_applied:!writes_applied
+       ~applied:!merged_total ~write_latency_us:write_latency
+       ~oracles:(Array.init rings (fun ring -> Cluster.oracle cluster ~ring))
+       ~converged:(Cluster.kv_converged cluster && Cluster.merge_settled cluster)
+       ~end_ns:(Netsim.now sim) ~metrics)
+    with
     merge_wait_us = merge_wait;
     merged_total = !merged_total;
     per_ring_applied;
@@ -131,32 +104,4 @@ let run (spec : Load.spec) =
     mcas_aborts = node0_stats (fun st -> st.Kv.mcas_aborts);
     mcas_retries = Cluster.mcas_retries cluster;
     skip_credits_spent = node0_stats (fun st -> st.Kv.skips);
-    queue_depth_peak = sessions.queue_depth_peak;
-    queue_depth_end = sessions.queue_depth_end;
-    oracle_violations = Cluster.oracle_violations cluster;
-    converged = Cluster.kv_converged cluster && Cluster.merge_settled cluster;
-    end_ns = Netsim.now sim;
-    metrics;
-    sessions;
   }
-
-let pp_result ppf r =
-  Format.fprintf ppf
-    "@[<v>%s: rings=%d offered=%d merged=%d applied_rate=%.0f/s@,\
-     write p50=%.0fus p99=%.0fus  merge-wait p50=%.0fus p99=%.0fus@,\
-     per-ring=%s mcas=%d (commit %d abort %d retry %d) queue peak=%d end=%d@,\
-     sessions peak=%d reconnects=%d skipped=%d sync reads=%d storm all \
-     back=%b@,\
-     oracle=%d converged=%b@]" r.spec.Load.label r.spec.Load.rings
-    r.ops_offered r.merged_total r.applied_write_rate
-    (Stats.percentile r.write_latency_us 50.0)
-    (Stats.percentile r.write_latency_us 99.0)
-    (Stats.percentile r.merge_wait_us 50.0)
-    (Stats.percentile r.merge_wait_us 99.0)
-    (String.concat ","
-       (Array.to_list (Array.map string_of_int r.per_ring_applied)))
-    r.mcas_submitted r.mcas_commits r.mcas_aborts r.mcas_retries
-    r.queue_depth_peak r.queue_depth_end r.sessions.sessions_peak
-    r.sessions.reconnects r.sessions.ops_skipped
-    (Stats.count r.sessions.sync_read_latency_us)
-    r.sessions.storm_all_reconnected r.oracle_violations r.converged

@@ -40,8 +40,11 @@ let epochs = ref 0
 
 let make_queue cap_bytes = { q = Deque.create (); cap_bytes; occupied = 0 }
 
-let create ~params ~ring_id ~ring ~me ?(token_queue_cap = 256 * 1024)
-    ?(data_queue_cap = 2 * 1024 * 1024) ?controller () =
+(* Queue capacities in bytes: a tuned production socket-buffer setup. *)
+let token_queue_cap = 256 * 1024
+let data_queue_cap = 2 * 1024 * 1024
+
+let create ~params ~ring_id ~ring ~me ?controller () =
   let engine = Engine.create ~params ~ring_id ~ring ~me in
   (* A reinstalled engine starts back at the Params window; resume from
      the controller's learned window instead. *)

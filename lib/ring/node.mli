@@ -43,14 +43,12 @@ val create :
   ring_id:Types.ring_id ->
   ring:Types.pid array ->
   me:Types.pid ->
-  ?token_queue_cap:int ->
-  ?data_queue_cap:int ->
   ?controller:Aring_control.Controller.t ->
   unit ->
   t
 (** [create] builds an operational participant of an installed ring.
-    Queue capacities are in bytes and default to 256 KiB (token) and
-    2 MiB (data), matching a tuned production socket-buffer setup.
+    Its queues hold 256 KiB (token) and 2 MiB (data), matching a tuned
+    production socket-buffer setup.
 
     When [controller] is given, it is consulted after every accepted
     token with that rotation's {!Engine.round_signals} (plus the

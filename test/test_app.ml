@@ -393,7 +393,7 @@ let test_oracle_install_rebases () =
 (* State-transfer timing                                                 *)
 
 let test_measure_transfer () =
-  let r = Kv_scenario.measure_transfer ~store_entries:500 () in
+  let r = Kv_scenario.measure_transfer ~store_entries:500 in
   check Alcotest.bool "entries transferred" true
     (r.Kv_scenario.entries_transferred >= 500);
   check Alcotest.bool "timed" true (r.Kv_scenario.xfer_us > 0.0)

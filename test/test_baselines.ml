@@ -16,7 +16,7 @@ type scluster = {
 }
 
 let make_scluster ?(n = 4) ?(net = Profile.gigabit) ?(seed = 5L) () =
-  let seqs = Array.init n (fun me -> Sequencer.create ~me ~n ()) in
+  let seqs = Array.init n (fun me -> Sequencer.create ~me ~n) in
   let sim =
     Netsim.create ~net
       ~tiers:(Array.make n Profile.library)
@@ -86,7 +86,7 @@ let test_sequencer_scenario_runs () =
   in
   let participants =
     Array.init spec.n_nodes (fun me ->
-        Sequencer.participant (Sequencer.create ~me ~n:spec.n_nodes ()))
+        Sequencer.participant (Sequencer.create ~me ~n:spec.n_nodes))
   in
   let r = Scenario.run_custom spec ~participants in
   check Alcotest.bool "sequencer sustains 300 Mbps" true
@@ -106,7 +106,7 @@ type pcluster = {
 }
 
 let make_pcluster ?(n = 5) ?(net = Profile.gigabit) ?(seed = 11L) () =
-  let paxos = Array.init n (fun me -> Ring_paxos.create ~me ~n ()) in
+  let paxos = Array.init n (fun me -> Ring_paxos.create ~me ~n) in
   let psim =
     Netsim.create ~net
       ~tiers:(Array.make n Profile.library)
@@ -170,7 +170,7 @@ let test_paxos_scenario_runs () =
   in
   let participants =
     Array.init spec.n_nodes (fun me ->
-        Ring_paxos.participant (Ring_paxos.create ~me ~n:spec.n_nodes ()))
+        Ring_paxos.participant (Ring_paxos.create ~me ~n:spec.n_nodes))
   in
   let r = Scenario.run_custom spec ~participants in
   check Alcotest.bool "ring paxos sustains 300 Mbps" true

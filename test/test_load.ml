@@ -266,7 +266,21 @@ let test_invalid_specs () =
       Alcotest.check_raises ("2 rings: " ^ what)
         (Invalid_argument ("Mload.run: " ^ what)) (fun () ->
           ignore (Aring_multiring.Mload.run { two_rings with partition })))
-    bad_partitions
+    bad_partitions;
+  (* A rate must be a finite number >= 0: a NaN or infinite one would
+     schedule an arrival every microsecond per session. *)
+  List.iter
+    (fun ops_per_sec ->
+      let what = "ops_per_sec must be finite and >= 0" in
+      Alcotest.check_raises
+        (Printf.sprintf "1 ring: rate %g" ops_per_sec)
+        (Invalid_argument ("Load.run: " ^ what))
+        (fun () -> ignore (Load.run { small_spec with ops_per_sec }));
+      Alcotest.check_raises
+        (Printf.sprintf "2 rings: rate %g" ops_per_sec)
+        (Invalid_argument ("Mload.run: " ^ what))
+        (fun () -> ignore (Aring_multiring.Mload.run { two_rings with ops_per_sec })))
+    [ Float.nan; Float.infinity; Float.neg_infinity; -1.0 ]
 
 (* Outputs pinned across refactors of the shared driver: a 1-ring spec
    with churn and slow receivers, and a 2-ring spec with cross-shard
@@ -330,6 +344,43 @@ let test_pinned_outputs () =
       m.queue_depth_end,
       m.end_ns )
 
+(* Both drivers return the one [Load.result]: on one ring the merge and
+   mcas fields are zero or empty and there is one oracle; on two rings
+   there is an oracle per ring, and the session fields (storm,
+   reconnects) sit at top level as on one ring. *)
+let test_one_result () =
+  let r = Load.run { pinned_1r with churn = None; slow = None; measure_ns = ms 60 } in
+  check Alcotest.int "1 ring: one oracle" 1 (Array.length r.oracles);
+  check Alcotest.int "1 ring: no violations" 0 r.oracle_violations;
+  check Alcotest.int "1 ring: merge wait samples" 0 (Stats.count r.merge_wait_us);
+  check Alcotest.int "1 ring: per-ring counts" 0 (Array.length r.per_ring_applied);
+  check
+    Alcotest.(list int)
+    "1 ring: merged, mcas, skips" [ 0; 0; 0; 0; 0; 0 ]
+    [
+      r.merged_total;
+      r.mcas_submitted;
+      r.mcas_commits;
+      r.mcas_aborts;
+      r.mcas_retries;
+      r.skip_credits_spent;
+    ];
+  let storm = { Load.storm_at_ns = ms 90; storm_sessions = 20; storm_window_ns = ms 10 } in
+  let m =
+    Aring_multiring.Mload.run
+      {
+        pinned_2r with
+        churn = Some { Load.mean_lifetime_ns = 0; reconnect_delay_ns = 0; storm = Some storm };
+      }
+  in
+  check Alcotest.int "2 rings: two oracles" 2 (Array.length m.oracles);
+  check Alcotest.int "2 rings: no violations" 0 m.oracle_violations;
+  check Alcotest.int "2 rings: per-ring counts" 2 (Array.length m.per_ring_applied);
+  check Alcotest.bool "2 rings: merged" true (m.merged_total > 0);
+  check Alcotest.int "2 rings: storm reconnects" 20 m.reconnects;
+  check Alcotest.bool "2 rings: storm all back" true m.storm_all_reconnected;
+  check Alcotest.bool "2 rings: steady rate" true (m.storm_steady_rate > 0.0)
+
 let suite =
   [
     Alcotest.test_case "offered rate holds (poisson)" `Quick
@@ -349,4 +400,5 @@ let suite =
       test_pinned_outputs;
     Alcotest.test_case "kv preset heals a partition" `Quick
       test_kv_preset_partition;
+    Alcotest.test_case "one result at every ring count" `Quick test_one_result;
   ]

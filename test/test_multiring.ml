@@ -655,23 +655,23 @@ let mload_spec =
 
 let test_mload_smoke () =
   let r = Mload.run mload_spec in
-  check Alcotest.int "no oracle violations" 0 r.Mload.oracle_violations;
-  check Alcotest.bool "converged" true r.Mload.converged;
-  check Alcotest.bool "merged traffic" true (r.Mload.merged_total > 0);
+  check Alcotest.int "no oracle violations" 0 r.Load.oracle_violations;
+  check Alcotest.bool "converged" true r.Load.converged;
+  check Alcotest.bool "merged traffic" true (r.Load.merged_total > 0);
   check Alcotest.bool "both rings carried load" true
-    (Array.for_all (fun c -> c > 0) r.Mload.per_ring_applied);
-  check Alcotest.bool "mcas committed" true (r.Mload.mcas_commits > 0);
+    (Array.for_all (fun c -> c > 0) r.Load.per_ring_applied);
+  check Alcotest.bool "mcas committed" true (r.Load.mcas_commits > 0);
   check Alcotest.bool "write latency measured" true
-    (Stats.count r.Mload.write_latency_us > 0);
-  check Alcotest.int "queue drained" 0 r.Mload.queue_depth_end
+    (Stats.count r.Load.write_latency_us > 0);
+  check Alcotest.int "queue drained" 0 r.Load.queue_depth_end
 
 let test_mload_deterministic () =
   let a = Mload.run mload_spec and b = Mload.run mload_spec in
-  check Alcotest.int "offered equal" a.Mload.ops_offered b.Mload.ops_offered;
-  check Alcotest.int "merged equal" a.Mload.merged_total b.Mload.merged_total;
-  check Alcotest.int "mcas commits equal" a.Mload.mcas_commits
-    b.Mload.mcas_commits;
-  check Alcotest.int "end time equal" a.Mload.end_ns b.Mload.end_ns
+  check Alcotest.int "offered equal" a.Load.ops_offered b.Load.ops_offered;
+  check Alcotest.int "merged equal" a.Load.merged_total b.Load.merged_total;
+  check Alcotest.int "mcas commits equal" a.Load.mcas_commits
+    b.Load.mcas_commits;
+  check Alcotest.int "end time equal" a.Load.end_ns b.Load.end_ns
 
 (* Load must reject multi-ring specs. *)
 let test_dispatch_guards () =
@@ -711,12 +711,12 @@ let test_mload_sessions_dimensions () =
             };
       }
   in
-  check Alcotest.int "no oracle violations" 0 r.Mload.oracle_violations;
-  check Alcotest.bool "converged" true r.Mload.converged;
+  check Alcotest.int "no oracle violations" 0 r.Load.oracle_violations;
+  check Alcotest.bool "converged" true r.Load.converged;
   check Alcotest.bool "every storm session back" true
-    r.Mload.sessions.Load.storm_all_reconnected;
-  check Alcotest.bool "reconnects" true (r.Mload.sessions.Load.reconnects > 0);
-  check Alcotest.bool "merged traffic" true (r.Mload.merged_total > 0)
+    r.Load.storm_all_reconnected;
+  check Alcotest.bool "reconnects" true (r.Load.reconnects > 0);
+  check Alcotest.bool "merged traffic" true (r.Load.merged_total > 0)
 
 let qtest = QCheck_alcotest.to_alcotest
 
