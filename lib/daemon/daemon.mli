@@ -80,9 +80,13 @@ val create : ?packing:bool -> ?pack_threshold:int -> member:Member.t -> unit -> 
     With [~packing:true] (default false), small client envelopes are
     packed into a single protocol packet of at most [pack_threshold]
     bytes (default 1300) — Spread's packing feature for amortizing
-    per-packet costs over small messages. Submissions accumulated between
-    runtime events are flushed together at the next event; packing trades
-    a little latency for large small-message throughput gains. *)
+    per-packet costs over small messages. Buffered submissions are
+    flushed together when a token or commit token arrives for
+    processing, and when a live timer fires. A timer superseded by a
+    re-arm of its key never fires (see {!Participant.action}), so it
+    flushes nothing: in steady state a pack holds what accumulated
+    between two token visits. Packing trades a little latency for large
+    small-message throughput gains. *)
 
 val flush : t -> unit
 (** Force out any buffered packed submissions now. *)

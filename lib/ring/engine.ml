@@ -9,13 +9,13 @@ type input =
   | Token_received of Message.token
   | Data_received of Message.data
   | Submit of Types.service * bytes
-  | Timer_expired of timer_kind * int
+  | Timer_expired of timer_kind
 
 type output =
   | Send_token of Types.pid * Message.token
   | Send_data of Message.data
   | Deliver of Message.data
-  | Set_timer of timer_kind * int * int
+  | Set_timer of timer_kind * int
   | Token_lost
 
 type stats = {
@@ -71,9 +71,15 @@ type t = {
   mutable prev_recv_seq : Types.seqno;
   mutable last_round_sent : int;
   mutable saved_token : Message.token option;
-  mutable progress_gen : int;
-  mutable loss_gen : int;
+  (* Set by every accepted token, cleared by progress evidence: whether
+     the pending retransmit timer still has a token to re-send. *)
+  mutable retransmit_wanted : bool;
   mutable retransmit_count : int;
+  (* The two timer outputs, built once: every accepted token ends its
+     output list with [visit_timers] (retransmit, then loss). *)
+  retransmit_timer : output;
+  loss_timer : output;
+  visit_timers : output list;
   (* Node-local accelerated window for the next round. Seeded from
      [params] and adjustable between rounds (adaptive control): it only
      decides how many admitted messages precede the token, so changing
@@ -104,6 +110,8 @@ let create ~params ~ring_id ~ring ~me =
   | Error msg -> invalid_arg ("Engine.create: " ^ msg));
   let my_pos = index_of ring me 0 in
   if my_pos < 0 then invalid_arg "Engine.create: me not in ring";
+  let retransmit_timer = Set_timer (Token_retransmit, params.token_retransmit_ns)
+  and loss_timer = Set_timer (Token_loss, params.token_loss_ns) in
   {
     params;
     ring_id;
@@ -124,9 +132,11 @@ let create ~params ~ring_id ~ring ~me =
     prev_recv_seq = 0;
     last_round_sent = 0;
     saved_token = None;
-    progress_gen = 0;
-    loss_gen = 0;
+    retransmit_wanted = false;
     retransmit_count = 0;
+    retransmit_timer;
+    loss_timer;
+    visit_timers = [ retransmit_timer; loss_timer ];
     accelerated_window = params.accelerated_window;
     sig_fcc = 0;
     sig_retrans = 0;
@@ -246,7 +256,7 @@ let is_progress_evidence t (d : Message.data) =
   || (d.d_round = t.round && index_of t.ring d.pid 0 > t.my_pos)
 
 let handle_data t (d : Message.data) =
-  if is_progress_evidence t d then t.progress_gen <- t.progress_gen + 1;
+  if is_progress_evidence t d then t.retransmit_wanted <- false;
   let dup = d.seq <= t.discard_floor || Hashtbl.mem t.buffer d.seq in
   Flight.record ~node:t.me ~code:Flight.ev_data_recv ~a:d.seq ~b:d.pid
     ~c:(if dup then 1 else 0) ~d:0;
@@ -324,8 +334,7 @@ let handle_token t (tok : Message.token) =
     t.last_token_id <- tok.token_id;
     t.round <- t.round + 1;
     t.stats.rounds <- t.stats.rounds + 1;
-    t.progress_gen <- t.progress_gen + 1;
-    t.loss_gen <- t.loss_gen + 1;
+    t.retransmit_wanted <- true;
     t.retransmit_count <- 0;
     Flight.record_wide ~node:t.me ~code:Flight.ev_token_recv ~a:tok.token_id
       ~b:tok.t_seq ~c:tok.aru ~d:t.local_aru ~e:(Flight.pack_ring t.ring_id)
@@ -430,15 +439,9 @@ let handle_token t (tok : Message.token) =
       ~d:(List.length token'.rtr) ~e:(Flight.pack_ring t.ring_id)
       ~f:token'.t_round ~g:t.safe_line ~h:token'.fcc ~i:t.local_aru;
     (* 8. Deliver and discard; assemble the action list back to front so
-       each phase is prepended once — no intermediate lists, no appends. *)
-    let deliveries_on =
-      deliver_ready_into t
-        [
-          Set_timer
-            (Token_retransmit, t.progress_gen, t.params.token_retransmit_ns);
-          Set_timer (Token_loss, t.loss_gen, t.params.token_loss_ns);
-        ]
-    in
+       each phase is prepended once — no intermediate lists, no appends.
+       Re-arming both timers supersedes the ones the last visit armed. *)
+    let deliveries_on = deliver_ready_into t t.visit_timers in
     collect_garbage t;
     t.sig_fcc <- tok.fcc;
     t.sig_retrans <- num_retrans + List.length my_missing;
@@ -453,10 +456,14 @@ let handle_token t (tok : Message.token) =
 let max_token_retransmits t =
   max 1 (t.params.token_loss_ns / t.params.token_retransmit_ns)
 
-let handle_timer t kind gen =
+(* Each kind has one pending timer (a re-arm supersedes it), so a fire
+   is always the latest arm's: the loss timer's fire means no token came
+   since, and the retransmit timer's acts unless progress evidence
+   cleared [retransmit_wanted] in the meantime. *)
+let handle_timer t kind =
   match kind with
   | Token_retransmit -> (
-      if gen <> t.progress_gen then []
+      if not t.retransmit_wanted then []
       else
         match t.saved_token with
         | None -> []
@@ -467,34 +474,30 @@ let handle_timer t kind gen =
               t.stats.token_retransmits <- t.stats.token_retransmits + 1;
               Flight.record ~node:t.me ~code:Flight.ev_token_retransmit
                 ~a:tok.token_id ~b:t.retransmit_count ~c:0 ~d:0;
-              [
-                Send_token (successor t, tok);
-                Set_timer
-                  (Token_retransmit, t.progress_gen, t.params.token_retransmit_ns);
-              ]
+              [ Send_token (successor t, tok); t.retransmit_timer ]
             end)
   | Token_loss ->
-      if gen <> t.loss_gen then []
-      else begin
-        Flight.record ~node:t.me ~code:Flight.ev_token_lost ~a:t.round ~b:0
-          ~c:0 ~d:0;
-        [ Token_lost ]
-      end
+      Flight.record ~node:t.me ~code:Flight.ev_token_lost ~a:t.round ~b:0
+        ~c:0 ~d:0;
+      [ Token_lost ]
+
+let token t (tok : Message.token) =
+  if Types.ring_id_equal tok.t_ring t.ring_id then handle_token t tok else []
+
+let data t (d : Message.data) =
+  if Types.ring_id_equal d.d_ring t.ring_id then handle_data t d else []
 
 let handle t input =
   match input with
-  | Token_received tok ->
-      if Types.ring_id_equal tok.t_ring t.ring_id then handle_token t tok
-      else []
-  | Data_received d ->
-      if Types.ring_id_equal d.d_ring t.ring_id then handle_data t d else []
+  | Token_received tok -> token t tok
+  | Data_received d -> data t d
   | Submit (service, payload) ->
       Queue.push
         { p_service = service; p_payload = payload;
           p_submit_ns = Span.submit_stamp () }
         t.pending;
       []
-  | Timer_expired (kind, gen) -> handle_timer t kind gen
+  | Timer_expired kind -> handle_timer t kind
 
 let drain_pending t =
   let rec loop acc =
@@ -504,8 +507,7 @@ let drain_pending t =
   in
   loop []
 
-let start_timers t =
-  [ Set_timer (Token_loss, t.loss_gen, t.params.token_loss_ns) ]
+let start_timers t = [ t.loss_timer ]
 
 let record_metrics ?(prefix = "") t reg =
   let c name v = Metrics.add (Metrics.counter reg (prefix ^ name)) v in

@@ -36,10 +36,12 @@ type input =
   | Submit of Types.service * bytes
       (** A client message enters the pending queue; it is multicast on a
           future token visit, subject to flow control. *)
-  | Timer_expired of timer_kind * int
-      (** [Timer_expired (kind, generation)]: only acted upon when
-          [generation] matches the engine's current generation for [kind] —
-          stale timers are ignored. *)
+  | Timer_expired of timer_kind
+      (** The pending timer of [kind] ran out. The runtime keeps one
+          pending timer per kind (a [Set_timer] supersedes the one before
+          it), so this is always the latest arm's: [Token_loss] means no
+          token was accepted since, and [Token_retransmit] re-sends the
+          saved token unless progress evidence arrived in the meantime. *)
 
 type output =
   | Send_token of Types.pid * Message.token
@@ -48,9 +50,12 @@ type output =
       (** Multicast a data message to all other participants. *)
   | Deliver of Message.data
       (** Hand the message to the application, in total order. *)
-  | Set_timer of timer_kind * int * int
-      (** [Set_timer (kind, generation, delay_ns)]: the runtime must feed
-          back [Timer_expired (kind, generation)] after [delay_ns]. *)
+  | Set_timer of timer_kind * int
+      (** [Set_timer (kind, delay_ns)]: feed back [Timer_expired kind]
+          after [delay_ns], replacing any timer of [kind] still pending —
+          a superseded timer must never be fed back. Each engine builds
+          its two [Set_timer] values once, so every accepted token re-arms
+          both without allocating them. *)
   | Token_lost
       (** No token activity within [token_loss_ns]; the membership algorithm
           must take over. *)
@@ -101,6 +106,14 @@ val initial_token : Types.ring_id -> Message.token
 val handle : t -> input -> output list
 (** [handle t input] advances the state machine. See the module preamble
     for output ordering guarantees. *)
+
+val token : t -> Message.token -> output list
+(** [token t tok] is [handle t (Token_received tok)] without building the
+    input: a token of another ring is ignored. *)
+
+val data : t -> Message.data -> output list
+(** [data t d] is [handle t (Data_received d)] without building the
+    input: data of another ring is ignored. *)
 
 val start_timers : t -> output list
 (** Timers the runtime must arm right after installation (token loss

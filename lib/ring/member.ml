@@ -210,8 +210,8 @@ let rec token_lost = function
 (* Replace a node's token loss with the membership algorithm's Gather.
    Node timers pass as they are: each node tags its own with its epoch
    (see [Node.Engine_timer]), so one armed by a torn-down configuration
-   cannot fire into its successor. Any other list — every token visit
-   and data-path delivery — is returned as it is. *)
+   neither supersedes nor acts in its successor. Any other list — every
+   token visit and data-path delivery — is returned as it is. *)
 let rec rewrap_node_actions t actions =
   if token_lost actions then rewrap_each t actions else actions
 
@@ -905,12 +905,13 @@ and handle_commit t (c : Message.commit) =
 (* ------------------------------------------------------------------ *)
 (* Data and token routing                                              *)
 
-and handle_data t (d : Message.data) =
+(* [msg] is [Message.Data d], handed on to the node as it came. *)
+and handle_data t msg (d : Message.data) =
   match t.phase with
   | Operational node ->
       let engine = Node.engine node in
       if Types.ring_id_equal d.d_ring (Engine.ring_id engine) then
-        rewrap_node_actions t (Node.process node (Message.Data d))
+        rewrap_node_actions t (Node.process node msg)
       else if Hashtbl.mem t.known_rings d.d_ring then []
       else
         (* Traffic from an unknown configuration: a merge candidate. *)
@@ -938,12 +939,13 @@ and handle_data t (d : Message.data) =
       end
       else []
 
-and handle_token t (tok : Message.token) =
+(* [msg] is [Message.Token tok], handed on to the node as it came. *)
+and handle_token t msg (tok : Message.token) =
   match t.phase with
   | Operational node ->
       let engine = Node.engine node in
       if Types.ring_id_equal tok.t_ring (Engine.ring_id engine) then
-        rewrap_node_actions t (Node.process node (Message.Token tok))
+        rewrap_node_actions t (Node.process node msg)
       else []
   | Gather _ | Commit_wait _ | Recover _ -> []
 
@@ -1177,8 +1179,8 @@ let take_next t =
 
 let process t msg =
   match msg with
-  | Message.Data d -> handle_data t d
-  | Message.Token tok -> handle_token t tok
+  | Message.Data d -> handle_data t msg d
+  | Message.Token tok -> handle_token t msg tok
   | Message.Join j -> handle_join t j
   | Message.Commit c -> handle_commit t c
 

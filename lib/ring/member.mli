@@ -67,10 +67,13 @@ type memb_timer_kind =
 type Participant.timer +=
   | Memb_timer of memb_timer_kind * int
         (** Membership timers; the [int] is a generation — stale timers are
-            ignored. The operational node's timers reach the runtime as
-            they are ({!Node.Engine_timer}, tagged with that node's
-            epoch) and come back through the participant's [fire_timer]
-            to the node installed now, which ignores any other node's. *)
+            ignored, and a timer of a new generation is a new key, so it
+            supersedes none of the old ones. The operational node's timers
+            reach the runtime as they are ({!Node.Engine_timer}, keyed by
+            that node's epoch and the engine's kind, so each token visit
+            supersedes the last one's) and come back through the
+            participant's [fire_timer] to the node installed now, which
+            ignores any other node's. *)
 
 type t
 

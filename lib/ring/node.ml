@@ -3,7 +3,7 @@ module Deque = Aring_util.Deque
 module Trace = Aring_obs.Trace
 module Controller = Aring_control.Controller
 
-type Participant.timer += Engine_timer of int * Engine.timer_kind * int
+type Participant.timer += Engine_timer of int * Engine.timer_kind
 
 type queue_stats = {
   mutable token_drops : int;
@@ -30,9 +30,14 @@ type t = {
   controller : Controller.t option;
   mutable last_token_ns : int;  (* -1 until the first accepted token *)
   (* Tags every timer this node arms, so a timer armed by a torn-down
-     configuration's node is a no-op in its successor's (engine timer
-     generations restart from zero in each new engine). *)
+     configuration's node is a no-op in its successor's, and neither
+     supersedes the other. *)
   epoch : int;
+  (* The engine's two timers as actions, built once: a token visit's
+     [arm_visit] tail (retransmit, then loss) is shared, not rebuilt. *)
+  arm_retransmit : Participant.action;
+  arm_loss : Participant.action;
+  arm_visit : Participant.action list;
 }
 
 (* Source of node epochs: each node gets the next one. *)
@@ -52,9 +57,16 @@ let create ~params ~ring_id ~ring ~me ?controller () =
   | Some c -> Engine.set_accelerated_window engine (Controller.window c)
   | None -> ());
   incr epochs;
+  let epoch = !epochs in
+  let arm kind delay = Participant.Arm_timer (Engine_timer (epoch, kind), delay) in
+  let arm_retransmit = arm Engine.Token_retransmit params.Params.token_retransmit_ns
+  and arm_loss = arm Engine.Token_loss params.Params.token_loss_ns in
   {
     engine;
-    epoch = !epochs;
+    epoch;
+    arm_retransmit;
+    arm_loss;
+    arm_visit = [ arm_retransmit; arm_loss ];
     prio = Priority.create params.Params.priority_method;
     token_q = make_queue token_queue_cap;
     data_q = make_queue data_queue_cap;
@@ -111,12 +123,17 @@ let action_of_output t = function
   | Engine.Send_token (pid, tok) -> Participant.Unicast (pid, Message.Token tok)
   | Engine.Send_data d -> Participant.Multicast (Message.Data d)
   | Engine.Deliver d -> Participant.Deliver d
-  | Engine.Set_timer (kind, gen, delay) ->
-      Participant.Arm_timer (Engine_timer (t.epoch, kind, gen), delay)
+  (* The engine's delays come from the same [params] as the prebuilt
+     actions'. *)
+  | Engine.Set_timer (Engine.Token_retransmit, _) -> t.arm_retransmit
+  | Engine.Set_timer (Engine.Token_loss, _) -> t.arm_loss
   | Engine.Token_lost -> Participant.Token_loss_detected
 
 let rec actions_of_outputs t = function
   | [] -> []
+  | [ Engine.Set_timer (Engine.Token_retransmit, _);
+      Engine.Set_timer (Engine.Token_loss, _) ] ->
+      t.arm_visit
   | output :: rest -> action_of_output t output :: actions_of_outputs t rest
 
 let start t =
@@ -133,33 +150,33 @@ let start t =
 let submit t service payload =
   ignore (Engine.handle t.engine (Engine.Submit (service, payload)))
 
-let enqueue queue stats_incr msg =
+(* False, with nothing queued, when [msg] would overflow [queue]. *)
+let enqueue queue msg =
   let size = Message.wire_size msg in
-  if queue.occupied + size > queue.cap_bytes then begin
-    stats_incr ();
-    `Dropped
-  end
+  if queue.occupied + size > queue.cap_bytes then false
   else begin
     queue.occupied <- queue.occupied + size;
     Deque.push_back queue.q msg;
-    `Queued
+    true
   end
 
 let receive t msg =
   match msg with
   | Message.Token _ | Message.Commit _ ->
-      enqueue t.token_q
-        (fun () -> t.qstats.token_drops <- t.qstats.token_drops + 1)
-        msg
+      if enqueue t.token_q msg then `Queued
+      else begin
+        t.qstats.token_drops <- t.qstats.token_drops + 1;
+        `Dropped
+      end
   | Message.Data _ | Message.Join _ ->
-      let r =
-        enqueue t.data_q
-          (fun () -> t.qstats.data_drops <- t.qstats.data_drops + 1)
-          msg
-      in
+      let queued = enqueue t.data_q msg in
       if t.data_q.occupied > t.qstats.max_data_backlog then
         t.qstats.max_data_backlog <- t.data_q.occupied;
-      r
+      if queued then `Queued
+      else begin
+        t.qstats.data_drops <- t.qstats.data_drops + 1;
+        `Dropped
+      end
 
 let has_work t =
   not (Deque.is_empty t.token_q.q && Deque.is_empty t.data_q.q)
@@ -182,14 +199,14 @@ let process t msg =
   match msg with
   | Message.Token tok ->
       let round_before = Engine.round t.engine in
-      let outputs = Engine.handle t.engine (Engine.Token_received tok) in
+      let outputs = Engine.token t.engine tok in
       if Engine.round t.engine > round_before then begin
         Priority.note_token_processed t.prio;
         run_controller t
       end;
       actions_of_outputs t outputs
   | Message.Data d ->
-      let outputs = Engine.handle t.engine (Engine.Data_received d) in
+      let outputs = Engine.data t.engine d in
       Priority.note_data_processed t.prio
         ~predecessor:(Engine.predecessor t.engine)
         ~current_round:(Engine.round t.engine)
@@ -202,9 +219,8 @@ let process t msg =
 
 let fire_timer t timer =
   match timer with
-  | Engine_timer (epoch, kind, gen) when epoch = t.epoch ->
-      actions_of_outputs t
-        (Engine.handle t.engine (Engine.Timer_expired (kind, gen)))
+  | Engine_timer (epoch, kind) when epoch = t.epoch ->
+      actions_of_outputs t (Engine.handle t.engine (Engine.Timer_expired kind))
   | _ -> []
 
 let participant t : Participant.t =

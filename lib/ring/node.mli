@@ -24,12 +24,15 @@ open Aring_wire
 type t
 
 type Participant.timer +=
-  | Engine_timer of int * Engine.timer_kind * int
-        (** An ordering-engine timer: the arming node's epoch, then the
-            engine's kind and generation (exposed for tests). Every node
-            gets its own epoch, so a timer armed by a torn-down
-            configuration's node fires into its successor as a no-op;
-            this is the one wrapper a timer gets on its way to the
+  | Engine_timer of int * Engine.timer_kind
+        (** An ordering-engine timer: the arming node's epoch and the
+            engine's kind (exposed for tests). It is the key the runtime
+            keeps one pending timer under, so each token visit's re-arm
+            supersedes the last visit's. Every node gets its own epoch,
+            so a timer armed by a torn-down configuration's node neither
+            supersedes its successor's timers nor acts when it fires into
+            the successor. Each node builds its two [Arm_timer] actions
+            once; this is the one wrapper a timer gets on its way to the
             runtime. *)
 
 type queue_stats = {

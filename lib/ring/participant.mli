@@ -14,12 +14,14 @@
 
     Timers are an extensible variant so each layer (ordering engine,
     membership algorithm) can add its own keys; runtimes treat them as
-    opaque tokens to hand back after the requested delay. *)
+    opaque keys to hand back after the requested delay, keeping at most
+    one pending timer per key (see [Arm_timer]). *)
 
 open Aring_wire
 
 type timer = ..
-(** Opaque timer key, extended by each protocol layer. *)
+(** Opaque timer key, extended by each protocol layer. Keys are compared
+    and hashed structurally, so they must hold no functional values. *)
 
 type view = {
   view_id : Types.ring_id;
@@ -38,7 +40,12 @@ type action =
   | Deliver_config of view
       (** Configuration change notification, ordered with respect to the
           message stream (EVS semantics). *)
-  | Arm_timer of timer * int  (** Delay in nanoseconds. *)
+  | Arm_timer of timer * int
+      (** [Arm_timer (key, delay_ns)] sets [key]'s one pending timer to
+          fire [delay_ns] from now. If a timer structurally equal to [key]
+          is still pending, this one replaces it: the superseded timer is
+          never handed to [fire_timer]. A key that has fired may be armed
+          again. *)
   | Token_loss_detected
       (** Only emitted by a bare {!Node}; a {!Member} handles token loss
           internally by starting the membership algorithm. *)

@@ -11,13 +11,19 @@ module Metrics = Aring_obs.Metrics
    (immediate ints), and freed slots are recycled through an index stack.
    Scheduling a packet arrival touches no closure, no tuple and no variant
    cell — it writes fields of a recycled record. Ordering is exactly the
-   seed semantics: (timestamp clamped to now, monotonic insertion seq). *)
+   seed semantics: (timestamp clamped to now, monotonic insertion seq).
+
+   A node keeps one pending timer per key: each node's key table points
+   at the arena slot of that key's pending timer, and re-arming the key
+   marks the old slot [Cancelled]. A cancelled slot stays in the heap
+   until it reaches the top, where it is recycled without touching the
+   clock or any node. *)
 
 type Participant.timer += No_timer
 (* Placeholder stored in freed slots so they retain no live timer. Never
    dispatched. *)
 
-type ev_kind = Free | Arrival | Cpu_run | Timer | Port_drain | Call
+type ev_kind = Free | Arrival | Cpu_run | Timer | Cancelled | Port_drain | Call
 
 type ev = {
   mutable at : int;
@@ -87,6 +93,10 @@ type t = {
   mutable view_cb : at:int -> now:int -> Participant.view -> unit;
   mutable token_loss_cb : at:int -> now:int -> unit;
   stats : stats;
+  (* Per node: timer key -> arena slot of that key's pending timer. *)
+  pending_timers : (Participant.timer, int) Hashtbl.t array;
+  mutable timers_fired : int;
+  mutable timers_superseded : int;
 }
 
 let now t = t.now
@@ -142,12 +152,22 @@ let sched_cpu t at node =
   e.node <- node;
   enqueue t at i
 
+(* Arm [node]'s timer [timer], superseding a pending one of equal key. *)
 let sched_timer t at node timer =
+  let pending = t.pending_timers.(node) in
+  (match Hashtbl.find pending timer with
+  | old ->
+      let e = (!(t.arena)).(old) in
+      e.kind <- Cancelled;
+      e.timer <- No_timer;
+      t.timers_superseded <- t.timers_superseded + 1
+  | exception Not_found -> ());
   let i = alloc_ev t in
   let e = (!(t.arena)).(i) in
   e.kind <- Timer;
   e.node <- node;
   e.timer <- timer;
+  Hashtbl.replace pending timer i;
   enqueue t at i
 
 let sched_drain t at node size =
@@ -326,7 +346,9 @@ let dispatch t kind node size msg timer fn =
             wake_cpu t node
       end
   | Timer ->
+      Hashtbl.remove t.pending_timers.(node) timer;
       if t.alive.(node) then begin
+        t.timers_fired <- t.timers_fired + 1;
         let actions = t.parts.(node).fire_timer timer in
         if actions <> [] then begin
           let cursor = max t.now t.cpu_busy.(node) + 500 in
@@ -336,14 +358,14 @@ let dispatch t kind node size msg timer fn =
       end
   | Port_drain -> t.port_bytes.(node) <- t.port_bytes.(node) - size
   | Call -> fn ()
-  | Free -> assert false
+  | Free | Cancelled -> assert false
 
 (* Pop the minimum event, copy its fields out, recycle the slot, then
-   dispatch — handlers may schedule into (and reuse) the freed slot. *)
+   dispatch — handlers may schedule into (and reuse) the freed slot. A
+   superseded timer is only recycled: the clock stays where it is. *)
 let step t =
   let i = Heap.pop_exn t.events in
   let e = (!(t.arena)).(i) in
-  t.now <- e.at;
   let kind = e.kind and node = e.node and size = e.size in
   let msg = e.msg and timer = e.timer and fn = e.fn in
   e.kind <- Free;
@@ -352,7 +374,10 @@ let step t =
   e.fn <- ignore;
   t.free_stack.(t.free_top) <- i;
   t.free_top <- t.free_top + 1;
-  dispatch t kind node size msg timer fn
+  if kind <> Cancelled then begin
+    t.now <- e.at;
+    dispatch t kind node size msg timer fn
+  end
 
 let initial_arena = 256
 
@@ -400,6 +425,9 @@ let create ~net ~tiers ~participants ?(seed = 1L) () =
           random_losses = 0;
           partition_drops = 0;
         };
+      pending_timers = Array.init n (fun _ -> Hashtbl.create 8);
+      timers_fired = 0;
+      timers_superseded = 0;
     }
   in
   (* Trace timestamps follow the simulated clock while this simulator is
@@ -481,7 +509,9 @@ let record_metrics t reg =
   c "netsim.packets_sent" t.stats.packets_sent;
   c "netsim.switch_drops" t.stats.switch_drops;
   c "netsim.random_losses" t.stats.random_losses;
-  c "netsim.partition_drops" t.stats.partition_drops
+  c "netsim.partition_drops" t.stats.partition_drops;
+  c "netsim.timers_fired" t.timers_fired;
+  c "netsim.timers_superseded" t.timers_superseded
 
 let run_until t horizon =
   let continue = ref true in

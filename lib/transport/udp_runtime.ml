@@ -11,6 +11,14 @@ type peer = {
   token_port : int;
 }
 
+(* A timer in the heap; [live] is cleared when a re-arm of its key
+   supersedes it, and a dead entry is dropped when it reaches the top. *)
+type armed = {
+  at : int;  (* absolute ns *)
+  timer : Participant.timer;
+  mutable live : bool;
+}
+
 type t = {
   me : Types.pid;
   peers : (Types.pid * Unix.sockaddr * Unix.sockaddr) list;
@@ -18,7 +26,9 @@ type t = {
   participant : Participant.t;
   data_sock : Unix.file_descr;
   token_sock : Unix.file_descr;
-  timers : (int * Participant.timer) Heap.t;  (* absolute ns *)
+  timers : armed Heap.t;
+  pending : (Participant.timer, armed) Hashtbl.t;
+      (* The live heap entry of every pending timer key. *)
   recv_buf : bytes;
   pool : Message.Pool.pool;
       (* Reusable encode scratch + decode cursor: sends go straight from
@@ -63,7 +73,8 @@ let create ~me ~peers ~participant ?(on_deliver = fun _ -> ())
     participant;
     data_sock = make_socket ~port:self.data_port;
     token_sock = make_socket ~port:self.token_port;
-    timers = Heap.create ~cmp:(fun (a, _) (b, _) -> compare a b);
+    timers = Heap.create ~cmp:(fun a b -> Int.compare a.at b.at);
+    pending = Hashtbl.create 8;
     recv_buf = Bytes.create 65536;
     pool = Message.Pool.create ~initial_capacity:65536 ();
     on_deliver;
@@ -123,22 +134,33 @@ let rec interpret t actions =
       | Participant.Deliver d -> t.on_deliver d
       | Participant.Deliver_config v -> t.on_view v
       | Participant.Arm_timer (timer, delay_ns) ->
-          Heap.push t.timers (now_ns () + delay_ns, timer)
+          (match Hashtbl.find t.pending timer with
+          | old -> old.live <- false
+          | exception Not_found -> ());
+          let armed = { at = now_ns () + delay_ns; timer; live = true } in
+          Hashtbl.replace t.pending timer armed;
+          Heap.push t.timers armed
       | Participant.Token_loss_detected ->
           (* A bare Node would surface this; a Member handles it itself. *)
           ())
     actions
 
+(* The earliest live timer, after dropping the superseded ones above it. *)
+and next_timer t =
+  match Heap.peek t.timers with
+  | Some a when not a.live ->
+      ignore (Heap.pop_exn t.timers);
+      next_timer t
+  | next -> next
+
 and fire_due_timers t =
-  let rec loop () =
-    match Heap.peek t.timers with
-    | Some (at, _) when at <= now_ns () ->
-        let _, timer = Heap.pop_exn t.timers in
-        interpret t (t.participant.fire_timer timer);
-        loop ()
-    | Some _ | None -> ()
-  in
-  loop ()
+  match next_timer t with
+  | Some a when a.at <= now_ns () ->
+      ignore (Heap.pop_exn t.timers);
+      Hashtbl.remove t.pending a.timer;
+      interpret t (t.participant.fire_timer a.timer);
+      fire_due_timers t
+  | Some _ | None -> ()
 
 let drain_socket t sock =
   let budget = ref 128 in
@@ -170,10 +192,10 @@ let run t ~duration_s =
     let timeout_s =
       if t.participant.has_work () then 0.0
       else begin
-        let next_timer =
-          match Heap.peek t.timers with Some (at, _) -> at | None -> deadline
+        let next =
+          match next_timer t with Some a -> a.at | None -> deadline
         in
-        let until = min next_timer deadline - now_ns () in
+        let until = min next deadline - now_ns () in
         Float.max 0.0 (float_of_int until /. 1e9)
       end
     in

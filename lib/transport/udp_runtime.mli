@@ -10,7 +10,11 @@
     Routing: tokens and commit tokens travel to the token port, data and
     join messages to the data port; the participant's own priority policy
     (Section III-C) then chooses which queue to serve, exactly as in the
-    simulator. *)
+    simulator.
+
+    Timers: one pending timer per key. Re-arming a pending key supersedes
+    the old timer, which is dropped unfired, and [select] sleeps until the
+    earliest live timer. *)
 
 open Aring_wire
 open Aring_ring

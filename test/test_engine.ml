@@ -117,22 +117,33 @@ let test_foreign_ring_ignored () =
 (* -------------------------------------------------------------------- *)
 (* Token retransmission and loss timers                                  *)
 
+(* The timers an output list arms, in order. *)
+let timers_of outputs =
+  List.filter_map
+    (function Engine.Set_timer (kind, _) -> Some kind | _ -> None)
+    outputs
+
+let kind_name = function
+  | Engine.Token_retransmit -> "retransmit"
+  | Engine.Token_loss -> "loss"
+
+(* An accepted token ends its outputs by arming both timers; the runtime
+   keeps one pending timer per kind, so a fire is always the latest
+   arm's and the engine needs no generation to tell it from an old one. *)
 let test_token_retransmit_then_evidence () =
   let params = Params.accelerated () in
   let eng = Engine.create ~params ~ring_id:rid ~ring:[| 0; 1 |] ~me:0 in
   let outputs = Engine.handle eng (Engine.Token_received (Engine.initial_token rid)) in
-  let retrans_timer =
-    List.find_map
-      (function
-        | Engine.Set_timer (Engine.Token_retransmit, g, _) -> Some g
-        | _ -> None)
-      outputs
-  in
-  let gen = Option.get retrans_timer in
-  (* No progress observed: the timer fires and the token is re-sent. *)
-  let fired = Engine.handle eng (Engine.Timer_expired (Engine.Token_retransmit, gen)) in
+  check (Alcotest.list Alcotest.string) "visit arms retransmit then loss"
+    [ "retransmit"; "loss" ]
+    (List.map kind_name (timers_of outputs));
+  (* No progress observed: the timer fires, the token is re-sent and the
+     timer re-armed. *)
+  let fired = Engine.handle eng (Engine.Timer_expired Engine.Token_retransmit) in
   check Alcotest.int "token re-sent" 1 (List.length (tokens_of fired));
   check Alcotest.int "retransmit counted" 1 (Engine.stats eng).token_retransmits;
+  check (Alcotest.list Alcotest.string) "retransmit re-armed" [ "retransmit" ]
+    (List.map kind_name (timers_of fired));
   (* Evidence: data initiated by the successor in our round. *)
   let evidence : Message.data =
     {
@@ -146,37 +157,31 @@ let test_token_retransmit_then_evidence () =
     }
   in
   ignore (Engine.handle eng (Engine.Data_received evidence));
-  let stale = Engine.handle eng (Engine.Timer_expired (Engine.Token_retransmit, gen)) in
-  check Alcotest.int "stale timer does nothing" 0 (List.length stale)
+  let stale = Engine.handle eng (Engine.Timer_expired Engine.Token_retransmit) in
+  check Alcotest.int "stale after progress evidence does nothing" 0
+    (List.length stale);
+  check Alcotest.int "no further retransmit" 1 (Engine.stats eng).token_retransmits
 
 let test_token_loss_fires () =
   let params = Params.accelerated () in
   let eng = Engine.create ~params ~ring_id:rid ~ring:[| 0; 1 |] ~me:0 in
-  let outputs = Engine.handle eng (Engine.Token_received (Engine.initial_token rid)) in
-  let loss_gen =
-    List.find_map
-      (function
-        | Engine.Set_timer (Engine.Token_loss, g, _) -> Some g | _ -> None)
-      outputs
-    |> Option.get
-  in
-  let fired = Engine.handle eng (Engine.Timer_expired (Engine.Token_loss, loss_gen)) in
-  check Alcotest.bool "token lost reported" true
-    (List.exists (function Engine.Token_lost -> true | _ -> false) fired);
-  (* A stale loss timer (after a newer token) must not fire. *)
-  let eng2 = Engine.create ~params ~ring_id:rid ~ring:[| 0; 1 |] ~me:0 in
-  let out1 = Engine.handle eng2 (Engine.Token_received (Engine.initial_token rid)) in
-  let gen1 =
-    List.find_map
-      (function
-        | Engine.Set_timer (Engine.Token_loss, g, _) -> Some g | _ -> None)
-      out1
-    |> Option.get
-  in
+  check (Alcotest.list Alcotest.string) "start arms loss" [ "loss" ]
+    (List.map kind_name (timers_of (Engine.start_timers eng)));
+  let out1 = Engine.handle eng (Engine.Token_received (Engine.initial_token rid)) in
   let _, tok1 = List.hd (tokens_of out1) in
-  ignore (Engine.handle eng2 (Engine.Token_received tok1));
-  let stale = Engine.handle eng2 (Engine.Timer_expired (Engine.Token_loss, gen1)) in
-  check Alcotest.int "stale loss timer ignored" 0 (List.length stale)
+  (* A later token re-arms the same two timer values: the outputs are
+     built once per engine, not per visit. *)
+  let out2 = Engine.handle eng (Engine.Token_received tok1) in
+  let timer_values outputs =
+    List.filter (function Engine.Set_timer _ -> true | _ -> false) outputs
+  in
+  check Alcotest.bool "second visit re-arms the same values" true
+    (List.for_all2 ( == ) (timer_values out1) (timer_values out2));
+  (* The loss timer still pending is the second visit's: its fire means
+     no token came since, and reports the loss. *)
+  let fired = Engine.handle eng (Engine.Timer_expired Engine.Token_loss) in
+  check Alcotest.bool "token lost reported" true
+    (List.exists (function Engine.Token_lost -> true | _ -> false) fired)
 
 (* -------------------------------------------------------------------- *)
 (* Safe-delivery gating: a two-participant hand-driven scenario          *)

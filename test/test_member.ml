@@ -978,8 +978,8 @@ let qtest = QCheck_alcotest.to_alcotest
 
 (* A singleton member installs a second configuration; the timers its
    first node armed then fire into the second node as no-ops. Both
-   engines start their timer generations at zero, so only the node's
-   epoch tells the old token-loss timer from the new one. *)
+   engines key their timers by kind alone, so only the node's epoch
+   tells the old token-loss timer from the new one. *)
 let test_torn_down_node_timer_is_ignored () =
   let m = Member.create ~params:test_params ~me:0 () in
   let p = Member.participant m in

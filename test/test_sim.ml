@@ -486,6 +486,31 @@ let test_asym_validation () =
       Netsim.set_latency_classes c.sim ~classes:[| 0; 0; 0; 0 |]
         ~matrix:[| [| 0; 1 |] |])
 
+(* Key "a" armed at 100 and again at 200 ns, "b" at 150: one "a" fires,
+   at the later deadline, and the superseded one is counted. *)
+let test_rearm_supersedes () =
+  let sim = ref None in
+  let p, fires =
+    Timer_probe.create
+      ~now:(fun () -> Netsim.now (Option.get !sim))
+      ~a1:100 ~b:150 ~a2:200
+  in
+  let s =
+    Netsim.create ~net:Profile.gigabit ~tiers:[| Profile.library |]
+      ~participants:[| p |] ()
+  in
+  sim := Some s;
+  Netsim.run_until s 1_000;
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
+    "one a at the later deadline, one b" [ ("b", 150); ("a", 200) ]
+    (fires ());
+  let reg = Aring_obs.Metrics.create () in
+  Netsim.record_metrics s reg;
+  let count = Aring_obs.Metrics.counter_value reg in
+  check Alcotest.int "timers fired" 2 (count "netsim.timers_fired");
+  check Alcotest.int "timers superseded" 1 (count "netsim.timers_superseded")
+
 let suite =
   [
     ("idle token circulates", `Quick, test_idle_token_circulates);
@@ -514,4 +539,5 @@ let suite =
     ("latency classes honored", `Quick, test_latency_classes_honored);
     ("asym deterministic replay", `Quick, test_asym_deterministic_replay);
     ("asym validation", `Quick, test_asym_validation);
+    ("re-armed timer supersedes", `Quick, test_rearm_supersedes);
   ]

@@ -134,8 +134,35 @@ let test_daemon_stack_over_udp () =
     (String.concat "," (Aring_daemon.Daemon.group_members daemons.(0) "room"))
     (String.concat "," (Aring_daemon.Daemon.group_members daemons.(1) "room"))
 
+(* Key "a" armed at 20 ms and again at 60 ms, "b" at 40 ms: the loop
+   fires one "b", then one "a" no earlier than 60 ms after the run
+   began. *)
+let test_rearm_supersedes () =
+  let ms n = n * 1_000_000 in
+  let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9) in
+  let p, fires =
+    Timer_probe.create ~now:now_ns ~a1:(ms 20) ~b:(ms 40) ~a2:(ms 60)
+  in
+  let base = base_port + 200 in
+  let rt =
+    Udp_runtime.create ~me:0
+      ~peers:
+        [ { Udp_runtime.pid = 0; host = "127.0.0.1"; data_port = base;
+            token_port = base + 1 } ]
+      ~participant:p ()
+  in
+  let t0 = now_ns () in
+  Udp_runtime.run rt ~duration_s:0.15;
+  Udp_runtime.close rt;
+  let fires = fires () in
+  check (Alcotest.list Alcotest.string) "one b, then one a" [ "b"; "a" ]
+    (List.map fst fires);
+  check Alcotest.bool "a fires at the later deadline" true
+    (List.assoc "a" fires - t0 >= ms 60)
+
 let suite =
   [
     ("3-node UDP ring", `Slow, test_three_node_udp_ring);
     ("daemon stack over UDP", `Slow, test_daemon_stack_over_udp);
+    ("re-armed timer supersedes", `Quick, test_rearm_supersedes);
   ]
