@@ -1,11 +1,12 @@
 (* Hot-path allocation benchmark (`-- hotpath [quick]`): allocated bytes
    per message of the pooled codec against the Buffer-based reference
-   encoder, of the KV write path's app payload (encode, and delivery to
-   a replica), of the daemon's idle token visit and group change, per
-   item of the multi-ring learner merge, per call of the shared host
-   primitives (FNV-1a, the PRNG, histogram and sample accumulators), and
-   allocation and host rate of the full simulated pipeline. Gated by
-   bench/hotpath_budget.json. Schema documented in EXPERIMENTS.md. *)
+   encoder, of the KV write path's app payload (its one-pass write, and
+   delivery to a replica), of the daemon's idle token visit and group
+   change, per item of the multi-ring learner merge, per call of the
+   shared host primitives (FNV-1a, the PRNG, histogram and sample
+   accumulators), and allocation and host rate of the full simulated
+   pipeline. Gated by bench/hotpath_budget.json. Schema documented in
+   EXPERIMENTS.md. *)
 
 open Aring_wire
 open Aring_ring
@@ -38,16 +39,14 @@ let alloc_per_call ~iters f =
 
 let value_bytes = 1024
 
-(* The KV write path's payload encode: a put's op, then the envelope
-   carrying it to the KV group. *)
-let put_envelope value =
-  Envelope.encode
-    (Envelope.App
-       {
-         sender = "#kv#1";
-         groups = [ Kv.group ];
-         payload = Op.encode (Op.Put { key = "k00001"; value });
-       })
+(* The KV write path's payload: a put's op written once, by [Op.write],
+   inside the envelope carrying it to the KV group, and the exact-size
+   frame copied out, as a daemon writes its submission frame. *)
+let kv_groups = [ Kv.group ]
+
+let write_put s op = Envelope.write_app s ~sender:"#kv#1" ~groups:kv_groups Op.write op
+
+let put_envelope value = Codec.encode_exact write_put (Op.Put { key = "k00001"; value })
 
 let ring_size = 4
 
@@ -258,7 +257,7 @@ let run ~quick =
   let app_deliver = alloc_per_call ~iters (deliver_put (put_envelope value)) in
   Printf.printf
     "app payload (bytes allocated, %d B put):\n\
-    \  encode (op + envelope) %8.1f per put\n\
+    \  one-pass write (op in its envelope) %8.1f per put\n\
     \  deliver to a KV replica %8.1f per message\n%!"
     value_bytes app_encode app_deliver;
   let visit_alloc = alloc_per_call ~iters (idle_token_visit ()) in

@@ -183,8 +183,11 @@ let trace_xfer t ~phase ~donor ~applied ~entries =
           (Trace.App_xfer { view; donor; phase; applied; entries })
     | None -> ()
 
+let groups = [ group ]
+
+(* The op is written once, by [Op.write], into the daemon's frame. *)
 let multicast_op ?service t op =
-  Daemon.multicast t.daemon t.session ?service ~groups:[ group ] (Op.encode op)
+  Daemon.multicast_write t.daemon t.session ?service ~groups Op.write op
 
 (* --- op-log execution ------------------------------------------------ *)
 

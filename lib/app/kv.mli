@@ -36,7 +36,12 @@
     mid-transfer. If no synced member exists, every member deterministically
     cold-resets to the empty store.
 
-    One replica per daemon; all replicas join one group. *)
+    One replica per daemon; all replicas join one group.
+
+    Every op a replica multicasts is written once, by {!Op.write},
+    straight into the daemon's submission frame
+    ({!Aring_daemon.Daemon.multicast_write}): no encoded op is built
+    first. *)
 
 open Aring_wire
 

@@ -7,10 +7,9 @@ type partition = { part_at_ns : int; heal_at_ns : int; island : int list }
 let ms n = n * 1_000_000
 
 let pad tag bytes =
-  let len = max (String.length tag) bytes in
-  let b = Bytes.make len '.' in
+  let b = Bytes.make (max (String.length tag) bytes) '.' in
   Bytes.blit_string tag 0 b 0 (String.length tag);
-  Bytes.to_string b
+  Bytes.unsafe_to_string b
 
 (* Fast membership timeouts: scenario runs are short, and partition
    merges must complete well inside the drain budget. *)

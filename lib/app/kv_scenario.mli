@@ -23,7 +23,8 @@ val snappy_params : unit -> Aring_ring.Params.t
 
 val pad : string -> int -> string
 (** [pad tag bytes]: a workload value of [max bytes (length tag)] bytes
-    that starts with the unique [tag], padded with dots. *)
+    that starts with the unique [tag], padded with dots. The result is
+    the one allocation. *)
 
 type cluster = {
   sim : Netsim.t;  (** Not yet run. *)

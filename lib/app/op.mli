@@ -90,9 +90,14 @@ type t =
           retried [Mcas] copies and reconstructs the donor's park instead
           of silently dropping an undecided cross-shard cas. *)
 
+val write : Codec.scratch -> t -> unit
+(** Append the op's encoding to a scratch. The KV write path passes it
+    to [Aring_daemon.Daemon.multicast_write], so an op is written once,
+    straight into the frame the daemon submits. *)
+
 val encode : t -> bytes
 (** Exact-size encoding, written through the shared scratch
-    ({!Aring_wire.Codec.encode_exact}). *)
+    ({!Aring_wire.Codec.encode_exact}): the bytes {!write} puts. *)
 
 val decode : bytes -> t
 (** @raise Aring_wire.Codec.Decode_error on malformed input. *)

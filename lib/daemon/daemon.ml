@@ -10,6 +10,15 @@ type callbacks = {
   on_group_view : group:string -> members:string list Lazy.t -> unit;
 }
 
+(* A delivery parked for a slow receiver. One is built per routed
+   delivery, however many slow inboxes it goes to. *)
+type parked = {
+  p_sender : string;
+  p_groups : string list;
+  p_service : Types.service;
+  p_payload : Codec.view;
+}
+
 type session = {
   s_name : string;
   s_member : string;  (* canonical "#name#daemon" identity *)
@@ -19,8 +28,7 @@ type session = {
   (* Slow-receiver mode: [Some q] parks delivered messages in [q]
      instead of invoking [on_message]; the client drains with {!pump} at
      its own pace, off the daemon's delivery path. *)
-  mutable s_inbox :
-    (string * string list * Types.service * Codec.view) Deque.t option;
+  mutable s_inbox : parked Deque.t option;
 }
 
 type stats = {
@@ -58,15 +66,18 @@ type t = {
   mutable r_service : Types.service;
   mutable r_payload : Codec.view;
   mutable r_count : int;  (* recipients handed the delivery *)
+  mutable r_parked : parked;  (* built at its first slow recipient *)
   stats : stats;
   packing : bool;
   pack_threshold : int;
-  (* Packing buffer: envelopes awaiting the next flush, oldest first, all
-     of [pack_service]. A service change flushes to preserve order. *)
-  mutable pack_buffer : Envelope.t list;
-  mutable pack_bytes : int;
+  (* Every submission is written once into [frame], which holds the
+     [pack_count] envelopes awaiting the next flush, back to back, all of
+     [pack_service] (unpacked, it is submitted at once). A service change
+     flushes to preserve order. *)
+  mutable frame : Codec.scratch;
+  mutable pack_count : int;
   mutable pack_service : Types.service;
-  (* Span stamps parallel to [pack_buffer] (newest first); 0 when no
+  (* Span stamps of the buffered envelopes (newest first); 0 when no
      span collector was attached at buffering time. *)
   mutable pack_stamps : int list;
   (* Application-layer hook: every delivered configuration (transitional
@@ -77,6 +88,9 @@ type t = {
 }
 
 let no_payload = Codec.view Bytes.empty ~pos:0 ~len:0
+
+let no_parked =
+  { p_sender = ""; p_groups = []; p_service = Types.Agreed; p_payload = no_payload }
 
 let create ?(packing = false) ?(pack_threshold = 1300) ~member () =
   {
@@ -93,6 +107,7 @@ let create ?(packing = false) ?(pack_threshold = 1300) ~member () =
     r_service = Types.Agreed;
     r_payload = no_payload;
     r_count = 0;
+    r_parked = no_parked;
     stats =
       {
         client_deliveries = 0;
@@ -102,8 +117,8 @@ let create ?(packing = false) ?(pack_threshold = 1300) ~member () =
       };
     packing;
     pack_threshold;
-    pack_buffer = [];
-    pack_bytes = 0;
+    frame = Codec.scratch ();
+    pack_count = 0;
     pack_service = Types.Agreed;
     pack_stamps = [];
     on_view = None;
@@ -155,8 +170,9 @@ let set_slow_receiver _t s slow =
     (match s.s_inbox with
     | Some q ->
         Deque.iter
-          (fun (sender, groups, service, payload) ->
-            s.s_callbacks.on_message ~sender ~groups service payload)
+          (fun p ->
+            s.s_callbacks.on_message ~sender:p.p_sender ~groups:p.p_groups
+              p.p_service p.p_payload)
           q
     | None -> ());
     s.s_inbox <- None
@@ -174,55 +190,91 @@ let pump _t s ~max =
       while !continue && !n < max do
         match Deque.pop_front q with
         | None -> continue := false
-        | Some (sender, groups, service, payload) ->
+        | Some p ->
             incr n;
-            s.s_callbacks.on_message ~sender ~groups service payload
+            s.s_callbacks.on_message ~sender:p.p_sender ~groups:p.p_groups
+              p.p_service p.p_payload
       done;
       !n
 
-let submit_plain t service env =
-  Member.submit t.member service (Envelope.encode env)
-
-(* Flush the packing buffer as one Batch (or a plain envelope when it
-   holds a single entry). *)
 let note_packed t =
   List.iter
     (fun submit_ns -> if submit_ns > 0 then Span.note_packed ~submit_ns)
     t.pack_stamps;
   t.pack_stamps <- []
 
-let flush t =
-  match t.pack_buffer with
-  | [] -> ()
-  | [ env ] ->
-      note_packed t;
-      submit_plain t t.pack_service env;
-      t.pack_buffer <- [];
-      t.pack_bytes <- 0
-  | entries ->
+(* Submit the [count] envelopes in the first [len] bytes of the frame:
+   one as it is, two or more behind a Batch header. *)
+let submit_frame t service ~len ~count =
+  let buf = Codec.scratch_buffer t.frame in
+  let payload =
+    if count = 1 then Bytes.sub buf 0 len
+    else begin
       t.stats.packs_sent <- t.stats.packs_sent + 1;
-      t.stats.envelopes_packed <- t.stats.envelopes_packed + List.length entries;
-      note_packed t;
-      submit_plain t t.pack_service (Envelope.Batch (List.rev entries));
-      t.pack_buffer <- [];
-      t.pack_bytes <- 0
+      t.stats.envelopes_packed <- t.stats.envelopes_packed + count;
+      Envelope.batch buf ~len ~count
+    end
+  in
+  Member.submit t.member service payload
 
-let submit_envelope t service env =
-  if not t.packing then submit_plain t service env
+(* Past this capacity an emptied frame is dropped, so one outsized
+   submission (a large client multicast) does not stay resident. *)
+let frame_keep = 65_536
+
+let reset_frame t =
+  if Bytes.length (Codec.scratch_buffer t.frame) > frame_keep then
+    t.frame <- Codec.scratch ()
+  else Codec.scratch_reset t.frame
+
+(* Submit the buffered envelopes, the first [len] bytes of the frame, as
+   one Batch (or as it is when there is one). *)
+let submit_buffered t len =
+  note_packed t;
+  submit_frame t t.pack_service ~len ~count:t.pack_count;
+  t.pack_count <- 0
+
+let flush t =
+  if t.pack_count > 0 then begin
+    submit_buffered t (Codec.scratch_length t.frame);
+    reset_frame t
+  end
+
+(* The envelope just written at [start] of the frame, after any still
+   buffered: submit it, or buffer it for the next flush. *)
+let written t service start =
+  let len = Codec.scratch_length t.frame in
+  if not t.packing then begin
+    submit_frame t service ~len ~count:1;
+    reset_frame t
+  end
   else begin
-    let size = Envelope.encoded_size env in
+    let size = len - start in
     if
-      (t.pack_buffer <> [] && not (Types.service_equal service t.pack_service))
-      || t.pack_bytes + size > t.pack_threshold
-    then flush t;
-    if size >= t.pack_threshold then submit_plain t service env
+      t.pack_count > 0
+      && ((not (Types.service_equal service t.pack_service))
+         || start + size > t.pack_threshold)
+    then begin
+      (* Flush what was buffered before it, then move it to the front. *)
+      submit_buffered t start;
+      let buf = Codec.scratch_buffer t.frame in
+      Bytes.blit buf start buf 0 size;
+      Codec.scratch_truncate t.frame size
+    end;
+    if size >= t.pack_threshold then begin
+      submit_frame t service ~len:size ~count:1;
+      reset_frame t
+    end
     else begin
       t.pack_service <- service;
-      t.pack_buffer <- env :: t.pack_buffer;
-      t.pack_stamps <- Span.submit_stamp () :: t.pack_stamps;
-      t.pack_bytes <- t.pack_bytes + size
+      t.pack_count <- t.pack_count + 1;
+      t.pack_stamps <- Span.submit_stamp () :: t.pack_stamps
     end
   end
+
+let submit_envelope t service env =
+  let start = Codec.scratch_length t.frame in
+  Envelope.write t.frame env;
+  written t service start
 
 let routes_of t group =
   match Hashtbl.find t.routes group with
@@ -283,10 +335,19 @@ let disconnect t s =
     Hashtbl.remove t.sessions s.s_name
   end
 
-let multicast t s ?(service = Types.Agreed) ~groups payload =
-  if s.s_open then
-    submit_envelope t service
-      (Envelope.App { sender = s.s_member; groups; payload })
+let multicast_write t s ?(service = Types.Agreed) ~groups write x =
+  if s.s_open then begin
+    let start = Codec.scratch_length t.frame in
+    (match Envelope.write_app t.frame ~sender:s.s_member ~groups write x with
+    | () -> ()
+    | exception e ->
+        Codec.scratch_truncate t.frame start;
+        raise e);
+    written t service start
+  end
+
+let multicast t s ?service ~groups payload =
+  multicast_write t s ?service ~groups Codec.put_raw payload
 
 (* Tell the local sessions in [group]'s table, in name order. [members]
    is forced only by a reader. *)
@@ -331,11 +392,21 @@ let route_one name _halves t =
       t.r_count <- t.r_count + 1;
       (* A slow receiver parks the message; the daemon's routing work
          (and the Deliver action's CPU charge) happens either way, so one
-         stalled client never blocks the others. The payload is a view
+         stalled client never blocks the others. Every slow inbox the
+         delivery reaches parks the same record. The payload is a view
          into the delivered frame wherever it goes: parked or handed
          over, it keeps that buffer alive, never a copy of it. *)
       (match s.s_inbox with
-      | Some q -> Deque.push_back q (t.r_sender, t.r_groups, t.r_service, t.r_payload)
+      | Some q ->
+          if t.r_parked == no_parked then
+            t.r_parked <-
+              {
+                p_sender = t.r_sender;
+                p_groups = t.r_groups;
+                p_service = t.r_service;
+                p_payload = t.r_payload;
+              };
+          Deque.push_back q t.r_parked
       | None ->
           s.s_callbacks.on_message ~sender:t.r_sender ~groups:t.r_groups t.r_service
             t.r_payload);
@@ -361,6 +432,7 @@ let rec apply_envelope t (d : Message.data) (env : Envelope.parsed) =
       t.r_count <- 0;
       ignore (Names.fold route_one (recipients t groups) t);
       t.r_payload <- no_payload;
+      t.r_parked <- no_parked;
       t.r_count
   | Envelope.Join { member; group } ->
       if Groups.join t.groups ~group ~member then begin

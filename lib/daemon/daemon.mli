@@ -39,7 +39,13 @@
     table holds, with no copy; a single-group App envelope is routed
     with no closure; and the engine's own [Deliver] action is handed on
     once per recipient, the action list coming back as it went in when
-    every delivery has one. *)
+    every delivery has one.
+
+    Submission is written once. Every client operation (App, Join,
+    Leave) is written into one frame buffer per daemon, an App payload
+    by its own writer ({!multicast_write}), and the frame is copied out
+    once, at exact size, when it is submitted: at once, or at a packing
+    flush, behind a Batch header when it holds two or more. *)
 
 open Aring_wire
 open Aring_ring
@@ -80,7 +86,11 @@ val create : ?packing:bool -> ?pack_threshold:int -> member:Member.t -> unit -> 
     With [~packing:true] (default false), small client envelopes are
     packed into a single protocol packet of at most [pack_threshold]
     bytes (default 1300) — Spread's packing feature for amortizing
-    per-packet costs over small messages. Buffered submissions are
+    per-packet costs over small messages. Every submission (App, Join,
+    Leave) is written once into one frame buffer: unpacked, the frame
+    is submitted at once; packed, envelopes accumulate in it back to
+    back, and a flush submits a single one as it is or puts a Batch
+    header in front of two or more. Buffered submissions are
     flushed together when a token or commit token arrives for
     processing, and when a live timer fires. A timer superseded by a
     re-arm of its key never fires (see {!Participant.action}), so it
@@ -139,7 +149,8 @@ val session_member_name : t -> session -> string
     daemon observe identical delivery timing. The inbox parks each
     payload as the view delivery made, not a copy; it stays valid
     however long it waits, after the engine has dropped the message it
-    came in. *)
+    came in. One record per delivery holds what is parked, shared by
+    every slow inbox the delivery reaches. *)
 
 val set_slow_receiver : t -> session -> bool -> unit
 (** [set_slow_receiver t s true] installs the inbox (idempotent);
@@ -160,6 +171,22 @@ val join : t -> session -> string -> unit
 val leave : t -> session -> string -> unit
 (** Ordered group leave. Leaving a group the session is not a member of
     is an idempotent no-op (nothing rides the ring). *)
+
+val multicast_write :
+  t ->
+  session ->
+  ?service:Types.service ->
+  groups:string list ->
+  (Codec.scratch -> 'a -> unit) ->
+  'a ->
+  unit
+(** [multicast_write t s ~groups write x] multicasts the payload [write]
+    puts for [x], written once, in place, into the frame the daemon
+    submits ({!Envelope.write_app}): the same traffic as {!multicast} of
+    [Codec.encode_exact write x], with no payload bytes built first.
+    Every submission takes this path; {!multicast} is its caller with a
+    bytes payload. If [write] raises, nothing is submitted and the
+    exception is passed on. *)
 
 val multicast :
   t -> session -> ?service:Types.service -> groups:string list -> bytes -> unit

@@ -16,13 +16,16 @@ let tag_batch = 4
 
 let put_string s str = Codec.put_bytes s (Bytes.unsafe_of_string str)
 
+let write_app s ~sender ~groups write x =
+  Codec.put_u8 s tag_app;
+  put_string s sender;
+  Codec.put_list s (put_string s) groups;
+  Codec.put_sub s write x
+
 let rec write s t =
   match t with
   | App { sender; groups; payload } ->
-      Codec.put_u8 s tag_app;
-      put_string s sender;
-      Codec.put_list s (put_string s) groups;
-      Codec.put_bytes s payload
+      write_app s ~sender ~groups Codec.put_raw payload
   | Join { member; group } ->
       Codec.put_u8 s tag_join;
       put_string s member;
@@ -41,6 +44,13 @@ let rec write s t =
         entries
 
 let encode t = Codec.encode_exact write t
+
+(* A Batch is its tag, its count, then its entries back to back. *)
+let batch entries ~len ~count =
+  let b = Bytes.create (5 + len) in
+  let pos = Codec.set_i32 b (Codec.set_u8 b 0 tag_batch) count in
+  Bytes.blit entries 0 b pos len;
+  b
 
 (* Every field is a 1-byte tag, a 4-byte length or count, or the bytes
    a length counts. *)

@@ -4,7 +4,14 @@
     operation that affects shared state (application multicasts, group joins
     and leaves, session re-announcements after a configuration change) is
     encoded as an envelope and multicast as an ordinary ring payload. All
-    daemons therefore apply group-state updates in exactly the same order. *)
+    daemons therefore apply group-state updates in exactly the same order.
+
+    Two write paths give the same bytes. {!encode} turns a built {!t}
+    into its frame, the reference for tests and tools. A daemon instead
+    writes each submission once, with {!write} and {!write_app}, into
+    the frame it submits; an App payload is written there by its own
+    writer (a KV op by [Aring_app.Op.write]), never encoded first, and
+    {!batch} puts a Batch header in front of entries already written. *)
 
 type 'payload env =
   | App of { sender : string; groups : string list; payload : 'payload }
@@ -28,6 +35,29 @@ type parsed = Aring_wire.Codec.view env
 val encode : t -> bytes
 (** Exact-size encoding, written through the shared scratch
     ({!Aring_wire.Codec.encode_exact}). *)
+
+val write : Aring_wire.Codec.scratch -> t -> unit
+(** Append the encoding of an envelope to a scratch: [encode t] is what
+    it writes.
+    @raise Invalid_argument on a nested batch. *)
+
+val write_app :
+  Aring_wire.Codec.scratch ->
+  sender:string ->
+  groups:string list ->
+  (Aring_wire.Codec.scratch -> 'a -> unit) ->
+  'a ->
+  unit
+(** [write_app s ~sender ~groups write x] appends an App envelope whose
+    payload is what [write] puts for [x], written in place: the bytes of
+    [write s (App { sender; groups; payload = Codec.encode_exact write x })]
+    with no payload bytes built first. *)
+
+val batch : bytes -> len:int -> count:int -> bytes
+(** [batch entries ~len ~count] is the frame of a Batch of the [count]
+    non-batch envelopes written back to back in [entries\[0, len)]:
+    [encode (Batch l)] for the list [l] of them. A fresh, exact-size
+    copy. *)
 
 type names
 (** A bounded table of the names parsed envelopes carry (senders,
@@ -64,6 +94,6 @@ val member_name : daemon:int -> session:string -> string
 
 val encoded_size : t -> int
 (** Size of [encode t], computed from the field lengths without encoding
-    (used by the packer to respect its threshold). *)
+    (tests use it to check the packer's threshold). *)
 
 val pp : Format.formatter -> t -> unit

@@ -209,6 +209,36 @@ let validate ~prefix spec =
         fail "partition heals before it starts")
     spec.partition
 
+let key_table n = Array.init n (Printf.sprintf "k%05d")
+
+(* The characters of [string_of_int n]. *)
+let rec int_width n =
+  if n > -10 && n < 10 then if n < 0 then 2 else 1 else 1 + int_width (n / 10)
+
+(* Write [n] in decimal into [b], [width] characters from [pos]; returns
+   the position after it. Digits come from the remainders' magnitudes, so
+   [min_int] needs no special case. *)
+let set_int b pos n width =
+  if n < 0 then Bytes.unsafe_set b pos '-';
+  let rec digits n i =
+    Bytes.unsafe_set b i (Char.unsafe_chr (48 + abs (n mod 10)));
+    if n / 10 <> 0 then digits (n / 10) (i - 1)
+  in
+  digits n (pos + width - 1);
+  pos + width
+
+let tagged_value prefix a b suffix bytes =
+  let wa = int_width a and wb = int_width b in
+  let np = String.length prefix and ns = String.length suffix in
+  let v = Bytes.make (max (np + wa + wb + 2 + ns) bytes) '.' in
+  Bytes.blit_string prefix 0 v 0 np;
+  let pos = set_int v np a wa in
+  Bytes.unsafe_set v pos ':';
+  let pos = set_int v (pos + 1) b wb in
+  Bytes.unsafe_set v pos ':';
+  Bytes.blit_string suffix 0 v (pos + 1) ns;
+  Bytes.unsafe_to_string v
+
 (* The generator's PRNG salt: the ASCII bytes of the metric prefix
    ("load" = 0x6C6F6164). *)
 let salt prefix =
@@ -305,8 +335,12 @@ let drive ~prefix ~metrics spec target =
     in
     pick 0 spec.value_mix
   in
-  let draw_value tag = Kv_scenario.pad tag (draw_value_bytes ()) in
-  let key () = Printf.sprintf "k%05d" (Prng.zipf prng zipf) in
+  (* The value tagged [prefix] [a]:[b]: [suffix], dot-padded to a drawn size. *)
+  let draw_value prefix a b suffix =
+    tagged_value prefix a b suffix (draw_value_bytes ())
+  in
+  let keys = key_table spec.key_space in
+  let key () = keys.(Prng.zipf prng zipf) in
   (* A cross-shard pair: draw until the second key lands on a different
      ring (bounded — heavy skew can defeat it, a same-shard mcas is
      still a valid single-part commit). *)
@@ -361,7 +395,7 @@ let drive ~prefix ~metrics spec target =
           Stats.add sync_latency (float_of_int (Netsim.now sim - t0) /. 1e3))
     else if r < cas_edge then begin
       if in_window then incr writes_offered;
-      let value = draw_value (Printf.sprintf "c:%d:%d:" ss.id ss.counter) in
+      let value = draw_value "c:" ss.id ss.counter "" in
       track ss value now;
       let expect, _ = Kv.read kv ~key in
       Kv.cas kv ~key ~expect ~value
@@ -375,8 +409,8 @@ let drive ~prefix ~metrics spec target =
       if in_window then incr writes_offered;
       let k1, k2 = cross_shard_pair () in
       let id = Printf.sprintf "m:%d:%d" ss.id ss.counter in
-      let v1 = draw_value (Printf.sprintf "x:%s:a:" id) in
-      let v2 = draw_value (Printf.sprintf "x:%s:b:" id) in
+      let v1 = draw_value "x:m:" ss.id ss.counter "a:" in
+      let v2 = draw_value "x:m:" ss.id ss.counter "b:" in
       track ss v1 now;
       track ss v2 now;
       Option.iter
@@ -385,7 +419,7 @@ let drive ~prefix ~metrics spec target =
     end
     else begin
       if in_window then incr writes_offered;
-      let value = draw_value (Printf.sprintf "w:%d:%d:" ss.id ss.counter) in
+      let value = draw_value "w:" ss.id ss.counter "" in
       track ss value now;
       Kv.put kv ~key ~value
     end

@@ -39,7 +39,13 @@
     Every run carries the KV consistency oracle; results surface the
     SLO inputs the [load] bench gates on: p99/p99.9 write latency,
     offered vs. applied rate, open-loop queue depth, storm degradation
-    and post-storm recovery time. *)
+    and post-storm recovery time.
+
+    Generating an op costs about what it carries: keys come from a
+    table built once at set-up ({!key_table}), and each written value
+    is built in one buffer ({!tagged_value}), with no [Printf]. The op
+    is then written once, into the daemon's frame (see
+    [Aring_daemon.Daemon.multicast_write]). *)
 
 open Aring_ring
 open Aring_sim
@@ -235,6 +241,17 @@ type target = {
   settled : unit -> bool;
       (** Replicas agree: with no sync read pending, the drain ends. *)
 }
+
+val key_table : int -> string array
+(** [key_table n] holds the name of each of [n] keys:
+    [Printf.sprintf "k%05d" i] at index [i]. {!drive} builds it once. *)
+
+val tagged_value : string -> int -> int -> string -> int -> string
+(** [tagged_value prefix a b suffix bytes] is
+    [Aring_app.Kv_scenario.pad (Printf.sprintf "%s%d:%d:%s" prefix a b suffix) bytes],
+    written into one fresh buffer: the unique, dot-padded value a write
+    carries (prefix ["w:"] for a put, ["c:"] for a cas, ["x:m:"] with
+    suffix ["a:"] or ["b:"] for an mcas pair). *)
 
 val validate : prefix:string -> spec -> unit
 (** The spec checks common to every ring count.

@@ -2,7 +2,13 @@
 
     Used for the per-node receive queues (token socket / data socket) and the
     pre-token multicast queue of the ordering engine. All operations are
-    amortized O(1). *)
+    amortized O(1), apart from {!clear}, which is O(capacity).
+
+    The buffer never keeps an element alive: a popped or cleared
+    element's slot is overwritten, so the deque holds no reference to it
+    (a receive queue does not keep delivered frames reachable). A push
+    allocates the option a later pop returns, so a push/pop pair
+    allocates one option. *)
 
 type 'a t
 

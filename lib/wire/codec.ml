@@ -35,6 +35,11 @@ let scratch ?(initial_capacity = 256) () =
   { sbuf = Bytes.create (max 16 initial_capacity); slen = 0 }
 
 let scratch_reset s = s.slen <- 0
+
+let scratch_truncate s n =
+  if n < 0 || n > s.slen then invalid_arg "Codec.scratch_truncate: out of range";
+  s.slen <- n
+
 let scratch_length s = s.slen
 let scratch_buffer s = s.sbuf
 let scratch_contents s = Bytes.sub s.sbuf 0 s.slen
@@ -68,6 +73,21 @@ let put_i64 s n =
 let put_bytes s b =
   scratch_ensure s (4 + Bytes.length b);
   s.slen <- set_bytes s.sbuf s.slen b
+
+let put_raw s b =
+  scratch_ensure s (Bytes.length b);
+  Bytes.blit b 0 s.sbuf s.slen (Bytes.length b);
+  s.slen <- s.slen + Bytes.length b
+
+(* The length prefix is reserved, then patched once [write] is done: the
+   field is written where it lies, with no intermediate bytes. [write]
+   may grow the buffer, so it is re-read after. *)
+let put_sub s write x =
+  scratch_ensure s 4;
+  let at = s.slen in
+  s.slen <- at + 4;
+  write s x;
+  ignore (set_i32 s.sbuf at (s.slen - at - 4))
 
 let put_list s f l =
   put_i32 s (List.length l);

@@ -15,9 +15,12 @@
       grow-in-place byte buffer. Once the buffer has grown to the working
       set's frame size, encoding allocates {e nothing}; this is the hot
       path used by the pooled message codec (see {!Aring_wire.Message.Pool}),
-      and, through {!encode_exact}, by the application payload encoders
-      ([Aring_app.Op.encode], [Aring_daemon.Envelope.encode]), which
-      allocate only their exact-size result.
+      by the daemon's submission frame, into which a client write such
+      as a KV op is written once, nested in its envelope by {!put_sub}
+      (see [Aring_daemon.Daemon]), and, through {!encode_exact}, by the
+      application payload encoders ([Aring_app.Op.encode],
+      [Aring_daemon.Envelope.encode]), which allocate only their
+      exact-size result.
 
     On the read side, {!read_view} leaves a byte-string field in place as
     a read-only {!view}, so a payload nested in a frame is decoded where
@@ -52,6 +55,11 @@ val scratch : ?initial_capacity:int -> unit -> scratch
 val scratch_reset : scratch -> unit
 (** Forget the contents; the backing buffer (and its capacity) is kept. *)
 
+val scratch_truncate : scratch -> int -> unit
+(** [scratch_truncate s n] keeps the first [n] bytes written and forgets
+    the rest, e.g. a field whose write raised.
+    @raise Invalid_argument unless [0 <= n <= scratch_length s]. *)
+
 val scratch_length : scratch -> int
 val scratch_buffer : scratch -> bytes
 (** The backing buffer itself — valid up to {!scratch_length}, invalidated
@@ -65,6 +73,15 @@ val put_bool : scratch -> bool -> unit
 val put_i32 : scratch -> int -> unit
 val put_i64 : scratch -> int -> unit
 val put_bytes : scratch -> bytes -> unit
+
+val put_raw : scratch -> bytes -> unit
+(** The bytes themselves, with no length prefix. *)
+
+val put_sub : scratch -> (scratch -> 'a -> unit) -> 'a -> unit
+(** [put_sub s write x] is a length-prefixed field holding what [write]
+    puts for [x], written in place: the same bytes as
+    [put_bytes s (encode_exact write x)], with no intermediate copy. *)
+
 val put_list : scratch -> ('a -> unit) -> 'a list -> unit
 
 val encode_exact : (scratch -> 'a -> unit) -> 'a -> bytes

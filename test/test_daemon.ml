@@ -902,6 +902,61 @@ let test_slow_receiver_unmark_and_disconnect () =
   check Alcotest.int "dropped with the connection" 0
     (Daemon.inbox_depth c.daemons.(0) slow_s)
 
+(* Two slow sessions and a direct one on one daemon, fed by two senders
+   with mixed groups and services: after pumping, every session has seen
+   the same (sender, groups, service, payload) sequence, whether the
+   slow ones drain in small batches or hand their backlog over when
+   unmarked. *)
+let test_slow_receivers_share_deliveries () =
+  let c = make_dcluster ~n:3 () in
+  let seen = Array.make 3 [] in
+  let recorder i =
+    {
+      Daemon.on_message =
+        (fun ~sender ~groups service payload ->
+          seen.(i) <-
+            (sender, groups, service, Codec.view_to_string payload) :: seen.(i));
+      on_group_view = (fun ~group:_ ~members:_ -> ());
+    }
+  in
+  let d = c.daemons.(0) in
+  let rx = Array.init 3 (fun i -> Daemon.connect d ~name:(Printf.sprintf "rx%d" i) (recorder i)) in
+  Array.iter
+    (fun s ->
+      Daemon.join d s "a";
+      Daemon.join d s "b")
+    rx;
+  let srcs =
+    Array.init 2 (fun i ->
+        Daemon.connect c.daemons.(i + 1) ~name:"src" (callbacks_of (fresh_client ())))
+  in
+  Netsim.run_until c.sim (ms 10);
+  Daemon.set_slow_receiver d rx.(1) true;
+  Daemon.set_slow_receiver d rx.(2) true;
+  for i = 0 to 29 do
+    Netsim.call_at c.sim
+      ~at:(ms 12 + (i * 150_000))
+      (fun () ->
+        let groups = [| [ "a" ]; [ "b" ]; [ "a"; "b" ] |].(i mod 3) in
+        let service = if i mod 4 = 0 then Types.Safe else Types.Agreed in
+        Daemon.multicast c.daemons.(1 + (i mod 2)) srcs.(i mod 2) ~service ~groups
+          (Bytes.of_string (Printf.sprintf "m%02d" i)))
+  done;
+  Netsim.run_until c.sim (ms 40);
+  check Alcotest.int "direct session got every message" 30 (List.length seen.(0));
+  check Alcotest.int "first slow session parked them" 30 (Daemon.inbox_depth d rx.(1));
+  check Alcotest.int "second slow session parked them" 30 (Daemon.inbox_depth d rx.(2));
+  while Daemon.pump d rx.(1) ~max:4 > 0 do () done;
+  check Alcotest.int "one pump leaves the other inbox" 30 (Daemon.inbox_depth d rx.(2));
+  check Alcotest.int "partial pump" 11 (Daemon.pump d rx.(2) ~max:11);
+  Daemon.set_slow_receiver d rx.(2) false;
+  check Alcotest.int "unmarked inbox gone" 0 (Daemon.inbox_depth d rx.(2));
+  let services = List.map (fun (_, _, sv, _) -> sv) seen.(0) in
+  check Alcotest.bool "both services delivered" true
+    (List.mem Types.Safe services && List.mem Types.Agreed services);
+  check Alcotest.bool "first slow session, same sequence" true (seen.(1) = seen.(0));
+  check Alcotest.bool "second slow session, same sequence" true (seen.(2) = seen.(0))
+
 (* -------------------------------------------------------------------- *)
 (* Reconnect storm mid-view                                              *)
 
@@ -1595,6 +1650,8 @@ let suite =
       test_group_state_reconverges_after_merge);
     ("slow receiver head-of-line isolation", `Quick,
       test_slow_receiver_isolation);
+    ("slow receivers share each delivery", `Quick,
+      test_slow_receivers_share_deliveries);
     ("slow receiver unmark + disconnect", `Quick,
       test_slow_receiver_unmark_and_disconnect);
     ("reconnect storm mid-view", `Quick, test_reconnect_storm_mid_view);

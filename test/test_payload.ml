@@ -1,8 +1,10 @@
 (* App payload path tests: exact-size encoding of Op and Envelope
-   (arithmetic size, allocation bound), decoding from read-only views
-   (at any offset, never past the slice), delivery cost independent of
-   payload size, and the lifetime of payload views parked by a slow
-   receiver. *)
+   (arithmetic size, allocation bound), the one-pass write path (a
+   daemon's frames byte-identical to the reference encoders, packed or
+   not, and the load generator's keys and values to their [Printf]
+   forms), decoding from read-only views (at any offset, never past the
+   slice), delivery cost independent of payload size, and the lifetime
+   of payload views parked by a slow receiver. *)
 
 open Aring_wire
 open Aring_ring
@@ -48,6 +50,15 @@ let op_gen =
             { view; donor = 2; entries = [ ("m1", 3) ]; parked = List.map Bytes.of_string parked })
         ring
         (list_size (0 -- 2) value_gen);
+      map3
+        (fun reader nonce key -> Op.Sync_read { reader; nonce; key })
+        name_gen (0 -- 100_000) name_gen;
+      map3
+        (fun view applied synced ->
+          Op.Hello { view; daemon = 3; applied; digest = 0x1234_5678_9abcL; synced })
+        ring (0 -- 100_000) bool;
+      map2 (fun id commit -> Op.Mdecide { id; commit }) name_gen bool;
+      map (fun credits -> Op.Skip { credits }) (0 -- 1_000);
     ]
 
 let app_gen =
@@ -117,6 +128,172 @@ let test_encode_put_alloc () =
   let b = alloc_bytes_per_call ~iters:1_000 encode_put in
   if b > 2_400. then
     Alcotest.failf "a 1,024 B put encodes with %.0f B allocated (bound 2,400)" b
+
+(* -------------------------------------------------------------------- *)
+(* One-pass write path                                                   *)
+
+let quiet =
+  {
+    Daemon.on_message = (fun ~sender:_ ~groups:_ _ _ -> ());
+    on_group_view = (fun ~group:_ ~members:_ -> ());
+  }
+
+(* A daemon on an operational one-member ring: what it submits lands in
+   the engine's pending queue, where [submitted] reads it back. *)
+let single_daemon ?packing ?pack_threshold () =
+  let m = Member.create ~params:Params.default ~me:0 ~initial_ring:[| 0 |] () in
+  ignore ((Member.participant m).start ());
+  let d = Daemon.create ?packing ?pack_threshold ~member:m () in
+  let submitted () =
+    match Member.node m with
+    | Some node -> Engine.drain_pending (Node.engine node)
+    | None -> Alcotest.fail "a member with an initial ring starts operational"
+  in
+  (d, submitted)
+
+let groups_gen = QCheck.Gen.(list_size (0 -- 3) name_gen)
+
+(* The reference frame of an op multicast by [sender]. *)
+let app_of sender groups op = Envelope.App { sender; groups; payload = Op.encode op }
+
+let prop_one_pass_app =
+  QCheck.Test.make ~name:"one-pass App frame equals the reference encode" ~count:300
+    (QCheck.make
+       ~print:(fun (session, groups, op) ->
+         Printf.sprintf "%S -> [%s] %s" session (String.concat "," groups)
+           (Fmt.to_to_string Op.pp op))
+       QCheck.Gen.(triple name_gen groups_gen op_gen))
+    (fun (session, groups, op) ->
+      let d, submitted = single_daemon () in
+      let s = Daemon.connect d ~name:session quiet in
+      Daemon.multicast_write d s ~groups Op.write op;
+      let sender = Daemon.session_member_name d s in
+      submitted () = [ (Types.Agreed, Envelope.encode (app_of sender groups op)) ])
+
+(* One client write in a packing schedule: an op from one of three
+   sessions, its service, and whether a flush follows it. *)
+type packed_write = { pw_session : int; pw_safe : bool; pw_op : Op.t; pw_flush : bool }
+
+let packed_write_gen =
+  QCheck.Gen.(
+    map
+      (fun (pw_session, pw_safe, pw_op, pw_flush) -> { pw_session; pw_safe; pw_op; pw_flush })
+      (quad (0 -- 2) bool op_gen (map (fun n -> n = 0) (0 -- 5))))
+
+(* A reference packer over built envelopes: each buffered by its
+   [Envelope.encoded_size], and each flush encoding a Batch of two or
+   more, or the single envelope, with [Envelope.encode]. *)
+let reference_packer ~threshold writes =
+  let out = ref [] and buffer = ref [] and bytes = ref 0 and service = ref Types.Agreed in
+  let submit sv env = out := (sv, Envelope.encode env) :: !out in
+  let flush () =
+    (match !buffer with
+    | [] -> ()
+    | [ env ] -> submit !service env
+    | entries -> submit !service (Envelope.Batch (List.rev entries)));
+    buffer := [];
+    bytes := 0
+  in
+  List.iter
+    (fun (sv, env, then_flush) ->
+      let size = Envelope.encoded_size env in
+      if (!buffer <> [] && not (Types.service_equal sv !service)) || !bytes + size > threshold
+      then flush ();
+      if size >= threshold then submit sv env
+      else begin
+        service := sv;
+        buffer := env :: !buffer;
+        bytes := !bytes + size
+      end;
+      if then_flush then flush ())
+    writes;
+  flush ();
+  List.rev !out
+
+let prop_packed_frames =
+  QCheck.Test.make ~name:"packed flushes equal the reference Batch encode" ~count:200
+    (QCheck.make
+       ~print:(fun (threshold, writes) ->
+         Printf.sprintf "threshold %d: %s" threshold
+           (String.concat "; "
+              (List.map
+                 (fun w ->
+                   Printf.sprintf "s%d %s %s%s" w.pw_session
+                     (if w.pw_safe then "safe" else "agreed")
+                     (Fmt.to_to_string Op.pp w.pw_op)
+                     (if w.pw_flush then " flush" else ""))
+                 writes)))
+       QCheck.Gen.(pair (oneofl [ 40; 300; 1300; 5000; 1 lsl 30 ]) (list_size (1 -- 12) packed_write_gen)))
+    (fun (threshold, writes) ->
+      let d, submitted = single_daemon ~packing:true ~pack_threshold:threshold () in
+      let sessions =
+        Array.init 3 (fun i -> Daemon.connect d ~name:(Printf.sprintf "s%d" i) quiet)
+      in
+      let expected =
+        List.map
+          (fun w ->
+            let s = sessions.(w.pw_session) in
+            let service = if w.pw_safe then Types.Safe else Types.Agreed in
+            Daemon.multicast_write d s ~service ~groups:[ Kv.group ] Op.write w.pw_op;
+            if w.pw_flush then Daemon.flush d;
+            (service, app_of (Daemon.session_member_name d s) [ Kv.group ] w.pw_op, w.pw_flush))
+          writes
+      in
+      Daemon.flush d;
+      submitted () = reference_packer ~threshold expected)
+
+let test_flush_of_one_and_many () =
+  let d, submitted = single_daemon ~packing:true ~pack_threshold:(1 lsl 30) () in
+  let s = Daemon.connect d ~name:"kv" quiet in
+  let op i = Op.Put { key = Printf.sprintf "k%d" i; value = "v" } in
+  let sender = Daemon.session_member_name d s in
+  Daemon.multicast_write d s ~groups:[ Kv.group ] Op.write (op 0);
+  Daemon.flush d;
+  check Alcotest.bool "one entry: the plain frame" true
+    (submitted () = [ (Types.Agreed, Envelope.encode (app_of sender [ Kv.group ] (op 0))) ]);
+  for i = 1 to 3 do
+    Daemon.multicast_write d s ~groups:[ Kv.group ] Op.write (op i)
+  done;
+  Daemon.flush d;
+  check Alcotest.bool "three entries: one Batch" true
+    (submitted ()
+    = [
+        ( Types.Agreed,
+          Envelope.encode
+            (Envelope.Batch (List.init 3 (fun i -> app_of sender [ Kv.group ] (op (i + 1))))) );
+      ])
+
+let test_failed_write_submits_nothing () =
+  let d, submitted = single_daemon ~packing:true () in
+  let s = Daemon.connect d ~name:"kv" quiet in
+  let ok = Op.Put { key = "k"; value = "v" } in
+  Daemon.multicast_write d s ~groups:[ "g" ] Op.write ok;
+  (match Daemon.multicast_write d s ~groups:[ "g" ] Op.write (Op.Skip { credits = 1 lsl 40 }) with
+  | () -> Alcotest.fail "an out-of-range field must raise"
+  | exception Invalid_argument _ -> ());
+  Daemon.flush d;
+  check Alcotest.bool "only the good write, as it was" true
+    (submitted ()
+    = [ (Types.Agreed, Envelope.encode (app_of (Daemon.session_member_name d s) [ "g" ] ok)) ])
+
+let int_gen = QCheck.Gen.(oneof [ int; oneofl [ 0; -1; 9; 10; min_int; max_int ]; 0 -- 100_000 ])
+
+let prop_tagged_value =
+  QCheck.Test.make ~name:"Load's tagged value equals its Printf form" ~count:500
+    (QCheck.make
+       ~print:(fun (c, a, b, bytes) -> Printf.sprintf "%c %d %d %d" c a b bytes)
+       QCheck.Gen.(quad (oneofl [ 'w'; 'c'; 'x' ]) int_gen int_gen (0 -- 1200)))
+    (fun (c, a, b, bytes) ->
+      let prefix, suffix = if c = 'x' then ("x:m:", "a:") else (Printf.sprintf "%c:" c, "") in
+      Aring_load.Load.tagged_value prefix a b suffix bytes
+      = Kv_scenario.pad (Printf.sprintf "%s%d:%d:%s" prefix a b suffix) bytes)
+
+let test_key_table () =
+  let keys = Aring_load.Load.key_table 123_456 in
+  check Alcotest.int "one per key" 123_456 (Array.length keys);
+  Array.iteri
+    (fun i k -> if k <> Printf.sprintf "k%05d" i then Alcotest.failf "key %d is %S" i k)
+    keys
 
 (* -------------------------------------------------------------------- *)
 (* Decoding from views                                                   *)
@@ -223,12 +400,6 @@ let drain m =
 let app_envelope payload =
   Envelope.encode (Envelope.App { sender = "#src#1"; groups = [ "g" ]; payload })
 
-let quiet =
-  {
-    Daemon.on_message = (fun ~sender:_ ~groups:_ _ _ -> ());
-    on_group_view = (fun ~group:_ ~members:_ -> ());
-  }
-
 let deliver_bytes payload_bytes =
   let m, d, data, feed, _ = make_daemon () in
   let s = Daemon.connect d ~name:"rx" quiet in
@@ -282,6 +453,14 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_encoded_size;
     Alcotest.test_case "1 KB put encodes within 2,400 B" `Quick test_encode_put_alloc;
+    QCheck_alcotest.to_alcotest prop_one_pass_app;
+    QCheck_alcotest.to_alcotest prop_packed_frames;
+    Alcotest.test_case "a flush of one entry is plain, of several a Batch" `Quick
+      test_flush_of_one_and_many;
+    Alcotest.test_case "a write that raises submits nothing" `Quick
+      test_failed_write_submits_nothing;
+    QCheck_alcotest.to_alcotest prop_tagged_value;
+    Alcotest.test_case "key table equals its Printf form" `Quick test_key_table;
     QCheck_alcotest.to_alcotest prop_op_views;
     QCheck_alcotest.to_alcotest prop_envelope_views;
     Alcotest.test_case "delivery allocation independent of payload size" `Quick

@@ -184,6 +184,46 @@ let test_deque_fold_iter () =
   Deque.clear d;
   check Alcotest.bool "cleared" true (Deque.is_empty d)
 
+(* Push a fresh block watched by a weak slot; the test keeps no other
+   reference to it. *)
+let push_watched d w i push =
+  let x = Bytes.make 64 (Char.chr (65 + i)) in
+  Weak.set w i (Some x);
+  push d x
+
+let collected w i = Option.is_none (Weak.get w i)
+
+let test_deque_releases_elements () =
+  let d = Deque.create () and w = Weak.create 8 in
+  (* Popped from either end while others remain, and popped until empty. *)
+  push_watched d w 0 Deque.push_back;
+  push_watched d w 1 Deque.push_back;
+  push_watched d w 2 Deque.push_front;
+  ignore (Sys.opaque_identity (Deque.pop_front d));
+  ignore (Sys.opaque_identity (Deque.pop_back d));
+  Gc.full_major ();
+  check Alcotest.bool "popped front collected" true (collected w 2);
+  check Alcotest.bool "popped back collected" true (collected w 1);
+  check Alcotest.bool "remaining element kept" false (collected w 0);
+  ignore (Sys.opaque_identity (Deque.pop_front d));
+  Gc.full_major ();
+  check Alcotest.bool "last popped collected" true (collected w 0);
+  (* Cleared, after the buffer has grown and wrapped. *)
+  for i = 1 to 40 do
+    Deque.push_back d (Bytes.create 8);
+    if i mod 2 = 0 then ignore (Deque.pop_front d)
+  done;
+  for i = 3 to 7 do
+    push_watched d w i Deque.push_back
+  done;
+  Deque.clear d;
+  Gc.full_major ();
+  for i = 3 to 7 do
+    check Alcotest.bool (Printf.sprintf "cleared element %d collected" i) true
+      (collected w i)
+  done;
+  check Alcotest.int "empty after clear" 0 (Deque.length d)
+
 type deque_op = Push_back of int | Push_front of int | Pop_back | Pop_front
 
 let deque_op_gen =
@@ -807,4 +847,5 @@ let suite =
     ("prng: 0 words per int and zipf draw", `Quick, test_prng_draws_allocate_nothing);
     qtest prop_stats_match_reference;
     ("stats: at most 2 words per add", `Quick, test_stats_add_allocation);
+    ("deque keeps no popped or cleared element alive", `Quick, test_deque_releases_elements);
   ]
