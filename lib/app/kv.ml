@@ -1,7 +1,7 @@
 open Aring_wire
 module Daemon = Aring_daemon.Daemon
 module Fnv = Aring_util.Fnv
-module Trace = Aring_obs.Trace
+module Flight = Aring_obs.Flight
 module Metrics = Aring_obs.Metrics
 
 let group = "kv"
@@ -175,13 +175,12 @@ let digest t =
       in
       Int64.add base h
 
-let trace_xfer t ~phase ~donor ~applied ~entries =
-  if Trace.enabled () then
-    match t.view with
-    | Some view ->
-        Trace.emit ~node:t.me
-          (Trace.App_xfer { view; donor; phase; applied; entries })
-    | None -> ()
+let record_xfer t ~phase ~donor ~applied ~entries =
+  match t.view with
+  | Some view ->
+      Flight.record_wide ~node:t.me ~code:Flight.ev_xfer ~a:donor ~b:phase
+        ~c:applied ~d:entries ~e:(Flight.pack_ring view) ~f:0 ~g:0 ~h:0 ~i:0
+  | None -> ()
 
 let groups = [ group ]
 
@@ -221,7 +220,7 @@ let apply_write t op =
   t.stats.ops_applied <- t.stats.ops_applied + 1;
   let value = Hashtbl.find_opt t.store key in
   observe t (Applied { index = t.applied_n; op; value });
-  Aring_obs.Flight.record ~node:t.me ~code:Aring_obs.Flight.ev_apply
+  Flight.record ~node:t.me ~code:Flight.ev_apply
     ~a:t.applied_n ~b:(if value = None then 1 else 0) ~c:0 ~d:0
 
 let serve_sync t ~nonce ~key =
@@ -271,8 +270,8 @@ let start_mcas ?(wound = false) t op =
               t.stats.mcas_votes <- t.stats.mcas_votes + 1;
               if wound then t.stats.mcas_wounds <- t.stats.mcas_wounds + 1;
               if vote then t.mcas_head <- Some { mc_id = id; mc_op = op };
-              Aring_obs.Flight.record ~node:t.me
-                ~code:Aring_obs.Flight.ev_mcas ~a:t.ring_id
+              Flight.record ~node:t.me
+                ~code:Flight.ev_mcas ~a:t.ring_id
                 ~b:(if vote then 1 else 0)
                 ~c:(if wound then 2 else 0)
                 ~d:(List.length parts);
@@ -339,7 +338,7 @@ let deliver_decide t ~id ~commit =
          | _ -> ()
        end
        else t.stats.mcas_aborts <- t.stats.mcas_aborts + 1);
-      Aring_obs.Flight.record ~node:t.me ~code:Aring_obs.Flight.ev_mcas
+      Flight.record ~node:t.me ~code:Flight.ev_mcas
         ~a:t.ring_id ~b:(if commit then 3 else 2) ~c:1 ~d:0;
       observe t (Decided { id; commit });
       drain_mcas_q t
@@ -371,7 +370,7 @@ let cold_reset t =
   clear_park t;
   t.stats.cold_resets <- t.stats.cold_resets + 1;
   observe t Reset;
-  trace_xfer t ~phase:"reset" ~donor:t.me ~applied:0 ~entries:0
+  record_xfer t ~phase:Flight.xfer_reset ~donor:t.me ~applied:0 ~entries:0
 
 (* Bound on the encoded size of one snapshot chunk. *)
 let max_chunk_bytes = 4096
@@ -396,7 +395,7 @@ let stream_snapshot t ~view =
   let chunks = chunk_snapshot t in
   let total = List.length chunks in
   t.stats.snapshots_sent <- t.stats.snapshots_sent + 1;
-  trace_xfer t ~phase:"snapshot" ~donor:t.me ~applied
+  record_xfer t ~phase:Flight.xfer_snapshot ~donor:t.me ~applied
     ~entries:(Hashtbl.length t.store);
   (* Mcas vote/decision table and parked-op state travel ahead of the
      chunks (only when non-empty, so single-ring streams are unchanged):
@@ -478,7 +477,7 @@ let elect t ~view =
             if a > ba || (a = ba && m < bm) then (m, a, d) else (bm, ba, bd))
           first rest
       in
-      trace_xfer t ~phase:"elect" ~donor ~applied:d_applied ~entries:0;
+      record_xfer t ~phase:Flight.xfer_elect ~donor ~applied:d_applied ~entries:0;
       let differs m =
         match Hashtbl.find_opt t.hellos m with
         | Some (a, d, s) -> (not s) || a <> d_applied || d <> d_digest
@@ -529,7 +528,7 @@ let install t xf =
   observe t
     (Installed
        { donor = xf.xf_donor; applied = xf.xf_applied; entries = xf.xf_entries });
-  trace_xfer t ~phase:"install" ~donor:xf.xf_donor ~applied:xf.xf_applied
+  record_xfer t ~phase:Flight.xfer_install ~donor:xf.xf_donor ~applied:xf.xf_applied
     ~entries:(List.length xf.xf_entries);
   (* Replay ops delivered (and accepted) during the transfer, in order —
      through the parking-aware path so they queue behind a restored
@@ -553,7 +552,7 @@ let abort_transfer t =
       t.xfer_in <- None;
       t.stats.xfer_aborts <- t.stats.xfer_aborts + 1;
       observe t Aborted;
-      trace_xfer t ~phase:"abort" ~donor:xf.xf_donor ~applied:t.applied_n
+      record_xfer t ~phase:Flight.xfer_abort ~donor:xf.xf_donor ~applied:t.applied_n
         ~entries:0
 
 (* --- delivery -------------------------------------------------------- *)
@@ -651,7 +650,7 @@ let on_view t (v : Aring_ring.Participant.view) =
     Hashtbl.reset t.hellos;
     t.elected <- false;
     t.stats.hellos_sent <- t.stats.hellos_sent + 1;
-    trace_xfer t ~phase:"hello" ~donor:t.me ~applied:t.applied_n
+    record_xfer t ~phase:Flight.xfer_hello ~donor:t.me ~applied:t.applied_n
       ~entries:(Hashtbl.length t.store);
     multicast_op t
       (Op.Hello

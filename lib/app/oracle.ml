@@ -28,17 +28,18 @@ type shadow = {
   mutable sh_token : int;
 }
 
+(* Violation records kept; all are counted. *)
+let max_violations = 100
+
 type t = {
-  max_violations : int;
   mutable kept : violation list;  (* newest first *)
   mutable total : int;
   shadows : (Types.pid, shadow) Hashtbl.t;
   mutable replicas : Kv.t list;
 }
 
-let create ?(max_violations = 100) () =
+let create () =
   {
-    max_violations;
     kept = [];
     total = 0;
     shadows = Hashtbl.create 8;
@@ -49,7 +50,7 @@ let violation t ~node kind fmt =
   Printf.ksprintf
     (fun detail ->
       t.total <- t.total + 1;
-      if List.length t.kept < t.max_violations then
+      if List.length t.kept < max_violations then
         t.kept <- { o_node = node; o_kind = kind; o_detail = detail } :: t.kept)
     fmt
 

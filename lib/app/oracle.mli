@@ -46,9 +46,8 @@ type violation = {
   o_detail : string;
 }
 
-val create : ?max_violations:int -> unit -> t
-(** Keeps the first [max_violations] (default 100) structured records;
-    all are counted. *)
+val create : unit -> t
+(** Keeps the first 100 structured records; all are counted. *)
 
 val attach : t -> Kv.t -> unit
 (** Register as an observer of [kv] and remember it for

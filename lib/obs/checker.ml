@@ -61,8 +61,10 @@ let ring_key (r : Types.ring_id) : ring_key = (r.rep, r.ring_seq)
 
 let ring_str (r : Types.ring_id) = Printf.sprintf "%d.%d" r.rep r.ring_seq
 
+(* Violation records kept; all are counted. *)
+let max_violations = 100
+
 type t = {
-  max_violations : int;
   mutable kept : violation list;  (* newest first *)
   mutable total : int;
   mutable deliveries : int;
@@ -78,9 +80,8 @@ type t = {
   holders : (ring_key * int, int) Hashtbl.t;
 }
 
-let create ?(max_violations = 100) () =
+let create () =
   {
-    max_violations;
     kept = [];
     total = 0;
     deliveries = 0;
@@ -95,7 +96,7 @@ let violation t ~t_ns ~node kind fmt =
   Printf.ksprintf
     (fun detail ->
       t.total <- t.total + 1;
-      if List.length t.kept < t.max_violations then
+      if List.length t.kept < max_violations then
         t.kept <-
           { v_t_ns = t_ns; v_node = node; v_kind = kind; v_detail = detail }
           :: t.kept)
@@ -176,8 +177,8 @@ let violations t = List.rev_map violation_message t.kept
 let violation_count t = t.total
 let deliveries_checked t = t.deliveries
 
-let check_events ?max_violations events =
-  let t = create ?max_violations () in
+let check_events events =
+  let t = create () in
   List.iter (observe t) events;
   violations t
 

@@ -31,20 +31,16 @@ type verdict = {
   deliveries : int;  (** Deliveries examined. *)
   violation_total : int;  (** All violations counted. *)
   recorded : violation list;
-      (** The first [max_violations] violations, oldest first. *)
+      (** The first 100 violations, oldest first. *)
 }
-
-val kind_label : violation_kind -> string
-(** Stable snake_case label (e.g. ["delivery_gap"]), for reports. *)
 
 val violation_message : violation -> string
 (** Render one violation the way {!violations} does. *)
 
 type t
 
-val create : ?max_violations:int -> unit -> t
-(** Keeps the first [max_violations] (default 100) violation records;
-    all are counted. *)
+val create : unit -> t
+(** Keeps the first 100 violation records; all are counted. *)
 
 val observe : t -> Trace.event -> unit
 val as_sink : t -> Trace.sink
@@ -52,13 +48,12 @@ val as_sink : t -> Trace.sink
 val verdict : t -> verdict
 
 val violations : t -> string list
-(** Rendered {!verdict} records; oldest first, capped at
-    [max_violations]. *)
+(** Rendered {!verdict} records; oldest first, capped at 100. *)
 
 val violation_count : t -> int
 val deliveries_checked : t -> int
 
-val check_events : ?max_violations:int -> Trace.event list -> string list
+val check_events : Trace.event list -> string list
 (** One-shot: run a fresh checker over a recorded event list. *)
 
 val pp : Format.formatter -> t -> unit

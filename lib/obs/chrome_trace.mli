@@ -7,8 +7,8 @@
     retransmissions / views / faults are instant events, and the token's
     [fcc] field is exported as a counter track. *)
 
-val to_json : Trace.event list -> Json.t
-(** Events need not be sorted; output object has a ["traceEvents"] list. *)
-
 val to_string : Trace.event list -> string
+(** Events need not be sorted; the output object has a ["traceEvents"]
+    list. *)
+
 val write_file : string -> Trace.event list -> unit

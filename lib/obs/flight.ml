@@ -15,10 +15,11 @@
    and the span collector), which decode the codes they need. The
    subscriber list is a plain list walked by a top-level function, so
    dispatch allocates nothing; with no subscriber a record pays one load
-   and one branch more. The seven codes whose record holds every field
-   of their trace event (token receipt and send, data send, token
-   retransmit, token lost, phase, crash) are decoded into the installed
-   trace sink here, so the protocol reports each of those steps once.
+   and one branch more. The ten codes whose record holds every field of
+   their trace event (token receipt and send, data send, token
+   retransmit, token lost, phase, crash, packet drop, window decision,
+   state-transfer step) are decoded into the installed trace sink here,
+   so the protocol reports each of those steps once.
    Disabling the recorder stops only the ring writes: subscribers and
    the trace sink still see every record. *)
 
@@ -36,7 +37,6 @@ let capacity = ref default_capacity
 let rings : ring option array ref = ref [||]
 let on = ref true
 
-let enabled () = !on
 let set_enabled b = on := b
 let reset () = rings := [||]
 
@@ -68,6 +68,9 @@ let ev_mcas = 17
 let ev_skip = 18
 let ev_merge = 19
 let ev_crash = 20
+let ev_drop = 21
+let ev_control = 22
+let ev_xfer = 23
 
 (* Membership phase codes: [ev_phase]'s argument [a]. *)
 let phase_operational = 0
@@ -80,6 +83,34 @@ let phase_name = function
   | 1 -> "gather"
   | 2 -> "commit"
   | 3 -> "recover"
+  | _ -> "unknown"
+
+(* Packet drop reasons: [ev_drop]'s argument [a]. *)
+let drop_partition = 0
+let drop_random = 1
+let drop_switch = 2
+
+let drop_reason_name = function
+  | 0 -> "partition"
+  | 1 -> "random"
+  | 2 -> "switch"
+  | _ -> "unknown"
+
+(* State-transfer phases: [ev_xfer]'s argument [b]. *)
+let xfer_hello = 0
+let xfer_elect = 1
+let xfer_snapshot = 2
+let xfer_install = 3
+let xfer_abort = 4
+let xfer_reset = 5
+
+let xfer_phase_name = function
+  | 0 -> "hello"
+  | 1 -> "elect"
+  | 2 -> "snapshot"
+  | 3 -> "install"
+  | 4 -> "abort"
+  | 5 -> "reset"
   | _ -> "unknown"
 
 let code_name = function
@@ -103,6 +134,9 @@ let code_name = function
   | 18 -> "skip"
   | 19 -> "merge"
   | 20 -> "crash"
+  | 21 -> "drop"
+  | 22 -> "control"
+  | 23 -> "app_xfer"
   | _ -> "unknown"
 
 (* ------------------------------------------------------------------ *)
@@ -138,32 +172,46 @@ let unpack_ring k : Aring_wire.Types.ring_id =
 
 (* The steps whose record carries every field of their trace event reach
    the trace sink from here, whether or not ring writes are enabled: codes
-   1–5 (token receipt, send, retransmit and loss, data send), phase and
-   crash. *)
+   1–5 (token receipt, send, retransmit and loss, data send), phase, and
+   the codes from crash on (crash, drop, window decision, state-transfer
+   step). *)
 let traced code =
-  (code >= ev_token_recv && code <= ev_data_send) || code = ev_phase || code = ev_crash
+  (code >= ev_token_recv && code <= ev_data_send) || code = ev_phase || code >= ev_crash
 
 let to_trace ~node ~code ~a ~b ~c ~d ~e ~f ~g ~h ~i =
+  let t_ns = Trace.now () in
+  let emit kind = Trace.emit_at ~t_ns ~node kind in
   if code = ev_token_recv then
-    Trace.emit ~node
+    emit
       (Token_recv
          { ring = unpack_ring e; token_id = a; round = f; seq = b; aru = c;
            local_aru = d; safe_line = g })
   else if code = ev_token_send then
-    Trace.emit ~node
+    emit
       (Token_send
          { ring = unpack_ring e; token_id = a; round = f; seq = b; aru = c;
            fcc = h; rtr = d; local_aru = i; safe_line = g })
   else if code = ev_data_send then
-    Trace.emit ~node
+    emit
       (Data_send
          { ring = unpack_ring e; seq = a; size = f; post_token = b = 1;
            retrans = c = 1 })
   else if code = ev_token_retransmit then
-    Trace.emit ~node (Token_retransmit { token_id = a; attempt = b })
-  else if code = ev_token_lost then Trace.emit ~node Token_lost
-  else if code = ev_phase then Trace.emit ~node (Phase { phase = phase_name a })
-  else Trace.emit ~node Crash
+    emit (Token_retransmit { token_id = a; attempt = b })
+  else if code = ev_token_lost then emit Token_lost
+  else if code = ev_phase then emit (Phase { phase = phase_name a })
+  else if code = ev_crash then emit Crash
+  else if code = ev_drop then emit (Drop { reason = drop_reason_name a; size = b })
+  else if code = ev_control then
+    emit
+      (Control
+         { round = a; aw_before = b; aw_after = c; congested = d = 1;
+           rotation_ns = e; fcc = f; retrans = g; backlog = h })
+  else if code = ev_xfer then
+    emit
+      (App_xfer
+         { view = unpack_ring e; donor = a; phase = xfer_phase_name b;
+           applied = c; entries = d })
 
 (* Inlined into [record], so the four-argument path pays no extra call. *)
 let[@inline] record_wide ~node ~code ~a ~b ~c ~d ~e ~f ~g ~h ~i =

@@ -6,14 +6,15 @@
 
     The recorder is also the one feed of the always-on instruments:
     {!Health} and {!Span} subscribe and decode the records they need,
-    so each protocol step is reported once, here. Seven codes whose
-    record carries every field of their trace event — {!ev_token_recv},
+    so each protocol step is reported once, here. Ten codes whose record
+    carries every field of their trace event — {!ev_token_recv},
     {!ev_token_send}, {!ev_data_send}, {!ev_token_retransmit},
-    {!ev_token_lost}, {!ev_phase} and {!ev_crash} — also reach the
-    installed {!Trace} sink, as the kind of the same name; no other code
+    {!ev_token_lost}, {!ev_phase}, {!ev_crash}, {!ev_drop},
+    {!ev_control} and {!ev_xfer} — also reach the installed {!Trace}
+    sink, as the kind their dump lines name in ["ev"] (["drop"],
+    ["control"] and ["app_xfer"] for the last three); no other code
     does. *)
 
-val enabled : unit -> bool
 val set_enabled : bool -> unit
 (** Recording is on by default; disabling is for overhead baselines. It
     stops only the ring writes: subscribers and the trace sink still see
@@ -29,8 +30,10 @@ val capacity : unit -> int
 
 (** {2 Event codes} *)
 
-(** Arguments not listed are 0. Only the three codes recorded through
-    {!record_wide} use [e]–[i]; their [e] is the ring id ({!pack_ring}). *)
+(** Arguments not listed are 0. Only the five codes recorded through
+    {!record_wide} use [e]–[i]: {!ev_token_recv}, {!ev_token_send},
+    {!ev_data_send} and {!ev_xfer} carry a ring id ({!pack_ring}) in
+    [e], {!ev_control} its rotation time. *)
 
 val ev_token_recv : int
 (** A regular token accepted: [a] = token id, [b] = token seq, [c] =
@@ -117,6 +120,21 @@ val ev_merge : int
 val ev_crash : int
 (** The simulator crashed this participant ({!Aring_sim.Netsim.crash}). *)
 
+val ev_drop : int
+(** The simulated network dropped a packet bound for this node: [a] =
+    reason code (below), [b] = the packet's wire size. *)
+
+val ev_control : int
+(** The adaptive-window controller changed this node's accelerated
+    window: [a] = round, [b] = window before, [c] = window after, [d] = 1
+    when it judged the ring congested; [e] = rotation time in ns, [f] =
+    token fcc, [g] = retransmissions, [h] = send backlog (the round's
+    signals). *)
+
+val ev_xfer : int
+(** A KV state-transfer step at a replica: [a] = donor, [b] = phase code
+    (below), [c] = ops applied, [d] = entries; [e] = the view's ring id. *)
+
 (** {2 Phase codes} ([ev_phase]'s argument [a]) *)
 
 val phase_operational : int
@@ -128,13 +146,34 @@ val phase_name : int -> string
 (** ["operational"], ["gather"], ["commit"], ["recover"]; ["unknown"]
     for any other code. The [Phase] trace event carries this name. *)
 
+(** {2 Drop reasons} ([ev_drop]'s argument [a])
+
+    The [Drop] trace event carries the reason's name: ["partition"],
+    ["random"] or ["switch"]. *)
+
+val drop_partition : int
+val drop_random : int
+val drop_switch : int
+
+(** {2 State-transfer phases} ([ev_xfer]'s argument [b])
+
+    The [App_xfer] trace event carries the phase's name: ["hello"],
+    ["elect"], ["snapshot"], ["install"], ["abort"] or ["reset"]. *)
+
+val xfer_hello : int
+val xfer_elect : int
+val xfer_snapshot : int
+val xfer_install : int
+val xfer_abort : int
+val xfer_reset : int
+
 (** {2 Recording} *)
 
 val record_wide :
   node:int -> code:int -> a:int -> b:int -> c:int -> d:int -> e:int ->
   f:int -> g:int -> h:int -> i:int -> unit
 (** Append one record to [node]'s ring, overwriting the oldest once
-    full, then hand [a]–[d] to every subscriber and, for the seven
+    full, then hand [a]–[d] to every subscriber and, for the ten
     traced codes, emit its trace event when a sink is installed.
     Zero-allocation after the node's first record when no sink is
     installed. The ring write is skipped when disabled or [node < 0];

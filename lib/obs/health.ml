@@ -201,8 +201,6 @@ let on_record ~node ~code ~a ~b:_ ~c ~d =
         else if code = Flight.ev_crash then on_crash ns
       end
 
-let enabled () = Option.is_some !current
-
 let attach t =
   current := Some t;
   Flight.subscribe on_record

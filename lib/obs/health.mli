@@ -22,7 +22,6 @@ val create : ?config:config -> n:int -> unit -> t
 
 (** {2 Global instrument} *)
 
-val enabled : unit -> bool
 val attach : t -> unit
 (** Make [t] the watchdog and subscribe it to {!Flight}. *)
 

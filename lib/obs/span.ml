@@ -125,8 +125,6 @@ let on_record ~node ~code ~a ~b ~c:_ ~d =
       else if code = Flight.ev_deliver then on_delivered t ~node ~sender:b ~seq:a
       else if code = Flight.ev_apply then on_applied t ~node
 
-let enabled () = Option.is_some !current
-
 let attach t =
   current := Some t;
   Flight.subscribe on_record

@@ -19,7 +19,6 @@ val metrics : t -> Metrics.t
 
 (** {2 Global collector} *)
 
-val enabled : unit -> bool
 val attach : t -> unit
 (** Make [t] the collector and subscribe it to {!Flight}. *)
 

@@ -85,11 +85,6 @@ let uninstall () =
 let set_clock f = clock := f
 let now () = !clock ()
 
-let emit ~node kind =
-  match !current_sink with
-  | None -> ()
-  | Some s -> s.emit { t_ns = !clock (); node; kind }
-
 let emit_at ~t_ns ~node kind =
   match !current_sink with
   | None -> ()

@@ -8,14 +8,16 @@
     unaffected — pay for what you use.
 
     Each step is reported once. [Token_recv], [Token_send],
-    [Data_send], [Token_retransmit], [Token_lost], [Phase] and [Crash]
-    are decoded from their step's record by {!Flight.record_wide} and
-    emitted nowhere else. [Deliver] and [View_install] come from the
-    runtimes' interpreters ([Participant.trace_action]): [Deliver]
-    reports what the application got after the participant boundary,
-    where a fault injector may drop it (the {!Checker} sees that only
-    here), and a member's recovery deliveries never pass the engine's
-    {!Flight.ev_deliver} record.
+    [Data_send], [Token_retransmit], [Token_lost], [Phase], [Crash],
+    [Drop], [Control] and [App_xfer] are decoded from their step's
+    record by {!Flight.record_wide} and emitted nowhere else, so every
+    flight dump holds those steps whether or not a sink was installed.
+    Only [Deliver] and [View_install] are built outside this library,
+    by the runtimes' interpreters ([Participant.trace_action]):
+    [Deliver] reports what the application got after the participant
+    boundary, where a fault injector may drop it (the {!Checker} sees
+    that only here), and a member's recovery deliveries never pass the
+    engine's {!Flight.ev_deliver} record.
     Every kind carries only the fields the trace's readers need: the
     {!Checker}, the {!Rotation} profiler and the {!Chrome_trace} view.
     Steps nothing reads (data receipt, timer activity, flow-control
@@ -108,7 +110,7 @@ val uninstall : unit -> unit
 (** Flushes the installed sink, then removes it. *)
 
 val set_clock : (unit -> int) -> unit
-(** Timestamp source for {!emit}, in nanoseconds. The simulator installs
+(** Timestamp source for {!now}, in nanoseconds. The simulator installs
     its virtual clock; the UDP runtime installs a wall clock. *)
 
 val now : unit -> int
@@ -116,12 +118,10 @@ val now : unit -> int
     sans-IO layers (e.g. the adaptive-window controller) measure
     durations without owning a clock of their own. *)
 
-val emit : node:int -> kind -> unit
-(** Emit with a timestamp from the clock. No-op when no sink installed. *)
-
 val emit_at : t_ns:int -> node:int -> kind -> unit
-(** Emit with an explicit timestamp (interpreter layers that model CPU
-    cursors know a better time than the global clock). *)
+(** Emit an event stamped [t_ns]. No-op when no sink is installed.
+    {!Flight.record_wide} stamps with {!now}; the runtimes' interpreters,
+    which model CPU cursors, know a better time than the global clock. *)
 
 val with_sink : sink -> (unit -> 'a) -> 'a
 (** [with_sink s f] installs [s] (stacking over any current sink, which
@@ -145,5 +145,4 @@ val memory_count : memory -> int
 (** {1 Printing} *)
 
 val kind_name : kind -> string
-val pp_kind : Format.formatter -> kind -> unit
 val pp_event : Format.formatter -> event -> unit

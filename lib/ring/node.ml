@@ -1,6 +1,7 @@
 open Aring_wire
 module Deque = Aring_util.Deque
 module Trace = Aring_obs.Trace
+module Flight = Aring_obs.Flight
 module Controller = Aring_control.Controller
 
 type Participant.timer += Engine_timer of int * Engine.timer_kind
@@ -80,7 +81,7 @@ let queue_stats t = t.qstats
 let controller t = t.controller
 
 (* One controller step: translate the engine's per-round signals plus the
-   inter-token time into a window decision, apply it, and trace it when
+   inter-token time into a window decision, apply it, and record it when
    it changed something. No controller, no cost — and no trace events,
    keeping controller-off runs byte-identical. *)
 let run_controller t =
@@ -104,19 +105,10 @@ let run_controller t =
           in
           if d.Controller.aw_after <> d.Controller.aw_before then begin
             Engine.set_accelerated_window t.engine d.Controller.aw_after;
-            if Trace.enabled () then
-              Trace.emit ~node:(Engine.me t.engine)
-                (Trace.Control
-                   {
-                     round = s.sr_round;
-                     aw_before = d.Controller.aw_before;
-                     aw_after = d.Controller.aw_after;
-                     congested = d.Controller.congested;
-                     rotation_ns;
-                     fcc = s.sr_fcc;
-                     retrans = s.sr_retrans;
-                     backlog = s.sr_backlog;
-                   })
+            Flight.record_wide ~node:(Engine.me t.engine) ~code:Flight.ev_control
+              ~a:s.sr_round ~b:d.Controller.aw_before ~c:d.Controller.aw_after
+              ~d:(if d.Controller.congested then 1 else 0)
+              ~e:rotation_ns ~f:s.sr_fcc ~g:s.sr_retrans ~h:s.sr_backlog ~i:0
           end)
 
 let action_of_output t = function

@@ -217,16 +217,19 @@ let port_enqueue t ~at_switch ~size ~src ~dst msg =
   if not t.alive.(dst) then ()
   else if t.drop ~src ~dst msg then begin
     t.stats.partition_drops <- t.stats.partition_drops + 1;
-    if Trace.enabled () then Trace.emit ~node:dst (Drop { reason = "partition"; size })
+    Flight.record ~node:dst ~code:Flight.ev_drop ~a:Flight.drop_partition ~b:size
+      ~c:0 ~d:0
   end
   else if t.net.loss_prob > 0.0 && Prng.bernoulli t.prng t.net.loss_prob
   then begin
     t.stats.random_losses <- t.stats.random_losses + 1;
-    if Trace.enabled () then Trace.emit ~node:dst (Drop { reason = "random"; size })
+    Flight.record ~node:dst ~code:Flight.ev_drop ~a:Flight.drop_random ~b:size
+      ~c:0 ~d:0
   end
   else if t.port_bytes.(dst) + size > t.net.switch_port_buffer then begin
     t.stats.switch_drops <- t.stats.switch_drops + 1;
-    if Trace.enabled () then Trace.emit ~node:dst (Drop { reason = "switch"; size })
+    Flight.record ~node:dst ~code:Flight.ev_drop ~a:Flight.drop_switch ~b:size
+      ~c:0 ~d:0
   end
   else begin
     t.port_bytes.(dst) <- t.port_bytes.(dst) + size;

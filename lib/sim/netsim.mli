@@ -57,9 +57,11 @@ val record_metrics : t -> Aring_obs.Metrics.t -> unit
     a re-arm of their key before they were due).
 
     [create] also points {!Aring_obs.Trace}'s clock at the simulated
-    clock, so trace events carry virtual-time timestamps; deliveries,
-    view installs, switch/loss/partition drops and crashes are emitted
-    as trace events whenever a sink is installed. *)
+    clock, so trace events carry virtual-time timestamps. Switch, loss
+    and partition drops ({!Aring_obs.Flight.ev_drop}) and crashes
+    ({!Aring_obs.Flight.ev_crash}) are flight records, which reach the
+    installed trace sink as [Drop] and [Crash]; deliveries and view
+    installs are emitted as trace events whenever a sink is installed. *)
 
 (** {2 Instrumentation hooks} *)
 

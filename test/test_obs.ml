@@ -846,14 +846,15 @@ let test_watchdog_feed_allocates_nothing () =
         (int_of_float words));
   Flight.reset ()
 
-(* Token retransmit, token lost, phase, crash, token receipt and send and
-   data send reach the trace sink from Flight.record alone, decoded from
-   the record's arguments. *)
+(* Token retransmit, token lost, phase, crash, token receipt and send,
+   data send, packet drop, window decision and state-transfer step reach
+   the trace sink from Flight.record alone, decoded from the record's
+   arguments. *)
 let traced_codes =
   [
     Flight.ev_token_retransmit; Flight.ev_token_lost; Flight.ev_phase;
     Flight.ev_crash; Flight.ev_token_recv; Flight.ev_token_send;
-    Flight.ev_data_send;
+    Flight.ev_data_send; Flight.ev_drop; Flight.ev_control; Flight.ev_xfer;
   ]
 
 (* Ring ids at the bounds of Flight.pack_ring. *)
@@ -932,6 +933,46 @@ let test_flight_decodes_traced_steps () =
         (Trace.Data_send
            { ring = ring_lo; seq = 32; size = 90; post_token = false;
              retrans = true });
+      List.iter
+        (fun (code, reason) ->
+          expect ("drop " ^ reason) ~node:8
+            (narrow ~code:Flight.ev_drop ~a:code ~b:1_472)
+            (Trace.Drop { reason; size = 1_472 }))
+        [
+          (Flight.drop_partition, "partition");
+          (Flight.drop_random, "random");
+          (Flight.drop_switch, "switch");
+        ];
+      List.iter
+        (fun congested ->
+          expect
+            (Printf.sprintf "control congested=%b" congested)
+            ~node:9
+            (fun ~node ->
+              Flight.record_wide ~node ~code:Flight.ev_control ~a:41 ~b:20
+                ~c:10 ~d:(if congested then 1 else 0) ~e:123_456_789 ~f:42
+                ~g:43 ~h:44 ~i:0)
+            (Trace.Control
+               { round = 41; aw_before = 20; aw_after = 10; congested;
+                 rotation_ns = 123_456_789; fcc = 42; retrans = 43;
+                 backlog = 44 }))
+        [ true; false ];
+      List.iteri
+        (fun k (code, phase) ->
+          let view = if k mod 2 = 0 then ring_hi else ring_lo in
+          expect ("app_xfer " ^ phase) ~node:10
+            (wide ~code:Flight.ev_xfer ~a:(3 + k) ~b:code ~c:(100 * k) ~d:k
+               ~ring:view ~f:0 ~g:0 ~h:0 ~i:0)
+            (Trace.App_xfer
+               { view; donor = 3 + k; phase; applied = 100 * k; entries = k }))
+        [
+          (Flight.xfer_hello, "hello");
+          (Flight.xfer_elect, "elect");
+          (Flight.xfer_snapshot, "snapshot");
+          (Flight.xfer_install, "install");
+          (Flight.xfer_abort, "abort");
+          (Flight.xfer_reset, "reset");
+        ];
       for code = 0 to 24 do
         if not (List.mem code traced_codes) then
           check Alcotest.int
@@ -946,7 +987,7 @@ let test_flight_decodes_traced_steps () =
      other, through either entry point. *)
   let words_per_100k record =
     let record_all () =
-      for code = 1 to 20 do
+      for code = 1 to Flight.ev_xfer do
         record ~code
       done
     in
@@ -998,6 +1039,9 @@ let test_traced_steps_match_flight () =
     | Token_recv _ -> Some 4
     | Token_send _ -> Some 5
     | Data_send _ -> Some 6
+    | Drop _ -> Some 7
+    | Control _ -> Some 8
+    | App_xfer _ -> Some 9
     | _ -> None
   in
   let sink =
@@ -1032,7 +1076,9 @@ let test_traced_steps_match_flight () =
   for node = 0 to n - 1 do
     check
       Alcotest.(array int)
-      (Printf.sprintf "node %d: retransmit/lost/phase/crash/recv/send/data" node)
+      (Printf.sprintf
+         "node %d: retransmit/lost/phase/crash/recv/send/data/drop/control/xfer"
+         node)
       from_flight.(node) from_trace.(node)
   done;
   let total i = Array.fold_left (fun acc row -> acc + row.(i)) 0 from_trace in
@@ -1041,8 +1087,45 @@ let test_traced_steps_match_flight () =
       check Alcotest.bool (name ^ " occurred") true (total i > 0))
     [
       "token_retransmit"; "token_lost"; "phase"; "crash"; "token_recv";
-      "token_send"; "data_send";
+      "token_send"; "data_send"; "drop";
     ]
+
+(* A packet drop is on record with no trace sink installed: a switch port
+   buffer smaller than one data packet overflows on every data send. *)
+let test_switch_drop_recorded_without_sink () =
+  let n = 3 in
+  let initial_ring = Array.init n Fun.id in
+  let members =
+    Array.init n (fun me ->
+        Member.create ~params:(Params.accelerated ()) ~me ~initial_ring ())
+  in
+  check Alcotest.bool "no trace sink" false (Trace.enabled ());
+  Flight.reset ();
+  let sim =
+    Netsim.create
+      ~net:{ Profile.gigabit with switch_port_buffer = 600 }
+      ~tiers:(Array.make n Profile.library)
+      ~participants:(Array.map Member.participant members)
+      ~seed:3L ()
+  in
+  Netsim.call_at sim ~at:(ms 1) (fun () ->
+      Netsim.submit_now sim ~node:0 Types.Agreed (Bytes.create 1_000));
+  Netsim.run_until sim (ms 20);
+  let drops =
+    List.filter
+      (fun (r : Flight.record_view) -> r.r_code = Flight.ev_drop)
+      (Flight.records ())
+  in
+  Flight.reset ();
+  check Alcotest.bool "a switch drop occurred" true
+    ((Netsim.stats sim).switch_drops > 0);
+  check Alcotest.int "one ev_drop record per switch drop"
+    (Netsim.stats sim).switch_drops (List.length drops);
+  List.iter
+    (fun (r : Flight.record_view) ->
+      check Alcotest.int "reason" Flight.drop_switch r.r_a;
+      check Alcotest.bool "an oversized packet" true (r.r_b > 600))
+    drops
 
 (* A deleted kind is a parse error naming the line and the kind. *)
 let test_deleted_kind_rejected () =
@@ -1115,4 +1198,6 @@ let suite =
       `Quick test_traced_steps_match_flight;
     Alcotest.test_case "trace: a deleted kind is a parse error" `Quick
       test_deleted_kind_rejected;
+    Alcotest.test_case "flight: a switch drop is recorded with no trace sink"
+      `Quick test_switch_drop_recorded_without_sink;
   ]
