@@ -97,6 +97,33 @@ let deliver_put envelope =
   drain_pending m;
   fun () -> feed envelope
 
+(* The engine's receive window and delivery cursor alone: in-order data
+   from pid 1 through [Engine.data] with [Fun.id] as the delivery
+   constructor, and a caught-up token every 256 messages. The [n]
+   messages are built up front, so a call counts what the engine
+   allocates: the cell each delivery is consed onto, and the token
+   visits amortized. *)
+let engine_data ~n =
+  let ring = Array.init ring_size Fun.id in
+  let e = Engine.create ~params:Params.default ~ring_id:Types.{ rep = 0; ring_seq = 1 } ~ring ~me:0 in
+  let rid = Engine.ring_id e in
+  let msgs =
+    Array.init n (fun i : Message.data ->
+        { d_ring = rid; seq = i + 1; pid = 1; d_round = 1; post_token = false;
+          service = Types.Agreed; payload = Bytes.empty })
+  in
+  let tokens =
+    Array.init (n / 256 + 1) (fun i : Message.token ->
+        { t_ring = rid; token_id = (i + 1) * ring_size; t_round = 1;
+          t_seq = i * 256; aru = i * 256; aru_id = None; fcc = 0; rtr = [] })
+  in
+  let next = ref 0 in
+  fun () ->
+    let d = msgs.(!next) in
+    incr next;
+    ignore (Sys.opaque_identity (Engine.data e Fun.id d));
+    if d.seq land 255 = 0 then ignore (Engine.token e tokens.(d.seq / 256))
+
 (* An idle token visit: a caught-up token, nothing to send or deliver,
    through the daemon's participant (engine, node, member and daemon).
    The 88 B token each call builds is counted too. *)
@@ -260,6 +287,9 @@ let run ~quick =
     \  one-pass write (op in its envelope) %8.1f per put\n\
     \  deliver to a KV replica %8.1f per message\n%!"
     value_bytes app_encode app_deliver;
+  let engine_alloc = alloc_per_call ~iters (engine_data ~n:(iters + 1_000)) in
+  Printf.printf "engine: in-order data %.1f bytes allocated per message\n%!"
+    engine_alloc;
   let visit_alloc = alloc_per_call ~iters (idle_token_visit ()) in
   let change_alloc = alloc_per_call ~iters (group_change ()) /. 2. in
   Printf.printf
@@ -364,6 +394,7 @@ let run ~quick =
               ("encode_alloc_bytes_per_put", Json.Float app_encode);
               ("deliver_alloc_bytes_per_msg", Json.Float app_deliver);
             ] );
+        ("engine", Json.Obj [ ("data_alloc_bytes_per_msg", Json.Float engine_alloc) ]);
         ( "daemon",
           Json.Obj
             [
@@ -394,6 +425,7 @@ let run ~quick =
         Min ("min_codec_reduction_percent", codec_reduction);
         Max ("max_app_encode_alloc_bytes_per_put", app_encode);
         Max ("max_app_deliver_alloc_bytes_per_msg", app_deliver);
+        Max ("max_engine_data_alloc_bytes_per_msg", engine_alloc);
         Max ("max_idle_token_visit_alloc_bytes", visit_alloc);
         Max ("max_group_change_alloc_bytes_per_delivery", change_alloc);
         Max ("max_merge_push_drain_alloc_bytes_per_item", merge_alloc);

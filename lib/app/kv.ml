@@ -59,6 +59,7 @@ type incoming = {
   mutable xf_entries : (string * string) list;
   mutable xf_applied : int;
   mutable xf_buffer : Op.t list;  (* newest first *)
+  mutable xf_buffered : int;  (* length of [xf_buffer] *)
   mutable xf_meta : (string * int) list;  (* donor's mcas table *)
   mutable xf_park : Op.t list;  (* donor's parked head + queue, in order *)
 }
@@ -236,8 +237,9 @@ let serve_sync t ~nonce ~key =
 
 let buffer_op t xf op =
   xf.xf_buffer <- op :: xf.xf_buffer;
-  let depth = List.length xf.xf_buffer in
-  if depth > t.stats.buffered_peak then t.stats.buffered_peak <- depth
+  xf.xf_buffered <- xf.xf_buffered + 1;
+  if xf.xf_buffered > t.stats.buffered_peak then
+    t.stats.buffered_peak <- xf.xf_buffered
 
 (* --- cross-shard multi-key cas (Mcas) -------------------------------- *)
 
@@ -497,6 +499,7 @@ let elect t ~view =
               xf_entries = [];
               xf_applied = 0;
               xf_buffer = [];
+              xf_buffered = 0;
               xf_meta = [];
               xf_park = [];
             }

@@ -65,7 +65,7 @@ type t = {
   mutable r_groups : string list;
   mutable r_service : Types.service;
   mutable r_payload : Codec.view;
-  mutable r_count : int;  (* recipients handed the delivery *)
+  mutable r_count : int;  (* recipients handed the envelope's entries *)
   mutable r_parked : parked;  (* built at its first slow recipient *)
   stats : stats;
   packing : bool;
@@ -412,61 +412,63 @@ let route_one name _halves t =
             t.r_payload);
       t
 
-(* Apply one totally-ordered envelope. Returns its local recipients, the
-   number of [Deliver] actions a driving runtime charges per-client
+(* The entries of one delivered envelope, read straight into the
+   routing fields by [Envelope.read], with the daemon as accumulator: no
+   entry is built. Each App entry adds its local recipients to [r_count],
+   the number of [Deliver] actions a driving runtime charges per-client
    delivery cost for. *)
-let rec apply_envelope t (d : Message.data) (env : Envelope.parsed) =
-  match env with
-  | Envelope.Batch entries -> apply_batch t d entries 0
-  | Envelope.App { sender; groups; payload } ->
-      (* Route to a local session when either its locally-requested
-         membership ([s_joined], effective from the join call — so a
-         rejoining session never misses a message ordered before its
-         re-announced Join lands) or the delivered-join table (effective
-         until the ordered Leave lands) says it belongs: the [routes]
-         index holds both halves, in session-name order. *)
-      t.r_sender <- sender;
-      t.r_groups <- groups;
-      t.r_service <- d.service;
-      t.r_payload <- payload;
-      t.r_count <- 0;
-      ignore (Names.fold route_one (recipients t groups) t);
-      t.r_payload <- no_payload;
-      t.r_parked <- no_parked;
-      t.r_count
-  | Envelope.Join { member; group } ->
-      if Groups.join t.groups ~group ~member then begin
-        (match local_session t member with
-        | Some name -> update_routes t group (with_half tabled name)
-        | None -> ());
-        notify_group_view t group (Groups.view t.groups group)
-      end;
-      0
-  | Envelope.Leave { member; group } ->
-      if Groups.leave t.groups ~group ~member then begin
-        (match local_session t member with
-        | Some name -> update_routes t group (without_half tabled name)
-        | None -> ());
-        notify_group_view t group (Groups.view t.groups group)
-      end;
-      0
+let on_app t ~sender ~groups payload =
+  (* Route to a local session when either its locally-requested
+     membership ([s_joined], effective from the join call — so a
+     rejoining session never misses a message ordered before its
+     re-announced Join lands) or the delivered-join table (effective
+     until the ordered Leave lands) says it belongs: the [routes] index
+     holds both halves, in session-name order. *)
+  t.r_sender <- sender;
+  t.r_groups <- groups;
+  t.r_payload <- payload;
+  ignore (Names.fold route_one (recipients t groups) t);
+  t.r_payload <- no_payload;
+  t.r_parked <- no_parked;
+  t
 
-and apply_batch t d entries n =
-  match entries with
-  | [] -> n
-  | entry :: rest -> apply_batch t d rest (n + apply_envelope t d entry)
+let on_join t ~member ~group =
+  if Groups.join t.groups ~group ~member then begin
+    (match local_session t member with
+    | Some name -> update_routes t group (with_half tabled name)
+    | None -> ());
+    notify_group_view t group (Groups.view t.groups group)
+  end;
+  t
+
+let on_leave t ~member ~group =
+  if Groups.leave t.groups ~group ~member then begin
+    (match local_session t member with
+    | Some name -> update_routes t group (without_half tabled name)
+    | None -> ());
+    notify_group_view t group (Groups.view t.groups group)
+  end;
+  t
+
+let router = { Envelope.app = on_app; join = on_join; leave = on_leave }
 
 (* Local recipients of one delivery, at least one: daemon-internal
    traffic (Join/Leave, or an App envelope with no local recipient)
    still consumed its slot in the total order, so one delivery surfaces
    for the driving runtime to charge and for trace invariants to see a
    gap-free sequence. So does a payload that is not daemon traffic (e.g.
-   a recovery flood of a foreign payload). *)
+   a recovery flood of a foreign payload), and a malformed one: the
+   envelope is checked whole first, so a Batch with a malformed entry
+   routes none of its entries. *)
 let handle_delivery t (d : Message.data) =
   Codec.decoder_reset t.dec d.payload ~pos:0 ~len:(Bytes.length d.payload);
-  match Envelope.parse t.names t.dec with
-  | env -> max 1 (apply_envelope t d env)
+  match Envelope.check t.dec with
   | exception Codec.Decode_error _ -> 1
+  | () ->
+      t.r_service <- d.service;
+      t.r_count <- 0;
+      ignore (Envelope.read t.names t.dec router t);
+      max 1 t.r_count
 
 (* A new regular configuration: prune members of departed daemons, tell
    affected local clients, and re-announce our own sessions so daemons that

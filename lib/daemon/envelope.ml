@@ -181,34 +181,95 @@ let read_groups names d =
       groups
 
 (* ------------------------------------------------------------------ *)
-(* Parsing                                                             *)
+(* Reading                                                             *)
 
-let rec read_one names ~nested d =
+type 'a reader = {
+  app : 'a -> sender:string -> groups:string list -> Codec.view -> 'a;
+  join : 'a -> member:string -> group:string -> 'a;
+  leave : 'a -> member:string -> group:string -> 'a;
+}
+
+let unknown_tag tag =
+  raise (Codec.Decode_error (Printf.sprintf "unknown envelope tag %d" tag))
+
+let at_batch d =
+  Codec.remaining d > 0
+  && Char.code (Bytes.get (Codec.decoder_buffer d) (Codec.decoder_pos d))
+     = tag_batch
+
+(* Step over one non-batch entry, reading nothing out of it. *)
+let skip_entry d =
+  let tag = Codec.read_u8 d in
+  if tag = tag_app then begin
+    ignore (Codec.skip_bytes d);
+    for _ = 1 to Codec.read_count d do
+      ignore (Codec.skip_bytes d)
+    done;
+    ignore (Codec.skip_bytes d)
+  end
+  else if tag = tag_join || tag = tag_leave then begin
+    ignore (Codec.skip_bytes d);
+    ignore (Codec.skip_bytes d)
+  end
+  else unknown_tag tag
+
+let check d =
+  let buf = Codec.decoder_buffer d
+  and pos = Codec.decoder_pos d
+  and len = Codec.remaining d in
+  if at_batch d then begin
+    ignore (Codec.read_u8 d);
+    for _ = 1 to Codec.read_count d do
+      skip_entry d
+    done
+  end
+  else skip_entry d;
+  Codec.expect_end d;
+  Codec.decoder_reset d buf ~pos ~len
+
+let read_entry names r d acc =
   let tag = Codec.read_u8 d in
   if tag = tag_app then begin
     let sender = read_name names d in
     let groups = read_groups names d in
     let payload = Codec.read_view d in
-    App { sender; groups; payload }
+    r.app acc ~sender ~groups payload
   end
   else if tag = tag_join then begin
     let member = read_name names d in
     let group = read_name names d in
-    Join { member; group }
+    r.join acc ~member ~group
   end
   else if tag = tag_leave then begin
     let member = read_name names d in
     let group = read_name names d in
-    Leave { member; group }
+    r.leave acc ~member ~group
   end
-  else if tag = tag_batch && not nested then
-    Batch (Codec.read_list d (fun () -> read_one names ~nested:true d))
-  else raise (Codec.Decode_error (Printf.sprintf "unknown envelope tag %d" tag))
+  else unknown_tag tag
+
+let rec read_entries names r d n acc =
+  if n = 0 then acc else read_entries names r d (n - 1) (read_entry names r d acc)
+
+let read names d r acc =
+  if at_batch d then begin
+    ignore (Codec.read_u8 d);
+    read_entries names r d (Codec.read_count d) acc
+  end
+  else read_entry names r d acc
+
+(* [parse] is [read] with a reader that builds the entries, newest
+   first. *)
+let entries : parsed list reader =
+  {
+    app = (fun acc ~sender ~groups payload -> App { sender; groups; payload } :: acc);
+    join = (fun acc ~member ~group -> Join { member; group } :: acc);
+    leave = (fun acc ~member ~group -> Leave { member; group } :: acc);
+  }
 
 let parse names d =
-  let t = read_one names ~nested:false d in
-  Codec.expect_end d;
-  t
+  check d;
+  if at_batch d then Batch (List.rev (read names d entries []))
+  else List.hd (read names d entries [])
 
 let rec copy : parsed -> t = function
   | App { sender; groups; payload } ->

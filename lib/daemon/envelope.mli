@@ -74,15 +74,40 @@ val names_cap : int
 val names_count : names -> int
 (** Entries held now: at most {!names_cap}. *)
 
-val parse : names -> Aring_wire.Codec.decoder -> parsed
-(** The envelope parser: reads the envelope that fills the rest of the
-    cursor's slice, leaving App payloads in place. Names and App group
-    lists are read through the table, where the frame's bytes lie: a
-    name or list seen before comes back as the shared (immutable)
+val check : Aring_wire.Codec.decoder -> unit
+(** [check d] checks that the rest of the cursor's slice holds exactly
+    one well-formed envelope and, when it does, leaves the cursor where
+    it was. It reads no name and allocates nothing.
+    @raise Aring_wire.Codec.Decode_error on malformed input (a Batch
+    with any malformed entry included), or if the envelope does not end
+    exactly at the end of the slice. *)
+
+type 'a reader = {
+  app :
+    'a -> sender:string -> groups:string list -> Aring_wire.Codec.view -> 'a;
+  join : 'a -> member:string -> group:string -> 'a;
+  leave : 'a -> member:string -> group:string -> 'a;
+}
+(** What to do with each entry an envelope carries, threading an
+    accumulator: the fields of a {!parsed} entry, handed over without
+    the entry being built. *)
+
+val read : names -> Aring_wire.Codec.decoder -> 'a reader -> 'a -> 'a
+(** The envelope reader: [read names d r acc] reads the {!check}ed
+    envelope that fills the rest of the cursor's slice and hands its
+    entries, in order, to [r] (a Batch's entries one by one, never the
+    Batch itself). App payloads are views left in place. Names and App
+    group lists are read through the table, where the frame's bytes lie:
+    a name or list seen before comes back as the shared (immutable)
     string or list the table holds, with nothing copied or allocated,
-    and one not seen before is copied once and added.
-    @raise Aring_wire.Codec.Decode_error on malformed input, or if the
-    envelope does not end exactly at the end of the slice. *)
+    and one not seen before is copied once and added. Check first: on
+    input {!check} rejects, [read] raises
+    [Aring_wire.Codec.Decode_error], possibly after handing [r] the
+    entries before the fault. *)
+
+val parse : names -> Aring_wire.Codec.decoder -> parsed
+(** {!check}, then {!read} into a built envelope.
+    @raise Aring_wire.Codec.Decode_error where {!check} does. *)
 
 val decode : bytes -> t
 (** {!parse} over a whole byte string with a fresh table, with every App

@@ -59,7 +59,8 @@ val ev_data_send : int
     retransmissions. [e] = ring, [f] = the message's wire size. *)
 
 val ev_data_recv : int
-(** [a] = seq, [b] = sender, [c] = 1 for a duplicate. *)
+(** [a] = seq, [b] = sender, [c] = 1 for a duplicate, 2 for a message
+    beyond the receive window's ceiling, dropped as lost. *)
 
 val ev_deliver : int
 (** [a] = seq, [b] = sender. *)

@@ -51,13 +51,33 @@ type round_signals = {
   sr_allowed_new : int;  (* new messages flow control admitted (= sent) *)
 }
 
+(* The receive window: every message held for delivery or possible
+   retransmission, i.e. with [discard_floor < seq], sits in slot
+   [seq land (length - 1)] of a power-of-two array, and every other slot
+   holds [empty]. The array doubles on demand up to [window_ceiling]
+   slots; a message the ceiling leaves no room for is dropped as lost. *)
+let empty : Message.data =
+  {
+    d_ring = { rep = -1; ring_seq = -1 };
+    seq = 0;
+    pid = -1;
+    d_round = 0;
+    post_token = false;
+    service = Types.Agreed;
+    payload = Bytes.empty;
+  }
+
+let initial_window = 256
+
 type t = {
   params : Params.t;
   ring_id : Types.ring_id;
   ring : Types.pid array;
   me : Types.pid;
   my_pos : int;
-  buffer : (Types.seqno, Message.data) Hashtbl.t;
+  mutable window : Message.data array;
+  mutable buffered : int;  (* messages in [window] *)
+  window_ceiling : int;
   pending : pending Queue.t;
   mutable round : Types.round;
   mutable last_token_id : int;
@@ -104,6 +124,19 @@ let rec index_of (ring : Types.pid array) pid i =
   else if ring.(i) = pid then i
   else index_of ring pid (i + 1)
 
+(* Flow control keeps every sequenced message within [max_seq_gap] of a
+   token's aru, and the discard floor trails that aru by about two
+   rotations of at most [global_window] sends each, so the held span
+   stays within about [max_seq_gap + 3 * global_window] (fuzz campaigns
+   with loss and partitions reach under a third of the ceiling). The
+   ceiling is twice [max_seq_gap + 2 * global_window], rounded up to a
+   power of two, so only a seq no correct ring could have sequenced yet
+   (a corrupt one) goes beyond it. *)
+let window_ceiling (params : Params.t) =
+  let bound = 2 * (params.max_seq_gap + 2 * params.global_window) in
+  let rec pow2 n = if n >= bound then n else pow2 (2 * n) in
+  pow2 initial_window
+
 let create ~params ~ring_id ~ring ~me =
   (match Params.validate params with
   | Ok () -> ()
@@ -118,7 +151,9 @@ let create ~params ~ring_id ~ring ~me =
     ring = Array.copy ring;
     me;
     my_pos;
-    buffer = Hashtbl.create 1024;
+    window = Array.make initial_window empty;
+    buffered = 0;
+    window_ceiling = window_ceiling params;
     pending = Queue.create ();
     round = 0;
     last_token_id = -1;
@@ -183,9 +218,48 @@ let delivered_upto t = t.delivered
 let safe_line t = t.safe_line
 let high_seq t = t.high_seq
 let pending_count t = Queue.length t.pending
-let buffered_count t = Hashtbl.length t.buffer
+(* The held message [seq], or [empty]. A slot holds [empty] or a message
+   above the floor, so a seq match alone proves the message held. *)
+let find t seq =
+  let d = Array.unsafe_get t.window (seq land (Array.length t.window - 1)) in
+  if d.seq = seq then d else empty
+
+let holds t seq = find t seq != empty
+let buffered_count t = t.buffered
 let stats t = t.stats
-let buffered_message t seq = Hashtbl.find_opt t.buffer seq
+
+let buffered_message t seq =
+  let d = find t seq in
+  if d == empty then None else Some d
+
+(* Re-place the held messages in a window of [len] slots. *)
+let resize t len =
+  let w = Array.make len empty in
+  Array.iter
+    (fun (d : Message.data) -> if d != empty then w.(d.seq land (len - 1)) <- d)
+    t.window;
+  t.window <- w
+
+(* Hold [d], replacing any message held under its seq, and growing the
+   window if it needs room. False, with nothing held, when its seq lies
+   beyond the ceiling: the message is then as good as lost, and the
+   token's rtr asks for it again once the floor has risen. A seq at or
+   below the floor (only a corrupt token could number one) is not held
+   either, so every slot keeps the window's invariant. *)
+let hold t (d : Message.data) =
+  let span = d.seq - t.discard_floor in
+  if span <= 0 || span > t.window_ceiling then false
+  else begin
+    if span > Array.length t.window then begin
+      let rec size n = if n >= span then n else size (2 * n) in
+      resize t (size (Array.length t.window))
+    end;
+    let i = d.seq land (Array.length t.window - 1) in
+    if t.window.(i) == empty then t.buffered <- t.buffered + 1;
+    t.window.(i) <- d;
+    true
+  end
+
 let accelerated_window t = t.accelerated_window
 
 (* Clamp to the personal window: more than personal_window post-token
@@ -208,42 +282,44 @@ let last_round_signals t =
       }
 
 let advance_local_aru t =
-  while Hashtbl.mem t.buffer (t.local_aru + 1) do
+  while holds t (t.local_aru + 1) do
     t.local_aru <- t.local_aru + 1
   done
 
-(* Deliver every message the cursor can reach: in sequence order, stopping
-   at a gap or at an undelivered Safe message above the stability line.
-   Agreed messages beyond an undelivered Safe message are thereby held back,
-   preserving the total order. [deliver_ready_into] prepends the deliveries
-   to [tail] so callers assembling an action list pay no extra append. *)
-let deliver_ready_into t tail =
-  let rec loop acc =
-    let next = t.delivered + 1 in
-    match Hashtbl.find t.buffer next with
-    | exception Not_found -> List.rev_append acc tail
-    | d ->
-        if Types.service_requires_stability d.service && next > t.safe_line
-        then List.rev_append acc tail
-        else begin
-          t.delivered <- next;
-          t.stats.delivered <- t.stats.delivered + 1;
-          Flight.record ~node:t.me ~code:Flight.ev_deliver ~a:next ~b:d.pid
-            ~c:0 ~d:0;
-          loop (Deliver d :: acc)
-        end
-  in
-  loop []
+(* The delivery cursor: deliver every message it can reach, in sequence
+   order, stopping at a gap or at an undelivered Safe message above the
+   stability line. Agreed messages beyond an undelivered Safe message are
+   thereby held back, preserving the total order. Each delivery is built
+   by [deliver] (the caller's own constructor: the engine's [Deliver], or
+   a runtime's action) and consed in order onto [tail], so callers
+   assembling an action list pay one cell per delivery and no append. *)
+let[@tail_mod_cons] rec deliver_ready_into t deliver tail =
+  let next = t.delivered + 1 in
+  let d = find t next in
+  if d == empty || (Types.service_requires_stability d.service && next > t.safe_line)
+  then tail
+  else begin
+    t.delivered <- next;
+    t.stats.delivered <- t.stats.delivered + 1;
+    Flight.record ~node:t.me ~code:Flight.ev_deliver ~a:next ~b:d.pid ~c:0 ~d:0;
+    let delivery = deliver d in
+    delivery :: deliver_ready_into t deliver tail
+  end
 
-let deliver_ready t = deliver_ready_into t []
+let deliver_output d = Deliver d
 
 (* Garbage-collect messages that are both delivered locally and known
    received by every participant: they can never be requested again. *)
 let collect_garbage t =
   let floor = min t.safe_line t.delivered in
   if floor > t.discard_floor then begin
-    for seq = t.discard_floor + 1 to floor do
-      Hashtbl.remove t.buffer seq
+    (* Only seqs up to [discard_floor + length] can be held. *)
+    let mask = Array.length t.window - 1 in
+    for seq = t.discard_floor + 1 to min floor (t.discard_floor + mask + 1) do
+      if (Array.unsafe_get t.window (seq land mask)).seq = seq then begin
+        Array.unsafe_set t.window (seq land mask) empty;
+        t.buffered <- t.buffered - 1
+      end
     done;
     t.discard_floor <- floor
   end
@@ -255,20 +331,26 @@ let is_progress_evidence t (d : Message.data) =
   d.d_round > t.round
   || (d.d_round = t.round && index_of t.ring d.pid 0 > t.my_pos)
 
-let handle_data t (d : Message.data) =
+let handle_data t deliver (d : Message.data) =
   if is_progress_evidence t d then t.retransmit_wanted <- false;
-  let dup = d.seq <= t.discard_floor || Hashtbl.mem t.buffer d.seq in
-  Flight.record ~node:t.me ~code:Flight.ev_data_recv ~a:d.seq ~b:d.pid
-    ~c:(if dup then 1 else 0) ~d:0;
+  let dup = d.seq <= t.discard_floor || holds t d.seq in
   if dup then begin
+    Flight.record ~node:t.me ~code:Flight.ev_data_recv ~a:d.seq ~b:d.pid ~c:1
+      ~d:0;
     t.stats.dup_data <- t.stats.dup_data + 1;
     []
   end
+  else if not (hold t d) then begin
+    Flight.record ~node:t.me ~code:Flight.ev_data_recv ~a:d.seq ~b:d.pid ~c:2
+      ~d:0;
+    []
+  end
   else begin
-    Hashtbl.replace t.buffer d.seq d;
+    Flight.record ~node:t.me ~code:Flight.ev_data_recv ~a:d.seq ~b:d.pid ~c:0
+      ~d:0;
     if d.seq > t.high_seq then t.high_seq <- d.seq;
     advance_local_aru t;
-    deliver_ready t
+    deliver_ready_into t deliver []
   end
 
 (* Sequence numbers we have not received, in (local_aru, cap], that are not
@@ -283,7 +365,7 @@ let missing_requests t ~cap ~already =
       | a :: rest when a < seq -> loop seq budget rest acc
       | a :: rest when a = seq -> loop (seq + 1) budget rest acc
       | _ ->
-          if Hashtbl.mem t.buffer seq then loop (seq + 1) budget already acc
+          if holds t seq then loop (seq + 1) budget already acc
           else loop (seq + 1) (budget - 1) already (seq :: acc)
   in
   loop (t.local_aru + 1) max_rtr_per_round already []
@@ -302,15 +384,16 @@ let rec merge_sorted a b =
 let rec serve_rtr t rtr sends =
   match rtr with
   | [] -> sends
-  | seq :: rest -> (
-      match Hashtbl.find t.buffer seq with
-      | exception Not_found -> serve_rtr t rest sends
-      | d ->
-          t.stats.retrans_sent <- t.stats.retrans_sent + 1;
-          Flight.record_wide ~node:t.me ~code:Flight.ev_data_send ~a:d.seq ~b:0
-            ~c:1 ~d:0 ~e:(Flight.pack_ring t.ring_id) ~g:0 ~h:0 ~i:0
-            ~f:(Message.data_wire_size ~payload_len:(Bytes.length d.payload));
-          serve_rtr t rest (Send_data d :: sends))
+  | seq :: rest ->
+      let d = find t seq in
+      if d == empty then serve_rtr t rest sends
+      else begin
+        t.stats.retrans_sent <- t.stats.retrans_sent + 1;
+        Flight.record_wide ~node:t.me ~code:Flight.ev_data_send ~a:d.seq ~b:0
+          ~c:1 ~d:0 ~e:(Flight.pack_ring t.ring_id) ~g:0 ~h:0 ~i:0
+          ~f:(Message.data_wire_size ~payload_len:(Bytes.length d.payload));
+        serve_rtr t rest (Send_data d :: sends)
+      end
 
 (* The requests [serve_rtr] left unanswered (still missing here), in
    order: [rtr] itself when it answered none. New messages this round
@@ -321,7 +404,7 @@ let rec unanswered_rtr t rtr =
   | [] -> rtr
   | seq :: rest ->
       let kept = unanswered_rtr t rest in
-      if Hashtbl.mem t.buffer seq then kept
+      if holds t seq then kept
       else if kept == rest then rtr
       else seq :: kept
 
@@ -375,7 +458,7 @@ let handle_token t (tok : Message.token) =
         }
       in
       (* We trivially "have" our own message the moment it exists. *)
-      Hashtbl.replace t.buffer d.seq d;
+      ignore (hold t d);
       t.stats.new_sent <- t.stats.new_sent + 1;
       Flight.record_wide ~node:t.me ~code:Flight.ev_data_send ~a:d.seq
         ~b:(if d.post_token then 1 else 0) ~c:0 ~d:p.p_submit_ns
@@ -441,7 +524,7 @@ let handle_token t (tok : Message.token) =
     (* 8. Deliver and discard; assemble the action list back to front so
        each phase is prepended once — no intermediate lists, no appends.
        Re-arming both timers supersedes the ones the last visit armed. *)
-    let deliveries_on = deliver_ready_into t t.visit_timers in
+    let deliveries_on = deliver_ready_into t deliver_output t.visit_timers in
     collect_garbage t;
     t.sig_fcc <- tok.fcc;
     t.sig_retrans <- num_retrans + List.length my_missing;
@@ -484,13 +567,13 @@ let handle_timer t kind =
 let token t (tok : Message.token) =
   if Types.ring_id_equal tok.t_ring t.ring_id then handle_token t tok else []
 
-let data t (d : Message.data) =
-  if Types.ring_id_equal d.d_ring t.ring_id then handle_data t d else []
+let data t deliver (d : Message.data) =
+  if Types.ring_id_equal d.d_ring t.ring_id then handle_data t deliver d else []
 
 let handle t input =
   match input with
   | Token_received tok -> token t tok
-  | Data_received d -> data t d
+  | Data_received d -> data t deliver_output d
   | Submit (service, payload) ->
       Queue.push
         { p_service = service; p_payload = payload;

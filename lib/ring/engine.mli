@@ -111,9 +111,13 @@ val token : t -> Message.token -> output list
 (** [token t tok] is [handle t (Token_received tok)] without building the
     input: a token of another ring is ignored. *)
 
-val data : t -> Message.data -> output list
-(** [data t d] is [handle t (Data_received d)] without building the
-    input: data of another ring is ignored. *)
+val data : t -> (Message.data -> 'a) -> Message.data -> 'a list
+(** [data t deliver d] is [handle t (Data_received d)] without building
+    the input, with each delivery built by [deliver] instead of
+    [Deliver]: [data t (fun d -> Deliver d) d] is that [handle] call's
+    list. A data message's outputs are its deliveries alone, so a runtime
+    passing its own delivery constructor gets its actions built once,
+    with nothing to translate. Data of another ring is ignored. *)
 
 val start_timers : t -> output list
 (** Timers the runtime must arm right after installation (token loss
@@ -160,7 +164,16 @@ val last_round_signals : t -> round_signals option
     the first rotation. *)
 
 val buffered_count : t -> int
-(** Messages held for delivery or possible retransmission. *)
+(** Messages held in the receive window: every message received or sent
+    in this configuration whose seq is above the discard floor, the
+    lower of {!safe_line} and {!delivered_upto} as of the last token
+    (below it, a message is delivered here and received by all, so never
+    requested again). The window is an array indexed by seq that grows
+    by doubling up to a ceiling of twice [max_seq_gap + 2 *
+    global_window] (rounded up to a power of two), a span flow control
+    never reaches; a data message beyond it is dropped as lost (and
+    asked for again by the token's rtr once the floor has risen), so no
+    seq, however corrupt, grows the window past the ceiling. *)
 
 val stats : t -> stats
 
@@ -171,8 +184,10 @@ val record_metrics : ?prefix:string -> t -> Aring_obs.Metrics.t -> unit
     every name (e.g. ["ring1."] for per-ring registries). *)
 
 val buffered_message : t -> Types.seqno -> Message.data option
-(** [buffered_message t seq] is the retained message with sequence [seq],
-    if any — used by recovery to re-originate old-ring messages. *)
+(** [buffered_message t seq] is the message with sequence [seq] if the
+    receive window holds it (see {!buffered_count}): [None] at or below
+    the discard floor, and for a seq not received or dropped beyond the
+    ceiling. Recovery uses it to re-originate old-ring messages. *)
 
 val drain_pending : t -> (Types.service * bytes) list
 (** Remove and return the client messages still waiting for a token visit —

@@ -121,6 +121,9 @@ let action_of_output t = function
   | Engine.Set_timer (Engine.Token_loss, _) -> t.arm_loss
   | Engine.Token_lost -> Participant.Token_loss_detected
 
+let deliver_action d = Participant.Deliver d
+
+(* The token and timer outputs as actions. *)
 let rec actions_of_outputs t = function
   | [] -> []
   | [ Engine.Set_timer (Engine.Token_retransmit, _);
@@ -198,12 +201,14 @@ let process t msg =
       end;
       actions_of_outputs t outputs
   | Message.Data d ->
-      let outputs = Engine.data t.engine d in
+      (* A data message's outputs are deliveries, built as actions by the
+         engine's cursor: nothing to translate. *)
+      let actions = Engine.data t.engine deliver_action d in
       Priority.note_data_processed t.prio
         ~predecessor:(Engine.predecessor t.engine)
         ~current_round:(Engine.round t.engine)
         d;
-      actions_of_outputs t outputs
+      actions
   | Message.Join _ | Message.Commit _ ->
       (* Membership traffic is handled by the membership layer wrapping
          this node (see Member); an operational node alone ignores it. *)

@@ -1467,11 +1467,12 @@ let minor_words_per_call ~n f =
   for _ = 1 to n do ignore (Sys.opaque_identity (f ())) done;
   (Gc.minor_words () -. before) /. float_of_int n
 
-(* Parsing the App envelope (its record and the payload view) and the
-   routing pass: measured 8 words on OCaml 5.x. A parse that copies its
+(* Reading the App envelope into the routing fields (its payload view
+   alone) and the routing pass: measured 4 words on OCaml 5.x (8 when
+   the envelope's App record was built first). A read that copies its
    names costs a header and a word per 8 bytes of each on top, and names
    here run to 4 KiB. *)
-let app_delivery_word_bound = 12.
+let app_delivery_word_bound = 6.
 
 let test_app_delivery_reads_names_in_place () =
   List.iter
@@ -1505,6 +1506,42 @@ let test_app_delivery_reads_names_in_place () =
       ignore (Daemon.transform_actions d actions);
       check Alcotest.bool "the same sender string every time" true (first == !last_sender))
     [ 1; 64; 4_096 ]
+
+(* A Batch whose last entry is cut short is malformed as a whole: none
+   of its entries is routed or applied, not even those before the cut,
+   and it still surfaces as one delivery. *)
+let test_truncated_batch_routes_nothing () =
+  let d = bare_daemon () in
+  let got = ref 0 in
+  ignore
+    (tabled d ~name:"rx" ~group:"g"
+       { quiet with Daemon.on_message = (fun ~sender:_ ~groups:_ _ _ -> incr got) });
+  let app = Envelope.App { sender = "#x#1"; groups = [ "g" ]; payload = Bytes.make 16 'p' } in
+  let join = Envelope.Join { member = "#z#1"; group = "g" } in
+  let frame = Envelope.encode (Envelope.Batch [ app; join; app ]) in
+  let action payload =
+    match delivered app with
+    | Participant.Deliver m -> Participant.Deliver { m with payload }
+    | a -> a
+  in
+  let members_before = Daemon.group_members d "g" in
+  List.iter
+    (fun cut ->
+      let truncated = action (Bytes.sub frame 0 (Bytes.length frame - cut)) in
+      match Daemon.transform_actions d [ truncated ] with
+      | [ a ] -> check Alcotest.bool "the delivery itself, once" true (a == truncated)
+      | l -> Alcotest.failf "cut %d: %d actions" cut (List.length l))
+    [ 1; 8; 17 ];
+  check Alcotest.int "no App entry routed" 0 !got;
+  check (Alcotest.list Alcotest.string) "the Join not applied" members_before
+    (Daemon.group_members d "g");
+  (* The whole frame routes both Apps and applies the Join. *)
+  (match Daemon.transform_actions d [ action frame ] with
+  | [ _; _ ] -> ()
+  | l -> Alcotest.failf "whole batch: %d actions" (List.length l));
+  check Alcotest.int "both App entries routed" 2 !got;
+  check Alcotest.bool "the Join applied" true
+    (List.mem "#z#1" (Daemon.group_members d "g"))
 
 let test_transform_actions_in_place () =
   let d = bare_daemon () in
@@ -1670,4 +1707,6 @@ let suite =
      test_join_builds_view_only_when_read);
     ("name table stays bounded", `Quick, test_name_table_bounded);
     ("member-name parser is canonical", `Quick, test_member_name_parser_canonical);
+    ("truncated batch routes none of its entries", `Quick,
+     test_truncated_batch_routes_nothing);
   ]

@@ -793,6 +793,237 @@ let prop_total_order_any_windows =
         (fun i -> Toy_net.delivered_seqs net i = expected)
         (List.init n (fun i -> i)))
 
+(* --------------------------------------------------------------------
+   Receive window against a reference
+
+   One engine (pid 1 of ring [0; 1]) is fed data from pid 0 in random
+   order, with duplicates and arrivals far ahead (the window grows), and
+   tokens that carry retransmission requests, admit its own submissions
+   and move the discard floor. A [Hashtbl] kept here models the window:
+   a message is held from its first arrival until the floor passes it,
+   unless it lies beyond the ceiling; the cursor delivers in seq order
+   up to a gap or a Safe message above the engine's stability line; the
+   floor after a token is the lower of [safe_line] and the delivery
+   cursor. After every step the engine must agree with it on the
+   deliveries, [local_aru], [buffered_count] and [buffered_message]. *)
+
+let window_ceiling (p : Params.t) =
+  let bound = 2 * (p.max_seq_gap + (2 * p.global_window)) in
+  let rec pow2 n = if n >= bound then n else pow2 (2 * n) in
+  pow2 256
+
+type window_ref = {
+  held : (int, Message.data) Hashtbl.t;
+  ceiling : int;
+  mutable floor : int;
+  mutable aru : int;
+  mutable delivered : int;
+  mutable high : int;  (* highest seq any step has used *)
+}
+
+let ref_hold w (d : Message.data) =
+  if d.seq > w.floor && d.seq - w.floor <= w.ceiling then begin
+    Hashtbl.replace w.held d.seq d;
+    while Hashtbl.mem w.held (w.aru + 1) do
+      w.aru <- w.aru + 1
+    done
+  end
+
+let ref_deliver w ~safe_line =
+  let rec loop acc =
+    match Hashtbl.find_opt w.held (w.delivered + 1) with
+    | Some (d : Message.data)
+      when not (Types.service_requires_stability d.service && d.seq > safe_line) ->
+        w.delivered <- d.seq;
+        loop (d :: acc)
+    | _ -> List.rev acc
+  in
+  loop []
+
+let window_data ~seq : Message.data =
+  {
+    d_ring = rid;
+    seq;
+    pid = 0;
+    d_round = 1;
+    post_token = false;
+    service = (if seq mod 5 = 0 then Types.Safe else Types.Agreed);
+    payload = Bytes.empty;
+  }
+
+let same_deliveries what (expected : Message.data list) (got : Message.data list) =
+  if List.length expected <> List.length got || not (List.for_all2 ( == ) expected got)
+  then
+    QCheck.Test.fail_reportf "%s: expected seqs [%s], engine delivered [%s]" what
+      (String.concat ";" (List.map (fun (d : Message.data) -> string_of_int d.seq) expected))
+      (String.concat ";" (List.map (fun (d : Message.data) -> string_of_int d.seq) got))
+
+let agree eng w =
+  if Engine.local_aru eng <> w.aru then
+    QCheck.Test.fail_reportf "local_aru %d, reference %d" (Engine.local_aru eng) w.aru;
+  if Engine.buffered_count eng <> Hashtbl.length w.held then
+    QCheck.Test.fail_reportf "buffered_count %d, reference %d"
+      (Engine.buffered_count eng) (Hashtbl.length w.held);
+  for seq = w.floor - 3 to w.high + 3 do
+    match (Engine.buffered_message eng seq, Hashtbl.find_opt w.held seq) with
+    | None, None -> ()
+    | Some a, Some b when a == b -> ()
+    | a, _ ->
+        QCheck.Test.fail_reportf "buffered_message %d: engine %s, reference %s" seq
+          (if a = None then "None" else "Some")
+          (if Hashtbl.mem w.held seq then "Some" else "None")
+  done
+
+(* One step per [(kind, x)]: 0-2 the next seq the cursor waits for,
+   3 a seq up to 64 ahead, 4 up to 3,000 ahead (window growth), 5 a
+   duplicate at or below the aru, 6-7 a token, 8 a submission, 9 the
+   last token again. *)
+let run_window_steps steps =
+  let params = Params.default in
+  let eng = Engine.create ~params ~ring_id:rid ~ring:[| 0; 1 |] ~me:1 in
+  let w =
+    { held = Hashtbl.create 64; ceiling = window_ceiling params; floor = 0; aru = 0;
+      delivered = 0; high = 0 }
+  in
+  let token_id = ref 0 and last_token = ref None in
+  let data seq =
+    let d = window_data ~seq in
+    if seq > w.high then w.high <- seq;
+    let dup = seq <= w.floor || Hashtbl.mem w.held seq in
+    (* [Fun.id] as the delivery constructor: the deliveries themselves. *)
+    let got = Engine.data eng Fun.id d in
+    let expected =
+      if dup then []
+      else begin
+        ref_hold w d;
+        ref_deliver w ~safe_line:(Engine.safe_line eng)
+      end
+    in
+    same_deliveries (Printf.sprintf "data %d" seq) expected got
+  in
+  List.iter
+    (fun (kind, x) ->
+      (match kind with
+      | 0 | 1 | 2 -> data (w.aru + 1)
+      | 3 -> data (w.aru + 1 + (x mod 64))
+      | 4 -> data (w.aru + 1 + (x mod 3_000))
+      | 5 -> data (max 1 (w.aru - (x mod 8)))
+      | 8 ->
+          for i = 1 to 1 + (x mod 3) do
+            ignore (Engine.handle eng (Engine.Submit (Types.Agreed, payload i)))
+          done
+      | _ ->
+          let tok =
+            match (kind, !last_token) with
+            | 9, Some tok -> tok
+            | _ ->
+                token_id := !token_id + 2;
+                let rtr =
+                  List.sort_uniq compare
+                    [ max 1 (w.floor - 1 + (x mod 7)); w.aru + 1 + (x mod 5);
+                      max 1 (w.high - (x mod 11)) ]
+                in
+                { (Engine.initial_token rid) with
+                  token_id = !token_id; t_round = !token_id / 2; t_seq = w.high;
+                  aru = w.high; rtr }
+          in
+          last_token := Some tok;
+          let before = Hashtbl.copy w.held in
+          let rounds = Engine.round eng in
+          let out = Engine.token eng tok in
+          if Engine.round eng = rounds then begin
+            if out <> [] then QCheck.Test.fail_report "a stale token produced outputs"
+          end
+          else begin
+            let served = ref [] and delivered = ref [] in
+            List.iter
+              (function
+                | Engine.Send_data d when d.seq > tok.t_seq ->
+                    if d.seq > w.high then w.high <- d.seq;
+                    ref_hold w d
+                | Engine.Send_data d -> served := d :: !served
+                | Engine.Deliver d -> delivered := d :: !delivered
+                | Engine.Send_token _ | Engine.Set_timer _ | Engine.Token_lost -> ())
+              out;
+            let expected_served =
+              List.filter_map (fun seq -> Hashtbl.find_opt before seq) tok.rtr
+            in
+            same_deliveries "retransmissions" expected_served (List.rev !served);
+            same_deliveries "token deliveries"
+              (ref_deliver w ~safe_line:(Engine.safe_line eng))
+              (List.rev !delivered);
+            let floor = min (Engine.safe_line eng) w.delivered in
+            if floor > w.floor then begin
+              Hashtbl.filter_map_inplace
+                (fun seq d -> if seq <= floor then None else Some d)
+                w.held;
+              w.floor <- floor
+            end
+          end);
+      agree eng w)
+    steps;
+  true
+
+let prop_window_matches_reference =
+  QCheck.Test.make ~name:"receive window matches a Hashtbl reference" ~count:150
+    QCheck.(list_of_size Gen.(int_range 20 400) (pair (int_range 0 9) (int_range 0 10_000)))
+    run_window_steps
+
+(* A data message far above the window is dropped as lost: nothing is
+   held and the window stays within its ceiling. One just past the
+   ceiling is asked for on the token once the floor has risen, and is
+   delivered in order when it is retransmitted. *)
+let test_window_far_above () =
+  let params =
+    { Params.default with
+      personal_window = 20; global_window = 60; accelerated_window = 10; max_seq_gap = 100 }
+  in
+  let ceiling = window_ceiling params in
+  let eng = Engine.create ~params ~ring_id:rid ~ring:[| 0; 1 |] ~me:1 in
+  let data seq =
+    List.map
+      (fun (d : Message.data) -> d.seq)
+      (Engine.data eng Fun.id { (window_data ~seq) with service = Types.Agreed })
+  in
+  let token_id = ref 0 in
+  let token t_seq =
+    token_id := !token_id + 2;
+    Engine.token eng
+      { (Engine.initial_token rid) with
+        token_id = !token_id; t_round = !token_id / 2; t_seq; aru = t_seq }
+  in
+  let words = Obj.reachable_words (Obj.repr eng) in
+  let far = 1_000_000_000 + 1 in
+  check (Alcotest.list Alcotest.int) "far above: nothing delivered" [] (data far);
+  check Alcotest.int "far above: nothing held" 0 (Engine.buffered_count eng);
+  check Alcotest.bool "far above: not held" true (Engine.buffered_message eng far = None);
+  check Alcotest.bool "the window did not grow" true
+    (Obj.reachable_words (Obj.repr eng) <= words);
+  let beyond = ceiling + 1 in
+  check (Alcotest.list Alcotest.int) "past the ceiling: nothing delivered" [] (data beyond);
+  check Alcotest.bool "past the ceiling: not held" true
+    (Engine.buffered_message eng beyond = None);
+  let delivered = ref [] in
+  for seq = 1 to beyond - 1 do
+    delivered := List.rev_append (data seq) !delivered;
+    if seq mod 32 = 0 then ignore (token seq)
+  done;
+  check (Alcotest.list Alcotest.int) "everything below delivered in order"
+    (List.init (beyond - 1) (fun i -> i + 1))
+    (List.rev !delivered);
+  check Alcotest.bool "the window stays within its ceiling" true
+    (Engine.buffered_count eng <= ceiling);
+  ignore (token beyond);
+  let rtr =
+    List.concat_map
+      (function Engine.Send_token (_, (t : Message.token)) -> t.rtr | _ -> [])
+      (token beyond)
+  in
+  check (Alcotest.list Alcotest.int) "the token asks for it" [ beyond ] rtr;
+  check (Alcotest.list Alcotest.int) "retransmitted in range: delivered" [ beyond ]
+    (data beyond);
+  check Alcotest.int "local_aru" beyond (Engine.local_aru eng)
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -829,4 +1060,6 @@ let suite =
     qtest prop_safe_never_outruns_stability;
     qtest prop_both_protocols_agree;
     qtest prop_total_order_any_windows;
+    qtest prop_window_matches_reference;
+    ("window drops a message beyond its ceiling", `Quick, test_window_far_above);
   ]

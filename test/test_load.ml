@@ -198,9 +198,9 @@ let test_background_churn () =
 (* The KV bench's shape (one periodic session per node, 128-byte values)
    across a partition: the island [3] is cut away and healed inside the
    window, and rejoins through a snapshot install. *)
-let test_kv_preset_partition () =
-  let r =
-    Load.run
+let kv_partition_run =
+  lazy
+    (Load.run
       {
         Load.default_spec with
         label = "kv-partition-test";
@@ -217,13 +217,23 @@ let test_kv_preset_partition () =
         partition =
           Some
             { Kv_scenario.part_at_ns = ms 60; heal_at_ns = ms 140; island = [ 3 ] };
-      }
-  in
+      })
+
+let test_kv_preset_partition () =
+  let r = Lazy.force kv_partition_run in
   check_clean r;
   if Aring_obs.Metrics.counter_value r.Load.metrics "app.installs" < 1 then
     Alcotest.fail "no state transfer after the heal";
   if Stats.count r.Load.sync_read_latency_us = 0 then
     Alcotest.fail "no sync read was answered"
+
+(* The same run's transfer buffers ops delivered while the snapshot
+   streams; the peak depth is pinned (it moves only if the scenario's
+   stream does). *)
+let test_kv_transfer_buffered_peak () =
+  let r = Lazy.force kv_partition_run in
+  check (Alcotest.float 0.) "app.buffered_peak" 2.
+    (Aring_obs.Metrics.gauge_value (Aring_obs.Metrics.gauge r.Load.metrics "app.buffered_peak"))
 
 (* A malformed partition window is rejected at every ring count, not
    silently dropped. *)
@@ -401,4 +411,6 @@ let suite =
     Alcotest.test_case "kv preset heals a partition" `Quick
       test_kv_preset_partition;
     Alcotest.test_case "one result at every ring count" `Quick test_one_result;
+    Alcotest.test_case "kv transfer buffered peak pinned" `Quick
+      test_kv_transfer_buffered_peak;
   ]
