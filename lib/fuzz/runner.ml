@@ -270,19 +270,23 @@ let controller ~adaptive (params : Params.t) =
          ~init:params.Params.accelerated_window ())
   else None
 
-(* The formation-cycle threshold must scale with the schedule: a
-   membership attempt rides token circuits of ~2n hops, so under
+(* The formation-cycle threshold must scale with the schedule. A
+   membership attempt's commit token makes four passes around the new
+   ring (collect the member infos, spread them, gather the exchange
+   holdings, verify and install), so it rides ~4n lossy hops, and under
    sustained per-hop loss p each attempt fails with probability about
-   1 - (1-p)^(2n) from loss alone -- at 27 nodes and 19 permille
-   that is ~65%, and runs of 8+ consecutive loss-killed attempts are
-   routine, not a livelock. Pick the smallest k that bounds the
-   false-positive odds of k consecutive legitimate failures below
-   ~1e-4; a true livelock (which never succeeds) still trips it, and
-   the deadline oracles keep judging final convergence regardless. *)
+   1 - (1-p)^(4n) from loss alone: ~59% at 28 nodes and 8 permille.
+   Long runs of loss-killed attempts there are legitimate, not a
+   livelock. Modelled at ~2n hops, that threshold was 10, and the
+   watchdog flagged the health_stall corpus entry, which converges at
+   1,275 ms after more attempts than that. Pick the smallest k that
+   bounds the false-positive odds of k consecutive legitimate failures
+   below ~1e-4; a true livelock (which never succeeds) still trips it,
+   and the deadline oracles keep judging final convergence regardless. *)
 let health_config (c : Schedule.config) =
   let base = Health.default_config in
   let p = float_of_int c.Schedule.base_loss_permille /. 1000. in
-  let attempt_fail = 1. -. ((1. -. p) ** float_of_int (2 * c.Schedule.n_nodes)) in
+  let attempt_fail = 1. -. ((1. -. p) ** float_of_int (4 * c.Schedule.n_nodes)) in
   if attempt_fail <= 0. || attempt_fail >= 1. then base
   else
     let k = int_of_float (ceil (log 1e-4 /. log attempt_fail)) in

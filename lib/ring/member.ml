@@ -50,24 +50,38 @@ type commit_phase = {
   cp_order : Types.pid array;
 }
 
-type recover = {
-  r_ring : Types.ring_id;
-  r_order : Types.pid array;
-  r_memb : Message.member_info list;
-  r_survivors : Types.pid list;  (* of my old ring, sorted *)
-  r_min_aru : Types.seqno;
-  r_max_high : Types.seqno;
-  r_exchange : (Types.seqno, Message.data) Hashtbl.t;
-  r_flood_q : Types.seqno Deque.t;
-      (* Exchange messages this node is designated to flood, ascending;
+(* The recovery flood of one old ring: its exchange table, and the
+   messages this node sends from it in paced bursts, first as the
+   designated holder and then in answer to nacks. [Recover] holds it
+   while the exchange runs, and [install] moves the same record into
+   [t.residual]. A member must install as soon as it verifies
+   completeness — holding the pass-4 token while its own paced flood
+   queue drains stalls the new ring's token rotation past the token-loss
+   timeout and kills the formation — so it keeps bursting (and answering
+   pass-5 nacks) for peers still recovering the old ring while it is
+   already operational. *)
+type flood = {
+  ring : Types.ring_id;  (* the exchanged (pre-install) ring *)
+  memb : Message.member_info list;  (* the commit token's, for holder election *)
+  exchange : (Types.seqno, Message.data) Hashtbl.t;
+  q : Types.seqno Deque.t;
+      (* Exchange messages to send, ascending for the designated ones;
          drained in paced bursts by the [Flood_burst] timer. *)
-  r_queued : (Types.seqno, unit) Hashtbl.t;  (* membership of [r_flood_q] *)
-  r_nacked : (Types.seqno, int) Hashtbl.t;
+  queued : (Types.seqno, unit) Hashtbl.t;  (* membership of [q] *)
+  nacked : (Types.seqno, int) Hashtbl.t;
       (* How many cumulative nacks have named each seqno. The k-th nack
          is answered by the k-th candidate holder, so a crashed donor is
          routed around without any extra agreement round. *)
-  r_pos : int;  (* my index among the survivors, for burst staggering *)
-  mutable r_burst_armed : bool;
+  mutable armed : bool;  (* a [Flood_burst] timer is pending *)
+}
+
+type recover = {
+  r_ring : Types.ring_id;
+  r_order : Types.pid array;
+  r_survivors : Types.pid list;  (* of my old ring, sorted *)
+  r_min_aru : Types.seqno;
+  r_max_high : Types.seqno;
+  r_flood : flood;
   mutable r_pending : Message.commit option;
       (* A pass-4 commit held back while late recovery floods arrive. *)
   mutable r_rechecks : int;
@@ -78,23 +92,6 @@ type phase =
   | Gather of gather
   | Commit_wait of commit_phase
   | Recover of recover
-
-(* Flood work carried across an install. A member must install as soon as
-   it verifies completeness — holding the pass-4 token while its own
-   paced flood queue drains stalls the new ring's token rotation past
-   the token-loss timeout and kills the formation. So the queue, the
-   exchange table and the nack bookkeeping survive the install here, and
-   the member keeps bursting (and answering pass-5 nacks) for peers
-   still recovering the old ring while it is already operational. *)
-type residual = {
-  res_old_ring : Types.ring_id;  (* the exchanged (pre-install) ring *)
-  res_memb : Message.member_info list;  (* for holder re-election *)
-  res_exchange : (Types.seqno, Message.data) Hashtbl.t;
-  res_q : Types.seqno Deque.t;
-  res_queued : (Types.seqno, unit) Hashtbl.t;
-  res_nacked : (Types.seqno, int) Hashtbl.t;
-  mutable res_burst_armed : bool;
-}
 
 type t = {
   params : Params.t;
@@ -110,7 +107,7 @@ type t = {
      carries across membership changes. *)
   controller : Aring_control.Controller.t option;
   mutable phase : phase;
-  mutable residual : residual option;  (* flood work from the last install *)
+  mutable residual : flood option;  (* the last install's flood *)
   mutable old_node : Node.t option;  (* engine of the dying configuration *)
   mutable old_ring : Types.ring_id;  (* ring I was last operational in *)
   mutable old_delivered : Types.seqno;  (* its delivery cursor *)
@@ -147,6 +144,9 @@ let state_name t = Flight.phase_name (phase_code t)
 let trace_phase t =
   Flight.record ~node:t.me ~code:Flight.ev_phase ~a:(phase_code t)
     ~b:t.memb_gen ~c:0 ~d:0
+
+(* A membership timer of the current generation. *)
+let arm t kind delay = Participant.Arm_timer (Memb_timer (kind, t.memb_gen), delay)
 
 let create ~params ~me ?initial_ring ?controller ?(legacy_flood = false) () =
   let singleton_ring : Types.ring_id = { rep = me; ring_seq = 0 } in
@@ -192,7 +192,8 @@ let missing_from_exchange t (r : recover) holds =
   | None -> []
   | Some (_, seqs) ->
       List.filter
-        (fun seq -> seq > t.old_delivered && not (Hashtbl.mem r.r_exchange seq))
+        (fun seq ->
+          seq > t.old_delivered && not (Hashtbl.mem r.r_flood.exchange seq))
         seqs
 
 (* ------------------------------------------------------------------ *)
@@ -281,10 +282,8 @@ and enter_gather t =
   Log.debug (fun m -> m "pid %d entering gather (join_seq %d)" t.me t.join_seq);
   [
     multicast_join t g;
-    Participant.Arm_timer
-      (Memb_timer (Join_retransmit, t.memb_gen), t.params.join_retransmit_ns);
-    Participant.Arm_timer
-      (Memb_timer (Consensus_timeout, t.memb_gen), t.params.consensus_timeout_ns);
+    arm t Join_retransmit t.params.join_retransmit_ns;
+    arm t Consensus_timeout t.params.consensus_timeout_ns;
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -360,8 +359,7 @@ and propose t g =
         (List.length members));
   [
     Participant.Unicast (successor_in order t.me, Message.Commit commit);
-    Participant.Arm_timer
-      (Memb_timer (Formation_timeout, t.memb_gen), t.params.consensus_timeout_ns);
+    arm t Formation_timeout t.params.consensus_timeout_ns;
   ]
 
 (* Consensus check, run after every join and on the consensus timeout. *)
@@ -433,92 +431,77 @@ and handle_join t (j : Message.join) =
 (* Installation (EVS delivery)                                         *)
 
 and install t (r : recover) =
-  let members = Array.to_list r.r_order in
+  let fl = r.r_flood in
   let transitional : Participant.view =
     { view_id = r.r_ring; members = r.r_survivors; transitional = true }
-  in
-  let regular : Participant.view =
-    { view_id = r.r_ring; members; transitional = false }
   in
   (* Old-ring messages recovered by the exchange, beyond what was already
      delivered, in sequence order. After a complete exchange all survivors
      hold the same set, so every survivor delivers the same sequence. *)
   let old_deliveries =
-    Hashtbl.fold (fun seq d acc -> (seq, d) :: acc) r.r_exchange []
+    Hashtbl.fold (fun seq d acc -> (seq, d) :: acc) fl.exchange []
     |> List.filter (fun (seq, _) -> seq > t.old_delivered)
     |> List.sort compare
     |> List.map (fun (_, d) -> Participant.Deliver d)
   in
   List.iter (fun (mi : Message.member_info) ->
       Hashtbl.replace t.known_rings mi.m_old_ring ())
-    r.r_memb;
+    fl.memb;
   Hashtbl.replace t.known_rings t.old_ring ();
-  (* Installing must not wait for this node's own paced floods: carry the
-     unfinished queue (and the exchange table, for answering late pass-5
-     nacks) across the install so peers still recovering the old ring keep
-     being served while this node is already operational. *)
-  t.residual <-
-    (if t.legacy_flood then None
-     else
-       Some
-         {
-           res_old_ring = t.old_ring;
-           res_memb = r.r_memb;
-           res_exchange = r.r_exchange;
-           res_q = r.r_flood_q;
-           res_queued = r.r_queued;
-           res_nacked = r.r_nacked;
-           res_burst_armed = not (Deque.is_empty r.r_flood_q);
-         });
+  (* The flood moves across the install (see [flood]). The new
+     generation kills its pending burst timer, so [armed] is re-derived
+     from the queue. *)
+  fl.armed <- not (Deque.is_empty fl.q);
+  t.residual <- (if t.legacy_flood then None else Some fl);
   t.old_node <- None;
-  t.old_ring <- r.r_ring;
   t.old_delivered <- 0;
   Hashtbl.reset t.stash;
-  t.highest_ring_seq <- max t.highest_ring_seq r.r_ring.ring_seq;
   t.memb_gen <- t.memb_gen + 1;
+  let started = operate t r.r_ring r.r_order ~resubmit:true in
+  Log.info (fun m ->
+      m "pid %d installed %a (%d members, %d survivors)" t.me Types.pp_ring_id
+        r.r_ring (Array.length r.r_order)
+        (List.length r.r_survivors));
+  let residual_burst =
+    match t.residual with
+    | Some { armed = true; _ } -> [ arm t Flood_burst 1 ]
+    | Some { armed = false; _ } | None -> []
+  in
+  (Participant.Deliver_config transitional :: old_deliveries)
+  @ started @ residual_burst
+
+(* Enter [Operational] in a new node for [ring_id], whose members in ring
+   order are [order]: the end of every install, and [start]'s pre-agreed
+   ring. Returns the regular view's delivery, the node's first actions and
+   the representative's merge probe. With [resubmit], client messages
+   submitted during the formation carry over into the new node. [start]
+   passes [false]: resubmitting there would also replay every pre-start
+   submission in the simulator, which changes the pinned traces. *)
+and operate t (ring_id : Types.ring_id) order ~resubmit =
+  let view : Participant.view =
+    { view_id = ring_id; members = Array.to_list order; transitional = false }
+  in
+  t.old_ring <- ring_id;
+  t.highest_ring_seq <- max t.highest_ring_seq ring_id.ring_seq;
   t.installs <- t.installs + 1;
-  t.last_view <- Some regular;
+  t.last_view <- Some view;
   let node =
-    Node.create ~params:t.params ~ring_id:r.r_ring
-      ~ring:r.r_order ~me:t.me ?controller:t.controller ()
+    Node.create ~params:t.params ~ring_id ~ring:order ~me:t.me
+      ?controller:t.controller ()
   in
   t.phase <- Operational node;
   trace_phase t;
-  (* Unsequenced client messages carry over into the new configuration. *)
-  let rec resubmit () =
-    match Queue.take_opt t.client_pending with
-    | None -> ()
-    | Some (service, payload) ->
-        Node.submit node service payload;
-        resubmit ()
-  in
-  resubmit ();
-  Log.info (fun m ->
-      m "pid %d installed %a (%d members, %d survivors)" t.me Types.pp_ring_id
-        r.r_ring (List.length members)
-        (List.length r.r_survivors));
+  if resubmit then begin
+    Queue.iter (fun (service, payload) -> Node.submit node service payload)
+      t.client_pending;
+    Queue.clear t.client_pending
+  end;
   let probe =
-    if r.r_ring.rep = t.me then
-      [
-        Participant.Arm_timer
-          (Memb_timer (Merge_probe, t.memb_gen), t.params.merge_probe_ns);
-      ]
+    if ring_id.rep = t.me then [ arm t Merge_probe t.params.merge_probe_ns ]
     else []
   in
-  let residual_burst =
-    match t.residual with
-    | Some res when res.res_burst_armed ->
-        [
-          Participant.Arm_timer
-            (Memb_timer (Flood_burst, t.memb_gen), 1);
-        ]
-    | _ -> []
-  in
-  Participant.Deliver_config transitional
-  :: old_deliveries
-  @ [ Participant.Deliver_config regular ]
-  @ rewrap_node_actions t (Node.start node)
-  @ probe @ residual_burst
+  (Participant.Deliver_config view :: rewrap_node_actions t (Node.start node))
+  @ probe
 
 (* A member alone at the consensus timeout installs a singleton ring
    without any commit/recover exchange. *)
@@ -541,19 +524,24 @@ and install_singleton t =
     {
       r_ring = ring_id;
       r_order = [| t.me |];
-      r_memb = [ info ];
       r_survivors = [ t.me ];
       r_min_aru = info.m_aru;
       r_max_high = info.m_high_seq;
-      r_exchange = exchange;
-      r_flood_q = Deque.create ();
-      r_queued = Hashtbl.create 1;
-      r_nacked = Hashtbl.create 1;
-      r_pos = 0;
-      r_burst_armed = false;
+      r_flood = new_flood t [ info ] exchange;
       r_pending = None;
       r_rechecks = 0;
     }
+
+and new_flood t memb exchange =
+  {
+    ring = t.old_ring;
+    memb;
+    exchange;
+    q = Deque.create ();
+    queued = Hashtbl.create 16;
+    nacked = Hashtbl.create 16;
+    armed = false;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Recovery                                                            *)
@@ -581,9 +569,7 @@ and enter_recover t (c : Message.commit) order =
       ([], max_int, 0) c.c_memb
   in
   let survivors = set_of survivors in
-  let exchange = Hashtbl.create 64 in
-  let flood_q = Deque.create () in
-  let queued_tbl = Hashtbl.create 16 in
+  let fl = new_flood t c.c_memb (Hashtbl.create 64) in
   let held seq =
     match Hashtbl.find_opt t.stash seq with
     | Some d -> Some d
@@ -603,7 +589,7 @@ and enter_recover t (c : Message.commit) order =
     for seq = max_high downto lo + 1 do
       match held seq with
       | Some d ->
-          Hashtbl.replace exchange seq d;
+          Hashtbl.replace fl.exchange seq d;
           if seq > min_aru then begin
             incr held_in_range;
             if t.legacy_flood then
@@ -613,8 +599,8 @@ and enter_recover t (c : Message.commit) order =
               = Some t.me
             then begin
               (* Descending loop + push_front = ascending flood order. *)
-              Deque.push_front flood_q seq;
-              Hashtbl.replace queued_tbl seq ();
+              Deque.push_front fl.q seq;
+              Hashtbl.replace fl.queued seq ();
               incr queued
             end
           end
@@ -632,16 +618,10 @@ and enter_recover t (c : Message.commit) order =
     {
       r_ring = c.c_ring;
       r_order = order;
-      r_memb = c.c_memb;
       r_survivors = survivors;
       r_min_aru = min_aru;
       r_max_high = max_high;
-      r_exchange = exchange;
-      r_flood_q = flood_q;
-      r_queued = queued_tbl;
-      r_nacked = Hashtbl.create 16;
-      r_pos = pos;
-      r_burst_armed = false;
+      r_flood = fl;
       r_pending = None;
       r_rechecks = 0;
     }
@@ -661,23 +641,14 @@ and enter_recover t (c : Message.commit) order =
         ~c:max_high ~d:0;
       Flight.record ~node:t.me ~code:Flight.ev_dedup ~a:!held_in_range
         ~b:!queued ~c:(!held_in_range - !queued) ~d:pos;
-      if Deque.is_empty flood_q then []
+      if Deque.is_empty fl.q then []
       else begin
-        r.r_burst_armed <- true;
-        [
-          Participant.Arm_timer
-            (Memb_timer (Flood_burst, t.memb_gen),
-             1 + (pos * (t.params.recovery_burst_gap_ns / 4)));
-        ]
+        fl.armed <- true;
+        [ arm t Flood_burst (1 + (pos * (t.params.recovery_burst_gap_ns / 4))) ]
       end
     end
   in
-  ( r,
-    actions
-    @ [
-        Participant.Arm_timer
-          (Memb_timer (Formation_timeout, t.memb_gen), t.params.consensus_timeout_ns);
-      ] )
+  (r, actions @ [ arm t Formation_timeout t.params.consensus_timeout_ns ])
 
 (* ------------------------------------------------------------------ *)
 (* Commit token                                                        *)
@@ -688,114 +659,71 @@ and enter_recover t (c : Message.commit) order =
    sequence numbers as compacted [lo;hi;...] ranges for its old ring.
    Each survivor counts how many nacks have named each seqno and answers
    as the k-th candidate holder for the k-th nack — exactly one resender
-   per request when views agree, rotating past crashed donors. *)
+   per request when views agree, rotating past crashed donors. A member
+   answers from the flood of the ring it is recovering or, once
+   installed, from the flood it carried across the install, so a
+   straggling peer can finish without forcing a re-gather. *)
 and handle_nack t (c : Message.commit) =
-  match t.phase with
-  | Recover r when Types.ring_id_equal r.r_ring c.c_ring -> (
-      match c.c_memb with
-      | [ requester ]
-        when requester.m_pid <> t.me
-             && Types.ring_id_equal requester.m_old_ring t.old_ring ->
-          let seqs =
-            List.concat_map
-              (fun (ring, encoded) ->
-                if Types.ring_id_equal ring t.old_ring then
-                  Recovery.expand (Recovery.decode_ranges encoded)
-                else [])
-              c.c_holds
-          in
-          let queued = ref 0 in
-          List.iter
-            (fun seq ->
-              let k =
-                1 + Option.value ~default:0 (Hashtbl.find_opt r.r_nacked seq)
-              in
-              Hashtbl.replace r.r_nacked seq k;
-              (* First nack: only the k-th candidate answers (covers a
-                 dropped flood without duplication). Repeated nacks mean
-                 the info-based election keeps pointing at nodes that
-                 discarded the message as stable — every actual holder
-                 answers, trading a few duplicates for a bounded number
-                 of rounds. *)
-              if
-                (not t.legacy_flood)
-                && Hashtbl.mem r.r_exchange seq
-                && (not (Hashtbl.mem r.r_queued seq))
-                && (k >= 2
-                   || Recovery.designated_nth ~infos:r.r_memb
-                        ~old_ring:t.old_ring ~nth:(k - 1) seq
-                      = Some t.me)
-              then begin
-                Deque.push_back r.r_flood_q seq;
-                Hashtbl.replace r.r_queued seq ();
-                incr queued
-              end)
-            seqs;
-          if !queued = 0 then []
-          else begin
-            Flight.record ~node:t.me ~code:Flight.ev_resend ~a:!queued
-              ~b:(List.length seqs) ~c:0 ~d:0;
-            if r.r_burst_armed then []
-            else begin
-              (* Resends skip the position stagger: the requester has
-                 already waited out a recheck interval. *)
-              r.r_burst_armed <- true;
-              [ Participant.Arm_timer (Memb_timer (Flood_burst, t.memb_gen), 1) ]
-            end
-          end
-      | _ -> [])
-  | Operational _ -> (
-      (* Already installed, but the last exchange survives as residual
-         state: keep answering nacks for the old ring so a straggling
-         peer can finish without forcing a re-gather. *)
-      match (t.residual, c.c_memb) with
-      | Some res, [ requester ]
-        when requester.m_pid <> t.me
-             && Types.ring_id_equal requester.m_old_ring res.res_old_ring ->
-          let seqs =
-            List.concat_map
-              (fun (ring, encoded) ->
-                if Types.ring_id_equal ring res.res_old_ring then
-                  Recovery.expand (Recovery.decode_ranges encoded)
-                else [])
-              c.c_holds
-          in
-          let queued = ref 0 in
-          List.iter
-            (fun seq ->
-              let k =
-                1
-                + Option.value ~default:0 (Hashtbl.find_opt res.res_nacked seq)
-              in
-              Hashtbl.replace res.res_nacked seq k;
-              if
-                Hashtbl.mem res.res_exchange seq
-                && (not (Hashtbl.mem res.res_queued seq))
-                && (k >= 2
-                   || Recovery.designated_nth ~infos:res.res_memb
-                        ~old_ring:res.res_old_ring ~nth:(k - 1) seq
-                      = Some t.me)
-              then begin
-                Deque.push_back res.res_q seq;
-                Hashtbl.replace res.res_queued seq ();
-                incr queued
-              end)
-            seqs;
-          if !queued = 0 then []
-          else begin
-            Flight.record ~node:t.me ~code:Flight.ev_resend ~a:!queued
-              ~b:(List.length seqs) ~c:0 ~d:0;
-            if res.res_burst_armed then []
-            else begin
-              res.res_burst_armed <- true;
-              [ Participant.Arm_timer (Memb_timer (Flood_burst, t.memb_gen), 1) ]
-            end
-          end
-      | _ -> [])
-  | Gather _ | Commit_wait _ | Recover _ ->
-      (* Not recovering the requester's ring (or our own nack echoed
-         back): the formation-timeout re-gather is the backstop. *)
-      []
+  let flood =
+    match t.phase with
+    | Recover r
+      when Types.ring_id_equal r.r_ring c.c_ring && not t.legacy_flood ->
+        Some r.r_flood
+    | Operational _ -> t.residual
+    | Gather _ | Commit_wait _ | Recover _ ->
+        (* Not recovering the requester's ring, or a legacy flood, which
+           never resends: the formation-timeout re-gather is the
+           backstop. *)
+        None
+  in
+  match (flood, c.c_memb) with
+  | Some fl, [ requester ]
+    when requester.m_pid <> t.me
+         && Types.ring_id_equal requester.m_old_ring fl.ring ->
+      let seqs =
+        List.concat_map
+          (fun (ring, encoded) ->
+            if Types.ring_id_equal ring fl.ring then
+              Recovery.expand (Recovery.decode_ranges encoded)
+            else [])
+          c.c_holds
+      in
+      let queued = ref 0 in
+      List.iter
+        (fun seq ->
+          let k = 1 + Option.value ~default:0 (Hashtbl.find_opt fl.nacked seq) in
+          Hashtbl.replace fl.nacked seq k;
+          (* First nack: only the k-th candidate answers (covers a
+             dropped flood without duplication). Repeated nacks mean the
+             info-based election keeps pointing at nodes that discarded
+             the message as stable — every actual holder answers,
+             trading a few duplicates for a bounded number of rounds. *)
+          if
+            Hashtbl.mem fl.exchange seq
+            && (not (Hashtbl.mem fl.queued seq))
+            && (k >= 2
+               || Recovery.designated_nth ~infos:fl.memb ~old_ring:fl.ring
+                    ~nth:(k - 1) seq
+                  = Some t.me)
+          then begin
+            Deque.push_back fl.q seq;
+            Hashtbl.replace fl.queued seq ();
+            incr queued
+          end)
+        seqs;
+      if !queued = 0 then []
+      else begin
+        Flight.record ~node:t.me ~code:Flight.ev_resend ~a:!queued
+          ~b:(List.length seqs) ~c:0 ~d:0;
+        if fl.armed then []
+        else begin
+          (* Resends skip the position stagger: the requester has
+             already waited out a recheck interval. *)
+          fl.armed <- true;
+          [ arm t Flood_burst 1 ]
+        end
+      end
+  | _ -> []
 
 and handle_commit t (c : Message.commit) =
   if c.c_pass = 5 then handle_nack t c
@@ -821,7 +749,7 @@ and handle_commit t (c : Message.commit) =
        accumulator for our old ring. *)
     let merged_holds (r : recover) =
       let mine =
-        Hashtbl.fold (fun seq _ acc -> seq :: acc) r.r_exchange []
+        Hashtbl.fold (fun seq _ acc -> seq :: acc) r.r_flood.exchange []
       in
       let rec update = function
         | [] -> [ (t.old_ring, List.sort_uniq compare mine) ]
@@ -851,11 +779,7 @@ and handle_commit t (c : Message.commit) =
         t.memb_gen <- t.memb_gen + 1;
         t.phase <- Commit_wait { cp_ring = c.c_ring; cp_order = order };
         trace_phase t;
-        [
-          forward 1 memb;
-          Participant.Arm_timer
-            (Memb_timer (Formation_timeout, t.memb_gen), t.params.consensus_timeout_ns);
-        ]
+        [ forward 1 memb; arm t Formation_timeout t.params.consensus_timeout_ns ]
     | 2, Commit_wait cp when Types.ring_id_equal cp.cp_ring c.c_ring ->
         if i_am_rep then
           (* Our own pass 2 returned before we entered recovery; recover
@@ -890,11 +814,7 @@ and handle_commit t (c : Message.commit) =
              missing, and gives up into a re-gather only after repeated
              nacks go unanswered. *)
           r.r_pending <- Some c;
-          [
-            Participant.Arm_timer
-              (Memb_timer (Exchange_recheck, t.memb_gen),
-               t.params.token_retransmit_ns);
-          ]
+          [ arm t Exchange_recheck t.params.token_retransmit_ns ]
         end
     | _ ->
         (* Stale or duplicate commit traffic. *)
@@ -926,7 +846,7 @@ and handle_data t msg (d : Message.data) =
         && d.seq > r.r_min_aru
         && d.seq <= r.r_max_high
       then begin
-        Hashtbl.replace r.r_exchange d.seq d;
+        Hashtbl.replace r.r_flood.exchange d.seq d;
         (* If this arrival completes a held pass-4 verification, install
            now instead of waiting out the next recheck tick — every
            millisecond the token is held brings the already-installed
@@ -952,35 +872,31 @@ and handle_token t msg (tok : Message.token) =
 (* ------------------------------------------------------------------ *)
 (* Timers                                                              *)
 
-(* Send one paced flood burst from a queue (in-recovery or residual):
-   up to [recovery_burst_msgs] messages, re-arming the timer while work
-   remains. The same timer kind serves both phases; [set_armed] records
-   quiescence so the next nack can re-arm. *)
-let drain_burst t ~q ~queued ~exchange ~set_armed =
+(* Send one paced flood burst, in recovery or after the install: up to
+   [recovery_burst_msgs] messages, re-arming the timer while work
+   remains. Once the queue is empty the flood is quiescent, and the next
+   nack re-arms it. *)
+let drain_burst t fl =
   let burst = ref [] in
   let sent = ref 0 in
-  while !sent < t.params.recovery_burst_msgs && not (Deque.is_empty q) do
-    match Deque.pop_front q with
+  while !sent < t.params.recovery_burst_msgs && not (Deque.is_empty fl.q) do
+    match Deque.pop_front fl.q with
     | None -> ()
     | Some seq -> (
-        Hashtbl.remove queued seq;
-        match Hashtbl.find_opt exchange seq with
+        Hashtbl.remove fl.queued seq;
+        match Hashtbl.find_opt fl.exchange seq with
         | Some d ->
             burst := Participant.Multicast (Message.Data d) :: !burst;
             incr sent
         | None -> ())
   done;
-  let remaining = Deque.length q in
+  let remaining = Deque.length fl.q in
   Flight.record ~node:t.me ~code:Flight.ev_burst ~a:!sent ~b:remaining ~c:0
     ~d:0;
   let follow =
-    if remaining > 0 then
-      [
-        Participant.Arm_timer
-          (Memb_timer (Flood_burst, t.memb_gen), t.params.recovery_burst_gap_ns);
-      ]
+    if remaining > 0 then [ arm t Flood_burst t.params.recovery_burst_gap_ns ]
     else begin
-      set_armed false;
+      fl.armed <- false;
       []
     end
   in
@@ -993,8 +909,7 @@ let fire_memb_timer t kind gen =
     | Join_retransmit, Gather g ->
         g.settled <- true;
         multicast_join t g
-        :: Participant.Arm_timer
-             (Memb_timer (Join_retransmit, t.memb_gen), t.params.join_retransmit_ns)
+        :: arm t Join_retransmit t.params.join_retransmit_ns
         :: check_consensus t g
     | Consensus_timeout, Gather g ->
         g.settled <- true;
@@ -1027,12 +942,7 @@ let fire_memb_timer t kind gen =
             end
             else check_consensus t g
           in
-          actions
-          @ [
-              Participant.Arm_timer
-                (Memb_timer (Consensus_timeout, t.memb_gen),
-                 t.params.consensus_timeout_ns);
-            ]
+          actions @ [ arm t Consensus_timeout t.params.consensus_timeout_ns ]
         end
     | Formation_timeout, (Gather _ | Commit_wait _ | Recover _) ->
         (* The commit token or the exchange stalled: start over. *)
@@ -1095,25 +1005,16 @@ let fire_memb_timer t kind gen =
                   in
                   [
                     Participant.Multicast (Message.Commit nack);
-                    Participant.Arm_timer
-                      (Memb_timer (Exchange_recheck, t.memb_gen),
-                       t.params.token_retransmit_ns);
+                    arm t Exchange_recheck t.params.token_retransmit_ns;
                   ]
                 end
               end
             end)
-    | Flood_burst, Recover r ->
-        drain_burst t ~q:r.r_flood_q ~queued:r.r_queued ~exchange:r.r_exchange
-          ~set_armed:(fun armed -> r.r_burst_armed <- armed)
+    | Flood_burst, Recover r -> drain_burst t r.r_flood
     | Flood_burst, Operational _ -> (
-        (* Residual floods: finish serving the old ring's exchange after
-           installing, for peers still recovering it. *)
-        match t.residual with
-        | Some res ->
-            drain_burst t ~q:res.res_q ~queued:res.res_queued
-              ~exchange:res.res_exchange
-              ~set_armed:(fun armed -> res.res_burst_armed <- armed)
-        | None -> [])
+        (* Finish serving the old ring's exchange after installing, for
+           peers still recovering it. *)
+        match t.residual with Some fl -> drain_burst t fl | None -> [])
     | Exchange_recheck, (Operational _ | Gather _ | Commit_wait _)
     | Flood_burst, (Gather _ | Commit_wait _) ->
         []
@@ -1125,8 +1026,7 @@ let fire_memb_timer t kind gen =
         in
         [
           Participant.Multicast (Message.Join probe);
-          Participant.Arm_timer
-            (Memb_timer (Merge_probe, t.memb_gen), t.params.merge_probe_ns);
+          arm t Merge_probe t.params.merge_probe_ns;
         ]
     | (Join_retransmit | Consensus_timeout), (Operational _ | Commit_wait _ | Recover _)
     | Formation_timeout, Operational _
@@ -1184,33 +1084,12 @@ let process t msg =
   | Message.Join j -> handle_join t j
   | Message.Commit c -> handle_commit t c
 
+(* A pre-agreed ring is entered directly, in the member's first
+   generation. *)
 let start t =
   match t.initial_ring with
   | Some ring ->
-      let ring_id : Types.ring_id = { rep = ring.(0); ring_seq = 1 } in
-      t.highest_ring_seq <- 1;
-      let node =
-        Node.create ~params:t.params ~ring_id ~ring ~me:t.me
-          ?controller:t.controller ()
-      in
-      let view : Participant.view =
-        { view_id = ring_id; members = Array.to_list ring; transitional = false }
-      in
-      t.last_view <- Some view;
-      t.old_ring <- ring_id;
-      t.installs <- 1;
-      t.phase <- Operational node;
-      trace_phase t;
-      let probe =
-        if ring.(0) = t.me then
-          [
-            Participant.Arm_timer
-              (Memb_timer (Merge_probe, t.memb_gen), t.params.merge_probe_ns);
-          ]
-        else []
-      in
-      (Participant.Deliver_config view :: rewrap_node_actions t (Node.start node))
-      @ probe
+      operate t { rep = ring.(0); ring_seq = 1 } ring ~resubmit:false
   | None -> enter_gather t
 
 let participant t : Participant.t =

@@ -48,7 +48,13 @@
     and the designated holder re-floods them through its paced queue; the
     k-th nack for a sequence number is answered by the k-th candidate
     holder, rotating past crashed donors. Only after repeated nacks go
-    unanswered does the member give up and re-gather. *)
+    unanswered does the member give up and re-gather.
+
+    {b Flood across install.} A member installs as soon as its exchange is
+    complete, even with its own paced queue still draining: the same flood
+    state (exchange table, queue, nack counts) moves into the operational
+    phase, where it keeps bursting and answering pass-5 nacks for peers
+    still recovering the old ring, until the next formation replaces it. *)
 
 open Aring_wire
 
@@ -62,7 +68,8 @@ type memb_timer_kind =
           have had a chance to arrive; requests retransmission of whatever
           is still missing. *)
   | Flood_burst
-      (** Send the next paced burst from the recovery flood queue. *)
+      (** Send the next paced burst from the recovery flood queue, in
+          recovery or after the install. *)
 
 type Participant.timer +=
   | Memb_timer of memb_timer_kind * int

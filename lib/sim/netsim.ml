@@ -76,14 +76,11 @@ type t = {
   cpu_busy : int array;
   cpu_scheduled : bool array;
   alive : bool array;
-  (* Per-node link rates, both defaulting to [net.bandwidth_bps]:
-     [up_bps] paces the node's NIC egress serialization, [down_bps]
-     paces the switch output port feeding the node. *)
-  up_bps : int array;
-  down_bps : int array;
-  (* Additional one-way latency per (src, dst) pair, on top of
-     [net.latency_ns] — the WAN/geo hook. Defaults to zero. *)
-  mutable extra_latency : src:int -> dst:int -> int;
+  (* WAN/geo latency tiers: a packet from node [src] to node [dst] pays
+     [class_latency.(classes.(src)).(classes.(dst))] ns on top of
+     [net.latency_ns]. By default every node is in class 0, at 0 ns. *)
+  mutable classes : int array;
+  mutable class_latency : int array array;
   (* Multicast domains: a node's multicasts fan out only to nodes in the
      same domain (multi-ring isolation). [None] = one flat domain — the
      filter is never consulted, so defaults stay byte-identical. *)
@@ -204,15 +201,10 @@ let wake_cpu t dst =
     sched_cpu t (max t.now t.cpu_busy.(dst)) dst
   end
 
-(* Serialization delay of [size] bytes at a per-link rate. Identical
-   arithmetic to [Profile.tx_ns], so configurations that leave every link
-   at [net.bandwidth_bps] schedule byte-identical event streams. *)
-let link_tx_ns bps size = size * 8 * 1_000_000_000 / bps
-
 (* Replicate an already-serialized packet into [dst]'s output-port queue,
    dropping on overflow. [at_switch] comes from the one NIC serialization
-   shared by every destination (IP-multicast); the port drain is paced by
-   the receiver's downlink rate. *)
+   shared by every destination (IP-multicast); the port drains at the
+   profile's link rate. *)
 let port_enqueue t ~at_switch ~size ~src ~dst msg =
   if not t.alive.(dst) then ()
   else if t.drop ~src ~dst msg then begin
@@ -233,21 +225,20 @@ let port_enqueue t ~at_switch ~size ~src ~dst msg =
   end
   else begin
     t.port_bytes.(dst) <- t.port_bytes.(dst) + size;
-    let tx = link_tx_ns t.down_bps.(dst) size in
+    let tx = Profile.tx_ns t.net size in
     let port_start = max at_switch t.port_free.(dst) in
     let port_done = port_start + tx in
     t.port_free.(dst) <- port_done;
     sched_drain t port_done dst size;
-    sched_arrival t
-      (port_done + t.net.latency_ns + t.extra_latency ~src ~dst)
-      dst msg
+    let extra = t.class_latency.(t.classes.(src)).(t.classes.(dst)) in
+    sched_arrival t (port_done + t.net.latency_ns + extra) dst msg
   end
 
 (* Serialize [msg] out of [src]'s NIC no earlier than [at]; returns the
    instant the packet reaches the switch, having advanced the NIC clock. *)
 let nic_serialize t ~at src size =
   t.stats.packets_sent <- t.stats.packets_sent + 1;
-  let tx = link_tx_ns t.up_bps.(src) size in
+  let tx = Profile.tx_ns t.net size in
   let nic_start = max at t.nic_free.(src) in
   let at_switch = nic_start + tx in
   t.nic_free.(src) <- at_switch;
@@ -413,9 +404,8 @@ let create ~net ~tiers ~participants ?(seed = 1L) () =
       cpu_busy = Array.make n 0;
       cpu_scheduled = Array.make n false;
       alive = Array.make n true;
-      up_bps = Array.make n net.Profile.bandwidth_bps;
-      down_bps = Array.make n net.Profile.bandwidth_bps;
-      extra_latency = (fun ~src:_ ~dst:_ -> 0);
+      classes = Array.make n 0;
+      class_latency = [| [| 0 |] |];
       domains = None;
       drop = (fun ~src:_ ~dst:_ _ -> false);
       deliver_cb = (fun ~at:_ ~now:_ _ -> ());
@@ -463,21 +453,6 @@ let set_drop_until t ~until f =
   t.drop <- (fun ~src ~dst msg -> f ~src ~dst msg || prev ~src ~dst msg);
   sched_call t until (fun () -> t.drop <- prev)
 
-let set_link_rates t ~node ?up_bps ?down_bps () =
-  if node < 0 || node >= Array.length t.parts then
-    invalid_arg "Netsim.set_link_rates: node out of range";
-  let set arr = function
-    | None -> ()
-    | Some bps ->
-        if bps <= 0 then
-          invalid_arg "Netsim.set_link_rates: rate must be positive";
-        arr.(node) <- bps
-  in
-  set t.up_bps up_bps;
-  set t.down_bps down_bps
-
-let set_extra_latency t f = t.extra_latency <- f
-
 let set_domains t dom =
   if Array.length dom <> Array.length t.parts then
     invalid_arg "Netsim.set_domains: domains must cover every node";
@@ -499,9 +474,8 @@ let set_latency_classes t ~classes ~matrix =
         invalid_arg "Netsim.set_latency_classes: class out of range")
     classes;
   (* Copy so later caller mutation cannot desynchronize a running sim. *)
-  let classes = Array.copy classes in
-  let matrix = Array.map Array.copy matrix in
-  t.extra_latency <- (fun ~src ~dst -> matrix.(classes.(src)).(classes.(dst)))
+  t.classes <- Array.copy classes;
+  t.class_latency <- Array.map Array.copy matrix
 
 let crash t node =
   t.alive.(node) <- false;

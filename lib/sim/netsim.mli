@@ -101,25 +101,12 @@ val set_drop_until : t -> until:int -> (src:int -> dst:int -> Message.t -> bool)
     while another is active must close in LIFO order to restore cleanly;
     for arbitrary overlap, recompute with {!set_drop} instead. *)
 
-(** {2 Link asymmetry and latency tiers}
+(** {2 Latency tiers}
 
     By default every link runs at [net.bandwidth_bps] with a uniform
-    one-way [net.latency_ns] — and the default configuration schedules
-    {e byte-identical} event streams to the pre-asymmetry simulator
-    (same integer arithmetic, same event order), so pinned trace hashes
-    hold. The hooks below carve per-node and per-pair structure out of
-    that uniform fabric. *)
-
-val set_link_rates : t -> node:int -> ?up_bps:int -> ?down_bps:int -> unit -> unit
-(** Override one node's link rates: [up_bps] paces its NIC egress
-    serialization, [down_bps] paces the switch output port feeding it
-    (each defaults to unchanged). Takes effect for packets serialized
-    after the call; rates must be positive. *)
-
-val set_extra_latency : t -> (src:int -> dst:int -> int) -> unit
-(** Install additional one-way latency (ns) added per (src, dst) pair on
-    top of [net.latency_ns]. The function must be deterministic; it is
-    evaluated once per enqueued packet. *)
+    one-way [net.latency_ns]. Latency classes add per-pair latency on top;
+    with every class at 0 ns the simulator schedules {e byte-identical}
+    event streams to a run without them, so pinned trace hashes hold. *)
 
 val set_latency_classes : t -> classes:int array -> matrix:int array array -> unit
 (** WAN/geo latency tiers: node [i] belongs to class [classes.(i)], and a

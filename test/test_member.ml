@@ -937,6 +937,94 @@ let test_paced_bursts_respect_budget () =
     bursts;
   Aring_obs.Flight.set_capacity 512
 
+(* An installed member still answers pass-5 nacks for the ring it
+   recovered, from the flood it carried across the install, so a
+   straggler can finish that exchange without forcing a re-gather. Node
+   3 is starved of data before node 1 crashes, which leaves messages in
+   the survivors' exchange. Once all are installed, node 3's nack for
+   the old ring reaches node 0 twice: from the second nack on, every
+   holder answers. *)
+let test_residual_flood_answers_nack () =
+  let c = make_cluster ~n:4 () in
+  for k = 1 to 40 do
+    Netsim.call_at c.sim ~at:(k * 200_000) (fun () ->
+        submit c (k mod 4) Types.Agreed (Printf.sprintf "r%d" k))
+  done;
+  let drop_to_3 ~src:_ ~dst = function
+    | Message.Data _ -> dst = 3
+    | _ -> false
+  in
+  Netsim.call_at c.sim ~at:(ms 5) (fun () -> Netsim.set_drop c.sim drop_to_3);
+  Netsim.call_at c.sim ~at:(ms 8) (fun () ->
+      Netsim.crash c.sim 1;
+      Netsim.set_drop c.sim (fun ~src:_ ~dst:_ _ -> false));
+  Netsim.run_until c.sim (ms 1000);
+  let m = c.members.(0) in
+  check Alcotest.string "node 0 operational" "operational" (Member.state_name m);
+  check Alcotest.int "node 0 reformed once" 2 (Member.installs m);
+  let old_ring : Types.ring_id = { rep = 0; ring_seq = 1 } in
+  let nack : Message.commit =
+    {
+      c_ring = (Option.get (Member.current_view m)).view_id;
+      c_token_id = 0;
+      c_pass = 5;
+      c_memb =
+        [
+          {
+            m_pid = 3;
+            m_old_ring = old_ring;
+            m_aru = 0;
+            m_high_seq = 0;
+            m_high_delivered = 0;
+          };
+        ];
+      c_holds =
+        [
+          ( old_ring,
+            Recovery.encode_ranges
+              (Recovery.compact (List.init 64 (fun i -> i + 1))) );
+        ];
+    }
+  in
+  let resends () =
+    List.length
+      (List.filter
+         (fun (r : Aring_obs.Flight.record_view) ->
+           r.r_code = Aring_obs.Flight.ev_resend && r.r_node = 0 && r.r_a > 0)
+         (Aring_obs.Flight.records ()))
+  in
+  let before = resends () in
+  let p = Member.participant m in
+  let actions =
+    let first = p.Participant.process (Message.Commit nack) in
+    first @ p.Participant.process (Message.Commit nack)
+  in
+  check Alcotest.bool "a resend is recorded" true (resends () > before);
+  check Alcotest.string "still operational" "operational" (Member.state_name m);
+  let burst =
+    List.find_map
+      (function
+        | Participant.Arm_timer
+            ((Member.Memb_timer (Member.Flood_burst, _) as timer), _) ->
+            Some timer
+        | _ -> None)
+      actions
+  in
+  let burst =
+    match burst with
+    | Some timer -> p.Participant.fire_timer timer
+    | None -> Alcotest.fail "no flood burst armed"
+  in
+  let resent =
+    List.filter
+      (function
+        | Participant.Multicast (Message.Data d) ->
+            Types.ring_id_equal d.d_ring old_ring
+        | _ -> false)
+      burst
+  in
+  check Alcotest.bool "the old ring's messages are multicast" true (resent <> [])
+
 (* Recovery at ring scale: 64 bootstrapped nodes lose one member and
    must re-form within the health watchdog's formation-attempt budget —
    no node may burn through anywhere near [k_formation] gathers, and no
@@ -1056,4 +1144,5 @@ let suite =
     qtest prop_random_partition_schedules;
     qtest prop_nack_range_compaction;
     qtest prop_designated_holder_election;
+    ("residual flood answers a nack", `Quick, test_residual_flood_answers_nack);
   ]

@@ -601,11 +601,11 @@ let test_mcas_membership_change_between_writes () =
 let test_mcas_slow_ring_skew () =
   let cluster = Cluster.create ~rings:2 ~nodes:3 ~seed:23L () in
   let sim = Cluster.sim cluster in
-  (* Ring 1's links at 1% speed. *)
-  for node = 0 to 2 do
-    let p = Cluster.pid cluster ~ring:1 ~node in
-    Netsim.set_link_rates sim ~node:p ~up_bps:10_000_000 ~down_bps:10_000_000 ()
-  done;
+  (* Ring 1's hops at 100x the 40 us one-way latency of ring 0's: a
+     latency class per ring (ring r's nodes are pids 3r to 3r + 2). *)
+  Netsim.set_latency_classes sim
+    ~classes:(Array.init 6 (fun p -> p / 3))
+    ~matrix:[| [| 0; 0 |]; [| 0; 99 * 40_000 |] |];
   let buckets = keys_per_ring cluster ~count:3 in
   let k0 = List.hd buckets.(0) and k1 = List.hd buckets.(1) in
   Netsim.call_at sim ~at:(ms 30) (fun () ->

@@ -327,28 +327,11 @@ let test_scenario_accel_beats_original_under_load () =
     < Aring_util.Stats.mean orig.latency_us)
 
 (* -------------------------------------------------------------------- *)
-(* Asymmetric links and latency tiers                                    *)
-
-(* Run a 4-node burst with per-node delivery counts and first/last
-   delivery times, under an arbitrary link configuration. *)
-let run_with_times ~configure ~per_node ~payload_len ~horizon =
-  let c = make_cluster ~n:4 ~seed:5L () in
-  configure c.sim;
-  let count = Array.make 4 0 in
-  let first = Array.make 4 max_int in
-  let last = Array.make 4 0 in
-  Netsim.on_deliver c.sim (fun ~at ~now (_ : Message.data) ->
-      count.(at) <- count.(at) + 1;
-      if now < first.(at) then first.(at) <- now;
-      if now > last.(at) then last.(at) <- now);
-  submit_burst c ~per_node ~payload_len;
-  Netsim.run_until c.sim horizon;
-  (count, first, last)
+(* Latency tiers                                                         *)
 
 let test_asym_explicit_defaults_identical () =
-  (* Setting every link rate to the profile rate and the extra latency
-     to zero must reproduce the untouched schedule exactly — the
-     regression wall for the symmetric fast path. *)
+  (* Latency classes at zero extra latency must reproduce the untouched
+     schedule exactly — the regression wall for the uniform fabric. *)
   let run configure =
     let c = make_cluster ~n:4 ~seed:42L () in
     configure c.sim;
@@ -361,67 +344,10 @@ let test_asym_explicit_defaults_identical () =
   let a = run (fun _ -> ()) in
   let b =
     run (fun sim ->
-        for node = 0 to 3 do
-          Netsim.set_link_rates sim ~node ~up_bps:1_000_000_000
-            ~down_bps:1_000_000_000 ()
-        done;
-        Netsim.set_extra_latency sim (fun ~src:_ ~dst:_ -> 0))
+        Netsim.set_latency_classes sim ~classes:[| 0; 1; 0; 1 |]
+          ~matrix:[| [| 0; 0 |]; [| 0; 0 |] |])
   in
   check Alcotest.bool "explicit defaults are byte-identical" true (a = b)
-
-let test_asym_downlink_honored () =
-  (* Starve one receiver's downlink by 20x: its deliveries must stretch
-     out by the serialization arithmetic while healthy receivers keep
-     their fast completion — head-of-line isolation at the switch. *)
-  let base =
-    run_with_times ~configure:(fun _ -> ()) ~per_node:50 ~payload_len:1000
-      ~horizon:(ms 400)
-  in
-  let slow =
-    run_with_times
-      ~configure:(fun sim ->
-        Netsim.set_link_rates sim ~node:3 ~down_bps:50_000_000 ())
-      ~per_node:50 ~payload_len:1000 ~horizon:(ms 400)
-  in
-  let bc, _, blast = base and sc, _, slast = slow in
-  Array.iteri
-    (fun i c -> check Alcotest.int (Printf.sprintf "base node %d all" i) 200 c)
-    bc;
-  Array.iteri
-    (fun i c -> check Alcotest.int (Printf.sprintf "slow node %d all" i) 200 c)
-    sc;
-  (* 150 foreign ~1KB packets over a 50 Mbps downlink serialize for
-     >20 ms; the symmetric run finishes far earlier. *)
-  check Alcotest.bool "slow downlink stretches its receiver" true
-    (slast.(3) > blast.(3) + ms 10);
-  check Alcotest.bool "healthy receiver finishes first" true
-    (slast.(1) + ms 10 < slast.(3))
-
-let test_asym_uplink_honored () =
-  (* Choking one sender's uplink delays everything it originates (its
-     packets serialize 20x slower at its own NIC) without starving what
-     others send. *)
-  let base =
-    run_with_times ~configure:(fun _ -> ()) ~per_node:30 ~payload_len:1000
-      ~horizon:(ms 400)
-  in
-  let slow =
-    run_with_times
-      ~configure:(fun sim ->
-        Netsim.set_link_rates sim ~node:0 ~up_bps:50_000_000 ())
-      ~per_node:30 ~payload_len:1000 ~horizon:(ms 400)
-  in
-  let bc, _, blast = base and sc, _, slast = slow in
-  Array.iteri
-    (fun i c -> check Alcotest.int (Printf.sprintf "base node %d all" i) 120 c)
-    bc;
-  Array.iteri
-    (fun i c -> check Alcotest.int (Printf.sprintf "slow node %d all" i) 120 c)
-    sc;
-  (* Node 0 contributes 30 of the 120 ordered messages; its slow NIC
-     gates the total order's completion everywhere. *)
-  check Alcotest.bool "slow uplink delays cluster completion" true
-    (slast.(1) > blast.(1) + ms 2)
 
 let test_latency_classes_honored () =
   (* Two sites, 500 us of extra one-way WAN latency between them. A
@@ -447,11 +373,9 @@ let test_latency_classes_honored () =
   check Alcotest.bool "geo run delivered" true (geo.(3) < max_int)
 
 let test_asym_deterministic_replay () =
-  (* Determinism re-pinned under the asymmetric code paths. *)
+  (* Determinism re-pinned under asymmetric latency classes. *)
   let run () =
     let c = make_cluster ~n:4 ~seed:77L () in
-    Netsim.set_link_rates c.sim ~node:2 ~up_bps:200_000_000
-      ~down_bps:100_000_000 ();
     Netsim.set_latency_classes c.sim ~classes:[| 0; 1; 1; 0 |]
       ~matrix:[| [| 0; 90_000 |]; [| 110_000; 0 |] |];
     submit_burst c ~per_node:40 ~payload_len:900;
@@ -465,12 +389,6 @@ let test_asym_deterministic_replay () =
 
 let test_asym_validation () =
   let c = make_cluster ~n:4 () in
-  Alcotest.check_raises "zero rate rejected"
-    (Invalid_argument "Netsim.set_link_rates: rate must be positive")
-    (fun () -> Netsim.set_link_rates c.sim ~node:0 ~up_bps:0 ());
-  Alcotest.check_raises "node out of range"
-    (Invalid_argument "Netsim.set_link_rates: node out of range") (fun () ->
-      Netsim.set_link_rates c.sim ~node:9 ~down_bps:1 ());
   Alcotest.check_raises "classes must cover nodes"
     (Invalid_argument "Netsim.set_latency_classes: classes must cover every node")
     (fun () ->
@@ -534,8 +452,6 @@ let suite =
       test_scenario_accel_beats_original_under_load);
     ("asym explicit defaults byte-identical", `Quick,
       test_asym_explicit_defaults_identical);
-    ("asym downlink rate honored", `Quick, test_asym_downlink_honored);
-    ("asym uplink rate honored", `Quick, test_asym_uplink_honored);
     ("latency classes honored", `Quick, test_latency_classes_honored);
     ("asym deterministic replay", `Quick, test_asym_deterministic_replay);
     ("asym validation", `Quick, test_asym_validation);
