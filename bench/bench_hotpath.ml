@@ -4,9 +4,9 @@
    delivery to a replica), of the daemon's idle token visit and group
    change, per item of the multi-ring learner merge, per call of the
    shared host primitives (FNV-1a, the PRNG, histogram and sample
-   accumulators), and allocation and host rate of the full simulated
-   pipeline. Gated by bench/hotpath_budget.json. Schema documented in
-   EXPERIMENTS.md. *)
+   accumulators), and allocation, host rate and simulator events of the
+   full simulated pipeline. Gated by bench/hotpath_budget.json. Schema
+   documented in EXPERIMENTS.md. *)
 
 open Aring_wire
 open Aring_ring
@@ -338,6 +338,13 @@ let run ~quick =
   let msgs_per_sec =
     if cpu_s <= 0. then 0. else float_of_int deliveries /. cpu_s
   in
+  let netsim_count = Metrics.counter_value r.Scenario.metrics in
+  let events = netsim_count "netsim.events" in
+  let events_per_msg =
+    if deliveries = 0 then infinity
+    else float_of_int events /. float_of_int deliveries
+  in
+  let pending_peak = netsim_count "netsim.events_pending_peak" in
   let rot = Scenario.run { pipeline_spec with profile_rotation = true } in
   let rotation_p50, rotation_p99, rotation_p999 =
     match rot.Scenario.rotation with
@@ -351,9 +358,11 @@ let run ~quick =
     "pipeline (10G library tier, Agreed, 1350B, %.0f Mbps offered):\n\
     \  deliveries %d  delivered %.1f Mbps  msgs/sec (host CPU) %.0f\n\
     \  allocated bytes per delivered message %.1f\n\
-    \  rotation p50 %.1f us  p99 %.1f us\n%!"
+    \  rotation p50 %.1f us  p99 %.1f us\n\
+    \  netsim events %d (%.2f per delivered message), peak pending %d\n%!"
     pipeline_spec.Scenario.offered_mbps deliveries r.Scenario.delivered_mbps
-    msgs_per_sec alloc_per_msg rotation_p50 rotation_p99;
+    msgs_per_sec alloc_per_msg rotation_p50 rotation_p99 events events_per_msg
+    pending_peak;
   {
     Gate.fields =
       [
@@ -376,6 +385,13 @@ let run ~quick =
               ("rotation_p50_us", Json.Float rotation_p50);
               ("rotation_p99_us", Json.Float rotation_p99);
               ("rotation_p999_us", Json.Float rotation_p999);
+            ] );
+        ( "netsim",
+          Json.Obj
+            [
+              ("events", Json.Int events);
+              ("events_per_delivered_msg", Json.Float events_per_msg);
+              ("events_pending_peak", Json.Int pending_peak);
             ] );
         ( "codec",
           Json.Obj
@@ -422,6 +438,8 @@ let run ~quick =
     checks =
       [
         Max ("max_pipeline_alloc_bytes_per_msg", alloc_per_msg);
+        Max ("max_netsim_events_per_msg", events_per_msg);
+        Max ("max_netsim_events_pending_peak", float_of_int pending_peak);
         Min ("min_codec_reduction_percent", codec_reduction);
         Max ("max_app_encode_alloc_bytes_per_put", app_encode);
         Max ("max_app_deliver_alloc_bytes_per_msg", app_deliver);

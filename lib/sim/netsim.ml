@@ -1,36 +1,27 @@
 open Aring_wire
 open Aring_ring
-module Heap = Aring_util.Heap
+module Event_heap = Aring_util.Event_heap
 module Prng = Aring_util.Prng
 module Trace = Aring_obs.Trace
 module Flight = Aring_obs.Flight
 module Metrics = Aring_obs.Metrics
 
-(* The event queue is allocation-free in steady state: events live in a
-   preallocated arena of mutable records, the heap orders arena {e indices}
-   (immediate ints), and freed slots are recycled through an index stack.
-   Scheduling a packet arrival touches no closure, no tuple and no variant
-   cell — it writes fields of a recycled record. Ordering is exactly the
-   seed semantics: (timestamp clamped to now, monotonic insertion seq).
-
-   A node keeps one pending timer per key: each node's key table points
-   at the arena slot of that key's pending timer, and re-arming the key
-   marks the old slot [Cancelled]. A cancelled slot stays in the heap
-   until it reaches the top, where it is recycled without touching the
-   clock or any node. *)
+(* The event queue is allocation-free in steady state: [Event_heap]
+   orders int handles by (timestamp clamped to now, insertion seq), and
+   each handle indexes a recycled mutable record in the arena. Only
+   events that act are queued: re-arming a pending timer key re-keys its
+   event in place, and a switch port's buffered packets are released by
+   [port_enqueue] rather than by a drain event each. *)
 
 type Participant.timer += No_timer
 (* Placeholder stored in freed slots so they retain no live timer. Never
    dispatched. *)
 
-type ev_kind = Free | Arrival | Cpu_run | Timer | Cancelled | Port_drain | Call
+type ev_kind = Arrival | Cpu_run | Timer | Call
 
 type ev = {
-  mutable at : int;
-  mutable seq : int;
   mutable kind : ev_kind;
   mutable node : int;
-  mutable size : int;  (* Port_drain: bytes to release *)
   mutable msg : Message.t;  (* Arrival payload *)
   mutable timer : Participant.timer;
   mutable fn : unit -> unit;  (* Call thunk *)
@@ -40,16 +31,18 @@ let dummy_msg =
   Message.Join { j_pid = -1; proc_set = []; fail_set = []; join_seq = 0 }
 
 let fresh_ev () =
-  {
-    at = 0;
-    seq = 0;
-    kind = Free;
-    node = -1;
-    size = 0;
-    msg = dummy_msg;
-    timer = No_timer;
-    fn = ignore;
-  }
+  { kind = Call; node = -1; msg = dummy_msg; timer = No_timer; fn = ignore }
+
+(* One switch output port: the bytes it buffers, the instant its link
+   frees, and a ring of (done_at, seq, size) triples, one per buffered
+   packet in send order — which is also (done_at, seq) order. *)
+type port = {
+  mutable fifo : int array;
+  mutable head : int;  (* index of the oldest triple's [done_at] *)
+  mutable queued : int;  (* triples held *)
+  mutable bytes : int;
+  mutable free_at : int;
+}
 
 type stats = {
   mutable packets_sent : int;
@@ -62,17 +55,14 @@ type t = {
   net : Profile.net;
   tiers : Profile.tier array;
   parts : Participant.t array;
-  events : int Heap.t;  (* arena indices, ordered by (at, seq) *)
-  arena : ev array ref;
-      (* Behind a ref so the heap's comparison closure follows growth. *)
-  mutable free_stack : int array;
-  mutable free_top : int;
+  events : Event_heap.t;
+  mutable arena : ev array;  (* by event handle *)
   mutable event_seq : int;
   mutable now : int;
+  mutable now_seq : int;  (* seq of the event being dispatched *)
   prng : Prng.t;
   nic_free : int array;
-  port_free : int array;
-  port_bytes : int array;
+  ports : port array;
   cpu_busy : int array;
   cpu_scheduled : bool array;
   alive : bool array;
@@ -90,10 +80,12 @@ type t = {
   mutable view_cb : at:int -> now:int -> Participant.view -> unit;
   mutable token_loss_cb : at:int -> now:int -> unit;
   stats : stats;
-  (* Per node: timer key -> arena slot of that key's pending timer. *)
+  (* Per node: timer key -> handle of that key's pending timer. *)
   pending_timers : (Participant.timer, int) Hashtbl.t array;
   mutable timers_fired : int;
   mutable timers_superseded : int;
+  mutable events_dispatched : int;
+  mutable events_pending_peak : int;
 }
 
 let now t = t.now
@@ -106,81 +98,56 @@ let set_drop t f = t.drop <- f
 let is_alive t i = t.alive.(i)
 
 (* ------------------------------------------------------------------ *)
-(* Event arena                                                          *)
+(* Event queue                                                          *)
 
-let grow_arena t =
-  let old = !(t.arena) in
-  let old_n = Array.length old in
-  let n = max 64 (2 * old_n) in
-  let arena = Array.init n (fun i -> if i < old_n then old.(i) else fresh_ev ()) in
-  t.arena := arena;
-  let stack = Array.make n 0 in
-  Array.blit t.free_stack 0 stack 0 t.free_top;
-  t.free_stack <- stack;
-  for i = old_n to n - 1 do
-    t.free_stack.(t.free_top) <- i;
-    t.free_top <- t.free_top + 1
-  done
-
-let alloc_ev t =
-  if t.free_top = 0 then grow_arena t;
-  t.free_top <- t.free_top - 1;
-  t.free_stack.(t.free_top)
-
-let enqueue t at i =
-  let e = (!(t.arena)).(i) in
-  e.at <- (if at < t.now then t.now else at);
+let next_seq t =
   t.event_seq <- t.event_seq + 1;
-  e.seq <- t.event_seq;
-  Heap.push t.events i
+  t.event_seq
+
+(* Queue an event at [at] (clamped to now) and return its handle, the
+   arena grown to the heap's handles first. *)
+let enqueue t at kind node =
+  let i =
+    Event_heap.add t.events ~at:(if at < t.now then t.now else at)
+      ~seq:(next_seq t)
+  in
+  let pending = Event_heap.length t.events in
+  if pending > t.events_pending_peak then t.events_pending_peak <- pending;
+  let old = t.arena in
+  if i >= Array.length old then
+    t.arena <-
+      Array.init (Event_heap.capacity t.events) (fun j ->
+          if j < Array.length old then old.(j) else fresh_ev ());
+  let e = t.arena.(i) in
+  e.kind <- kind;
+  e.node <- node;
+  i
 
 let sched_arrival t at node msg =
-  let i = alloc_ev t in
-  let e = (!(t.arena)).(i) in
-  e.kind <- Arrival;
-  e.node <- node;
-  e.msg <- msg;
-  enqueue t at i
+  let i = enqueue t at Arrival node in
+  t.arena.(i).msg <- msg
 
-let sched_cpu t at node =
-  let i = alloc_ev t in
-  let e = (!(t.arena)).(i) in
-  e.kind <- Cpu_run;
-  e.node <- node;
-  enqueue t at i
+let sched_cpu t at node = ignore (enqueue t at Cpu_run node)
 
-(* Arm [node]'s timer [timer], superseding a pending one of equal key. *)
+(* Arm [node]'s timer [timer]; a pending one of equal key is re-keyed in
+   place, with the seq a new event would have drawn. *)
 let sched_timer t at node timer =
   let pending = t.pending_timers.(node) in
-  (match Hashtbl.find pending timer with
-  | old ->
-      let e = (!(t.arena)).(old) in
-      e.kind <- Cancelled;
-      e.timer <- No_timer;
-      t.timers_superseded <- t.timers_superseded + 1
-  | exception Not_found -> ());
-  let i = alloc_ev t in
-  let e = (!(t.arena)).(i) in
-  e.kind <- Timer;
-  e.node <- node;
-  e.timer <- timer;
-  Hashtbl.replace pending timer i;
-  enqueue t at i
-
-let sched_drain t at node size =
-  let i = alloc_ev t in
-  let e = (!(t.arena)).(i) in
-  e.kind <- Port_drain;
-  e.node <- node;
-  e.size <- size;
-  enqueue t at i
+  match Hashtbl.find pending timer with
+  | i ->
+      t.timers_superseded <- t.timers_superseded + 1;
+      t.arena.(i).timer <- timer;
+      Event_heap.rekey t.events i
+        ~at:(if at < t.now then t.now else at)
+        ~seq:(next_seq t)
+  | exception Not_found ->
+      let i = enqueue t at Timer node in
+      t.arena.(i).timer <- timer;
+      Hashtbl.add pending timer i
 
 let sched_call t at fn =
-  let i = alloc_ev t in
-  let e = (!(t.arena)).(i) in
-  e.kind <- Call;
-  e.fn <- fn;
-  enqueue t at i
+  let i = enqueue t at Call (-1) in
+  t.arena.(i).fn <- fn
 
 (* ------------------------------------------------------------------ *)
 
@@ -201,11 +168,45 @@ let wake_cpu t dst =
     sched_cpu t (max t.now t.cpu_busy.(dst)) dst
   end
 
+(* Release [p]'s packets whose drain sorts before the current event
+   (now, now_seq): exactly those a drain event would have released by
+   now. *)
+let rec port_release t p =
+  let k = p.head in
+  if
+    p.queued > 0
+    && (p.fifo.(k) < t.now || (p.fifo.(k) = t.now && p.fifo.(k + 1) < t.now_seq))
+  then begin
+    p.bytes <- p.bytes - p.fifo.(k + 2);
+    p.head <- (k + 3) mod Array.length p.fifo;
+    p.queued <- p.queued - 1;
+    port_release t p
+  end
+
+(* Append a packet's (done_at, seq, size), unrolling a full ring into
+   one twice as long. *)
+let port_push p ~done_at ~seq ~size =
+  let n = Array.length p.fifo in
+  if 3 * p.queued = n then begin
+    let fifo = Array.make (max 24 (2 * n)) 0 in
+    Array.blit p.fifo p.head fifo 0 (n - p.head);
+    Array.blit p.fifo 0 fifo (n - p.head) p.head;
+    p.fifo <- fifo;
+    p.head <- 0
+  end;
+  let k = (p.head + (3 * p.queued)) mod Array.length p.fifo in
+  p.fifo.(k) <- done_at;
+  p.fifo.(k + 1) <- seq;
+  p.fifo.(k + 2) <- size;
+  p.queued <- p.queued + 1
+
 (* Replicate an already-serialized packet into [dst]'s output-port queue,
    dropping on overflow. [at_switch] comes from the one NIC serialization
    shared by every destination (IP-multicast); the port drains at the
-   profile's link rate. *)
+   profile's link rate. The packet's drain entry draws its seq before
+   its arrival does. *)
 let port_enqueue t ~at_switch ~size ~src ~dst msg =
+  let p = t.ports.(dst) in
   if not t.alive.(dst) then ()
   else if t.drop ~src ~dst msg then begin
     t.stats.partition_drops <- t.stats.partition_drops + 1;
@@ -218,18 +219,20 @@ let port_enqueue t ~at_switch ~size ~src ~dst msg =
     Flight.record ~node:dst ~code:Flight.ev_drop ~a:Flight.drop_random ~b:size
       ~c:0 ~d:0
   end
-  else if t.port_bytes.(dst) + size > t.net.switch_port_buffer then begin
+  else if
+    (port_release t p;
+     p.bytes + size > t.net.switch_port_buffer)
+  then begin
     t.stats.switch_drops <- t.stats.switch_drops + 1;
     Flight.record ~node:dst ~code:Flight.ev_drop ~a:Flight.drop_switch ~b:size
       ~c:0 ~d:0
   end
   else begin
-    t.port_bytes.(dst) <- t.port_bytes.(dst) + size;
+    p.bytes <- p.bytes + size;
     let tx = Profile.tx_ns t.net size in
-    let port_start = max at_switch t.port_free.(dst) in
-    let port_done = port_start + tx in
-    t.port_free.(dst) <- port_done;
-    sched_drain t port_done dst size;
+    let port_done = max at_switch p.free_at + tx in
+    p.free_at <- port_done;
+    port_push p ~done_at:port_done ~seq:(next_seq t) ~size;
     let extra = t.class_latency.(t.classes.(src)).(t.classes.(dst)) in
     sched_arrival t (port_done + t.net.latency_ns + extra) dst msg
   end
@@ -320,8 +323,18 @@ let proc_cost t node msg =
       Profile.data_proc_cost tier ~mtu:t.net.Profile.mtu ~wire_bytes
   | Message.Join _ -> tier.Profile.token_proc_ns
 
-let dispatch t kind node size msg timer fn =
-  match kind with
+(* Pop the minimum event and copy its fields out, so the handlers may
+   schedule into (and reuse) its freed slot, then dispatch. *)
+let step t =
+  t.now <- Event_heap.top_at t.events;
+  t.now_seq <- Event_heap.top_seq t.events;
+  let e = t.arena.(Event_heap.pop_exn t.events) in
+  let node = e.node and msg = e.msg and timer = e.timer and fn = e.fn in
+  e.msg <- dummy_msg;
+  e.timer <- No_timer;
+  e.fn <- ignore;
+  t.events_dispatched <- t.events_dispatched + 1;
+  match e.kind with
   | Arrival ->
       if t.alive.(node) then begin
         ignore (t.parts.(node).receive msg);
@@ -350,57 +363,27 @@ let dispatch t kind node size msg timer fn =
           t.cpu_busy.(node) <- busy
         end
       end
-  | Port_drain -> t.port_bytes.(node) <- t.port_bytes.(node) - size
   | Call -> fn ()
-  | Free | Cancelled -> assert false
-
-(* Pop the minimum event, copy its fields out, recycle the slot, then
-   dispatch — handlers may schedule into (and reuse) the freed slot. A
-   superseded timer is only recycled: the clock stays where it is. *)
-let step t =
-  let i = Heap.pop_exn t.events in
-  let e = (!(t.arena)).(i) in
-  let kind = e.kind and node = e.node and size = e.size in
-  let msg = e.msg and timer = e.timer and fn = e.fn in
-  e.kind <- Free;
-  e.msg <- dummy_msg;
-  e.timer <- No_timer;
-  e.fn <- ignore;
-  t.free_stack.(t.free_top) <- i;
-  t.free_top <- t.free_top + 1;
-  if kind <> Cancelled then begin
-    t.now <- e.at;
-    dispatch t kind node size msg timer fn
-  end
-
-let initial_arena = 256
 
 let create ~net ~tiers ~participants ?(seed = 1L) () =
   let n = Array.length participants in
   if Array.length tiers <> n then
     invalid_arg "Netsim.create: tiers and participants must align";
-  let arena = ref (Array.init initial_arena (fun _ -> fresh_ev ())) in
-  let events =
-    Heap.create ~cmp:(fun i j ->
-        let a = (!arena).(i) and b = (!arena).(j) in
-        if a.at <> b.at then compare a.at b.at else compare a.seq b.seq)
-  in
-  Heap.reserve events initial_arena;
   let t =
     {
       net;
       tiers;
       parts = participants;
-      events;
-      arena;
-      free_stack = Array.init initial_arena (fun i -> i);
-      free_top = initial_arena;
+      events = Event_heap.create ();
+      arena = [||];
       event_seq = 0;
       now = 0;
+      now_seq = 0;
       prng = Prng.create ~seed;
       nic_free = Array.make n 0;
-      port_free = Array.make n 0;
-      port_bytes = Array.make n 0;
+      ports =
+        Array.init n (fun _ ->
+            { fifo = [||]; head = 0; queued = 0; bytes = 0; free_at = 0 });
       cpu_busy = Array.make n 0;
       cpu_scheduled = Array.make n false;
       alive = Array.make n true;
@@ -421,6 +404,8 @@ let create ~net ~tiers ~participants ?(seed = 1L) () =
       pending_timers = Array.init n (fun _ -> Hashtbl.create 8);
       timers_fired = 0;
       timers_superseded = 0;
+      events_dispatched = 0;
+      events_pending_peak = 0;
     }
   in
   (* Trace timestamps follow the simulated clock while this simulator is
@@ -488,17 +473,16 @@ let record_metrics t reg =
   c "netsim.random_losses" t.stats.random_losses;
   c "netsim.partition_drops" t.stats.partition_drops;
   c "netsim.timers_fired" t.timers_fired;
-  c "netsim.timers_superseded" t.timers_superseded
+  c "netsim.timers_superseded" t.timers_superseded;
+  c "netsim.events" t.events_dispatched;
+  c "netsim.events_pending_peak" t.events_pending_peak
 
-let run_until t horizon =
-  let continue = ref true in
-  while !continue do
-    if
-      (not (Heap.is_empty t.events))
-      && (!(t.arena)).(Heap.top_exn t.events).at <= horizon
-    then step t
-    else begin
-      continue := false;
-      t.now <- max t.now horizon
-    end
-  done
+let rec run_until t horizon =
+  if
+    (not (Event_heap.is_empty t.events))
+    && Event_heap.top_at t.events <= horizon
+  then begin
+    step t;
+    run_until t horizon
+  end
+  else t.now <- max t.now horizon

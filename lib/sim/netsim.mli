@@ -17,8 +17,9 @@
     - {b Faults}: random per-receiver loss, a programmable drop predicate
       (partitions), and node crashes.
     - {b Timers}: one pending timer per (node, key). Arming a key that is
-      still pending supersedes the old timer, which is never dispatched
-      and never moves the clock (see {!Participant.action}).
+      still pending re-keys its queued event in place, so the old
+      deadline is never dispatched and leaves nothing in the queue (see
+      {!Participant.action}).
 
     Everything is deterministic for a given seed: events are ordered by
     (time, insertion sequence). Time is in nanoseconds from 0. *)
@@ -53,8 +54,10 @@ val participant : t -> int -> Participant.t
 val record_metrics : t -> Aring_obs.Metrics.t -> unit
 (** Export the network counters into a metrics registry under
     ["netsim.*"] names, with [netsim.timers_fired] (timers handed to a
-    live participant) and [netsim.timers_superseded] (timers replaced by
-    a re-arm of their key before they were due).
+    live participant), [netsim.timers_superseded] (timers replaced by
+    a re-arm of their key before they were due), [netsim.events] (events
+    dispatched) and [netsim.events_pending_peak] (the most events queued
+    at once).
 
     [create] also points {!Aring_obs.Trace}'s clock at the simulated
     clock, so trace events carry virtual-time timestamps. Switch, loss

@@ -1,6 +1,6 @@
 open Aring_wire
 open Aring_ring
-module Heap = Aring_util.Heap
+module Event_heap = Aring_util.Event_heap
 module Trace = Aring_obs.Trace
 module Metrics = Aring_obs.Metrics
 
@@ -11,14 +11,6 @@ type peer = {
   token_port : int;
 }
 
-(* A timer in the heap; [live] is cleared when a re-arm of its key
-   supersedes it, and a dead entry is dropped when it reaches the top. *)
-type armed = {
-  at : int;  (* absolute ns *)
-  timer : Participant.timer;
-  mutable live : bool;
-}
-
 type t = {
   me : Types.pid;
   peers : (Types.pid * Unix.sockaddr * Unix.sockaddr) list;
@@ -26,9 +18,10 @@ type t = {
   participant : Participant.t;
   data_sock : Unix.file_descr;
   token_sock : Unix.file_descr;
-  timers : armed Heap.t;
-  pending : (Participant.timer, armed) Hashtbl.t;
-      (* The live heap entry of every pending timer key. *)
+  timers : Event_heap.t;  (* keyed (absolute ns, arm order) *)
+  mutable timer_keys : Participant.timer array;  (* by timer handle *)
+  pending : (Participant.timer, int) Hashtbl.t;  (* key -> its handle *)
+  mutable timer_seq : int;
   recv_buf : bytes;
   pool : Message.Pool.pool;
       (* Reusable encode scratch + decode cursor: sends go straight from
@@ -73,8 +66,10 @@ let create ~me ~peers ~participant ?(on_deliver = fun _ -> ())
     participant;
     data_sock = make_socket ~port:self.data_port;
     token_sock = make_socket ~port:self.token_port;
-    timers = Heap.create ~cmp:(fun a b -> Int.compare a.at b.at);
+    timers = Event_heap.create ();
+    timer_keys = [||];
     pending = Hashtbl.create 8;
+    timer_seq = 0;
     recv_buf = Bytes.create 65536;
     pool = Message.Pool.create ~initial_capacity:65536 ();
     on_deliver;
@@ -121,46 +116,51 @@ let route_of_message = function
   | Message.Token _ | Message.Commit _ -> `Token
   | Message.Data _ | Message.Join _ -> `Data
 
-let rec interpret t actions =
-  List.iter
-    (fun action ->
+(* Arm [timer]; a pending timer of equal key is re-keyed in place. A
+   free handle's slot in [timer_keys] keeps its last key. *)
+let arm t timer delay_ns =
+  let at = now_ns () + delay_ns in
+  t.timer_seq <- t.timer_seq + 1;
+  match Hashtbl.find t.pending timer with
+  | h -> Event_heap.rekey t.timers h ~at ~seq:t.timer_seq
+  | exception Not_found ->
+      let h = Event_heap.add t.timers ~at ~seq:t.timer_seq in
+      let n = Array.length t.timer_keys in
+      if h >= n then
+        t.timer_keys <-
+          Array.append t.timer_keys
+            (Array.make (Event_heap.capacity t.timers - n) timer);
+      t.timer_keys.(h) <- timer;
+      Hashtbl.add t.pending timer h
+
+let rec interpret t = function
+  | [] -> ()
+  | action :: rest ->
       if Trace.enabled () then
         Participant.trace_action ~t_ns:(Trace.now ()) ~node:t.me action;
-      match action with
+      (match action with
       | Participant.Unicast (pid, msg) -> send_to t (route_of_message msg) pid msg
       | Participant.Multicast msg ->
           let kind = route_of_message msg in
           List.iter (fun (pid, _, _) -> send_to t kind pid msg) t.peers
       | Participant.Deliver d -> t.on_deliver d
       | Participant.Deliver_config v -> t.on_view v
-      | Participant.Arm_timer (timer, delay_ns) ->
-          (match Hashtbl.find t.pending timer with
-          | old -> old.live <- false
-          | exception Not_found -> ());
-          let armed = { at = now_ns () + delay_ns; timer; live = true } in
-          Hashtbl.replace t.pending timer armed;
-          Heap.push t.timers armed
+      | Participant.Arm_timer (timer, delay_ns) -> arm t timer delay_ns
       | Participant.Token_loss_detected ->
           (* A bare Node would surface this; a Member handles it itself. *)
-          ())
-    actions
+          ());
+      interpret t rest
 
-(* The earliest live timer, after dropping the superseded ones above it. *)
-and next_timer t =
-  match Heap.peek t.timers with
-  | Some a when not a.live ->
-      ignore (Heap.pop_exn t.timers);
-      next_timer t
-  | next -> next
-
-and fire_due_timers t =
-  match next_timer t with
-  | Some a when a.at <= now_ns () ->
-      ignore (Heap.pop_exn t.timers);
-      Hashtbl.remove t.pending a.timer;
-      interpret t (t.participant.fire_timer a.timer);
-      fire_due_timers t
-  | Some _ | None -> ()
+let rec fire_due_timers t =
+  if
+    (not (Event_heap.is_empty t.timers))
+    && Event_heap.top_at t.timers <= now_ns ()
+  then begin
+    let timer = t.timer_keys.(Event_heap.pop_exn t.timers) in
+    Hashtbl.remove t.pending timer;
+    interpret t (t.participant.fire_timer timer);
+    fire_due_timers t
+  end
 
 let drain_socket t sock =
   let budget = ref 128 in
@@ -193,7 +193,8 @@ let run t ~duration_s =
       if t.participant.has_work () then 0.0
       else begin
         let next =
-          match next_timer t with Some a -> a.at | None -> deadline
+          if Event_heap.is_empty t.timers then deadline
+          else Event_heap.top_at t.timers
         in
         let until = min next deadline - now_ns () in
         Float.max 0.0 (float_of_int until /. 1e9)

@@ -12,9 +12,10 @@
     (Section III-C) then chooses which queue to serve, exactly as in the
     simulator.
 
-    Timers: one pending timer per key. Re-arming a pending key supersedes
-    the old timer, which is dropped unfired, and [select] sleeps until the
-    earliest live timer. *)
+    Timers: one pending timer per key, in an {!Aring_util.Event_heap}
+    keyed (absolute ns, arm order). Re-arming a pending key re-keys its
+    entry in place, so the old deadline never fires, and [select] sleeps
+    until the earliest timer. *)
 
 open Aring_wire
 open Aring_ring

@@ -1,0 +1,45 @@
+(** Indexed binary min-heap of int handles keyed by [(at, seq)].
+
+    The event queue of both runtimes. {!add} hands out a handle, a small
+    int below {!capacity} that the caller uses to index its own per-event
+    data; it stays valid until {!pop_exn} returns it, and a later {!add}
+    reuses it. Entries are ordered by [at], then [seq], smallest first.
+    Keys live in flat int arrays indexed by handle, and a handle→position
+    array lets {!rekey} move a pending entry in place in O(log n), so a
+    re-armed timer leaves no dead entry behind. Nothing allocates once
+    the arrays have grown, and there is no comparison closure. *)
+
+type t
+
+val create : unit -> t
+val length : t -> int
+val is_empty : t -> bool
+
+val capacity : t -> int
+(** Every handle {!add} has returned is below [capacity h]. *)
+
+val reserve : t -> int -> unit
+(** [reserve h n] grows [h] so that [n] entries fit without growing
+    again. Never shrinks. *)
+
+val add : t -> at:int -> seq:int -> int
+(** [add h ~at ~seq] inserts an entry keyed [(at, seq)] and returns its
+    handle. *)
+
+val rekey : t -> int -> at:int -> seq:int -> unit
+(** [rekey h i ~at ~seq] moves pending handle [i] to the key [(at, seq)],
+    earlier or later than its old one.
+    @raise Invalid_argument if [i] is not pending. *)
+
+val top_exn : t -> int
+val top_at : t -> int
+val top_seq : t -> int
+(** The minimum entry's handle, [at] and [seq], left in place.
+    @raise Invalid_argument if the heap is empty. *)
+
+val pop_exn : t -> int
+(** [pop_exn h] removes the minimum entry and returns its handle.
+    @raise Invalid_argument if [h] is empty. *)
+
+val clear : t -> unit
+(** [clear h] removes every entry; all handles become free. *)

@@ -411,7 +411,7 @@ let test_rearm_supersedes () =
   let p, fires =
     Timer_probe.create
       ~now:(fun () -> Netsim.now (Option.get !sim))
-      ~a1:100 ~b:150 ~a2:200
+      [ ("a", 100); ("b", 150); ("a", 200) ]
   in
   let s =
     Netsim.create ~net:Profile.gigabit ~tiers:[| Profile.library |]
@@ -428,6 +428,112 @@ let test_rearm_supersedes () =
   let count = Aring_obs.Metrics.counter_value reg in
   check Alcotest.int "timers fired" 2 (count "netsim.timers_fired");
   check Alcotest.int "timers superseded" 1 (count "netsim.timers_superseded")
+
+(* One key re-armed 10,000 times is one queued event, re-keyed in place:
+   it fires once, at the last deadline, and the queue never holds more
+   than the start call and that timer. *)
+let test_rearm_keeps_one_event () =
+  let sim = ref None in
+  let p, fires =
+    Timer_probe.create
+      ~now:(fun () -> Netsim.now (Option.get !sim))
+      (List.init 10_000 (fun i -> ("a", 100 + i)))
+  in
+  let s =
+    Netsim.create ~net:Profile.gigabit ~tiers:[| Profile.library |]
+      ~participants:[| p |] ()
+  in
+  sim := Some s;
+  Netsim.run_until s 1_000_000;
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
+    "one a, at the last deadline" [ ("a", 10_099) ] (fires ());
+  let reg = Aring_obs.Metrics.create () in
+  Netsim.record_metrics s reg;
+  let count = Aring_obs.Metrics.counter_value reg in
+  check Alcotest.int "timers fired" 1 (count "netsim.timers_fired");
+  check Alcotest.int "timers superseded" 9_999 (count "netsim.timers_superseded");
+  check Alcotest.int "events dispatched: the start call and one timer" 2
+    (count "netsim.events");
+  check Alcotest.bool "pending peak at most 2" true
+    (count "netsim.events_pending_peak" <= 2)
+
+type Participant.timer += Fire of int
+
+(* Node 0 of the port tests: [start] arms [Fire 0] at [first], and firing
+   [Fire k] performs [script k]. *)
+let scripted ~first script : Participant.t =
+  {
+    pid = 0;
+    submit = (fun _ _ -> ());
+    receive = (fun _ -> `Queued);
+    has_work = (fun () -> false);
+    take_next = (fun () -> None);
+    process = (fun _ -> []);
+    fire_timer = (function Fire k -> script k | _ -> []);
+    start = (fun () -> [ Participant.Arm_timer (Fire 0, first) ]);
+  }
+
+let probe_msg =
+  Message.Join { j_pid = 0; proc_set = []; fail_set = []; join_seq = 0 }
+
+(* Switch drops at node 1's port when node 0 runs [script], on a gigabit
+   net whose port buffer holds [fit] probe packets. *)
+let port_drops ~fit script =
+  let size = Message.wire_size probe_msg in
+  let net = { Profile.gigabit with switch_port_buffer = fit * size } in
+  let idle, _ = Timer_probe.create ~now:(fun () -> 0) [] in
+  let s =
+    Netsim.create ~net ~tiers:(Array.make 2 Profile.library)
+      ~participants:[| scripted ~first:1_000 script; idle |] ()
+  in
+  Netsim.run_until s 1_000_000;
+  (Netsim.stats s).switch_drops
+
+(* Port tie rule. [Fire 0] (at 1,000 ns, its actions from 1,500 ns) sends
+   packet A, which finishes on node 1's port at [d]: one send op, then
+   one serialization on the NIC and one on the port. [Fire 1] fires at
+   exactly [d] and sends packet B into the one-packet buffer. A's bytes
+   are released only if A's drain entry was stamped before [Fire 1] was
+   armed, as its drain event would then have run first. *)
+let test_port_tie_rule () =
+  let size = Message.wire_size probe_msg in
+  let tx = Profile.tx_ns Profile.gigabit size in
+  let send_op = Profile.library.Profile.send_op_ns in
+  let send_b = function
+    | 1 -> [ Participant.Unicast (1, probe_msg) ]
+    | _ -> []
+  in
+  let drain_stamped_first = function
+    | 0 ->
+        [
+          Participant.Unicast (1, probe_msg);
+          Participant.Arm_timer (Fire 1, 2 * tx);
+        ]
+    | k -> send_b k
+  in
+  let timer_armed_first = function
+    | 0 ->
+        [
+          Participant.Arm_timer (Fire 1, send_op + (2 * tx));
+          Participant.Unicast (1, probe_msg);
+        ]
+    | k -> send_b k
+  in
+  check Alcotest.int "A released before B" 0
+    (port_drops ~fit:1 drain_stamped_first);
+  check Alcotest.int "A still queued for B" 1
+    (port_drops ~fit:1 timer_armed_first);
+  (* A burst of 10 from one event into a 4-packet buffer: no packet
+     finishes before the event ends, so the last 6 drop. [Fire 1]'s
+     send, 100 us later, finds the port drained and drops nothing. *)
+  let burst = function
+    | 0 ->
+        List.init 10 (fun _ -> Participant.Unicast (1, probe_msg))
+        @ [ Participant.Arm_timer (Fire 1, 100_000) ]
+    | k -> send_b k
+  in
+  check Alcotest.int "burst drops past the buffer" 6 (port_drops ~fit:4 burst)
 
 let suite =
   [
@@ -456,4 +562,6 @@ let suite =
     ("asym deterministic replay", `Quick, test_asym_deterministic_replay);
     ("asym validation", `Quick, test_asym_validation);
     ("re-armed timer supersedes", `Quick, test_rearm_supersedes);
+    ("re-armed timer keeps one event", `Quick, test_rearm_keeps_one_event);
+    ("port drain tie rule", `Quick, test_port_tie_rule);
   ]

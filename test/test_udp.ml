@@ -141,7 +141,7 @@ let test_rearm_supersedes () =
   let ms n = n * 1_000_000 in
   let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9) in
   let p, fires =
-    Timer_probe.create ~now:now_ns ~a1:(ms 20) ~b:(ms 40) ~a2:(ms 60)
+    Timer_probe.create ~now:now_ns [ ("a", ms 20); ("b", ms 40); ("a", ms 60) ]
   in
   let base = base_port + 200 in
   let rt =

@@ -1,6 +1,6 @@
 (* Unit and property tests for the utility substrate. *)
 
-module Heap = Aring_util.Heap
+module Event_heap = Aring_util.Event_heap
 module Deque = Aring_util.Deque
 module Stats = Aring_util.Stats
 module Prng = Aring_util.Prng
@@ -9,143 +9,210 @@ module Fnv = Aring_util.Fnv
 let check = Alcotest.check
 
 (* -------------------------------------------------------------------- *)
-(* Heap                                                                  *)
+(* Event heap                                                            *)
+
+(* Add every [at] of [ats] in order, each with its index as seq. *)
+let heap_of ats =
+  let h = Event_heap.create () in
+  List.iteri (fun seq at -> ignore (Event_heap.add h ~at ~seq)) ats;
+  h
+
+(* Pop everything, as the (at, seq) keys in pop order. *)
+let drain_keys h =
+  let rec loop acc =
+    if Event_heap.is_empty h then List.rev acc
+    else begin
+      let key = (Event_heap.top_at h, Event_heap.top_seq h) in
+      ignore (Event_heap.pop_exn h);
+      loop (key :: acc)
+    end
+  in
+  loop []
+
+let key = Alcotest.(pair int int)
 
 let test_heap_basic () =
-  let h = Heap.create ~cmp:compare in
-  check Alcotest.bool "empty" true (Heap.is_empty h);
-  check (Alcotest.option Alcotest.int) "peek empty" None (Heap.peek h);
-  check (Alcotest.option Alcotest.int) "pop empty" None (Heap.pop h);
-  Heap.push h 5;
-  Heap.push h 1;
-  Heap.push h 3;
-  check (Alcotest.option Alcotest.int) "peek min" (Some 1) (Heap.peek h);
-  check Alcotest.int "length" 3 (Heap.length h);
-  check Alcotest.int "pop 1" 1 (Heap.pop_exn h);
-  check Alcotest.int "pop 3" 3 (Heap.pop_exn h);
-  check Alcotest.int "pop 5" 5 (Heap.pop_exn h);
-  check Alcotest.bool "empty again" true (Heap.is_empty h)
+  let h = Event_heap.create () in
+  check Alcotest.bool "empty" true (Event_heap.is_empty h);
+  let h5 = Event_heap.add h ~at:5 ~seq:0 in
+  let h1 = Event_heap.add h ~at:1 ~seq:1 in
+  let h3 = Event_heap.add h ~at:3 ~seq:2 in
+  check Alcotest.int "top is the min" h1 (Event_heap.top_exn h);
+  check Alcotest.int "top at" 1 (Event_heap.top_at h);
+  check Alcotest.int "length" 3 (Event_heap.length h);
+  check Alcotest.int "pop 1" h1 (Event_heap.pop_exn h);
+  check Alcotest.int "pop 3" h3 (Event_heap.pop_exn h);
+  check Alcotest.int "pop 5" h5 (Event_heap.pop_exn h);
+  check Alcotest.bool "empty again" true (Event_heap.is_empty h);
+  check Alcotest.int "a popped handle is handed out again" h5
+    (Event_heap.add h ~at:0 ~seq:3)
 
 let test_heap_clear () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 3; 1; 2 ];
-  Heap.clear h;
-  check Alcotest.bool "cleared" true (Heap.is_empty h);
-  Heap.push h 9;
-  check Alcotest.int "usable after clear" 9 (Heap.pop_exn h)
+  let h = heap_of [ 3; 1; 2 ] in
+  Event_heap.clear h;
+  check Alcotest.bool "cleared" true (Event_heap.is_empty h);
+  ignore (Event_heap.add h ~at:9 ~seq:0);
+  check (Alcotest.list key) "usable after clear" [ (9, 0) ] (drain_keys h)
 
 let test_heap_pop_exn_empty () =
-  let h = Heap.create ~cmp:compare in
+  let h = Event_heap.create () in
   Alcotest.check_raises "pop_exn on empty"
-    (Invalid_argument "Heap.pop_exn: empty heap") (fun () ->
-      ignore (Heap.pop_exn h))
+    (Invalid_argument "Event_heap.pop_exn: empty heap") (fun () ->
+      ignore (Event_heap.pop_exn h));
+  let p = Event_heap.add h ~at:1 ~seq:0 in
+  ignore (Event_heap.pop_exn h);
+  Alcotest.check_raises "rekey of a popped handle"
+    (Invalid_argument "Event_heap.rekey: handle not pending") (fun () ->
+      Event_heap.rekey h p ~at:2 ~seq:1)
+
+let test_heap_top_exn () =
+  let h = Event_heap.create () in
+  Alcotest.check_raises "top_exn on empty"
+    (Invalid_argument "Event_heap.top_exn: empty heap") (fun () ->
+      ignore (Event_heap.top_exn h));
+  let _ = Event_heap.add h ~at:4 ~seq:0 in
+  let two = Event_heap.add h ~at:2 ~seq:1 in
+  let _ = Event_heap.add h ~at:9 ~seq:2 in
+  check Alcotest.int "top is min" two (Event_heap.top_exn h);
+  check Alcotest.int "top removes nothing" 3 (Event_heap.length h);
+  check Alcotest.int "pop agrees with top" two (Event_heap.pop_exn h)
+
+let test_heap_reserve () =
+  (* Adds up to the reservation never grow the arrays, and every handle
+     stays below the capacity. *)
+  let h = Event_heap.create () in
+  Event_heap.reserve h 100;
+  let cap = Event_heap.capacity h in
+  check Alcotest.bool "reserved" true (cap >= 100);
+  for i = 100 downto 1 do
+    let handle = Event_heap.add h ~at:i ~seq:(100 - i) in
+    check Alcotest.bool "handle below capacity" true (handle < cap)
+  done;
+  check Alcotest.int "no growth" cap (Event_heap.capacity h);
+  check Alcotest.int "all added" 100 (Event_heap.length h);
+  check Alcotest.int "min" 1 (Event_heap.top_at h);
+  (* Reserving over a populated heap preserves contents and order. *)
+  let h2 = heap_of [ 5; 3; 8 ] in
+  Event_heap.reserve h2 64;
+  check (Alcotest.list key) "order kept" [ (3, 1); (5, 0); (8, 2) ]
+    (drain_keys h2)
+
+let test_heap_growth_duplicates () =
+  (* Add far past the 16-slot seed arrays, with heavy duplication of
+     [at]: the drain is sorted by at, ties in seq order. *)
+  let ats = List.init 500 (fun i -> i mod 50) in
+  let h = heap_of ats in
+  check Alcotest.int "length" 500 (Event_heap.length h);
+  let expected = List.sort compare (List.mapi (fun seq at -> (at, seq)) ats) in
+  check (Alcotest.list key) "sorted by (at, seq)" expected (drain_keys h)
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap pops in sorted order" ~count:300
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.push h) xs;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort compare xs)
+    QCheck.(list small_int)
+    (fun ats ->
+      drain_keys (heap_of ats)
+      = List.sort compare (List.mapi (fun seq at -> (at, seq)) ats))
+
+(* The model of a heap: its pending (at, seq, handle) entries. *)
+let model_min model =
+  List.fold_left
+    (fun best ((at, seq, _) as e) ->
+      match best with
+      | Some (bat, bseq, _) when (bat, bseq) <= (at, seq) -> best
+      | _ -> Some e)
+    None model
 
 let prop_heap_interleaved =
   QCheck.Test.make ~name:"heap min correct under interleaved push/pop"
     ~count:200
     QCheck.(list (pair bool small_int))
     (fun ops ->
-      let h = Heap.create ~cmp:compare in
+      let h = Event_heap.create () in
       let model = ref [] in
+      let next = ref 0 in
       List.for_all
-        (fun (is_push, x) ->
+        (fun (is_push, at) ->
           if is_push then begin
-            Heap.push h x;
-            model := List.sort compare (x :: !model);
+            incr next;
+            let seq = !next in
+            let handle = Event_heap.add h ~at ~seq in
+            model := (at, seq, handle) :: !model;
             true
           end
           else
-            match (Heap.pop h, !model) with
-            | None, [] -> true
-            | Some y, m :: rest ->
-                model := rest;
-                y = m
-            | None, _ :: _ | Some _, [] -> false)
+            match model_min !model with
+            | None -> Event_heap.is_empty h
+            | Some ((_, _, handle) as m) ->
+                model := List.filter (fun e -> e <> m) !model;
+                Event_heap.pop_exn h = handle)
         ops)
-
-let test_heap_top_exn () =
-  let h = Heap.create ~cmp:compare in
-  Alcotest.check_raises "top_exn on empty"
-    (Invalid_argument "Heap.top_exn: empty heap") (fun () ->
-      ignore (Heap.top_exn h));
-  List.iter (Heap.push h) [ 4; 2; 9 ];
-  check Alcotest.int "top is min" 2 (Heap.top_exn h);
-  check Alcotest.int "top removes nothing" 3 (Heap.length h);
-  check Alcotest.int "pop agrees with top" 2 (Heap.pop_exn h)
-
-let test_heap_reserve () =
-  (* On a heap that never held an element the request is deferred to the
-     first push; either way pushes up to the reservation must succeed. *)
-  let h = Heap.create ~cmp:compare in
-  Heap.reserve h 100;
-  for i = 100 downto 1 do
-    Heap.push h i
-  done;
-  check Alcotest.int "all pushed" 100 (Heap.length h);
-  check Alcotest.int "min" 1 (Heap.top_exn h);
-  (* Reserving over a populated heap preserves contents and order. *)
-  let h2 = Heap.create ~cmp:compare in
-  List.iter (Heap.push h2) [ 5; 3; 8 ];
-  Heap.reserve h2 64;
-  check Alcotest.int "pop 3" 3 (Heap.pop_exn h2);
-  check Alcotest.int "pop 5" 5 (Heap.pop_exn h2);
-  check Alcotest.int "pop 8" 8 (Heap.pop_exn h2)
-
-let test_heap_growth_duplicates () =
-  (* Push far past the 16-slot seed array, with heavy duplication, and
-     check the drain is exactly the sorted multiset. *)
-  let h = Heap.create ~cmp:compare in
-  for i = 0 to 499 do
-    Heap.push h (i mod 50)
-  done;
-  check Alcotest.int "length" 500 (Heap.length h);
-  let rec drain acc =
-    if Heap.is_empty h then List.rev acc else drain (Heap.pop_exn h :: acc)
-  in
-  let expected = List.sort compare (List.init 500 (fun i -> i mod 50)) in
-  check (Alcotest.list Alcotest.int) "sorted multiset" expected (drain [])
 
 let prop_heap_drain_sorted_after_churn =
   (* The heap-property invariant, observed externally: after any random
      push/pop interleaving (crossing growth boundaries), draining yields
-     the surviving multiset in sorted order. *)
+     the surviving keys in sorted order. *)
   QCheck.Test.make ~name:"heap drains sorted after random interleavings"
     ~count:300
     QCheck.(list (pair bool small_int))
     (fun ops ->
-      let h = Heap.create ~cmp:compare in
+      let h = Event_heap.create () in
       let model = ref [] in
-      List.iter
-        (fun (is_push, x) ->
+      List.iteri
+        (fun seq (is_push, at) ->
           if is_push then begin
-            Heap.push h x;
-            model := x :: !model
+            ignore (Event_heap.add h ~at ~seq);
+            model := (at, seq) :: !model
           end
-          else
-            match Heap.pop h with
-            | None -> ()
-            | Some y ->
-                let rec remove_one = function
-                  | [] -> []
-                  | z :: rest -> if z = y then rest else z :: remove_one rest
-                in
-                model := remove_one !model)
+          else if not (Event_heap.is_empty h) then begin
+            let k = (Event_heap.top_at h, Event_heap.top_seq h) in
+            ignore (Event_heap.pop_exn h);
+            model := List.filter (fun e -> e <> k) !model
+          end)
         ops;
-      let rec drain acc =
-        if Heap.is_empty h then List.rev acc else drain (Heap.pop_exn h :: acc)
+      drain_keys h = List.sort compare !model)
+
+(* Random add/pop/rekey sequences against a sorted (at, seq) list. [at]
+   is drawn from 0..4, so ties on [at] are the rule, broken by a seq
+   drawn fresh per add or rekey, as the runtimes draw it; a rekey moves
+   a random pending entry earlier or later. *)
+let prop_heap_rekey_model =
+  QCheck.Test.make ~name:"heap add/pop/rekey match a sorted model"
+    ~count:500
+    QCheck.(list (triple (int_bound 2) small_nat (int_bound 4)))
+    (fun ops ->
+      let h = Event_heap.create () in
+      let model = ref [] in
+      let next = ref 0 in
+      let fresh () =
+        incr next;
+        !next
       in
-      drain [] = List.sort compare !model)
+      List.for_all
+        (fun (op, pick, at) ->
+          match (op, !model) with
+          | 0, _ ->
+              let seq = fresh () in
+              let handle = Event_heap.add h ~at ~seq in
+              model := (at, seq, handle) :: !model;
+              true
+          | 1, [] -> Event_heap.is_empty h
+          | 1, _ ->
+              let ((_, _, handle) as m) = Option.get (model_min !model) in
+              model := List.filter (fun e -> e <> m) !model;
+              Event_heap.pop_exn h = handle
+          | _, [] -> true
+          | _, entries ->
+              let ((_, _, handle) as m) =
+                List.nth entries (pick mod List.length entries)
+              in
+              let seq = fresh () in
+              Event_heap.rekey h handle ~at ~seq;
+              model :=
+                (at, seq, handle) :: List.filter (fun e -> e <> m) !model;
+              Event_heap.length h = List.length !model)
+        ops
+      && drain_keys h
+         = List.sort compare (List.map (fun (at, seq, _) -> (at, seq)) !model))
 
 (* -------------------------------------------------------------------- *)
 (* Deque                                                                 *)
@@ -848,4 +915,5 @@ let suite =
     qtest prop_stats_match_reference;
     ("stats: at most 2 words per add", `Quick, test_stats_add_allocation);
     ("deque keeps no popped or cleared element alive", `Quick, test_deque_releases_elements);
+    qtest prop_heap_rekey_model;
   ]

@@ -1,7 +1,7 @@
 (* A participant that only arms timers, for each runtime's test of the
-   [Participant.Arm_timer] contract. [start] arms key "a" at [a1], key
-   "b" at [b] and "a" again at [a2]: the second "a" is built apart from
-   the first, so superseding it must go by structural equality. *)
+   [Participant.Arm_timer] contract. [start] arms each (key, delay) of
+   [arms] in order; every key is built apart from the string given, so
+   superseding a pending key must go by structural equality. *)
 
 open Aring_ring
 
@@ -9,7 +9,7 @@ type Participant.timer += Key of string
 
 (* The participant, and the fires so far as (key, [now ()]), oldest
    first. *)
-let create ~now ~a1 ~b ~a2 =
+let create ~now arms =
   let fired = ref [] in
   let p : Participant.t =
     {
@@ -25,11 +25,9 @@ let create ~now ~a1 ~b ~a2 =
           []);
       start =
         (fun () ->
-          [
-            Participant.Arm_timer (Key "a", a1);
-            Participant.Arm_timer (Key "b", b);
-            Participant.Arm_timer (Key (String.make 1 'a'), a2);
-          ]);
+          List.map
+            (fun (k, delay) -> Participant.Arm_timer (Key (String.cat k ""), delay))
+            arms);
     }
   in
   (p, fun () -> List.rev !fired)
