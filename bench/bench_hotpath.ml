@@ -1,12 +1,12 @@
 (* Hot-path allocation benchmark (`-- hotpath [quick]`): allocated bytes
    per message of the pooled codec against the Buffer-based reference
    encoder, of the KV write path's app payload (its one-pass write, and
-   delivery to a replica), of the daemon's idle token visit and group
-   change, per item of the multi-ring learner merge, per call of the
-   shared host primitives (FNV-1a, the PRNG, histogram and sample
-   accumulators), and allocation, host rate and simulator events of the
-   full simulated pipeline. Gated by bench/hotpath_budget.json. Schema
-   documented in EXPERIMENTS.md. *)
+   delivery to a replica), of the daemon's idle token visit, group
+   change and slow-receiver inbox, per item of the multi-ring learner
+   merge, per call of the shared host primitives (FNV-1a, the PRNG,
+   histogram and sample accumulators), and allocation, host rate and
+   simulator events of the full simulated pipeline. Gated by
+   bench/hotpath_budget.json. Schema documented in EXPERIMENTS.md. *)
 
 open Aring_wire
 open Aring_ring
@@ -165,6 +165,52 @@ let group_change () =
     feed join;
     feed leave
 
+(* A session in group "g"'s delivered table, slow or direct, on a
+   daemon fed 64 B App envelopes to "g" from one sender: every feed
+   hands the session the same frame. *)
+let slow_app =
+  Envelope.encode
+    (Envelope.App { sender = "#tx#1"; groups = [ "g" ]; payload = Bytes.make 64 'p' })
+
+let inbox_session ~slow =
+  let m, d, _, feed = ring_daemon () in
+  let quiet =
+    { Daemon.on_message = (fun ~sender:_ ~groups:_ _ _ -> ());
+      on_group_view = (fun ~group:_ ~members:_ -> ()) }
+  in
+  let s = Daemon.connect d ~name:"rx" quiet in
+  let member = Daemon.session_member_name d s in
+  feed (Envelope.encode (Envelope.Join { member; group = "g" }));
+  drain_pending m;
+  Daemon.set_slow_receiver d s slow;
+  (d, s, fun () -> feed slow_app)
+
+(* Park plus pump per message: a delivery to a slow session pumped at
+   once, less the same delivery to a direct one. *)
+let slow_inbox_alloc ~iters =
+  let _, _, direct = inbox_session ~slow:false in
+  let d, s, feed = inbox_session ~slow:true in
+  let parked () =
+    feed ();
+    ignore (Daemon.pump d s ~max:1)
+  in
+  alloc_per_call ~iters parked -. alloc_per_call ~iters direct
+
+(* What a parked message keeps alive beyond its frame: the words
+   reachable from the session after [slow_parked] deliveries, less those
+   before and the one frame they share, per message. *)
+let slow_parked = 10_000
+
+let slow_inbox_retained () =
+  let d, s, feed = inbox_session ~slow:true in
+  let words () = Obj.reachable_words (Obj.repr s) in
+  let before = words () in
+  for _ = 1 to slow_parked do feed () done;
+  if Daemon.inbox_depth d s <> slow_parked then
+    invalid_arg "Bench_hotpath: the slow session did not park every delivery";
+  let kept = words () - before - Obj.reachable_words (Obj.repr slow_app) in
+  float_of_int (kept * (Sys.word_size / 8)) /. float_of_int slow_parked
+
 let merge_rings = 4
 
 (* One item per ring pushed into a learner merge, then drained. *)
@@ -292,11 +338,15 @@ let run ~quick =
     engine_alloc;
   let visit_alloc = alloc_per_call ~iters (idle_token_visit ()) in
   let change_alloc = alloc_per_call ~iters (group_change ()) /. 2. in
+  let inbox_alloc = slow_inbox_alloc ~iters in
+  let inbox_retained = slow_inbox_retained () in
   Printf.printf
     "daemon (bytes allocated):\n\
     \  idle token visit %8.1f\n\
-    \  group change at %d members %8.1f per delivered Join or Leave\n%!"
-    visit_alloc join_members change_alloc;
+    \  group change at %d members %8.1f per delivered Join or Leave\n\
+    \  slow inbox park + pump %8.1f per message\n\
+    \  slow inbox %.1f per message retained beyond its frame at %d parked\n%!"
+    visit_alloc join_members change_alloc inbox_alloc inbox_retained slow_parked;
   let merge_alloc =
     alloc_per_call ~iters (merge_push_drain ()) /. float_of_int merge_rings
   in
@@ -325,11 +375,16 @@ let run ~quick =
       measure_ns = (if quick then ms 100 else ms 250);
     }
   in
+  (* A minor collection at each end, as in [alloc_per_call]: without
+     them the figure moved by a few bytes per message with whatever
+     the process allocated before the run. *)
+  Gc.minor ();
   let cpu0 = Sys.time () in
   let before = Gc.allocated_bytes () in
   let r = Scenario.run pipeline_spec in
-  let after = Gc.allocated_bytes () in
   let cpu_s = Sys.time () -. cpu0 in
+  Gc.minor ();
+  let after = Gc.allocated_bytes () in
   let deliveries = r.Scenario.deliveries in
   let alloc_per_msg =
     if deliveries = 0 then infinity
@@ -417,6 +472,9 @@ let run ~quick =
               ("idle_token_visit_alloc_bytes", Json.Float visit_alloc);
               ("group_members", Json.Int join_members);
               ("group_change_alloc_bytes_per_delivery", Json.Float change_alloc);
+              ("slow_inbox_alloc_bytes_per_msg", Json.Float inbox_alloc);
+              ("slow_inbox_parked", Json.Int slow_parked);
+              ("slow_inbox_retained_bytes_per_msg", Json.Float inbox_retained);
             ] );
         ( "merge",
           Json.Obj
@@ -446,6 +504,8 @@ let run ~quick =
         Max ("max_engine_data_alloc_bytes_per_msg", engine_alloc);
         Max ("max_idle_token_visit_alloc_bytes", visit_alloc);
         Max ("max_group_change_alloc_bytes_per_delivery", change_alloc);
+        Max ("max_slow_inbox_alloc_bytes_per_msg", inbox_alloc);
+        Max ("max_slow_inbox_retained_bytes_per_msg", inbox_retained);
         Max ("max_merge_push_drain_alloc_bytes_per_item", merge_alloc);
         Max ("max_fnv_alloc_bytes_per_kib", fnv_alloc);
         Max ("max_prng_int_alloc_bytes_per_draw", prng_alloc);

@@ -1,7 +1,6 @@
 open Aring_wire
 open Aring_ring
 module Span = Aring_obs.Span
-module Deque = Aring_util.Deque
 module Names = Map.Make (String)
 
 type callbacks = {
@@ -10,13 +9,14 @@ type callbacks = {
   on_group_view : group:string -> members:string list Lazy.t -> unit;
 }
 
-(* A delivery parked for a slow receiver. One is built per routed
-   delivery, however many slow inboxes it goes to. *)
-type parked = {
-  p_sender : string;
-  p_groups : string list;
-  p_service : Types.service;
-  p_payload : Codec.view;
+(* A slow receiver's backlog, a ring of [len] parked deliveries from
+   [head]: each is its delivered frame and one int, the App entry's
+   offset in that frame shifted past the service's two-bit tag. *)
+type inbox = {
+  mutable frames : bytes array;
+  mutable entries : int array;
+  mutable head : int;
+  mutable len : int;
 }
 
 type session = {
@@ -28,7 +28,7 @@ type session = {
   (* Slow-receiver mode: [Some q] parks delivered messages in [q]
      instead of invoking [on_message]; the client drains with {!pump} at
      its own pace, off the daemon's delivery path. *)
-  mutable s_inbox : parked Deque.t option;
+  mutable s_inbox : inbox option;
 }
 
 type stats = {
@@ -66,7 +66,8 @@ type t = {
   mutable r_service : Types.service;
   mutable r_payload : Codec.view;
   mutable r_count : int;  (* recipients handed the envelope's entries *)
-  mutable r_parked : parked;  (* built at its first slow recipient *)
+  mutable r_entry : int;  (* parked beside the frame, [dec]'s buffer *)
+  pump_dec : Codec.decoder;  (* the cursor [pump] re-reads entries with *)
   stats : stats;
   packing : bool;
   pack_threshold : int;
@@ -89,9 +90,6 @@ type t = {
 
 let no_payload = Codec.view Bytes.empty ~pos:0 ~len:0
 
-let no_parked =
-  { p_sender = ""; p_groups = []; p_service = Types.Agreed; p_payload = no_payload }
-
 let create ?(packing = false) ?(pack_threshold = 1300) ~member () =
   {
     member;
@@ -107,7 +105,8 @@ let create ?(packing = false) ?(pack_threshold = 1300) ~member () =
     r_service = Types.Agreed;
     r_payload = no_payload;
     r_count = 0;
-    r_parked = no_parked;
+    r_entry = 0;
+    pump_dec = Codec.decoder_empty ();
     stats =
       {
         client_deliveries = 0;
@@ -158,44 +157,71 @@ let connect t ~name callbacks =
   Hashtbl.replace t.sessions name s;
   s
 
-let set_slow_receiver _t s slow =
+(* Park the routed delivery at the back of [q], doubling a full ring. *)
+let park t q =
+  let cap = Array.length q.frames in
+  if q.len = cap then begin
+    let grow a fill =
+      let b = Array.make (max 16 (2 * cap)) fill in
+      Array.blit a q.head b 0 (cap - q.head);
+      Array.blit a 0 b (cap - q.head) q.head;
+      b
+    in
+    q.frames <- grow q.frames Bytes.empty;
+    q.entries <- grow q.entries 0;
+    q.head <- 0
+  end;
+  let i = (q.head + q.len) land (Array.length q.frames - 1) in
+  q.frames.(i) <- Codec.decoder_buffer t.dec;
+  q.entries.(i) <- t.r_entry;
+  q.len <- q.len + 1
+
+(* [pump]'s readers, one per service tag, each handing the parked App
+   entry it reads to the client whose callbacks are the accumulator. *)
+let pumper service =
+  let skip cb ~member:_ ~group:_ = cb in
+  let app cb ~sender ~groups payload =
+    cb.on_message ~sender ~groups service payload;
+    cb
+  in
+  { Envelope.app; join = skip; leave = skip }
+
+let pumpers = Array.init 4 (fun tag -> pumper (Message.service_of_tag tag))
+
+(* Re-read the front entries of [q] through the daemon's name table, as
+   delivery read them: nothing is built per message but the payload's
+   view. Each frame passed [Envelope.check] when it was delivered, so
+   the read cannot raise. *)
+let rec pump_from t s q n max =
+  if n >= max || q.len = 0 then n
+  else begin
+    let i = q.head in
+    let frame = q.frames.(i) and entry = q.entries.(i) in
+    q.frames.(i) <- Bytes.empty;
+    q.head <- (i + 1) land (Array.length q.frames - 1);
+    q.len <- q.len - 1;
+    let pos = entry lsr 2 in
+    Codec.decoder_reset t.pump_dec frame ~pos ~len:(Bytes.length frame - pos);
+    ignore (Envelope.read_entry t.names t.pump_dec pumpers.(entry land 3) s.s_callbacks);
+    pump_from t s q (n + 1) max
+  end
+
+let pump t s ~max =
+  match s.s_inbox with None -> 0 | Some q -> pump_from t s q 0 max
+
+let set_slow_receiver t s slow =
   if slow then begin
-    match s.s_inbox with
-    | Some _ -> ()
-    | None -> s.s_inbox <- Some (Deque.create ())
+    if Option.is_none s.s_inbox then
+      s.s_inbox <- Some { frames = [||]; entries = [||]; head = 0; len = 0 }
   end
   else begin
     (* Reverting to direct delivery hands over anything still parked,
        in arrival order, so no message is lost or reordered. *)
-    (match s.s_inbox with
-    | Some q ->
-        Deque.iter
-          (fun p ->
-            s.s_callbacks.on_message ~sender:p.p_sender ~groups:p.p_groups
-              p.p_service p.p_payload)
-          q
-    | None -> ());
+    ignore (pump t s ~max:max_int);
     s.s_inbox <- None
   end
 
-let inbox_depth _t s =
-  match s.s_inbox with None -> 0 | Some q -> Deque.length q
-
-let pump _t s ~max =
-  match s.s_inbox with
-  | None -> 0
-  | Some q ->
-      let n = ref 0 in
-      let continue = ref true in
-      while !continue && !n < max do
-        match Deque.pop_front q with
-        | None -> continue := false
-        | Some p ->
-            incr n;
-            s.s_callbacks.on_message ~sender:p.p_sender ~groups:p.p_groups
-              p.p_service p.p_payload
-      done;
-      !n
+let inbox_depth _t s = match s.s_inbox with None -> 0 | Some q -> q.len
 
 let note_packed t =
   List.iter
@@ -330,8 +356,9 @@ let disconnect t s =
       s.s_joined;
     s.s_joined <- [];
     s.s_open <- false;
-    (* Undrained slow-receiver messages die with the connection. *)
-    (match s.s_inbox with Some q -> Deque.clear q | None -> ());
+    (* Undrained messages die with the connection; a pump under way stops. *)
+    (match s.s_inbox with Some q -> q.len <- 0 | None -> ());
+    s.s_inbox <- None;
     Hashtbl.remove t.sessions s.s_name
   end
 
@@ -392,21 +419,12 @@ let route_one name _halves t =
       t.r_count <- t.r_count + 1;
       (* A slow receiver parks the message; the daemon's routing work
          (and the Deliver action's CPU charge) happens either way, so one
-         stalled client never blocks the others. Every slow inbox the
-         delivery reaches parks the same record. The payload is a view
-         into the delivered frame wherever it goes: parked or handed
-         over, it keeps that buffer alive, never a copy of it. *)
+         stalled client never blocks the others. A slow inbox parks the
+         delivered frame itself and the entry's offset, which [pump]
+         reads again; a direct session is handed a view into the frame.
+         Either way the frame is kept alive, never copied. *)
       (match s.s_inbox with
-      | Some q ->
-          if t.r_parked == no_parked then
-            t.r_parked <-
-              {
-                p_sender = t.r_sender;
-                p_groups = t.r_groups;
-                p_service = t.r_service;
-                p_payload = t.r_payload;
-              };
-          Deque.push_back q t.r_parked
+      | Some q -> park t q
       | None ->
           s.s_callbacks.on_message ~sender:t.r_sender ~groups:t.r_groups t.r_service
             t.r_payload);
@@ -429,7 +447,6 @@ let on_app t ~sender ~groups payload =
   t.r_payload <- payload;
   ignore (Names.fold route_one (recipients t groups) t);
   t.r_payload <- no_payload;
-  t.r_parked <- no_parked;
   t
 
 let on_join t ~member ~group =
@@ -467,7 +484,10 @@ let handle_delivery t (d : Message.data) =
   | () ->
       t.r_service <- d.service;
       t.r_count <- 0;
-      ignore (Envelope.read t.names t.dec router t);
+      for _ = 1 to Envelope.read_header t.dec do
+        t.r_entry <- (Codec.decoder_pos t.dec lsl 2) lor Message.service_tag d.service;
+        ignore (Envelope.read_entry t.names t.dec router t)
+      done;
       max 1 t.r_count
 
 (* A new regular configuration: prune members of departed daemons, tell

@@ -146,11 +146,18 @@ val session_member_name : t -> session -> string
     and the client pulls them with {!pump} at whatever pace it manages.
     The daemon's routing work — and the per-delivery CPU charge the
     runtime accounts — is unchanged, so healthy sessions on the same
-    daemon observe identical delivery timing. The inbox parks each
-    payload as the view delivery made, not a copy; it stays valid
-    however long it waits, after the engine has dropped the message it
-    came in. One record per delivery holds what is parked, shared by
-    every slow inbox the delivery reaches. *)
+    daemon observe identical delivery timing.
+
+    The inbox parks no copy and no view. A parked message is two
+    unboxed slots of a ring: the delivered frame, shared with every
+    other inbox and session the delivery reaches, and one int holding
+    the App entry's offset in that frame and its service. {!pump} reads
+    the entry again from the frame, through the daemon's name table,
+    and builds the payload view it hands to [on_message] then. The
+    frame stays valid however long it waits, after the engine has
+    dropped the message it came in. Beyond its frame, a parked message
+    costs 16 B of ring, and up to 32 B while the ring, which doubles
+    when full, is half empty. *)
 
 val set_slow_receiver : t -> session -> bool -> unit
 (** [set_slow_receiver t s true] installs the inbox (idempotent);

@@ -227,7 +227,7 @@ let check d =
   Codec.expect_end d;
   Codec.decoder_reset d buf ~pos ~len
 
-let read_entry names r d acc =
+let read_entry names d r acc =
   let tag = Codec.read_u8 d in
   if tag = tag_app then begin
     let sender = read_name names d in
@@ -247,15 +247,17 @@ let read_entry names r d acc =
   end
   else unknown_tag tag
 
-let rec read_entries names r d n acc =
-  if n = 0 then acc else read_entries names r d (n - 1) (read_entry names r d acc)
-
-let read names d r acc =
+let read_header d =
   if at_batch d then begin
     ignore (Codec.read_u8 d);
-    read_entries names r d (Codec.read_count d) acc
+    Codec.read_count d
   end
-  else read_entry names r d acc
+  else 1
+
+let rec read_entries names d r n acc =
+  if n = 0 then acc else read_entries names d r (n - 1) (read_entry names d r acc)
+
+let read names d r acc = read_entries names d r (read_header d) acc
 
 (* [parse] is [read] with a reader that builds the entries, newest
    first. *)

@@ -105,6 +105,19 @@ val read : names -> Aring_wire.Codec.decoder -> 'a reader -> 'a -> 'a
     [Aring_wire.Codec.Decode_error], possibly after handing [r] the
     entries before the fault. *)
 
+val read_header : Aring_wire.Codec.decoder -> int
+(** [read_header d] steps the cursor over a {!check}ed envelope's Batch
+    header, if it has one, to its first entry, and returns how many
+    entries follow: a Batch's count, or 1 for a single envelope. *)
+
+val read_entry : names -> Aring_wire.Codec.decoder -> 'a reader -> 'a -> 'a
+(** [read_entry names d r acc] reads the one non-batch entry at the
+    cursor, as {!read} reads each: [read names d r acc] is [read_header]
+    followed by that many [read_entry] calls. A cursor put back at the
+    start of an entry of a {!check}ed frame (the position the cursor
+    held before reading it) reads it again, with the same fields.
+    @raise Aring_wire.Codec.Decode_error on an entry {!check} rejects. *)
+
 val parse : names -> Aring_wire.Codec.decoder -> parsed
 (** {!check}, then {!read} into a built envelope.
     @raise Aring_wire.Codec.Decode_error where {!check} does. *)

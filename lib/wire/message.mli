@@ -132,6 +132,13 @@ val decode_result : bytes -> (t, string) result
     here — decoding never raises any other exception and never allocates
     proportionally to a corrupted length field. *)
 
+val service_tag : Types.service -> int
+(** The service's byte on the wire: 0 to 3. *)
+
+val service_of_tag : int -> Types.service
+(** The service whose {!service_tag} is the argument.
+    @raise Codec.Decode_error on any other int. *)
+
 val header_overhead : int
 (** Encoded size of a data message with an empty payload — used when
     accounting clean-payload vs on-wire throughput. *)

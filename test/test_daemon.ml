@@ -957,6 +957,93 @@ let test_slow_receivers_share_deliveries () =
   check Alcotest.bool "first slow session, same sequence" true (seen.(1) = seen.(0));
   check Alcotest.bool "second slow session, same sequence" true (seen.(2) = seen.(0))
 
+(* The same parity with packing on, so each Batch frame carries several
+   App entries with different group lists, each parked at its own
+   offset in that frame, under both services. A slow session pumps, or
+   has handed over when unmarked mid-backlog, exactly the (sender,
+   groups, service, payload) sequence a direct session on the same
+   daemon receives; a disconnect drops the backlog, and a session
+   reconnected under the same name starts empty. *)
+let test_slow_inbox_parity_packed () =
+  let c = make_packing_dcluster () in
+  let d = c.daemons.(0) in
+  let recorder log =
+    {
+      Daemon.on_message =
+        (fun ~sender ~groups service payload ->
+          log := (sender, groups, service, Codec.view_to_string payload) :: !log);
+      on_group_view = (fun ~group:_ ~members:_ -> ());
+    }
+  in
+  let session name =
+    let log = ref [] in
+    let s = Daemon.connect d ~name (recorder log) in
+    Daemon.join d s "a";
+    Daemon.join d s "b";
+    (s, log)
+  in
+  let direct, direct_log = session "direct" in
+  let pumped, pumped_log = session "pumped" in
+  let handed, handed_log = session "handed" in
+  let dropped, dropped_log = session "dropped" in
+  ignore direct;
+  let srcs =
+    Array.init 2 (fun i ->
+        Daemon.connect c.daemons.(i + 1) ~name:"src" (callbacks_of (fresh_client ())))
+  in
+  Netsim.run_until c.sim (ms 10);
+  List.iter (fun s -> Daemon.set_slow_receiver d s true) [ pumped; handed; dropped ];
+  let groups = [| [ "a" ]; [ "b" ]; [ "a"; "b" ]; [ "b"; "z"; "a" ] |] in
+  let bursts = 12 in
+  for burst = 0 to bursts - 1 do
+    Netsim.call_at c.sim
+      ~at:(ms 12 + (burst * 300_000))
+      (fun () ->
+        let service = if burst mod 3 = 0 then Types.Safe else Types.Agreed in
+        Array.iteri
+          (fun k groups ->
+            Daemon.multicast c.daemons.(1 + (burst mod 2)) srcs.(burst mod 2) ~service
+              ~groups (Bytes.of_string (Printf.sprintf "m%02d.%d" burst k)))
+          groups)
+  done;
+  Netsim.run_until c.sim (ms 40);
+  let n = bursts * Array.length groups in
+  check Alcotest.int "direct session got every message" n (List.length !direct_log);
+  check Alcotest.bool "entries were packed into Batch frames" true
+    ((Daemon.stats c.daemons.(1)).packs_sent > 0
+    && (Daemon.stats c.daemons.(2)).packs_sent > 0);
+  List.iter
+    (fun s ->
+      check Alcotest.int "every slow session parked them" n (Daemon.inbox_depth d s))
+    [ pumped; handed; dropped ];
+  while Daemon.pump d pumped ~max:5 > 0 do () done;
+  check Alcotest.int "partial pump" 17 (Daemon.pump d handed ~max:17);
+  Daemon.set_slow_receiver d handed false;
+  check Alcotest.int "the rest handed over" 0 (Daemon.inbox_depth d handed);
+  let expected = List.rev !direct_log in
+  let services = List.map (fun (_, _, sv, _) -> sv) expected in
+  check Alcotest.bool "both services delivered" true
+    (List.mem Types.Safe services && List.mem Types.Agreed services);
+  check Alcotest.bool "pumped: the same sequence, every field" true
+    (List.rev !pumped_log = expected);
+  check Alcotest.bool "handed over mid-backlog: the same sequence" true
+    (List.rev !handed_log = expected);
+  Daemon.disconnect d dropped;
+  check Alcotest.int "disconnect drops the backlog" 0 (Daemon.inbox_depth d dropped);
+  check Alcotest.int "nothing left to pump" 0 (Daemon.pump d dropped ~max:n);
+  check Alcotest.int "the dropped backlog reached no client" 0 (List.length !dropped_log);
+  let again, again_log = session "dropped" in
+  Daemon.set_slow_receiver d again true;
+  check Alcotest.int "a reconnect under the same name starts empty" 0
+    (Daemon.inbox_depth d again);
+  Netsim.call_at c.sim ~at:(ms 42) (fun () ->
+      Daemon.multicast c.daemons.(1) srcs.(0) ~groups:[ "a" ] (Bytes.of_string "after"));
+  Netsim.run_until c.sim (ms 60);
+  check Alcotest.int "only the later message parked" 1 (Daemon.pump d again ~max:n);
+  check Alcotest.bool "and it is the later message" true
+    (match !again_log with [ (_, [ "a" ], _, "after") ] -> true | _ -> false);
+  check Alcotest.int "the old session saw none of it" 0 (List.length !dropped_log)
+
 (* -------------------------------------------------------------------- *)
 (* Reconnect storm mid-view                                              *)
 
@@ -1543,6 +1630,59 @@ let test_truncated_batch_routes_nothing () =
   check Alcotest.bool "the Join applied" true
     (List.mem "#z#1" (Daemon.group_members d "g"))
 
+(* A parked entry is read again at pump through the daemon's name
+   table, which may have started over since the delivery: more than
+   [Envelope.names_cap] distinct sender names and group lists pass
+   between park and pump here. The pumped fields still equal those a
+   direct session was handed at delivery, for a Batch's entries and a
+   single App, under both services. *)
+let test_pump_after_name_table_reset () =
+  let d = bare_daemon () in
+  let recorder log =
+    {
+      quiet with
+      Daemon.on_message =
+        (fun ~sender ~groups service payload ->
+          log := (sender, groups, service, Codec.view_to_string payload) :: !log);
+    }
+  in
+  let direct_log = ref [] and slow_log = ref [] in
+  ignore (tabled d ~name:"direct" ~group:"g" (recorder direct_log));
+  let slow = tabled d ~name:"slow" ~group:"g" (recorder slow_log) in
+  Daemon.set_slow_receiver d slow true;
+  let app sender groups payload =
+    Envelope.App { sender; groups; payload = Bytes.of_string payload }
+  in
+  let as_service service env =
+    match delivered env with
+    | Participant.Deliver m -> Participant.Deliver { m with service }
+    | a -> a
+  in
+  let parked =
+    [
+      as_service Types.Safe
+        (Envelope.Batch
+           [ app "#p0#1" [ "g" ] "zero"; app "#p1#2" [ "h"; "g" ] "one";
+             Envelope.Join { member = "#j#3"; group = "k" }; app "#p2#1" [ "g"; "k" ] "two" ]);
+      as_service Types.Agreed (app "#p3#3" [ "k"; "h"; "g" ] "three");
+    ]
+  in
+  ignore (Daemon.transform_actions d parked);
+  check Alcotest.int "four entries parked" 4 (Daemon.inbox_depth d slow);
+  for i = 0 to Envelope.names_cap do
+    deliver d
+      (app (Printf.sprintf "#evict%d#2" i) [ Printf.sprintf "x%d" i; "y" ] "")
+  done;
+  check Alcotest.int "four pumped" 4 (Daemon.pump d slow ~max:10);
+  let fields = Alcotest.(list (pair string (list string))) in
+  let names log = List.rev_map (fun (sender, groups, _, _) -> (sender, groups)) !log in
+  check fields "sender and groups as delivered"
+    [ ("#p0#1", [ "g" ]); ("#p1#2", [ "h"; "g" ]); ("#p2#1", [ "g"; "k" ]);
+      ("#p3#3", [ "k"; "h"; "g" ]) ]
+    (names slow_log);
+  check Alcotest.bool "every field as the direct session had it" true
+    (!slow_log = !direct_log)
+
 let test_transform_actions_in_place () =
   let d = bare_daemon () in
   ignore (tabled d ~name:"a" ~group:"one" quiet);
@@ -1709,4 +1849,8 @@ let suite =
     ("member-name parser is canonical", `Quick, test_member_name_parser_canonical);
     ("truncated batch routes none of its entries", `Quick,
      test_truncated_batch_routes_nothing);
+    ("slow inbox parity with packing, hand-over and reconnect", `Quick,
+     test_slow_inbox_parity_packed);
+    ("pump after a name-table reset reads the delivered names", `Quick,
+     test_pump_after_name_table_reset);
   ]
