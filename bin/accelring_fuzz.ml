@@ -189,8 +189,9 @@ let bug_name =
     & info [ "bug" ]
         ~doc:
           "Inject a known protocol defect: clean, skip-delivery, \
-           skip-retransmission, kv-skip-apply or recovery-flood. Used to \
-           validate the fuzzer itself. recovery-flood runs only on the bare \
+           skip-retransmission, kv-skip-apply, kv-apply-before-election, \
+           merge-no-seek or recovery-flood. Used to validate the fuzzer \
+           itself. recovery-flood runs only on the bare \
            single ring (--app none, --rings 1); elsewhere it exits 2.")
 
 let adaptive =

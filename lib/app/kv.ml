@@ -23,7 +23,7 @@ type observation =
       parts : Op.mcas_part list;
     }
   | Decided of { id : string; commit : bool }
-  | Skipped of { credits : int }
+  | Skipped of { upto : int }
 
 type mcas_status = Mcas_voted of bool | Mcas_decided of bool
 
@@ -48,18 +48,23 @@ type stats = {
   mutable skips : int;
 }
 
-type bug = Bug_none | Bug_skip_apply of { every : int }
+type bug =
+  | Bug_none
+  | Bug_skip_apply of { every : int }
+  | Bug_apply_before_election
 
-(* An incoming snapshot transfer: the donor and accumulating chunk /
-   replay-buffer state, all keyed to the view that elected it. *)
+(* The ops a replica holds back from a regular view until that view's
+   election and, if the election makes it a receiver, through its
+   incoming snapshot transfer: the donor and accumulating chunk /
+   replay-buffer state, all keyed to the view. *)
 type incoming = {
-  xf_donor : Types.pid;
+  mutable xf_donor : Types.pid;  (* -1 until the election names a donor *)
   mutable xf_total : int;  (* -1 until the first chunk arrives *)
   mutable xf_received : int;
   mutable xf_entries : (string * string) list;
   mutable xf_applied : int;
   mutable xf_buffer : Op.t list;  (* newest first *)
-  mutable xf_buffered : int;  (* length of [xf_buffer] *)
+  mutable xf_buffered : int;  (* ops buffered since the donor was named *)
   mutable xf_meta : (string * int) list;  (* donor's mcas table *)
   mutable xf_park : Op.t list;  (* donor's parked head + queue, in order *)
 }
@@ -87,7 +92,7 @@ type t = {
   mutable view_members : Types.pid list;
   hellos : (Types.pid, int * int64 * bool) Hashtbl.t;
   mutable elected : bool;
-  mutable xfer_in : incoming option;
+  mutable xfer_in : incoming option;  (* from a regular view on *)
   pending : (int, string option -> token:int -> unit) Hashtbl.t;
   mcas_meta : (string, mcas_status) Hashtbl.t;
   mutable mcas_head : mcas_active option;
@@ -102,7 +107,8 @@ let node t = t.me
 let ring t = t.ring_id
 let applied t = t.applied_n
 let synced t = t.synced_f
-let in_transfer t = t.xfer_in <> None
+let in_transfer t =
+  match t.xfer_in with Some xf -> xf.xf_donor >= 0 | None -> false
 let settled t = t.elected && t.xfer_in = None
 let mcas_parked t = t.mcas_head <> None
 
@@ -195,7 +201,7 @@ let apply_write t op =
   t.applied_n <- t.applied_n + 1;
   let skip =
     match t.bug with
-    | Bug_none -> false
+    | Bug_none | Bug_apply_before_election -> false
     | Bug_skip_apply { every } ->
         t.bug_writes <- t.bug_writes + 1;
         t.bug_writes mod every = 0
@@ -224,6 +230,14 @@ let apply_write t op =
   Flight.record ~node:t.me ~code:Flight.ev_apply
     ~a:t.applied_n ~b:(if value = None then 1 else 0) ~c:0 ~d:0
 
+(* The positions a skip passes hold no op; one behind us is a no-op. *)
+let apply_skip t upto =
+  t.stats.skips <- t.stats.skips + 1;
+  if upto > t.applied_n then begin
+    t.applied_n <- upto;
+    observe t (Skipped { upto })
+  end
+
 let serve_sync t ~nonce ~key =
   t.stats.sync_reads <- t.stats.sync_reads + 1;
   let value = Hashtbl.find_opt t.store key in
@@ -235,11 +249,14 @@ let serve_sync t ~nonce ~key =
       cb value ~token
   | None -> ()
 
+(* [buffered_peak] counts transfer buffering, not the pre-election hold. *)
 let buffer_op t xf op =
   xf.xf_buffer <- op :: xf.xf_buffer;
-  xf.xf_buffered <- xf.xf_buffered + 1;
-  if xf.xf_buffered > t.stats.buffered_peak then
-    t.stats.buffered_peak <- xf.xf_buffered
+  if xf.xf_donor >= 0 then begin
+    xf.xf_buffered <- xf.xf_buffered + 1;
+    if xf.xf_buffered > t.stats.buffered_peak then
+      t.stats.buffered_peak <- xf.xf_buffered
+  end
 
 (* --- cross-shard multi-key cas (Mcas) -------------------------------- *)
 
@@ -305,6 +322,7 @@ let rec deliver_write t op =
   | None -> (
       match op with
       | Op.Mcas _ -> start_mcas t op
+      | Op.Skip { upto } -> apply_skip t upto
       | _ -> apply_write t op)
   | Some head -> (
       match op with
@@ -460,6 +478,35 @@ let stream_snapshot t ~view =
         (Op.Chunk { view; donor = t.me; index; total; applied; entries }))
     chunks
 
+let incoming () =
+  {
+    xf_donor = -1;
+    xf_total = -1;
+    xf_received = 0;
+    xf_entries = [];
+    xf_applied = 0;
+    xf_buffer = [];
+    xf_buffered = 0;
+    xf_meta = [];
+    xf_park = [];
+  }
+
+(* Apply the ops held back, in delivery order — through the
+   parking-aware path, so they queue behind a restored park. *)
+let replay t xf =
+  List.iter
+    (fun op ->
+      match op with
+      | Op.Put _ | Op.Del _ | Op.Cas _ | Op.Mcas _ | Op.Skip _ ->
+          deliver_write t op
+      | Op.Mdecide { id; commit } -> deliver_decide t ~id ~commit
+      | Op.Sync_read { nonce; key; _ } -> serve_sync t ~nonce ~key
+      | Op.Hello _ | Op.Chunk _ | Op.Mcas_table _ -> assert false)
+    (List.rev xf.xf_buffer)
+
+(* Every replica elects at the same point of the view's total order,
+   having applied nothing of the view yet, so the donor's snapshot and
+   every receiver's held-back ops start at the same position. *)
 let elect t ~view =
   t.elected <- true;
   let candidates =
@@ -470,7 +517,7 @@ let elect t ~view =
         | Some (_, _, false) | None -> None)
       t.view_members
   in
-  match candidates with
+  (match candidates with
   | [] -> cold_reset t
   | first :: rest ->
       let donor, d_applied, d_digest =
@@ -490,20 +537,14 @@ let elect t ~view =
       end
       else if differs t.me then begin
         t.synced_f <- false;
-        t.xfer_in <-
-          Some
-            {
-              xf_donor = donor;
-              xf_total = -1;
-              xf_received = 0;
-              xf_entries = [];
-              xf_applied = 0;
-              xf_buffer = [];
-              xf_buffered = 0;
-              xf_meta = [];
-              xf_park = [];
-            }
-      end
+        Option.iter (fun xf -> xf.xf_donor <- donor) t.xfer_in
+      end);
+  (* Not a receiver: apply what the view held back. *)
+  match t.xfer_in with
+  | Some xf when xf.xf_donor < 0 ->
+      t.xfer_in <- None;
+      replay t xf
+  | _ -> ()
 
 let install t xf =
   Hashtbl.reset t.store;
@@ -533,30 +574,22 @@ let install t xf =
        { donor = xf.xf_donor; applied = xf.xf_applied; entries = xf.xf_entries });
   record_xfer t ~phase:Flight.xfer_install ~donor:xf.xf_donor ~applied:xf.xf_applied
     ~entries:(List.length xf.xf_entries);
-  (* Replay ops delivered (and accepted) during the transfer, in order —
-     through the parking-aware path so they queue behind a restored
-     park. *)
-  List.iter
-    (fun op ->
-      match op with
-      | Op.Put _ | Op.Del _ | Op.Cas _ | Op.Mcas _ -> deliver_write t op
-      | Op.Mdecide { id; commit } -> deliver_decide t ~id ~commit
-      | Op.Sync_read { nonce; key; _ } -> serve_sync t ~nonce ~key
-      | Op.Skip { credits } ->
-          t.stats.skips <- t.stats.skips + 1;
-          observe t (Skipped { credits })
-      | Op.Hello _ | Op.Chunk _ | Op.Mcas_table _ -> assert false)
-    (List.rev xf.xf_buffer)
+  replay t xf
 
+(* Ops held back for a view that never elected are dropped with it: no
+   replica applied them, and the next view's election compares states
+   from before them. *)
 let abort_transfer t =
   match t.xfer_in with
   | None -> ()
   | Some xf ->
       t.xfer_in <- None;
-      t.stats.xfer_aborts <- t.stats.xfer_aborts + 1;
-      observe t Aborted;
-      record_xfer t ~phase:Flight.xfer_abort ~donor:xf.xf_donor ~applied:t.applied_n
-        ~entries:0
+      if xf.xf_donor >= 0 then begin
+        t.stats.xfer_aborts <- t.stats.xfer_aborts + 1;
+        observe t Aborted;
+        record_xfer t ~phase:Flight.xfer_abort ~donor:xf.xf_donor
+          ~applied:t.applied_n ~entries:0
+      end
 
 (* --- delivery -------------------------------------------------------- *)
 
@@ -592,28 +625,26 @@ let handle_table t (m : Op.t) =
       xf.xf_park <- xf.xf_park @ List.map Op.decode parked
   | _ -> ()
 
+(* The record a delivered op is held back on, if any. With
+   [Bug_apply_before_election] a replica applies the ops of the window
+   before the election at once, on whatever state it held. *)
+let holding t =
+  match t.xfer_in with
+  | Some xf when xf.xf_donor < 0 && t.bug = Bug_apply_before_election -> None
+  | held -> held
+
 let handle_op t op =
   match op with
   | Op.Hello _ -> handle_hello t op
   | Op.Chunk _ -> handle_chunk t op
   | Op.Mcas_table _ -> handle_table t op
-  | Op.Skip { credits } -> (
-      (* Merge liveness hint: no store effect, no log position, not
-         gated on primary — but buffered during a transfer so the
-         observation stream keeps every replica's per-ring item/skip
-         sequence identical. *)
-      match t.xfer_in with
-      | Some xf -> buffer_op t xf op
-      | None ->
-          t.stats.skips <- t.stats.skips + 1;
-          observe t (Skipped { credits }))
   | Op.Sync_read { reader; nonce; key } ->
       if reader = t.member_name then begin
-        match t.xfer_in with
+        match holding t with
         | Some xf -> buffer_op t xf op
         | None -> serve_sync t ~nonce ~key
       end
-  | Op.Put _ | Op.Del _ | Op.Cas _ | Op.Mcas _ | Op.Mdecide _ ->
+  | Op.Put _ | Op.Del _ | Op.Cas _ | Op.Mcas _ | Op.Mdecide _ | Op.Skip _ ->
       (* Primary-component gate: every member of the delivering
          configuration makes the same decision, so an op executes either
          at all of them or at none. (The daemon routes group traffic to a
@@ -623,16 +654,12 @@ let handle_op t op =
       if not t.primary then
         t.stats.rejected_writes <- t.stats.rejected_writes + 1
       else begin
-        match t.xfer_in with
+        match holding t with
         | Some xf -> buffer_op t xf op
-        | None ->
-            (* Unsynced with no transfer running (between an abort and the
-               next election): the pending install supersedes this state,
-               so skip the apply rather than corrupt the counters. *)
-            if t.synced_f then (
-              match op with
-              | Op.Mdecide { id; commit } -> deliver_decide t ~id ~commit
-              | _ -> deliver_write t op)
+        | None -> (
+            match op with
+            | Op.Mdecide { id; commit } -> deliver_decide t ~id ~commit
+            | _ -> deliver_write t op)
       end
 
 let on_message t ~sender:_ ~groups:_ _service payload =
@@ -648,6 +675,7 @@ let on_view t (v : Aring_ring.Participant.view) =
     (* A regular configuration mid-transfer means the transfer's view is
        gone: discard and let this view's Hello round re-elect. *)
     abort_transfer t;
+    t.xfer_in <- Some (incoming ());
     t.view <- Some v.view_id;
     t.view_members <- v.members;
     Hashtbl.reset t.hellos;
@@ -675,7 +703,7 @@ let cas t ~key ~expect ~value = multicast_op t (Op.Cas { key; expect; value })
 
 let submit_mcas t ~id ~parts = multicast_op t (Op.Mcas { id; parts })
 let submit_decide t ~id ~commit = multicast_op t (Op.Mdecide { id; commit })
-let skip t ~credits = multicast_op t (Op.Skip { credits })
+let skip t ~upto = multicast_op t (Op.Skip { upto })
 
 let read t ~key =
   t.stats.reads <- t.stats.reads + 1;

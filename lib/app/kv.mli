@@ -28,9 +28,12 @@
     highest applied count (ties broken by lowest pid). Members whose
     announced state differs from the donor's become receivers; the donor
     snapshots its store at that instant and streams it as chunked
-    ordinary multicasts. Receivers buffer subsequently delivered writes,
-    install the snapshot when the last chunk arrives, then replay the
-    buffer — ending byte-identical to the donor. A new regular
+    ordinary multicasts. Every replica holds back the ops delivered
+    between a regular view and that view's election, so the snapshot
+    and the held-back ops start at the same position: a receiver keeps
+    buffering, installs the snapshot when the last chunk arrives, then
+    replays the buffer — ending byte-identical to the donor — and any
+    other replica applies them at the election. A new regular
     configuration delivered mid-transfer aborts and restarts the round,
     which covers donor crash, receiver crash and partitions healing
     mid-transfer. If no synced member exists, every member deterministically
@@ -82,9 +85,10 @@ type observation =
           on a parked commit the writes were applied (each reported as an
           ordinary [Applied] with a [Put] op) and queued writes then
           drained. *)
-  | Skipped of { credits : int }
-      (** An {!Op.Skip} merge-liveness hint at this position of the
-          ring's observation stream. *)
+  | Skipped of { upto : int }
+      (** An {!Op.Skip} moved the op-log position up to [upto]: the
+          positions it passed hold no op. A skip that finds the replica
+          already there is not reported. *)
 
 (** Per-mcas-id state retained for dedup of retried copies and for
     coordinator resolution (see [Aring_multiring.Cluster]). *)
@@ -120,6 +124,11 @@ type bug =
       (** Every [every]-th write at this replica mutates nothing (the
           log position is still consumed) — a classic skipped-apply /
           stale-state bug an end-to-end oracle must catch. *)
+  | Bug_apply_before_election
+      (** The replica applies the ops delivered before its view's
+          election at once, on whatever state it held: a receiver then
+          applies ops at positions its peers filled differently, which
+          {!Oracle}'s one-op-per-position check must catch. *)
 
 val group : string
 (** The group every replica joins (["kv"]). *)
@@ -192,8 +201,8 @@ val submit_mcas : t -> id:string -> parts:Op.mcas_part list -> unit
 (** Multicast this ring's copy of the cas. [id] must be globally unique;
     retried copies dedup on it. *)
 
-val skip : t -> credits:int -> unit
-(** Multicast an {!Op.Skip} merge-liveness hint on this ring. *)
+val skip : t -> upto:int -> unit
+(** Multicast an {!Op.Skip} naming position [upto] on this ring. *)
 
 val submit_decide : t -> id:string -> commit:bool -> unit
 (** Multicast the coordinator's outcome for mcas [id] on this ring
@@ -216,6 +225,9 @@ val ring : t -> int
 (** {1 Introspection} *)
 
 val applied : t -> int
+(** The replica's op-log position: ops applied plus positions skips
+    passed. With no skips (one ring) it is the applied op count. *)
+
 val synced : t -> bool
 
 val in_transfer : t -> bool

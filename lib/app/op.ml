@@ -36,9 +36,9 @@ type t =
           through each involved ring, so a park resolves at one
           deterministic position of the ring's op stream (replicas never
           unpark from node-local timing). Dedups on [id]. *)
-  | Skip of { credits : int }
-      (** Merge liveness hint from an idle ring: grants the learner merge
-          [credits] turn-passes at this point of the ring's stream. *)
+  | Skip of { upto : int }
+      (** An idle ring's log entry that moves the replica's position up
+          to [upto] (a no-op at a replica already there). *)
   | Mcas_table of {
       view : Types.ring_id;
       donor : Types.pid;
@@ -141,9 +141,9 @@ let write s op =
       Codec.put_u8 s tag_mdecide;
       put_str s id;
       Codec.put_bool s commit
-  | Skip { credits } ->
+  | Skip { upto } ->
       Codec.put_u8 s tag_skip;
-      Codec.put_i32 s credits
+      Codec.put_i32 s upto
   | Mcas_table { view; donor; entries; parked } ->
       Codec.put_u8 s tag_mcas_table;
       put_ring s view;
@@ -227,7 +227,7 @@ let decode_from d =
       let commit = Codec.read_bool d in
       Mdecide { id; commit }
     end
-    else if tag = tag_skip then Skip { credits = Codec.read_i32 d }
+    else if tag = tag_skip then Skip { upto = Codec.read_i32 d }
     else if tag = tag_mcas_table then begin
       let view = read_ring d in
       let donor = Codec.read_i32 d in
@@ -271,7 +271,7 @@ let pp ppf = function
            (List.map (fun p -> string_of_int p.mp_ring) parts))
   | Mdecide { id; commit } ->
       Format.fprintf ppf "mdecide(%s %s)" id (if commit then "commit" else "abort")
-  | Skip { credits } -> Format.fprintf ppf "skip(%d)" credits
+  | Skip { upto } -> Format.fprintf ppf "skip(upto %d)" upto
   | Mcas_table { donor; entries; parked; _ } ->
       Format.fprintf ppf "mcas_table(donor=%d n=%d parked=%d)" donor
         (List.length entries) (List.length parked)

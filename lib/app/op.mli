@@ -72,11 +72,13 @@ type t =
           every involved ring once all votes are known, so each replica
           resolves the park at one deterministic position of its ring's
           op stream. Dedups on [id]. *)
-  | Skip of { credits : int }
-      (** Merge liveness hint from an otherwise-idle ring: grants a
-          learner's round-robin merge [credits] turn-passes at this
-          position of the ring's stream (Ring-Paxos-style skip). Not a
-          write — consumes no op-log position. *)
+  | Skip of { upto : int }
+      (** An otherwise-idle ring's log entry (Ring-Paxos-style skip,
+          naming a position): gated and ordered like a write, it moves
+          the replica's op-log position up to [upto] if the replica is
+          behind, and does nothing otherwise. The positions it passes
+          hold no op, so a learner merge can sort other rings' items
+          after them (see [Aring_multiring.Merge]). *)
   | Mcas_table of {
       view : Types.ring_id;
       donor : Types.pid;

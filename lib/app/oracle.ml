@@ -7,6 +7,8 @@ type violation_kind =
   | Apply_gap
   | Divergence
   | Unsynced
+  | Log_divergence
+  | Merge_order
 
 type violation = {
   o_node : Types.pid;
@@ -21,6 +23,8 @@ let kind_label = function
   | Apply_gap -> "apply_gap"
   | Divergence -> "divergence"
   | Unsynced -> "unsynced"
+  | Log_divergence -> "log_divergence"
+  | Merge_order -> "merge_order"
 
 type shadow = {
   sh_store : (string, string) Hashtbl.t;
@@ -31,11 +35,29 @@ type shadow = {
 (* Violation records kept; all are counted. *)
 let max_violations = 100
 
+(* The ring's op log as replicas apply it: at each position, the op
+   and how many replicas applied it. Positions every replica has passed
+   are pruned once the table doubles, so it holds about the spread
+   between the fastest and the slowest replica.
+   (Keeping a hash of each op instead would hold no value alive, but
+   hashing every apply cost about an eighth of uniform_4r's set-up
+   CPU.) *)
+type entry = { mutable e_op : Op.t; mutable e_count : int }
+
+type log = {
+  ops : (int, entry) Hashtbl.t;
+  mutable pruned : int;  (* positions at or below it are gone *)
+  mutable prune_at : int;
+}
+
+let min_prune = 256
+
 type t = {
   mutable kept : violation list;  (* newest first *)
   mutable total : int;
   shadows : (Types.pid, shadow) Hashtbl.t;
   mutable replicas : Kv.t list;
+  log : log;
 }
 
 let create () =
@@ -44,6 +66,7 @@ let create () =
     total = 0;
     shadows = Hashtbl.create 8;
     replicas = [];
+    log = { ops = Hashtbl.create 64; pruned = 0; prune_at = min_prune };
   }
 
 let violation t ~node kind fmt =
@@ -70,6 +93,39 @@ let holds store key v =
 
 let str_opt = function None -> "absent" | Some v -> Printf.sprintf "%S" v
 
+let prune log shadows =
+  let low = Hashtbl.fold (fun _ sh low -> min low sh.sh_index) shadows max_int in
+  for p = log.pruned + 1 to low do
+    Hashtbl.remove log.ops p
+  done;
+  log.pruned <- max log.pruned low;
+  log.prune_at <- max min_prune (2 * Hashtbl.length log.ops)
+
+(* A replica that applies position [index] applies the op a majority of
+   the ring's replicas applied there. An op fewer have applied can still
+   lose the position: an agreed op delivered by a member cut off from
+   its view before the rest received it (ROADMAP, Known bugs). *)
+let check_position t ~node index op =
+  let log = t.log in
+  match Hashtbl.find log.ops index with
+  | e when e.e_op = op -> e.e_count <- e.e_count + 1
+  | e ->
+      if 2 * e.e_count > List.length t.replicas then
+        violation t ~node Log_divergence
+          "position %d: applied %s, but %d replicas applied %s there" index
+          (Format.asprintf "%a" Op.pp op)
+          e.e_count
+          (Format.asprintf "%a" Op.pp e.e_op)
+      else begin
+        e.e_op <- op;
+        e.e_count <- 1
+      end
+  | exception Not_found ->
+      if index > log.pruned then begin
+        Hashtbl.replace log.ops index { e_op = op; e_count = 1 };
+        if Hashtbl.length log.ops >= log.prune_at then prune log t.shadows
+      end
+
 let observe t ~node (obs : Kv.observation) =
   let sh = shadow_of t node in
   match obs with
@@ -78,6 +134,7 @@ let observe t ~node (obs : Kv.observation) =
         violation t ~node Apply_gap "apply index %d after shadow index %d"
           index sh.sh_index;
       sh.sh_index <- index;
+      check_position t ~node index op;
       let key =
         match op with
         | Op.Put { key; value } ->
@@ -129,15 +186,25 @@ let observe t ~node (obs : Kv.observation) =
          log is authoritative even when shorter than the token a frozen
          minority replica last exposed. *)
       sh.sh_token <- applied
+  | Kv.Skipped { upto } -> sh.sh_index <- upto
   | Kv.Aborted -> ()
-  (* Mcas life-cycle and skip observations carry no store effect: commit
-     writes arrive as ordinary [Applied] observations and flow through
-     the shadow like any other op. *)
-  | Kv.Voted _ | Kv.Decided _ | Kv.Skipped _ -> ()
+  (* Mcas life-cycle observations carry no store effect: commit writes
+     arrive as ordinary [Applied] observations and flow through the
+     shadow like any other op. *)
+  | Kv.Voted _ | Kv.Decided _ -> ()
   | Kv.Reset ->
       Hashtbl.reset sh.sh_store;
       sh.sh_index <- 0;
-      sh.sh_token <- 0
+      sh.sh_token <- 0;
+      (* A cold reset starts the ring's log over. *)
+      Hashtbl.reset t.log.ops;
+      t.log.pruned <- 0
+
+let check_merged t ~node ~index ~turn ~expected =
+  if turn <> expected then
+    violation t ~node Merge_order
+      "merged position %d at turn %d, but it sorts at turn %d" index turn
+      expected
 
 let attach t kv =
   t.replicas <- t.replicas @ [ kv ];

@@ -13,7 +13,7 @@
       equals the shadow's ([Stale_state] — catches skipped applies
       immediately);
     - {b op-log contiguity}: apply indices advance by exactly one,
-      modulo snapshot installs and cold resets ([Apply_gap]);
+      modulo skips, snapshot installs and cold resets ([Apply_gap]);
     - {b read correctness}: a read served at token T returns the shadow
       value of the T-prefix ([Stale_read]) — subsumes read-your-writes
       for ops the replica has applied;
@@ -22,6 +22,16 @@
       install re-bases the token (the EVS merge edge where a frozen
       minority replica adopts the donor's shorter-but-authoritative
       log).
+
+    Across the ring's replicas, as they apply:
+    - {b one op per position}: a replica that applies op-log position
+      p applies the op a majority of the attached replicas applied
+      there ([Log_divergence]) — catches a replica applying ops on a
+      state that missed positions the rest filled. An op fewer have
+      applied is not judged: an agreed op delivered by a member cut off
+      from its view before the rest received it loses its position that
+      way, and the member's install later erases it — a known
+      limitation of agreed delivery.
 
     And across replicas at end of run ({!check_convergence}):
     - every replica synced ([Unsynced]);
@@ -39,6 +49,8 @@ type violation_kind =
   | Apply_gap
   | Divergence
   | Unsynced
+  | Log_divergence
+  | Merge_order
 
 type violation = {
   o_node : Types.pid;
@@ -55,12 +67,19 @@ val attach : t -> Kv.t -> unit
 
 val observe : t -> node:Types.pid -> Kv.observation -> unit
 (** Feed one observation directly (unit tests; {!attach} does this
-    automatically). *)
+    automatically). With no replica attached, any one replica's op at a
+    position is the majority's. *)
 
 val check_convergence : t -> Kv.t list -> unit
 (** End-of-run check over the replicas expected to have converged
     (typically the survivors): records [Unsynced] / [Divergence]
     violations. *)
+
+val check_merged : t -> node:Types.pid -> index:int -> turn:int -> expected:int -> unit
+(** A learner merge emitted this ring's op-log position [index] at merge
+    turn [turn]; the position sorts at [expected]. Records [Merge_order]
+    when they differ: learners that agree on every position emit every
+    common item in the same order. *)
 
 val kind_label : violation_kind -> string
 val violation_count : t -> int

@@ -6,6 +6,8 @@ type t =
   | Skip_delivery of { node : int; every : int }
   | Skip_retransmission
   | Kv_skip_apply of { node : int; every : int }
+  | Kv_apply_before_election
+  | Merge_no_seek
   | Recovery_flood
 
 let label = function
@@ -15,6 +17,8 @@ let label = function
   | Skip_retransmission -> "skip-retransmission"
   | Kv_skip_apply { node; every } ->
       Printf.sprintf "kv-skip-apply(node=%d,every=%d)" node every
+  | Kv_apply_before_election -> "kv-apply-before-election"
+  | Merge_no_seek -> "merge-no-seek"
   | Recovery_flood -> "recovery-flood"
 
 let of_string = function
@@ -22,6 +26,8 @@ let of_string = function
   | "skip-delivery" -> Ok (Skip_delivery { node = 0; every = 10 })
   | "skip-retransmission" -> Ok Skip_retransmission
   | "kv-skip-apply" -> Ok (Kv_skip_apply { node = 0; every = 7 })
+  | "kv-apply-before-election" -> Ok Kv_apply_before_election
+  | "merge-no-seek" -> Ok Merge_no_seek
   | "recovery-flood" -> Ok Recovery_flood
   | s -> Error (Printf.sprintf "unknown bug %S" s)
 
@@ -39,8 +45,8 @@ let wrap bug ~node p =
   | Clean -> p
   (* An application-layer bug: injected inside the KV replica by the
      runner ({!Runner.run} with the kv app), not at the participant
-     boundary. *)
-  | Kv_skip_apply _ -> p
+     boundary; so are the learner merge's. *)
+  | Kv_skip_apply _ | Kv_apply_before_election | Merge_no_seek -> p
   (* A construction-time bug: the runner builds the members with
      [~legacy_flood:true], restoring the pre-overhaul recovery exchange.
      The action stream is not tampered with. *)

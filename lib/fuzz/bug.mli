@@ -18,12 +18,22 @@ type t =
           lost on the wire then stays lost, stalling its losers — caught
           by the liveness (probe-convergence) check. *)
   | Kv_skip_apply of { node : int; every : int }
-      (** Application-layer bug: the KV replica at [node] skips the store
-          mutation of every [every]-th write while still consuming the op
-          slot — a stale-state / skipped-apply defect caught by the
-          end-to-end consistency oracle ({!Aring_app.Oracle}), not by the
+      (** Application-layer bug: the KV replica at [node] (on every ring)
+          skips the store mutation of every [every]-th write while still
+          consuming the op slot — a stale-state / skipped-apply defect
+          caught by the end-to-end consistency oracle ({!Aring_app.Oracle}), not by the
           protocol checker. Only meaningful when the runner hosts the KV
           app; {!wrap} is the identity for it. *)
+  | Kv_apply_before_election
+      (** Every KV replica plants
+          {!Aring_app.Kv.Bug_apply_before_election}, caught by the
+          oracle's one-op-per-position check. {!wrap} is the identity for
+          it. *)
+  | Merge_no_seek
+      (** Learner bug: a snapshot install leaves the learner merge where
+          it was, so the learner sorts the ring's later items at the
+          wrong turns — caught by the oracle's merge-order check. {!wrap}
+          is the identity for it. *)
   | Recovery_flood
       (** Construction-time bug: build every member with
           [~legacy_flood:true], restoring the pre-overhaul recovery
@@ -37,6 +47,7 @@ type t =
 val label : t -> string
 val of_string : string -> (t, string) result
 (** ["clean"], ["skip-delivery"], ["skip-retransmission"],
-    ["kv-skip-apply"] or ["recovery-flood"]. *)
+    ["kv-skip-apply"], ["kv-apply-before-election"], ["merge-no-seek"]
+    or ["recovery-flood"]. *)
 
 val wrap : t -> node:int -> Aring_ring.Participant.t -> Aring_ring.Participant.t

@@ -9,6 +9,7 @@ module Kv = Aring_app.Kv
 module Oracle = Aring_app.Oracle
 module Kv_scenario = Aring_app.Kv_scenario
 module Cluster = Aring_multiring.Cluster
+module Merge = Aring_multiring.Merge
 open Aring_wire
 open Aring_ring
 open Aring_sim
@@ -404,10 +405,11 @@ let run_cluster ~bug ~adaptive ~app ?extra_sink (s : Schedule.t) =
   let tiers =
     Array.of_list (List.map Schedule.tier c.Schedule.tier_ids)
   in
-  let kv_bug ~ring ~node =
+  let kv_bug ~ring:_ ~node =
     match bug with
-    | Bug.Kv_skip_apply { node = bn; every } when bn = node && ring = 0 ->
+    | Bug.Kv_skip_apply { node = bn; every } when bn = node ->
         Some (Kv.Bug_skip_apply { every })
+    | Bug.Kv_apply_before_election -> Some Kv.Bug_apply_before_election
     | _ -> None
   in
   Flight.reset ();
@@ -417,7 +419,7 @@ let run_cluster ~bug ~adaptive ~app ?extra_sink (s : Schedule.t) =
     Cluster.create ~params ~net:(Schedule.net c) ~tiers ~seed:s.seed
       ~controller:(fun ~pid:_ -> controller ~adaptive params)
       ~wrap:(fun ~pid p -> Bug.wrap bug ~node:pid p)
-      ~kv_bug ~rings ~nodes:n ()
+      ~kv_bug ~no_seek:(bug = Bug.Merge_no_seek) ~rings ~nodes:n ()
   in
   let sim = Cluster.sim cluster in
   let checker = Checker.create () in
@@ -463,13 +465,15 @@ let run_cluster ~bug ~adaptive ~app ?extra_sink (s : Schedule.t) =
     let kv = Cluster.kv cluster ~ring ~node in
     let st = Kv.stats kv in
     let m = Cluster.member cluster ~ring ~node in
+    let merge = Cluster.merge cluster ~node in
     Printf.sprintf
       "ring=%d node=%d applied=%d digest=%Lx synced=%b settled=%b parked=%b \
-       merge_blocked=%d rejected=%d installs=%d aborts=%d resets=%d \
-       state=%s view=%s"
+       merge_position=%d merge_turn=%d merge_pending=%d rejected=%d \
+       installs=%d aborts=%d resets=%d state=%s view=%s"
       ring node (Kv.applied kv) (Kv.digest kv) (Kv.synced kv) (Kv.settled kv)
       (Kv.mcas_parked kv)
-      (Cluster.merge_blocked cluster ~node ~ring)
+      (Merge.position merge ~ring) (Merge.turn merge)
+      (Merge.pending merge ~ring)
       st.Kv.rejected_writes st.Kv.installs st.Kv.xfer_aborts st.Kv.cold_resets
       (Member.state_name m)
       (match Member.current_view m with

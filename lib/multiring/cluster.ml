@@ -13,14 +13,13 @@ module Flight = Aring_obs.Flight
    (Netsim.set_domains), each running its own membership, daemon and KV
    replica; the KV keyspace is sharded across rings by key hash. Each
    physical node is a learner of every ring: its per-ring replica
-   observations feed one deterministic round-robin {!Merge}, and a
+   positions feed one deterministic {!Merge}, and a
    per-node coordinator resolves cross-shard cas ops from its own
    replicas' votes — votes never cross the network. The replicated stack
    itself comes from Kv_scenario.build_cluster; this module adds only
    the merge, the skip generators and the coordinator. *)
 
 let skip_every_ns = 250_000
-let skip_credits = 32
 let mcas_retry_ns = 8_000_000
 
 type merged_item = {
@@ -55,6 +54,7 @@ type t = {
       (* id -> (node, ring, commit) in observation order *)
   last_activity : int array;  (* per global pid: sim ns of last observation *)
   alive_phys : bool array;
+  no_seek : bool;  (* seeded bug: installs do not seek the merge *)
   mutable mcas_submitted : int;
   mutable mcas_retries : int;
 }
@@ -81,11 +81,12 @@ let shard_of_key t key =
    ring already decided fixes the outcome (adopt it); otherwise all
    involved rings must have voted and the outcome is the AND of the
    votes. The outcome is not applied locally — it is multicast on every
-   involved ring as a sequenced Mdecide, so each replica resolves the
-   park at one deterministic stream position. Idempotent (delivered
-   duplicates dedup on id), so it is safe to try on every vote and every
-   snapshot install; the termination ticks re-call it while undecided,
-   covering Mdecides lost to view changes. *)
+   involved ring whose local replica applies (see [resubmit]) as a
+   sequenced Mdecide, so each replica resolves the park at one
+   deterministic stream position. Idempotent (delivered duplicates dedup
+   on id), so it is safe to try on every vote and every snapshot
+   install; the termination ticks re-call it while undecided, covering
+   Mdecides lost to view changes and rings that were holding ops back. *)
 let try_resolve t ~node id =
   match Hashtbl.find_opt t.registry id with
   | None -> ()
@@ -120,7 +121,9 @@ let try_resolve t ~node id =
             (fun (r, st) ->
               match st with
               | Some (Kv.Mcas_decided _) -> ()
-              | _ -> Kv.submit_decide (kv t ~ring:r ~node) ~id ~commit)
+              | _ ->
+                  let kv = kv t ~ring:r ~node in
+                  if Kv.settled kv then Kv.submit_decide kv ~id ~commit)
             statuses)
 
 let register t ~node ~id ?(parts = []) rings =
@@ -146,6 +149,18 @@ let mcas_decided_at t ~node id =
           | _ -> false)
         reg.rg_rings
 
+(* A replica that holds ops back (before its view's election, through a
+   transfer) applies the copies it holds once it is done, and a retry
+   into its ring meanwhile only adds to the traffic its election waits
+   behind: retries and decides go to rings whose local replica applies,
+   and the next tick covers the rest. *)
+let resubmit t ~node ~id ~parts rings =
+  List.iter
+    (fun r ->
+      let kv = kv t ~ring:r ~node in
+      if Kv.settled kv then Kv.submit_mcas kv ~id ~parts)
+    rings
+
 (* Cooperative termination: a submitter that crashes after sending only
    some of an mcas's per-ring copies would otherwise leave the rings
    that *did* deliver one parked forever. Every node that observes a
@@ -163,10 +178,7 @@ let arm_termination t ~node id =
           if t.alive_phys.(node) && not (mcas_decided_at t ~node id) then begin
             if reg.rg_parts <> [] then begin
               t.mcas_retries <- t.mcas_retries + 1;
-              List.iter
-                (fun r ->
-                  Kv.submit_mcas (kv t ~ring:r ~node) ~id ~parts:reg.rg_parts)
-                reg.rg_rings
+              resubmit t ~node ~id ~parts:reg.rg_parts reg.rg_rings
             end;
             (* An Mdecide lost to a view change or minority rejection is
                never re-multicast by anyone else — recompute and resend. *)
@@ -195,12 +207,17 @@ let rec notify_merged ~node ~ring it = function
       notify_merged ~node ~ring it rest
 
 (* Node [node]'s emitter: what each merged element at that node does. A
-   closure of exactly two arguments, so {!Merge.drain} applies it whole. *)
+   closure of exactly two arguments, so {!Merge.drain} applies it whole.
+   Ring r's op-log position i (index i + 1) sorts at turn i * M + r; the
+   ring's oracle records any learner that emits it elsewhere. *)
 let emitter t node =
   let m = t.merges.(node) in
   fun ring it ->
     Flight.record ~node:(pid t ~ring ~node) ~code:Flight.ev_merge ~a:ring
       ~b:(Merge.emitted m) ~c:0 ~d:0;
+    Oracle.check_merged t.oracles.(ring) ~node:(pid t ~ring ~node)
+      ~index:it.mi_index ~turn:(Merge.turn m - 1)
+      ~expected:(((it.mi_index - 1) * t.rings) + ring);
     notify_merged ~node ~ring it t.merged_cbs
 
 let drain_merge t ~node = Merge.drain t.merges.(node) t.emitters.(node)
@@ -218,15 +235,21 @@ let observe t ~node ~ring (obs : Kv.observation) =
           mi_applied_at = Netsim.now t.sim;
         };
       drain_merge t ~node
-  | Kv.Skipped { credits } ->
-      Merge.push_skip t.merges.(node) ~ring credits;
+  | Kv.Skipped { upto } ->
+      Merge.seek t.merges.(node) ~ring upto;
       drain_merge t ~node
   | Kv.Voted { id; rings; parts; _ } ->
       register t ~node ~id ~parts rings;
       try_resolve t ~node id;
       arm_termination t ~node id
   | Kv.Decided { id; commit } -> note_decision t ~node ~ring ~id commit
-  | Kv.Installed _ ->
+  | Kv.Installed { applied; _ } ->
+      (* The replica now stands at the donor's position: the learner
+         seeks there, and lines up with learners that saw every item. *)
+      if not t.no_seek then begin
+        Merge.seek t.merges.(node) ~ring applied;
+        drain_merge t ~node
+      end;
       (* A snapshot may have delivered vote-table state this node's
          coordinator was missing — and possibly a reconstructed park this
          node never saw delivered. The parked head carries the full op,
@@ -243,50 +266,44 @@ let observe t ~node ~ring (obs : Kv.observation) =
 
 (* --- skip generators -------------------------------------------------- *)
 
-(* Every node runs one generator per ring it participates in: if the
-   ring has been silent at this node for a full interval, multicast a
-   skip granting the merge a block of turn-passes. Deliveries (including
-   skips) reset the clock, so a busy ring emits none and an idle ring
-   emits one round per interval per node.
+(* Every node runs one generator per ring. Once the ring has been silent
+   at this node for an interval, its designated member — the lowest of
+   its installed view — multicasts a skip naming the highest position
+   any ring has reached in its own merge: a log entry, so every learner
+   sees the ring move there at one point of its stream. It grants only
+   while that view is primary and its own replica applies (a minority
+   rejects a skip; a held-back or parked replica holds it too). *)
+let designated t ~ring ~node =
+  match Member.current_view (member t ~ring ~node) with
+  | Some { Participant.members; _ } ->
+      2 * List.length members > t.nodes
+      && List.fold_left min max_int members = pid t ~ring ~node
+  | None -> false
 
-   Grants are deliberately stingy, because every queued credit is a
-   merge turn the ring's next item must wait out (credits are consumed
-   strictly in queue position) — over-granting during a long idle period
-   leaves the ring's first item after waking stranded behind thousands
-   of ceded turns, the merge-added latency spike the multiring bench
-   gates against. Three rules bound the outstanding credits to at most
-   two blocks (plus a brief designation handover overlap):
+let frontier m =
+  let best = ref 0 in
+  for ring = 0 to Merge.rings m - 1 do
+    best := max !best (Merge.position m ~ring)
+  done;
+  !best
 
-   - only the lowest alive physical node grants for a ring (the others
-     keep ticking so designation fails over on a crash);
-   - no grant while the node's own merge still holds items for the ring
-     (a ring with pending items needs no silence cover);
-   - no grant while the node's own merge holds a block's worth of
-     unspent credits for the ring (its silence is already covered).
-
-   All three read local state only; the skip itself still rides the
-   ring's agreed stream, so every learner keeps identical per-ring
-   input sequences and the merged order stays deterministic. *)
 let install_skip_generators t =
-  let designated node =
-    let rec first i = if i >= t.nodes || t.alive_phys.(i) then i else first (i + 1) in
-    first 0 = node
-  in
   for node = 0 to t.nodes - 1 do
+    let m = t.merges.(node) in
     for ring = 0 to t.rings - 1 do
       let p = pid t ~ring ~node in
       let rec tick () =
         if t.alive_phys.(node) then begin
+          let upto = frontier m in
           if
-            designated node
+            upto > Merge.position m ~ring
             && Netsim.now t.sim - t.last_activity.(p) >= skip_every_ns
-            && Kv.synced (kv t ~ring ~node)
-            && Merge.pending t.merges.(node) ~ring = 0
-            && Merge.unspent_credits t.merges.(node) ~ring < skip_credits
+            && designated t ~ring ~node
+            && Kv.settled (kv t ~ring ~node)
+            && not (Kv.mcas_parked (kv t ~ring ~node))
           then begin
-            Flight.record ~node:p ~code:Flight.ev_skip ~a:ring
-              ~b:skip_credits ~c:0 ~d:0;
-            Kv.skip (kv t ~ring ~node) ~credits:skip_credits
+            Flight.record ~node:p ~code:Flight.ev_skip ~a:ring ~b:upto ~c:0 ~d:0;
+            Kv.skip (kv t ~ring ~node) ~upto
           end;
           Netsim.call_at t.sim ~at:(Netsim.now t.sim + skip_every_ns) tick
         end
@@ -300,7 +317,7 @@ let install_skip_generators t =
 
 let create ?(params = Kv_scenario.snappy_params ()) ?(net = Profile.gigabit)
     ?(tier = Profile.daemon) ?tiers ?(seed = 1L) ?controller ?wrap ?kv_bug
-    ~rings ~nodes () =
+    ?(no_seek = false) ~rings ~nodes () =
   if rings < 1 then invalid_arg "Cluster.create: rings < 1";
   if nodes < 2 then invalid_arg "Cluster.create: nodes < 2";
   let { Kv_scenario.sim; members; daemons; kvs; oracles } =
@@ -323,6 +340,7 @@ let create ?(params = Kv_scenario.snappy_params ()) ?(net = Profile.gigabit)
       decisions = Hashtbl.create 64;
       last_activity = Array.make (rings * nodes) 0;
       alive_phys = Array.make nodes true;
+      no_seek;
       mcas_submitted = 0;
       mcas_retries = 0;
     }
@@ -338,7 +356,7 @@ let create ?(params = Kv_scenario.snappy_params ()) ?(net = Profile.gigabit)
   t
 
 let on_merged t f = t.merged_cbs <- t.merged_cbs @ [ f ]
-let merge_blocked t ~node ~ring = Merge.pending t.merges.(node) ~ring
+let merge t ~node = t.merges.(node)
 
 (* --- client operations ------------------------------------------------ *)
 
@@ -389,20 +407,15 @@ let mcas t ~node ~id ~checks ~writes =
   let involved = List.map (fun p -> p.Op.mp_ring) parts in
   register t ~node ~id ~parts involved;
   t.mcas_submitted <- t.mcas_submitted + 1;
-  let submit () =
-    List.iter
-      (fun r -> Kv.submit_mcas (kv t ~ring:r ~node) ~id ~parts)
-      involved
-  in
   let rec retry () =
     if t.alive_phys.(node) && not (mcas_decided_at t ~node id) then begin
       t.mcas_retries <- t.mcas_retries + 1;
-      submit ();
+      resubmit t ~node ~id ~parts involved;
       try_resolve t ~node id;
       Netsim.call_at t.sim ~at:(Netsim.now t.sim + mcas_retry_ns) retry
     end
   in
-  submit ();
+  List.iter (fun r -> Kv.submit_mcas (kv t ~ring:r ~node) ~id ~parts) involved;
   Netsim.call_at t.sim ~at:(Netsim.now t.sim + mcas_retry_ns) retry
 
 let mcas_submitted t = t.mcas_submitted
@@ -431,14 +444,16 @@ let survivors t ~ring =
     (fun i -> if t.alive_phys.(i) then Some (kv t ~ring ~node:i) else None)
     (List.init t.nodes Fun.id)
 
-(* Every ring's survivors pass {!Kv_scenario.kv_converged}, with no
-   undecided parked mcas anywhere. The park check only applies while the
-   survivors can still form a primary component: resolving a park takes
-   an ordered Mdecide write, and a minority component deterministically
-   rejects writes — a park frozen in a minority is correct, not stuck. *)
-let kv_converged t =
+(* Resolving a park or moving a merge takes ordered writes: while the
+   survivors cannot form a primary, a frozen one is correct, not stuck. *)
+let can_form_primary t =
   let alive = Array.fold_left (fun a b -> if b then a + 1 else a) 0 t.alive_phys in
-  let primary = 2 * alive > t.nodes in
+  2 * alive > t.nodes
+
+(* Every ring's survivors pass {!Kv_scenario.kv_converged}, with no
+   undecided parked mcas anywhere while a primary can form. *)
+let kv_converged t =
+  let primary = can_form_primary t in
   List.for_all
     (fun ring ->
       let kvs = survivors t ~ring in
@@ -447,11 +462,10 @@ let kv_converged t =
     (List.init t.rings Fun.id)
 
 (* Every delivered item has drained through every survivor's merge —
-   nothing is stuck behind a silent ring. Merged-stream *lengths* are
-   deliberately not compared: a replica that caught up via snapshot
-   transfer never saw the compressed ops as individual deliveries, so
-   after a partition its learner's merged stream is legitimately
-   shorter (fault-free runs assert stream equality separately). *)
+   nothing is stuck behind a silent ring — unless no primary can form,
+   which freezes the skips a silent ring needs. Merged-stream *lengths*
+   are deliberately not compared: a learner whose replica caught up by
+   snapshot transfer seeks past the items it never saw. *)
 let merge_settled t =
   let ok = ref true in
   for i = 0 to t.nodes - 1 do
@@ -460,7 +474,7 @@ let merge_settled t =
         if Merge.pending t.merges.(i) ~ring:r > 0 then ok := false
       done
   done;
-  !ok
+  !ok || not (can_form_primary t)
 
 let oracle_violations t =
   Array.fold_left (fun acc o -> acc + Oracle.violation_count o) 0 t.oracles

@@ -7,8 +7,9 @@
     ({!shard_of_key}); client operations route to the owning ring.
 
     Each physical node is a {e learner} of every ring: its per-ring
-    replica observations ([Applied] / [Skipped]) feed one deterministic
-    round-robin {!Merge}, producing the node's merged total order. A
+    replicas' op-log positions ([Applied] items, and the positions
+    [Skipped] and [Installed] name) feed one deterministic {!Merge},
+    producing the node's merged total order. A
     per-node coordinator resolves cross-shard {!mcas} ops from its own
     node's replicas' votes (votes never cross the network) and retries
     lost copies deterministically.
@@ -48,6 +49,7 @@ val create :
   ?controller:(pid:int -> Aring_control.Controller.t option) ->
   ?wrap:(pid:int -> Participant.t -> Participant.t) ->
   ?kv_bug:(ring:int -> node:int -> Kv.bug option) ->
+  ?no_seek:bool ->
   rings:int ->
   nodes:int ->
   unit ->
@@ -55,17 +57,20 @@ val create :
 (** Build [rings] rings of [nodes] physical nodes each on one shared
     {!Netsim}. [tiers] gives per-{e physical-node} cost profiles
     (length [nodes], replicated across rings); [tier] is the uniform
-    default. After 250 µs idle on a (node, ring), a skip of 32 merge
-    turns is multicast (only with [rings > 1]: one ring runs no skip
-    generator) — but only by the lowest-pid alive node, and only
-    while its own merge holds no pending items and fewer than 32
-    unspent units for that ring, so a long idle period cannot pile up
-    credits that would strand the ring's next item behind thousands of
-    ceded turns. The submitter's mcas retry loop runs every 8 ms.
+    default. After 250 µs without an observation on a (node, ring), the
+    ring's designated member — the lowest member of its installed
+    view, if that view is a primary component — multicasts a skip
+    naming the highest position any ring has reached in its own merge,
+    if the ring is behind it and the member's replica is settled and not
+    parked (only with [rings > 1]: one ring runs no skip generator).
+    Every install seeks
+    the learner's merge to the installed position. The submitter's mcas
+    retry loop runs every 8 ms.
     [controller] is called once per sim participant (global pid) to
     give each member its own adaptive controller; [wrap] wraps each
     participant before the sim is built (fault injection); [kv_bug]
-    seeds a replica bug (fuzzer self-test).
+    seeds a replica bug and [no_seek] (default false) a learner bug
+    — installs leave the merge where it was (fuzzer self-test).
     [tiers], [controller], [wrap] and [kv_bug] pass through to
     {!Aring_app.Kv_scenario.build_cluster}; this module's replica
     observer registers after the oracles.
@@ -113,7 +118,8 @@ val mcas :
     parts by shard, submit one identical copy on every involved ring
     from [node], and retry every 8 ms until the submitting
     node sees a decision on all involved rings (retried copies dedup on
-    [id]). Commits iff every check holds at delivery on its ring. *)
+    [id]; a retry skips a ring whose replica at [node] is holding ops
+    back). Commits iff every check holds at delivery on its ring. *)
 
 val mcas_decided_at : t -> node:int -> string -> bool
 (** All involved rings' replicas at [node] have recorded a decision. *)
@@ -135,9 +141,9 @@ val on_merged : t -> (node:int -> ring:int -> merged_item -> unit) -> unit
 (** Called for every element of each node's merged stream, in merged
     order; callbacks run in registration order. *)
 
-val merge_blocked : t -> node:int -> ring:int -> int
-(** Items of [ring] delivered at [node] but not yet emitted by the
-    merge. *)
+val merge : t -> node:int -> merged_item Merge.t
+(** Node [node]'s learner merge, for inspection: its per-ring positions,
+    turn and pending items. *)
 
 (** {1 Faults and convergence} *)
 
@@ -150,10 +156,12 @@ val kv_converged : t -> bool
     a primary component. *)
 
 val merge_settled : t -> bool
-(** No delivered item is stuck behind any survivor's merge. Stream
-    {e lengths} are not compared: a replica that caught up via snapshot
-    transfer merges fewer items than peers that saw every delivery, so
-    equal lengths only hold fault-free. *)
+(** No delivered item is stuck behind any survivor's merge, or the
+    survivors cannot form a primary component (the rule {!kv_converged}
+    applies to parks): a minority rejects the skips a silent ring needs,
+    so its merge correctly freezes. Stream {e lengths} are not compared:
+    a learner whose replica caught up by snapshot transfer seeks past
+    the items it never saw. *)
 
 val check_convergence : t -> unit
 (** Run each ring's oracle end-of-run convergence check over the

@@ -111,8 +111,8 @@ val ev_mcas : int
     3 (commit) with [c] = 1. *)
 
 val ev_skip : int
-(** A skip-generator fired on an idle ring: [a] = ring id, [b] =
-    credits granted. *)
+(** A skip-generator fired on an idle ring: [a] = ring id, [b] = the
+    position the skip names. *)
 
 val ev_merge : int
 (** Learner merge progress at a node: [a] = ring id popped, [b] =

@@ -313,6 +313,53 @@ let test_repartition_mid_transfer () =
     ((Kv.stats c.kvs.(joiner)).Kv.installs >= 1);
   assert_converged c (List.init n Fun.id)
 
+(* Writes still flowing when an island heals: every replica holds the
+   ones delivered between the new view and its election back, then
+   applies them (the island replays them after its snapshot). Returns
+   the cluster and the applies seen while a replica was not settled. *)
+let heal_under_load ~bug =
+  let n = 4 in
+  let c = make_kcluster ~n ~bug:(fun _ -> bug) () in
+  let early = ref 0 in
+  Array.iter
+    (fun kv ->
+      Kv.add_observer kv (function
+        | Kv.Applied _ when not (Kv.settled kv) -> incr early
+        | _ -> ()))
+    c.kvs;
+  partition c.sim n ~at:(ms 5) ~heal:(ms 200) [ n - 1 ];
+  for i = 0 to 299 do
+    Netsim.call_at c.sim
+      ~at:(ms 15 + (i * 1_000_000))
+      (fun () ->
+        Kv.put c.kvs.(i mod (n - 1))
+          ~key:(Printf.sprintf "h%02d" (i mod 50))
+          ~value:(string_of_int i))
+  done;
+  Netsim.run_until c.sim (ms 1_200);
+  (c, !early)
+
+let test_no_apply_before_election () =
+  let c, early = heal_under_load ~bug:Kv.Bug_none in
+  check Alcotest.int "applies before an election" 0 early;
+  check Alcotest.bool "island installed a snapshot" true
+    ((Kv.stats c.kvs.(3)).Kv.installs >= 1);
+  assert_converged c [ 0; 1; 2; 3 ]
+
+(* The same run with every replica applying at once: the island applies
+   the held-back writes on its stale state, at positions the majority's
+   view filled differently, and the one-op-per-position check flags
+   it. *)
+let test_apply_before_election_bug_caught () =
+  let c, early = heal_under_load ~bug:Kv.Bug_apply_before_election in
+  check Alcotest.bool "applies before an election" true (early > 0);
+  check Alcotest.bool "the oracle flags the island" true
+    (List.exists
+       (fun v ->
+         Oracle.kind_label v.Oracle.o_kind = "log_divergence"
+         && v.Oracle.o_node = 3)
+       (Oracle.violations c.oracle))
+
 (* -------------------------------------------------------------------- *)
 (* Bug injection end-to-end                                              *)
 
@@ -389,6 +436,42 @@ let test_oracle_install_rebases () =
        { index = 5; op = Op.Put { key = "b"; value = "y" }; value = Some "y" });
   check Alcotest.int "clean" 0 (Oracle.violation_count o)
 
+(* Two replicas that apply one position with different ops: the second
+   is flagged. Direct feeds carry no view, so no exemption applies. *)
+let test_oracle_one_op_per_position () =
+  let o = Oracle.create () in
+  Oracle.observe o ~node:0
+    (Kv.Applied
+       { index = 1; op = Op.Put { key = "a"; value = "1" }; value = Some "1" });
+  Oracle.observe o ~node:1
+    (Kv.Applied
+       { index = 1; op = Op.Put { key = "a"; value = "1" }; value = Some "1" });
+  check Alcotest.int "same op: clean" 0 (Oracle.violation_count o);
+  Oracle.observe o ~node:2
+    (Kv.Applied
+       { index = 1; op = Op.Put { key = "a"; value = "2" }; value = Some "2" });
+  check (Alcotest.list Alcotest.string) "different op flagged"
+    [ "log_divergence" ]
+    (List.map (fun v -> Oracle.kind_label v.Oracle.o_kind) (Oracle.violations o));
+  check Alcotest.int "at the second replica" 2
+    (List.hd (Oracle.violations o)).Oracle.o_node
+
+(* A skip moves the shadow's index: the next apply follows it with no
+   gap, and a read at the skipped-to token is checked. *)
+let test_oracle_skip_advances_index () =
+  let o = Oracle.create () in
+  Oracle.observe o ~node:0 (Kv.Skipped { upto = 4 });
+  Oracle.observe o ~node:0
+    (Kv.Read { key = "a"; value = None; token = 4; sync = false });
+  Oracle.observe o ~node:0
+    (Kv.Applied
+       { index = 5; op = Op.Put { key = "a"; value = "1" }; value = Some "1" });
+  check Alcotest.int "clean" 0 (Oracle.violation_count o);
+  Oracle.observe o ~node:0
+    (Kv.Read { key = "a"; value = None; token = 5; sync = false });
+  check Alcotest.int "a stale read after the skip is flagged" 1
+    (Oracle.violation_count o)
+
 (* -------------------------------------------------------------------- *)
 (* State-transfer timing                                                 *)
 
@@ -415,6 +498,10 @@ let suite =
       test_donor_crash_mid_transfer;
     Alcotest.test_case "re-partition mid-transfer" `Quick
       test_repartition_mid_transfer;
+    Alcotest.test_case "no apply before the election" `Quick
+      test_no_apply_before_election;
+    Alcotest.test_case "seeded apply-before-election bug caught" `Quick
+      test_apply_before_election_bug_caught;
     Alcotest.test_case "seeded skip-apply bug caught" `Quick
       test_skip_apply_bug_caught;
     Alcotest.test_case "oracle: clean stream" `Quick test_oracle_clean_stream;
@@ -424,5 +511,9 @@ let suite =
       test_oracle_flags_non_monotonic_read;
     Alcotest.test_case "oracle: install re-bases" `Quick
       test_oracle_install_rebases;
+    Alcotest.test_case "oracle: one op per position" `Quick
+      test_oracle_one_op_per_position;
+    Alcotest.test_case "oracle: skip advances the index" `Quick
+      test_oracle_skip_advances_index;
     Alcotest.test_case "measure transfer" `Quick test_measure_transfer;
   ]

@@ -252,6 +252,45 @@ let test_finds_kv_skip_apply () =
       | None -> Alcotest.fail "expected a kv_violation")
   | Some _, None -> Alcotest.fail "shrinking was requested but did not run"
 
+(* The learner-path seeded bugs of the position merge, at two rings:
+   each is caught at trial 0 of campaign seed 4 by the oracle check it
+   exists to test, and shrunk to a schedule that still fails. *)
+let finds_learner_bug bug ~kind () =
+  let report =
+    Fuzzer.run_campaign
+      {
+        (quiet_campaign ~bug ~shrink:true) with
+        Fuzzer.app = Runner.App_kv;
+        rings = 2;
+        seed = 4L;
+        trials = 1;
+        max_shrink_runs = 20;
+      }
+  in
+  let has_kind (o : Runner.outcome) =
+    match o.Runner.failure with
+    | Some (Runner.Kv_violation { messages; _ }) ->
+        List.exists
+          (fun m ->
+            let n = String.length kind and l = String.length m in
+            let rec at i = i + n <= l && (String.sub m i n = kind || at (i + 1)) in
+            at 0)
+          messages
+    | _ -> false
+  in
+  match (report.Fuzzer.failure, report.Fuzzer.shrunk) with
+  | None, _ -> Alcotest.failf "%s not caught at trial 0" (Bug.label bug)
+  | Some t, Some r ->
+      Alcotest.(check int) "caught on the very first schedule" 0 t.Fuzzer.index;
+      Alcotest.(check bool) ("flagged as " ^ kind) true (has_kind t.Fuzzer.outcome);
+      Alcotest.(check bool)
+        "shrunk schedule still fails" false (Runner.passed r.Shrink.outcome);
+      Alcotest.(check bool)
+        "shrinking dropped a fault" true
+        (Schedule.fault_count r.Shrink.schedule
+        < Schedule.fault_count t.Fuzzer.schedule)
+  | Some _, None -> Alcotest.fail "shrinking was requested but did not run"
+
 (* The protocol-level seeded bug must still be caught with the KV app
    stacked on top: the trace checker watches the same engine underneath. *)
 let test_finds_skip_delivery_under_kv () =
@@ -565,6 +604,12 @@ let suite =
     ("corpus replays green (adaptive)", `Quick, test_corpus_replays_green_adaptive);
     ("kv runner deterministic per seed", `Quick, test_kv_runner_deterministic);
     ("finds + shrinks kv-skip-apply", `Slow, test_finds_kv_skip_apply);
+    ( "finds + shrinks kv-apply-before-election",
+      `Slow,
+      finds_learner_bug Bug.Kv_apply_before_election ~kind:"log_divergence" );
+    ( "finds + shrinks merge-no-seek",
+      `Slow,
+      finds_learner_bug Bug.Merge_no_seek ~kind:"merge_order" );
     ("finds skip-delivery under kv app", `Slow, test_finds_skip_delivery_under_kv);
     ("kv corpus replays green + catches its bug", `Quick,
      test_kv_corpus_replays_green);

@@ -156,6 +156,45 @@ let prop_merge_single_ring_identity =
       in
       out = expect)
 
+(* A learner that seeks one ring past a stretch it never saw (a snapshot
+   install: the stretch's units are known only as a position) emits the
+   same order as a learner that saw every item, minus that stretch's
+   items — whatever the interleaving of its pushes and drains. *)
+let prop_merge_seek_same_suffix =
+  QCheck.Test.make ~name:"merge seek to a snapshot keeps the suffix"
+    ~count:400
+    QCheck.(triple arb_inputs small_int small_int)
+    (fun ((rings, seqs), cut, seed) ->
+      let inputs = materialize (rings, seqs) in
+      let r = seed mod rings in
+      (* Ring r's inputs [from, cut) are missed (never its flush skip). *)
+      let cut = cut mod List.length inputs.(r) in
+      let from = seed / 7 mod (cut + 1) in
+      let missed_at i = i >= from && i < cut in
+      let missed = List.filteri (fun i _ -> missed_at i) inputs.(r) in
+      let units =
+        List.fold_left
+          (fun acc -> function Merge.Item _ -> acc + 1 | Merge.Skip k -> acc + max 0 k)
+          0 missed
+      in
+      let items l = List.length (List.filter (function Merge.Item _ -> true | _ -> false) l) in
+      let first_missed = items (List.filteri (fun i _ -> i < from) inputs.(r)) + 1 in
+      let last_missed = first_missed + items missed - 1 in
+      let seeker = Array.copy inputs in
+      seeker.(r) <-
+        List.concat
+          (List.mapi
+             (fun i x ->
+               let kept = if missed_at i then [] else [ x ] in
+               if i = from then Merge.Skip units :: kept else kept)
+             inputs.(r));
+      let expect =
+        List.filter
+          (fun (ring, (_, n)) -> not (ring = r && n >= first_missed && n <= last_missed))
+          (reference_order rings inputs)
+      in
+      interleaved_order ~seed rings seeker = expect)
+
 (* Blocking: with an item-holding ring and a silent one, nothing emits
    until the silent ring speaks — then everything does. *)
 let merged = Alcotest.(list (pair int string))
@@ -171,7 +210,8 @@ let test_merge_blocks_on_silent_ring () =
   check merged "blocked again" [] (Merge.pop_all m);
   Merge.push m ~ring:0 (Merge.Skip 5);
   check merged "skip unblocks" [ (1, "b2") ] (Merge.pop_all m);
-  check Alcotest.int "credit spent" 1 (Merge.credits_spent m)
+  check Alcotest.int "one skipped position passed" 1
+    (Merge.turn m - Merge.emitted m)
 
 (* Skip credits must not let later-pushed items jump unconsumed
    credit: units are consumed in queue position. *)
@@ -301,13 +341,19 @@ let prop_merge_matches_queue_model =
     arb_merge_steps (fun (rings, steps) ->
       let m = Merge.create ~rings and q = Queue_model.create rings in
       let next = ref 0 in
+      (* A ring's unspent skip units: its known positions that no turn
+         has passed and no item holds. *)
+      let unspent r =
+        let passed = (Merge.turn m + rings - 1 - r) / rings in
+        Merge.position m ~ring:r - passed - Merge.pending m ~ring:r
+      in
       let same_counters () =
         Merge.emitted m = q.emitted
-        && Merge.credits_spent m = q.credits_spent
+        && Merge.turn m - Merge.emitted m = q.credits_spent
         && List.for_all
              (fun r ->
                Merge.pending m ~ring:r = q.items.(r)
-               && Merge.unspent_credits m ~ring:r = q.credits.(r))
+               && unspent r = q.credits.(r))
              (List.init rings Fun.id)
       in
       List.for_all
@@ -320,7 +366,7 @@ let prop_merge_matches_queue_model =
                 Queue_model.push q ring (Merge.Item !next);
                 true
             | Push (ring, `Skip k) ->
-                Merge.push_skip m ~ring k;
+                Merge.push m ~ring (Merge.Skip k);
                 Queue_model.push q ring (Merge.Skip k);
                 true
             | Drain ->
@@ -454,24 +500,98 @@ let test_cluster_smoke () =
         ks)
     buckets
 
+let skips cluster ~ring =
+  List.init (Cluster.nodes cluster) (fun node ->
+      (Kv.stats (Cluster.kv cluster ~ring ~node)).Kv.skips)
+
 (* One ring's merge is the identity, so [Cluster.create ~rings:1] runs
    no skip generators: an idle cluster delivers no skip at any replica.
-   Two rings idle the same way do, which keeps the counter honest. *)
+   At two rings grants come from positions, and an idle cluster's rings
+   all stand at the frontier, so it sends no skip either. *)
 let test_one_ring_no_skips () =
-  let skips ~rings =
+  let idle ~rings =
     let cluster = Cluster.create ~rings ~nodes:3 ~seed:5L () in
     Netsim.run_until (Cluster.sim cluster) (ms 50);
-    List.concat_map
-      (fun ring ->
-        List.init 3 (fun node ->
-            (Kv.stats (Cluster.kv cluster ~ring ~node)).Kv.skips))
-      (List.init rings Fun.id)
+    cluster
   in
+  check (Alcotest.list Alcotest.int) "1 ring: replica skips" [ 0; 0; 0 ]
+    (skips (idle ~rings:1) ~ring:0);
+  let two = idle ~rings:2 in
+  List.iter
+    (fun ring ->
+      check (Alcotest.list Alcotest.int)
+        (Printf.sprintf "idle 2 rings: ring %d replica skips" ring)
+        [ 0; 0; 0 ] (skips two ~ring))
+    [ 0; 1 ]
+
+(* Writes on ring 0 only: ring 1 falls behind the frontier, gets one
+   grant up to it, and every learner merges ring 0's writes. Ring 0, at
+   the frontier, is granted nothing. *)
+let test_grant_up_to_frontier () =
+  let cluster = Cluster.create ~rings:2 ~nodes:3 ~seed:5L () in
+  let sim = Cluster.sim cluster in
+  let merged = Array.make 3 0 in
+  Cluster.on_merged cluster (fun ~node ~ring:_ _ ->
+      merged.(node) <- merged.(node) + 1);
+  let buckets = keys_per_ring cluster ~count:5 in
+  Netsim.call_at sim ~at:(ms 30) (fun () ->
+      List.iter
+        (fun k -> Cluster.put cluster ~node:0 ~key:k ~value:"v")
+        buckets.(0));
+  Netsim.run_until sim (ms 100);
+  let applied ring =
+    List.init 3 (fun node -> Kv.applied (Cluster.kv cluster ~ring ~node))
+  in
+  check (Alcotest.list Alcotest.int) "ring 0 applied" [ 5; 5; 5 ] (applied 0);
+  check (Alcotest.list Alcotest.int) "ring 1 moved to the frontier"
+    [ 5; 5; 5 ] (applied 1);
+  check (Alcotest.list Alcotest.int) "ring 1: one grant" [ 1; 1; 1 ]
+    (skips cluster ~ring:1);
+  check (Alcotest.list Alcotest.int) "ring 0: none" [ 0; 0; 0 ]
+    (skips cluster ~ring:0);
+  check (Alcotest.array Alcotest.int) "every learner merged the writes"
+    [| 5; 5; 5 |] merged;
+  check Alcotest.bool "merge settled" true (Cluster.merge_settled cluster)
+
+(* Ring 1 cut at nodes 3 and 4 (a minority of five): their ring-1
+   replicas reject the skips their designated member sends, so their
+   merges freeze with ring 0's writes pending. After the heal each
+   installs a snapshot, the learner seeks to it, and the merge drains. *)
+let test_minority_learner_drains_after_heal () =
+  let nodes = 5 in
+  let cluster = Cluster.create ~rings:2 ~nodes ~seed:11L () in
+  let sim = Cluster.sim cluster in
+  let island p =
+    p = Cluster.pid cluster ~ring:1 ~node:3 || p = Cluster.pid cluster ~ring:1 ~node:4
+  in
+  Netsim.set_drop_until sim ~until:(ms 300) (fun ~src ~dst _ ->
+      Netsim.now sim >= ms 40 && island src <> island dst);
+  let buckets = keys_per_ring cluster ~count:6 in
   List.iteri
-    (fun i n -> check Alcotest.int (Printf.sprintf "1 ring: replica %d skips" i) 0 n)
-    (skips ~rings:1);
-  check Alcotest.bool "2 rings: idle replicas see skips" true
-    (List.for_all (fun n -> n > 0) (skips ~rings:2))
+    (fun i k ->
+      Netsim.call_at sim ~at:(ms (150 + (10 * i))) (fun () ->
+          Cluster.put cluster ~node:0 ~key:k ~value:"v"))
+    (buckets.(0) @ buckets.(1));
+  Netsim.run_until sim (ms 280);
+  let pending node ring = Merge.pending (Cluster.merge cluster ~node) ~ring in
+  check Alcotest.bool "the minority learner is frozen with items pending" true
+    (pending 3 0 > 0);
+  check Alcotest.int "the majority learner is not" 0 (pending 0 0);
+  drive cluster ~deadline:(ms 3_000) ~settle_after:(ms 320);
+  check Alcotest.bool "island installed" true
+    ((Kv.stats (Cluster.kv cluster ~ring:1 ~node:3)).Kv.installs >= 1);
+  List.iter
+    (fun node ->
+      List.iter
+        (fun ring ->
+          check Alcotest.int
+            (Printf.sprintf "node %d ring %d drained" node ring)
+            0 (pending node ring))
+        [ 0; 1 ])
+    (List.init nodes Fun.id);
+  check Alcotest.bool "kv converged" true (Cluster.kv_converged cluster);
+  Cluster.check_convergence cluster;
+  check Alcotest.int "no oracle violations" 0 (Cluster.oracle_violations cluster)
 
 let test_cluster_mcas_commit_and_abort () =
   let cluster = Cluster.create ~rings:2 ~nodes:3 ~seed:9L () in
@@ -725,6 +845,7 @@ let suite =
     qtest prop_merge_deterministic;
     qtest prop_merge_fifo_complete;
     qtest prop_merge_single_ring_identity;
+    qtest prop_merge_seek_same_suffix;
     ("merge blocks on silent ring", `Quick, test_merge_blocks_on_silent_ring);
     ("merge skips keep queue position", `Quick, test_merge_skip_queue_position);
     qtest prop_merge_matches_queue_model;
@@ -736,6 +857,10 @@ let suite =
       test_merge_push_drain_allocation_free );
     ("cluster smoke: identical merged streams", `Quick, test_cluster_smoke);
     ("one ring gets no skip generators", `Quick, test_one_ring_no_skips);
+    ("a ring behind the frontier gets one grant", `Quick, test_grant_up_to_frontier);
+    ( "a minority learner drains after the heal",
+      `Quick,
+      test_minority_learner_drains_after_heal );
     ("mcas commit and abort", `Quick, test_cluster_mcas_commit_and_abort);
     ("mcas vs partition of one ring", `Quick, test_mcas_partition_one_ring);
     ( "mcas vs membership change between writes",

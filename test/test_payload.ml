@@ -58,7 +58,7 @@ let op_gen =
           Op.Hello { view; daemon = 3; applied; digest = 0x1234_5678_9abcL; synced })
         ring (0 -- 100_000) bool;
       map2 (fun id commit -> Op.Mdecide { id; commit }) name_gen bool;
-      map (fun credits -> Op.Skip { credits }) (0 -- 1_000);
+      map (fun upto -> Op.Skip { upto }) (0 -- 1_000);
     ]
 
 let app_gen =
@@ -268,7 +268,7 @@ let test_failed_write_submits_nothing () =
   let s = Daemon.connect d ~name:"kv" quiet in
   let ok = Op.Put { key = "k"; value = "v" } in
   Daemon.multicast_write d s ~groups:[ "g" ] Op.write ok;
-  (match Daemon.multicast_write d s ~groups:[ "g" ] Op.write (Op.Skip { credits = 1 lsl 40 }) with
+  (match Daemon.multicast_write d s ~groups:[ "g" ] Op.write (Op.Skip { upto = 1 lsl 40 }) with
   | () -> Alcotest.fail "an out-of-range field must raise"
   | exception Invalid_argument _ -> ());
   Daemon.flush d;
