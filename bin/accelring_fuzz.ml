@@ -45,16 +45,6 @@ let run trials seed max_nodes rings bug_name adaptive app_name shrink
         prerr_endline e;
         exit 2
   in
-  (* Recovery_flood is a construction flag of the bare ring's members;
-     any other stack would silently run it as clean. *)
-  let flood_misuse () =
-    prerr_endline
-      "--bug recovery-flood runs only on the bare single ring (--app none, \
-       --rings 1)";
-    exit 2
-  in
-  if bug = Bug.Recovery_flood && (app <> Runner.App_none || rings > 1) then
-    flood_misuse ();
   let log line = if not quiet then print_endline line in
   match replay_path with
   | Some path ->
@@ -72,11 +62,7 @@ let run trials seed max_nodes rings bug_name adaptive app_name shrink
       let failed = ref 0 in
       List.iter
         (fun (name, schedule) ->
-          let outcome =
-            try Fuzzer.replay ~bug ~adaptive ~app ?extra_sink schedule
-            with Invalid_argument _ when bug = Bug.Recovery_flood ->
-              flood_misuse ()
-          in
+          let outcome = Fuzzer.replay ~bug ~adaptive ~app ?extra_sink schedule in
           Format.printf "%s: %a@." name Runner.pp_outcome outcome;
           if not (Runner.passed outcome) then begin
             (* Dump the first failure: the recorder holds this run's tail
@@ -191,8 +177,7 @@ let bug_name =
           "Inject a known protocol defect: clean, skip-delivery, \
            skip-retransmission, kv-skip-apply, kv-apply-before-election, \
            merge-no-seek or recovery-flood. Used to validate the fuzzer \
-           itself. recovery-flood runs only on the bare \
-           single ring (--app none, --rings 1); elsewhere it exits 2.")
+           itself.")
 
 let adaptive =
   Arg.(

@@ -2,7 +2,7 @@ open Aring_wire
 open Aring_ring
 module Deque = Aring_util.Deque
 
-type Participant.timer += Paxos_gap_check of int
+type Participant.timer += Paxos_gap_check
 
 let history_window = 200_000
 
@@ -31,7 +31,6 @@ type t = {
   mutable decided_high : int;  (* highest decided instance known *)
   mutable delivered : int;  (* delivery cursor *)
   mutable gap_timer_armed : bool;
-  mutable gap_gen : int;
   (* Coordinator state. *)
   mutable next_instance : int;
   pending : Message.data Deque.t;  (* proposals waiting for the window *)
@@ -55,7 +54,6 @@ let create ~me ~n =
     decided_high = 0;
     delivered = 0;
     gap_timer_armed = false;
-    gap_gen = 0;
     next_instance = 1;
     pending = Deque.create ();
     decision_sent = 0;
@@ -113,8 +111,7 @@ let arm_gap_timer t =
   if t.gap_timer_armed then []
   else begin
     t.gap_timer_armed <- true;
-    t.gap_gen <- t.gap_gen + 1;
-    [ Participant.Arm_timer (Paxos_gap_check t.gap_gen, gap_check_ns) ]
+    [ Participant.Arm_timer (Paxos_gap_check, gap_check_ns) ]
   end
 
 (* The 2b acknowledgement circulating the acceptor ring: [aru] is the
@@ -229,32 +226,29 @@ let handle_nack t (tok : Message.token) requester =
       ]
   end
 
-let fire_gap_check t gen =
-  if gen <> t.gap_gen then []
+let fire_gap_check t =
+  t.gap_timer_armed <- false;
+  if t.delivered >= t.decided_high then []
   else begin
-    t.gap_timer_armed <- false;
-    if t.delivered >= t.decided_high then []
-    else begin
-      let rec missing inst budget acc =
-        if inst > t.decided_high || budget = 0 then List.rev acc
-        else if Hashtbl.mem t.values inst then missing (inst + 1) budget acc
-        else missing (inst + 1) (budget - 1) (inst :: acc)
-      in
-      let gaps = missing (t.delivered + 1) max_nack_batch [] in
-      let nack : Message.token =
-        {
-          t_ring = paxos_ring;
-          token_id = 0;
-          t_round = 0;
-          t_seq = 0;
-          aru = t.decided_high;
-          aru_id = Some t.me;
-          fcc = 0;
-          rtr = gaps;
-        }
-      in
-      Participant.Unicast (coordinator, Message.Token nack) :: arm_gap_timer t
-    end
+    let rec missing inst budget acc =
+      if inst > t.decided_high || budget = 0 then List.rev acc
+      else if Hashtbl.mem t.values inst then missing (inst + 1) budget acc
+      else missing (inst + 1) (budget - 1) (inst :: acc)
+    in
+    let gaps = missing (t.delivered + 1) max_nack_batch [] in
+    let nack : Message.token =
+      {
+        t_ring = paxos_ring;
+        token_id = 0;
+        t_round = 0;
+        t_seq = 0;
+        aru = t.decided_high;
+        aru_id = Some t.me;
+        fcc = 0;
+        rtr = gaps;
+      }
+    in
+    Participant.Unicast (coordinator, Message.Token nack) :: arm_gap_timer t
   end
 
 let submit t _service payload =
@@ -285,6 +279,6 @@ let participant t : Participant.t =
         | Message.Join _ | Message.Commit _ -> []);
     fire_timer =
       (fun timer ->
-        match timer with Paxos_gap_check gen -> fire_gap_check t gen | _ -> []);
+        match timer with Paxos_gap_check -> fire_gap_check t | _ -> []);
     start = (fun () -> []);
   }

@@ -36,7 +36,7 @@
 open Aring_wire
 open Aring_ring
 
-type Participant.timer += Paxos_gap_check of int
+type Participant.timer += Paxos_gap_check
 
 val history_window : int
 

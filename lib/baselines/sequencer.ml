@@ -2,7 +2,7 @@ open Aring_wire
 open Aring_ring
 module Deque = Aring_util.Deque
 
-type Participant.timer += Gap_check of int
+type Participant.timer += Gap_check
 
 let history_window = 200_000
 
@@ -22,7 +22,6 @@ type t = {
   pending : (Types.seqno, Message.data) Hashtbl.t;
   mutable high_seen : Types.seqno;
   mutable gap_timer_armed : bool;
-  mutable gap_gen : int;
   (* Sequencer state. *)
   mutable next_seq : Types.seqno;
   history : (Types.seqno, Message.data) Hashtbl.t;
@@ -42,7 +41,6 @@ let create ~me ~n =
     pending = Hashtbl.create 256;
     high_seen = 0;
     gap_timer_armed = false;
-    gap_gen = 0;
     next_seq = 1;
     history = Hashtbl.create 1024;
     delivered_count = 0;
@@ -71,8 +69,7 @@ let arm_gap_timer t =
   if t.gap_timer_armed then []
   else begin
     t.gap_timer_armed <- true;
-    t.gap_gen <- t.gap_gen + 1;
-    [ Participant.Arm_timer (Gap_check t.gap_gen, gap_check_ns) ]
+    [ Participant.Arm_timer (Gap_check, gap_check_ns) ]
   end
 
 (* Sequencer: stamp and multicast one message. *)
@@ -121,35 +118,32 @@ let handle_nack t (tok : Message.token) =
             | None -> None)
           tok.rtr
 
-let fire_gap_check t gen =
-  if gen <> t.gap_gen then []
+let fire_gap_check t =
+  t.gap_timer_armed <- false;
+  if t.expected > t.high_seen then []
   else begin
-    t.gap_timer_armed <- false;
-    if t.expected > t.high_seen then []
+    let rec missing seq budget acc =
+      if seq > t.high_seen || budget = 0 then List.rev acc
+      else if Hashtbl.mem t.pending seq then missing (seq + 1) budget acc
+      else missing (seq + 1) (budget - 1) (seq :: acc)
+    in
+    let gaps = missing t.expected max_nack_batch [] in
+    if gaps = [] then []
     else begin
-      let rec missing seq budget acc =
-        if seq > t.high_seen || budget = 0 then List.rev acc
-        else if Hashtbl.mem t.pending seq then missing (seq + 1) budget acc
-        else missing (seq + 1) (budget - 1) (seq :: acc)
+      t.nacks_sent <- t.nacks_sent + 1;
+      let nack : Message.token =
+        {
+          t_ring = seq_ring;
+          token_id = 0;
+          t_round = 0;
+          t_seq = 0;
+          aru = 0;
+          aru_id = Some t.me;
+          fcc = 0;
+          rtr = gaps;
+        }
       in
-      let gaps = missing t.expected max_nack_batch [] in
-      if gaps = [] then []
-      else begin
-        t.nacks_sent <- t.nacks_sent + 1;
-        let nack : Message.token =
-          {
-            t_ring = seq_ring;
-            token_id = 0;
-            t_round = 0;
-            t_seq = 0;
-            aru = 0;
-            aru_id = Some t.me;
-            fcc = 0;
-            rtr = gaps;
-          }
-        in
-        Participant.Unicast (sequencer, Message.Token nack) :: arm_gap_timer t
-      end
+      Participant.Unicast (sequencer, Message.Token nack) :: arm_gap_timer t
     end
   end
 
@@ -187,6 +181,6 @@ let participant t : Participant.t =
         | Message.Join _ | Message.Commit _ -> []);
     fire_timer =
       (fun timer ->
-        match timer with Gap_check gen -> fire_gap_check t gen | _ -> []);
+        match timer with Gap_check -> fire_gap_check t | _ -> []);
     start = (fun () -> []);
   }

@@ -25,7 +25,7 @@
 open Aring_wire
 open Aring_ring
 
-type Participant.timer += Gap_check of int
+type Participant.timer += Gap_check
 
 val history_window : int
 

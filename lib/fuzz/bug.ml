@@ -47,10 +47,17 @@ let wrap bug ~node p =
      runner ({!Runner.run} with the kv app), not at the participant
      boundary; so are the learner merge's. *)
   | Kv_skip_apply _ | Kv_apply_before_election | Merge_no_seek -> p
-  (* A construction-time bug: the runner builds the members with
-     [~legacy_flood:true], restoring the pre-overhaul recovery exchange.
-     The action stream is not tampered with. *)
-  | Recovery_flood -> p
+  | Recovery_flood ->
+      (* Silence the recovery exchange: no flood burst's data leaves. *)
+      let fire_timer timer =
+        match timer with
+        | Member.Memb_timer Member.Flood_burst ->
+            List.filter
+              (function Participant.Multicast (Message.Data _) -> false | _ -> true)
+              (p.Participant.fire_timer timer)
+        | _ -> p.Participant.fire_timer timer
+      in
+      { p with Participant.fire_timer }
   | Skip_delivery { node = target; every } when node = target ->
       let deliveries = ref 0 in
       filtering p

@@ -35,14 +35,12 @@ type t =
           wrong turns — caught by the oracle's merge-order check. {!wrap}
           is the identity for it. *)
   | Recovery_flood
-      (** Construction-time bug: build every member with
-          [~legacy_flood:true], restoring the pre-overhaul recovery
-          exchange (unpaced, undeduplicated, no retransmission). On
-          schedules with near-MTU payloads and a small switch buffer this
-          livelocks formation — caught by the health watchdog judge.
-          {!wrap} is the identity for it. Only the bare single ring
-          (no app, one ring) builds members this way, so
-          {!Runner.run} rejects it anywhere else. *)
+      (** Drop every data multicast a member's
+          {!Aring_ring.Member.Flood_burst} fire returns, at every node:
+          the recovery exchange's floods and its nack resends never
+          leave. Whenever a survivor is missing an old-ring message, each
+          formation attempt rechecks until it gives up and re-gathers —
+          a formation livelock, caught by the health watchdog judge. *)
 
 val label : t -> string
 val of_string : string -> (t, string) result

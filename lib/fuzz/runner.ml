@@ -569,11 +569,9 @@ let run_single ~bug ~adaptive ?extra_sink (s : Schedule.t) =
     Array.of_list (List.map Schedule.tier c.Schedule.tier_ids)
   in
   let initial_ring = Array.init n (fun i -> i) in
-  let legacy_flood = bug = Bug.Recovery_flood in
   let members =
     Array.init n (fun me ->
-        Member.create ~params ~me ~initial_ring ?controller:(controller ~adaptive params)
-          ~legacy_flood ())
+        Member.create ~params ~me ~initial_ring ?controller:(controller ~adaptive params) ())
   in
   let participants =
     Array.init n (fun i -> Bug.wrap bug ~node:i (Member.participant members.(i)))
@@ -663,12 +661,8 @@ let run_single ~bug ~adaptive ?extra_sink (s : Schedule.t) =
 
 let run ?(bug = Bug.Clean) ?(adaptive = false) ?(app = App_none) ?extra_sink
     (s : Schedule.t) =
-  let bare = app = App_none && s.config.Schedule.rings = 1 in
-  if bug = Bug.Recovery_flood && not bare then
-    invalid_arg
-      "Runner.run: Bug.Recovery_flood runs only on the bare single ring \
-       (App_none, rings = 1)";
-  if bare then run_single ~bug ~adaptive ?extra_sink s
+  if app = App_none && s.config.Schedule.rings = 1 then
+    run_single ~bug ~adaptive ?extra_sink s
   else run_cluster ~bug ~adaptive ~app ?extra_sink s
 
 let pp_failure ppf = function

@@ -98,9 +98,7 @@ val run :
 (** Execute the schedule. [bug] (default {!Bug.Clean}) wraps every
     participant before the cluster is built — used to prove the fuzzer
     catches seeded protocol defects ({!Bug.Kv_skip_apply} instead plants
-    inside the replica and needs [app = App_kv]; {!Bug.Recovery_flood}
-    instead builds every member with the pre-overhaul recovery
-    exchange, and only the bare ring has that flag). With [adaptive]
+    inside the replica and needs [app = App_kv]). With [adaptive]
     (default [false]), every member runs the AIMD accelerated-window
     controller ({!Aring_control.Controller}), exercising the ordering and
     membership invariants while the per-node window moves; [app]
@@ -117,10 +115,7 @@ val run :
     sent there: raw payloads do not survive post-horizon membership
     churn. At one ring the cluster runs no skip generator and offers no
     mcas, so a single-ring KV run's trace is the one the stack has
-    always produced.
-
-    @raise Invalid_argument if [bug] is {!Bug.Recovery_flood} and the
-    run is not the bare single ring ([app = App_none], one ring). *)
+    always produced. *)
 
 val passed : outcome -> bool
 

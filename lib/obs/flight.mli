@@ -66,22 +66,22 @@ val ev_deliver : int
 (** [a] = seq, [b] = sender. *)
 
 val ev_phase : int
-(** A membership phase entered: [a] = phase code (below), [b] =
-    membership generation. *)
+(** A membership phase entered: [a] = phase code (below), [b] = the
+    member's join sequence, one per gather entered, so the phases of one
+    formation attempt share it. *)
 
 val ev_recheck : int
-(** An exchange recheck fired: [a] = recheck number, [b] = membership
-    generation. *)
+(** An exchange recheck fired: [a] = recheck number, [b] = the
+    member's join sequence. *)
 
 val ev_recheck_giveup : int
 (** Rechecks exhausted, the node re-gathers: [a] = recheck number, [b] =
-    membership generation. *)
+    the member's join sequence. *)
 
 val ev_flood : int
-(** Recovery entry: [a] = exchange messages multicast at once (legacy
-    flood) or queued for paced bursts, [b] = lowest survivor aru, [c] =
-    highest seq held, [d] = 1 for the legacy flood (its [a] messages are
-    sent now) and 0 for the paced path (counted at each {!ev_burst}). *)
+(** Recovery entry: [a] = exchange messages queued for paced bursts
+    (counted as they are sent, at each {!ev_burst}), [b] = lowest
+    survivor aru, [c] = highest seq held, [d] = 0. *)
 
 val ev_apply : int
 (** A replica applied an op: [a] = applied index, [b] = 1 for a delete. *)

@@ -20,8 +20,8 @@
 
    Like Trace and Span, the watchdog is a global attach/detach
    instrument. Its one feed is the Flight recorder: attaching subscribes
-   [on_record], which decodes the phase, recheck, flood, dedup, burst,
-   nack, resend, deliver and crash records; detaching unsubscribes, so a
+   [on_record], which decodes the phase, recheck, dedup, burst, nack,
+   resend, deliver and crash records; detaching unsubscribes, so a
    run without a watchdog pays nothing per record. It emits no trace
    events — pinned corpus hashes cannot see it. *)
 
@@ -153,10 +153,6 @@ let on_phase t ns phase =
     push_trail ns phase now
   end
 
-let on_flood ns count =
-  ns.ns_floods <- ns.ns_floods + count;
-  ns.ns_flood_total <- ns.ns_flood_total + count
-
 let on_crash ns =
   let now = Trace.now () in
   close_phase ns now;
@@ -166,7 +162,7 @@ let on_crash ns =
 
 (* The one feed: decode the Flight records the watchdog needs (argument
    layouts in flight.mli); every other code falls through untouched. *)
-let on_record ~node ~code ~a ~b:_ ~c ~d =
+let on_record ~node ~code ~a ~b:_ ~c ~d:_ =
   match !current with
   | None -> ()
   | Some t ->
@@ -185,12 +181,12 @@ let on_record ~node ~code ~a ~b:_ ~c ~d =
           ns.ns_giveups <- ns.ns_giveups + 1;
           push_trail ns trail_giveup (Trace.now ())
         end
-        else if code = Flight.ev_flood then (if d = 1 then on_flood ns a)
         else if code = Flight.ev_dedup then
           ns.ns_dedup_saved <- ns.ns_dedup_saved + c
         else if code = Flight.ev_burst then begin
           ns.ns_bursts <- ns.ns_bursts + 1;
-          on_flood ns a
+          ns.ns_floods <- ns.ns_floods + a;
+          ns.ns_flood_total <- ns.ns_flood_total + a
         end
         else if code = Flight.ev_nack then
           ns.ns_resend_reqs <- ns.ns_resend_reqs + 1

@@ -5,8 +5,7 @@
     operational") and delivery stalls ("no progress for T virtual ns
     while a node is stuck outside operational"). The feed is {!Flight}:
     an attached watchdog subscribes to it and decodes the [ev_phase],
-    [ev_recheck], [ev_recheck_giveup], [ev_flood] (legacy, [d] = 1),
-    [ev_dedup], [ev_burst], [ev_nack], [ev_resend], [ev_deliver] and
+    [ev_recheck], [ev_recheck_giveup], [ev_dedup], [ev_burst], [ev_nack], [ev_resend], [ev_deliver] and
     [ev_crash] records, so a crash reaches it through
     [Netsim.crash] alone. Global attach/detach like {!Trace}; emits no
     trace events, so pinned corpus hashes never see it. *)

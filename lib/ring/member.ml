@@ -10,7 +10,7 @@ type memb_timer_kind =
   | Exchange_recheck
   | Flood_burst
 
-type Participant.timer += Memb_timer of memb_timer_kind * int
+type Participant.timer += Memb_timer of memb_timer_kind
 
 let log = Logs.Src.create "accelring.member" ~doc:"Membership algorithm"
 
@@ -59,20 +59,22 @@ type commit_phase = {
    queue drains stalls the new ring's token rotation past the token-loss
    timeout and kills the formation — so it keeps bursting (and answering
    pass-5 nacks) for peers still recovering the old ring while it is
-   already operational. *)
+   already operational, until the flood has been quiet for one formation
+   timeout. *)
 type flood = {
   ring : Types.ring_id;  (* the exchanged (pre-install) ring *)
   memb : Message.member_info list;  (* the commit token's, for holder election *)
   exchange : (Types.seqno, Message.data) Hashtbl.t;
   q : Types.seqno Deque.t;
       (* Exchange messages to send, ascending for the designated ones;
-         drained in paced bursts by the [Flood_burst] timer. *)
+         drained in paced bursts by the [Flood_burst] timer, armed for
+         the next burst exactly while [q] is not empty (after the
+         install, an empty [q]'s timer counts out the quiet interval). *)
   queued : (Types.seqno, unit) Hashtbl.t;  (* membership of [q] *)
   nacked : (Types.seqno, int) Hashtbl.t;
       (* How many cumulative nacks have named each seqno. The k-th nack
          is answered by the k-th candidate holder, so a crashed donor is
          routed around without any extra agreement round. *)
-  mutable armed : bool;  (* a [Flood_burst] timer is pending *)
 }
 
 type recover = {
@@ -96,24 +98,20 @@ type phase =
 type t = {
   params : Params.t;
   me : Types.pid;
-  legacy_flood : bool;
-      (* Pre-overhaul recovery: every survivor floods its whole exchange
-         range immediately and the recheck only re-verifies. Kept behind
-         a flag so the fuzzer can prove the old behavior still livelocks
-         (Bug.Recovery_flood). *)
   initial_ring : Types.pid array option;
   (* One controller for the member's lifetime: each installed
      configuration's Node gets the same instance, so the adapted window
      carries across membership changes. *)
   controller : Aring_control.Controller.t option;
   mutable phase : phase;
-  mutable residual : flood option;  (* the last install's flood *)
+  mutable residual : flood option;
+      (* The last install's flood, while operational and until it has
+         been quiet for one formation timeout. *)
   mutable old_node : Node.t option;  (* engine of the dying configuration *)
   mutable old_ring : Types.ring_id;  (* ring I was last operational in *)
   mutable old_delivered : Types.seqno;  (* its delivery cursor *)
   mutable highest_ring_seq : int;
   mutable join_seq : int;
-  mutable memb_gen : int;  (* invalidates membership timers on phase change *)
   mutable last_view : Participant.view option;
   mutable installs : int;
   known_rings : (Types.ring_id, unit) Hashtbl.t;  (* superseded rings *)
@@ -128,6 +126,7 @@ let installs t = t.installs
 let current_view t = t.last_view
 
 let node t = match t.phase with Operational n -> Some n | _ -> None
+let holds_residual_flood t = Option.is_some t.residual
 
 let phase_code t =
   match t.phase with
@@ -138,22 +137,34 @@ let phase_code t =
 
 let state_name t = Flight.phase_name (phase_code t)
 
-(* Note the phase just entered (call after updating [t.phase]). The
-   record reaches the health watchdog and, when a sink is installed, the
-   trace stream as a [Phase] event. *)
-let trace_phase t =
+let arm kind delay = Participant.Arm_timer (Memb_timer kind, delay)
+
+(* Every membership key's disarm, built once. *)
+let disarm_memb =
+  List.map
+    (fun kind -> Participant.Disarm_timer (Memb_timer kind))
+    [ Join_retransmit; Consensus_timeout; Formation_timeout; Merge_probe;
+      Exchange_recheck; Flood_burst ]
+
+(* Enter [phase], whose first actions are [actions]. The phase record
+   reaches the health watchdog and, when a sink is installed, the trace
+   stream as a [Phase] event. Every membership key is disarmed ahead of
+   [actions], so no timer a past phase armed outlives it. *)
+let enter t phase actions =
+  t.phase <- phase;
   Flight.record ~node:t.me ~code:Flight.ev_phase ~a:(phase_code t)
-    ~b:t.memb_gen ~c:0 ~d:0
+    ~b:t.join_seq ~c:0 ~d:0;
+  disarm_memb @ actions
 
-(* A membership timer of the current generation. *)
-let arm t kind delay = Participant.Arm_timer (Memb_timer (kind, t.memb_gen), delay)
+(* The residual flood's quiet interval: a [Flood_burst] that finds the
+   queue still empty one formation timeout later releases the flood. *)
+let arm_quiet t = arm Flood_burst t.params.Params.consensus_timeout_ns
 
-let create ~params ~me ?initial_ring ?controller ?(legacy_flood = false) () =
+let create ~params ~me ?initial_ring ?controller () =
   let singleton_ring : Types.ring_id = { rep = me; ring_seq = 0 } in
   {
     params;
     me;
-    legacy_flood;
     initial_ring;
     controller;
     phase =
@@ -172,7 +183,6 @@ let create ~params ~me ?initial_ring ?controller ?(legacy_flood = false) () =
     old_delivered = 0;
     highest_ring_seq = 0;
     join_seq = 0;
-    memb_gen = 0;
     last_view = None;
     installs = 0;
     known_rings = Hashtbl.create 8;
@@ -204,15 +214,15 @@ let rec token_lost = function
   | [] -> false
   | Participant.Token_loss_detected :: _ -> true
   | ( Participant.Unicast _ | Participant.Multicast _ | Participant.Deliver _
-    | Participant.Deliver_config _ | Participant.Arm_timer _ )
+    | Participant.Deliver_config _ | Participant.Arm_timer _
+    | Participant.Disarm_timer _ )
     :: rest ->
       token_lost rest
 
 (* Replace a node's token loss with the membership algorithm's Gather.
-   Node timers pass as they are: each node tags its own with its epoch
-   (see [Node.Engine_timer]), so one armed by a torn-down configuration
-   neither supersedes nor acts in its successor. Any other list — every
-   token visit and data-path delivery — is returned as it is. *)
+   Node timers pass as they are: [enter_gather] disarms them as the node
+   is torn down. Any other list — every token visit and data-path
+   delivery — is returned as it is. *)
 let rec rewrap_node_actions t actions =
   if token_lost actions then rewrap_each t actions else actions
 
@@ -226,7 +236,8 @@ and rewrap_each t actions =
           let gather = enter_gather t in
           gather @ rewrap_each t rest
       | Participant.Unicast _ | Participant.Multicast _ | Participant.Deliver _
-      | Participant.Deliver_config _ | Participant.Arm_timer _ ->
+      | Participant.Deliver_config _ | Participant.Arm_timer _
+      | Participant.Disarm_timer _ ->
           action :: rewrap_each t rest)
 
 (* ------------------------------------------------------------------ *)
@@ -237,35 +248,40 @@ and my_join t (g : gather) : Message.join =
 
 and multicast_join t g = Participant.Multicast (Message.Join (my_join t g))
 
-(* Leave the operational (or any) state and start gathering. *)
+(* Leave the operational (or any) state and start gathering. Leaving
+   [Operational] also tears the node down: its timers are disarmed and
+   the residual flood is dropped. *)
 and enter_gather t =
-  t.memb_gen <- t.memb_gen + 1;
   t.join_seq <- t.join_seq + 1;
-  (match t.phase with
-  | Operational node ->
-      (* Preserve the dying configuration: its engine holds the messages
-         recovery will exchange; unprocessed queued data still counts as
-         received for that purpose. *)
-      let engine = Node.engine node in
-      t.old_node <- Some node;
-      t.old_ring <- Engine.ring_id engine;
-      t.old_delivered <- Engine.delivered_upto engine;
-      Hashtbl.replace t.known_rings t.old_ring ();
-      let rec drain () =
-        match Node.take_next node with
-        | None -> ()
-        | Some (Message.Data d) ->
-            if Types.ring_id_equal d.d_ring t.old_ring then
-              Hashtbl.replace t.stash d.seq d;
-            drain ()
-        | Some (Message.Token _ | Message.Join _ | Message.Commit _) ->
-            drain ()
-      in
-      drain ();
-      List.iter
-        (fun entry -> Queue.push entry t.client_pending)
-        (Engine.drain_pending engine)
-  | Gather _ | Commit_wait _ | Recover _ -> ());
+  let node_disarms =
+    match t.phase with
+    | Operational node ->
+        (* Preserve the dying configuration: its engine holds the messages
+           recovery will exchange; unprocessed queued data still counts as
+           received for that purpose. *)
+        let engine = Node.engine node in
+        t.old_node <- Some node;
+        t.old_ring <- Engine.ring_id engine;
+        t.old_delivered <- Engine.delivered_upto engine;
+        Hashtbl.replace t.known_rings t.old_ring ();
+        let rec drain () =
+          match Node.take_next node with
+          | None -> ()
+          | Some (Message.Data d) ->
+              if Types.ring_id_equal d.d_ring t.old_ring then
+                Hashtbl.replace t.stash d.seq d;
+              drain ()
+          | Some (Message.Token _ | Message.Join _ | Message.Commit _) ->
+              drain ()
+        in
+        drain ();
+        List.iter
+          (fun entry -> Queue.push entry t.client_pending)
+          (Engine.drain_pending engine);
+        t.residual <- None;
+        Node.disarm_timers
+    | Gather _ | Commit_wait _ | Recover _ -> []
+  in
   let g =
     {
       proc_set = [ t.me ];
@@ -277,14 +293,14 @@ and enter_gather t =
     }
   in
   Hashtbl.replace g.joins t.me (my_join t g);
-  t.phase <- Gather g;
-  trace_phase t;
   Log.debug (fun m -> m "pid %d entering gather (join_seq %d)" t.me t.join_seq);
-  [
-    multicast_join t g;
-    arm t Join_retransmit t.params.join_retransmit_ns;
-    arm t Consensus_timeout t.params.consensus_timeout_ns;
-  ]
+  enter t (Gather g)
+    (node_disarms
+    @ [
+        multicast_join t g;
+        arm Join_retransmit t.params.join_retransmit_ns;
+        arm Consensus_timeout t.params.consensus_timeout_ns;
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* Formation helpers                                                   *)
@@ -351,16 +367,15 @@ and propose t g =
   let commit : Message.commit =
     { c_ring = new_ring; c_token_id = 0; c_pass = 1; c_memb = memb; c_holds = [] }
   in
-  t.memb_gen <- t.memb_gen + 1;
-  t.phase <- Commit_wait { cp_ring = new_ring; cp_order = order };
-  trace_phase t;
   Log.debug (fun m ->
       m "pid %d proposing %a with %d members" t.me Types.pp_ring_id new_ring
         (List.length members));
-  [
-    Participant.Unicast (successor_in order t.me, Message.Commit commit);
-    arm t Formation_timeout t.params.consensus_timeout_ns;
-  ]
+  enter t
+    (Commit_wait { cp_ring = new_ring; cp_order = order })
+    [
+      Participant.Unicast (successor_in order t.me, Message.Commit commit);
+      arm Formation_timeout t.params.consensus_timeout_ns;
+    ]
 
 (* Consensus check, run after every join and on the consensus timeout. *)
 and check_consensus t g =
@@ -448,35 +463,33 @@ and install t (r : recover) =
       Hashtbl.replace t.known_rings mi.m_old_ring ())
     fl.memb;
   Hashtbl.replace t.known_rings t.old_ring ();
-  (* The flood moves across the install (see [flood]). The new
-     generation kills its pending burst timer, so [armed] is re-derived
-     from the queue. *)
-  fl.armed <- not (Deque.is_empty fl.q);
-  t.residual <- (if t.legacy_flood then None else Some fl);
+  (* The flood moves across the install (see [flood]). Entering
+     [Operational] disarms its pending burst with every other membership
+     key, so the burst is re-armed; an empty queue starts the quiet
+     interval at once. *)
+  t.residual <- Some fl;
   t.old_node <- None;
   t.old_delivered <- 0;
   Hashtbl.reset t.stash;
-  t.memb_gen <- t.memb_gen + 1;
   let started = operate t r.r_ring r.r_order ~resubmit:true in
   Log.info (fun m ->
       m "pid %d installed %a (%d members, %d survivors)" t.me Types.pp_ring_id
         r.r_ring (Array.length r.r_order)
         (List.length r.r_survivors));
-  let residual_burst =
-    match t.residual with
-    | Some { armed = true; _ } -> [ arm t Flood_burst 1 ]
-    | Some { armed = false; _ } | None -> []
+  let residual_timer =
+    if Deque.is_empty fl.q then arm_quiet t else arm Flood_burst 1
   in
   (Participant.Deliver_config transitional :: old_deliveries)
-  @ started @ residual_burst
+  @ started @ [ residual_timer ]
 
 (* Enter [Operational] in a new node for [ring_id], whose members in ring
    order are [order]: the end of every install, and [start]'s pre-agreed
-   ring. Returns the regular view's delivery, the node's first actions and
-   the representative's merge probe. With [resubmit], client messages
-   submitted during the formation carry over into the new node. [start]
-   passes [false]: resubmitting there would also replay every pre-start
-   submission in the simulator, which changes the pinned traces. *)
+   ring. Returns the disarms of every membership key, the regular view's
+   delivery, the node's first actions and the representative's merge
+   probe. With [resubmit], client messages submitted during the
+   formation carry over into the new node. [start] passes [false]:
+   resubmitting there would also replay every pre-start submission in
+   the simulator, which changes the pinned traces. *)
 and operate t (ring_id : Types.ring_id) order ~resubmit =
   let view : Participant.view =
     { view_id = ring_id; members = Array.to_list order; transitional = false }
@@ -489,19 +502,18 @@ and operate t (ring_id : Types.ring_id) order ~resubmit =
     Node.create ~params:t.params ~ring_id ~ring:order ~me:t.me
       ?controller:t.controller ()
   in
-  t.phase <- Operational node;
-  trace_phase t;
   if resubmit then begin
     Queue.iter (fun (service, payload) -> Node.submit node service payload)
       t.client_pending;
     Queue.clear t.client_pending
   end;
   let probe =
-    if ring_id.rep = t.me then [ arm t Merge_probe t.params.merge_probe_ns ]
+    if ring_id.rep = t.me then [ arm Merge_probe t.params.merge_probe_ns ]
     else []
   in
-  (Participant.Deliver_config view :: rewrap_node_actions t (Node.start node))
-  @ probe
+  enter t (Operational node)
+    ((Participant.Deliver_config view :: rewrap_node_actions t (Node.start node))
+    @ probe)
 
 (* A member alone at the consensus timeout installs a singleton ring
    without any commit/recover exchange. *)
@@ -540,7 +552,6 @@ and new_flood t memb exchange =
     q = Deque.create ();
     queued = Hashtbl.create 16;
     nacked = Hashtbl.create 16;
-    armed = false;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -556,9 +567,7 @@ and new_flood t memb exchange =
    one survivor (the highest-pid holder, computed identically everywhere
    from the commit token's member infos) floods it, in bursts of
    [recovery_burst_msgs] spaced [recovery_burst_gap_ns] apart, with the
-   first burst staggered by ring position. The pre-overhaul behavior —
-   every survivor floods everything at once, overflowing a small switch
-   buffer on every formation attempt — survives behind [legacy_flood]. *)
+   first burst staggered by ring position. *)
 and enter_recover t (c : Message.commit) order =
   let survivors, min_aru, max_high =
     List.fold_left
@@ -578,7 +587,6 @@ and enter_recover t (c : Message.commit) order =
         | Some node -> Engine.buffered_message (Node.engine node) seq
         | None -> None)
   in
-  let floods = ref [] in
   let held_in_range = ref 0 in
   let queued = ref 0 in
   (* Stage from the lower of (what we still need to deliver) and (what a
@@ -592,9 +600,7 @@ and enter_recover t (c : Message.commit) order =
           Hashtbl.replace fl.exchange seq d;
           if seq > min_aru then begin
             incr held_in_range;
-            if t.legacy_flood then
-              floods := Participant.Multicast (Message.Data d) :: !floods
-            else if
+            if
               Recovery.designated ~infos:c.c_memb ~old_ring:t.old_ring seq
               = Some t.me
             then begin
@@ -626,29 +632,18 @@ and enter_recover t (c : Message.commit) order =
       r_rechecks = 0;
     }
   in
-  t.memb_gen <- t.memb_gen + 1;
-  t.phase <- Recover r;
-  trace_phase t;
-  let actions =
-    if t.legacy_flood then begin
-      let n_flood = List.length !floods in
-      Flight.record ~node:t.me ~code:Flight.ev_flood ~a:n_flood ~b:min_aru
-        ~c:max_high ~d:1;
-      !floods
-    end
-    else begin
-      Flight.record ~node:t.me ~code:Flight.ev_flood ~a:!queued ~b:min_aru
-        ~c:max_high ~d:0;
-      Flight.record ~node:t.me ~code:Flight.ev_dedup ~a:!held_in_range
-        ~b:!queued ~c:(!held_in_range - !queued) ~d:pos;
-      if Deque.is_empty fl.q then []
-      else begin
-        fl.armed <- true;
-        [ arm t Flood_burst (1 + (pos * (t.params.recovery_burst_gap_ns / 4))) ]
-      end
-    end
+  let burst =
+    if Deque.is_empty fl.q then []
+    else [ arm Flood_burst (1 + (pos * (t.params.recovery_burst_gap_ns / 4))) ]
   in
-  (r, actions @ [ arm t Formation_timeout t.params.consensus_timeout_ns ])
+  let actions =
+    enter t (Recover r) (burst @ [ arm Formation_timeout t.params.consensus_timeout_ns ])
+  in
+  Flight.record ~node:t.me ~code:Flight.ev_flood ~a:!queued ~b:min_aru
+    ~c:max_high ~d:0;
+  Flight.record ~node:t.me ~code:Flight.ev_dedup ~a:!held_in_range ~b:!queued
+    ~c:(!held_in_range - !queued) ~d:pos;
+  (r, actions)
 
 (* ------------------------------------------------------------------ *)
 (* Commit token                                                        *)
@@ -661,19 +656,17 @@ and enter_recover t (c : Message.commit) order =
    as the k-th candidate holder for the k-th nack — exactly one resender
    per request when views agree, rotating past crashed donors. A member
    answers from the flood of the ring it is recovering or, once
-   installed, from the flood it carried across the install, so a
-   straggling peer can finish without forcing a re-gather. *)
+   installed, from the flood it carried across the install until that
+   flood goes quiet, so a straggling peer can finish without forcing a
+   re-gather. *)
 and handle_nack t (c : Message.commit) =
   let flood =
     match t.phase with
-    | Recover r
-      when Types.ring_id_equal r.r_ring c.c_ring && not t.legacy_flood ->
-        Some r.r_flood
+    | Recover r when Types.ring_id_equal r.r_ring c.c_ring -> Some r.r_flood
     | Operational _ -> t.residual
     | Gather _ | Commit_wait _ | Recover _ ->
-        (* Not recovering the requester's ring, or a legacy flood, which
-           never resends: the formation-timeout re-gather is the
-           backstop. *)
+        (* Not recovering the requester's ring: the formation-timeout
+           re-gather is the backstop. *)
         None
   in
   match (flood, c.c_memb) with
@@ -688,6 +681,7 @@ and handle_nack t (c : Message.commit) =
             else [])
           c.c_holds
       in
+      let idle = Deque.is_empty fl.q in
       let queued = ref 0 in
       List.iter
         (fun seq ->
@@ -715,13 +709,10 @@ and handle_nack t (c : Message.commit) =
       else begin
         Flight.record ~node:t.me ~code:Flight.ev_resend ~a:!queued
           ~b:(List.length seqs) ~c:0 ~d:0;
-        if fl.armed then []
-        else begin
-          (* Resends skip the position stagger: the requester has
-             already waited out a recheck interval. *)
-          fl.armed <- true;
-          [ arm t Flood_burst 1 ]
-        end
+        (* An idle flood bursts at once, superseding any quiet timer:
+           resends skip the position stagger, as the requester has
+           already waited out a recheck interval. *)
+        if idle then [ arm Flood_burst 1 ] else []
       end
   | _ -> []
 
@@ -776,10 +767,9 @@ and handle_commit t (c : Message.commit) =
               if mi.m_pid = t.me then my_member_info t else mi)
             c.c_memb
         in
-        t.memb_gen <- t.memb_gen + 1;
-        t.phase <- Commit_wait { cp_ring = c.c_ring; cp_order = order };
-        trace_phase t;
-        [ forward 1 memb; arm t Formation_timeout t.params.consensus_timeout_ns ]
+        enter t
+          (Commit_wait { cp_ring = c.c_ring; cp_order = order })
+          [ forward 1 memb; arm Formation_timeout t.params.consensus_timeout_ns ]
     | 2, Commit_wait cp when Types.ring_id_equal cp.cp_ring c.c_ring ->
         if i_am_rep then
           (* Our own pass 2 returned before we entered recovery; recover
@@ -814,7 +804,7 @@ and handle_commit t (c : Message.commit) =
              missing, and gives up into a re-gather only after repeated
              nacks go unanswered. *)
           r.r_pending <- Some c;
-          [ arm t Exchange_recheck t.params.token_retransmit_ns ]
+          [ arm Exchange_recheck t.params.token_retransmit_ns ]
         end
     | _ ->
         (* Stale or duplicate commit traffic. *)
@@ -875,7 +865,8 @@ and handle_token t msg (tok : Message.token) =
 (* Send one paced flood burst, in recovery or after the install: up to
    [recovery_burst_msgs] messages, re-arming the timer while work
    remains. Once the queue is empty the flood is quiescent, and the next
-   nack re-arms it. *)
+   nack re-arms it; after the install the timer meanwhile counts out the
+   quiet interval that releases the flood. *)
 let drain_burst t fl =
   let burst = ref [] in
   let sent = ref 0 in
@@ -894,148 +885,135 @@ let drain_burst t fl =
   Flight.record ~node:t.me ~code:Flight.ev_burst ~a:!sent ~b:remaining ~c:0
     ~d:0;
   let follow =
-    if remaining > 0 then [ arm t Flood_burst t.params.recovery_burst_gap_ns ]
-    else begin
-      fl.armed <- false;
-      []
-    end
+    if remaining > 0 then [ arm Flood_burst t.params.recovery_burst_gap_ns ]
+    else
+      match t.phase with
+      | Operational _ -> [ arm_quiet t ]
+      | Gather _ | Commit_wait _ | Recover _ -> []
   in
   List.rev !burst @ follow
 
-let fire_memb_timer t kind gen =
-  if gen <> t.memb_gen then []
-  else
-    match (kind, t.phase) with
-    | Join_retransmit, Gather g ->
-        g.settled <- true;
-        multicast_join t g
-        :: arm t Join_retransmit t.params.join_retransmit_ns
-        :: check_consensus t g
-    | Consensus_timeout, Gather g ->
-        g.settled <- true;
-        let members = members_of g in
-        if members = [ t.me ] then install_singleton t
-        else if g.agreed then
-          (* Agreed but the representative's commit token never came. *)
-          enter_gather t
-        else begin
-          (* Declare silent processes failed and keep gathering. A live
-             process re-joins at least once per consensus interval
-             (validate enforces join_retransmit < consensus_timeout), so
-             "no join since the previous timeout" is the failure signal —
-             a stale pre-crash entry in [g.joins] grants no immunity. *)
-          let silent =
-            List.filter
-              (fun p ->
-                p <> t.me
-                && (not (set_mem p g.fail_set))
-                && not (Hashtbl.mem g.heard p))
-              g.proc_set
-          in
-          Hashtbl.reset g.heard;
-          let actions =
-            if silent <> [] then begin
-              g.fail_set <- set_diff (set_union g.fail_set silent) [ t.me ];
-              g.agreed <- false;
-              Hashtbl.replace g.joins t.me (my_join t g);
-              multicast_join t g :: check_consensus t g
-            end
-            else check_consensus t g
-          in
-          actions @ [ arm t Consensus_timeout t.params.consensus_timeout_ns ]
-        end
-    | Formation_timeout, (Gather _ | Commit_wait _ | Recover _) ->
-        (* The commit token or the exchange stalled: start over. *)
+let fire_memb_timer t kind =
+  match (kind, t.phase) with
+  | Join_retransmit, Gather g ->
+      g.settled <- true;
+      multicast_join t g
+      :: arm Join_retransmit t.params.join_retransmit_ns
+      :: check_consensus t g
+  | Consensus_timeout, Gather g ->
+      g.settled <- true;
+      let members = members_of g in
+      if members = [ t.me ] then install_singleton t
+      else if g.agreed then
+        (* Agreed but the representative's commit token never came. *)
         enter_gather t
-    | Exchange_recheck, Recover r -> (
-        match r.r_pending with
-        | None -> []
-        | Some c ->
-            if t.legacy_flood then begin
-              (* Pre-overhaul recheck: verify-only. A lost flood is never
-                 re-sent; five fruitless rechecks force a full re-gather
-                 and the whole exchange starts over. *)
-              r.r_pending <- None;
-              r.r_rechecks <- r.r_rechecks + 1;
-              Flight.record ~node:t.me ~code:Flight.ev_recheck ~a:r.r_rechecks
-                ~b:t.memb_gen ~c:0 ~d:0;
-              if r.r_rechecks > 5 then begin
-                Flight.record ~node:t.me ~code:Flight.ev_recheck_giveup
-                  ~a:r.r_rechecks ~b:t.memb_gen ~c:0 ~d:0;
-                enter_gather t
-              end
-              else handle_commit t c
+      else begin
+        (* Declare silent processes failed and keep gathering. A live
+           process re-joins at least once per consensus interval
+           (validate enforces join_retransmit < consensus_timeout), so
+           "no join since the previous timeout" is the failure signal —
+           a stale pre-crash entry in [g.joins] grants no immunity. *)
+        let silent =
+          List.filter
+            (fun p ->
+              p <> t.me
+              && (not (set_mem p g.fail_set))
+              && not (Hashtbl.mem g.heard p))
+            g.proc_set
+        in
+        Hashtbl.reset g.heard;
+        let actions =
+          if silent <> [] then begin
+            g.fail_set <- set_diff (set_union g.fail_set silent) [ t.me ];
+            g.agreed <- false;
+            Hashtbl.replace g.joins t.me (my_join t g);
+            multicast_join t g :: check_consensus t g
+          end
+          else check_consensus t g
+        in
+        actions @ [ arm Consensus_timeout t.params.consensus_timeout_ns ]
+      end
+  | Formation_timeout, (Gather _ | Commit_wait _ | Recover _) ->
+      (* The commit token or the exchange stalled: start over. *)
+      enter_gather t
+  | Exchange_recheck, Recover r -> (
+      match r.r_pending with
+      | None -> []
+      | Some c ->
+          let missing = missing_from_exchange t r c.c_holds in
+          if missing = [] then begin
+            (* Only our own flood queue was in the way (or the last
+               resends just landed): re-run the pass-4 decision. *)
+            r.r_pending <- None;
+            handle_commit t c
+          end
+          else begin
+            r.r_rechecks <- r.r_rechecks + 1;
+            Flight.record ~node:t.me ~code:Flight.ev_recheck
+              ~a:r.r_rechecks ~b:t.join_seq ~c:0 ~d:0;
+            if r.r_rechecks > 5 then begin
+              (* Repeated nacks went unanswered: every candidate
+                 holder is gone or partitioned away. This formation
+                 attempt cannot install consistently. *)
+              Flight.record ~node:t.me ~code:Flight.ev_recheck_giveup
+                ~a:r.r_rechecks ~b:t.join_seq ~c:0 ~d:0;
+              enter_gather t
             end
             else begin
-              let missing = missing_from_exchange t r c.c_holds in
-              if missing = [] then begin
-                (* Only our own flood queue was in the way (or the last
-                   resends just landed): re-run the pass-4 decision. *)
-                r.r_pending <- None;
-                handle_commit t c
-              end
-              else begin
-                r.r_rechecks <- r.r_rechecks + 1;
-                Flight.record ~node:t.me ~code:Flight.ev_recheck
-                  ~a:r.r_rechecks ~b:t.memb_gen ~c:0 ~d:0;
-                if r.r_rechecks > 5 then begin
-                  (* Repeated nacks went unanswered: every candidate
-                     holder is gone or partitioned away. This formation
-                     attempt cannot install consistently. *)
-                  Flight.record ~node:t.me ~code:Flight.ev_recheck_giveup
-                    ~a:r.r_rechecks ~b:t.memb_gen ~c:0 ~d:0;
-                  enter_gather t
-                end
-                else begin
-                  (* Keep holding the pass-4 token and ask the designated
-                     holders to re-send what is still missing, as
-                     compacted ranges on the commit channel (pass 5). *)
-                  let ranges = Recovery.compact missing in
-                  Flight.record ~node:t.me ~code:Flight.ev_nack
-                    ~a:(List.length missing) ~b:(List.length ranges)
-                    ~c:r.r_rechecks ~d:0;
-                  let nack : Message.commit =
-                    {
-                      c_ring = r.r_ring;
-                      c_token_id = 0;
-                      c_pass = 5;
-                      c_memb = [ my_member_info t ];
-                      c_holds = [ (t.old_ring, Recovery.encode_ranges ranges) ];
-                    }
-                  in
-                  [
-                    Participant.Multicast (Message.Commit nack);
-                    arm t Exchange_recheck t.params.token_retransmit_ns;
-                  ]
-                end
-              end
-            end)
-    | Flood_burst, Recover r -> drain_burst t r.r_flood
-    | Flood_burst, Operational _ -> (
-        (* Finish serving the old ring's exchange after installing, for
-           peers still recovering it. *)
-        match t.residual with Some fl -> drain_burst t fl | None -> [])
-    | Exchange_recheck, (Operational _ | Gather _ | Commit_wait _)
-    | Flood_burst, (Gather _ | Commit_wait _) ->
-        []
-    | Merge_probe, Operational node ->
-        let engine = Node.engine node in
-        let members = Array.to_list (Engine.ring engine) in
-        let probe : Message.join =
-          { j_pid = t.me; proc_set = members; fail_set = []; join_seq = t.join_seq }
-        in
-        [
-          Participant.Multicast (Message.Join probe);
-          arm t Merge_probe t.params.merge_probe_ns;
-        ]
-    | (Join_retransmit | Consensus_timeout), (Operational _ | Commit_wait _ | Recover _)
-    | Formation_timeout, Operational _
-    | Merge_probe, (Gather _ | Commit_wait _ | Recover _) ->
-        []
+              (* Keep holding the pass-4 token and ask the designated
+                 holders to re-send what is still missing, as
+                 compacted ranges on the commit channel (pass 5). *)
+              let ranges = Recovery.compact missing in
+              Flight.record ~node:t.me ~code:Flight.ev_nack
+                ~a:(List.length missing) ~b:(List.length ranges)
+                ~c:r.r_rechecks ~d:0;
+              let nack : Message.commit =
+                {
+                  c_ring = r.r_ring;
+                  c_token_id = 0;
+                  c_pass = 5;
+                  c_memb = [ my_member_info t ];
+                  c_holds = [ (t.old_ring, Recovery.encode_ranges ranges) ];
+                }
+              in
+              [
+                Participant.Multicast (Message.Commit nack);
+                arm Exchange_recheck t.params.token_retransmit_ns;
+              ]
+            end
+          end)
+  | Flood_burst, Recover r -> drain_burst t r.r_flood
+  | Flood_burst, Operational _ -> (
+      (* Finish serving the old ring's exchange after installing, for
+         peers still recovering it; a fire that finds nothing queued
+         ends the quiet interval and releases the flood. *)
+      match t.residual with
+      | Some fl when Deque.is_empty fl.q ->
+          t.residual <- None;
+          []
+      | Some fl -> drain_burst t fl
+      | None -> [])
+  | Exchange_recheck, (Operational _ | Gather _ | Commit_wait _)
+  | Flood_burst, (Gather _ | Commit_wait _) ->
+      []
+  | Merge_probe, Operational node ->
+      let engine = Node.engine node in
+      let members = Array.to_list (Engine.ring engine) in
+      let probe : Message.join =
+        { j_pid = t.me; proc_set = members; fail_set = []; join_seq = t.join_seq }
+      in
+      [
+        Participant.Multicast (Message.Join probe);
+        arm Merge_probe t.params.merge_probe_ns;
+      ]
+  | (Join_retransmit | Consensus_timeout), (Operational _ | Commit_wait _ | Recover _)
+  | Formation_timeout, Operational _
+  | Merge_probe, (Gather _ | Commit_wait _ | Recover _) ->
+      []
 
 let fire_timer t timer =
   match timer with
-  | Memb_timer (kind, gen) -> fire_memb_timer t kind gen
+  | Memb_timer kind -> fire_memb_timer t kind
   | Node.Engine_timer _ -> (
       match t.phase with
       | Operational node -> rewrap_node_actions t (Node.fire_timer node timer)
@@ -1084,8 +1062,7 @@ let process t msg =
   | Message.Join j -> handle_join t j
   | Message.Commit c -> handle_commit t c
 
-(* A pre-agreed ring is entered directly, in the member's first
-   generation. *)
+(* A pre-agreed ring is entered directly. *)
 let start t =
   match t.initial_ring with
   | Some ring ->

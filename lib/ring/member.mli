@@ -54,7 +54,17 @@
     complete, even with its own paced queue still draining: the same flood
     state (exchange table, queue, nack counts) moves into the operational
     phase, where it keeps bursting and answering pass-5 nacks for peers
-    still recovering the old ring, until the next formation replaces it. *)
+    still recovering the old ring. Once its queue has stayed empty for one
+    formation timeout ([consensus_timeout_ns]) the member drops it; a
+    later nack gets no answer, and the straggler's own formation timeout
+    re-gathers it. Leaving the operational phase drops it too.
+
+    {b Timers.} A membership key names its one pending timer
+    ({!Participant.Arm_timer}). Every phase change returns the disarms of
+    all six membership keys ahead of the new phase's arms, and leaving
+    the operational phase also disarms the node's two engine keys
+    ({!Node.disarm_timers}), so no runtime fires a timer that a past
+    phase armed. *)
 
 open Aring_wire
 
@@ -69,18 +79,15 @@ type memb_timer_kind =
           is still missing. *)
   | Flood_burst
       (** Send the next paced burst from the recovery flood queue, in
-          recovery or after the install. *)
+          recovery or after the install; after the install, with the
+          queue empty, it times the quiet interval that drops the flood. *)
 
 type Participant.timer +=
-  | Memb_timer of memb_timer_kind * int
-        (** Membership timers; the [int] is a generation — stale timers are
-            ignored, and a timer of a new generation is a new key, so it
-            supersedes none of the old ones. The operational node's timers
-            reach the runtime as they are ({!Node.Engine_timer}, keyed by
-            that node's epoch and the engine's kind, so each token visit
-            supersedes the last one's) and come back through the
-            participant's [fire_timer] to the node installed now, which
-            ignores any other node's. *)
+  | Memb_timer of memb_timer_kind
+        (** Membership timers, one key per kind. The operational node's
+            timers reach the runtime as they are ({!Node.Engine_timer},
+            so each token visit supersedes the last one's) and come back
+            through the participant's [fire_timer] to the node. *)
 
 type t
 
@@ -89,7 +96,6 @@ val create :
   me:Types.pid ->
   ?initial_ring:Types.pid array ->
   ?controller:Aring_control.Controller.t ->
-  ?legacy_flood:bool ->
   unit ->
   t
 (** [create ~params ~me ()] is a participant that starts alone and finds
@@ -100,12 +106,7 @@ val create :
     With [?controller], every configuration this member installs runs the
     adaptive accelerated-window controller (see {!Node.create}); the same
     instance is reused across installs so the learned window survives
-    membership changes.
-
-    [?legacy_flood] (default [false]) restores the pre-overhaul recovery
-    exchange — every survivor floods its whole range at once and the
-    recheck never retransmits. Exists so the fuzzer can demonstrate that
-    the old behavior livelocks ({!Aring_fuzz.Bug.Recovery_flood}). *)
+    membership changes. *)
 
 val participant : t -> Participant.t
 (** The uniform runtime interface (see {!Participant}). *)
@@ -129,3 +130,8 @@ val node : t -> Node.t option
 
 val installs : t -> int
 (** Number of configurations installed so far. *)
+
+val holds_residual_flood : t -> bool
+(** Whether the member, operational, still holds its last recovery
+    exchange's flood to answer nacks from: from the install until the
+    flood has been quiet for one formation timeout. *)

@@ -4,7 +4,7 @@ module Trace = Aring_obs.Trace
 module Flight = Aring_obs.Flight
 module Controller = Aring_control.Controller
 
-type Participant.timer += Engine_timer of int * Engine.timer_kind
+type Participant.timer += Engine_timer of Engine.timer_kind
 
 type queue_stats = {
   mutable token_drops : int;
@@ -30,10 +30,6 @@ type t = {
      survives membership changes. *)
   controller : Controller.t option;
   mutable last_token_ns : int;  (* -1 until the first accepted token *)
-  (* Tags every timer this node arms, so a timer armed by a torn-down
-     configuration's node is a no-op in its successor's, and neither
-     supersedes the other. *)
-  epoch : int;
   (* The engine's two timers as actions, built once: a token visit's
      [arm_visit] tail (retransmit, then loss) is shared, not rebuilt. *)
   arm_retransmit : Participant.action;
@@ -41,8 +37,11 @@ type t = {
   arm_visit : Participant.action list;
 }
 
-(* Source of node epochs: each node gets the next one. *)
-let epochs = ref 0
+let disarm_timers =
+  [
+    Participant.Disarm_timer (Engine_timer Engine.Token_retransmit);
+    Participant.Disarm_timer (Engine_timer Engine.Token_loss);
+  ]
 
 let make_queue cap_bytes = { q = Deque.create (); cap_bytes; occupied = 0 }
 
@@ -57,14 +56,11 @@ let create ~params ~ring_id ~ring ~me ?controller () =
   (match controller with
   | Some c -> Engine.set_accelerated_window engine (Controller.window c)
   | None -> ());
-  incr epochs;
-  let epoch = !epochs in
-  let arm kind delay = Participant.Arm_timer (Engine_timer (epoch, kind), delay) in
+  let arm kind delay = Participant.Arm_timer (Engine_timer kind, delay) in
   let arm_retransmit = arm Engine.Token_retransmit params.Params.token_retransmit_ns
   and arm_loss = arm Engine.Token_loss params.Params.token_loss_ns in
   {
     engine;
-    epoch;
     arm_retransmit;
     arm_loss;
     arm_visit = [ arm_retransmit; arm_loss ];
@@ -216,7 +212,7 @@ let process t msg =
 
 let fire_timer t timer =
   match timer with
-  | Engine_timer (epoch, kind) when epoch = t.epoch ->
+  | Engine_timer kind ->
       actions_of_outputs t (Engine.handle t.engine (Engine.Timer_expired kind))
   | _ -> []
 

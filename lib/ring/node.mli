@@ -24,16 +24,18 @@ open Aring_wire
 type t
 
 type Participant.timer +=
-  | Engine_timer of int * Engine.timer_kind
-        (** An ordering-engine timer: the arming node's epoch and the
-            engine's kind (exposed for tests). It is the key the runtime
-            keeps one pending timer under, so each token visit's re-arm
-            supersedes the last visit's. Every node gets its own epoch,
-            so a timer armed by a torn-down configuration's node neither
-            supersedes its successor's timers nor acts when it fires into
-            the successor. Each node builds its two [Arm_timer] actions
-            once; this is the one wrapper a timer gets on its way to the
-            runtime. *)
+  | Engine_timer of Engine.timer_kind
+        (** An ordering-engine timer, keyed by the engine's kind alone
+            (exposed for tests): the runtime keeps one pending timer per
+            kind, so each token visit's re-arm supersedes the last
+            visit's. A node's timers die with its configuration: the
+            {!Member} leaving [Operational] disarms both keys
+            ({!disarm_timers}) before its next node can arm them. Each
+            node builds its two [Arm_timer] actions once; this is the one
+            wrapper a timer gets on its way to the runtime. *)
+
+val disarm_timers : Participant.action list
+(** Disarms of both engine timer keys, built once. *)
 
 type queue_stats = {
   mutable token_drops : int;
@@ -86,8 +88,7 @@ val process : t -> Message.t -> Participant.action list
     {!take_next}. *)
 
 val fire_timer : t -> Participant.timer -> Participant.action list
-(** Timers not created by this node, another node's engine timers
-    included, are ignored (empty action list). *)
+(** Timers other than {!Engine_timer} are ignored (empty action list). *)
 
 val participant : t -> Participant.t
 (** Package this node behind the uniform runtime interface. *)

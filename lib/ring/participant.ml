@@ -14,6 +14,7 @@ type action =
   | Deliver of Message.data
   | Deliver_config of view
   | Arm_timer of timer * int
+  | Disarm_timer of timer
   | Token_loss_detected
 
 let trace_action ~t_ns ~node = function
@@ -25,7 +26,8 @@ let trace_action ~t_ns ~node = function
       Aring_obs.Trace.emit_at ~t_ns ~node
         (View_install
            { ring = v.view_id; members = v.members; transitional = v.transitional })
-  | Unicast _ | Multicast _ | Arm_timer _ | Token_loss_detected -> ()
+  | Unicast _ | Multicast _ | Arm_timer _ | Disarm_timer _ | Token_loss_detected ->
+      ()
 
 type t = {
   pid : Types.pid;

@@ -15,7 +15,9 @@
     Timers are an extensible variant so each layer (ordering engine,
     membership algorithm) can add its own keys; runtimes treat them as
     opaque keys to hand back after the requested delay, keeping at most
-    one pending timer per key (see [Arm_timer]). *)
+    one pending timer per key: a key names the one pending timer, a
+    re-arm replaces it ([Arm_timer]) and a disarm removes it
+    ([Disarm_timer]). *)
 
 open Aring_wire
 
@@ -46,6 +48,12 @@ type action =
           is still pending, this one replaces it: the superseded timer is
           never handed to [fire_timer]. A key that has fired may be armed
           again. *)
+  | Disarm_timer of timer
+      (** [Disarm_timer key] removes [key]'s pending timer, if any: it is
+          never handed to [fire_timer]. Disarming a key with no pending
+          timer does nothing; the key may be armed again afterwards. A
+          layer leaving a phase disarms the keys that phase armed, so no
+          runtime fires a timer its layer would ignore. *)
   | Token_loss_detected
       (** Only emitted by a bare {!Node}; a {!Member} handles token loss
           internally by starting the membership algorithm. *)

@@ -10,8 +10,9 @@ module Metrics = Aring_obs.Metrics
    orders int handles by (timestamp clamped to now, insertion seq), and
    each handle indexes a recycled mutable record in the arena. Only
    events that act are queued: re-arming a pending timer key re-keys its
-   event in place, and a switch port's buffered packets are released by
-   [port_enqueue] rather than by a drain event each. *)
+   event in place, disarming it removes the event, and a switch port's
+   buffered packets are released by [port_enqueue] rather than by a
+   drain event each. *)
 
 type Participant.timer += No_timer
 (* Placeholder stored in freed slots so they retain no live timer. Never
@@ -144,6 +145,16 @@ let sched_timer t at node timer =
       let i = enqueue t at Timer node in
       t.arena.(i).timer <- timer;
       Hashtbl.add pending timer i
+
+(* Disarm [node]'s timer [timer]: its pending event, if any, leaves the
+   queue, drawing no seq. *)
+let cancel_timer t node timer =
+  match Hashtbl.find_opt t.pending_timers.(node) timer with
+  | Some i ->
+      Hashtbl.remove t.pending_timers.(node) timer;
+      Event_heap.remove t.events i;
+      t.arena.(i).timer <- No_timer
+  | None -> ()
 
 let sched_call t at fn =
   let i = enqueue t at Call (-1) in
@@ -305,6 +316,9 @@ let rec interpret t node actions ~cursor =
             cursor
         | Participant.Arm_timer (timer, delay) ->
             sched_timer t (cursor + delay) node timer;
+            cursor
+        | Participant.Disarm_timer timer ->
+            cancel_timer t node timer;
             cursor
         | Participant.Token_loss_detected ->
             t.token_loss_cb ~at:node ~now:cursor;

@@ -18,7 +18,8 @@
       (partitions), and node crashes.
     - {b Timers}: one pending timer per (node, key). Arming a key that is
       still pending re-keys its queued event in place, so the old
-      deadline is never dispatched and leaves nothing in the queue (see
+      deadline is never dispatched and leaves nothing in the queue, and
+      disarming a key removes its event; a disarm costs no CPU (see
       {!Participant.action}).
 
     Everything is deterministic for a given seed: events are ordered by

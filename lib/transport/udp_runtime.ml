@@ -133,6 +133,14 @@ let arm t timer delay_ns =
       t.timer_keys.(h) <- timer;
       Hashtbl.add t.pending timer h
 
+(* Disarm [timer]: its pending entry, if any, leaves the heap. *)
+let disarm t timer =
+  match Hashtbl.find_opt t.pending timer with
+  | Some h ->
+      Hashtbl.remove t.pending timer;
+      Event_heap.remove t.timers h
+  | None -> ()
+
 let rec interpret t = function
   | [] -> ()
   | action :: rest ->
@@ -146,6 +154,7 @@ let rec interpret t = function
       | Participant.Deliver d -> t.on_deliver d
       | Participant.Deliver_config v -> t.on_view v
       | Participant.Arm_timer (timer, delay_ns) -> arm t timer delay_ns
+      | Participant.Disarm_timer timer -> disarm t timer
       | Participant.Token_loss_detected ->
           (* A bare Node would surface this; a Member handles it itself. *)
           ());

@@ -14,8 +14,8 @@
 
     Timers: one pending timer per key, in an {!Aring_util.Event_heap}
     keyed (absolute ns, arm order). Re-arming a pending key re-keys its
-    entry in place, so the old deadline never fires, and [select] sleeps
-    until the earliest timer. *)
+    entry in place, so the old deadline never fires, disarming a key
+    removes its entry, and [select] sleeps until the earliest timer. *)
 
 open Aring_wire
 open Aring_ring

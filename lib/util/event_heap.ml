@@ -69,14 +69,20 @@ let add t ~at ~seq =
   sift_up t h (t.size - 1);
   h
 
-let rekey t i ~at ~seq =
+(* Settle handle [h] into hole [p], up or down. *)
+let resift t h p =
+  if p > 0 && less t h t.heap.((p - 1) / 2) then sift_up t h p
+  else sift_down t h p
+
+let check_pending name t i =
   if i < 0 || i >= Array.length t.pos || t.pos.(i) >= t.size then
-    invalid_arg "Event_heap.rekey: handle not pending";
+    invalid_arg ("Event_heap." ^ name ^ ": handle not pending")
+
+let rekey t i ~at ~seq =
+  check_pending "rekey" t i;
   t.at.(i) <- at;
   t.seq.(i) <- seq;
-  let p = t.pos.(i) in
-  if p > 0 && less t i t.heap.((p - 1) / 2) then sift_up t i p
-  else sift_down t i p
+  resift t i t.pos.(i)
 
 let top_exn t =
   if t.size = 0 then invalid_arg "Event_heap.top_exn: empty heap";
@@ -85,15 +91,23 @@ let top_exn t =
 let top_at t = t.at.(top_exn t)
 let top_seq t = t.seq.(top_exn t)
 
-(* The root moves to position [size] once the heap shrinks, the head of
-   the free handles, so the next [add] hands it out again. *)
+(* Take pending handle [h] out of position [p]: [h] moves to position
+   [size] once the heap shrinks, the head of the free handles, so the
+   next [add] hands it out again, and the last entry fills the hole. *)
+let take t h p =
+  t.size <- t.size - 1;
+  let last = t.heap.(t.size) in
+  place t h t.size;
+  if p < t.size then resift t last p
+
 let pop_exn t =
   if t.size = 0 then invalid_arg "Event_heap.pop_exn: empty heap";
   let root = t.heap.(0) in
-  t.size <- t.size - 1;
-  let last = t.heap.(t.size) in
-  place t root t.size;
-  if t.size > 0 then sift_down t last 0;
+  take t root 0;
   root
+
+let remove t i =
+  check_pending "remove" t i;
+  take t i t.pos.(i)
 
 let clear t = t.size <- 0

@@ -442,8 +442,8 @@ let test_multiring_corpus_replays_green () =
    dedup, paced bursts and recheck-triggered resends the same schedule
    converges; [test_recovery_livelock_schedule_converges] pins that, and
    the schedule is also committed to the corpus (both hash oracles).
-   The legacy behaviour lives on behind [Bug.Recovery_flood] so the
-   watchdog test below keeps exercising the failure path. *)
+   [Bug.Recovery_flood] silences the exchange's floods, so the watchdog
+   test below keeps exercising the failure path. *)
 let livelock_schedule_json =
   {|{"seed":"2092789425003139053","n_nodes":7,"tier_ids":[2,0,2,1,2,2,0],"ten_gig":false,"base_loss_permille":0,"small_switch_buffer":true,"accelerated_window":3,"personal_window":31,"aggressive":true,"max_seq_gap":816,"payload":1350,"submit_gap_ns":679192,"safe_permille":249,"horizon_ns":90500000,"drain_ns":2000000000,"liveness":true,"faults":[{"fault":"loss_burst","at":29230061,"until":90000000,"permille":400}]}|}
 
@@ -500,7 +500,7 @@ let test_gather_stall_schedule_converges () =
           (Format.asprintf "%a" Runner.pp_outcome o))
     [ false; true ]
 
-(* With the legacy flood re-planted ([Bug.Recovery_flood]), the watchdog
+(* With the exchange's floods silenced ([Bug.Recovery_flood]), the watchdog
    must (a) flag the livelock well before the drain deadline, (b) name
    the repeated gather→exchange→recheck cycle in its verdict so the
    post-mortem starts from the mechanism instead of a bare timeout, and
@@ -548,7 +548,7 @@ let test_watchdog_flags_recovery_flood_livelock () =
   | None ->
       Alcotest.fail
         "recovery-flood bug injected but schedule passed — either the \
-         legacy-flood gate is dead or the watchdog regressed"
+         flood wrapper is dead or the watchdog regressed"
 
 (* No KV run passes before its horizon, at any ring count: the workload
    and the fault windows run until then. Seed 5004 at 2 rings used to
@@ -566,21 +566,6 @@ let test_kv_judged_after_horizon () =
             (o.Runner.end_ns > s.Schedule.config.Schedule.horizon_ns)
       done)
     [ 1; 2 ]
-
-(* [Bug.Recovery_flood] is a construction flag of the bare ring's
-   members; outside that stack it would silently run as [Clean]. *)
-let test_recovery_flood_bare_ring_only () =
-  let expected =
-    Invalid_argument
-      "Runner.run: Bug.Recovery_flood runs only on the bare single ring \
-       (App_none, rings = 1)"
-  in
-  let one = Schedule.generate ~seed:5001L () in
-  let two = Schedule.generate ~rings:2 ~seed:5001L () in
-  Alcotest.check_raises "kv app on one ring" expected (fun () ->
-      ignore (Runner.run ~bug:Bug.Recovery_flood ~app:Runner.App_kv one));
-  Alcotest.check_raises "bare two rings" expected (fun () ->
-      ignore (Runner.run ~bug:Bug.Recovery_flood two))
 
 let test_corpus_save_load () =
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "aring-corpus-test" in
@@ -623,7 +608,5 @@ let suite =
      test_watchdog_flags_recovery_flood_livelock);
     ("kv runs judged only after the horizon", `Quick,
      test_kv_judged_after_horizon);
-    ("recovery-flood only on the bare single ring", `Quick,
-     test_recovery_flood_bare_ring_only);
     ("corpus save/load", `Quick, test_corpus_save_load);
   ]

@@ -551,59 +551,80 @@ let test_join_during_commit_is_absorbed () =
     [ 0; 1 ];
   check_per_ring_order c [ 0; 1 ]
 
-(* Membership timers carry the generation they were armed under; a timer
-   surviving a phase change must be a dead letter. The dangerous case is a
-   stale consensus timeout firing into a *fresh* gather of a later
-   generation: without the guard it would run the new gather's consensus
-   logic early. Driven out-of-band (no simulator) for exact control. *)
+(* A runtime's pending timers, modelled on action lists: an arm puts
+   its key last (replacing a pending equal key), a disarm removes it. *)
+let apply_timers pending actions =
+  List.fold_left
+    (fun pending action ->
+      match action with
+      | Participant.Arm_timer (key, _) -> List.filter (( <> ) key) pending @ [ key ]
+      | Participant.Disarm_timer key -> List.filter (( <> ) key) pending
+      | _ -> pending)
+    pending actions
+
+(* The keys of [pending] that [actions] leaves pending at its first arm,
+   that arm's own key (which it supersedes) excepted. *)
+let left_at_first_arm pending actions =
+  let rec walk pending = function
+    | [] -> pending
+    | Participant.Arm_timer (key, _) :: _ -> List.filter (( <> ) key) pending
+    | action :: rest -> walk (apply_timers pending [ action ]) rest
+  in
+  walk pending actions
+
+(* Fire [key], a pending timer, as a runtime would: it leaves the
+   pending set, and its actions apply to what is left. *)
+let fire (p : Participant.t) pending key =
+  let actions = p.Participant.fire_timer key in
+  (actions, apply_timers (List.filter (( <> ) key) pending) actions)
+
+let is_memb_timer = function Member.Memb_timer _ -> true | _ -> false
+let consensus_timeout = Member.Memb_timer Member.Consensus_timeout
+
+(* A phase change leaves no timer of the phase before it pending: each
+   key is disarmed or re-armed before the new phase's first arm, so no
+   runtime can fire a past phase's timer into the new one. The
+   dangerous case is a consensus timeout armed by one gather firing
+   into a later gather: it would run the new gather's consensus logic
+   early. Driven out-of-band (no simulator) for exact control. *)
 let test_stale_memb_timer_is_ignored () =
   let m = Member.create ~params:test_params ~me:0 () in
   let p = Member.participant m in
-  let arm_timers actions =
-    List.filter_map
-      (function Participant.Arm_timer (tm, _) -> Some tm | _ -> None)
-      actions
-  in
-  let consensus_timer timers =
-    List.find
-      (function Member.Memb_timer (Member.Consensus_timeout, _) -> true | _ -> false)
-      timers
-  in
-  let gather1 = arm_timers (p.Participant.start ()) in
+  let start = p.Participant.start () in
   check Alcotest.string "starts gathering" "gather" (Member.state_name m);
-  check Alcotest.bool "gather arms timers" true (gather1 <> []);
-  (* Alone at the consensus timeout, the member installs a singleton ring:
-     a phase change that invalidates every timer armed by the gather. *)
-  ignore (p.Participant.fire_timer (consensus_timer gather1));
+  let gather1 = apply_timers [] start in
+  check Alcotest.bool "gather arms its consensus timeout" true
+    (List.mem consensus_timeout gather1);
+  (* Alone at the consensus timeout, the member installs a singleton
+     ring: a phase change that ends every timer the gather armed. *)
+  let left = List.filter (( <> ) consensus_timeout) gather1 in
+  let install, operational = fire p gather1 consensus_timeout in
   check Alcotest.string "singleton installed" "operational"
     (Member.state_name m);
   check Alcotest.int "one install" 1 (Member.installs m);
-  (* The gather's timers are now stale and must all be dead letters. *)
-  List.iter
-    (fun tm ->
-      check Alcotest.int "stale timer is a no-op" 0
-        (List.length (p.Participant.fire_timer tm)))
-    gather1;
-  check Alcotest.string "ring not regressed" "operational"
-    (Member.state_name m);
-  check Alcotest.int "no extra install" 1 (Member.installs m);
-  (* A join from a new peer re-gathers under a fresh generation... *)
+  check Alcotest.int "no gather timer left at the first arm" 0
+    (List.length (left_at_first_arm left install));
+  check Alcotest.bool "the join retransmit is disarmed" false
+    (List.mem (Member.Memb_timer Member.Join_retransmit) operational);
+  (* A join from a new peer re-gathers: every timer the operational
+     phase armed, its node's included, is gone before the gather arms
+     its own. *)
   let regather =
     p.Participant.process
       (Message.Join { j_pid = 1; proc_set = [ 0; 1 ]; fail_set = []; join_seq = 1 })
   in
   check Alcotest.string "re-gathering for the joiner" "gather"
     (Member.state_name m);
-  (* ...into which the original consensus timeout now fires late: its stale
-     generation must keep it from acting on the new gather's state. *)
-  check Alcotest.int "stale timeout into fresh gather is a no-op" 0
-    (List.length (p.Participant.fire_timer (consensus_timer gather1)));
-  check Alcotest.string "fresh gather undisturbed" "gather"
-    (Member.state_name m);
-  (* The current-generation timeout, by contrast, drives consensus: both
-     joins agree, so the representative proposes and enters commit. *)
-  let acted = p.Participant.fire_timer (consensus_timer (arm_timers regather)) in
-  check Alcotest.bool "current-generation timeout acts" true (acted <> []);
+  check Alcotest.int "no operational timer left at the first arm" 0
+    (List.length (left_at_first_arm operational regather));
+  let gather2 = apply_timers operational regather in
+  check Alcotest.bool "only the gather's timers pending" true
+    (List.for_all is_memb_timer gather2);
+  (* The one consensus timeout pending is the new gather's: it drives
+     consensus, and both joins agree, so the representative proposes
+     and enters commit. *)
+  let acted, _ = fire p gather2 consensus_timeout in
+  check Alcotest.bool "the gather's timeout acts" true (acted <> []);
   check Alcotest.string "consensus proposed" "commit" (Member.state_name m)
 
 
@@ -937,14 +958,12 @@ let test_paced_bursts_respect_budget () =
     bursts;
   Aring_obs.Flight.set_capacity 512
 
-(* An installed member still answers pass-5 nacks for the ring it
-   recovered, from the flood it carried across the install, so a
-   straggler can finish that exchange without forcing a re-gather. Node
-   3 is starved of data before node 1 crashes, which leaves messages in
-   the survivors' exchange. Once all are installed, node 3's nack for
-   the old ring reaches node 0 twice: from the second nack on, every
-   holder answers. *)
-let test_residual_flood_answers_nack () =
+(* Node 3 is starved of data before node 1 crashes, which leaves
+   messages in the survivors' exchange. Returns the cluster just after
+   node 0 installs the survivors' ring, with node 3's cumulative nack
+   for the old ring's first 64 messages, and a counter of node 0's
+   recorded resends. *)
+let residual_scenario () =
   let c = make_cluster ~n:4 () in
   for k = 1 to 40 do
     Netsim.call_at c.sim ~at:(k * 200_000) (fun () ->
@@ -958,9 +977,10 @@ let test_residual_flood_answers_nack () =
   Netsim.call_at c.sim ~at:(ms 8) (fun () ->
       Netsim.crash c.sim 1;
       Netsim.set_drop c.sim (fun ~src:_ ~dst:_ _ -> false));
-  Netsim.run_until c.sim (ms 1000);
   let m = c.members.(0) in
-  check Alcotest.string "node 0 operational" "operational" (Member.state_name m);
+  while Member.installs m < 2 && Netsim.now c.sim < ms 1000 do
+    Netsim.run_until c.sim (Netsim.now c.sim + 100_000)
+  done;
   check Alcotest.int "node 0 reformed once" 2 (Member.installs m);
   let old_ring : Types.ring_id = { rep = 0; ring_seq = 1 } in
   let nack : Message.commit =
@@ -993,6 +1013,21 @@ let test_residual_flood_answers_nack () =
            r.r_code = Aring_obs.Flight.ev_resend && r.r_node = 0 && r.r_a > 0)
          (Aring_obs.Flight.records ()))
   in
+  (c, m, nack, resends)
+
+(* An installed member still answers pass-5 nacks for the ring it
+   recovered, from the flood it carried across the install, so a
+   straggler can finish that exchange without forcing a re-gather. 20 ms
+   after node 0's install, well within the quiet interval of one
+   formation timeout, node 3's nack for the old ring reaches node 0
+   twice: from the second nack on, every holder answers. *)
+let test_residual_flood_answers_nack () =
+  let c, m, nack, resends = residual_scenario () in
+  Netsim.run_until c.sim (Netsim.now c.sim + ms 20);
+  check Alcotest.string "node 0 operational" "operational" (Member.state_name m);
+  check Alcotest.bool "node 0 still holds the flood" true
+    (Member.holds_residual_flood m);
+  let old_ring = (List.hd nack.c_memb).m_old_ring in
   let before = resends () in
   let p = Member.participant m in
   let actions =
@@ -1005,7 +1040,7 @@ let test_residual_flood_answers_nack () =
     List.find_map
       (function
         | Participant.Arm_timer
-            ((Member.Memb_timer (Member.Flood_burst, _) as timer), _) ->
+            ((Member.Memb_timer Member.Flood_burst as timer), _) ->
             Some timer
         | _ -> None)
       actions
@@ -1024,6 +1059,26 @@ let test_residual_flood_answers_nack () =
       burst
   in
   check Alcotest.bool "the old ring's messages are multicast" true (resent <> [])
+
+(* Once its flood has been quiet for one formation timeout, a member
+   drops it: the same nacks, sent 300 ms after the install (the flood's
+   queue empties within a few ms, and the timeout is 100 ms), get no
+   resend, and the member stays operational. *)
+let test_residual_flood_released_once_quiet () =
+  let c, m, nack, resends = residual_scenario () in
+  Netsim.run_until c.sim (Netsim.now c.sim + ms 300);
+  check Alcotest.int "no further install" 2 (Member.installs m);
+  check Alcotest.bool "the flood is released" false
+    (Member.holds_residual_flood m);
+  let before = resends () in
+  let p = Member.participant m in
+  let actions =
+    let first = p.Participant.process (Message.Commit nack) in
+    first @ p.Participant.process (Message.Commit nack)
+  in
+  check Alcotest.int "no resend is recorded" before (resends ());
+  check Alcotest.int "the nacks get no answer" 0 (List.length actions);
+  check Alcotest.string "still operational" "operational" (Member.state_name m)
 
 (* Recovery at ring scale: 64 bootstrapped nodes lose one member and
    must re-form within the health watchdog's formation-attempt budget —
@@ -1064,54 +1119,44 @@ let test_64_node_reformation_within_budget () =
 
 let qtest = QCheck_alcotest.to_alcotest
 
-(* A singleton member installs a second configuration; the timers its
-   first node armed then fire into the second node as no-ops. Both
-   engines key their timers by kind alone, so only the node's epoch
-   tells the old token-loss timer from the new one. *)
+(* A singleton member installs a second configuration. Both nodes key
+   their timers by the engine's kind alone, so the first node's timers
+   must be gone before the second node can arm its own: the gather that
+   tears the first node down disarms them ahead of its first arm. *)
 let test_torn_down_node_timer_is_ignored () =
   let m = Member.create ~params:test_params ~me:0 () in
   let p = Member.participant m in
-  let arm_timers actions =
-    List.filter_map
-      (function Participant.Arm_timer (tm, _) -> Some tm | _ -> None)
-      actions
-  in
   let is_node_timer = function Node.Engine_timer _ -> true | _ -> false in
-  (* Fire the membership timers armed from [actions], in arming order,
-     until the member is alone and installed; the node timers the install
-     armed are returned. *)
-  let install actions =
-    let pending = Queue.create () in
-    let node = ref [] in
-    let arm actions =
-      List.iter
-        (fun tm -> if is_node_timer tm then node := tm :: !node else Queue.push tm pending)
-        (arm_timers actions)
-    in
-    arm actions;
+  (* Fire the oldest pending membership timer, as a runtime firing them
+     in arming order would, until the member installs; returns the
+     pending set then. *)
+  let install pending =
     let installs = Member.installs m in
-    while Member.installs m = installs do
-      if Queue.is_empty pending then Alcotest.fail "no install";
-      arm (p.Participant.fire_timer (Queue.pop pending))
-    done;
-    !node
+    let rec loop pending =
+      if Member.installs m > installs then pending
+      else
+        match List.find_opt is_memb_timer pending with
+        | None -> Alcotest.fail "no install"
+        | Some key -> loop (snd (fire p pending key))
+    in
+    loop pending
   in
-  let first = install (p.Participant.start ()) in
+  let first = install (apply_timers [] (p.Participant.start ())) in
   check Alcotest.string "the first install" "operational" (Member.state_name m);
-  check Alcotest.bool "the first node armed its timers" true (first <> []);
+  check Alcotest.bool "the first node armed its timers" true
+    (List.exists is_node_timer first);
   let regather =
     p.Participant.process
       (Message.Join { j_pid = 1; proc_set = [ 0; 1 ]; fail_set = []; join_seq = 1 })
   in
   check Alcotest.string "re-gathering for the joiner" "gather" (Member.state_name m);
+  check Alcotest.int "the first node's timers are disarmed before the first arm" 0
+    (List.length (List.filter is_node_timer (left_at_first_arm first regather)));
   (* The joiner falls silent: the member fails it and installs alone. *)
-  ignore (install regather);
+  let second = install (apply_timers first regather) in
   check Alcotest.int "two installs" 2 (Member.installs m);
-  List.iter
-    (fun tm ->
-      check Alcotest.int "an old node's timer is a no-op" 0
-        (List.length (p.Participant.fire_timer tm)))
-    first;
+  check Alcotest.bool "the second node armed its timers" true
+    (List.exists is_node_timer second);
   check Alcotest.string "still operational" "operational" (Member.state_name m)
 
 let suite =
@@ -1145,4 +1190,6 @@ let suite =
     qtest prop_nack_range_compaction;
     qtest prop_designated_holder_election;
     ("residual flood answers a nack", `Quick, test_residual_flood_answers_nack);
+    ("residual flood released once quiet", `Quick,
+      test_residual_flood_released_once_quiet);
   ]

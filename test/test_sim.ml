@@ -411,7 +411,7 @@ let test_rearm_supersedes () =
   let p, fires =
     Timer_probe.create
       ~now:(fun () -> Netsim.now (Option.get !sim))
-      [ ("a", 100); ("b", 150); ("a", 200) ]
+      [ Arm ("a", 100); Arm ("b", 150); Arm ("a", 200) ]
   in
   let s =
     Netsim.create ~net:Profile.gigabit ~tiers:[| Profile.library |]
@@ -437,7 +437,7 @@ let test_rearm_keeps_one_event () =
   let p, fires =
     Timer_probe.create
       ~now:(fun () -> Netsim.now (Option.get !sim))
-      (List.init 10_000 (fun i -> ("a", 100 + i)))
+      (List.init 10_000 (fun i -> Timer_probe.Arm ("a", 100 + i)))
   in
   let s =
     Netsim.create ~net:Profile.gigabit ~tiers:[| Profile.library |]
@@ -457,6 +457,42 @@ let test_rearm_keeps_one_event () =
     (count "netsim.events");
   check Alcotest.bool "pending peak at most 2" true
     (count "netsim.events_pending_peak" <= 2)
+
+(* "a" is armed, then disarmed: it never fires, and its event is not
+   dispatched. Disarming "c", never armed, does nothing. "d" is armed,
+   disarmed and armed again: it fires once, at the second deadline. *)
+let test_disarm () =
+  let sim = ref None in
+  let p, fires =
+    Timer_probe.create
+      ~now:(fun () -> Netsim.now (Option.get !sim))
+      [
+        Arm ("a", 100);
+        Arm ("b", 150);
+        Disarm "a";
+        Disarm "c";
+        Arm ("d", 120);
+        Disarm "d";
+        Arm ("d", 300);
+      ]
+  in
+  let s =
+    Netsim.create ~net:Profile.gigabit ~tiers:[| Profile.library |]
+      ~participants:[| p |] ()
+  in
+  sim := Some s;
+  Netsim.run_until s 1_000;
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
+    "one b, then one d at its second deadline" [ ("b", 150); ("d", 300) ]
+    (fires ());
+  let reg = Aring_obs.Metrics.create () in
+  Netsim.record_metrics s reg;
+  let count = Aring_obs.Metrics.counter_value reg in
+  check Alcotest.int "timers fired" 2 (count "netsim.timers_fired");
+  check Alcotest.int "nothing superseded" 0 (count "netsim.timers_superseded");
+  check Alcotest.int "events dispatched: the start call and two timers" 3
+    (count "netsim.events")
 
 type Participant.timer += Fire of int
 
@@ -562,6 +598,7 @@ let suite =
     ("asym deterministic replay", `Quick, test_asym_deterministic_replay);
     ("asym validation", `Quick, test_asym_validation);
     ("re-armed timer supersedes", `Quick, test_rearm_supersedes);
+    ("disarmed timer never fires", `Quick, test_disarm);
     ("re-armed timer keeps one event", `Quick, test_rearm_keeps_one_event);
     ("port drain tie rule", `Quick, test_port_tie_rule);
   ]

@@ -141,7 +141,8 @@ let test_rearm_supersedes () =
   let ms n = n * 1_000_000 in
   let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9) in
   let p, fires =
-    Timer_probe.create ~now:now_ns [ ("a", ms 20); ("b", ms 40); ("a", ms 60) ]
+    Timer_probe.create ~now:now_ns
+      [ Arm ("a", ms 20); Arm ("b", ms 40); Arm ("a", ms 60) ]
   in
   let base = base_port + 200 in
   let rt =
@@ -160,9 +161,45 @@ let test_rearm_supersedes () =
   check Alcotest.bool "a fires at the later deadline" true
     (List.assoc "a" fires - t0 >= ms 60)
 
+(* "a" is armed, then disarmed: it never fires. Disarming "c", never
+   armed, does nothing. "d" is armed, disarmed and armed again: it
+   fires once, no earlier than its second deadline. *)
+let test_disarm () =
+  let ms n = n * 1_000_000 in
+  let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9) in
+  let p, fires =
+    Timer_probe.create ~now:now_ns
+      [
+        Arm ("a", ms 20);
+        Arm ("b", ms 40);
+        Disarm "a";
+        Disarm "c";
+        Arm ("d", ms 30);
+        Disarm "d";
+        Arm ("d", ms 60);
+      ]
+  in
+  let base = base_port + 210 in
+  let rt =
+    Udp_runtime.create ~me:0
+      ~peers:
+        [ { Udp_runtime.pid = 0; host = "127.0.0.1"; data_port = base;
+            token_port = base + 1 } ]
+      ~participant:p ()
+  in
+  let t0 = now_ns () in
+  Udp_runtime.run rt ~duration_s:0.15;
+  Udp_runtime.close rt;
+  let fires = fires () in
+  check (Alcotest.list Alcotest.string) "one b, then one d" [ "b"; "d" ]
+    (List.map fst fires);
+  check Alcotest.bool "d fires at its second deadline" true
+    (List.assoc "d" fires - t0 >= ms 60)
+
 let suite =
   [
     ("3-node UDP ring", `Slow, test_three_node_udp_ring);
     ("daemon stack over UDP", `Slow, test_daemon_stack_over_udp);
     ("re-armed timer supersedes", `Quick, test_rearm_supersedes);
+    ("disarmed timer never fires", `Quick, test_disarm);
   ]

@@ -63,7 +63,10 @@ let test_heap_pop_exn_empty () =
   ignore (Event_heap.pop_exn h);
   Alcotest.check_raises "rekey of a popped handle"
     (Invalid_argument "Event_heap.rekey: handle not pending") (fun () ->
-      Event_heap.rekey h p ~at:2 ~seq:1)
+      Event_heap.rekey h p ~at:2 ~seq:1);
+  Alcotest.check_raises "remove of a popped handle"
+    (Invalid_argument "Event_heap.remove: handle not pending") (fun () ->
+      Event_heap.remove h p)
 
 let test_heap_top_exn () =
   let h = Event_heap.create () in
@@ -171,14 +174,15 @@ let prop_heap_drain_sorted_after_churn =
         ops;
       drain_keys h = List.sort compare !model)
 
-(* Random add/pop/rekey sequences against a sorted (at, seq) list. [at]
-   is drawn from 0..4, so ties on [at] are the rule, broken by a seq
-   drawn fresh per add or rekey, as the runtimes draw it; a rekey moves
-   a random pending entry earlier or later. *)
+(* Random add/pop/rekey/remove sequences against a sorted (at, seq)
+   list. [at] is drawn from 0..4, so ties on [at] are the rule, broken by
+   a seq drawn fresh per add or rekey, as the runtimes draw it; a rekey
+   moves a random pending entry earlier or later, and a remove takes a
+   random pending entry out, drawing no seq. *)
 let prop_heap_rekey_model =
   QCheck.Test.make ~name:"heap add/pop/rekey match a sorted model"
     ~count:500
-    QCheck.(list (triple (int_bound 2) small_nat (int_bound 4)))
+    QCheck.(list (triple (int_bound 3) small_nat (int_bound 4)))
     (fun ops ->
       let h = Event_heap.create () in
       let model = ref [] in
@@ -201,7 +205,7 @@ let prop_heap_rekey_model =
               model := List.filter (fun e -> e <> m) !model;
               Event_heap.pop_exn h = handle
           | _, [] -> true
-          | _, entries ->
+          | 2, entries ->
               let ((_, _, handle) as m) =
                 List.nth entries (pick mod List.length entries)
               in
@@ -209,6 +213,13 @@ let prop_heap_rekey_model =
               Event_heap.rekey h handle ~at ~seq;
               model :=
                 (at, seq, handle) :: List.filter (fun e -> e <> m) !model;
+              Event_heap.length h = List.length !model
+          | _, entries ->
+              let ((_, _, handle) as m) =
+                List.nth entries (pick mod List.length entries)
+              in
+              Event_heap.remove h handle;
+              model := List.filter (fun e -> e <> m) !model;
               Event_heap.length h = List.length !model)
         ops
       && drain_keys h

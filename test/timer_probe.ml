@@ -1,16 +1,22 @@
-(* A participant that only arms timers, for each runtime's test of the
-   [Participant.Arm_timer] contract. [start] arms each (key, delay) of
-   [arms] in order; every key is built apart from the string given, so
-   superseding a pending key must go by structural equality. *)
+(* A participant that only arms and disarms timers, for each runtime's
+   test of the [Participant.Arm_timer] and [Participant.Disarm_timer]
+   contract. [start] returns [steps] in order as actions; every key is
+   built apart from the string given, so superseding or disarming a
+   pending key must go by structural equality. *)
 
 open Aring_ring
 
 type Participant.timer += Key of string
 
+type step =
+  | Arm of string * int  (** Arm the key after the delay, in ns. *)
+  | Disarm of string
+
 (* The participant, and the fires so far as (key, [now ()]), oldest
    first. *)
-let create ~now arms =
+let create ~now steps =
   let fired = ref [] in
+  let key k = Key (String.cat k "") in
   let p : Participant.t =
     {
       pid = 0;
@@ -26,8 +32,10 @@ let create ~now arms =
       start =
         (fun () ->
           List.map
-            (fun (k, delay) -> Participant.Arm_timer (Key (String.cat k ""), delay))
-            arms);
+            (function
+              | Arm (k, delay) -> Participant.Arm_timer (key k, delay)
+              | Disarm k -> Participant.Disarm_timer (key k))
+            steps);
     }
   in
   (p, fun () -> List.rev !fired)

@@ -54,7 +54,9 @@ let apply t at = function
           payload = d.payload;
         }
         :: t.deliveries.(at)
-  | Participant.Arm_timer _ | Participant.Deliver_config _ -> ()
+  | Participant.Arm_timer _ | Participant.Disarm_timer _
+  | Participant.Deliver_config _ ->
+      ()
   | Participant.Token_loss_detected ->
       failwith "toy_net: unexpected token loss (token is never dropped)"
 
