@@ -122,7 +122,7 @@ let engine_data ~n =
     let d = msgs.(!next) in
     incr next;
     ignore (Sys.opaque_identity (Engine.data e Fun.id d));
-    if d.seq land 255 = 0 then ignore (Engine.token e tokens.(d.seq / 256))
+    if d.seq land 255 = 0 then ignore (Engine.token e (Engine.outputs e) tokens.(d.seq / 256))
 
 (* An idle token visit: a caught-up token, nothing to send or deliver,
    through the daemon's participant (engine, node, member and daemon).
@@ -138,6 +138,32 @@ let idle_token_visit () =
          (Message.Token
             { t_ring = rid; token_id = !token_id; t_round = 1; t_seq = 0; aru = 0;
               aru_id = None; fcc = 0; rtr = [] }))
+
+(* A busy token visit through the same participant: [busy_sends] 64 B
+   App envelopes (to a group no session joined) submitted, then a
+   caught-up token that multicasts them all behind it and delivers them.
+   The token it is handed is counted too, so a call less an idle visit
+   is what the sends and their deliveries cost. *)
+let busy_sends = 8
+
+let busy_token_visit () =
+  let m, d, rid, _ = ring_daemon () in
+  drain_pending m;
+  let p = Daemon.participant d in
+  let payload =
+    Envelope.encode
+      (Envelope.App { sender = "#tx#1"; groups = [ "quiet" ]; payload = Bytes.make 64 'p' })
+  in
+  let token_id = ref 0 and sent = ref 0 in
+  fun () ->
+    for _ = 1 to busy_sends do p.submit Types.Agreed payload done;
+    token_id := !token_id + ring_size;
+    ignore
+      (p.process
+         (Message.Token
+            { t_ring = rid; token_id = !token_id; t_round = 1; t_seq = !sent;
+              aru = !sent; aru_id = None; fcc = 0; rtr = [] }));
+    sent := !sent + busy_sends
 
 (* Group changes at [join_members] members: a local session in the
    delivered table (so each change notifies it, and it never reads the
@@ -337,16 +363,18 @@ let run ~quick =
   Printf.printf "engine: in-order data %.1f bytes allocated per message\n%!"
     engine_alloc;
   let visit_alloc = alloc_per_call ~iters (idle_token_visit ()) in
+  let busy_alloc = alloc_per_call ~iters (busy_token_visit ()) in
   let change_alloc = alloc_per_call ~iters (group_change ()) /. 2. in
   let inbox_alloc = slow_inbox_alloc ~iters in
   let inbox_retained = slow_inbox_retained () in
   Printf.printf
     "daemon (bytes allocated):\n\
     \  idle token visit %8.1f\n\
+    \  token visit sending %d queued messages %8.1f\n\
     \  group change at %d members %8.1f per delivered Join or Leave\n\
     \  slow inbox park + pump %8.1f per message\n\
     \  slow inbox %.1f per message retained beyond its frame at %d parked\n%!"
-    visit_alloc join_members change_alloc inbox_alloc inbox_retained slow_parked;
+    visit_alloc busy_sends busy_alloc join_members change_alloc inbox_alloc inbox_retained slow_parked;
   let merge_alloc =
     alloc_per_call ~iters (merge_push_drain ()) /. float_of_int merge_rings
   in
@@ -470,6 +498,8 @@ let run ~quick =
           Json.Obj
             [
               ("idle_token_visit_alloc_bytes", Json.Float visit_alloc);
+              ("busy_token_visit_sends", Json.Int busy_sends);
+              ("busy_token_visit_alloc_bytes", Json.Float busy_alloc);
               ("group_members", Json.Int join_members);
               ("group_change_alloc_bytes_per_delivery", Json.Float change_alloc);
               ("slow_inbox_alloc_bytes_per_msg", Json.Float inbox_alloc);
@@ -503,6 +533,7 @@ let run ~quick =
         Max ("max_app_deliver_alloc_bytes_per_msg", app_deliver);
         Max ("max_engine_data_alloc_bytes_per_msg", engine_alloc);
         Max ("max_idle_token_visit_alloc_bytes", visit_alloc);
+        Max ("max_busy_token_visit_alloc_bytes", busy_alloc);
         Max ("max_group_change_alloc_bytes_per_delivery", change_alloc);
         Max ("max_slow_inbox_alloc_bytes_per_msg", inbox_alloc);
         Max ("max_slow_inbox_retained_bytes_per_msg", inbox_retained);

@@ -1,22 +1,13 @@
 open Aring_wire
 open Aring_ring
 module Span = Aring_obs.Span
+module Bytes_ring = Aring_util.Bytes_ring
 module Names = Map.Make (String)
 
 type callbacks = {
   on_message :
     sender:string -> groups:string list -> Types.service -> Codec.view -> unit;
   on_group_view : group:string -> members:string list Lazy.t -> unit;
-}
-
-(* A slow receiver's backlog, a ring of [len] parked deliveries from
-   [head]: each is its delivered frame and one int, the App entry's
-   offset in that frame shifted past the service's two-bit tag. *)
-type inbox = {
-  mutable frames : bytes array;
-  mutable entries : int array;
-  mutable head : int;
-  mutable len : int;
 }
 
 type session = {
@@ -27,8 +18,10 @@ type session = {
   mutable s_open : bool;
   (* Slow-receiver mode: [Some q] parks delivered messages in [q]
      instead of invoking [on_message]; the client drains with {!pump} at
-     its own pace, off the daemon's delivery path. *)
-  mutable s_inbox : inbox option;
+     its own pace, off the daemon's delivery path. Each parked delivery
+     is its delivered frame and one int, the App entry's offset in that
+     frame shifted past the service's two-bit tag. *)
+  mutable s_inbox : Bytes_ring.t option;
 }
 
 type stats = {
@@ -157,24 +150,8 @@ let connect t ~name callbacks =
   Hashtbl.replace t.sessions name s;
   s
 
-(* Park the routed delivery at the back of [q], doubling a full ring. *)
-let park t q =
-  let cap = Array.length q.frames in
-  if q.len = cap then begin
-    let grow a fill =
-      let b = Array.make (max 16 (2 * cap)) fill in
-      Array.blit a q.head b 0 (cap - q.head);
-      Array.blit a 0 b (cap - q.head) q.head;
-      b
-    in
-    q.frames <- grow q.frames Bytes.empty;
-    q.entries <- grow q.entries 0;
-    q.head <- 0
-  end;
-  let i = (q.head + q.len) land (Array.length q.frames - 1) in
-  q.frames.(i) <- Codec.decoder_buffer t.dec;
-  q.entries.(i) <- t.r_entry;
-  q.len <- q.len + 1
+(* Park the routed delivery at the back of [q]. *)
+let park t q = Bytes_ring.push q (Codec.decoder_buffer t.dec) t.r_entry
 
 (* [pump]'s readers, one per service tag, each handing the parked App
    entry it reads to the client whose callbacks are the accumulator. *)
@@ -193,13 +170,10 @@ let pumpers = Array.init 4 (fun tag -> pumper (Message.service_of_tag tag))
    view. Each frame passed [Envelope.check] when it was delivered, so
    the read cannot raise. *)
 let rec pump_from t s q n max =
-  if n >= max || q.len = 0 then n
+  if n >= max || Bytes_ring.is_empty q then n
   else begin
-    let i = q.head in
-    let frame = q.frames.(i) and entry = q.entries.(i) in
-    q.frames.(i) <- Bytes.empty;
-    q.head <- (i + 1) land (Array.length q.frames - 1);
-    q.len <- q.len - 1;
+    let frame = Bytes_ring.front_bytes q and entry = Bytes_ring.front_int q in
+    Bytes_ring.drop q;
     let pos = entry lsr 2 in
     Codec.decoder_reset t.pump_dec frame ~pos ~len:(Bytes.length frame - pos);
     ignore (Envelope.read_entry t.names t.pump_dec pumpers.(entry land 3) s.s_callbacks);
@@ -212,7 +186,7 @@ let pump t s ~max =
 let set_slow_receiver t s slow =
   if slow then begin
     if Option.is_none s.s_inbox then
-      s.s_inbox <- Some { frames = [||]; entries = [||]; head = 0; len = 0 }
+      s.s_inbox <- Some (Bytes_ring.create ())
   end
   else begin
     (* Reverting to direct delivery hands over anything still parked,
@@ -221,7 +195,7 @@ let set_slow_receiver t s slow =
     s.s_inbox <- None
   end
 
-let inbox_depth _t s = match s.s_inbox with None -> 0 | Some q -> q.len
+let inbox_depth _t s = match s.s_inbox with None -> 0 | Some q -> Bytes_ring.length q
 
 let note_packed t =
   List.iter
@@ -357,7 +331,7 @@ let disconnect t s =
     s.s_joined <- [];
     s.s_open <- false;
     (* Undrained messages die with the connection; a pump under way stops. *)
-    (match s.s_inbox with Some q -> q.len <- 0 | None -> ());
+    (match s.s_inbox with Some q -> Bytes_ring.clear q | None -> ());
     s.s_inbox <- None;
     Hashtbl.remove t.sessions s.s_name
   end

@@ -2,6 +2,7 @@ open Aring_wire
 module Metrics = Aring_obs.Metrics
 module Flight = Aring_obs.Flight
 module Span = Aring_obs.Span
+module Bytes_ring = Aring_util.Bytes_ring
 
 type timer_kind = Token_retransmit | Token_loss
 
@@ -18,6 +19,15 @@ type output =
   | Set_timer of timer_kind * int
   | Token_lost
 
+type 'a sink = {
+  send_token : Types.pid -> Message.token -> 'a;
+  send_data : Message.data -> 'a;
+  deliver : Message.data -> 'a;
+  rearm : 'a list;
+  rearm_retransmit : 'a list;
+  token_lost : 'a;
+}
+
 type stats = {
   mutable rounds : int;
   mutable new_sent : int;
@@ -32,14 +42,6 @@ type stats = {
 (* Retransmission requests added to the token per round are capped so the
    token stays within a single datagram even after catastrophic loss. *)
 let max_rtr_per_round = 512
-
-(* A queued client submission. The submit stamp is 0 unless a latency
-   span collector is attached at submission time. *)
-type pending = {
-  p_service : Types.service;
-  p_payload : bytes;
-  p_submit_ns : int;
-}
 
 (* What one token rotation looked like from this node, for
    adaptive-window controllers. *)
@@ -69,6 +71,21 @@ let empty : Message.data =
 
 let initial_window = 256
 
+let initial_token ring_id : Message.token =
+  {
+    t_ring = ring_id;
+    token_id = 0;
+    t_round = 0;
+    t_seq = 0;
+    aru = 0;
+    aru_id = None;
+    fcc = 0;
+    rtr = [];
+  }
+
+(* Stands in for "no token forwarded yet" in [saved_token]. *)
+let no_token = initial_token empty.d_ring
+
 type t = {
   params : Params.t;
   ring_id : Types.ring_id;
@@ -78,7 +95,12 @@ type t = {
   mutable window : Message.data array;
   mutable buffered : int;  (* messages in [window] *)
   window_ceiling : int;
-  pending : pending Queue.t;
+  (* Client submissions waiting for a token visit, oldest first: the
+     payload, and one int packing the span's submit stamp (0 unless a
+     collector was attached at submission) above the service tag. The
+     stamp is read back with [lsr], so a wall-clock stamp (past 2^60 ns)
+     keeps its value up to 2^61 ns. *)
+  pending : Bytes_ring.t;
   mutable round : Types.round;
   mutable last_token_id : int;
   mutable local_aru : Types.seqno;
@@ -90,16 +112,14 @@ type t = {
   mutable prev_sent_aru : Types.seqno;
   mutable prev_recv_seq : Types.seqno;
   mutable last_round_sent : int;
-  mutable saved_token : Message.token option;
+  mutable saved_token : Message.token;  (* [no_token] until the first visit *)
   (* Set by every accepted token, cleared by progress evidence: whether
      the pending retransmit timer still has a token to re-send. *)
   mutable retransmit_wanted : bool;
   mutable retransmit_count : int;
-  (* The two timer outputs, built once: every accepted token ends its
-     output list with [visit_timers] (retransmit, then loss). *)
-  retransmit_timer : output;
-  loss_timer : output;
-  visit_timers : output list;
+  (* The engine's own outputs as a sink, built once: [handle] runs the
+     same visit as a runtime's sink does. *)
+  outputs : output sink;
   (* Node-local accelerated window for the next round. Seeded from
      [params] and adjustable between rounds (adaptive control): it only
      decides how many admitted messages precede the token, so changing
@@ -145,6 +165,16 @@ let create ~params ~ring_id ~ring ~me =
   if my_pos < 0 then invalid_arg "Engine.create: me not in ring";
   let retransmit_timer = Set_timer (Token_retransmit, params.token_retransmit_ns)
   and loss_timer = Set_timer (Token_loss, params.token_loss_ns) in
+  let outputs =
+    {
+      send_token = (fun pid tok -> Send_token (pid, tok));
+      send_data = (fun d -> Send_data d);
+      deliver = (fun d -> Deliver d);
+      rearm = [ retransmit_timer; loss_timer ];
+      rearm_retransmit = [ retransmit_timer ];
+      token_lost = Token_lost;
+    }
+  in
   {
     params;
     ring_id;
@@ -154,7 +184,7 @@ let create ~params ~ring_id ~ring ~me =
     window = Array.make initial_window empty;
     buffered = 0;
     window_ceiling = window_ceiling params;
-    pending = Queue.create ();
+    pending = Bytes_ring.create ();
     round = 0;
     last_token_id = -1;
     local_aru = 0;
@@ -166,12 +196,10 @@ let create ~params ~ring_id ~ring ~me =
     prev_sent_aru = 0;
     prev_recv_seq = 0;
     last_round_sent = 0;
-    saved_token = None;
+    saved_token = no_token;
     retransmit_wanted = false;
     retransmit_count = 0;
-    retransmit_timer;
-    loss_timer;
-    visit_timers = [ retransmit_timer; loss_timer ];
+    outputs;
     accelerated_window = params.accelerated_window;
     sig_fcc = 0;
     sig_retrans = 0;
@@ -191,18 +219,6 @@ let create ~params ~ring_id ~ring ~me =
       };
   }
 
-let initial_token ring_id : Message.token =
-  {
-    t_ring = ring_id;
-    token_id = 0;
-    t_round = 0;
-    t_seq = 0;
-    aru = 0;
-    aru_id = None;
-    fcc = 0;
-    rtr = [];
-  }
-
 let me t = t.me
 let ring_id t = t.ring_id
 let ring t = Array.copy t.ring
@@ -217,7 +233,8 @@ let local_aru t = t.local_aru
 let delivered_upto t = t.delivered
 let safe_line t = t.safe_line
 let high_seq t = t.high_seq
-let pending_count t = Queue.length t.pending
+let pending_count t = Bytes_ring.length t.pending
+let outputs t = t.outputs
 (* The held message [seq], or [empty]. A slot holds [empty] or a message
    above the floor, so a seq match alone proves the message held. *)
 let find t seq =
@@ -306,8 +323,6 @@ let[@tail_mod_cons] rec deliver_ready_into t deliver tail =
     delivery :: deliver_ready_into t deliver tail
   end
 
-let deliver_output d = Deliver d
-
 (* Garbage-collect messages that are both delivered locally and known
    received by every participant: they can never be requested again. *)
 let collect_garbage t =
@@ -353,22 +368,19 @@ let handle_data t deliver (d : Message.data) =
     deliver_ready_into t deliver []
   end
 
-(* Sequence numbers we have not received, in (local_aru, cap], that are not
-   already requested on the token. [already] is ascending (the token's rtr
-   invariant), so one lockstep cursor replaces the seed's O(n^2) List.mem
-   probe per candidate. *)
-let missing_requests t ~cap ~already =
-  let rec loop seq budget already acc =
-    if seq > cap || budget = 0 then List.rev acc
-    else
-      match already with
-      | a :: rest when a < seq -> loop seq budget rest acc
-      | a :: rest when a = seq -> loop (seq + 1) budget rest acc
-      | _ ->
-          if holds t seq then loop (seq + 1) budget already acc
-          else loop (seq + 1) (budget - 1) already (seq :: acc)
-  in
-  loop (t.local_aru + 1) max_rtr_per_round already []
+(* Sequence numbers we have not received, in [seq, cap] and at most
+   [budget] of them, that are not already requested on the token.
+   [already] is ascending (the token's rtr invariant), so one lockstep
+   cursor replaces the seed's O(n^2) List.mem probe per candidate. *)
+let rec missing_from t cap seq budget already acc =
+  if seq > cap || budget = 0 then List.rev acc
+  else
+    match already with
+    | a :: rest when a < seq -> missing_from t cap seq budget rest acc
+    | a :: rest when a = seq -> missing_from t cap (seq + 1) budget rest acc
+    | _ ->
+        if holds t seq then missing_from t cap (seq + 1) budget already acc
+        else missing_from t cap (seq + 1) (budget - 1) already (seq :: acc)
 
 (* Merge two ascending, disjoint seqno lists — equivalent to
    [List.sort compare (a @ b)] for such inputs, without the intermediate
@@ -381,18 +393,18 @@ let rec merge_sorted a b =
 
 (* Answer the token's retransmission requests we can serve (always
    pre-token), onto [sends] newest first. *)
-let rec serve_rtr t rtr sends =
+let rec serve_rtr t sink rtr sends =
   match rtr with
   | [] -> sends
   | seq :: rest ->
       let d = find t seq in
-      if d == empty then serve_rtr t rest sends
+      if d == empty then serve_rtr t sink rest sends
       else begin
         t.stats.retrans_sent <- t.stats.retrans_sent + 1;
         Flight.record_wide ~node:t.me ~code:Flight.ev_data_send ~a:d.seq ~b:0
           ~c:1 ~d:0 ~e:(Flight.pack_ring t.ring_id) ~g:0 ~h:0 ~i:0
           ~f:(Message.data_wire_size ~payload_len:(Bytes.length d.payload));
-        serve_rtr t rest (Send_data d :: sends)
+        serve_rtr t sink rest (sink.send_data d :: sends)
       end
 
 (* The requests [serve_rtr] left unanswered (still missing here), in
@@ -408,7 +420,11 @@ let rec unanswered_rtr t rtr =
       else if kept == rest then rtr
       else seq :: kept
 
-let handle_token t (tok : Message.token) =
+let submit t service payload =
+  Bytes_ring.push t.pending payload
+    ((Span.submit_stamp () lsl 2) lor Message.service_tag service)
+
+let handle_token t sink (tok : Message.token) =
   if tok.token_id <= t.last_token_id then begin
     t.stats.dup_tokens <- t.stats.dup_tokens + 1;
     []
@@ -424,20 +440,18 @@ let handle_token t (tok : Message.token) =
       ~f:t.round ~g:t.safe_line ~h:0 ~i:0;
     (* 1. Answer retransmission requests we can serve, and keep the rest
        on the token. *)
-    let rev_retrans = serve_rtr t tok.rtr [] in
+    let rev_retrans = serve_rtr t sink tok.rtr [] in
     let num_retrans = List.length rev_retrans in
     let kept_rtr = unanswered_rtr t tok.rtr in
     (* Backlog as the token arrives — the round's arrival count, which is
        the scale an adaptive accelerated window has to cover. *)
-    let backlog_at_token = Queue.length t.pending in
+    let backlog_at_token = Bytes_ring.length t.pending in
     (* 2. Flow control (Section III-A.1). *)
     let by_global = t.params.global_window - tok.fcc - num_retrans in
     let by_gap = tok.aru + t.params.max_seq_gap - tok.t_seq in
     let allowed_new =
       max 0
-        (min
-           (Queue.length t.pending)
-           (min t.params.personal_window (min by_global by_gap)))
+        (min backlog_at_token (min t.params.personal_window (min by_global by_gap)))
     in
     (* 3. Prepare all new messages for the round; split them into the
        pre-token phase and the post-token phase (at most
@@ -445,7 +459,9 @@ let handle_token t (tok : Message.token) =
     let n_pre = max 0 (allowed_new - t.accelerated_window) in
     let rev_pre = ref [] and rev_post = ref [] in
     for i = 0 to allowed_new - 1 do
-      let p = Queue.pop t.pending in
+      let payload = Bytes_ring.front_bytes t.pending
+      and meta = Bytes_ring.front_int t.pending in
+      Bytes_ring.drop t.pending;
       let d : Message.data =
         {
           d_ring = t.ring_id;
@@ -453,19 +469,19 @@ let handle_token t (tok : Message.token) =
           pid = t.me;
           d_round = t.round;
           post_token = i >= n_pre;
-          service = p.p_service;
-          payload = p.p_payload;
+          service = Message.service_of_tag (meta land 3);
+          payload;
         }
       in
       (* We trivially "have" our own message the moment it exists. *)
       ignore (hold t d);
       t.stats.new_sent <- t.stats.new_sent + 1;
       Flight.record_wide ~node:t.me ~code:Flight.ev_data_send ~a:d.seq
-        ~b:(if d.post_token then 1 else 0) ~c:0 ~d:p.p_submit_ns
+        ~b:(if d.post_token then 1 else 0) ~c:0 ~d:(meta lsr 2)
         ~e:(Flight.pack_ring t.ring_id) ~g:0 ~h:0 ~i:0
-        ~f:(Message.data_wire_size ~payload_len:(Bytes.length d.payload));
-      if i < n_pre then rev_pre := Send_data d :: !rev_pre
-      else rev_post := Send_data d :: !rev_post
+        ~f:(Message.data_wire_size ~payload_len:(Bytes.length payload));
+      if i < n_pre then rev_pre := sink.send_data d :: !rev_pre
+      else rev_post := sink.send_data d :: !rev_post
     done;
     let new_seq = tok.t_seq + allowed_new in
     if new_seq > t.high_seq then t.high_seq <- new_seq;
@@ -493,7 +509,9 @@ let handle_token t (tok : Message.token) =
        seq of the token we received in the *previous* round so that
        messages still in a predecessor's post-token phase are not requested
        (the key retransmission subtlety of the accelerated protocol). *)
-    let my_missing = missing_requests t ~cap:t.prev_recv_seq ~already:kept_rtr in
+    let my_missing =
+      missing_from t t.prev_recv_seq (t.local_aru + 1) max_rtr_per_round kept_rtr []
+    in
     t.stats.rtr_requested <- t.stats.rtr_requested + List.length my_missing;
     let new_rtr = merge_sorted kept_rtr my_missing in
     let token' : Message.token =
@@ -508,7 +526,7 @@ let handle_token t (tok : Message.token) =
         rtr = new_rtr;
       }
     in
-    t.saved_token <- Some token';
+    t.saved_token <- token';
     t.prev_recv_seq <- tok.t_seq;
     (* 7. Stability: every participant could have lowered the aru during the
        last full rotation, so min(aru sent this round, aru sent last round)
@@ -524,7 +542,7 @@ let handle_token t (tok : Message.token) =
     (* 8. Deliver and discard; assemble the action list back to front so
        each phase is prepended once — no intermediate lists, no appends.
        Re-arming both timers supersedes the ones the last visit armed. *)
-    let deliveries_on = deliver_ready_into t deliver_output t.visit_timers in
+    let deliveries_on = deliver_ready_into t sink.deliver sink.rearm in
     collect_garbage t;
     t.sig_fcc <- tok.fcc;
     t.sig_retrans <- num_retrans + List.length my_missing;
@@ -532,7 +550,7 @@ let handle_token t (tok : Message.token) =
     t.sig_allowed_new <- allowed_new;
     List.rev_append rev_retrans
       (List.rev_append !rev_pre
-         (Send_token (successor t, token')
+         (sink.send_token (successor t) token'
          :: List.rev_append !rev_post deliveries_on))
   end
 
@@ -543,54 +561,49 @@ let max_token_retransmits t =
    is always the latest arm's: the loss timer's fire means no token came
    since, and the retransmit timer's acts unless progress evidence
    cleared [retransmit_wanted] in the meantime. *)
-let handle_timer t kind =
+let timer t sink kind =
   match kind with
-  | Token_retransmit -> (
-      if not t.retransmit_wanted then []
-      else
-        match t.saved_token with
-        | None -> []
-        | Some tok ->
-            if t.retransmit_count >= max_token_retransmits t then []
-            else begin
-              t.retransmit_count <- t.retransmit_count + 1;
-              t.stats.token_retransmits <- t.stats.token_retransmits + 1;
-              Flight.record ~node:t.me ~code:Flight.ev_token_retransmit
-                ~a:tok.token_id ~b:t.retransmit_count ~c:0 ~d:0;
-              [ Send_token (successor t, tok); t.retransmit_timer ]
-            end)
+  | Token_retransmit ->
+      let tok = t.saved_token in
+      if
+        (not t.retransmit_wanted) || tok == no_token
+        || t.retransmit_count >= max_token_retransmits t
+      then []
+      else begin
+        t.retransmit_count <- t.retransmit_count + 1;
+        t.stats.token_retransmits <- t.stats.token_retransmits + 1;
+        Flight.record ~node:t.me ~code:Flight.ev_token_retransmit
+          ~a:tok.token_id ~b:t.retransmit_count ~c:0 ~d:0;
+        sink.send_token (successor t) tok :: sink.rearm_retransmit
+      end
   | Token_loss ->
       Flight.record ~node:t.me ~code:Flight.ev_token_lost ~a:t.round ~b:0
         ~c:0 ~d:0;
-      [ Token_lost ]
+      [ sink.token_lost ]
 
-let token t (tok : Message.token) =
-  if Types.ring_id_equal tok.t_ring t.ring_id then handle_token t tok else []
+let token t sink (tok : Message.token) =
+  if Types.ring_id_equal tok.t_ring t.ring_id then handle_token t sink tok else []
 
 let data t deliver (d : Message.data) =
   if Types.ring_id_equal d.d_ring t.ring_id then handle_data t deliver d else []
 
 let handle t input =
   match input with
-  | Token_received tok -> token t tok
-  | Data_received d -> data t deliver_output d
+  | Token_received tok -> token t t.outputs tok
+  | Data_received d -> data t t.outputs.deliver d
   | Submit (service, payload) ->
-      Queue.push
-        { p_service = service; p_payload = payload;
-          p_submit_ns = Span.submit_stamp () }
-        t.pending;
+      submit t service payload;
       []
-  | Timer_expired kind -> handle_timer t kind
+  | Timer_expired kind -> timer t t.outputs kind
 
-let drain_pending t =
-  let rec loop acc =
-    match Queue.take_opt t.pending with
-    | None -> List.rev acc
-    | Some p -> loop ((p.p_service, p.p_payload) :: acc)
-  in
-  loop []
-
-let start_timers t = [ t.loss_timer ]
+let[@tail_mod_cons] rec drain_pending t =
+  if Bytes_ring.is_empty t.pending then []
+  else begin
+    let payload = Bytes_ring.front_bytes t.pending
+    and meta = Bytes_ring.front_int t.pending in
+    Bytes_ring.drop t.pending;
+    (Message.service_of_tag (meta land 3), payload) :: drain_pending t
+  end
 
 let record_metrics ?(prefix = "") t reg =
   let c name v = Metrics.add (Metrics.counter reg (prefix ^ name)) v in

@@ -13,11 +13,18 @@
       ; Send_token                 (the token leaves here)
       ; new multicasts ...         (post-token phase: at most
                                     accelerated_window messages)
-      ; Deliver ... ]              (newly deliverable messages)
+      ; Deliver ...                (newly deliverable messages)
+      ; Set_timer retransmit
+      ; Set_timer loss ]           (the re-arms, shared by every visit)
     v}
 
     With [accelerated_window = 0] the post-token phase is empty and the
     engine behaves as the original Totem/Spread Ring protocol.
+
+    A runtime does not have to translate outputs: {!token}, {!timer} and
+    {!data} build its own actions, in the same order, through a {!sink}
+    of its constructors. {!handle} is that same code with the engine's
+    own {!outputs} sink.
 
     One engine instance serves one installed ring configuration. Membership
     changes tear the engine down and build a fresh one (see {!Membership});
@@ -59,6 +66,25 @@ type output =
   | Token_lost
       (** No token activity within [token_loss_ns]; the membership algorithm
           must take over. *)
+
+type 'a sink = {
+  send_token : Types.pid -> Message.token -> 'a;
+      (** Unicast the token to the ring successor ([Send_token]). *)
+  send_data : Message.data -> 'a;  (** Multicast a data message ([Send_data]). *)
+  deliver : Message.data -> 'a;  (** Hand a message to the application ([Deliver]). *)
+  rearm : 'a list;
+      (** Arms of both timers, retransmit then loss: the tail of every
+          accepted token's list, shared by every visit. *)
+  rearm_retransmit : 'a list;
+      (** The retransmit timer's arm alone: the tail of a token re-send. *)
+  token_lost : 'a;  (** The token is lost ([Token_lost]). *)
+}
+(** A caller's constructors for the engine's outputs, built once per
+    engine or runtime node. A token visit built through a sink allocates
+    only what it hands on: the forwarded token, what [send_token] builds
+    around it and each message sent, with their list cells; deliveries
+    cost what [deliver] builds and one cell each, and the timer tails are
+    shared, not rebuilt. *)
 
 type round_signals = {
   sr_round : Types.round;  (** The round these signals describe. *)
@@ -103,25 +129,35 @@ val initial_token : Types.ring_id -> Message.token
     hands it to the representative by feeding
     [Token_received (initial_token rid)] to its engine. *)
 
+val outputs : t -> output sink
+(** The engine's own constructors ([Send_token], [Send_data], [Deliver],
+    its two [Set_timer] values, [Token_lost]), built once in {!create}. *)
+
 val handle : t -> input -> output list
 (** [handle t input] advances the state machine. See the module preamble
-    for output ordering guarantees. *)
+    for output ordering guarantees. It runs {!token}, {!data}, {!submit}
+    and {!timer} with the {!outputs} sink. *)
 
-val token : t -> Message.token -> output list
-(** [token t tok] is [handle t (Token_received tok)] without building the
-    input: a token of another ring is ignored. *)
+val token : t -> 'a sink -> Message.token -> 'a list
+(** [token t sink tok] is [handle t (Token_received tok)] without building
+    the input, with each output built by [sink]: [token t (outputs t) tok]
+    is that [handle] call's list. A token of another ring is ignored. *)
+
+val timer : t -> 'a sink -> timer_kind -> 'a list
+(** [timer t sink kind] is [handle t (Timer_expired kind)], built by
+    [sink]. *)
+
+val submit : t -> Types.service -> bytes -> unit
+(** [submit t service payload] is [handle t (Submit (service, payload))]:
+    it queues the message in a ring of unboxed arrays, with no input box
+    and no record per message. *)
 
 val data : t -> (Message.data -> 'a) -> Message.data -> 'a list
 (** [data t deliver d] is [handle t (Data_received d)] without building
     the input, with each delivery built by [deliver] instead of
     [Deliver]: [data t (fun d -> Deliver d) d] is that [handle] call's
-    list. A data message's outputs are its deliveries alone, so a runtime
-    passing its own delivery constructor gets its actions built once,
-    with nothing to translate. Data of another ring is ignored. *)
-
-val start_timers : t -> output list
-(** Timers the runtime must arm right after installation (token loss
-    detection). *)
+    list. A data message's outputs are its deliveries alone, so it takes
+    only a sink's [deliver]. Data of another ring is ignored. *)
 
 (** {2 Introspection} *)
 
@@ -190,5 +226,6 @@ val buffered_message : t -> Types.seqno -> Message.data option
     ceiling. Recovery uses it to re-originate old-ring messages. *)
 
 val drain_pending : t -> (Types.service * bytes) list
-(** Remove and return the client messages still waiting for a token visit —
-    the membership layer carries them into the next configuration. *)
+(** Remove and return the client messages still waiting for a token visit,
+    oldest first — the membership layer carries them into the next
+    configuration. *)

@@ -1049,7 +1049,7 @@ let take_next t =
   (* Membership traffic first: it is rare and must never starve behind a
      data backlog. *)
   match Deque.pop_front t.inbox with
-  | Some msg -> Some msg
+  | Some _ as some -> some
   | None -> (
       match t.phase with
       | Operational node -> Node.take_next node

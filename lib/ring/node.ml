@@ -30,11 +30,11 @@ type t = {
      survives membership changes. *)
   controller : Controller.t option;
   mutable last_token_ns : int;  (* -1 until the first accepted token *)
-  (* The engine's two timers as actions, built once: a token visit's
-     [arm_visit] tail (retransmit, then loss) is shared, not rebuilt. *)
-  arm_retransmit : Participant.action;
-  arm_loss : Participant.action;
-  arm_visit : Participant.action list;
+  (* The engine builds this node's actions through [sink], made once,
+     so a token visit's timer tail (retransmit, then loss) is shared, not
+     rebuilt, and nothing is translated. *)
+  sink : Participant.action Engine.sink;
+  arm_loss : Participant.action list;  (* what [start] arms *)
 }
 
 let disarm_timers =
@@ -61,9 +61,16 @@ let create ~params ~ring_id ~ring ~me ?controller () =
   and arm_loss = arm Engine.Token_loss params.Params.token_loss_ns in
   {
     engine;
-    arm_retransmit;
-    arm_loss;
-    arm_visit = [ arm_retransmit; arm_loss ];
+    sink =
+      {
+        send_token = (fun pid tok -> Participant.Unicast (pid, Message.Token tok));
+        send_data = (fun d -> Participant.Multicast (Message.Data d));
+        deliver = (fun d -> Participant.Deliver d);
+        rearm = [ arm_retransmit; arm_loss ];
+        rearm_retransmit = [ arm_retransmit ];
+        token_lost = Participant.Token_loss_detected;
+      };
+    arm_loss = [ arm_loss ];
     prio = Priority.create params.Params.priority_method;
     token_q = make_queue token_queue_cap;
     data_q = make_queue data_queue_cap;
@@ -107,39 +114,17 @@ let run_controller t =
               ~e:rotation_ns ~f:s.sr_fcc ~g:s.sr_retrans ~h:s.sr_backlog ~i:0
           end)
 
-let action_of_output t = function
-  | Engine.Send_token (pid, tok) -> Participant.Unicast (pid, Message.Token tok)
-  | Engine.Send_data d -> Participant.Multicast (Message.Data d)
-  | Engine.Deliver d -> Participant.Deliver d
-  (* The engine's delays come from the same [params] as the prebuilt
-     actions'. *)
-  | Engine.Set_timer (Engine.Token_retransmit, _) -> t.arm_retransmit
-  | Engine.Set_timer (Engine.Token_loss, _) -> t.arm_loss
-  | Engine.Token_lost -> Participant.Token_loss_detected
-
-let deliver_action d = Participant.Deliver d
-
-(* The token and timer outputs as actions. *)
-let rec actions_of_outputs t = function
-  | [] -> []
-  | [ Engine.Set_timer (Engine.Token_retransmit, _);
-      Engine.Set_timer (Engine.Token_loss, _) ] ->
-      t.arm_visit
-  | output :: rest -> action_of_output t output :: actions_of_outputs t rest
-
 let start t =
-  let timers = actions_of_outputs t (Engine.start_timers t.engine) in
   let me = Engine.me t.engine in
   if (Engine.ring t.engine).(0) = me then
     (* The representative holds the first token; route it through the
        normal receive path so processing cost and ordering are uniform. *)
     Participant.Unicast
       (me, Message.Token (Engine.initial_token (Engine.ring_id t.engine)))
-    :: timers
-  else timers
+    :: t.arm_loss
+  else t.arm_loss
 
-let submit t service payload =
-  ignore (Engine.handle t.engine (Engine.Submit (service, payload)))
+let submit t service payload = Engine.submit t.engine service payload
 
 (* False, with nothing queued, when [msg] would overflow [queue]. *)
 let enqueue queue msg =
@@ -176,9 +161,9 @@ let has_work t =
 let dequeue queue =
   match Deque.pop_front queue.q with
   | None -> None
-  | Some msg ->
+  | Some msg as some ->
       queue.occupied <- queue.occupied - Message.wire_size msg;
-      Some msg
+      some
 
 let take_next t =
   if Priority.token_has_priority t.prio then
@@ -190,16 +175,14 @@ let process t msg =
   match msg with
   | Message.Token tok ->
       let round_before = Engine.round t.engine in
-      let outputs = Engine.token t.engine tok in
+      let actions = Engine.token t.engine t.sink tok in
       if Engine.round t.engine > round_before then begin
         Priority.note_token_processed t.prio;
         run_controller t
       end;
-      actions_of_outputs t outputs
+      actions
   | Message.Data d ->
-      (* A data message's outputs are deliveries, built as actions by the
-         engine's cursor: nothing to translate. *)
-      let actions = Engine.data t.engine deliver_action d in
+      let actions = Engine.data t.engine t.sink.deliver d in
       Priority.note_data_processed t.prio
         ~predecessor:(Engine.predecessor t.engine)
         ~current_round:(Engine.round t.engine)
@@ -212,8 +195,7 @@ let process t msg =
 
 let fire_timer t timer =
   match timer with
-  | Engine_timer kind ->
-      actions_of_outputs t (Engine.handle t.engine (Engine.Timer_expired kind))
+  | Engine_timer kind -> Engine.timer t.engine t.sink kind
   | _ -> []
 
 let participant t : Participant.t =

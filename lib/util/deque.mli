@@ -1,7 +1,7 @@
 (** Imperative double-ended queue backed by a growable circular buffer.
 
-    Used for the per-node receive queues (token socket / data socket) and the
-    pre-token multicast queue of the ordering engine. All operations are
+    Used for the per-node receive queues (token socket / data socket) and
+    the membership layer's queues. All operations are
     amortized O(1), apart from {!clear}, which is O(capacity).
 
     The buffer never keeps an element alive: a popped or cleared

@@ -165,8 +165,11 @@ let test_token_retransmit_then_evidence () =
 let test_token_loss_fires () =
   let params = Params.accelerated () in
   let eng = Engine.create ~params ~ring_id:rid ~ring:[| 0; 1 |] ~me:0 in
-  check (Alcotest.list Alcotest.string) "start arms loss" [ "loss" ]
-    (List.map kind_name (timers_of (Engine.start_timers eng)));
+  (* The runtime arms the loss timer alone at installation. *)
+  let node = Node.create ~params ~ring_id:rid ~ring:[| 0; 1 |] ~me:1 () in
+  check Alcotest.bool "start arms loss" true
+    (Node.start node
+    = [ Participant.Arm_timer (Node.Engine_timer Engine.Token_loss, params.token_loss_ns) ]);
   let out1 = Engine.handle eng (Engine.Token_received (Engine.initial_token rid)) in
   let _, tok1 = List.hd (tokens_of out1) in
   (* A later token re-arms the same two timer values: the outputs are
@@ -930,7 +933,7 @@ let run_window_steps steps =
           last_token := Some tok;
           let before = Hashtbl.copy w.held in
           let rounds = Engine.round eng in
-          let out = Engine.token eng tok in
+          let out = Engine.token eng (Engine.outputs eng) tok in
           if Engine.round eng = rounds then begin
             if out <> [] then QCheck.Test.fail_report "a stale token produced outputs"
           end
@@ -988,7 +991,7 @@ let test_window_far_above () =
   let token_id = ref 0 in
   let token t_seq =
     token_id := !token_id + 2;
-    Engine.token eng
+    Engine.token eng (Engine.outputs eng)
       { (Engine.initial_token rid) with
         token_id = !token_id; t_round = !token_id / 2; t_seq; aru = t_seq }
   in
@@ -1023,6 +1026,191 @@ let test_window_far_above () =
   check (Alcotest.list Alcotest.int) "retransmitted in range: delivered" [ beyond ]
     (data beyond);
   check Alcotest.int "local_aru" beyond (Engine.local_aru eng)
+
+(* -------------------------------------------------------------------- *)
+(* The node's sink against the engine's own outputs                      *)
+
+(* The model: how a node once translated each engine output into its
+   runtime action, one by one. *)
+let action_of_output = function
+  | Engine.Send_token (pid, tok) -> Participant.Unicast (pid, Message.Token tok)
+  | Engine.Send_data d -> Participant.Multicast (Message.Data d)
+  | Engine.Deliver d -> Participant.Deliver d
+  | Engine.Set_timer (kind, delay) -> Participant.Arm_timer (Node.Engine_timer kind, delay)
+  | Engine.Token_lost -> Participant.Token_loss_detected
+
+(* An accepted visit's outputs, in the order the module preamble promises:
+   retransmissions answering [tok.rtr] (in its order) and pre-token new
+   sends, the token to the successor, post-token new sends, deliveries,
+   then the retransmit and loss arms. Returns the new sends' payloads. *)
+let check_visit_shape ~succ (tok : Message.token) outputs =
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  let rec retrans rtr = function
+    | Engine.Send_data d :: rest when d.seq <= tok.t_seq -> (
+        match List.filter (fun s -> s >= d.seq) rtr with
+        | s :: later when s = d.seq -> retrans later rest
+        | _ -> fail "retransmission %d out of rtr order" d.seq)
+    | l -> pre [] l
+  and pre sent = function
+    | Engine.Send_data d :: rest when not d.post_token -> pre (d :: sent) rest
+    | Engine.Send_token (pid, _) :: rest ->
+        if pid <> succ then fail "token sent to %d, not the successor" pid;
+        post sent rest
+    | _ -> fail "no token after the pre-token phase"
+  and post sent = function
+    | Engine.Send_data d :: rest when d.post_token -> post (d :: sent) rest
+    | l -> deliveries (List.rev sent) l
+  and deliveries sent = function
+    | Engine.Deliver _ :: rest -> deliveries sent rest
+    | [ Engine.Set_timer (Engine.Token_retransmit, _); Engine.Set_timer (Engine.Token_loss, _) ]
+      ->
+        sent
+    | _ -> fail "a visit does not end with its deliveries, then both timer arms"
+  in
+  let sent = retrans tok.rtr outputs in
+  List.iteri
+    (fun i (d : Message.data) ->
+      if d.seq <> tok.t_seq + i + 1 then fail "new send %d out of sequence" d.seq)
+    sent;
+  List.map (fun (d : Message.data) -> d.payload) sent
+
+(* One step per [(kind, x)]: 0 a burst of up to 40 submissions, 1-2 a
+   token from the predecessor (with up to 5 messages of other nodes
+   sequenced since and an rtr list), 3 the last token again, 4-6 one of
+   the others' messages not yet received (kept for a later duplicate one
+   time in four), 7 a duplicate of any message, 8-9 the retransmit and
+   loss timers, 10 [drain_pending]. Twin engines take every step, one
+   through [Node] and its sink, one through [Engine.handle] mapped by
+   the model; their lists must be equal, and the model's well formed. *)
+let run_sink_steps steps =
+  let params = Params.accelerated ~personal_window:24 ~accelerated_window:8 () in
+  let ring = [| 0; 1; 2 |] and me = 1 in
+  let node = Node.create ~params ~ring_id:rid ~ring ~me () in
+  let eng = Engine.create ~params ~ring_id:rid ~ring ~me in
+  let submitted = Queue.create () and tag = ref 0 in
+  let high = ref 0 and token_id = ref 0 and last_token = ref None in
+  let pool = ref [] and sent = ref [] in
+  let same what expected got =
+    if expected <> got then
+      QCheck.Test.fail_reportf "%s: the sink built %d actions, the model %d" what
+        (List.length got) (List.length expected)
+  in
+  let model input = Engine.handle eng input in
+  let token (tok : Message.token) =
+    let outputs = model (Engine.Token_received tok) in
+    same "token" (List.map action_of_output outputs) (Node.process node (Message.Token tok));
+    if outputs <> [] then begin
+      List.iter
+        (fun p ->
+          if not (Bytes.equal p (Queue.pop submitted)) then
+            QCheck.Test.fail_report "new sends out of submission order")
+        (check_visit_shape ~succ:2 tok outputs);
+      List.iter
+        (function Engine.Send_token (_, (t : Message.token)) -> high := t.t_seq | _ -> ())
+        outputs
+    end
+  in
+  let data (d : Message.data) =
+    same "data" (List.map action_of_output (model (Engine.Data_received d)))
+      (Node.process node (Message.Data d))
+  in
+  List.iter
+    (fun (kind, x) ->
+      match kind with
+      | 0 ->
+          for i = 1 to 1 + (x mod 40) do
+            incr tag;
+            let service = Message.service_of_tag ((x + i) land 3) and p = payload !tag in
+            Queue.push p submitted;
+            Node.submit node service p;
+            ignore (model (Engine.Submit (service, p)))
+          done
+      | 1 | 2 ->
+          let others = x mod 6 in
+          let round = !token_id / 3 + 1 in
+          for i = 1 to others do
+            let d : Message.data =
+              { (window_data ~seq:(!high + i)) with
+                pid = (if i land 1 = 0 then 0 else 2); d_round = round; payload = payload (-i) }
+            in
+            pool := d :: !pool;
+            sent := d :: !sent
+          done;
+          let t_seq = !high + others in
+          high := t_seq;
+          token_id := !token_id + 3;
+          let rtr =
+            List.filter
+              (fun s -> s >= 1 && (x lsr (t_seq - s)) land 1 = 1)
+              (List.init 12 (fun i -> t_seq - 11 + i))
+          in
+          let tok : Message.token =
+            { (Engine.initial_token rid) with
+              token_id = !token_id; t_round = round; t_seq;
+              aru = (if x land 64 = 0 then t_seq else max 0 (t_seq - (x mod 9)));
+              aru_id = (if x land 128 = 0 then None else Some 0);
+              fcc = x mod 40; rtr }
+          in
+          last_token := Some tok;
+          token tok
+      | 3 -> Option.iter token !last_token
+      | 4 | 5 | 6 -> (
+          match !pool with
+          | [] -> ()
+          | l ->
+              let d = List.nth l (x mod List.length l) in
+              if x land 3 <> 0 then pool := List.filter (fun m -> m != d) l;
+              data d)
+      | 7 -> (
+          match !sent with [] -> () | l -> data (List.nth l (x mod List.length l)))
+      | 8 | 9 ->
+          let kind = if kind = 8 then Engine.Token_retransmit else Engine.Token_loss in
+          let outputs = model (Engine.Timer_expired kind) in
+          same "timer" (List.map action_of_output outputs)
+            (Node.fire_timer node (Node.Engine_timer kind));
+          (match (kind, outputs) with
+          | Engine.Token_retransmit, ([] | [ Engine.Send_token _; Engine.Set_timer (Engine.Token_retransmit, _) ])
+          | Engine.Token_loss, [ Engine.Token_lost ] -> ()
+          | _ -> QCheck.Test.fail_report "a timer fire's list is malformed")
+      | _ ->
+          let expected = List.of_seq (Queue.to_seq submitted) in
+          Queue.clear submitted;
+          let drained = Engine.drain_pending (Node.engine node) in
+          if Engine.drain_pending eng <> drained then
+            QCheck.Test.fail_report "the twins drained different lists";
+          if List.map snd drained <> expected then
+            QCheck.Test.fail_report "drain_pending is not the FIFO of pending submissions")
+    steps;
+  true
+
+(* A queued submission keeps the span's submit stamp, packed with its
+   service, up to the data-send record: a wall-clock stamp (the UDP
+   runtime's clock, past 2^60 ns) included. *)
+let test_submit_stamp_survives_queue () =
+  let stamp = 1_760_000_000_000_000_000 in
+  let stamps = ref [] in
+  let sub ~node:_ ~code ~a:_ ~b:_ ~c:_ ~d =
+    if code = Aring_obs.Flight.ev_data_send then stamps := d :: !stamps
+  in
+  let eng = Engine.create ~params:(Params.accelerated ()) ~ring_id:rid ~ring:[| 0; 1 |] ~me:0 in
+  Aring_obs.Trace.set_clock (fun () -> stamp);
+  Aring_obs.Flight.subscribe sub;
+  Fun.protect
+    ~finally:(fun () ->
+      Aring_obs.Flight.unsubscribe sub;
+      Aring_obs.Trace.set_clock (fun () -> 0))
+    (fun () ->
+      Aring_obs.Span.with_span (Aring_obs.Span.create ()) (fun () ->
+          Engine.submit eng Types.Safe (payload 1));
+      let out = Engine.token eng (Engine.outputs eng) (Engine.initial_token rid) in
+      check Alcotest.bool "service kept" true
+        (List.for_all (fun (d : Message.data) -> d.service = Types.Safe) (datas_of out)));
+  check (Alcotest.list Alcotest.int) "stamp on the data-send record" [ stamp ] !stamps
+
+let prop_sink_matches_outputs =
+  QCheck.Test.make ~name:"node sink builds the actions of the engine's outputs" ~count:200
+    QCheck.(list_of_size Gen.(int_range 20 300) (pair (int_range 0 10) (int_range 0 10_000)))
+    run_sink_steps
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -1062,4 +1250,6 @@ let suite =
     qtest prop_total_order_any_windows;
     qtest prop_window_matches_reference;
     ("window drops a message beyond its ceiling", `Quick, test_window_far_above);
+    qtest prop_sink_matches_outputs;
+    ("submit stamp survives the pending queue", `Quick, test_submit_stamp_survives_queue);
   ]

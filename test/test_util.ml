@@ -5,6 +5,7 @@ module Deque = Aring_util.Deque
 module Stats = Aring_util.Stats
 module Prng = Aring_util.Prng
 module Fnv = Aring_util.Fnv
+module Bytes_ring = Aring_util.Bytes_ring
 
 let check = Alcotest.check
 
@@ -880,6 +881,48 @@ let test_deque_push_front_wrap_growth () =
 
 let qtest = QCheck_alcotest.to_alcotest
 
+(* Bytes_ring against a Queue of pairs: pushes (in bursts, so the ring
+   wraps and doubles), pops of the front pair and clears; once grown, a
+   push and a pop allocate nothing. *)
+let prop_bytes_ring_model =
+  QCheck.Test.make ~name:"bytes ring matches a Queue model" ~count:300
+    QCheck.(list (pair (int_bound 5) small_nat))
+    (fun ops ->
+      let q = Bytes_ring.create () and model = Queue.create () in
+      List.iter
+        (fun (op, n) ->
+          match op with
+          | 0 | 1 ->
+              for i = 1 to 1 + (n mod 20) do
+                let b = Bytes.make 1 (Char.chr (i land 255)) in
+                Bytes_ring.push q b (n + i);
+                Queue.push (b, n + i) model
+              done
+          | 5 ->
+              Bytes_ring.clear q;
+              Queue.clear model
+          | _ -> (
+              match Queue.take_opt model with
+              | None ->
+                  if not (Bytes_ring.is_empty q) then QCheck.Test.fail_report "not empty";
+                  Bytes_ring.drop q
+              | Some (b, i) ->
+                  if Bytes_ring.front_bytes q != b || Bytes_ring.front_int q <> i then
+                    QCheck.Test.fail_report "front pair differs from the model's";
+                  Bytes_ring.drop q))
+        ops;
+      Bytes_ring.length q = Queue.length model
+      &&
+      let b = Bytes.empty in
+      Bytes_ring.push q b 0;
+      let before = Gc.minor_words () in
+      for i = 1 to 100 do
+        ignore (Sys.opaque_identity (Bytes_ring.front_int q));
+        Bytes_ring.drop q;
+        Bytes_ring.push q b i
+      done;
+      Gc.minor_words () -. before < 1. && Bytes_ring.length q = Queue.length model + 1)
+
 let suite =
   [
     ("heap basic", `Quick, test_heap_basic);
@@ -927,4 +970,5 @@ let suite =
     ("stats: at most 2 words per add", `Quick, test_stats_add_allocation);
     ("deque keeps no popped or cleared element alive", `Quick, test_deque_releases_elements);
     qtest prop_heap_rekey_model;
+    qtest prop_bytes_ring_model;
   ]
