@@ -1,12 +1,13 @@
 (* Hot-path allocation benchmark (`-- hotpath [quick]`): allocated bytes
    per message of the pooled codec against the Buffer-based reference
-   encoder, of the KV write path's app payload (its one-pass write, and
-   delivery to a replica), of the daemon's idle token visit, group
-   change and slow-receiver inbox, per item of the multi-ring learner
-   merge, per call of the shared host primitives (FNV-1a, the PRNG,
-   histogram and sample accumulators), and allocation, host rate and
-   simulator events of the full simulated pipeline. Gated by
-   bench/hotpath_budget.json. Schema documented in EXPERIMENTS.md. *)
+   encoder, of the KV write path's app payload (its one-pass write,
+   delivery to a replica, and an own put's delivery to its replica), of
+   the daemon's idle token visit, group change and slow-receiver inbox,
+   per item of the multi-ring learner merge, per call of the shared host
+   primitives (FNV-1a, the PRNG, histogram and sample accumulators), and
+   allocation, host rate and simulator events of the full simulated
+   pipeline. Gated by bench/hotpath_budget.json. Schema documented in
+   EXPERIMENTS.md. *)
 
 open Aring_wire
 open Aring_ring
@@ -96,6 +97,41 @@ let deliver_put envelope =
   ignore (Kv.create ~cluster_size:ring_size ~daemon:d ());
   drain_pending m;
   fun () -> feed envelope
+
+(* Delivery of a replica's own put back to it: [Kv.put] submits its
+   frame, taken at once from the engine's pending queue, and the frame
+   is delivered to the same replica, which applies the op it built.
+   Only the delivery is counted, in [Gc.minor_words] windows around it
+   (the put's own write is the one-pass figure): it allocates nothing
+   large, so the minor heap sees all of it. *)
+let own_put_deliver_alloc ~iters =
+  let m, d, _, feed = ring_daemon () in
+  let kv = Kv.create ~cluster_size:ring_size ~daemon:d () in
+  drain_pending m;
+  let engine =
+    match Member.node m with
+    | Some node -> Node.engine node
+    | None -> invalid_arg "Bench_hotpath: a member with an initial ring starts operational"
+  in
+  let value = String.make value_bytes 'v' in
+  let window n =
+    let words = ref 0. in
+    for _ = 1 to n do
+      Kv.put kv ~key:"k00001" ~value;
+      match Engine.drain_pending engine with
+      | [ (_, frame) ] ->
+          let before = Gc.minor_words () in
+          feed frame;
+          words := !words +. (Gc.minor_words () -. before)
+      | _ -> invalid_arg "Bench_hotpath: a put submits one frame"
+    done;
+    !words
+  in
+  ignore (window 1_000);
+  let words = window iters in
+  if Kv.applied kv <> 1_000 + iters then
+    invalid_arg "Bench_hotpath: an own put was not applied";
+  words *. float_of_int (Sys.word_size / 8) /. float_of_int iters
 
 (* The engine's receive window and delivery cursor alone: in-order data
    from pid 1 through [Engine.data] with [Fun.id] as the delivery
@@ -243,10 +279,10 @@ let merge_rings = 4
 let merge_push_drain () =
   let m = Merge.create ~rings:merge_rings in
   let items = Array.init merge_rings (fun r -> ref r) in
-  let emit _ _ = () in
+  let emit _ _ _ = () in
   fun () ->
     for ring = 0 to merge_rings - 1 do
-      Merge.push_item m ~ring items.(ring)
+      Merge.push_item m ~ring ~stamp:ring items.(ring)
     done;
     Merge.drain m emit
 
@@ -354,11 +390,13 @@ let run ~quick =
   let value = String.make value_bytes 'v' in
   let app_encode = alloc_per_call ~iters (fun () -> ignore (put_envelope value)) in
   let app_deliver = alloc_per_call ~iters (deliver_put (put_envelope value)) in
+  let app_own_deliver = own_put_deliver_alloc ~iters in
   Printf.printf
     "app payload (bytes allocated, %d B put):\n\
     \  one-pass write (op in its envelope) %8.1f per put\n\
-    \  deliver to a KV replica %8.1f per message\n%!"
-    value_bytes app_encode app_deliver;
+    \  deliver to a KV replica %8.1f per message\n\
+    \  own put delivered to its replica %8.1f per message\n%!"
+    value_bytes app_encode app_deliver app_own_deliver;
   let engine_alloc = alloc_per_call ~iters (engine_data ~n:(iters + 1_000)) in
   Printf.printf "engine: in-order data %.1f bytes allocated per message\n%!"
     engine_alloc;
@@ -492,6 +530,7 @@ let run ~quick =
               ("value_bytes", Json.Int value_bytes);
               ("encode_alloc_bytes_per_put", Json.Float app_encode);
               ("deliver_alloc_bytes_per_msg", Json.Float app_deliver);
+              ("own_deliver_alloc_bytes_per_msg", Json.Float app_own_deliver);
             ] );
         ("engine", Json.Obj [ ("data_alloc_bytes_per_msg", Json.Float engine_alloc) ]);
         ( "daemon",
@@ -531,6 +570,7 @@ let run ~quick =
         Min ("min_codec_reduction_percent", codec_reduction);
         Max ("max_app_encode_alloc_bytes_per_put", app_encode);
         Max ("max_app_deliver_alloc_bytes_per_msg", app_deliver);
+        Max ("max_app_own_deliver_alloc_bytes_per_msg", app_own_deliver);
         Max ("max_engine_data_alloc_bytes_per_msg", engine_alloc);
         Max ("max_idle_token_visit_alloc_bytes", visit_alloc);
         Max ("max_busy_token_visit_alloc_bytes", busy_alloc);

@@ -100,6 +100,12 @@ type t = {
   mutable next_nonce : int;
   mutable observers : (observation -> unit) list;  (* registration order *)
   dec : Codec.decoder;  (* delivered ops are decoded in place through it *)
+  (* The writes this replica submitted and has not seen delivered,
+     oldest first: a ring of [own_len] ops from [own_head], in a
+     power-of-two array that doubles when full. *)
+  mutable own : Op.t array;
+  mutable own_head : int;
+  mutable own_len : int;
   stats : stats;
 }
 
@@ -662,12 +668,46 @@ let handle_op t op =
             | _ -> deliver_write t op)
       end
 
-let on_message t ~sender:_ ~groups:_ _service payload =
+(* --- own writes ------------------------------------------------------ *)
+
+(* The filler of every slot of [own] that holds no op: a constant, so a
+   taken slot keeps nothing alive. It is never read. *)
+let no_own = Op.Skip { upto = 0 }
+
+let grow_own t =
+  let cap = Array.length t.own in
+  let own = Array.make (max 16 (2 * cap)) no_own in
+  for i = 0 to t.own_len - 1 do
+    own.(i) <- t.own.((t.own_head + i) land (cap - 1))
+  done;
+  t.own <- own;
+  t.own_head <- 0
+
+(* Take own writes from the front until one is the delivered op, and
+   hand it on. A write that never arrived (a view change lost it) is
+   older than this delivery, so it is dropped here; the byte check means
+   a stale front costs a decode, never a wrong op. *)
+let rec take_own t =
+  t.own_len > 0
+  &&
+  let op = t.own.(t.own_head) in
+  t.own.(t.own_head) <- no_own;
+  t.own_head <- (t.own_head + 1) land (Array.length t.own - 1);
+  t.own_len <- t.own_len - 1;
+  if Op.matches t.dec op then begin
+    handle_op t op;
+    true
+  end
+  else take_own t
+
+let on_message t ~sender ~groups:_ _service payload =
   Codec.decoder_reset_view t.dec payload;
-  match Op.decode_from t.dec with
-  | op -> handle_op t op
-  | exception Codec.Decode_error _ ->
-      t.stats.decode_errors <- t.stats.decode_errors + 1
+  let own_write = String.equal sender t.member_name && Op.starts_write t.dec in
+  if not (own_write && take_own t) then
+    match Op.decode_from t.dec with
+    | op -> handle_op t op
+    | exception Codec.Decode_error _ ->
+        t.stats.decode_errors <- t.stats.decode_errors + 1
 
 let on_view t (v : Aring_ring.Participant.view) =
   t.primary <- 2 * List.length v.members > t.cluster_size;
@@ -696,10 +736,18 @@ let on_view t (v : Aring_ring.Participant.view) =
 
 (* --- client API ------------------------------------------------------ *)
 
-let put t ~key ~value = multicast_op t (Op.Put { key; value })
-let del t ~key = multicast_op t (Op.Del { key })
+(* A client write is multicast, then kept until its own delivery, which
+   applies it instead of a decoded copy (see [on_message]). *)
+let submit_write t op =
+  multicast_op t op;
+  if t.own_len = Array.length t.own then grow_own t;
+  t.own.((t.own_head + t.own_len) land (Array.length t.own - 1)) <- op;
+  t.own_len <- t.own_len + 1
 
-let cas t ~key ~expect ~value = multicast_op t (Op.Cas { key; expect; value })
+let put t ~key ~value = submit_write t (Op.Put { key; value })
+let del t ~key = submit_write t (Op.Del { key })
+
+let cas t ~key ~expect ~value = submit_write t (Op.Cas { key; expect; value })
 
 let submit_mcas t ~id ~parts = multicast_op t (Op.Mcas { id; parts })
 let submit_decide t ~id ~commit = multicast_op t (Op.Mdecide { id; commit })
@@ -759,6 +807,9 @@ let create ?(bug = Bug_none) ?(ring = 0) ~cluster_size ~daemon () =
       next_nonce = 0;
       observers = [];
       dec = Codec.decoder_empty ();
+      own = [||];
+      own_head = 0;
+      own_len = 0;
       stats =
         {
           ops_applied = 0;

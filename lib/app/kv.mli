@@ -44,7 +44,21 @@
     Every op a replica multicasts is written once, by {!Op.write},
     straight into the daemon's submission frame
     ({!Aring_daemon.Daemon.multicast_write}): no encoded op is built
-    first. *)
+    first.
+
+    {2 Own writes}
+
+    A replica applies the writes it submitted ({!put}, {!del}, {!cas})
+    from the ops it built, not from a decoded copy. Each such op waits
+    in a per-replica FIFO until a delivery from the replica's own
+    session carries a write: the replica drops ops from the front until
+    one equals the delivered bytes ({!Op.matches}, in place) and applies
+    that one, or decodes if none does. A write a view change lost is
+    dropped by the next own delivery, and a stale or reordered FIFO
+    costs only a decode: the byte comparison means the applied op is
+    always the delivered one. This rests on delivered payloads being
+    immutable, which {!Aring_daemon.Daemon.callbacks} states: the
+    store then keeps the client's own key and value strings. *)
 
 open Aring_wire
 
@@ -156,6 +170,11 @@ val node : t -> Types.pid
 (** {1 Client operations} *)
 
 val put : t -> key:string -> value:string -> unit
+(** Multicast a [Put], and keep the op until its own delivery applies
+    it (see "Own writes" above): the store keeps [key] and [value] as
+    they are, so a caller that built them with [Bytes.unsafe_to_string]
+    must not write to those bytes again. *)
+
 val del : t -> key:string -> unit
 
 val cas : t -> key:string -> expect:string option -> value:string -> unit

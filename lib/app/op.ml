@@ -247,6 +247,74 @@ let decode_from d =
 
 let decode bytes = decode_from (Codec.decoder bytes)
 
+(* The write matcher reads the cursor's slice in place, with top-level
+   recursive functions only: a closure per field would allocate on every
+   match. Each step returns the position after the field it checked, or
+   -1 once a field differs or runs past [limit]. *)
+
+external bytes_get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+external string_get64u : string -> int -> int64 = "%caml_string_get64u"
+
+(* [s] from [i] on equals [buf] from [pos + i], the caller having
+   checked that [buf] holds [String.length s] bytes from [pos]. Eight
+   bytes per step: a byte loop costs ~3 ns per byte, ten times a copy. *)
+let rec same_chars buf pos s i =
+  i = String.length s
+  || Bytes.unsafe_get buf (pos + i) = String.unsafe_get s i
+     && same_chars buf pos s (i + 1)
+
+let rec same_words buf pos s i =
+  if i + 8 <= String.length s then
+    (bytes_get64u buf (pos + i) : int64) = string_get64u s i
+    && same_words buf pos s (i + 8)
+  else same_chars buf pos s i
+
+(* A length-prefixed string field equal to [s]. *)
+let string_end buf pos limit s =
+  let n = String.length s in
+  if pos < 0 || limit - pos < 4 then -1
+  else if Int32.to_int (Bytes.get_int32_be buf pos) <> n || limit - pos - 4 < n
+  then -1
+  else if same_words buf (pos + 4) s 0 then pos + 4 + n
+  else -1
+
+(* A bool byte equal to [b]. *)
+let bool_end buf pos limit b =
+  if pos < 0 || pos >= limit then -1
+  else if Char.code (Bytes.get buf pos) = Bool.to_int b then pos + 1
+  else -1
+
+let tag_at d =
+  if Codec.remaining d < 1 then -1
+  else Char.code (Bytes.get (Codec.decoder_buffer d) (Codec.decoder_pos d))
+
+let starts_write d =
+  let tag = tag_at d in
+  tag = tag_put || tag = tag_del || tag = tag_cas
+
+let matches d op =
+  let buf = Codec.decoder_buffer d and pos = Codec.decoder_pos d + 1 in
+  let limit = Codec.decoder_pos d + Codec.remaining d in
+  let tag = tag_at d in
+  match op with
+  | Put { key; value } ->
+      tag = tag_put
+      && string_end buf (string_end buf pos limit key) limit value = limit
+  | Del { key } -> tag = tag_del && string_end buf pos limit key = limit
+  | Cas { key; expect; value } ->
+      tag = tag_cas
+      &&
+      let pos = string_end buf pos limit key in
+      let pos =
+        match expect with
+        | None -> bool_end buf pos limit false
+        | Some x -> string_end buf (bool_end buf pos limit true) limit x
+      in
+      string_end buf pos limit value = limit
+  | Sync_read _ | Hello _ | Chunk _ | Mcas _ | Mdecide _ | Skip _
+  | Mcas_table _ ->
+      false
+
 let pp ppf = function
   | Put { key; value } ->
       Format.fprintf ppf "put(%s=%dB)" key (String.length value)

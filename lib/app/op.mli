@@ -112,4 +112,17 @@ val decode_from : Codec.decoder -> t
     @raise Aring_wire.Codec.Decode_error on malformed input, or if the
     op does not end exactly at the end of the slice. *)
 
+val starts_write : Codec.decoder -> bool
+(** Whether the cursor's slice starts with the tag of a [Put], [Del] or
+    [Cas]. Reads without moving the cursor; false on an empty slice. *)
+
+val matches : Codec.decoder -> t -> bool
+(** [matches d op] is [decode_from d = op] for a [Put], [Del] or [Cas]
+    [op], computed in place: it checks the tag, compares each string
+    field byte for byte and checks that the op ends exactly at the end
+    of the slice. It allocates nothing, never raises (malformed input is
+    [false]) and does not move the cursor, so a caller can still
+    {!decode_from} it. Every other op is [false]: only those three hold
+    nothing but strings, so only their encoding round-trips exactly. *)
+
 val pp : Format.formatter -> t -> unit

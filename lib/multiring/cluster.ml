@@ -22,14 +22,6 @@ module Flight = Aring_obs.Flight
 let skip_every_ns = 250_000
 let mcas_retry_ns = 8_000_000
 
-type merged_item = {
-  mi_ring : int;
-  mi_index : int;
-  mi_op : Op.t;
-  mi_value : string option;
-  mi_applied_at : int;
-}
-
 type mcas_reg = {
   rg_rings : int list;
   rg_node : int;
@@ -45,10 +37,14 @@ type t = {
   daemons : Daemon.t array;
   kvs : Kv.t array;
   oracles : Oracle.t array;  (* per ring *)
-  merges : merged_item Merge.t array;  (* per physical node *)
-  emitters : (int -> merged_item -> unit) array;
+  merges : Kv.observation Merge.t array;
+      (* per physical node: each ring's [Applied] observations, the
+         records the replicas reported, stamped with the apply time *)
+  emitters : (int -> int -> Kv.observation -> unit) array;
       (* per physical node: {!Merge.drain}'s callback, built once *)
-  mutable merged_cbs : (node:int -> ring:int -> merged_item -> unit) list;
+  mutable merged_cbs :
+    (node:int -> ring:int -> index:int -> op:Op.t -> applied_at:int -> unit)
+    list;
   registry : (string, mcas_reg) Hashtbl.t;
   decisions : (string, (int * int * bool) list ref) Hashtbl.t;
       (* id -> (node, ring, commit) in observation order *)
@@ -200,40 +196,38 @@ let note_decision t ~node ~ring ~id commit =
   in
   l := (node, ring, commit) :: !l
 
-let rec notify_merged ~node ~ring it = function
+let rec notify_merged ~node ~ring ~index ~op ~applied_at = function
   | [] -> ()
   | f :: rest ->
-      f ~node ~ring it;
-      notify_merged ~node ~ring it rest
+      f ~node ~ring ~index ~op ~applied_at;
+      notify_merged ~node ~ring ~index ~op ~applied_at rest
 
 (* Node [node]'s emitter: what each merged element at that node does. A
-   closure of exactly two arguments, so {!Merge.drain} applies it whole.
-   Ring r's op-log position i (index i + 1) sorts at turn i * M + r; the
-   ring's oracle records any learner that emits it elsewhere. *)
+   closure of exactly three arguments, so {!Merge.drain} applies it
+   whole. Ring r's op-log position i (index i + 1) sorts at turn
+   i * M + r; the ring's oracle records any learner that emits it
+   elsewhere. Only [Applied] observations are pushed. *)
 let emitter t node =
   let m = t.merges.(node) in
-  fun ring it ->
-    Flight.record ~node:(pid t ~ring ~node) ~code:Flight.ev_merge ~a:ring
-      ~b:(Merge.emitted m) ~c:0 ~d:0;
-    Oracle.check_merged t.oracles.(ring) ~node:(pid t ~ring ~node)
-      ~index:it.mi_index ~turn:(Merge.turn m - 1)
-      ~expected:(((it.mi_index - 1) * t.rings) + ring);
-    notify_merged ~node ~ring it t.merged_cbs
+  fun ring applied_at obs ->
+    match (obs : Kv.observation) with
+    | Applied { index; op; _ } ->
+        Flight.record ~node:(pid t ~ring ~node) ~code:Flight.ev_merge ~a:ring
+          ~b:(Merge.emitted m) ~c:0 ~d:0;
+        Oracle.check_merged t.oracles.(ring) ~node:(pid t ~ring ~node) ~index
+          ~turn:(Merge.turn m - 1)
+          ~expected:(((index - 1) * t.rings) + ring);
+        notify_merged ~node ~ring ~index ~op ~applied_at t.merged_cbs
+    | _ -> ()
 
 let drain_merge t ~node = Merge.drain t.merges.(node) t.emitters.(node)
 
 let observe t ~node ~ring (obs : Kv.observation) =
   t.last_activity.(pid t ~ring ~node) <- Netsim.now t.sim;
   match obs with
-  | Kv.Applied { index; op; value } ->
-      Merge.push_item t.merges.(node) ~ring
-        {
-          mi_ring = ring;
-          mi_index = index;
-          mi_op = op;
-          mi_value = value;
-          mi_applied_at = Netsim.now t.sim;
-        };
+  | Kv.Applied _ ->
+      (* The merge holds the replica's own record, not a copy. *)
+      Merge.push_item t.merges.(node) ~ring ~stamp:(Netsim.now t.sim) obs;
       drain_merge t ~node
   | Kv.Skipped { upto } ->
       Merge.seek t.merges.(node) ~ring upto;
@@ -334,7 +328,7 @@ let create ?(params = Kv_scenario.snappy_params ()) ?(net = Profile.gigabit)
       kvs;
       oracles;
       merges = Array.init nodes (fun _ -> Merge.create ~rings);
-      emitters = Array.make nodes (fun _ _ -> ());
+      emitters = Array.make nodes (fun _ _ _ -> ());
       merged_cbs = [];
       registry = Hashtbl.create 64;
       decisions = Hashtbl.create 64;

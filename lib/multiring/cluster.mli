@@ -29,17 +29,6 @@ module Oracle = Aring_app.Oracle
 
 type t
 
-(** One element of a node's merged total order. *)
-type merged_item = {
-  mi_ring : int;  (** Ring that ordered the op. *)
-  mi_index : int;  (** The op's index in its ring's op log. *)
-  mi_op : Op.t;
-  mi_value : string option;  (** Store value after apply (ground truth). *)
-  mi_applied_at : int;
-      (** Sim time the op applied on its ring at this node — merged
-          emergence minus this is the merge-added wait. *)
-}
-
 val create :
   ?params:Params.t ->
   ?net:Profile.net ->
@@ -137,13 +126,21 @@ val decisions_for : t -> string -> (int * int * bool) list
 
 (** {1 Merged order} *)
 
-val on_merged : t -> (node:int -> ring:int -> merged_item -> unit) -> unit
+val on_merged :
+  t ->
+  (node:int -> ring:int -> index:int -> op:Op.t -> applied_at:int -> unit) ->
+  unit
 (** Called for every element of each node's merged stream, in merged
-    order; callbacks run in registration order. *)
+    order; callbacks run in registration order. [ring] ordered the op,
+    at [index] of its op log; [applied_at] is the sim time the op
+    applied on its ring at this node, so merged emergence minus it is
+    the merge-added wait. *)
 
-val merge : t -> node:int -> merged_item Merge.t
+val merge : t -> node:int -> Kv.observation Merge.t
 (** Node [node]'s learner merge, for inspection: its per-ring positions,
-    turn and pending items. *)
+    turn and pending items. It holds the [Kv.Applied] records the
+    node's replicas reported, each stamped with its apply time: the
+    merge builds no item of its own. *)
 
 (** {1 Faults and convergence} *)
 

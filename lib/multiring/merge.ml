@@ -14,7 +14,7 @@
    them all.
 
    Each ring's items live in one lane: a circular buffer of (slot,
-   position) cells that doubles when full, so a steady push/drain
+   position, stamp) cells that doubles when full, so a steady push/drain
    allocates nothing. Taken cells hold [empty], so the merge never keeps
    an emitted item alive. *)
 
@@ -23,6 +23,7 @@ type 'a input = Item of 'a | Skip of int
 type 'a lane = {
   mutable slots : 'a array;
   mutable pos : int array;  (* each held item's position, increasing *)
+  mutable stamps : int array;  (* each held item's caller stamp *)
   mutable head : int;
   mutable len : int;
   mutable known : int;  (* units [0, known) are known *)
@@ -49,6 +50,7 @@ let create ~rings =
           {
             slots = Array.make initial_cells (empty ());
             pos = Array.make initial_cells 0;
+            stamps = Array.make initial_cells 0;
             head = 0;
             len = 0;
             known = 0;
@@ -73,21 +75,25 @@ let pending t ~ring = (lane t ring).len
 let grow l =
   let cap = Array.length l.pos in
   let slots = Array.make (2 * cap) (empty ()) and pos = Array.make (2 * cap) 0 in
+  let stamps = Array.make (2 * cap) 0 in
   for i = 0 to l.len - 1 do
     let j = (l.head + i) land (cap - 1) in
     slots.(i) <- l.slots.(j);
-    pos.(i) <- l.pos.(j)
+    pos.(i) <- l.pos.(j);
+    stamps.(i) <- l.stamps.(j)
   done;
   l.slots <- slots;
   l.pos <- pos;
+  l.stamps <- stamps;
   l.head <- 0
 
-let push_item t ~ring x =
+let push_item t ~ring ~stamp x =
   let l = lane t ring in
   if l.len = Array.length l.pos then grow l;
   let i = (l.head + l.len) land (Array.length l.pos - 1) in
   l.slots.(i) <- x;
   l.pos.(i) <- l.known;
+  l.stamps.(i) <- stamp;
   l.len <- l.len + 1;
   l.known <- l.known + 1;
   t.held <- t.held + 1
@@ -97,7 +103,7 @@ let seek t ~ring p =
   if p > l.known then l.known <- p
 
 let push t ~ring = function
-  | Item x -> push_item t ~ring x
+  | Item x -> push_item t ~ring ~stamp:0 x
   | Skip k -> seek t ~ring (position t ~ring + k)
 
 (* The earliest turn at or after [t.turn] that emits or blocks: the
@@ -124,19 +130,19 @@ let rec drain t f =
     let l = t.lanes.(r) in
     t.turn <- turn;
     if l.len > 0 then begin
-      let x = l.slots.(l.head) in
+      let x = l.slots.(l.head) and stamp = l.stamps.(l.head) in
       l.slots.(l.head) <- empty ();
       l.head <- (l.head + 1) land (Array.length l.pos - 1);
       l.len <- l.len - 1;
       t.held <- t.held - 1;
       t.emitted <- t.emitted + 1;
       t.turn <- turn + 1;
-      f r x;
+      f r stamp x;
       drain t f
     end
   end
 
 let pop_all t =
   let out = ref [] in
-  drain t (fun r x -> out := (r, x) :: !out);
+  drain t (fun r _ x -> out := (r, x) :: !out);
   List.rev !out

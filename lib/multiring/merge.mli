@@ -18,12 +18,17 @@
 
     Each ring's items are held in one lane, a circular buffer that
     doubles when full: once the lanes have grown to the backlog,
-    {!push_item}, {!seek} and {!drain} allocate nothing. A taken slot
+    {!push_item}, {!seek} and {!drain} allocate nothing. Beside each
+    held item the lane keeps an int {e stamp} of the caller's (a
+    cluster learner stamps the time its replica applied the op), in an
+    unboxed array, so an item needs no record to carry it. A taken slot
     keeps nothing alive — an emitted item is reachable only through
     what the caller kept of it. *)
 
 type 'a input =
-  | Item of 'a  (** One agreed delivery of the ring, at its next position. *)
+  | Item of 'a
+      (** One agreed delivery of the ring, at its next position, with
+          stamp 0. *)
   | Skip of int
       (** The ring's next [k] positions hold no item ([k <= 0] is
           dropped). *)
@@ -33,9 +38,9 @@ type 'a t
 val create : rings:int -> 'a t
 (** @raise Invalid_argument if [rings < 1]. *)
 
-val push_item : 'a t -> ring:int -> 'a -> unit
-(** Put an item at ring [ring]'s next position, and move the ring's
-    known position one past it.
+val push_item : 'a t -> ring:int -> stamp:int -> 'a -> unit
+(** Put an item, with its [stamp], at ring [ring]'s next position, and
+    move the ring's known position one past it.
     @raise Invalid_argument if [ring] is out of range. *)
 
 val seek : 'a t -> ring:int -> int -> unit
@@ -47,15 +52,16 @@ val seek : 'a t -> ring:int -> int -> unit
 val push : 'a t -> ring:int -> 'a input -> unit
 (** {!push_item}, or a {!seek} [k] positions past the known one. *)
 
-val drain : 'a t -> (int -> 'a -> unit) -> unit
-(** [drain t f] calls [f ring x] for each item of the merged order the
-    merge can reach, in order, and returns when no ring holds an item or
-    the next turn's unit is not yet known. Blocked is not final — push
-    or seek and drain again. [f] may push into [t]; the item is taken
-    before [f] runs, and the drain goes on with whatever [f] pushed. *)
+val drain : 'a t -> (int -> int -> 'a -> unit) -> unit
+(** [drain t f] calls [f ring stamp x] for each item of the merged
+    order the merge can reach, in order, and returns when no ring holds
+    an item or the next turn's unit is not yet known. Blocked is not
+    final — push or seek and drain again. [f] may push into [t]; the
+    item is taken before [f] runs, and the drain goes on with whatever
+    [f] pushed. *)
 
 val pop_all : 'a t -> (int * 'a) list
-(** {!drain} into a list. *)
+(** {!drain} into a list of [(ring, item)], without the stamps. *)
 
 val rings : 'a t -> int
 

@@ -34,16 +34,16 @@ let run (spec : Load.spec) =
   let merge_wait = Stats.create () in
   (* Latency closes at merged emergence in node 0's learner stream. *)
   let on_applied applied =
-    Cluster.on_merged cluster (fun ~node ~ring (it : Cluster.merged_item) ->
+    Cluster.on_merged cluster (fun ~node ~ring ~index:_ ~op ~applied_at ->
         if node = 0 then begin
           let now = Netsim.now sim in
           if in_window now then begin
             incr merged_total;
             Metrics.incr m_merged;
             per_ring_applied.(ring) <- per_ring_applied.(ring) + 1;
-            Stats.add merge_wait (float_of_int (now - it.mi_applied_at) /. 1e3)
+            Stats.add merge_wait (float_of_int (now - applied_at) /. 1e3)
           end;
-          match applied ~node it.mi_op with
+          match applied ~node op with
           | Some t0 when in_window t0 ->
               incr writes_applied;
               Stats.add write_latency (float_of_int (now - t0) /. 1e3)

@@ -481,6 +481,140 @@ let test_measure_transfer () =
     (r.Kv_scenario.entries_transferred >= 500);
   check Alcotest.bool "timed" true (r.Kv_scenario.xfer_us > 0.0)
 
+(* -------------------------------------------------------------------- *)
+(* Own writes                                                            *)
+
+module Envelope = Aring_daemon.Envelope
+
+(* One KV replica on the daemon of an operational member of a 4-member
+   ring, driven by hand: [take ()] removes the one frame the replica's
+   last client call submitted, and [deliver frame] hands the daemon that
+   frame as the ring's next agreed message. No view is delivered, so
+   the replica applies each write at once. *)
+let hand_driven_replica () =
+  let ring_size = 4 in
+  let m =
+    Member.create ~params:Params.default ~me:0
+      ~initial_ring:(Array.init ring_size Fun.id) ()
+  in
+  ignore ((Member.participant m).start ());
+  let engine =
+    match Member.node m with
+    | Some node -> Node.engine node
+    | None -> Alcotest.fail "a member with an initial ring starts operational"
+  in
+  let d = Aring_daemon.Daemon.create ~member:m () in
+  let kv = Kv.create ~cluster_size:ring_size ~daemon:d () in
+  ignore (Engine.drain_pending engine);
+  let p = Aring_daemon.Daemon.participant d in
+  let seq = ref 0 in
+  let deliver payload =
+    incr seq;
+    ignore
+      (p.process
+         (Message.Data
+            { d_ring = Engine.ring_id engine; seq = !seq; pid = 1; d_round = 1;
+              post_token = false; service = Types.Agreed; payload }))
+  in
+  let take () =
+    match Engine.drain_pending engine with
+    | [ (_, frame) ] -> frame
+    | l -> Alcotest.failf "%d frames submitted, expected one" (List.length l)
+  in
+  (kv, take, deliver)
+
+(* The string an own-write check follows: the value a put or cas wrote,
+   the key a del removed. *)
+let written = function
+  | Op.Put { value; _ } | Op.Cas { value; _ } -> value
+  | Op.Del { key } -> key
+  | op -> Alcotest.failf "not a write: %a" Op.pp op
+
+(* A replica applies its own writes from the ops it submitted, and the
+   result is what decoding every delivery gives: its first write is lost
+   (a view change dropped it), a foreign write lands between its own,
+   and a foreign put carries the content of a pending own put. *)
+let test_own_writes_applied_as_submitted () =
+  let kv, take, deliver = hand_driven_replica () in
+  let applied = ref [] in
+  Kv.add_observer kv (function
+    | Kv.Applied { index; op; value } -> applied := (index, op, value) :: !applied
+    | _ -> ());
+  (* Fresh strings, so physical equality tells a submitted op from a
+     decoded copy. *)
+  let fresh s = Bytes.to_string (Bytes.of_string s) in
+  let submit f =
+    f ();
+    take ()
+  in
+  let v_lost = fresh "lost" and v_cas = fresh "cas" and v_put = fresh "v3"
+  and v_shared = fresh "shared" and v_again = fresh "lost" and k_del = fresh "k2" in
+  (* Submitted, never delivered. *)
+  ignore (submit (fun () -> Kv.put kv ~key:"k1" ~value:v_lost));
+  let cas = submit (fun () -> Kv.cas kv ~key:"k2" ~expect:None ~value:v_cas) in
+  let put = submit (fun () -> Kv.put kv ~key:"k1" ~value:v_put) in
+  let shared = submit (fun () -> Kv.put kv ~key:"k3" ~value:v_shared) in
+  let again = submit (fun () -> Kv.put kv ~key:"k1" ~value:v_again) in
+  let del = submit (fun () -> Kv.del kv ~key:k_del) in
+  let foreign op =
+    Envelope.encode
+      (Envelope.App
+         { sender = Envelope.member_name ~daemon:1 ~session:"kv"; groups = [ Kv.group ];
+           payload = Op.encode op })
+  in
+  let f_between = foreign (Op.Put { key = "k2"; value = "foreign" }) in
+  let f_shared = foreign (Op.Put { key = "k3"; value = fresh "shared" }) in
+  let deliveries =
+    [ (cas, Some v_cas); (f_between, None); (put, Some v_put); (f_shared, None);
+      (shared, Some v_shared); (again, Some v_again); (del, Some k_del) ]
+  in
+  (* The shadow decodes every delivery. *)
+  let shadow = Hashtbl.create 8 and expected = ref [] in
+  List.iteri
+    (fun i (frame, _) ->
+      let op =
+        match Envelope.decode frame with
+        | Envelope.App { payload; _ } -> Op.decode payload
+        | _ -> Alcotest.fail "not an App frame"
+      in
+      let key =
+        match op with
+        | Op.Put { key; value } -> Hashtbl.replace shadow key value; key
+        | Op.Del { key } -> Hashtbl.remove shadow key; key
+        | Op.Cas { key; expect; value } ->
+            if Hashtbl.find_opt shadow key = expect then Hashtbl.replace shadow key value;
+            key
+        | _ -> Alcotest.fail "not a write"
+      in
+      expected := (i + 1, op, Hashtbl.find_opt shadow key) :: !expected)
+    deliveries;
+  List.iter (fun (frame, _) -> deliver frame) deliveries;
+  let applied = List.rev !applied and expected = List.rev !expected in
+  check Alcotest.int "every delivery applied" (List.length expected) (List.length applied);
+  check Alcotest.bool "Applied stream equals the decoding shadow" true (applied = expected);
+  check
+    Alcotest.(list (pair string string))
+    "store equals the shadow"
+    (List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) shadow []))
+    (Kv.entries kv);
+  (* Own deliveries apply the submitted op itself; foreign ones a
+     decoded copy, even when their content is a pending own write's. *)
+  List.iteri
+    (fun i ((_, own), (_, op, _)) ->
+      let s = written op in
+      match own with
+      | Some submitted ->
+          check Alcotest.bool
+            (Printf.sprintf "delivery %d applies the op it submitted" (i + 1))
+            true (s == submitted)
+      | None ->
+          check Alcotest.bool
+            (Printf.sprintf "foreign delivery %d applies its own copy" (i + 1))
+            false
+            (List.exists (fun v -> s == v) [ v_lost; v_cas; v_put; v_shared; v_again ]))
+    (List.combine deliveries applied);
+  check Alcotest.int "no decode error" 0 (Kv.stats kv).Kv.decode_errors
+
 let suite =
   [
     Alcotest.test_case "op codec roundtrips" `Quick test_op_roundtrips;
@@ -516,4 +650,6 @@ let suite =
     Alcotest.test_case "oracle: skip advances the index" `Quick
       test_oracle_skip_advances_index;
     Alcotest.test_case "measure transfer" `Quick test_measure_transfer;
+    Alcotest.test_case "own writes applied as submitted" `Quick
+      test_own_writes_applied_as_submitted;
   ]

@@ -336,6 +336,8 @@ let arb_merge_steps =
 let rec model_pop_all m =
   match Queue_model.pop m with None -> [] | Some e -> e :: model_pop_all m
 
+let stamp_of x = (x * 7) + 1
+
 let prop_merge_matches_queue_model =
   QCheck.Test.make ~name:"merge lanes match the queue model" ~count:500
     arb_merge_steps (fun (rings, steps) ->
@@ -362,7 +364,7 @@ let prop_merge_matches_queue_model =
             match step with
             | Push (ring, `Item) ->
                 incr next;
-                Merge.push_item m ~ring !next;
+                Merge.push_item m ~ring ~stamp:(stamp_of !next) !next;
                 Queue_model.push q ring (Merge.Item !next);
                 true
             | Push (ring, `Skip k) ->
@@ -370,9 +372,12 @@ let prop_merge_matches_queue_model =
                 Queue_model.push q ring (Merge.Skip k);
                 true
             | Drain ->
-                let out = ref [] in
-                Merge.drain m (fun r x -> out := (r, x) :: !out);
-                List.rev !out = model_pop_all q
+                (* Each item leaves with the stamp it was pushed with. *)
+                let out = ref [] and stamped = ref true in
+                Merge.drain m (fun r s x ->
+                    stamped := !stamped && s = stamp_of x;
+                    out := (r, x) :: !out);
+                !stamped && List.rev !out = model_pop_all q
             | Pop_all -> Merge.pop_all m = model_pop_all q
           in
           same_output && same_counters ())
@@ -384,8 +389,8 @@ let[@inline never] push_tracked m w n =
   for i = 0 to n - 1 do
     let x = ref i in
     Weak.set w i (Some x);
-    Merge.push_item m ~ring:(i mod Merge.rings m) x;
-    if i mod 1_000 = 999 then Merge.drain m (fun _ _ -> ())
+    Merge.push_item m ~ring:(i mod Merge.rings m) ~stamp:i x;
+    if i mod 1_000 = 999 then Merge.drain m (fun _ _ _ -> ())
   done
 
 (* A taken slot keeps nothing alive: every drained item is collectable
@@ -394,7 +399,7 @@ let test_merge_drained_items_collectable () =
   let n = 10_000 in
   let m = Merge.create ~rings:4 and w = Weak.create n in
   push_tracked m w n;
-  Merge.drain m (fun _ _ -> ());
+  Merge.drain m (fun _ _ _ -> ());
   Gc.full_major ();
   let alive = ref 0 in
   for i = 0 to n - 1 do
@@ -410,11 +415,11 @@ let test_merge_push_drain_allocation_free () =
   let m = Merge.create ~rings in
   let items = Array.init rings (fun r -> ref r) in
   let seen = ref 0 in
-  let f _ _ = incr seen in
+  let f _ _ _ = incr seen in
   let burst () =
     for _ = 1 to 8 do
       for ring = 0 to rings - 1 do
-        Merge.push_item m ~ring items.(ring)
+        Merge.push_item m ~ring ~stamp:ring items.(ring)
       done
     done;
     Merge.drain m f
@@ -467,8 +472,8 @@ let test_cluster_smoke () =
   let sim = Cluster.sim cluster in
   (* Record each node's merged stream of (ring, index). *)
   let streams = Array.make 3 [] in
-  Cluster.on_merged cluster (fun ~node ~ring it ->
-      streams.(node) <- (ring, it.Cluster.mi_index) :: streams.(node));
+  Cluster.on_merged cluster (fun ~node ~ring ~index ~op:_ ~applied_at:_ ->
+      streams.(node) <- (ring, index) :: streams.(node));
   let buckets = keys_per_ring cluster ~count:4 in
   Netsim.call_at sim ~at:(ms 30) (fun () ->
       Array.iter
@@ -531,7 +536,7 @@ let test_grant_up_to_frontier () =
   let cluster = Cluster.create ~rings:2 ~nodes:3 ~seed:5L () in
   let sim = Cluster.sim cluster in
   let merged = Array.make 3 0 in
-  Cluster.on_merged cluster (fun ~node ~ring:_ _ ->
+  Cluster.on_merged cluster (fun ~node ~ring:_ ~index:_ ~op:_ ~applied_at:_ ->
       merged.(node) <- merged.(node) + 1);
   let buckets = keys_per_ring cluster ~count:5 in
   Netsim.call_at sim ~at:(ms 30) (fun () ->

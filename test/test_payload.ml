@@ -339,6 +339,141 @@ let prop_envelope_views =
     ~exact:Envelope.decode ~from:(fun d -> owned (Envelope.parse names d))
 
 (* -------------------------------------------------------------------- *)
+(* Own-write matcher                                                     *)
+
+(* Write ops over a small alphabet, so that two draws often share a field
+   or are equal, with a long value now and then. *)
+let field_gen =
+  QCheck.Gen.(
+    frequency
+      [ (4, oneofl [ ""; "a"; "b"; "ab" ]); (2, string_size ~gen:char (0 -- 8));
+        (1, value_gen) ])
+
+let write_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map2 (fun key value -> Op.Put { key; value }) field_gen field_gen;
+        map (fun key -> Op.Del { key }) field_gen;
+        map3
+          (fun key expect value -> Op.Cas { key; expect; value })
+          field_gen (opt field_gen) field_gen;
+      ])
+
+(* Ops one field away from [p]: another kind over its key, or one string
+   grown by a byte. *)
+let near p =
+  let key, value =
+    match p with
+    | Op.Put { key; value } | Op.Cas { key; value; _ } -> (key, value)
+    | _ -> ("", "")
+  in
+  QCheck.Gen.oneofl
+    [
+      Op.Put { key; value };
+      Op.Del { key };
+      Op.Cas { key; expect = None; value };
+      Op.Cas { key; expect = Some value; value };
+      Op.Put { key = key ^ "a"; value };
+      Op.Put { key; value = value ^ "\000" };
+    ]
+
+(* [(o, p)]: [o] is a decoded copy of [p] (equal, never the same
+   strings), an op near it, or an independent draw. *)
+let write_pair_gen =
+  QCheck.Gen.(
+    write_gen >>= fun p ->
+    map
+      (fun o -> (o, p))
+      (frequency
+         [ (2, return (Op.decode (Op.encode p))); (2, near p); (1, write_gen) ]))
+
+(* A decoder over exactly [b], placed between garbage in a larger
+   buffer. *)
+let decoder_over ~pre ~post b =
+  let buf = Bytes.of_string (pre ^ Bytes.to_string b ^ post) in
+  let dec = Codec.decoder_empty () in
+  Codec.decoder_reset_view dec
+    (Codec.view buf ~pos:(String.length pre) ~len:(Bytes.length b));
+  dec
+
+let garbage_gen = QCheck.Gen.(string_size ~gen:char (0 -- 16))
+let print_op = Fmt.to_to_string Op.pp
+
+let prop_matcher_exact =
+  QCheck.Test.make ~name:"matcher accepts a write's encoding exactly when equal"
+    ~count:500
+    (QCheck.make
+       ~print:(fun ((o, p), _, _) -> print_op o ^ " against " ^ print_op p)
+       QCheck.Gen.(triple write_pair_gen garbage_gen garbage_gen))
+    (fun ((o, p), pre, post) ->
+      let dec = decoder_over ~pre ~post (Op.encode p) in
+      let at = Codec.decoder_pos dec in
+      Op.starts_write dec
+      && Op.matches dec o = (o = p)
+      && Codec.decoder_pos dec = at
+      && Op.decode_from dec = p)
+
+(* Rejections, none of which may raise: a non-write op's encoding, a
+   write's encoding cut short, and random bytes (accepted only if they
+   happen to decode to the op). *)
+let prop_matcher_rejects =
+  let non_write_gen =
+    QCheck.Gen.map
+      (function
+        | (Op.Put _ | Op.Del _ | Op.Cas _) -> Op.Skip { upto = 3 } | op -> op)
+      op_gen
+  in
+  QCheck.Test.make ~name:"matcher rejects other ops, cut writes and garbage"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (o, n, _, r) ->
+         Printf.sprintf "%s; %s; %d random bytes" (print_op o) (print_op n)
+           (String.length r))
+       QCheck.Gen.(
+         quad write_gen non_write_gen (0 -- 1_000)
+           (map2
+              (fun tag r -> Option.fold ~none:r ~some:(fun c -> String.make 1 c ^ r) tag)
+              (opt (oneofl [ '\001'; '\002'; '\003' ]))
+              (string_size ~gen:char (0 -- 64)))))
+    (fun (o, n, cut, r) ->
+      let against b = Op.matches (decoder_over ~pre:"x" ~post:"y" b) o in
+      let own = Op.encode o in
+      let len = Bytes.length own in
+      let cuts =
+        List.filter (fun k -> k < len)
+          (List.sort_uniq compare [ 0; 1; 4; 5; len / 2; len - 1; cut mod len ])
+      in
+      let r = Bytes.of_string r in
+      let decodes_to_o =
+        match Op.decode r with x -> x = o | exception Codec.Decode_error _ -> false
+      in
+      (not (against (Op.encode n)))
+      && (not (Op.starts_write (decoder_over ~pre:"" ~post:"" (Op.encode n))))
+      && List.for_all (fun k -> not (against (Bytes.sub own 0 k))) cuts
+      && against r = decodes_to_o)
+
+(* A match, taken or refused at any field, allocates nothing. *)
+let test_matcher_alloc_free () =
+  let dec = decoder_over ~pre:"" ~post:"" (Op.encode (Op.Put { key = "k"; value = put_value })) in
+  let ops =
+    [ Op.Put { key = "k"; value = put_value };
+      Op.Put { key = "k"; value = String.make 1024 'w' };
+      Op.Cas { key = "k"; expect = Some "x"; value = put_value };
+      Op.Del { key = "k" } ]
+  in
+  List.iter
+    (fun op ->
+      let expected = Op.matches dec op in
+      let before = Gc.minor_words () in
+      for _ = 1 to 1_000 do
+        if Op.matches dec op <> expected then Alcotest.fail "matcher not deterministic"
+      done;
+      check (Alcotest.float 0.) (Fmt.str "words per match of %a" Op.pp op) 0.
+        (Gc.minor_words () -. before))
+    ops
+
+(* -------------------------------------------------------------------- *)
 (* Delivery                                                              *)
 
 let ring_size = 4
@@ -467,4 +602,7 @@ let suite =
       test_deliver_alloc_flat;
     Alcotest.test_case "parked views outlive the engine's messages" `Quick
       test_parked_views_outlive_messages;
+    QCheck_alcotest.to_alcotest prop_matcher_exact;
+    QCheck_alcotest.to_alcotest prop_matcher_rejects;
+    Alcotest.test_case "matcher allocates nothing" `Quick test_matcher_alloc_free;
   ]
