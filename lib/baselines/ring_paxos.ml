@@ -36,8 +36,6 @@ type t = {
   pending : Message.data Deque.t;  (* proposals waiting for the window *)
   (* Last acceptor state. *)
   mutable decision_sent : int;
-  (* Stats. *)
-  mutable delivered_count : int;
 }
 
 (* The coordinator is process 0, the first acceptor. *)
@@ -57,10 +55,8 @@ let create ~me ~n =
     next_instance = 1;
     pending = Deque.create ();
     decision_sent = 0;
-    delivered_count = 0;
   }
 
-let delivered_count t = t.delivered_count
 let decided_count t = t.decided_high
 
 let is_coordinator t = t.me = coordinator
@@ -99,7 +95,6 @@ let deliver_ready t =
       | None -> List.rev acc
       | Some d ->
           t.delivered <- next;
-          t.delivered_count <- t.delivered_count + 1;
           (* Retain a bounded history (for the coordinator's NACK service). *)
           if next > history_window then
             Hashtbl.remove t.values (next - history_window);

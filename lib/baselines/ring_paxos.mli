@@ -18,7 +18,7 @@
       in id order once both the value and the decision have arrived.
 
     Gap recovery is NACK-based against the coordinator, which retains a
-    bounded history ({!history_window}).
+    bounded history of the last 200,000 instances.
 
     Wire mapping (reusing the base formats; see DESIGN.md): a proposal is
     a [Data] with [d_round = 0]; Phase 2a is [Data] with [d_round = 1] and
@@ -38,8 +38,6 @@ open Aring_ring
 
 type Participant.timer += Paxos_gap_check
 
-val history_window : int
-
 type t
 
 val create : me:Types.pid -> n:int -> t
@@ -47,8 +45,6 @@ val create : me:Types.pid -> n:int -> t
     and the acceptor quorum the first [n/2 + 1] processes. *)
 
 val participant : t -> Participant.t
-
-val delivered_count : t -> int
 
 val decided_count : t -> int
 (** Instances decided at the coordinator. *)

@@ -26,7 +26,6 @@ type t = {
   mutable next_seq : Types.seqno;
   history : (Types.seqno, Message.data) Hashtbl.t;
   (* Stats. *)
-  mutable delivered_count : int;
   mutable nacks_sent : int;
 }
 
@@ -43,11 +42,9 @@ let create ~me ~n =
     gap_timer_armed = false;
     next_seq = 1;
     history = Hashtbl.create 1024;
-    delivered_count = 0;
     nacks_sent = 0;
   }
 
-let delivered_count t = t.delivered_count
 let nacks_sent t = t.nacks_sent
 
 let is_sequencer t = t.me = sequencer
@@ -60,7 +57,6 @@ let deliver_ready t =
     | Some d ->
         Hashtbl.remove t.pending t.expected;
         t.expected <- t.expected + 1;
-        t.delivered_count <- t.delivered_count + 1;
         loop (Participant.Deliver d :: acc)
   in
   loop []

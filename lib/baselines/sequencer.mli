@@ -20,14 +20,12 @@
     Compared to the ring protocols, the sequencer provides no Safe
     (stability) service and no flow control — matching the weaker
     guarantees the paper points out for sequencer systems. The history
-    buffer retains the most recent {!history_window} messages. *)
+    buffer retains the most recent 200,000 messages. *)
 
 open Aring_wire
 open Aring_ring
 
 type Participant.timer += Gap_check
-
-val history_window : int
 
 type t
 
@@ -37,5 +35,4 @@ val create : me:Types.pid -> n:int -> t
 
 val participant : t -> Participant.t
 
-val delivered_count : t -> int
 val nacks_sent : t -> int

@@ -505,9 +505,7 @@ let rec transform_actions t actions =
             handle_view t v;
             1
         | Participant.Unicast _ | Participant.Multicast _
-        | Participant.Arm_timer _ | Participant.Disarm_timer _
-        | Participant.Token_loss_detected ->
-            1
+        | Participant.Arm_timer _ | Participant.Disarm_timer _ -> 1
       in
       let rest' = transform_actions t rest in
       if copies = 1 && rest' == rest then actions else repeat action copies rest'

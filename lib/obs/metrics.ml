@@ -129,7 +129,6 @@ let hist_sum h = h.h_sum.sum
 let hist_mean h = if h.h_count = 0 then nan else h.h_sum.sum /. float_of_int h.h_count
 
 let hist_bucket_counts h = Array.copy h.counts
-let hist_bounds h = Array.copy h.bounds
 
 (* Quantile estimate by linear interpolation within the landing bucket;
    exact enough for fixed-bucket data, and mergeable (unlike samples). *)

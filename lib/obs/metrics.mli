@@ -62,8 +62,6 @@ val hist_quantile : histogram -> float -> float
 val hist_bucket_counts : histogram -> int array
 (** Per-bucket counts, overflow bucket last. *)
 
-val hist_bounds : histogram -> float array
-
 val hist_merge : histogram -> histogram -> histogram
 (** Sum of both; raises [Invalid_argument] on differing bounds. *)
 

@@ -17,7 +17,6 @@ type output =
   | Send_data of Message.data
   | Deliver of Message.data
   | Set_timer of timer_kind * int
-  | Token_lost
 
 type 'a sink = {
   send_token : Types.pid -> Message.token -> 'a;
@@ -25,7 +24,6 @@ type 'a sink = {
   deliver : Message.data -> 'a;
   rearm : 'a list;
   rearm_retransmit : 'a list;
-  token_lost : 'a;
 }
 
 type stats = {
@@ -172,7 +170,6 @@ let create ~params ~ring_id ~ring ~me =
       deliver = (fun d -> Deliver d);
       rearm = [ retransmit_timer; loss_timer ];
       rearm_retransmit = [ retransmit_timer ];
-      token_lost = Token_lost;
     }
   in
   {
@@ -579,7 +576,7 @@ let timer t sink kind =
   | Token_loss ->
       Flight.record ~node:t.me ~code:Flight.ev_token_lost ~a:t.round ~b:0
         ~c:0 ~d:0;
-      [ sink.token_lost ]
+      []
 
 let token t sink (tok : Message.token) =
   if Types.ring_id_equal tok.t_ring t.ring_id then handle_token t sink tok else []

@@ -27,15 +27,20 @@
     own {!outputs} sink.
 
     One engine instance serves one installed ring configuration. Membership
-    changes tear the engine down and build a fresh one (see {!Membership});
-    the engine itself only reports the loss of the token. *)
+    changes tear the engine down and build a fresh one (see {!Member}).
+    The engine outputs nothing when the token is lost: the loss timer's
+    fire records {!Aring_obs.Flight.ev_token_lost} and returns [[]], and
+    the layer that armed the timer decides what the loss means. *)
 
 open Aring_wire
 
 type timer_kind =
   | Token_retransmit
       (** Re-send the saved token if no progress was observed. *)
-  | Token_loss  (** Declare the token lost and ask for membership. *)
+  | Token_loss
+      (** Declare the token lost: record it, output nothing. A {!Member}
+          reacts to this timer's fire by starting the membership
+          algorithm. *)
 
 type input =
   | Token_received of Message.token
@@ -63,9 +68,6 @@ type output =
           a superseded timer must never be fed back. Each engine builds
           its two [Set_timer] values once, so every accepted token re-arms
           both without allocating them. *)
-  | Token_lost
-      (** No token activity within [token_loss_ns]; the membership algorithm
-          must take over. *)
 
 type 'a sink = {
   send_token : Types.pid -> Message.token -> 'a;
@@ -77,7 +79,6 @@ type 'a sink = {
           accepted token's list, shared by every visit. *)
   rearm_retransmit : 'a list;
       (** The retransmit timer's arm alone: the tail of a token re-send. *)
-  token_lost : 'a;  (** The token is lost ([Token_lost]). *)
 }
 (** A caller's constructors for the engine's outputs, built once per
     engine or runtime node. A token visit built through a sink allocates
@@ -131,7 +132,7 @@ val initial_token : Types.ring_id -> Message.token
 
 val outputs : t -> output sink
 (** The engine's own constructors ([Send_token], [Send_data], [Deliver],
-    its two [Set_timer] values, [Token_lost]), built once in {!create}. *)
+    its two [Set_timer] values), built once in {!create}. *)
 
 val handle : t -> input -> output list
 (** [handle t input] advances the state machine. See the module preamble
@@ -145,7 +146,9 @@ val token : t -> 'a sink -> Message.token -> 'a list
 
 val timer : t -> 'a sink -> timer_kind -> 'a list
 (** [timer t sink kind] is [handle t (Timer_expired kind)], built by
-    [sink]. *)
+    [sink]: a token re-send and its retransmit re-arm, or nothing. A
+    [Token_loss] fire records {!Aring_obs.Flight.ev_token_lost} (the
+    source of the trace's [Token_lost] event) and returns [[]]. *)
 
 val submit : t -> Types.service -> bytes -> unit
 (** [submit t service payload] is [handle t (Submit (service, payload))]:

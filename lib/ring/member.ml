@@ -207,43 +207,9 @@ let missing_from_exchange t (r : recover) holds =
         seqs
 
 (* ------------------------------------------------------------------ *)
-(* Node action post-processing                                         *)
-
-(* True iff [actions] holds a token loss the member must act on. *)
-let rec token_lost = function
-  | [] -> false
-  | Participant.Token_loss_detected :: _ -> true
-  | ( Participant.Unicast _ | Participant.Multicast _ | Participant.Deliver _
-    | Participant.Deliver_config _ | Participant.Arm_timer _
-    | Participant.Disarm_timer _ )
-    :: rest ->
-      token_lost rest
-
-(* Replace a node's token loss with the membership algorithm's Gather.
-   Node timers pass as they are: [enter_gather] disarms them as the node
-   is torn down. Any other list — every token visit and data-path
-   delivery — is returned as it is. *)
-let rec rewrap_node_actions t actions =
-  if token_lost actions then rewrap_each t actions else actions
-
-(* Direct recursion: one cons per action. *)
-and rewrap_each t actions =
-  match actions with
-  | [] -> []
-  | action :: rest -> (
-      match action with
-      | Participant.Token_loss_detected ->
-          let gather = enter_gather t in
-          gather @ rewrap_each t rest
-      | Participant.Unicast _ | Participant.Multicast _ | Participant.Deliver _
-      | Participant.Deliver_config _ | Participant.Arm_timer _
-      | Participant.Disarm_timer _ ->
-          action :: rewrap_each t rest)
-
-(* ------------------------------------------------------------------ *)
 (* Gather                                                              *)
 
-and my_join t (g : gather) : Message.join =
+let rec my_join t (g : gather) : Message.join =
   { j_pid = t.me; proc_set = g.proc_set; fail_set = g.fail_set; join_seq = t.join_seq }
 
 and multicast_join t g = Participant.Multicast (Message.Join (my_join t g))
@@ -471,7 +437,7 @@ and install t (r : recover) =
   t.old_node <- None;
   t.old_delivered <- 0;
   Hashtbl.reset t.stash;
-  let started = operate t r.r_ring r.r_order ~resubmit:true in
+  let started = operate t r.r_ring r.r_order in
   Log.info (fun m ->
       m "pid %d installed %a (%d members, %d survivors)" t.me Types.pp_ring_id
         r.r_ring (Array.length r.r_order)
@@ -486,11 +452,9 @@ and install t (r : recover) =
    order are [order]: the end of every install, and [start]'s pre-agreed
    ring. Returns the disarms of every membership key, the regular view's
    delivery, the node's first actions and the representative's merge
-   probe. With [resubmit], client messages submitted during the
-   formation carry over into the new node. [start] passes [false]:
-   resubmitting there would also replay every pre-start submission in
-   the simulator, which changes the pinned traces. *)
-and operate t (ring_id : Types.ring_id) order ~resubmit =
+   probe. Client messages submitted while no ring was installed (during
+   a formation, or before [start]) carry over into the new node. *)
+and operate t (ring_id : Types.ring_id) order =
   let view : Participant.view =
     { view_id = ring_id; members = Array.to_list order; transitional = false }
   in
@@ -502,18 +466,15 @@ and operate t (ring_id : Types.ring_id) order ~resubmit =
     Node.create ~params:t.params ~ring_id ~ring:order ~me:t.me
       ?controller:t.controller ()
   in
-  if resubmit then begin
-    Queue.iter (fun (service, payload) -> Node.submit node service payload)
-      t.client_pending;
-    Queue.clear t.client_pending
-  end;
+  Queue.iter (fun (service, payload) -> Node.submit node service payload)
+    t.client_pending;
+  Queue.clear t.client_pending;
   let probe =
     if ring_id.rep = t.me then [ arm Merge_probe t.params.merge_probe_ns ]
     else []
   in
   enter t (Operational node)
-    ((Participant.Deliver_config view :: rewrap_node_actions t (Node.start node))
-    @ probe)
+    ((Participant.Deliver_config view :: Node.start node) @ probe)
 
 (* A member alone at the consensus timeout installs a singleton ring
    without any commit/recover exchange. *)
@@ -821,7 +782,7 @@ and handle_data t msg (d : Message.data) =
   | Operational node ->
       let engine = Node.engine node in
       if Types.ring_id_equal d.d_ring (Engine.ring_id engine) then
-        rewrap_node_actions t (Node.process node msg)
+        Node.process node msg
       else if Hashtbl.mem t.known_rings d.d_ring then []
       else
         (* Traffic from an unknown configuration: a merge candidate. *)
@@ -855,7 +816,7 @@ and handle_token t msg (tok : Message.token) =
   | Operational node ->
       let engine = Node.engine node in
       if Types.ring_id_equal tok.t_ring (Engine.ring_id engine) then
-        rewrap_node_actions t (Node.process node msg)
+        Node.process node msg
       else []
   | Gather _ | Commit_wait _ | Recover _ -> []
 
@@ -1014,9 +975,16 @@ let fire_memb_timer t kind =
 let fire_timer t timer =
   match timer with
   | Memb_timer kind -> fire_memb_timer t kind
-  | Node.Engine_timer _ -> (
+  | Node.Engine_timer kind -> (
       match t.phase with
-      | Operational node -> rewrap_node_actions t (Node.fire_timer node timer)
+      | Operational node -> (
+          let actions = Node.fire_timer node timer in
+          match kind with
+          | Engine.Token_retransmit -> actions
+          | Engine.Token_loss ->
+              (* The node has recorded the loss and returned nothing:
+                 leaving the ring is the membership algorithm's. *)
+              enter_gather t)
       | Gather _ | Commit_wait _ | Recover _ -> [])
   | _ -> []
 
@@ -1062,11 +1030,10 @@ let process t msg =
   | Message.Join j -> handle_join t j
   | Message.Commit c -> handle_commit t c
 
-(* A pre-agreed ring is entered directly. *)
+(* A pre-agreed ring is entered directly, as an install enters its ring. *)
 let start t =
   match t.initial_ring with
-  | Some ring ->
-      operate t { rep = ring.(0); ring_seq = 1 } ring ~resubmit:false
+  | Some ring -> operate t { rep = ring.(0); ring_seq = 1 } ring
   | None -> enter_gather t
 
 let participant t : Participant.t =

@@ -87,7 +87,10 @@ type Participant.timer +=
         (** Membership timers, one key per kind. The operational node's
             timers reach the runtime as they are ({!Node.Engine_timer},
             so each token visit supersedes the last one's) and come back
-            through the participant's [fire_timer] to the node. *)
+            through the participant's [fire_timer] to the node. The
+            loss timer's fire is also the member's: once the node has
+            recorded the loss, the member leaves [Operational] for
+            Gather. *)
 
 type t
 
@@ -112,8 +115,11 @@ val participant : t -> Participant.t
 (** The uniform runtime interface (see {!Participant}). *)
 
 val submit : t -> Types.service -> bytes -> unit
-(** Submit a client message. Messages submitted while a membership change
-    is in progress are buffered and sequenced in the next configuration. *)
+(** Submit a client message. Messages submitted while no configuration is
+    installed — during a membership change, or before the participant's
+    [start] — are buffered and sequenced in the next configuration: with
+    [?initial_ring], a submission before [start] is sequenced in that
+    first ring. *)
 
 (** {2 Introspection} *)
 

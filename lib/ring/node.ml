@@ -68,7 +68,6 @@ let create ~params ~ring_id ~ring ~me ?controller () =
         deliver = (fun d -> Participant.Deliver d);
         rearm = [ arm_retransmit; arm_loss ];
         rearm_retransmit = [ arm_retransmit ];
-        token_lost = Participant.Token_loss_detected;
       };
     arm_loss = [ arm_loss ];
     prio = Priority.create params.Params.priority_method;

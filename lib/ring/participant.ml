@@ -15,7 +15,6 @@ type action =
   | Deliver_config of view
   | Arm_timer of timer * int
   | Disarm_timer of timer
-  | Token_loss_detected
 
 let trace_action ~t_ns ~node = function
   | Deliver d ->
@@ -26,8 +25,7 @@ let trace_action ~t_ns ~node = function
       Aring_obs.Trace.emit_at ~t_ns ~node
         (View_install
            { ring = v.view_id; members = v.members; transitional = v.transitional })
-  | Unicast _ | Multicast _ | Arm_timer _ | Disarm_timer _ | Token_loss_detected ->
-      ()
+  | Unicast _ | Multicast _ | Arm_timer _ | Disarm_timer _ -> ()
 
 type t = {
   pid : Types.pid;

@@ -2,8 +2,11 @@
 
     Both runtimes (the discrete-event simulator and the real UDP loop) drive
     participants through this one interface, so a bare operational {!Node}
-    and a full membership-capable {!Member} are interchangeable. The driving
-    loop is:
+    and a full membership-capable {!Member} are interchangeable. They differ
+    only when the token is lost: a bare node records the loss and carries
+    on without a token, and a member starts the membership algorithm. No
+    action reports the loss; its record is
+    {!Aring_obs.Flight.ev_token_lost}. The driving loop is:
 
     {v
       p.receive msg                  (* on packet arrival; may drop *)
@@ -54,9 +57,6 @@ type action =
           timer does nothing; the key may be armed again afterwards. A
           layer leaving a phase disarms the keys that phase armed, so no
           runtime fires a timer its layer would ignore. *)
-  | Token_loss_detected
-      (** Only emitted by a bare {!Node}; a {!Member} handles token loss
-          internally by starting the membership algorithm. *)
 
 val trace_action : t_ns:int -> node:Types.pid -> action -> unit
 (** Emit the [Deliver] or [View_install] trace event of an action both

@@ -79,7 +79,6 @@ type t = {
   mutable drop : src:int -> dst:int -> Message.t -> bool;
   mutable deliver_cb : at:int -> now:int -> Message.data -> unit;
   mutable view_cb : at:int -> now:int -> Participant.view -> unit;
-  mutable token_loss_cb : at:int -> now:int -> unit;
   stats : stats;
   (* Per node: timer key -> handle of that key's pending timer. *)
   pending_timers : (Participant.timer, int) Hashtbl.t array;
@@ -94,7 +93,6 @@ let stats t = t.stats
 let participant t i = t.parts.(i)
 let on_deliver t f = t.deliver_cb <- f
 let on_view t f = t.view_cb <- f
-let on_token_loss t f = t.token_loss_cb <- f
 let set_drop t f = t.drop <- f
 let is_alive t i = t.alive.(i)
 
@@ -320,9 +318,6 @@ let rec interpret t node actions ~cursor =
         | Participant.Disarm_timer timer ->
             cancel_timer t node timer;
             cursor
-        | Participant.Token_loss_detected ->
-            t.token_loss_cb ~at:node ~now:cursor;
-            cursor
       in
       interpret t node rest ~cursor
 
@@ -407,7 +402,6 @@ let create ~net ~tiers ~participants ?(seed = 1L) () =
       drop = (fun ~src:_ ~dst:_ _ -> false);
       deliver_cb = (fun ~at:_ ~now:_ _ -> ());
       view_cb = (fun ~at:_ ~now:_ _ -> ());
-      token_loss_cb = (fun ~at:_ ~now:_ -> ());
       stats =
         {
           packets_sent = 0;

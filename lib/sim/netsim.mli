@@ -75,9 +75,6 @@ val on_deliver : t -> (at:int -> now:int -> Message.data -> unit) -> unit
 val on_view : t -> (at:int -> now:int -> Participant.view -> unit) -> unit
 (** Called for every configuration (view) delivered at any node. *)
 
-val on_token_loss : t -> (at:int -> now:int -> unit) -> unit
-(** Called when a bare operational node reports token loss. *)
-
 (** {2 Workload and fault injection} *)
 
 val submit_at : t -> at:int -> node:int -> Types.service -> bytes -> unit

@@ -154,10 +154,7 @@ let rec interpret t = function
       | Participant.Deliver d -> t.on_deliver d
       | Participant.Deliver_config v -> t.on_view v
       | Participant.Arm_timer (timer, delay_ns) -> arm t timer delay_ns
-      | Participant.Disarm_timer timer -> disarm t timer
-      | Participant.Token_loss_detected ->
-          (* A bare Node would surface this; a Member handles it itself. *)
-          ());
+      | Participant.Disarm_timer timer -> disarm t timer);
       interpret t rest
 
 let rec fire_due_timers t =

@@ -61,12 +61,9 @@ let exponential t ~mean =
 
 type zipf = {
   z_n : int;
-  z_theta : float;
   z_prob : float array;  (* per-column acceptance probability *)
   z_alias : int array;  (* fallback rank per column *)
 }
-
-let zipf_theta z = z.z_theta
 
 let zipf_table ~n ~theta =
   if n <= 0 then invalid_arg "Prng.zipf_table: n must be positive";
@@ -92,7 +89,7 @@ let zipf_table ~n ~theta =
   (* Leftovers hold numerical dust only; their mass is exactly 1. *)
   Stack.iter (fun i -> prob.(i) <- 1.0) small;
   Stack.iter (fun i -> prob.(i) <- 1.0) large;
-  { z_n = n; z_theta = theta; z_prob = prob; z_alias = alias }
+  { z_n = n; z_prob = prob; z_alias = alias }
 
 let zipf t z =
   let j = int t z.z_n in

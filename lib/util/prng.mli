@@ -61,5 +61,3 @@ val zipf_table : n:int -> theta:float -> zipf
 val zipf : t -> zipf -> int
 (** [zipf t z] draws a rank in [0 .. n-1]; lower ranks are more
     popular. Deterministic for a given seed and draw sequence. *)
-
-val zipf_theta : zipf -> float

@@ -615,6 +615,22 @@ let test_own_writes_applied_as_submitted () =
     (List.combine deliveries applied);
   check Alcotest.int "no decode error" 0 (Kv.stats kv).Kv.decode_errors
 
+(* A put issued before the simulator first runs waits in its member
+   until [start] installs the pre-agreed ring, which sequences it: a
+   fault-free run applies it at every replica. *)
+let test_put_before_first_run () =
+  let c = make_kcluster () in
+  Kv.put c.kvs.(0) ~key:"early" ~value:"1";
+  Netsim.run_until c.sim (ms 40);
+  Array.iteri
+    (fun i kv ->
+      check (Alcotest.option Alcotest.string)
+        (Printf.sprintf "node %d reads the early put" i)
+        (Some "1")
+        (fst (Kv.read kv ~key:"early")))
+    c.kvs;
+  assert_converged c [ 0; 1; 2 ]
+
 let suite =
   [
     Alcotest.test_case "op codec roundtrips" `Quick test_op_roundtrips;
@@ -652,4 +668,6 @@ let suite =
     Alcotest.test_case "measure transfer" `Quick test_measure_transfer;
     Alcotest.test_case "own writes applied as submitted" `Quick
       test_own_writes_applied_as_submitted;
+    Alcotest.test_case "put before the first run is applied" `Quick
+      test_put_before_first_run;
   ]

@@ -34,7 +34,7 @@ let output_positions outputs =
         if tok = None then loop (i + 1) (d :: pre) tok post rest
         else loop (i + 1) pre tok (d :: post) rest
     | Engine.Send_token _ :: rest -> loop (i + 1) pre (Some i) post rest
-    | (Engine.Deliver _ | Engine.Set_timer _ | Engine.Token_lost) :: rest ->
+    | (Engine.Deliver _ | Engine.Set_timer _) :: rest ->
         loop (i + 1) pre tok post rest
   in
   loop 0 [] None [] outputs
@@ -181,10 +181,20 @@ let test_token_loss_fires () =
   check Alcotest.bool "second visit re-arms the same values" true
     (List.for_all2 ( == ) (timer_values out1) (timer_values out2));
   (* The loss timer still pending is the second visit's: its fire means
-     no token came since, and reports the loss. *)
-  let fired = Engine.handle eng (Engine.Timer_expired Engine.Token_loss) in
-  check Alcotest.bool "token lost reported" true
-    (List.exists (function Engine.Token_lost -> true | _ -> false) fired)
+     no token came since. The engine records the loss and outputs
+     nothing; what the loss means is the caller's. *)
+  let losses = ref 0 in
+  let count ~node:_ ~code ~a:_ ~b:_ ~c:_ ~d:_ =
+    if code = Aring_obs.Flight.ev_token_lost then incr losses
+  in
+  Aring_obs.Flight.subscribe count;
+  let fired =
+    Fun.protect
+      ~finally:(fun () -> Aring_obs.Flight.unsubscribe count)
+      (fun () -> Engine.handle eng (Engine.Timer_expired Engine.Token_loss))
+  in
+  check Alcotest.int "loss outputs nothing" 0 (List.length fired);
+  check Alcotest.int "one loss recorded" 1 !losses
 
 (* -------------------------------------------------------------------- *)
 (* Safe-delivery gating: a two-participant hand-driven scenario          *)
@@ -946,7 +956,7 @@ let run_window_steps steps =
                     ref_hold w d
                 | Engine.Send_data d -> served := d :: !served
                 | Engine.Deliver d -> delivered := d :: !delivered
-                | Engine.Send_token _ | Engine.Set_timer _ | Engine.Token_lost -> ())
+                | Engine.Send_token _ | Engine.Set_timer _ -> ())
               out;
             let expected_served =
               List.filter_map (fun seq -> Hashtbl.find_opt before seq) tok.rtr
@@ -1037,7 +1047,6 @@ let action_of_output = function
   | Engine.Send_data d -> Participant.Multicast (Message.Data d)
   | Engine.Deliver d -> Participant.Deliver d
   | Engine.Set_timer (kind, delay) -> Participant.Arm_timer (Node.Engine_timer kind, delay)
-  | Engine.Token_lost -> Participant.Token_loss_detected
 
 (* An accepted visit's outputs, in the order the module preamble promises:
    retransmissions answering [tok.rtr] (in its order) and pre-token new
@@ -1170,7 +1179,7 @@ let run_sink_steps steps =
             (Node.fire_timer node (Node.Engine_timer kind));
           (match (kind, outputs) with
           | Engine.Token_retransmit, ([] | [ Engine.Send_token _; Engine.Set_timer (Engine.Token_retransmit, _) ])
-          | Engine.Token_loss, [ Engine.Token_lost ] -> ()
+          | Engine.Token_loss, [] -> ()
           | _ -> QCheck.Test.fail_report "a timer fire's list is malformed")
       | _ ->
           let expected = List.of_seq (Queue.to_seq submitted) in

@@ -1159,6 +1159,41 @@ let test_torn_down_node_timer_is_ignored () =
     (List.exists is_node_timer second);
   check Alcotest.string "still operational" "operational" (Member.state_name m)
 
+(* The node's loss timer is the member's way out of [Operational]: its
+   fire tears the node down (both engine keys disarmed) and starts
+   Gather with a multicast join, while a retransmit fire stays with the
+   node. Driven out-of-band, on the pending-set model of the actions. *)
+let test_token_loss_fire_starts_gather () =
+  let m = Member.create ~params:test_params ~me:0 ~initial_ring:[| 0; 1 |] () in
+  let p = Member.participant m in
+  let started = apply_timers [] (p.Participant.start ()) in
+  check Alcotest.string "starts operational" "operational" (Member.state_name m);
+  let rid : Types.ring_id = { rep = 0; ring_seq = 1 } in
+  let visit =
+    p.Participant.process (Message.Token (Engine.initial_token rid))
+  in
+  let pending = apply_timers started visit in
+  let retransmit = Node.Engine_timer Engine.Token_retransmit
+  and loss = Node.Engine_timer Engine.Token_loss in
+  check Alcotest.bool "the visit armed both engine keys" true
+    (List.mem retransmit pending && List.mem loss pending);
+  let _, pending = fire p pending retransmit in
+  check Alcotest.string "a retransmit fire stays operational" "operational"
+    (Member.state_name m);
+  let actions, pending = fire p pending loss in
+  check Alcotest.string "a loss fire gathers" "gather" (Member.state_name m);
+  check Alcotest.bool "both engine keys disarmed" true
+    (List.mem (Participant.Disarm_timer retransmit) actions
+    && List.mem (Participant.Disarm_timer loss) actions);
+  check Alcotest.bool "no engine key pending" false
+    (List.exists (function Node.Engine_timer _ -> true | _ -> false) pending);
+  check Alcotest.bool "the join is multicast" true
+    (List.exists
+       (function
+         | Participant.Multicast (Message.Join j) -> j.j_pid = 0
+         | _ -> false)
+       actions)
+
 let suite =
   [
     ("bootstrap with initial ring", `Quick, test_bootstrap_initial_ring);
@@ -1192,4 +1227,5 @@ let suite =
     ("residual flood answers a nack", `Quick, test_residual_flood_answers_nack);
     ("residual flood released once quiet", `Quick,
       test_residual_flood_released_once_quiet);
+    ("token loss fire starts gather", `Quick, test_token_loss_fire_starts_gather);
   ]

@@ -15,7 +15,6 @@ type cluster = {
   sim : Netsim.t;
   nodes : Node.t array;
   delivered : (Types.pid * Types.seqno) list ref array;  (* newest first *)
-  token_losses : int ref;
 }
 
 let make_cluster ?(n = 4) ?(net = Profile.gigabit) ?(tier = Profile.library)
@@ -30,11 +29,9 @@ let make_cluster ?(n = 4) ?(net = Profile.gigabit) ?(tier = Profile.library)
       ~seed ()
   in
   let delivered = Array.init n (fun _ -> ref []) in
-  let token_losses = ref 0 in
   Netsim.on_deliver sim (fun ~at ~now:_ (d : Message.data) ->
       delivered.(at) := (d.pid, d.seq) :: !(delivered.(at)));
-  Netsim.on_token_loss sim (fun ~at:_ ~now:_ -> incr token_losses);
-  { sim; nodes; delivered; token_losses }
+  { sim; nodes; delivered }
 
 let delivery_list c i = List.rev !(c.delivered.(i))
 
@@ -136,10 +133,18 @@ let test_accelerated_rotates_faster () =
 
 let test_crash_triggers_token_loss () =
   let c = make_cluster ~n:4 () in
+  (* A bare node's loss is its loss timer's flight record. *)
+  let token_losses = ref 0 in
+  let count ~node:_ ~code ~a:_ ~b:_ ~c:_ ~d:_ =
+    if code = Aring_obs.Flight.ev_token_lost then incr token_losses
+  in
   Netsim.call_at c.sim ~at:(ms 10) (fun () -> Netsim.crash c.sim 2);
-  Netsim.run_until c.sim (ms 300);
+  Aring_obs.Flight.subscribe count;
+  Fun.protect
+    ~finally:(fun () -> Aring_obs.Flight.unsubscribe count)
+    (fun () -> Netsim.run_until c.sim (ms 300));
   check Alcotest.bool "token loss detected after crash" true
-    (!(c.token_losses) > 0);
+    (!token_losses > 0);
   check Alcotest.bool "crashed node is dead" false (Netsim.is_alive c.sim 2)
 
 let test_partition_blocks_progress () =

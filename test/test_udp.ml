@@ -196,10 +196,63 @@ let test_disarm () =
   check Alcotest.bool "d fires at its second deadline" true
     (List.assoc "d" fires - t0 >= ms 60)
 
+(* A KV put issued before any runtime's first [run] waits in its member
+   until [start] installs the pre-agreed ring, which sequences it like
+   every submission made while no ring is installed: every replica
+   applies it. The nodes are stepped round-robin from this thread. *)
+let test_put_before_first_run () =
+  let n = 3 in
+  let base = base_port + 300 in
+  let peers =
+    List.init n (fun pid ->
+        {
+          Udp_runtime.pid;
+          host = "127.0.0.1";
+          data_port = base + (2 * pid);
+          token_port = base + (2 * pid) + 1;
+        })
+  in
+  let ring = Array.init n Fun.id in
+  let daemons =
+    Array.init n (fun me ->
+        Aring_daemon.Daemon.create
+          ~member:(Member.create ~params:Params.default ~me ~initial_ring:ring ())
+          ())
+  in
+  let kvs =
+    Array.map (fun daemon -> Aring_app.Kv.create ~cluster_size:n ~daemon ()) daemons
+  in
+  let runtimes =
+    Array.mapi
+      (fun me d ->
+        Udp_runtime.create ~me ~peers
+          ~participant:(Aring_daemon.Daemon.participant d) ())
+      daemons
+  in
+  Aring_app.Kv.put kvs.(0) ~key:"early" ~value:"before run";
+  let read kv = fst (Aring_app.Kv.read kv ~key:"early") in
+  Fun.protect
+    ~finally:(fun () -> Array.iter Udp_runtime.close runtimes)
+    (fun () ->
+      let give_up = Unix.gettimeofday () +. 3.0 in
+      while
+        (not (Array.for_all (fun kv -> read kv = Some "before run") kvs))
+        && Unix.gettimeofday () < give_up
+      do
+        Array.iter (fun rt -> Udp_runtime.run rt ~duration_s:0.001) runtimes
+      done);
+  Array.iteri
+    (fun i kv ->
+      check (Alcotest.option Alcotest.string)
+        (Printf.sprintf "replica %d applied the early put" i)
+        (Some "before run") (read kv))
+    kvs
+
 let suite =
   [
     ("3-node UDP ring", `Slow, test_three_node_udp_ring);
     ("daemon stack over UDP", `Slow, test_daemon_stack_over_udp);
     ("re-armed timer supersedes", `Quick, test_rearm_supersedes);
     ("disarmed timer never fires", `Quick, test_disarm);
+    ("put before the first run is applied", `Slow, test_put_before_first_run);
   ]

@@ -57,8 +57,6 @@ let apply t at = function
   | Participant.Arm_timer _ | Participant.Disarm_timer _
   | Participant.Deliver_config _ ->
       ()
-  | Participant.Token_loss_detected ->
-      failwith "toy_net: unexpected token loss (token is never dropped)"
 
 let create ?(data_loss = 0.0) ?(seed = 42L)
     ?(drop = fun ~src:_ ~dst:_ _ -> false) ~params n =
