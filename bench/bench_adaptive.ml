@@ -11,7 +11,6 @@ open Aring_sim
 open Aring_harness
 module Json = Aring_obs.Json
 module Stats = Aring_util.Stats
-module Controller = Aring_control.Controller
 
 let ms n = n * 1_000_000
 
@@ -28,7 +27,7 @@ let run ~quick =
   let phase_ns = if quick then ms 80 else ms 150 in
   let low = 100. and high = 900. in
   let statics = [ 0; 5; 10; 20; 35; 50 ] in
-  let spec_for ~label ~aw ~controller =
+  let spec_for ~label ~aw ~adaptive =
     {
       Scenario.default_spec with
       label;
@@ -43,7 +42,7 @@ let run ~quick =
           ~until_ns:(warmup + (2 * phase_ns));
       warmup_ns = warmup;
       measure_ns = 3 * phase_ns;
-      controller;
+      adaptive;
     }
   in
   (* A phase that fails to keep up with the offered load scores infinity:
@@ -74,7 +73,7 @@ let run ~quick =
         let r =
           Scenario.run
             (spec_for ~label:(Printf.sprintf "static/aw=%d" aw) ~aw
-               ~controller:None)
+               ~adaptive:false)
         in
         print_run (Printf.sprintf "aw=%d" aw) r;
         (aw, r))
@@ -82,8 +81,7 @@ let run ~quick =
   in
   let r_adaptive =
     Scenario.run
-      (spec_for ~label:"adaptive" ~aw:20
-         ~controller:(Some (Controller.default_config ~aw_max:50 ())))
+      (spec_for ~label:"adaptive" ~aw:20 ~adaptive:true)
   in
   print_run "adaptive" r_adaptive;
   let m = r_adaptive.Scenario.metrics in

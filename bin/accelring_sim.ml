@@ -58,10 +58,7 @@ let run nodes net tier protocol service payload rate pw gw aw seconds
       measure_ns = int_of_float (seconds *. 1e9);
       seed = Int64.of_int seed;
       profile_rotation = rotation;
-      controller =
-        (if adaptive then
-           Some (Aring_control.Controller.default_config ~aw_max:pw ())
-         else None);
+      adaptive;
     }
   in
   (* Latency spans ride outside the trace stream: attach a collector for

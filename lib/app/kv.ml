@@ -110,7 +110,6 @@ type t = {
 }
 
 let node t = t.me
-let ring t = t.ring_id
 let applied t = t.applied_n
 let synced t = t.synced_f
 let in_transfer t =

@@ -238,9 +238,6 @@ val parked_op : t -> Op.t option
     restore it, so a replica that never saw the copy delivered still
     holds the full op and any observer can drive termination from it. *)
 
-val ring : t -> int
-(** The ring id this replica orders on (0 in single-ring deployments). *)
-
 (** {1 Introspection} *)
 
 val applied : t -> int

@@ -35,14 +35,13 @@ type cluster = {
 (* Construction order is part of every pinned stream: all members, then
    all daemons, then all replicas, then the oracles attach, then the
    sim. Callers that observe replicas register after this returns. *)
-let build_cluster ?tiers ?controller ?wrap ?kv_bug ~rings ~n ~net ~tier ~params
+let build_cluster ?tiers ?adaptive ?wrap ?kv_bug ~rings ~n ~net ~tier ~params
     ~seed () =
   let total = rings * n in
   let members =
     Array.init total (fun p ->
         let initial_ring = Array.init n (fun i -> (p / n * n) + i) in
-        let controller = Option.bind controller (fun f -> f ~pid:p) in
-        Member.create ~params ~me:p ~initial_ring ?controller ())
+        Member.create ~params ~me:p ~initial_ring ?adaptive ())
   in
   let daemons = Array.map (fun member -> Daemon.create ~member ()) members in
   let kvs =

@@ -2,27 +2,23 @@ open Aring_obs
 
 (* Online AIMD controller for the node-local accelerated window.
 
-   Each token rotation the engine exposes four cheap signals: how long
-   the rotation took, the flow-control count the token carried (total
-   new messages multicast ring-wide during the previous rotation), how
-   many retransmissions this node saw or served, and the depth of its
-   own pending backlog. From these the controller picks the accelerated
+   Each token rotation the engine exposes two cheap signals: how many
+   retransmissions this node saw or served, and the depth of its own
+   pending backlog. From these the controller picks the accelerated
    window for the NEXT rotation.
 
    The accelerated window only governs how many of a node's admitted
    messages leave before the token rather than after it — it never
    changes what flow control admits, so two nodes running different
-   windows (or different controller configs) still agree on every
-   safety-relevant quantity. That locality is what makes runtime
-   adaptation free: no ring-wide consensus, no wire change, each node
-   converges on its own.
+   windows still agree on every safety-relevant quantity. That locality
+   is what makes runtime adaptation free: no ring-wide consensus, no
+   wire change, each node converges on its own.
 
-   The rule is additive-increase / multiplicative-decrease:
-   - congestion (any retransmission, fcc at/above the high-water mark,
-     or a rotation slower than the target) multiplies the window down;
-     a congested rotation can NEVER raise the window.
-   - a backlog deeper than the current window raises it additively,
-     up to [aw_max].
+   The rule is additive-increase / multiplicative-decrease, between 0
+   and the personal window:
+   - congestion (any retransmission) halves the window; a congested
+     rotation can NEVER raise it.
+   - a backlog deeper than the current window raises it by [increase].
    - an idle node (backlog under half the window) decays the window by
      one, but only after [decay_after] consecutive idle rotations: the
      arrival process is bursty at the rotation scale, and decaying on
@@ -31,31 +27,10 @@ open Aring_obs
      still walks the ring back to low-burstiness behaviour instead of
      parking at its high-load setting. *)
 
-type config = {
-  aw_min : int;  (* lower clamp, usually 0 *)
-  aw_max : int;  (* upper clamp; must stay <= personal_window *)
-  increase : int;  (* additive step when the backlog wants more *)
-  decrease : float;  (* multiplicative factor in (0,1) on congestion *)
-  decay_after : int;  (* consecutive idle rotations before a -1 decay *)
-  fcc_high : int;  (* fcc at/above this counts as congestion *)
-  target_rotation_ns : int;  (* rotations slower than this count as
-                                congestion; 0 disables the clock signal *)
-}
-
-let default_config ?(aw_min = 0) ?(increase = 2) ?(decrease = 0.5)
-    ?(decay_after = 8) ?(fcc_high = max_int) ?(target_rotation_ns = 0) ~aw_max
-    () =
-  if aw_max < aw_min then invalid_arg "Controller.default_config: aw_max < aw_min";
-  if decrease <= 0.0 || decrease >= 1.0 then
-    invalid_arg "Controller.default_config: decrease must be in (0,1)";
-  if increase <= 0 then invalid_arg "Controller.default_config: increase <= 0";
-  if decay_after <= 0 then
-    invalid_arg "Controller.default_config: decay_after <= 0";
-  { aw_min; aw_max; increase; decrease; decay_after; fcc_high; target_rotation_ns }
+let increase = 2
+let decay_after = 8
 
 type signals = {
-  rotation_ns : int;  (* time since this node last forwarded the token *)
-  fcc : int;  (* flow-control count the incoming token carried *)
   retrans : int;  (* retransmissions sent plus requested this round *)
   backlog : int;  (* pending submissions waiting as the token arrived *)
 }
@@ -63,7 +38,7 @@ type signals = {
 type decision = { aw_before : int; aw_after : int; congested : bool }
 
 type t = {
-  config : config;
+  aw_max : int;  (* the personal window *)
   mutable aw : int;
   mutable idle_streak : int;  (* consecutive rotations with 2*backlog < aw *)
   (* counters for control.* metrics *)
@@ -73,15 +48,12 @@ type t = {
   mutable congestions : int;
 }
 
-let clamp config v = max config.aw_min (min config.aw_max v)
+let clamp aw_max v = max 0 (min aw_max v)
 
-let create ?config ~init () =
-  let config =
-    match config with Some c -> c | None -> default_config ~aw_max:init ()
-  in
+let create ~personal_window ~accelerated_window =
   {
-    config;
-    aw = clamp config init;
+    aw_max = personal_window;
+    aw = clamp personal_window accelerated_window;
     idle_streak = 0;
     decisions = 0;
     increases = 0;
@@ -90,32 +62,25 @@ let create ?config ~init () =
   }
 
 let window t = t.aw
-let config t = t.config
-
-let congested config s =
-  s.retrans > 0
-  || s.fcc >= config.fcc_high
-  || (config.target_rotation_ns > 0 && s.rotation_ns > config.target_rotation_ns)
 
 let observe t s =
-  let c = t.config in
   let aw_before = t.aw in
-  let congested = congested c s in
+  let congested = s.retrans > 0 in
   let aw_after =
     if congested then begin
       t.idle_streak <- 0;
       (* Multiplicative decrease; never an increase, whatever the backlog. *)
-      clamp c (int_of_float (float_of_int aw_before *. c.decrease))
+      aw_before / 2
     end
     else if s.backlog > aw_before then begin
       t.idle_streak <- 0;
-      clamp c (aw_before + c.increase)
+      clamp t.aw_max (aw_before + increase)
     end
     else if 2 * s.backlog < aw_before then begin
       t.idle_streak <- t.idle_streak + 1;
-      if t.idle_streak >= c.decay_after then begin
+      if t.idle_streak >= decay_after then begin
         t.idle_streak <- 0;
-        clamp c (aw_before - 1)
+        aw_before - 1
       end
       else aw_before
     end

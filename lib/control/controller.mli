@@ -6,55 +6,24 @@
     purely local decision — no ring-wide agreement, no wire-format
     change — and each node may run its own controller (or none).
 
-    Per token rotation the engine hands the controller four signals
-    (rotation time, the token's flow-control count, retransmission
-    activity, local backlog depth) and receives the window for the next
-    rotation, driven by an additive-increase / multiplicative-decrease
-    rule:
+    Per token rotation the engine hands the controller two signals
+    (retransmission activity and local backlog depth) and receives the
+    window for the next rotation, driven by an additive-increase /
+    multiplicative-decrease rule between 0 and the personal window:
 
-    - any congestion evidence (retransmissions, fcc at the high-water
-      mark, an over-target rotation time) multiplies the window down —
-      a congested rotation can never raise it;
-    - a backlog deeper than the window raises it additively up to
-      [aw_max];
-    - after [decay_after] consecutive near-idle rotations the window
-      decays by one, returning a quiet ring to low-burstiness behaviour
-      without sagging below the burst size a loaded ring still sees.
+    - a retransmission this round is congestion: it halves the window,
+      and a congested rotation can never raise it;
+    - a backlog deeper than the window raises it by 2;
+    - after 8 consecutive near-idle rotations (backlog under half the
+      window) the window decays by one, returning a quiet ring to
+      low-burstiness behaviour without sagging below the burst size a
+      loaded ring still sees.
 
     Decisions are a pure function of the controller state and the
     signal sequence, so identical signal streams yield identical window
     trajectories (replay-stable). *)
 
-type config = {
-  aw_min : int;  (** lower clamp, usually 0 *)
-  aw_max : int;  (** upper clamp; keep [<= personal_window] *)
-  increase : int;  (** additive step when the backlog wants more *)
-  decrease : float;  (** multiplicative factor in (0,1) on congestion *)
-  decay_after : int;  (** consecutive idle rotations before a -1 decay *)
-  fcc_high : int;  (** fcc at/above this counts as congestion *)
-  target_rotation_ns : int;
-      (** rotations slower than this count as congestion; 0 disables
-          the clock signal *)
-}
-
-val default_config :
-  ?aw_min:int ->
-  ?increase:int ->
-  ?decrease:float ->
-  ?decay_after:int ->
-  ?fcc_high:int ->
-  ?target_rotation_ns:int ->
-  aw_max:int ->
-  unit ->
-  config
-(** Defaults: [aw_min = 0], [increase = 2], [decrease = 0.5],
-    [decay_after = 8], fcc and rotation-time signals disabled. Raises
-    [Invalid_argument] on an empty window range, a non-(0,1) [decrease]
-    or a non-positive [increase] or [decay_after]. *)
-
 type signals = {
-  rotation_ns : int;  (** time since this node last forwarded the token *)
-  fcc : int;  (** flow-control count the incoming token carried *)
   retrans : int;  (** retransmissions sent plus requested this round *)
   backlog : int;
       (** pending submissions waiting as the token arrived — the
@@ -65,15 +34,13 @@ type decision = { aw_before : int; aw_after : int; congested : bool }
 
 type t
 
-val create : ?config:config -> init:int -> unit -> t
-(** [create ~init ()] starts at [clamp init]. Without [config], uses
-    [default_config ~aw_max:init ()] (pure decay/recovery around the
-    static setting). *)
+val create : personal_window:int -> accelerated_window:int -> t
+(** A controller for a node with these [Params] fields: the
+    window starts at [accelerated_window] and stays within
+    [\[0, personal_window\]]. *)
 
 val window : t -> int
 (** The accelerated window the next rotation should use. *)
-
-val config : t -> config
 
 val observe : t -> signals -> decision
 (** Feed one rotation's signals; updates {!window} and returns what

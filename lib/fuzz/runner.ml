@@ -258,19 +258,6 @@ let install_kv_workload sim (s : Schedule.t) ~shard
     Netsim.call_at sim ~at:(ms 1 + (node * 97_000)) tick
   done
 
-(* One controller per member: the adaptive window is node-local state, so
-   each node learns independently. The controller draws no entropy of its
-   own, so runs stay deterministic per schedule. *)
-let controller ~adaptive (params : Params.t) =
-  if adaptive then
-    Some
-      (Aring_control.Controller.create
-         ~config:
-           (Aring_control.Controller.default_config
-              ~aw_max:params.Params.personal_window ())
-         ~init:params.Params.accelerated_window ())
-  else None
-
 (* The formation-cycle threshold must scale with the schedule. A
    membership attempt's commit token makes four passes around the new
    ring (collect the member infos, spread them, gather the exchange
@@ -417,7 +404,7 @@ let run_cluster ~bug ~adaptive ~app ?extra_sink (s : Schedule.t) =
   Health.attach health;
   let cluster =
     Cluster.create ~params ~net:(Schedule.net c) ~tiers ~seed:s.seed
-      ~controller:(fun ~pid:_ -> controller ~adaptive params)
+      ~adaptive
       ~wrap:(fun ~pid p -> Bug.wrap bug ~node:pid p)
       ~kv_bug ~no_seek:(bug = Bug.Merge_no_seek) ~rings ~nodes:n ()
   in
@@ -571,7 +558,7 @@ let run_single ~bug ~adaptive ?extra_sink (s : Schedule.t) =
   let initial_ring = Array.init n (fun i -> i) in
   let members =
     Array.init n (fun me ->
-        Member.create ~params ~me ~initial_ring ?controller:(controller ~adaptive params) ())
+        Member.create ~params ~me ~initial_ring ~adaptive ())
   in
   let participants =
     Array.init n (fun i -> Bug.wrap bug ~node:i (Member.participant members.(i)))

@@ -100,7 +100,7 @@ val run :
     catches seeded protocol defects ({!Bug.Kv_skip_apply} instead plants
     inside the replica and needs [app = App_kv]). With [adaptive]
     (default [false]), every member runs the AIMD accelerated-window
-    controller ({!Aring_control.Controller}), exercising the ordering and
+    controller ({!Aring_ring.Member.create}), exercising the ordering and
     membership invariants while the per-node window moves; [app]
     (default {!App_none}) selects the hosted application. Runs stay
     deterministic per schedule for any fixed mode combination; the trace

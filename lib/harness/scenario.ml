@@ -21,7 +21,7 @@ type spec = {
   measure_ns : int;
   seed : int64;
   profile_rotation : bool;
-  controller : Controller.config option;
+  adaptive : bool;
 }
 
 type phase = {
@@ -62,7 +62,7 @@ let default_spec =
     measure_ns = 400_000_000;
     seed = 1L;
     profile_rotation = false;
-    controller = None;
+    adaptive = false;
   }
 
 let ring_id : Types.ring_id = { rep = 0; ring_seq = 1 }
@@ -246,11 +246,8 @@ let run spec =
   let nodes =
     Array.init spec.n_nodes (fun me ->
         let controller =
-          Option.map
-            (fun config ->
-              Controller.create ~config
-                ~init:spec.params.Params.accelerated_window ())
-            spec.controller
+          if spec.adaptive then Some (Node.adaptive_controller spec.params)
+          else None
         in
         Node.create ~params:spec.params ~ring_id ~ring ~me ?controller ())
   in

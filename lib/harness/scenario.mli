@@ -32,11 +32,12 @@ type spec = {
       (** Attach an {!Aring_obs.Rotation} profiler (anchored at node 0)
           for the run. Off by default: profiling installs a trace sink,
           which turns every instrumentation hook live. *)
-  controller : Aring_control.Controller.config option;
+  adaptive : bool;
       (** When set, {!run} gives every node its own adaptive
-          accelerated-window controller with this config, starting from
-          [params.accelerated_window]. [None] (the default) keeps the
-          static window. *)
+          accelerated-window controller, starting from
+          [params.accelerated_window] and bounded by
+          [params.personal_window]. Off (the default) keeps the static
+          window. *)
 }
 
 type phase = {

@@ -310,12 +310,12 @@ let install_skip_generators t =
 (* --- construction ----------------------------------------------------- *)
 
 let create ?(params = Kv_scenario.snappy_params ()) ?(net = Profile.gigabit)
-    ?(tier = Profile.daemon) ?tiers ?(seed = 1L) ?controller ?wrap ?kv_bug
+    ?(tier = Profile.daemon) ?tiers ?(seed = 1L) ?adaptive ?wrap ?kv_bug
     ?(no_seek = false) ~rings ~nodes () =
   if rings < 1 then invalid_arg "Cluster.create: rings < 1";
   if nodes < 2 then invalid_arg "Cluster.create: nodes < 2";
   let { Kv_scenario.sim; members; daemons; kvs; oracles } =
-    Kv_scenario.build_cluster ?tiers ?controller ?wrap ?kv_bug ~rings ~n:nodes
+    Kv_scenario.build_cluster ?tiers ?adaptive ?wrap ?kv_bug ~rings ~n:nodes
       ~net ~tier ~params ~seed ()
   in
   let t =
@@ -356,13 +356,6 @@ let merge t ~node = t.merges.(node)
 
 let put t ~node ~key ~value =
   Kv.put (kv t ~ring:(shard_of_key t key) ~node) ~key ~value
-
-let del t ~node ~key = Kv.del (kv t ~ring:(shard_of_key t key) ~node) ~key
-
-let cas t ~node ~key ~expect ~value =
-  Kv.cas (kv t ~ring:(shard_of_key t key) ~node) ~key ~expect ~value
-
-let read t ~node ~key = Kv.read (kv t ~ring:(shard_of_key t key) ~node) ~key
 
 (* Split a multi-key cas into per-ring parts by shard. *)
 let mcas_parts t ~checks ~writes =

@@ -35,7 +35,7 @@ val create :
   ?tier:Profile.tier ->
   ?tiers:Profile.tier array ->
   ?seed:int64 ->
-  ?controller:(pid:int -> Aring_control.Controller.t option) ->
+  ?adaptive:bool ->
   ?wrap:(pid:int -> Participant.t -> Participant.t) ->
   ?kv_bug:(ring:int -> node:int -> Kv.bug option) ->
   ?no_seek:bool ->
@@ -55,12 +55,12 @@ val create :
     Every install seeks
     the learner's merge to the installed position. The submitter's mcas
     retry loop runs every 8 ms.
-    [controller] is called once per sim participant (global pid) to
-    give each member its own adaptive controller; [wrap] wraps each
-    participant before the sim is built (fault injection); [kv_bug]
+    [adaptive] (default [false]) gives every member its own adaptive
+    window controller; [wrap] wraps each participant before the sim is
+    built (fault injection); [kv_bug]
     seeds a replica bug and [no_seek] (default false) a learner bug
     — installs leave the merge where it was (fuzzer self-test).
-    [tiers], [controller], [wrap] and [kv_bug] pass through to
+    [tiers], [adaptive], [wrap] and [kv_bug] pass through to
     {!Aring_app.Kv_scenario.build_cluster}; this module's replica
     observer registers after the oracles.
 
@@ -89,12 +89,6 @@ val shard_of_key : t -> string -> int
 (** {1 Client operations} (routed to the owning ring at [node]) *)
 
 val put : t -> node:int -> key:string -> value:string -> unit
-val del : t -> node:int -> key:string -> unit
-
-val cas :
-  t -> node:int -> key:string -> expect:string option -> value:string -> unit
-
-val read : t -> node:int -> key:string -> string option * int
 
 val mcas :
   t ->

@@ -206,7 +206,7 @@ let to_trace ~node ~code ~a ~b ~c ~d ~e ~f ~g ~h ~i =
     emit
       (Control
          { round = a; aw_before = b; aw_after = c; congested = d = 1;
-           rotation_ns = e; fcc = f; retrans = g; backlog = h })
+           retrans = e; backlog = f })
   else if code = ev_xfer then
     emit
       (App_xfer

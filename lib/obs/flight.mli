@@ -33,7 +33,7 @@ val capacity : unit -> int
 (** Arguments not listed are 0. Only the five codes recorded through
     {!record_wide} use [e]–[i]: {!ev_token_recv}, {!ev_token_send},
     {!ev_data_send} and {!ev_xfer} carry a ring id ({!pack_ring}) in
-    [e], {!ev_control} its rotation time. *)
+    [e], {!ev_control} its retransmissions. *)
 
 val ev_token_recv : int
 (** A regular token accepted: [a] = token id, [b] = token seq, [c] =
@@ -128,9 +128,8 @@ val ev_drop : int
 val ev_control : int
 (** The adaptive-window controller changed this node's accelerated
     window: [a] = round, [b] = window before, [c] = window after, [d] = 1
-    when it judged the ring congested; [e] = rotation time in ns, [f] =
-    token fcc, [g] = retransmissions, [h] = send backlog (the round's
-    signals). *)
+    when it judged the ring congested; [e] = retransmissions, [f] = send
+    backlog (the round's signals). *)
 
 val ev_xfer : int
 (** A KV state-transfer step at a replica: [a] = donor, [b] = phase code

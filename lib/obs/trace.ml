@@ -51,8 +51,6 @@ type kind =
       aw_before : int;
       aw_after : int;
       congested : bool;
-      rotation_ns : int;
-      fcc : int;
       retrans : int;
       backlog : int;
     }
@@ -169,13 +167,11 @@ let pp_kind ppf k =
   | Phase { phase } -> Format.fprintf ppf "phase(%s)" phase
   | Crash -> Format.pp_print_string ppf "crash"
   | Drop { reason; size } -> Format.fprintf ppf "drop(%s %dB)" reason size
-  | Control { round; aw_before; aw_after; congested; rotation_ns; fcc; retrans;
-              backlog } ->
-      Format.fprintf ppf
-        "control(round=%d aw=%d->%d%s rot=%dns fcc=%d retrans=%d backlog=%d)"
+  | Control { round; aw_before; aw_after; congested; retrans; backlog } ->
+      Format.fprintf ppf "control(round=%d aw=%d->%d%s retrans=%d backlog=%d)"
         round aw_before aw_after
         (if congested then " congested" else "")
-        rotation_ns fcc retrans backlog
+        retrans backlog
   | App_xfer { view; donor; phase; applied; entries } ->
       Format.fprintf ppf "app_xfer(%s %a donor=%d applied=%d entries=%d)" phase
         Types.pp_ring_id view donor applied entries

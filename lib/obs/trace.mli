@@ -74,8 +74,6 @@ type kind =
       aw_before : int;
       aw_after : int;
       congested : bool;
-      rotation_ns : int;
-      fcc : int;
       retrans : int;
       backlog : int;
     }
@@ -115,7 +113,7 @@ val set_clock : (unit -> int) -> unit
 
 val now : unit -> int
 (** Current reading of the installed clock, in nanoseconds. Lets
-    sans-IO layers (e.g. the adaptive-window controller) measure
+    sans-IO layers (e.g. the health watchdog and latency spans) measure
     durations without owning a clock of their own. *)
 
 val emit_at : t_ns:int -> node:int -> kind -> unit

@@ -67,15 +67,12 @@ let kind_fields (k : Trace.kind) : (string * Json.t) list =
   | Crash -> []
   | Drop { reason; size } ->
       [ ("reason", Json.String reason); ("size", Json.Int size) ]
-  | Control { round; aw_before; aw_after; congested; rotation_ns; fcc; retrans;
-              backlog } ->
+  | Control { round; aw_before; aw_after; congested; retrans; backlog } ->
       [
         ("round", Json.Int round);
         ("aw_before", Json.Int aw_before);
         ("aw_after", Json.Int aw_after);
         ("congested", Json.Bool congested);
-        ("rotation_ns", Json.Int rotation_ns);
-        ("fcc", Json.Int fcc);
         ("retrans", Json.Int retrans);
         ("backlog", Json.Int backlog);
       ]
@@ -178,8 +175,6 @@ let kind_of_json name j : Trace.kind =
           aw_before = req "aw_before" Json.to_int j;
           aw_after = req "aw_after" Json.to_int j;
           congested = req "congested" Json.to_bool j;
-          rotation_ns = req "rotation_ns" Json.to_int j;
-          fcc = req "fcc" Json.to_int j;
           retrans = req "retrans" Json.to_int j;
           backlog = req "backlog" Json.to_int j;
         }

@@ -45,10 +45,8 @@ let max_rtr_per_round = 512
    adaptive-window controllers. *)
 type round_signals = {
   sr_round : Types.round;
-  sr_fcc : int;  (* fcc carried by the incoming token *)
   sr_retrans : int;  (* retransmissions served + newly requested *)
   sr_backlog : int;  (* pending submissions waiting when the token arrived *)
-  sr_allowed_new : int;  (* new messages flow control admitted (= sent) *)
 }
 
 (* The receive window: every message held for delivery or possible
@@ -126,10 +124,8 @@ type t = {
   (* The last accepted token's [round_signals], kept as plain fields and
      built into a record only when read. Purely observational: nothing
      in the engine reads them back. *)
-  mutable sig_fcc : int;
   mutable sig_retrans : int;
   mutable sig_backlog : int;
-  mutable sig_allowed_new : int;
   (* [Some me], shared by every token that names this node in aru_id. *)
   some_me : Types.pid option;
   stats : stats;
@@ -198,10 +194,8 @@ let create ~params ~ring_id ~ring ~me =
     retransmit_count = 0;
     outputs;
     accelerated_window = params.accelerated_window;
-    sig_fcc = 0;
     sig_retrans = 0;
     sig_backlog = 0;
-    sig_allowed_new = 0;
     some_me = Some me;
     stats =
       {
@@ -289,10 +283,8 @@ let last_round_signals t =
     Some
       {
         sr_round = t.round;
-        sr_fcc = t.sig_fcc;
         sr_retrans = t.sig_retrans;
         sr_backlog = t.sig_backlog;
-        sr_allowed_new = t.sig_allowed_new;
       }
 
 let advance_local_aru t =
@@ -541,10 +533,8 @@ let handle_token t sink (tok : Message.token) =
        Re-arming both timers supersedes the ones the last visit armed. *)
     let deliveries_on = deliver_ready_into t sink.deliver sink.rearm in
     collect_garbage t;
-    t.sig_fcc <- tok.fcc;
     t.sig_retrans <- num_retrans + List.length my_missing;
     t.sig_backlog <- backlog_at_token;
-    t.sig_allowed_new <- allowed_new;
     List.rev_append rev_retrans
       (List.rev_append !rev_pre
          (sink.send_token (successor t) token'

@@ -89,14 +89,12 @@ type 'a sink = {
 
 type round_signals = {
   sr_round : Types.round;  (** The round these signals describe. *)
-  sr_fcc : int;  (** Flow-control count on the incoming token. *)
   sr_retrans : int;
       (** Retransmissions served plus requests newly added this round. *)
   sr_backlog : int;
       (** Pending submissions waiting when the token arrived, i.e. the
           round's arrival count — the scale the accelerated window has to
           cover for every send to ride behind the token. *)
-  sr_allowed_new : int;  (** New messages flow control admitted (= sent). *)
 }
 (** What one token rotation looked like from this node — the signal set an
     adaptive-window controller consumes. Purely observational. *)
@@ -167,7 +165,6 @@ val data : t -> (Message.data -> 'a) -> Message.data -> 'a list
 val me : t -> Types.pid
 val ring_id : t -> Types.ring_id
 val ring : t -> Types.pid array
-val successor : t -> Types.pid
 val predecessor : t -> Types.pid
 val round : t -> Types.round
 (** Rounds completed locally (= tokens accepted). *)

@@ -160,13 +160,14 @@ let enter t phase actions =
    queue still empty one formation timeout later releases the flood. *)
 let arm_quiet t = arm Flood_burst t.params.Params.consensus_timeout_ns
 
-let create ~params ~me ?initial_ring ?controller () =
+let create ~params ~me ?initial_ring ?(adaptive = false) () =
   let singleton_ring : Types.ring_id = { rep = me; ring_seq = 0 } in
   {
     params;
     me;
     initial_ring;
-    controller;
+    controller =
+      (if adaptive then Some (Node.adaptive_controller params) else None);
     phase =
       Gather
         {

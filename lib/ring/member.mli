@@ -98,7 +98,7 @@ val create :
   params:Params.t ->
   me:Types.pid ->
   ?initial_ring:Types.pid array ->
-  ?controller:Aring_control.Controller.t ->
+  ?adaptive:bool ->
   unit ->
   t
 (** [create ~params ~me ()] is a participant that starts alone and finds
@@ -106,10 +106,11 @@ val create :
     directly operational in that pre-agreed configuration (ring_seq 1) —
     the usual production bootstrap where all daemons share a config file.
 
-    With [?controller], every configuration this member installs runs the
-    adaptive accelerated-window controller (see {!Node.create}); the same
-    instance is reused across installs so the learned window survives
-    membership changes. *)
+    With [~adaptive:true] (default [false]), every configuration this
+    member installs runs the adaptive accelerated-window controller (see
+    {!Node.create}), bounded by [params]; the same instance is reused
+    across installs so the learned window survives membership
+    changes. *)
 
 val participant : t -> Participant.t
 (** The uniform runtime interface (see {!Participant}). *)

@@ -1,6 +1,5 @@
 open Aring_wire
 module Deque = Aring_util.Deque
-module Trace = Aring_obs.Trace
 module Flight = Aring_obs.Flight
 module Controller = Aring_control.Controller
 
@@ -29,7 +28,6 @@ type t = {
      instance into every installed configuration) so learned state
      survives membership changes. *)
   controller : Controller.t option;
-  mutable last_token_ns : int;  (* -1 until the first accepted token *)
   (* The engine builds this node's actions through [sink], made once,
      so a token visit's timer tail (retransmit, then loss) is shared, not
      rebuilt, and nothing is translated. *)
@@ -75,17 +73,20 @@ let create ~params ~ring_id ~ring ~me ?controller () =
     data_q = make_queue data_queue_cap;
     qstats = { token_drops = 0; data_drops = 0; max_data_backlog = 0 };
     controller;
-    last_token_ns = -1;
   }
 
 let engine t = t.engine
 let queue_stats t = t.qstats
 let controller t = t.controller
 
-(* One controller step: translate the engine's per-round signals plus the
-   inter-token time into a window decision, apply it, and record it when
-   it changed something. No controller, no cost — and no trace events,
-   keeping controller-off runs byte-identical. *)
+let adaptive_controller (params : Params.t) =
+  Controller.create ~personal_window:params.personal_window
+    ~accelerated_window:params.accelerated_window
+
+(* One controller step: translate the engine's per-round signals into a
+   window decision, apply it, and record it when it changed something.
+   No controller, no cost — and no trace events, keeping controller-off
+   runs byte-identical. *)
 let run_controller t =
   match t.controller with
   | None -> ()
@@ -93,24 +94,16 @@ let run_controller t =
       match Engine.last_round_signals t.engine with
       | None -> ()
       | Some (s : Engine.round_signals) ->
-          let now = Trace.now () in
-          let rotation_ns = if t.last_token_ns < 0 then 0 else now - t.last_token_ns in
-          t.last_token_ns <- now;
           let d =
             Controller.observe c
-              {
-                Controller.rotation_ns;
-                fcc = s.sr_fcc;
-                retrans = s.sr_retrans;
-                backlog = s.sr_backlog;
-              }
+              { Controller.retrans = s.sr_retrans; backlog = s.sr_backlog }
           in
           if d.Controller.aw_after <> d.Controller.aw_before then begin
             Engine.set_accelerated_window t.engine d.Controller.aw_after;
             Flight.record_wide ~node:(Engine.me t.engine) ~code:Flight.ev_control
               ~a:s.sr_round ~b:d.Controller.aw_before ~c:d.Controller.aw_after
               ~d:(if d.Controller.congested then 1 else 0)
-              ~e:rotation_ns ~f:s.sr_fcc ~g:s.sr_retrans ~h:s.sr_backlog ~i:0
+              ~e:s.sr_retrans ~f:s.sr_backlog ~g:0 ~h:0 ~i:0
           end)
 
 let start t =

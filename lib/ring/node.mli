@@ -63,8 +63,7 @@ val create :
     production socket-buffer setup.
 
     When [controller] is given, it is consulted after every accepted
-    token with that rotation's {!Engine.round_signals} (plus the
-    inter-token time from the {!Aring_obs.Trace} clock) and its window
+    token with that rotation's {!Engine.round_signals} and its window
     becomes the engine's accelerated window for the next round. The same
     controller instance may be passed into successive configurations so
     its learned window survives membership changes. *)
@@ -109,5 +108,9 @@ val engine : t -> Engine.t
 
 val controller : t -> Aring_control.Controller.t option
 (** The adaptive-window controller, when one was attached. *)
+
+val adaptive_controller : Params.t -> Aring_control.Controller.t
+(** A controller bounded by [params]: its window starts at
+    [accelerated_window] and stays within [\[0, personal_window\]]. *)
 
 val queue_stats : t -> queue_stats

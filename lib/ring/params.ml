@@ -83,11 +83,3 @@ let validate p =
   else if p.recovery_burst_gap_ns <= 0 then
     Error "recovery_burst_gap_ns must be positive"
   else Ok ()
-
-let pp ppf p =
-  Format.fprintf ppf
-    "params(pw=%d gw=%d aw=%d gap=%d prio=%s)"
-    p.personal_window p.global_window p.accelerated_window p.max_seq_gap
-    (match p.priority_method with
-    | Aggressive -> "aggressive"
-    | Conservative -> "conservative")

@@ -80,5 +80,3 @@ val is_original : t -> bool
 val validate : t -> (unit, string) result
 (** Checks internal consistency (windows positive, accelerated window not
     exceeding the personal window, timeouts ordered). *)
-
-val pp : Format.formatter -> t -> unit

@@ -90,7 +90,6 @@ type t = {
 
 let now t = t.now
 let stats t = t.stats
-let participant t i = t.parts.(i)
 let on_deliver t f = t.deliver_cb <- f
 let on_view t f = t.view_cb <- f
 let set_drop t f = t.drop <- f

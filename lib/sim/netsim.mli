@@ -50,7 +50,6 @@ val create :
 
 val now : t -> int
 val stats : t -> stats
-val participant : t -> int -> Participant.t
 
 val record_metrics : t -> Aring_obs.Metrics.t -> unit
 (** Export the network counters into a metrics registry under

@@ -29,7 +29,6 @@ type t = {
          [recv_buf] — no per-packet [bytes] copies. *)
   on_deliver : Message.data -> unit;
   on_view : Participant.view -> unit;
-  mutable stop_requested : bool;
   mutable started : bool;
   mutable packets_received : int;
   mutable decode_errors : int;
@@ -74,7 +73,6 @@ let create ~me ~peers ~participant ?(on_deliver = fun _ -> ())
     pool = Message.Pool.create ~initial_capacity:65536 ();
     on_deliver;
     on_view;
-    stop_requested = false;
     started = false;
     packets_received = 0;
     decode_errors = 0;
@@ -82,7 +80,6 @@ let create ~me ~peers ~participant ?(on_deliver = fun _ -> ())
 
 let packets_received t = t.packets_received
 let decode_errors t = t.decode_errors
-let stop t = t.stop_requested <- true
 
 let record_metrics t reg =
   let c name v = Metrics.add (Metrics.counter reg name) v in
@@ -186,7 +183,6 @@ let drain_socket t sock =
   done
 
 let run t ~duration_s =
-  t.stop_requested <- false;
   (* Real deployments trace in wall-clock nanoseconds. *)
   Trace.set_clock now_ns;
   if not t.started then begin
@@ -194,7 +190,7 @@ let run t ~duration_s =
     interpret t (t.participant.start ())
   end;
   let deadline = now_ns () + int_of_float (duration_s *. 1e9) in
-  while (not t.stop_requested) && now_ns () < deadline do
+  while now_ns () < deadline do
     let timeout_s =
       if t.participant.has_work () then 0.0
       else begin

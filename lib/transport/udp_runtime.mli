@@ -45,9 +45,6 @@ val run : t -> duration_s:float -> unit
 (** Run the event loop for (approximately) the given wall-clock duration.
     Can be called repeatedly. *)
 
-val stop : t -> unit
-(** Ask a concurrently running {!run} to return promptly (thread-safe). *)
-
 val close : t -> unit
 (** Close the sockets. *)
 

@@ -86,9 +86,3 @@ let merge a b =
     add t b.samples.(i)
   done;
   t
-
-let pp ppf t =
-  if t.size = 0 then Format.fprintf ppf "n=0"
-  else
-    Format.fprintf ppf "n=%d mean=%.1f p50=%.1f p99=%.1f p99.9=%.1f max=%.1f"
-      t.size (mean t) (median t) (percentile t 99.0) (p999 t) (max_value t)

@@ -39,6 +39,3 @@ val p999 : t -> float
 
 val merge : t -> t -> t
 (** [merge a b] is a statistic over the union of both sample sets. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints ["n=… mean=… p50=… p99=… p99.9=… max=…"]. *)

@@ -130,7 +130,6 @@ type encoder = Buffer.t
 
 let encoder () = Buffer.create 256
 let to_bytes e = Buffer.to_bytes e
-let encoded_size e = Buffer.length e
 
 let write_u8 e n =
   if n < 0 || n > 0xFF then invalid_arg "Codec.write_u8: out of range";

@@ -97,7 +97,6 @@ type encoder
 
 val encoder : unit -> encoder
 val to_bytes : encoder -> bytes
-val encoded_size : encoder -> int
 
 val write_u8 : encoder -> int -> unit
 val write_bool : encoder -> bool -> unit

@@ -11,72 +11,74 @@ open Aring_sim
 
 let check = Alcotest.check
 
-(* decay_after = 1 keeps the idle decay single-step, so the unit tests
-   below read as one observation -> one decision. *)
-let cfg ?(aw_min = 0) ?(aw_max = 50) ?(increase = 2) ?(decrease = 0.5)
-    ?(decay_after = 1) ?(fcc_high = max_int) ?(target_rotation_ns = 0) () =
-  Controller.default_config ~aw_min ~increase ~decrease ~decay_after ~fcc_high
-    ~target_rotation_ns ~aw_max ()
+(* A controller for a node with personal window [pw] starting at [init]. *)
+let ctl ?(pw = 50) init =
+  Controller.create ~personal_window:pw ~accelerated_window:init
 
-let quiet = { Controller.rotation_ns = 1000; fcc = 0; retrans = 0; backlog = 0 }
+let quiet = { Controller.retrans = 0; backlog = 0 }
 
 (* ------------------------------------------------------------------ *)
 (* Unit behaviour of the AIMD rule                                     *)
 
 let test_backlog_grows_window () =
-  let c = Controller.create ~config:(cfg ()) ~init:10 () in
+  let c = ctl 10 in
   let d = Controller.observe c { quiet with backlog = 100 } in
   check Alcotest.int "additive increase" 12 d.Controller.aw_after;
   check Alcotest.bool "not congested" false d.Controller.congested;
-  check Alcotest.int "window view agrees" 12 (Controller.window c)
+  check Alcotest.int "window view agrees" 12 (Controller.window c);
+  (* The personal window caps the increase. *)
+  let c = ctl 49 in
+  check Alcotest.int "capped at the personal window" 50
+    (Controller.observe c { quiet with backlog = 100 }).Controller.aw_after;
+  check Alcotest.int "stays at the cap" 50
+    (Controller.observe c { quiet with backlog = 100 }).Controller.aw_after;
+  check Alcotest.int "start clamped to the personal window" 30
+    (Controller.window (ctl ~pw:30 99))
 
 let test_congestion_shrinks_window () =
-  let c = Controller.create ~config:(cfg ()) ~init:40 () in
-  let d = Controller.observe c { quiet with retrans = 3; backlog = 500 } in
+  let c = ctl 40 in
+  let d = Controller.observe c { retrans = 3; backlog = 500 } in
   check Alcotest.bool "congested" true d.Controller.congested;
   check Alcotest.int "multiplicative decrease despite backlog" 20
-    d.Controller.aw_after
+    d.Controller.aw_after;
+  let c = ctl 1 in
+  check Alcotest.int "halving floors at zero" 0
+    (Controller.observe c { quiet with retrans = 1 }).Controller.aw_after
 
+(* The idle decay waits for 8 consecutive quiet rotations. *)
 let test_idle_decays_window () =
-  let c = Controller.create ~config:(cfg ()) ~init:20 () in
-  let d = Controller.observe c { quiet with backlog = 1 } in
-  check Alcotest.int "decays by one" 19 d.Controller.aw_after;
+  let c = ctl 20 in
+  for k = 1 to 7 do
+    check Alcotest.int
+      (Printf.sprintf "idle rotation %d holds" k)
+      20
+      (Controller.observe c { quiet with backlog = 1 }).Controller.aw_after
+  done;
+  check Alcotest.int "8th idle rotation decays by one" 19
+    (Controller.observe c { quiet with backlog = 1 }).Controller.aw_after;
   (* A backlog in balance with the window holds it steady. *)
-  let c = Controller.create ~config:(cfg ()) ~init:20 () in
-  let d = Controller.observe c { quiet with backlog = 15 } in
-  check Alcotest.int "steady" 20 d.Controller.aw_after
+  let c = ctl 20 in
+  for _ = 1 to 20 do
+    check Alcotest.int "steady" 20
+      (Controller.observe c { quiet with backlog = 15 }).Controller.aw_after
+  done
 
 let test_decay_needs_idle_streak () =
-  let c = Controller.create ~config:(cfg ~decay_after:3 ()) ~init:20 () in
-  let idle = { quiet with backlog = 1 } in
-  check Alcotest.int "1st idle holds" 20 (Controller.observe c idle).Controller.aw_after;
-  check Alcotest.int "2nd idle holds" 20 (Controller.observe c idle).Controller.aw_after;
-  check Alcotest.int "3rd idle decays" 19 (Controller.observe c idle).Controller.aw_after;
-  (* A balanced rotation resets the streak. *)
-  check Alcotest.int "streak restarts" 19 (Controller.observe c idle).Controller.aw_after;
-  ignore (Controller.observe c { quiet with backlog = 15 });
-  check Alcotest.int "1st idle after reset holds" 19
-    (Controller.observe c idle).Controller.aw_after
-
-let test_fcc_and_rotation_signals () =
-  let c =
-    Controller.create ~config:(cfg ~fcc_high:100 ~target_rotation_ns:1_000_000 ())
-      ~init:30 ()
+  let c = ctl 20 in
+  let idle () =
+    (Controller.observe c { quiet with backlog = 1 }).Controller.aw_after
   in
-  let d = Controller.observe c { quiet with fcc = 100; backlog = 999 } in
-  check Alcotest.bool "fcc high-water congests" true d.Controller.congested;
-  let d = Controller.observe c { quiet with rotation_ns = 2_000_000 } in
-  check Alcotest.bool "slow rotation congests" true d.Controller.congested;
-  let d = Controller.observe c { quiet with rotation_ns = 500_000; backlog = 99 } in
-  check Alcotest.bool "fast quiet rotation does not" false d.Controller.congested
-
-let test_config_validation () =
-  Alcotest.check_raises "aw_max < aw_min rejected"
-    (Invalid_argument "Controller.default_config: aw_max < aw_min") (fun () ->
-      ignore (Controller.default_config ~aw_min:10 ~aw_max:5 ()));
-  Alcotest.check_raises "decrease >= 1 rejected"
-    (Invalid_argument "Controller.default_config: decrease must be in (0,1)")
-    (fun () -> ignore (Controller.default_config ~decrease:1.0 ~aw_max:5 ()))
+  let idle_for n = for _ = 1 to n do ignore (idle ()) done in
+  idle_for 7;
+  check Alcotest.int "8th idle decays" 19 (idle ());
+  idle_for 7;
+  check Alcotest.int "the decay restarts the streak" 19 (Controller.window c);
+  (* 15 neither exceeds 19 nor is under half of it: a balanced rotation. *)
+  ignore (Controller.observe c { quiet with backlog = 15 });
+  idle_for 7;
+  check Alcotest.int "a balanced rotation restarts it too" 19
+    (Controller.window c);
+  check Alcotest.int "8th idle after it decays" 18 (idle ())
 
 (* ------------------------------------------------------------------ *)
 (* Properties: monotonicity, clamping, determinism                     *)
@@ -84,10 +86,8 @@ let test_config_validation () =
 let signal_gen =
   QCheck.Gen.(
     map
-      (fun (rot, fcc, retrans, backlog) ->
-        { Controller.rotation_ns = rot; fcc; retrans; backlog })
-      (quad (int_bound 10_000_000) (int_bound 1000) (int_bound 20)
-         (int_bound 2000)))
+      (fun (retrans, backlog) -> { Controller.retrans; backlog })
+      (pair (int_bound 20) (int_bound 2000)))
 
 let signals_arb =
   QCheck.make
@@ -95,8 +95,7 @@ let signals_arb =
       String.concat ";"
         (List.map
            (fun (s : Controller.signals) ->
-             Printf.sprintf "(rot=%d fcc=%d rt=%d bk=%d)" s.rotation_ns s.fcc
-               s.retrans s.backlog)
+             Printf.sprintf "(rt=%d bk=%d)" s.retrans s.backlog)
            ss))
     QCheck.Gen.(list_size (int_range 1 100) signal_gen)
 
@@ -105,11 +104,7 @@ let prop_congestion_never_increases =
     ~name:"a congested rotation never raises the window"
     signals_arb
     (fun ss ->
-      let c =
-        Controller.create
-          ~config:(cfg ~fcc_high:500 ~target_rotation_ns:5_000_000 ())
-          ~init:25 ()
-      in
+      let c = ctl 25 in
       List.for_all
         (fun s ->
           let d = Controller.observe c s in
@@ -122,7 +117,7 @@ let prop_sustained_congestion_monotone =
     ~name:"under sustained congestion the window is non-increasing"
     signals_arb
     (fun ss ->
-      let c = Controller.create ~config:(cfg ()) ~init:50 () in
+      let c = ctl 50 in
       (* Force every signal to carry congestion evidence. *)
       let ss = List.map (fun s -> { s with Controller.retrans = 1 + s.Controller.retrans }) ss in
       let rec loop prev = function
@@ -134,18 +129,14 @@ let prop_sustained_congestion_monotone =
       loop 50 ss)
 
 let prop_window_stays_in_bounds =
-  QCheck.Test.make ~count:200 ~name:"window clamps to [aw_min, aw_max]"
-    QCheck.(pair signals_arb (pair (int_range 0 10) (int_range 10 60)))
-    (fun (ss, (aw_min, aw_max)) ->
-      let c =
-        Controller.create
-          ~config:(cfg ~aw_min ~aw_max ~fcc_high:300 ~target_rotation_ns:2_000_000 ())
-          ~init:aw_max ()
-      in
+  QCheck.Test.make ~count:200 ~name:"window clamps to [0, personal_window]"
+    QCheck.(pair signals_arb (pair (int_range 1 60) (int_range 0 60)))
+    (fun (ss, (pw, init)) ->
+      let c = ctl ~pw (min pw init) in
       List.for_all
         (fun s ->
           let d = Controller.observe c s in
-          d.Controller.aw_after >= aw_min && d.Controller.aw_after <= aw_max)
+          d.Controller.aw_after >= 0 && d.Controller.aw_after <= pw)
         ss)
 
 let prop_decisions_deterministic =
@@ -154,11 +145,7 @@ let prop_decisions_deterministic =
     signals_arb
     (fun ss ->
       let trajectory () =
-        let c =
-          Controller.create
-            ~config:(cfg ~fcc_high:400 ~target_rotation_ns:3_000_000 ())
-            ~init:20 ()
-        in
+        let c = ctl 20 in
         List.map
           (fun s ->
             let d = Controller.observe c s in
@@ -181,8 +168,7 @@ let test_scenario_run_with_controller () =
       offered_mbps = 150.0;
       warmup_ns = 20_000_000;
       measure_ns = 80_000_000;
-      controller =
-        Some (Controller.default_config ~aw_max:50 ~target_rotation_ns:0 ());
+      adaptive = true;
     }
   in
   let r = Aring_harness.Scenario.run spec in
@@ -231,8 +217,10 @@ let test_step_load_produces_phases () =
        0 phases)
 
 let test_member_cluster_with_controller_survives_crash () =
-  (* Controllers at the Member level: the learned window must survive a
-     reformation, and ordering must hold throughout. *)
+  (* Controllers at the Member level, built by the [adaptive] switch:
+     each window starts at the accelerated window and stays within the
+     personal window, the learned window survives a reformation, and
+     ordering holds throughout. *)
   let ms n = n * 1_000_000 in
   let params =
     {
@@ -245,17 +233,11 @@ let test_member_cluster_with_controller_survives_crash () =
     }
   in
   let n = 4 in
-  let controllers =
-    Array.init n (fun _ ->
-        Controller.create
-          ~config:(cfg ~aw_max:params.Params.personal_window ())
-          ~init:params.Params.accelerated_window ())
-  in
   let members =
     Array.init n (fun me ->
         Member.create ~params ~me
           ~initial_ring:(Array.init n (fun i -> i))
-          ~controller:controllers.(me) ())
+          ~adaptive:true ())
   in
   let sim =
     Netsim.create ~net:Profile.gigabit
@@ -272,7 +254,32 @@ let test_member_cluster_with_controller_survives_crash () =
           (Bytes.of_string (Printf.sprintf "m%d" k)))
   done;
   Netsim.call_at sim ~at:(ms 12) (fun () -> Netsim.crash sim 3);
-  Netsim.run_until sim (ms 2000);
+  (* Every window change, node by node, oldest first. *)
+  let changes = Array.make n [] in
+  let sink =
+    Aring_obs.Trace.fn_sink (fun (e : Aring_obs.Trace.event) ->
+        match e.kind with
+        | Control { aw_before; aw_after; _ } ->
+            changes.(e.node) <- (aw_before, aw_after) :: changes.(e.node)
+        | _ -> ())
+  in
+  Aring_obs.Trace.with_sink sink (fun () -> Netsim.run_until sim (ms 2000));
+  let pw = params.Params.personal_window in
+  Array.iteri
+    (fun i cs ->
+      match List.rev cs with
+      | [] -> Alcotest.failf "node %d changed its window" i
+      | (first, _) :: _ as cs ->
+          check Alcotest.int
+            (Printf.sprintf "node %d starts at the accelerated window" i)
+            params.Params.accelerated_window first;
+          List.iter
+            (fun (before, after) ->
+              if before < 0 || before > pw || after < 0 || after > pw then
+                Alcotest.failf "node %d window %d -> %d outside [0, %d]" i
+                  before after pw)
+            cs)
+    changes;
   (* Survivors converge operational and agree on the delivery stream. *)
   let alive = [ 0; 1; 2 ] in
   List.iter
@@ -301,8 +308,11 @@ let test_member_cluster_with_controller_survives_crash () =
               check Alcotest.bool
                 (Printf.sprintf "survivor %d window within bounds" i)
                 true
-                (Controller.window c >= 0
-                && Controller.window c <= params.Params.personal_window)))
+                (Controller.window c >= 0 && Controller.window c <= pw);
+              check Alcotest.int
+                (Printf.sprintf "survivor %d engine runs the learned window" i)
+                (Controller.window c)
+                (Engine.accelerated_window (Node.engine node))))
     alive
 
 let test_engine_window_setter_clamps () =
@@ -335,8 +345,6 @@ let test_engine_round_signals_captured () =
   | None -> Alcotest.fail "signals after a round"
   | Some s ->
       check Alcotest.int "round" 1 s.Engine.sr_round;
-      check Alcotest.int "fcc from incoming token" 0 s.Engine.sr_fcc;
-      check Alcotest.int "personal window admitted 10" 10 s.Engine.sr_allowed_new;
       check Alcotest.int "backlog as the token arrived" 25 s.Engine.sr_backlog;
       check Alcotest.int "no retransmissions" 0 s.Engine.sr_retrans
 
@@ -348,8 +356,6 @@ let suite =
     ("congestion shrinks window", `Quick, test_congestion_shrinks_window);
     ("idle decays window", `Quick, test_idle_decays_window);
     ("decay needs an idle streak", `Quick, test_decay_needs_idle_streak);
-    ("fcc and rotation signals", `Quick, test_fcc_and_rotation_signals);
-    ("config validation", `Quick, test_config_validation);
     qtest prop_congestion_never_increases;
     qtest prop_sustained_congestion_monotone;
     qtest prop_window_stays_in_bounds;

@@ -849,7 +849,7 @@ let test_watchdog_feed_allocates_nothing () =
 (* Token retransmit, token lost, phase, crash, token receipt and send,
    data send, packet drop, window decision and state-transfer step reach
    the trace sink from Flight.record alone, decoded from the record's
-   arguments. *)
+   arguments, and each decoded event survives a JSONL round trip. *)
 let traced_codes =
   [
     Flight.ev_token_retransmit; Flight.ev_token_lost; Flight.ev_phase;
@@ -886,7 +886,11 @@ let test_flight_decodes_traced_steps () =
                     check Alcotest.bool
                       (Printf.sprintf "%s decoded (recording=%b)" name recording)
                       true
-                      (e = { Trace.t_ns = !t; node; kind })
+                      (e = { Trace.t_ns = !t; node; kind });
+                    check Alcotest.bool
+                      (Printf.sprintf "%s JSONL round-trip" name)
+                      true
+                      (Trace_json.of_line (Trace_json.to_line e) = e)
                 | evs ->
                     Alcotest.failf "%s (recording=%b): %d trace events" name
                       recording (List.length evs)))
@@ -950,13 +954,21 @@ let test_flight_decodes_traced_steps () =
             ~node:9
             (fun ~node ->
               Flight.record_wide ~node ~code:Flight.ev_control ~a:41 ~b:20
-                ~c:10 ~d:(if congested then 1 else 0) ~e:123_456_789 ~f:42
-                ~g:43 ~h:44 ~i:0)
+                ~c:10 ~d:(if congested then 1 else 0) ~e:43 ~f:44 ~g:0 ~h:0
+                ~i:0)
             (Trace.Control
                { round = 41; aw_before = 20; aw_after = 10; congested;
-                 rotation_ns = 123_456_789; fcc = 42; retrans = 43;
-                 backlog = 44 }))
+                 retrans = 43; backlog = 44 }))
         [ true; false ];
+      (* A control line carries the decision and the two signals it read. *)
+      check Alcotest.string "control JSONL line"
+        {|{"ts":7,"node":9,"ev":"control","round":41,"aw_before":20,"aw_after":10,"congested":true,"retrans":43,"backlog":44}|}
+        (Trace_json.to_line
+           { Trace.t_ns = 7; node = 9;
+             kind =
+               Trace.Control
+                 { round = 41; aw_before = 20; aw_after = 10; congested = true;
+                   retrans = 43; backlog = 44 } });
       List.iteri
         (fun k (code, phase) ->
           let view = if k mod 2 = 0 then ring_hi else ring_lo in
