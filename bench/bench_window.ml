@@ -1,9 +1,10 @@
-(* Adaptive accelerated-window sweep (`-- adaptive [quick]`). Step
-   workload on the 1G Spread tier: the offered load jumps 100 -> 900 ->
-   100 Mbps mid-run. Every static accelerated window is swept against the
-   AIMD controller on the same schedule; per-phase latencies go to
-   BENCH_adaptive.json and bench/adaptive_budget.json gates the
-   adaptive-vs-static ratios. *)
+(* Accelerated-window sweep (`-- window [quick]`). Step workload on the
+   1G Spread tier: the offered load jumps 100 -> 900 -> 100 Mbps mid-run.
+   Every static accelerated window is swept on the same schedule, and the
+   default window ([Params.default]'s, one of the sweep's points) is
+   judged per phase against the best and the worst of them; per-phase
+   latencies go to BENCH_window.json and bench/window_budget.json gates
+   the ratios. *)
 
 open Aring_ring
 open Aring_wire
@@ -21,16 +22,18 @@ let params aw =
       ~accelerated_window:aw ()
 
 let run ~quick =
-  Printf.printf "=== Adaptive accelerated-window benchmark%s ===\n%!"
+  Printf.printf "=== Accelerated-window benchmark%s ===\n%!"
     (if quick then " [QUICK MODE]" else "");
   let warmup = ms 100 in
   let phase_ns = if quick then ms 80 else ms 150 in
   let low = 100. and high = 900. in
-  let statics = [ 0; 5; 10; 20; 35; 50 ] in
-  let spec_for ~label ~aw ~adaptive =
+  let default_aw = Params.default.accelerated_window in
+  (* The default is judged from its own sweep point, so it is always one. *)
+  let statics = List.sort_uniq compare [ 0; 5; 10; 20; 35; 50; default_aw ] in
+  let spec_for ~aw =
     {
       Scenario.default_spec with
-      label;
+      label = Printf.sprintf "static/aw=%d" aw;
       net = Profile.gigabit;
       tier = Profile.spread;
       params = params aw;
@@ -42,7 +45,6 @@ let run ~quick =
           ~until_ns:(warmup + (2 * phase_ns));
       warmup_ns = warmup;
       measure_ns = 3 * phase_ns;
-      adaptive;
     }
   in
   (* A phase that fails to keep up with the offered load scores infinity:
@@ -70,35 +72,16 @@ let run ~quick =
   let static_runs =
     List.map
       (fun aw ->
-        let r =
-          Scenario.run
-            (spec_for ~label:(Printf.sprintf "static/aw=%d" aw) ~aw
-               ~adaptive:false)
-        in
+        let r = Scenario.run (spec_for ~aw) in
         print_run (Printf.sprintf "aw=%d" aw) r;
         (aw, r))
       statics
   in
-  let r_adaptive =
-    Scenario.run
-      (spec_for ~label:"adaptive" ~aw:20 ~adaptive:true)
-  in
-  print_run "adaptive" r_adaptive;
-  let m = r_adaptive.Scenario.metrics in
-  Printf.printf
-    "  controller: %d decisions (%d up, %d down, %d congestion signals), last window %.0f\n%!"
-    (Aring_obs.Metrics.counter_value m "control.decisions")
-    (Aring_obs.Metrics.counter_value m "control.increases")
-    (Aring_obs.Metrics.counter_value m "control.decreases")
-    (Aring_obs.Metrics.counter_value m "control.congestions")
-    (match List.assoc_opt "control.window" (Aring_obs.Metrics.gauges m) with
-    | Some w -> w
-    | None -> nan);
-  (* Per-phase comparison: the adaptive run against the best and worst
+  (* Per-phase comparison: the default window against the best and worst
      static window for that phase. *)
   let phase_stats =
     List.mapi
-      (fun i (ap : Scenario.phase) ->
+      (fun i (dp : Scenario.phase) ->
         let static_scores =
           List.map (fun (aw, r) -> (aw, score (List.nth r.Scenario.phases i)))
             static_runs
@@ -113,31 +96,32 @@ let run ~quick =
             (fun (wa, ws) (aw, s) -> if s > ws then (aw, s) else (wa, ws))
             (-1, neg_infinity) static_scores
         in
-        let a = score ap in
-        let ratio = if Float.is_finite best then a /. best else nan in
-        (i, ap, a, (best_aw, best), (worst_aw, worst), ratio))
-      r_adaptive.Scenario.phases
+        let d = score dp in
+        let ratio = if Float.is_finite best then d /. best else nan in
+        (i, dp, d, (best_aw, best), (worst_aw, worst), ratio))
+      (List.assoc default_aw static_runs).Scenario.phases
   in
   Printf.printf "\nper-phase summary (mean latency, us; inf = failed to sustain):\n";
   List.iter
-    (fun (i, (p : Scenario.phase), a, (best_aw, best), (worst_aw, worst), ratio) ->
+    (fun (i, (p : Scenario.phase), d, (best_aw, best), (worst_aw, worst), ratio) ->
       Printf.printf
-        "  phase %d (%4.0f Mbps): adaptive %8.1f | best static aw=%-2d %8.1f \
-         (ratio %.2f) | worst static aw=%-2d %s\n%!"
-        (i + 1) p.Scenario.p_offered_mbps a best_aw best ratio worst_aw
+        "  phase %d (%4.0f Mbps): default aw=%d %8.1f | best static aw=%-2d \
+         %8.1f (ratio %.2f) | worst static aw=%-2d %s\n%!"
+        (i + 1) p.Scenario.p_offered_mbps default_aw d best_aw best ratio
+        worst_aw
         (if Float.is_finite worst then Printf.sprintf "%8.1f" worst
          else "collapsed"))
     phase_stats;
   let json_score s = if Float.is_finite s then Json.Float s else Json.Null in
-  let phase_json (i, (p : Scenario.phase), a, (best_aw, best), (worst_aw, worst), ratio) =
+  let phase_json (i, (p : Scenario.phase), d, (best_aw, best), (worst_aw, worst), ratio) =
     Json.Obj
       [
         ("index", Json.Int i);
         ("offered_mbps", Json.Float p.Scenario.p_offered_mbps);
-        ("adaptive_lat_us", json_score a);
-        ( "adaptive_lat_p999_us",
+        ("default_lat_us", json_score d);
+        ( "default_lat_p999_us",
           json_score (Stats.percentile p.Scenario.p_latency_us 99.9) );
-        ("adaptive_delivered_mbps", Json.Float p.Scenario.p_delivered_mbps);
+        ("default_delivered_mbps", Json.Float p.Scenario.p_delivered_mbps);
         ("best_static_aw", Json.Int best_aw);
         ("best_static_lat_us", json_score best);
         ("worst_static_aw", Json.Int worst_aw);
@@ -183,24 +167,9 @@ let run ~quick =
               ("high_mbps", Json.Float high);
               ("phase_ms", Json.Int (phase_ns / 1_000_000));
             ] );
+        ("default_aw", Json.Int default_aw);
         ("phases", Json.List (List.map phase_json phase_stats));
         ("statics", Json.List (List.map static_json static_runs));
-        ( "controller",
-          Json.Obj
-            [
-              ( "decisions",
-                Json.Int (Aring_obs.Metrics.counter_value m "control.decisions")
-              );
-              ( "increases",
-                Json.Int (Aring_obs.Metrics.counter_value m "control.increases")
-              );
-              ( "decreases",
-                Json.Int (Aring_obs.Metrics.counter_value m "control.decreases")
-              );
-              ( "congestions",
-                Json.Int
-                  (Aring_obs.Metrics.counter_value m "control.congestions") );
-            ] );
       ];
     checks =
       List.map
@@ -210,7 +179,7 @@ let run ~quick =
           Require
             ( "require_beats_worst_static",
               List.for_all
-                (fun (_, _, a, _, (_, worst), _) -> a < worst)
+                (fun (_, _, d, _, (_, worst), _) -> d < worst)
                 phase_stats );
         ];
     echo = [];

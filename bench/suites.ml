@@ -4,7 +4,7 @@
 let gated =
   [
     ("hotpath", Bench_hotpath.run);
-    ("adaptive", Bench_adaptive.run);
+    ("window", Bench_window.run);
     ("kv", Bench_kv.run);
     ("obs", Bench_obs.run);
     ("recovery", Bench_recovery.run);

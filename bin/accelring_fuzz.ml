@@ -24,7 +24,7 @@ let dump_flight ~path outcome =
   Printf.printf "flight recorder: %d records -> %s (+ %s)\n"
     (Aring_obs.Flight.stored ()) path report_path
 
-let run trials seed max_nodes rings bug_name adaptive app_name shrink
+let run trials seed max_nodes rings bug_name app_name shrink
     max_shrink_runs time_budget replay_path trace_file corpus_dir flight_dump
     quiet =
   if rings < 1 then begin
@@ -62,7 +62,7 @@ let run trials seed max_nodes rings bug_name adaptive app_name shrink
       let failed = ref 0 in
       List.iter
         (fun (name, schedule) ->
-          let outcome = Fuzzer.replay ~bug ~adaptive ~app ?extra_sink schedule in
+          let outcome = Fuzzer.replay ~bug ~app ?extra_sink schedule in
           Format.printf "%s: %a@." name Runner.pp_outcome outcome;
           if not (Runner.passed outcome) then begin
             (* Dump the first failure: the recorder holds this run's tail
@@ -92,7 +92,6 @@ let run trials seed max_nodes rings bug_name adaptive app_name shrink
           max_nodes;
           rings;
           bug;
-          adaptive;
           app;
           shrink;
           max_shrink_runs;
@@ -135,7 +134,7 @@ let run trials seed max_nodes rings bug_name adaptive app_name shrink
               (* The recorder holds whichever run executed last (usually a
                  shrink probe); re-run the reproducer once so the dump
                  matches the schedule printed above. *)
-              let outcome = Fuzzer.replay ~bug ~adaptive ~app reproducer in
+              let outcome = Fuzzer.replay ~bug ~app reproducer in
               dump_flight ~path outcome
           | None -> ());
           exit 1)
@@ -178,15 +177,6 @@ let bug_name =
            skip-retransmission, kv-skip-apply, kv-apply-before-election, \
            merge-no-seek or recovery-flood. Used to validate the fuzzer \
            itself.")
-
-let adaptive =
-  Arg.(
-    value & flag
-    & info [ "adaptive" ]
-        ~doc:
-          "Run every node with the adaptive accelerated-window controller \
-           enabled, fuzzing the protocol while the per-node window moves. \
-           Trace hashes differ from static-window runs.")
 
 let app_name =
   Arg.(
@@ -265,8 +255,8 @@ let cmd =
   Cmd.v
     (Cmd.info "accelring_fuzz" ~doc)
     Term.(
-      const run $ trials $ seed $ max_nodes $ rings $ bug_name $ adaptive
-      $ app_name $ shrink
+      const run $ trials $ seed $ max_nodes $ rings $ bug_name $ app_name
+      $ shrink
       $ max_shrink_runs $ time_budget $ replay_path $ trace_file $ corpus_dir
       $ flight_dump $ quiet)
 

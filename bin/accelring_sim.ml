@@ -25,8 +25,7 @@ let service_of_string = function
   | s -> Error (`Msg (Printf.sprintf "unknown service %S" s))
 
 let run nodes net tier protocol service payload rate pw gw aw seconds
-    find_max seed verbose trace_file chrome_file check rotation adaptive spans
-    =
+    find_max seed verbose trace_file chrome_file check rotation spans =
   if verbose then Aring_util.Log.setup ~level:Logs.Info ();
   let checker = if check then Some (Aring_obs.Checker.create ()) else None in
   let trace =
@@ -58,7 +57,6 @@ let run nodes net tier protocol service payload rate pw gw aw seconds
       measure_ns = int_of_float (seconds *. 1e9);
       seed = Int64.of_int seed;
       profile_rotation = rotation;
-      adaptive;
     }
   in
   (* Latency spans ride outside the trace stream: attach a collector for
@@ -166,15 +164,6 @@ let rotation =
     & info [ "rotation" ]
         ~doc:"Profile token rotations (rotation time, messages/round, post-token overlap).")
 
-let adaptive =
-  Arg.(
-    value & flag
-    & info [ "adaptive" ]
-        ~doc:
-          "Give every node an adaptive accelerated-window controller (AIMD, \
-           capped at the personal window); --aw only sets the starting \
-           window.")
-
 let spans =
   Arg.(
     value & flag
@@ -192,6 +181,6 @@ let cmd =
       const run $ nodes $ net $ tier $ protocol $ service $ payload $ rate
       $ pw $ gw $ aw $ seconds $ find_max $ seed $ verbose
       $ Trace_sinks.trace_file $ Trace_sinks.chrome_file $ check $ rotation
-      $ adaptive $ spans)
+      $ spans)
 
 let () = exit (Cmd.eval cmd)

@@ -35,13 +35,13 @@ type cluster = {
 (* Construction order is part of every pinned stream: all members, then
    all daemons, then all replicas, then the oracles attach, then the
    sim. Callers that observe replicas register after this returns. *)
-let build_cluster ?tiers ?adaptive ?wrap ?kv_bug ~rings ~n ~net ~tier ~params
+let build_cluster ?tiers ?wrap ?kv_bug ~rings ~n ~net ~tier ~params
     ~seed () =
   let total = rings * n in
   let members =
     Array.init total (fun p ->
         let initial_ring = Array.init n (fun i -> (p / n * n) + i) in
-        Member.create ~params ~me:p ~initial_ring ?adaptive ())
+        Member.create ~params ~me:p ~initial_ring ())
   in
   let daemons = Array.map (fun member -> Daemon.create ~member ()) members in
   let kvs =

@@ -37,7 +37,6 @@ type cluster = {
 
 val build_cluster :
   ?tiers:Profile.tier array ->
-  ?adaptive:bool ->
   ?wrap:(pid:int -> Aring_ring.Participant.t -> Aring_ring.Participant.t) ->
   ?kv_bug:(ring:int -> node:int -> Kv.bug option) ->
   rings:int ->
@@ -53,9 +52,7 @@ val build_cluster :
     multicast domain when [rings > 1]. {!Aring_load.Load.run} builds
     with it at one ring, {!Aring_multiring.Cluster.create} at any count.
     [tiers] gives per-physical-node cost profiles (length [n];
-    [tier] is the uniform default), [adaptive] (default [false]) gives
-    every member the adaptive window controller
-    ({!Aring_ring.Member.create}), [wrap] wraps each participant (fault
+    [tier] is the uniform default), [wrap] wraps each participant (fault
     injection) and [kv_bug] seeds a replica bug (fuzzer self-test).
 
     The order is fixed, as it fixes every seeded stream: all members,

@@ -6,7 +6,6 @@ type config = {
   max_nodes : int;
   rings : int;
   bug : Bug.t;
-  adaptive : bool;
   app : Runner.app;
   shrink : bool;
   max_shrink_runs : int;
@@ -21,7 +20,6 @@ let default_config =
     max_nodes = 8;
     rings = 1;
     bug = Bug.Clean;
-    adaptive = false;
     app = Runner.App_none;
     shrink = true;
     max_shrink_runs = 200;
@@ -47,9 +45,7 @@ let run_campaign cfg =
      let schedule =
        Schedule.generate ~max_nodes:cfg.max_nodes ~rings:cfg.rings ~seed ()
      in
-     let outcome =
-       Runner.run ~bug:cfg.bug ~adaptive:cfg.adaptive ~app:cfg.app schedule
-     in
+     let outcome = Runner.run ~bug:cfg.bug ~app:cfg.app schedule in
      incr trials_run;
      (match outcome.Runner.failure with
      | None ->
@@ -69,9 +65,8 @@ let run_campaign cfg =
     match !failure with
     | Some t when cfg.shrink ->
         let r =
-          Shrink.shrink ~bug:cfg.bug ~adaptive:cfg.adaptive ~app:cfg.app
-            ~max_runs:cfg.max_shrink_runs t.schedule
-            t.outcome
+          Shrink.shrink ~bug:cfg.bug ~app:cfg.app
+            ~max_runs:cfg.max_shrink_runs t.schedule t.outcome
         in
         cfg.log
           (Printf.sprintf "shrunk: %d -> %d faults, %d -> %d nodes (%d runs)"
@@ -85,6 +80,5 @@ let run_campaign cfg =
   in
   { trials_run = !trials_run; failure = !failure; shrunk }
 
-let replay ?(bug = Bug.Clean) ?(adaptive = false) ?(app = Runner.App_none)
-    ?extra_sink schedule =
-  Runner.run ~bug ~adaptive ~app ?extra_sink schedule
+let replay ?(bug = Bug.Clean) ?(app = Runner.App_none) ?extra_sink schedule =
+  Runner.run ~bug ~app ?extra_sink schedule

@@ -21,14 +21,10 @@ type config = {
           with the sharded KV + cross-shard mcas workload and
           ring-scoped faults (see {!Runner.run}). *)
   bug : Bug.t;  (** Injected defect ({!Bug.Clean} for real fuzzing). *)
-  adaptive : bool;
-      (** Run every node with the AIMD accelerated-window controller
-          enabled, fuzzing the protocol while the window moves (see
-          {!Runner.run}). *)
   app : Runner.app;
       (** Hosted application: {!Runner.App_kv} fuzzes the full
           daemon + replicated-KV stack with its consistency oracle
-          attached (composable with [adaptive]). *)
+          attached. *)
   shrink : bool;  (** Minimize the first failure. *)
   max_shrink_runs : int;
   stop : unit -> bool;
@@ -38,8 +34,7 @@ type config = {
 }
 
 val default_config : config
-(** 200 trials, seed 1, max 8 nodes, 1 ring, clean, static window, no
-    app, shrink on (budget 200), never stops early, silent log. *)
+(** 200 trials, seed 1, max 8 nodes, 1 ring, clean, no app, shrink on (budget 200), never stops early, silent log. *)
 
 type trial = { index : int; schedule : Schedule.t; outcome : Runner.outcome }
 
@@ -54,7 +49,6 @@ val run_campaign : config -> report
 
 val replay :
   ?bug:Bug.t ->
-  ?adaptive:bool ->
   ?app:Runner.app ->
   ?extra_sink:Aring_obs.Trace.sink ->
   Schedule.t ->

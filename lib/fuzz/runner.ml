@@ -384,7 +384,7 @@ let drive_chunks sim (s : Schedule.t) ~checker ~health ?extra_sink ~violation
    such churn routine — so convergence is judged on replica equality
    (which state transfer does guarantee), merge quiescence and
    cross-shard decision agreement. *)
-let run_cluster ~bug ~adaptive ~app ?extra_sink (s : Schedule.t) =
+let run_cluster ~bug ~app ?extra_sink (s : Schedule.t) =
   let c = s.config in
   let n = c.Schedule.n_nodes in
   let rings = c.Schedule.rings in
@@ -404,7 +404,6 @@ let run_cluster ~bug ~adaptive ~app ?extra_sink (s : Schedule.t) =
   Health.attach health;
   let cluster =
     Cluster.create ~params ~net:(Schedule.net c) ~tiers ~seed:s.seed
-      ~adaptive
       ~wrap:(fun ~pid p -> Bug.wrap bug ~node:pid p)
       ~kv_bug ~no_seek:(bug = Bug.Merge_no_seek) ~rings ~nodes:n ()
   in
@@ -548,7 +547,7 @@ let run_cluster ~bug ~adaptive ~app ?extra_sink (s : Schedule.t) =
 (* Raw ring members with the padded byte workload, judged by probes:
    once the survivors have merged past the horizon, every survivor
    multicasts a probe and every survivor must deliver all of them. *)
-let run_single ~bug ~adaptive ?extra_sink (s : Schedule.t) =
+let run_single ~bug ?extra_sink (s : Schedule.t) =
   let c = s.config in
   let n = c.Schedule.n_nodes in
   let params = Schedule.params c in
@@ -557,8 +556,7 @@ let run_single ~bug ~adaptive ?extra_sink (s : Schedule.t) =
   in
   let initial_ring = Array.init n (fun i -> i) in
   let members =
-    Array.init n (fun me ->
-        Member.create ~params ~me ~initial_ring ~adaptive ())
+    Array.init n (fun me -> Member.create ~params ~me ~initial_ring ())
   in
   let participants =
     Array.init n (fun i -> Bug.wrap bug ~node:i (Member.participant members.(i)))
@@ -646,11 +644,10 @@ let run_single ~bug ~adaptive ?extra_sink (s : Schedule.t) =
     health = health_report;
   }
 
-let run ?(bug = Bug.Clean) ?(adaptive = false) ?(app = App_none) ?extra_sink
-    (s : Schedule.t) =
+let run ?(bug = Bug.Clean) ?(app = App_none) ?extra_sink (s : Schedule.t) =
   if app = App_none && s.config.Schedule.rings = 1 then
-    run_single ~bug ~adaptive ?extra_sink s
-  else run_cluster ~bug ~adaptive ~app ?extra_sink s
+    run_single ~bug ?extra_sink s
+  else run_cluster ~bug ~app ?extra_sink s
 
 let pp_failure ppf = function
   | Invariant v ->

@@ -90,7 +90,6 @@ type outcome = {
 
 val run :
   ?bug:Bug.t ->
-  ?adaptive:bool ->
   ?app:app ->
   ?extra_sink:Aring_obs.Trace.sink ->
   Schedule.t ->
@@ -98,14 +97,10 @@ val run :
 (** Execute the schedule. [bug] (default {!Bug.Clean}) wraps every
     participant before the cluster is built — used to prove the fuzzer
     catches seeded protocol defects ({!Bug.Kv_skip_apply} instead plants
-    inside the replica and needs [app = App_kv]). With [adaptive]
-    (default [false]), every member runs the AIMD accelerated-window
-    controller ({!Aring_ring.Member.create}), exercising the ordering and
-    membership invariants while the per-node window moves; [app]
-    (default {!App_none}) selects the hosted application. Runs stay
-    deterministic per schedule for any fixed mode combination; the trace
-    hash differs between modes (the controller changes send timing, the
-    kv app adds its own traffic and trace events).
+    inside the replica and needs [app = App_kv]). [app] (default
+    {!App_none}) selects the hosted application. Runs stay deterministic
+    per schedule for either app; the trace hash differs between them
+    (the kv app adds its own traffic and trace events).
 
     A KV run, or any schedule with [config.rings > 1], runs on an
     {!Aring_multiring.Cluster}: every physical node joins all rings,

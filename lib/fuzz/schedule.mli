@@ -77,12 +77,11 @@ val net : config -> Aring_sim.Profile.net
 val fault_count : t -> int
 val fault_window : fault -> int * int  (** (start, end] of a fault's effect. *)
 
-val to_json : t -> Aring_obs.Json.t
-val of_json : Aring_obs.Json.t -> t
-(** @raise Aring_obs.Json.Parse_error on missing or ill-typed fields. *)
-
 val to_string : t -> string
 (** Single-line JSON; [of_string (to_string s) = s] exactly. *)
 
 val of_string : string -> t
+(** @raise Aring_obs.Json.Parse_error on malformed JSON or on missing or
+    ill-typed fields. *)
+
 val pp : Format.formatter -> t -> unit

@@ -24,7 +24,6 @@ type result = {
 
 val shrink :
   ?bug:Bug.t ->
-  ?adaptive:bool ->
   ?app:Runner.app ->
   ?max_runs:int ->
   Schedule.t ->
@@ -33,6 +32,6 @@ val shrink :
 (** [shrink sched outcome] minimizes [sched], whose run produced the
     failing [outcome]. [max_runs] (default 200) bounds candidate
     executions; the best schedule found within the budget is returned.
-    If [outcome] did not fail, [sched] is returned unchanged. [adaptive]
-    and [app] must match the mode of the original run so candidates
-    reproduce the same behavior (see {!Runner.run}). *)
+    If [outcome] did not fail, [sched] is returned unchanged. [bug] and
+    [app] must match the original run so candidates reproduce the same
+    behavior (see {!Runner.run}). *)

@@ -5,7 +5,6 @@ module Stats = Aring_util.Stats
 module Trace = Aring_obs.Trace
 module Metrics = Aring_obs.Metrics
 module Rotation = Aring_obs.Rotation
-module Controller = Aring_control.Controller
 
 type spec = {
   label : string;
@@ -21,7 +20,6 @@ type spec = {
   measure_ns : int;
   seed : int64;
   profile_rotation : bool;
-  adaptive : bool;
 }
 
 type phase = {
@@ -62,7 +60,6 @@ let default_spec =
     measure_ns = 400_000_000;
     seed = 1L;
     profile_rotation = false;
-    adaptive = false;
   }
 
 let ring_id : Types.ring_id = { rep = 0; ring_seq = 1 }
@@ -245,11 +242,7 @@ let run spec =
   let ring = Array.init spec.n_nodes (fun i -> i) in
   let nodes =
     Array.init spec.n_nodes (fun me ->
-        let controller =
-          if spec.adaptive then Some (Node.adaptive_controller spec.params)
-          else None
-        in
-        Node.create ~params:spec.params ~ring_id ~ring ~me ?controller ())
+        Node.create ~params:spec.params ~ring_id ~ring ~me)
   in
   let ring_stats () =
     ( Array.fold_left
@@ -258,13 +251,7 @@ let run spec =
       (Engine.stats (Node.engine nodes.(0))).rounds )
   in
   let r = measure spec ~participants:(Array.map Node.participant nodes) ~ring_stats in
-  Array.iter
-    (fun node ->
-      Engine.record_metrics (Node.engine node) r.metrics;
-      match Node.controller node with
-      | Some c -> Controller.record_metrics c r.metrics
-      | None -> ())
-    nodes;
+  Array.iter (fun node -> Engine.record_metrics (Node.engine node) r.metrics) nodes;
   r
 
 let run_custom spec ~participants =

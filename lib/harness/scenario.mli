@@ -32,12 +32,6 @@ type spec = {
       (** Attach an {!Aring_obs.Rotation} profiler (anchored at node 0)
           for the run. Off by default: profiling installs a trace sink,
           which turns every instrumentation hook live. *)
-  adaptive : bool;
-      (** When set, {!run} gives every node its own adaptive
-          accelerated-window controller, starting from
-          [params.accelerated_window] and bounded by
-          [params.personal_window]. Off (the default) keeps the static
-          window. *)
 }
 
 type phase = {

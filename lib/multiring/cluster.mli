@@ -35,7 +35,6 @@ val create :
   ?tier:Profile.tier ->
   ?tiers:Profile.tier array ->
   ?seed:int64 ->
-  ?adaptive:bool ->
   ?wrap:(pid:int -> Participant.t -> Participant.t) ->
   ?kv_bug:(ring:int -> node:int -> Kv.bug option) ->
   ?no_seek:bool ->
@@ -55,12 +54,11 @@ val create :
     Every install seeks
     the learner's merge to the installed position. The submitter's mcas
     retry loop runs every 8 ms.
-    [adaptive] (default [false]) gives every member its own adaptive
-    window controller; [wrap] wraps each participant before the sim is
+    [wrap] wraps each participant before the sim is
     built (fault injection); [kv_bug]
     seeds a replica bug and [no_seek] (default false) a learner bug
     — installs leave the merge where it was (fuzzer self-test).
-    [tiers], [adaptive], [wrap] and [kv_bug] pass through to
+    [tiers], [wrap] and [kv_bug] pass through to
     {!Aring_app.Kv_scenario.build_cluster}; this module's replica
     observer registers after the oracles.
 

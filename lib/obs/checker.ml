@@ -161,7 +161,7 @@ let observe t (ev : Trace.event) =
       if transitional then Hashtbl.replace t.in_recovery node ()
       else Hashtbl.remove t.in_recovery node
   | Token_retransmit _ | Token_lost | Data_send _ | Phase _ | Crash | Drop _
-  | Control _ | App_xfer _ ->
+  | App_xfer _ ->
       ()
 
 let as_sink t = Trace.fn_sink (fun ev -> observe t ev)

@@ -131,14 +131,6 @@ let to_json (events : Trace.event list) =
           push
             (instant ~name:("drop: " ^ reason) ~ts ~node
                [ ("size", Json.Int size) ])
-      | Control { aw_before; aw_after; congested; _ } ->
-          push
-            (instant ~name:"control" ~ts ~node
-               [
-                 ("aw_before", Json.Int aw_before);
-                 ("aw_after", Json.Int aw_after);
-                 ("congested", Json.Bool congested);
-               ])
       | App_xfer { phase; donor; applied; entries; _ } ->
           push
             (instant ~scope:"p" ~name:("xfer: " ^ phase) ~ts ~node

@@ -15,10 +15,10 @@
    and the span collector), which decode the codes they need. The
    subscriber list is a plain list walked by a top-level function, so
    dispatch allocates nothing; with no subscriber a record pays one load
-   and one branch more. The ten codes whose record holds every field of
+   and one branch more. The nine codes whose record holds every field of
    their trace event (token receipt and send, data send, token
-   retransmit, token lost, phase, crash, packet drop, window decision,
-   state-transfer step) are decoded into the installed trace sink here,
+   retransmit, token lost, phase, crash, packet drop, state-transfer
+   step) are decoded into the installed trace sink here,
    so the protocol reports each of those steps once.
    Disabling the recorder stops only the ring writes: subscribers and
    the trace sink still see every record. *)
@@ -69,8 +69,7 @@ let ev_skip = 18
 let ev_merge = 19
 let ev_crash = 20
 let ev_drop = 21
-let ev_control = 22
-let ev_xfer = 23
+let ev_xfer = 22
 
 (* Membership phase codes: [ev_phase]'s argument [a]. *)
 let phase_operational = 0
@@ -135,8 +134,7 @@ let code_name = function
   | 19 -> "merge"
   | 20 -> "crash"
   | 21 -> "drop"
-  | 22 -> "control"
-  | 23 -> "app_xfer"
+  | 22 -> "app_xfer"
   | _ -> "unknown"
 
 (* ------------------------------------------------------------------ *)
@@ -202,11 +200,6 @@ let to_trace ~node ~code ~a ~b ~c ~d ~e ~f ~g ~h ~i =
   else if code = ev_phase then emit (Phase { phase = phase_name a })
   else if code = ev_crash then emit Crash
   else if code = ev_drop then emit (Drop { reason = drop_reason_name a; size = b })
-  else if code = ev_control then
-    emit
-      (Control
-         { round = a; aw_before = b; aw_after = c; congested = d = 1;
-           retrans = e; backlog = f })
   else if code = ev_xfer then
     emit
       (App_xfer

@@ -6,14 +6,13 @@
 
     The recorder is also the one feed of the always-on instruments:
     {!Health} and {!Span} subscribe and decode the records they need,
-    so each protocol step is reported once, here. Ten codes whose record
+    so each protocol step is reported once, here. Nine codes whose record
     carries every field of their trace event — {!ev_token_recv},
     {!ev_token_send}, {!ev_data_send}, {!ev_token_retransmit},
-    {!ev_token_lost}, {!ev_phase}, {!ev_crash}, {!ev_drop},
-    {!ev_control} and {!ev_xfer} — also reach the installed {!Trace}
-    sink, as the kind their dump lines name in ["ev"] (["drop"],
-    ["control"] and ["app_xfer"] for the last three); no other code
-    does. *)
+    {!ev_token_lost}, {!ev_phase}, {!ev_crash}, {!ev_drop} and
+    {!ev_xfer} — also reach the installed {!Trace} sink, as the kind
+    their dump lines name in ["ev"] (["drop"] and ["app_xfer"] for the
+    last two); no other code does. *)
 
 val set_enabled : bool -> unit
 (** Recording is on by default; disabling is for overhead baselines. It
@@ -30,10 +29,10 @@ val capacity : unit -> int
 
 (** {2 Event codes} *)
 
-(** Arguments not listed are 0. Only the five codes recorded through
+(** Arguments not listed are 0. Only the four codes recorded through
     {!record_wide} use [e]–[i]: {!ev_token_recv}, {!ev_token_send},
     {!ev_data_send} and {!ev_xfer} carry a ring id ({!pack_ring}) in
-    [e], {!ev_control} its retransmissions. *)
+    [e]. *)
 
 val ev_token_recv : int
 (** A regular token accepted: [a] = token id, [b] = token seq, [c] =
@@ -125,12 +124,6 @@ val ev_drop : int
 (** The simulated network dropped a packet bound for this node: [a] =
     reason code (below), [b] = the packet's wire size. *)
 
-val ev_control : int
-(** The adaptive-window controller changed this node's accelerated
-    window: [a] = round, [b] = window before, [c] = window after, [d] = 1
-    when it judged the ring congested; [e] = retransmissions, [f] = send
-    backlog (the round's signals). *)
-
 val ev_xfer : int
 (** A KV state-transfer step at a replica: [a] = donor, [b] = phase code
     (below), [c] = ops applied, [d] = entries; [e] = the view's ring id. *)
@@ -173,7 +166,7 @@ val record_wide :
   node:int -> code:int -> a:int -> b:int -> c:int -> d:int -> e:int ->
   f:int -> g:int -> h:int -> i:int -> unit
 (** Append one record to [node]'s ring, overwriting the oldest once
-    full, then hand [a]–[d] to every subscriber and, for the ten
+    full, then hand [a]–[d] to every subscriber and, for the nine
     traced codes, emit its trace event when a sink is installed.
     Zero-allocation after the node's first record when no sink is
     installed. The ring write is skipped when disabled or [node < 0];

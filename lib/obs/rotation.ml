@@ -95,12 +95,15 @@ let record_metrics s reg =
       ~bounds:(Metrics.exponential_bounds ~lo:10.0 ~factor:1.6 ~count:24)
       reg "rotation.time_us"
   in
-  (* Re-observe the samples into the mergeable histogram form. *)
+  (* Re-observe each sample once into the mergeable histogram form: rank
+     i - 1/2 of n sits half a slot inside sample i, where float rounding
+     cannot move it to a neighbour (rank i itself can land on i + 1). *)
   let n = Stats.count s.rotation_us in
-  if n > 0 then
-    for i = 1 to n do
-      Metrics.observe h (Stats.percentile s.rotation_us (100.0 *. float_of_int i /. float_of_int n))
-    done;
+  for i = 1 to n do
+    Metrics.observe h
+      (Stats.percentile s.rotation_us
+         (100.0 *. (float_of_int i -. 0.5) /. float_of_int n))
+  done;
   Metrics.set (Metrics.gauge reg "rotation.post_token_fraction") s.post_token_fraction
 
 let pp_summary ppf s =

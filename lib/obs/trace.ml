@@ -46,14 +46,6 @@ type kind =
   | Phase of { phase : string }
   | Crash
   | Drop of { reason : string; size : int }
-  | Control of {
-      round : int;
-      aw_before : int;
-      aw_after : int;
-      congested : bool;
-      retrans : int;
-      backlog : int;
-    }
   | App_xfer of {
       view : Types.ring_id;
       donor : Types.pid;
@@ -139,7 +131,6 @@ let kind_name = function
   | Phase _ -> "phase"
   | Crash -> "crash"
   | Drop _ -> "drop"
-  | Control _ -> "control"
   | App_xfer _ -> "app_xfer"
 
 let pp_kind ppf k =
@@ -167,11 +158,6 @@ let pp_kind ppf k =
   | Phase { phase } -> Format.fprintf ppf "phase(%s)" phase
   | Crash -> Format.pp_print_string ppf "crash"
   | Drop { reason; size } -> Format.fprintf ppf "drop(%s %dB)" reason size
-  | Control { round; aw_before; aw_after; congested; retrans; backlog } ->
-      Format.fprintf ppf "control(round=%d aw=%d->%d%s retrans=%d backlog=%d)"
-        round aw_before aw_after
-        (if congested then " congested" else "")
-        retrans backlog
   | App_xfer { view; donor; phase; applied; entries } ->
       Format.fprintf ppf "app_xfer(%s %a donor=%d applied=%d entries=%d)" phase
         Types.pp_ring_id view donor applied entries

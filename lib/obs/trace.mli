@@ -9,7 +9,7 @@
 
     Each step is reported once. [Token_recv], [Token_send],
     [Data_send], [Token_retransmit], [Token_lost], [Phase], [Crash],
-    [Drop], [Control] and [App_xfer] are decoded from their step's
+    [Drop] and [App_xfer] are decoded from their step's
     record by {!Flight.record_wide} and emitted nowhere else, so every
     flight dump holds those steps whether or not a sink was installed.
     Only [Deliver] and [View_install] are built outside this library,
@@ -69,18 +69,6 @@ type kind =
       (** Membership phase entered ({!Flight.phase_name}). *)
   | Crash
   | Drop of { reason : string; size : int }
-  | Control of {
-      round : int;
-      aw_before : int;
-      aw_after : int;
-      congested : bool;
-      retrans : int;
-      backlog : int;
-    }
-      (** An adaptive-window controller decision that changed the
-          node-local accelerated window. Emitted only when a controller
-          is attached, so controller-off traces are byte-identical to
-          pre-controller runs. *)
   | App_xfer of {
       view : Types.ring_id;
       donor : Types.pid;

@@ -67,15 +67,6 @@ let kind_fields (k : Trace.kind) : (string * Json.t) list =
   | Crash -> []
   | Drop { reason; size } ->
       [ ("reason", Json.String reason); ("size", Json.Int size) ]
-  | Control { round; aw_before; aw_after; congested; retrans; backlog } ->
-      [
-        ("round", Json.Int round);
-        ("aw_before", Json.Int aw_before);
-        ("aw_after", Json.Int aw_after);
-        ("congested", Json.Bool congested);
-        ("retrans", Json.Int retrans);
-        ("backlog", Json.Int backlog);
-      ]
   | App_xfer { view; donor; phase; applied; entries } ->
       [
         ("view", ring_json view);
@@ -168,16 +159,6 @@ let kind_of_json name j : Trace.kind =
   | "crash" -> Crash
   | "drop" ->
       Drop { reason = req "reason" Json.to_str j; size = req "size" Json.to_int j }
-  | "control" ->
-      Control
-        {
-          round = req "round" Json.to_int j;
-          aw_before = req "aw_before" Json.to_int j;
-          aw_after = req "aw_after" Json.to_int j;
-          congested = req "congested" Json.to_bool j;
-          retrans = req "retrans" Json.to_int j;
-          backlog = req "backlog" Json.to_int j;
-        }
   | "app_xfer" ->
       App_xfer
         {

@@ -41,14 +41,6 @@ type stats = {
    token stays within a single datagram even after catastrophic loss. *)
 let max_rtr_per_round = 512
 
-(* What one token rotation looked like from this node, for
-   adaptive-window controllers. *)
-type round_signals = {
-  sr_round : Types.round;
-  sr_retrans : int;  (* retransmissions served + newly requested *)
-  sr_backlog : int;  (* pending submissions waiting when the token arrived *)
-}
-
 (* The receive window: every message held for delivery or possible
    retransmission, i.e. with [discard_floor < seq], sits in slot
    [seq land (length - 1)] of a power-of-two array, and every other slot
@@ -116,16 +108,6 @@ type t = {
   (* The engine's own outputs as a sink, built once: [handle] runs the
      same visit as a runtime's sink does. *)
   outputs : output sink;
-  (* Node-local accelerated window for the next round. Seeded from
-     [params] and adjustable between rounds (adaptive control): it only
-     decides how many admitted messages precede the token, so changing
-     it never affects flow control or any ring-wide agreement. *)
-  mutable accelerated_window : int;
-  (* The last accepted token's [round_signals], kept as plain fields and
-     built into a record only when read. Purely observational: nothing
-     in the engine reads them back. *)
-  mutable sig_retrans : int;
-  mutable sig_backlog : int;
   (* [Some me], shared by every token that names this node in aru_id. *)
   some_me : Types.pid option;
   stats : stats;
@@ -193,9 +175,6 @@ let create ~params ~ring_id ~ring ~me =
     retransmit_wanted = false;
     retransmit_count = 0;
     outputs;
-    accelerated_window = params.accelerated_window;
-    sig_retrans = 0;
-    sig_backlog = 0;
     some_me = Some me;
     stats =
       {
@@ -267,25 +246,6 @@ let hold t (d : Message.data) =
     t.window.(i) <- d;
     true
   end
-
-let accelerated_window t = t.accelerated_window
-
-(* Clamp to the personal window: more than personal_window post-token
-   sends is meaningless (flow control never admits that many), and a
-   negative window is just 0. *)
-let set_accelerated_window t w =
-  t.accelerated_window <- max 0 (min t.params.personal_window w)
-
-(* [t.round] counts accepted tokens, and each one sets the fields. *)
-let last_round_signals t =
-  if t.round = 0 then None
-  else
-    Some
-      {
-        sr_round = t.round;
-        sr_retrans = t.sig_retrans;
-        sr_backlog = t.sig_backlog;
-      }
 
 let advance_local_aru t =
   while holds t (t.local_aru + 1) do
@@ -432,8 +392,6 @@ let handle_token t sink (tok : Message.token) =
     let rev_retrans = serve_rtr t sink tok.rtr [] in
     let num_retrans = List.length rev_retrans in
     let kept_rtr = unanswered_rtr t tok.rtr in
-    (* Backlog as the token arrives — the round's arrival count, which is
-       the scale an adaptive accelerated window has to cover. *)
     let backlog_at_token = Bytes_ring.length t.pending in
     (* 2. Flow control (Section III-A.1). *)
     let by_global = t.params.global_window - tok.fcc - num_retrans in
@@ -445,7 +403,7 @@ let handle_token t sink (tok : Message.token) =
     (* 3. Prepare all new messages for the round; split them into the
        pre-token phase and the post-token phase (at most
        accelerated_window messages follow the token). *)
-    let n_pre = max 0 (allowed_new - t.accelerated_window) in
+    let n_pre = max 0 (allowed_new - t.params.accelerated_window) in
     let rev_pre = ref [] and rev_post = ref [] in
     for i = 0 to allowed_new - 1 do
       let payload = Bytes_ring.front_bytes t.pending
@@ -533,8 +491,6 @@ let handle_token t sink (tok : Message.token) =
        Re-arming both timers supersedes the ones the last visit armed. *)
     let deliveries_on = deliver_ready_into t sink.deliver sink.rearm in
     collect_garbage t;
-    t.sig_retrans <- num_retrans + List.length my_missing;
-    t.sig_backlog <- backlog_at_token;
     List.rev_append rev_retrans
       (List.rev_append !rev_pre
          (sink.send_token (successor t) token'

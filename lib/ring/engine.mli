@@ -87,18 +87,6 @@ type 'a sink = {
     cost what [deliver] builds and one cell each, and the timer tails are
     shared, not rebuilt. *)
 
-type round_signals = {
-  sr_round : Types.round;  (** The round these signals describe. *)
-  sr_retrans : int;
-      (** Retransmissions served plus requests newly added this round. *)
-  sr_backlog : int;
-      (** Pending submissions waiting when the token arrived, i.e. the
-          round's arrival count — the scale the accelerated window has to
-          cover for every send to ride behind the token. *)
-}
-(** What one token rotation looked like from this node — the signal set an
-    adaptive-window controller consumes. Purely observational. *)
-
 type stats = {
   mutable rounds : int;  (** Tokens accepted (rotations seen locally). *)
   mutable new_sent : int;  (** New messages initiated. *)
@@ -184,20 +172,6 @@ val high_seq : t -> Types.seqno
 
 val pending_count : t -> int
 (** Client messages waiting for a token visit. *)
-
-val accelerated_window : t -> int
-(** The accelerated window the next round will use. Starts at
-    [params.accelerated_window]. *)
-
-val set_accelerated_window : t -> int -> unit
-(** Set the window used from the next round on, clamped to
-    [[0, personal_window]]. Safe to call between rounds: the window only
-    governs how many of this node's admitted messages trail the token,
-    never what flow control admits, so no ring-wide agreement is needed. *)
-
-val last_round_signals : t -> round_signals option
-(** Signals captured by the most recent accepted token, or [None] before
-    the first rotation. *)
 
 val buffered_count : t -> int
 (** Messages held in the receive window: every message received or sent

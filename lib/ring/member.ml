@@ -99,10 +99,6 @@ type t = {
   params : Params.t;
   me : Types.pid;
   initial_ring : Types.pid array option;
-  (* One controller for the member's lifetime: each installed
-     configuration's Node gets the same instance, so the adapted window
-     carries across membership changes. *)
-  controller : Aring_control.Controller.t option;
   mutable phase : phase;
   mutable residual : flood option;
       (* The last install's flood, while operational and until it has
@@ -160,14 +156,12 @@ let enter t phase actions =
    queue still empty one formation timeout later releases the flood. *)
 let arm_quiet t = arm Flood_burst t.params.Params.consensus_timeout_ns
 
-let create ~params ~me ?initial_ring ?(adaptive = false) () =
+let create ~params ~me ?initial_ring () =
   let singleton_ring : Types.ring_id = { rep = me; ring_seq = 0 } in
   {
     params;
     me;
     initial_ring;
-    controller =
-      (if adaptive then Some (Node.adaptive_controller params) else None);
     phase =
       Gather
         {
@@ -463,10 +457,7 @@ and operate t (ring_id : Types.ring_id) order =
   t.highest_ring_seq <- max t.highest_ring_seq ring_id.ring_seq;
   t.installs <- t.installs + 1;
   t.last_view <- Some view;
-  let node =
-    Node.create ~params:t.params ~ring_id ~ring:order ~me:t.me
-      ?controller:t.controller ()
-  in
+  let node = Node.create ~params:t.params ~ring_id ~ring:order ~me:t.me in
   Queue.iter (fun (service, payload) -> Node.submit node service payload)
     t.client_pending;
   Queue.clear t.client_pending;

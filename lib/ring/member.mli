@@ -98,19 +98,12 @@ val create :
   params:Params.t ->
   me:Types.pid ->
   ?initial_ring:Types.pid array ->
-  ?adaptive:bool ->
   unit ->
   t
 (** [create ~params ~me ()] is a participant that starts alone and finds
     peers through the membership algorithm. With [?initial_ring] it starts
     directly operational in that pre-agreed configuration (ring_seq 1) —
-    the usual production bootstrap where all daemons share a config file.
-
-    With [~adaptive:true] (default [false]), every configuration this
-    member installs runs the adaptive accelerated-window controller (see
-    {!Node.create}), bounded by [params]; the same instance is reused
-    across installs so the learned window survives membership
-    changes. *)
+    the usual production bootstrap where all daemons share a config file. *)
 
 val participant : t -> Participant.t
 (** The uniform runtime interface (see {!Participant}). *)

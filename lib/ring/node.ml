@@ -1,7 +1,5 @@
 open Aring_wire
 module Deque = Aring_util.Deque
-module Flight = Aring_obs.Flight
-module Controller = Aring_control.Controller
 
 type Participant.timer += Engine_timer of Engine.timer_kind
 
@@ -23,11 +21,6 @@ type t = {
   token_q : queue;
   data_q : queue;
   qstats : queue_stats;
-  (* Optional adaptive-window controller, consulted once per accepted
-     token. Shared across engine rebuilds (Member passes the same
-     instance into every installed configuration) so learned state
-     survives membership changes. *)
-  controller : Controller.t option;
   (* The engine builds this node's actions through [sink], made once,
      so a token visit's timer tail (retransmit, then loss) is shared, not
      rebuilt, and nothing is translated. *)
@@ -47,13 +40,8 @@ let make_queue cap_bytes = { q = Deque.create (); cap_bytes; occupied = 0 }
 let token_queue_cap = 256 * 1024
 let data_queue_cap = 2 * 1024 * 1024
 
-let create ~params ~ring_id ~ring ~me ?controller () =
+let create ~params ~ring_id ~ring ~me =
   let engine = Engine.create ~params ~ring_id ~ring ~me in
-  (* A reinstalled engine starts back at the Params window; resume from
-     the controller's learned window instead. *)
-  (match controller with
-  | Some c -> Engine.set_accelerated_window engine (Controller.window c)
-  | None -> ());
   let arm kind delay = Participant.Arm_timer (Engine_timer kind, delay) in
   let arm_retransmit = arm Engine.Token_retransmit params.Params.token_retransmit_ns
   and arm_loss = arm Engine.Token_loss params.Params.token_loss_ns in
@@ -72,39 +60,10 @@ let create ~params ~ring_id ~ring ~me ?controller () =
     token_q = make_queue token_queue_cap;
     data_q = make_queue data_queue_cap;
     qstats = { token_drops = 0; data_drops = 0; max_data_backlog = 0 };
-    controller;
   }
 
 let engine t = t.engine
 let queue_stats t = t.qstats
-let controller t = t.controller
-
-let adaptive_controller (params : Params.t) =
-  Controller.create ~personal_window:params.personal_window
-    ~accelerated_window:params.accelerated_window
-
-(* One controller step: translate the engine's per-round signals into a
-   window decision, apply it, and record it when it changed something.
-   No controller, no cost — and no trace events, keeping controller-off
-   runs byte-identical. *)
-let run_controller t =
-  match t.controller with
-  | None -> ()
-  | Some c -> (
-      match Engine.last_round_signals t.engine with
-      | None -> ()
-      | Some (s : Engine.round_signals) ->
-          let d =
-            Controller.observe c
-              { Controller.retrans = s.sr_retrans; backlog = s.sr_backlog }
-          in
-          if d.Controller.aw_after <> d.Controller.aw_before then begin
-            Engine.set_accelerated_window t.engine d.Controller.aw_after;
-            Flight.record_wide ~node:(Engine.me t.engine) ~code:Flight.ev_control
-              ~a:s.sr_round ~b:d.Controller.aw_before ~c:d.Controller.aw_after
-              ~d:(if d.Controller.congested then 1 else 0)
-              ~e:s.sr_retrans ~f:s.sr_backlog ~g:0 ~h:0 ~i:0
-          end)
 
 let start t =
   let me = Engine.me t.engine in
@@ -168,10 +127,8 @@ let process t msg =
   | Message.Token tok ->
       let round_before = Engine.round t.engine in
       let actions = Engine.token t.engine t.sink tok in
-      if Engine.round t.engine > round_before then begin
+      if Engine.round t.engine > round_before then
         Priority.note_token_processed t.prio;
-        run_controller t
-      end;
       actions
   | Message.Data d ->
       let actions = Engine.data t.engine t.sink.deliver d in

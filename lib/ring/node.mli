@@ -55,18 +55,10 @@ val create :
   ring_id:Types.ring_id ->
   ring:Types.pid array ->
   me:Types.pid ->
-  ?controller:Aring_control.Controller.t ->
-  unit ->
   t
 (** [create] builds an operational participant of an installed ring.
     Its queues hold 256 KiB (token) and 2 MiB (data), matching a tuned
-    production socket-buffer setup.
-
-    When [controller] is given, it is consulted after every accepted
-    token with that rotation's {!Engine.round_signals} and its window
-    becomes the engine's accelerated window for the next round. The same
-    controller instance may be passed into successive configurations so
-    its learned window survives membership changes. *)
+    production socket-buffer setup. *)
 
 val start : t -> Participant.action list
 (** Actions to perform at installation time: arming the token-loss timer
@@ -105,12 +97,5 @@ val participant : t -> Participant.t
 
 val engine : t -> Engine.t
 (** The underlying ordering engine (introspection for tests/stats). *)
-
-val controller : t -> Aring_control.Controller.t option
-(** The adaptive-window controller, when one was attached. *)
-
-val adaptive_controller : Params.t -> Aring_control.Controller.t
-(** A controller bounded by [params]: its window starts at
-    [accelerated_window] and stays within [\[0, personal_window\]]. *)
 
 val queue_stats : t -> queue_stats

@@ -166,7 +166,7 @@ let test_token_loss_fires () =
   let params = Params.accelerated () in
   let eng = Engine.create ~params ~ring_id:rid ~ring:[| 0; 1 |] ~me:0 in
   (* The runtime arms the loss timer alone at installation. *)
-  let node = Node.create ~params ~ring_id:rid ~ring:[| 0; 1 |] ~me:1 () in
+  let node = Node.create ~params ~ring_id:rid ~ring:[| 0; 1 |] ~me:1 in
   check Alcotest.bool "start arms loss" true
     (Node.start node
     = [ Participant.Arm_timer (Node.Engine_timer Engine.Token_loss, params.token_loss_ns) ]);
@@ -1094,7 +1094,7 @@ let check_visit_shape ~succ (tok : Message.token) outputs =
 let run_sink_steps steps =
   let params = Params.accelerated ~personal_window:24 ~accelerated_window:8 () in
   let ring = [| 0; 1; 2 |] and me = 1 in
-  let node = Node.create ~params ~ring_id:rid ~ring ~me () in
+  let node = Node.create ~params ~ring_id:rid ~ring ~me in
   let eng = Engine.create ~params ~ring_id:rid ~ring ~me in
   let submitted = Queue.create () and tag = ref 0 in
   let high = ref 0 and token_id = ref 0 and last_token = ref None in

@@ -161,8 +161,8 @@ let test_finds_skip_retransmission () =
 (* Corpus replay: every committed reproducer must stay green           *)
 
 (* [corpus/trace_hashes.txt] pins the FNV-1a trace hash of every committed
-   schedule replayed with a static window, [corpus/trace_hashes_adaptive.txt]
-   with the adaptive controller on every node. Lines are
+   schedule, as do [corpus/kv/trace_hashes_kv.txt] and
+   [corpus/multiring/trace_hashes_multiring.txt] for theirs. Lines are
    "<basename> <16-hex-digit hash>"; '#' starts a comment. *)
 let committed_hashes path =
   let ic = open_in path in
@@ -180,16 +180,16 @@ let committed_hashes path =
       in
       loop [])
 
-let check_corpus_against ~adaptive oracle_path =
+let test_corpus_replays_green () =
   let entries = Corpus.load_dir "corpus" in
   Alcotest.(check bool) "corpus is not empty" true (List.length entries >= 3);
-  let oracle = committed_hashes oracle_path in
+  let oracle = committed_hashes "corpus/trace_hashes.txt" in
   Alcotest.(check int)
     "every corpus entry has a committed hash" (List.length entries)
     (List.length oracle);
   List.iter
     (fun (name, schedule) ->
-      let o = Fuzzer.replay ~adaptive schedule in
+      let o = Fuzzer.replay schedule in
       if not (Runner.passed o) then
         Alcotest.failf "corpus entry %s regressed: %s" name
           (Format.asprintf "%a" Runner.pp_outcome o);
@@ -201,16 +201,6 @@ let check_corpus_against ~adaptive oracle_path =
               "corpus entry %s trace drifted: hash %Lx, committed %Lx" name
               o.Runner.trace_hash expected)
     entries
-
-let test_corpus_replays_green () =
-  check_corpus_against ~adaptive:false "corpus/trace_hashes.txt"
-
-(* The same reproducers with the adaptive controller live: the fault
-   schedules must still pass every invariant while the per-node window
-   moves, and the controller's decisions must be deterministic (pinned
-   hashes). *)
-let test_corpus_replays_green_adaptive () =
-  check_corpus_against ~adaptive:true "corpus/trace_hashes_adaptive.txt"
 
 (* ------------------------------------------------------------------ *)
 (* KV app mode: determinism, seeded-bug self-test, corpus pinning      *)
@@ -314,33 +304,14 @@ let test_finds_skip_delivery_under_kv () =
             (Runner.failure_label f)
       | None -> Alcotest.fail "expected a failure")
 
-(* [corpus/kv/trace_hashes_kv.txt] lines are
-   "<basename> <clean hash> <adaptive hash>"; '#' starts a comment. *)
-let committed_kv_hashes path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rec loop acc =
-        match input_line ic with
-        | exception End_of_file -> List.rev acc
-        | line ->
-            let line = String.trim line in
-            if line = "" || line.[0] = '#' then loop acc
-            else
-              Scanf.sscanf line "%s %Lx %Lx" (fun name h ha ->
-                  loop ((name, (h, ha)) :: acc))
-      in
-      loop [])
-
 (* Every committed KV reproducer must (a) replay green without the bug,
-   at exactly the pinned trace hashes with and without the adaptive
-   controller, and (b) still fail when the bug that minted it is
-   re-planted — the corpus stays a working self-test, not a fossil. *)
+   at exactly the pinned trace hash, and (b) still fail when the bug
+   that minted it is re-planted — the corpus stays a working self-test,
+   not a fossil. *)
 let test_kv_corpus_replays_green () =
   let entries = Corpus.load_dir "corpus/kv" in
   Alcotest.(check bool) "kv corpus is not empty" true (entries <> []);
-  let oracle = committed_kv_hashes "corpus/kv/trace_hashes_kv.txt" in
+  let oracle = committed_hashes "corpus/kv/trace_hashes_kv.txt" in
   Alcotest.(check int)
     "every kv corpus entry has committed hashes" (List.length entries)
     (List.length oracle);
@@ -350,20 +321,12 @@ let test_kv_corpus_replays_green () =
       if not (Runner.passed clean) then
         Alcotest.failf "kv corpus entry %s regressed: %s" name
           (Format.asprintf "%a" Runner.pp_outcome clean);
-      let adaptive = Fuzzer.replay ~adaptive:true ~app:Runner.App_kv schedule in
-      if not (Runner.passed adaptive) then
-        Alcotest.failf "kv corpus entry %s regressed (adaptive): %s" name
-          (Format.asprintf "%a" Runner.pp_outcome adaptive);
       (match List.assoc_opt (Filename.basename name) oracle with
-      | None -> Alcotest.failf "no committed trace hashes for %s" name
-      | Some (h, ha) ->
+      | None -> Alcotest.failf "no committed trace hash for %s" name
+      | Some h ->
           if clean.Runner.trace_hash <> h then
             Alcotest.failf "kv entry %s trace drifted: %Lx, committed %Lx"
-              name clean.Runner.trace_hash h;
-          if adaptive.Runner.trace_hash <> ha then
-            Alcotest.failf
-              "kv entry %s adaptive trace drifted: %Lx, committed %Lx" name
-              adaptive.Runner.trace_hash ha);
+              name clean.Runner.trace_hash h);
       let buggy =
         Fuzzer.replay
           ~bug:(Bug.Kv_skip_apply { node = 0; every = 3 })
@@ -386,7 +349,7 @@ let test_multiring_corpus_replays_green () =
   let entries = Corpus.load_dir "corpus/multiring" in
   Alcotest.(check bool) "multiring corpus is not empty" true (entries <> []);
   let oracle =
-    committed_kv_hashes "corpus/multiring/trace_hashes_multiring.txt"
+    committed_hashes "corpus/multiring/trace_hashes_multiring.txt"
   in
   Alcotest.(check int)
     "every multiring corpus entry has committed hashes" (List.length entries)
@@ -401,22 +364,13 @@ let test_multiring_corpus_replays_green () =
       if not (Runner.passed clean) then
         Alcotest.failf "multiring corpus entry %s regressed: %s" name
           (Format.asprintf "%a" Runner.pp_outcome clean);
-      let adaptive = Fuzzer.replay ~adaptive:true ~app:Runner.App_kv schedule in
-      if not (Runner.passed adaptive) then
-        Alcotest.failf "multiring corpus entry %s regressed (adaptive): %s"
-          name
-          (Format.asprintf "%a" Runner.pp_outcome adaptive);
       (match List.assoc_opt (Filename.basename name) oracle with
-      | None -> Alcotest.failf "no committed trace hashes for %s" name
-      | Some (h, ha) ->
+      | None -> Alcotest.failf "no committed trace hash for %s" name
+      | Some h ->
           if clean.Runner.trace_hash <> h then
             Alcotest.failf
               "multiring entry %s trace drifted: %Lx, committed %Lx" name
-              clean.Runner.trace_hash h;
-          if adaptive.Runner.trace_hash <> ha then
-            Alcotest.failf
-              "multiring entry %s adaptive trace drifted: %Lx, committed %Lx"
-              name adaptive.Runner.trace_hash ha);
+              clean.Runner.trace_hash h);
       let buggy =
         Fuzzer.replay
           ~bug:(Bug.Kv_skip_apply { node = 0; every = 3 })
@@ -441,7 +395,7 @@ let test_multiring_corpus_replays_green () =
    ([No_convergence] after the full 2 s drain). With designated-holder
    dedup, paced bursts and recheck-triggered resends the same schedule
    converges; [test_recovery_livelock_schedule_converges] pins that, and
-   the schedule is also committed to the corpus (both hash oracles).
+   the schedule is also committed to the corpus.
    [Bug.Recovery_flood] silences the exchange's floods, so the watchdog
    test below keeps exercising the failure path. *)
 let livelock_schedule_json =
@@ -455,50 +409,38 @@ let peak_formation_attempts (o : Runner.outcome) =
 
 (* The former livelock schedule must now converge — well before the
    drain deadline, with every node needing at most 3 consecutive
-   formation attempts (the watchdog flags at 8) — in both window
-   modes. *)
+   formation attempts (the watchdog flags at 8). *)
 let test_recovery_livelock_schedule_converges () =
   let s = Schedule.of_string livelock_schedule_json in
   let deadline =
     s.Schedule.config.Schedule.horizon_ns + s.Schedule.config.Schedule.drain_ns
   in
-  List.iter
-    (fun adaptive ->
-      let mode = if adaptive then "adaptive" else "static" in
-      let o = Fuzzer.replay ~adaptive s in
-      if not (Runner.passed o) then
-        Alcotest.failf "former livelock schedule regressed (%s): %s" mode
-          (Format.asprintf "%a" Runner.pp_outcome o);
-      Alcotest.(check bool)
-        (mode ^ ": converged well before the drain deadline")
-        true
-        (o.Runner.end_ns < deadline / 2);
-      let peak = peak_formation_attempts o in
-      if peak > 3 then
-        Alcotest.failf
-          "%s: some node needed %d consecutive formation attempts (want <= 3)"
-          mode peak)
-    [ false; true ]
+  let o = Fuzzer.replay s in
+  if not (Runner.passed o) then
+    Alcotest.failf "former livelock schedule regressed: %s"
+      (Format.asprintf "%a" Runner.pp_outcome o);
+  Alcotest.(check bool)
+    "converged well before the drain deadline" true
+    (o.Runner.end_ns < deadline / 2);
+  let peak = peak_formation_attempts o in
+  if peak > 3 then
+    Alcotest.failf
+      "some node needed %d consecutive formation attempts (want <= 3)" peak
 
-(* The adaptive singleton-gather stall (ROADMAP known bug, campaign
-   trial 72): a 2-node ring where node 0 crashes near the horizon. The
-   survivor's first solo gather used to stall under the adaptive
-   controller — consensus on a singleton membership never completed —
-   leaving the run to time out. Both modes must now converge; the
-   schedule is also committed to the corpus (both hash oracles). *)
+(* The singleton-gather stall (campaign trial 72): a 2-node ring where
+   node 0 crashes near the horizon. The survivor's first solo gather
+   used to stall — consensus on a singleton membership never completed
+   — leaving the run to time out (first seen with a per-node window
+   controller, since removed). It must converge; the schedule is also
+   committed to the corpus. *)
 let gather_stall_schedule_json =
   {|{"seed":"-8724047567367088020","n_nodes":2,"tier_ids":[2,0],"ten_gig":false,"base_loss_permille":15,"small_switch_buffer":false,"accelerated_window":8,"personal_window":31,"aggressive":false,"max_seq_gap":1795,"payload":492,"submit_gap_ns":427377,"safe_permille":46,"horizon_ns":114000000,"drain_ns":2000000000,"liveness":true,"faults":[{"fault":"partition","at":1784014,"until":39640280,"island":[1]},{"fault":"token_blackout","at":17917665,"until":75715064},{"fault":"loss_burst","at":48239399,"until":86904299,"permille":120},{"fault":"crash","at":55677543,"node":0}]}|}
 
 let test_gather_stall_schedule_converges () =
-  let s = Schedule.of_string gather_stall_schedule_json in
-  List.iter
-    (fun adaptive ->
-      let mode = if adaptive then "adaptive" else "static" in
-      let o = Fuzzer.replay ~adaptive s in
-      if not (Runner.passed o) then
-        Alcotest.failf "gather-stall schedule regressed (%s): %s" mode
-          (Format.asprintf "%a" Runner.pp_outcome o))
-    [ false; true ]
+  let o = Fuzzer.replay (Schedule.of_string gather_stall_schedule_json) in
+  if not (Runner.passed o) then
+    Alcotest.failf "gather-stall schedule regressed: %s"
+      (Format.asprintf "%a" Runner.pp_outcome o)
 
 (* With the exchange's floods silenced ([Bug.Recovery_flood]), the watchdog
    must (a) flag the livelock well before the drain deadline, (b) name
@@ -586,7 +528,6 @@ let suite =
     ("finds + shrinks skip-delivery", `Quick, test_finds_skip_delivery);
     ("finds skip-retransmission", `Quick, test_finds_skip_retransmission);
     ("corpus replays green", `Quick, test_corpus_replays_green);
-    ("corpus replays green (adaptive)", `Quick, test_corpus_replays_green_adaptive);
     ("kv runner deterministic per seed", `Quick, test_kv_runner_deterministic);
     ("finds + shrinks kv-skip-apply", `Slow, test_finds_kv_skip_apply);
     ( "finds + shrinks kv-apply-before-election",
@@ -602,7 +543,7 @@ let suite =
      test_multiring_corpus_replays_green);
     ("former recovery-flood livelock converges", `Quick,
      test_recovery_livelock_schedule_converges);
-    ("adaptive singleton-gather stall converges", `Quick,
+    ("singleton-gather stall converges", `Quick,
      test_gather_stall_schedule_converges);
     ("watchdog flags recovery-flood livelock", `Slow,
      test_watchdog_flags_recovery_flood_livelock);

@@ -9,7 +9,6 @@ let () =
       ("vectors", Test_vectors.suite);
       ("params", Test_params.suite);
       ("engine", Test_engine.suite);
-      ("control", Test_control.suite);
       ("sim", Test_sim.suite);
       ("obs", Test_obs.suite);
       ("member", Test_member.suite);

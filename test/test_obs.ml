@@ -225,7 +225,7 @@ let run_node_cluster ~n ~net ~seed ~horizon_ms ~rate_per_node =
   let ring = Array.init n (fun i -> i) in
   let nodes =
     Array.init n (fun me ->
-        Node.create ~params:(Params.accelerated ()) ~ring_id:rid ~ring ~me ())
+        Node.create ~params:(Params.accelerated ()) ~ring_id:rid ~ring ~me)
   in
   let sim =
     Netsim.create ~net
@@ -847,14 +847,14 @@ let test_watchdog_feed_allocates_nothing () =
   Flight.reset ()
 
 (* Token retransmit, token lost, phase, crash, token receipt and send,
-   data send, packet drop, window decision and state-transfer step reach
+   data send, packet drop and state-transfer step reach
    the trace sink from Flight.record alone, decoded from the record's
    arguments, and each decoded event survives a JSONL round trip. *)
 let traced_codes =
   [
     Flight.ev_token_retransmit; Flight.ev_token_lost; Flight.ev_phase;
     Flight.ev_crash; Flight.ev_token_recv; Flight.ev_token_send;
-    Flight.ev_data_send; Flight.ev_drop; Flight.ev_control; Flight.ev_xfer;
+    Flight.ev_data_send; Flight.ev_drop; Flight.ev_xfer;
   ]
 
 (* Ring ids at the bounds of Flight.pack_ring. *)
@@ -947,28 +947,6 @@ let test_flight_decodes_traced_steps () =
           (Flight.drop_random, "random");
           (Flight.drop_switch, "switch");
         ];
-      List.iter
-        (fun congested ->
-          expect
-            (Printf.sprintf "control congested=%b" congested)
-            ~node:9
-            (fun ~node ->
-              Flight.record_wide ~node ~code:Flight.ev_control ~a:41 ~b:20
-                ~c:10 ~d:(if congested then 1 else 0) ~e:43 ~f:44 ~g:0 ~h:0
-                ~i:0)
-            (Trace.Control
-               { round = 41; aw_before = 20; aw_after = 10; congested;
-                 retrans = 43; backlog = 44 }))
-        [ true; false ];
-      (* A control line carries the decision and the two signals it read. *)
-      check Alcotest.string "control JSONL line"
-        {|{"ts":7,"node":9,"ev":"control","round":41,"aw_before":20,"aw_after":10,"congested":true,"retrans":43,"backlog":44}|}
-        (Trace_json.to_line
-           { Trace.t_ns = 7; node = 9;
-             kind =
-               Trace.Control
-                 { round = 41; aw_before = 20; aw_after = 10; congested = true;
-                   retrans = 43; backlog = 44 } });
       List.iteri
         (fun k (code, phase) ->
           let view = if k mod 2 = 0 then ring_hi else ring_lo in
@@ -1052,8 +1030,7 @@ let test_traced_steps_match_flight () =
     | Token_send _ -> Some 5
     | Data_send _ -> Some 6
     | Drop _ -> Some 7
-    | Control _ -> Some 8
-    | App_xfer _ -> Some 9
+    | App_xfer _ -> Some 8
     | _ -> None
   in
   let sink =
@@ -1158,6 +1135,30 @@ let test_deleted_kind_rejected () =
           check Alcotest.bool ("names the kind: " ^ msg) true
             (contains msg "timer_arm"))
 
+(* The rotation histogram holds each sample exactly once: seven anchor
+   rotations of distinct lengths re-observe into a histogram whose count
+   and sum are the samples' own (re-observing at rank i of n sends some
+   ranks one slot over, dropping a sample and doubling a neighbour). *)
+let test_rotation_histogram_holds_each_sample () =
+  let prof = Rotation.create ~node:0 () in
+  let lengths_us = [ 130; 40; 700; 1_000; 55; 250; 100 ] in
+  ignore
+    (List.fold_left
+       (fun (t_ns, id) len_us ->
+         Rotation.observe prof (ev t_ns 0 (token_recv ~id ~aru:id ()));
+         (t_ns + (len_us * 1_000), id + 1))
+       (1_000, 1) (lengths_us @ [ 0 ]));
+  let s = Rotation.summary prof in
+  check Alcotest.int "seven rotations" 7 s.Rotation.rotations;
+  let reg = Metrics.create () in
+  Rotation.record_metrics s reg;
+  let h = List.assoc "rotation.time_us" (Metrics.histograms reg) in
+  check Alcotest.int "one observation per rotation" s.Rotation.rotations
+    (Metrics.hist_count h);
+  check (Alcotest.float 1e-9) "histogram sum is the samples' sum"
+    (float_of_int (List.fold_left ( + ) 0 lengths_us))
+    (Metrics.hist_sum h)
+
 let suite =
   [
     Alcotest.test_case "metrics: counters and gauges" `Quick test_counters_and_gauges;
@@ -1212,4 +1213,6 @@ let suite =
       test_deleted_kind_rejected;
     Alcotest.test_case "flight: a switch drop is recorded with no trace sink"
       `Quick test_switch_drop_recorded_without_sink;
+    Alcotest.test_case "rotation: histogram holds each sample once" `Quick
+      test_rotation_histogram_holds_each_sample;
   ]

@@ -21,7 +21,7 @@ let make_cluster ?(n = 4) ?(net = Profile.gigabit) ?(tier = Profile.library)
     ?(params = Params.accelerated ()) ?(seed = 1L) () =
   let ring = Array.init n (fun i -> i) in
   let nodes =
-    Array.init n (fun me -> Node.create ~params ~ring_id:rid ~ring ~me ())
+    Array.init n (fun me -> Node.create ~params ~ring_id:rid ~ring ~me)
   in
   let sim =
     Netsim.create ~net ~tiers:(Array.make n tier)
@@ -576,6 +576,45 @@ let test_port_tie_rule () =
   in
   check Alcotest.int "burst drops past the buffer" 6 (port_drops ~fit:4 burst)
 
+(* A step schedule splits the measurement window into phases, each at
+   its own offered rate, whose deliveries partition the run's total. *)
+let test_step_load_produces_phases () =
+  let spec =
+    {
+      Aring_harness.Scenario.default_spec with
+      label = "step-phases";
+      n_nodes = 4;
+      offered_mbps = 100.0;
+      warmup_ns = 20_000_000;
+      measure_ns = 60_000_000;
+      load =
+        Aring_harness.Scenario.step_load ~low:100.0 ~high:300.0
+          ~at_ns:40_000_000 ~until_ns:60_000_000;
+    }
+  in
+  let r = Aring_harness.Scenario.run spec in
+  let phases = r.Aring_harness.Scenario.phases in
+  check Alcotest.int "three phases inside the window" 3 (List.length phases);
+  (match phases with
+  | [ a; b; c ] ->
+      check (Alcotest.float 0.01) "phase 1 offered" 100.0
+        a.Aring_harness.Scenario.p_offered_mbps;
+      check (Alcotest.float 0.01) "phase 2 offered" 300.0
+        b.Aring_harness.Scenario.p_offered_mbps;
+      check (Alcotest.float 0.01) "phase 3 offered" 100.0
+        c.Aring_harness.Scenario.p_offered_mbps;
+      List.iter
+        (fun (p : Aring_harness.Scenario.phase) ->
+          check Alcotest.bool "each phase delivered something" true
+            (p.p_deliveries > 0))
+        phases
+  | _ -> Alcotest.fail "wrong phase count");
+  check Alcotest.int "phase deliveries partition the total"
+    r.Aring_harness.Scenario.deliveries
+    (List.fold_left
+       (fun acc (p : Aring_harness.Scenario.phase) -> acc + p.p_deliveries)
+       0 phases)
+
 let suite =
   [
     ("idle token circulates", `Quick, test_idle_token_circulates);
@@ -606,4 +645,5 @@ let suite =
     ("disarmed timer never fires", `Quick, test_disarm);
     ("re-armed timer keeps one event", `Quick, test_rearm_keeps_one_event);
     ("port drain tie rule", `Quick, test_port_tie_rule);
+    ("step load produces phases", `Quick, test_step_load_produces_phases);
   ]

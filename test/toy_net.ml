@@ -62,7 +62,7 @@ let create ?(data_loss = 0.0) ?(seed = 42L)
     ?(drop = fun ~src:_ ~dst:_ _ -> false) ~params n =
   let ring = Array.init n (fun i -> i) in
   let nodes =
-    Array.init n (fun me -> Node.create ~params ~ring_id ~ring ~me ())
+    Array.init n (fun me -> Node.create ~params ~ring_id ~ring ~me)
   in
   let t =
     {
