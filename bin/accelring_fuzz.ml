@@ -58,7 +58,11 @@ let run trials seed max_nodes rings bug_name app_name shrink
         exit 0
       end;
       let trace_oc = Option.map open_out trace_file in
-      let extra_sink = Option.map Aring_obs.Trace_json.jsonl_sink trace_oc in
+      let extra_sink =
+        Option.map
+          (fun oc -> Aring_obs.Trace.fn_sink (Aring_obs.Flight.output_line oc))
+          trace_oc
+      in
       let failed = ref 0 in
       List.iter
         (fun (name, schedule) ->
@@ -222,8 +226,8 @@ let trace_file =
     & opt (some string) None
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
-          "With --replay: also dump the full JSONL trace stream of the \
-           replayed run(s) to $(docv), for offline analysis with \
+          "With --replay: also dump every flight record of the replayed \
+           run(s) as JSONL to $(docv), for offline analysis with \
            accelring_trace.")
 
 let corpus_dir =

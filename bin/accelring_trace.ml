@@ -1,47 +1,55 @@
 (* CLI: inspect a recorded JSONL protocol trace — print it, summarize
    it, convert it for chrome://tracing, re-run the invariant checker, or
-   recompute the token-rotation profile. The trace itself comes from
-   `accelring_sim --trace out.jsonl` (or any program installing a
-   {!Aring_obs.Trace_json.jsonl_sink}). *)
+   recompute the token-rotation profile. The trace is Flight records,
+   one {!Aring_obs.Flight.to_line} per line: `accelring_sim --trace
+   out.jsonl`, `accelring_fuzz --replay ... --trace out.jsonl` or a
+   `--flight-dump` post-mortem. *)
 
+module Flight = Aring_obs.Flight
 module Trace = Aring_obs.Trace
-module Trace_json = Aring_obs.Trace_json
 module Chrome_trace = Aring_obs.Chrome_trace
 module Checker = Aring_obs.Checker
 module Rotation = Aring_obs.Rotation
 
+let bump tbl key = Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+
+let print_counts tbl =
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+  |> List.sort (fun (ka, a) (kb, b) -> match compare b a with 0 -> compare ka kb | c -> c)
+  |> List.iter (fun (k, v) -> Format.printf "  %-18s %d@." k v)
+
 let summarize events =
   let kinds = Hashtbl.create 16 in
+  let drops = Hashtbl.create 4 in
   let nodes = Hashtbl.create 16 in
   let t_min = ref max_int and t_max = ref min_int in
   List.iter
-    (fun (ev : Trace.event) ->
-      let name = Trace.kind_name ev.kind in
-      Hashtbl.replace kinds name
-        (1 + Option.value ~default:0 (Hashtbl.find_opt kinds name));
+    (fun (ev : Flight.event) ->
+      bump kinds (Flight.code_name ev.code);
+      if ev.code = Flight.ev_drop then bump drops (Flight.drop_reason_name ev.a);
       Hashtbl.replace nodes ev.node ();
-      if ev.t_ns < !t_min then t_min := ev.t_ns;
-      if ev.t_ns > !t_max then t_max := ev.t_ns)
+      if ev.ns < !t_min then t_min := ev.ns;
+      if ev.ns > !t_max then t_max := ev.ns)
     events;
   Format.printf "%d events, %d nodes, %.3f ms span@." (List.length events)
     (Hashtbl.length nodes)
     (if !t_max >= !t_min then float_of_int (!t_max - !t_min) /. 1e6 else 0.0);
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) kinds []
-  |> List.sort (fun (_, a) (_, b) -> compare b a)
-  |> List.iter (fun (k, v) -> Format.printf "  %-18s %d@." k v)
+  print_counts kinds;
+  if Hashtbl.length drops > 0 then begin
+    Format.printf "drops by reason:@.";
+    print_counts drops
+  end
 
 let run file chrome_out check rotation_node head =
   let events =
-    try Trace_json.read_file file
+    try Flight.read_file file
     with Aring_obs.Json.Parse_error msg ->
       Format.eprintf "accelring_trace: %s: malformed trace (%s)@." file msg;
       exit 2
   in
   (match head with
   | Some n ->
-      List.iteri
-        (fun i ev -> if i < n then Format.printf "%a@." Trace.pp_event ev)
-        events
+      List.iteri (fun i ev -> if i < n then print_endline (Flight.to_line ev)) events
   | None -> summarize events);
   (match chrome_out with
   | Some path ->
@@ -51,12 +59,12 @@ let run file chrome_out check rotation_node head =
   (match rotation_node with
   | Some node ->
       let p = Rotation.create ~node () in
-      List.iter (Rotation.observe p) events;
+      List.iter (Trace.feed (Rotation.as_sink p)) events;
       Format.printf "%a@." Rotation.pp_summary (Rotation.summary p)
   | None -> ());
   if check then begin
     let c = Checker.create () in
-    List.iter (Checker.observe c) events;
+    List.iter (Trace.feed (Checker.as_sink c)) events;
     Format.printf "%a@." Checker.pp c;
     if Checker.violation_count c > 0 then exit 1
   end

@@ -1,44 +1,42 @@
-(* Trace sink assembly shared by the simulator CLIs: a JSONL stream
-   and/or an in-memory buffer feeding the Chrome exporter, plus any
-   [extra] sinks (the live invariant checker). With none requested,
-   tracing stays disabled and free. *)
+(* Trace sink assembly shared by the simulator CLIs: the Flight record
+   stream as JSONL and/or collected for the Chrome exporter, plus any
+   [extra] sinks (the live invariant checker), each subscribed until
+   [finish]. *)
 
+module Flight = Aring_obs.Flight
 module Trace = Aring_obs.Trace
 
 type t = {
   jsonl_oc : out_channel option;
-  mem : Trace.memory option;
+  events : Flight.event list ref;  (* newest first *)
   chrome_file : string option;
-  installed : bool;
+  sinks : Trace.sink list;
 }
 
 let install ?(extra = []) ~trace_file ~chrome_file () =
   let jsonl_oc = Option.map open_out trace_file in
-  let mem = if chrome_file <> None then Some (Trace.memory ()) else None in
+  let events = ref [] in
   let sinks =
     List.filter_map Fun.id
       [
-        Option.map Aring_obs.Trace_json.jsonl_sink jsonl_oc;
-        Option.map Trace.memory_sink mem;
+        Option.map (fun oc -> Trace.fn_sink (Flight.output_line oc)) jsonl_oc;
+        Option.map (fun _ -> Trace.fn_sink (fun ev -> events := ev :: !events)) chrome_file;
       ]
     @ extra
   in
-  (match sinks with
-  | [] -> ()
-  | [ s ] -> Trace.install s
-  | ss -> Trace.install (Trace.tee ss));
-  { jsonl_oc; mem; chrome_file; installed = sinks <> [] }
+  List.iter Flight.subscribe sinks;
+  { jsonl_oc; events; chrome_file; sinks }
 
-(* Uninstall, close the JSONL stream and write the Chrome file. *)
+(* Unsubscribe, close the JSONL stream and write the Chrome file. *)
 let finish t =
-  if t.installed then Trace.uninstall ();
+  List.iter Flight.unsubscribe t.sinks;
   Option.iter close_out t.jsonl_oc;
-  match (t.mem, t.chrome_file) with
-  | Some m, Some path ->
-      Aring_obs.Chrome_trace.write_file path (Trace.memory_events m);
+  match t.chrome_file with
+  | Some path ->
+      Aring_obs.Chrome_trace.write_file path (List.rev !(t.events));
       Format.printf "chrome trace (%d events) written to %s@."
-        (Trace.memory_count m) path
-  | _ -> ()
+        (List.length !(t.events)) path
+  | None -> ()
 
 open Cmdliner
 
@@ -47,7 +45,7 @@ let trace_file =
     value
     & opt (some string) None
     & info [ "trace" ] ~docv:"FILE"
-        ~doc:"Write the structured event trace as JSONL to $(docv).")
+        ~doc:"Write every flight record of the run as JSONL to $(docv).")
 
 let chrome_file =
   Arg.(

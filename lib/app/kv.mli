@@ -165,7 +165,7 @@ val create :
 
 val node : t -> Types.pid
 (** The hosting daemon's pid — the replica's identity in observations,
-    trace events and elections. *)
+    flight records and elections. *)
 
 (** {1 Client operations} *)
 

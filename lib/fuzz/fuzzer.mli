@@ -54,6 +54,7 @@ val replay :
   Schedule.t ->
   Runner.outcome
 (** Re-execute one schedule (corpus entry or pasted reproducer).
-    [extra_sink] additionally receives the full trace stream — e.g. a
-    {!Aring_obs.Trace_json.jsonl_sink} to dump the replay for offline
+    [extra_sink] additionally receives every {!Aring_obs.Flight} record
+    of the run — e.g. {!Aring_obs.Flight.output_line} behind
+    {!Aring_obs.Trace.fn_sink}, to dump the replay as JSONL for offline
     analysis. *)

@@ -2,7 +2,6 @@ module Prng = Aring_util.Prng
 module Fnv = Aring_util.Fnv
 module Checker = Aring_obs.Checker
 module Trace = Aring_obs.Trace
-module Trace_json = Aring_obs.Trace_json
 module Flight = Aring_obs.Flight
 module Health = Aring_obs.Health
 module Kv = Aring_app.Kv
@@ -326,11 +325,15 @@ let ring_merged members ~pids =
 let drive_chunks sim (s : Schedule.t) ~checker ~health ?extra_sink ~violation
     ?(before_judging = fun _ -> ()) ~converged ~unconverged () =
   let c = s.config in
-  (* FNV-1a, 64-bit, over the JSONL rendering of each trace event. *)
+  (* FNV-1a, 64-bit, over the twelve integers of each Flight record,
+     eight little-endian bytes each. *)
   let hash = ref Fnv.offset in
-  let hash_sink =
-    Trace.fn_sink (fun ev ->
-        hash := Fnv.string (Fnv.string !hash (Trace_json.to_line ev)) "\n")
+  let record = Bytes.create 96 in
+  let put k x = Bytes.set_int64_le record (8 * k) (Int64.of_int x) in
+  let hash_sink ~ns ~node ~code ~a ~b ~c ~d ~e ~f ~g ~h ~i =
+    put 0 ns; put 1 node; put 2 code; put 3 a; put 4 b; put 5 c;
+    put 6 d; put 7 e; put 8 f; put 9 g; put 10 h; put 11 i;
+    hash := Fnv.string !hash (Bytes.unsafe_to_string record)
   in
   let deadline = c.Schedule.horizon_ns + c.Schedule.drain_ns in
   let failure = ref None in
@@ -339,13 +342,9 @@ let drive_chunks sim (s : Schedule.t) ~checker ~health ?extra_sink ~violation
     failure := f;
     finished := true
   in
-  let sink =
-    Trace.tee
-      ([ Checker.as_sink checker; hash_sink ]
-      @ Option.to_list extra_sink)
-  in
+  let sinks = Checker.as_sink checker :: hash_sink :: Option.to_list extra_sink in
   (try
-     Trace.with_sink sink (fun () ->
+     List.fold_left (fun run s () -> Trace.with_sink s run) (fun () ->
          let t = ref 0 in
          while not !finished do
            t := min deadline (!t + ms 25);
@@ -370,6 +369,7 @@ let drive_chunks sim (s : Schedule.t) ~checker ~health ?extra_sink ~violation
                  else if !t >= deadline then
                    stop (if c.Schedule.liveness then unconverged () else None)
          done)
+       sinks ()
    with e -> failure := Some (Run_exception (Printexc.to_string e)));
   let report = Health.report health ~now:(Netsim.now sim) in
   Health.detach ();

@@ -80,7 +80,8 @@ type outcome = {
   deliveries : int;  (** Application deliveries across all nodes. *)
   views : int;  (** Configuration installations across all nodes. *)
   trace_hash : int64;
-      (** FNV-1a over the JSONL rendering of the full trace stream. *)
+      (** FNV-1a over the twelve integers of every {!Aring_obs.Flight}
+          record of the run, in record order. *)
   end_ns : int;  (** Simulated time at which the run stopped. *)
   health : Aring_obs.Health.report;
       (** End-of-run watchdog report, present on passing runs too: use it
@@ -100,7 +101,7 @@ val run :
     inside the replica and needs [app = App_kv]). [app] (default
     {!App_none}) selects the hosted application. Runs stay deterministic
     per schedule for either app; the trace hash differs between them
-    (the kv app adds its own traffic and trace events).
+    (the kv app adds its own traffic and records).
 
     A KV run, or any schedule with [config.rings > 1], runs on an
     {!Aring_multiring.Cluster}: every physical node joins all rings,

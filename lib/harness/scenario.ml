@@ -168,28 +168,14 @@ let measure spec ~participants ~ring_stats =
         phase_count.(p) <- phase_count.(p) + 1
       end);
   start_workload sim spec ~until:t_end;
-  (* Rotation profiling stacks its sink over whatever the caller installed
-     (a JSONL sink, an invariant checker, nothing), restored afterwards.
-     When the spec does not ask for it, tracing stays at its current
-     (usually disabled, hence free) state. *)
-  let prev_sink = Trace.current () in
+  (* Rotation profiling subscribes its sink for the run; when the spec
+     does not ask for it, nothing is subscribed. *)
   let profiler =
-    if not spec.profile_rotation then None
-    else begin
-      let p = Rotation.create ~node:0 () in
-      let sink = Rotation.as_sink p in
-      Trace.install
-        (match prev_sink with None -> sink | Some s -> Trace.tee [ s; sink ]);
-      Some p
-    end
+    if spec.profile_rotation then Some (Rotation.create ~node:0 ()) else None
   in
-  Netsim.run_until sim t_end;
   (match profiler with
-  | Some _ -> (
-      match prev_sink with
-      | None -> Trace.uninstall ()
-      | Some s -> Trace.install s)
-  | None -> ());
+  | Some p -> Trace.with_sink (Rotation.as_sink p) (fun () -> Netsim.run_until sim t_end)
+  | None -> Netsim.run_until sim t_end);
   let metrics = Metrics.create () in
   Netsim.record_metrics sim metrics;
   let rotation = Option.map Rotation.summary profiler in

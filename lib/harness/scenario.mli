@@ -30,8 +30,8 @@ type spec = {
   seed : int64;
   profile_rotation : bool;
       (** Attach an {!Aring_obs.Rotation} profiler (anchored at node 0)
-          for the run. Off by default: profiling installs a trace sink,
-          which turns every instrumentation hook live. *)
+          for the run, subscribed to the {!Aring_obs.Flight} records.
+          Off by default. *)
 }
 
 type phase = {

@@ -1,7 +1,8 @@
 open Aring_wire
 
-(* Trace-driven EVS invariant checker. Consumes the event stream (live
-   as a sink, or post-hoc from a list) and asserts, per configuration:
+(* Trace-driven EVS invariant checker. Consumes the Flight record stream
+   (live as a sink, or post-hoc from a list) and asserts, per
+   configuration:
 
    - Total-order consistency: a given (ring, seq) delivers the same
      originator and service class at every node that delivers it.
@@ -55,11 +56,10 @@ let violation_message v =
   Printf.sprintf "[%d] node %d %s: %s" v.v_t_ns v.v_node (kind_label v.v_kind)
     v.v_detail
 
-type ring_key = int * int (* rep, ring_seq *)
-
-let ring_key (r : Types.ring_id) : ring_key = (r.rep, r.ring_seq)
-
-let ring_str (r : Types.ring_id) = Printf.sprintf "%d.%d" r.rep r.ring_seq
+(* Rings are keyed by their packed id (Flight.pack_ring). *)
+let ring_str k =
+  let (r : Types.ring_id) = Flight.unpack_ring k in
+  Printf.sprintf "%d.%d" r.rep r.ring_seq
 
 (* Violation records kept; all are counted. *)
 let max_violations = 100
@@ -69,15 +69,15 @@ type t = {
   mutable total : int;
   mutable deliveries : int;
   (* (ring, seq) -> (sender, service) as first delivered anywhere *)
-  order : (ring_key * int, int * string) Hashtbl.t;
+  order : (int * int, int * int) Hashtbl.t;
   (* (node, ring) -> delivery cursor *)
-  cursors : (int * ring_key, int) Hashtbl.t;
+  cursors : (int * int, int) Hashtbl.t;
   (* node -> inside a transitional (recovery) window *)
   in_recovery : (int, unit) Hashtbl.t;
   (* (node, ring) -> last seen (local_aru, safe_line) *)
-  monotone : (int * ring_key, int * int) Hashtbl.t;
+  monotone : (int * int, int * int) Hashtbl.t;
   (* (ring, token_id) -> accepting node *)
-  holders : (ring_key * int, int) Hashtbl.t;
+  holders : (int * int, int) Hashtbl.t;
 }
 
 let create () =
@@ -103,7 +103,7 @@ let violation t ~t_ns ~node kind fmt =
     fmt
 
 let check_monotone t ~node ~ring ~local_aru ~safe_line ~t_ns =
-  let key = (node, ring_key ring) in
+  let key = (node, ring) in
   (match Hashtbl.find_opt t.monotone key with
   | Some (prev_aru, prev_safe) ->
       if local_aru < prev_aru then
@@ -117,54 +117,56 @@ let check_monotone t ~node ~ring ~local_aru ~safe_line ~t_ns =
   | None -> ());
   Hashtbl.replace t.monotone key (local_aru, safe_line)
 
-let observe t (ev : Trace.event) =
-  let node = ev.node in
-  match ev.kind with
-  | Token_recv { ring; token_id; local_aru; safe_line; _ } ->
-      let key = (ring_key ring, token_id) in
-      (match Hashtbl.find_opt t.holders key with
-      | Some holder when holder <> node ->
-          violation t ~t_ns:ev.t_ns ~node Duplicate_token_holder
-            "ring %s token_id %d accepted by node %d and node %d (two token \
-             holders)"
-            (ring_str ring) token_id holder node
-      | Some _ ->
-          violation t ~t_ns:ev.t_ns ~node Duplicate_token_accept
-            "ring %s token_id %d accepted twice" (ring_str ring) token_id
-      | None -> Hashtbl.replace t.holders key node);
-      check_monotone t ~node ~ring ~local_aru ~safe_line ~t_ns:ev.t_ns
-  | Token_send { ring; local_aru; safe_line; _ } ->
-      check_monotone t ~node ~ring ~local_aru ~safe_line ~t_ns:ev.t_ns
-  | Deliver { ring; seq; sender; service } ->
-      t.deliveries <- t.deliveries + 1;
-      let okey = (ring_key ring, seq) in
-      (match Hashtbl.find_opt t.order okey with
-      | Some (s0, svc0) ->
-          if s0 <> sender || svc0 <> service then
-            violation t ~t_ns:ev.t_ns ~node Total_order
-              "ring %s seq %d: delivered sender=%d/%s but it was first \
-               delivered as sender=%d/%s (total order broken)"
-              (ring_str ring) seq sender service s0 svc0
-      | None -> Hashtbl.replace t.order okey (sender, service));
-      let ckey = (node, ring_key ring) in
-      let cursor = Option.value ~default:0 (Hashtbl.find_opt t.cursors ckey) in
-      if seq <= cursor then
-        violation t ~t_ns:ev.t_ns ~node Delivery_regression
-          "ring %s: delivery not increasing (seq %d after cursor %d)"
-          (ring_str ring) seq cursor
-      else if seq <> cursor + 1 && not (Hashtbl.mem t.in_recovery node) then
-        violation t ~t_ns:ev.t_ns ~node Delivery_gap
-          "ring %s: delivery gap (seq %d after cursor %d outside recovery)"
-          (ring_str ring) seq cursor;
-      Hashtbl.replace t.cursors ckey seq
-  | View_install { transitional; _ } ->
-      if transitional then Hashtbl.replace t.in_recovery node ()
-      else Hashtbl.remove t.in_recovery node
-  | Token_retransmit _ | Token_lost | Data_send _ | Phase _ | Crash | Drop _
-  | App_xfer _ ->
-      ()
+let on_token_recv t ~t_ns ~node ~ring ~token_id ~local_aru ~safe_line =
+  let key = (ring, token_id) in
+  (match Hashtbl.find_opt t.holders key with
+  | Some holder when holder <> node ->
+      violation t ~t_ns ~node Duplicate_token_holder
+        "ring %s token_id %d accepted by node %d and node %d (two token \
+         holders)"
+        (ring_str ring) token_id holder node
+  | Some _ ->
+      violation t ~t_ns ~node Duplicate_token_accept
+        "ring %s token_id %d accepted twice" (ring_str ring) token_id
+  | None -> Hashtbl.replace t.holders key node);
+  check_monotone t ~node ~ring ~local_aru ~safe_line ~t_ns
 
-let as_sink t = Trace.fn_sink (fun ev -> observe t ev)
+let on_deliver t ~t_ns ~node ~ring ~seq ~sender ~service =
+  t.deliveries <- t.deliveries + 1;
+  let okey = (ring, seq) in
+  (match Hashtbl.find_opt t.order okey with
+  | Some (s0, svc0) ->
+      if s0 <> sender || svc0 <> service then
+        violation t ~t_ns ~node Total_order
+          "ring %s seq %d: delivered sender=%d/%s but it was first \
+           delivered as sender=%d/%s (total order broken)"
+          (ring_str ring) seq sender (Flight.service_name service) s0
+          (Flight.service_name svc0)
+  | None -> Hashtbl.replace t.order okey (sender, service));
+  let ckey = (node, ring) in
+  let cursor = Option.value ~default:0 (Hashtbl.find_opt t.cursors ckey) in
+  if seq <= cursor then
+    violation t ~t_ns ~node Delivery_regression
+      "ring %s: delivery not increasing (seq %d after cursor %d)"
+      (ring_str ring) seq cursor
+  else if seq <> cursor + 1 && not (Hashtbl.mem t.in_recovery node) then
+    violation t ~t_ns ~node Delivery_gap
+      "ring %s: delivery gap (seq %d after cursor %d outside recovery)"
+      (ring_str ring) seq cursor;
+  Hashtbl.replace t.cursors ckey seq
+
+(* The records the invariants read (layouts in flight.mli): token receipt
+   and send, the application's deliveries and views. *)
+let as_sink t ~ns ~node ~code ~a ~b ~c ~d ~e ~f:_ ~g ~h:_ ~i =
+  if code = Flight.ev_token_recv then
+    on_token_recv t ~t_ns:ns ~node ~ring:e ~token_id:a ~local_aru:d ~safe_line:g
+  else if code = Flight.ev_token_send then
+    check_monotone t ~node ~ring:e ~local_aru:i ~safe_line:g ~t_ns:ns
+  else if code = Flight.ev_app_deliver then
+    on_deliver t ~t_ns:ns ~node ~ring:e ~seq:a ~sender:b ~service:c
+  else if code = Flight.ev_view_install then
+    if a = 1 then Hashtbl.replace t.in_recovery node ()
+    else Hashtbl.remove t.in_recovery node
 
 let verdict t =
   {
@@ -179,7 +181,7 @@ let deliveries_checked t = t.deliveries
 
 let check_events events =
   let t = create () in
-  List.iter (observe t) events;
+  List.iter (Trace.feed (as_sink t)) events;
   violations t
 
 let pp ppf t =

@@ -1,12 +1,13 @@
 (** Trace-driven EVS invariant checker.
 
-    Consumes the trace event stream (live as a sink, or post-hoc) and
-    asserts per configuration: total-order consistency across nodes
-    (same (ring, seq) ⇒ same originator everywhere), gap-free in-order
-    delivery (exactly-once cursor advance while operational; strictly
-    increasing during the transitional-to-regular recovery window, where
-    EVS permits skips), local-aru / safe-line monotonicity, and a single
-    token holder per (ring, token_id). *)
+    Consumes the {!Flight} record stream (live as a sink, or post-hoc
+    through {!Trace.feed}) and asserts per configuration: total-order
+    consistency across nodes (same (ring, seq) ⇒ same originator
+    everywhere), gap-free in-order delivery (exactly-once cursor advance
+    while operational; strictly increasing during the
+    transitional-to-regular recovery window, where EVS permits skips),
+    local-aru / safe-line monotonicity, and a single token holder per
+    (ring, token_id). *)
 
 (** Which invariant a violation breaks. *)
 type violation_kind =
@@ -42,8 +43,9 @@ type t
 val create : unit -> t
 (** Keeps the first 100 violation records; all are counted. *)
 
-val observe : t -> Trace.event -> unit
 val as_sink : t -> Trace.sink
+(** Reads token receipt and send, and the application's deliveries and
+    views ({!Flight.ev_app_deliver}, {!Flight.ev_view_install}). *)
 
 val verdict : t -> verdict
 
@@ -53,7 +55,7 @@ val violations : t -> string list
 val violation_count : t -> int
 val deliveries_checked : t -> int
 
-val check_events : Trace.event list -> string list
+val check_events : Flight.event list -> string list
 (** One-shot: run a fresh checker over a recorded event list. *)
 
 val pp : Format.formatter -> t -> unit

@@ -48,14 +48,15 @@ let counter ~name ~ts ~node value =
       ("args", Json.Obj [ ("value", Json.Int value) ]);
     ]
 
-let ring_str (r : Aring_wire.Types.ring_id) =
+let ring_str k =
+  let (r : Aring_wire.Types.ring_id) = Flight.unpack_ring k in
   Printf.sprintf "%d.%d" r.rep r.ring_seq
 
-let to_json (events : Trace.event list) =
+let to_json (events : Flight.event list) =
   let events =
-    List.stable_sort (fun (a : Trace.event) b -> compare a.t_ns b.t_ns) events
+    List.stable_sort (fun (x : Flight.event) y -> compare x.ns y.ns) events
   in
-  let nodes = List.sort_uniq compare (List.map (fun (e : Trace.event) -> e.node) events) in
+  let nodes = List.sort_uniq compare (List.map (fun (ev : Flight.event) -> ev.node) events) in
   let out = ref [] in
   let push j = out := j :: !out in
   List.iter
@@ -67,83 +68,83 @@ let to_json (events : Trace.event list) =
   let close_span ~until =
     match !pending_recv with
     | None -> ()
-    | Some (ring, node, ts, round, token_id, seq, aru) ->
+    | Some (recv : Flight.event) ->
         push
           (span
-             ~name:(Printf.sprintf "round %d" round)
-             ~ts:(us_of_ns ts)
-             ~dur:(us_of_ns until - us_of_ns ts)
-             ~node
+             ~name:(Printf.sprintf "round %d" recv.f)
+             ~ts:(us_of_ns recv.ns)
+             ~dur:(us_of_ns until - us_of_ns recv.ns)
+             ~node:recv.node
              [
-               ("ring", Json.String (ring_str ring));
-               ("token_id", Json.Int token_id);
-               ("seq", Json.Int seq);
-               ("aru", Json.Int aru);
+               ("ring", Json.String (ring_str recv.e));
+               ("token_id", Json.Int recv.a);
+               ("seq", Json.Int recv.b);
+               ("aru", Json.Int recv.c);
              ]);
         pending_recv := None
   in
+  (* Layouts in flight.mli; codes the view does not show are skipped. *)
   List.iter
-    (fun (ev : Trace.event) ->
-      let ts = us_of_ns ev.t_ns in
+    (fun (ev : Flight.event) ->
+      let ts = us_of_ns ev.ns in
       let node = ev.node in
-      match ev.kind with
-      | Token_recv { ring; token_id; round; seq; aru; _ } ->
-          (match !pending_recv with
-          | Some (prev_ring, _, _, _, _, _, _) when prev_ring = ring ->
-              close_span ~until:ev.t_ns
-          | Some _ -> pending_recv := None
-          | None -> ());
-          pending_recv := Some (ring, node, ev.t_ns, round, token_id, seq, aru)
-      | Token_send { fcc; _ } -> push (counter ~name:"fcc" ~ts ~node fcc)
-      | Token_retransmit { token_id; attempt } ->
-          push
-            (instant ~name:"token_retransmit" ~ts ~node
-               [ ("token_id", Json.Int token_id); ("attempt", Json.Int attempt) ])
-      | Token_lost -> push (instant ~scope:"g" ~name:"token_lost" ~ts ~node [])
-      | Data_send { seq; size; post_token; retrans; _ } ->
-          push
-            (instant
-               ~name:(if retrans then "retransmit" else "send")
-               ~ts ~node
-               [
-                 ("seq", Json.Int seq);
-                 ("size", Json.Int size);
-                 ("post_token", Json.Bool post_token);
-               ])
-      | Deliver { seq; sender; service; _ } ->
-          push
-            (instant ~name:"deliver" ~ts ~node
-               [ ("seq", Json.Int seq); ("sender", Json.Int sender);
-                 ("service", Json.String service) ])
-      | View_install { ring; members; transitional } ->
-          push
-            (instant ~scope:"p"
-               ~name:(if transitional then "view (transitional)" else "view")
-               ~ts ~node
-               [
-                 ("ring", Json.String (ring_str ring));
-                 ("members", Json.Int (List.length members));
-               ])
-      | Phase { phase } ->
-          push (instant ~name:("phase: " ^ phase) ~ts ~node [])
-      | Crash -> push (instant ~scope:"g" ~name:"crash" ~ts ~node [])
-      | Drop { reason; size } ->
-          push
-            (instant ~name:("drop: " ^ reason) ~ts ~node
-               [ ("size", Json.Int size) ])
-      | App_xfer { phase; donor; applied; entries; _ } ->
-          push
-            (instant ~scope:"p" ~name:("xfer: " ^ phase) ~ts ~node
-               [
-                 ("donor", Json.Int donor);
-                 ("applied", Json.Int applied);
-                 ("entries", Json.Int entries);
-               ]))
+      let code = ev.code in
+      if code = Flight.ev_token_recv then begin
+        (match !pending_recv with
+        | Some prev when prev.e = ev.e -> close_span ~until:ev.ns
+        | Some _ -> pending_recv := None
+        | None -> ());
+        pending_recv := Some ev
+      end
+      else if code = Flight.ev_token_send then push (counter ~name:"fcc" ~ts ~node ev.h)
+      else if code = Flight.ev_token_retransmit then
+        push
+          (instant ~name:"token_retransmit" ~ts ~node
+             [ ("token_id", Json.Int ev.a); ("attempt", Json.Int ev.b) ])
+      else if code = Flight.ev_token_lost then
+        push (instant ~scope:"g" ~name:"token_lost" ~ts ~node [])
+      else if code = Flight.ev_data_send then
+        push
+          (instant
+             ~name:(if ev.c = 1 then "retransmit" else "send")
+             ~ts ~node
+             [
+               ("seq", Json.Int ev.a);
+               ("size", Json.Int ev.f);
+               ("post_token", Json.Bool (ev.b = 1));
+             ])
+      else if code = Flight.ev_app_deliver then
+        push
+          (instant ~name:"deliver" ~ts ~node
+             [ ("seq", Json.Int ev.a); ("sender", Json.Int ev.b);
+               ("service", Json.String (Flight.service_name ev.c)) ])
+      else if code = Flight.ev_view_install then
+        push
+          (instant ~scope:"p"
+             ~name:(if ev.a = 1 then "view (transitional)" else "view")
+             ~ts ~node
+             [ ("ring", Json.String (ring_str ev.e)); ("members", Json.Int ev.b) ])
+      else if code = Flight.ev_phase then
+        push (instant ~name:("phase: " ^ Flight.phase_name ev.a) ~ts ~node [])
+      else if code = Flight.ev_crash then
+        push (instant ~scope:"g" ~name:"crash" ~ts ~node [])
+      else if code = Flight.ev_drop then
+        push
+          (instant ~name:("drop: " ^ Flight.drop_reason_name ev.a) ~ts ~node
+             [ ("size", Json.Int ev.b) ])
+      else if code = Flight.ev_xfer then
+        push
+          (instant ~scope:"p" ~name:("xfer: " ^ Flight.xfer_phase_name ev.b) ~ts ~node
+             [
+               ("donor", Json.Int ev.a);
+               ("applied", Json.Int ev.c);
+               ("entries", Json.Int ev.d);
+             ]))
     events;
   (match events with
   | [] -> ()
   | _ ->
-      let last = List.fold_left (fun _ (e : Trace.event) -> e.t_ns) 0 events in
+      let last = List.fold_left (fun _ (ev : Flight.event) -> ev.ns) 0 events in
       close_span ~until:(last + 1_000));
   Json.Obj
     [

@@ -7,8 +7,8 @@
     retransmissions / views / faults are instant events, and the token's
     [fcc] field is exported as a counter track. *)
 
-val to_string : Trace.event list -> string
+val to_string : Flight.event list -> string
 (** Events need not be sorted; the output object has a ["traceEvents"]
-    list. *)
+    list. Codes the view does not show are skipped. *)
 
-val write_file : string -> Trace.event list -> unit
+val write_file : string -> Flight.event list -> unit

@@ -1,27 +1,24 @@
 (* Always-on flight recorder: a fixed-capacity ring of compact binary
-   records per node, capturing the most recent protocol steps even when
-   no trace sink is installed. The analogue of an aircraft flight
-   recorder — cheap enough to leave on in every run, read out only after
-   something goes wrong.
+   records per node, capturing the most recent protocol steps. The
+   analogue of an aircraft flight recorder — cheap enough to leave on in
+   every run, read out only after something goes wrong.
 
-   Records are eleven machine words (timestamp, event code, nine integer
-   arguments) written into a preallocated flat [int array] per node, in
-   the spirit of the Netsim event arena: after the first record from a
-   node its ring exists and steady-state recording allocates nothing.
-   Enabling, disabling or dumping the rings cannot perturb pinned corpus
-   trace hashes.
+   The record is the one event type of the stack. Records are eleven
+   machine words (timestamp, event code, nine integer arguments) written
+   into a preallocated flat [int array] per node, in the spirit of the
+   Netsim event arena: after the first record from a node its ring
+   exists and steady-state recording allocates nothing. Enabling,
+   disabling or dumping the rings cannot perturb pinned corpus trace
+   hashes.
 
-   Every record is also handed to the subscribers (the health watchdog
-   and the span collector), which decode the codes they need. The
-   subscriber list is a plain list walked by a top-level function, so
-   dispatch allocates nothing; with no subscriber a record pays one load
-   and one branch more. The nine codes whose record holds every field of
-   their trace event (token receipt and send, data send, token
-   retransmit, token lost, phase, crash, packet drop, state-transfer
-   step) are decoded into the installed trace sink here,
-   so the protocol reports each of those steps once.
-   Disabling the recorder stops only the ring writes: subscribers and
-   the trace sink still see every record. *)
+   Every record is also handed, whole, to the subscribers: the health
+   watchdog, the span collector, the invariant checker, the rotation
+   profiler and any trace sink. The subscriber list is a plain list
+   walked by a top-level function, so dispatch allocates nothing; with
+   no subscriber a record pays one load and one branch more. Disabling
+   the recorder stops only the ring writes: subscribers still see every
+   record. One JSONL codec, with named fields per code, serves the
+   [--trace] stream and the post-mortem dump. *)
 
 let slot_words = 11
 let default_capacity = 512
@@ -44,6 +41,10 @@ let set_capacity n =
   if n <= 0 then invalid_arg "Flight.set_capacity: capacity must be > 0";
   capacity := n;
   reset ()
+
+let clock : (unit -> int) ref = ref (fun () -> 0)
+let set_clock f = clock := f
+let now () = !clock ()
 
 (* ------------------------------------------------------------------ *)
 (* Event codes                                                         *)
@@ -70,6 +71,8 @@ let ev_merge = 19
 let ev_crash = 20
 let ev_drop = 21
 let ev_xfer = 22
+let ev_app_deliver = 23
+let ev_view_install = 24
 
 (* Membership phase codes: [ev_phase]'s argument [a]. *)
 let phase_operational = 0
@@ -112,30 +115,47 @@ let xfer_phase_name = function
   | 5 -> "reset"
   | _ -> "unknown"
 
-let code_name = function
-  | 1 -> "token_recv"
-  | 2 -> "token_send"
-  | 3 -> "token_retransmit"
-  | 4 -> "token_lost"
-  | 5 -> "data_send"
-  | 6 -> "data_recv"
-  | 7 -> "deliver"
-  | 8 -> "phase"
-  | 9 -> "exchange_recheck"
-  | 10 -> "recheck_giveup"
-  | 11 -> "recovery_flood"
-  | 12 -> "apply"
-  | 13 -> "recovery_dedup"
-  | 14 -> "recovery_burst"
-  | 15 -> "recovery_nack"
-  | 16 -> "recovery_resend"
-  | 17 -> "mcas"
-  | 18 -> "skip"
-  | 19 -> "merge"
-  | 20 -> "crash"
-  | 21 -> "drop"
-  | 22 -> "app_xfer"
-  | _ -> "unknown"
+(* The service of [ev_app_deliver]'s argument [c] (Message.service_tag). *)
+let service_name tag =
+  if tag >= 0 && tag <= 3 then
+    Aring_wire.(Types.service_to_string (Message.service_of_tag tag))
+  else "unknown"
+
+(* Each code's name and the JSONL names of its arguments [a], [b], ... in
+   order; [""] is an argument the layout leaves 0. A field named "ring"
+   holds a packed ring id. Index = code. *)
+let layouts =
+  [|
+    ("unknown", [||]);
+    ("token_recv", [| "token_id"; "seq"; "aru"; "local_aru"; "ring"; "round"; "safe_line" |]);
+    ( "token_send",
+      [| "token_id"; "seq"; "aru"; "rtr"; "ring"; "round"; "safe_line"; "fcc"; "local_aru" |] );
+    ("token_retransmit", [| "token_id"; "attempt" |]);
+    ("token_lost", [| "round" |]);
+    ("data_send", [| "seq"; "post_token"; "retrans"; "submit_ns"; "ring"; "size" |]);
+    ("data_recv", [| "seq"; "sender"; "status" |]);
+    ("deliver", [| "seq"; "sender" |]);
+    ("phase", [| "phase"; "join_seq" |]);
+    ("exchange_recheck", [| "recheck"; "join_seq" |]);
+    ("recheck_giveup", [| "recheck"; "join_seq" |]);
+    ("recovery_flood", [| "queued"; "min_aru"; "max_seq" |]);
+    ("apply", [| "index"; "delete" |]);
+    ("recovery_dedup", [| "held"; "queued"; "saved"; "position" |]);
+    ("recovery_burst", [| "sent"; "queued" |]);
+    ("recovery_nack", [| "missing"; "ranges"; "recheck" |]);
+    ("recovery_resend", [| "queued"; "examined" |]);
+    ("mcas", [| "shard"; "vote"; "mark"; "shards" |]);
+    ("skip", [| "shard"; "position" |]);
+    ("merge", [| "shard"; "length" |]);
+    ("crash", [||]);
+    ("drop", [| "reason"; "size" |]);
+    ("app_xfer", [| "donor"; "phase"; "applied"; "entries"; "ring" |]);
+    ("app_deliver", [| "seq"; "sender"; "service"; ""; "ring" |]);
+    ("view_install", [| "transitional"; "members"; ""; ""; "ring" |]);
+  |]
+
+let code_name code =
+  if code > 0 && code < Array.length layouts then fst layouts.(code) else "unknown"
 
 (* ------------------------------------------------------------------ *)
 (* Recording (hot path)                                                *)
@@ -146,21 +166,23 @@ let grow node =
   Array.blit r 0 grown 0 (Array.length r);
   rings := grown
 
-type subscriber = node:int -> code:int -> a:int -> b:int -> c:int -> d:int -> unit
+type subscriber =
+  ns:int -> node:int -> code:int -> a:int -> b:int -> c:int -> d:int -> e:int ->
+  f:int -> g:int -> h:int -> i:int -> unit
 
 let subscribers : subscriber list ref = ref []
 
-let subscribe f =
-  if not (List.memq f !subscribers) then subscribers := !subscribers @ [ f ]
+let subscribe s =
+  if not (List.memq s !subscribers) then subscribers := !subscribers @ [ s ]
 
-let unsubscribe f = subscribers := List.filter (fun g -> g != f) !subscribers
+let unsubscribe s = subscribers := List.filter (fun t -> t != s) !subscribers
 
-let rec dispatch subs node code a b c d =
+let rec dispatch subs ns node code a b c d e f g h i =
   match subs with
   | [] -> ()
-  | f :: rest ->
-      f ~node ~code ~a ~b ~c ~d;
-      dispatch rest node code a b c d
+  | s :: rest ->
+      s ~ns ~node ~code ~a ~b ~c ~d ~e ~f ~g ~h ~i;
+      dispatch rest ns node code a b c d e f g h i
 
 let pack_ring (r : Aring_wire.Types.ring_id) =
   (r.rep lsl 32) lor (r.ring_seq land 0xFFFF_FFFF)
@@ -168,46 +190,8 @@ let pack_ring (r : Aring_wire.Types.ring_id) =
 let unpack_ring k : Aring_wire.Types.ring_id =
   { rep = k asr 32; ring_seq = ((k land 0xFFFF_FFFF) lxor 0x8000_0000) - 0x8000_0000 }
 
-(* The steps whose record carries every field of their trace event reach
-   the trace sink from here, whether or not ring writes are enabled: codes
-   1–5 (token receipt, send, retransmit and loss, data send), phase, and
-   the codes from crash on (crash, drop, window decision, state-transfer
-   step). *)
-let traced code =
-  (code >= ev_token_recv && code <= ev_data_send) || code = ev_phase || code >= ev_crash
-
-let to_trace ~node ~code ~a ~b ~c ~d ~e ~f ~g ~h ~i =
-  let t_ns = Trace.now () in
-  let emit kind = Trace.emit_at ~t_ns ~node kind in
-  if code = ev_token_recv then
-    emit
-      (Token_recv
-         { ring = unpack_ring e; token_id = a; round = f; seq = b; aru = c;
-           local_aru = d; safe_line = g })
-  else if code = ev_token_send then
-    emit
-      (Token_send
-         { ring = unpack_ring e; token_id = a; round = f; seq = b; aru = c;
-           fcc = h; rtr = d; local_aru = i; safe_line = g })
-  else if code = ev_data_send then
-    emit
-      (Data_send
-         { ring = unpack_ring e; seq = a; size = f; post_token = b = 1;
-           retrans = c = 1 })
-  else if code = ev_token_retransmit then
-    emit (Token_retransmit { token_id = a; attempt = b })
-  else if code = ev_token_lost then emit Token_lost
-  else if code = ev_phase then emit (Phase { phase = phase_name a })
-  else if code = ev_crash then emit Crash
-  else if code = ev_drop then emit (Drop { reason = drop_reason_name a; size = b })
-  else if code = ev_xfer then
-    emit
-      (App_xfer
-         { view = unpack_ring e; donor = a; phase = xfer_phase_name b;
-           applied = c; entries = d })
-
-(* Inlined into [record], so the four-argument path pays no extra call. *)
-let[@inline] record_wide ~node ~code ~a ~b ~c ~d ~e ~f ~g ~h ~i =
+(* Inlined into [record_wide] and [record], so neither pays an extra call. *)
+let[@inline] record_at ~ns ~node ~code ~a ~b ~c ~d ~e ~f ~g ~h ~i =
   if !on && node >= 0 then begin
     if node >= Array.length !rings then grow node;
     let ring =
@@ -221,7 +205,7 @@ let[@inline] record_wide ~node ~code ~a ~b ~c ~d ~e ~f ~g ~h ~i =
     in
     let base = ring.next * slot_words in
     let buf = ring.buf in
-    buf.(base) <- Trace.now ();
+    buf.(base) <- ns;
     buf.(base + 1) <- code;
     buf.(base + 2) <- a;
     buf.(base + 3) <- b;
@@ -236,11 +220,12 @@ let[@inline] record_wide ~node ~code ~a ~b ~c ~d ~e ~f ~g ~h ~i =
     ring.next <- (if next = ring.cap then 0 else next);
     ring.total <- ring.total + 1
   end;
-  (match !subscribers with
+  match !subscribers with
   | [] -> ()
-  | subs -> dispatch subs node code a b c d);
-  if traced code && Trace.enabled () then
-    to_trace ~node ~code ~a ~b ~c ~d ~e ~f ~g ~h ~i
+  | subs -> dispatch subs ns node code a b c d e f g h i
+
+let[@inline] record_wide ~node ~code ~a ~b ~c ~d ~e ~f ~g ~h ~i =
+  record_at ~ns:(!clock ()) ~node ~code ~a ~b ~c ~d ~e ~f ~g ~h ~i
 
 let record ~node ~code ~a ~b ~c ~d =
   record_wide ~node ~code ~a ~b ~c ~d ~e:0 ~f:0 ~g:0 ~h:0 ~i:0
@@ -248,30 +233,29 @@ let record ~node ~code ~a ~b ~c ~d =
 (* ------------------------------------------------------------------ *)
 (* Readout                                                             *)
 
-type record_view = {
-  r_ns : int;
-  r_node : int;
-  r_code : int;
-  r_a : int;
-  r_b : int;
-  r_c : int;
-  r_d : int;
+type event = {
+  ns : int;
+  node : int;
+  code : int;
+  a : int;
+  b : int;
+  c : int;
+  d : int;
+  e : int;
+  f : int;
+  g : int;
+  h : int;
+  i : int;
 }
 
 let node_records node ring =
   let stored = min ring.total ring.cap in
   let first = (ring.next - stored + ring.cap) mod ring.cap in
-  List.init stored (fun i ->
-      let base = (first + i) mod ring.cap * slot_words in
-      {
-        r_ns = ring.buf.(base);
-        r_node = node;
-        r_code = ring.buf.(base + 1);
-        r_a = ring.buf.(base + 2);
-        r_b = ring.buf.(base + 3);
-        r_c = ring.buf.(base + 4);
-        r_d = ring.buf.(base + 5);
-      })
+  List.init stored (fun k ->
+      let base = (first + k) mod ring.cap * slot_words in
+      let w j = ring.buf.(base + j) in
+      { ns = w 0; node; code = w 1; a = w 2; b = w 3; c = w 4; d = w 5; e = w 6;
+        f = w 7; g = w 8; h = w 9; i = w 10 })
 
 (* All nodes, globally time-ordered (stable within a node). *)
 let records () =
@@ -282,8 +266,8 @@ let records () =
       | None -> ())
     !rings;
   List.concat !all
-  |> List.stable_sort (fun a b ->
-         match compare a.r_ns b.r_ns with 0 -> compare a.r_node b.r_node | c -> c)
+  |> List.stable_sort (fun x y ->
+         match compare x.ns y.ns with 0 -> compare x.node y.node | c -> c)
 
 let total () =
   Array.fold_left
@@ -296,18 +280,100 @@ let stored () =
     0 !rings
 
 (* ------------------------------------------------------------------ *)
-(* Dumps                                                               *)
+(* JSONL                                                               *)
 
-let dump_jsonl oc =
-  List.iter
-    (fun r ->
-      Printf.fprintf oc
-        "{\"ns\":%d,\"node\":%d,\"ev\":\"%s\",\"a\":%d,\"b\":%d,\"c\":%d,\"d\":%d}\n"
-        r.r_ns r.r_node (code_name r.r_code) r.r_a r.r_b r.r_c r.r_d)
-    (records ())
+let letters = [| "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h"; "i" |]
+
+let arg ev = function
+  | 0 -> ev.a
+  | 1 -> ev.b
+  | 2 -> ev.c
+  | 3 -> ev.d
+  | 4 -> ev.e
+  | 5 -> ev.f
+  | 6 -> ev.g
+  | 7 -> ev.h
+  | _ -> ev.i
+
+(* Argument [k]'s field name under [code]: its layout name, else its
+   letter (written only when non-zero). *)
+let field code k =
+  let names = if code > 0 && code < Array.length layouts then snd layouts.(code) else [||] in
+  if k < Array.length names && names.(k) <> "" then (names.(k), true) else (letters.(k), false)
+
+let to_line ev =
+  let buf = Buffer.create 128 in
+  Printf.bprintf buf "{\"ns\":%d,\"node\":%d,\"ev\":\"%s\"" ev.ns ev.node (code_name ev.code);
+  for k = 0 to 8 do
+    let v = arg ev k in
+    match field ev.code k with
+    | "ring", true ->
+        let r = unpack_ring v in
+        Printf.bprintf buf ",\"ring\":[%d,%d]" r.rep r.ring_seq
+    | name, named -> if named || v <> 0 then Printf.bprintf buf ",\"%s\":%d" name v
+  done;
+  Buffer.add_char buf '}';
+  Buffer.contents buf
+
+let output_line oc ev =
+  output_string oc (to_line ev);
+  output_char oc '\n'
+
+let code_of_name name =
+  let rec find code =
+    if code >= Array.length layouts then None
+    else if fst layouts.(code) = name then Some code
+    else find (code + 1)
+  in
+  find 1
+
+let of_line line =
+  let j = Json.of_string line in
+  let fail fmt = Printf.ksprintf (fun m -> raise (Json.Parse_error m)) fmt in
+  let int name =
+    match Json.member name j with
+    | None -> None
+    | Some v -> (
+        match Json.to_int v with Some n -> Some n | None -> fail "field %S is no int" name)
+  in
+  let req name = match int name with Some n -> n | None -> fail "missing field %S" name in
+  let code =
+    match Option.bind (Json.member "ev" j) Json.to_str with
+    | None -> fail "missing field \"ev\""
+    | Some name -> (
+        match code_of_name name with Some c -> c | None -> fail "unknown event %S" name)
+  in
+  let arg k =
+    match field code k with
+    | "ring", true -> (
+        match Json.member "ring" j with
+        | Some (Json.List [ Json.Int rep; Json.Int ring_seq ]) ->
+            pack_ring { Aring_wire.Types.rep; ring_seq }
+        | Some _ -> fail "bad ring id"
+        | None -> fail "missing field \"ring\"")
+    | name, true -> req name
+    | letter, false -> Option.value ~default:0 (int letter)
+  in
+  let ns = req "ns" and node = req "node" in
+  let a = arg 0 and b = arg 1 and c = arg 2 and d = arg 3 and e = arg 4 in
+  let f = arg 5 and g = arg 6 and h = arg 7 and i = arg 8 in
+  { ns; node; code; a; b; c; d; e; f; g; h; i }
+
+let read_file path =
+  In_channel.with_open_text path (fun ic ->
+      let rec loop lineno acc =
+        match In_channel.input_line ic with
+        | None -> List.rev acc
+        | Some "" -> loop (lineno + 1) acc
+        | Some line -> (
+            match of_line line with
+            | ev -> loop (lineno + 1) (ev :: acc)
+            | exception Json.Parse_error msg ->
+                raise (Json.Parse_error (Printf.sprintf "line %d: %s" lineno msg)))
+      in
+      loop 1 [])
 
 let dump_jsonl_file path =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> dump_jsonl oc)
+  Out_channel.with_open_text path (fun oc -> List.iter (output_line oc) (records ()))
 
 let capacity () = !capacity

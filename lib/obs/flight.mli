@@ -1,23 +1,21 @@
-(** Always-on flight recorder: per-node fixed-capacity rings of compact
-    eleven-word binary records (timestamp, event code, nine int arguments
-    [a]–[i]), kept even when no {!Trace} sink is installed. Steady-state
-    recording allocates nothing once a node's ring exists. Dump on demand
-    as JSONL.
+(** Always-on flight recorder, and the one event type of the stack:
+    per-node fixed-capacity rings of compact eleven-word binary records
+    (timestamp, event code, nine int arguments [a]–[i]). Steady-state
+    recording allocates nothing once a node's ring exists.
 
-    The recorder is also the one feed of the always-on instruments:
-    {!Health} and {!Span} subscribe and decode the records they need,
-    so each protocol step is reported once, here. Nine codes whose record
-    carries every field of their trace event — {!ev_token_recv},
-    {!ev_token_send}, {!ev_data_send}, {!ev_token_retransmit},
-    {!ev_token_lost}, {!ev_phase}, {!ev_crash}, {!ev_drop} and
-    {!ev_xfer} — also reach the installed {!Trace} sink, as the kind
-    their dump lines name in ["ev"] (["drop"] and ["app_xfer"] for the
-    last two); no other code does. *)
+    Every record is handed whole to every subscriber: {!Health} and
+    {!Span}, the {!Checker} and the {!Rotation} profiler, and any
+    {!Trace} sink, so each protocol step is reported once, here. The
+    engine's {!ev_deliver} is the ordering layer's delivery; the
+    runtimes' interpreters record {!ev_app_deliver} and
+    {!ev_view_install} for what the application got after the
+    participant boundary. One JSONL codec ({!to_line}, {!of_line}),
+    with named fields per code, serves the [--trace] stream and the
+    post-mortem dump. *)
 
 val set_enabled : bool -> unit
 (** Recording is on by default; disabling is for overhead baselines. It
-    stops only the ring writes: subscribers and the trace sink still see
-    every record. *)
+    stops only the ring writes: subscribers still see every record. *)
 
 val reset : unit -> unit
 (** Drop every ring (a fresh run should start from an empty recorder). *)
@@ -27,12 +25,21 @@ val set_capacity : int -> unit
 
 val capacity : unit -> int
 
+val set_clock : (unit -> int) -> unit
+(** Timestamp source for {!now}, in nanoseconds. The simulator installs
+    its virtual clock; the UDP runtime installs a wall clock. *)
+
+val now : unit -> int
+(** Current reading of the installed clock, in nanoseconds: each
+    record's stamp, and the clock of the sans-IO layers (the health
+    watchdog and latency spans). *)
+
 (** {2 Event codes} *)
 
-(** Arguments not listed are 0. Only the four codes recorded through
-    {!record_wide} use [e]–[i]: {!ev_token_recv}, {!ev_token_send},
-    {!ev_data_send} and {!ev_xfer} carry a ring id ({!pack_ring}) in
-    [e]. *)
+(** Arguments not listed are 0. The codes that use [e]–[i] carry a
+    ring id ({!pack_ring}) in [e]: {!ev_token_recv}, {!ev_token_send},
+    {!ev_data_send}, {!ev_xfer}, {!ev_app_deliver} and
+    {!ev_view_install}. *)
 
 val ev_token_recv : int
 (** A regular token accepted: [a] = token id, [b] = token seq, [c] =
@@ -62,7 +69,9 @@ val ev_data_recv : int
     beyond the receive window's ceiling, dropped as lost. *)
 
 val ev_deliver : int
-(** [a] = seq, [b] = sender. *)
+(** The engine delivered in order: [a] = seq, [b] = sender. One per
+    ordered message at the ordering layer, whatever the layers above do
+    with it. *)
 
 val ev_phase : int
 (** A membership phase entered: [a] = phase code (below), [b] = the
@@ -128,6 +137,18 @@ val ev_xfer : int
 (** A KV state-transfer step at a replica: [a] = donor, [b] = phase code
     (below), [c] = ops applied, [d] = entries; [e] = the view's ring id. *)
 
+val ev_app_deliver : int
+(** A runtime handed the application a message ([Participant.Deliver]):
+    [a] = seq, [b] = sender, [c] = service ([Message.service_tag]); [e] =
+    ring. Unlike {!ev_deliver} it follows the participant boundary: a
+    fault injector may drop a delivery here, a member's recovery
+    deliveries reach it, and a daemon that hands one delivery to [k]
+    local sessions yields [k] of these. *)
+
+val ev_view_install : int
+(** A runtime handed the application a configuration: [a] = 1 when
+    transitional, [b] = member count; [e] = ring. *)
+
 (** {2 Phase codes} ([ev_phase]'s argument [a]) *)
 
 val phase_operational : int
@@ -137,21 +158,18 @@ val phase_recover : int
 
 val phase_name : int -> string
 (** ["operational"], ["gather"], ["commit"], ["recover"]; ["unknown"]
-    for any other code. The [Phase] trace event carries this name. *)
+    for any other code. *)
 
-(** {2 Drop reasons} ([ev_drop]'s argument [a])
-
-    The [Drop] trace event carries the reason's name: ["partition"],
-    ["random"] or ["switch"]. *)
+(** {2 Drop reasons} ([ev_drop]'s argument [a]) *)
 
 val drop_partition : int
 val drop_random : int
 val drop_switch : int
 
-(** {2 State-transfer phases} ([ev_xfer]'s argument [b])
+val drop_reason_name : int -> string
+(** ["partition"], ["random"], ["switch"]; ["unknown"] otherwise. *)
 
-    The [App_xfer] trace event carries the phase's name: ["hello"],
-    ["elect"], ["snapshot"], ["install"], ["abort"] or ["reset"]. *)
+(** {2 State-transfer phases} ([ev_xfer]'s argument [b]) *)
 
 val xfer_hello : int
 val xfer_elect : int
@@ -160,17 +178,34 @@ val xfer_install : int
 val xfer_abort : int
 val xfer_reset : int
 
+val xfer_phase_name : int -> string
+(** ["hello"], ["elect"], ["snapshot"], ["install"], ["abort"],
+    ["reset"]; ["unknown"] otherwise. *)
+
+val service_name : int -> string
+(** The service of {!ev_app_deliver}'s [c] (["agreed"], ["safe"], ...);
+    ["unknown"] for any int that is no service tag. *)
+
+val code_name : int -> string
+(** The code's name, the ["ev"] of its JSONL lines (["deliver"],
+    ["app_deliver"], ...); ["unknown"] for any other int. *)
+
 (** {2 Recording} *)
+
+val record_at :
+  ns:int -> node:int -> code:int -> a:int -> b:int -> c:int -> d:int ->
+  e:int -> f:int -> g:int -> h:int -> i:int -> unit
+(** Append one record stamped [ns] to [node]'s ring, overwriting the
+    oldest once full, then hand it to every subscriber. Zero-allocation
+    after the node's first record. The ring write is skipped when
+    disabled or [node < 0]; subscribers see the record either way. The
+    simulator stamps a delivery with its CPU cursor, a better time than
+    the global clock. *)
 
 val record_wide :
   node:int -> code:int -> a:int -> b:int -> c:int -> d:int -> e:int ->
   f:int -> g:int -> h:int -> i:int -> unit
-(** Append one record to [node]'s ring, overwriting the oldest once
-    full, then hand [a]–[d] to every subscriber and, for the nine
-    traced codes, emit its trace event when a sink is installed.
-    Zero-allocation after the node's first record when no sink is
-    installed. The ring write is skipped when disabled or [node < 0];
-    subscribers and the trace sink see the record either way. *)
+(** {!record_at} stamped with {!now}. *)
 
 val record : node:int -> code:int -> a:int -> b:int -> c:int -> d:int -> unit
 (** {!record_wide} with [e]–[i] = 0, for the codes without a wide layout. *)
@@ -180,33 +215,45 @@ val pack_ring : Aring_wire.Types.ring_id -> int
     [ring_seq] in \[-2{^31}, 2{^31}) (signed 32 bits, as the KV op codec
     encodes it); outside those bounds the high bits are lost. *)
 
+val unpack_ring : int -> Aring_wire.Types.ring_id
+(** Inverse of {!pack_ring} within its bounds; [pack_ring (unpack_ring k)
+    = k] for every int. *)
+
 (** {2 Subscribers} *)
 
-type subscriber = node:int -> code:int -> a:int -> b:int -> c:int -> d:int -> unit
+type subscriber =
+  ns:int -> node:int -> code:int -> a:int -> b:int -> c:int -> d:int ->
+  e:int -> f:int -> g:int -> h:int -> i:int -> unit
 
 val subscribe : subscriber -> unit
 (** Add a subscriber (a no-op if this very function is subscribed
     already). Subscribers run in subscription order, synchronously,
-    inside {!record}; they must not allocate on records they ignore. *)
+    inside {!record_at}; they must not allocate on records they
+    ignore. *)
 
 val unsubscribe : subscriber -> unit
 (** Remove a subscriber, compared by physical equality. *)
 
 (** {2 Readout} *)
 
-type record_view = {
-  r_ns : int;
-  r_node : int;
-  r_code : int;
-  r_a : int;
-  r_b : int;
-  r_c : int;
-  r_d : int;
+type event = {
+  ns : int;
+  node : int;
+  code : int;
+  a : int;
+  b : int;
+  c : int;
+  d : int;
+  e : int;
+  f : int;
+  g : int;
+  h : int;
+  i : int;
 }
+(** One record, read out. *)
 
-val records : unit -> record_view list
-(** Every retained record across all nodes, time-ordered. The readout
-    and the dump carry [a]–[d], the part every layout shares. *)
+val records : unit -> event list
+(** Every retained record across all nodes, time-ordered. *)
 
 val total : unit -> int
 (** Lifetime records written (including overwritten ones). *)
@@ -214,6 +261,24 @@ val total : unit -> int
 val stored : unit -> int
 (** Records currently retained. *)
 
+(** {2 JSONL} *)
+
+val to_line : event -> string
+(** One JSON object: ["ns"], ["node"], ["ev"] (the {!code_name}), then
+    each argument under its layout's name (a ring id as [[rep,ring_seq]]);
+    an argument outside the layout appears under its letter (["e"]) only
+    when non-zero. {!of_line} reads every line back exactly. *)
+
+val of_line : string -> event
+(** Raises {!Json.Parse_error} on malformed JSON, an unknown ["ev"], or
+    a missing or ill-typed field of the code's layout. *)
+
+val output_line : out_channel -> event -> unit
+(** {!to_line} and a newline. *)
+
+val read_file : string -> event list
+(** Read a JSONL file (blank lines ignored); a parse error names the
+    line. *)
+
 val dump_jsonl_file : string -> unit
-(** One JSON object per retained record, time-ordered, with the code's
-    name in ["ev"]. *)
+(** {!records}, one {!to_line} line each. *)

@@ -18,12 +18,14 @@
    - No_progress: no message delivered anywhere for [stall_ns] of
      virtual time while some live node is stuck outside operational.
 
-   Like Trace and Span, the watchdog is a global attach/detach
-   instrument. Its one feed is the Flight recorder: attaching subscribes
-   [on_record], which decodes the phase, recheck, dedup, burst, nack,
-   resend, deliver and crash records; detaching unsubscribes, so a
-   run without a watchdog pays nothing per record. It emits no trace
-   events — pinned corpus hashes cannot see it. *)
+   Like Span, the watchdog is a global attach/detach instrument. Its
+   one feed is the Flight recorder: attaching subscribes [on_record],
+   which decodes the phase, recheck, dedup, burst, nack, resend,
+   deliver and crash records; detaching unsubscribes, so a run without
+   a watchdog pays nothing per record. It records nothing itself —
+   pinned corpus hashes cannot see it. Deliveries are the engine's
+   [ev_deliver], one per ordered message: a daemon handing one delivery
+   to several local sessions does not count it twice. *)
 
 type config = { k_formation : int; stall_ns : int }
 
@@ -132,7 +134,7 @@ let close_phase ns now =
 
 let on_phase t ns phase =
   if ns.ns_phase <> trail_crash then begin
-    let now = Trace.now () in
+    let now = Flight.now () in
     close_phase ns now;
     ns.ns_phase <- phase;
     ns.ns_phase_since <- now;
@@ -154,7 +156,7 @@ let on_phase t ns phase =
   end
 
 let on_crash ns =
-  let now = Trace.now () in
+  let now = Flight.now () in
   close_phase ns now;
   ns.ns_phase <- trail_crash;
   ns.ns_phase_since <- now;
@@ -162,12 +164,12 @@ let on_crash ns =
 
 (* The one feed: decode the Flight records the watchdog needs (argument
    layouts in flight.mli); every other code falls through untouched. *)
-let on_record ~node ~code ~a ~b:_ ~c ~d:_ =
+let on_record ~ns:_ ~node ~code ~a ~b:_ ~c ~d:_ ~e:_ ~f:_ ~g:_ ~h:_ ~i:_ =
   match !current with
   | None -> ()
   | Some t ->
       if code = Flight.ev_deliver then begin
-        t.last_delivery_ns <- Trace.now ();
+        t.last_delivery_ns <- Flight.now ();
         t.deliveries <- t.deliveries + 1
       end
       else if node >= 0 && node < Array.length t.nodes then begin
@@ -175,11 +177,11 @@ let on_record ~node ~code ~a ~b:_ ~c ~d:_ =
         if code = Flight.ev_phase then on_phase t ns a
         else if code = Flight.ev_recheck then begin
           ns.ns_rechecks <- ns.ns_rechecks + 1;
-          push_trail ns trail_recheck (Trace.now ())
+          push_trail ns trail_recheck (Flight.now ())
         end
         else if code = Flight.ev_recheck_giveup then begin
           ns.ns_giveups <- ns.ns_giveups + 1;
-          push_trail ns trail_giveup (Trace.now ())
+          push_trail ns trail_giveup (Flight.now ())
         end
         else if code = Flight.ev_dedup then
           ns.ns_dedup_saved <- ns.ns_dedup_saved + c

@@ -5,10 +5,12 @@
     operational") and delivery stalls ("no progress for T virtual ns
     while a node is stuck outside operational"). The feed is {!Flight}:
     an attached watchdog subscribes to it and decodes the [ev_phase],
-    [ev_recheck], [ev_recheck_giveup], [ev_dedup], [ev_burst], [ev_nack], [ev_resend], [ev_deliver] and
-    [ev_crash] records, so a crash reaches it through
-    [Netsim.crash] alone. Global attach/detach like {!Trace}; emits no
-    trace events, so pinned corpus hashes never see it. *)
+    [ev_recheck], [ev_recheck_giveup], [ev_dedup], [ev_burst],
+    [ev_nack], [ev_resend], [ev_deliver] and [ev_crash] records, so a
+    crash reaches it through [Netsim.crash] alone. Global attach/detach
+    like {!Span}; records nothing, so pinned corpus hashes never see
+    it. Deliveries count the engine's [ev_deliver], once per ordered
+    message however many local sessions a daemon hands it to. *)
 
 type config = { k_formation : int; stall_ns : int }
 

@@ -49,32 +49,33 @@ let create ~node () =
     aru_per_round = Stats.create ();
   }
 
-let observe t (ev : Trace.event) =
-  match ev.kind with
-  | Data_send { post_token; retrans = _; _ } ->
-      t.window_sends <- t.window_sends + 1;
-      t.total_sends <- t.total_sends + 1;
-      if post_token then begin
-        t.window_post <- t.window_post + 1;
-        t.total_post <- t.total_post + 1
-      end
-  | Token_recv { aru; _ } when ev.node = t.node ->
-      (match t.last_recv with
-      | Some (prev_ns, prev_aru) ->
-          Stats.add t.rotation_us (float_of_int (ev.t_ns - prev_ns) /. 1e3);
-          Stats.add t.msgs_per_round (float_of_int t.window_sends);
-          Stats.add t.aru_per_round (float_of_int (aru - prev_aru))
-      | None -> ());
-      t.last_recv <- Some (ev.t_ns, aru);
-      t.window_sends <- 0;
-      t.window_post <- 0
-  | View_install _ ->
-      t.last_recv <- None;
-      t.window_sends <- 0;
-      t.window_post <- 0
-  | _ -> ()
-
-let as_sink t = Trace.fn_sink (fun ev -> observe t ev)
+(* The records the profile reads (layouts in flight.mli): data sends,
+   token receipts at the anchor, and the application's views. *)
+let as_sink t ~ns ~node ~code ~a:_ ~b ~c ~d:_ ~e:_ ~f:_ ~g:_ ~h:_ ~i:_ =
+  if code = Flight.ev_data_send then begin
+    t.window_sends <- t.window_sends + 1;
+    t.total_sends <- t.total_sends + 1;
+    if b = 1 then begin
+      t.window_post <- t.window_post + 1;
+      t.total_post <- t.total_post + 1
+    end
+  end
+  else if code = Flight.ev_token_recv && node = t.node then begin
+    (match t.last_recv with
+    | Some (prev_ns, prev_aru) ->
+        Stats.add t.rotation_us (float_of_int (ns - prev_ns) /. 1e3);
+        Stats.add t.msgs_per_round (float_of_int t.window_sends);
+        Stats.add t.aru_per_round (float_of_int (c - prev_aru))
+    | None -> ());
+    t.last_recv <- Some (ns, c);
+    t.window_sends <- 0;
+    t.window_post <- 0
+  end
+  else if code = Flight.ev_view_install then begin
+    t.last_recv <- None;
+    t.window_sends <- 0;
+    t.window_post <- 0
+  end
 
 let summary t =
   {

@@ -25,8 +25,10 @@ type summary = {
 val create : node:int -> unit -> t
 (** [node] is the anchor (usually the ring representative, pid 0). *)
 
-val observe : t -> Trace.event -> unit
 val as_sink : t -> Trace.sink
+(** Reads data sends, token receipts at the anchor and the application's
+    views ({!Flight.ev_view_install}); replay a file with {!Trace.feed}. *)
+
 val summary : t -> summary
 
 val record_metrics : summary -> Metrics.t -> unit

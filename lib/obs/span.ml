@@ -8,14 +8,16 @@
      delivered -> applied     span.apply_us        (app apply, synchronous)
      submit -> delivered      span.e2e_us
 
-   The collector is opt-in and global (attach/detach, like the Trace
-   sink). The order, deliver and apply stages come from the Flight
+   The collector is opt-in and global (attach/detach, like the health
+   watchdog). The order, deliver and apply stages come from the Flight
    recorder: attaching subscribes [on_record], which decodes the
    engine's data-send (carrying the submit stamp) and deliver records
-   and the replica's apply record. The daemon's pack step has no Flight
-   record and calls [note_packed] directly. When detached, the engine
-   stamps nothing and nothing is subscribed. Spans never emit trace
-   events, so pinned corpus hashes are unaffected. In-flight bookkeeping
+   and the replica's apply record. The deliver stage reads the engine's
+   [ev_deliver], one per ordered message, not the per-session
+   [ev_app_deliver] copies a daemon hands on. The daemon's pack step has
+   no Flight record and calls [note_packed] directly. When detached,
+   the engine stamps nothing and nothing is subscribed. Spans record
+   nothing themselves, so pinned corpus hashes are unaffected. In-flight bookkeeping
    is bounded: the (sender, seq) table is cleared if it ever exceeds
    [max_inflight] entries, trading a few lost samples for a hard memory
    cap. *)
@@ -70,7 +72,7 @@ let us ns = float_of_int ns /. 1_000.0
 (* Submission stamp carried by the engine's pending entry; 0 ("no
    stamp") when no collector is attached, so a disabled run pays only
    this ref read per submit. *)
-let submit_stamp () = match !current with None -> 0 | Some _ -> Trace.now ()
+let submit_stamp () = match !current with None -> 0 | Some _ -> Flight.now ()
 
 (* seq fits comfortably below 2^44 in any simulated run; sender pids are
    small ints. *)
@@ -81,10 +83,10 @@ let note_packed ~submit_ns =
   | None -> ()
   | Some t ->
       if submit_ns > 0 then
-        Metrics.observe t.h_submit_wait (us (Trace.now () - submit_ns))
+        Metrics.observe t.h_submit_wait (us (Flight.now () - submit_ns))
 
 let on_ordered t ~sender ~seq ~submit_ns =
-  let now = Trace.now () in
+  let now = Flight.now () in
   Metrics.observe t.h_order (us (now - submit_ns));
   if Hashtbl.length t.inflight >= max_inflight then Hashtbl.reset t.inflight;
   Hashtbl.replace t.inflight (key ~sender ~seq) (submit_ns, now)
@@ -97,7 +99,7 @@ let ensure_node t node =
   end
 
 let on_delivered t ~node ~sender ~seq =
-  let now = Trace.now () in
+  let now = Flight.now () in
   if node >= 0 then begin
     ensure_node t node;
     t.deliver_ns.(node) <- now
@@ -110,12 +112,12 @@ let on_delivered t ~node ~sender ~seq =
 
 let on_applied t ~node =
   if node >= 0 && node < Array.length t.deliver_ns && t.deliver_ns.(node) >= 0
-  then Metrics.observe t.h_apply (us (Trace.now () - t.deliver_ns.(node)))
+  then Metrics.observe t.h_apply (us (Flight.now () - t.deliver_ns.(node)))
 
 (* The one feed: decode the Flight records the spans need (argument
    layouts in flight.mli). A data-send record carries a non-zero submit
    stamp only for a new message stamped while a collector was attached. *)
-let on_record ~node ~code ~a ~b ~c:_ ~d =
+let on_record ~ns:_ ~node ~code ~a ~b ~c:_ ~d ~e:_ ~f:_ ~g:_ ~h:_ ~i:_ =
   match !current with
   | None -> ()
   | Some t ->

@@ -1,13 +1,15 @@
 (** End-to-end latency spans. Messages are stamped at submission with
-    the virtual clock ({!Trace.now}); stage transitions (submit →
+    the virtual clock ({!Flight.now}); stage transitions (submit →
     packed → token-ordered → delivered → applied) land in per-stage
     mergeable {!Metrics} histograms, decomposing where end-to-end
     latency goes. The feed is {!Flight}: an attached collector
     subscribes to it and decodes the data-send, deliver and apply
     records; only the daemon's pack step calls {!note_packed} directly.
     Opt-in and global: when no collector is attached nothing is
-    subscribed and the remaining hooks are a single ref read; spans
-    never feed the hashed trace stream. *)
+    subscribed and the remaining hooks are a single ref read. Spans
+    record nothing; the one record field they touch is a new message's
+    {!Flight.ev_data_send} stamp, 0 unless a collector is attached (the
+    fuzz runner attaches none, so its hashed stream never holds one). *)
 
 type t
 

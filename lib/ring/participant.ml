@@ -16,17 +16,6 @@ type action =
   | Arm_timer of timer * int
   | Disarm_timer of timer
 
-let trace_action ~t_ns ~node = function
-  | Deliver d ->
-      Aring_obs.Trace.emit_at ~t_ns ~node
-        (Deliver { ring = d.d_ring; seq = d.seq; sender = d.pid;
-                   service = Types.service_to_string d.service })
-  | Deliver_config v ->
-      Aring_obs.Trace.emit_at ~t_ns ~node
-        (View_install
-           { ring = v.view_id; members = v.members; transitional = v.transitional })
-  | Unicast _ | Multicast _ | Arm_timer _ | Disarm_timer _ -> ()
-
 type t = {
   pid : Types.pid;
   submit : Types.service -> bytes -> unit;

@@ -58,15 +58,6 @@ type action =
           layer leaving a phase disarms the keys that phase armed, so no
           runtime fires a timer its layer would ignore. *)
 
-val trace_action : t_ns:int -> node:Types.pid -> action -> unit
-(** Emit the [Deliver] or [View_install] trace event of an action both
-    runtimes carried out at [t_ns] on [node] (callers guard with
-    {!Aring_obs.Trace.enabled}). [Deliver] is not decoded from the
-    engine's {!Aring_obs.Flight.ev_deliver} record: it reports what the
-    application got after the participant boundary, where a fault
-    injector may drop it (the checker sees that only here), and a
-    member's recovery deliveries never pass that record. *)
-
 type t = {
   pid : Types.pid;
   submit : Types.service -> bytes -> unit;

@@ -2,7 +2,6 @@ open Aring_wire
 open Aring_ring
 module Event_heap = Aring_util.Event_heap
 module Prng = Aring_util.Prng
-module Trace = Aring_obs.Trace
 module Flight = Aring_obs.Flight
 module Metrics = Aring_obs.Metrics
 
@@ -273,7 +272,7 @@ let transmit_multicast t ~at src msg =
       done
   | Some dom ->
       (* Cross-domain destinations are pruned before [port_enqueue]: no
-         PRNG draw, no drop counter, no trace event — a domain switch
+         PRNG draw, no drop counter, no drop record — a domain switch
          never perturbs same-domain event streams. *)
       for dst = 0 to n - 1 do
         if dst <> src && dom.(dst) = dom.(src) then
@@ -303,12 +302,16 @@ let rec interpret t node actions ~cursor =
             cursor
         | Participant.Deliver d ->
             let cursor = cursor + tier.Profile.deliver_ns in
-            if Trace.enabled () then Participant.trace_action ~t_ns:cursor ~node action;
+            Flight.record_at ~ns:cursor ~node ~code:Flight.ev_app_deliver ~a:d.seq
+              ~b:d.pid ~c:(Message.service_tag d.service) ~d:0
+              ~e:(Flight.pack_ring d.d_ring) ~f:0 ~g:0 ~h:0 ~i:0;
             t.deliver_cb ~at:node ~now:cursor d;
             cursor
         | Participant.Deliver_config v ->
             let cursor = cursor + tier.Profile.deliver_ns in
-            if Trace.enabled () then Participant.trace_action ~t_ns:cursor ~node action;
+            Flight.record_at ~ns:cursor ~node ~code:Flight.ev_view_install
+              ~a:(Bool.to_int v.transitional) ~b:(List.length v.members) ~c:0
+              ~d:0 ~e:(Flight.pack_ring v.view_id) ~f:0 ~g:0 ~h:0 ~i:0;
             t.view_cb ~at:node ~now:cursor v;
             cursor
         | Participant.Arm_timer (timer, delay) ->
@@ -415,9 +418,9 @@ let create ~net ~tiers ~participants ?(seed = 1L) () =
       events_pending_peak = 0;
     }
   in
-  (* Trace timestamps follow the simulated clock while this simulator is
-     the active runtime. *)
-  Trace.set_clock (fun () -> t.now);
+  (* Flight record stamps follow the simulated clock while this simulator
+     is the active runtime. *)
+  Flight.set_clock (fun () -> t.now);
   Array.iteri
     (fun i p ->
       sched_call t 0 (fun () ->

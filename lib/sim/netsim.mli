@@ -59,12 +59,14 @@ val record_metrics : t -> Aring_obs.Metrics.t -> unit
     dispatched) and [netsim.events_pending_peak] (the most events queued
     at once).
 
-    [create] also points {!Aring_obs.Trace}'s clock at the simulated
-    clock, so trace events carry virtual-time timestamps. Switch, loss
-    and partition drops ({!Aring_obs.Flight.ev_drop}) and crashes
-    ({!Aring_obs.Flight.ev_crash}) are flight records, which reach the
-    installed trace sink as [Drop] and [Crash]; deliveries and view
-    installs are emitted as trace events whenever a sink is installed. *)
+    [create] also points {!Aring_obs.Flight}'s clock at the simulated
+    clock, so records carry virtual-time timestamps. Switch, loss and
+    partition drops ({!Aring_obs.Flight.ev_drop}) and crashes
+    ({!Aring_obs.Flight.ev_crash}) are flight records, and so is every
+    delivery and view install the interpreter hands a participant's
+    application ({!Aring_obs.Flight.ev_app_deliver},
+    {!Aring_obs.Flight.ev_view_install}, stamped with the CPU cursor at
+    which the application gets it). *)
 
 (** {2 Instrumentation hooks} *)
 

@@ -1,7 +1,7 @@
 open Aring_wire
 open Aring_ring
 module Event_heap = Aring_util.Event_heap
-module Trace = Aring_obs.Trace
+module Flight = Aring_obs.Flight
 module Metrics = Aring_obs.Metrics
 
 type peer = {
@@ -141,15 +141,21 @@ let disarm t timer =
 let rec interpret t = function
   | [] -> ()
   | action :: rest ->
-      if Trace.enabled () then
-        Participant.trace_action ~t_ns:(Trace.now ()) ~node:t.me action;
       (match action with
       | Participant.Unicast (pid, msg) -> send_to t (route_of_message msg) pid msg
       | Participant.Multicast msg ->
           let kind = route_of_message msg in
           List.iter (fun (pid, _, _) -> send_to t kind pid msg) t.peers
-      | Participant.Deliver d -> t.on_deliver d
-      | Participant.Deliver_config v -> t.on_view v
+      | Participant.Deliver d ->
+          Flight.record_wide ~node:t.me ~code:Flight.ev_app_deliver ~a:d.seq
+            ~b:d.pid ~c:(Message.service_tag d.service) ~d:0
+            ~e:(Flight.pack_ring d.d_ring) ~f:0 ~g:0 ~h:0 ~i:0;
+          t.on_deliver d
+      | Participant.Deliver_config v ->
+          Flight.record_wide ~node:t.me ~code:Flight.ev_view_install
+            ~a:(Bool.to_int v.transitional) ~b:(List.length v.members) ~c:0
+            ~d:0 ~e:(Flight.pack_ring v.view_id) ~f:0 ~g:0 ~h:0 ~i:0;
+          t.on_view v
       | Participant.Arm_timer (timer, delay_ns) -> arm t timer delay_ns
       | Participant.Disarm_timer timer -> disarm t timer);
       interpret t rest
@@ -183,8 +189,8 @@ let drain_socket t sock =
   done
 
 let run t ~duration_s =
-  (* Real deployments trace in wall-clock nanoseconds. *)
-  Trace.set_clock now_ns;
+  (* Real deployments stamp records in wall-clock nanoseconds. *)
+  Flight.set_clock now_ns;
   if not t.started then begin
     t.started <- true;
     interpret t (t.participant.start ())

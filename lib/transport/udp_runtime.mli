@@ -53,6 +53,7 @@ val decode_errors : t -> int
 
 val record_metrics : t -> Aring_obs.Metrics.t -> unit
 (** Export the socket counters into a metrics registry under ["udp.*"]
-    names. [run] points {!Aring_obs.Trace}'s clock at the wall clock, and
-    deliveries / view installs are emitted as trace events whenever a
-    sink is installed. *)
+    names. [run] points {!Aring_obs.Flight}'s clock at the wall clock,
+    and every delivery and view install handed to the application is a
+    flight record ({!Aring_obs.Flight.ev_app_deliver},
+    {!Aring_obs.Flight.ev_view_install}). *)

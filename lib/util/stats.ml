@@ -69,7 +69,17 @@ let percentile t p =
   else begin
     ensure_sorted t;
     let p = Float.max 0.0 (Float.min 100.0 p) in
-    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int t.size)) in
+    (* Nearest rank: ceil (p/100 * n). A decimal p such as 99.9 is no
+       binary fraction, so the product can land a rounding error above a
+       whole rank (999.0000000000001 at n = 1000), and ceil would take
+       the next slot: a product within rounding of an integer is it. *)
+    let x = p /. 100.0 *. float_of_int t.size in
+    let whole = Float.round x in
+    let rank =
+      int_of_float
+        (if Float.abs (x -. whole) <= 1e-9 *. Float.max 1.0 whole then whole
+         else ceil x)
+    in
     let idx = max 0 (min (t.size - 1) (rank - 1)) in
     t.samples.(idx)
   end

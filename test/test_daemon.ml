@@ -309,6 +309,59 @@ let test_multi_group_delivered_once () =
         (List.rev_map (fun (_, _, p) -> p) cl.inbox))
     [ ("both", both); ("g1only", g1only) ]
 
+(* A daemon hands one engine delivery to each local recipient: the
+   boundary record (ev_app_deliver) appears once per session, while the
+   span collector and the watchdog, which read the engine's ev_deliver,
+   count the delivery once per node. *)
+let test_local_copies_count_once () =
+  let module Flight = Aring_obs.Flight in
+  let module Span = Aring_obs.Span in
+  let module Health = Aring_obs.Health in
+  let c = make_dcluster () in
+  let x = fresh_client () and y = fresh_client () in
+  let sx = Daemon.connect c.daemons.(0) ~name:"x" (callbacks_of x) in
+  let sy = Daemon.connect c.daemons.(0) ~name:"y" (callbacks_of y) in
+  let ss = Daemon.connect c.daemons.(1) ~name:"s" (callbacks_of (fresh_client ())) in
+  Daemon.join c.daemons.(0) sx "chat";
+  Daemon.join c.daemons.(0) sy "chat";
+  Netsim.run_until c.sim (ms 20);
+  let records = ref [] in
+  let span = Span.create () and health = Health.create ~n:3 () in
+  Aring_obs.Trace.with_sink
+    (Aring_obs.Trace.fn_sink (fun ev -> records := ev :: !records))
+    (fun () ->
+      Span.with_span span (fun () ->
+          Health.with_health health (fun () ->
+              Daemon.multicast c.daemons.(1) ss ~groups:[ "chat" ]
+                (Bytes.of_string "once");
+              Netsim.run_until c.sim (ms 40))));
+  check Alcotest.int "x got it" 1 (List.length x.inbox);
+  check Alcotest.int "y got it" 1 (List.length y.inbox);
+  let count code node =
+    List.length
+      (List.filter
+         (fun (ev : Flight.event) -> ev.code = code && ev.node = node)
+         !records)
+  in
+  check Alcotest.int "one engine delivery at node 0" 1 (count Flight.ev_deliver 0);
+  check Alcotest.int "two boundary deliveries at node 0" 2
+    (count Flight.ev_app_deliver 0);
+  let engine_deliveries =
+    List.fold_left (fun acc node -> acc + count Flight.ev_deliver node) 0 [ 0; 1; 2 ]
+  in
+  check Alcotest.int "one engine delivery per node" 3 engine_deliveries;
+  check Alcotest.int "watchdog counts engine deliveries" engine_deliveries
+    (Health.report health ~now:(ms 40)).Health.r_deliveries;
+  match
+    List.find_opt
+      (fun (r : Span.stage_report) -> r.Span.stage = Span.stage_deliver)
+      (Span.report span)
+  with
+  | Some r ->
+      check Alcotest.int "deliver stage counts engine deliveries" engine_deliveries
+        r.Span.count
+  | None -> Alcotest.fail "no deliver stage"
+
 let test_group_views_consistent () =
   let c = make_dcluster () in
   let a = fresh_client () and b = fresh_client () in
@@ -1808,6 +1861,8 @@ let suite =
     qtest prop_groups_invariants;
     ("group multicast members only", `Quick, test_group_multicast_members_only);
     ("multi-group delivered once", `Quick, test_multi_group_delivered_once);
+    ( "local copies of one delivery count once in spans and the watchdog",
+      `Quick, test_local_copies_count_once );
     ("group views consistent", `Quick, test_group_views_consistent);
     ("total order across daemons", `Quick, test_total_order_across_daemons);
     ("daemon crash prunes groups", `Quick, test_daemon_crash_prunes_groups);

@@ -184,7 +184,7 @@ let test_token_loss_fires () =
      no token came since. The engine records the loss and outputs
      nothing; what the loss means is the caller's. *)
   let losses = ref 0 in
-  let count ~node:_ ~code ~a:_ ~b:_ ~c:_ ~d:_ =
+  let count ~ns:_ ~node:_ ~code ~a:_ ~b:_ ~c:_ ~d:_ ~e:_ ~f:_ ~g:_ ~h:_ ~i:_ =
     if code = Aring_obs.Flight.ev_token_lost then incr losses
   in
   Aring_obs.Flight.subscribe count;
@@ -1198,16 +1198,16 @@ let run_sink_steps steps =
 let test_submit_stamp_survives_queue () =
   let stamp = 1_760_000_000_000_000_000 in
   let stamps = ref [] in
-  let sub ~node:_ ~code ~a:_ ~b:_ ~c:_ ~d =
+  let sub ~ns:_ ~node:_ ~code ~a:_ ~b:_ ~c:_ ~d ~e:_ ~f:_ ~g:_ ~h:_ ~i:_ =
     if code = Aring_obs.Flight.ev_data_send then stamps := d :: !stamps
   in
   let eng = Engine.create ~params:(Params.accelerated ()) ~ring_id:rid ~ring:[| 0; 1 |] ~me:0 in
-  Aring_obs.Trace.set_clock (fun () -> stamp);
+  Aring_obs.Flight.set_clock (fun () -> stamp);
   Aring_obs.Flight.subscribe sub;
   Fun.protect
     ~finally:(fun () ->
       Aring_obs.Flight.unsubscribe sub;
-      Aring_obs.Trace.set_clock (fun () -> 0))
+      Aring_obs.Flight.set_clock (fun () -> 0))
     (fun () ->
       Aring_obs.Span.with_span (Aring_obs.Span.create ()) (fun () ->
           Engine.submit eng Types.Safe (payload 1));

@@ -866,7 +866,7 @@ let test_lost_flood_recovered_without_regather () =
   let records = Aring_obs.Flight.records () in
   let count code =
     List.length
-      (List.filter (fun r -> r.Aring_obs.Flight.r_code = code) records)
+      (List.filter (fun r -> r.Aring_obs.Flight.code = code) records)
   in
   check Alcotest.bool "a cumulative nack was sent" true
     (count Aring_obs.Flight.ev_nack > 0);
@@ -946,14 +946,14 @@ let test_paced_bursts_respect_budget () =
     [ 0; 2; 3 ];
   let bursts =
     List.filter
-      (fun r -> r.Aring_obs.Flight.r_code = Aring_obs.Flight.ev_burst)
+      (fun r -> r.Aring_obs.Flight.code = Aring_obs.Flight.ev_burst)
       (Aring_obs.Flight.records ())
   in
   check Alcotest.bool "exchange used paced bursts" true (bursts <> []);
   List.iter
-    (fun (r : Aring_obs.Flight.record_view) ->
-      if r.r_a > test_params.Params.recovery_burst_msgs then
-        Alcotest.failf "node %d burst %d messages (budget %d)" r.r_node r.r_a
+    (fun (r : Aring_obs.Flight.event) ->
+      if r.a > test_params.Params.recovery_burst_msgs then
+        Alcotest.failf "node %d burst %d messages (budget %d)" r.node r.a
           test_params.Params.recovery_burst_msgs)
     bursts;
   Aring_obs.Flight.set_capacity 512
@@ -1009,8 +1009,8 @@ let residual_scenario () =
   let resends () =
     List.length
       (List.filter
-         (fun (r : Aring_obs.Flight.record_view) ->
-           r.r_code = Aring_obs.Flight.ev_resend && r.r_node = 0 && r.r_a > 0)
+         (fun (r : Aring_obs.Flight.event) ->
+           r.code = Aring_obs.Flight.ev_resend && r.node = 0 && r.a > 0)
          (Aring_obs.Flight.records ()))
   in
   (c, m, nack, resends)

@@ -1,14 +1,14 @@
 (* Observability stack tests: metrics registry, histograms and merging,
-   trace sinks, JSONL round-trip, the Chrome exporter against a golden
-   file, the rotation profiler, and the trace-driven invariant checker —
-   unit-tested on synthetic traces and integration-tested on clean,
-   lossy and crashing simulated clusters. *)
+   trace sinks on the Flight record stream, the JSONL round-trip, the
+   Chrome exporter against a golden file, the rotation profiler, and the
+   trace-driven invariant checker — unit-tested on synthetic records and
+   integration-tested on clean, lossy and crashing simulated clusters. *)
 
 open Aring_wire
 open Aring_ring
 open Aring_sim
 module Trace = Aring_obs.Trace
-module Trace_json = Aring_obs.Trace_json
+module Flight = Aring_obs.Flight
 module Chrome_trace = Aring_obs.Chrome_trace
 module Metrics = Aring_obs.Metrics
 module Checker = Aring_obs.Checker
@@ -17,7 +17,10 @@ module Rotation = Aring_obs.Rotation
 let check = Alcotest.check
 let ms n = n * 1_000_000
 let rid : Types.ring_id = { rep = 0; ring_seq = 1 }
-let ev t_ns node kind : Trace.event = { t_ns; node; kind }
+
+let ev ?(a = 0) ?(b = 0) ?(c = 0) ?(d = 0) ?(e = 0) ?(f = 0) ?(g = 0) ?(h = 0)
+    ?(i = 0) ns node code : Flight.event =
+  { ns; node; code; a; b; c; d; e; f; g; h; i }
 
 let contains text needle =
   let nl = String.length needle and tl = String.length text in
@@ -106,30 +109,19 @@ let test_registry_merge () =
 (* Trace sinks                                                           *)
 
 let test_sinks () =
-  check Alcotest.bool "disabled by default" false (Trace.enabled ());
-  let mem = Trace.memory () in
-  Trace.with_sink (Trace.memory_sink mem) (fun () ->
-      check Alcotest.bool "enabled under with_sink" true (Trace.enabled ());
-      Trace.emit_at ~t_ns:1 ~node:0 Trace.Token_lost;
-      Trace.emit_at ~t_ns:2 ~node:1 Trace.Crash);
-  check Alcotest.bool "restored" false (Trace.enabled ());
-  check Alcotest.int "memory collected" 2 (Trace.memory_count mem)
-
-(* dune runtest runs in the sandboxed test dir; dune exec from the root. *)
-let golden path =
-  let p = Filename.concat "golden" path in
-  if Sys.file_exists p then p else Filename.concat "test/golden" path
-
-let test_jsonl_roundtrip () =
-  let events = Trace_json.read_file (golden "events.jsonl") in
-  check Alcotest.int "golden event count" 16 (List.length events);
-  List.iter
-    (fun e ->
-      let e' = Trace_json.of_line (Trace_json.to_line e) in
-      check Alcotest.bool
-        (Printf.sprintf "round-trip %s" (Trace.kind_name e.Trace.kind))
-        true (e = e'))
-    events
+  let got = ref [] in
+  let sink = Trace.fn_sink (fun ev -> got := ev :: !got) in
+  let t0 = Flight.now () in
+  Trace.with_sink sink (fun () ->
+      Flight.record ~node:0 ~code:Flight.ev_token_lost ~a:4 ~b:0 ~c:0 ~d:0;
+      Flight.record_at ~ns:7 ~node:1 ~code:Flight.ev_crash ~a:0 ~b:0 ~c:0 ~d:0
+        ~e:0 ~f:0 ~g:0 ~h:0 ~i:0);
+  Flight.record ~node:0 ~code:Flight.ev_crash ~a:0 ~b:0 ~c:0 ~d:0;
+  Flight.reset ();
+  check Alcotest.bool "the sink saw both records, and nothing after with_sink"
+    true
+    (List.rev !got
+    = [ ev t0 0 Flight.ev_token_lost ~a:4; ev 7 1 Flight.ev_crash ])
 
 let read_whole path =
   let ic = open_in_bin path in
@@ -137,8 +129,29 @@ let read_whole path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+
+(* dune runtest runs in the sandboxed test dir; dune exec from the root. *)
+let golden path =
+  let p = Filename.concat "golden" path in
+  if Sys.file_exists p then p else Filename.concat "test/golden" path
+
+let test_jsonl_roundtrip () =
+  let events = Flight.read_file (golden "events.jsonl") in
+  check Alcotest.int "golden event count" 16 (List.length events);
+  let lines =
+    String.split_on_char '\n' (String.trim (read_whole (golden "events.jsonl")))
+  in
+  List.iter2
+    (fun e line ->
+      check Alcotest.string "written as the golden line" line (Flight.to_line e);
+      check Alcotest.bool
+        (Printf.sprintf "round-trip %s" (Flight.code_name e.Flight.code))
+        true
+        (Flight.of_line (Flight.to_line e) = e))
+    events lines
+
 let test_chrome_golden () =
-  let events = Trace_json.read_file (golden "events.jsonl") in
+  let events = Flight.read_file (golden "events.jsonl") in
   let expected = String.trim (read_whole (golden "chrome_trace.json")) in
   check Alcotest.string "chrome exporter output" expected
     (Chrome_trace.to_string events)
@@ -146,20 +159,17 @@ let test_chrome_golden () =
 (* -------------------------------------------------------------------- *)
 (* Invariant checker on synthetic traces                                 *)
 
-let token_recv ?(ring = rid) ~id ~aru () =
-  Trace.Token_recv
-    {
-      ring;
-      token_id = id;
-      round = 1;
-      seq = aru;
-      aru;
-      local_aru = aru;
-      safe_line = 0;
-    }
+let token_recv ?(ring = rid) ~id ~aru ns node =
+  ev ns node Flight.ev_token_recv ~a:id ~b:aru ~c:aru ~d:aru
+    ~e:(Flight.pack_ring ring) ~f:1
 
-let deliver ?(ring = rid) ~seq ~sender () =
-  Trace.Deliver { ring; seq; sender; service = "agreed" }
+let deliver ?(ring = rid) ~seq ~sender ns node =
+  ev ns node Flight.ev_app_deliver ~a:seq ~b:sender
+    ~c:(Message.service_tag Types.Agreed) ~e:(Flight.pack_ring ring)
+
+let view ~transitional ring ns node =
+  ev ns node Flight.ev_view_install ~a:(Bool.to_int transitional) ~b:1
+    ~e:(Flight.pack_ring ring)
 
 let violations evs = List.length (Checker.check_events evs)
 
@@ -167,54 +177,51 @@ let test_checker_clean () =
   check Alcotest.int "clean trace" 0
     (violations
        [
-         ev 1 0 (token_recv ~id:0 ~aru:0 ());
-         ev 2 1 (token_recv ~id:1 ~aru:1 ());
-         ev 3 0 (deliver ~seq:1 ~sender:0 ());
-         ev 4 0 (deliver ~seq:2 ~sender:1 ());
-         ev 5 1 (deliver ~seq:1 ~sender:0 ());
-         ev 6 1 (deliver ~seq:2 ~sender:1 ());
+         token_recv ~id:0 ~aru:0 1 0;
+         token_recv ~id:1 ~aru:1 2 1;
+         deliver ~seq:1 ~sender:0 3 0;
+         deliver ~seq:2 ~sender:1 4 0;
+         deliver ~seq:1 ~sender:0 5 1;
+         deliver ~seq:2 ~sender:1 6 1;
        ])
 
 let test_checker_two_holders () =
   check Alcotest.int "duplicate token holder flagged" 1
     (violations
        [
-         ev 1 0 (token_recv ~id:7 ~aru:0 ());
-         ev 2 3 (token_recv ~id:7 ~aru:0 ());
+         token_recv ~id:7 ~aru:0 1 0;
+         token_recv ~id:7 ~aru:0 2 3;
        ])
 
 let test_checker_order_mismatch () =
   check Alcotest.int "diverging sender flagged" 1
     (violations
        [
-         ev 1 0 (deliver ~seq:1 ~sender:0 ());
-         ev 2 1 (deliver ~seq:1 ~sender:5 ());
+         deliver ~seq:1 ~sender:0 1 0;
+         deliver ~seq:1 ~sender:5 2 1;
        ])
 
 let test_checker_gap () =
   (* A skip while operational is a violation... *)
   check Alcotest.int "gap flagged" 1
-    (violations [ ev 1 0 (deliver ~seq:1 ~sender:0 ()); ev 2 0 (deliver ~seq:3 ~sender:0 ()) ]);
+    (violations [ deliver ~seq:1 ~sender:0 1 0; deliver ~seq:3 ~sender:0 2 0 ]);
   (* ...but legal inside a transitional->regular recovery window. *)
   check Alcotest.int "gap allowed during recovery" 0
     (violations
        [
-         ev 1 0 (deliver ~seq:1 ~sender:0 ());
-         ev 2 0
-           (Trace.View_install { ring = rid; members = [ 0 ]; transitional = true });
-         ev 3 0 (deliver ~seq:3 ~sender:0 ());
-         ev 4 0
-           (Trace.View_install
-              { ring = { rep = 0; ring_seq = 2 }; members = [ 0 ]; transitional = false });
+         deliver ~seq:1 ~sender:0 1 0;
+         view ~transitional:true rid 2 0;
+         deliver ~seq:3 ~sender:0 3 0;
+         view ~transitional:false { rep = 0; ring_seq = 2 } 4 0;
        ]);
   (* Repeated delivery is never legal. *)
   check Alcotest.int "regressing delivery flagged" 1
-    (violations [ ev 1 0 (deliver ~seq:1 ~sender:0 ()); ev 2 0 (deliver ~seq:1 ~sender:0 ()) ])
+    (violations [ deliver ~seq:1 ~sender:0 1 0; deliver ~seq:1 ~sender:0 2 0 ])
 
 let test_checker_aru_monotonic () =
   check Alcotest.int "aru regression flagged" 1
     (violations
-       [ ev 1 0 (token_recv ~id:0 ~aru:5 ()); ev 2 0 (token_recv ~id:2 ~aru:3 ()) ])
+       [ token_recv ~id:0 ~aru:5 1 0; token_recv ~id:2 ~aru:3 2 0 ])
 
 (* -------------------------------------------------------------------- *)
 (* Integration: checker + profiler attached to simulated clusters        *)
@@ -507,31 +514,32 @@ let test_observe_allocation () =
 
 module Json = Aring_obs.Json
 
-(* Strings that ride inside trace events (service names, drop reasons,
-   membership phases, transfer phases) must be escaped into valid JSON no
-   matter what bytes they hold. *)
-let test_chrome_escaping () =
-  let hostile = "ag\"re\\ed\n\t\r\x01end" in
+(* Ring ids at the bounds of Flight.pack_ring. *)
+let ring_hi : Types.ring_id = { rep = (1 lsl 30) - 1; ring_seq = (1 lsl 31) - 1 }
+let ring_lo : Types.ring_id = { rep = -(1 lsl 30); ring_seq = -(1 lsl 31) }
+
+(* Every code, and codes no layout knows, with extreme arguments (enum
+   values out of range, the ring bounds) render as valid JSON. *)
+let test_chrome_every_code_parses () =
   let events =
-    [
-      ev 1_000 0 (deliver ~seq:1 ~sender:0 ());
-      ev 2_000 0 (Trace.Deliver { ring = rid; seq = 2; sender = 1; service = hostile });
-      ev 3_000 1 (Trace.Drop { reason = hostile; size = 10 });
-      ev 4_000 1 (Trace.Phase { phase = hostile });
-      ev 5_000 2
-        (Trace.App_xfer
-           { view = rid; donor = 1; phase = hostile; applied = 0; entries = 0 });
-    ]
+    List.concat_map
+      (fun code ->
+        [
+          ev (code * 1_000) 0 code ~a:max_int ~b:(-1) ~c:min_int ~d:7
+            ~e:(Flight.pack_ring ring_hi) ~f:max_int ~h:(-5);
+          ev ((code * 1_000) + 1) 1 code ~a:(-1) ~b:max_int ~c:99
+            ~e:(Flight.pack_ring ring_lo);
+        ])
+      (List.init 27 Fun.id)
   in
   let s = Chrome_trace.to_string events in
-  (* Must parse back as JSON — unescaped quotes/newlines would break it. *)
   match Json.of_string s with
   | exception Json.Parse_error e ->
-      Alcotest.failf "chrome output with hostile strings unparseable: %s" e
+      Alcotest.failf "chrome output unparseable: %s" e
   | j -> (
       match Json.member "traceEvents" j with
       | Some (Json.List l) ->
-          Alcotest.(check bool) "events survived" true (List.length l >= 5)
+          Alcotest.(check bool) "events survived" true (List.length l >= 20)
       | _ -> Alcotest.fail "no traceEvents list")
 
 let prop_json_string_roundtrip =
@@ -545,12 +553,10 @@ let prop_json_string_roundtrip =
 (* -------------------------------------------------------------------- *)
 (* Flight recorder                                                       *)
 
-module Flight = Aring_obs.Flight
-
 let with_virtual_clock f =
   let t = ref 0 in
-  Trace.set_clock (fun () -> !t);
-  Fun.protect ~finally:(fun () -> Trace.set_clock (fun () -> 0)) (fun () -> f t)
+  Flight.set_clock (fun () -> !t);
+  Fun.protect ~finally:(fun () -> Flight.set_clock (fun () -> 0)) (fun () -> f t)
 
 let test_flight_wrap_and_dump () =
   with_virtual_clock (fun t ->
@@ -571,32 +577,18 @@ let test_flight_wrap_and_dump () =
             Alcotest.(list int)
             "newest records survive the wrap, time-ordered"
             [ 700; 800; 900; 1000; 1050 ]
-            (List.map (fun r -> r.Flight.r_ns) rs);
+            (List.map (fun (r : Flight.event) -> r.ns) rs);
           check
             Alcotest.(list int)
             "argument a preserved" [ 7; 8; 9; 10; 1 ]
-            (List.map (fun r -> r.Flight.r_a) rs);
-          (* The JSONL dump parses line by line. *)
+            (List.map (fun (r : Flight.event) -> r.a) rs);
+          (* The JSONL dump reads back as the records. *)
           let path = Filename.temp_file "flight" ".jsonl" in
           Flight.dump_jsonl_file path;
-          let lines = ref [] in
-          let ic = open_in path in
-          (try
-             while true do
-               lines := input_line ic :: !lines
-             done
-           with End_of_file -> close_in ic);
+          let back = Flight.read_file path in
           Sys.remove path;
-          check Alcotest.int "one line per stored record" 5
-            (List.length !lines);
-          List.iter
-            (fun line ->
-              match Json.of_string line with
-              | Json.Obj _ -> ()
-              | _ -> Alcotest.failf "bad dump line: %s" line
-              | exception Json.Parse_error e ->
-                  Alcotest.failf "unparseable dump line %s: %s" line e)
-            !lines;
+          check Alcotest.bool "the dump reads back as the stored records" true
+            (back = rs);
           (* Disabled recording is a no-op. *)
           Flight.set_enabled false;
           Flight.record ~node:0 ~code:Flight.ev_deliver ~a:99 ~b:0 ~c:0 ~d:0;
@@ -846,138 +838,53 @@ let test_watchdog_feed_allocates_nothing () =
         (int_of_float words));
   Flight.reset ()
 
-(* Token retransmit, token lost, phase, crash, token receipt and send,
-   data send, packet drop and state-transfer step reach
-   the trace sink from Flight.record alone, decoded from the record's
-   arguments, and each decoded event survives a JSONL round trip. *)
-let traced_codes =
-  [
-    Flight.ev_token_retransmit; Flight.ev_token_lost; Flight.ev_phase;
-    Flight.ev_crash; Flight.ev_token_recv; Flight.ev_token_send;
-    Flight.ev_data_send; Flight.ev_drop; Flight.ev_xfer;
-  ]
-
-(* Ring ids at the bounds of Flight.pack_ring. *)
-let ring_hi : Types.ring_id = { rep = (1 lsl 30) - 1; ring_seq = (1 lsl 31) - 1 }
-let ring_lo : Types.ring_id = { rep = -(1 lsl 30); ring_seq = -(1 lsl 31) }
-
+(* Every code reaches a trace sink as one event holding all nine
+   arguments, whether or not ring writes are on, and that event reads
+   back exactly from its JSONL line: a ring argument at the pack bounds
+   or any int, arguments inside and outside the code's layout alike. *)
 let test_flight_decodes_traced_steps () =
+  let prng = Random.State.make [| 41 |] in
+  let any () =
+    (Random.State.bits prng lsl 33) lxor (Random.State.bits prng lsl 3)
+    lxor Random.State.bits prng
+  in
   with_virtual_clock (fun t ->
-      let trace_of ~node record =
-        let mem = Trace.memory () in
-        Trace.with_sink (Trace.memory_sink mem) (fun () -> record ~node);
-        Trace.memory_events mem
-      in
-      let narrow ~code ~a ~b ~node = Flight.record ~node ~code ~a ~b ~c:5 ~d:6 in
-      let wide ~code ~a ~b ~c ~d ~ring ~f ~g ~h ~i ~node =
-        Flight.record_wide ~node ~code ~a ~b ~c ~d ~e:(Flight.pack_ring ring) ~f
-          ~g ~h ~i
-      in
-      let expect name ~node record kind =
+      for code = 1 to Flight.ev_view_install do
         List.iter
-          (fun recording ->
+          (fun (recording, e) ->
+            t := !t + 100;
+            let a = any () and b = any () and c = any () and d = any () in
+            let f = any () and g = any () and h = any () and i = any () in
+            let got = ref [] in
             Flight.set_enabled recording;
             Fun.protect
               ~finally:(fun () -> Flight.set_enabled true)
               (fun () ->
-                t := !t + 100;
-                match trace_of ~node record with
-                | [ e ] ->
-                    check Alcotest.bool
-                      (Printf.sprintf "%s decoded (recording=%b)" name recording)
-                      true
-                      (e = { Trace.t_ns = !t; node; kind });
-                    check Alcotest.bool
-                      (Printf.sprintf "%s JSONL round-trip" name)
-                      true
-                      (Trace_json.of_line (Trace_json.to_line e) = e)
-                | evs ->
-                    Alcotest.failf "%s (recording=%b): %d trace events" name
-                      recording (List.length evs)))
-          [ true; false ]
-      in
-      expect "token_retransmit" ~node:2
-        (narrow ~code:Flight.ev_token_retransmit ~a:41 ~b:3)
-        (Trace.Token_retransmit { token_id = 41; attempt = 3 });
-      expect "token_lost" ~node:1 (narrow ~code:Flight.ev_token_lost ~a:7 ~b:0)
-        Trace.Token_lost;
-      List.iter
-        (fun (code, name) ->
-          expect ("phase " ^ name) ~node:3
-            (narrow ~code:Flight.ev_phase ~a:code ~b:9)
-            (Trace.Phase { phase = name }))
-        [
-          (Flight.phase_operational, "operational");
-          (Flight.phase_gather, "gather");
-          (Flight.phase_commit, "commit");
-          (Flight.phase_recover, "recover");
-        ];
-      expect "crash" ~node:0 (narrow ~code:Flight.ev_crash ~a:0 ~b:0) Trace.Crash;
-      expect "token_recv" ~node:4
-        (wide ~code:Flight.ev_token_recv ~a:11 ~b:12 ~c:13 ~d:14 ~ring:ring_hi
-           ~f:15 ~g:16 ~h:0 ~i:0)
-        (Trace.Token_recv
-           { ring = ring_hi; token_id = 11; round = 15; seq = 12; aru = 13;
-             local_aru = 14; safe_line = 16 });
-      expect "token_send" ~node:5
-        (wide ~code:Flight.ev_token_send ~a:21 ~b:22 ~c:23 ~d:24 ~ring:ring_lo
-           ~f:25 ~g:26 ~h:27 ~i:28)
-        (Trace.Token_send
-           { ring = ring_lo; token_id = 21; round = 25; seq = 22; aru = 23;
-             fcc = 27; rtr = 24; local_aru = 28; safe_line = 26 });
-      expect "data_send new" ~node:6
-        (wide ~code:Flight.ev_data_send ~a:31 ~b:1 ~c:0 ~d:999 ~ring:ring_hi
-           ~f:1_400 ~g:0 ~h:0 ~i:0)
-        (Trace.Data_send
-           { ring = ring_hi; seq = 31; size = 1_400; post_token = true;
-             retrans = false });
-      expect "data_send retransmission" ~node:7
-        (wide ~code:Flight.ev_data_send ~a:32 ~b:0 ~c:1 ~d:0 ~ring:ring_lo
-           ~f:90 ~g:0 ~h:0 ~i:0)
-        (Trace.Data_send
-           { ring = ring_lo; seq = 32; size = 90; post_token = false;
-             retrans = true });
-      List.iter
-        (fun (code, reason) ->
-          expect ("drop " ^ reason) ~node:8
-            (narrow ~code:Flight.ev_drop ~a:code ~b:1_472)
-            (Trace.Drop { reason; size = 1_472 }))
-        [
-          (Flight.drop_partition, "partition");
-          (Flight.drop_random, "random");
-          (Flight.drop_switch, "switch");
-        ];
-      List.iteri
-        (fun k (code, phase) ->
-          let view = if k mod 2 = 0 then ring_hi else ring_lo in
-          expect ("app_xfer " ^ phase) ~node:10
-            (wide ~code:Flight.ev_xfer ~a:(3 + k) ~b:code ~c:(100 * k) ~d:k
-               ~ring:view ~f:0 ~g:0 ~h:0 ~i:0)
-            (Trace.App_xfer
-               { view; donor = 3 + k; phase; applied = 100 * k; entries = k }))
-        [
-          (Flight.xfer_hello, "hello");
-          (Flight.xfer_elect, "elect");
-          (Flight.xfer_snapshot, "snapshot");
-          (Flight.xfer_install, "install");
-          (Flight.xfer_abort, "abort");
-          (Flight.xfer_reset, "reset");
-        ];
-      for code = 0 to 24 do
-        if not (List.mem code traced_codes) then
-          check Alcotest.int
-            (Printf.sprintf "code %d yields no trace event" code)
-            0
-            (List.length
-               (trace_of ~node:0
-                  (wide ~code ~a:1 ~b:1 ~c:1 ~d:1 ~ring:ring_hi ~f:1 ~g:1 ~h:1
-                     ~i:1)))
+                Trace.with_sink
+                  (Trace.fn_sink (fun ev -> got := ev :: !got))
+                  (fun () ->
+                    Flight.record_wide ~node:code ~code ~a ~b ~c ~d ~e ~f ~g ~h ~i));
+            let name = Flight.code_name code in
+            let want = ev !t code code ~a ~b ~c ~d ~e ~f ~g ~h ~i in
+            check Alcotest.bool
+              (Printf.sprintf "%s reaches the sink whole (recording=%b)" name recording)
+              true (!got = [ want ]);
+            check Alcotest.bool
+              (Printf.sprintf "%s JSONL round trip" name)
+              true
+              (Flight.of_line (Flight.to_line want) = want))
+          [
+            (true, Flight.pack_ring ring_hi);
+            (false, Flight.pack_ring ring_lo);
+            (true, any ());
+          ]
       done);
-  (* With no sink installed, a traced code records as cheaply as any
-     other, through either entry point. *)
+  Flight.reset ();
+  (* With no subscriber, every code records without allocating, through
+     either entry point. *)
   let words_per_100k record =
     let record_all () =
-      for code = 1 to Flight.ev_xfer do
+      for code = 1 to Flight.ev_view_install do
         record ~code
       done
     in
@@ -990,15 +897,17 @@ let test_flight_decodes_traced_steps () =
     Flight.reset ();
     int_of_float words
   in
-  check Alcotest.int "words allocated by 100k records with no sink" 0
+  check Alcotest.int "words allocated by 5,000 records of every code" 0
     (words_per_100k (fun ~code -> Flight.record ~node:0 ~code ~a:1 ~b:1 ~c:0 ~d:0));
-  check Alcotest.int "words allocated by 100k wide records with no sink" 0
+  check Alcotest.int "words allocated by 5,000 wide records of every code" 0
     (words_per_100k (fun ~code ->
          Flight.record_wide ~node:0 ~code ~a:1 ~b:1 ~c:0 ~d:0 ~e:1 ~f:1 ~g:1
            ~h:1 ~i:1))
 
-(* Over a faulty run, the trace sink sees exactly the traced steps a
-   Flight subscriber sees, node by node. *)
+(* Over a faulty run, a trace sink sees exactly the records a plain
+   Flight subscriber sees, node by node and code by code, and the
+   interpreter's boundary codes match the simulator's own delivery and
+   view callbacks. *)
 let test_traced_steps_match_flight () =
   let n = 4 in
   let params =
@@ -1014,29 +923,15 @@ let test_traced_steps_match_flight () =
   let members =
     Array.init n (fun me -> Member.create ~params ~me ~initial_ring ())
   in
-  let slots = Array.of_list traced_codes in
-  let from_flight = Array.make_matrix n (Array.length slots) 0 in
-  let from_trace = Array.make_matrix n (Array.length slots) 0 in
-  let bump counts node i = counts.(node).(i) <- counts.(node).(i) + 1 in
-  let subscriber ~node ~code ~a:_ ~b:_ ~c:_ ~d:_ =
-    Array.iteri (fun i c -> if c = code then bump from_flight node i) slots
+  let codes = Flight.ev_view_install + 1 in
+  let from_flight = Array.make_matrix n codes 0 in
+  let from_trace = Array.make_matrix n codes 0 in
+  let callbacks = Array.make_matrix n codes 0 in
+  let bump counts node code = counts.(node).(code) <- counts.(node).(code) + 1 in
+  let subscriber ~ns:_ ~node ~code ~a:_ ~b:_ ~c:_ ~d:_ ~e:_ ~f:_ ~g:_ ~h:_ ~i:_ =
+    bump from_flight node code
   in
-  let slot_of_kind : Trace.kind -> int option = function
-    | Token_retransmit _ -> Some 0
-    | Token_lost -> Some 1
-    | Phase _ -> Some 2
-    | Crash -> Some 3
-    | Token_recv _ -> Some 4
-    | Token_send _ -> Some 5
-    | Data_send _ -> Some 6
-    | Drop _ -> Some 7
-    | App_xfer _ -> Some 8
-    | _ -> None
-  in
-  let sink =
-    Trace.fn_sink (fun (e : Trace.event) ->
-        Option.iter (bump from_trace e.node) (slot_of_kind e.kind))
-  in
+  let sink = Trace.fn_sink (fun (e : Flight.event) -> bump from_trace e.node e.code) in
   Flight.subscribe subscriber;
   Fun.protect
     ~finally:(fun () -> Flight.unsubscribe subscriber)
@@ -1049,6 +944,10 @@ let test_traced_steps_match_flight () =
               ~participants:(Array.map Member.participant members)
               ~seed:17L ()
           in
+          Netsim.on_deliver sim (fun ~at ~now:_ _ ->
+              bump callbacks at Flight.ev_app_deliver);
+          Netsim.on_view sim (fun ~at ~now:_ _ ->
+              bump callbacks at Flight.ev_view_install);
           for node = 0 to n - 1 do
             let rec tick () =
               let now = Netsim.now sim in
@@ -1065,18 +964,25 @@ let test_traced_steps_match_flight () =
   for node = 0 to n - 1 do
     check
       Alcotest.(array int)
-      (Printf.sprintf
-         "node %d: retransmit/lost/phase/crash/recv/send/data/drop/control/xfer"
-         node)
-      from_flight.(node) from_trace.(node)
+      (Printf.sprintf "node %d: records per code, sink vs subscriber" node)
+      from_flight.(node) from_trace.(node);
+    List.iter
+      (fun code ->
+        check Alcotest.int
+          (Printf.sprintf "node %d: %s records vs callbacks" node
+             (Flight.code_name code))
+          callbacks.(node).(code) from_trace.(node).(code))
+      [ Flight.ev_app_deliver; Flight.ev_view_install ]
   done;
-  let total i = Array.fold_left (fun acc row -> acc + row.(i)) 0 from_trace in
-  List.iteri
-    (fun i name ->
-      check Alcotest.bool (name ^ " occurred") true (total i > 0))
+  let total code = Array.fold_left (fun acc row -> acc + row.(code)) 0 from_trace in
+  List.iter
+    (fun code ->
+      check Alcotest.bool (Flight.code_name code ^ " occurred") true (total code > 0))
     [
-      "token_retransmit"; "token_lost"; "phase"; "crash"; "token_recv";
-      "token_send"; "data_send"; "drop";
+      Flight.ev_token_retransmit; Flight.ev_token_lost; Flight.ev_phase;
+      Flight.ev_crash; Flight.ev_token_recv; Flight.ev_token_send;
+      Flight.ev_data_send; Flight.ev_drop; Flight.ev_deliver;
+      Flight.ev_app_deliver; Flight.ev_view_install;
     ]
 
 (* A packet drop is on record with no trace sink installed: a switch port
@@ -1088,7 +994,6 @@ let test_switch_drop_recorded_without_sink () =
     Array.init n (fun me ->
         Member.create ~params:(Params.accelerated ()) ~me ~initial_ring ())
   in
-  check Alcotest.bool "no trace sink" false (Trace.enabled ());
   Flight.reset ();
   let sim =
     Netsim.create
@@ -1102,7 +1007,7 @@ let test_switch_drop_recorded_without_sink () =
   Netsim.run_until sim (ms 20);
   let drops =
     List.filter
-      (fun (r : Flight.record_view) -> r.r_code = Flight.ev_drop)
+      (fun (r : Flight.event) -> r.code = Flight.ev_drop)
       (Flight.records ())
   in
   Flight.reset ();
@@ -1111,12 +1016,13 @@ let test_switch_drop_recorded_without_sink () =
   check Alcotest.int "one ev_drop record per switch drop"
     (Netsim.stats sim).switch_drops (List.length drops);
   List.iter
-    (fun (r : Flight.record_view) ->
-      check Alcotest.int "reason" Flight.drop_switch r.r_a;
-      check Alcotest.bool "an oversized packet" true (r.r_b > 600))
+    (fun (r : Flight.event) ->
+      check Alcotest.int "reason" Flight.drop_switch r.a;
+      check Alcotest.bool "an oversized packet" true (r.b > 600))
     drops
 
-(* A deleted kind is a parse error naming the line and the kind. *)
+(* A kind the trace no longer has is a parse error naming the line and
+   the kind; so is a known kind missing a field of its layout. *)
 let test_deleted_kind_rejected () =
   let path = Filename.temp_file "trace" ".jsonl" in
   Fun.protect
@@ -1124,16 +1030,55 @@ let test_deleted_kind_rejected () =
     (fun () ->
       let oc = open_out path in
       output_string oc
-        "{\"ts\":1,\"node\":0,\"ev\":\"token_lost\"}\n\
-         {\"ts\":2,\"node\":0,\"ev\":\"timer_arm\",\"timer\":\"token_loss\",\"delay_ns\":5}\n";
+        "{\"ns\":1,\"node\":0,\"ev\":\"token_lost\",\"round\":3}\n\
+         {\"ns\":2,\"node\":0,\"ev\":\"timer_arm\",\"timer\":\"token_loss\",\"delay_ns\":5}\n";
       close_out oc;
-      match Trace_json.read_file path with
+      (match Flight.of_line "{\"ns\":1,\"node\":0,\"ev\":\"drop\",\"size\":9}" with
+      | _ -> Alcotest.fail "a drop line without its reason parsed"
+      | exception Json.Parse_error msg ->
+          check Alcotest.bool ("names the field: " ^ msg) true
+            (contains msg "reason"));
+      match Flight.read_file path with
       | _ -> Alcotest.fail "a timer_arm line parsed"
       | exception Json.Parse_error msg ->
           check Alcotest.bool ("names the line: " ^ msg) true
             (contains msg "line 2");
           check Alcotest.bool ("names the kind: " ^ msg) true
             (contains msg "timer_arm"))
+
+(* The trace tool reads a flight dump: its summary counts every stored
+   record, with the drops broken down by reason. *)
+let test_trace_tool_reads_flight_dump () =
+  let exe =
+    let p = Filename.concat "../bin" "accelring_trace.exe" in
+    if Sys.file_exists p then p else Filename.concat "_build/default/bin" "accelring_trace.exe"
+  in
+  Flight.reset ();
+  with_virtual_clock (fun t ->
+      for code = 1 to Flight.ev_view_install do
+        t := code * 1_000;
+        Flight.record_wide ~node:(code mod 3) ~code ~a:Flight.drop_switch ~b:code ~c:1
+          ~d:2 ~e:(Flight.pack_ring rid) ~f:3 ~g:4 ~h:5 ~i:6
+      done);
+  let dump = Filename.temp_file "flight" ".jsonl" in
+  let out = Filename.temp_file "summary" ".txt" in
+  Fun.protect
+    ~finally:(fun () ->
+      Flight.reset ();
+      Sys.remove dump;
+      Sys.remove out)
+    (fun () ->
+      Flight.dump_jsonl_file dump;
+      check Alcotest.bool "the dump reads back as the records" true
+        (Flight.read_file dump = Flight.records ());
+      let status = Sys.command (Filename.quote_command exe ~stdout:out [ dump ]) in
+      let text = read_whole out in
+      check Alcotest.int ("exit status; output:\n" ^ text) 0 status;
+      List.iter
+        (fun line ->
+          check Alcotest.bool ("summary line: " ^ line) true (contains text line))
+        [ "24 events, 3 nodes"; "app_deliver"; "view_install"; "drops by reason:";
+          "  switch             1" ])
 
 (* The rotation histogram holds each sample exactly once: seven anchor
    rotations of distinct lengths re-observe into a histogram whose count
@@ -1145,7 +1090,7 @@ let test_rotation_histogram_holds_each_sample () =
   ignore
     (List.fold_left
        (fun (t_ns, id) len_us ->
-         Rotation.observe prof (ev t_ns 0 (token_recv ~id ~aru:id ()));
+         Trace.feed (Rotation.as_sink prof) (token_recv ~id ~aru:id t_ns 0);
          (t_ns + (len_us * 1_000), id + 1))
        (1_000, 1) (lengths_us @ [ 0 ]));
   let s = Rotation.summary prof in
@@ -1182,8 +1127,8 @@ let suite =
     Alcotest.test_case "metrics: hist merge saturates" `Quick
       test_hist_merge_saturates;
     QCheck_alcotest.to_alcotest prop_hist_merge_counts;
-    Alcotest.test_case "chrome exporter escapes hostile strings" `Quick
-      test_chrome_escaping;
+    Alcotest.test_case "chrome exporter output parses for every code" `Quick
+      test_chrome_every_code_parses;
     QCheck_alcotest.to_alcotest prop_json_string_roundtrip;
     Alcotest.test_case "flight recorder: wrap, dump, reset" `Quick
       test_flight_wrap_and_dump;
@@ -1213,6 +1158,8 @@ let suite =
       test_deleted_kind_rejected;
     Alcotest.test_case "flight: a switch drop is recorded with no trace sink"
       `Quick test_switch_drop_recorded_without_sink;
+    Alcotest.test_case "trace: the trace tool summarizes a flight dump" `Quick
+      test_trace_tool_reads_flight_dump;
     Alcotest.test_case "rotation: histogram holds each sample once" `Quick
       test_rotation_histogram_holds_each_sample;
   ]

@@ -135,7 +135,7 @@ let test_crash_triggers_token_loss () =
   let c = make_cluster ~n:4 () in
   (* A bare node's loss is its loss timer's flight record. *)
   let token_losses = ref 0 in
-  let count ~node:_ ~code ~a:_ ~b:_ ~c:_ ~d:_ =
+  let count ~ns:_ ~node:_ ~code ~a:_ ~b:_ ~c:_ ~d:_ ~e:_ ~f:_ ~g:_ ~h:_ ~i:_ =
     if code = Aring_obs.Flight.ev_token_lost then incr token_losses
   in
   Netsim.call_at c.sim ~at:(ms 10) (fun () -> Netsim.crash c.sim 2);

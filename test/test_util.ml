@@ -370,7 +370,22 @@ let test_stats_basic () =
   check (Alcotest.float 1e-9) "max" 5.0 (Stats.max_value s);
   check (Alcotest.float 1e-9) "median" 3.0 (Stats.median s);
   check (Alcotest.float 1e-9) "p100" 5.0 (Stats.percentile s 100.0);
-  check (Alcotest.float 1e-9) "p20" 1.0 (Stats.percentile s 20.0)
+  check (Alcotest.float 1e-9) "p20" 1.0 (Stats.percentile s 20.0);
+  (* Over the samples 1..n the nearest rank of p is p/100 * n itself
+     whenever that is whole, p99.9 included. *)
+  List.iter
+    (fun n ->
+      let s = Stats.create () in
+      for i = 1 to n do
+        Stats.add s (float_of_int i)
+      done;
+      List.iter
+        (fun (p, rank) ->
+          check (Alcotest.float 1e-9)
+            (Printf.sprintf "p%g of 1..%d" p n)
+            (float_of_int rank) (Stats.percentile s p))
+        [ (50.0, n / 2); (99.0, n * 99 / 100); (99.9, n * 999 / 1000) ])
+    [ 1_000; 2_000; 3_000; 10_000 ]
 
 let test_stats_stddev () =
   let s = Stats.create () in
