@@ -19,7 +19,6 @@ type observation =
   | Voted of {
       id : string;
       vote : bool;
-      rings : int list;
       parts : Op.mcas_part list;
     }
   | Decided of { id : string; commit : bool }
@@ -300,13 +299,7 @@ let start_mcas ?(wound = false) t op =
                 ~c:(if wound then 2 else 0)
                 ~d:(List.length parts);
               observe t
-                (Voted
-                   {
-                     id;
-                     vote;
-                     rings = List.map (fun q -> q.Op.mp_ring) parts;
-                     parts;
-                   }))
+                (Voted { id; vote; parts }))
       )
   | _ -> assert false
 

@@ -83,15 +83,14 @@ type observation =
   | Voted of {
       id : string;
       vote : bool;
-      rings : int list;
       parts : Op.mcas_part list;
     }
       (** An {!Op.Mcas} copy was delivered and this replica evaluated
           its ring's checks. On a true vote the op parks (later writes
           queue behind it) until an {!Op.Mdecide} is delivered; a false
           vote — failed checks, or a wait-die wound — already fixes the
-          global outcome, so nothing parks. [rings] lists every involved
-          ring; [parts] is the full op, so any observer can resubmit
+          global outcome, so nothing parks. [parts] is the full op
+          (its involved rings included), so any observer can resubmit
           copies a crashed submitter never sent (cooperative
           termination). *)
   | Decided of { id : string; commit : bool }

@@ -472,7 +472,7 @@ let run_cluster ~bug ~app ?extra_sink (s : Schedule.t) =
      any node, any ring, any time — must carry the same commit bit. *)
   let mcas_divergence () =
     List.find_map
-      (fun (id, _, _) ->
+      (fun id ->
         match Cluster.decisions_for cluster id with
         | [] -> None
         | (_, _, c0) :: rest ->

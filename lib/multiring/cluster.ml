@@ -20,13 +20,17 @@ module Flight = Aring_obs.Flight
    the merge, the skip generators and the coordinator. *)
 
 let skip_every_ns = 250_000
-let mcas_retry_ns = 8_000_000
+
+(* The termination loop's schedule: its first tick comes 8 ms after the
+   node first sees the op, each later one twice as long after the last,
+   at most 64 ms. *)
+let mcas_retry_first_ns = 8_000_000
+let mcas_retry_cap_ns = 64_000_000
 
 type mcas_reg = {
   rg_rings : int list;
-  rg_node : int;
-  mutable rg_parts : Op.mcas_part list;
-  rg_armed : bool array;  (* per physical node: termination helper live *)
+  rg_parts : Op.mcas_part list;
+  rg_armed : bool array;  (* per physical node: termination loop live *)
 }
 
 type t = {
@@ -80,9 +84,9 @@ let shard_of_key t key =
    involved ring whose local replica applies (see [resubmit]) as a
    sequenced Mdecide, so each replica resolves the park at one
    deterministic stream position. Idempotent (delivered duplicates dedup
-   on id), so it is safe to try on every vote and every snapshot
-   install; the termination ticks re-call it while undecided, covering
-   Mdecides lost to view changes and rings that were holding ops back. *)
+   on id), so it is safe to try on every vote; the termination ticks
+   re-call it while undecided, covering Mdecides lost to view changes,
+   rings that were holding ops back and votes a snapshot brought. *)
 let try_resolve t ~node id =
   match Hashtbl.find_opt t.registry id with
   | None -> ()
@@ -122,18 +126,6 @@ let try_resolve t ~node id =
                   if Kv.settled kv then Kv.submit_decide kv ~id ~commit)
             statuses)
 
-let register t ~node ~id ?(parts = []) rings =
-  match Hashtbl.find_opt t.registry id with
-  | Some reg -> if reg.rg_parts = [] then reg.rg_parts <- parts
-  | None ->
-      Hashtbl.replace t.registry id
-        {
-          rg_rings = rings;
-          rg_node = node;
-          rg_parts = parts;
-          rg_armed = Array.make t.nodes false;
-        }
-
 let mcas_decided_at t ~node id =
   match Hashtbl.find_opt t.registry id with
   | None -> false
@@ -150,40 +142,56 @@ let mcas_decided_at t ~node id =
    into its ring meanwhile only adds to the traffic its election waits
    behind: retries and decides go to rings whose local replica applies,
    and the next tick covers the rest. *)
-let resubmit t ~node ~id ~parts rings =
+let resubmit t ~node ~id reg =
   List.iter
     (fun r ->
       let kv = kv t ~ring:r ~node in
-      if Kv.settled kv then Kv.submit_mcas kv ~id ~parts)
-    rings
+      if Kv.settled kv then Kv.submit_mcas kv ~id ~parts:reg.rg_parts)
+    reg.rg_rings
 
-(* Cooperative termination: a submitter that crashes after sending only
-   some of an mcas's per-ring copies would otherwise leave the rings
-   that *did* deliver one parked forever. Every node that observes a
-   vote keeps a slow helper loop: while the op is undecided at this
-   node, resubmit the full copy set from here (dedup on [id] makes the
-   duplicates harmless). Any surviving voter completes the commit. *)
-let arm_termination t ~node id =
-  match Hashtbl.find_opt t.registry id with
-  | None -> ()
-  | Some reg ->
-      if not reg.rg_armed.(node) then begin
-        reg.rg_armed.(node) <- true;
-        let period = 3 * mcas_retry_ns in
-        let rec tick () =
-          if t.alive_phys.(node) && not (mcas_decided_at t ~node id) then begin
-            if reg.rg_parts <> [] then begin
-              t.mcas_retries <- t.mcas_retries + 1;
-              resubmit t ~node ~id ~parts:reg.rg_parts reg.rg_rings
-            end;
-            (* An Mdecide lost to a view change or minority rejection is
-               never re-multicast by anyone else — recompute and resend. *)
-            try_resolve t ~node id;
-            Netsim.call_at t.sim ~at:(Netsim.now t.sim + period) tick
-          end
+(* Cooperative termination: one loop per (node, id), armed by the first
+   event that shows [node] the op — its own submit, a vote, or an
+   install that restores a park — which also registers the op. Copies
+   lost to a minority component or a view change, and an Mdecide lost
+   the same way, are never re-multicast by anyone else; a submitter
+   that crashes after sending only some of the per-ring copies would
+   leave the rings that did deliver one parked forever. So while the op
+   is undecided at this node, each tick resubmits the full copy set from
+   here (dedup on [id] makes the duplicates harmless) and recomputes
+   the outcome; any surviving voter completes the commit. The loop ends
+   once the node sees the op decided, so a later install that parks it
+   again arms a new one. *)
+let arm_termination t ~node ~id parts =
+  let reg =
+    match Hashtbl.find_opt t.registry id with
+    | Some reg -> reg
+    | None ->
+        let reg =
+          {
+            rg_rings = List.map (fun p -> p.Op.mp_ring) parts;
+            rg_parts = parts;
+            rg_armed = Array.make t.nodes false;
+          }
         in
-        Netsim.call_at t.sim ~at:(Netsim.now t.sim + period) tick
+        Hashtbl.replace t.registry id reg;
+        reg
+  in
+  if not reg.rg_armed.(node) then begin
+    reg.rg_armed.(node) <- true;
+    let rec tick delay () =
+      if t.alive_phys.(node) && not (mcas_decided_at t ~node id) then begin
+        t.mcas_retries <- t.mcas_retries + 1;
+        resubmit t ~node ~id reg;
+        try_resolve t ~node id;
+        let delay = min (2 * delay) mcas_retry_cap_ns in
+        Netsim.call_at t.sim ~at:(Netsim.now t.sim + delay) (tick delay)
       end
+      else reg.rg_armed.(node) <- false
+    in
+    Netsim.call_at t.sim
+      ~at:(Netsim.now t.sim + mcas_retry_first_ns)
+      (tick mcas_retry_first_ns)
+  end
 
 let note_decision t ~node ~ring ~id commit =
   let l =
@@ -232,10 +240,9 @@ let observe t ~node ~ring (obs : Kv.observation) =
   | Kv.Skipped { upto } ->
       Merge.seek t.merges.(node) ~ring upto;
       drain_merge t ~node
-  | Kv.Voted { id; rings; parts; _ } ->
-      register t ~node ~id ~parts rings;
-      try_resolve t ~node id;
-      arm_termination t ~node id
+  | Kv.Voted { id; parts; _ } ->
+      arm_termination t ~node ~id parts;
+      try_resolve t ~node id
   | Kv.Decided { id; commit } -> note_decision t ~node ~ring ~id commit
   | Kv.Installed { applied; _ } ->
       (* The replica now stands at the donor's position: the learner
@@ -244,18 +251,14 @@ let observe t ~node ~ring (obs : Kv.observation) =
         Merge.seek t.merges.(node) ~ring applied;
         drain_merge t ~node
       end;
-      (* A snapshot may have delivered vote-table state this node's
-         coordinator was missing — and possibly a reconstructed park this
-         node never saw delivered. The parked head carries the full op,
-         so register it and arm termination here: without this, a park
-         whose every original voter crashed would wait forever. *)
+      (* A snapshot may carry a park this node never saw delivered. The
+         parked head carries the full op, so arm termination here:
+         without this, a park whose every original voter crashed would
+         wait forever. The votes a snapshot brings for an op already
+         armed here are read by that loop's next tick. *)
       (match Kv.parked_op (kv t ~ring ~node) with
-      | Some (Op.Mcas { id; parts }) ->
-          register t ~node ~id ~parts
-            (List.map (fun p -> p.Op.mp_ring) parts);
-          arm_termination t ~node id
-      | _ -> ());
-      Hashtbl.iter (fun id _ -> try_resolve t ~node id) t.registry
+      | Some (Op.Mcas { id; parts }) -> arm_termination t ~node ~id parts
+      | _ -> ())
   | Kv.Read _ | Kv.Aborted | Kv.Reset -> ()
 
 (* --- skip generators -------------------------------------------------- *)
@@ -386,29 +389,19 @@ let mcas_parts t ~checks ~writes =
   |> List.sort (fun a b -> compare a.Op.mp_ring b.Op.mp_ring)
 
 (* Submit a cross-shard cas from [node]: one identical copy per involved
-   ring, with a deterministic retry loop — copies lost to a minority
-   component or a view change are resubmitted (delivered duplicates
-   dedup on [id]) until the submitting node sees a decision. *)
+   ring, then arm this node's termination loop, which retries until the
+   node sees a decision. *)
 let mcas t ~node ~id ~checks ~writes =
   let parts = mcas_parts t ~checks ~writes in
-  let involved = List.map (fun p -> p.Op.mp_ring) parts in
-  register t ~node ~id ~parts involved;
   t.mcas_submitted <- t.mcas_submitted + 1;
-  let rec retry () =
-    if t.alive_phys.(node) && not (mcas_decided_at t ~node id) then begin
-      t.mcas_retries <- t.mcas_retries + 1;
-      resubmit t ~node ~id ~parts involved;
-      try_resolve t ~node id;
-      Netsim.call_at t.sim ~at:(Netsim.now t.sim + mcas_retry_ns) retry
-    end
-  in
-  List.iter (fun r -> Kv.submit_mcas (kv t ~ring:r ~node) ~id ~parts) involved;
-  Netsim.call_at t.sim ~at:(Netsim.now t.sim + mcas_retry_ns) retry
+  List.iter
+    (fun p -> Kv.submit_mcas (kv t ~ring:p.Op.mp_ring ~node) ~id ~parts)
+    parts;
+  arm_termination t ~node ~id parts
 
 let mcas_submitted t = t.mcas_submitted
 let mcas_retries t = t.mcas_retries
-let mcas_ids t =
-  Hashtbl.fold (fun id r acc -> (id, r.rg_node, r.rg_rings) :: acc) t.registry []
+let mcas_ids t = Hashtbl.fold (fun id _ acc -> id :: acc) t.registry []
 let decisions_for t id =
   match Hashtbl.find_opt t.decisions id with
   | None -> []

@@ -52,8 +52,8 @@ val create :
     if the ring is behind it and the member's replica is settled and not
     parked (only with [rings > 1]: one ring runs no skip generator).
     Every install seeks
-    the learner's merge to the installed position. The submitter's mcas
-    retry loop runs every 8 ms.
+    the learner's merge to the installed position. Each node runs one
+    termination loop per {!mcas} it has seen (see there).
     [wrap] wraps each participant before the sim is
     built (fault injection); [kv_bug]
     seeds a replica bug and [no_seek] (default false) a learner bug
@@ -96,20 +96,28 @@ val mcas :
   writes:(string * string) list ->
   unit
 (** Cross-shard multi-key cas: split [checks]/[writes] into per-ring
-    parts by shard, submit one identical copy on every involved ring
-    from [node], and retry every 8 ms until the submitting
-    node sees a decision on all involved rings (retried copies dedup on
-    [id]; a retry skips a ring whose replica at [node] is holding ops
-    back). Commits iff every check holds at delivery on its ring. *)
+    parts by shard and submit one identical copy on every involved ring
+    from [node]. Every node that sees the op — its submitter, any node
+    whose replica votes on it, any node whose install restores it
+    parked — runs one termination loop for it: 8 ms after the node
+    first sees it, then at doubling intervals up to 64 ms, while the
+    node has not seen a decision on all involved rings, it resubmits
+    the copies and multicasts the outcome once its replicas' votes fix
+    it (retried copies dedup on [id]; a retry or decide skips a ring
+    whose replica at the node is holding ops back). Commits iff every
+    check holds at delivery on its ring. *)
 
 val mcas_decided_at : t -> node:int -> string -> bool
 (** All involved rings' replicas at [node] have recorded a decision. *)
 
 val mcas_submitted : t -> int
-val mcas_retries : t -> int
 
-val mcas_ids : t -> (string * int * int list) list
-(** Every registered mcas as [(id, submitting node, involved rings)]. *)
+val mcas_retries : t -> int
+(** Termination-loop ticks, over every node, that found an op still
+    undecided at their node. *)
+
+val mcas_ids : t -> string list
+(** The id of every mcas some node has seen. *)
 
 val decisions_for : t -> string -> (int * int * bool) list
 (** Decision observations for [id] as [(node, ring, commit)], in

@@ -52,7 +52,7 @@ let run (spec : Load.spec) =
   in
   let all_mcas_decided () =
     List.for_all
-      (fun (id, _, _) ->
+      (fun id ->
         let ok = ref true in
         for node = 0 to n - 1 do
           if Cluster.alive cluster ~node then

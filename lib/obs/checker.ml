@@ -156,14 +156,17 @@ let on_deliver t ~t_ns ~node ~ring ~seq ~sender ~service =
   Hashtbl.replace t.cursors ckey seq
 
 (* The records the invariants read (layouts in flight.mli): token receipt
-   and send, the application's deliveries and views. *)
+   and send, the application's deliveries and views. A delivery's copies
+   after the first (a daemon's further local recipients, [d] = 1) are the
+   same ordered message: each is judged once per node. *)
 let as_sink t ~ns ~node ~code ~a ~b ~c ~d ~e ~f:_ ~g ~h:_ ~i =
   if code = Flight.ev_token_recv then
     on_token_recv t ~t_ns:ns ~node ~ring:e ~token_id:a ~local_aru:d ~safe_line:g
   else if code = Flight.ev_token_send then
     check_monotone t ~node ~ring:e ~local_aru:i ~safe_line:g ~t_ns:ns
-  else if code = Flight.ev_app_deliver then
-    on_deliver t ~t_ns:ns ~node ~ring:e ~seq:a ~sender:b ~service:c
+  else if code = Flight.ev_app_deliver then begin
+    if d = 0 then on_deliver t ~t_ns:ns ~node ~ring:e ~seq:a ~sender:b ~service:c
+  end
   else if code = Flight.ev_view_install then
     if a = 1 then Hashtbl.replace t.in_recovery node ()
     else Hashtbl.remove t.in_recovery node

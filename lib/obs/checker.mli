@@ -45,7 +45,9 @@ val create : unit -> t
 
 val as_sink : t -> Trace.sink
 (** Reads token receipt and send, and the application's deliveries and
-    views ({!Flight.ev_app_deliver}, {!Flight.ev_view_install}). *)
+    views ({!Flight.ev_app_deliver}, {!Flight.ev_view_install}). A
+    delivery's marked copies are skipped: each ordered message is
+    judged, and counted in {!deliveries_checked}, once per node. *)
 
 val verdict : t -> verdict
 

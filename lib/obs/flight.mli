@@ -139,11 +139,12 @@ val ev_xfer : int
 
 val ev_app_deliver : int
 (** A runtime handed the application a message ([Participant.Deliver]):
-    [a] = seq, [b] = sender, [c] = service ([Message.service_tag]); [e] =
-    ring. Unlike {!ev_deliver} it follows the participant boundary: a
-    fault injector may drop a delivery here, a member's recovery
-    deliveries reach it, and a daemon that hands one delivery to [k]
-    local sessions yields [k] of these. *)
+    [a] = seq, [b] = sender, [c] = service ([Message.service_tag]), [d]
+    = 1 on a copy after the first; [e] = ring. Unlike {!ev_deliver} it
+    follows the participant boundary: a fault injector may drop a
+    delivery here, a member's recovery deliveries reach it, and a daemon
+    that hands one delivery (one packed Batch included) to [k] local
+    recipients yields [k] of these, the first with [d] = 0. *)
 
 val ev_view_install : int
 (** A runtime handed the application a configuration: [a] = 1 when

@@ -283,45 +283,49 @@ let transmit_multicast t ~at src msg =
    send and each delivery occupies the CPU serially in action order.
    Explicit recursion: no fold closure per call. *)
 let rec interpret t node actions ~cursor =
+  let tier = t.tiers.(node) in
   match actions with
   | [] -> cursor
-  | action :: rest ->
-      let tier = t.tiers.(node) in
-      let cursor =
-        match action with
-        | Participant.Unicast (dst, msg) ->
-            let cursor = cursor + tier.Profile.send_op_ns in
-            if dst = node then
-              (* Loopback (e.g. handing oneself the initial token). *)
-              sched_arrival t (cursor + 1_000) dst msg
-            else transmit_unicast t ~at:cursor node msg dst;
-            cursor
-        | Participant.Multicast msg ->
-            let cursor = cursor + tier.Profile.send_op_ns in
-            transmit_multicast t ~at:cursor node msg;
-            cursor
-        | Participant.Deliver d ->
-            let cursor = cursor + tier.Profile.deliver_ns in
-            Flight.record_at ~ns:cursor ~node ~code:Flight.ev_app_deliver ~a:d.seq
-              ~b:d.pid ~c:(Message.service_tag d.service) ~d:0
-              ~e:(Flight.pack_ring d.d_ring) ~f:0 ~g:0 ~h:0 ~i:0;
-            t.deliver_cb ~at:node ~now:cursor d;
-            cursor
-        | Participant.Deliver_config v ->
-            let cursor = cursor + tier.Profile.deliver_ns in
-            Flight.record_at ~ns:cursor ~node ~code:Flight.ev_view_install
-              ~a:(Bool.to_int v.transitional) ~b:(List.length v.members) ~c:0
-              ~d:0 ~e:(Flight.pack_ring v.view_id) ~f:0 ~g:0 ~h:0 ~i:0;
-            t.view_cb ~at:node ~now:cursor v;
-            cursor
-        | Participant.Arm_timer (timer, delay) ->
-            sched_timer t (cursor + delay) node timer;
-            cursor
-        | Participant.Disarm_timer timer ->
-            cancel_timer t node timer;
-            cursor
-      in
+  | Participant.Unicast (dst, msg) :: rest ->
+      let cursor = cursor + tier.Profile.send_op_ns in
+      if dst = node then
+        (* Loopback (e.g. handing oneself the initial token). *)
+        sched_arrival t (cursor + 1_000) dst msg
+      else transmit_unicast t ~at:cursor node msg dst;
       interpret t node rest ~cursor
+  | Participant.Multicast msg :: rest ->
+      let cursor = cursor + tier.Profile.send_op_ns in
+      transmit_multicast t ~at:cursor node msg;
+      interpret t node rest ~cursor
+  | Participant.Deliver d :: rest -> deliver t node d rest ~copy:0 ~cursor
+  | Participant.Deliver_config v :: rest ->
+      let cursor = cursor + tier.Profile.deliver_ns in
+      Flight.record_at ~ns:cursor ~node ~code:Flight.ev_view_install
+        ~a:(Bool.to_int v.transitional) ~b:(List.length v.members) ~c:0
+        ~d:0 ~e:(Flight.pack_ring v.view_id) ~f:0 ~g:0 ~h:0 ~i:0;
+      t.view_cb ~at:node ~now:cursor v;
+      interpret t node rest ~cursor
+  | Participant.Arm_timer (timer, delay) :: rest ->
+      sched_timer t (cursor + delay) node timer;
+      interpret t node rest ~cursor
+  | Participant.Disarm_timer timer :: rest ->
+      cancel_timer t node timer;
+      interpret t node rest ~cursor
+
+(* One delivery, and the copies of it that follow: a daemon hands one
+   ordered message to each local recipient as the same [Deliver] action
+   repeated. Each copy costs the CPU its delivery; the record of every
+   copy after the first says so ([d] = 1), so a checker judges each
+   ordered message once per node. *)
+and deliver t node d rest ~copy ~cursor =
+  let cursor = cursor + t.tiers.(node).Profile.deliver_ns in
+  Flight.record_at ~ns:cursor ~node ~code:Flight.ev_app_deliver ~a:d.seq ~b:d.pid
+    ~c:(Message.service_tag d.service) ~d:copy ~e:(Flight.pack_ring d.d_ring) ~f:0
+    ~g:0 ~h:0 ~i:0;
+  t.deliver_cb ~at:node ~now:cursor d;
+  match rest with
+  | Participant.Deliver d' :: rest when d' == d -> deliver t node d rest ~copy:1 ~cursor
+  | _ -> interpret t node rest ~cursor
 
 let proc_cost t node msg =
   let tier = t.tiers.(node) in

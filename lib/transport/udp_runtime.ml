@@ -140,25 +140,38 @@ let disarm t timer =
 
 let rec interpret t = function
   | [] -> ()
-  | action :: rest ->
-      (match action with
-      | Participant.Unicast (pid, msg) -> send_to t (route_of_message msg) pid msg
-      | Participant.Multicast msg ->
-          let kind = route_of_message msg in
-          List.iter (fun (pid, _, _) -> send_to t kind pid msg) t.peers
-      | Participant.Deliver d ->
-          Flight.record_wide ~node:t.me ~code:Flight.ev_app_deliver ~a:d.seq
-            ~b:d.pid ~c:(Message.service_tag d.service) ~d:0
-            ~e:(Flight.pack_ring d.d_ring) ~f:0 ~g:0 ~h:0 ~i:0;
-          t.on_deliver d
-      | Participant.Deliver_config v ->
-          Flight.record_wide ~node:t.me ~code:Flight.ev_view_install
-            ~a:(Bool.to_int v.transitional) ~b:(List.length v.members) ~c:0
-            ~d:0 ~e:(Flight.pack_ring v.view_id) ~f:0 ~g:0 ~h:0 ~i:0;
-          t.on_view v
-      | Participant.Arm_timer (timer, delay_ns) -> arm t timer delay_ns
-      | Participant.Disarm_timer timer -> disarm t timer);
+  | Participant.Unicast (pid, msg) :: rest ->
+      send_to t (route_of_message msg) pid msg;
       interpret t rest
+  | Participant.Multicast msg :: rest ->
+      let kind = route_of_message msg in
+      List.iter (fun (pid, _, _) -> send_to t kind pid msg) t.peers;
+      interpret t rest
+  | Participant.Deliver d :: rest -> deliver t d rest ~copy:0
+  | Participant.Deliver_config v :: rest ->
+      Flight.record_wide ~node:t.me ~code:Flight.ev_view_install
+        ~a:(Bool.to_int v.transitional) ~b:(List.length v.members) ~c:0
+        ~d:0 ~e:(Flight.pack_ring v.view_id) ~f:0 ~g:0 ~h:0 ~i:0;
+      t.on_view v;
+      interpret t rest
+  | Participant.Arm_timer (timer, delay_ns) :: rest ->
+      arm t timer delay_ns;
+      interpret t rest
+  | Participant.Disarm_timer timer :: rest ->
+      disarm t timer;
+      interpret t rest
+
+(* One delivery and the copies of it that follow (a daemon's
+   per-recipient repeats of one [Deliver] action): the record of every
+   copy after the first says so ([d] = 1). *)
+and deliver t d rest ~copy =
+  Flight.record_wide ~node:t.me ~code:Flight.ev_app_deliver ~a:d.seq ~b:d.pid
+    ~c:(Message.service_tag d.service) ~d:copy ~e:(Flight.pack_ring d.d_ring) ~f:0 ~g:0
+    ~h:0 ~i:0;
+  t.on_deliver d;
+  match rest with
+  | Participant.Deliver d' :: rest when d' == d -> deliver t d rest ~copy:1
+  | _ -> interpret t rest
 
 let rec fire_due_timers t =
   if

@@ -232,13 +232,13 @@ let test_params =
     merge_probe_ns = ms 80;
   }
 
-let make_dcluster ?(n = 3) () =
+let make_dcluster ?(n = 3) ?packing () =
   let ring = Array.init n (fun i -> i) in
   let members =
     Array.init n (fun me ->
         Member.create ~params:test_params ~me ~initial_ring:ring ())
   in
-  let daemons = Array.map (fun m -> Daemon.create ~member:m ()) members in
+  let daemons = Array.map (fun m -> Daemon.create ?packing ~member:m ()) members in
   let sim =
     Netsim.create ~net:Profile.gigabit
       ~tiers:(Array.make n Profile.daemon)
@@ -361,6 +361,35 @@ let test_local_copies_count_once () =
       check Alcotest.int "deliver stage counts engine deliveries" engine_deliveries
         r.Span.count
   | None -> Alcotest.fail "no deliver stage"
+
+(* Two sessions of one daemon in one group: each delivery reaches the
+   runtime as two copies of one [Deliver], and a packing daemon's Batch
+   as one per entry and recipient. The invariant checker judges each
+   ordered message once per node, so neither reads as a regression. *)
+let test_checker_judges_local_copies_once () =
+  List.iter
+    (fun packing ->
+      let checker = Aring_obs.Checker.create () in
+      Aring_obs.Trace.with_sink (Aring_obs.Checker.as_sink checker) (fun () ->
+          let c = make_dcluster ~packing () in
+          let session d name =
+            Daemon.connect c.daemons.(d) ~name (callbacks_of (fresh_client ()))
+          in
+          let sa = session 1 "a" and sb = session 1 "b" and ss = session 0 "s" in
+          Daemon.join c.daemons.(1) sa "g";
+          Daemon.join c.daemons.(1) sb "g";
+          Netsim.run_until c.sim (ms 20);
+          for i = 1 to 5 do
+            Daemon.multicast c.daemons.(0) ss ~groups:[ "g" ]
+              (Bytes.of_string (string_of_int i))
+          done;
+          Netsim.run_until c.sim (ms 40));
+      let label = if packing then "packed" else "unpacked" in
+      check (Alcotest.list Alcotest.string) (label ^ ": no violations") []
+        (Aring_obs.Checker.violations checker);
+      check Alcotest.bool (label ^ ": deliveries checked") true
+        (Aring_obs.Checker.deliveries_checked checker > 0))
+    [ false; true ]
 
 let test_group_views_consistent () =
   let c = make_dcluster () in
@@ -1863,6 +1892,8 @@ let suite =
     ("multi-group delivered once", `Quick, test_multi_group_delivered_once);
     ( "local copies of one delivery count once in spans and the watchdog",
       `Quick, test_local_copies_count_once );
+    ( "checker judges a delivery's local copies once",
+      `Quick, test_checker_judges_local_copies_once );
     ("group views consistent", `Quick, test_group_views_consistent);
     ("total order across daemons", `Quick, test_total_order_across_daemons);
     ("daemon crash prunes groups", `Quick, test_daemon_crash_prunes_groups);

@@ -720,6 +720,66 @@ let test_mcas_membership_change_between_writes () =
   check Alcotest.bool "eventually decided" true
     (Cluster.decisions_for cluster "m-mem" <> [])
 
+(* Ticks of one termination loop within [window] ns of its arming, on
+   the documented schedule: 8 ms, then doubling intervals up to 64 ms. *)
+let loop_ticks window =
+  let rec go at interval n =
+    if at > window then n
+    else
+      let interval = min (2 * interval) (ms 64) in
+      go (at + interval) interval (n + 1)
+  in
+  go (ms 8) (ms 8) 0
+
+(* Ring 1 is cut into singletons for 500 ms from just before an mcas is
+   submitted: no ring-1 copy can be ordered, so the op stays undecided
+   at every node for the whole window while ring 0's voters see it. Each
+   node runs one loop for it, so the retries over the window are at most
+   one loop's ticks per node; the op decides once ring 1 heals. *)
+let test_mcas_retries_back_off () =
+  let nodes = 3 in
+  let cluster = Cluster.create ~rings:2 ~nodes ~seed:31L () in
+  let sim = Cluster.sim cluster in
+  let buckets = keys_per_ring cluster ~count:1 in
+  let k0 = List.hd buckets.(0) and k1 = List.hd buckets.(1) in
+  Netsim.call_at sim ~at:(ms 30) (fun () ->
+      Cluster.put cluster ~node:0 ~key:k0 ~value:"r0";
+      Cluster.put cluster ~node:0 ~key:k1 ~value:"s0");
+  let submit_at = ms 160 and heal_at = ms 660 in
+  let ring1 p = p >= nodes in
+  Netsim.call_at sim ~at:(ms 150) (fun () ->
+      Netsim.set_drop_until sim ~until:heal_at (fun ~src ~dst _ ->
+          src <> dst && ring1 src && ring1 dst));
+  Netsim.call_at sim ~at:submit_at (fun () ->
+      Cluster.mcas cluster ~node:0 ~id:"m-backoff"
+        ~checks:[ (k0, Some "r0"); (k1, Some "s0") ]
+        ~writes:[ (k0, "r1"); (k1, "s1") ]);
+  let blocked = ref true and retries = ref 0 in
+  Netsim.call_at sim ~at:heal_at (fun () ->
+      blocked :=
+        not
+          (List.exists
+             (fun node -> Cluster.mcas_decided_at cluster ~node "m-backoff")
+             (List.init nodes Fun.id));
+      retries := Cluster.mcas_retries cluster);
+  drive cluster ~deadline:(ms 5_000) ~settle_after:(ms 800);
+  check Alcotest.bool "undecided while ring 1 is cut" true !blocked;
+  let ticks = loop_ticks (heal_at - submit_at) in
+  if !retries < ticks || !retries > nodes * ticks then
+    Alcotest.failf "%d retries over the window; one loop per node allows %d..%d"
+      !retries ticks (nodes * ticks);
+  List.iter
+    (fun node ->
+      check Alcotest.bool
+        (Printf.sprintf "decided at node %d after the heal" node)
+        true
+        (Cluster.mcas_decided_at cluster ~node "m-backoff"))
+    (List.init nodes Fun.id);
+  check Alcotest.bool "converged" true (Cluster.kv_converged cluster);
+  Cluster.check_convergence cluster;
+  check Alcotest.int "no oracle violations" 0
+    (Cluster.oracle_violations cluster)
+
 (* One ring 100x slower than the other: the merge must stay live (skips
    from the slow ring keep fast-ring items emerging) and the skew must
    not break mcas atomicity. *)
@@ -872,6 +932,7 @@ let suite =
       `Quick,
       test_mcas_membership_change_between_writes );
     ("mcas vs 100x ring skew", `Quick, test_mcas_slow_ring_skew);
+    ("mcas retries back off while undecided", `Quick, test_mcas_retries_back_off);
     ("mload smoke", `Quick, test_mload_smoke);
     ("mload deterministic", `Quick, test_mload_deterministic);
     ("dispatch guards", `Quick, test_dispatch_guards);
