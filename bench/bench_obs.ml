@@ -60,7 +60,8 @@ let run ~quick =
      then also dispatched to it and decoded (a data-recv record matches
      none of its codes, the common case on the hot path). *)
   let watched_ns, watched_alloc =
-    Health.with_health (Health.create ~n:nodes ()) (fun () ->
+    let watchdog = Health.as_sink (Health.create ~n:nodes ()) in
+    Aring_obs.Trace.with_sink watchdog (fun () ->
         ( time_per_call ~iters record_event,
           alloc_per_call ~iters record_event ))
   in

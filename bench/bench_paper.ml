@@ -27,8 +27,8 @@ let params_for net protocol =
   match protocol with
   | `Original -> { Params.original with personal_window = pw; global_window = gw }
   | `Accelerated ->
-      Params.accelerated ~personal_window:pw ~global_window:gw
-        ~accelerated_window:aw ()
+      { Params.default with
+        personal_window = pw; global_window = gw; accelerated_window = aw }
 
 let protocol_name = function `Original -> "original" | `Accelerated -> "accelerated"
 
@@ -344,8 +344,8 @@ let ablation_accel_window ~quick =
       let params =
         if aw = 0 then { Params.original with personal_window = 50; global_window = 400 }
         else
-          Params.accelerated ~personal_window:50 ~global_window:400
-            ~accelerated_window:aw ()
+          { Params.default with
+            personal_window = 50; global_window = 400; accelerated_window = aw }
       in
       let r800 =
         Scenario.run
@@ -375,8 +375,9 @@ let ablation_priority_method ~quick =
       List.iter
         (fun rate ->
           let params =
-            Params.accelerated ~personal_window:80 ~global_window:600
-              ~accelerated_window:30 ~priority_method:prio ()
+            { Params.default with
+              personal_window = 80; global_window = 600;
+              accelerated_window = 30; priority_method = prio }
           in
           let r =
             Scenario.run
@@ -401,8 +402,9 @@ let ablation_personal_window ~quick =
   List.iter
     (fun pw ->
       let params =
-        Params.accelerated ~personal_window:pw ~global_window:(8 * pw)
-          ~accelerated_window:(min 20 pw) ()
+        { Params.default with
+          personal_window = pw; global_window = 8 * pw;
+          accelerated_window = min 20 pw }
       in
       let r =
         Scenario.run
@@ -477,7 +479,7 @@ let ablation_packing ~quick =
      client-message rate, lifting the achievable small-message rate.";
   let open Aring_ring in
   let open Aring_daemon in
-  let run_packing ~packing ~rate_kmsgs =
+  let run_packing ~pack_threshold ~rate_kmsgs =
     let n = 8 in
     let ring = Array.init n (fun i -> i) in
     let members =
@@ -486,7 +488,7 @@ let ablation_packing ~quick =
             ~initial_ring:ring ())
     in
     let daemons =
-      Array.map (fun m -> Daemon.create ~packing ~member:m ()) members
+      Array.map (fun m -> Daemon.create ~pack_threshold ~member:m ()) members
     in
     let sim =
       Netsim.create ~net:Profile.gigabit
@@ -542,14 +544,14 @@ let ablation_packing ~quick =
     in
     Printf.printf
       "  packing=%-5b offered=%3dk msg/s delivered=%8.0f msg/s  latency mean=%8.1f us p99=%8.1f us packs=%d\n%!"
-      packing rate_kmsgs rate_meas (Stats.mean lat)
+      (pack_threshold > 0) rate_kmsgs rate_meas (Stats.mean lat)
       (Stats.percentile lat 99.0)
       packs
   in
   List.iter
     (fun rate_kmsgs ->
-      run_packing ~packing:false ~rate_kmsgs;
-      run_packing ~packing:true ~rate_kmsgs;
+      run_packing ~pack_threshold:0 ~rate_kmsgs;
+      run_packing ~pack_threshold:1300 ~rate_kmsgs;
       print_newline ())
     (thin ~quick [ 50; 150; 250; 350 ])
 

@@ -31,19 +31,10 @@ let run ~quick =
   Printf.printf "=== Recovery-exchange scaling benchmark%s ===\n%!"
     (if quick then " [QUICK MODE]" else "");
   let sizes = if quick then [ 4; 8; 16 ] else [ 4; 8; 16; 32; 64 ] in
-  (* Short membership timeouts (as in the membership test suite) keep the
-     detection share of reform time at 50 ms across sizes, so scaling in
-     the measurement is scaling of gather + exchange + install. *)
-  let params =
-    {
-      (Params.accelerated ()) with
-      token_loss_ns = ms 50;
-      token_retransmit_ns = ms 10;
-      join_retransmit_ns = ms 20;
-      consensus_timeout_ns = ms 100;
-      merge_probe_ns = ms 80;
-    }
-  in
+  (* Short membership timeouts keep the detection share of reform time
+     at 50 ms across sizes, so scaling in the measurement is scaling of
+     gather + exchange + install. *)
+  let params = Params.snappy in
   let crash_ns = ms 8 in
   let deadline_ns = ms 5000 in
   let run_size n =
@@ -88,7 +79,7 @@ let run ~quick =
       !ok
     in
     let reform_ns = ref (-1) in
-    Health.with_health h (fun () ->
+    Aring_obs.Trace.with_sink (Health.as_sink h) (fun () ->
         let t = ref (ms 10) in
         while !reform_ns < 0 && !t <= deadline_ns do
           Netsim.run_until sim !t;

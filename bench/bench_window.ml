@@ -18,8 +18,8 @@ let ms n = n * 1_000_000
 let params aw =
   if aw = 0 then { Params.original with personal_window = 50; global_window = 400 }
   else
-    Params.accelerated ~personal_window:50 ~global_window:400
-      ~accelerated_window:aw ()
+    { Params.default with
+      personal_window = 50; global_window = 400; accelerated_window = aw }
 
 let run ~quick =
   Printf.printf "=== Accelerated-window benchmark%s ===\n%!"

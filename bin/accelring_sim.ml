@@ -38,8 +38,8 @@ let run nodes net tier protocol service payload rate pw gw aw seconds
     | "original" ->
         { Params.original with personal_window = pw; global_window = gw }
     | "accelerated" | "sequencer" | "ring-paxos" ->
-        Params.accelerated ~personal_window:pw ~global_window:gw
-          ~accelerated_window:aw ()
+        { Params.default with
+          personal_window = pw; global_window = gw; accelerated_window = aw }
     | s -> failwith (Printf.sprintf "unknown protocol %S" s)
   in
   let spec =

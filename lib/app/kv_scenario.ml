@@ -11,19 +11,6 @@ let pad tag bytes =
   Bytes.blit_string tag 0 b 0 (String.length tag);
   Bytes.unsafe_to_string b
 
-(* Fast membership timeouts: scenario runs are short, and partition
-   merges must complete well inside the drain budget. *)
-let snappy_params () =
-  let p = Params.accelerated () in
-  {
-    p with
-    Params.token_loss_ns = ms 50;
-    token_retransmit_ns = ms 10;
-    join_retransmit_ns = ms 20;
-    consensus_timeout_ns = ms 100;
-    merge_probe_ns = ms 80;
-  }
-
 type cluster = {
   sim : Netsim.t;
   members : Member.t array;
@@ -35,8 +22,7 @@ type cluster = {
 (* Construction order is part of every pinned stream: all members, then
    all daemons, then all replicas, then the oracles attach, then the
    sim. Callers that observe replicas register after this returns. *)
-let build_cluster ?tiers ?wrap ?kv_bug ~rings ~n ~net ~tier ~params
-    ~seed () =
+let build_cluster ?tiers ?wrap ?kv_bug ~rings ~n ~net ~params ~seed () =
   let total = rings * n in
   let members =
     Array.init total (fun p ->
@@ -61,7 +47,7 @@ let build_cluster ?tiers ?wrap ?kv_bug ~rings ~n ~net ~tier ~params
   in
   let tiers =
     match tiers with
-    | None -> Array.make total tier
+    | None -> Array.make total Profile.daemon
     | Some phys ->
         if Array.length phys <> n then
           invalid_arg "Kv_scenario.build_cluster: tiers must cover the nodes";
@@ -108,8 +94,8 @@ type transfer_result = {
 let measure_transfer ~store_entries =
   let n = 4 in
   let cl =
-    build_cluster ~rings:1 ~n ~net:Profile.gigabit ~tier:Profile.daemon
-      ~params:(snappy_params ()) ~seed:7L ()
+    build_cluster ~rings:1 ~n ~net:Profile.gigabit ~params:Params.snappy
+      ~seed:7L ()
   in
   let sim = cl.sim and kvs = cl.kvs in
   (* Last regular-view delivery time per node: the install is timed

@@ -1,10 +1,9 @@
 (** Replicated-KV cluster plumbing: the one builder of the
     Member+Daemon+Kv+Oracle stack on the simulator, at any ring count, a
-    partition window, the convergence test and the snappy membership
-    params. The open-loop KV workload itself is a {!Aring_load.Load}
-    spec (one periodic session per node is the paper's methodology);
-    this module also keeps the isolated state-transfer timing, which is
-    not a workload. *)
+    partition window and the convergence test. The open-loop KV workload
+    itself is a {!Aring_load.Load} spec (one periodic session per node
+    is the paper's methodology); this module also keeps the isolated
+    state-transfer timing, which is not a workload. *)
 
 open Aring_sim
 
@@ -15,11 +14,6 @@ type partition = {
       (** Nodes cut away from the rest of the cluster: non-empty, in
           [[0, n)], and not every node. *)
 }
-
-val snappy_params : unit -> Aring_ring.Params.t
-(** Accelerated defaults with fast membership timeouts, sized so that
-    partition merges complete well inside a scenario's drain budget.
-    Shared by the workload harness and the multi-ring cluster. *)
 
 val pad : string -> int -> string
 (** [pad tag bytes]: a workload value of [max bytes (length tag)] bytes
@@ -42,7 +36,6 @@ val build_cluster :
   rings:int ->
   n:int ->
   net:Profile.net ->
-  tier:Profile.tier ->
   params:Aring_ring.Params.t ->
   seed:int64 ->
   unit ->
@@ -51,8 +44,8 @@ val build_cluster :
     and Kv replica at participant [ring * n + node], each ring its own
     multicast domain when [rings > 1]. {!Aring_load.Load.run} builds
     with it at one ring, {!Aring_multiring.Cluster.create} at any count.
-    [tiers] gives per-physical-node cost profiles (length [n];
-    [tier] is the uniform default), [wrap] wraps each participant (fault
+    [tiers] gives per-physical-node cost profiles (length [n]; default
+    {!Profile.daemon} everywhere), [wrap] wraps each participant (fault
     injection) and [kv_bug] seeds a replica bug (fuzzer self-test).
 
     The order is fixed, as it fixes every seeded stream: all members,

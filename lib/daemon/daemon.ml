@@ -62,7 +62,6 @@ type t = {
   mutable r_entry : int;  (* parked beside the frame, [dec]'s buffer *)
   pump_dec : Codec.decoder;  (* the cursor [pump] re-reads entries with *)
   stats : stats;
-  packing : bool;
   pack_threshold : int;
   (* Every submission is written once into [frame], which holds the
      [pack_count] envelopes awaiting the next flush, back to back, all of
@@ -83,7 +82,7 @@ type t = {
 
 let no_payload = Codec.view Bytes.empty ~pos:0 ~len:0
 
-let create ?(packing = false) ?(pack_threshold = 1300) ~member () =
+let create ?(pack_threshold = 0) ~member () =
   {
     member;
     me = Member.me member;
@@ -107,7 +106,6 @@ let create ?(packing = false) ?(pack_threshold = 1300) ~member () =
         packs_sent = 0;
         envelopes_packed = 0;
       };
-    packing;
     pack_threshold;
     frame = Codec.scratch ();
     pack_count = 0;
@@ -240,35 +238,29 @@ let flush t =
   end
 
 (* The envelope just written at [start] of the frame, after any still
-   buffered: submit it, or buffer it for the next flush. *)
+   buffered: submit it, or buffer it for the next flush. At the default
+   threshold of 0 nothing is ever buffered. *)
 let written t service start =
-  let len = Codec.scratch_length t.frame in
-  if not t.packing then begin
-    submit_frame t service ~len ~count:1;
+  let size = Codec.scratch_length t.frame - start in
+  if
+    t.pack_count > 0
+    && ((not (Types.service_equal service t.pack_service))
+       || start + size > t.pack_threshold)
+  then begin
+    (* Flush what was buffered before it, then move it to the front. *)
+    submit_buffered t start;
+    let buf = Codec.scratch_buffer t.frame in
+    Bytes.blit buf start buf 0 size;
+    Codec.scratch_truncate t.frame size
+  end;
+  if size >= t.pack_threshold then begin
+    submit_frame t service ~len:size ~count:1;
     reset_frame t
   end
   else begin
-    let size = len - start in
-    if
-      t.pack_count > 0
-      && ((not (Types.service_equal service t.pack_service))
-         || start + size > t.pack_threshold)
-    then begin
-      (* Flush what was buffered before it, then move it to the front. *)
-      submit_buffered t start;
-      let buf = Codec.scratch_buffer t.frame in
-      Bytes.blit buf start buf 0 size;
-      Codec.scratch_truncate t.frame size
-    end;
-    if size >= t.pack_threshold then begin
-      submit_frame t service ~len:size ~count:1;
-      reset_frame t
-    end
-    else begin
-      t.pack_service <- service;
-      t.pack_count <- t.pack_count + 1;
-      t.pack_stamps <- Span.submit_stamp () :: t.pack_stamps
-    end
+    t.pack_service <- service;
+    t.pack_count <- t.pack_count + 1;
+    t.pack_stamps <- Span.submit_stamp () :: t.pack_stamps
   end
 
 let submit_envelope t service env =

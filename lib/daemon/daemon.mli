@@ -79,18 +79,19 @@ type stats = {
   mutable envelopes_packed : int;  (** Envelopes carried inside batches. *)
 }
 
-val create : ?packing:bool -> ?pack_threshold:int -> member:Member.t -> unit -> t
+val create : ?pack_threshold:int -> member:Member.t -> unit -> t
 (** Build a daemon on a ring participant; drive the returned
     {!participant} with a runtime (simulator or UDP loop).
 
-    With [~packing:true] (default false), small client envelopes are
-    packed into a single protocol packet of at most [pack_threshold]
-    bytes (default 1300) — Spread's packing feature for amortizing
-    per-packet costs over small messages. Every submission (App, Join,
-    Leave) is written once into one frame buffer: unpacked, the frame
-    is submitted at once; packed, envelopes accumulate in it back to
-    back, and a flush submits a single one as it is or puts a Batch
-    header in front of two or more. Buffered submissions are
+    Client envelopes smaller than [pack_threshold] bytes are packed
+    into a single protocol packet of at most [pack_threshold] bytes —
+    Spread's packing feature for amortizing per-packet costs over small
+    messages ([~pack_threshold:1300] fills a 1,500 B frame). The
+    default, 0, packs nothing. Every submission (App, Join, Leave) is
+    written once into one frame buffer: one at or above the threshold
+    is submitted at once; smaller ones accumulate in it back to back,
+    and a flush submits a single one as it is or puts a Batch header in
+    front of two or more. Buffered submissions are
     flushed together when a token or commit token arrives for
     processing, and when a live timer fires. A timer superseded by a
     re-arm of its key never fires (see {!Participant.action}), so it

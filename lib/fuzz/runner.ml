@@ -371,9 +371,7 @@ let drive_chunks sim (s : Schedule.t) ~checker ~health ?extra_sink ~violation
          done)
        sinks ()
    with e -> failure := Some (Run_exception (Printexc.to_string e)));
-  let report = Health.report health ~now:(Netsim.now sim) in
-  Health.detach ();
-  (!failure, !hash, report)
+  (!failure, !hash, Health.report health ~now:(Netsim.now sim))
 
 (* ---------- KV runs, at every ring count ---------- *)
 
@@ -384,7 +382,7 @@ let drive_chunks sim (s : Schedule.t) ~checker ~health ?extra_sink ~violation
    such churn routine — so convergence is judged on replica equality
    (which state transfer does guarantee), merge quiescence and
    cross-shard decision agreement. *)
-let run_cluster ~bug ~app ?extra_sink (s : Schedule.t) =
+let run_cluster ~bug ~app ~health ?extra_sink (s : Schedule.t) =
   let c = s.config in
   let n = c.Schedule.n_nodes in
   let rings = c.Schedule.rings in
@@ -399,9 +397,6 @@ let run_cluster ~bug ~app ?extra_sink (s : Schedule.t) =
     | Bug.Kv_apply_before_election -> Some Kv.Bug_apply_before_election
     | _ -> None
   in
-  Flight.reset ();
-  let health = Health.create ~config:(health_config c) ~n:(rings * n) () in
-  Health.attach health;
   let cluster =
     Cluster.create ~params ~net:(Schedule.net c) ~tiers ~seed:s.seed
       ~wrap:(fun ~pid p -> Bug.wrap bug ~node:pid p)
@@ -547,7 +542,7 @@ let run_cluster ~bug ~app ?extra_sink (s : Schedule.t) =
 (* Raw ring members with the padded byte workload, judged by probes:
    once the survivors have merged past the horizon, every survivor
    multicasts a probe and every survivor must deliver all of them. *)
-let run_single ~bug ?extra_sink (s : Schedule.t) =
+let run_single ~bug ~health ?extra_sink (s : Schedule.t) =
   let c = s.config in
   let n = c.Schedule.n_nodes in
   let params = Schedule.params c in
@@ -561,13 +556,6 @@ let run_single ~bug ?extra_sink (s : Schedule.t) =
   let participants =
     Array.init n (fun i -> Bug.wrap bug ~node:i (Member.participant members.(i)))
   in
-  (* Fourth judge: the recovery/stall health watchdog, attached for the
-     whole run and fed by the Flight records of Member, Engine and
-     Netsim. The flight recorder restarts empty so a post-mortem dump
-     shows only this run. Neither touches the hashed trace stream. *)
-  Flight.reset ();
-  let health = Health.create ~config:(health_config c) ~n () in
-  Health.attach health;
   let sim =
     Netsim.create ~net:(Schedule.net c) ~tiers ~participants ~seed:s.seed ()
   in
@@ -644,10 +632,22 @@ let run_single ~bug ?extra_sink (s : Schedule.t) =
     health = health_report;
   }
 
+(* Fourth judge: the recovery/stall health watchdog, subscribed for the
+   whole run (start-up records phases) and fed by the Flight records of
+   Member, Engine and Netsim. The flight recorder restarts empty so a
+   post-mortem dump shows only this run. Neither touches the hashed
+   trace stream. *)
 let run ?(bug = Bug.Clean) ?(app = App_none) ?extra_sink (s : Schedule.t) =
-  if app = App_none && s.config.Schedule.rings = 1 then
-    run_single ~bug ?extra_sink s
-  else run_cluster ~bug ~app ?extra_sink s
+  let c = s.config in
+  Flight.reset ();
+  let health =
+    Health.create ~config:(health_config c)
+      ~n:(c.Schedule.rings * c.Schedule.n_nodes) ()
+  in
+  Trace.with_sink (Health.as_sink health) (fun () ->
+      if app = App_none && c.Schedule.rings = 1 then
+        run_single ~bug ~health ?extra_sink s
+      else run_cluster ~bug ~app ~health ?extra_sink s)
 
 let pp_failure ppf = function
   | Invariant v ->

@@ -43,24 +43,19 @@ let fault_window = function
 
 let ms n = n * 1_000_000
 
-(* Failure-detection timeouts are fixed short (as in the membership test
-   suite) so gather/commit/recover cycles complete in a few hundred
-   simulated milliseconds; the schedule varies the dimensions the paper's
+(* Failure-detection timeouts are the fast profile ({!Params.snappy}) so
+   gather/commit/recover cycles complete in a few hundred simulated
+   milliseconds; the schedule varies the dimensions the paper's
    correctness argument actually depends on. *)
 let params (c : config) : Aring_ring.Params.t =
   {
-    (Aring_ring.Params.default) with
+    Aring_ring.Params.snappy with
     personal_window = c.personal_window;
     accelerated_window = c.accelerated_window;
     max_seq_gap = c.max_seq_gap;
     priority_method =
       (if c.aggressive then Aring_ring.Params.Aggressive
        else Aring_ring.Params.Conservative);
-    token_retransmit_ns = ms 10;
-    token_loss_ns = ms 50;
-    join_retransmit_ns = ms 20;
-    consensus_timeout_ns = ms 100;
-    merge_probe_ns = ms 80;
   }
 
 let tier = function

@@ -65,8 +65,9 @@ val generate : ?max_nodes:int -> ?rings:int -> seed:int64 -> unit -> t
 
 val params : config -> Aring_ring.Params.t
 (** Protocol parameters encoded by the schedule: windows, priority method
-    and [max_seq_gap] vary per schedule; failure-detection timeouts are
-    fixed short so membership events resolve quickly in simulated time. *)
+    and [max_seq_gap] vary per schedule; everything else is
+    {!Aring_ring.Params.snappy}, whose short failure-detection timeouts
+    resolve membership events quickly in simulated time. *)
 
 val tier : int -> Aring_sim.Profile.tier
 (** Decode one entry of [tier_ids]. *)

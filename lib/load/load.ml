@@ -131,7 +131,7 @@ let default_spec =
     n_nodes = 4;
     net = Profile.gigabit;
     tier = Profile.daemon;
-    params = Kv_scenario.snappy_params ();
+    params = Params.snappy;
     sessions_per_node = 500;
     n_groups = 16;
     arrival = Poisson;
@@ -708,8 +708,10 @@ let run spec =
     invalid_arg "Load.run: mcas needs a multi-ring run (Mload)";
   validate ~prefix:"load" spec;
   let { Kv_scenario.sim; kvs; daemons; oracles; _ } =
-    Kv_scenario.build_cluster ~rings:1 ~n:spec.n_nodes ~net:spec.net
-      ~tier:spec.tier ~params:spec.params ~seed:spec.seed ()
+    Kv_scenario.build_cluster
+      ~tiers:(Array.make spec.n_nodes spec.tier)
+      ~rings:1 ~n:spec.n_nodes ~net:spec.net ~params:spec.params
+      ~seed:spec.seed ()
   in
   let metrics = Metrics.create () in
   let span = Span.create ~metrics () in

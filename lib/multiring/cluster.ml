@@ -312,14 +312,13 @@ let install_skip_generators t =
 
 (* --- construction ----------------------------------------------------- *)
 
-let create ?(params = Kv_scenario.snappy_params ()) ?(net = Profile.gigabit)
-    ?(tier = Profile.daemon) ?tiers ?(seed = 1L) ?wrap ?kv_bug
-    ?(no_seek = false) ~rings ~nodes () =
+let create ?(params = Params.snappy) ?(net = Profile.gigabit) ?tiers
+    ?(seed = 1L) ?wrap ?kv_bug ?(no_seek = false) ~rings ~nodes () =
   if rings < 1 then invalid_arg "Cluster.create: rings < 1";
   if nodes < 2 then invalid_arg "Cluster.create: nodes < 2";
   let { Kv_scenario.sim; members; daemons; kvs; oracles } =
-    Kv_scenario.build_cluster ?tiers ?wrap ?kv_bug ~rings ~n:nodes
-      ~net ~tier ~params ~seed ()
+    Kv_scenario.build_cluster ?tiers ?wrap ?kv_bug ~rings ~n:nodes ~net
+      ~params ~seed ()
   in
   let t =
     {

@@ -32,7 +32,6 @@ type t
 val create :
   ?params:Params.t ->
   ?net:Profile.net ->
-  ?tier:Profile.tier ->
   ?tiers:Profile.tier array ->
   ?seed:int64 ->
   ?wrap:(pid:int -> Participant.t -> Participant.t) ->
@@ -44,9 +43,10 @@ val create :
   t
 (** Build [rings] rings of [nodes] physical nodes each on one shared
     {!Netsim}. [tiers] gives per-{e physical-node} cost profiles
-    (length [nodes], replicated across rings); [tier] is the uniform
-    default. After 250 µs without an observation on a (node, ring), the
-    ring's designated member — the lowest member of its installed
+    (length [nodes], replicated across rings; default {!Profile.daemon}
+    everywhere); [params] defaults to {!Params.snappy}. After 250 µs
+    without an observation on a (node, ring), the ring's designated
+    member — the lowest member of its installed
     view, if that view is a primary component — multicasts a skip
     naming the highest position any ring has reached in its own merge,
     if the ring is behind it and the member's replica is settled and not

@@ -19,8 +19,8 @@ let run (spec : Load.spec) =
   Load.validate ~prefix:"mload" spec;
   let n = spec.n_nodes and rings = spec.rings in
   let cluster =
-    Cluster.create ~params:spec.params ~net:spec.net ~tier:spec.tier
-      ~seed:spec.seed ~rings ~nodes:n ()
+    Cluster.create ~params:spec.params ~net:spec.net
+      ~tiers:(Array.make n spec.tier) ~seed:spec.seed ~rings ~nodes:n ()
   in
   let sim = Cluster.sim cluster in
   let metrics = Metrics.create () in

@@ -114,11 +114,6 @@ let create ?(config = default_config) ~n () =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Global instrument                                                   *)
-
-let current : t option ref = ref None
-
-(* ------------------------------------------------------------------ *)
 (* Feed                                                                *)
 
 let push_trail ns code now =
@@ -164,52 +159,37 @@ let on_crash ns =
 
 (* The one feed: decode the Flight records the watchdog needs (argument
    layouts in flight.mli); every other code falls through untouched. *)
-let on_record ~ns:_ ~node ~code ~a ~b:_ ~c ~d:_ ~e:_ ~f:_ ~g:_ ~h:_ ~i:_ =
-  match !current with
-  | None -> ()
-  | Some t ->
-      if code = Flight.ev_deliver then begin
-        t.last_delivery_ns <- Flight.now ();
-        t.deliveries <- t.deliveries + 1
-      end
-      else if node >= 0 && node < Array.length t.nodes then begin
-        let ns = t.nodes.(node) in
-        if code = Flight.ev_phase then on_phase t ns a
-        else if code = Flight.ev_recheck then begin
-          ns.ns_rechecks <- ns.ns_rechecks + 1;
-          push_trail ns trail_recheck (Flight.now ())
-        end
-        else if code = Flight.ev_recheck_giveup then begin
-          ns.ns_giveups <- ns.ns_giveups + 1;
-          push_trail ns trail_giveup (Flight.now ())
-        end
-        else if code = Flight.ev_dedup then
-          ns.ns_dedup_saved <- ns.ns_dedup_saved + c
-        else if code = Flight.ev_burst then begin
-          ns.ns_bursts <- ns.ns_bursts + 1;
-          ns.ns_floods <- ns.ns_floods + a;
-          ns.ns_flood_total <- ns.ns_flood_total + a
-        end
-        else if code = Flight.ev_nack then
-          ns.ns_resend_reqs <- ns.ns_resend_reqs + 1
-        else if code = Flight.ev_resend then begin
-          ns.ns_resends <- ns.ns_resends + a;
-          ns.ns_resend_total <- ns.ns_resend_total + a
-        end
-        else if code = Flight.ev_crash then on_crash ns
-      end
-
-let attach t =
-  current := Some t;
-  Flight.subscribe on_record
-
-let detach () =
-  current := None;
-  Flight.unsubscribe on_record
-
-let with_health t f =
-  attach t;
-  Fun.protect ~finally:detach f
+let as_sink t ~ns:_ ~node ~code ~a ~b:_ ~c ~d:_ ~e:_ ~f:_ ~g:_ ~h:_ ~i:_ =
+  if code = Flight.ev_deliver then begin
+    t.last_delivery_ns <- Flight.now ();
+    t.deliveries <- t.deliveries + 1
+  end
+  else if node >= 0 && node < Array.length t.nodes then begin
+    let ns = t.nodes.(node) in
+    if code = Flight.ev_phase then on_phase t ns a
+    else if code = Flight.ev_recheck then begin
+      ns.ns_rechecks <- ns.ns_rechecks + 1;
+      push_trail ns trail_recheck (Flight.now ())
+    end
+    else if code = Flight.ev_recheck_giveup then begin
+      ns.ns_giveups <- ns.ns_giveups + 1;
+      push_trail ns trail_giveup (Flight.now ())
+    end
+    else if code = Flight.ev_dedup then
+      ns.ns_dedup_saved <- ns.ns_dedup_saved + c
+    else if code = Flight.ev_burst then begin
+      ns.ns_bursts <- ns.ns_bursts + 1;
+      ns.ns_floods <- ns.ns_floods + a;
+      ns.ns_flood_total <- ns.ns_flood_total + a
+    end
+    else if code = Flight.ev_nack then
+      ns.ns_resend_reqs <- ns.ns_resend_reqs + 1
+    else if code = Flight.ev_resend then begin
+      ns.ns_resends <- ns.ns_resends + a;
+      ns.ns_resend_total <- ns.ns_resend_total + a
+    end
+    else if code = Flight.ev_crash then on_crash ns
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Stall detection                                                     *)

@@ -4,13 +4,15 @@
     detects formation livelock ("K gather attempts without reaching
     operational") and delivery stalls ("no progress for T virtual ns
     while a node is stuck outside operational"). The feed is {!Flight}:
-    an attached watchdog subscribes to it and decodes the [ev_phase],
-    [ev_recheck], [ev_recheck_giveup], [ev_dedup], [ev_burst],
-    [ev_nack], [ev_resend], [ev_deliver] and [ev_crash] records, so a
-    crash reaches it through [Netsim.crash] alone. Global attach/detach
-    like {!Span}; records nothing, so pinned corpus hashes never see
-    it. Deliveries count the engine's [ev_deliver], once per ordered
-    message however many local sessions a daemon hands it to. *)
+    a watchdog is a plain subscriber ({!as_sink}, like {!Checker} and
+    {!Rotation}) that decodes the [ev_phase], [ev_recheck],
+    [ev_recheck_giveup], [ev_dedup], [ev_burst], [ev_nack],
+    [ev_resend], [ev_deliver] and [ev_crash] records, so a crash reaches
+    it through [Netsim.crash] alone. Any number of watchdogs may be
+    subscribed at once, each counting for itself. It records nothing,
+    so pinned corpus hashes never see it. Deliveries count the engine's
+    [ev_deliver], once per ordered message however many local sessions
+    a daemon hands it to. *)
 
 type config = { k_formation : int; stall_ns : int }
 
@@ -21,13 +23,9 @@ type t
 
 val create : ?config:config -> n:int -> unit -> t
 
-(** {2 Global instrument} *)
-
-val attach : t -> unit
-(** Make [t] the watchdog and subscribe it to {!Flight}. *)
-
-val detach : unit -> unit
-val with_health : t -> (unit -> 'a) -> 'a
+val as_sink : t -> Trace.sink
+(** The watchdog's feed: subscribe it ({!Trace.with_sink}) before the
+    cluster is built, since start-up records phases. *)
 
 (** {2 Stall detection} *)
 

@@ -152,6 +152,14 @@ let enter t phase actions =
     ~b:t.join_seq ~c:0 ~d:0;
   disarm_memb @ actions
 
+(* Recovery flood pacing: a designated holder multicasts at most
+   [recovery_burst_msgs] messages per burst, bursts [recovery_burst_gap_ns]
+   apart, so a small switch buffer drains between them; the gap also
+   scales the per-ring-position stagger of the first burst. Chosen, not
+   measured. *)
+let recovery_burst_msgs = 8
+let recovery_burst_gap_ns = 400_000
+
 (* The residual flood's quiet interval: a [Flood_burst] that finds the
    queue still empty one formation timeout later releases the flood. *)
 let arm_quiet t = arm Flood_burst t.params.Params.consensus_timeout_ns
@@ -587,7 +595,7 @@ and enter_recover t (c : Message.commit) order =
   in
   let burst =
     if Deque.is_empty fl.q then []
-    else [ arm Flood_burst (1 + (pos * (t.params.recovery_burst_gap_ns / 4))) ]
+    else [ arm Flood_burst (1 + (pos * (recovery_burst_gap_ns / 4))) ]
   in
   let actions =
     enter t (Recover r) (burst @ [ arm Formation_timeout t.params.consensus_timeout_ns ])
@@ -823,7 +831,7 @@ and handle_token t msg (tok : Message.token) =
 let drain_burst t fl =
   let burst = ref [] in
   let sent = ref 0 in
-  while !sent < t.params.recovery_burst_msgs && not (Deque.is_empty fl.q) do
+  while !sent < recovery_burst_msgs && not (Deque.is_empty fl.q) do
     match Deque.pop_front fl.q with
     | None -> ()
     | Some seq -> (
@@ -838,7 +846,7 @@ let drain_burst t fl =
   Flight.record ~node:t.me ~code:Flight.ev_burst ~a:!sent ~b:remaining ~c:0
     ~d:0;
   let follow =
-    if remaining > 0 then [ arm Flood_burst t.params.recovery_burst_gap_ns ]
+    if remaining > 0 then [ arm Flood_burst recovery_burst_gap_ns ]
     else
       match t.phase with
       | Operational _ -> [ arm_quiet t ]

@@ -26,9 +26,9 @@
       flood is {e deduplicated} (per sequence number only its designated
       holder — the highest-pid survivor holding it, computed identically
       by everyone from the commit token's member infos — sends it) and
-      {e paced} (bursts of [recovery_burst_msgs] spaced
-      [recovery_burst_gap_ns] apart, the first burst staggered by ring
-      position, so a small switch buffer drains between bursts). Two
+      {e paced} (bursts of {!recovery_burst_msgs} spaced 400 µs apart,
+      the first burst staggered by ring position, so a small switch
+      buffer drains between bursts). Two
       further commit-token passes (3 and 4) confirm that every member
       finished the exchange; pass 4 installs the new configuration.
 
@@ -104,6 +104,10 @@ val create :
     peers through the membership algorithm. With [?initial_ring] it starts
     directly operational in that pre-agreed configuration (ring_seq 1) —
     the usual production bootstrap where all daemons share a config file. *)
+
+val recovery_burst_msgs : int
+(** The most recovery-flood messages one paced burst multicasts (8).
+    Bursts are 400 µs apart. *)
 
 val participant : t -> Participant.t
 (** The uniform runtime interface (see {!Participant}). *)

@@ -11,8 +11,6 @@ type t = {
   join_retransmit_ns : int;
   consensus_timeout_ns : int;
   merge_probe_ns : int;
-  recovery_burst_msgs : int;
-  recovery_burst_gap_ns : int;
 }
 
 let ms n = n * 1_000_000
@@ -29,34 +27,20 @@ let default =
     join_retransmit_ns = ms 50;
     consensus_timeout_ns = ms 500;
     merge_probe_ns = ms 300;
-    recovery_burst_msgs = 8;
-    recovery_burst_gap_ns = 400_000;
   }
 
 let original =
   { default with accelerated_window = 0; priority_method = Conservative }
 
-let accelerated ?personal_window ?global_window ?accelerated_window
-    ?priority_method () =
-  let p = default in
-  let p =
-    match personal_window with
-    | None -> p
-    | Some personal_window -> { p with personal_window }
-  in
-  let p =
-    match global_window with
-    | None -> p
-    | Some global_window -> { p with global_window }
-  in
-  let p =
-    match accelerated_window with
-    | None -> p
-    | Some accelerated_window -> { p with accelerated_window }
-  in
-  match priority_method with
-  | None -> p
-  | Some priority_method -> { p with priority_method }
+let snappy =
+  {
+    default with
+    token_retransmit_ns = ms 10;
+    token_loss_ns = ms 50;
+    join_retransmit_ns = ms 20;
+    consensus_timeout_ns = ms 100;
+    merge_probe_ns = ms 80;
+  }
 
 let is_original p = p.accelerated_window = 0
 
@@ -78,8 +62,4 @@ let validate p =
        previous timeout failed; a join cadence at or above it would let a
        healthy gather starve itself of fresh joins. *)
     Error "consensus_timeout_ns must exceed join_retransmit_ns"
-  else if p.recovery_burst_msgs <= 0 then
-    Error "recovery_burst_msgs must be positive"
-  else if p.recovery_burst_gap_ns <= 0 then
-    Error "recovery_burst_gap_ns must be positive"
   else Ok ()

@@ -46,14 +46,6 @@ type t = {
       (** Interval at which a ring's representative multicasts a presence
           probe so that healed partitions discover each other and merge
           even when idle. *)
-  recovery_burst_msgs : int;
-      (** Recovery exchange: maximum messages a designated holder
-          multicasts per flood burst. Bursts are spaced
-          [recovery_burst_gap_ns] apart so a small switch buffer drains
-          between them. *)
-  recovery_burst_gap_ns : int;
-      (** Recovery exchange: delay between a holder's flood bursts; also
-          scales the per-ring-position stagger of the first burst. *)
 }
 
 val default : t
@@ -65,14 +57,12 @@ val original : t
 (** The original Ring protocol: [default] with [accelerated_window = 0] and
     the conservative priority method. *)
 
-val accelerated :
-  ?personal_window:int ->
-  ?global_window:int ->
-  ?accelerated_window:int ->
-  ?priority_method:priority_method ->
-  unit ->
-  t
-(** [accelerated ()] is [default] with selective overrides. *)
+val snappy : t
+(** [default] with fast membership timeouts: token retransmit 10 ms,
+    token loss 50 ms, join retransmit 20 ms, consensus 100 ms and merge
+    probe 80 ms. Simulated runs are short, so partition merges must
+    complete well inside their drain budget: the load harness, the
+    multi-ring cluster, the fuzzer's schedules and the tests share it. *)
 
 val is_original : t -> bool
 (** [is_original p] holds when [p] disables acceleration entirely. *)

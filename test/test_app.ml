@@ -82,16 +82,6 @@ let test_op_rejects_garbage () =
 (* -------------------------------------------------------------------- *)
 (* Simulated KV cluster                                                  *)
 
-let test_params =
-  {
-    (Params.accelerated ()) with
-    token_loss_ns = ms 50;
-    token_retransmit_ns = ms 10;
-    join_retransmit_ns = ms 20;
-    consensus_timeout_ns = ms 100;
-    merge_probe_ns = ms 80;
-  }
-
 type kcluster = {
   sim : Netsim.t;
   kvs : Kv.t array;
@@ -102,8 +92,7 @@ let make_kcluster ?(n = 3) ?(seed = 3L) ?(bug = fun _ -> Kv.Bug_none) () =
   let { Kv_scenario.sim; kvs; oracles; _ } =
     Kv_scenario.build_cluster
       ~kv_bug:(fun ~ring:_ ~node -> Some (bug node))
-      ~rings:1 ~n ~net:Profile.gigabit ~tier:Profile.daemon ~params:test_params
-      ~seed ()
+      ~rings:1 ~n ~net:Profile.gigabit ~params:Params.snappy ~seed ()
   in
   { sim; kvs; oracle = oracles.(0) }
 

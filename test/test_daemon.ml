@@ -222,23 +222,15 @@ type dcluster = {
   members : Member.t array;
 }
 
-let test_params =
-  {
-    (Params.accelerated ()) with
-    token_loss_ns = ms 50;
-    token_retransmit_ns = ms 10;
-    join_retransmit_ns = ms 20;
-    consensus_timeout_ns = ms 100;
-    merge_probe_ns = ms 80;
-  }
-
-let make_dcluster ?(n = 3) ?packing () =
+let make_dcluster ?(n = 3) ?pack_threshold () =
   let ring = Array.init n (fun i -> i) in
   let members =
     Array.init n (fun me ->
-        Member.create ~params:test_params ~me ~initial_ring:ring ())
+        Member.create ~params:Params.snappy ~me ~initial_ring:ring ())
   in
-  let daemons = Array.map (fun m -> Daemon.create ?packing ~member:m ()) members in
+  let daemons =
+    Array.map (fun m -> Daemon.create ?pack_threshold ~member:m ()) members
+  in
   let sim =
     Netsim.create ~net:Profile.gigabit
       ~tiers:(Array.make n Profile.daemon)
@@ -331,7 +323,7 @@ let test_local_copies_count_once () =
     (Aring_obs.Trace.fn_sink (fun ev -> records := ev :: !records))
     (fun () ->
       Span.with_span span (fun () ->
-          Health.with_health health (fun () ->
+          Aring_obs.Trace.with_sink (Health.as_sink health) (fun () ->
               Daemon.multicast c.daemons.(1) ss ~groups:[ "chat" ]
                 (Bytes.of_string "once");
               Netsim.run_until c.sim (ms 40))));
@@ -368,10 +360,10 @@ let test_local_copies_count_once () =
    ordered message once per node, so neither reads as a regression. *)
 let test_checker_judges_local_copies_once () =
   List.iter
-    (fun packing ->
+    (fun pack_threshold ->
       let checker = Aring_obs.Checker.create () in
       Aring_obs.Trace.with_sink (Aring_obs.Checker.as_sink checker) (fun () ->
-          let c = make_dcluster ~packing () in
+          let c = make_dcluster ~pack_threshold () in
           let session d name =
             Daemon.connect c.daemons.(d) ~name (callbacks_of (fresh_client ()))
           in
@@ -384,12 +376,12 @@ let test_checker_judges_local_copies_once () =
               (Bytes.of_string (string_of_int i))
           done;
           Netsim.run_until c.sim (ms 40));
-      let label = if packing then "packed" else "unpacked" in
+      let label = if pack_threshold > 0 then "packed" else "unpacked" in
       check (Alcotest.list Alcotest.string) (label ^ ": no violations") []
         (Aring_obs.Checker.violations checker);
       check Alcotest.bool (label ^ ": deliveries checked") true
         (Aring_obs.Checker.deliveries_checked checker > 0))
-    [ false; true ]
+    [ 0; 1300 ]
 
 let test_group_views_consistent () =
   let c = make_dcluster () in
@@ -622,25 +614,8 @@ let test_batch_envelope_roundtrip () =
     (Invalid_argument "Envelope.encode: nested batch") (fun () ->
       ignore (Envelope.encode (Envelope.Batch [ Envelope.Batch [] ])))
 
-let make_packing_dcluster ?(n = 3) () =
-  let ring = Array.init n (fun i -> i) in
-  let members =
-    Array.init n (fun me ->
-        Member.create ~params:test_params ~me ~initial_ring:ring ())
-  in
-  let daemons =
-    Array.map (fun m -> Daemon.create ~packing:true ~member:m ()) members
-  in
-  let sim =
-    Netsim.create ~net:Profile.gigabit
-      ~tiers:(Array.make n Profile.daemon)
-      ~participants:(Array.map Daemon.participant daemons)
-      ~seed:3L ()
-  in
-  { sim; daemons; members }
-
 let test_packing_delivers_all_in_order () =
-  let c = make_packing_dcluster () in
+  let c = make_dcluster ~pack_threshold:1300 () in
   let rx = fresh_client () in
   let s_rx = Daemon.connect c.daemons.(1) ~name:"rx" (callbacks_of rx) in
   Daemon.join c.daemons.(1) s_rx "small";
@@ -668,7 +643,7 @@ let test_packing_delivers_all_in_order () =
   | None -> Alcotest.fail "daemon not operational")
 
 let test_packing_respects_threshold () =
-  let c = make_packing_dcluster () in
+  let c = make_dcluster ~pack_threshold:1300 () in
   let rx = fresh_client () in
   let s_rx = Daemon.connect c.daemons.(1) ~name:"rx" (callbacks_of rx) in
   Daemon.join c.daemons.(1) s_rx "big";
@@ -684,7 +659,7 @@ let test_packing_respects_threshold () =
     (Daemon.stats c.daemons.(0)).packs_sent
 
 let test_packing_mixed_services_flush () =
-  let c = make_packing_dcluster () in
+  let c = make_dcluster ~pack_threshold:1300 () in
   let rx = fresh_client () in
   let s_rx = Daemon.connect c.daemons.(1) ~name:"rx" (callbacks_of rx) in
   Daemon.join c.daemons.(1) s_rx "g";
@@ -743,9 +718,9 @@ let pack_ops_arb =
    reached the ring, oldest first, and the submission log (sender,
    service, payload string), also oldest first. *)
 let run_packer ?(pack_threshold = 1300) ops =
-  let member = Member.create ~params:test_params ~me:0 ~initial_ring:[| 0 |] () in
+  let member = Member.create ~params:Params.snappy ~me:0 ~initial_ring:[| 0 |] () in
   ignore ((Member.participant member).Participant.start ());
-  let d = Daemon.create ~packing:true ~pack_threshold ~member () in
+  let d = Daemon.create ~pack_threshold ~member () in
   let sessions =
     Array.init 3 (fun i ->
         Daemon.connect d
@@ -1047,7 +1022,7 @@ let test_slow_receivers_share_deliveries () =
    daemon receives; a disconnect drops the backlog, and a session
    reconnected under the same name starts empty. *)
 let test_slow_inbox_parity_packed () =
-  let c = make_packing_dcluster () in
+  let c = make_dcluster ~pack_threshold:1300 () in
   let d = c.daemons.(0) in
   let recorder log =
     {

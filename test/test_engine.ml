@@ -40,7 +40,7 @@ let output_positions outputs =
   loop 0 [] None [] outputs
 
 let test_accelerated_output_shape () =
-  let params = Params.accelerated () in
+  let params = Params.default in
   let eng = Engine.create ~params ~ring_id:rid ~ring:[| 0; 1 |] ~me:0 in
   for i = 1 to 30 do
     ignore (Engine.handle eng (Engine.Submit (Types.Agreed, payload i)))
@@ -85,7 +85,7 @@ let test_original_output_shape () =
 let test_small_batch_all_post_token () =
   (* Fewer messages than the accelerated window: everything follows the
      token, so it leaves as early as possible. *)
-  let params = Params.accelerated () in
+  let params = Params.default in
   let eng = Engine.create ~params ~ring_id:rid ~ring:[| 0; 1 |] ~me:0 in
   for i = 1 to 5 do
     ignore (Engine.handle eng (Engine.Submit (Types.Agreed, payload i)))
@@ -96,7 +96,7 @@ let test_small_batch_all_post_token () =
   check Alcotest.int "all post sends" 5 (List.length post)
 
 let test_duplicate_token_ignored () =
-  let params = Params.accelerated () in
+  let params = Params.default in
   let eng = Engine.create ~params ~ring_id:rid ~ring:[| 0; 1 |] ~me:0 in
   let tok = Engine.initial_token rid in
   let first = Engine.handle eng (Engine.Token_received tok) in
@@ -107,7 +107,7 @@ let test_duplicate_token_ignored () =
   check Alcotest.int "dup counted" 1 (Engine.stats eng).dup_tokens
 
 let test_foreign_ring_ignored () =
-  let params = Params.accelerated () in
+  let params = Params.default in
   let eng = Engine.create ~params ~ring_id:rid ~ring:[| 0; 1 |] ~me:0 in
   let foreign : Types.ring_id = { rep = 9; ring_seq = 99 } in
   let out = Engine.handle eng (Engine.Token_received (Engine.initial_token foreign)) in
@@ -131,7 +131,7 @@ let kind_name = function
    keeps one pending timer per kind, so a fire is always the latest
    arm's and the engine needs no generation to tell it from an old one. *)
 let test_token_retransmit_then_evidence () =
-  let params = Params.accelerated () in
+  let params = Params.default in
   let eng = Engine.create ~params ~ring_id:rid ~ring:[| 0; 1 |] ~me:0 in
   let outputs = Engine.handle eng (Engine.Token_received (Engine.initial_token rid)) in
   check (Alcotest.list Alcotest.string) "visit arms retransmit then loss"
@@ -163,7 +163,7 @@ let test_token_retransmit_then_evidence () =
   check Alcotest.int "no further retransmit" 1 (Engine.stats eng).token_retransmits
 
 let test_token_loss_fires () =
-  let params = Params.accelerated () in
+  let params = Params.default in
   let eng = Engine.create ~params ~ring_id:rid ~ring:[| 0; 1 |] ~me:0 in
   (* The runtime arms the loss timer alone at installation. *)
   let node = Node.create ~params ~ring_id:rid ~ring:[| 0; 1 |] ~me:1 in
@@ -200,7 +200,7 @@ let test_token_loss_fires () =
 (* Safe-delivery gating: a two-participant hand-driven scenario          *)
 
 let test_safe_gating_two_engines () =
-  let params = Params.accelerated () in
+  let params = Params.default in
   let a = Engine.create ~params ~ring_id:rid ~ring:[| 0; 1 |] ~me:0 in
   let b = Engine.create ~params ~ring_id:rid ~ring:[| 0; 1 |] ~me:1 in
   ignore (Engine.handle a (Engine.Submit (Types.Safe, payload 1)));
@@ -233,7 +233,7 @@ let test_safe_gating_two_engines () =
 let test_agreed_blocked_behind_safe () =
   (* An agreed message sequenced after an unstable safe message must wait
      for it, preserving the single total order. *)
-  let params = Params.accelerated () in
+  let params = Params.default in
   let a = Engine.create ~params ~ring_id:rid ~ring:[| 0; 1 |] ~me:0 in
   ignore (Engine.handle a (Engine.Submit (Types.Safe, payload 1)));
   ignore (Engine.handle a (Engine.Submit (Types.Agreed, payload 2)));
@@ -247,7 +247,7 @@ let test_agreed_held_behind_lost_safe () =
      Agreed messages sequenced after it arrive fine, and B must hold them
      — first for the gap, then (once the retransmission fills the gap) for
      the safe line — and finally deliver all three in order. *)
-  let params = Params.accelerated () in
+  let params = Params.default in
   let a = Engine.create ~params ~ring_id:rid ~ring:[| 0; 1 |] ~me:0 in
   let b = Engine.create ~params ~ring_id:rid ~ring:[| 0; 1 |] ~me:1 in
   ignore (Engine.handle a (Engine.Submit (Types.Safe, payload 1)));
@@ -320,7 +320,7 @@ let test_agreed_held_behind_lost_safe () =
 (* Retransmission via the rtr list (hand-driven loss)                    *)
 
 let test_rtr_recovery_two_engines () =
-  let params = Params.accelerated () in
+  let params = Params.default in
   let a = Engine.create ~params ~ring_id:rid ~ring:[| 0; 1 |] ~me:0 in
   let b = Engine.create ~params ~ring_id:rid ~ring:[| 0; 1 |] ~me:1 in
   ignore (Engine.handle a (Engine.Submit (Types.Agreed, payload 1)));
@@ -399,7 +399,7 @@ let run_cluster ~params ~n ~per_node ~service ~steps ?(data_loss = 0.0) ?seed ()
 
 let test_cluster_agreed_all_delivered () =
   let net =
-    run_cluster ~params:(Params.accelerated ()) ~n:4 ~per_node:50
+    run_cluster ~params:Params.default ~n:4 ~per_node:50
       ~service:Types.Agreed ~steps:20_000 ()
   in
   check_total_order net;
@@ -412,7 +412,7 @@ let test_cluster_agreed_all_delivered () =
 
 let test_cluster_safe_all_delivered () =
   let net =
-    run_cluster ~params:(Params.accelerated ()) ~n:4 ~per_node:50
+    run_cluster ~params:Params.default ~n:4 ~per_node:50
       ~service:Types.Safe ~steps:20_000 ()
   in
   check_total_order net;
@@ -437,7 +437,7 @@ let test_cluster_original_protocol () =
   done
 
 let test_cluster_mixed_services () =
-  let params = Params.accelerated () in
+  let params = Params.default in
   let net = Toy_net.create ~params 4 in
   for node = 0 to 3 do
     for i = 1 to 25 do
@@ -455,7 +455,7 @@ let test_cluster_mixed_services () =
   done
 
 let test_single_node_ring () =
-  let net = run_cluster ~params:(Params.accelerated ()) ~n:1 ~per_node:30
+  let net = run_cluster ~params:Params.default ~n:1 ~per_node:30
       ~service:Types.Safe ~steps:2_000 ()
   in
   check Alcotest.int "self-ring delivers everything" 30
@@ -463,7 +463,7 @@ let test_single_node_ring () =
 
 let test_lossy_cluster_recovers () =
   let net =
-    run_cluster ~params:(Params.accelerated ()) ~n:4 ~per_node:30
+    run_cluster ~params:Params.default ~n:4 ~per_node:30
       ~service:Types.Agreed ~steps:200_000 ~data_loss:0.2 ~seed:7L ()
   in
   check_total_order net;
@@ -480,7 +480,8 @@ let test_lossy_cluster_recovers () =
   check Alcotest.bool "loss forced retransmissions" true (total_retrans > 0)
 
 let test_personal_window_respected () =
-  let params = Params.accelerated ~personal_window:5 ~accelerated_window:5 () in
+  let params =
+    { Params.default with personal_window = 5; accelerated_window = 5 } in
   let net = Toy_net.create ~params 2 in
   for i = 1 to 60 do
     Toy_net.submit net 0 Types.Agreed (payload i)
@@ -496,8 +497,8 @@ let test_personal_window_respected () =
 
 let test_global_window_bounds_total () =
   let params =
-    Params.accelerated ~personal_window:10 ~global_window:10
-      ~accelerated_window:5 ()
+    { Params.default with
+      personal_window = 10; global_window = 10; accelerated_window = 5 }
   in
   let net = Toy_net.create ~params 4 in
   for node = 0 to 3 do
@@ -523,8 +524,8 @@ let test_max_seq_gap_stalls_sequencing () =
   (* Node 3 never receives data: its aru pins the global aru at 0, so the
      token's seq must never run more than max_seq_gap ahead. *)
   let params =
-    Params.accelerated ~personal_window:10 ~global_window:20
-      ~accelerated_window:5 ()
+    { Params.default with
+      personal_window = 10; global_window = 20; accelerated_window = 5 }
   in
   let params = { params with Params.max_seq_gap = 20 } in
   let drop ~src:_ ~dst (_ : Message.data) = dst = 3 in
@@ -593,7 +594,7 @@ let prop_total_order_under_loss =
     QCheck.(
       triple (int_range 2 6) (float_bound_inclusive 0.3) (int_range 1 1000))
     (fun (n, loss, seed) ->
-      let params = Params.accelerated () in
+      let params = Params.default in
       let net =
         Toy_net.create ~data_loss:loss ~seed:(Int64.of_int seed) ~params n
       in
@@ -613,7 +614,7 @@ let prop_safe_never_outruns_stability =
   QCheck.Test.make ~name:"safe delivery never outruns the aru line" ~count:25
     QCheck.(pair (int_range 2 5) (int_range 1 1000))
     (fun (n, seed) ->
-      let params = Params.accelerated () in
+      let params = Params.default in
       let net = Toy_net.create ~seed:(Int64.of_int seed) ~params n in
       for node = 0 to n - 1 do
         for i = 1 to 15 do
@@ -649,7 +650,7 @@ let prop_both_protocols_agree =
               (fun d -> (d.Toy_net.from, Bytes.to_string d.Toy_net.payload))
               (Toy_net.deliveries net i))
       in
-      let acc = run (Params.accelerated ()) in
+      let acc = run Params.default in
       let orig = run Params.original in
       (* Both runs deliver all 60 messages consistently within themselves.
          (The two protocols need not produce the same interleaving as each
@@ -670,7 +671,7 @@ let prop_both_protocols_agree =
 let test_fcc_decays_when_idle () =
   (* fcc counts last round's multicasts; once the burst is over it must
      return to zero so flow control frees the window again. *)
-  let params = Params.accelerated () in
+  let params = Params.default in
   let net = Toy_net.create ~params 2 in
   for i = 1 to 30 do
     Toy_net.submit net 0 Types.Agreed (payload i)
@@ -687,7 +688,7 @@ let test_fcc_decays_when_idle () =
     (List.length (Toy_net.delivered_seqs net 1))
 
 let test_gc_discards_stable_messages () =
-  let params = Params.accelerated () in
+  let params = Params.default in
   let net = Toy_net.create ~params 3 in
   for i = 1 to 100 do
     Toy_net.submit net (i mod 3) Types.Safe (payload i)
@@ -703,7 +704,7 @@ let test_gc_discards_stable_messages () =
   done
 
 let test_fifo_causal_behave_like_agreed () =
-  let params = Params.accelerated () in
+  let params = Params.default in
   let net = Toy_net.create ~params 3 in
   List.iteri
     (fun i service ->
@@ -720,7 +721,7 @@ let test_fifo_causal_behave_like_agreed () =
 
 let test_drain_pending () =
   let eng =
-    Engine.create ~params:(Params.accelerated ()) ~ring_id:rid ~ring:[| 0; 1 |]
+    Engine.create ~params:Params.default ~ring_id:rid ~ring:[| 0; 1 |]
       ~me:0
   in
   ignore (Engine.handle eng (Engine.Submit (Types.Agreed, payload 1)));
@@ -741,7 +742,7 @@ let test_drain_pending () =
 let test_aru_id_set_and_cleared () =
   (* When a participant lowers the aru it must stamp itself as aru_id, and
      clear it once it has caught back up to the token seq. *)
-  let params = Params.accelerated () in
+  let params = Params.default in
   let a = Engine.create ~params ~ring_id:rid ~ring:[| 0; 1 |] ~me:0 in
   let b = Engine.create ~params ~ring_id:rid ~ring:[| 0; 1 |] ~me:1 in
   ignore (Engine.handle a (Engine.Submit (Types.Agreed, payload 1)));
@@ -763,7 +764,7 @@ let test_aru_id_set_and_cleared () =
   check (Alcotest.option Alcotest.int) "stamp cleared" None tok4.aru_id
 
 let test_deliveries_strictly_ascending () =
-  let params = Params.accelerated () in
+  let params = Params.default in
   let net = Toy_net.create ~data_loss:0.15 ~seed:3L ~params 4 in
   for node = 0 to 3 do
     for i = 1 to 25 do
@@ -791,8 +792,9 @@ let prop_total_order_any_windows =
     (fun (pw, aw, n, seed) ->
       let aw = min aw pw in
       let params =
-        Params.accelerated ~personal_window:pw ~global_window:(8 * pw)
-          ~accelerated_window:aw ()
+        { Params.default with
+          personal_window = pw; global_window = 8 * pw;
+          accelerated_window = aw }
       in
       let net = Toy_net.create ~seed:(Int64.of_int seed) ~params n in
       for node = 0 to n - 1 do
@@ -1092,7 +1094,8 @@ let check_visit_shape ~succ (tok : Message.token) outputs =
    through [Node] and its sink, one through [Engine.handle] mapped by
    the model; their lists must be equal, and the model's well formed. *)
 let run_sink_steps steps =
-  let params = Params.accelerated ~personal_window:24 ~accelerated_window:8 () in
+  let params =
+    { Params.default with personal_window = 24; accelerated_window = 8 } in
   let ring = [| 0; 1; 2 |] and me = 1 in
   let node = Node.create ~params ~ring_id:rid ~ring ~me in
   let eng = Engine.create ~params ~ring_id:rid ~ring ~me in
@@ -1201,7 +1204,7 @@ let test_submit_stamp_survives_queue () =
   let sub ~ns:_ ~node:_ ~code ~a:_ ~b:_ ~c:_ ~d ~e:_ ~f:_ ~g:_ ~h:_ ~i:_ =
     if code = Aring_obs.Flight.ev_data_send then stamps := d :: !stamps
   in
-  let eng = Engine.create ~params:(Params.accelerated ()) ~ring_id:rid ~ring:[| 0; 1 |] ~me:0 in
+  let eng = Engine.create ~params:Params.default ~ring_id:rid ~ring:[| 0; 1 |] ~me:0 in
   Aring_obs.Flight.set_clock (fun () -> stamp);
   Aring_obs.Flight.subscribe sub;
   Fun.protect

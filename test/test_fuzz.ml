@@ -56,6 +56,32 @@ let test_generate_deterministic () =
     "different seed, different schedule" false
     (Schedule.to_string a = Schedule.to_string c)
 
+(* A schedule sets only the windows, the priority method and the
+   sequence gap; every other parameter is the fast profile's. *)
+let test_schedule_params_are_snappy () =
+  let open Aring_ring in
+  List.iter
+    (fun rings ->
+      for seed = 1 to 500 do
+        let c = (Schedule.generate ~rings ~seed:(Int64.of_int seed) ()).config in
+        let p = Schedule.params c in
+        let expected =
+          {
+            Params.snappy with
+            Params.personal_window = c.personal_window;
+            global_window = p.global_window;
+            accelerated_window = c.accelerated_window;
+            priority_method =
+              (if c.aggressive then Params.Aggressive else Params.Conservative);
+            max_seq_gap = c.max_seq_gap;
+          }
+        in
+        if p <> expected then
+          Alcotest.failf "rings %d seed %d: params differ from Params.snappy"
+            rings seed
+      done)
+    [ 1; 2; 4 ]
+
 let test_generate_well_formed () =
   for seed = 0 to 49 do
     let s = Schedule.generate ~seed:(Int64.of_int seed) () in
@@ -550,4 +576,6 @@ let suite =
     ("kv runs judged only after the horizon", `Quick,
      test_kv_judged_after_horizon);
     ("corpus save/load", `Quick, test_corpus_save_load);
+    ("schedule params are the snappy profile", `Quick,
+     test_schedule_params_are_snappy);
   ]

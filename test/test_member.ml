@@ -11,17 +11,6 @@ let check = Alcotest.check
 
 let ms n = n * 1_000_000
 
-(* Short timeouts keep membership tests fast in simulated time. *)
-let test_params =
-  {
-    (Params.accelerated ()) with
-    token_loss_ns = ms 50;
-    token_retransmit_ns = ms 10;
-    join_retransmit_ns = ms 20;
-    consensus_timeout_ns = ms 100;
-    merge_probe_ns = ms 80;
-  }
-
 type event =
   | Msg of Types.pid * Types.seqno * Types.ring_id * string  (* from, seq, ring, payload *)
   | View of Participant.view
@@ -32,7 +21,7 @@ type cluster = {
   log : event list ref array;  (* newest first, per node *)
 }
 
-let make_cluster ?(n = 4) ?(bootstrapped = true) ?(params = test_params)
+let make_cluster ?(n = 4) ?(bootstrapped = true) ?(params = Params.snappy)
     ?(net = Profile.gigabit) ?(seed = 7L) () =
   let initial_ring =
     if bootstrapped then Some (Array.init n (fun i -> i)) else None
@@ -588,7 +577,7 @@ let consensus_timeout = Member.Memb_timer Member.Consensus_timeout
    into a later gather: it would run the new gather's consensus logic
    early. Driven out-of-band (no simulator) for exact control. *)
 let test_stale_memb_timer_is_ignored () =
-  let m = Member.create ~params:test_params ~me:0 () in
+  let m = Member.create ~params:Params.snappy ~me:0 () in
   let p = Member.participant m in
   let start = p.Participant.start () in
   check Alcotest.string "starts gathering" "gather" (Member.state_name m);
@@ -952,9 +941,9 @@ let test_paced_bursts_respect_budget () =
   check Alcotest.bool "exchange used paced bursts" true (bursts <> []);
   List.iter
     (fun (r : Aring_obs.Flight.event) ->
-      if r.a > test_params.Params.recovery_burst_msgs then
+      if r.a > Member.recovery_burst_msgs then
         Alcotest.failf "node %d burst %d messages (budget %d)" r.node r.a
-          test_params.Params.recovery_burst_msgs)
+          Member.recovery_burst_msgs)
     bursts;
   Aring_obs.Flight.set_capacity 512
 
@@ -1093,7 +1082,8 @@ let test_64_node_reformation_within_budget () =
         submit c (k mod n) Types.Agreed (Printf.sprintf "w%d" k))
   done;
   Netsim.call_at c.sim ~at:(ms 10) (fun () -> Netsim.crash c.sim 5);
-  Aring_obs.Health.with_health h (fun () -> Netsim.run_until c.sim (ms 4000));
+  Aring_obs.Trace.with_sink (Aring_obs.Health.as_sink h) (fun () ->
+      Netsim.run_until c.sim (ms 4000));
   let survivors = List.filter (fun i -> i <> 5) (List.init n Fun.id) in
   List.iter
     (fun i ->
@@ -1124,7 +1114,7 @@ let qtest = QCheck_alcotest.to_alcotest
    must be gone before the second node can arm its own: the gather that
    tears the first node down disarms them ahead of its first arm. *)
 let test_torn_down_node_timer_is_ignored () =
-  let m = Member.create ~params:test_params ~me:0 () in
+  let m = Member.create ~params:Params.snappy ~me:0 () in
   let p = Member.participant m in
   let is_node_timer = function Node.Engine_timer _ -> true | _ -> false in
   (* Fire the oldest pending membership timer, as a runtime firing them
@@ -1164,7 +1154,7 @@ let test_torn_down_node_timer_is_ignored () =
    Gather with a multicast join, while a retransmit fire stays with the
    node. Driven out-of-band, on the pending-set model of the actions. *)
 let test_token_loss_fire_starts_gather () =
-  let m = Member.create ~params:test_params ~me:0 ~initial_ring:[| 0; 1 |] () in
+  let m = Member.create ~params:Params.snappy ~me:0 ~initial_ring:[| 0; 1 |] () in
   let p = Member.participant m in
   let started = apply_timers [] (p.Participant.start ()) in
   check Alcotest.string "starts operational" "operational" (Member.state_name m);

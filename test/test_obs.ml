@@ -232,7 +232,7 @@ let run_node_cluster ~n ~net ~seed ~horizon_ms ~rate_per_node =
   let ring = Array.init n (fun i -> i) in
   let nodes =
     Array.init n (fun me ->
-        Node.create ~params:(Params.accelerated ()) ~ring_id:rid ~ring ~me)
+        Node.create ~params:Params.default ~ring_id:rid ~ring ~me)
   in
   let sim =
     Netsim.create ~net
@@ -282,16 +282,7 @@ let test_sim_invariants_lossy () =
 let test_sim_invariants_crash () =
   (* Member-based cluster: crash one node mid-run and let the ring
      reform; recovery deliveries must still satisfy every invariant. *)
-  let params =
-    {
-      (Params.accelerated ()) with
-      token_loss_ns = ms 50;
-      token_retransmit_ns = ms 10;
-      join_retransmit_ns = ms 20;
-      consensus_timeout_ns = ms 100;
-      merge_probe_ns = ms 80;
-    }
-  in
+  let params = Params.snappy in
   let n = 8 in
   let initial_ring = Array.init n (fun i -> i) in
   let members =
@@ -661,7 +652,7 @@ let crash node = record ~node Flight.ev_crash ~a:0 ~b:0 ~d:0
 let test_health_formation_cycle () =
   with_virtual_clock (fun t ->
       let h = Health.create ~n:2 () in
-      Health.with_health h (fun () ->
+      Trace.with_sink (Health.as_sink h) (fun () ->
           (* Node 0 cycles gather -> commit -> recover without ever
              reaching operational; node 1 is healthy. The cycling must
              outlast [stall_ns] with no formation completing anywhere
@@ -694,7 +685,7 @@ let test_health_formation_cycle () =
 let test_health_operational_resets () =
   with_virtual_clock (fun t ->
       let h = Health.create ~n:1 () in
-      Health.with_health h (fun () ->
+      Trace.with_sink (Health.as_sink h) (fun () ->
           for i = 1 to 7 do
             t := i * 200_000_000;
             phase 0 Flight.phase_gather;
@@ -717,7 +708,7 @@ let test_health_operational_resets () =
 let test_health_no_progress_and_crash () =
   with_virtual_clock (fun t ->
       let h = Health.create ~n:2 () in
-      Health.with_health h (fun () ->
+      Trace.with_sink (Health.as_sink h) (fun () ->
           t := 1_000;
           delivery ();
           phase 0 Flight.phase_gather;
@@ -741,7 +732,7 @@ let test_health_no_progress_and_crash () =
 let test_health_report_renders () =
   with_virtual_clock (fun t ->
       let h = Health.create ~n:1 () in
-      Health.with_health h (fun () ->
+      Trace.with_sink (Health.as_sink h) (fun () ->
           for i = 1 to 8 do
             t := i * 200_000_000;
             phase 0 Flight.phase_gather;
@@ -759,19 +750,13 @@ let test_health_crash_via_netsim () =
   let n = 4 in
   let initial_ring = Array.init n Fun.id in
   let params =
-    {
-      (Params.accelerated ()) with
-      token_loss_ns = ms 50;
-      token_retransmit_ns = ms 10;
-      join_retransmit_ns = ms 20;
-      consensus_timeout_ns = ms 100;
-    }
+    { Params.snappy with merge_probe_ns = Params.default.merge_probe_ns }
   in
   let members =
     Array.init n (fun me -> Member.create ~params ~me ~initial_ring ())
   in
   let h = Health.create ~n () in
-  Health.with_health h (fun () ->
+  Trace.with_sink (Health.as_sink h) (fun () ->
       let sim =
         Netsim.create ~net:Profile.gigabit
           ~tiers:(Array.make n Profile.library)
@@ -790,6 +775,45 @@ let test_health_crash_via_netsim () =
     r.r_nodes;
   check Alcotest.int "no stall flagged" 0 (List.length r.Health.r_stalls)
 
+(* A watchdog is a plain subscriber: two subscribed over one faulty run
+   each count every delivery and every phase entry, neither displacing
+   the other. *)
+let test_two_watchdogs_count_alike () =
+  let n = 4 in
+  let initial_ring = Array.init n Fun.id in
+  let members =
+    Array.init n (fun me ->
+        Member.create ~params:Params.snappy ~me ~initial_ring ())
+  in
+  let outer = Health.create ~n () and inner = Health.create ~n () in
+  Trace.with_sink (Health.as_sink outer) (fun () ->
+      Trace.with_sink (Health.as_sink inner) (fun () ->
+          let sim =
+            Netsim.create ~net:Profile.gigabit
+              ~tiers:(Array.make n Profile.library)
+              ~participants:(Array.map Member.participant members)
+              ~seed:7L ()
+          in
+          for k = 1 to 20 do
+            Netsim.call_at sim ~at:(k * 500_000) (fun () ->
+                Member.submit members.(k mod n) Types.Agreed
+                  (Bytes.of_string (string_of_int k)))
+          done;
+          Netsim.call_at sim ~at:(ms 5) (fun () -> Netsim.crash sim 2);
+          Netsim.run_until sim (ms 800)));
+  let a = Health.report outer ~now:(ms 800)
+  and b = Health.report inner ~now:(ms 800) in
+  check Alcotest.bool "deliveries counted" true (a.r_deliveries > 0);
+  check Alcotest.int "same deliveries" a.r_deliveries b.r_deliveries;
+  let entries (r : Health.report) =
+    List.map (fun (nr : Health.node_report) -> nr.nr_entries) r.r_nodes
+  in
+  check Alcotest.bool "gather entered" true
+    (List.exists (fun nr -> List.assoc "gather" nr > 0) (entries a));
+  check
+    Alcotest.(list (list (pair string int)))
+    "same phase entries" (entries a) (entries b)
+
 let test_subscribers_see_disabled_records () =
   with_virtual_clock (fun t ->
       let h = Health.create ~n:1 () in
@@ -799,7 +823,7 @@ let test_subscribers_see_disabled_records () =
       Fun.protect
         ~finally:(fun () -> Flight.set_enabled true)
         (fun () ->
-          Health.with_health h (fun () ->
+          Trace.with_sink (Health.as_sink h) (fun () ->
               Span.with_span span (fun () ->
                   t := 1_000;
                   let stamp = Span.submit_stamp () in
@@ -821,7 +845,7 @@ let test_subscribers_see_disabled_records () =
 
 let test_watchdog_feed_allocates_nothing () =
   let h = Health.create ~n:1 () in
-  Health.with_health h (fun () ->
+  Trace.with_sink (Health.as_sink h) (fun () ->
       let token_recv i =
         Flight.record ~node:0 ~code:Flight.ev_token_recv ~a:i ~b:i ~c:i ~d:i
       in
@@ -911,13 +935,7 @@ let test_flight_decodes_traced_steps () =
 let test_traced_steps_match_flight () =
   let n = 4 in
   let params =
-    {
-      (Params.accelerated ()) with
-      token_loss_ns = ms 50;
-      token_retransmit_ns = ms 10;
-      join_retransmit_ns = ms 20;
-      consensus_timeout_ns = ms 100;
-    }
+    { Params.snappy with merge_probe_ns = Params.default.merge_probe_ns }
   in
   let initial_ring = Array.init n Fun.id in
   let members =
@@ -992,7 +1010,7 @@ let test_switch_drop_recorded_without_sink () =
   let initial_ring = Array.init n Fun.id in
   let members =
     Array.init n (fun me ->
-        Member.create ~params:(Params.accelerated ()) ~me ~initial_ring ())
+        Member.create ~params:Params.default ~me ~initial_ring ())
   in
   Flight.reset ();
   let sim =
@@ -1162,4 +1180,6 @@ let suite =
       test_trace_tool_reads_flight_dump;
     Alcotest.test_case "rotation: histogram holds each sample once" `Quick
       test_rotation_histogram_holds_each_sample;
+    Alcotest.test_case "health: two watchdogs subscribed at once count alike"
+      `Quick test_two_watchdogs_count_alike;
   ]

@@ -15,6 +15,7 @@ let error_msg p =
 let test_defaults_valid () =
   check Alcotest.bool "default valid" true (ok Params.default);
   check Alcotest.bool "original valid" true (ok Params.original);
+  check Alcotest.bool "snappy valid" true (ok Params.snappy);
   check Alcotest.bool "original is original" true (Params.is_original Params.original);
   check Alcotest.bool "default is not original" false (Params.is_original Params.default)
 
@@ -34,17 +35,6 @@ let test_invalid_windows () =
     "token_loss_ns must exceed token_retransmit_ns"
     (error_msg { Params.default with token_loss_ns = 1 })
 
-let test_accelerated_overrides () =
-  let p =
-    Params.accelerated ~personal_window:99 ~global_window:500
-      ~accelerated_window:7 ~priority_method:Params.Conservative ()
-  in
-  check Alcotest.int "pw" 99 p.personal_window;
-  check Alcotest.int "gw" 500 p.global_window;
-  check Alcotest.int "aw" 7 p.accelerated_window;
-  check Alcotest.bool "valid" true (ok p);
-  check Alcotest.bool "conservative" true (p.priority_method = Params.Conservative)
-
 let test_engine_rejects_invalid () =
   let bad = { Params.default with personal_window = 0 } in
   let rid : Aring_wire.Types.ring_id = { rep = 0; ring_seq = 1 } in
@@ -60,6 +50,5 @@ let suite =
   [
     ("defaults valid", `Quick, test_defaults_valid);
     ("invalid windows rejected", `Quick, test_invalid_windows);
-    ("accelerated overrides", `Quick, test_accelerated_overrides);
     ("engine rejects invalid params", `Quick, test_engine_rejects_invalid);
   ]

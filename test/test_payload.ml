@@ -140,10 +140,10 @@ let quiet =
 
 (* A daemon on an operational one-member ring: what it submits lands in
    the engine's pending queue, where [submitted] reads it back. *)
-let single_daemon ?packing ?pack_threshold () =
+let single_daemon ?pack_threshold () =
   let m = Member.create ~params:Params.default ~me:0 ~initial_ring:[| 0 |] () in
   ignore ((Member.participant m).start ());
-  let d = Daemon.create ?packing ?pack_threshold ~member:m () in
+  let d = Daemon.create ?pack_threshold ~member:m () in
   let submitted () =
     match Member.node m with
     | Some node -> Engine.drain_pending (Node.engine node)
@@ -225,7 +225,7 @@ let prop_packed_frames =
                  writes)))
        QCheck.Gen.(pair (oneofl [ 40; 300; 1300; 5000; 1 lsl 30 ]) (list_size (1 -- 12) packed_write_gen)))
     (fun (threshold, writes) ->
-      let d, submitted = single_daemon ~packing:true ~pack_threshold:threshold () in
+      let d, submitted = single_daemon ~pack_threshold:threshold () in
       let sessions =
         Array.init 3 (fun i -> Daemon.connect d ~name:(Printf.sprintf "s%d" i) quiet)
       in
@@ -243,7 +243,7 @@ let prop_packed_frames =
       submitted () = reference_packer ~threshold expected)
 
 let test_flush_of_one_and_many () =
-  let d, submitted = single_daemon ~packing:true ~pack_threshold:(1 lsl 30) () in
+  let d, submitted = single_daemon ~pack_threshold:(1 lsl 30) () in
   let s = Daemon.connect d ~name:"kv" quiet in
   let op i = Op.Put { key = Printf.sprintf "k%d" i; value = "v" } in
   let sender = Daemon.session_member_name d s in
@@ -264,7 +264,7 @@ let test_flush_of_one_and_many () =
       ])
 
 let test_failed_write_submits_nothing () =
-  let d, submitted = single_daemon ~packing:true () in
+  let d, submitted = single_daemon ~pack_threshold:1300 () in
   let s = Daemon.connect d ~name:"kv" quiet in
   let ok = Op.Put { key = "k"; value = "v" } in
   Daemon.multicast_write d s ~groups:[ "g" ] Op.write ok;

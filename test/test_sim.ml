@@ -18,7 +18,7 @@ type cluster = {
 }
 
 let make_cluster ?(n = 4) ?(net = Profile.gigabit) ?(tier = Profile.library)
-    ?(params = Params.accelerated ()) ?(seed = 1L) () =
+    ?(params = Params.default) ?(seed = 1L) () =
   let ring = Array.init n (fun i -> i) in
   let nodes =
     Array.init n (fun me -> Node.create ~params ~ring_id:rid ~ring ~me)
@@ -85,7 +85,7 @@ let test_no_spurious_retransmissions () =
   (* The accelerated token runs ahead of post-token data, yet the rtr cap
      (previous round's seq) must prevent any retransmission request on a
      lossless network. *)
-  let c = make_cluster ~n:8 ~params:(Params.accelerated ()) () in
+  let c = make_cluster ~n:8 ~params:Params.default () in
   submit_burst c ~per_node:200 ~payload_len:1342;
   Netsim.run_until c.sim (ms 200);
   Array.iteri
@@ -124,7 +124,7 @@ let test_accelerated_rotates_faster () =
     Netsim.run_until c.sim (ms 100);
     (Engine.stats (Node.engine c.nodes.(0))).rounds
   in
-  let accel = rounds_of (Params.accelerated ()) in
+  let accel = rounds_of Params.default in
   let orig = rounds_of Params.original in
   check Alcotest.bool
     (Printf.sprintf "accelerated (%d) rotates faster than original (%d)" accel
@@ -319,7 +319,7 @@ let test_scenario_accel_beats_original_under_load () =
         measure_ns = ms 200;
       }
   in
-  let accel = run (Params.accelerated ()) in
+  let accel = run Params.default in
   let orig = run Params.original in
   check Alcotest.bool "both sustain 700 Mbps" true
     (accel.delivered_mbps > 680.0 && orig.delivered_mbps > 680.0);
