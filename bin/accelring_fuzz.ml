@@ -24,49 +24,40 @@ let dump_flight ~path outcome =
   Printf.printf "flight recorder: %d records -> %s (+ %s)\n"
     (Aring_obs.Flight.stored ()) path report_path
 
+let usage msg =
+  prerr_endline ("accelring_fuzz: " ^ msg);
+  exit 2
+
 let run trials seed max_nodes rings bug_name app_name shrink
     max_shrink_runs time_budget replay_path trace_file corpus_dir flight_dump
     quiet =
-  if rings < 1 then begin
-    prerr_endline "--rings must be >= 1";
-    exit 2
-  end;
-  let bug =
-    match Bug.of_string bug_name with
-    | Ok b -> b
-    | Error e ->
-        prerr_endline e;
-        exit 2
-  in
-  let app =
-    match Runner.app_of_string app_name with
-    | Ok a -> a
-    | Error e ->
-        prerr_endline e;
-        exit 2
-  in
+  if rings < 1 then usage "--rings must be >= 1";
+  let bug = match Bug.of_string bug_name with Ok b -> b | Error e -> usage e in
   let log line = if not quiet then print_endline line in
   match replay_path with
   | Some path ->
-      (* Replay one schedule file, or every *.json entry of a directory. *)
-      let entries =
+      if app_name <> None then
+        usage "--app sets generated schedules; a replayed one names its own";
+      (* Replay one schedule file, or every *.json entry of a directory
+         tree; a KV or learner bug leaves out the bare entries. *)
+      let all =
         if Sys.is_directory path then Corpus.load_dir path
         else [ (Filename.basename path, Corpus.load_file path) ]
       in
-      if entries = [] then begin
+      if all = [] then begin
         Printf.printf "no corpus entries under %s\n" path;
         exit 0
       end;
-      let trace_oc = Option.map open_out trace_file in
-      let extra_sink =
-        Option.map
-          (fun oc -> Aring_obs.Trace.fn_sink (Aring_obs.Flight.output_line oc))
-          trace_oc
+      let hosts (_, (s : Schedule.t)) =
+        s.config.app = Schedule.Kv || not (Bug.needs_kv bug)
       in
+      let entries = List.filter hosts all in
+      if entries = [] then usage ("--bug " ^ bug_name ^ " needs a kv schedule");
+      let trace = Trace_sinks.install ~trace_file ~chrome_file:None () in
       let failed = ref 0 in
       List.iter
         (fun (name, schedule) ->
-          let outcome = Fuzzer.replay ~bug ~app ?extra_sink schedule in
+          let outcome = Runner.run ~bug schedule in
           Format.printf "%s: %a@." name Runner.pp_outcome outcome;
           if not (Runner.passed outcome) then begin
             (* Dump the first failure: the recorder holds this run's tail
@@ -77,11 +68,18 @@ let run trials seed max_nodes rings bug_name app_name shrink
             incr failed
           end)
         entries;
-      Option.iter close_out trace_oc;
+      Trace_sinks.finish trace;
       Printf.printf "replayed %d entries, %d failed\n" (List.length entries)
         !failed;
       exit (if !failed > 0 then 1 else 0)
   | None ->
+      let app =
+        match Schedule.app_of_string (Option.value app_name ~default:"bare") with
+        | Ok a -> a
+        | Error e -> usage e
+      in
+      if app = Schedule.Bare && (rings > 1 || Bug.needs_kv bug) then
+        usage "--rings above 1 and the kv and learner bugs need --app kv";
       let stop =
         match time_budget with
         | None -> fun () -> false
@@ -138,7 +136,7 @@ let run trials seed max_nodes rings bug_name app_name shrink
               (* The recorder holds whichever run executed last (usually a
                  shrink probe); re-run the reproducer once so the dump
                  matches the schedule printed above. *)
-              let outcome = Fuzzer.replay ~bug ~app reproducer in
+              let outcome = Runner.run ~bug reproducer in
               dump_flight ~path outcome
           | None -> ());
           exit 1)
@@ -165,10 +163,11 @@ let rings =
     value & opt int 1
     & info [ "rings" ]
         ~doc:
-          "Ordering rings per generated schedule. With more than 1, every \
-           trial runs the multi-ring sharded KV deployment: ring-scoped \
-           partitions and token blackouts, a cross-shard mcas workload, \
-           and per-ring convergence plus cross-shard atomicity oracles. \
+          "Ordering rings per generated schedule. More than 1 needs --app \
+           kv; every trial then runs the multi-ring sharded deployment: \
+           ring-scoped partitions and token blackouts, a cross-shard mcas \
+           workload, and per-ring convergence plus cross-shard atomicity \
+           oracles. \
            The default (1) preserves the historical seed-to-schedule \
            mapping exactly.")
 
@@ -184,13 +183,13 @@ let bug_name =
 
 let app_name =
   Arg.(
-    value & opt string "none"
+    value & opt (some string) None
     & info [ "app" ]
         ~doc:
-          "Run an application workload on top of every schedule: none, or \
-           kv (a replicated key-value store per node whose end-to-end \
-           consistency oracle becomes a third safety check). Trace hashes \
-           differ from app-free runs.")
+          "The app every generated schedule names, so its reproducer \
+           replays on that stack: bare (the default) or kv (a replicated \
+           key-value store per node, with its consistency oracle as a third \
+           judge; needed for --rings above 1 and the kv and learner bugs).")
 
 let shrink =
   Arg.(
@@ -217,18 +216,9 @@ let replay_path =
     & opt (some string) None
     & info [ "replay" ] ~docv:"PATH"
         ~doc:
-          "Replay a saved schedule (a reproducer file, or every *.json in \
-           a corpus directory) instead of fuzzing.")
-
-let trace_file =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "With --replay: also dump every flight record of the replayed \
-           run(s) as JSONL to $(docv), for offline analysis with \
-           accelring_trace.")
+          "Replay a saved schedule (a reproducer file, or every *.json \
+           under a corpus directory) instead of fuzzing. --trace applies \
+           to replays only.")
 
 let corpus_dir =
   Arg.(
@@ -261,7 +251,7 @@ let cmd =
     Term.(
       const run $ trials $ seed $ max_nodes $ rings $ bug_name $ app_name
       $ shrink
-      $ max_shrink_runs $ time_budget $ replay_path $ trace_file $ corpus_dir
+      $ max_shrink_runs $ time_budget $ replay_path $ Trace_sinks.trace_file $ corpus_dir
       $ flight_dump $ quiet)
 
 let () = exit (Cmd.eval cmd)

@@ -59,15 +59,14 @@ let run nodes net tier protocol service payload rate pw gw aw seconds
       profile_rotation = rotation;
     }
   in
-  (* Latency spans ride outside the trace stream: attach a collector for
-     the run, report per-stage quantiles after. The baselines (sequencer,
-     ring-paxos) bypass the engine's stage notes, so their report is
-     empty. *)
+  (* Latency spans ride outside the trace stream: a collector is active
+     for the run, and per-stage quantiles are reported after. The
+     baselines (sequencer, ring-paxos) bypass the engine's stage notes,
+     so their report is empty. *)
   let span =
     if spans then Some (Aring_obs.Span.create ()) else None
   in
-  Option.iter Aring_obs.Span.attach span;
-  let result =
+  let run () =
     match protocol with
     | "sequencer" ->
         let participants =
@@ -86,7 +85,9 @@ let run nodes net tier protocol service payload rate pw gw aw seconds
     | _ ->
         if find_max then Scenario.find_max_throughput spec else Scenario.run spec
   in
-  if spans then Aring_obs.Span.detach ();
+  let result =
+    match span with Some s -> Aring_obs.Span.with_span s run | None -> run ()
+  in
   Trace_sinks.finish trace;
   Format.printf "%a@." Scenario.pp_result result;
   Option.iter

@@ -21,6 +21,10 @@ let label = function
   | Merge_no_seek -> "merge-no-seek"
   | Recovery_flood -> "recovery-flood"
 
+let needs_kv = function
+  | Kv_skip_apply _ | Kv_apply_before_election | Merge_no_seek -> true
+  | Clean | Skip_delivery _ | Skip_retransmission | Recovery_flood -> false
+
 let of_string = function
   | "clean" -> Ok Clean
   | "skip-delivery" -> Ok (Skip_delivery { node = 0; every = 10 })
@@ -42,11 +46,9 @@ let filtering (p : Participant.t) filter =
 
 let wrap bug ~node p =
   match bug with
-  | Clean -> p
-  (* An application-layer bug: injected inside the KV replica by the
-     runner ({!Runner.run} with the kv app), not at the participant
-     boundary; so are the learner merge's. *)
-  | Kv_skip_apply _ | Kv_apply_before_election | Merge_no_seek -> p
+  (* An application-layer bug is planted inside the KV replica or the
+     learner merge by the runner, not at the participant boundary. *)
+  | Clean | Kv_skip_apply _ | Kv_apply_before_election | Merge_no_seek -> p
   | Recovery_flood ->
       (* Silence the recovery exchange: no flood burst's data leaves. *)
       let fire_timer timer =

@@ -22,8 +22,7 @@ type t =
           skips the store mutation of every [every]-th write while still
           consuming the op slot — a stale-state / skipped-apply defect
           caught by the end-to-end consistency oracle ({!Aring_app.Oracle}), not by the
-          protocol checker. Only meaningful when the runner hosts the KV
-          app; {!wrap} is the identity for it. *)
+          protocol checker. {!wrap} is the identity for it. *)
   | Kv_apply_before_election
       (** Every KV replica plants
           {!Aring_app.Kv.Bug_apply_before_election}, caught by the
@@ -47,5 +46,9 @@ val of_string : string -> (t, string) result
 (** ["clean"], ["skip-delivery"], ["skip-retransmission"],
     ["kv-skip-apply"], ["kv-apply-before-election"], ["merge-no-seek"]
     or ["recovery-flood"]. *)
+
+val needs_kv : t -> bool
+(** The bug plants in the KV replica or the learner merge, so only a
+    KV schedule can host it. *)
 
 val wrap : t -> node:int -> Aring_ring.Participant.t -> Aring_ring.Participant.t

@@ -17,10 +17,13 @@ let load_file path =
   close_in ic;
   Schedule.of_string line
 
-let load_dir dir =
+let rec load_dir dir =
   if not (Sys.file_exists dir) then []
   else
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".json")
-    |> List.sort compare
-    |> List.map (fun f -> (f, load_file (Filename.concat dir f)))
+    Sys.readdir dir |> Array.to_list |> List.sort compare
+    |> List.concat_map (fun f ->
+           let path = Filename.concat dir f in
+           if Sys.is_directory path then
+             List.map (fun (e, s) -> (Filename.concat f e, s)) (load_dir path)
+           else if Filename.check_suffix f ".json" then [ (f, load_file path) ]
+           else [])

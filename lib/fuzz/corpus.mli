@@ -14,5 +14,5 @@ val load_file : string -> Schedule.t
 (** @raise Aring_obs.Json.Parse_error on malformed content. *)
 
 val load_dir : string -> (string * Schedule.t) list
-(** All [*.json] entries, sorted by file name; empty if [dir] does not
-    exist. *)
+(** All [*.json] entries under [dir] and its subdirectories, sorted,
+    named by their path below [dir]; empty if [dir] does not exist. *)

@@ -6,7 +6,7 @@ type config = {
   max_nodes : int;
   rings : int;
   bug : Bug.t;
-  app : Runner.app;
+  app : Schedule.app;
   shrink : bool;
   max_shrink_runs : int;
   stop : unit -> bool;
@@ -20,7 +20,7 @@ let default_config =
     max_nodes = 8;
     rings = 1;
     bug = Bug.Clean;
-    app = Runner.App_none;
+    app = Schedule.Bare;
     shrink = true;
     max_shrink_runs = 200;
     stop = (fun () -> false);
@@ -43,9 +43,10 @@ let run_campaign cfg =
    while !failure = None && !i < cfg.trials && not (cfg.stop ()) do
      let seed = Prng.next_int64 master in
      let schedule =
-       Schedule.generate ~max_nodes:cfg.max_nodes ~rings:cfg.rings ~seed ()
+       Schedule.generate ~app:cfg.app ~max_nodes:cfg.max_nodes ~rings:cfg.rings
+         ~seed ()
      in
-     let outcome = Runner.run ~bug:cfg.bug ~app:cfg.app schedule in
+     let outcome = Runner.run ~bug:cfg.bug schedule in
      incr trials_run;
      (match outcome.Runner.failure with
      | None ->
@@ -65,8 +66,8 @@ let run_campaign cfg =
     match !failure with
     | Some t when cfg.shrink ->
         let r =
-          Shrink.shrink ~bug:cfg.bug ~app:cfg.app
-            ~max_runs:cfg.max_shrink_runs t.schedule t.outcome
+          Shrink.shrink ~bug:cfg.bug ~max_runs:cfg.max_shrink_runs t.schedule
+            t.outcome
         in
         cfg.log
           (Printf.sprintf "shrunk: %d -> %d faults, %d -> %d nodes (%d runs)"
@@ -79,6 +80,3 @@ let run_campaign cfg =
     | _ -> None
   in
   { trials_run = !trials_run; failure = !failure; shrunk }
-
-let replay ?(bug = Bug.Clean) ?(app = Runner.App_none) ?extra_sink schedule =
-  Runner.run ~bug ~app ?extra_sink schedule

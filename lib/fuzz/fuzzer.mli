@@ -16,15 +16,13 @@ type config = {
           (8) preserves the historical seed→schedule mapping; the CI also
           runs a 32-node pass to stress recovery at scale. *)
   rings : int;
-      (** Ordering rings per generated schedule (default 1). With more
-          than one, every trial runs on an {!Aring_multiring.Cluster}
-          with the sharded KV + cross-shard mcas workload and
-          ring-scoped faults (see {!Runner.run}). *)
+      (** Ordering rings per generated schedule (default 1); more than
+          one needs [app = Kv] and adds cross-shard mcas and ring-scoped
+          faults (see {!Runner.run}). *)
   bug : Bug.t;  (** Injected defect ({!Bug.Clean} for real fuzzing). *)
-  app : Runner.app;
-      (** Hosted application: {!Runner.App_kv} fuzzes the full
-          daemon + replicated-KV stack with its consistency oracle
-          attached. *)
+  app : Schedule.app;
+      (** The app every generated schedule names: {!Schedule.Kv} fuzzes
+          the full daemon + replicated-KV stack with its oracle. *)
   shrink : bool;  (** Minimize the first failure. *)
   max_shrink_runs : int;
   stop : unit -> bool;
@@ -34,7 +32,8 @@ type config = {
 }
 
 val default_config : config
-(** 200 trials, seed 1, max 8 nodes, 1 ring, clean, no app, shrink on (budget 200), never stops early, silent log. *)
+(** 200 trials, seed 1, max 8 nodes, 1 ring, clean, bare, shrink on
+    (budget 200), never stops early, silent log. *)
 
 type trial = { index : int; schedule : Schedule.t; outcome : Runner.outcome }
 
@@ -45,16 +44,7 @@ type report = {
 }
 
 val run_campaign : config -> report
-(** Run schedules until one fails, [trials] pass, or [stop ()]. *)
-
-val replay :
-  ?bug:Bug.t ->
-  ?app:Runner.app ->
-  ?extra_sink:Aring_obs.Trace.sink ->
-  Schedule.t ->
-  Runner.outcome
-(** Re-execute one schedule (corpus entry or pasted reproducer).
-    [extra_sink] additionally receives every {!Aring_obs.Flight} record
-    of the run — e.g. {!Aring_obs.Flight.output_line} behind
-    {!Aring_obs.Trace.fn_sink}, to dump the replay as JSONL for offline
-    analysis. *)
+(** Run schedules until one fails, [trials] pass, or [stop ()]. A
+    schedule replays with {!Runner.run} alone.
+    @raise Invalid_argument as {!Schedule.generate} and {!Runner.run}
+    do. *)

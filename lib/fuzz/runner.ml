@@ -13,13 +13,6 @@ open Aring_wire
 open Aring_ring
 open Aring_sim
 
-type app = App_none | App_kv
-
-let app_of_string = function
-  | "none" -> Ok App_none
-  | "kv" -> Ok App_kv
-  | s -> Error (Printf.sprintf "unknown app %S" s)
-
 type failure =
   | Invariant of Checker.verdict
   | No_merge of { states : (int * string) list }
@@ -322,7 +315,7 @@ let ring_merged members ~pids =
    work (the probe submission); at the deadline [unconverged] explains a
    liveness miss. Returns the failure, the trace hash and the end-of-run
    watchdog report. *)
-let drive_chunks sim (s : Schedule.t) ~checker ~health ?extra_sink ~violation
+let drive_chunks sim (s : Schedule.t) ~checker ~health ~violation
     ?(before_judging = fun _ -> ()) ~converged ~unconverged () =
   let c = s.config in
   (* FNV-1a, 64-bit, over the twelve integers of each Flight record,
@@ -342,47 +335,47 @@ let drive_chunks sim (s : Schedule.t) ~checker ~health ?extra_sink ~violation
     failure := f;
     finished := true
   in
-  let sinks = Checker.as_sink checker :: hash_sink :: Option.to_list extra_sink in
+  let chunks () =
+    let t = ref 0 in
+    while not !finished do
+      t := min deadline (!t + ms 25);
+      Netsim.run_until sim !t;
+      if Checker.violation_count checker > 0 then
+        stop (Some (Invariant (Checker.verdict checker)))
+      else
+        match violation () with
+        | Some f -> stop (Some f)
+        | None ->
+            before_judging !t;
+            if c.Schedule.liveness && !t > c.Schedule.horizon_ns
+               && converged ()
+            then stop None
+            else if
+              c.Schedule.liveness && Health.check health ~now:!t <> []
+            then
+              (* Stalled: stop now with an explanation instead of
+                 burning the rest of the drain budget to a timeout. *)
+              stop
+                (Some (Health_stall { report = Health.report health ~now:!t }))
+            else if !t >= deadline then
+              stop (if c.Schedule.liveness then unconverged () else None)
+    done
+  in
   (try
-     List.fold_left (fun run s () -> Trace.with_sink s run) (fun () ->
-         let t = ref 0 in
-         while not !finished do
-           t := min deadline (!t + ms 25);
-           Netsim.run_until sim !t;
-           if Checker.violation_count checker > 0 then
-             stop (Some (Invariant (Checker.verdict checker)))
-           else
-             match violation () with
-             | Some f -> stop (Some f)
-             | None ->
-                 before_judging !t;
-                 if c.Schedule.liveness && !t > c.Schedule.horizon_ns
-                    && converged ()
-                 then stop None
-                 else if
-                   c.Schedule.liveness && Health.check health ~now:!t <> []
-                 then
-                   (* Stalled: stop now with an explanation instead of
-                      burning the rest of the drain budget to a timeout. *)
-                   stop
-                     (Some (Health_stall { report = Health.report health ~now:!t }))
-                 else if !t >= deadline then
-                   stop (if c.Schedule.liveness then unconverged () else None)
-         done)
-       sinks ()
+     Trace.with_sink hash_sink (fun () ->
+         Trace.with_sink (Checker.as_sink checker) chunks)
    with e -> failure := Some (Run_exception (Printexc.to_string e)));
   (!failure, !hash, Health.report health ~now:(Netsim.now sim))
 
 (* ---------- KV runs, at every ring count ---------- *)
 
-(* The replicated-KV stack on a {!Cluster}: every KV run at any ring
-   count, and bare multi-ring runs ([App_none] merely skips the
-   workload). Probes are never sent — EVS raw payloads do not survive
-   post-horizon membership churn, and the app's per-view traffic makes
-   such churn routine — so convergence is judged on replica equality
+(* The replicated-KV stack on a {!Cluster}, at any ring count. Probes
+   are never sent — EVS raw payloads do not survive post-horizon
+   membership churn, and the app's per-view traffic makes such churn
+   routine — so convergence is judged on replica equality
    (which state transfer does guarantee), merge quiescence and
    cross-shard decision agreement. *)
-let run_cluster ~bug ~app ~health ?extra_sink (s : Schedule.t) =
+let run_cluster ~bug ~health (s : Schedule.t) =
   let c = s.config in
   let n = c.Schedule.n_nodes in
   let rings = c.Schedule.rings in
@@ -409,13 +402,10 @@ let run_cluster ~bug ~app ~health ?extra_sink (s : Schedule.t) =
   Netsim.on_deliver sim (fun ~at:_ ~now:_ _ -> incr deliveries);
   Netsim.on_view sim (fun ~at:_ ~now:_ _ -> incr views);
   install_faults sim s ~crash:(fun node -> Cluster.crash cluster ~node);
-  (match app with
-  | App_none -> ()
-  | App_kv ->
-      install_kv_workload sim s
-        ~shard:(Cluster.shard_of_key cluster)
-        ~kv:(Cluster.kv cluster)
-        ~mcas:(if rings > 1 then Some (Cluster.mcas cluster) else None));
+  install_kv_workload sim s
+    ~shard:(Cluster.shard_of_key cluster)
+    ~kv:(Cluster.kv cluster)
+    ~mcas:(if rings > 1 then Some (Cluster.mcas cluster) else None);
   let ring_ids = List.init rings Fun.id in
   let alive_phys () =
     List.filter (fun i -> Cluster.alive cluster ~node:i) (List.init n Fun.id)
@@ -500,7 +490,7 @@ let run_cluster ~bug ~app ~health ?extra_sink (s : Schedule.t) =
     Cluster.kv_converged cluster && Cluster.merge_settled cluster
   in
   let failure, trace_hash, health_report =
-    drive_chunks sim s ~checker ~health ?extra_sink ~violation:kv_failure
+    drive_chunks sim s ~checker ~health ~violation:kv_failure
       ~converged:(fun () -> merged () && settled ())
       ~unconverged:(fun () ->
         if not (merged ()) then
@@ -537,12 +527,12 @@ let run_cluster ~bug ~app ~health ?extra_sink (s : Schedule.t) =
     health = health_report;
   }
 
-(* ---------- Bare-ring runs (App_none, one ring) ---------- *)
+(* ---------- Bare-ring runs (one ring) ---------- *)
 
 (* Raw ring members with the padded byte workload, judged by probes:
    once the survivors have merged past the horizon, every survivor
    multicasts a probe and every survivor must deliver all of them. *)
-let run_single ~bug ~health ?extra_sink (s : Schedule.t) =
+let run_single ~bug ~health (s : Schedule.t) =
   let c = s.config in
   let n = c.Schedule.n_nodes in
   let params = Schedule.params c in
@@ -601,7 +591,7 @@ let run_single ~bug ~health ?extra_sink (s : Schedule.t) =
       (alive ())
   in
   let failure, trace_hash, health_report =
-    drive_chunks sim s ~checker ~health ?extra_sink
+    drive_chunks sim s ~checker ~health
       ~violation:(fun () -> None)
       ~before_judging:(fun t ->
         if (not !probes_sent) && t > c.Schedule.horizon_ns && merged () then
@@ -637,17 +627,19 @@ let run_single ~bug ~health ?extra_sink (s : Schedule.t) =
    Member, Engine and Netsim. The flight recorder restarts empty so a
    post-mortem dump shows only this run. Neither touches the hashed
    trace stream. *)
-let run ?(bug = Bug.Clean) ?(app = App_none) ?extra_sink (s : Schedule.t) =
+let run ?(bug = Bug.Clean) (s : Schedule.t) =
   let c = s.config in
+  if Bug.needs_kv bug && c.Schedule.app = Schedule.Bare then
+    invalid_arg ("Runner.run: bug " ^ Bug.label bug ^ " needs a kv schedule");
   Flight.reset ();
   let health =
     Health.create ~config:(health_config c)
       ~n:(c.Schedule.rings * c.Schedule.n_nodes) ()
   in
   Trace.with_sink (Health.as_sink health) (fun () ->
-      if app = App_none && c.Schedule.rings = 1 then
-        run_single ~bug ~health ?extra_sink s
-      else run_cluster ~bug ~app ~health ?extra_sink s)
+      match c.Schedule.app with
+      | Schedule.Bare -> run_single ~bug ~health s
+      | Schedule.Kv -> run_cluster ~bug ~health s)
 
 let pp_failure ppf = function
   | Invariant v ->

@@ -1,12 +1,12 @@
 (** Execute one fault schedule on the simulator and judge it.
 
-    Two stacks run schedules. The bare ring ([App_none], one ring) builds
-    raw membership-capable members ({!Aring_ring.Member}), drives a
-    padded workload until the horizon, then submits per-node convergence
-    probes and drains. Every other run — every KV run at any ring count,
-    and every multi-ring run — goes through {!Aring_multiring.Cluster}
-    (built by {!Aring_app.Kv_scenario.build_cluster}), with one KV judge.
-    Both attach the trace-driven EVS invariant checker as a live sink and
+    The schedule names its stack ({!Schedule.app}). A bare schedule
+    (one ring) builds raw membership-capable members
+    ({!Aring_ring.Member}), drives a padded workload until the horizon,
+    then submits per-node convergence probes and drains. A KV schedule,
+    at any ring count, goes through {!Aring_multiring.Cluster} (built by
+    {!Aring_app.Kv_scenario.build_cluster}), with one KV judge. Both
+    attach the trace-driven EVS invariant checker as a live sink and
     inject the schedule's faults. Two oracles:
 
     - {b Safety}: any {!Aring_obs.Checker} violation (total order, delivery
@@ -30,17 +30,6 @@
     function of the schedule, so [run] is referentially transparent:
     {!outcome.trace_hash} is byte-stable across replays of equal
     schedules. *)
-
-type app =
-  | App_none  (** Raw ring members with a padded byte workload. *)
-  | App_kv
-      (** Every member hosts a daemon plus a replicated-KV replica
-          ({!Aring_app.Kv}) on an {!Aring_multiring.Cluster}, at every
-          ring count; the workload becomes a skewed put/del/cas/read mix
-          (the schedule's safe-permille drives sync reads; cross-shard
-          mcas joins it only with more than one ring), and the per-ring
-          end-to-end consistency oracle ({!Aring_app.Oracle}) becomes a
-          third judge alongside the trace checker and liveness. *)
 
 type failure =
   | Invariant of Aring_obs.Checker.verdict
@@ -89,34 +78,24 @@ type outcome = {
           recovery-flood dedup savings), not just convergence. *)
 }
 
-val run :
-  ?bug:Bug.t ->
-  ?app:app ->
-  ?extra_sink:Aring_obs.Trace.sink ->
-  Schedule.t ->
-  outcome
-(** Execute the schedule. [bug] (default {!Bug.Clean}) wraps every
-    participant before the cluster is built — used to prove the fuzzer
-    catches seeded protocol defects ({!Bug.Kv_skip_apply} instead plants
-    inside the replica and needs [app = App_kv]). [app] (default
-    {!App_none}) selects the hosted application. Runs stay deterministic
-    per schedule for either app; the trace hash differs between them
-    (the kv app adds its own traffic and records).
+val run : ?bug:Bug.t -> Schedule.t -> outcome
+(** Execute the schedule on the stack it names. [bug] (default
+    {!Bug.Clean}) is a seeded defect, used to prove the fuzzer catches
+    it. To see the run's records, subscribe a sink around the call
+    ({!Aring_obs.Trace.with_sink}).
 
-    A KV run, or any schedule with [config.rings > 1], runs on an
-    {!Aring_multiring.Cluster}: every physical node joins all rings,
-    and convergence is judged per ring on replica equality, merge
-    quiescence and cross-shard decision agreement, with one
-    [Kv_unsettled] line format for every ring count. Probes are never
-    sent there: raw payloads do not survive post-horizon membership
-    churn. At one ring the cluster runs no skip generator and offers no
-    mcas, so a single-ring KV run's trace is the one the stack has
-    always produced. *)
+    A KV schedule runs on an {!Aring_multiring.Cluster}: every member
+    hosts a daemon plus a replicated-KV replica ({!Aring_app.Kv}) on
+    every ring under a skewed put/del/cas/read mix (sync reads at the
+    safe-permille; cross-shard mcas above one ring), and the per-ring
+    consistency oracle ({!Aring_app.Oracle}) is a third judge.
+    Convergence is judged per ring on replica equality, merge
+    quiescence and cross-shard decision agreement; no probes are sent,
+    as raw payloads do not survive post-horizon membership churn.
+    @raise Invalid_argument if [bug] needs KV ({!Bug.needs_kv}) and the
+    schedule is bare. *)
 
 val passed : outcome -> bool
-
-val app_of_string : string -> (app, string) result
-(** ["none"] or ["kv"]. *)
 
 val failure_label : failure -> string
 (** ["invariant"], ["no_merge"], ["no_convergence"], ["kv_violation"],

@@ -11,7 +11,15 @@ type fault =
   | Loss_burst of { at_ns : int; until_ns : int; permille : int }
   | Token_blackout of { at_ns : int; until_ns : int; ring : int }
 
+type app = Bare | Kv
+
+let app_of_string = function
+  | "bare" -> Ok Bare
+  | "kv" -> Ok Kv
+  | s -> Error (Printf.sprintf "unknown app %S (bare or kv)" s)
+
 type config = {
+  app : app;
   n_nodes : int;
   rings : int;
   tier_ids : int list;
@@ -117,7 +125,10 @@ let gen_fault prng ~n ~rings ~horizon =
       let at_ns, until_ns = gen_window prng ~horizon ~max_len:(ms 60) in
       Token_blackout { at_ns; until_ns; ring = gen_ring prng ~rings }
 
-let generate ?(max_nodes = 8) ?(rings = 1) ~seed () =
+let multi_ring_bare = "schedule: a multi-ring schedule hosts the kv app"
+
+let generate ?(app = Bare) ?(max_nodes = 8) ?(rings = 1) ~seed () =
+  if rings > 1 && app = Bare then invalid_arg multi_ring_bare;
   let prng = Prng.create ~seed in
   (* The default bound reproduces the historical draw stream exactly:
      [max_nodes = 8] makes this [2 + Prng.int prng 7], so every pinned
@@ -163,6 +174,7 @@ let generate ?(max_nodes = 8) ?(rings = 1) ~seed () =
     seed;
     config =
       {
+        app;
         n_nodes;
         rings;
         tier_ids;
@@ -283,12 +295,12 @@ let fault_of_json j =
 
 let to_json t =
   let c = t.config in
+  (* Defaults are omitted: bare one-ring corpus files stay as they are. *)
+  let app = if c.app = Kv then [ ("app", Json.String "kv") ] else [] in
+  let rings = if c.rings <> 1 then [ ("rings", Json.Int c.rings) ] else [] in
   Json.Obj
-    ([
-      ("seed", Json.String (Int64.to_string t.seed));
-      ("n_nodes", Json.Int c.n_nodes);
-    ]
-    @ (if c.rings <> 1 then [ ("rings", Json.Int c.rings) ] else [])
+    ((("seed", Json.String (Int64.to_string t.seed)) :: app)
+    @ (("n_nodes", Json.Int c.n_nodes) :: rings)
     @ [
       ("tier_ids", Json.List (List.map (fun i -> Json.Int i) c.tier_ids));
       ("ten_gig", Json.Bool c.ten_gig);
@@ -313,12 +325,22 @@ let of_json j =
     | Some l -> List.map fault_of_json l
     | None -> malformed "faults"
   in
+  let app =
+    if Json.member "app" j = None then Bare
+    else
+      match app_of_string (get_str j "app") with
+      | Ok app -> app
+      | Error e -> raise (Json.Parse_error ("schedule: " ^ e))
+  in
+  let rings = get_int_default j "rings" ~default:1 in
+  if rings > 1 && app = Bare then raise (Json.Parse_error multi_ring_bare);
   {
     seed = Int64.of_string (get_str j "seed");
     config =
       {
+        app;
         n_nodes = get_int j "n_nodes";
-        rings = get_int_default j "rings" ~default:1;
+        rings;
         tier_ids = get_int_list j "tier_ids";
         ten_gig = get_bool j "ten_gig";
         base_loss_permille = get_int j "base_loss_permille";
@@ -360,9 +382,11 @@ let pp_fault ppf = function
 let pp ppf t =
   let c = t.config in
   Format.fprintf ppf
-    "schedule(seed=%Ld n=%d rings=%d net=%s loss=%d%%o aw=%d pw=%d gap=%d %s \
-     payload=%d horizon=%dms faults=[%a])"
-    t.seed c.n_nodes c.rings
+    "schedule(seed=%Ld app=%s n=%d rings=%d net=%s loss=%d%%o aw=%d pw=%d \
+     gap=%d %s payload=%d horizon=%dms faults=[%a])"
+    t.seed
+    (if c.app = Kv then "kv" else "bare")
+    c.n_nodes c.rings
     (if c.ten_gig then "10g" else "1g")
     c.base_loss_permille c.accelerated_window c.personal_window c.max_seq_gap
     (if c.aggressive then "aggr" else "cons")

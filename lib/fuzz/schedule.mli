@@ -1,12 +1,12 @@
 (** Fault schedules: the genotype of the simulation fuzzer.
 
     A schedule is a fully explicit description of one adversarial run —
-    cluster shape, protocol parameters, workload, and a list of timed
-    fault events — plus the PRNG seed that drives the simulator's own
-    randomness (per-receiver loss, workload jitter, burst sampling).
-    Everything the runner does is a deterministic function of the
-    schedule, so a schedule is also a reproducer: serialize it, commit
-    it to the corpus, replay it forever.
+    hosted app, cluster shape, protocol parameters, workload, and a list
+    of timed fault events — plus the PRNG seed that drives the
+    simulator's own randomness (per-receiver loss, workload jitter,
+    burst sampling). Everything the runner does is a deterministic
+    function of the schedule, so a schedule is the whole reproducer:
+    serialize it, commit it to the corpus, replay it forever.
 
     Schedules are generated from a single {!Aring_util.Prng} seed
     ({!generate}), mutated structurally by the shrinker, and serialized
@@ -32,9 +32,18 @@ type fault =
           ([ring] scoped like partitions): forces token-retransmission,
           token-loss declaration, and membership re-formation. *)
 
+(** The stack a schedule runs on ({!Runner.run}). It is saved with the
+    schedule, so a reproducer replays on the stack that found it. *)
+type app =
+  | Bare  (** Raw ring members judged by convergence probes; one ring. *)
+  | Kv  (** Daemons and replicated-KV replicas, at any ring count. *)
+
+val app_of_string : string -> (app, string) result  (** ["bare"] or ["kv"]. *)
+
 type config = {
+  app : app;
   n_nodes : int;
-  rings : int;  (** Ordering rings; 1 = the classic single-ring run. *)
+  rings : int;  (** Ordering rings; more than one needs [app = Kv]. *)
   tier_ids : int list;  (** Per node: 0 = library, 1 = daemon, 2 = spread. *)
   ten_gig : bool;
   base_loss_permille : int;
@@ -53,15 +62,18 @@ type config = {
 
 type t = { seed : int64; config : config; faults : fault list }
 
-val generate : ?max_nodes:int -> ?rings:int -> seed:int64 -> unit -> t
+val generate :
+  ?app:app -> ?max_nodes:int -> ?rings:int -> seed:int64 -> unit -> t
 (** Derive a complete random schedule from [seed]. Equal seeds yield
-    equal schedules. [max_nodes] (default 8, the historical bound — the
-    default preserves the seed→schedule mapping exactly) caps the drawn
+    equal schedules. [app] (default [Bare]) is set, not drawn.
+    [max_nodes] (default 8, the historical bound — the default
+    preserves the seed→schedule mapping exactly) caps the drawn
     cluster size; raise it to fuzz larger rings. [rings] (default 1)
     makes the run multi-ring; fault ring scopes are drawn after each
     fault's own draws and only when [rings > 1], so single-ring
     schedules consume the exact historical PRNG stream and pinned
-    corpus schedules regenerate bit-identically. *)
+    corpus schedules regenerate bit-identically.
+    @raise Invalid_argument if [rings > 1] and [app = Bare]. *)
 
 val params : config -> Aring_ring.Params.t
 (** Protocol parameters encoded by the schedule: windows, priority method
@@ -79,10 +91,11 @@ val fault_count : t -> int
 val fault_window : fault -> int * int  (** (start, end] of a fault's effect. *)
 
 val to_string : t -> string
-(** Single-line JSON; [of_string (to_string s) = s] exactly. *)
+(** Single-line JSON; [of_string (to_string s) = s] exactly. A [Bare]
+    app and one ring are omitted. *)
 
 val of_string : string -> t
-(** @raise Aring_obs.Json.Parse_error on malformed JSON or on missing or
-    ill-typed fields. *)
+(** @raise Aring_obs.Json.Parse_error on malformed JSON, on missing or
+    ill-typed fields, or on [rings > 1] without ["app":"kv"]. *)
 
 val pp : Format.formatter -> t -> unit

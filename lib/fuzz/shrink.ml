@@ -54,8 +54,8 @@ let drop_node (s : Schedule.t) =
     Some
       { s with Schedule.config = { c with Schedule.n_nodes = n - 1; tier_ids }; faults }
 
-let shrink ?(bug = Bug.Clean) ?(app = Runner.App_none) ?(max_runs = 200)
-    (s0 : Schedule.t) (o0 : Runner.outcome) =
+let shrink ?(bug = Bug.Clean) ?(max_runs = 200) (s0 : Schedule.t)
+    (o0 : Runner.outcome) =
   match o0.Runner.failure with
   | None -> { schedule = s0; outcome = o0; runs = 0 }
   | Some f0 ->
@@ -67,7 +67,7 @@ let shrink ?(bug = Bug.Clean) ?(app = Runner.App_none) ?(max_runs = 200)
         if !runs >= max_runs then false
         else begin
           incr runs;
-          let o = Runner.run ~bug ~app cand in
+          let o = Runner.run ~bug cand in
           match o.Runner.failure with
           | Some f when Runner.failure_label f = target ->
               best := (cand, o);

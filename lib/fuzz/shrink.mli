@@ -23,15 +23,10 @@ type result = {
 }
 
 val shrink :
-  ?bug:Bug.t ->
-  ?app:Runner.app ->
-  ?max_runs:int ->
-  Schedule.t ->
-  Runner.outcome ->
-  result
+  ?bug:Bug.t -> ?max_runs:int -> Schedule.t -> Runner.outcome -> result
 (** [shrink sched outcome] minimizes [sched], whose run produced the
     failing [outcome]. [max_runs] (default 200) bounds candidate
     executions; the best schedule found within the budget is returned.
-    If [outcome] did not fail, [sched] is returned unchanged. [bug] and
-    [app] must match the original run so candidates reproduce the same
-    behavior (see {!Runner.run}). *)
+    If [outcome] did not fail, [sched] is returned unchanged. [bug] must
+    match the original run so candidates reproduce the same behavior;
+    every candidate keeps [sched]'s app and ring count. *)

@@ -698,9 +698,9 @@ let result spec (s : sessions) ~writes_applied ~applied ~write_latency_us
     metrics;
   }
 
-(* The 1-ring target: {!Kv_scenario.build_cluster}, with the span
-   collector attached. A write completes on apply at the replica
-   that submitted it. *)
+(* The 1-ring target: {!Kv_scenario.build_cluster}, with a span
+   collector active while it is driven. A write completes on apply at
+   the replica that submitted it. *)
 let run spec =
   if spec.rings <> 1 then
     invalid_arg "Load.run: multi-ring specs run via Aring_multiring.Mload.run";
@@ -715,7 +715,6 @@ let run spec =
   in
   let metrics = Metrics.create () in
   let span = Span.create ~metrics () in
-  Span.attach span;
   let horizon = spec.warmup_ns + spec.measure_ns in
   let write_latency = Stats.create () in
   let writes_applied = ref 0 in
@@ -734,7 +733,7 @@ let run spec =
       kvs
   in
   let s =
-    Fun.protect ~finally:Span.detach (fun () ->
+    Span.with_span span (fun () ->
         drive ~prefix:"load" ~metrics spec
           {
             sim;

@@ -18,11 +18,12 @@
    - No_progress: no message delivered anywhere for [stall_ns] of
      virtual time while some live node is stuck outside operational.
 
-   Like Span, the watchdog is a global attach/detach instrument. Its
-   one feed is the Flight recorder: attaching subscribes [on_record],
-   which decodes the phase, recheck, dedup, burst, nack, resend,
-   deliver and crash records; detaching unsubscribes, so a run without
-   a watchdog pays nothing per record. It records nothing itself —
+   A watchdog is a plain Flight subscriber, and several count side by
+   side. Its one feed is the Flight recorder: subscribing [as_sink]
+   (e.g. with [Trace.with_sink]) decodes the phase, recheck, dedup,
+   burst, nack, resend, deliver and crash records; a run with no
+   watchdog subscribed pays nothing per record. It records nothing
+   itself —
    pinned corpus hashes cannot see it. Deliveries are the engine's
    [ev_deliver], one per ordered message: a daemon handing one delivery
    to several local sessions does not count it twice. *)

@@ -8,16 +8,19 @@
      delivered -> applied     span.apply_us        (app apply, synchronous)
      submit -> delivered      span.e2e_us
 
-   The collector is opt-in and global (attach/detach, like the health
-   watchdog). The order, deliver and apply stages come from the Flight
-   recorder: attaching subscribes [on_record], which decodes the
-   engine's data-send (carrying the submit stamp) and deliver records
-   and the replica's apply record. The deliver stage reads the engine's
+   A collector is opt-in and scoped: [with_span] makes it active for one
+   call, and collectors nest, each seeing every record of its window
+   (like health watchdogs, which are plain subscribers). The order,
+   deliver and apply stages come from the Flight recorder: an active
+   collector's [on_record] is subscribed, decoding the engine's
+   data-send (carrying the submit stamp) and deliver records and the
+   replica's apply record. The deliver stage reads the engine's
    [ev_deliver], one per ordered message, not the per-session
    [ev_app_deliver] copies a daemon hands on. The daemon's pack step has
-   no Flight record and calls [note_packed] directly. When detached,
-   the engine stamps nothing and nothing is subscribed. Spans record
-   nothing themselves, so pinned corpus hashes are unaffected. In-flight bookkeeping
+   no Flight record and calls [note_packed] directly, which reaches
+   every active collector. With none active, the engine stamps nothing
+   and nothing is subscribed. Spans record nothing themselves, so
+   pinned corpus hashes are unaffected. In-flight bookkeeping
    is bounded: the (sender, seq) table is cleared if it ever exceeds
    [max_inflight] entries, trading a few lost samples for a hard memory
    cap. *)
@@ -60,9 +63,10 @@ let create ?metrics () =
 let metrics t = t.sp_metrics
 
 (* ------------------------------------------------------------------ *)
-(* Global collector                                                    *)
+(* Active collectors                                                   *)
 
-let current : t option ref = ref None
+(* Innermost first; [with_span] pushes on entry and restores on exit. *)
+let active : t list ref = ref []
 
 (* ------------------------------------------------------------------ *)
 (* Stage notes                                                         *)
@@ -70,20 +74,22 @@ let current : t option ref = ref None
 let us ns = float_of_int ns /. 1_000.0
 
 (* Submission stamp carried by the engine's pending entry; 0 ("no
-   stamp") when no collector is attached, so a disabled run pays only
+   stamp") when no collector is active, so a disabled run pays only
    this ref read per submit. *)
-let submit_stamp () = match !current with None -> 0 | Some _ -> Flight.now ()
+let submit_stamp () = match !active with [] -> 0 | _ :: _ -> Flight.now ()
 
 (* seq fits comfortably below 2^44 in any simulated run; sender pids are
    small ints. *)
 let key ~sender ~seq = (sender lsl 44) lor (seq land ((1 lsl 44) - 1))
 
+let rec observe_packed ~submit_ns = function
+  | [] -> ()
+  | t :: rest ->
+      Metrics.observe t.h_submit_wait (us (Flight.now () - submit_ns));
+      observe_packed ~submit_ns rest
+
 let note_packed ~submit_ns =
-  match !current with
-  | None -> ()
-  | Some t ->
-      if submit_ns > 0 then
-        Metrics.observe t.h_submit_wait (us (Flight.now () - submit_ns))
+  if submit_ns > 0 then observe_packed ~submit_ns !active
 
 let on_ordered t ~sender ~seq ~submit_ns =
   let now = Flight.now () in
@@ -114,30 +120,26 @@ let on_applied t ~node =
   if node >= 0 && node < Array.length t.deliver_ns && t.deliver_ns.(node) >= 0
   then Metrics.observe t.h_apply (us (Flight.now () - t.deliver_ns.(node)))
 
-(* The one feed: decode the Flight records the spans need (argument
-   layouts in flight.mli). A data-send record carries a non-zero submit
-   stamp only for a new message stamped while a collector was attached. *)
-let on_record ~ns:_ ~node ~code ~a ~b ~c:_ ~d ~e:_ ~f:_ ~g:_ ~h:_ ~i:_ =
-  match !current with
-  | None -> ()
-  | Some t ->
-      if code = Flight.ev_data_send then begin
-        if d > 0 then on_ordered t ~sender:node ~seq:a ~submit_ns:d
-      end
-      else if code = Flight.ev_deliver then on_delivered t ~node ~sender:b ~seq:a
-      else if code = Flight.ev_apply then on_applied t ~node
-
-let attach t =
-  current := Some t;
-  Flight.subscribe on_record
-
-let detach () =
-  current := None;
-  Flight.unsubscribe on_record
+(* One collector's feed: decode the Flight records the spans need
+   (argument layouts in flight.mli). A data-send record carries a
+   non-zero submit stamp only for a new message stamped while some
+   collector was active. *)
+let on_record t ~ns:_ ~node ~code ~a ~b ~c:_ ~d ~e:_ ~f:_ ~g:_ ~h:_ ~i:_ =
+  if code = Flight.ev_data_send then begin
+    if d > 0 then on_ordered t ~sender:node ~seq:a ~submit_ns:d
+  end
+  else if code = Flight.ev_deliver then on_delivered t ~node ~sender:b ~seq:a
+  else if code = Flight.ev_apply then on_applied t ~node
 
 let with_span t f =
-  attach t;
-  Fun.protect ~finally:detach f
+  let sink = on_record t and enclosing = !active in
+  active := t :: enclosing;
+  Flight.subscribe sink;
+  Fun.protect
+    ~finally:(fun () ->
+      Flight.unsubscribe sink;
+      active := enclosing)
+    f
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)

@@ -2,14 +2,16 @@
     the virtual clock ({!Flight.now}); stage transitions (submit →
     packed → token-ordered → delivered → applied) land in per-stage
     mergeable {!Metrics} histograms, decomposing where end-to-end
-    latency goes. The feed is {!Flight}: an attached collector
-    subscribes to it and decodes the data-send, deliver and apply
-    records; only the daemon's pack step calls {!note_packed} directly.
-    Opt-in and global: when no collector is attached nothing is
-    subscribed and the remaining hooks are a single ref read. Spans
-    record nothing; the one record field they touch is a new message's
-    {!Flight.ev_data_send} stamp, 0 unless a collector is attached (the
-    fuzz runner attaches none, so its hashed stream never holds one). *)
+    latency goes. The feed is {!Flight}: an active collector subscribes
+    to it and decodes the data-send, deliver and apply records; only the
+    daemon's pack step calls {!note_packed} directly. Opt-in and
+    scoped: {!with_span} activates a collector for one call, collectors
+    nest (each sees every record of its window), and when none is
+    active nothing is subscribed and the remaining hooks are a single
+    ref read. Spans record nothing; the one record field they touch is a
+    new message's {!Flight.ev_data_send} stamp, 0 unless a collector is
+    active (the fuzz runner activates none, so its hashed stream never
+    holds one). *)
 
 type t
 
@@ -19,24 +21,25 @@ val create : ?metrics:Metrics.t -> unit -> t
 
 val metrics : t -> Metrics.t
 
-(** {2 Global collector} *)
+(** {2 Active collectors} *)
 
-val attach : t -> unit
-(** Make [t] the collector and subscribe it to {!Flight}. *)
-
-val detach : unit -> unit
 val with_span : t -> (unit -> 'a) -> 'a
+(** [with_span t f] runs [f] with [t] subscribed to {!Flight} and
+    active for {!submit_stamp} and {!note_packed}, and on exit (normal
+    or by an exception) restores the collectors that were active before.
+    An enclosing collector keeps counting inside the window: every
+    active collector sees each record. *)
 
 (** {2 Hooks outside the Flight feed} (self-guarded) *)
 
 val submit_stamp : unit -> int
 (** Submission timestamp to carry alongside the message (the engine
     puts it in a new message's {!Flight.ev_data_send} record); [0] when
-    no collector is attached, and a zero stamp is never measured. *)
+    no collector is active, and a zero stamp is never measured. *)
 
 val note_packed : submit_ns:int -> unit
 (** The daemon flushed a pack buffer holding a message stamped
-    [submit_ns]. *)
+    [submit_ns]; every active collector counts it. *)
 
 (** {2 Stage names} *)
 

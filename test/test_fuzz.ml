@@ -7,12 +7,13 @@ open Aring_fuzz
 
 (* A small hand-built schedule with both fault kinds that exercise the
    drop predicate; converges in well under a simulated second. *)
-let small_schedule seed =
+let small_schedule ?(app = Schedule.Bare) seed =
   {
     Schedule.seed;
     config =
       {
-        Schedule.n_nodes = 3;
+        Schedule.app;
+        n_nodes = 3;
         rings = 1;
         tier_ids = [ 1; 1; 1 ];
         ten_gig = true;
@@ -54,7 +55,11 @@ let test_generate_deterministic () =
   let c = Schedule.generate ~seed:43L () in
   Alcotest.(check bool)
     "different seed, different schedule" false
-    (Schedule.to_string a = Schedule.to_string c)
+    (Schedule.to_string a = Schedule.to_string c);
+  let kv = Schedule.generate ~app:Schedule.Kv ~seed:42L () in
+  Alcotest.(check bool)
+    "the app is set, not drawn" true
+    ({ kv with config = { kv.config with app = Schedule.Bare } } = a)
 
 (* A schedule sets only the windows, the priority method and the
    sequence gap; every other parameter is the fast profile's. *)
@@ -63,7 +68,8 @@ let test_schedule_params_are_snappy () =
   List.iter
     (fun rings ->
       for seed = 1 to 500 do
-        let c = (Schedule.generate ~rings ~seed:(Int64.of_int seed) ()).config in
+        let seed = Int64.of_int seed in
+        let c = (Schedule.generate ~app:Schedule.Kv ~rings ~seed ()).config in
         let p = Schedule.params c in
         let expected =
           {
@@ -77,7 +83,7 @@ let test_schedule_params_are_snappy () =
           }
         in
         if p <> expected then
-          Alcotest.failf "rings %d seed %d: params differ from Params.snappy"
+          Alcotest.failf "rings %d seed %Ld: params differ from Params.snappy"
             rings seed
       done)
     [ 1; 2; 4 ]
@@ -106,10 +112,15 @@ let test_generate_well_formed () =
       s.Schedule.faults
   done
 
+(* Rings 0 stands for a bare schedule, any other count for a KV one. *)
 let prop_schedule_roundtrip =
   QCheck.Test.make ~count:100 ~name:"schedule JSON round-trips exactly"
-    QCheck.int64 (fun seed ->
-      let s = Schedule.generate ~seed () in
+    QCheck.(pair int64 (int_bound 4))
+    (fun (seed, rings) ->
+      let s =
+        if rings = 0 then Schedule.generate ~seed ()
+        else Schedule.generate ~app:Schedule.Kv ~rings ~seed ()
+      in
       Schedule.of_string (Schedule.to_string s) = s)
 
 (* ------------------------------------------------------------------ *)
@@ -187,9 +198,8 @@ let test_finds_skip_retransmission () =
 (* Corpus replay: every committed reproducer must stay green           *)
 
 (* [corpus/trace_hashes.txt] pins the FNV-1a trace hash of every committed
-   schedule, as do [corpus/kv/trace_hashes_kv.txt] and
-   [corpus/multiring/trace_hashes_multiring.txt] for theirs. Lines are
-   "<basename> <16-hex-digit hash>"; '#' starts a comment. *)
+   schedule. Lines are "<path below corpus/> <16-hex-digit hash>"; '#'
+   starts a comment. *)
 let committed_hashes path =
   let ic = open_in path in
   Fun.protect
@@ -206,58 +216,108 @@ let committed_hashes path =
       in
       loop [])
 
-let test_corpus_replays_green () =
+(* One corpus, one path: every entry, bare or KV at any ring count,
+   replays clean at exactly its pinned hash, and every KV entry still
+   fails when the bug that minted the KV corpus is re-planted — the
+   corpus stays a working self-test, not a fossil. Each schedule names
+   its own app, so no entry needs an argument beyond the bug. *)
+(* Every corpus entry, named by its path under [corpus/]; one committed
+   hash per entry. *)
+let corpus () =
   let entries = Corpus.load_dir "corpus" in
-  Alcotest.(check bool) "corpus is not empty" true (List.length entries >= 3);
   let oracle = committed_hashes "corpus/trace_hashes.txt" in
-  Alcotest.(check int)
-    "every corpus entry has a committed hash" (List.length entries)
-    (List.length oracle);
+  Alcotest.(check (list string))
+    "one committed hash per corpus entry"
+    (List.sort compare (List.map fst oracle))
+    (List.sort compare (List.map fst entries));
+  (entries, oracle)
+
+let in_subdir dir (name, _) =
+  let prefix = dir ^ "/" in
+  String.length name > String.length prefix
+  && String.sub name 0 (String.length prefix) = prefix
+
+(* Each entry replays green at its committed trace hash. *)
+let replay_green oracle entries =
   List.iter
     (fun (name, schedule) ->
-      let o = Fuzzer.replay schedule in
+      let o = Runner.run schedule in
       if not (Runner.passed o) then
         Alcotest.failf "corpus entry %s regressed: %s" name
           (Format.asprintf "%a" Runner.pp_outcome o);
-      match List.assoc_opt (Filename.basename name) oracle with
-      | None -> Alcotest.failf "no committed trace hash for %s" name
-      | Some expected ->
-          if o.Runner.trace_hash <> expected then
-            Alcotest.failf
-              "corpus entry %s trace drifted: hash %Lx, committed %Lx" name
-              o.Runner.trace_hash expected)
+      let expected = List.assoc name oracle in
+      if o.Runner.trace_hash <> expected then
+        Alcotest.failf "corpus entry %s trace drifted: hash %Lx, committed %Lx"
+          name o.Runner.trace_hash expected)
     entries
+
+(* Each KV entry, replayed with the bug that minted it re-planted, must
+   fail on a KV violation. *)
+let catches_kv_bug entries =
+  List.iter
+    (fun (name, schedule) ->
+      match
+        (Runner.run ~bug:(Bug.Kv_skip_apply { node = 0; every = 3 }) schedule)
+          .Runner.failure
+      with
+      | Some (Runner.Kv_violation _) -> ()
+      | _ ->
+          Alcotest.failf
+            "kv entry %s no longer catches the seeded bug it was minted by"
+            name)
+    entries
+
+(* The corpus is one directory walk; [kv/] and [multiring/] are filing
+   only, and they hold exactly the KV entries. The entries outside them
+   replay here, those inside in the two tests below. *)
+let test_corpus_replays_green () =
+  let entries, oracle = corpus () in
+  let is_kv (_, (s : Schedule.t)) = s.config.Schedule.app = Schedule.Kv in
+  let filed (e : string * Schedule.t) =
+    in_subdir "kv" e || in_subdir "multiring" e
+  in
+  Alcotest.(check (list string))
+    "the KV entries are the ones filed under kv/ and multiring/"
+    (List.map fst (List.filter filed entries))
+    (List.map fst (List.filter is_kv entries));
+  Alcotest.(check int) "kv entries" 8 (List.length (List.filter is_kv entries));
+  replay_green oracle (List.filter (fun e -> not (filed e)) entries)
+
+let test_subdir_corpus_replays_green dir () =
+  let entries, oracle = corpus () in
+  let entries = List.filter (in_subdir dir) entries in
+  if entries = [] then Alcotest.failf "no corpus entries under %s/" dir;
+  replay_green oracle entries;
+  catches_kv_bug entries
 
 (* ------------------------------------------------------------------ *)
 (* KV app mode: determinism, seeded-bug self-test, corpus pinning      *)
 
 let test_kv_runner_deterministic () =
-  let s = small_schedule 7L in
-  let a = Runner.run ~app:Runner.App_kv s in
-  let b = Runner.run ~app:Runner.App_kv s in
+  let s = small_schedule ~app:Schedule.Kv 7L in
+  let a = Runner.run s in
+  let b = Runner.run s in
   Alcotest.(check bool)
     "clean kv schedule passes" true (Runner.passed a);
   Alcotest.(check int64) "identical kv trace hash" a.Runner.trace_hash
     b.Runner.trace_hash;
-  let raw = Runner.run s in
+  let raw = Runner.run (small_schedule 7L) in
   Alcotest.(check bool)
     "kv traffic changes the trace" false
     (a.Runner.trace_hash = raw.Runner.trace_hash)
 
 let test_finds_kv_skip_apply () =
+  let kv_skip_apply = Bug.Kv_skip_apply { node = 0; every = 7 } in
   let report =
     Fuzzer.run_campaign
       {
-        (quiet_campaign
-           ~bug:(Bug.Kv_skip_apply { node = 0; every = 7 })
-           ~shrink:true)
-        with
-        Fuzzer.app = Runner.App_kv;
+        (quiet_campaign ~bug:kv_skip_apply ~shrink:true) with
+        Fuzzer.app = Schedule.Kv;
       }
   in
   match (report.Fuzzer.failure, report.Fuzzer.shrunk) with
   | None, _ -> Alcotest.fail "kv-skip-apply bug not found within 200 trials"
-  | Some t, Some _ ->
+  | Some t, Some r ->
       Alcotest.(check int) "caught on the very first schedule" 0 t.Fuzzer.index;
       (match t.Fuzzer.outcome.Runner.failure with
       | Some (Runner.Kv_violation { total; _ }) ->
@@ -265,7 +325,16 @@ let test_finds_kv_skip_apply () =
       | Some f ->
           Alcotest.failf "expected a kv_violation, got %s"
             (Runner.failure_label f)
-      | None -> Alcotest.fail "expected a kv_violation")
+      | None -> Alcotest.fail "expected a kv_violation");
+      (* The reproducer replays as printed: saved, loaded back and run
+         with nothing but the bug, it fails again. *)
+      let dir = Filename.concat (Filename.get_temp_dir_name ()) "aring-repro" in
+      let path = Corpus.save ~dir ~label:"kv_violation" r.Shrink.schedule in
+      let loaded = Corpus.load_file path in
+      Sys.remove path;
+      Alcotest.(check bool)
+        "saved reproducer fails" false
+        (Runner.passed (Runner.run ~bug:kv_skip_apply loaded))
   | Some _, None -> Alcotest.fail "shrinking was requested but did not run"
 
 (* The learner-path seeded bugs of the position merge, at two rings:
@@ -276,7 +345,7 @@ let finds_learner_bug bug ~kind () =
     Fuzzer.run_campaign
       {
         (quiet_campaign ~bug ~shrink:true) with
-        Fuzzer.app = Runner.App_kv;
+        Fuzzer.app = Schedule.Kv;
         rings = 2;
         seed = 4L;
         trials = 1;
@@ -317,7 +386,7 @@ let test_finds_skip_delivery_under_kv () =
            ~bug:(Bug.Skip_delivery { node = 0; every = 10 })
            ~shrink:false)
         with
-        Fuzzer.app = Runner.App_kv;
+        Fuzzer.app = Schedule.Kv;
       }
   in
   match report.Fuzzer.failure with
@@ -329,87 +398,6 @@ let test_finds_skip_delivery_under_kv () =
           Alcotest.failf "expected invariant or kv_violation, got %s"
             (Runner.failure_label f)
       | None -> Alcotest.fail "expected a failure")
-
-(* Every committed KV reproducer must (a) replay green without the bug,
-   at exactly the pinned trace hash, and (b) still fail when the bug
-   that minted it is re-planted — the corpus stays a working self-test,
-   not a fossil. *)
-let test_kv_corpus_replays_green () =
-  let entries = Corpus.load_dir "corpus/kv" in
-  Alcotest.(check bool) "kv corpus is not empty" true (entries <> []);
-  let oracle = committed_hashes "corpus/kv/trace_hashes_kv.txt" in
-  Alcotest.(check int)
-    "every kv corpus entry has committed hashes" (List.length entries)
-    (List.length oracle);
-  List.iter
-    (fun (name, schedule) ->
-      let clean = Fuzzer.replay ~app:Runner.App_kv schedule in
-      if not (Runner.passed clean) then
-        Alcotest.failf "kv corpus entry %s regressed: %s" name
-          (Format.asprintf "%a" Runner.pp_outcome clean);
-      (match List.assoc_opt (Filename.basename name) oracle with
-      | None -> Alcotest.failf "no committed trace hash for %s" name
-      | Some h ->
-          if clean.Runner.trace_hash <> h then
-            Alcotest.failf "kv entry %s trace drifted: %Lx, committed %Lx"
-              name clean.Runner.trace_hash h);
-      let buggy =
-        Fuzzer.replay
-          ~bug:(Bug.Kv_skip_apply { node = 0; every = 3 })
-          ~app:Runner.App_kv schedule
-      in
-      match buggy.Runner.failure with
-      | Some (Runner.Kv_violation _) -> ()
-      | _ ->
-          Alcotest.failf
-            "kv entry %s no longer catches the seeded bug it was minted by"
-            name)
-    entries
-
-(* Same contract for the multi-ring corpus: the committed schedules
-   carry [rings > 1], so replay drives the sharded multi-ring stack —
-   M independent rings, the cross-ring KV oracle, and the deterministic
-   learner merge. Hashes live in
-   [corpus/multiring/trace_hashes_multiring.txt], same line format. *)
-let test_multiring_corpus_replays_green () =
-  let entries = Corpus.load_dir "corpus/multiring" in
-  Alcotest.(check bool) "multiring corpus is not empty" true (entries <> []);
-  let oracle =
-    committed_hashes "corpus/multiring/trace_hashes_multiring.txt"
-  in
-  Alcotest.(check int)
-    "every multiring corpus entry has committed hashes" (List.length entries)
-    (List.length oracle);
-  List.iter
-    (fun (name, schedule) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s is a multi-ring schedule" name)
-        true
-        (schedule.Schedule.config.Schedule.rings > 1);
-      let clean = Fuzzer.replay ~app:Runner.App_kv schedule in
-      if not (Runner.passed clean) then
-        Alcotest.failf "multiring corpus entry %s regressed: %s" name
-          (Format.asprintf "%a" Runner.pp_outcome clean);
-      (match List.assoc_opt (Filename.basename name) oracle with
-      | None -> Alcotest.failf "no committed trace hash for %s" name
-      | Some h ->
-          if clean.Runner.trace_hash <> h then
-            Alcotest.failf
-              "multiring entry %s trace drifted: %Lx, committed %Lx" name
-              clean.Runner.trace_hash h);
-      let buggy =
-        Fuzzer.replay
-          ~bug:(Bug.Kv_skip_apply { node = 0; every = 3 })
-          ~app:Runner.App_kv schedule
-      in
-      match buggy.Runner.failure with
-      | Some (Runner.Kv_violation _) -> ()
-      | _ ->
-          Alcotest.failf
-            "multiring entry %s no longer catches the seeded bug it was \
-             minted by"
-            name)
-    entries
 
 (* ------------------------------------------------------------------ *)
 (* Recovery overhaul regressions + health watchdog                     *)
@@ -441,7 +429,7 @@ let test_recovery_livelock_schedule_converges () =
   let deadline =
     s.Schedule.config.Schedule.horizon_ns + s.Schedule.config.Schedule.drain_ns
   in
-  let o = Fuzzer.replay s in
+  let o = Runner.run s in
   if not (Runner.passed o) then
     Alcotest.failf "former livelock schedule regressed: %s"
       (Format.asprintf "%a" Runner.pp_outcome o);
@@ -463,7 +451,7 @@ let gather_stall_schedule_json =
   {|{"seed":"-8724047567367088020","n_nodes":2,"tier_ids":[2,0],"ten_gig":false,"base_loss_permille":15,"small_switch_buffer":false,"accelerated_window":8,"personal_window":31,"aggressive":false,"max_seq_gap":1795,"payload":492,"submit_gap_ns":427377,"safe_permille":46,"horizon_ns":114000000,"drain_ns":2000000000,"liveness":true,"faults":[{"fault":"partition","at":1784014,"until":39640280,"island":[1]},{"fault":"token_blackout","at":17917665,"until":75715064},{"fault":"loss_burst","at":48239399,"until":86904299,"permille":120},{"fault":"crash","at":55677543,"node":0}]}|}
 
 let test_gather_stall_schedule_converges () =
-  let o = Fuzzer.replay (Schedule.of_string gather_stall_schedule_json) in
+  let o = Runner.run (Schedule.of_string gather_stall_schedule_json) in
   if not (Runner.passed o) then
     Alcotest.failf "gather-stall schedule regressed: %s"
       (Format.asprintf "%a" Runner.pp_outcome o)
@@ -475,7 +463,7 @@ let test_gather_stall_schedule_converges () =
    (c) leave the flight recorder holding the run's tail for the dump. *)
 let test_watchdog_flags_recovery_flood_livelock () =
   let s = Schedule.of_string livelock_schedule_json in
-  let o = Fuzzer.replay ~bug:Bug.Recovery_flood s in
+  let o = Runner.run ~bug:Bug.Recovery_flood s in
   match o.Runner.failure with
   | Some (Runner.Health_stall { report } as f) ->
       Alcotest.(check string)
@@ -525,8 +513,10 @@ let test_kv_judged_after_horizon () =
   List.iter
     (fun rings ->
       for seed = 5001 to 5006 do
-        let s = Schedule.generate ~rings ~seed:(Int64.of_int seed) () in
-        let o = Runner.run ~app:Runner.App_kv s in
+        let s =
+          Schedule.generate ~app:Schedule.Kv ~rings ~seed:(Int64.of_int seed) ()
+        in
+        let o = Runner.run s in
         if Runner.passed o then
           Alcotest.(check bool)
             (Printf.sprintf "rings=%d seed=%d ends after its horizon" rings seed)
@@ -534,6 +524,47 @@ let test_kv_judged_after_horizon () =
             (o.Runner.end_ns > s.Schedule.config.Schedule.horizon_ns)
       done)
     [ 1; 2 ]
+
+(* A bare schedule hosts no KV: a KV or learner bug is refused rather
+   than passed on a stack it never touched, and a multi-ring schedule
+   cannot be bare, whether generated or parsed. *)
+let test_bare_schedule_refuses_kv () =
+  List.iter
+    (fun bug ->
+      match Runner.run ~bug (small_schedule 7L) with
+      | o ->
+          Alcotest.failf "%s ran on a bare schedule: %s" (Bug.label bug)
+            (Format.asprintf "%a" Runner.pp_outcome o)
+      | exception Invalid_argument _ -> ())
+    [
+      Bug.Kv_skip_apply { node = 0; every = 7 };
+      Bug.Kv_apply_before_election;
+      Bug.Merge_no_seek;
+    ];
+  Alcotest.check_raises "generate refuses a bare multi-ring schedule"
+    (Invalid_argument "schedule: a multi-ring schedule hosts the kv app")
+    (fun () -> ignore (Schedule.generate ~rings:2 ~seed:1L ()));
+  (* A KV schedule's JSON with its app field replaced by [field]. *)
+  let kv_json ~field rings =
+    let json =
+      Schedule.to_string (Schedule.generate ~app:Schedule.Kv ~rings ~seed:1L ())
+    in
+    let i = String.length {|{"seed":"1",|} and app = {|"app":"kv",|} in
+    let j = i + String.length app in
+    Alcotest.(check string)
+      "the app follows the seed" app (String.sub json i (j - i));
+    String.sub json 0 i ^ field ^ String.sub json j (String.length json - j)
+  in
+  Alcotest.(check string)
+    "bare JSON has no app"
+    (Schedule.to_string (Schedule.generate ~seed:1L ()))
+    (kv_json ~field:"" 1);
+  List.iter
+    (fun json ->
+      match Schedule.of_string json with
+      | _ -> Alcotest.failf "parsed %s" json
+      | exception Aring_obs.Json.Parse_error _ -> ())
+    [ kv_json ~field:"" 2; kv_json ~field:{|"app":"paxos",|} 1 ]
 
 let test_corpus_save_load () =
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "aring-corpus-test" in
@@ -564,9 +595,9 @@ let suite =
       finds_learner_bug Bug.Merge_no_seek ~kind:"merge_order" );
     ("finds skip-delivery under kv app", `Slow, test_finds_skip_delivery_under_kv);
     ("kv corpus replays green + catches its bug", `Quick,
-     test_kv_corpus_replays_green);
+     test_subdir_corpus_replays_green "kv");
     ("multiring corpus replays green + catches its bug", `Quick,
-     test_multiring_corpus_replays_green);
+     test_subdir_corpus_replays_green "multiring");
     ("former recovery-flood livelock converges", `Quick,
      test_recovery_livelock_schedule_converges);
     ("singleton-gather stall converges", `Quick,
@@ -576,6 +607,7 @@ let suite =
     ("kv runs judged only after the horizon", `Quick,
      test_kv_judged_after_horizon);
     ("corpus save/load", `Quick, test_corpus_save_load);
+    ("bare schedule refuses kv", `Quick, test_bare_schedule_refuses_kv);
     ("schedule params are the snappy profile", `Quick,
      test_schedule_params_are_snappy);
   ]

@@ -639,6 +639,37 @@ let test_span_stages () =
       in
       check Alcotest.int "unmatched delivery not counted" 1 e2e_count)
 
+(* Collectors nest: an enclosing collector keeps counting through an
+   inner window and is active again after it, and with none active the
+   stamp is 0 again. *)
+let test_span_collectors_nest () =
+  with_virtual_clock (fun t ->
+      let order_count span =
+        match
+          List.find_opt
+            (fun (s : Span.stage_report) -> s.Span.stage = Span.stage_order)
+            (Span.report span)
+        with
+        | Some s -> s.Span.count
+        | None -> 0
+      in
+      let send seq =
+        t := seq * 1_000;
+        let stamp = Span.submit_stamp () in
+        check Alcotest.int "stamped while a collector is active" (seq * 1_000)
+          stamp;
+        t := (seq * 1_000) + 500;
+        record ~node:0 Flight.ev_data_send ~a:seq ~b:0 ~d:stamp
+      in
+      let outer = Span.create () and inner = Span.create () in
+      Span.with_span outer (fun () ->
+          send 1;
+          Span.with_span inner (fun () -> send 2);
+          send 3);
+      check Alcotest.int "outer collector saw every send" 3 (order_count outer);
+      check Alcotest.int "inner collector saw its window" 1 (order_count inner);
+      check Alcotest.int "stamp is 0 with none active" 0 (Span.submit_stamp ()))
+
 (* -------------------------------------------------------------------- *)
 (* Health watchdog                                                       *)
 
@@ -1182,4 +1213,6 @@ let suite =
       test_rotation_histogram_holds_each_sample;
     Alcotest.test_case "health: two watchdogs subscribed at once count alike"
       `Quick test_two_watchdogs_count_alike;
+    Alcotest.test_case "latency spans: collectors nest" `Quick
+      test_span_collectors_nest;
   ]
