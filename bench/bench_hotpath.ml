@@ -260,8 +260,10 @@ let slow_inbox_alloc ~iters =
 
 (* What a parked message keeps alive beyond its frame: the words
    reachable from the session after [slow_parked] deliveries, less those
-   before and the one frame they share, per message. *)
-let slow_parked = 10_000
+   before and the one frame they share, per message. Each parked copy
+   charges the session its frame's length, so [slow_parked] is as many
+   as the daemon's inbox limit admits. *)
+let slow_parked = Daemon.slow_inbox_limit_bytes / Bytes.length slow_app
 
 let slow_inbox_retained () =
   let d, s, feed = inbox_session ~slow:true in

@@ -1,9 +1,11 @@
 (* Production workload benchmark (`-- load [quick]`): open-loop sessions
    at scale. 2000 concurrent daemon sessions offer a Zipf-skewed KV mix
    at a fixed aggregate rate, decoupled from completions. A steady run
-   (with slow receivers riding along) gates p99/p99.9 write latency and
-   the applied/offered ratio; a reconnect-storm run gates applied-rate
-   degradation and post-storm recovery. Gated by bench/load_budget.json. *)
+   (with slow receivers riding along) gates p99/p99.9 write latency, the
+   applied/offered ratio and the slow receivers' parked backlog, which
+   the daemon's inbox limit bounds; a reconnect-storm run gates
+   applied-rate degradation and post-storm recovery. Gated by
+   bench/load_budget.json. *)
 
 module Json = Aring_obs.Json
 module Stats = Aring_util.Stats
@@ -77,6 +79,7 @@ let run ~quick =
           ("queue_depth_peak", Json.Int r.Load.queue_depth_peak);
           ("queue_depth_end", Json.Int r.Load.queue_depth_end);
           ("slow_inbox_peak", Json.Int r.Load.slow_inbox_peak);
+          ("slow_cuts", Json.Int r.Load.slow_cuts);
           ("storm_steady_rate", Json.Float r.Load.storm_steady_rate);
           ("storm_rate", Json.Float r.Load.storm_rate);
           ("storm_degradation", Json.Float r.Load.storm_degradation);
@@ -112,6 +115,7 @@ let run ~quick =
         Min ("min_concurrent_sessions", float_of_int storm.Load.sessions_peak);
         Max ("max_steady_write_p99_us", p99 steady.Load.write_latency_us);
         Max ("max_steady_write_p999_us", Stats.p999 steady.Load.write_latency_us);
+        Max ("max_steady_slow_inbox_peak", float_of_int steady.Load.slow_inbox_peak);
         Min ("min_applied_offered_ratio", applied_ratio steady);
         Max ("max_storm_degradation", storm.Load.storm_degradation);
         Max ("max_storm_recovery_ms", storm.Load.storm_recovered_ms);

@@ -1,8 +1,8 @@
 (* CLI: production workload harness — open-loop client sessions at
    scale against the replicated KV stack on the simulated cluster.
    Prints offered vs applied rate, p99/p99.9 write latency, open-loop
-   queue depth and (when enabled) reconnect-storm degradation and
-   recovery. The consistency oracle rides every run; a violation (or a
+   queue depth, the slow receivers' parked backlog and cuts, and (when
+   enabled) reconnect-storm degradation and recovery. The consistency oracle rides every run; a violation (or a
    cluster that fails to re-converge) is a hard error, exit 1. With one
    periodic session per node it is the paper's KV workload, and
    --partition drives freeze, re-merge and state transfer under it. *)
@@ -226,7 +226,10 @@ let slow_spec =
     & info [ "slow" ] ~docv:"PER_NODE:RATE"
         ~doc:
           "Slow receivers: $(i,PER_NODE) sessions per daemon subscribed \
-           to the KV group, each draining at $(i,RATE) messages/s.")
+           to the KV group, each draining at $(i,RATE) messages/s. A \
+           session whose parked frames would pass the daemon's inbox \
+           limit (256 KiB) is cut and reconnects 4 ms later; the result \
+           line counts the cuts.")
 
 let wan_ns =
   Arg.(

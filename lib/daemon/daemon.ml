@@ -1,6 +1,7 @@
 open Aring_wire
 open Aring_ring
 module Span = Aring_obs.Span
+module Flight = Aring_obs.Flight
 module Bytes_ring = Aring_util.Bytes_ring
 module Names = Map.Make (String)
 
@@ -22,6 +23,10 @@ type session = {
      is its delivered frame and one int, the App entry's offset in that
      frame shifted past the service's two-bit tag. *)
   mutable s_inbox : Bytes_ring.t option;
+  (* The frame lengths of the inbox's entries, summed: what the session
+     is charged against [slow_inbox_limit_bytes]. *)
+  mutable s_parked_bytes : int;
+  mutable s_cut : bool;  (* ended by the daemon at the limit *)
 }
 
 type stats = {
@@ -29,6 +34,7 @@ type stats = {
   mutable group_notifications : int;
   mutable packs_sent : int;
   mutable envelopes_packed : int;
+  mutable sessions_cut : int;
 }
 
 (* The two halves of union routing (see [multicast] in the interface), as
@@ -61,6 +67,10 @@ type t = {
   mutable r_count : int;  (* recipients handed the envelope's entries *)
   mutable r_entry : int;  (* parked beside the frame, [dec]'s buffer *)
   pump_dec : Codec.decoder;  (* the cursor [pump] re-reads entries with *)
+  (* The emptied inbox of the last slow session to end or turn direct,
+     kept for the next one: a session cut at the limit and reconnected
+     parks into the arrays its predecessor grew. *)
+  mutable spare_inbox : Bytes_ring.t option;
   stats : stats;
   pack_threshold : int;
   (* Every submission is written once into [frame], which holds the
@@ -99,12 +109,14 @@ let create ?(pack_threshold = 0) ~member () =
     r_count = 0;
     r_entry = 0;
     pump_dec = Codec.decoder_empty ();
+    spare_inbox = None;
     stats =
       {
         client_deliveries = 0;
         group_notifications = 0;
         packs_sent = 0;
         envelopes_packed = 0;
+        sessions_cut = 0;
       };
     pack_threshold;
     frame = Codec.scratch ();
@@ -125,6 +137,7 @@ let record_metrics ?(prefix = "") t reg =
   c "daemon.group_notifications" t.stats.group_notifications;
   c "daemon.packs_sent" t.stats.packs_sent;
   c "daemon.envelopes_packed" t.stats.envelopes_packed;
+  c "daemon.sessions_cut" t.stats.sessions_cut;
   match Member.node t.member with
   | Some node -> Engine.record_metrics ~prefix (Node.engine node) reg
   | None -> ()
@@ -143,13 +156,16 @@ let connect t ~name callbacks =
       s_joined = [];
       s_open = true;
       s_inbox = None;
+      s_parked_bytes = 0;
+      s_cut = false;
     }
   in
   Hashtbl.replace t.sessions name s;
   s
 
-(* Park the routed delivery at the back of [q]. *)
-let park t q = Bytes_ring.push q (Codec.decoder_buffer t.dec) t.r_entry
+(* The frame bytes a slow session may hold parked (see the interface
+   for the value). *)
+let slow_inbox_limit_bytes = 262_144
 
 (* [pump]'s readers, one per service tag, each handing the parked App
    entry it reads to the client whose callbacks are the accumulator. *)
@@ -172,6 +188,7 @@ let rec pump_from t s q n max =
   else begin
     let frame = Bytes_ring.front_bytes q and entry = Bytes_ring.front_int q in
     Bytes_ring.drop q;
+    s.s_parked_bytes <- s.s_parked_bytes - Bytes.length frame;
     let pos = entry lsr 2 in
     Codec.decoder_reset t.pump_dec frame ~pos ~len:(Bytes.length frame - pos);
     ignore (Envelope.read_entry t.names t.pump_dec pumpers.(entry land 3) s.s_callbacks);
@@ -181,19 +198,34 @@ let rec pump_from t s q n max =
 let pump t s ~max =
   match s.s_inbox with None -> 0 | Some q -> pump_from t s q 0 max
 
+(* Take [s]'s inbox away, emptied, as the daemon's spare. *)
+let release_inbox t s =
+  match s.s_inbox with
+  | None -> ()
+  | Some q ->
+      Bytes_ring.clear q;
+      t.spare_inbox <- Some q;
+      s.s_inbox <- None;
+      s.s_parked_bytes <- 0
+
 let set_slow_receiver t s slow =
   if slow then begin
-    if Option.is_none s.s_inbox then
-      s.s_inbox <- Some (Bytes_ring.create ())
+    if Option.is_none s.s_inbox then begin
+      s.s_inbox <-
+        (match t.spare_inbox with Some _ as q -> q | None -> Some (Bytes_ring.create ()));
+      t.spare_inbox <- None
+    end
   end
   else begin
     (* Reverting to direct delivery hands over anything still parked,
        in arrival order, so no message is lost or reordered. *)
     ignore (pump t s ~max:max_int);
-    s.s_inbox <- None
+    release_inbox t s
   end
 
 let inbox_depth _t s = match s.s_inbox with None -> 0 | Some q -> Bytes_ring.length q
+let inbox_bytes _t s = s.s_parked_bytes
+let is_cut _t s = s.s_cut
 
 let note_packed t =
   List.iter
@@ -323,10 +355,18 @@ let disconnect t s =
     s.s_joined <- [];
     s.s_open <- false;
     (* Undrained messages die with the connection; a pump under way stops. *)
-    (match s.s_inbox with Some q -> Bytes_ring.clear q | None -> ());
-    s.s_inbox <- None;
+    release_inbox t s;
     Hashtbl.remove t.sessions s.s_name
   end
+
+(* End a slow session whose next park would pass the limit, as a client
+   disconnect does: its Leaves are ordered and its backlog dropped. *)
+let cut t s =
+  Flight.record ~node:t.me ~code:Flight.ev_session_cut ~a:(inbox_depth t s)
+    ~b:s.s_parked_bytes ~c:0 ~d:0;
+  t.stats.sessions_cut <- t.stats.sessions_cut + 1;
+  s.s_cut <- true;
+  disconnect t s
 
 let multicast_write t s ?(service = Types.Agreed) ~groups write x =
   if s.s_open then begin
@@ -375,23 +415,35 @@ let recipients t = function
         (fun acc g -> Names.union (fun _ a b -> Some (a lor b)) acc (routes_of t g))
         Names.empty groups
 
+let counted t =
+  t.stats.client_deliveries <- t.stats.client_deliveries + 1;
+  t.r_count <- t.r_count + 1
+
 (* Hand the delivery being routed to session [name], when it is still
    connected. *)
 let route_one name _halves t =
   match Hashtbl.find t.sessions name with
   | exception Not_found -> t  (* a table entry with no session *)
   | s ->
-      t.stats.client_deliveries <- t.stats.client_deliveries + 1;
-      t.r_count <- t.r_count + 1;
       (* A slow receiver parks the message; the daemon's routing work
          (and the Deliver action's CPU charge) happens either way, so one
          stalled client never blocks the others. A slow inbox parks the
          delivered frame itself and the entry's offset, which [pump]
          reads again; a direct session is handed a view into the frame.
-         Either way the frame is kept alive, never copied. *)
+         Either way the frame is kept alive, never copied. A park that
+         would pass the limit cuts the session instead. *)
       (match s.s_inbox with
-      | Some q -> park t q
+      | Some q ->
+          let frame = Codec.decoder_buffer t.dec in
+          let parked = s.s_parked_bytes + Bytes.length frame in
+          if parked > slow_inbox_limit_bytes then cut t s
+          else begin
+            counted t;
+            Bytes_ring.push q frame t.r_entry;
+            s.s_parked_bytes <- parked
+          end
       | None ->
+          counted t;
           s.s_callbacks.on_message ~sender:t.r_sender ~groups:t.r_groups t.r_service
             t.r_payload);
       t

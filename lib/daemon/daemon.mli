@@ -77,6 +77,8 @@ type stats = {
   mutable group_notifications : int;
   mutable packs_sent : int;  (** Batch envelopes multicast. *)
   mutable envelopes_packed : int;  (** Envelopes carried inside batches. *)
+  mutable sessions_cut : int;
+      (** Slow-receiver sessions ended at {!slow_inbox_limit_bytes}. *)
 }
 
 val create : ?pack_threshold:int -> member:Member.t -> unit -> t
@@ -133,7 +135,8 @@ val disconnect : t -> session -> unit
 (** Leaves all joined groups (ordered through the ring, after any
     in-flight multicasts of this session — survivors see the leave
     notifications at a consistent point of the total order). Calling it
-    again on the same session is an idempotent no-op. *)
+    again on the same session, or on a session the daemon cut
+    ({!is_cut}), is an idempotent no-op. *)
 
 val session_member_name : t -> session -> string
 (** The canonical ["#name#daemon"] identity of the session. *)
@@ -158,7 +161,33 @@ val session_member_name : t -> session -> string
     frame stays valid however long it waits, after the engine has
     dropped the message it came in. Beyond its frame, a parked message
     costs 16 B of ring, and up to 32 B while the ring, which doubles
-    when full, is half empty. *)
+    when full, is half empty.
+
+    An inbox is bounded. Each parked message charges its session the
+    length of its frame (a Batch frame once per entry parked from it,
+    so the charge bounds the frame bytes the inbox keeps alive), and a
+    delivery whose park would take the charge past
+    {!slow_inbox_limit_bytes} ends the session instead, as a Spread
+    daemon cuts off a client that falls too far behind: its Leave for
+    every joined group is ordered through the ring, its backlog is
+    dropped unread, and it leaves the daemon, so the name is free to
+    connect again. The cut is recorded ({!Aring_obs.Flight.ev_session_cut})
+    and counted ([sessions_cut]). The client sees it through {!is_cut};
+    {!pump} on the cut session returns 0 and {!disconnect} does nothing.
+    Every other session keeps its delivery, and the cut session's
+    multicasts already ordered are delivered and applied as usual. So
+    one session keeps at most the limit in frames alive, plus 32 B of
+    ring per parked message. *)
+
+val slow_inbox_limit_bytes : int
+(** 256 KiB: the frame bytes one slow session may hold parked. It is
+    about a thousand of the production workload's ~240 B KV write
+    frames, an eighth of a second of the ~8,500 writes/s its ring
+    orders: a client that pauses briefly is never cut, and one that
+    drains at a fixed rate below the ring's is cut and reconnects
+    instead of growing the daemon for as long as it lags. A fixed
+    constant, like the ring's own windows: a deployment sizes it to
+    its memory and its clients' pauses. *)
 
 val set_slow_receiver : t -> session -> bool -> unit
 (** [set_slow_receiver t s true] installs the inbox (idempotent);
@@ -168,10 +197,20 @@ val set_slow_receiver : t -> session -> bool -> unit
 val pump : t -> session -> max:int -> int
 (** [pump t s ~max] delivers up to [max] parked messages through the
     session's [on_message], front (oldest) first; returns how many were
-    delivered. 0 for sessions not in slow-receiver mode. *)
+    delivered. 0 for sessions not in slow-receiver mode, and for a cut
+    one. *)
 
 val inbox_depth : t -> session -> int
 (** Messages currently parked; 0 for direct-delivery sessions. *)
+
+val inbox_bytes : t -> session -> int
+(** The frame bytes charged for the parked messages, never more than
+    {!slow_inbox_limit_bytes}; 0 for direct-delivery sessions. *)
+
+val is_cut : t -> session -> bool
+(** The daemon ended this session at the inbox limit. The session is
+    closed: a client reconnects with {!connect}, under the same name or
+    another, and joins its groups again. *)
 
 val join : t -> session -> string -> unit
 (** Ordered group join; takes effect when its envelope is delivered. *)

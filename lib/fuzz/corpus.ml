@@ -2,8 +2,15 @@ let entry_name ~label (s : Schedule.t) =
   Printf.sprintf "%s-seed%Lu-f%d.json" label s.Schedule.seed
     (Schedule.fault_count s)
 
+(* Create [dir] and any of its parents that are missing. *)
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    Sys.mkdir dir 0o755
+  end
+
 let save ~dir ~label s =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  mkdir_p dir;
   let path = Filename.concat dir (entry_name ~label s) in
   let oc = open_out path in
   output_string oc (Schedule.to_string s);

@@ -68,6 +68,7 @@ type sessions = {
   queue_depth_end : int;
   slow_inbox_peak : int;
   slow_inbox_end : int;
+  slow_cuts : int;
   storm_steady_rate : float;
   storm_rate : float;
   storm_degradation : float;
@@ -92,6 +93,7 @@ type result = {
   queue_depth_end : int;
   slow_inbox_peak : int;
   slow_inbox_end : int;
+  slow_cuts : int;
   storm_steady_rate : float;
   storm_rate : float;
   storm_degradation : float;
@@ -516,49 +518,69 @@ let drive ~prefix ~metrics spec target =
             storm_set))
     storm;
   (* ---------------- slow receivers ---------------- *)
-  (* [slow_per_node] per daemon, i.e. per (ring, node) participant. *)
-  let slow_sessions = ref [] in
+  (* [slow_per_node] per daemon, i.e. per (ring, node) participant, each
+     a slot holding its current session. When the daemon cuts a session
+     at its inbox limit, the next pump tick sees it and the client
+     reconnects under the same name one tick later, slow again. *)
+  let slow_slots = ref [] in
   let slow_inbox_peak = ref 0 in
   Option.iter
     (fun sl ->
+      let batch = max 1 (int_of_float (sl.drain_per_sec *. 0.004)) in
+      let callbacks =
+        {
+          Daemon.on_message = (fun ~sender:_ ~groups:_ _ _ -> Metrics.incr m_slow_drained);
+          on_group_view = (fun ~group:_ ~members:_ -> ());
+        }
+      in
       for ring = 0 to rings - 1 do
         for node = 0 to n - 1 do
           let d = target.daemon ~ring ~node and pid = (ring * n) + node in
           for i = 0 to sl.slow_per_node - 1 do
-            Netsim.call_at sim ~at:(200_000 + (((pid * sl.slow_per_node) + i) * 7_000))
-              (fun () ->
-                let h =
-                  Daemon.connect d
-                    ~name:(Printf.sprintf "slow%d" i)
-                    {
-                      Daemon.on_message =
-                        (fun ~sender:_ ~groups:_ _ _ ->
-                          Metrics.incr m_slow_drained);
-                      on_group_view = (fun ~group:_ ~members:_ -> ());
-                    }
-                in
-                (* Subscribing to the KV group puts the ring's full
-                   ordered write stream through this session. *)
-                Daemon.join d h Kv.group;
-                Daemon.set_slow_receiver d h true;
-                slow_sessions := (d, h) :: !slow_sessions;
-                let batch =
-                  max 1 (int_of_float (sl.drain_per_sec *. 0.004))
-                in
-                let rec pump_tick () =
-                  let now = Netsim.now sim in
-                  if now < deadline then begin
+            let slot = ref None in
+            slow_slots := (d, slot) :: !slow_slots;
+            let rec connect () =
+              let h = Daemon.connect d ~name:(Printf.sprintf "slow%d" i) callbacks in
+              (* Subscribing to the KV group puts the ring's full
+                 ordered write stream through this session. *)
+              Daemon.join d h Kv.group;
+              Daemon.set_slow_receiver d h true;
+              slot := Some h;
+              Netsim.call_at sim ~at:(Netsim.now sim + ms 4) pump_tick
+            and pump_tick () =
+              let now = Netsim.now sim in
+              match !slot with
+              | Some h when now < deadline ->
+                  if Daemon.is_cut d h then begin
+                    slot := None;
+                    Netsim.call_at sim ~at:(now + ms 4) connect
+                  end
+                  else begin
                     ignore (Daemon.pump d h ~max:batch);
                     Netsim.call_at sim ~at:(now + ms 4) pump_tick
                   end
-                in
-                Netsim.call_at sim ~at:(Netsim.now sim + ms 4) pump_tick)
+              | Some _ | None -> ()
+            in
+            Netsim.call_at sim ~at:(200_000 + (((pid * sl.slow_per_node) + i) * 7_000)) connect
           done
         done
       done)
     spec.slow;
   let slow_inbox () =
-    List.fold_left (fun acc (d, h) -> acc + Daemon.inbox_depth d h) 0 !slow_sessions
+    List.fold_left
+      (fun acc (d, slot) ->
+        match !slot with Some h -> acc + Daemon.inbox_depth d h | None -> acc)
+      0 !slow_slots
+  in
+  (* Only slow sessions park, so every cut is one of theirs. *)
+  let slow_cuts () =
+    let cuts = ref 0 in
+    for ring = 0 to rings - 1 do
+      for node = 0 to n - 1 do
+        cuts := !cuts + (Daemon.stats (target.daemon ~ring ~node)).sessions_cut
+      done
+    done;
+    !cuts
   in
   (* ---------------- periodic sampler ---------------- *)
   let rec sample () =
@@ -645,6 +667,7 @@ let drive ~prefix ~metrics spec target =
      queue_depth_end = !in_flight_total;
      slow_inbox_peak = !slow_inbox_peak;
      slow_inbox_end = slow_inbox ();
+     slow_cuts = slow_cuts ();
      storm_steady_rate;
      storm_rate;
      storm_degradation;
@@ -677,6 +700,7 @@ let result spec (s : sessions) ~writes_applied ~applied ~write_latency_us
     queue_depth_end = s.queue_depth_end;
     slow_inbox_peak = s.slow_inbox_peak;
     slow_inbox_end = s.slow_inbox_end;
+    slow_cuts = s.slow_cuts;
     storm_steady_rate = s.storm_steady_rate;
     storm_rate = s.storm_rate;
     storm_degradation = s.storm_degradation;
@@ -761,7 +785,7 @@ let pp_result ppf r =
      (%.0f/s)@,\
     \  write latency p50=%.0fus p99=%.0fus p99.9=%.0fus; sync reads: %d \
      (p99=%.0fus)@,\
-    \  open-loop queue: peak %d, end %d; slow inbox: peak %d, end %d@,\
+    \  open-loop queue: peak %d, end %d; slow inbox: peak %d, end %d, cuts %d@,\
     \  churn: %d reconnects%s"
     r.spec.label r.spec.n_nodes r.sessions_started r.sessions_peak
     r.spec.ops_per_sec r.ops_offered r.writes_offered r.offered_write_rate
@@ -771,7 +795,7 @@ let pp_result ppf r =
     (Stats.p999 r.write_latency_us)
     (Stats.count r.sync_read_latency_us)
     (Stats.percentile r.sync_read_latency_us 99.0)
-    r.queue_depth_peak r.queue_depth_end r.slow_inbox_peak r.slow_inbox_end
+    r.queue_depth_peak r.queue_depth_end r.slow_inbox_peak r.slow_inbox_end r.slow_cuts
     r.reconnects
     (match Option.bind r.spec.churn (fun c -> c.storm) with
     | None -> ""

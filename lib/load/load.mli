@@ -23,7 +23,9 @@
       window, the classic reconnect storm.
     - {b Slow receivers}: extra sessions subscribed to the KV group
       that drain through {!Aring_daemon.Daemon.pump} at a bounded rate,
-      exercising head-of-line isolation.
+      exercising head-of-line isolation. One that falls behind by the
+      daemon's inbox limit is cut and reconnects under the same name
+      one pump tick (4 ms) later.
     - {b Network asymmetry}: a WAN/geo latency-class matrix
       ({!Aring_sim.Netsim.set_latency_classes}) and a partition window.
 
@@ -133,7 +135,13 @@ type sessions = {
   queue_depth_peak : int;  (** Peak open-loop in-flight tracked writes. *)
   queue_depth_end : int;  (** In-flight residue after the drain. *)
   slow_inbox_peak : int;
+      (** Peak of the messages parked in all slow inboxes together,
+          sampled every 2 ms. *)
   slow_inbox_end : int;
+  slow_cuts : int;
+      (** Slow sessions the daemons cut at
+          {!Aring_daemon.Daemon.slow_inbox_limit_bytes}; each
+          reconnected. *)
   storm_steady_rate : float;  (** Applied writes/s at node 0 before the storm. *)
   storm_rate : float;  (** Applied writes/s at node 0 during the storm window. *)
   storm_degradation : float;
@@ -174,6 +182,7 @@ type result = {
   queue_depth_end : int;
   slow_inbox_peak : int;
   slow_inbox_end : int;
+  slow_cuts : int;
   storm_steady_rate : float;
   storm_rate : float;
       (** On [rings > 1] the storm series counts merged emergence at node

@@ -73,6 +73,7 @@ let ev_drop = 21
 let ev_xfer = 22
 let ev_app_deliver = 23
 let ev_view_install = 24
+let ev_session_cut = 25
 
 (* Membership phase codes: [ev_phase]'s argument [a]. *)
 let phase_operational = 0
@@ -152,6 +153,7 @@ let layouts =
     ("app_xfer", [| "donor"; "phase"; "applied"; "entries"; "ring" |]);
     ("app_deliver", [| "seq"; "sender"; "service"; ""; "ring" |]);
     ("view_install", [| "transitional"; "members"; ""; ""; "ring" |]);
+    ("session_cut", [| "parked"; "parked_bytes" |]);
   |]
 
 let code_name code =

@@ -150,6 +150,12 @@ val ev_view_install : int
 (** A runtime handed the application a configuration: [a] = 1 when
     transitional, [b] = member count; [e] = ring. *)
 
+val ev_session_cut : int
+(** A daemon ended a slow-receiver session whose next park would pass
+    [Aring_daemon.Daemon.slow_inbox_limit_bytes]: [a] = messages it had
+    parked, [b] = their frame bytes. The record's node is the daemon's
+    pid. *)
+
 (** {2 Phase codes} ([ev_phase]'s argument [a]) *)
 
 val phase_operational : int

@@ -21,12 +21,11 @@
    A watchdog is a plain Flight subscriber, and several count side by
    side. Its one feed is the Flight recorder: subscribing [as_sink]
    (e.g. with [Trace.with_sink]) decodes the phase, recheck, dedup,
-   burst, nack, resend, deliver and crash records; a run with no
-   watchdog subscribed pays nothing per record. It records nothing
-   itself —
-   pinned corpus hashes cannot see it. Deliveries are the engine's
-   [ev_deliver], one per ordered message: a daemon handing one delivery
-   to several local sessions does not count it twice. *)
+   burst, nack, resend, deliver, crash and session-cut records; a run
+   with no watchdog subscribed pays nothing per record. It records
+   nothing itself — pinned corpus hashes cannot see it. Deliveries are
+   the engine's [ev_deliver], one per ordered message: a daemon handing
+   one delivery to several local sessions does not count it twice. *)
 
 type config = { k_formation : int; stall_ns : int }
 
@@ -68,6 +67,7 @@ type node_state = {
   mutable ns_bursts : int;  (* paced flood bursts fired *)
   mutable ns_resend_reqs : int;  (* cumulative nacks multicast *)
   mutable ns_resend_total : int;  (* messages re-sent answering nacks *)
+  mutable ns_session_cuts : int;  (* slow sessions its daemon cut *)
   trail : int array;  (* recent trail codes, ring *)
   trail_ns : int array;
   mutable trail_next : int;
@@ -104,6 +104,7 @@ let create ?(config = default_config) ~n () =
             ns_bursts = 0;
             ns_resend_reqs = 0;
             ns_resend_total = 0;
+            ns_session_cuts = 0;
             trail = Array.make trail_capacity (-1);
             trail_ns = Array.make trail_capacity 0;
             trail_next = 0;
@@ -190,6 +191,8 @@ let as_sink t ~ns:_ ~node ~code ~a ~b:_ ~c ~d:_ ~e:_ ~f:_ ~g:_ ~h:_ ~i:_ =
       ns.ns_resend_total <- ns.ns_resend_total + a
     end
     else if code = Flight.ev_crash then on_crash ns
+    else if code = Flight.ev_session_cut then
+      ns.ns_session_cuts <- ns.ns_session_cuts + 1
   end
 
 (* ------------------------------------------------------------------ *)
@@ -264,6 +267,7 @@ type node_report = {
   nr_bursts : int;
   nr_resend_reqs : int;
   nr_resend_total : int;
+  nr_session_cuts : int;
   nr_entries : (string * int) list;
   nr_time_in_ms : (string * float) list;
   nr_trail : string list;  (* oldest first, run-length compressed *)
@@ -315,6 +319,7 @@ let report t ~now =
              nr_bursts = ns.ns_bursts;
              nr_resend_reqs = ns.ns_resend_reqs;
              nr_resend_total = ns.ns_resend_total;
+             nr_session_cuts = ns.ns_session_cuts;
              nr_entries =
                List.init n_phases (fun i -> (label i, ns.ns_entries.(i)));
              nr_time_in_ms =
@@ -359,9 +364,9 @@ let pp_report ppf r =
     (fun nr ->
       Format.fprintf ppf
         "@,  node %d: phase=%s attempts=%d rechecks=%d giveups=%d floods=%d \
-         resends=%d"
+         resends=%d session-cuts=%d"
         nr.nr_node nr.nr_phase nr.nr_attempts nr.nr_rechecks nr.nr_giveups
-        nr.nr_floods nr.nr_resends;
+        nr.nr_floods nr.nr_resends nr.nr_session_cuts;
       Format.fprintf ppf
         "@,    recovery traffic: peak-attempts=%d floods=%d dedup-saved=%d \
          bursts=%d nacks=%d resent=%d"

@@ -7,8 +7,8 @@
     a watchdog is a plain subscriber ({!as_sink}, like {!Checker} and
     {!Rotation}) that decodes the [ev_phase], [ev_recheck],
     [ev_recheck_giveup], [ev_dedup], [ev_burst], [ev_nack],
-    [ev_resend], [ev_deliver] and [ev_crash] records, so a crash reaches
-    it through [Netsim.crash] alone. Any number of watchdogs may be
+    [ev_resend], [ev_deliver], [ev_crash] and [ev_session_cut] records,
+    so a crash reaches it through [Netsim.crash] alone. Any number of watchdogs may be
     subscribed at once, each counting for itself. It records nothing,
     so pinned corpus hashes never see it. Deliveries count the engine's
     [ev_deliver], once per ordered message however many local sessions
@@ -61,6 +61,9 @@ type node_report = {
   nr_bursts : int;  (** lifetime paced flood bursts *)
   nr_resend_reqs : int;  (** lifetime cumulative nacks sent *)
   nr_resend_total : int;  (** lifetime messages re-sent answering nacks *)
+  nr_session_cuts : int;
+      (** lifetime slow-receiver sessions this node's daemon cut at its
+          inbox limit ([ev_session_cut]) *)
   nr_entries : (string * int) list;
   nr_time_in_ms : (string * float) list;
   nr_trail : string list;

@@ -45,7 +45,7 @@ let drop q =
   end
 
 let clear q =
-  q.bufs <- [||];
-  q.ints <- [||];
-  q.head <- 0;
-  q.len <- 0
+  while q.len > 0 do
+    drop q
+  done;
+  q.head <- 0

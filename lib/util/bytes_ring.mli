@@ -30,4 +30,4 @@ val drop : t -> unit
 (** Remove the oldest pair (read it first); nothing when empty. *)
 
 val clear : t -> unit
-(** Remove every pair and release the arrays. *)
+(** Remove every pair, keeping the arrays for the next pushes. *)

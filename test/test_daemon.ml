@@ -1740,6 +1740,119 @@ let test_pump_after_name_table_reset () =
   check Alcotest.bool "every field as the direct session had it" true
     (!slow_log = !direct_log)
 
+(* -------------------------------------------------------------------- *)
+(* Slow-inbox limit                                                      *)
+
+(* A slow cluster's traffic: [n] 1,000 B multicasts to "g" from a source
+   session on daemon 1, one every 200 us from 12 ms on. *)
+let send_kilobytes c src n =
+  for i = 0 to n - 1 do
+    Netsim.call_at c.sim
+      ~at:(ms 12 + (i * 200_000))
+      (fun () ->
+        Daemon.multicast c.daemons.(1) src ~groups:[ "g" ]
+          (Bytes.of_string (Printf.sprintf "%04d%s" i (String.make 996 '.'))))
+  done
+
+(* A slow session that never pumps is cut by the first delivery its
+   inbox cannot take: it parks up to the limit, then its Leave reaches
+   every daemon, its backlog is gone, one ev_session_cut is recorded,
+   and nothing later reaches it, while a direct session on the same
+   daemon gets every message. *)
+let test_slow_inbox_cut_at_limit () =
+  let module Flight = Aring_obs.Flight in
+  let c = make_dcluster ~n:3 () in
+  let d = c.daemons.(0) in
+  let fast = fresh_client () and slow = fresh_client () in
+  let fast_s = Daemon.connect d ~name:"fast" (callbacks_of fast) in
+  let slow_s = Daemon.connect d ~name:"slow" (callbacks_of slow) in
+  let src = Daemon.connect c.daemons.(1) ~name:"src" (callbacks_of (fresh_client ())) in
+  Daemon.join d fast_s "g";
+  Daemon.join d slow_s "g";
+  Netsim.run_until c.sim (ms 10);
+  let slow_member = Daemon.session_member_name d slow_s in
+  check Alcotest.bool "every daemon tables the slow session" true
+    (Array.for_all (fun d -> List.mem slow_member (Daemon.group_members d "g")) c.daemons);
+  Daemon.set_slow_receiver d slow_s true;
+  let n = 400 in
+  send_kilobytes c src n;
+  let peak_bytes = ref 0 and peak_depth = ref 0 in
+  for i = 0 to (n * 2) + 100 do
+    Netsim.call_at c.sim ~at:(ms 12 + (i * 100_000)) (fun () ->
+        peak_bytes := max !peak_bytes (Daemon.inbox_bytes d slow_s);
+        peak_depth := max !peak_depth (Daemon.inbox_depth d slow_s))
+  done;
+  let cuts = ref [] in
+  let on_cut ~ns:_ ~node ~code ~a ~b ~c:_ ~d:_ ~e:_ ~f:_ ~g:_ ~h:_ ~i:_ =
+    if code = Flight.ev_session_cut then cuts := (node, a, b) :: !cuts
+  in
+  Flight.subscribe on_cut;
+  Fun.protect
+    ~finally:(fun () -> Flight.unsubscribe on_cut)
+    (fun () -> Netsim.run_until c.sim (ms 120));
+  check Alcotest.int "the direct session got every message" n (List.length fast.inbox);
+  check Alcotest.bool "cut" true (Daemon.is_cut d slow_s);
+  check Alcotest.int "counted" 1 (Daemon.stats d).sessions_cut;
+  (match !cuts with
+  | [ (node, parked, bytes) ] ->
+      check Alcotest.int "recorded by the slow session's daemon" 0 node;
+      check Alcotest.int "recorded at the deepest backlog" !peak_depth parked;
+      check Alcotest.bool "its parked bytes fit the limit" true
+        (bytes <= Daemon.slow_inbox_limit_bytes);
+      check Alcotest.bool "and the next frame would not" true
+        (bytes + 1_000 > Daemon.slow_inbox_limit_bytes)
+  | cuts -> Alcotest.failf "%d session_cut records, want 1" (List.length cuts));
+  check Alcotest.bool "parked bytes never passed the limit" true
+    (!peak_bytes <= Daemon.slow_inbox_limit_bytes && !peak_bytes > 0);
+  check Alcotest.int "inbox gone" 0 (Daemon.inbox_depth d slow_s);
+  check Alcotest.int "no bytes charged" 0 (Daemon.inbox_bytes d slow_s);
+  check Alcotest.int "pump returns 0" 0 (Daemon.pump d slow_s ~max:n);
+  check Alcotest.int "nothing reached the cut client" 0 (List.length slow.inbox);
+  Array.iteri
+    (fun i d ->
+      check Alcotest.bool
+        (Printf.sprintf "daemon %d delivered the Leave" i)
+        false
+        (List.mem slow_member (Daemon.group_members d "g")))
+    c.daemons;
+  check Alcotest.bool "the direct session saw the Leave" true
+    (List.exists
+       (fun (group, members) -> group = "g" && not (List.mem slow_member members))
+       fast.group_views);
+  (* A disconnect of the cut session orders nothing more. *)
+  let views = List.length fast.group_views in
+  Daemon.disconnect d slow_s;
+  let again = Daemon.connect d ~name:"slow" (callbacks_of (fresh_client ())) in
+  ignore again;
+  Netsim.run_until c.sim (ms 140);
+  check Alcotest.int "disconnect of a cut session is a no-op" views
+    (List.length fast.group_views)
+
+(* A slow session that pumps at the rate the ring delivers holds a
+   backlog of a few messages however much passes through it, and is
+   never cut. *)
+let test_slow_inbox_pumped_never_cut () =
+  let c = make_dcluster ~n:3 () in
+  let d = c.daemons.(0) in
+  let slow = fresh_client () in
+  let slow_s = Daemon.connect d ~name:"slow" (callbacks_of slow) in
+  let src = Daemon.connect c.daemons.(1) ~name:"src" (callbacks_of (fresh_client ())) in
+  Daemon.join d slow_s "g";
+  Netsim.run_until c.sim (ms 10);
+  Daemon.set_slow_receiver d slow_s true;
+  let n = 800 in
+  send_kilobytes c src n;
+  for i = 0 to 200 do
+    Netsim.call_at c.sim ~at:(ms 12 + (i * ms 1)) (fun () ->
+        ignore (Daemon.pump d slow_s ~max:max_int))
+  done;
+  Netsim.run_until c.sim (ms 240);
+  check Alcotest.bool "more than the limit passed through" true
+    (n * 1_000 > 2 * Daemon.slow_inbox_limit_bytes);
+  check Alcotest.bool "never cut" false (Daemon.is_cut d slow_s);
+  check Alcotest.int "no cut counted" 0 (Daemon.stats d).sessions_cut;
+  check Alcotest.int "every message pumped" n (List.length slow.inbox)
+
 let test_transform_actions_in_place () =
   let d = bare_daemon () in
   ignore (tabled d ~name:"a" ~group:"one" quiet);
@@ -1914,4 +2027,7 @@ let suite =
      test_slow_inbox_parity_packed);
     ("pump after a name-table reset reads the delivered names", `Quick,
      test_pump_after_name_table_reset);
+    ("slow inbox cut at its limit", `Quick, test_slow_inbox_cut_at_limit);
+    ("slow inbox pumped at the ring's rate is never cut", `Quick,
+     test_slow_inbox_pumped_never_cut);
   ]

@@ -575,6 +575,19 @@ let test_corpus_save_load () =
     (Schedule.to_string s');
   Sys.remove path
 
+(* A save into a directory whose parents are missing creates them. *)
+let test_corpus_save_nested () =
+  let root = Filename.temp_dir "aring-corpus" "" in
+  let dir = Filename.concat (Filename.concat root "a") "b" in
+  let s = Schedule.generate ~seed:98L () in
+  let path = Corpus.save ~dir ~label:"unit" s in
+  Alcotest.(check string) "saved and loaded back" (Schedule.to_string s)
+    (Schedule.to_string (Corpus.load_file path));
+  Sys.remove path;
+  Sys.rmdir dir;
+  Sys.rmdir (Filename.dirname dir);
+  Sys.rmdir root
+
 let suite =
   [
     ("schedule generation deterministic", `Quick, test_generate_deterministic);
@@ -610,4 +623,5 @@ let suite =
     ("bare schedule refuses kv", `Quick, test_bare_schedule_refuses_kv);
     ("schedule params are the snappy profile", `Quick,
      test_schedule_params_are_snappy);
+    ("corpus save creates missing parents", `Quick, test_corpus_save_nested);
   ]

@@ -391,6 +391,58 @@ let test_one_result () =
   check Alcotest.bool "2 rings: storm all back" true m.storm_all_reconnected;
   check Alcotest.bool "2 rings: steady rate" true (m.storm_steady_rate > 0.0)
 
+(* The slow sessions of the pinned and fixed-seed specs drain fast
+   enough to stay under the daemon's inbox limit, so those pins hold
+   the outputs of runs in which no session is cut. *)
+let test_pinned_slow_sessions_not_cut () =
+  List.iter
+    (fun (label, spec) ->
+      let r = Load.run spec in
+      check Alcotest.int (label ^ ": no slow session cut") 0 r.Load.slow_cuts;
+      check Alcotest.bool (label ^ ": slow sessions parked") true
+        (r.Load.slow_inbox_peak > 0))
+    [
+      ("pin-1r", pinned_1r);
+      ( "load-det",
+        {
+          small_spec with
+          churn =
+            Some { Load.mean_lifetime_ns = ms 80; reconnect_delay_ns = ms 3; storm = None };
+          slow = Some { Load.slow_per_node = 1; drain_per_sec = 500.0 };
+        } );
+    ]
+
+(* A slow session drained far below the ring's rate is cut at the
+   daemon's inbox limit and reconnects, again and again; the replicas
+   stay consistent and converge, and the backlog summed over all slow
+   inboxes stays within what their limits admit. *)
+let test_slow_sessions_cut_and_reconnect () =
+  let spec =
+    {
+      small_spec with
+      label = "load-slow-cut";
+      ops_per_sec = 12_000.0;
+      read_permille = 0;
+      sync_read_permille = 0;
+      cas_permille = 0;
+      del_permille = 0;
+      value_mix = [ (1024, 1) ];
+      slow = Some { Load.slow_per_node = 1; drain_per_sec = 250.0 };
+    }
+  in
+  let r = Load.run spec in
+  check_clean r;
+  check Alcotest.bool "slow sessions were cut" true (r.Load.slow_cuts > 0);
+  check Alcotest.int "each cut counted by its daemon" r.Load.slow_cuts
+    (Aring_obs.Metrics.counter_value r.Load.metrics "daemon.sessions_cut");
+  check Alcotest.bool "reconnected sessions park again" true (r.Load.slow_inbox_end > 0);
+  (* Every op is a put of a 1,024 B value, so a session parks at most
+     limit / 1,024 frames. *)
+  let per_session = Aring_daemon.Daemon.slow_inbox_limit_bytes / 1_024 in
+  if r.Load.slow_inbox_peak > 4 * per_session then
+    Alcotest.failf "slow inbox peak %d over 4 sessions x %d" r.Load.slow_inbox_peak
+      per_session
+
 let suite =
   [
     Alcotest.test_case "offered rate holds (poisson)" `Quick
@@ -413,4 +465,8 @@ let suite =
     Alcotest.test_case "one result at every ring count" `Quick test_one_result;
     Alcotest.test_case "kv transfer buffered peak pinned" `Quick
       test_kv_transfer_buffered_peak;
+    Alcotest.test_case "pinned slow sessions stay under the inbox limit" `Quick
+      test_pinned_slow_sessions_not_cut;
+    Alcotest.test_case "slow sessions cut at the limit reconnect" `Quick
+      test_slow_sessions_cut_and_reconnect;
   ]

@@ -775,6 +775,23 @@ let test_health_report_renders () =
       Alcotest.(check bool) "names the cycle" true
         (contains text "recheck cycling"))
 
+(* A daemon's ev_session_cut is counted against its node, reported and
+   printed; no other node's count moves. *)
+let test_health_counts_session_cuts () =
+  with_virtual_clock (fun t ->
+      let h = Health.create ~n:3 () in
+      Trace.with_sink (Health.as_sink h) (fun () ->
+          t := 1_000;
+          record ~node:1 Flight.ev_session_cut ~a:1_012 ~b:262_000 ~d:0;
+          record ~node:1 Flight.ev_session_cut ~a:998 ~b:261_500 ~d:0);
+      let r = Health.report h ~now:!t in
+      check
+        Alcotest.(list int)
+        "cuts per node" [ 0; 2; 0 ]
+        (List.map (fun (nr : Health.node_report) -> nr.nr_session_cuts) r.r_nodes);
+      let text = Format.asprintf "%a" Health.pp_report r in
+      check Alcotest.bool "printed" true (contains text "session-cuts=2"))
+
 (* Netsim.crash records ev_crash, so no crash path needs a second call
    to keep the watchdog from flagging a dead node as stuck. *)
 let test_health_crash_via_netsim () =
@@ -904,7 +921,7 @@ let test_flight_decodes_traced_steps () =
     lxor Random.State.bits prng
   in
   with_virtual_clock (fun t ->
-      for code = 1 to Flight.ev_view_install do
+      for code = 1 to Flight.ev_session_cut do
         List.iter
           (fun (recording, e) ->
             t := !t + 100;
@@ -939,7 +956,7 @@ let test_flight_decodes_traced_steps () =
      either entry point. *)
   let words_per_100k record =
     let record_all () =
-      for code = 1 to Flight.ev_view_install do
+      for code = 1 to Flight.ev_session_cut do
         record ~code
       done
     in
@@ -1104,7 +1121,7 @@ let test_trace_tool_reads_flight_dump () =
   in
   Flight.reset ();
   with_virtual_clock (fun t ->
-      for code = 1 to Flight.ev_view_install do
+      for code = 1 to Flight.ev_session_cut do
         t := code * 1_000;
         Flight.record_wide ~node:(code mod 3) ~code ~a:Flight.drop_switch ~b:code ~c:1
           ~d:2 ~e:(Flight.pack_ring rid) ~f:3 ~g:4 ~h:5 ~i:6
@@ -1126,7 +1143,8 @@ let test_trace_tool_reads_flight_dump () =
       List.iter
         (fun line ->
           check Alcotest.bool ("summary line: " ^ line) true (contains text line))
-        [ "24 events, 3 nodes"; "app_deliver"; "view_install"; "drops by reason:";
+        [ "25 events, 3 nodes"; "app_deliver"; "view_install"; "session_cut";
+          "drops by reason:";
           "  switch             1" ])
 
 (* The rotation histogram holds each sample exactly once: seven anchor
@@ -1215,4 +1233,6 @@ let suite =
       `Quick test_two_watchdogs_count_alike;
     Alcotest.test_case "latency spans: collectors nest" `Quick
       test_span_collectors_nest;
+    Alcotest.test_case "health: counts a daemon's session cuts" `Quick
+      test_health_counts_session_cuts;
   ]

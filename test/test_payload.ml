@@ -565,7 +565,9 @@ let test_parked_views_outlive_messages () =
   Daemon.join d s "g";
   drain m;
   Daemon.set_slow_receiver d s true;
-  let n = 1_000 in
+  (* 250 frames of 1 to 1,500 B payload, ~190 KB in all: under the
+     inbox limit, so every one parks. *)
+  let n = 250 in
   let sent =
     List.init n (fun i ->
         String.init (1 + (i * 7 mod 1500)) (fun j -> Char.chr ((i + j) land 0xFF)))
@@ -580,6 +582,8 @@ let test_parked_views_outlive_messages () =
   flush ();
   Gc.full_major ();
   check Alcotest.int "parked" n (Daemon.inbox_depth d s);
+  check Alcotest.bool "within the inbox limit" true
+    (Daemon.inbox_bytes d s <= Daemon.slow_inbox_limit_bytes);
   check Alcotest.int "the engine's messages are collected" n !collected;
   check Alcotest.int "pumped" n (Daemon.pump d s ~max:n);
   check Alcotest.bool "every payload byte-identical" true (List.rev !got = sent)
