@@ -291,7 +291,9 @@ let merge_push_drain () =
 (* Host primitives. FNV-1a over a 64 KiB string, reported per KiB (the
    boxed result is the call's one allocation). The histogram uses
    bench/e2e's 1,850-bucket latency ladder, the deepest search in the
-   tree. Samples are float constants, so no caller boxing is counted. *)
+   tree. The float entry points get float constants, so no caller boxing
+   is counted; the int-ns ones, which every per-op caller uses, get a
+   value computed per call, as those callers do. *)
 let fnv_kib = 64
 
 let fnv_hash () =
@@ -302,6 +304,13 @@ let prng_int () =
   let p = Prng.create ~seed:21L in
   fun () -> ignore (Prng.int p 1000)
 
+let prng_exponential_int () =
+  let p = Prng.create ~seed:21L in
+  fun () -> ignore (Prng.exponential_int p ~mean:250_000.0)
+
+(* A sample that changes per call, in ns. *)
+let computed_ns i = (i * 7_919) land 0xF_FFFF
+
 let ladder_buckets = 1_850
 
 let histogram_observe () =
@@ -309,15 +318,28 @@ let histogram_observe () =
   let h = Metrics.histogram ~bounds (Metrics.create ()) "bench.latency_us" in
   fun () -> Metrics.observe h 250.0
 
+let histogram_observe_ns () =
+  let bounds = Metrics.exponential_bounds ~lo:0.1 ~factor:1.01 ~count:ladder_buckets in
+  let h = Metrics.histogram ~bounds (Metrics.create ()) "bench.latency_us" in
+  let i = ref 0 in
+  fun () ->
+    incr i;
+    Metrics.observe_ns h (computed_ns !i)
+
 (* Minor-heap bytes per [Stats.add]: past 256 samples the sample array
    grows in the major heap, amortised over the samples it keeps, so the
    minor heap sees only what [add] itself allocates per call. *)
-let stats_add_minor_bytes ~iters =
+let stats_minor_bytes ~iters add =
   let st = Stats.create () in
-  for _ = 1 to 1_000 do Stats.add st 250.0 done;
+  for i = 1 to 1_000 do add st i done;
   let before = Gc.minor_words () in
-  for _ = 1 to iters do Stats.add st 250.0 done;
+  for i = 1 to iters do add st i done;
   (Gc.minor_words () -. before) *. float_of_int (Sys.word_size / 8) /. float_of_int iters
+
+let stats_add_minor_bytes ~iters = stats_minor_bytes ~iters (fun st _ -> Stats.add st 250.0)
+
+let stats_add_ns_minor_bytes ~iters =
+  stats_minor_bytes ~iters (fun st i -> Stats.add_ns st (computed_ns i))
 
 let run ~quick =
   Printf.printf "=== Hot-path allocation benchmark%s ===\n%!"
@@ -422,13 +444,17 @@ let run ~quick =
     merge_rings merge_alloc;
   let fnv_alloc = alloc_per_call ~iters:(iters / 100) (fnv_hash ()) /. float_of_int fnv_kib in
   let prng_alloc = alloc_per_call ~iters (prng_int ()) in
+  let exp_alloc = alloc_per_call ~iters (prng_exponential_int ()) in
   let observe_alloc = alloc_per_call ~iters (histogram_observe ()) in
+  let observe_ns_alloc = alloc_per_call ~iters (histogram_observe_ns ()) in
   let stats_alloc = stats_add_minor_bytes ~iters in
+  let stats_ns_alloc = stats_add_ns_minor_bytes ~iters in
   Printf.printf
     "primitives (bytes allocated):\n\
-    \  fnv-1a %8.2f per KiB hashed   prng int %8.2f per draw\n\
-    \  histogram observe %8.2f   stats add %8.2f\n%!"
-    fnv_alloc prng_alloc observe_alloc stats_alloc;
+    \  fnv-1a %8.2f per KiB hashed   prng int %8.2f per draw   prng exponential_int %8.2f per draw\n\
+    \  histogram observe %8.2f   stats add %8.2f (float constant)\n\
+    \  histogram observe_ns %8.2f   stats add_ns %8.2f (computed per call)\n%!"
+    fnv_alloc prng_alloc exp_alloc observe_alloc stats_alloc observe_ns_alloc stats_ns_alloc;
   (* Pipeline: the paper's 10G library-tier Agreed workload, run once
      untraced to measure allocation and wall rate, once with the rotation
      profiler (whose trace sink itself allocates) for rotation latency. *)
@@ -559,9 +585,12 @@ let run ~quick =
               ("fnv_input_kib", Json.Int fnv_kib);
               ("fnv_alloc_bytes_per_kib", Json.Float fnv_alloc);
               ("prng_int_alloc_bytes_per_draw", Json.Float prng_alloc);
+              ("prng_exponential_int_alloc_bytes_per_draw", Json.Float exp_alloc);
               ("histogram_buckets", Json.Int ladder_buckets);
               ("histogram_observe_alloc_bytes", Json.Float observe_alloc);
               ("stats_add_alloc_bytes", Json.Float stats_alloc);
+              ("histogram_observe_ns_alloc_bytes", Json.Float observe_ns_alloc);
+              ("stats_add_ns_alloc_bytes", Json.Float stats_ns_alloc);
             ] );
       ];
     checks =
@@ -584,6 +613,9 @@ let run ~quick =
         Max ("max_prng_int_alloc_bytes_per_draw", prng_alloc);
         Max ("max_histogram_observe_alloc_bytes", observe_alloc);
         Max ("max_stats_add_alloc_bytes", stats_alloc);
+        Max ("max_prng_exponential_int_alloc_bytes_per_draw", exp_alloc);
+        Max ("max_histogram_observe_ns_alloc_bytes", observe_ns_alloc);
+        Max ("max_stats_add_ns_alloc_bytes", stats_ns_alloc);
       ];
     echo = [];
     conditions = [];

@@ -4,8 +4,9 @@
    (after the per-node rings exist), for a four-argument record and for
    the widest one (a token send), the disabled recorder, the same
    records with a health watchdog subscribed (the feed of the always-on
-   instruments), and the detached span stamp hook (a single ref read).
-   Gated by bench/obs_budget.json. *)
+   instruments), the detached span stamp hook (a single ref read), and
+   an active span collector's bytes per record it decodes. Gated by
+   bench/obs_budget.json. *)
 
 module Json = Aring_obs.Json
 
@@ -70,14 +71,44 @@ let run ~quick =
   let span_hook () = ignore (Span.submit_stamp ()) in
   let span_ns = time_per_call ~iters span_hook in
   let span_alloc = alloc_per_call ~iters span_hook in
+  (* An active collector, fed per ordered message the records it
+     decodes: a data-send carrying the submit stamp, then a deliver and
+     an apply at each of four nodes, on a clock that moves between them.
+     Every sample goes to a histogram unboxed; what remains is the
+     in-flight table's entry per ordered message. *)
+  let span_events = 9 in
+  let span_active_alloc =
+    let clock = ref 0 and seq = ref 0 in
+    Flight.set_clock (fun () -> !clock);
+    let message () =
+      incr seq;
+      clock := !clock + 1_000;
+      let stamp = !clock in
+      clock := !clock + 50_000 + (!seq land 1023);
+      Flight.record ~node:0 ~code:Flight.ev_data_send ~a:!seq ~b:0 ~c:0 ~d:stamp;
+      for node = 0 to 3 do
+        clock := !clock + 20_000 + (node * 333);
+        Flight.record ~node ~code:Flight.ev_deliver ~a:!seq ~b:0 ~c:0 ~d:0;
+        clock := !clock + 500;
+        Flight.record ~node ~code:Flight.ev_apply ~a:!seq ~b:0 ~c:0 ~d:0
+      done
+    in
+    let per_message =
+      Span.with_span (Span.create ()) (fun () ->
+          alloc_per_call ~iters:(iters / span_events) message)
+    in
+    Flight.set_clock (fun () -> 0);
+    per_message /. float_of_int span_events
+  in
   Printf.printf
     "flight recorder (enabled, warm): %7.1f ns/event  %5.2f bytes/event\n\
      flight recorder (widest record): %7.1f ns/event  %5.2f bytes/event\n\
      flight recorder (disabled):      %7.1f ns/event  %5.2f bytes/event\n\
      flight recorder + watchdog:      %7.1f ns/event  %5.2f bytes/event\n\
-     span hook (detached):            %7.1f ns/call   %5.2f bytes/call\n%!"
+     span hook (detached):            %7.1f ns/call   %5.2f bytes/call\n\
+     span collector (active):                         %5.2f bytes/event\n%!"
     flight_ns flight_alloc wide_ns wide_alloc disabled_ns disabled_alloc
-    watched_ns watched_alloc span_ns span_alloc;
+    watched_ns watched_alloc span_ns span_alloc span_active_alloc;
   {
     Gate.fields =
       [
@@ -101,6 +132,12 @@ let run ~quick =
               ("span_ns_per_call", Json.Float span_ns);
               ("span_alloc_bytes_per_call", Json.Float span_alloc);
             ] );
+        ( "span_active",
+          Json.Obj
+            [
+              ("events_per_message", Json.Int span_events);
+              ("span_active_alloc_bytes_per_event", Json.Float span_active_alloc);
+            ] );
       ];
     checks =
       [
@@ -112,6 +149,7 @@ let run ~quick =
         Max ("max_flight_ns_per_event", watched_ns);
         Max ("max_flight_alloc_bytes_per_event", watched_alloc);
         Max ("max_detached_hook_ns", span_ns);
+        Max ("max_span_active_alloc_bytes_per_event", span_active_alloc);
       ];
     echo = [];
     conditions = [];

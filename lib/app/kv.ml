@@ -132,6 +132,11 @@ let rec notify obs = function
 
 let observe t obs = notify obs t.observers
 
+let holds t ~key v =
+  match Hashtbl.find t.store key with
+  | x -> String.equal x v
+  | exception Not_found -> false
+
 let entries t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.store []
   |> List.sort (fun (a, _) (b, _) -> compare a b)

@@ -260,6 +260,10 @@ val digest : t -> int64
 val entries : t -> (string * string) list
 (** Store contents sorted by key. *)
 
+val holds : t -> key:string -> string -> bool
+(** [holds t ~key v]: the store binds [key] to [v]. Reads the store
+    only: no read is counted or observed, and nothing is allocated. *)
+
 val pending_sync_reads : t -> int
 val stats : t -> stats
 

@@ -217,16 +217,18 @@ let key_table n = Array.init n (Printf.sprintf "k%05d")
 let rec int_width n =
   if n > -10 && n < 10 then if n < 0 then 2 else 1 else 1 + int_width (n / 10)
 
+(* Write [n]'s digits into [b], the last at [i], leftward. Digits come
+   from the remainders' magnitudes, so [min_int] needs no special case.
+   Top level, so a value builds no closure over [b]. *)
+let rec digits b n i =
+  Bytes.unsafe_set b i (Char.unsafe_chr (48 + abs (n mod 10)));
+  if n / 10 <> 0 then digits b (n / 10) (i - 1)
+
 (* Write [n] in decimal into [b], [width] characters from [pos]; returns
-   the position after it. Digits come from the remainders' magnitudes, so
-   [min_int] needs no special case. *)
+   the position after it. *)
 let set_int b pos n width =
   if n < 0 then Bytes.unsafe_set b pos '-';
-  let rec digits n i =
-    Bytes.unsafe_set b i (Char.unsafe_chr (48 + abs (n mod 10)));
-    if n / 10 <> 0 then digits (n / 10) (i - 1)
-  in
-  digits n (pos + width - 1);
+  digits b n (pos + width - 1);
   pos + width
 
 let tagged_value prefix a b suffix bytes =
@@ -240,6 +242,13 @@ let tagged_value prefix a b suffix bytes =
   Bytes.unsafe_set v pos ':';
   Bytes.blit_string suffix 0 v (pos + 1) ns;
   Bytes.unsafe_to_string v
+
+(* The value size of the [value_mix] bucket that the draw [r] (below
+   the weights' sum) lands in, [acc] summing the weights before the
+   list's head. Top level, so a draw builds no closure over [r]. *)
+let rec pick r acc = function
+  | [] -> 64
+  | (bytes, w) :: rest -> if r < acc + w then bytes else pick r (acc + w) rest
 
 (* The generator's PRNG salt: the ASCII bytes of the metric prefix
    ("load" = 0x6C6F6164). *)
@@ -328,15 +337,7 @@ let drive ~prefix ~metrics spec target =
   let value_total =
     List.fold_left (fun a (_, w) -> a + w) 0 spec.value_mix
   in
-  let draw_value_bytes () =
-    let r = Prng.int prng value_total in
-    let rec pick acc = function
-      | [] -> 64
-      | (bytes, w) :: rest ->
-          if r < acc + w then bytes else pick (acc + w) rest
-    in
-    pick 0 spec.value_mix
-  in
+  let draw_value_bytes () = pick (Prng.int prng value_total) 0 spec.value_mix in
   (* The value tagged [prefix] [a]:[b]: [suffix], dot-padded to a drawn size. *)
   let draw_value prefix a b suffix =
     tagged_value prefix a b suffix (draw_value_bytes ())
@@ -394,7 +395,7 @@ let drive ~prefix ~metrics spec target =
     else if r < sync_edge then
       let t0 = now in
       Kv.sync_read kv ~key ~on_result:(fun _ ~token:_ ->
-          Stats.add sync_latency (float_of_int (Netsim.now sim - t0) /. 1e3))
+          Stats.add_ns sync_latency (Netsim.now sim - t0))
     else if r < cas_edge then begin
       if in_window then incr writes_offered;
       let value = draw_value "c:" ss.id ss.counter "" in
@@ -428,33 +429,37 @@ let drive ~prefix ~metrics spec target =
   in
   (* The open-loop arrival process: fire, then reschedule by the
      arrival law — never by completions. Disconnected slots keep their
-     clock running (arrivals are skipped, not deferred). *)
+     clock running (arrivals are skipped, not deferred). Each session's
+     thunk is built once and reschedules itself. *)
   let mean_ns = 1e9 /. (spec.ops_per_sec /. float_of_int total_sessions) in
-  let rec arrive ss () =
-    let now = Netsim.now sim in
-    if now < horizon then begin
-      (if ss.handle <> None then do_op ss now
-       else begin
-         incr ops_skipped;
-         Metrics.incr m_skipped
-       end);
-      let interval =
-        match spec.arrival with
-        | Poisson -> Prng.exponential prng ~mean:mean_ns
-        | Periodic -> mean_ns
-      in
-      Netsim.call_at sim ~at:(now + max 1_000 (int_of_float interval)) (arrive ss)
-    end
+  let arrivals ss =
+    let rec arrive () =
+      let now = Netsim.now sim in
+      if now < horizon then begin
+        (if ss.handle <> None then do_op ss now
+         else begin
+           incr ops_skipped;
+           Metrics.incr m_skipped
+         end);
+        let interval =
+          match spec.arrival with
+          | Poisson -> Prng.exponential_int prng ~mean:mean_ns
+          | Periodic -> int_of_float mean_ns
+        in
+        Netsim.call_at sim ~at:(now + max 1_000 interval) arrive
+      end
+    in
+    arrive
   in
   (* Background churn: exponential lifetimes, fixed reconnect delay. *)
   let rec schedule_lifetime ss ch =
     if ch.mean_lifetime_ns > 0 then begin
       let gen = ss.gen in
       let dt =
-        Prng.exponential prng ~mean:(float_of_int ch.mean_lifetime_ns)
+        Prng.exponential_int prng ~mean:(float_of_int ch.mean_lifetime_ns)
       in
       Netsim.call_at sim
-        ~at:(Netsim.now sim + max (ms 1) (int_of_float dt))
+        ~at:(Netsim.now sim + max (ms 1) dt)
         (fun () ->
           if ss.gen = gen && ss.handle <> None && Netsim.now sim < horizon
           then begin
@@ -481,7 +486,7 @@ let drive ~prefix ~metrics spec target =
         (fun () ->
           connect_session ss;
           Option.iter (schedule_lifetime ss) spec.churn;
-          if spec.ops_per_sec > 0.0 then arrive ss ()))
+          if spec.ops_per_sec > 0.0 then arrivals ss ()))
     sessions;
   (* ---------------- reconnect storm ---------------- *)
   let storm = Option.bind spec.churn (fun c -> c.storm) in
@@ -751,7 +756,7 @@ let run spec =
               if node = 0 && now >= spec.warmup_ns && now < horizon then
                 incr writes_applied;
               match applied ~node op with
-              | Some t0 -> Stats.add write_latency (float_of_int (now - t0) /. 1e3)
+              | Some t0 -> Stats.add_ns write_latency (now - t0)
               | None -> ())
           | _ -> ()))
       kvs

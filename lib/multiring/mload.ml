@@ -41,12 +41,12 @@ let run (spec : Load.spec) =
             incr merged_total;
             Metrics.incr m_merged;
             per_ring_applied.(ring) <- per_ring_applied.(ring) + 1;
-            Stats.add merge_wait (float_of_int (now - applied_at) /. 1e3)
+            Stats.add_ns merge_wait (now - applied_at)
           end;
           match applied ~node op with
           | Some t0 when in_window t0 ->
               incr writes_applied;
-              Stats.add write_latency (float_of_int (now - t0) /. 1e3)
+              Stats.add_ns write_latency (now - t0)
           | Some _ | None -> ()
         end)
   in

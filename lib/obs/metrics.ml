@@ -109,20 +109,24 @@ let histogram ?(bounds = default_bounds) t name =
       Hashtbl.replace t.histograms name h;
       h
 
-(* First bucket in [lo, hi) whose upper bound holds v; binary search.
-   Top level, so a search builds no closure over [bounds] and [v]. *)
-let rec bucket_index (bounds : float array) (v : float) lo hi =
-  if lo >= hi then lo
-  else
-    let mid = (lo + hi) / 2 in
-    if v <= bounds.(mid) then bucket_index bounds v lo mid
-    else bucket_index bounds v (mid + 1) hi
-
-let observe h v =
-  let i = bucket_index h.bounds v 0 (Array.length h.bounds) in
+(* Count [v] in the first bucket whose upper bound holds it (binary
+   search) and add it to the sum. A loop, not a recursive helper: [v]
+   stays an unboxed double, so with [observe_ns]'s conversion the sample
+   is never boxed. *)
+let[@inline] record h (v : float) =
+  let bounds = h.bounds in
+  let lo = ref 0 and hi = ref (Array.length bounds) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if v <= bounds.(mid) then hi := mid else lo := mid + 1
+  done;
+  let i = !lo in
   h.counts.(i) <- h.counts.(i) + 1;
   h.h_sum.sum <- h.h_sum.sum +. v;
   h.h_count <- h.h_count + 1
+
+let observe h v = record h v
+let observe_ns h ns = record h (float_of_int ns /. 1_000.0)
 
 let hist_count h = h.h_count
 let hist_sum h = h.h_sum.sum

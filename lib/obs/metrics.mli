@@ -47,9 +47,15 @@ val histogram : ?bounds:float array -> t -> string -> histogram
 val observe : histogram -> float -> unit
 (** [observe h v] counts [v] in its bucket and adds it to the sum.
     Allocates nothing, whatever the number of buckets (a caller that
-    computes [v] may box it). Counts, sum, mean and quantiles are
-    bit-identical to the previous boxed-sum histogram's over the same
-    samples. *)
+    computes [v] boxes it; see {!observe_ns}). Counts, sum, mean and
+    quantiles are bit-identical to the previous boxed-sum histogram's
+    over the same samples. *)
+
+val observe_ns : histogram -> int -> unit
+(** [observe_ns h ns] is [observe h (float_of_int ns /. 1_000.0)]: a
+    duration in nanoseconds counted in µs. The per-op entry point: a
+    float passed across modules is boxed (dev builds compile with
+    [-opaque]), an int is not, so this allocates nothing at all. *)
 
 val hist_count : histogram -> int
 val hist_sum : histogram -> float

@@ -63,7 +63,7 @@ let as_sink t ~ns ~node ~code ~a:_ ~b ~c ~d:_ ~e:_ ~f:_ ~g:_ ~h:_ ~i:_ =
   else if code = Flight.ev_token_recv && node = t.node then begin
     (match t.last_recv with
     | Some (prev_ns, prev_aru) ->
-        Stats.add t.rotation_us (float_of_int (ns - prev_ns) /. 1e3);
+        Stats.add_ns t.rotation_us (ns - prev_ns);
         Stats.add t.msgs_per_round (float_of_int t.window_sends);
         Stats.add t.aru_per_round (float_of_int (c - prev_aru))
     | None -> ());

@@ -71,8 +71,6 @@ let active : t list ref = ref []
 (* ------------------------------------------------------------------ *)
 (* Stage notes                                                         *)
 
-let us ns = float_of_int ns /. 1_000.0
-
 (* Submission stamp carried by the engine's pending entry; 0 ("no
    stamp") when no collector is active, so a disabled run pays only
    this ref read per submit. *)
@@ -85,7 +83,7 @@ let key ~sender ~seq = (sender lsl 44) lor (seq land ((1 lsl 44) - 1))
 let rec observe_packed ~submit_ns = function
   | [] -> ()
   | t :: rest ->
-      Metrics.observe t.h_submit_wait (us (Flight.now () - submit_ns));
+      Metrics.observe_ns t.h_submit_wait (Flight.now () - submit_ns);
       observe_packed ~submit_ns rest
 
 let note_packed ~submit_ns =
@@ -93,7 +91,7 @@ let note_packed ~submit_ns =
 
 let on_ordered t ~sender ~seq ~submit_ns =
   let now = Flight.now () in
-  Metrics.observe t.h_order (us (now - submit_ns));
+  Metrics.observe_ns t.h_order (now - submit_ns);
   if Hashtbl.length t.inflight >= max_inflight then Hashtbl.reset t.inflight;
   Hashtbl.replace t.inflight (key ~sender ~seq) (submit_ns, now)
 
@@ -112,13 +110,13 @@ let on_delivered t ~node ~sender ~seq =
   end;
   match Hashtbl.find t.inflight (key ~sender ~seq) with
   | submit_ns, ordered_ns ->
-      Metrics.observe t.h_deliver (us (now - ordered_ns));
-      Metrics.observe t.h_e2e (us (now - submit_ns))
+      Metrics.observe_ns t.h_deliver (now - ordered_ns);
+      Metrics.observe_ns t.h_e2e (now - submit_ns)
   | exception Not_found -> ()
 
 let on_applied t ~node =
   if node >= 0 && node < Array.length t.deliver_ns && t.deliver_ns.(node) >= 0
-  then Metrics.observe t.h_apply (us (Flight.now () - t.deliver_ns.(node)))
+  then Metrics.observe_ns t.h_apply (Flight.now () - t.deliver_ns.(node))
 
 (* One collector's feed: decode the Flight records the spans need
    (argument layouts in flight.mli). A data-send record carries a

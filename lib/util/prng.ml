@@ -48,11 +48,11 @@ let bool t = Int64.logand (next_int64 t) 1L = 1L
 
 let bernoulli t p = float t 1.0 < p
 
-let exponential t ~mean =
+let exponential_int t ~mean =
   let u = float t 1.0 in
   (* Guard against log 0. *)
   let u = if u <= 0.0 then 1e-12 else u in
-  -.mean *. log u
+  int_of_float (-.mean *. log u)
 
 (* ------------------------------------------------------------------ *)
 (* Zipf sampling via a Walker/Vose alias table: O(n) construction, O(1)

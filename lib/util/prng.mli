@@ -6,9 +6,9 @@
     injection.
 
     Allocation: the state is held unboxed, so {!int}, {!bool},
-    {!bernoulli} and {!zipf} allocate nothing per draw; {!next_int64},
-    {!float} and {!exponential} allocate only their boxed result, and
-    {!split} the new generator. Every stream is bit-identical to the
+    {!bernoulli}, {!exponential_int} and {!zipf} allocate nothing per
+    draw; {!next_int64} and {!float} allocate only their boxed result,
+    and {!split} the new generator. Every stream is bit-identical to the
     previous boxed-state generator's for the same seed and call
     sequence, so workloads, fault schedules and pinned trace hashes do
     not depend on how the state is stored. *)
@@ -38,9 +38,11 @@ val bool : t -> bool
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
 
-val exponential : t -> mean:float -> float
-(** [exponential t ~mean] samples an exponential distribution; used for
-    Poisson inter-arrival workloads. *)
+val exponential_int : t -> mean:float -> int
+(** [exponential_int t ~mean] samples an exponential distribution of
+    mean [mean] and truncates it toward zero; used for Poisson
+    inter-arrivals and session lifetimes on the integer-nanosecond
+    clock. An int, so no float is boxed on the way out. *)
 
 (** {1 Zipf sampling}
 

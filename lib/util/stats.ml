@@ -23,7 +23,7 @@ let create () =
     sorted = true;
   }
 
-let add t x =
+let[@inline] record t x =
   if t.size >= Array.length t.samples then begin
     let cap = max 64 (2 * Array.length t.samples) in
     let samples = Array.make cap 0.0 in
@@ -38,6 +38,9 @@ let add t x =
   if x < m.lo then m.lo <- x;
   if x > m.hi then m.hi <- x;
   t.sorted <- false
+
+let add t x = record t x
+let add_ns t ns = record t (float_of_int ns /. 1e3)
 
 let count t = t.size
 

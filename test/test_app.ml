@@ -620,6 +620,185 @@ let test_put_before_first_run () =
     c.kvs;
   assert_converged c [ 0; 1; 2 ]
 
+(* -------------------------------------------------------------------- *)
+(* End-of-run store check                                                *)
+
+(* The [Divergence] verdicts of {!Oracle.check_convergence} on a replica
+   whose store holds [replica], put in that order, against a shadow
+   installed with the bindings of [shadow], in that order. *)
+let divergences ~replica ~shadow =
+  let kv, take, deliver = hand_driven_replica () in
+  List.iter
+    (fun (key, value) ->
+      Kv.put kv ~key ~value;
+      deliver (take ()))
+    replica;
+  let o = Oracle.create () in
+  Oracle.observe o ~node:(Kv.node kv)
+    (Kv.Installed { donor = 1; applied = Kv.applied kv; entries = shadow });
+  Oracle.check_convergence o [ kv ];
+  List.length
+    (List.filter (fun v -> v.Oracle.o_kind = Oracle.Divergence) (Oracle.violations o))
+
+(* The check compares sizes, then looks each shadow binding up in the
+   replica: equal stores pass whatever order filled them, and one
+   changed value or one extra key on either side is a divergence. *)
+let test_convergence_compares_stores () =
+  let store = List.init 12 (fun i -> (Printf.sprintf "k%02d" i, string_of_int (i * i))) in
+  check Alcotest.int "equal stores filled in different orders" 0
+    (divergences ~replica:store ~shadow:(List.rev store));
+  check Alcotest.int "one changed value" 1
+    (divergences ~replica:store
+       ~shadow:(List.map (fun (k, v) -> if k = "k05" then (k, "changed") else (k, v)) store));
+  check Alcotest.int "one extra key at the replica" 1
+    (divergences ~replica:(store @ [ ("extra", "x") ]) ~shadow:(List.rev store));
+  check Alcotest.int "one extra key in the shadow" 1
+    (divergences ~replica:store ~shadow:(("extra", "x") :: store))
+
+(* -------------------------------------------------------------------- *)
+(* Op-log verdicts against a Hashtbl model                               *)
+
+(* Test-only copy of the oracle's op log as it was on a [Hashtbl] of
+   entry records, with its prune rule, and of the shadow indices the
+   rule reads. *)
+module Ref_log = struct
+  type entry = { mutable op : Op.t; mutable count : int }
+
+  type t = {
+    ops : (int, entry) Hashtbl.t;
+    mutable pruned : int;
+    mutable prune_at : int;
+    index : (int, int) Hashtbl.t;  (* node -> shadow index *)
+  }
+
+  let create () =
+    { ops = Hashtbl.create 64; pruned = 0; prune_at = 256; index = Hashtbl.create 8 }
+
+  let prune t =
+    let low = Hashtbl.fold (fun _ i low -> min low i) t.index max_int in
+    for p = t.pruned + 1 to low do
+      Hashtbl.remove t.ops p
+    done;
+    t.pruned <- max t.pruned low;
+    t.prune_at <- max 256 (2 * Hashtbl.length t.ops)
+
+  (* The [Log_divergence] detail of applying [op] at [index], if any. *)
+  let check t ~replicas index op =
+    match Hashtbl.find t.ops index with
+    | e when e.op = op ->
+        e.count <- e.count + 1;
+        None
+    | e ->
+        if 2 * e.count > replicas then
+          Some
+            (Printf.sprintf "position %d: applied %s, but %d replicas applied %s there" index
+               (Format.asprintf "%a" Op.pp op) e.count
+               (Format.asprintf "%a" Op.pp e.op))
+        else begin
+          e.op <- op;
+          e.count <- 1;
+          None
+        end
+    | exception Not_found ->
+        if index > t.pruned then begin
+          Hashtbl.replace t.ops index { op; count = 1 };
+          if Hashtbl.length t.ops >= t.prune_at then prune t
+        end;
+        None
+end
+
+(* One node's next observation: the next position, a jump forward or
+   back (a position applied twice, or one far past the window), a skip,
+   an install, or a cold reset of the whole log. *)
+type log_step = Next | Jump of int | Back of int | Skip of int | Install of int | Reset
+
+let log_step_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (800, return Next);
+        (30, map (fun k -> Jump k) (1 -- 1_500));
+        (60, map (fun k -> Back k) (1 -- 300));
+        (20, map (fun k -> Skip k) (1 -- 300));
+        (10, map (fun k -> Install k) (-50 -- 50));
+        (1, map (fun _ -> Reset) unit);
+      ])
+
+(* [steps] (node, put value, step) fed to an oracle with [replicas]
+   attached and to the model: the same verdicts, in the same order. *)
+let log_matches_model ~replicas steps =
+  let o = Oracle.create () in
+  (* Attached replicas only set the majority; none is driven. *)
+  for _ = 1 to replicas do
+    let kv, _, _ = hand_driven_replica () in
+    Oracle.attach o kv
+  done;
+  let m = Ref_log.create () in
+  let expected = ref [] and gaps = ref 0 in
+  let index node = Option.value ~default:0 (Hashtbl.find_opt m.Ref_log.index node) in
+  List.iter
+    (fun (node, v, step) ->
+      let apply at =
+        let op = Op.Put { key = "a"; value = string_of_int v } in
+        if at <> index node + 1 then incr gaps;
+        Hashtbl.replace m.Ref_log.index node at;
+        Option.iter
+          (fun d -> expected := (node, d) :: !expected)
+          (Ref_log.check m ~replicas at op);
+        Oracle.observe o ~node
+          (Kv.Applied { index = at; op; value = Some (string_of_int v) })
+      in
+      match step with
+      | Next -> apply (index node + 1)
+      | Jump k -> apply (index node + k)
+      | Back k -> apply (max 1 (index node - k))
+      | Skip k ->
+          Hashtbl.replace m.Ref_log.index node (index node + k);
+          Oracle.observe o ~node (Kv.Skipped { upto = index node })
+      | Install k ->
+          let applied = max 0 (index node + k) in
+          Hashtbl.replace m.Ref_log.index node applied;
+          Oracle.observe o ~node (Kv.Installed { donor = 0; applied; entries = [] })
+      | Reset ->
+          Hashtbl.replace m.Ref_log.index node 0;
+          Hashtbl.reset m.Ref_log.ops;
+          m.Ref_log.pruned <- 0;
+          Oracle.observe o ~node Kv.Reset)
+    steps;
+  let got =
+    List.filter_map
+      (fun v ->
+        if v.Oracle.o_kind = Oracle.Log_divergence then Some (v.Oracle.o_node, v.Oracle.o_detail)
+        else None)
+      (Oracle.violations o)
+  in
+  (* Every verdict is counted (each put holds its value, so the only
+     others are gaps); the first 100 of all kinds are kept. *)
+  let rec take n = function x :: r when n > 0 -> x :: take (n - 1) r | _ -> [] in
+  Oracle.violation_count o = !gaps + List.length !expected
+  && got = take (List.length got) (List.rev !expected)
+
+let prop_log_matches_model =
+  QCheck.Test.make ~name:"oracle op-log verdicts equal the Hashtbl log's" ~count:100
+    (* Node 0 takes half the steps, so it runs ahead of the others and
+       the log fills up to its prune threshold. *)
+    QCheck.(
+      make
+        Gen.(
+          list_size (0 -- 4_000)
+            (triple (frequency [ (3, return 0); (1, 1 -- 3) ]) (0 -- 2) log_step_gen)))
+    (log_matches_model ~replicas:3)
+
+(* A prune that reaches the top of the log's window: node 1 has skipped
+   past it, and node 0's put at every other position fills the log to
+   its threshold exactly at the window's last position. Nothing of it
+   may survive to be taken for the position that shares its slot. *)
+let test_log_prune_clears_window_top () =
+  let steps =
+    ((1, 0, Skip 600) :: List.init 256 (fun _ -> (0, 0, Jump 2))) @ [ (1, 1, Jump 424) ]
+  in
+  check Alcotest.bool "verdicts equal the model's" true (log_matches_model ~replicas:1 steps)
+
 let suite =
   [
     Alcotest.test_case "op codec roundtrips" `Quick test_op_roundtrips;
@@ -659,4 +838,9 @@ let suite =
       test_own_writes_applied_as_submitted;
     Alcotest.test_case "put before the first run is applied" `Quick
       test_put_before_first_run;
+    Alcotest.test_case "oracle: end-of-run check compares stores" `Quick
+      test_convergence_compares_stores;
+    QCheck_alcotest.to_alcotest prop_log_matches_model;
+    Alcotest.test_case "oracle: a prune to the window's top keeps no entry" `Quick
+      test_log_prune_clears_window_top;
   ]

@@ -1171,6 +1171,87 @@ let test_rotation_histogram_holds_each_sample () =
     (float_of_int (List.fold_left ( + ) 0 lengths_us))
     (Metrics.hist_sum h)
 
+(* -------------------------------------------------------------------- *)
+(* Span histograms pinned                                                *)
+
+(* A fixed record stream through one collector: per ordered message a
+   pack note, one data-send, and a deliver and an apply at each of four
+   nodes, at stage gaps that span the ladder and fall between whole
+   µs. *)
+let span_stream_fingerprint () =
+  with_virtual_clock (fun t ->
+      let span = Span.create () in
+      Span.with_span span (fun () ->
+          for seq = 1 to 300 do
+            let submit = seq * 10_000 in
+            t := submit;
+            let stamp = Span.submit_stamp () in
+            t := submit + (seq * 37 mod 900);
+            Span.note_packed ~submit_ns:stamp;
+            let sent = submit + 1_000 + (seq * 7_919 mod 400_000) in
+            t := sent;
+            record ~node:(seq land 3) Flight.ev_data_send ~a:seq ~b:0 ~d:stamp;
+            for node = 0 to 3 do
+              let delivered = sent + ((node + 1) * (seq * 131 mod 50_000)) + 333 in
+              t := delivered;
+              record ~node Flight.ev_deliver ~a:seq ~b:(seq land 3) ~d:0;
+              t := delivered + (seq * 17 mod 3_000);
+              record ~node Flight.ev_apply ~a:seq ~b:0 ~d:0
+            done
+          done);
+      List.map
+        (fun stage ->
+          let h = List.assoc stage (Metrics.histograms (Span.metrics span)) in
+          let buckets =
+            Metrics.hist_bucket_counts h |> Array.to_list
+            |> List.mapi (fun i n -> (i, n))
+            |> List.filter (fun (_, n) -> n > 0)
+            |> List.map (fun (i, n) -> Printf.sprintf "%d:%d" i n)
+          in
+          Printf.sprintf "%s n=%d sum=%h [%s]" stage (Metrics.hist_count h)
+            (Metrics.hist_sum h) (String.concat " " buckets))
+        Span.stage_names)
+
+(* Pinned from the collector as it was when each sample was converted
+   to a float µs value before [Metrics.observe]: bucket counts and the
+   sum's exact bits. *)
+let test_span_histograms_pinned () =
+  check
+    Alcotest.(list string)
+    "five stage histograms"
+    [
+      "span.submit_wait_us n=300 sum=0x1.0719999999999p+7 [0:300]";
+      "span.order_us n=300 sum=0x1.d6a5b33333333p+15 [2:3 3:3 4:6 5:24 6:39 7:75 8:150]";
+      "span.deliver_us n=1200 sum=0x1.d13433333333ep+15 [0:9 1:16 2:46 3:80 4:161 5:397 6:334 7:157]";
+      "span.apply_us n=1200 sum=0x1.8b8cccccccccfp+10 [0:468 1:472 2:260]";
+      "span.e2e_us n=1200 sum=0x1.2579600000001p+18 [3:4 4:7 5:41 6:115 7:288 8:735 9:10]";
+    ]
+    (span_stream_fingerprint ())
+
+(* [observe_ns] converts its int sample inside the histogram: 10k
+   computed samples allocate no word, on either ladder. *)
+let test_observe_ns_allocates_nothing () =
+  Array.iter
+    (fun bounds ->
+      let h = Metrics.histogram ~bounds (Metrics.create ()) "h" in
+      let i = ref 0 in
+      let sample () =
+        incr i;
+        Metrics.observe_ns h ((!i * 7_919) land 0xFF_FFFF)
+      in
+      for _ = 1 to 1_000 do
+        sample ()
+      done;
+      let before = Gc.minor_words () in
+      for _ = 1 to 10_000 do
+        sample ()
+      done;
+      let words = Gc.minor_words () -. before in
+      check Alcotest.int
+        (Printf.sprintf "words over 10k observe_ns (%d buckets)" (Array.length bounds))
+        0 (int_of_float words))
+    ladders
+
 let suite =
   [
     Alcotest.test_case "metrics: counters and gauges" `Quick test_counters_and_gauges;
@@ -1235,4 +1316,8 @@ let suite =
       test_span_collectors_nest;
     Alcotest.test_case "health: counts a daemon's session cuts" `Quick
       test_health_counts_session_cuts;
+    Alcotest.test_case "latency spans: stage histograms pinned" `Quick
+      test_span_histograms_pinned;
+    Alcotest.test_case "metrics: 0 words per observe_ns" `Quick
+      test_observe_ns_allocates_nothing;
   ]

@@ -541,7 +541,7 @@ let test_prng_exponential_positive () =
   let p = Prng.create ~seed:13L in
   for _ = 1 to 100 do
     check Alcotest.bool "exponential >= 0" true
-      (Prng.exponential p ~mean:5.0 >= 0.0)
+      (Prng.exponential_int p ~mean:5e6 >= 0)
   done
 
 (* -------------------------------------------------------------------- *)
@@ -830,7 +830,8 @@ let prop_prng_matches_reference =
           | Int b -> Prng.int !live b = Ref_prng.int !boxed b
           | Float b -> same_bits (Prng.float !live b) (Ref_prng.float !boxed b)
           | Exp mean ->
-              same_bits (Prng.exponential !live ~mean) (Ref_prng.exponential !boxed ~mean)
+              Prng.exponential_int !live ~mean
+              = int_of_float (Ref_prng.exponential !boxed ~mean)
           | Zipf i -> Prng.zipf !live live_tables.(i) = Ref_prng.zipf !boxed ref_tables.(i)
           | Split ->
               live := Prng.split !live;
@@ -938,6 +939,31 @@ let prop_bytes_ring_model =
       done;
       Gc.minor_words () -. before < 1. && Bytes_ring.length q = Queue.length model + 1)
 
+(* The int entry points: [Stats.add_ns] records what [Stats.add] of
+   the µs value records, and neither it nor [Prng.exponential_int]
+   (pinned to the boxed generator's float draw above) allocates a
+   word. *)
+let test_int_entry_points () =
+  let p = Prng.create ~seed:9L in
+  let a = Stats.create () and b = Stats.create () in
+  for i = 1 to 1_000 do
+    let ns = i * 7_919 mod 1_000_003 in
+    Stats.add_ns a ns;
+    Stats.add b (float_of_int ns /. 1e3)
+  done;
+  List.iter
+    (fun (what, f) -> check Alcotest.bool what true (same_bits (f a) (f b)))
+    [ ("mean", Stats.mean); ("stddev", Stats.stddev); ("p50", Stats.median); ("p99.9", Stats.p999) ];
+  let i = ref 0 in
+  check Alcotest.int "words per exponential_int" 0
+    (int_of_float
+       (minor_words_per_call ~n:100_000 (fun () -> ignore (Prng.exponential_int p ~mean:1e6))));
+  check Alcotest.int "words per add_ns" 0
+    (int_of_float
+       (minor_words_per_call ~n:100_000 (fun () ->
+            incr i;
+            Stats.add_ns a ((!i * 7_919) land 0xF_FFFF))))
+
 let suite =
   [
     ("heap basic", `Quick, test_heap_basic);
@@ -986,4 +1012,5 @@ let suite =
     ("deque keeps no popped or cleared element alive", `Quick, test_deque_releases_elements);
     qtest prop_heap_rekey_model;
     qtest prop_bytes_ring_model;
+    ("int-ns entry points: the float forms' values, 0 words", `Quick, test_int_entry_points);
   ]
