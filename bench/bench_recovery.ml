@@ -1,9 +1,11 @@
-(* Recovery-exchange scaling (`-- recovery [quick]`): one member of a
+(* Recovery scaling (`-- recovery [quick]`): one member of a
    bootstrapped N-ring crashes with traffic in flight; we measure
-   simulated crash-to-operational time (detection + gather + exchange +
-   install) and the recovery-traffic counters — exchange floods actually
-   sent, sends avoided by designated-holder dedup, paced bursts,
-   nack-driven resends — per ring size. Gated by
+   simulated crash-to-operational time (detection + gather + recovery on
+   the new ring's token + install) and the recovery-traffic counters —
+   old-ring messages re-sent, and sends avoided by designated-holder
+   dedup — per ring size. Then it replays the pinned reproducers of a
+   ring that failed to converge under loss when a round outgrew a small
+   switch port, and reports each one's time to converge. Gated by
    bench/recovery_budget.json. *)
 
 open Aring_ring
@@ -13,6 +15,37 @@ module Json = Aring_obs.Json
 
 let ms n = n * 1_000_000
 
+(* The pinned reproducers (test/corpus), by campaign seed and trial: a
+   budget key each, bounded by its schedule's own horizon plus drain. *)
+let reproducers =
+  [
+    ("20261018_706", "staggered_install-seed17416711353309702130-f0.json");
+    ("20261020_121", "staggered_install-seed1187800503618084968-f0.json");
+    ("20261019_2697", "split-seed3671661002184160948-f0.json");
+  ]
+
+(* [file]'s schedule, from the repository root or from bench/. *)
+let load_reproducer file =
+  List.find_map
+    (fun dir ->
+      let path = Filename.concat dir file in
+      if Sys.file_exists path then Some (Aring_fuzz.Corpus.load_file path)
+      else None)
+    [ "test/corpus"; "../test/corpus" ]
+
+type converge_row = { cr_key : string; cr_passed : bool; cr_ms : float }
+
+let converge (key, file) =
+  match load_reproducer file with
+  | None -> { cr_key = key; cr_passed = false; cr_ms = Float.nan }
+  | Some s ->
+      let o = Aring_fuzz.Runner.run s in
+      {
+        cr_key = key;
+        cr_passed = Aring_fuzz.Runner.passed o;
+        cr_ms = float_of_int o.Aring_fuzz.Runner.end_ns /. 1e6;
+      }
+
 type recovery_row = {
   rr_nodes : int;
   rr_reformed : bool;
@@ -21,9 +54,6 @@ type recovery_row = {
   rr_floods : int;
   rr_dedup_saved : int;
   rr_dedup_ratio : float;
-  rr_bursts : int;
-  rr_resend_reqs : int;
-  rr_resends : int;
 }
 
 let run ~quick =
@@ -52,7 +82,7 @@ let run ~quick =
     (* Dense multicast traffic right up to the crash, with the
        highest-numbered node starved of the last 3 ms of multicasts (a
        deterministic straggler — there is no retransmission path once
-       the token dies with the crash), leaves the exchange a real
+       the old ring's token dies with the crash), leaves recovery a real
        backlog at every size. *)
     for k = 1 to 160 do
       Netsim.call_at sim ~at:(k * 50_000) (fun () ->
@@ -107,20 +137,15 @@ let run ~quick =
       rr_dedup_ratio =
         (if floods + saved = 0 then 0.
          else float_of_int saved /. float_of_int (floods + saved));
-      rr_bursts = sum (fun (nr : Health.node_report) -> nr.nr_bursts);
-      rr_resend_reqs = sum (fun (nr : Health.node_report) -> nr.nr_resend_reqs);
-      rr_resends = sum (fun (nr : Health.node_report) -> nr.nr_resend_total);
     }
   in
-  Printf.printf
-    "nodes  reform_ms  attempts  floods  dedup_saved  ratio  bursts  nacks  \
-     resends\n%!";
+  Printf.printf "nodes  reform_ms  attempts  floods  dedup_saved  ratio\n%!";
   let rows = List.map run_size sizes in
   List.iter
     (fun r ->
-      Printf.printf "%5d  %9.1f  %8d  %6d  %11d  %5.2f  %6d  %5d  %7d\n%!"
-        r.rr_nodes r.rr_reform_ms r.rr_attempts r.rr_floods r.rr_dedup_saved
-        r.rr_dedup_ratio r.rr_bursts r.rr_resend_reqs r.rr_resends)
+      Printf.printf "%5d  %9.1f  %8d  %6d  %11d  %5.2f\n%!" r.rr_nodes
+        r.rr_reform_ms r.rr_attempts r.rr_floods r.rr_dedup_saved
+        r.rr_dedup_ratio)
     rows;
   let worst_reform =
     List.fold_left (fun a r -> Float.max a r.rr_reform_ms) 0. rows
@@ -129,6 +154,11 @@ let run ~quick =
     List.fold_left (fun a r -> max a r.rr_attempts) 0 rows
   in
   let largest = List.nth rows (List.length rows - 1) in
+  let converged = List.map converge reproducers in
+  Printf.printf "reproducer      passed  converge_ms\n%!";
+  List.iter
+    (fun c -> Printf.printf "%-14s  %6b  %11.1f\n%!" c.cr_key c.cr_passed c.cr_ms)
+    converged;
   {
     Gate.fields =
       [
@@ -144,22 +174,33 @@ let run ~quick =
                      ("floods", Json.Int r.rr_floods);
                      ("dedup_saved", Json.Int r.rr_dedup_saved);
                      ("dedup_ratio", Json.Float r.rr_dedup_ratio);
-                     ("bursts", Json.Int r.rr_bursts);
-                     ("resend_reqs", Json.Int r.rr_resend_reqs);
-                     ("resends", Json.Int r.rr_resends);
                    ])
                rows) );
+        ( "reproducers",
+          Json.List
+            (List.map
+               (fun c ->
+                 Json.Obj
+                   [
+                     ("campaign", Json.String c.cr_key);
+                     ("passed", Json.Bool c.cr_passed);
+                     ("converge_ms", Json.Float c.cr_ms);
+                   ])
+               converged) );
       ];
     checks =
       [
-        Max ("max_reform_ms", worst_reform);
-        Max ("max_formation_attempts", float_of_int worst_attempts);
-        Min ("min_dedup_savings_ratio_largest", largest.rr_dedup_ratio);
-      ];
+        Gate.Max ("max_reform_ms", worst_reform);
+        Gate.Max ("max_formation_attempts", float_of_int worst_attempts);
+        Gate.Min ("min_dedup_savings_ratio_largest", largest.rr_dedup_ratio);
+      ]
+      @ List.map (fun c -> Gate.Max ("max_converge_ms_" ^ c.cr_key, c.cr_ms)) converged;
     echo = [];
     conditions =
       [
         ( Printf.sprintf "every ring re-forms within %d ms" (deadline_ns / ms 1),
           List.for_all (fun r -> r.rr_reformed) rows );
+        ( "every pinned reproducer converges",
+          List.for_all (fun c -> c.cr_passed) converged );
       ];
   }

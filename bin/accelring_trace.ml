@@ -40,6 +40,64 @@ let summarize events =
     print_counts drops
   end
 
+(* The membership timeline: one line per regular view, in install
+   order, with the nodes that installed it (of its member count), the
+   spread of their install times, and what ended it on each node: token
+   loss, a gather (a join or a foreign ring's traffic), a crash, or
+   nothing before the trace ends ("-"). *)
+let print_timeline events =
+  let ms ns = float_of_int ns /. 1e6 in
+  (* ring -> (members, installs as (node, ns) newest first) *)
+  let views = Hashtbl.create 16 and order = ref [] in
+  (* node -> the ring of its current regular view, not yet ended *)
+  let current = Hashtbl.create 16 in
+  (* (ring, node) -> what ended it *)
+  let ended = Hashtbl.create 16 in
+  let finish node why (ev : Flight.event) =
+    match Hashtbl.find_opt current node with
+    | Some ring ->
+        Hashtbl.remove current node;
+        Hashtbl.replace ended (ring, node) (Printf.sprintf "%s@%.1f" why (ms ev.ns))
+    | None -> ()
+  in
+  List.iter
+    (fun (ev : Flight.event) ->
+      if ev.code = Flight.ev_view_install && ev.a = 0 then begin
+        (match Hashtbl.find_opt views ev.e with
+        | Some (members, installs) ->
+            Hashtbl.replace views ev.e (members, (ev.node, ev.ns) :: installs)
+        | None ->
+            order := ev.e :: !order;
+            Hashtbl.replace views ev.e (ev.b, [ (ev.node, ev.ns) ]));
+        Hashtbl.replace current ev.node ev.e
+      end
+      else if ev.code = Flight.ev_token_lost then finish ev.node "token_lost" ev
+      else if ev.code = Flight.ev_phase && ev.a = Flight.phase_gather then
+        finish ev.node "gather" ev
+      else if ev.code = Flight.ev_crash then finish ev.node "crash" ev)
+    events;
+  if !order <> [] then begin
+    Format.printf "membership timeline (regular views):@.";
+    List.iter
+      (fun ring ->
+        let members, installs = Hashtbl.find views ring in
+        let installs = List.rev installs in
+        let times = List.map snd installs in
+        let first = List.fold_left min max_int times
+        and last = List.fold_left max min_int times in
+        let r = Flight.unpack_ring ring in
+        Format.printf "  [%d,%d] %d/%d installed from %.1f ms, spread %.1f ms; ended:%s@."
+          r.rep r.ring_seq (List.length installs) members (ms first)
+          (ms (last - first))
+          (String.concat ""
+             (List.map
+                (fun (node, _) ->
+                  Printf.sprintf " %d %s" node
+                    (Option.value ~default:"-" (Hashtbl.find_opt ended (ring, node))))
+                installs)))
+      (List.rev !order)
+  end
+
 let run file chrome_out check rotation_node head =
   let events =
     try Flight.read_file file
@@ -50,7 +108,9 @@ let run file chrome_out check rotation_node head =
   (match head with
   | Some n ->
       List.iteri (fun i ev -> if i < n then print_endline (Flight.to_line ev)) events
-  | None -> summarize events);
+  | None ->
+      summarize events;
+      print_timeline events);
   (match chrome_out with
   | Some path ->
       Chrome_trace.write_file path events;

@@ -50,16 +50,13 @@ let wrap bug ~node p =
      learner merge by the runner, not at the participant boundary. *)
   | Clean | Kv_skip_apply _ | Kv_apply_before_election | Merge_no_seek -> p
   | Recovery_flood ->
-      (* Silence the recovery exchange: no flood burst's data leaves. *)
-      let fire_timer timer =
-        match timer with
-        | Member.Memb_timer Member.Flood_burst ->
-            List.filter
-              (function Participant.Multicast (Message.Data _) -> false | _ -> true)
-              (p.Participant.fire_timer timer)
-        | _ -> p.Participant.fire_timer timer
-      in
-      { p with Participant.fire_timer }
+      (* Silence recovery: no recovery-marked data leaves, first sent or
+         retransmitted. *)
+      filtering p
+        (List.filter (function
+          | Participant.Multicast (Message.Data { service = Types.Recovered; _ }) ->
+              false
+          | _ -> true))
   | Skip_delivery { node = target; every } when node = target ->
       let deliveries = ref 0 in
       filtering p

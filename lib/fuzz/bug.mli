@@ -34,12 +34,12 @@ type t =
           wrong turns — caught by the oracle's merge-order check. {!wrap}
           is the identity for it. *)
   | Recovery_flood
-      (** Drop every data multicast a member's
-          {!Aring_ring.Member.Flood_burst} fire returns, at every node:
-          the recovery exchange's floods and its nack resends never
-          leave. Whenever a survivor is missing an old-ring message, each
-          formation attempt rechecks until it gives up and re-gathers —
-          a formation livelock, caught by the health watchdog judge. *)
+      (** Drop every recovery-marked data multicast
+          ({!Aring_wire.Types.Recovered}) a member sends, at every node,
+          retransmissions included: no old-ring message a survivor misses
+          ever reaches it. Whenever one is missing, the new ring's token
+          keeps asking for it and no member installs — a stall in
+          Recover, caught by the health watchdog judge. *)
 
 val label : t -> string
 val of_string : string -> (t, string) result

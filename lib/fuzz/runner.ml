@@ -251,10 +251,11 @@ let install_kv_workload sim (s : Schedule.t) ~shard
   done
 
 (* The formation-cycle threshold must scale with the schedule. A
-   membership attempt's commit token makes four passes around the new
-   ring (collect the member infos, spread them, gather the exchange
-   holdings, verify and install), so it rides ~4n lossy hops, and under
-   sustained per-hop loss p each attempt fails with probability about
+   membership attempt's commit token makes two passes around the new
+   ring (collect the member infos, spread them), 2n hops that no
+   retransmission covers, and recovery then takes at least two rotations
+   of the new ring's token. Modelled as ~4n lossy hops, under sustained
+   per-hop loss p each attempt fails with probability about
    1 - (1-p)^(4n) from loss alone: ~59% at 28 nodes and 8 permille.
    Long runs of loss-killed attempts there are legitimate, not a
    livelock. Modelled at ~2n hops, that threshold was 10, and the

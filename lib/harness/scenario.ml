@@ -159,11 +159,10 @@ let measure spec ~participants ~ring_stats =
       if now >= spec.warmup_ns && now < t_end then begin
         incr deliveries;
         bytes_delivered.(at) <- bytes_delivered.(at) + Bytes.length d.payload;
-        let submitted = Int64.to_int (Bytes.get_int64_be d.payload 0) in
-        let lat_us = float_of_int (now - submitted) /. 1e3 in
-        Stats.add latency_us lat_us;
+        let lat_ns = now - Int64.to_int (Bytes.get_int64_be d.payload 0) in
+        Stats.add_ns latency_us lat_ns;
         let p = phase_index now in
-        Stats.add phase_lat.(p) lat_us;
+        Stats.add_ns phase_lat.(p) lat_ns;
         phase_bytes.(p) <- phase_bytes.(p) + Bytes.length d.payload;
         phase_count.(p) <- phase_count.(p) + 1
       end);

@@ -10,7 +10,10 @@ open Aring_wire
      node's per-ring cursor by exactly one; recovery deliveries (between
      a transitional and the following regular configuration, where EVS
      permits survivors to skip messages no one holds) need only be
-     strictly increasing.
+     strictly increasing. A ring's own recovery data (the engine's
+     [ev_deliver] of service [Recovered]) is ordered in the ring but
+     taken by the membership layer, never the application: it moves
+     the cursor up to its seq.
    - aru / safe-line monotonicity: a node's local aru and stability line
      never move backward within a ring (the token aru may dip — local
      state may not).
@@ -164,6 +167,10 @@ let as_sink t ~ns ~node ~code ~a ~b ~c ~d ~e ~f:_ ~g ~h:_ ~i =
     on_token_recv t ~t_ns:ns ~node ~ring:e ~token_id:a ~local_aru:d ~safe_line:g
   else if code = Flight.ev_token_send then
     check_monotone t ~node ~ring:e ~local_aru:i ~safe_line:g ~t_ns:ns
+  else if code = Flight.ev_deliver then begin
+    if c = Message.service_tag Types.Recovered then
+      Hashtbl.replace t.cursors (node, e) a
+  end
   else if code = Flight.ev_app_deliver then begin
     if d = 0 then on_deliver t ~t_ns:ns ~node ~ring:e ~seq:a ~sender:b ~service:c
   end

@@ -57,23 +57,18 @@ let ev_data_send = 5
 let ev_data_recv = 6
 let ev_deliver = 7
 let ev_phase = 8
-let ev_recheck = 9
-let ev_recheck_giveup = 10
-let ev_flood = 11
-let ev_apply = 12
-let ev_dedup = 13
-let ev_burst = 14
-let ev_nack = 15
-let ev_resend = 16
-let ev_mcas = 17
-let ev_skip = 18
-let ev_merge = 19
-let ev_crash = 20
-let ev_drop = 21
-let ev_xfer = 22
-let ev_app_deliver = 23
-let ev_view_install = 24
-let ev_session_cut = 25
+let ev_flood = 9
+let ev_apply = 10
+let ev_dedup = 11
+let ev_mcas = 12
+let ev_skip = 13
+let ev_merge = 14
+let ev_crash = 15
+let ev_drop = 16
+let ev_xfer = 17
+let ev_app_deliver = 18
+let ev_view_install = 19
+let ev_session_cut = 20
 
 (* Membership phase codes: [ev_phase]'s argument [a]. *)
 let phase_operational = 0
@@ -135,16 +130,11 @@ let layouts =
     ("token_lost", [| "round" |]);
     ("data_send", [| "seq"; "post_token"; "retrans"; "submit_ns"; "ring"; "size" |]);
     ("data_recv", [| "seq"; "sender"; "status" |]);
-    ("deliver", [| "seq"; "sender" |]);
+    ("deliver", [| "seq"; "sender"; "service"; ""; "ring" |]);
     ("phase", [| "phase"; "join_seq" |]);
-    ("exchange_recheck", [| "recheck"; "join_seq" |]);
-    ("recheck_giveup", [| "recheck"; "join_seq" |]);
-    ("recovery_flood", [| "queued"; "min_aru"; "max_seq" |]);
+    ("recovery_flood", [| "sent"; "min_aru"; "max_seq" |]);
     ("apply", [| "index"; "delete" |]);
-    ("recovery_dedup", [| "held"; "queued"; "saved"; "position" |]);
-    ("recovery_burst", [| "sent"; "queued" |]);
-    ("recovery_nack", [| "missing"; "ranges"; "recheck" |]);
-    ("recovery_resend", [| "queued"; "examined" |]);
+    ("recovery_dedup", [| "held"; "sent"; "saved" |]);
     ("mcas", [| "shard"; "vote"; "mark"; "shards" |]);
     ("skip", [| "shard"; "position" |]);
     ("merge", [| "shard"; "length" |]);

@@ -38,7 +38,7 @@ val now : unit -> int
 
 (** Arguments not listed are 0. The codes that use [e]–[i] carry a
     ring id ({!pack_ring}) in [e]: {!ev_token_recv}, {!ev_token_send},
-    {!ev_data_send}, {!ev_xfer}, {!ev_app_deliver} and
+    {!ev_data_send}, {!ev_deliver}, {!ev_xfer}, {!ev_app_deliver} and
     {!ev_view_install}. *)
 
 val ev_token_recv : int
@@ -69,48 +69,28 @@ val ev_data_recv : int
     beyond the receive window's ceiling, dropped as lost. *)
 
 val ev_deliver : int
-(** The engine delivered in order: [a] = seq, [b] = sender. One per
-    ordered message at the ordering layer, whatever the layers above do
-    with it. *)
+(** The engine delivered in order: [a] = seq, [b] = sender, [c] = service
+    ([Message.service_tag]; 4 for recovery data, which the membership
+    layer takes); [e] = ring. One per ordered message at the ordering layer,
+    whatever the layers above do with it. *)
 
 val ev_phase : int
 (** A membership phase entered: [a] = phase code (below), [b] = the
     member's join sequence, one per gather entered, so the phases of one
     formation attempt share it. *)
 
-val ev_recheck : int
-(** An exchange recheck fired: [a] = recheck number, [b] = the
-    member's join sequence. *)
-
-val ev_recheck_giveup : int
-(** Rechecks exhausted, the node re-gathers: [a] = recheck number, [b] =
-    the member's join sequence. *)
-
 val ev_flood : int
-(** Recovery entry: [a] = exchange messages queued for paced bursts
-    (counted as they are sent, at each {!ev_burst}), [b] = lowest
-    survivor aru, [c] = highest seq held, [d] = 0. *)
+(** Recovery entry: [a] = old-ring messages this node submits to the new
+    ring as recovery data, [b] = lowest survivor aru, [c] = highest seq
+    held, [d] = 0. *)
 
 val ev_apply : int
 (** A replica applied an op: [a] = applied index, [b] = 1 for a delete. *)
 
 val ev_dedup : int
 (** Designated-holder dedup at recovery entry: [a] = exchange-range
-    messages held, [b] = queued for flooding (this node designated),
-    [c] = sends saved by dedup, [d] = this node's survivor position. *)
-
-val ev_burst : int
-(** One paced flood burst: [a] = messages multicast, [b] = still
-    queued after the burst. *)
-
-val ev_nack : int
-(** A recheck found advertised exchange messages still missing and
-    multicast a cumulative nack: [a] = missing seqnos, [b] = compacted
-    ranges, [c] = recheck number. *)
-
-val ev_resend : int
-(** This node answered a nack as the (re-)elected holder: [a] =
-    messages queued for resend, [b] = nack'd seqnos examined. *)
+    messages held, [b] = submitted as recovery data (this node their
+    sender), [c] = sends saved by dedup. *)
 
 val ev_mcas : int
 (** Cross-shard cas life cycle at a replica: [a] = ring id; on park

@@ -1,12 +1,12 @@
 (* Health watchdog: per-node membership-phase accounting (time-in-state,
-   entry counters, exchange-recheck and recovery-flood volume) plus a
-   stall detector. Two triggers:
+   entry counters, recovery volume) plus a stall detector. Two
+   triggers:
 
    - Formation_cycle: a node has started [k_formation] gather phases
      since it last reached operational, while *no* node anywhere has
      completed a formation for [stall_ns] of virtual time — the
-     signature of the recovery-flood livelock, where every formation
-     attempt dies in the exchange/recheck loop and re-gathers forever.
+     signature of a formation livelock, where every attempt dies before
+     its install and re-gathers forever.
      The no-install gate is load-bearing: under sustained loss a ring
      churns through formations with a few unlucky nodes legitimately
      burning long runs of attempts, but as long as configurations keep
@@ -16,12 +16,14 @@
      drained ring delivers nothing while it churns toward the final
      merge.
    - No_progress: no message delivered anywhere for [stall_ns] of
-     virtual time while some live node is stuck outside operational.
+     virtual time while some live node is stuck outside operational —
+     e.g. a ring stuck in Recover, its token asking for a recovery
+     message nobody can send.
 
    A watchdog is a plain Flight subscriber, and several count side by
    side. Its one feed is the Flight recorder: subscribing [as_sink]
-   (e.g. with [Trace.with_sink]) decodes the phase, recheck, dedup,
-   burst, nack, resend, deliver, crash and session-cut records; a run
+   (e.g. with [Trace.with_sink]) decodes the phase, flood, dedup,
+   deliver, crash and session-cut records; a run
    with no watchdog subscribed pays nothing per record. It records
    nothing itself — pinned corpus hashes cannot see it. Deliveries are
    the engine's [ev_deliver], one per ordered message: a daemon handing
@@ -36,16 +38,10 @@ let default_config = { k_formation = 8; stall_ns = 1_000_000_000 }
 
 let n_phases = 4
 
-(* Trail entries extend the phase codes with watchdog-relevant moments. *)
+(* The trail extends the phase codes with a node's crash. *)
 let trail_crash = 4
-let trail_recheck = 5
-let trail_giveup = 6
 
-let phase_name = function
-  | 4 -> "crashed"
-  | 5 -> "exchange-recheck"
-  | 6 -> "recheck-giveup"
-  | code -> Flight.phase_name code
+let phase_name = function 4 -> "crashed" | code -> Flight.phase_name code
 
 let trail_capacity = 64
 
@@ -56,17 +52,11 @@ type node_state = {
   ns_entries : int array;  (* lifetime phase entries, length n_phases *)
   mutable ns_attempts : int;  (* gather entries since last operational *)
   mutable ns_max_attempts : int;  (* peak ns_attempts over the node's lifetime *)
-  mutable ns_rechecks : int;  (* recheck fires since last operational *)
-  mutable ns_giveups : int;  (* recheck give-ups since last operational *)
-  mutable ns_floods : int;  (* recovery messages flooded since last operational *)
-  mutable ns_resends : int;  (* nack-triggered resends since last operational *)
-  (* Lifetime recovery-traffic counters (never reset): the dedup/pacing
-     efficiency measures the recovery bench gates on. *)
-  mutable ns_flood_total : int;  (* exchange messages multicast, incl. resends *)
+  mutable ns_floods : int;  (* recovery messages sent since last operational *)
+  (* Lifetime recovery-traffic counters (never reset): the dedup
+     efficiency the recovery bench gates on. *)
+  mutable ns_flood_total : int;  (* old-ring messages re-sent as recovery data *)
   mutable ns_dedup_saved : int;  (* sends avoided by designated-holder dedup *)
-  mutable ns_bursts : int;  (* paced flood bursts fired *)
-  mutable ns_resend_reqs : int;  (* cumulative nacks multicast *)
-  mutable ns_resend_total : int;  (* messages re-sent answering nacks *)
   mutable ns_session_cuts : int;  (* slow sessions its daemon cut *)
   trail : int array;  (* recent trail codes, ring *)
   trail_ns : int array;
@@ -95,15 +85,9 @@ let create ?(config = default_config) ~n () =
             ns_entries = Array.make n_phases 0;
             ns_attempts = 0;
             ns_max_attempts = 0;
-            ns_rechecks = 0;
-            ns_giveups = 0;
             ns_floods = 0;
-            ns_resends = 0;
             ns_flood_total = 0;
             ns_dedup_saved = 0;
-            ns_bursts = 0;
-            ns_resend_reqs = 0;
-            ns_resend_total = 0;
             ns_session_cuts = 0;
             trail = Array.make trail_capacity (-1);
             trail_ns = Array.make trail_capacity 0;
@@ -144,10 +128,7 @@ let on_phase t ns phase =
     if phase = Flight.phase_operational then begin
       t.last_operational_ns <- now;
       ns.ns_attempts <- 0;
-      ns.ns_rechecks <- 0;
-      ns.ns_giveups <- 0;
-      ns.ns_floods <- 0;
-      ns.ns_resends <- 0
+      ns.ns_floods <- 0
     end;
     push_trail ns phase now
   end
@@ -169,27 +150,12 @@ let as_sink t ~ns:_ ~node ~code ~a ~b:_ ~c ~d:_ ~e:_ ~f:_ ~g:_ ~h:_ ~i:_ =
   else if node >= 0 && node < Array.length t.nodes then begin
     let ns = t.nodes.(node) in
     if code = Flight.ev_phase then on_phase t ns a
-    else if code = Flight.ev_recheck then begin
-      ns.ns_rechecks <- ns.ns_rechecks + 1;
-      push_trail ns trail_recheck (Flight.now ())
-    end
-    else if code = Flight.ev_recheck_giveup then begin
-      ns.ns_giveups <- ns.ns_giveups + 1;
-      push_trail ns trail_giveup (Flight.now ())
-    end
-    else if code = Flight.ev_dedup then
-      ns.ns_dedup_saved <- ns.ns_dedup_saved + c
-    else if code = Flight.ev_burst then begin
-      ns.ns_bursts <- ns.ns_bursts + 1;
+    else if code = Flight.ev_flood then begin
       ns.ns_floods <- ns.ns_floods + a;
       ns.ns_flood_total <- ns.ns_flood_total + a
     end
-    else if code = Flight.ev_nack then
-      ns.ns_resend_reqs <- ns.ns_resend_reqs + 1
-    else if code = Flight.ev_resend then begin
-      ns.ns_resends <- ns.ns_resends + a;
-      ns.ns_resend_total <- ns.ns_resend_total + a
-    end
+    else if code = Flight.ev_dedup then
+      ns.ns_dedup_saved <- ns.ns_dedup_saved + c
     else if code = Flight.ev_crash then on_crash ns
     else if code = Flight.ev_session_cut then
       ns.ns_session_cuts <- ns.ns_session_cuts + 1
@@ -199,13 +165,7 @@ let as_sink t ~ns:_ ~node ~code ~a ~b:_ ~c ~d:_ ~e:_ ~f:_ ~g:_ ~h:_ ~i:_ =
 (* Stall detection                                                     *)
 
 type stall =
-  | Formation_cycle of {
-      fc_node : int;
-      fc_attempts : int;
-      fc_rechecks : int;
-      fc_giveups : int;
-      fc_floods : int;
-    }
+  | Formation_cycle of { fc_node : int; fc_attempts : int; fc_floods : int }
   | No_progress of { np_idle_ns : int; np_stuck : (int * string) list }
 
 let check t ~now =
@@ -224,8 +184,6 @@ let check t ~now =
                   {
                     fc_node = node;
                     fc_attempts = ns.ns_attempts;
-                    fc_rechecks = ns.ns_rechecks;
-                    fc_giveups = ns.ns_giveups;
                     fc_floods = ns.ns_floods;
                   })
            else None)
@@ -258,15 +216,9 @@ type node_report = {
   nr_phase : string;
   nr_attempts : int;
   nr_max_attempts : int;
-  nr_rechecks : int;
-  nr_giveups : int;
   nr_floods : int;
-  nr_resends : int;
   nr_flood_total : int;
   nr_dedup_saved : int;
-  nr_bursts : int;
-  nr_resend_reqs : int;
-  nr_resend_total : int;
   nr_session_cuts : int;
   nr_entries : (string * int) list;
   nr_time_in_ms : (string * float) list;
@@ -285,7 +237,8 @@ let trail_codes ns =
   let first = (ns.trail_next - stored + trail_capacity) mod trail_capacity in
   List.init stored (fun i -> ns.trail.((first + i) mod trail_capacity))
 
-(* "gather, recheck, recheck, recheck" -> ["gather"; "recheck x3"]. *)
+(* "gather, commit, gather, commit" stays; "gather, gather, gather" ->
+   ["gather x3"]. *)
 let compress_trail codes =
   let rec go = function
     | [] -> []
@@ -310,15 +263,9 @@ let report t ~now =
              nr_phase = phase_name ns.ns_phase;
              nr_attempts = ns.ns_attempts;
              nr_max_attempts = ns.ns_max_attempts;
-             nr_rechecks = ns.ns_rechecks;
-             nr_giveups = ns.ns_giveups;
              nr_floods = ns.ns_floods;
-             nr_resends = ns.ns_resends;
              nr_flood_total = ns.ns_flood_total;
              nr_dedup_saved = ns.ns_dedup_saved;
-             nr_bursts = ns.ns_bursts;
-             nr_resend_reqs = ns.ns_resend_reqs;
-             nr_resend_total = ns.ns_resend_total;
              nr_session_cuts = ns.ns_session_cuts;
              nr_entries =
                List.init n_phases (fun i -> (label i, ns.ns_entries.(i)));
@@ -341,12 +288,11 @@ let report t ~now =
   }
 
 let pp_stall ppf = function
-  | Formation_cycle { fc_node; fc_attempts; fc_rechecks; fc_giveups; fc_floods } ->
+  | Formation_cycle { fc_node; fc_attempts; fc_floods } ->
       Format.fprintf ppf
-        "node %d: repeated gather→exchange→recheck cycling — %d formation \
-         attempts without reaching operational (%d exchange-recheck timeouts, \
-         %d recheck give-ups, %d recovery floods)"
-        fc_node fc_attempts fc_rechecks fc_giveups fc_floods
+        "node %d: repeated gather cycling — %d formation attempts without \
+         reaching operational (%d recovery messages sent)"
+        fc_node fc_attempts fc_floods
   | No_progress { np_idle_ns; np_stuck } ->
       Format.fprintf ppf
         "no delivery progress for %dms; nodes stuck outside operational:%s"
@@ -363,15 +309,11 @@ let pp_report ppf r =
   List.iter
     (fun nr ->
       Format.fprintf ppf
-        "@,  node %d: phase=%s attempts=%d rechecks=%d giveups=%d floods=%d \
-         resends=%d session-cuts=%d"
-        nr.nr_node nr.nr_phase nr.nr_attempts nr.nr_rechecks nr.nr_giveups
-        nr.nr_floods nr.nr_resends nr.nr_session_cuts;
+        "@,  node %d: phase=%s attempts=%d floods=%d session-cuts=%d"
+        nr.nr_node nr.nr_phase nr.nr_attempts nr.nr_floods nr.nr_session_cuts;
       Format.fprintf ppf
-        "@,    recovery traffic: peak-attempts=%d floods=%d dedup-saved=%d \
-         bursts=%d nacks=%d resent=%d"
-        nr.nr_max_attempts nr.nr_flood_total nr.nr_dedup_saved nr.nr_bursts
-        nr.nr_resend_reqs nr.nr_resend_total;
+        "@,    recovery traffic: peak-attempts=%d floods=%d dedup-saved=%d"
+        nr.nr_max_attempts nr.nr_flood_total nr.nr_dedup_saved;
       Format.fprintf ppf "@,    entries:%s time:%s"
         (String.concat ""
            (List.map (fun (p, n) -> Printf.sprintf " %s=%d" p n) nr.nr_entries))

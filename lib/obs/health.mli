@@ -1,13 +1,12 @@
 (** Recovery/stall health watchdog. Tracks per-node membership-phase
-    time-in-state and entry counters, exchange-recheck and
-    recovery-flood volume, crashes, and cluster-wide delivery progress;
-    detects formation livelock ("K gather attempts without reaching
-    operational") and delivery stalls ("no progress for T virtual ns
-    while a node is stuck outside operational"). The feed is {!Flight}:
+    time-in-state and entry counters, recovery volume, crashes, and
+    cluster-wide delivery progress; detects formation livelock ("K
+    gather attempts without reaching operational") and delivery stalls
+    ("no progress for T virtual ns while a node is stuck outside
+    operational", e.g. in Recover). The feed is {!Flight}:
     a watchdog is a plain subscriber ({!as_sink}, like {!Checker} and
-    {!Rotation}) that decodes the [ev_phase], [ev_recheck],
-    [ev_recheck_giveup], [ev_dedup], [ev_burst], [ev_nack],
-    [ev_resend], [ev_deliver], [ev_crash] and [ev_session_cut] records,
+    {!Rotation}) that decodes the [ev_phase], [ev_flood], [ev_dedup],
+    [ev_deliver], [ev_crash] and [ev_session_cut] records,
     so a crash reaches it through [Netsim.crash] alone. Any number of watchdogs may be
     subscribed at once, each counting for itself. It records nothing,
     so pinned corpus hashes never see it. Deliveries count the engine's
@@ -33,9 +32,7 @@ type stall =
   | Formation_cycle of {
       fc_node : int;
       fc_attempts : int;  (** gather entries since last operational *)
-      fc_rechecks : int;
-      fc_giveups : int;
-      fc_floods : int;
+      fc_floods : int;  (** recovery messages sent since then *)
     }
   | No_progress of { np_idle_ns : int; np_stuck : (int * string) list }
 
@@ -52,15 +49,11 @@ type node_report = {
       (** peak consecutive formation attempts over the node's lifetime;
           unlike [nr_attempts] this survives reaching operational, so a
           post-run assertion can bound how hard formation ever was *)
-  nr_rechecks : int;
-  nr_giveups : int;
-  nr_floods : int;
-  nr_resends : int;
-  nr_flood_total : int;  (** lifetime exchange multicasts, incl. resends *)
+  nr_floods : int;  (** recovery messages sent since last operational *)
+  nr_flood_total : int;
+      (** lifetime old-ring messages re-sent as recovery data, first
+          sends only: the token's retransmissions are the engine's *)
   nr_dedup_saved : int;  (** lifetime sends avoided by holder dedup *)
-  nr_bursts : int;  (** lifetime paced flood bursts *)
-  nr_resend_reqs : int;  (** lifetime cumulative nacks sent *)
-  nr_resend_total : int;  (** lifetime messages re-sent answering nacks *)
   nr_session_cuts : int;
       (** lifetime slow-receiver sessions this node's daemon cut at its
           inbox limit ([ev_session_cut]) *)

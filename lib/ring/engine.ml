@@ -87,7 +87,8 @@ type t = {
      payload, and one int packing the span's submit stamp (0 unless a
      collector was attached at submission) above the service tag. The
      stamp is read back with [lsr], so a wall-clock stamp (past 2^60 ns)
-     keeps its value up to 2^61 ns. *)
+     keeps its value up to 2^61 ns. A recovery message, never stamped,
+     is [recovered_meta] (see [meta_of]). *)
   pending : Bytes_ring.t;
   mutable round : Types.round;
   mutable last_token_id : int;
@@ -267,7 +268,9 @@ let[@tail_mod_cons] rec deliver_ready_into t deliver tail =
   else begin
     t.delivered <- next;
     t.stats.delivered <- t.stats.delivered + 1;
-    Flight.record ~node:t.me ~code:Flight.ev_deliver ~a:next ~b:d.pid ~c:0 ~d:0;
+    Flight.record_wide ~node:t.me ~code:Flight.ev_deliver ~a:next ~b:d.pid
+      ~c:(Message.service_tag d.service) ~d:0 ~e:(Flight.pack_ring t.ring_id)
+      ~f:0 ~g:0 ~h:0 ~i:0;
     let delivery = deliver d in
     delivery :: deliver_ready_into t deliver tail
   end
@@ -369,9 +372,23 @@ let rec unanswered_rtr t rtr =
       else if kept == rest then rtr
       else seq :: kept
 
-let submit t service payload =
-  Bytes_ring.push t.pending payload
-    ((Span.submit_stamp () lsl 2) lor Message.service_tag service)
+(* A pending submission's int: the stamp above a client service's two
+   tag bits, or -1 for [Recovered], the one service past two bits. *)
+let recovered_meta = -1
+
+let meta_of (service : Types.service) =
+  match service with
+  | Recovered -> recovered_meta
+  | Fifo | Causal | Agreed | Safe ->
+      (Span.submit_stamp () lsl 2) lor Message.service_tag service
+
+let service_of_meta meta =
+  if meta = recovered_meta then Types.Recovered
+  else Message.service_of_tag (meta land 3)
+
+let stamp_of_meta meta = if meta = recovered_meta then 0 else meta lsr 2
+
+let submit t service payload = Bytes_ring.push t.pending payload (meta_of service)
 
 let handle_token t sink (tok : Message.token) =
   if tok.token_id <= t.last_token_id then begin
@@ -416,7 +433,7 @@ let handle_token t sink (tok : Message.token) =
           pid = t.me;
           d_round = t.round;
           post_token = i >= n_pre;
-          service = Message.service_of_tag (meta land 3);
+          service = service_of_meta meta;
           payload;
         }
       in
@@ -424,7 +441,7 @@ let handle_token t sink (tok : Message.token) =
       ignore (hold t d);
       t.stats.new_sent <- t.stats.new_sent + 1;
       Flight.record_wide ~node:t.me ~code:Flight.ev_data_send ~a:d.seq
-        ~b:(if d.post_token then 1 else 0) ~c:0 ~d:(meta lsr 2)
+        ~b:(if d.post_token then 1 else 0) ~c:0 ~d:(stamp_of_meta meta)
         ~e:(Flight.pack_ring t.ring_id) ~g:0 ~h:0 ~i:0
         ~f:(Message.data_wire_size ~payload_len:(Bytes.length payload));
       if i < n_pre then rev_pre := sink.send_data d :: !rev_pre
@@ -545,7 +562,7 @@ let[@tail_mod_cons] rec drain_pending t =
     let payload = Bytes_ring.front_bytes t.pending
     and meta = Bytes_ring.front_int t.pending in
     Bytes_ring.drop t.pending;
-    (Message.service_of_tag (meta land 3), payload) :: drain_pending t
+    (service_of_meta meta, payload) :: drain_pending t
   end
 
 let record_metrics ?(prefix = "") t reg =

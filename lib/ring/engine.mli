@@ -139,7 +139,8 @@ val timer : t -> 'a sink -> timer_kind -> 'a list
 val submit : t -> Types.service -> bytes -> unit
 (** [submit t service payload] is [handle t (Submit (service, payload))]:
     it queues the message in a ring of unboxed arrays, with no input box
-    and no record per message. *)
+    and no record per message. A [Types.Recovered] message carries no
+    span stamp. *)
 
 val data : t -> (Message.data -> 'a) -> Message.data -> 'a list
 (** [data t deliver d] is [handle t (Data_received d)] without building

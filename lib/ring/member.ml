@@ -7,8 +7,6 @@ type memb_timer_kind =
   | Consensus_timeout
   | Formation_timeout
   | Merge_probe
-  | Exchange_recheck
-  | Flood_burst
 
 type Participant.timer += Memb_timer of memb_timer_kind
 
@@ -50,43 +48,21 @@ type commit_phase = {
   cp_order : Types.pid array;
 }
 
-(* The recovery flood of one old ring: its exchange table, and the
-   messages this node sends from it in paced bursts, first as the
-   designated holder and then in answer to nacks. [Recover] holds it
-   while the exchange runs, and [install] moves the same record into
-   [t.residual]. A member must install as soon as it verifies
-   completeness — holding the pass-4 token while its own paced flood
-   queue drains stalls the new ring's token rotation past the token-loss
-   timeout and kills the formation — so it keeps bursting (and answering
-   pass-5 nacks) for peers still recovering the old ring while it is
-   already operational, until the flood has been quiet for one formation
-   timeout. *)
-type flood = {
-  ring : Types.ring_id;  (* the exchanged (pre-install) ring *)
-  memb : Message.member_info list;  (* the commit token's, for holder election *)
-  exchange : (Types.seqno, Message.data) Hashtbl.t;
-  q : Types.seqno Deque.t;
-      (* Exchange messages to send, ascending for the designated ones;
-         drained in paced bursts by the [Flood_burst] timer, armed for
-         the next burst exactly while [q] is not empty (after the
-         install, an empty [q]'s timer counts out the quiet interval). *)
-  queued : (Types.seqno, unit) Hashtbl.t;  (* membership of [q] *)
-  nacked : (Types.seqno, int) Hashtbl.t;
-      (* How many cumulative nacks have named each seqno. The k-th nack
-         is answered by the k-th candidate holder, so a crashed donor is
-         routed around without any extra agreement round. *)
-}
-
+(* Recovery on the new ring's regular token. The new ring's node runs
+   from commit pass 2 on: each old-ring message this member must supply
+   rides it as [Recovered] data, under the token's window, fcc and rtr
+   like any other message, and each one delivered lands in [r_exchange].
+   The member installs at the second successive quiet visit (see
+   [quiet_visit]). *)
 type recover = {
   r_ring : Types.ring_id;
   r_order : Types.pid array;
   r_survivors : Types.pid list;  (* of my old ring, sorted *)
-  r_min_aru : Types.seqno;
-  r_max_high : Types.seqno;
-  r_flood : flood;
-  mutable r_pending : Message.commit option;
-      (* A pass-4 commit held back while late recovery floods arrive. *)
-  mutable r_rechecks : int;
+  r_node : Node.t;
+  r_exchange : (Types.seqno, Message.data) Hashtbl.t;
+      (* My old ring's messages to deliver at the install, by old seq:
+         those held at entry, then those recovered on the new ring. *)
+  mutable r_quiet : int;  (* successive quiet token visits *)
 }
 
 type phase =
@@ -100,9 +76,6 @@ type t = {
   me : Types.pid;
   initial_ring : Types.pid array option;
   mutable phase : phase;
-  mutable residual : flood option;
-      (* The last install's flood, while operational and until it has
-         been quiet for one formation timeout. *)
   mutable old_node : Node.t option;  (* engine of the dying configuration *)
   mutable old_ring : Types.ring_id;  (* ring I was last operational in *)
   mutable old_delivered : Types.seqno;  (* its delivery cursor *)
@@ -113,7 +86,7 @@ type t = {
   known_rings : (Types.ring_id, unit) Hashtbl.t;  (* superseded rings *)
   seen_join_seq : (Types.pid, int) Hashtbl.t;
   client_pending : (Types.service * bytes) Queue.t;
-  inbox : Message.t Deque.t;  (* receive queue outside Operational *)
+  inbox : Message.t Deque.t;  (* membership traffic, served first *)
   stash : (Types.seqno, Message.data) Hashtbl.t;  (* old-ring data *)
 }
 
@@ -122,7 +95,6 @@ let installs t = t.installs
 let current_view t = t.last_view
 
 let node t = match t.phase with Operational n -> Some n | _ -> None
-let holds_residual_flood t = Option.is_some t.residual
 
 let phase_code t =
   match t.phase with
@@ -139,8 +111,7 @@ let arm kind delay = Participant.Arm_timer (Memb_timer kind, delay)
 let disarm_memb =
   List.map
     (fun kind -> Participant.Disarm_timer (Memb_timer kind))
-    [ Join_retransmit; Consensus_timeout; Formation_timeout; Merge_probe;
-      Exchange_recheck; Flood_burst ]
+    [ Join_retransmit; Consensus_timeout; Formation_timeout; Merge_probe ]
 
 (* Enter [phase], whose first actions are [actions]. The phase record
    reaches the health watchdog and, when a sink is installed, the trace
@@ -151,18 +122,6 @@ let enter t phase actions =
   Flight.record ~node:t.me ~code:Flight.ev_phase ~a:(phase_code t)
     ~b:t.join_seq ~c:0 ~d:0;
   disarm_memb @ actions
-
-(* Recovery flood pacing: a designated holder multicasts at most
-   [recovery_burst_msgs] messages per burst, bursts [recovery_burst_gap_ns]
-   apart, so a small switch buffer drains between them; the gap also
-   scales the per-ring-position stagger of the first burst. Chosen, not
-   measured. *)
-let recovery_burst_msgs = 8
-let recovery_burst_gap_ns = 400_000
-
-(* The residual flood's quiet interval: a [Flood_burst] that finds the
-   queue still empty one formation timeout later releases the flood. *)
-let arm_quiet t = arm Flood_burst t.params.Params.consensus_timeout_ns
 
 let create ~params ~me ?initial_ring () =
   let singleton_ring : Types.ring_id = { rep = me; ring_seq = 0 } in
@@ -180,7 +139,6 @@ let create ~params ~me ?initial_ring () =
           agreed = false;
           settled = false;
         };
-    residual = None;
     old_node = None;
     old_ring = singleton_ring;
     old_delivered = 0;
@@ -195,20 +153,6 @@ let create ~params ~me ?initial_ring () =
     stash = Hashtbl.create 64;
   }
 
-(* A member may only install once it holds every exchange-range message
-   some survivor of its old ring advertised (above what it already
-   delivered) — otherwise survivors' delivered sets could diverge. *)
-let missing_from_exchange t (r : recover) holds =
-  match
-    List.find_opt (fun (ring, _) -> Types.ring_id_equal ring t.old_ring) holds
-  with
-  | None -> []
-  | Some (_, seqs) ->
-      List.filter
-        (fun seq ->
-          seq > t.old_delivered && not (Hashtbl.mem r.r_flood.exchange seq))
-        seqs
-
 (* ------------------------------------------------------------------ *)
 (* Gather                                                              *)
 
@@ -217,39 +161,45 @@ let rec my_join t (g : gather) : Message.join =
 
 and multicast_join t g = Participant.Multicast (Message.Join (my_join t g))
 
+(* Keep the old-ring data still queued at [node], whose messages go
+   unprocessed: it counts as received for the next formation. *)
+and stash_queued t node =
+  match Node.take_next node with
+  | None -> ()
+  | Some (Message.Data d) ->
+      if Types.ring_id_equal d.d_ring t.old_ring then
+        Hashtbl.replace t.stash d.seq d;
+      stash_queued t node
+  | Some (Message.Token _ | Message.Join _ | Message.Commit _) ->
+      stash_queued t node
+
 (* Leave the operational (or any) state and start gathering. Leaving
-   [Operational] also tears the node down: its timers are disarmed and
-   the residual flood is dropped. *)
+   [Operational] or [Recover] also tears the node down: its timers are
+   disarmed. *)
 and enter_gather t =
   t.join_seq <- t.join_seq + 1;
   let node_disarms =
     match t.phase with
     | Operational node ->
         (* Preserve the dying configuration: its engine holds the messages
-           recovery will exchange; unprocessed queued data still counts as
-           received for that purpose. *)
+           recovery will exchange. *)
         let engine = Node.engine node in
         t.old_node <- Some node;
         t.old_ring <- Engine.ring_id engine;
         t.old_delivered <- Engine.delivered_upto engine;
         Hashtbl.replace t.known_rings t.old_ring ();
-        let rec drain () =
-          match Node.take_next node with
-          | None -> ()
-          | Some (Message.Data d) ->
-              if Types.ring_id_equal d.d_ring t.old_ring then
-                Hashtbl.replace t.stash d.seq d;
-              drain ()
-          | Some (Message.Token _ | Message.Join _ | Message.Commit _) ->
-              drain ()
-        in
-        drain ();
+        stash_queued t node;
         List.iter
           (fun entry -> Queue.push entry t.client_pending)
           (Engine.drain_pending engine);
-        t.residual <- None;
         Node.disarm_timers
-    | Gather _ | Commit_wait _ | Recover _ -> []
+    | Recover r ->
+        (* The new ring was never installed here, so the old ring stays
+           the one to recover, now with what this attempt recovered. *)
+        Hashtbl.iter (fun seq d -> Hashtbl.replace t.stash seq d) r.r_exchange;
+        stash_queued t r.r_node;
+        Node.disarm_timers
+    | Gather _ | Commit_wait _ -> []
   in
   let g =
     {
@@ -334,7 +284,7 @@ and propose t g =
     List.map (fun p -> if p = t.me then my_member_info t else placeholder p) members
   in
   let commit : Message.commit =
-    { c_ring = new_ring; c_token_id = 0; c_pass = 1; c_memb = memb; c_holds = [] }
+    { c_ring = new_ring; c_token_id = 0; c_pass = 1; c_memb = memb }
   in
   Log.debug (fun m ->
       m "pid %d proposing %a with %d members" t.me Types.pp_ring_id new_ring
@@ -414,50 +364,40 @@ and handle_join t (j : Message.join) =
 (* ------------------------------------------------------------------ *)
 (* Installation (EVS delivery)                                         *)
 
-and install t (r : recover) =
-  let fl = r.r_flood in
+(* Close the old ring: the transitional view of its [survivors] in
+   [ring], then its messages in [exchange] this member has not yet
+   delivered, in sequence order. Every survivor holds the same set by
+   then, so every survivor delivers the same sequence. *)
+and close_old_ring t ring survivors exchange =
   let transitional : Participant.view =
-    { view_id = r.r_ring; members = r.r_survivors; transitional = true }
+    { view_id = ring; members = survivors; transitional = true }
   in
-  (* Old-ring messages recovered by the exchange, beyond what was already
-     delivered, in sequence order. After a complete exchange all survivors
-     hold the same set, so every survivor delivers the same sequence. *)
   let old_deliveries =
-    Hashtbl.fold (fun seq d acc -> (seq, d) :: acc) fl.exchange []
+    Hashtbl.fold (fun seq d acc -> (seq, d) :: acc) exchange []
     |> List.filter (fun (seq, _) -> seq > t.old_delivered)
     |> List.sort compare
     |> List.map (fun (_, d) -> Participant.Deliver d)
   in
-  List.iter (fun (mi : Message.member_info) ->
-      Hashtbl.replace t.known_rings mi.m_old_ring ())
-    fl.memb;
-  Hashtbl.replace t.known_rings t.old_ring ();
-  (* The flood moves across the install (see [flood]). Entering
-     [Operational] disarms its pending burst with every other membership
-     key, so the burst is re-armed; an empty queue starts the quiet
-     interval at once. *)
-  t.residual <- Some fl;
   t.old_node <- None;
   t.old_delivered <- 0;
   Hashtbl.reset t.stash;
-  let started = operate t r.r_ring r.r_order in
+  Participant.Deliver_config transitional :: old_deliveries
+
+and install t (r : recover) =
+  let closing = close_old_ring t r.r_ring r.r_survivors r.r_exchange in
   Log.info (fun m ->
       m "pid %d installed %a (%d members, %d survivors)" t.me Types.pp_ring_id
         r.r_ring (Array.length r.r_order)
         (List.length r.r_survivors));
-  let residual_timer =
-    if Deque.is_empty fl.q then arm_quiet t else arm Flood_burst 1
-  in
-  (Participant.Deliver_config transitional :: old_deliveries)
-  @ started @ [ residual_timer ]
+  closing @ operate t r.r_ring r.r_order r.r_node []
 
-(* Enter [Operational] in a new node for [ring_id], whose members in ring
-   order are [order]: the end of every install, and [start]'s pre-agreed
-   ring. Returns the disarms of every membership key, the regular view's
-   delivery, the node's first actions and the representative's merge
+(* Enter [Operational] in [node], the node of [ring_id], whose members in
+   ring order are [order]: the end of every install, and [start]'s
+   pre-agreed ring. Returns the disarms of every membership key, the
+   regular view's delivery, [first] and the representative's merge
    probe. Client messages submitted while no ring was installed (during
-   a formation, or before [start]) carry over into the new node. *)
-and operate t (ring_id : Types.ring_id) order =
+   a formation, or before [start]) carry over into the node. *)
+and operate t (ring_id : Types.ring_id) order node first =
   let view : Participant.view =
     { view_id = ring_id; members = Array.to_list order; transitional = false }
   in
@@ -465,7 +405,6 @@ and operate t (ring_id : Types.ring_id) order =
   t.highest_ring_seq <- max t.highest_ring_seq ring_id.ring_seq;
   t.installs <- t.installs + 1;
   t.last_view <- Some view;
-  let node = Node.create ~params:t.params ~ring_id ~ring:order ~me:t.me in
   Queue.iter (fun (service, payload) -> Node.submit node service payload)
     t.client_pending;
   Queue.clear t.client_pending;
@@ -473,73 +412,59 @@ and operate t (ring_id : Types.ring_id) order =
     if ring_id.rep = t.me then [ arm Merge_probe t.params.merge_probe_ns ]
     else []
   in
-  enter t (Operational node)
-    ((Participant.Deliver_config view :: Node.start node) @ probe)
+  enter t (Operational node) ((Participant.Deliver_config view :: first) @ probe)
 
-(* A member alone at the consensus timeout installs a singleton ring
-   without any commit/recover exchange. *)
+(* A member alone at the consensus timeout installs a singleton ring at
+   once: it is its old ring's only survivor, so there is nothing to
+   recover from anyone. *)
 and install_singleton t =
   t.highest_ring_seq <- t.highest_ring_seq + 1;
   let ring_id : Types.ring_id = { rep = t.me; ring_seq = t.highest_ring_seq } in
-  let info = my_member_info t in
-  let exchange = Hashtbl.create 16 in
+  let exchange = Hashtbl.copy t.stash in
   (match t.old_node with
   | Some node ->
       let e = Node.engine node in
-      for seq = t.old_delivered + 1 to info.m_high_seq do
+      for seq = t.old_delivered + 1 to Engine.high_seq e do
         match Engine.buffered_message e seq with
         | Some d -> Hashtbl.replace exchange seq d
         | None -> ()
       done
   | None -> ());
-  Hashtbl.iter (fun seq d -> Hashtbl.replace exchange seq d) t.stash;
-  install t
-    {
-      r_ring = ring_id;
-      r_order = [| t.me |];
-      r_survivors = [ t.me ];
-      r_min_aru = info.m_aru;
-      r_max_high = info.m_high_seq;
-      r_flood = new_flood t [ info ] exchange;
-      r_pending = None;
-      r_rechecks = 0;
-    }
-
-and new_flood t memb exchange =
-  {
-    ring = t.old_ring;
-    memb;
-    exchange;
-    q = Deque.create ();
-    queued = Hashtbl.create 16;
-    nacked = Hashtbl.create 16;
-  }
+  let closing = close_old_ring t ring_id [ t.me ] exchange in
+  let node = Node.create ~params:t.params ~ring_id ~ring:[| t.me |] ~me:t.me in
+  closing @ operate t ring_id [| t.me |] node (Node.start node)
 
 (* ------------------------------------------------------------------ *)
 (* Recovery                                                            *)
 
-(* Entering recovery: stage everything we hold beyond our own delivery
-   cursor — messages below the minimum aru are already received by every
-   survivor but possibly still undelivered here, and must be delivered at
-   installation too — and queue for flooding the exchange-range messages
-   (above the minimum aru) this node is the designated holder of.
-
-   The flood itself is deduplicated and paced: per sequence number exactly
-   one survivor (the highest-pid holder, computed identically everywhere
-   from the commit token's member infos) floods it, in bursts of
-   [recovery_burst_msgs] spaced [recovery_burst_gap_ns] apart, with the
-   first burst staggered by ring position. *)
+(* Entering recovery on commit pass 2: build the new ring's node, stage
+   everything held beyond our own delivery cursor — messages below the
+   minimum aru are received by every survivor but possibly still
+   undelivered here, and are delivered at the install too — and submit,
+   as [Recovered] data, each exchange-range message (above the survivors'
+   minimum aru) that this member must supply. A message at or below the
+   survivors' highest aru has a sure holder, and only its designated
+   holder ([Recovery.designated]) re-sends it. Above it no survivor is
+   sure to hold it but its sender, which always keeps its own: the
+   sender re-sends it if it survives, and every survivor holding it
+   does if not. *)
 and enter_recover t (c : Message.commit) order =
-  let survivors, min_aru, max_high =
+  let survivors, min_aru, max_aru, max_high =
     List.fold_left
-      (fun (survivors, min_aru, max_high) (mi : Message.member_info) ->
+      (fun ((survivors, min_aru, max_aru, max_high) as acc)
+           (mi : Message.member_info) ->
+        Hashtbl.replace t.known_rings mi.m_old_ring ();
         if Types.ring_id_equal mi.m_old_ring t.old_ring then
-          (mi.m_pid :: survivors, min min_aru mi.m_aru, max max_high mi.m_high_seq)
-        else (survivors, min_aru, max_high))
-      ([], max_int, 0) c.c_memb
+          ( mi.m_pid :: survivors,
+            min min_aru mi.m_aru,
+            max max_aru mi.m_aru,
+            max max_high mi.m_high_seq )
+        else acc)
+      ([], max_int, 0, 0) c.c_memb
   in
-  let survivors = set_of survivors in
-  let fl = new_flood t c.c_memb (Hashtbl.create 64) in
+  Hashtbl.replace t.known_rings c.c_ring ();
+  let node = Node.create ~params:t.params ~ring_id:c.c_ring ~ring:order ~me:t.me in
+  let exchange = Hashtbl.create 64 in
   let held seq =
     match Hashtbl.find_opt t.stash seq with
     | Some d -> Some d
@@ -549,177 +474,117 @@ and enter_recover t (c : Message.commit) order =
         | None -> None)
   in
   let held_in_range = ref 0 in
-  let queued = ref 0 in
+  let sent = ref 0 in
   (* Stage from the lower of (what we still need to deliver) and (what a
      lagging survivor may be missing): a survivor that already delivered a
      message must still hold it for peers below the minimum aru line. *)
-  let lo = min t.old_delivered min_aru in
-  if max_high > 0 then
-    for seq = max_high downto lo + 1 do
-      match held seq with
-      | Some d ->
-          Hashtbl.replace fl.exchange seq d;
-          if seq > min_aru then begin
-            incr held_in_range;
-            if
-              Recovery.designated ~infos:c.c_memb ~old_ring:t.old_ring seq
-              = Some t.me
-            then begin
-              (* Descending loop + push_front = ascending flood order. *)
-              Deque.push_front fl.q seq;
-              Hashtbl.replace fl.queued seq ();
-              incr queued
-            end
+  for seq = min t.old_delivered min_aru + 1 to max_high do
+    match held seq with
+    | Some d ->
+        Hashtbl.replace exchange seq d;
+        if seq > min_aru then begin
+          incr held_in_range;
+          if
+            (if seq <= max_aru then
+               Recovery.designated ~infos:c.c_memb ~old_ring:t.old_ring seq
+               = Some t.me
+             else d.pid = t.me || not (List.mem d.pid survivors))
+          then begin
+            Node.submit node Types.Recovered (Message.encode (Message.Data d));
+            incr sent
           end
-      | None -> ()
-    done;
-  let pos =
-    let rec idx i = function
-      | [] -> 0
-      | p :: _ when p = t.me -> i
-      | _ :: tl -> idx (i + 1) tl
-    in
-    idx 0 survivors
-  in
+        end
+    | None -> ()
+  done;
   let r =
     {
       r_ring = c.c_ring;
       r_order = order;
-      r_survivors = survivors;
-      r_min_aru = min_aru;
-      r_max_high = max_high;
-      r_flood = fl;
-      r_pending = None;
-      r_rechecks = 0;
+      r_survivors = set_of survivors;
+      r_node = node;
+      r_exchange = exchange;
+      r_quiet = 0;
     }
   in
-  let burst =
-    if Deque.is_empty fl.q then []
-    else [ arm Flood_burst (1 + (pos * (recovery_burst_gap_ns / 4))) ]
-  in
-  let actions =
-    enter t (Recover r) (burst @ [ arm Formation_timeout t.params.consensus_timeout_ns ])
-  in
-  Flight.record ~node:t.me ~code:Flight.ev_flood ~a:!queued ~b:min_aru
+  let actions = enter t (Recover r) (Node.start node) in
+  Flight.record ~node:t.me ~code:Flight.ev_flood ~a:!sent ~b:min_aru
     ~c:max_high ~d:0;
-  Flight.record ~node:t.me ~code:Flight.ev_dedup ~a:!held_in_range ~b:!queued
-    ~c:(!held_in_range - !queued) ~d:pos;
-  (r, actions)
+  Flight.record ~node:t.me ~code:Flight.ev_dedup ~a:!held_in_range ~b:!sent
+    ~c:(!held_in_range - !sent) ~d:0;
+  actions
+
+(* Take the [Recovered] deliveries out of the new ring's [actions]: each
+   one carries an old-ring message, kept when the old ring is ours. *)
+and take_recovered t (r : recover) actions =
+  List.filter
+    (function
+      | Participant.Deliver { service = Types.Recovered; payload; _ } ->
+          (match Message.decode_result payload with
+          | Ok (Message.Data old) when Types.ring_id_equal old.d_ring t.old_ring ->
+              Hashtbl.replace r.r_exchange old.seq old
+          | Ok _ | Error _ -> ());
+          false
+      | _ -> true)
+    actions
+
+(* A visit is quiet when this member has nothing left to send, and the
+   token it received shows nothing sent anywhere in the last rotation
+   (fcc = 0), nothing missing (aru = seq) and nothing requested (rtr
+   empty). Two quiet visits in a row prove that no member has a recovery
+   message left and every member holds every one: a member still missing
+   one lowers the aru, and one still holding back would have sent under
+   an empty fcc. The install visit sends nothing new, and client
+   messages go out from the next, so every member's next visit is quiet
+   too: all members install within one rotation of the first. *)
+and quiet_visit (r : recover) (tok : Message.token) =
+  tok.fcc = 0 && tok.aru = tok.t_seq && tok.rtr = []
+  && Engine.pending_count (Node.engine r.r_node) = 0
+
+(* While recovering, every member's backlog is large at once, and a
+   visit's burst can overfill a switch port ahead of the token; the token
+   goes first, and data lost to a full port is the rtr's to repair. *)
+and token_first actions =
+  match
+    List.partition
+      (function Participant.Unicast (_, Message.Token _) -> true | _ -> false)
+      actions
+  with
+  | [], _ -> actions
+  | token, rest -> token @ rest
+
+(* [msg] is [Message.Token tok] of the new ring. *)
+and recover_visit t (r : recover) msg tok =
+  let engine = Node.engine r.r_node in
+  let round = Engine.round engine in
+  let actions = take_recovered t r (Node.process r.r_node msg) in
+  if Engine.round engine = round then actions (* a stale or duplicate token *)
+  else begin
+    let actions = token_first actions in
+    r.r_quiet <- (if quiet_visit r tok then r.r_quiet + 1 else 0);
+    if r.r_quiet < 2 then actions else actions @ install t r
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Commit token                                                        *)
 
-(* Retransmission requests ride the commit channel as a sentinel pass 5
-   (the pass field is a full integer on the wire, so no codec change):
-   [c_memb] identifies the requester, [c_holds] carries its missing
-   sequence numbers as compacted [lo;hi;...] ranges for its old ring.
-   Each survivor counts how many nacks have named each seqno and answers
-   as the k-th candidate holder for the k-th nack — exactly one resender
-   per request when views agree, rotating past crashed donors. A member
-   answers from the flood of the ring it is recovering or, once
-   installed, from the flood it carried across the install until that
-   flood goes quiet, so a straggling peer can finish without forcing a
-   re-gather. *)
-and handle_nack t (c : Message.commit) =
-  let flood =
-    match t.phase with
-    | Recover r when Types.ring_id_equal r.r_ring c.c_ring -> Some r.r_flood
-    | Operational _ -> t.residual
-    | Gather _ | Commit_wait _ | Recover _ ->
-        (* Not recovering the requester's ring: the formation-timeout
-           re-gather is the backstop. *)
-        None
-  in
-  match (flood, c.c_memb) with
-  | Some fl, [ requester ]
-    when requester.m_pid <> t.me
-         && Types.ring_id_equal requester.m_old_ring fl.ring ->
-      let seqs =
-        List.concat_map
-          (fun (ring, encoded) ->
-            if Types.ring_id_equal ring fl.ring then
-              Recovery.expand (Recovery.decode_ranges encoded)
-            else [])
-          c.c_holds
-      in
-      let idle = Deque.is_empty fl.q in
-      let queued = ref 0 in
-      List.iter
-        (fun seq ->
-          let k = 1 + Option.value ~default:0 (Hashtbl.find_opt fl.nacked seq) in
-          Hashtbl.replace fl.nacked seq k;
-          (* First nack: only the k-th candidate answers (covers a
-             dropped flood without duplication). Repeated nacks mean the
-             info-based election keeps pointing at nodes that discarded
-             the message as stable — every actual holder answers,
-             trading a few duplicates for a bounded number of rounds. *)
-          if
-            Hashtbl.mem fl.exchange seq
-            && (not (Hashtbl.mem fl.queued seq))
-            && (k >= 2
-               || Recovery.designated_nth ~infos:fl.memb ~old_ring:fl.ring
-                    ~nth:(k - 1) seq
-                  = Some t.me)
-          then begin
-            Deque.push_back fl.q seq;
-            Hashtbl.replace fl.queued seq ();
-            incr queued
-          end)
-        seqs;
-      if !queued = 0 then []
-      else begin
-        Flight.record ~node:t.me ~code:Flight.ev_resend ~a:!queued
-          ~b:(List.length seqs) ~c:0 ~d:0;
-        (* An idle flood bursts at once, superseding any quiet timer:
-           resends skip the position stagger, as the requester has
-           already waited out a recheck interval. *)
-        if idle then [ arm Flood_burst 1 ] else []
-      end
-  | _ -> []
-
 and handle_commit t (c : Message.commit) =
-  if c.c_pass = 5 then handle_nack t c
-  else begin
   let memb_pids = List.map (fun (mi : Message.member_info) -> mi.m_pid) c.c_memb in
   if not (set_mem t.me memb_pids) then []
   else begin
     t.highest_ring_seq <- max t.highest_ring_seq c.c_ring.ring_seq;
     let order = Array.of_list memb_pids in
-    let forward ?(holds = c.c_holds) pass memb =
+    let forward pass memb =
       Participant.Unicast
         (successor_in order t.me,
          Message.Commit
-           {
-             c with
-             c_token_id = c.c_token_id + 1;
-             c_pass = pass;
-             c_memb = memb;
-             c_holds = holds;
-           })
-    in
-    (* Merge the exchange-range sequence numbers we hold into the pass-3
-       accumulator for our old ring. *)
-    let merged_holds (r : recover) =
-      let mine =
-        Hashtbl.fold (fun seq _ acc -> seq :: acc) r.r_flood.exchange []
-      in
-      let rec update = function
-        | [] -> [ (t.old_ring, List.sort_uniq compare mine) ]
-        | (ring, seqs) :: rest ->
-            if Types.ring_id_equal ring t.old_ring then
-              (ring, List.sort_uniq compare (mine @ seqs)) :: rest
-            else (ring, seqs) :: update rest
-      in
-      update c.c_holds
+           { c with c_token_id = c.c_token_id + 1; c_pass = pass; c_memb = memb })
     in
     let i_am_rep = c.c_ring.rep = t.me in
     match (c.c_pass, t.phase) with
     | 1, Commit_wait cp when i_am_rep && Types.ring_id_equal cp.cp_ring c.c_ring ->
         (* Pass 1 returned: everyone filled their slot; spread the full
-           picture (pass 2) and enter recovery ourselves. *)
-        let r, actions = enter_recover t c order in
-        ignore r;
-        forward 2 c.c_memb :: actions
+           picture. *)
+        [ forward 2 c.c_memb ]
     | 1, Gather _ ->
         (* Fill my slot and pass it on. *)
         let memb =
@@ -732,45 +597,14 @@ and handle_commit t (c : Message.commit) =
           (Commit_wait { cp_ring = c.c_ring; cp_order = order })
           [ forward 1 memb; arm Formation_timeout t.params.consensus_timeout_ns ]
     | 2, Commit_wait cp when Types.ring_id_equal cp.cp_ring c.c_ring ->
-        if i_am_rep then
-          (* Our own pass 2 returned before we entered recovery; recover
-             now and launch pass 3 (exchange barrier) with our holds. *)
-          let r, actions = enter_recover t c order in
-          (forward ~holds:(merged_holds r) 3 c.c_memb :: actions)
-        else begin
-          let _, actions = enter_recover t c order in
-          forward 2 c.c_memb :: actions
-        end
-    | 2, Recover r when i_am_rep && Types.ring_id_equal r.r_ring c.c_ring ->
-        [ forward ~holds:(merged_holds r) 3 c.c_memb ]
-    | 3, Recover r when Types.ring_id_equal r.r_ring c.c_ring ->
-        if i_am_rep then
-          (* Pass 3 returned with the union of held messages: every member
-             flooded. Pass 4 verifies completeness and installs. *)
-          [ forward 4 c.c_memb ]
-        else [ forward ~holds:(merged_holds r) 3 c.c_memb ]
-    | 4, Recover r when Types.ring_id_equal r.r_ring c.c_ring ->
-        if missing_from_exchange t r c.c_holds = [] then
-          (* Complete. Install immediately even if our own flood queue is
-             still draining — the queue survives the install as [residual]
-             work, so peers still recovering are served while the new
-             ring's token starts rotating. Holding pass 4 here instead
-             would stall the already-installed members past token loss. *)
-          if i_am_rep then install t r
-          else forward 4 c.c_memb :: install t r
-        else begin
-          (* Some advertised messages have not arrived (floods still in
-             flight, or lost). Hold the commit token and re-check shortly;
-             the recheck requests retransmission of whatever is still
-             missing, and gives up into a re-gather only after repeated
-             nacks go unanswered. *)
-          r.r_pending <- Some c;
-          [ arm Exchange_recheck t.params.token_retransmit_ns ]
-        end
+        (* Every member recovers from pass 2 on. The representative's pass
+           2 has been all the way round, so its node's first token reaches
+           members already recovering. *)
+        if i_am_rep then enter_recover t c order
+        else forward 2 c.c_memb :: enter_recover t c order
     | _ ->
         (* Stale or duplicate commit traffic. *)
         []
-  end
   end
 
 (* ------------------------------------------------------------------ *)
@@ -787,28 +621,12 @@ and handle_data t msg (d : Message.data) =
       else
         (* Traffic from an unknown configuration: a merge candidate. *)
         enter_gather t
-  | Gather _ | Commit_wait _ ->
+  | Recover r when Types.ring_id_equal d.d_ring r.r_ring ->
+      take_recovered t r (Node.process r.r_node msg)
+  | Gather _ | Commit_wait _ | Recover _ ->
       if Types.ring_id_equal d.d_ring t.old_ring then
         Hashtbl.replace t.stash d.seq d;
       []
-  | Recover r ->
-      if
-        Types.ring_id_equal d.d_ring t.old_ring
-        && d.seq > r.r_min_aru
-        && d.seq <= r.r_max_high
-      then begin
-        Hashtbl.replace r.r_flood.exchange d.seq d;
-        (* If this arrival completes a held pass-4 verification, install
-           now instead of waiting out the next recheck tick — every
-           millisecond the token is held brings the already-installed
-           members closer to declaring token loss. *)
-        match r.r_pending with
-        | Some c when missing_from_exchange t r c.c_holds = [] ->
-            r.r_pending <- None;
-            handle_commit t c
-        | Some _ | None -> []
-      end
-      else []
 
 (* [msg] is [Message.Token tok], handed on to the node as it came. *)
 and handle_token t msg (tok : Message.token) =
@@ -818,41 +636,12 @@ and handle_token t msg (tok : Message.token) =
       if Types.ring_id_equal tok.t_ring (Engine.ring_id engine) then
         Node.process node msg
       else []
+  | Recover r when Types.ring_id_equal tok.t_ring r.r_ring ->
+      recover_visit t r msg tok
   | Gather _ | Commit_wait _ | Recover _ -> []
 
 (* ------------------------------------------------------------------ *)
 (* Timers                                                              *)
-
-(* Send one paced flood burst, in recovery or after the install: up to
-   [recovery_burst_msgs] messages, re-arming the timer while work
-   remains. Once the queue is empty the flood is quiescent, and the next
-   nack re-arms it; after the install the timer meanwhile counts out the
-   quiet interval that releases the flood. *)
-let drain_burst t fl =
-  let burst = ref [] in
-  let sent = ref 0 in
-  while !sent < recovery_burst_msgs && not (Deque.is_empty fl.q) do
-    match Deque.pop_front fl.q with
-    | None -> ()
-    | Some seq -> (
-        Hashtbl.remove fl.queued seq;
-        match Hashtbl.find_opt fl.exchange seq with
-        | Some d ->
-            burst := Participant.Multicast (Message.Data d) :: !burst;
-            incr sent
-        | None -> ())
-  done;
-  let remaining = Deque.length fl.q in
-  Flight.record ~node:t.me ~code:Flight.ev_burst ~a:!sent ~b:remaining ~c:0
-    ~d:0;
-  let follow =
-    if remaining > 0 then [ arm Flood_burst recovery_burst_gap_ns ]
-    else
-      match t.phase with
-      | Operational _ -> [ arm_quiet t ]
-      | Gather _ | Commit_wait _ | Recover _ -> []
-  in
-  List.rev !burst @ follow
 
 let fire_memb_timer t kind =
   match (kind, t.phase) with
@@ -894,69 +683,9 @@ let fire_memb_timer t kind =
         in
         actions @ [ arm Consensus_timeout t.params.consensus_timeout_ns ]
       end
-  | Formation_timeout, (Gather _ | Commit_wait _ | Recover _) ->
-      (* The commit token or the exchange stalled: start over. *)
+  | Formation_timeout, Commit_wait _ ->
+      (* The commit token stalled: start over. *)
       enter_gather t
-  | Exchange_recheck, Recover r -> (
-      match r.r_pending with
-      | None -> []
-      | Some c ->
-          let missing = missing_from_exchange t r c.c_holds in
-          if missing = [] then begin
-            (* Only our own flood queue was in the way (or the last
-               resends just landed): re-run the pass-4 decision. *)
-            r.r_pending <- None;
-            handle_commit t c
-          end
-          else begin
-            r.r_rechecks <- r.r_rechecks + 1;
-            Flight.record ~node:t.me ~code:Flight.ev_recheck
-              ~a:r.r_rechecks ~b:t.join_seq ~c:0 ~d:0;
-            if r.r_rechecks > 5 then begin
-              (* Repeated nacks went unanswered: every candidate
-                 holder is gone or partitioned away. This formation
-                 attempt cannot install consistently. *)
-              Flight.record ~node:t.me ~code:Flight.ev_recheck_giveup
-                ~a:r.r_rechecks ~b:t.join_seq ~c:0 ~d:0;
-              enter_gather t
-            end
-            else begin
-              (* Keep holding the pass-4 token and ask the designated
-                 holders to re-send what is still missing, as
-                 compacted ranges on the commit channel (pass 5). *)
-              let ranges = Recovery.compact missing in
-              Flight.record ~node:t.me ~code:Flight.ev_nack
-                ~a:(List.length missing) ~b:(List.length ranges)
-                ~c:r.r_rechecks ~d:0;
-              let nack : Message.commit =
-                {
-                  c_ring = r.r_ring;
-                  c_token_id = 0;
-                  c_pass = 5;
-                  c_memb = [ my_member_info t ];
-                  c_holds = [ (t.old_ring, Recovery.encode_ranges ranges) ];
-                }
-              in
-              [
-                Participant.Multicast (Message.Commit nack);
-                arm Exchange_recheck t.params.token_retransmit_ns;
-              ]
-            end
-          end)
-  | Flood_burst, Recover r -> drain_burst t r.r_flood
-  | Flood_burst, Operational _ -> (
-      (* Finish serving the old ring's exchange after installing, for
-         peers still recovering it; a fire that finds nothing queued
-         ends the quiet interval and releases the flood. *)
-      match t.residual with
-      | Some fl when Deque.is_empty fl.q ->
-          t.residual <- None;
-          []
-      | Some fl -> drain_burst t fl
-      | None -> [])
-  | Exchange_recheck, (Operational _ | Gather _ | Commit_wait _)
-  | Flood_burst, (Gather _ | Commit_wait _) ->
-      []
   | Merge_probe, Operational node ->
       let engine = Node.engine node in
       let members = Array.to_list (Engine.ring engine) in
@@ -968,7 +697,7 @@ let fire_memb_timer t kind =
         arm Merge_probe t.params.merge_probe_ns;
       ]
   | (Join_retransmit | Consensus_timeout), (Operational _ | Commit_wait _ | Recover _)
-  | Formation_timeout, Operational _
+  | Formation_timeout, (Operational _ | Gather _ | Recover _)
   | Merge_probe, (Gather _ | Commit_wait _ | Recover _) ->
       []
 
@@ -977,7 +706,7 @@ let fire_timer t timer =
   | Memb_timer kind -> fire_memb_timer t kind
   | Node.Engine_timer kind -> (
       match t.phase with
-      | Operational node -> (
+      | Operational node | Recover { r_node = node; _ } -> (
           let actions = Node.fire_timer node timer in
           match kind with
           | Engine.Token_retransmit -> actions
@@ -985,7 +714,7 @@ let fire_timer t timer =
               (* The node has recorded the loss and returned nothing:
                  leaving the ring is the membership algorithm's. *)
               enter_gather t)
-      | Gather _ | Commit_wait _ | Recover _ -> [])
+      | Gather _ | Commit_wait _ -> [])
   | _ -> []
 
 (* ------------------------------------------------------------------ *)
@@ -999,19 +728,22 @@ let submit t service payload =
 
 let receive t msg =
   match t.phase with
-  | Operational node -> (
+  | Operational node | Recover { r_node = node; _ } -> (
       match msg with
       | Message.Data _ | Message.Token _ -> Node.receive node msg
       | Message.Join _ | Message.Commit _ ->
           Deque.push_back t.inbox msg;
           `Queued)
-  | Gather _ | Commit_wait _ | Recover _ ->
+  | Gather _ | Commit_wait _ ->
       Deque.push_back t.inbox msg;
       `Queued
 
 let has_work t =
   (not (Deque.is_empty t.inbox))
-  || match t.phase with Operational node -> Node.has_work node | _ -> false
+  ||
+  match t.phase with
+  | Operational node | Recover { r_node = node; _ } -> Node.has_work node
+  | Gather _ | Commit_wait _ -> false
 
 let take_next t =
   (* Membership traffic first: it is rare and must never starve behind a
@@ -1020,8 +752,8 @@ let take_next t =
   | Some _ as some -> some
   | None -> (
       match t.phase with
-      | Operational node -> Node.take_next node
-      | Gather _ | Commit_wait _ | Recover _ -> None)
+      | Operational node | Recover { r_node = node; _ } -> Node.take_next node
+      | Gather _ | Commit_wait _ -> None)
 
 let process t msg =
   match msg with
@@ -1033,7 +765,10 @@ let process t msg =
 (* A pre-agreed ring is entered directly, as an install enters its ring. *)
 let start t =
   match t.initial_ring with
-  | Some ring -> operate t { rep = ring.(0); ring_seq = 1 } ring
+  | Some ring ->
+      let ring_id : Types.ring_id = { rep = ring.(0); ring_seq = 1 } in
+      let node = Node.create ~params:t.params ~ring_id ~ring ~me:t.me in
+      operate t ring_id ring node (Node.start node)
   | None -> enter_gather t
 
 let participant t : Participant.t =

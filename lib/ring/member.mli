@@ -20,49 +20,41 @@
       around the proposed ring; pass 1 collects each member's old-ring
       state (ring id, aru, highest sequence), pass 2 spreads the complete
       picture to everyone.
-    - {e Recover}: survivors of each old ring multicast ("flood") the
-      old-ring messages that some survivor may be missing — every message
-      between the survivors' minimum aru and maximum known sequence. The
-      flood is {e deduplicated} (per sequence number only its designated
-      holder — the highest-pid survivor holding it, computed identically
-      by everyone from the commit token's member infos — sends it) and
-      {e paced} (bursts of {!recovery_burst_msgs} spaced 400 µs apart,
-      the first burst staggered by ring position, so a small switch
-      buffer drains between bursts). Two
-      further commit-token passes (3 and 4) confirm that every member
-      finished the exchange; pass 4 installs the new configuration.
+    - {e Recover}: on pass 2 (the representative: when pass 2 returns)
+      every member builds the new ring's node, and the representative
+      starts its regular token. Survivors of each old ring re-send, as
+      new-ring data of the {!Types.Recovered} service, the old-ring
+      messages that some survivor may be missing — every message between
+      the survivors' minimum aru and maximum known sequence. Each is sent
+      once, by its designated holder (the highest-pid survivor sure to
+      hold it, computed identically by everyone from the commit token's
+      member infos); above every survivor's aru, by its sender if it
+      survives, else by each survivor holding it. They ride the token
+      like any other message: its window and [fcc] pace them, its [rtr]
+      repairs a lost one, and a lost token is the loss timeout's, as in
+      [Operational]. A recovering member forwards the token ahead of its
+      visit's data, so a burst cannot overfill a switch port ahead of
+      it. Client messages wait for the install.
+
+    {b Installation.} A member installs at the second successive token
+    visit that is quiet: it has nothing left to send, and the token
+    shows [fcc = 0], [aru = seq] and an empty [rtr]. Two in a row prove
+    that every member holds every recovery message and none is left to
+    send. It keeps the node it runs, and submits client messages only
+    after that visit, so all members install within one rotation.
 
     {b EVS delivery at installation.} Each member delivers, in order: the
     {e transitional configuration} (survivors of its old ring), the
-    remaining old-ring messages recovered by the exchange (in sequence
-    order — after the exchange all survivors hold the same set, so all
-    deliver the same messages in the same order), and finally the new
-    {e regular configuration}. Client messages not yet sequenced carry over
-    into the new configuration automatically.
-
-    {b Exchange retransmission} (DESIGN.md §5f): recovery floods are plain
-    multicasts, so packet loss during the exchange is expected. A member
-    holding the pass-4 commit token with advertised messages still missing
-    multicasts a cumulative nack — its missing sequence numbers as
-    compacted ranges, carried on the commit channel as a sentinel pass 5 —
-    and the designated holder re-floods them through its paced queue; the
-    k-th nack for a sequence number is answered by the k-th candidate
-    holder, rotating past crashed donors. Only after repeated nacks go
-    unanswered does the member give up and re-gather.
-
-    {b Flood across install.} A member installs as soon as its exchange is
-    complete, even with its own paced queue still draining: the same flood
-    state (exchange table, queue, nack counts) moves into the operational
-    phase, where it keeps bursting and answering pass-5 nacks for peers
-    still recovering the old ring. Once its queue has stayed empty for one
-    formation timeout ([consensus_timeout_ns]) the member drops it; a
-    later nack gets no answer, and the straggler's own formation timeout
-    re-gathers it. Leaving the operational phase drops it too.
+    old-ring messages it has not yet delivered (in sequence order — by
+    the install all survivors hold the same set, so all deliver the same
+    messages in the same order), and finally the new {e regular
+    configuration}. Client messages not yet sequenced carry over into the
+    new configuration automatically.
 
     {b Timers.} A membership key names its one pending timer
     ({!Participant.Arm_timer}). Every phase change returns the disarms of
-    all six membership keys ahead of the new phase's arms, and leaving
-    the operational phase also disarms the node's two engine keys
+    all four membership keys ahead of the new phase's arms, and leaving
+    [Operational] or [Recover] also disarms the node's two engine keys
     ({!Node.disarm_timers}), so no runtime fires a timer that a past
     phase armed. *)
 
@@ -73,14 +65,6 @@ type memb_timer_kind =
   | Consensus_timeout
   | Formation_timeout
   | Merge_probe
-  | Exchange_recheck
-      (** Re-examine a held-back pass-4 commit once late recovery floods
-          have had a chance to arrive; requests retransmission of whatever
-          is still missing. *)
-  | Flood_burst
-      (** Send the next paced burst from the recovery flood queue, in
-          recovery or after the install; after the install, with the
-          queue empty, it times the quiet interval that drops the flood. *)
 
 type Participant.timer +=
   | Memb_timer of memb_timer_kind
@@ -89,8 +73,8 @@ type Participant.timer +=
             so each token visit supersedes the last one's) and come back
             through the participant's [fire_timer] to the node. The
             loss timer's fire is also the member's: once the node has
-            recorded the loss, the member leaves [Operational] for
-            Gather. *)
+            recorded the loss, the member leaves [Operational] (or
+            [Recover]) for Gather. *)
 
 type t
 
@@ -104,10 +88,6 @@ val create :
     peers through the membership algorithm. With [?initial_ring] it starts
     directly operational in that pre-agreed configuration (ring_seq 1) —
     the usual production bootstrap where all daemons share a config file. *)
-
-val recovery_burst_msgs : int
-(** The most recovery-flood messages one paced burst multicasts (8).
-    Bursts are 400 µs apart. *)
 
 val participant : t -> Participant.t
 (** The uniform runtime interface (see {!Participant}). *)
@@ -134,8 +114,3 @@ val node : t -> Node.t option
 
 val installs : t -> int
 (** Number of configurations installed so far. *)
-
-val holds_residual_flood : t -> bool
-(** Whether the member, operational, still holds its last recovery
-    exchange's flood to answer nacks from: from the install until the
-    flood has been quiet for one formation timeout. *)

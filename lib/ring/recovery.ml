@@ -1,34 +1,6 @@
 open Aring_wire
 
 (* ------------------------------------------------------------------ *)
-(* Range compaction                                                    *)
-
-let compact seqs =
-  match List.sort_uniq compare seqs with
-  | [] -> []
-  | first :: rest ->
-      let rec go lo hi acc = function
-        | [] -> List.rev ((lo, hi) :: acc)
-        | s :: tl ->
-            if s = hi + 1 then go lo s acc tl
-            else go s s ((lo, hi) :: acc) tl
-      in
-      go first first [] rest
-
-let expand ranges =
-  List.concat_map
-    (fun (lo, hi) -> if lo > hi then [] else List.init (hi - lo + 1) (fun i -> lo + i))
-    ranges
-
-let encode_ranges ranges =
-  List.concat_map (fun (lo, hi) -> [ lo; hi ]) ranges
-
-let rec decode_ranges = function
-  | [] -> []
-  | [ x ] -> [ (x, x) ]
-  | lo :: hi :: rest -> (lo, hi) :: decode_ranges rest
-
-(* ------------------------------------------------------------------ *)
 (* Designated-holder election                                          *)
 
 (* Sorting the filtered pid lists descending keeps the election a pure
@@ -60,8 +32,3 @@ let holders ~infos ~old_ring seq =
 
 let designated ~infos ~old_ring seq =
   match holders ~infos ~old_ring seq with [] -> None | p :: _ -> Some p
-
-let designated_nth ~infos ~old_ring ~nth seq =
-  match holders ~infos ~old_ring seq with
-  | [] -> None
-  | candidates -> List.nth_opt candidates (nth mod List.length candidates)

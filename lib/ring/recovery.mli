@@ -1,39 +1,14 @@
-(** Recovery-exchange arithmetic: cumulative-nack range compaction and
-    designated-holder election.
+(** Recovery's designated-holder election.
 
-    Both are pure functions of data every survivor already shares — the
-    commit token's member-info slots and plain sequence-number lists — so
-    every survivor computes identical answers from its local copy, with
-    no extra agreement round. The member uses them to deduplicate the
-    recovery flood (only the designated holder of a sequence number
-    multicasts it), to compact a recheck's missing set into ranges small
-    enough to ride in a commit-token nack, and to walk the candidate
-    list deterministically when a designated holder fails to respond. *)
+    A pure function of data every survivor already shares — the commit
+    token's member-info slots — so every survivor computes the same
+    answer from its local copy, with no extra agreement round. The member
+    uses it to deduplicate recovery: of the survivors holding an old-ring
+    message that some survivor may miss, only the designated one re-sends
+    it on the new ring, where the token's window, fcc and rtr pace and
+    repair it like any other message. *)
 
 open Aring_wire
-
-(** {2 Range compaction} *)
-
-val compact : Types.seqno list -> (Types.seqno * Types.seqno) list
-(** [compact seqs] is the minimal list of inclusive [(lo, hi)] ranges
-    covering exactly the set of [seqs]: sorted ascending, duplicate-free,
-    non-overlapping, non-adjacent. Input order and duplicates are
-    irrelevant. *)
-
-val expand : (Types.seqno * Types.seqno) list -> Types.seqno list
-(** Inverse of {!compact} on well-formed ranges: the covered sequence
-    numbers, ascending. Empty ranges ([lo > hi]) contribute nothing. *)
-
-val encode_ranges : (Types.seqno * Types.seqno) list -> Types.seqno list
-(** Flatten ranges to [lo1; hi1; lo2; hi2; ...] so they travel in the
-    commit token's existing per-ring seqno-list channel ([c_holds])
-    without any wire-format change. *)
-
-val decode_ranges : Types.seqno list -> (Types.seqno * Types.seqno) list
-(** Inverse of {!encode_ranges}. A trailing odd element (malformed) is
-    treated as the singleton range [(x, x)]. *)
-
-(** {2 Designated-holder election} *)
 
 val holders :
   infos:Message.member_info list ->
@@ -52,18 +27,8 @@ val designated :
   old_ring:Types.ring_id ->
   Types.seqno ->
   Types.pid option
-(** The head of {!holders}: the single survivor expected to flood [seq].
-    Identical at every survivor that shares the commit token's member
-    info, so each exchange-range message is flooded exactly once. *)
-
-val designated_nth :
-  infos:Message.member_info list ->
-  old_ring:Types.ring_id ->
-  nth:int ->
-  Types.seqno ->
-  Types.pid option
-(** The [nth] candidate of {!holders} (0 = {!designated}), used to
-    re-elect a responder after repeated nacks for the same sequence
-    number: the k-th nack is answered by candidate [(k - 1) mod
-    length holders], so a crashed or deaf designated holder is routed
-    around without re-gathering. [None] when no candidate exists. *)
+(** The head of {!holders}: the single survivor expected to re-send
+    [seq]. Identical at every survivor that shares the commit token's
+    member info. It is sure to hold [seq] whenever some survivor's
+    [m_aru >= seq]; above every survivor's aru no holder is sure, and
+    the member has each survivor holding [seq] re-send it. *)

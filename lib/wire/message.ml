@@ -41,7 +41,6 @@ type commit = {
   c_token_id : int;
   c_pass : int;
   c_memb : member_info list;
-  c_holds : (ring_id * seqno list) list;
 }
 
 type t =
@@ -61,13 +60,19 @@ let tag_token = 2
 let tag_join = 3
 let tag_commit = 4
 
-let service_tag = function Fifo -> 0 | Causal -> 1 | Agreed -> 2 | Safe -> 3
+let service_tag = function
+  | Fifo -> 0
+  | Causal -> 1
+  | Agreed -> 2
+  | Safe -> 3
+  | Recovered -> 4
 
 let service_of_tag = function
   | 0 -> Fifo
   | 1 -> Causal
   | 2 -> Agreed
   | 3 -> Safe
+  | 4 -> Recovered
   | n -> raise (Codec.Decode_error (Printf.sprintf "invalid service tag %d" n))
 
 (* A single serializer parametrized over the output sink guarantees the
@@ -153,13 +158,7 @@ let write_message w m =
       w.w_i64 c.c_token_id;
       w.w_i64 c.c_pass;
       w.w_count (List.length c.c_memb);
-      List.iter (write_member_info w) c.c_memb;
-      w.w_count (List.length c.c_holds);
-      List.iter
-        (fun (ring, seqs) ->
-          write_ring_id w ring;
-          write_i64_list w seqs)
-        c.c_holds
+      List.iter (write_member_info w) c.c_memb
 
 let encode m =
   let e = Codec.encoder () in
@@ -221,13 +220,7 @@ let decode_from d =
       let c_token_id = Codec.read_i64 d in
       let c_pass = Codec.read_i64 d in
       let c_memb = Codec.read_list d (fun () -> read_member_info d) in
-      let c_holds =
-        Codec.read_list d (fun () ->
-            let ring = read_ring_id d in
-            let seqs = Codec.read_list d (fun () -> Codec.read_i64 d) in
-            (ring, seqs))
-      in
-      Commit { c_ring; c_token_id; c_pass; c_memb; c_holds }
+      Commit { c_ring; c_token_id; c_pass; c_memb }
     end
     else raise (Codec.Decode_error (Printf.sprintf "unknown message tag %d" tag))
   in
@@ -303,12 +296,7 @@ let wire_size = function
       + (8 * List.length j.fail_set)
       + 8
   | Commit c ->
-      1 + ring_id_size + 8 + 8 + 4
-      + (48 * List.length c.c_memb)
-      + 4
-      + List.fold_left
-          (fun acc (_, seqs) -> acc + ring_id_size + 4 + (8 * List.length seqs))
-          0 c.c_holds
+      1 + ring_id_size + 8 + 8 + 4 + (48 * List.length c.c_memb)
 
 let pp ppf = function
   | Data d ->

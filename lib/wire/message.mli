@@ -13,7 +13,12 @@
       token is retransmitted after a suspected loss.
     - {b Join} messages drive the gather stage of the membership algorithm.
     - {b Commit} tokens circulate (twice) around a proposed new ring to
-      commit a membership and exchange recovery information. *)
+      commit a membership and spread each member's old-ring state.
+
+    Recovery needs no message kind of its own: an old ring's message is
+    re-sent as new-ring data of the {!Types.Recovered} service, whose
+    payload is the old message's frame. The service byte carries the
+    mark, so a data frame's header does not grow. *)
 
 open Types
 
@@ -59,17 +64,10 @@ type commit = {
   c_ring : ring_id;  (** Proposed new ring identifier. *)
   c_token_id : int;
   c_pass : int;
-      (** 1: collect members' old-ring state; 2: spread it; 3: barrier
-          after the recovery exchange, accumulating which old-ring
-          messages the survivors collectively hold; 4: verify the
-          exchange completed and install. *)
+      (** 1: collect members' old-ring state; 2: spread it. A member
+          handling pass 2 (the representative: when it returns) starts
+          recovering on the new ring's regular token. *)
   c_memb : member_info list;  (** Proposed membership, in ring order. *)
-  c_holds : (ring_id * seqno list) list;
-      (** Per old ring: the union of exchange-range sequence numbers held
-          by the survivors, accumulated during pass 3. A member missing
-          any of them at pass 4 must not install silently (it re-gathers
-          instead), keeping survivors' delivered sets identical even when
-          recovery floods are lost. *)
 }
 
 type t =
@@ -133,7 +131,8 @@ val decode_result : bytes -> (t, string) result
     proportionally to a corrupted length field. *)
 
 val service_tag : Types.service -> int
-(** The service's byte on the wire: 0 to 3. *)
+(** The service's byte on the wire: 0 to 3 for a client's service, 4 for
+    {!Types.Recovered}. *)
 
 val service_of_tag : int -> Types.service
 (** The service whose {!service_tag} is the argument.

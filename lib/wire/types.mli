@@ -32,6 +32,12 @@ type service =
   | Safe
       (** Delivered only once every member of the configuration is known to
           have received the message (stability). *)
+  | Recovered
+      (** Recovery traffic, not a client's service: an old ring's message
+          re-sent under a new ring's token while that ring recovers. Its
+          payload is the old message's frame ({!Message.encode}). Ordered
+          like {!Agreed}; the membership layer takes each delivery, so no
+          application receives one. *)
 
 val service_equal : service -> service -> bool
 

@@ -619,7 +619,7 @@ let test_stale_memb_timer_is_ignored () =
 
 let prop_evs_agreement_under_loss =
   QCheck.Test.make
-    ~name:"EVS set agreement survives loss during recovery (holds check)"
+    ~name:"EVS set agreement survives loss during recovery (quiet-token install)"
     ~count:10
     QCheck.(int_range 1 995)
     (fun seed ->
@@ -636,9 +636,9 @@ let prop_evs_agreement_under_loss =
       Netsim.run_until c.sim (ms 4000);
       let alive = List.filter (fun i -> i <> victim) [ 0; 1; 2; 3 ] in
       check_per_ring_order c alive;
-      (* The pass-3/4 holds check guarantees: members with identical view
-         histories delivered identical sets even though recovery floods
-         may have been lost. *)
+      (* Installing only on two quiet token visits guarantees: members
+         with identical view histories delivered identical sets even
+         though recovery messages may have been lost. *)
       let view_history i =
         List.map
           (fun (v : Participant.view) -> (v.view_id, v.members, v.transitional))
@@ -695,30 +695,7 @@ let prop_random_partition_schedules =
         all)
 
 (* -------------------------------------------------------------------- *)
-(* Recovery exchange: range compaction, holder election, pacing, resends *)
-
-let prop_nack_range_compaction =
-  QCheck.Test.make ~name:"nack range compaction is canonical and lossless"
-    ~count:200
-    QCheck.(small_list (int_range 0 500))
-    (fun seqs ->
-      let ranges = Recovery.compact seqs in
-      (* Canonical: sorted, non-empty, non-overlapping, non-adjacent. *)
-      let rec canonical = function
-        | [] -> true
-        | [ (lo, hi) ] -> lo <= hi
-        | (lo, hi) :: ((lo', _) :: _ as rest) ->
-            lo <= hi && hi + 1 < lo' && canonical rest
-      in
-      let sorted_dedup = List.sort_uniq compare seqs in
-      (* Lossless through the compact/expand pair... *)
-      canonical ranges
-      && Recovery.expand ranges = sorted_dedup
-      (* ...and through the wire flattening used by pass-5 nacks. *)
-      && Recovery.decode_ranges (Recovery.encode_ranges ranges) = ranges
-      && Recovery.expand
-           (Recovery.decode_ranges (Recovery.encode_ranges ranges))
-         = sorted_dedup)
+(* Recovery: holder election, repair on the new ring's token            *)
 
 (* Random member-info slates for the election properties: a handful of
    survivors of one old ring (plus a decoy from a foreign ring that must
@@ -784,58 +761,57 @@ let prop_designated_holder_election =
                holders
           (* The designated holder is the head of the candidate list and
              invariant under permutation of the member-info slate — every
-             survivor elects the same flooder from its local copy. *)
+             survivor elects the same sender from its local copy. *)
           && Recovery.designated ~infos ~old_ring:ring seq
              = (match holders with [] -> None | h :: _ -> Some h)
           && Recovery.designated
                ~infos:(shuffle_by shuffle_seed infos)
                ~old_ring:ring seq
              = Recovery.designated ~infos ~old_ring:ring seq
-          (* designated_nth walks the candidate list, wrapping modulo its
-             length so repeated nacks rotate through every holder. *)
-          && List.for_all
-               (fun nth ->
-                 Recovery.designated_nth ~infos ~old_ring:ring ~nth seq
-                 =
-                 match holders with
-                 | [] -> None
-                 | _ -> List.nth_opt holders (nth mod List.length holders))
-               [ 0; 1; 2; 5; 9 ])
+          (* A seqno some survivor's aru covers has a sure holder, and the
+             designated one is sure: recovery re-sends it from there
+             alone. *)
+          && (let sure pid =
+                List.exists
+                  (fun (m : Message.member_info) ->
+                    m.m_pid = pid
+                    && Types.ring_id_equal m.m_old_ring ring
+                    && m.m_aru >= seq)
+                  infos
+              in
+              match Recovery.designated ~infos ~old_ring:ring seq with
+              | Some pid -> sure pid || not (List.exists sure (List.map (fun (m : Message.member_info) -> m.m_pid) infos))
+              | None -> true))
         seqs)
 
-(* A burst of floods is dropped wholesale during the exchange: the
-   recheck's cumulative nack must bring the messages back via holder
-   resends, without abandoning the formation (no extra gather, so the
-   survivors stay at exactly two installations: bootstrap + one
-   reformation). *)
-let test_lost_flood_recovered_without_regather () =
-  (* The default 512-record ring holds only a run's tail; a 2 s run's
-     steady-state token traffic would overwrite the recovery events we
-     assert on, so give the recorder room for the whole run. *)
+(* Node 3 is starved of data before node 1 crashes, so the survivors'
+   recovery must re-send it old-ring messages; then the first copy of
+   every recovery message to node 3 is lost as well. Only the new ring's
+   token can bring them back: its rtr asks for each one and a holder
+   retransmits it. The formation completes without re-gathering (each
+   survivor installs exactly twice: bootstrap + one reformation), and
+   node 3 delivers the old ring's messages its peers deliver. *)
+let test_lost_recovery_message_repaired_by_rtr () =
+  (* The default 512-record ring holds only a run's tail; give the
+     recorder room for the whole run's retransmissions. *)
   Aring_obs.Flight.set_capacity 65536;
   let c = make_cluster ~n:4 () in
   for k = 1 to 40 do
     Netsim.call_at c.sim ~at:(k * 200_000) (fun () ->
         submit c (k mod 4) Types.Agreed (Printf.sprintf "f%d" k))
   done;
-  (* Starve node 3 of every data multicast from 5 ms on, then crash
-     node 1 at 8 ms: the messages sequenced in [5, 8) ms never reach
-     node 3, and with the ring token dead there is no retransmission
-     path — at formation (~58 ms, token loss) node 3 genuinely misses
-     exchange messages its peers advertise. Keeping the starvation up
-     through the exchange also swallows the designated holders' floods
-     and their first resends, so recovery must go the full recheck →
-     cumulative-nack → holder-resend route. The window closes at 85 ms,
-     inside the 5-recheck budget (10 ms apart), so the formation
-     completes without ever re-gathering. *)
-  let drop_to_3 ~src:_ ~dst = function
-    | Message.Data _ -> dst = 3
+  let lost = Hashtbl.create 64 in
+  let drop ~src:_ ~dst = function
+    | Message.Data { service = Types.Recovered; d_ring; seq; _ } when dst = 3 ->
+        (* The first copy of each recovery message. *)
+        let first = not (Hashtbl.mem lost (d_ring, seq)) in
+        Hashtbl.replace lost (d_ring, seq) ();
+        first
+    | Message.Data _ -> dst = 3 && Netsim.now c.sim < ms 8
     | _ -> false
   in
-  Netsim.call_at c.sim ~at:(ms 5) (fun () -> Netsim.set_drop c.sim drop_to_3);
+  Netsim.call_at c.sim ~at:(ms 5) (fun () -> Netsim.set_drop c.sim drop);
   Netsim.call_at c.sim ~at:(ms 8) (fun () -> Netsim.crash c.sim 1);
-  Netsim.call_at c.sim ~at:(ms 85) (fun () ->
-      Netsim.set_drop c.sim (fun ~src:_ ~dst:_ _ -> false));
   Netsim.run_until c.sim (ms 2000);
   let survivors = [ 0; 2; 3 ] in
   List.iter
@@ -850,17 +826,28 @@ let test_lost_flood_recovered_without_regather () =
         (Member.installs c.members.(i)))
     survivors;
   check_per_ring_order c survivors;
-  (* The exchange was actually wounded and healed through the nack path:
-     at least one cumulative nack and one holder resend are on record. *)
-  let records = Aring_obs.Flight.records () in
-  let count code =
-    List.length
-      (List.filter (fun r -> r.Aring_obs.Flight.code = code) records)
+  check Alcotest.bool "recovery messages to node 3 were lost" true
+    (Hashtbl.length lost > 0);
+  let old_ring : Types.ring_id = { rep = 0; ring_seq = 1 } in
+  let old_messages i =
+    List.filter_map
+      (fun (f, s, r, p) ->
+        if Types.ring_id_equal r old_ring then Some (f, s, p) else None)
+      (messages c i)
   in
-  check Alcotest.bool "a cumulative nack was sent" true
-    (count Aring_obs.Flight.ev_nack > 0);
-  check Alcotest.bool "a holder answered with a resend" true
-    (count Aring_obs.Flight.ev_resend > 0);
+  check Alcotest.int "node 3 delivers the old ring's messages node 0 does"
+    (List.length (old_messages 0)) (List.length (old_messages 3));
+  (* Each lost message came back as a retransmission on the new ring. *)
+  let new_ring = (Option.get (Member.current_view c.members.(0))).view_id in
+  let retransmitted =
+    List.filter
+      (fun (r : Aring_obs.Flight.event) ->
+        r.code = Aring_obs.Flight.ev_data_send && r.c = 1
+        && Types.ring_id_equal (Aring_obs.Flight.unpack_ring r.e) new_ring)
+      (Aring_obs.Flight.records ())
+  in
+  check Alcotest.bool "the new ring's rtr retransmitted them" true
+    (List.length retransmitted >= Hashtbl.length lost);
   Aring_obs.Flight.set_capacity 512
 
 (* A second member dies while the survivors are mid-exchange for the
@@ -874,9 +861,14 @@ let test_donor_crash_mid_exchange () =
         submit c (k mod 5) Types.Agreed (Printf.sprintf "d%d" k))
   done;
   Netsim.call_at c.sim ~at:(ms 8) (fun () -> Netsim.crash c.sim 1);
-  (* ~62 ms: the reformation for the first crash is in its recovery
-     exchange (detection at ~58 ms). *)
-  Netsim.call_at c.sim ~at:(ms 62) (fun () -> Netsim.crash c.sim 2);
+  (* Node 2 crashes as soon as the representative starts recovering for
+     the first crash, with the new ring's token just started. *)
+  while Member.state_name c.members.(0) <> "recover" && Netsim.now c.sim < ms 1000 do
+    Netsim.run_until c.sim (Netsim.now c.sim + 10_000)
+  done;
+  check Alcotest.string "the survivors are recovering" "recover"
+    (Member.state_name c.members.(0));
+  Netsim.crash c.sim 2;
   Netsim.run_until c.sim (ms 2500);
   let survivors = [ 0; 3; 4 ] in
   List.iter
@@ -902,172 +894,6 @@ let test_donor_crash_mid_exchange () =
         true
         (List.exists (fun (_, _, p) -> p = Printf.sprintf "d%d" k) s0)
   done
-
-(* Every paced flood burst must respect the configured burst budget —
-   the whole point of pacing is that a small switch buffer never sees
-   more than [recovery_burst_msgs] back-to-back exchange multicasts. *)
-let test_paced_bursts_respect_budget () =
-  Aring_obs.Flight.set_capacity 65536;
-  let c = make_cluster ~n:4 () in
-  (* Dense traffic right up to the crash, with node 3 starved of the
-     last 3 ms of multicasts (and no token to retransmit them), leaves
-     the exchange a real backlog to flood — enough to need several
-     paced bursts. *)
-  for k = 1 to 80 do
-    Netsim.call_at c.sim ~at:(k * 100_000) (fun () ->
-        submit c (k mod 4) Types.Agreed (Printf.sprintf "b%d" k))
-  done;
-  let drop_to_3 ~src:_ ~dst = function
-    | Message.Data _ -> dst = 3
-    | _ -> false
-  in
-  Netsim.call_at c.sim ~at:(ms 5) (fun () -> Netsim.set_drop c.sim drop_to_3);
-  Netsim.call_at c.sim ~at:(ms 8) (fun () ->
-      Netsim.crash c.sim 1;
-      Netsim.set_drop c.sim (fun ~src:_ ~dst:_ _ -> false));
-  Netsim.run_until c.sim (ms 2000);
-  List.iter
-    (fun i ->
-      check Alcotest.string
-        (Printf.sprintf "survivor %d operational" i)
-        "operational"
-        (Member.state_name c.members.(i)))
-    [ 0; 2; 3 ];
-  let bursts =
-    List.filter
-      (fun r -> r.Aring_obs.Flight.code = Aring_obs.Flight.ev_burst)
-      (Aring_obs.Flight.records ())
-  in
-  check Alcotest.bool "exchange used paced bursts" true (bursts <> []);
-  List.iter
-    (fun (r : Aring_obs.Flight.event) ->
-      if r.a > Member.recovery_burst_msgs then
-        Alcotest.failf "node %d burst %d messages (budget %d)" r.node r.a
-          Member.recovery_burst_msgs)
-    bursts;
-  Aring_obs.Flight.set_capacity 512
-
-(* Node 3 is starved of data before node 1 crashes, which leaves
-   messages in the survivors' exchange. Returns the cluster just after
-   node 0 installs the survivors' ring, with node 3's cumulative nack
-   for the old ring's first 64 messages, and a counter of node 0's
-   recorded resends. *)
-let residual_scenario () =
-  let c = make_cluster ~n:4 () in
-  for k = 1 to 40 do
-    Netsim.call_at c.sim ~at:(k * 200_000) (fun () ->
-        submit c (k mod 4) Types.Agreed (Printf.sprintf "r%d" k))
-  done;
-  let drop_to_3 ~src:_ ~dst = function
-    | Message.Data _ -> dst = 3
-    | _ -> false
-  in
-  Netsim.call_at c.sim ~at:(ms 5) (fun () -> Netsim.set_drop c.sim drop_to_3);
-  Netsim.call_at c.sim ~at:(ms 8) (fun () ->
-      Netsim.crash c.sim 1;
-      Netsim.set_drop c.sim (fun ~src:_ ~dst:_ _ -> false));
-  let m = c.members.(0) in
-  while Member.installs m < 2 && Netsim.now c.sim < ms 1000 do
-    Netsim.run_until c.sim (Netsim.now c.sim + 100_000)
-  done;
-  check Alcotest.int "node 0 reformed once" 2 (Member.installs m);
-  let old_ring : Types.ring_id = { rep = 0; ring_seq = 1 } in
-  let nack : Message.commit =
-    {
-      c_ring = (Option.get (Member.current_view m)).view_id;
-      c_token_id = 0;
-      c_pass = 5;
-      c_memb =
-        [
-          {
-            m_pid = 3;
-            m_old_ring = old_ring;
-            m_aru = 0;
-            m_high_seq = 0;
-            m_high_delivered = 0;
-          };
-        ];
-      c_holds =
-        [
-          ( old_ring,
-            Recovery.encode_ranges
-              (Recovery.compact (List.init 64 (fun i -> i + 1))) );
-        ];
-    }
-  in
-  let resends () =
-    List.length
-      (List.filter
-         (fun (r : Aring_obs.Flight.event) ->
-           r.code = Aring_obs.Flight.ev_resend && r.node = 0 && r.a > 0)
-         (Aring_obs.Flight.records ()))
-  in
-  (c, m, nack, resends)
-
-(* An installed member still answers pass-5 nacks for the ring it
-   recovered, from the flood it carried across the install, so a
-   straggler can finish that exchange without forcing a re-gather. 20 ms
-   after node 0's install, well within the quiet interval of one
-   formation timeout, node 3's nack for the old ring reaches node 0
-   twice: from the second nack on, every holder answers. *)
-let test_residual_flood_answers_nack () =
-  let c, m, nack, resends = residual_scenario () in
-  Netsim.run_until c.sim (Netsim.now c.sim + ms 20);
-  check Alcotest.string "node 0 operational" "operational" (Member.state_name m);
-  check Alcotest.bool "node 0 still holds the flood" true
-    (Member.holds_residual_flood m);
-  let old_ring = (List.hd nack.c_memb).m_old_ring in
-  let before = resends () in
-  let p = Member.participant m in
-  let actions =
-    let first = p.Participant.process (Message.Commit nack) in
-    first @ p.Participant.process (Message.Commit nack)
-  in
-  check Alcotest.bool "a resend is recorded" true (resends () > before);
-  check Alcotest.string "still operational" "operational" (Member.state_name m);
-  let burst =
-    List.find_map
-      (function
-        | Participant.Arm_timer
-            ((Member.Memb_timer Member.Flood_burst as timer), _) ->
-            Some timer
-        | _ -> None)
-      actions
-  in
-  let burst =
-    match burst with
-    | Some timer -> p.Participant.fire_timer timer
-    | None -> Alcotest.fail "no flood burst armed"
-  in
-  let resent =
-    List.filter
-      (function
-        | Participant.Multicast (Message.Data d) ->
-            Types.ring_id_equal d.d_ring old_ring
-        | _ -> false)
-      burst
-  in
-  check Alcotest.bool "the old ring's messages are multicast" true (resent <> [])
-
-(* Once its flood has been quiet for one formation timeout, a member
-   drops it: the same nacks, sent 300 ms after the install (the flood's
-   queue empties within a few ms, and the timeout is 100 ms), get no
-   resend, and the member stays operational. *)
-let test_residual_flood_released_once_quiet () =
-  let c, m, nack, resends = residual_scenario () in
-  Netsim.run_until c.sim (Netsim.now c.sim + ms 300);
-  check Alcotest.int "no further install" 2 (Member.installs m);
-  check Alcotest.bool "the flood is released" false
-    (Member.holds_residual_flood m);
-  let before = resends () in
-  let p = Member.participant m in
-  let actions =
-    let first = p.Participant.process (Message.Commit nack) in
-    first @ p.Participant.process (Message.Commit nack)
-  in
-  check Alcotest.int "no resend is recorded" before (resends ());
-  check Alcotest.int "the nacks get no answer" 0 (List.length actions);
-  check Alcotest.string "still operational" "operational" (Member.state_name m)
 
 (* Recovery at ring scale: 64 bootstrapped nodes lose one member and
    must re-form within the health watchdog's formation-attempt budget —
@@ -1106,6 +932,68 @@ let test_64_node_reformation_within_budget () =
           nr.nr_node nr.nr_max_attempts
           Aring_obs.Health.default_config.Aring_obs.Health.k_formation)
     report.Aring_obs.Health.r_nodes
+
+(* A member in Recover runs the new ring's node: the representative's
+   first token is processed and forwarded, not dropped, and the second
+   quiet visit installs the ring. Driven out-of-band: member 1 takes
+   commit passes 1 and 2 of ring (0.5) from representative 0, then two
+   regular tokens of that ring. *)
+let test_recovering_member_keeps_token () =
+  let m = Member.create ~params:Params.snappy ~me:1 () in
+  let p = Member.participant m in
+  ignore (p.Participant.start ());
+  let ring : Types.ring_id = { rep = 0; ring_seq = 5 } in
+  let info pid : Message.member_info =
+    {
+      m_pid = pid;
+      m_old_ring = { rep = pid; ring_seq = 0 };
+      m_aru = 0;
+      m_high_seq = 0;
+      m_high_delivered = 0;
+    }
+  in
+  let commit pass : Message.t =
+    Message.Commit
+      { c_ring = ring; c_token_id = pass; c_pass = pass; c_memb = [ info 0; info 1 ] }
+  in
+  ignore (p.Participant.process (commit 1));
+  check Alcotest.string "pass 1 commits" "commit" (Member.state_name m);
+  let pass2 = p.Participant.process (commit 2) in
+  check Alcotest.string "pass 2 starts recovery" "recover" (Member.state_name m);
+  check Alcotest.bool "pass 2 goes on to the representative" true
+    (List.exists
+       (function
+         | Participant.Unicast (0, Message.Commit { c_pass = 2; _ }) -> true
+         | _ -> false)
+       pass2);
+  let token id : Message.t =
+    Message.Token { (Engine.initial_token ring) with token_id = id; t_round = id }
+  in
+  let forwarded actions =
+    List.exists
+      (function
+        | Participant.Unicast (0, Message.Token tok) ->
+            Types.ring_id_equal tok.t_ring ring
+        | _ -> false)
+      actions
+  in
+  let first = p.Participant.process (token 0) in
+  check Alcotest.bool "the first token is forwarded" true (forwarded first);
+  check Alcotest.string "one quiet visit: still recovering" "recover"
+    (Member.state_name m);
+  let second = p.Participant.process (token 2) in
+  check Alcotest.bool "the second token is forwarded" true (forwarded second);
+  check Alcotest.string "two quiet visits install" "operational"
+    (Member.state_name m);
+  let views =
+    List.filter_map
+      (function Participant.Deliver_config v -> Some v | _ -> None)
+      second
+  in
+  check (Alcotest.list Alcotest.bool) "transitional, then regular view"
+    [ true; false ]
+    (List.map (fun (v : Participant.view) -> v.transitional) views);
+  check Alcotest.int "one install" 1 (Member.installs m)
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -1202,20 +1090,17 @@ let suite =
     ("join during commit is absorbed", `Quick, test_join_during_commit_is_absorbed);
     ("stale membership timer is ignored", `Quick, test_stale_memb_timer_is_ignored);
     ("torn-down node's timer is ignored", `Quick, test_torn_down_node_timer_is_ignored);
-    ("lost flood recovered without re-gather", `Quick,
-      test_lost_flood_recovered_without_regather);
+    ("a lost recovery message is repaired by the token's rtr without a re-gather",
+      `Quick, test_lost_recovery_message_repaired_by_rtr);
     ("donor crash mid-exchange", `Quick, test_donor_crash_mid_exchange);
-    ("paced bursts respect budget", `Quick, test_paced_bursts_respect_budget);
     ("64-node reformation within budget", `Slow,
       test_64_node_reformation_within_budget);
     qtest prop_crash_schedule_preserves_order;
     qtest prop_safe_messages_delivered_at_all_survivors;
     qtest prop_evs_agreement_under_loss;
     qtest prop_random_partition_schedules;
-    qtest prop_nack_range_compaction;
     qtest prop_designated_holder_election;
-    ("residual flood answers a nack", `Quick, test_residual_flood_answers_nack);
-    ("residual flood released once quiet", `Quick,
-      test_residual_flood_released_once_quiet);
     ("token loss fire starts gather", `Quick, test_token_loss_fire_starts_gather);
+    ("a recovering member keeps the new ring's token", `Quick,
+      test_recovering_member_keeps_token);
   ]

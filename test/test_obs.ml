@@ -676,7 +676,7 @@ let test_span_collectors_nest () =
 module Health = Aring_obs.Health
 
 let phase node p = record ~node Flight.ev_phase ~a:p ~b:0 ~d:0
-let recheck node = record ~node Flight.ev_recheck ~a:1 ~b:0 ~d:0
+let flood node = record ~node Flight.ev_flood ~a:3 ~b:0 ~d:0
 let delivery () = record ~node:0 Flight.ev_deliver ~a:1 ~b:0 ~d:0
 let crash node = record ~node Flight.ev_crash ~a:0 ~b:0 ~d:0
 
@@ -692,17 +692,16 @@ let test_health_formation_cycle () =
           for i = 1 to 8 do
             t := i * 200_000_000;
             phase 0 Flight.phase_gather;
-            recheck 0;
             phase 0 Flight.phase_commit;
             phase 0 Flight.phase_recover;
+            flood 0;
             delivery ()
           done;
           (match Health.check h ~now:!t with
-          | [ Health.Formation_cycle { fc_node; fc_attempts; fc_rechecks; _ } ]
-            ->
+          | [ Health.Formation_cycle { fc_node; fc_attempts; fc_floods } ] ->
               check Alcotest.int "stalled node" 0 fc_node;
               check Alcotest.int "attempts counted" 8 fc_attempts;
-              check Alcotest.int "rechecks counted" 8 fc_rechecks
+              check Alcotest.int "recovery messages counted" 24 fc_floods
           | other ->
               Alcotest.failf "expected one formation cycle, got %d stalls"
                 (List.length other));
@@ -767,13 +766,12 @@ let test_health_report_renders () =
           for i = 1 to 8 do
             t := i * 200_000_000;
             phase 0 Flight.phase_gather;
-            recheck 0;
             phase 0 Flight.phase_recover
           done);
       let r = Health.report h ~now:!t in
       let text = Format.asprintf "%a" Health.pp_report r in
       Alcotest.(check bool) "names the cycle" true
-        (contains text "recheck cycling"))
+        (contains text "repeated gather cycling"))
 
 (* A daemon's ev_session_cut is counted against its node, reported and
    printed; no other node's count moves. *)
@@ -1143,9 +1141,61 @@ let test_trace_tool_reads_flight_dump () =
       List.iter
         (fun line ->
           check Alcotest.bool ("summary line: " ^ line) true (contains text line))
-        [ "25 events, 3 nodes"; "app_deliver"; "view_install"; "session_cut";
+        [ "20 events, 3 nodes"; "app_deliver"; "view_install"; "session_cut";
           "drops by reason:";
           "  switch             1" ])
+
+(* The trace tool's summary ends with the membership timeline. On the
+   pinned 20261018/706 reproducer (6 nodes, 3 % loss, a 32 KiB switch
+   port), replayed with its trace written, every regular view is
+   installed by all its members within one token retransmit (10 ms) of
+   each other. *)
+let test_trace_tool_prints_membership_timeline () =
+  let exe =
+    let p = Filename.concat "../bin" "accelring_trace.exe" in
+    if Sys.file_exists p then p else Filename.concat "_build/default/bin" "accelring_trace.exe"
+  in
+  let entry = "staggered_install-seed17416711353309702130-f0.json" in
+  let path =
+    List.find Sys.file_exists
+      [ Filename.concat "corpus" entry; Filename.concat "test/corpus" entry ]
+  in
+  let events = ref [] in
+  let o =
+    Trace.with_sink
+      (Trace.fn_sink (fun ev -> events := ev :: !events))
+      (fun () -> Aring_fuzz.Runner.run (Aring_fuzz.Corpus.load_file path))
+  in
+  check Alcotest.bool "the reproducer converges" true (Aring_fuzz.Runner.passed o);
+  let file = Filename.temp_file "replay" ".jsonl" in
+  let out = Filename.temp_file "summary" ".txt" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove file;
+      Sys.remove out)
+    (fun () ->
+      Out_channel.with_open_bin file (fun oc ->
+          List.iter
+            (fun ev ->
+              output_string oc (Flight.to_line ev);
+              output_char oc '\n')
+            (List.rev !events));
+      let status = Sys.command (Filename.quote_command exe ~stdout:out [ file ]) in
+      check Alcotest.int "exit status" 0 status;
+      let lines =
+        String.split_on_char '\n' (read_whole out)
+        |> List.filter (fun l -> contains l " installed from ")
+      in
+      check Alcotest.bool "one line per regular view" true (List.length lines >= 4);
+      List.iter
+        (fun line ->
+          Scanf.sscanf line " [%d,%d] %d/%d installed from %f ms, spread %f ms"
+            (fun _ _ installed members _ spread ->
+              check Alcotest.int ("installed by every member: " ^ line) members
+                installed;
+              check Alcotest.bool ("within one token retransmit: " ^ line) true
+                (spread <= 10.5)))
+        lines)
 
 (* The rotation histogram holds each sample exactly once: seven anchor
    rotations of distinct lengths re-observe into a histogram whose count
@@ -1320,4 +1370,6 @@ let suite =
       test_span_histograms_pinned;
     Alcotest.test_case "metrics: 0 words per observe_ns" `Quick
       test_observe_ns_allocates_nothing;
+    Alcotest.test_case "trace: the summary ends with the membership timeline"
+      `Quick test_trace_tool_prints_membership_timeline;
   ]

@@ -101,7 +101,6 @@ let sample_commit : Message.commit =
           m_high_delivered = 0;
         };
       ];
-    c_holds = [ (ring, [ 101; 102; 105 ]); ({ rep = 5; ring_seq = 11 }, []) ];
   }
 
 let roundtrip m = Message.decode (Message.encode m)
@@ -155,12 +154,7 @@ let test_roundtrip_commit () =
       let m0 = List.hd c.c_memb in
       check Alcotest.int "m_aru" 100 m0.m_aru;
       check Alcotest.int "m_high_seq" 120 m0.m_high_seq;
-      check Alcotest.int "holds entries" 2 (List.length c.c_holds);
-      (match c.c_holds with
-      | (r0, seqs) :: _ ->
-          check Alcotest.bool "holds ring" true (Types.ring_id_equal r0 ring);
-          check (Alcotest.list Alcotest.int) "holds seqs" [ 101; 102; 105 ] seqs
-      | [] -> Alcotest.fail "no holds")
+      check Alcotest.bool "m_old_ring" true (Types.ring_id_equal m0.m_old_ring ring)
   | m -> Alcotest.failf "wrong kind: %s" (Message.kind m)
 
 let test_unknown_tag () =
@@ -178,7 +172,8 @@ let test_decode_rejects_trailing () =
 (* Random message properties                                             *)
 
 let service_gen =
-  QCheck.Gen.oneofl [ Types.Fifo; Types.Causal; Types.Agreed; Types.Safe ]
+  QCheck.Gen.oneofl
+    [ Types.Fifo; Types.Causal; Types.Agreed; Types.Safe; Types.Recovered ]
 
 let ring_gen =
   QCheck.Gen.(
@@ -237,19 +232,13 @@ let member_gen =
       ({ m_pid; m_old_ring; m_aru; m_high_seq; m_high_delivered }
         : Message.member_info))
 
-let holds_gen =
-  QCheck.Gen.(
-    list_size (0 -- 4)
-      (pair ring_gen (list_size (0 -- 20) (0 -- 100_000))))
-
 let commit_gen =
   QCheck.Gen.(
     ring_gen >>= fun c_ring ->
     0 -- 1000 >>= fun c_token_id ->
-    1 -- 4 >>= fun c_pass ->
+    1 -- 2 >>= fun c_pass ->
     list_size (0 -- 16) member_gen >>= fun c_memb ->
-    holds_gen >>= fun c_holds ->
-    return (Message.Commit { c_ring; c_token_id; c_pass; c_memb; c_holds }))
+    return (Message.Commit { c_ring; c_token_id; c_pass; c_memb }))
 
 let message_gen = QCheck.Gen.oneof [ data_gen; token_gen; join_gen; commit_gen ]
 

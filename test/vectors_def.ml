@@ -3,7 +3,7 @@
    Every [Message.t] variant appears with both typical and edge values:
    empty and maximal payloads, zero and [max_int] sequence numbers,
    present/absent [aru_id], empty and long [rtr] lists, empty and
-   populated membership/holds structures. The committed
+   populated membership structures. The committed
    [test/vectors/frames.bin] stores the byte-exact encoding of each entry
    (see {!write_file} for the framing); the golden test asserts that both
    the reference and the pooled encoder reproduce those bytes exactly and
@@ -39,6 +39,12 @@ let all : (string * Message.t) list =
     ("data-causal", data ~service:Types.Causal (Bytes.of_string "causal"));
     ("data-agreed", data ~service:Types.Agreed (Bytes.of_string "agreed"));
     ("data-safe", data ~service:Types.Safe (Bytes.of_string "safe"));
+    (* Recovery: an old ring's message re-sent on a new ring, marked by
+       the service byte alone. *)
+    ( "data-recovered",
+      data ~ring:{ rep = 0; ring_seq = 18 } ~seq:1 ~pid:0 ~round:1
+        ~service:Types.Recovered
+        (Message.encode (data (Bytes.of_string "old"))) );
     ("data-post-token", data ~post_token:true (Bytes.of_string "post"));
     ("data-1350", data ~seq:123456789 ~round:100_000 (byte_ramp 1350));
     ("data-8850-jumbo", data ~pid:63 (byte_ramp 8850));
@@ -99,17 +105,17 @@ let all : (string * Message.t) list =
           fail_set = [ max_int ];
           join_seq = max_int;
         } );
-    (* Commit: every pass, empty and populated memb/holds. *)
+    (* Commit: both passes, empty and populated memb. *)
     ( "commit-empty",
       Message.Commit
-        { c_ring = ring0; c_token_id = 0; c_pass = 1; c_memb = []; c_holds = [] }
+        { c_ring = ring0; c_token_id = 0; c_pass = 1; c_memb = [] }
     );
     ( "commit-populated",
       Message.Commit
         {
           c_ring = { rep = 0; ring_seq = 18 };
           c_token_id = 2;
-          c_pass = 3;
+          c_pass = 2;
           c_memb =
             [
               {
@@ -127,15 +133,13 @@ let all : (string * Message.t) list =
                 m_high_delivered = 0;
               };
             ];
-          c_holds =
-            [ (ring1, [ 101; 102; 105 ]); ({ rep = 5; ring_seq = 11 }, []) ];
         } );
-    ( "commit-pass4-max",
+    ( "commit-max",
       Message.Commit
         {
           c_ring = ring_max;
           c_token_id = max_int;
-          c_pass = 4;
+          c_pass = 2;
           c_memb =
             [
               {
@@ -146,7 +150,6 @@ let all : (string * Message.t) list =
                 m_high_delivered = max_int;
               };
             ];
-          c_holds = [ (ring_max, List.init 64 (fun i -> max_int - i)) ];
         } );
     (* Daemon packing: a Batch envelope riding as an ordinary Data payload
        pins the packing wire format (batch tag, entry count, per-entry
