@@ -398,24 +398,29 @@ let cold_reset t =
 (* Bound on the encoded size of one snapshot chunk. *)
 let max_chunk_bytes = 4096
 
-(* Greedy size-bounded chunking of the sorted snapshot; an empty store
-   still streams one empty chunk so receivers always see [total] >= 1. *)
-let chunk_snapshot t =
-  let cost (k, v) = String.length k + String.length v + 10 in
+(* Greedy size-bounded chunking, in order: a new chunk starts when the
+   next item would push a non-empty one past [max_chunk_bytes]. No
+   items, no chunks. *)
+let chunk ~cost items =
   let chunks, last, _ =
     List.fold_left
-      (fun (chunks, cur, bytes) entry ->
-        let c = cost entry in
+      (fun (chunks, cur, bytes) item ->
+        let c = cost item in
         if cur <> [] && bytes + c > max_chunk_bytes then
-          (List.rev cur :: chunks, [ entry ], c)
-        else (chunks, entry :: cur, bytes + c))
-      ([], [], 0) (entries t)
+          (List.rev cur :: chunks, [ item ], c)
+        else (chunks, item :: cur, bytes + c))
+      ([], [], 0) items
   in
-  List.rev (List.rev last :: chunks)
+  List.rev (if last = [] then chunks else List.rev last :: chunks)
 
 let stream_snapshot t ~view =
   let applied = t.applied_n in
-  let chunks = chunk_snapshot t in
+  (* An empty store still streams one empty chunk, so receivers always
+     see [total] >= 1. *)
+  let chunks =
+    let cost (k, v) = String.length k + String.length v + 10 in
+    match chunk ~cost (entries t) with [] -> [ [] ] | chunks -> chunks
+  in
   let total = List.length chunks in
   t.stats.snapshots_sent <- t.stats.snapshots_sent + 1;
   record_xfer t ~phase:Flight.xfer_snapshot ~donor:t.me ~applied
@@ -442,33 +447,12 @@ let stream_snapshot t ~view =
              (Queue.fold (fun acc op -> Op.encode op :: acc) [] t.mcas_q)
   in
   let table_batches =
-    let meta_cost (id, _) = String.length id + 12 in
-    let park_cost b = Bytes.length b + 8 in
-    let flush batches entries parked =
-      if entries = [] && parked = [] then batches
-      else (List.rev entries, List.rev parked) :: batches
-    in
-    let batches, entries, parked_acc, _ =
-      List.fold_left
-        (fun (batches, es, ps, bytes) e ->
-          let c = meta_cost e in
-          if (es <> [] || ps <> []) && bytes + c > max_chunk_bytes then
-            (flush batches es ps, [ e ], [], c)
-          else (batches, e :: es, ps, bytes + c))
-        ([], [], [], 0) meta
-    in
-    let batches, entries, parked_acc, _ =
-      List.fold_left
-        (fun (batches, es, ps, bytes) b ->
-          let c = park_cost b in
-          if (es <> [] || ps <> []) && bytes + c > max_chunk_bytes then
-            (flush batches es ps, [], [ b ], c)
-          else (batches, es, b :: ps, bytes + c))
-        (batches, entries, parked_acc,
-         List.fold_left (fun a e -> a + meta_cost e) 0 entries)
-        parked
-    in
-    List.rev (flush batches entries parked_acc)
+    chunk
+      ~cost:(function
+        | Either.Left (id, _) -> String.length id + 12
+        | Either.Right b -> Bytes.length b + 8)
+      (List.map Either.left meta @ List.map Either.right parked)
+    |> List.map (List.partition_map Fun.id)
   in
   List.iter
     (fun (entries, parked) ->
