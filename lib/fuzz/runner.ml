@@ -9,6 +9,8 @@ module Oracle = Aring_app.Oracle
 module Kv_scenario = Aring_app.Kv_scenario
 module Cluster = Aring_multiring.Cluster
 module Merge = Aring_multiring.Merge
+module Load = Aring_load.Load
+module Metrics = Aring_obs.Metrics
 open Aring_wire
 open Aring_ring
 open Aring_sim
@@ -155,100 +157,43 @@ let install_workload sim (s : Schedule.t) (members : Member.t array) =
     Netsim.call_at sim ~at:(ms 1 + (node * 97_000)) tick
   done
 
-(* KV workload: every node issues a skewed read/write mix at the
-   schedule's submission rate, each op on the replica [kv] of the ring
-   [shard] maps its key to. The schedule's safe-permille knob doubles
-   as the sync-read fraction (sync reads are the Safe-service traffic of
-   the app layer). Value padding follows the schedule's payload knob but
-   is capped: full-MTU values on top of the per-op envelope framing
-   would turn every membership-recovery exchange into a switch-buffer
-   endurance test (the raw-member workload already covers full-size
-   payloads); the kv suite is after consistency bugs, not congestion
-   collapse. On a multi-ring cluster [mcas] is given and a cross-shard
-   slice rides along; half of those carry a check read from the local
-   replica so both the commit and abort paths run. A node's workload
-   stops when sim participant [node] dies — on a cluster that is its
-   ring-0 member, and a crash kills every ring's. *)
-let kv_key_space = 64
-let kv_hot_keys = 8
+(* KV runs draw every op from the one open-loop client, {!Load}, in a
+   spec derived from the schedule. Its safe-permille knob is the
+   sync-read fraction (sync reads are the app layer's Safe-service
+   traffic). Values follow its payload knob, capped: full-MTU values on
+   top of the per-op envelope framing would turn every
+   membership-recovery exchange into a switch-buffer endurance test
+   (the bare workload covers full-size payloads); the kv suite is after
+   consistency bugs, not congestion collapse. Keys are uniform: under a
+   Zipf(0.99) draw the seeded learner bugs escape trial 0. *)
 let kv_max_value = 160
 
-let install_kv_workload sim (s : Schedule.t) ~shard
-    ~(kv : ring:int -> node:int -> Kv.t) ~mcas =
+let kv_spec (s : Schedule.t) =
   let c = s.config in
-  let n = c.Schedule.n_nodes in
-  let wl_prng = Prng.create ~seed:(Int64.logxor s.seed 0x6B76776CL) in
-  let value tag = Kv_scenario.pad tag (min c.Schedule.payload kv_max_value) in
-  let key_j () =
-    if Prng.int wl_prng 1000 < 800 then Prng.int wl_prng kv_hot_keys
-    else kv_hot_keys + Prng.int wl_prng (kv_key_space - kv_hot_keys)
-  in
-  let key () = Printf.sprintf "k%02d" (key_j ()) in
-  let read ~node key = Kv.read (kv ~ring:(shard key) ~node) ~key in
-  (* A pair of distinct keys, preferably on different rings; after 8
-     failed draws settle for a same-shard (still multi-key) mcas. *)
-  let cross_pair () =
-    let j1 = key_j () in
-    let k1 = Printf.sprintf "k%02d" j1 in
-    let s1 = shard k1 in
-    let rec go tries =
-      let j = key_j () in
-      let k = Printf.sprintf "k%02d" j in
-      if j <> j1 && shard k <> s1 then k
-      else if tries = 0 then Printf.sprintf "k%02d" ((j1 + 1) mod kv_key_space)
-      else go (tries - 1)
-    in
-    (k1, go 8)
-  in
-  for node = 0 to n - 1 do
-    let counter = ref 0 in
-    let rec tick () =
-      if Netsim.now sim < c.Schedule.horizon_ns && Netsim.is_alive sim node
-      then begin
-        incr counter;
-        let key = key () in
-        let kv = kv ~ring:(shard key) ~node in
-        if
-          c.Schedule.safe_permille > 0
-          && Prng.int wl_prng 1000 < c.Schedule.safe_permille
-        then Kv.sync_read kv ~key ~on_result:(fun _ ~token:_ -> ())
-        else begin
-          let r = Prng.int wl_prng 1000 in
-          if r < 250 then ignore (Kv.read kv ~key)
-          else if r < 320 then Kv.del kv ~key
-          else if r < 420 then
-            (* CAS against the local view: sometimes stale, so both the
-               success and failure paths execute at every replica. *)
-            let expect, _ = Kv.read kv ~key in
-            Kv.cas kv ~key ~expect
-              ~value:(value (Printf.sprintf "c:%d:%d" node !counter))
-          else
-            match mcas with
-            | Some mcas when r < 480 ->
-                let k1, k2 = cross_pair () in
-                let checks =
-                  if Prng.bool wl_prng then [ (k1, fst (read ~node k1)) ]
-                  else []
-                in
-                mcas ~node
-                  ~id:(Printf.sprintf "fm:%d:%d" node !counter)
-                  ~checks
-                  ~writes:
-                    [
-                      (k1, value (Printf.sprintf "x:%d:%d:a" node !counter));
-                      (k2, value (Printf.sprintf "x:%d:%d:b" node !counter));
-                    ]
-            | Some _ | None ->
-                Kv.put kv ~key
-                  ~value:(value (Printf.sprintf "v:%d:%d" node !counter))
-        end;
-        Netsim.call_at sim
-          ~at:(Netsim.now sim + c.Schedule.submit_gap_ns)
-          tick
-      end
-    in
-    Netsim.call_at sim ~at:(ms 1 + (node * 97_000)) tick
-  done
+  let n = c.Schedule.n_nodes and safe = c.Schedule.safe_permille in
+  let of_rest p = p * (1000 - safe) / 1000 in
+  {
+    Load.default_spec with
+    label = "fuzz";
+    n_nodes = n;
+    sessions_per_node = 1;
+    n_groups = 1;
+    arrival = Load.Periodic;
+    ops_per_sec = float_of_int n *. 1e9 /. float_of_int c.Schedule.submit_gap_ns;
+    key_space = 64;
+    zipf_theta = 0.0;
+    value_mix = [ (min c.Schedule.payload kv_max_value, 1) ];
+    read_permille = of_rest 250;
+    sync_read_permille = safe;
+    cas_permille = of_rest 100;
+    del_permille = of_rest 70;
+    mcas_permille = (if c.Schedule.rings > 1 then of_rest 60 else 0);
+    rings = c.Schedule.rings;
+    warmup_ns = 0;
+    measure_ns = c.Schedule.horizon_ns;
+    drain_ns = c.Schedule.drain_ns;
+    seed = s.seed;
+  }
 
 (* The formation-cycle threshold must scale with the schedule. A
    membership attempt's commit token makes two passes around the new
@@ -403,10 +348,37 @@ let run_cluster ~bug ~health (s : Schedule.t) =
   Netsim.on_deliver sim (fun ~at:_ ~now:_ _ -> incr deliveries);
   Netsim.on_view sim (fun ~at:_ ~now:_ _ -> incr views);
   install_faults sim s ~crash:(fun node -> Cluster.crash cluster ~node);
-  install_kv_workload sim s
-    ~shard:(Cluster.shard_of_key cluster)
-    ~kv:(Cluster.kv cluster)
-    ~mcas:(if rings > 1 then Some (Cluster.mcas cluster) else None);
+  let settled () =
+    Cluster.kv_converged cluster && Cluster.merge_settled cluster
+  in
+  let shard = Cluster.shard_of_key cluster in
+  (* Every other mcas, by its id's hash, carries a check read of its
+     first key from the local replica, so both the commit and abort
+     paths run. *)
+  let mcas ~node ~id ~writes =
+    let checks =
+      match writes with
+      | (k1, _) :: _ when Hashtbl.hash id land 1 = 0 ->
+          [ (k1, fst (Kv.read (Cluster.kv cluster ~ring:(shard k1) ~node) ~key:k1)) ]
+      | _ -> []
+    in
+    Cluster.mcas cluster ~node ~id ~checks ~writes
+  in
+  let spec = kv_spec s in
+  Load.validate ~prefix:"fuzz" spec;
+  ignore
+    (Load.start ~prefix:"fuzz" ~metrics:(Metrics.create ()) spec
+       {
+         Load.sim;
+         daemon = Cluster.daemon cluster;
+         kv = Cluster.kv cluster;
+         shard;
+         mcas = (if rings > 1 then Some mcas else None);
+         completes_at = Fun.id;
+         on_applied = ignore;
+         settled;
+       }
+      : unit -> Load.sessions);
   let ring_ids = List.init rings Fun.id in
   let alive_phys () =
     List.filter (fun i -> Cluster.alive cluster ~node:i) (List.init n Fun.id)
@@ -486,9 +458,6 @@ let run_cluster ~bug ~health (s : Schedule.t) =
              messages = List.filteri (fun i _ -> i < 8) messages;
            })
     else mcas_divergence ()
-  in
-  let settled () =
-    Cluster.kv_converged cluster && Cluster.merge_settled cluster
   in
   let failure, trace_hash, health_report =
     drive_chunks sim s ~checker ~health ~violation:kv_failure

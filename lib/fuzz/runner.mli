@@ -2,12 +2,16 @@
 
     The schedule names its stack ({!Schedule.app}). A bare schedule
     (one ring) builds raw membership-capable members
-    ({!Aring_ring.Member}), drives a padded workload until the horizon,
-    then submits per-node convergence probes and drains. A KV schedule,
-    at any ring count, goes through {!Aring_multiring.Cluster} (built by
-    {!Aring_app.Kv_scenario.build_cluster}), with one KV judge. Both
-    attach the trace-driven EVS invariant checker as a live sink and
-    inject the schedule's faults. Two oracles:
+    ({!Aring_ring.Member}), submits padded payloads to them until the
+    horizon, then submits per-node convergence probes and drains. A KV
+    schedule, at any ring count, goes through {!Aring_multiring.Cluster}
+    (built by {!Aring_app.Kv_scenario.build_cluster}), with one KV
+    judge; its ops come from the one open-loop client,
+    {!Aring_load.Load.start}, in a spec derived from the schedule (one
+    periodic session per node at the schedule's submission gap, 64
+    uniform keys, the Safe fraction as sync reads). Both attach the
+    trace-driven EVS invariant checker as a live sink and inject the
+    schedule's faults. Two oracles:
 
     - {b Safety}: any {!Aring_obs.Checker} violation (total order, delivery
       gaps, aru/safe-line regressions, duplicate token holders) fails the

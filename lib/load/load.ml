@@ -257,7 +257,7 @@ let salt prefix =
     (fun acc c -> Int64.logor (Int64.shift_left acc 8) (Int64.of_int (Char.code c)))
     0L prefix
 
-let drive ~prefix ~metrics spec target =
+let start ~prefix ~metrics spec target =
   let n = spec.n_nodes and rings = spec.rings in
   let sim = target.sim in
   (* Network shape over every ring's participants [ring * n + node]:
@@ -428,15 +428,17 @@ let drive ~prefix ~metrics spec target =
     end
   in
   (* The open-loop arrival process: fire, then reschedule by the
-     arrival law — never by completions. Disconnected slots keep their
-     clock running (arrivals are skipped, not deferred). Each session's
-     thunk is built once and reschedules itself. *)
+     arrival law — never by completions. Disconnected slots and slots
+     whose participant is dead keep their clock running (arrivals are
+     skipped, not deferred). Each session's thunk is built once and
+     reschedules itself. *)
   let mean_ns = 1e9 /. (spec.ops_per_sec /. float_of_int total_sessions) in
   let arrivals ss =
     let rec arrive () =
       let now = Netsim.now sim in
       if now < horizon then begin
-        (if ss.handle <> None then do_op ss now
+        (if ss.handle <> None && Netsim.is_alive sim ((ss.ring * n) + ss.node)
+         then do_op ss now
          else begin
            incr ops_skipped;
            Metrics.incr m_skipped
@@ -608,11 +610,69 @@ let drive ~prefix ~metrics spec target =
     if now < deadline then Netsim.call_at sim ~at:(now + ms 2) sample
   in
   Netsim.call_at sim ~at:(ms 1) sample;
-  (* ---------------- drive + drain ---------------- *)
+  (* ---------------- storm SLOs, once the sim has run ---------------- *)
+  fun () ->
+    let rate_over a b =
+      if b <= a then 0.0
+      else begin
+        let lo = a / bin_ns and hi = min (b / bin_ns) (Array.length applied_bins - 1) in
+        let count = ref 0 in
+        for i = lo to hi do
+          count := !count + applied_bins.(i)
+        done;
+        float_of_int !count /. (float_of_int (b - a) /. 1e9)
+      end
+    in
+    let storm_steady_rate, storm_rate, storm_degradation, storm_recovered_ms,
+        storm_all_reconnected =
+      match storm with
+      | None -> (0.0, 0.0, 0.0, 0.0, true)
+      | Some st ->
+          let steady = rate_over spec.warmup_ns st.storm_at_ns in
+          let during = rate_over st.storm_at_ns storm_end_ns in
+          let degradation =
+            if steady <= 0.0 then 1.0
+            else Float.max 0.0 (Float.min 1.0 (1.0 -. (during /. steady)))
+          in
+          let recovered_ms =
+            if !recovered_at < 0 then -1.0
+            else float_of_int (!recovered_at - storm_end_ns) /. 1e6
+          in
+          ( steady,
+            during,
+            degradation,
+            recovered_ms,
+            Array.for_all (fun ss -> ss.handle <> None) storm_set )
+    in
+    ({
+       sessions_started = total_sessions;
+       sessions_peak = !sessions_peak;
+       reconnects = !reconnects;
+       ops_offered = !ops_offered;
+       ops_skipped = !ops_skipped;
+       writes_offered = !writes_offered;
+       sync_read_latency_us = sync_latency;
+       queue_depth_peak = !queue_peak;
+       queue_depth_end = !in_flight_total;
+       slow_inbox_peak = !slow_inbox_peak;
+       slow_inbox_end = slow_inbox ();
+       slow_cuts = slow_cuts ();
+       storm_steady_rate;
+       storm_rate;
+       storm_degradation;
+       storm_recovered_ms;
+       storm_all_reconnected;
+     }
+      : sessions)
+
+let drive ~prefix ~metrics spec target =
+  let finish = start ~prefix ~metrics spec target in
+  let horizon = spec.warmup_ns + spec.measure_ns in
+  let deadline = horizon + spec.drain_ns in
   let pending () =
     let total = ref 0 in
-    for ring = 0 to rings - 1 do
-      for node = 0 to n - 1 do
+    for ring = 0 to spec.rings - 1 do
+      for node = 0 to spec.n_nodes - 1 do
         total := !total + Kv.pending_sync_reads (target.kv ~ring ~node)
       done
     done;
@@ -622,64 +682,12 @@ let drive ~prefix ~metrics spec target =
   let stop = ref false in
   while not !stop do
     t := min deadline (!t + ms 25);
-    Netsim.run_until sim !t;
+    Netsim.run_until target.sim !t;
     if !t >= deadline then stop := true
     else if !t > horizon && target.settled () && pending () = 0 then
       stop := true
   done;
-  (* ---------------- storm SLOs ---------------- *)
-  let rate_over a b =
-    if b <= a then 0.0
-    else begin
-      let lo = a / bin_ns and hi = min (b / bin_ns) (Array.length applied_bins - 1) in
-      let count = ref 0 in
-      for i = lo to hi do
-        count := !count + applied_bins.(i)
-      done;
-      float_of_int !count /. (float_of_int (b - a) /. 1e9)
-    end
-  in
-  let storm_steady_rate, storm_rate, storm_degradation, storm_recovered_ms,
-      storm_all_reconnected =
-    match storm with
-    | None -> (0.0, 0.0, 0.0, 0.0, true)
-    | Some st ->
-        let steady = rate_over spec.warmup_ns st.storm_at_ns in
-        let during = rate_over st.storm_at_ns storm_end_ns in
-        let degradation =
-          if steady <= 0.0 then 1.0
-          else Float.max 0.0 (Float.min 1.0 (1.0 -. (during /. steady)))
-        in
-        let recovered_ms =
-          if !recovered_at < 0 then -1.0
-          else float_of_int (!recovered_at - storm_end_ns) /. 1e6
-        in
-        ( steady,
-          during,
-          degradation,
-          recovered_ms,
-          Array.for_all (fun ss -> ss.handle <> None) storm_set )
-  in
-  ({
-     sessions_started = total_sessions;
-     sessions_peak = !sessions_peak;
-     reconnects = !reconnects;
-     ops_offered = !ops_offered;
-     ops_skipped = !ops_skipped;
-     writes_offered = !writes_offered;
-     sync_read_latency_us = sync_latency;
-     queue_depth_peak = !queue_peak;
-     queue_depth_end = !in_flight_total;
-     slow_inbox_peak = !slow_inbox_peak;
-     slow_inbox_end = slow_inbox ();
-     slow_cuts = slow_cuts ();
-     storm_steady_rate;
-     storm_rate;
-     storm_degradation;
-     storm_recovered_ms;
-     storm_all_reconnected;
-   }
-    : sessions)
+  finish ()
 
 (* The result of a driven run, at any ring count: [s]'s session fields,
    the replica outcome and rates over the measurement window ([applied]

@@ -29,10 +29,13 @@
     - {b Network asymmetry}: a WAN/geo latency-class matrix
       ({!Aring_sim.Netsim.set_latency_classes}) and a partition window.
 
-    One generator, {!drive}, serves every ring count: it runs against a
-    small {!target}. {!run} supplies the single-ring target, built by
+    One generator, {!start}, serves every ring count: it runs against a
+    small {!target}, and {!drive} is {!start} plus the drain. {!run}
+    supplies the single-ring target, built by
     {!Aring_app.Kv_scenario.build_cluster};
-    [Aring_multiring.Mload.run] supplies the sharded multi-ring one.
+    [Aring_multiring.Mload.run] supplies the sharded multi-ring one, and
+    the fuzz runner's KV runs start a spec derived from their schedule
+    on their own cluster, then judge it themselves.
     Both return one {!result}, built by {!val-result}, and print through
     one {!pp_result}.
     At its small end, one [Periodic] session per node, a spec is the
@@ -129,7 +132,9 @@ type sessions = {
   sessions_peak : int;  (** Peak concurrently connected sessions. *)
   reconnects : int;  (** Churn + storm reconnects completed. *)
   ops_offered : int;  (** Arrivals fired inside the measurement window. *)
-  ops_skipped : int;  (** Arrivals at disconnected sessions (not offered). *)
+  ops_skipped : int;
+      (** Arrivals at disconnected sessions or on a dead participant
+          (not offered). *)
   writes_offered : int;
   sync_read_latency_us : Stats.t;
   queue_depth_peak : int;  (** Peak open-loop in-flight tracked writes. *)
@@ -232,7 +237,7 @@ val run : spec -> result
     [node]'s member of ring [ring]; sessions [i] live on the daemon of
     ring [i / n_nodes mod rings] at node [i mod n_nodes]. *)
 type target = {
-  sim : Aring_sim.Netsim.t;  (** Not yet run: {!drive} shapes it first. *)
+  sim : Aring_sim.Netsim.t;  (** Not yet run: {!start} shapes it first. *)
   daemon : ring:int -> node:int -> Aring_daemon.Daemon.t;
   kv : ring:int -> node:int -> Aring_app.Kv.t;
   shard : string -> int;  (** The ring a key routes to. *)
@@ -266,11 +271,20 @@ val validate : prefix:string -> spec -> unit
 (** The spec checks common to every ring count.
     @raise Invalid_argument ["<Prefix>.run: ..."] on a bad dimension. *)
 
+val start :
+  prefix:string -> metrics:Metrics.t -> spec -> target -> unit -> sessions
+(** Shape the network and schedule the open-loop sessions (arrivals up
+    to the horizon, churn, storm, slow receivers, sampler) without
+    running the sim; the returned function reads the {!sessions}
+    outcome once the caller has run it. A session whose participant is
+    dead issues nothing: its arrivals count in [ops_skipped]. [net],
+    [tier] and [params] are not read. Counters and gauges land in
+    [metrics] as ["<prefix>.*"]; the PRNG salt is the prefix's ASCII
+    bytes. Call {!validate} first. *)
+
 val drive : prefix:string -> metrics:Metrics.t -> spec -> target -> sessions
-(** Shape the network, populate and drive the open-loop sessions to the
-    horizon, and drain until [settled] or the drain deadline. Counters
-    and gauges land in [metrics] as ["<prefix>.*"]; the PRNG salt is the
-    prefix's ASCII bytes. Call {!validate} first. *)
+(** {!start}, then run the sim in 25 ms steps to the horizon and drain
+    until [settled] with no sync read pending, or the drain deadline. *)
 
 val result :
   spec ->

@@ -280,7 +280,7 @@ let test_corpus_replays_green () =
     "the KV entries are the ones filed under kv/ and multiring/"
     (List.map fst (List.filter filed entries))
     (List.map fst (List.filter is_kv entries));
-  Alcotest.(check int) "kv entries" 8 (List.length (List.filter is_kv entries));
+  Alcotest.(check int) "kv entries" 9 (List.length (List.filter is_kv entries));
   replay_green oracle (List.filter (fun e -> not (filed e)) entries)
 
 let test_subdir_corpus_replays_green dir () =

@@ -7,6 +7,7 @@
 module Load = Aring_load.Load
 module Stats = Aring_util.Stats
 module Kv_scenario = Aring_app.Kv_scenario
+module Netsim = Aring_sim.Netsim
 
 let check = Alcotest.check
 let ms n = n * 1_000_000
@@ -443,6 +444,57 @@ let test_slow_sessions_cut_and_reconnect () =
     Alcotest.failf "slow inbox peak %d over 4 sessions x %d" r.Load.slow_inbox_peak
       per_session
 
+(* A session whose participant is dead issues nothing: node 3 crashes
+   mid-window, and from then on its replica is handed no op, while its
+   session's arrivals keep firing and count as skipped. *)
+let test_crashed_node_issues_nothing () =
+  let spec =
+    {
+      Load.default_spec with
+      label = "load-crash";
+      sessions_per_node = 1;
+      n_groups = 1;
+      arrival = Load.Periodic;
+      ops_per_sec = 4_000.0;
+      key_space = 64;
+      value_mix = [ (128, 1) ];
+      warmup_ns = ms 20;
+      measure_ns = ms 100;
+      seed = 9L;
+    }
+  in
+  let { Kv_scenario.sim; kvs; daemons; _ } =
+    Kv_scenario.build_cluster ~rings:1 ~n:spec.Load.n_nodes ~net:spec.Load.net
+      ~params:spec.Load.params ~seed:spec.Load.seed ()
+  in
+  let ops_after_crash = ref 0 in
+  let finish =
+    Load.start ~prefix:"load" ~metrics:(Aring_obs.Metrics.create ()) spec
+      {
+        Load.sim;
+        daemon = (fun ~ring:_ ~node -> daemons.(node));
+        kv =
+          (fun ~ring:_ ~node ->
+            if node = 3 && not (Netsim.is_alive sim 3) then incr ops_after_crash;
+            kvs.(node));
+        shard = (fun _ -> 0);
+        mcas = None;
+        completes_at = Fun.id;
+        on_applied = ignore;
+        settled = (fun () -> Kv_scenario.kv_converged kvs);
+      }
+  in
+  Netsim.run_until sim (ms 60);
+  let skipped_before = (finish ()).Load.ops_skipped in
+  Netsim.crash sim 3;
+  Netsim.run_until sim (spec.Load.warmup_ns + spec.Load.measure_ns);
+  let skipped_after = (finish ()).Load.ops_skipped in
+  check Alcotest.int "no op handed to the crashed node's replica" 0 !ops_after_crash;
+  (* 40 ms of node 3's arrivals, one per ms. *)
+  if skipped_after - skipped_before < 30 then
+    Alcotest.failf "ops_skipped grew by %d after the crash, want >= 30"
+      (skipped_after - skipped_before)
+
 let suite =
   [
     Alcotest.test_case "offered rate holds (poisson)" `Quick
@@ -469,4 +521,6 @@ let suite =
       test_pinned_slow_sessions_not_cut;
     Alcotest.test_case "slow sessions cut at the limit reconnect" `Quick
       test_slow_sessions_cut_and_reconnect;
+    Alcotest.test_case "a session on a crashed node issues nothing" `Quick
+      test_crashed_node_issues_nothing;
   ]
