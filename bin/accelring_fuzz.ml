@@ -53,7 +53,7 @@ let run trials seed max_nodes rings bug_name app_name shrink
       in
       let entries = List.filter hosts all in
       if entries = [] then usage ("--bug " ^ bug_name ^ " needs a kv schedule");
-      let trace = Trace_sinks.install ~trace_file ~chrome_file:None () in
+      let trace = Trace_sinks.install ~trace_file () in
       let failed = ref 0 in
       List.iter
         (fun (name, schedule) ->

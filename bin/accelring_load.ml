@@ -17,7 +17,7 @@ let net_of_string = function
 
 let run nodes rings mcas net sessions groups rate periodic seconds keys theta
     reads sync_reads cas dels churn_ms storm_spec slow_spec wan_ns
-    partition_spec seed verbose trace_file chrome_file show_metrics =
+    partition_spec seed verbose trace_file show_metrics =
   if verbose then Aring_util.Log.setup ~level:Logs.Info ();
   if rings < 1 then begin
     prerr_endline "--rings must be >= 1";
@@ -104,7 +104,7 @@ let run nodes rings mcas net sessions groups rate periodic seconds keys theta
    with Invalid_argument msg ->
      prerr_endline msg;
      exit 2);
-  let trace = Trace_sinks.install ~trace_file ~chrome_file () in
+  let trace = Trace_sinks.install ~trace_file () in
   let result =
     if rings > 1 then Aring_multiring.Mload.run spec else Load.run spec
   in
@@ -272,6 +272,6 @@ let cmd =
       $ periodic $ seconds
       $ keys $ theta $ reads $ sync_reads $ cas $ dels $ churn_ms $ storm_spec
       $ slow_spec $ wan_ns $ partition_spec $ seed $ verbose
-      $ Trace_sinks.trace_file $ Trace_sinks.chrome_file $ show_metrics)
+      $ Trace_sinks.trace_file $ show_metrics)
 
 let () = exit (Cmd.eval cmd)

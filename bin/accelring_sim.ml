@@ -25,11 +25,11 @@ let service_of_string = function
   | s -> Error (`Msg (Printf.sprintf "unknown service %S" s))
 
 let run nodes net tier protocol service payload rate pw gw aw seconds
-    find_max seed verbose trace_file chrome_file check rotation spans =
+    find_max seed verbose trace_file check rotation spans =
   if verbose then Aring_util.Log.setup ~level:Logs.Info ();
   let checker = if check then Some (Aring_obs.Checker.create ()) else None in
   let trace =
-    Trace_sinks.install ~trace_file ~chrome_file
+    Trace_sinks.install ~trace_file
       ~extra:(Option.to_list (Option.map Aring_obs.Checker.as_sink checker))
       ()
   in
@@ -181,7 +181,7 @@ let cmd =
     Term.(
       const run $ nodes $ net $ tier $ protocol $ service $ payload $ rate
       $ pw $ gw $ aw $ seconds $ find_max $ seed $ verbose
-      $ Trace_sinks.trace_file $ Trace_sinks.chrome_file $ check $ rotation
+      $ Trace_sinks.trace_file $ check $ rotation
       $ spans)
 
 let () = exit (Cmd.eval cmd)

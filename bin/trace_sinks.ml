@@ -1,42 +1,27 @@
 (* Trace sink assembly shared by the simulator CLIs: the Flight record
-   stream as JSONL and/or collected for the Chrome exporter, plus any
-   [extra] sinks (the live invariant checker), each subscribed until
-   [finish]. *)
+   stream as JSONL, plus any [extra] sinks (the live invariant checker),
+   each subscribed until [finish]. A Chrome trace is made from the JSONL
+   file offline, by [accelring_trace FILE --chrome OUT]. *)
 
 module Flight = Aring_obs.Flight
 module Trace = Aring_obs.Trace
 
-type t = {
-  jsonl_oc : out_channel option;
-  events : Flight.event list ref;  (* newest first *)
-  chrome_file : string option;
-  sinks : Trace.sink list;
-}
+type t = { jsonl_oc : out_channel option; sinks : Trace.sink list }
 
-let install ?(extra = []) ~trace_file ~chrome_file () =
+let install ?(extra = []) ~trace_file () =
   let jsonl_oc = Option.map open_out trace_file in
-  let events = ref [] in
   let sinks =
-    List.filter_map Fun.id
-      [
-        Option.map (fun oc -> Trace.fn_sink (Flight.output_line oc)) jsonl_oc;
-        Option.map (fun _ -> Trace.fn_sink (fun ev -> events := ev :: !events)) chrome_file;
-      ]
+    Option.to_list
+      (Option.map (fun oc -> Trace.fn_sink (Flight.output_line oc)) jsonl_oc)
     @ extra
   in
   List.iter Flight.subscribe sinks;
-  { jsonl_oc; events; chrome_file; sinks }
+  { jsonl_oc; sinks }
 
-(* Unsubscribe, close the JSONL stream and write the Chrome file. *)
+(* Unsubscribe and close the JSONL stream. *)
 let finish t =
   List.iter Flight.unsubscribe t.sinks;
-  Option.iter close_out t.jsonl_oc;
-  match t.chrome_file with
-  | Some path ->
-      Aring_obs.Chrome_trace.write_file path (List.rev !(t.events));
-      Format.printf "chrome trace (%d events) written to %s@."
-        (List.length !(t.events)) path
-  | None -> ()
+  Option.iter close_out t.jsonl_oc
 
 open Cmdliner
 
@@ -45,13 +30,7 @@ let trace_file =
     value
     & opt (some string) None
     & info [ "trace" ] ~docv:"FILE"
-        ~doc:"Write every flight record of the run as JSONL to $(docv).")
-
-let chrome_file =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "chrome" ] ~docv:"FILE"
         ~doc:
-          "Write a Chrome trace-event file to $(docv) (open in \
-           chrome://tracing or ui.perfetto.dev).")
+          "Write every flight record of the run as JSONL to $(docv) \
+           ($(b,accelring_trace) $(docv) $(b,--chrome) OUT turns it into a \
+           Chrome trace-event file).")

@@ -209,14 +209,12 @@ let kv_spec (s : Schedule.t) =
    bounds the false-positive odds of k consecutive legitimate failures
    below ~1e-4; a true livelock (which never succeeds) still trips it,
    and the deadline oracles keep judging final convergence regardless. *)
-let health_config (c : Schedule.config) =
-  let base = Health.default_config in
+let k_formation (c : Schedule.config) =
+  let base = Health.default_k_formation in
   let p = float_of_int c.Schedule.base_loss_permille /. 1000. in
   let attempt_fail = 1. -. ((1. -. p) ** float_of_int (4 * c.Schedule.n_nodes)) in
   if attempt_fail <= 0. || attempt_fail >= 1. then base
-  else
-    let k = int_of_float (ceil (log 1e-4 /. log attempt_fail)) in
-    { base with Health.k_formation = max base.Health.k_formation k }
+  else max base (int_of_float (ceil (log 1e-4 /. log attempt_fail)))
 
 (* Liveness stage 1, per ring: the survivors' [members] (pids [pids])
    all operational in one common regular view whose membership is
@@ -293,18 +291,13 @@ let drive_chunks sim (s : Schedule.t) ~checker ~health ~violation
         | Some f -> stop (Some f)
         | None ->
             before_judging !t;
-            if c.Schedule.liveness && !t > c.Schedule.horizon_ns
-               && converged ()
-            then stop None
-            else if
-              c.Schedule.liveness && Health.check health ~now:!t <> []
-            then
+            if !t > c.Schedule.horizon_ns && converged () then stop None
+            else if Health.check health ~now:!t <> [] then
               (* Stalled: stop now with an explanation instead of
                  burning the rest of the drain budget to a timeout. *)
               stop
                 (Some (Health_stall { report = Health.report health ~now:!t }))
-            else if !t >= deadline then
-              stop (if c.Schedule.liveness then unconverged () else None)
+            else if !t >= deadline then stop (unconverged ())
     done
   in
   (try
@@ -483,7 +476,7 @@ let run_cluster ~bug ~health (s : Schedule.t) =
     match failure with
     | Some _ -> failure
     | None ->
-        if c.Schedule.liveness then Cluster.check_convergence cluster;
+        Cluster.check_convergence cluster;
         kv_failure ()
   in
   {
@@ -603,7 +596,7 @@ let run ?(bug = Bug.Clean) (s : Schedule.t) =
     invalid_arg ("Runner.run: bug " ^ Bug.label bug ^ " needs a kv schedule");
   Flight.reset ();
   let health =
-    Health.create ~config:(health_config c)
+    Health.create ~k_formation:(k_formation c)
       ~n:(c.Schedule.rings * c.Schedule.n_nodes) ()
   in
   Trace.with_sink (Health.as_sink health) (fun () ->

@@ -58,11 +58,11 @@ type failure =
           some (node, ring) observation and abort on another —
           cross-shard atomicity broken. *)
   | Health_stall of { report : Aring_obs.Health.report }
-      (** The health watchdog (fourth judge, liveness schedules only)
-          flagged a formation livelock or delivery stall before the
-          drain deadline; the report carries per-node phase-cycle
-          statistics and recent phase trails. The flight recorder still
-          holds the run's tail at return — dump it for the post-mortem. *)
+      (** The health watchdog (fourth judge) flagged a formation
+          livelock or delivery stall before the drain deadline; the
+          report carries per-node phase-cycle statistics and recent
+          phase trails. The flight recorder still holds the run's tail
+          at return — dump it for the post-mortem. *)
   | Run_exception of string
       (** The protocol or simulator raised; the string is the exception. *)
 

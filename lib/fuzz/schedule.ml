@@ -35,7 +35,6 @@ type config = {
   safe_permille : int;
   horizon_ns : int;
   drain_ns : int;
-  liveness : bool;
 }
 
 type t = { seed : int64; config : config; faults : fault list }
@@ -199,7 +198,6 @@ let generate ?(app = Bare) ?(max_nodes = 8) ?(rings = 1) ~seed () =
            the draw. n <= 8 keeps exactly 2 s, so pinned corpus
            schedules regenerate bit-identically. *)
         drain_ns = ms 2_000 * max 1 ((n_nodes + 7) / 8);
-        liveness = true;
       };
     faults;
   }
@@ -315,7 +313,6 @@ let to_json t =
       ("safe_permille", Json.Int c.safe_permille);
       ("horizon_ns", Json.Int c.horizon_ns);
       ("drain_ns", Json.Int c.drain_ns);
-      ("liveness", Json.Bool c.liveness);
       ("faults", Json.List (List.map fault_to_json t.faults));
     ])
 
@@ -334,6 +331,12 @@ let of_json j =
   in
   let rings = get_int_default j "rings" ~default:1 in
   if rings > 1 && app = Bare then raise (Json.Parse_error multi_ring_bare);
+  (* Every run is judged for liveness. Older files carry
+     ["liveness": true], which says just that; any other value asks for
+     a run that no longer exists. *)
+  (match Json.member "liveness" j with
+  | None | Some (Json.Bool true) -> ()
+  | Some _ -> raise (Json.Parse_error "schedule: liveness can only be true"));
   {
     seed = Int64.of_string (get_str j "seed");
     config =
@@ -354,7 +357,6 @@ let of_json j =
         safe_permille = get_int j "safe_permille";
         horizon_ns = get_int j "horizon_ns";
         drain_ns = get_int j "drain_ns";
-        liveness = get_bool j "liveness";
       };
     faults;
   }

@@ -56,8 +56,9 @@ type config = {
   submit_gap_ns : int;  (** Per-node inter-submission interval. *)
   safe_permille : int;  (** Fraction of workload using Safe delivery. *)
   horizon_ns : int;  (** Fault + load window. *)
-  drain_ns : int;  (** Post-heal settling budget for the liveness check. *)
-  liveness : bool;  (** Require probe convergence after the drain. *)
+  drain_ns : int;
+      (** Post-heal settling budget for the liveness check, which every
+          run makes. *)
 }
 
 type t = { seed : int64; config : config; faults : fault list }
@@ -95,7 +96,10 @@ val to_string : t -> string
     app and one ring are omitted. *)
 
 val of_string : string -> t
-(** @raise Aring_obs.Json.Parse_error on malformed JSON, on missing or
-    ill-typed fields, or on [rings > 1] without ["app":"kv"]. *)
+(** Reads {!to_string}'s form, and older files' ["liveness": true],
+    which it ignores.
+    @raise Aring_obs.Json.Parse_error on malformed JSON, on missing or
+    ill-typed fields, on [rings > 1] without ["app":"kv"], or on any
+    ["liveness"] other than [true]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -29,9 +29,8 @@
    the engine's [ev_deliver], one per ordered message: a daemon handing
    one delivery to several local sessions does not count it twice. *)
 
-type config = { k_formation : int; stall_ns : int }
-
-let default_config = { k_formation = 8; stall_ns = 1_000_000_000 }
+let default_k_formation = 8
+let stall_ns = 1_000_000_000
 
 (* ------------------------------------------------------------------ *)
 (* Phase codes (Flight's ev_phase argument, 0 to 3)                    *)
@@ -65,17 +64,17 @@ type node_state = {
 }
 
 type t = {
-  cfg : config;
+  k_formation : int;
   nodes : node_state array;
   mutable last_delivery_ns : int;
   mutable last_operational_ns : int;
   mutable deliveries : int;
 }
 
-let create ?(config = default_config) ~n () =
+let create ?(k_formation = default_k_formation) ~n () =
   if n <= 0 then invalid_arg "Health.create: n must be > 0";
   {
-    cfg = config;
+    k_formation;
     nodes =
       Array.init n (fun _ ->
           {
@@ -169,14 +168,14 @@ type stall =
   | No_progress of { np_idle_ns : int; np_stuck : (int * string) list }
 
 let check t ~now =
-  let no_install = now - t.last_operational_ns > t.cfg.stall_ns in
+  let no_install = now - t.last_operational_ns > stall_ns in
   let cycles =
     Array.to_list t.nodes
     |> List.mapi (fun node ns -> (node, ns))
     |> List.filter_map (fun (node, ns) ->
            if
              ns.ns_phase <> trail_crash
-             && ns.ns_attempts >= t.cfg.k_formation
+             && ns.ns_attempts >= t.k_formation
              && no_install
            then
              Some
@@ -197,12 +196,12 @@ let check t ~now =
              ns.ns_phase >= 0
              && ns.ns_phase <> trail_crash
              && ns.ns_phase <> Flight.phase_operational
-             && now - ns.ns_phase_since > t.cfg.stall_ns
+             && now - ns.ns_phase_since > stall_ns
            then Some (node, phase_name ns.ns_phase)
            else None)
   in
   let progress =
-    if idle > t.cfg.stall_ns && stuck <> [] then
+    if idle > stall_ns && stuck <> [] then
       [ No_progress { np_idle_ns = idle; np_stuck = stuck } ]
     else []
   in

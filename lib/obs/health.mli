@@ -13,14 +13,19 @@
     [ev_deliver], once per ordered message however many local sessions
     a daemon hands it to. *)
 
-type config = { k_formation : int; stall_ns : int }
-
-val default_config : config
-(** [k_formation = 8] attempts, [stall_ns] = 1 virtual second. *)
+val default_k_formation : int
+(** 8: a node's gather attempts since it was last operational that
+    make a formation cycle. *)
 
 type t
 
-val create : ?config:config -> n:int -> unit -> t
+val create : ?k_formation:int -> n:int -> unit -> t
+(** [create ?k_formation ~n ()] watches nodes [0 .. n-1], flagging a
+    formation cycle at [k_formation] attempts (default
+    {!default_k_formation}). The stall period, one virtual second, is
+    fixed: how long no node may complete a formation before a cycle
+    counts, and how long nothing may be delivered while a node is stuck
+    outside operational. *)
 
 val as_sink : t -> Trace.sink
 (** The watchdog's feed: subscribe it ({!Trace.with_sink}) before the

@@ -21,9 +21,10 @@
    every active collector. With none active, the engine stamps nothing
    and nothing is subscribed. Spans record nothing themselves, so
    pinned corpus hashes are unaffected. In-flight bookkeeping
-   is bounded: the (sender, seq) table is cleared if it ever exceeds
+   is bounded: the (sender, seq) table is emptied if it ever exceeds
    [max_inflight] entries, trading a few lost samples for a hard memory
-   cap. *)
+   cap. [Hashtbl.clear] keeps the grown bucket array, so the table does
+   not regrow after each emptying. *)
 
 let max_inflight = 1 lsl 16
 
@@ -92,7 +93,7 @@ let note_packed ~submit_ns =
 let on_ordered t ~sender ~seq ~submit_ns =
   let now = Flight.now () in
   Metrics.observe_ns t.h_order (now - submit_ns);
-  if Hashtbl.length t.inflight >= max_inflight then Hashtbl.reset t.inflight;
+  if Hashtbl.length t.inflight >= max_inflight then Hashtbl.clear t.inflight;
   Hashtbl.replace t.inflight (key ~sender ~seq) (submit_ns, now)
 
 let ensure_node t node =

@@ -109,5 +109,3 @@ let pop_exn t =
 let remove t i =
   check_pending "remove" t i;
   take t i t.pos.(i)
-
-let clear t = t.size <- 0

@@ -47,6 +47,3 @@ val top_seq : t -> int
 val pop_exn : t -> int
 (** [pop_exn h] removes the minimum entry and returns its handle.
     @raise Invalid_argument if [h] is empty. *)
-
-val clear : t -> unit
-(** [clear h] removes every entry; all handles become free. *)

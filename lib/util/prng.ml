@@ -16,8 +16,6 @@ let[@inline] next_int64 t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t = create ~seed:(next_int64 t)
-
 (* Draw uniformly from [0, 2^62) and reject the tail that does not divide
    evenly into [bound]: a plain [r mod bound] over-represents the low
    residues by one part in 2^62/bound, which is measurable for bounds near

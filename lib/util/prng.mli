@@ -7,21 +7,16 @@
 
     Allocation: the state is held unboxed, so {!int}, {!bool},
     {!bernoulli}, {!exponential_int} and {!zipf} allocate nothing per
-    draw; {!next_int64} and {!float} allocate only their boxed result,
-    and {!split} the new generator. Every stream is bit-identical to the
-    previous boxed-state generator's for the same seed and call
-    sequence, so workloads, fault schedules and pinned trace hashes do
-    not depend on how the state is stored. *)
+    draw; {!next_int64} and {!float} allocate only their boxed result.
+    Every stream is bit-identical to the previous boxed-state
+    generator's for the same seed and call sequence, so workloads, fault
+    schedules and pinned trace hashes do not depend on how the state is
+    stored. *)
 
 type t
 
 val create : seed:int64 -> t
 (** [create ~seed] is a fresh generator. Equal seeds give equal streams. *)
-
-val split : t -> t
-(** [split t] derives an independent generator from [t], advancing [t].
-    Used to give each simulated node its own stream so that adding a
-    consumer does not perturb the others. *)
 
 val next_int64 : t -> int64
 (** [next_int64 t] is the next raw 64-bit output. *)

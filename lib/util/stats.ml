@@ -1,12 +1,7 @@
 (* The running moments sit in an all-float record, which OCaml stores
    flat: updating them stores raw doubles instead of boxing a fresh float
    per field, as the float fields of a mixed record would. *)
-type moments = {
-  mutable sum : float;
-  mutable sum_sq : float;
-  mutable lo : float;
-  mutable hi : float;
-}
+type moments = { mutable sum : float; mutable hi : float }
 
 type t = {
   mutable samples : float array;
@@ -19,7 +14,7 @@ let create () =
   {
     samples = [||];
     size = 0;
-    m = { sum = 0.0; sum_sq = 0.0; lo = infinity; hi = neg_infinity };
+    m = { sum = 0.0; hi = neg_infinity };
     sorted = true;
   }
 
@@ -34,8 +29,6 @@ let[@inline] record t x =
   t.size <- t.size + 1;
   let m = t.m in
   m.sum <- m.sum +. x;
-  m.sum_sq <- m.sum_sq +. (x *. x);
-  if x < m.lo then m.lo <- x;
   if x > m.hi then m.hi <- x;
   t.sorted <- false
 
@@ -45,17 +38,6 @@ let add_ns t ns = record t (float_of_int ns /. 1e3)
 let count t = t.size
 
 let mean t = if t.size = 0 then nan else t.m.sum /. float_of_int t.size
-
-let stddev t =
-  if t.size < 2 then 0.0
-  else begin
-    let n = float_of_int t.size in
-    let m = t.m.sum /. n in
-    let v = (t.m.sum_sq /. n) -. (m *. m) in
-    if v <= 0.0 then 0.0 else sqrt v
-  end
-
-let min_value t = if t.size = 0 then nan else t.m.lo
 
 let max_value t = if t.size = 0 then nan else t.m.hi
 

@@ -1,8 +1,8 @@
 (** Online sample statistics for latency/throughput measurement.
 
-    Collects samples and reports count, mean, min, max, standard deviation,
-    and percentiles. Percentiles retain all samples (the experiment harness
-    collects bounded sample counts, so this is acceptable and exact).
+    Collects samples and reports count, mean, max and percentiles.
+    Percentiles retain all samples (the experiment harness collects
+    bounded sample counts, so this is acceptable and exact).
 
     Allocation: {!add} and {!add_ns} allocate nothing per sample beyond
     the sample array's amortised doubling; the running moments are
@@ -25,12 +25,6 @@ val add_ns : t -> int -> unit
 
 val count : t -> int
 val mean : t -> float
-
-val stddev : t -> float
-(** Population standard deviation; [0.] when fewer than two samples. *)
-
-val min_value : t -> float
-(** [min_value t] is the smallest sample; [nan] when empty. *)
 
 val max_value : t -> float
 (** [max_value t] is the largest sample; [nan] when empty. *)

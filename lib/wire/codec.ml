@@ -148,10 +148,6 @@ let write_bytes e b =
   write_i32 e (Bytes.length b);
   Buffer.add_bytes e b
 
-let write_list e f l =
-  write_i32 e (List.length l);
-  List.iter f l
-
 (* ------------------------------------------------------------------ *)
 (* Decoder: a reusable cursor over a byte-string slice                  *)
 

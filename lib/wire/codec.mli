@@ -65,9 +65,6 @@ val scratch_buffer : scratch -> bytes
 (** The backing buffer itself — valid up to {!scratch_length}, invalidated
     by the next write or reset. Zero-copy read access for sends. *)
 
-val scratch_contents : scratch -> bytes
-(** A fresh copy of the written bytes. *)
-
 val put_u8 : scratch -> int -> unit
 val put_bool : scratch -> bool -> unit
 val put_i32 : scratch -> int -> unit
@@ -106,9 +103,6 @@ val write_i32 : encoder -> int -> unit
 val write_i64 : encoder -> int -> unit
 val write_bytes : encoder -> bytes -> unit
 (** Length-prefixed (4 bytes) byte string. *)
-
-val write_list : encoder -> ('a -> unit) -> 'a list -> unit
-(** Count-prefixed (4 bytes) list; elements written with the callback. *)
 
 (** {2 Decoder} *)
 

@@ -165,10 +165,6 @@ let encode m =
   write_message (buffer_writer e) m;
   Codec.to_bytes e
 
-let encode_into s m =
-  Codec.scratch_reset s;
-  write_message (scratch_writer s) m
-
 let read_ring_id d =
   let rep = Codec.read_i64 d in
   let ring_seq = Codec.read_i64 d in
@@ -245,11 +241,6 @@ module Pool = struct
     Codec.scratch_reset p.enc;
     write_message p.w m;
     (Codec.scratch_buffer p.enc, Codec.scratch_length p.enc)
-
-  let encode p m =
-    Codec.scratch_reset p.enc;
-    write_message p.w m;
-    Codec.scratch_contents p.enc
 
   let decode_sub p buf ~pos ~len =
     Codec.decoder_reset p.dec buf ~pos ~len;

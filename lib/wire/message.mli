@@ -81,15 +81,10 @@ val kind : t -> string
 
 val encode : t -> bytes
 (** [encode m] is the wire representation of [m] — the {e reference}
-    encoder, built on [Buffer]. The pooled paths below produce
-    byte-identical output (asserted by the golden-vector and property
-    suites) while allocating nothing in steady state. *)
-
-val encode_into : Codec.scratch -> t -> unit
-(** [encode_into s m] resets [s] and writes [m]'s wire representation into
-    it. Once the scratch has grown to the working frame size this
-    allocates nothing; read the result with {!Codec.scratch_buffer} /
-    {!Codec.scratch_length} (zero-copy) or {!Codec.scratch_contents}. *)
+    encoder, built on [Buffer]. The pooled path below
+    ({!Pool.encode_view}) produces byte-identical output (asserted by
+    the golden-vector and property suites) while allocating nothing in
+    steady state. *)
 
 (** Pooled encode/decode for the hot paths (regular token and data).
 
@@ -104,12 +99,8 @@ module Pool : sig
 
   val encode_view : pool -> t -> bytes * int
   (** [(buf, len)] — the pool-owned encoding of the message, valid until
-      the next [encode]/[encode_view] on this pool. The zero-allocation
-      transmit path: hand [buf] up to [len] straight to [sendto]. *)
-
-  val encode : pool -> t -> bytes
-  (** Like {!encode_view} but returns a fresh copy (allocates only the
-      result). Byte-identical to the top-level reference {!val:encode}. *)
+      the next [encode_view] on this pool. The zero-allocation transmit
+      path: hand [buf] up to [len] straight to [sendto]. *)
 
   val decode_sub : pool -> bytes -> pos:int -> len:int -> t
   (** Decode the message occupying [\[pos, pos+len)] of a caller-owned

@@ -28,7 +28,6 @@ let small_schedule ?(app = Schedule.Bare) seed =
         safe_permille = 100;
         horizon_ns = 60_000_000;
         drain_ns = 2_000_000_000;
-        liveness = true;
       };
     faults =
       [
@@ -584,6 +583,53 @@ let test_corpus_save_nested () =
   Sys.rmdir (Filename.dirname dir);
   Sys.rmdir root
 
+(* The index of the first [sub] in [s], if any. *)
+let index_of sub s =
+  let n = String.length sub in
+  let rec go i =
+    if i + n > String.length s then None
+    else if String.sub s i n = sub then Some i
+    else go (i + 1)
+  in
+  go 0
+
+(* A schedule file written before every run was judged for liveness
+   carries ["liveness":true]: it loads as the schedule without the
+   field, [false] is refused, and [to_string] no longer writes it. Every
+   committed corpus file keeps the field and is otherwise exactly its
+   schedule's [to_string]. *)
+let test_old_liveness_field () =
+  let field = {|"liveness":true,|} in
+  let without text =
+    Option.map
+      (fun i ->
+        let j = i + String.length field in
+        String.sub text 0 i ^ String.sub text j (String.length text - j))
+      (index_of field text)
+  in
+  let json = Schedule.to_string (Schedule.generate ~seed:5L ()) in
+  Alcotest.(check (option string)) "to_string writes no liveness" None (without json);
+  let i = Option.get (index_of {|"faults":|} json) in
+  let with_liveness v =
+    String.sub json 0 i ^ {|"liveness":|} ^ v ^ "," ^ String.sub json i (String.length json - i)
+  in
+  Alcotest.(check string)
+    "liveness true loads as the schedule" json
+    (Schedule.to_string (Schedule.of_string (with_liveness "true")));
+  (match Schedule.of_string (with_liveness "false") with
+  | _ -> Alcotest.fail "liveness false parsed"
+  | exception Aring_obs.Json.Parse_error _ -> ());
+  List.iter
+    (fun (name, s) ->
+      let text =
+        In_channel.with_open_bin (Filename.concat "corpus" name) In_channel.input_all
+      in
+      Alcotest.(check (option string))
+        (name ^ " is its schedule with liveness true")
+        (Some (Schedule.to_string s ^ "\n"))
+        (without text))
+    (Corpus.load_dir "corpus")
+
 let suite =
   [
     ("schedule generation deterministic", `Quick, test_generate_deterministic);
@@ -620,4 +666,5 @@ let suite =
     ("schedule params are the snappy profile", `Quick,
      test_schedule_params_are_snappy);
     ("corpus save creates missing parents", `Quick, test_corpus_save_nested);
+    ("old schedules' liveness field", `Quick, test_old_liveness_field);
   ]

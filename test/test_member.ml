@@ -930,7 +930,7 @@ let test_64_node_reformation_within_budget () =
       if nr.nr_max_attempts > 3 then
         Alcotest.failf "node %d needed %d formation attempts (budget 3, watchdog %d)"
           nr.nr_node nr.nr_max_attempts
-          Aring_obs.Health.default_config.Aring_obs.Health.k_formation)
+          Aring_obs.Health.default_k_formation)
     report.Aring_obs.Health.r_nodes
 
 (* A member in Recover runs the new ring's node: the representative's

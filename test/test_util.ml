@@ -48,13 +48,6 @@ let test_heap_basic () =
   check Alcotest.int "a popped handle is handed out again" h5
     (Event_heap.add h ~at:0 ~seq:3)
 
-let test_heap_clear () =
-  let h = heap_of [ 3; 1; 2 ] in
-  Event_heap.clear h;
-  check Alcotest.bool "cleared" true (Event_heap.is_empty h);
-  ignore (Event_heap.add h ~at:9 ~seq:0);
-  check (Alcotest.list key) "usable after clear" [ (9, 0) ] (drain_keys h)
-
 let test_heap_pop_exn_empty () =
   let h = Event_heap.create () in
   Alcotest.check_raises "pop_exn on empty"
@@ -229,18 +222,24 @@ let prop_heap_rekey_model =
 (* -------------------------------------------------------------------- *)
 (* Deque                                                                 *)
 
+(* Pop everything, front to back. *)
+let drain_deque d =
+  let rec loop acc =
+    match Deque.pop_front d with None -> List.rev acc | Some x -> loop (x :: acc)
+  in
+  loop []
+
 let test_deque_basic () =
   let d = Deque.create () in
   check Alcotest.bool "empty" true (Deque.is_empty d);
+  check (Alcotest.option Alcotest.int) "pop empty" None (Deque.pop_front d);
+  Deque.push_back d 0;
   Deque.push_back d 1;
   Deque.push_back d 2;
-  Deque.push_front d 0;
-  check (Alcotest.list Alcotest.int) "to_list" [ 0; 1; 2 ] (Deque.to_list d);
-  check (Alcotest.option Alcotest.int) "front" (Some 0) (Deque.peek_front d);
-  check (Alcotest.option Alcotest.int) "back" (Some 2) (Deque.peek_back d);
+  check Alcotest.bool "not empty" false (Deque.is_empty d);
   check (Alcotest.option Alcotest.int) "pop front" (Some 0) (Deque.pop_front d);
-  check (Alcotest.option Alcotest.int) "pop back" (Some 2) (Deque.pop_back d);
-  check Alcotest.int "length" 1 (Deque.length d)
+  check (Alcotest.list Alcotest.int) "rest in order" [ 1; 2 ] (drain_deque d);
+  check Alcotest.bool "empty again" true (Deque.is_empty d)
 
 let test_deque_wraparound () =
   let d = Deque.create () in
@@ -249,19 +248,11 @@ let test_deque_wraparound () =
     Deque.push_back d i;
     if i mod 3 = 0 then ignore (Deque.pop_front d)
   done;
-  let expected = 1000 - (1000 / 3) in
-  check Alcotest.int "length after churn" expected (Deque.length d);
-  check Alcotest.bool "exists 1000" true (Deque.exists (fun x -> x = 1000) d)
-
-let test_deque_fold_iter () =
-  let d = Deque.create () in
-  List.iter (Deque.push_back d) [ 1; 2; 3; 4 ];
-  check Alcotest.int "fold sum" 10 (Deque.fold ( + ) 0 d);
-  let seen = ref [] in
-  Deque.iter (fun x -> seen := x :: !seen) d;
-  check (Alcotest.list Alcotest.int) "iter order" [ 4; 3; 2; 1 ] !seen;
-  Deque.clear d;
-  check Alcotest.bool "cleared" true (Deque.is_empty d)
+  let rest = drain_deque d in
+  check Alcotest.int "length after churn" (1000 - (1000 / 3)) (List.length rest);
+  check (Alcotest.list Alcotest.int) "the last pushes, in order"
+    (List.init (List.length rest) (fun i -> 1000 - List.length rest + 1 + i))
+    rest
 
 (* Push a fresh block watched by a weak slot; the test keeps no other
    reference to it. *)
@@ -274,20 +265,17 @@ let collected w i = Option.is_none (Weak.get w i)
 
 let test_deque_releases_elements () =
   let d = Deque.create () and w = Weak.create 8 in
-  (* Popped from either end while others remain, and popped until empty. *)
+  (* Popped while another remains, and popped until empty. *)
   push_watched d w 0 Deque.push_back;
   push_watched d w 1 Deque.push_back;
-  push_watched d w 2 Deque.push_front;
-  ignore (Sys.opaque_identity (Deque.pop_front d));
-  ignore (Sys.opaque_identity (Deque.pop_back d));
-  Gc.full_major ();
-  check Alcotest.bool "popped front collected" true (collected w 2);
-  check Alcotest.bool "popped back collected" true (collected w 1);
-  check Alcotest.bool "remaining element kept" false (collected w 0);
   ignore (Sys.opaque_identity (Deque.pop_front d));
   Gc.full_major ();
-  check Alcotest.bool "last popped collected" true (collected w 0);
-  (* Cleared, after the buffer has grown and wrapped. *)
+  check Alcotest.bool "popped front collected" true (collected w 0);
+  check Alcotest.bool "remaining element kept" false (collected w 1);
+  ignore (Sys.opaque_identity (Deque.pop_front d));
+  Gc.full_major ();
+  check Alcotest.bool "last popped collected" true (collected w 1);
+  (* Popped until empty after the buffer has grown and wrapped. *)
   for i = 1 to 40 do
     Deque.push_back d (Bytes.create 8);
     if i mod 2 = 0 then ignore (Deque.pop_front d)
@@ -295,30 +283,22 @@ let test_deque_releases_elements () =
   for i = 3 to 7 do
     push_watched d w i Deque.push_back
   done;
-  Deque.clear d;
+  ignore (Sys.opaque_identity (drain_deque d));
   Gc.full_major ();
   for i = 3 to 7 do
-    check Alcotest.bool (Printf.sprintf "cleared element %d collected" i) true
+    check Alcotest.bool (Printf.sprintf "drained element %d collected" i) true
       (collected w i)
   done;
-  check Alcotest.int "empty after clear" 0 (Deque.length d)
+  check Alcotest.bool "empty after draining" true (Deque.is_empty d)
 
-type deque_op = Push_back of int | Push_front of int | Pop_back | Pop_front
+type deque_op = Push_back of int | Pop_front
 
 let deque_op_gen =
   QCheck.Gen.(
-    oneof
-      [
-        map (fun x -> Push_back x) small_int;
-        map (fun x -> Push_front x) small_int;
-        return Pop_back;
-        return Pop_front;
-      ])
+    oneof [ map (fun x -> Push_back x) small_int; return Pop_front ])
 
 let deque_op_print = function
   | Push_back x -> Printf.sprintf "Push_back %d" x
-  | Push_front x -> Printf.sprintf "Push_front %d" x
-  | Pop_back -> "Pop_back"
   | Pop_front -> "Pop_front"
 
 let prop_deque_model =
@@ -336,26 +316,16 @@ let prop_deque_model =
               Deque.push_back d x;
               model := !model @ [ x ];
               true
-          | Push_front x ->
-              Deque.push_front d x;
-              model := x :: !model;
-              true
           | Pop_front -> (
               match (Deque.pop_front d, !model) with
               | None, [] -> true
               | Some y, m :: rest ->
                   model := rest;
                   y = m
-              | None, _ :: _ | Some _, [] -> false)
-          | Pop_back -> (
-              match (Deque.pop_back d, List.rev !model) with
-              | None, [] -> true
-              | Some y, m :: rest ->
-                  model := List.rev rest;
-                  y = m
               | None, _ :: _ | Some _, [] -> false))
         ops
-      && Deque.to_list d = !model)
+      && Deque.is_empty d = (!model = [])
+      && drain_deque d = !model)
 
 (* -------------------------------------------------------------------- *)
 (* Stats                                                                 *)
@@ -366,7 +336,7 @@ let test_stats_basic () =
   List.iter (Stats.add s) [ 1.0; 2.0; 3.0; 4.0; 5.0 ];
   check Alcotest.int "count" 5 (Stats.count s);
   check (Alcotest.float 1e-9) "mean" 3.0 (Stats.mean s);
-  check (Alcotest.float 1e-9) "min" 1.0 (Stats.min_value s);
+  check (Alcotest.float 1e-9) "p0 is the min" 1.0 (Stats.percentile s 0.0);
   check (Alcotest.float 1e-9) "max" 5.0 (Stats.max_value s);
   check (Alcotest.float 1e-9) "median" 3.0 (Stats.median s);
   check (Alcotest.float 1e-9) "p100" 5.0 (Stats.percentile s 100.0);
@@ -386,11 +356,6 @@ let test_stats_basic () =
             (float_of_int rank) (Stats.percentile s p))
         [ (50.0, n / 2); (99.0, n * 99 / 100); (99.9, n * 999 / 1000) ])
     [ 1_000; 2_000; 3_000; 10_000 ]
-
-let test_stats_stddev () =
-  let s = Stats.create () in
-  List.iter (Stats.add s) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
-  check (Alcotest.float 1e-9) "stddev" 2.0 (Stats.stddev s)
 
 let test_stats_merge () =
   let a = Stats.create () and b = Stats.create () in
@@ -419,7 +384,7 @@ let prop_stats_percentile_endpoints =
   QCheck.Test.make ~name:"p0 is min and p100 is max" ~count:300 nonempty_floats
     (fun xs ->
       let s = stats_of xs in
-      Stats.percentile s 0.0 = Stats.min_value s
+      Stats.percentile s 0.0 = List.fold_left Float.min infinity xs
       && Stats.percentile s 100.0 = Stats.max_value s)
 
 let prop_stats_percentile_monotone =
@@ -439,7 +404,8 @@ let prop_stats_merge_preserves =
       let a = stats_of xs and b = stats_of ys in
       let m = Stats.merge a b in
       Stats.count m = Stats.count a + Stats.count b
-      && Stats.min_value m = Float.min (Stats.min_value a) (Stats.min_value b)
+      && Stats.percentile m 0.0
+         = Float.min (Stats.percentile a 0.0) (Stats.percentile b 0.0)
       && Stats.max_value m = Float.max (Stats.max_value a) (Stats.max_value b))
 
 let prop_stats_percentile_bounds =
@@ -450,7 +416,7 @@ let prop_stats_percentile_bounds =
       let s = Stats.create () in
       List.iter (Stats.add s) xs;
       let v = Stats.percentile s p in
-      v >= Stats.min_value s && v <= Stats.max_value s)
+      v >= List.fold_left Float.min infinity xs && v <= Stats.max_value s)
 
 (* -------------------------------------------------------------------- *)
 (* Prng                                                                  *)
@@ -460,18 +426,6 @@ let test_prng_deterministic () =
   for _ = 1 to 100 do
     check Alcotest.int64 "same stream" (Prng.next_int64 a) (Prng.next_int64 b)
   done
-
-let test_prng_split_independent () =
-  let a = Prng.create ~seed:7L in
-  let c = Prng.split a in
-  let direct = Prng.next_int64 (Prng.create ~seed:7L) in
-  check Alcotest.bool "split derived from stream" true
-    (Prng.next_int64 c <> direct || true);
-  (* Splitting must advance the parent. *)
-  let a1 = Prng.create ~seed:9L and a2 = Prng.create ~seed:9L in
-  ignore (Prng.split a1);
-  check Alcotest.bool "parent advanced" true
-    (Prng.next_int64 a1 <> Prng.next_int64 a2)
 
 let prop_prng_int_bounds =
   QCheck.Test.make ~name:"Prng.int stays in bounds" ~count:500
@@ -660,8 +614,6 @@ module Ref_prng = struct
     let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
     Int64.logxor z (Int64.shift_right_logical z 31)
 
-  let split t = { state = next_int64 t }
-
   let int t bound =
     let rem62 = Int64.to_int (Int64.rem 0x4000_0000_0000_0000L (Int64.of_int bound)) in
     let rec draw () =
@@ -708,38 +660,19 @@ module Ref_prng = struct
 end
 
 module Ref_stats = struct
-  type t = {
-    mutable size : int;
-    mutable sum : float;
-    mutable sum_sq : float;
-    mutable lo : float;
-    mutable hi : float;
-  }
+  type t = { mutable size : int; mutable sum : float; mutable hi : float }
 
   let of_list xs =
-    let t = { size = 0; sum = 0.0; sum_sq = 0.0; lo = infinity; hi = neg_infinity } in
+    let t = { size = 0; sum = 0.0; hi = neg_infinity } in
     List.iter
       (fun x ->
         t.size <- t.size + 1;
         t.sum <- t.sum +. x;
-        t.sum_sq <- t.sum_sq +. (x *. x);
-        if x < t.lo then t.lo <- x;
         if x > t.hi then t.hi <- x)
       xs;
     t
 
   let mean t = if t.size = 0 then nan else t.sum /. float_of_int t.size
-
-  let stddev t =
-    if t.size < 2 then 0.0
-    else begin
-      let n = float_of_int t.size in
-      let m = t.sum /. n in
-      let v = (t.sum_sq /. n) -. (m *. m) in
-      if v <= 0.0 then 0.0 else sqrt v
-    end
-
-  let min_value t = if t.size = 0 then nan else t.lo
   let max_value t = if t.size = 0 then nan else t.hi
 end
 
@@ -757,6 +690,20 @@ let minor_words_per_call ~n f =
     f ()
   done;
   (Gc.minor_words () -. before) /. float_of_int n
+
+(* Once the buffer has grown, a push allocates the [Some] box (two
+   words) that its pop hands back, and nothing else. *)
+let test_deque_push_pop_allocation () =
+  let d = Deque.create () in
+  for i = 1 to 64 do
+    Deque.push_back d i
+  done;
+  let words =
+    minor_words_per_call ~n:100_000 (fun () ->
+        Deque.push_back d 7;
+        ignore (Sys.opaque_identity (Deque.pop_front d)))
+  in
+  check (Alcotest.float 0.01) "words per push + pop" 2.0 words
 
 (* -------------------------------------------------------------------- *)
 (* FNV-1a                                                                *)
@@ -785,7 +732,7 @@ let test_fnv_allocates_nothing_per_byte () =
 (* -------------------------------------------------------------------- *)
 (* Prng against the boxed generator                                      *)
 
-type prng_op = Next | Int of int | Float of float | Exp of float | Zipf of int | Split
+type prng_op = Next | Int of int | Float of float | Exp of float | Zipf of int
 
 let prng_op_gen =
   QCheck.Gen.(
@@ -799,7 +746,6 @@ let prng_op_gen =
         (2, map (fun b -> Float b) (float_bound_inclusive 1e6));
         (2, map (fun m -> Exp m) (float_bound_inclusive 1e3));
         (2, map (fun i -> Zipf i) (0 -- 3));
-        (1, return Split);
       ])
 
 let prng_op_print = function
@@ -808,12 +754,10 @@ let prng_op_print = function
   | Float b -> Printf.sprintf "float %g" b
   | Exp m -> Printf.sprintf "exp %g" m
   | Zipf i -> Printf.sprintf "zipf %d" i
-  | Split -> "split"
 
 let prop_prng_matches_reference =
   (* The same op sequence on the live and the boxed generator, from one
-     seed: every output equal bit for bit. A split continues on the
-     child, so split streams are compared too. *)
+     seed: every output equal bit for bit. *)
   let tables = [| (1, 0.0); (7, 0.5); (64, 0.99); (1000, 1.2) |] in
   let live_tables = Array.map (fun (n, theta) -> Prng.zipf_table ~n ~theta) tables in
   let ref_tables = Array.map (fun (n, theta) -> Ref_prng.zipf_table ~n ~theta) tables in
@@ -822,21 +766,17 @@ let prop_prng_matches_reference =
       pair int64
         (make ~print:(Print.list prng_op_print) Gen.(list_size (1 -- 200) prng_op_gen)))
     (fun (seed, ops) ->
-      let live = ref (Prng.create ~seed) and boxed = ref (Ref_prng.create ~seed) in
+      let live = Prng.create ~seed and boxed = Ref_prng.create ~seed in
       List.for_all
         (fun op ->
           match op with
-          | Next -> Int64.equal (Prng.next_int64 !live) (Ref_prng.next_int64 !boxed)
-          | Int b -> Prng.int !live b = Ref_prng.int !boxed b
-          | Float b -> same_bits (Prng.float !live b) (Ref_prng.float !boxed b)
+          | Next -> Int64.equal (Prng.next_int64 live) (Ref_prng.next_int64 boxed)
+          | Int b -> Prng.int live b = Ref_prng.int boxed b
+          | Float b -> same_bits (Prng.float live b) (Ref_prng.float boxed b)
           | Exp mean ->
-              Prng.exponential_int !live ~mean
-              = int_of_float (Ref_prng.exponential !boxed ~mean)
-          | Zipf i -> Prng.zipf !live live_tables.(i) = Ref_prng.zipf !boxed ref_tables.(i)
-          | Split ->
-              live := Prng.split !live;
-              boxed := Ref_prng.split !boxed;
-              Int64.equal (Prng.next_int64 !live) (Ref_prng.next_int64 !boxed))
+              Prng.exponential_int live ~mean
+              = int_of_float (Ref_prng.exponential boxed ~mean)
+          | Zipf i -> Prng.zipf live live_tables.(i) = Ref_prng.zipf boxed ref_tables.(i))
         ops)
 
 let test_prng_draws_allocate_nothing () =
@@ -862,8 +802,6 @@ let prop_stats_match_reference =
       let r = Ref_stats.of_list xs in
       Stats.count s = r.Ref_stats.size
       && same_bits (Stats.mean s) (Ref_stats.mean r)
-      && same_bits (Stats.stddev s) (Ref_stats.stddev r)
-      && same_bits (Stats.min_value s) (Ref_stats.min_value r)
       && same_bits (Stats.max_value s) (Ref_stats.max_value r))
 
 let test_stats_add_allocation () =
@@ -879,21 +817,6 @@ let test_stats_add_allocation () =
         Stats.add s (float_of_int !i))
   in
   check Alcotest.bool (Printf.sprintf "%.2f words per add <= 2" words) true (words <= 2.0)
-
-let test_deque_push_front_wrap_growth () =
-  (* Alternating front/back pushes keep the head wrapped behind the tail
-     while the ring grows several times; the logical order must survive. *)
-  let d = Deque.create () in
-  for i = 1 to 200 do
-    if i mod 2 = 0 then Deque.push_back d i else Deque.push_front d i
-  done;
-  check Alcotest.int "length" 200 (Deque.length d);
-  let expected =
-    List.init 100 (fun k -> 199 - (2 * k)) @ List.init 100 (fun k -> (2 * k) + 2)
-  in
-  check (Alcotest.list Alcotest.int) "order preserved" expected (Deque.to_list d);
-  check (Alcotest.option Alcotest.int) "front" (Some 199) (Deque.pop_front d);
-  check (Alcotest.option Alcotest.int) "back" (Some 200) (Deque.pop_back d)
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -953,7 +876,7 @@ let test_int_entry_points () =
   done;
   List.iter
     (fun (what, f) -> check Alcotest.bool what true (same_bits (f a) (f b)))
-    [ ("mean", Stats.mean); ("stddev", Stats.stddev); ("p50", Stats.median); ("p99.9", Stats.p999) ];
+    [ ("mean", Stats.mean); ("max", Stats.max_value); ("p50", Stats.median); ("p99.9", Stats.p999) ];
   let i = ref 0 in
   check Alcotest.int "words per exponential_int" 0
     (int_of_float
@@ -967,7 +890,6 @@ let test_int_entry_points () =
 let suite =
   [
     ("heap basic", `Quick, test_heap_basic);
-    ("heap clear", `Quick, test_heap_clear);
     ("heap pop_exn empty", `Quick, test_heap_pop_exn_empty);
     ("heap top_exn", `Quick, test_heap_top_exn);
     ("heap reserve", `Quick, test_heap_reserve);
@@ -977,11 +899,8 @@ let suite =
     qtest prop_heap_drain_sorted_after_churn;
     ("deque basic", `Quick, test_deque_basic);
     ("deque wraparound", `Quick, test_deque_wraparound);
-    ("deque push_front wrap + growth", `Quick, test_deque_push_front_wrap_growth);
-    ("deque fold/iter", `Quick, test_deque_fold_iter);
     qtest prop_deque_model;
     ("stats basic", `Quick, test_stats_basic);
-    ("stats stddev", `Quick, test_stats_stddev);
     ("stats merge", `Quick, test_stats_merge);
     ("stats resort", `Quick, test_stats_add_after_percentile);
     qtest prop_stats_percentile_bounds;
@@ -989,7 +908,6 @@ let suite =
     qtest prop_stats_percentile_monotone;
     qtest prop_stats_merge_preserves;
     ("prng deterministic", `Quick, test_prng_deterministic);
-    ("prng split", `Quick, test_prng_split_independent);
     qtest prop_prng_int_bounds;
     qtest prop_prng_int_bounds_extreme;
     qtest prop_prng_int_unbiased_high_bound;
@@ -1002,6 +920,12 @@ let suite =
     qtest prop_zipf_seed_deterministic;
     ("zipf mass conservation", `Quick, test_zipf_mass_conservation);
     ("zipf invalid args", `Quick, test_zipf_invalid_args);
+    (* Kept ahead of the numbered names below, so their indices stay. *)
+    ("deque keeps no popped element alive", `Quick, test_deque_releases_elements);
+    qtest prop_heap_rekey_model;
+    qtest prop_bytes_ring_model;
+    ("int-ns entry points: the float forms' values, 0 words", `Quick, test_int_entry_points);
+    ("deque push and pop allocate one option", `Quick, test_deque_push_pop_allocation);
     ("fnv-1a 64 reference vectors", `Quick, test_fnv_vectors);
     qtest prop_fnv_matches_reference;
     ("fnv: 0 words per KiB hashed", `Quick, test_fnv_allocates_nothing_per_byte);
@@ -1009,8 +933,4 @@ let suite =
     ("prng: 0 words per int and zipf draw", `Quick, test_prng_draws_allocate_nothing);
     qtest prop_stats_match_reference;
     ("stats: at most 2 words per add", `Quick, test_stats_add_allocation);
-    ("deque keeps no popped or cleared element alive", `Quick, test_deque_releases_elements);
-    qtest prop_heap_rekey_model;
-    qtest prop_bytes_ring_model;
-    ("int-ns entry points: the float forms' values, 0 words", `Quick, test_int_entry_points);
   ]

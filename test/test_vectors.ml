@@ -29,28 +29,20 @@ let test_reference_encoder_bytes () =
         true
         (Bytes.equal (Message.encode m) frame))
 
-let test_pooled_encoder_bytes () =
-  iter2_vectors (fun name m frame ->
-      Alcotest.(check bool)
-        (name ^ ": pooled encode reproduces committed bytes")
-        true
-        (Bytes.equal (Message.Pool.encode pool m) frame);
-      let buf, len = Message.Pool.encode_view pool m in
-      Alcotest.(check bool)
-        (name ^ ": encode_view reproduces committed bytes")
-        true
-        (len = Bytes.length frame && Bytes.equal (Bytes.sub buf 0 len) frame))
+(* [pool]'s encoding of [m] is [frame], byte for byte. *)
+let check_encode_view pool name m frame =
+  let buf, len = Message.Pool.encode_view pool m in
+  Alcotest.(check bool)
+    (name ^ ": encode_view reproduces committed bytes")
+    true
+    (len = Bytes.length frame && Bytes.equal (Bytes.sub buf 0 len) frame)
+
+let test_pooled_encoder_bytes () = iter2_vectors (check_encode_view pool)
 
 let test_scratch_encoder_bytes () =
-  (* A deliberately tiny scratch, so every vector also exercises
-     grow-in-place doubling. *)
-  let s = Codec.scratch ~initial_capacity:16 () in
-  iter2_vectors (fun name m frame ->
-      Message.encode_into s m;
-      Alcotest.(check bool)
-        (name ^ ": encode_into reproduces committed bytes")
-        true
-        (Bytes.equal (Codec.scratch_contents s) frame))
+  (* A pool over a deliberately tiny scratch, so every vector also
+     exercises grow-in-place doubling. *)
+  iter2_vectors (check_encode_view (Message.Pool.create ~initial_capacity:16 ()))
 
 let test_lossless_decode () =
   iter2_vectors (fun name m frame ->

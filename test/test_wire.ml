@@ -16,7 +16,8 @@ let test_codec_roundtrip_ints () =
   Codec.write_i32 e (-123456);
   Codec.write_i64 e 0x1234_5678_9ABC_DEF;
   Codec.write_bytes e (Bytes.of_string "hello");
-  Codec.write_list e (Codec.write_i64 e) [ 1; 2; 3 ];
+  Codec.write_i32 e 3;
+  List.iter (Codec.write_i64 e) [ 1; 2; 3 ];
   let d = Codec.decoder (Codec.to_bytes e) in
   check Alcotest.int "u8" 200 (Codec.read_u8 d);
   check Alcotest.bool "bool" true (Codec.read_bool d);
@@ -303,15 +304,8 @@ let shared_pool = Message.Pool.create ()
 let prop_pooled_encode_matches_reference =
   QCheck.Test.make ~name:"pooled encode is byte-identical to reference"
     ~count:500 message_arbitrary (fun m ->
-      Bytes.equal (Message.Pool.encode shared_pool m) (Message.encode m))
-
-let prop_scratch_encode_matches_reference =
-  QCheck.Test.make ~name:"encode_into is byte-identical to reference"
-    ~count:500 message_arbitrary
-    (let s = Codec.scratch ~initial_capacity:16 () in
-     fun m ->
-       Message.encode_into s m;
-       Bytes.equal (Codec.scratch_contents s) (Message.encode m))
+      let buf, len = Message.Pool.encode_view shared_pool m in
+      Bytes.equal (Bytes.sub buf 0 len) (Message.encode m))
 
 let prop_pooled_roundtrip =
   QCheck.Test.make ~name:"pooled encode_view/decode_sub round-trips"
@@ -372,7 +366,6 @@ let suite =
     ("decoder_reset bounds", `Quick, test_decoder_reset_bounds);
     qtest prop_roundtrip;
     qtest prop_pooled_encode_matches_reference;
-    qtest prop_scratch_encode_matches_reference;
     qtest prop_pooled_roundtrip;
     qtest prop_wire_size_exact;
     qtest prop_decode_truncated_fails;
