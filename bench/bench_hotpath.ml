@@ -23,6 +23,8 @@ module Merge = Aring_multiring.Merge
 module Fnv = Aring_util.Fnv
 module Prng = Aring_util.Prng
 module Metrics = Aring_obs.Metrics
+module Trace = Aring_obs.Trace
+module Rotation = Aring_obs.Rotation
 
 let ms n = n * 1_000_000
 
@@ -494,14 +496,11 @@ let run ~quick =
     else float_of_int events /. float_of_int deliveries
   in
   let pending_peak = netsim_count "netsim.events_pending_peak" in
-  let rot = Scenario.run { pipeline_spec with profile_rotation = true } in
+  let prof = Rotation.create ~node:0 () in
+  ignore (Trace.with_sink (Rotation.as_sink prof) (fun () -> Scenario.run pipeline_spec));
+  let rot = (Rotation.summary prof).rotation_us in
   let rotation_p50, rotation_p99, rotation_p999 =
-    match rot.Scenario.rotation with
-    | Some prof ->
-        ( Stats.median prof.Aring_obs.Rotation.rotation_us,
-          Stats.percentile prof.Aring_obs.Rotation.rotation_us 99.0,
-          Stats.percentile prof.Aring_obs.Rotation.rotation_us 99.9 )
-    | None -> (0., 0., 0.)
+    (Stats.median rot, Stats.percentile rot 99.0, Stats.percentile rot 99.9)
   in
   Printf.printf
     "pipeline (10G library tier, Agreed, 1350B, %.0f Mbps offered):\n\

@@ -13,6 +13,8 @@ open Aring_ring
 open Aring_sim
 open Aring_harness
 module Stats = Aring_util.Stats
+module Trace = Aring_obs.Trace
+module Rotation = Aring_obs.Rotation
 
 let ms n = n * 1_000_000
 
@@ -121,26 +123,20 @@ let rotation_profile ~quick =
       List.iter
         (fun rate ->
           let s =
-            {
-              (spec ~quick ~net:Profile.gigabit ~tier:Profile.daemon ~protocol
-                 ~service:Types.Agreed ~payload:1350 ~rate)
-              with
-              profile_rotation = true;
-            }
+            spec ~quick ~net:Profile.gigabit ~tier:Profile.daemon ~protocol
+              ~service:Types.Agreed ~payload:1350 ~rate
           in
-          let r = Scenario.run s in
-          match r.Scenario.rotation with
-          | None -> ()
-          | Some rot ->
-              let open Aring_obs.Rotation in
-              Printf.printf
-                "  %-12s %8.0f | %9d %12.1f %12.1f %10.1f %10.1f %9.1f%%\n%!"
-                (protocol_name protocol) rate rot.rotations
-                (Stats.mean rot.rotation_us)
-                (Stats.percentile rot.rotation_us 99.0)
-                (Stats.mean rot.msgs_per_round)
-                (Stats.mean rot.aru_per_round)
-                (100.0 *. rot.post_token_fraction))
+          let p = Rotation.create ~node:0 () in
+          ignore (Trace.with_sink (Rotation.as_sink p) (fun () -> Scenario.run s));
+          let rot = Rotation.summary p in
+          Printf.printf
+            "  %-12s %8.0f | %9d %12.1f %12.1f %10.1f %10.1f %9.1f%%\n%!"
+            (protocol_name protocol) rate rot.rotations
+            (Stats.mean rot.rotation_us)
+            (Stats.percentile rot.rotation_us 99.0)
+            (Stats.mean rot.msgs_per_round)
+            (Stats.mean rot.aru_per_round)
+            (100.0 *. rot.post_token_fraction))
         (thin ~quick [ 300.; 600.; 800. ]);
       print_newline ())
     [ `Original; `Accelerated ]

@@ -25,7 +25,7 @@ let service_of_string = function
   | s -> Error (`Msg (Printf.sprintf "unknown service %S" s))
 
 let run nodes net tier protocol service payload rate pw gw aw seconds
-    find_max seed verbose trace_file check rotation spans =
+    find_max seed verbose trace_file check spans =
   if verbose then Aring_util.Log.setup ~level:Logs.Info ();
   let checker = if check then Some (Aring_obs.Checker.create ()) else None in
   let trace =
@@ -56,7 +56,6 @@ let run nodes net tier protocol service payload rate pw gw aw seconds
       offered_mbps = rate;
       measure_ns = int_of_float (seconds *. 1e9);
       seed = Int64.of_int seed;
-      profile_rotation = rotation;
     }
   in
   (* Latency spans ride outside the trace stream: a collector is active
@@ -96,9 +95,6 @@ let run nodes net tier protocol service payload rate pw gw aw seconds
       | [] -> Format.printf "no latency spans recorded@."
       | stages -> Format.printf "%a@." Aring_obs.Span.pp_report stages)
     span;
-  (match result.Scenario.rotation with
-  | Some s -> Format.printf "%a@." Aring_obs.Rotation.pp_summary s
-  | None -> ());
   match checker with
   | None -> ()
   | Some c ->
@@ -159,12 +155,6 @@ let check =
     & info [ "check" ]
         ~doc:"Run the trace-driven invariant checker during the run; exit 1 on any violation.")
 
-let rotation =
-  Arg.(
-    value & flag
-    & info [ "rotation" ]
-        ~doc:"Profile token rotations (rotation time, messages/round, post-token overlap).")
-
 let spans =
   Arg.(
     value & flag
@@ -181,7 +171,6 @@ let cmd =
     Term.(
       const run $ nodes $ net $ tier $ protocol $ service $ payload $ rate
       $ pw $ gw $ aw $ seconds $ find_max $ seed $ verbose
-      $ Trace_sinks.trace_file $ check $ rotation
-      $ spans)
+      $ Trace_sinks.trace_file $ check $ spans)
 
 let () = exit (Cmd.eval cmd)

@@ -33,4 +33,5 @@ let trace_file =
         ~doc:
           "Write every flight record of the run as JSONL to $(docv) \
            ($(b,accelring_trace) $(docv) $(b,--chrome) OUT turns it into a \
-           Chrome trace-event file).")
+           Chrome trace-event file, $(b,--rotation) N profiles node N's \
+           token rotations).")

@@ -43,7 +43,6 @@ type stats = {
   mutable mcas_commits : int;
   mutable mcas_aborts : int;
   mutable mcas_dups : int;
-  mutable mcas_wounds : int;
   mutable skips : int;
 }
 
@@ -296,7 +295,6 @@ let start_mcas ?(wound = false) t op =
               in
               Hashtbl.replace t.mcas_meta id (Mcas_voted vote);
               t.stats.mcas_votes <- t.stats.mcas_votes + 1;
-              if wound then t.stats.mcas_wounds <- t.stats.mcas_wounds + 1;
               if vote then t.mcas_head <- Some { mc_id = id; mc_op = op };
               Flight.record ~node:t.me
                 ~code:Flight.ev_mcas ~a:t.ring_id
@@ -806,7 +804,6 @@ let create ?(bug = Bug_none) ?(ring = 0) ~cluster_size ~daemon () =
           buffered_peak = 0;
           decode_errors = 0;
           mcas_votes = 0;
-          mcas_wounds = 0;
           mcas_commits = 0;
           mcas_aborts = 0;
           mcas_dups = 0;

@@ -124,9 +124,6 @@ type stats = {
   mutable mcas_commits : int;
   mutable mcas_aborts : int;
   mutable mcas_dups : int;  (** Retried Mcas/Mdecide copies deduplicated. *)
-  mutable mcas_wounds : int;
-      (** Mcas copies force-aborted by wait-die: delivered while an
-          older mcas held this ring's park. *)
   mutable skips : int;
 }
 

@@ -2,9 +2,7 @@ open Aring_wire
 open Aring_ring
 open Aring_sim
 module Stats = Aring_util.Stats
-module Trace = Aring_obs.Trace
 module Metrics = Aring_obs.Metrics
-module Rotation = Aring_obs.Rotation
 
 type spec = {
   label : string;
@@ -19,12 +17,9 @@ type spec = {
   warmup_ns : int;
   measure_ns : int;
   seed : int64;
-  profile_rotation : bool;
 }
 
 type phase = {
-  p_start_ns : int;
-  p_end_ns : int;
   p_offered_mbps : float;
   p_delivered_mbps : float;
   p_latency_us : Stats.t;
@@ -42,7 +37,6 @@ type result = {
   token_rounds : int;
   phases : phase list;
   metrics : Metrics.t;
-  rotation : Rotation.summary option;
 }
 
 let default_spec =
@@ -59,7 +53,6 @@ let default_spec =
     warmup_ns = 100_000_000;
     measure_ns = 400_000_000;
     seed = 1L;
-    profile_rotation = false;
   }
 
 let ring_id : Types.ring_id = { rep = 0; ring_seq = 1 }
@@ -167,20 +160,9 @@ let measure spec ~participants ~ring_stats =
         phase_count.(p) <- phase_count.(p) + 1
       end);
   start_workload sim spec ~until:t_end;
-  (* Rotation profiling subscribes its sink for the run; when the spec
-     does not ask for it, nothing is subscribed. *)
-  let profiler =
-    if spec.profile_rotation then Some (Rotation.create ~node:0 ()) else None
-  in
-  (match profiler with
-  | Some p -> Trace.with_sink (Rotation.as_sink p) (fun () -> Netsim.run_until sim t_end)
-  | None -> Netsim.run_until sim t_end);
+  Netsim.run_until sim t_end;
   let metrics = Metrics.create () in
   Netsim.record_metrics sim metrics;
-  let rotation = Option.map Rotation.summary profiler in
-  (match rotation with
-  | Some s -> Rotation.record_metrics s metrics
-  | None -> ());
   let measure_s = float_of_int spec.measure_ns /. 1e9 in
   let per_node_mbps =
     Array.map
@@ -198,8 +180,6 @@ let measure spec ~participants ~ring_stats =
         let start = bounds.(p) and stop = bounds.(p + 1) in
         let dur_s = float_of_int (stop - start) /. 1e9 in
         {
-          p_start_ns = start;
-          p_end_ns = stop;
           p_offered_mbps = rate_at spec start;
           p_delivered_mbps =
             float_of_int (phase_bytes.(p) * 8)
@@ -220,7 +200,6 @@ let measure spec ~participants ~ring_stats =
     token_rounds;
     phases;
     metrics;
-    rotation;
   }
 
 let run spec =

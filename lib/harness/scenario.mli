@@ -28,15 +28,9 @@ type spec = {
   warmup_ns : int;
   measure_ns : int;
   seed : int64;
-  profile_rotation : bool;
-      (** Attach an {!Aring_obs.Rotation} profiler (anchored at node 0)
-          for the run, subscribed to the {!Aring_obs.Flight} records.
-          Off by default. *)
 }
 
 type phase = {
-  p_start_ns : int;
-  p_end_ns : int;
   p_offered_mbps : float;  (** Rate in force at the phase start. *)
   p_delivered_mbps : float;
   p_latency_us : Aring_util.Stats.t;
@@ -60,11 +54,8 @@ type result = {
       (** The measurement window cut at every load-schedule boundary,
           in time order; a single phase for a constant load. *)
   metrics : Aring_obs.Metrics.t;
-      (** Registry holding the run's ["netsim.*"] counters, the
-          ["engine.*"] counters summed over nodes (for {!run}), and the
-          ["rotation.*"] instruments when [profile_rotation] was set. *)
-  rotation : Aring_obs.Rotation.summary option;
-      (** Per-round rotation profile; [Some] iff [spec.profile_rotation]. *)
+      (** Registry holding the run's ["netsim.*"] counters and the
+          ["engine.*"] counters summed over nodes (for {!run}). *)
 }
 
 val default_spec : spec

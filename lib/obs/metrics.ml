@@ -1,14 +1,14 @@
 (* Metrics registry: named counters, gauges and fixed-bucket histograms.
 
    This is the unified surface over the ad-hoc per-subsystem stats
-   records (Engine.stats, Netsim.stats, Node.queue_stats, Daemon.stats,
-   …): each subsystem exports its counters into a registry under a
-   stable dotted name, registries from different nodes merge, and the
-   result prints as one table. Handles are plain mutable records, so a
-   hot path that holds a handle pays one store per update. *)
+   records (Engine.stats, Netsim.stats, Daemon.stats, …): each
+   subsystem exports its counters into a registry under a stable dotted
+   name, registries from different nodes merge, and the result prints
+   as one table. Handles are plain mutable records, so a hot path that
+   holds a handle pays one store per update. *)
 
-type counter = { c_name : string; mutable c_value : int }
-type gauge = { g_name : string; mutable g_value : float }
+type counter = { mutable c_value : int }
+type gauge = { mutable g_value : float }
 
 (* The sum sits in a one-field all-float record, which OCaml stores
    flat: a [mutable float] field of the mixed [histogram] record would
@@ -16,7 +16,6 @@ type gauge = { g_name : string; mutable g_value : float }
 type sum_cell = { mutable sum : float }
 
 type histogram = {
-  h_name : string;
   bounds : float array;  (* strictly increasing upper bounds *)
   counts : int array;  (* length = Array.length bounds + 1 (overflow) *)
   h_sum : sum_cell;
@@ -43,7 +42,7 @@ let counter t name =
   match Hashtbl.find_opt t.counters name with
   | Some c -> c
   | None ->
-      let c = { c_name = name; c_value = 0 } in
+      let c = { c_value = 0 } in
       Hashtbl.replace t.counters name c;
       c
 
@@ -61,7 +60,7 @@ let gauge t name =
   match Hashtbl.find_opt t.gauges name with
   | Some g -> g
   | None ->
-      let g = { g_name = name; g_value = 0.0 } in
+      let g = { g_value = 0.0 } in
       Hashtbl.replace t.gauges name g;
       g
 
@@ -99,7 +98,6 @@ let histogram ?(bounds = default_bounds) t name =
       validate_bounds bounds;
       let h =
         {
-          h_name = name;
           bounds = Array.copy bounds;
           counts = Array.make (Array.length bounds + 1) 0;
           h_sum = { sum = 0.0 };
@@ -172,7 +170,6 @@ let hist_merge a b =
     invalid_arg "Metrics.hist_merge: incompatible bucket bounds";
   let m =
     {
-      h_name = a.h_name;
       bounds = Array.copy a.bounds;
       counts =
         Array.init (Array.length a.counts) (fun i ->

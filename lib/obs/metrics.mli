@@ -80,6 +80,5 @@ val merge : t -> t -> t
 val counters : t -> (string * int) list
 (** Sorted by name. *)
 
-val gauges : t -> (string * float) list
 val histograms : t -> (string * histogram) list
 val pp : Format.formatter -> t -> unit

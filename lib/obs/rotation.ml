@@ -19,7 +19,6 @@ type t = {
   node : int;
   mutable last_recv : (int * int) option;  (* t_ns, aru at anchor receipt *)
   mutable window_sends : int;
-  mutable window_post : int;
   mutable total_sends : int;
   mutable total_post : int;
   rotation_us : Stats.t;
@@ -41,7 +40,6 @@ let create ~node () =
     node;
     last_recv = None;
     window_sends = 0;
-    window_post = 0;
     total_sends = 0;
     total_post = 0;
     rotation_us = Stats.create ();
@@ -55,10 +53,7 @@ let as_sink t ~ns ~node ~code ~a:_ ~b ~c ~d:_ ~e:_ ~f:_ ~g:_ ~h:_ ~i:_ =
   if code = Flight.ev_data_send then begin
     t.window_sends <- t.window_sends + 1;
     t.total_sends <- t.total_sends + 1;
-    if b = 1 then begin
-      t.window_post <- t.window_post + 1;
-      t.total_post <- t.total_post + 1
-    end
+    if b = 1 then t.total_post <- t.total_post + 1
   end
   else if code = Flight.ev_token_recv && node = t.node then begin
     (match t.last_recv with
@@ -68,13 +63,11 @@ let as_sink t ~ns ~node ~code ~a:_ ~b ~c ~d:_ ~e:_ ~f:_ ~g:_ ~h:_ ~i:_ =
         Stats.add t.aru_per_round (float_of_int (c - prev_aru))
     | None -> ());
     t.last_recv <- Some (ns, c);
-    t.window_sends <- 0;
-    t.window_post <- 0
+    t.window_sends <- 0
   end
   else if code = Flight.ev_view_install then begin
     t.last_recv <- None;
-    t.window_sends <- 0;
-    t.window_post <- 0
+    t.window_sends <- 0
   end
 
 let summary t =
@@ -88,24 +81,6 @@ let summary t =
       (if t.total_sends = 0 then 0.0
        else float_of_int t.total_post /. float_of_int t.total_sends);
   }
-
-let record_metrics s reg =
-  Metrics.add (Metrics.counter reg "rotation.rotations") s.rotations;
-  let h =
-    Metrics.histogram
-      ~bounds:(Metrics.exponential_bounds ~lo:10.0 ~factor:1.6 ~count:24)
-      reg "rotation.time_us"
-  in
-  (* Re-observe each sample once into the mergeable histogram form: rank
-     i - 1/2 of n sits half a slot inside sample i, where float rounding
-     cannot move it to a neighbour (rank i itself can land on i + 1). *)
-  let n = Stats.count s.rotation_us in
-  for i = 1 to n do
-    Metrics.observe h
-      (Stats.percentile s.rotation_us
-         (100.0 *. (float_of_int i -. 0.5) /. float_of_int n))
-  done;
-  Metrics.set (Metrics.gauge reg "rotation.post_token_fraction") s.post_token_fraction
 
 let pp_summary ppf s =
   if s.rotations = 0 then

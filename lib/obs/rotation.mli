@@ -31,9 +31,4 @@ val as_sink : t -> Trace.sink
 
 val summary : t -> summary
 
-val record_metrics : summary -> Metrics.t -> unit
-(** Export into a registry: ["rotation.rotations"] counter,
-    ["rotation.time_us"] histogram, ["rotation.post_token_fraction"]
-    gauge. *)
-
 val pp_summary : Format.formatter -> summary -> unit

@@ -43,11 +43,6 @@ type gather = {
          laggards (they would merge back in, but with churn). *)
 }
 
-type commit_phase = {
-  cp_ring : Types.ring_id;
-  cp_order : Types.pid array;
-}
-
 (* Recovery on the new ring's regular token. The new ring's node runs
    from commit pass 2 on: each old-ring message this member must supply
    rides it as [Recovered] data, under the token's window, fcc and rtr
@@ -68,7 +63,7 @@ type recover = {
 type phase =
   | Operational of Node.t
   | Gather of gather
-  | Commit_wait of commit_phase
+  | Commit_wait of Types.ring_id  (* the proposed ring *)
   | Recover of recover
 
 type t = {
@@ -290,7 +285,7 @@ and propose t g =
       m "pid %d proposing %a with %d members" t.me Types.pp_ring_id new_ring
         (List.length members));
   enter t
-    (Commit_wait { cp_ring = new_ring; cp_order = order })
+    (Commit_wait new_ring)
     [
       Participant.Unicast (successor_in order t.me, Message.Commit commit);
       arm Formation_timeout t.params.consensus_timeout_ns;
@@ -581,7 +576,7 @@ and handle_commit t (c : Message.commit) =
     in
     let i_am_rep = c.c_ring.rep = t.me in
     match (c.c_pass, t.phase) with
-    | 1, Commit_wait cp when i_am_rep && Types.ring_id_equal cp.cp_ring c.c_ring ->
+    | 1, Commit_wait ring when i_am_rep && Types.ring_id_equal ring c.c_ring ->
         (* Pass 1 returned: everyone filled their slot; spread the full
            picture. *)
         [ forward 2 c.c_memb ]
@@ -594,9 +589,9 @@ and handle_commit t (c : Message.commit) =
             c.c_memb
         in
         enter t
-          (Commit_wait { cp_ring = c.c_ring; cp_order = order })
+          (Commit_wait c.c_ring)
           [ forward 1 memb; arm Formation_timeout t.params.consensus_timeout_ns ]
-    | 2, Commit_wait cp when Types.ring_id_equal cp.cp_ring c.c_ring ->
+    | 2, Commit_wait ring when Types.ring_id_equal ring c.c_ring ->
         (* Every member recovers from pass 2 on. The representative's pass
            2 has been all the way round, so its node's first token reaches
            members already recovering. *)

@@ -3,12 +3,6 @@ module Deque = Aring_util.Deque
 
 type Participant.timer += Engine_timer of Engine.timer_kind
 
-type queue_stats = {
-  mutable token_drops : int;
-  mutable data_drops : int;
-  mutable max_data_backlog : int;
-}
-
 type queue = {
   q : Message.t Deque.t;
   cap_bytes : int;
@@ -20,7 +14,6 @@ type t = {
   prio : Priority.t;
   token_q : queue;
   data_q : queue;
-  qstats : queue_stats;
   (* The engine builds this node's actions through [sink], made once,
      so a token visit's timer tail (retransmit, then loss) is shared, not
      rebuilt, and nothing is translated. *)
@@ -59,11 +52,9 @@ let create ~params ~ring_id ~ring ~me =
     prio = Priority.create params.Params.priority_method;
     token_q = make_queue token_queue_cap;
     data_q = make_queue data_queue_cap;
-    qstats = { token_drops = 0; data_drops = 0; max_data_backlog = 0 };
   }
 
 let engine t = t.engine
-let queue_stats t = t.qstats
 
 let start t =
   let me = Engine.me t.engine in
@@ -88,22 +79,12 @@ let enqueue queue msg =
   end
 
 let receive t msg =
-  match msg with
-  | Message.Token _ | Message.Commit _ ->
-      if enqueue t.token_q msg then `Queued
-      else begin
-        t.qstats.token_drops <- t.qstats.token_drops + 1;
-        `Dropped
-      end
-  | Message.Data _ | Message.Join _ ->
-      let queued = enqueue t.data_q msg in
-      if t.data_q.occupied > t.qstats.max_data_backlog then
-        t.qstats.max_data_backlog <- t.data_q.occupied;
-      if queued then `Queued
-      else begin
-        t.qstats.data_drops <- t.qstats.data_drops + 1;
-        `Dropped
-      end
+  let queue =
+    match msg with
+    | Message.Token _ | Message.Commit _ -> t.token_q
+    | Message.Data _ | Message.Join _ -> t.data_q
+  in
+  if enqueue queue msg then `Queued else `Dropped
 
 let has_work t =
   not (Deque.is_empty t.token_q.q && Deque.is_empty t.data_q.q)

@@ -44,12 +44,6 @@ type Participant.timer +=
 val disarm_timers : Participant.action list
 (** Disarms of both engine timer keys, built once. *)
 
-type queue_stats = {
-  mutable token_drops : int;
-  mutable data_drops : int;
-  mutable max_data_backlog : int;  (** Peak data-queue occupancy (bytes). *)
-}
-
 val create :
   params:Params.t ->
   ring_id:Types.ring_id ->
@@ -97,5 +91,3 @@ val participant : t -> Participant.t
 
 val engine : t -> Engine.t
 (** The underlying ordering engine (introspection for tests/stats). *)
-
-val queue_stats : t -> queue_stats

@@ -20,10 +20,6 @@ val is_empty : t -> bool
 val capacity : t -> int
 (** Every handle {!add} has returned is below [capacity h]. *)
 
-val reserve : t -> int -> unit
-(** [reserve h n] grows [h] so that [n] entries fit without growing
-    again. Never shrinks. *)
-
 val add : t -> at:int -> seq:int -> int
 (** [add h ~at ~seq] inserts an entry keyed [(at, seq)] and returns its
     handle. *)

@@ -7,7 +7,7 @@
 
     Allocation: the state is held unboxed, so {!int}, {!bool},
     {!bernoulli}, {!exponential_int} and {!zipf} allocate nothing per
-    draw; {!next_int64} and {!float} allocate only their boxed result.
+    draw; {!next_int64} allocates only its boxed result.
     Every stream is bit-identical to the previous boxed-state
     generator's for the same seed and call sequence, so workloads, fault
     schedules and pinned trace hashes do not depend on how the state is
@@ -24,9 +24,6 @@ val next_int64 : t -> int64
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)] — exactly uniform, via
     rejection sampling rather than a biased [mod]. Requires [bound > 0]. *)
-
-val float : t -> float -> float
-(** [float t bound] is uniform in [\[0, bound)]. *)
 
 val bool : t -> bool
 

@@ -74,25 +74,20 @@ let test_heap_top_exn () =
   check Alcotest.int "top removes nothing" 3 (Event_heap.length h);
   check Alcotest.int "pop agrees with top" two (Event_heap.pop_exn h)
 
-let test_heap_reserve () =
-  (* Adds up to the reservation never grow the arrays, and every handle
-     stays below the capacity. *)
+let test_heap_handles_below_capacity () =
+  (* Adds that grow the arrays keep every handle below the capacity, and
+     the capacity never shrinks. *)
   let h = Event_heap.create () in
-  Event_heap.reserve h 100;
-  let cap = Event_heap.capacity h in
-  check Alcotest.bool "reserved" true (cap >= 100);
+  let cap = ref (Event_heap.capacity h) in
   for i = 100 downto 1 do
     let handle = Event_heap.add h ~at:i ~seq:(100 - i) in
-    check Alcotest.bool "handle below capacity" true (handle < cap)
+    let c = Event_heap.capacity h in
+    check Alcotest.bool "handle below capacity" true (handle < c);
+    check Alcotest.bool "capacity never shrinks" true (c >= !cap);
+    cap := c
   done;
-  check Alcotest.int "no growth" cap (Event_heap.capacity h);
   check Alcotest.int "all added" 100 (Event_heap.length h);
-  check Alcotest.int "min" 1 (Event_heap.top_at h);
-  (* Reserving over a populated heap preserves contents and order. *)
-  let h2 = heap_of [ 5; 3; 8 ] in
-  Event_heap.reserve h2 64;
-  check (Alcotest.list key) "order kept" [ (3, 1); (5, 0); (8, 2) ]
-    (drain_keys h2)
+  check Alcotest.int "min" 1 (Event_heap.top_at h)
 
 let test_heap_growth_duplicates () =
   (* Add far past the 16-slot seed arrays, with heavy duplication of
@@ -732,7 +727,7 @@ let test_fnv_allocates_nothing_per_byte () =
 (* -------------------------------------------------------------------- *)
 (* Prng against the boxed generator                                      *)
 
-type prng_op = Next | Int of int | Float of float | Exp of float | Zipf of int
+type prng_op = Next | Int of int | Exp of float | Zipf of int
 
 let prng_op_gen =
   QCheck.Gen.(
@@ -743,7 +738,6 @@ let prng_op_gen =
           map
             (fun b -> Int b)
             (oneof [ 1 -- 1_000; oneofl [ 1 lsl 61; (1 lsl 61) + 1; 3 * (1 lsl 60); max_int ] ]) );
-        (2, map (fun b -> Float b) (float_bound_inclusive 1e6));
         (2, map (fun m -> Exp m) (float_bound_inclusive 1e3));
         (2, map (fun i -> Zipf i) (0 -- 3));
       ])
@@ -751,7 +745,6 @@ let prng_op_gen =
 let prng_op_print = function
   | Next -> "next"
   | Int b -> Printf.sprintf "int %d" b
-  | Float b -> Printf.sprintf "float %g" b
   | Exp m -> Printf.sprintf "exp %g" m
   | Zipf i -> Printf.sprintf "zipf %d" i
 
@@ -772,7 +765,6 @@ let prop_prng_matches_reference =
           match op with
           | Next -> Int64.equal (Prng.next_int64 live) (Ref_prng.next_int64 boxed)
           | Int b -> Prng.int live b = Ref_prng.int boxed b
-          | Float b -> same_bits (Prng.float live b) (Ref_prng.float boxed b)
           | Exp mean ->
               Prng.exponential_int live ~mean
               = int_of_float (Ref_prng.exponential boxed ~mean)
@@ -892,7 +884,7 @@ let suite =
     ("heap basic", `Quick, test_heap_basic);
     ("heap pop_exn empty", `Quick, test_heap_pop_exn_empty);
     ("heap top_exn", `Quick, test_heap_top_exn);
-    ("heap reserve", `Quick, test_heap_reserve);
+    ("heap handles stay below capacity", `Quick, test_heap_handles_below_capacity);
     ("heap growth with duplicates", `Quick, test_heap_growth_duplicates);
     qtest prop_heap_sorts;
     qtest prop_heap_interleaved;
