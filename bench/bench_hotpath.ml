@@ -97,18 +97,21 @@ let drain_pending m =
 let deliver_put envelope =
   let m, d, _, feed = ring_daemon () in
   ignore (Kv.create ~cluster_size:ring_size ~daemon:d ());
+  Daemon.flush d;
   drain_pending m;
   fun () -> feed envelope
 
-(* Delivery of a replica's own put back to it: [Kv.put] submits its
-   frame, taken at once from the engine's pending queue, and the frame
-   is delivered to the same replica, which applies the op it built.
+(* Delivery of a replica's own put back to it: [Kv.put] writes its
+   frame, a flush submits it, it is taken at once from the engine's
+   pending queue, and it is delivered to the same replica, which
+   applies the op it built.
    Only the delivery is counted, in [Gc.minor_words] windows around it
    (the put's own write is the one-pass figure): it allocates nothing
    large, so the minor heap sees all of it. *)
 let own_put_deliver_alloc ~iters =
   let m, d, _, feed = ring_daemon () in
   let kv = Kv.create ~cluster_size:ring_size ~daemon:d () in
+  Daemon.flush d;
   drain_pending m;
   let engine =
     match Member.node m with
@@ -120,6 +123,7 @@ let own_put_deliver_alloc ~iters =
     let words = ref 0. in
     for _ = 1 to n do
       Kv.put kv ~key:"k00001" ~value;
+      Daemon.flush d;
       match Engine.drain_pending engine with
       | [ (_, frame) ] ->
           let before = Gc.minor_words () in
@@ -263,8 +267,8 @@ let slow_inbox_alloc ~iters =
 (* What a parked message keeps alive beyond its frame: the words
    reachable from the session after [slow_parked] deliveries, less those
    before and the one frame they share, per message. Each parked copy
-   charges the session its frame's length, so [slow_parked] is as many
-   as the daemon's inbox limit admits. *)
+   charges the session its entry's size, here the whole frame, so
+   [slow_parked] is as many as the daemon's inbox limit admits. *)
 let slow_parked = Daemon.slow_inbox_limit_bytes / Bytes.length slow_app
 
 let slow_inbox_retained () =

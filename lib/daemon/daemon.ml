@@ -20,10 +20,10 @@ type session = {
   (* Slow-receiver mode: [Some q] parks delivered messages in [q]
      instead of invoking [on_message]; the client drains with {!pump} at
      its own pace, off the daemon's delivery path. Each parked delivery
-     is its delivered frame and one int, the App entry's offset in that
-     frame shifted past the service's two-bit tag. *)
+     is its delivered frame and one int ([parked_entry]): the App entry's
+     offset in that frame, its encoded size and its service. *)
   mutable s_inbox : Bytes_ring.t option;
-  (* The frame lengths of the inbox's entries, summed: what the session
+  (* The encoded sizes of the inbox's entries, summed: what the session
      is charged against [slow_inbox_limit_bytes]. *)
   mutable s_parked_bytes : int;
   mutable s_cut : bool;  (* ended by the daemon at the limit *)
@@ -65,7 +65,7 @@ type t = {
   mutable r_service : Types.service;
   mutable r_payload : Codec.view;
   mutable r_count : int;  (* recipients handed the envelope's entries *)
-  mutable r_entry : int;  (* parked beside the frame, [dec]'s buffer *)
+  mutable r_entry : int;  (* offset in [dec]'s buffer, shifted past the service tag *)
   pump_dec : Codec.decoder;  (* the cursor [pump] re-reads entries with *)
   (* The emptied inbox of the last slow session to end or turn direct,
      kept for the next one: a session cut at the limit and reconnected
@@ -80,8 +80,8 @@ type t = {
   mutable frame : Codec.scratch;
   mutable pack_count : int;
   mutable pack_service : Types.service;
-  (* Span stamps of the buffered envelopes (newest first); 0 when no
-     span collector was attached at buffering time. *)
+  (* Span stamps of the buffered envelopes (newest first), only those
+     taken with a span collector attached. *)
   mutable pack_stamps : int list;
   (* Application-layer hook: every delivered configuration (transitional
      and regular), invoked after the daemon's own pruning and
@@ -92,7 +92,7 @@ type t = {
 
 let no_payload = Codec.view Bytes.empty ~pos:0 ~len:0
 
-let create ?(pack_threshold = 0) ~member () =
+let create ?(pack_threshold = 1300) ~member () =
   {
     member;
     me = Member.me member;
@@ -163,9 +163,19 @@ let connect t ~name callbacks =
   Hashtbl.replace t.sessions name s;
   s
 
-(* The frame bytes a slow session may hold parked (see the interface
+(* The entry bytes a slow session may hold parked (see the interface
    for the value). *)
 let slow_inbox_limit_bytes = 262_144
+
+(* A parked entry's int: its service's two-bit tag, its offset in the
+   frame in the next 30 bits, and its encoded size above them (a frame
+   the ring carries is far below 1 GiB). Parking the size lets [pump]
+   give the charge back before the client's callback runs, whatever
+   that callback does. *)
+let size_shift = 32
+let parked_entry ~entry ~size = entry lor (size lsl size_shift)
+let parked_offset parked = (parked lsr 2) land ((1 lsl (size_shift - 2)) - 1)
+let parked_size parked = parked lsr size_shift
 
 (* [pump]'s readers, one per service tag, each handing the parked App
    entry it reads to the client whose callbacks are the accumulator. *)
@@ -186,12 +196,12 @@ let pumpers = Array.init 4 (fun tag -> pumper (Message.service_of_tag tag))
 let rec pump_from t s q n max =
   if n >= max || Bytes_ring.is_empty q then n
   else begin
-    let frame = Bytes_ring.front_bytes q and entry = Bytes_ring.front_int q in
+    let frame = Bytes_ring.front_bytes q and slot = Bytes_ring.front_int q in
     Bytes_ring.drop q;
-    s.s_parked_bytes <- s.s_parked_bytes - Bytes.length frame;
-    let pos = entry lsr 2 in
+    s.s_parked_bytes <- s.s_parked_bytes - parked_size slot;
+    let pos = parked_offset slot in
     Codec.decoder_reset t.pump_dec frame ~pos ~len:(Bytes.length frame - pos);
-    ignore (Envelope.read_entry t.names t.pump_dec pumpers.(entry land 3) s.s_callbacks);
+    ignore (Envelope.read_entry t.names t.pump_dec pumpers.(slot land 3) s.s_callbacks);
     pump_from t s q (n + 1) max
   end
 
@@ -228,9 +238,7 @@ let inbox_bytes _t s = s.s_parked_bytes
 let is_cut _t s = s.s_cut
 
 let note_packed t =
-  List.iter
-    (fun submit_ns -> if submit_ns > 0 then Span.note_packed ~submit_ns)
-    t.pack_stamps;
+  List.iter (fun submit_ns -> Span.note_packed ~submit_ns) t.pack_stamps;
   t.pack_stamps <- []
 
 (* Submit the [count] envelopes in the first [len] bytes of the frame:
@@ -270,8 +278,8 @@ let flush t =
   end
 
 (* The envelope just written at [start] of the frame, after any still
-   buffered: submit it, or buffer it for the next flush. At the default
-   threshold of 0 nothing is ever buffered. *)
+   buffered: submit it when it is [pack_threshold] bytes or more, or
+   buffer it for the next flush. A threshold of 0 buffers nothing. *)
 let written t service start =
   let size = Codec.scratch_length t.frame - start in
   if
@@ -292,7 +300,8 @@ let written t service start =
   else begin
     t.pack_service <- service;
     t.pack_count <- t.pack_count + 1;
-    t.pack_stamps <- Span.submit_stamp () :: t.pack_stamps
+    let stamp = Span.submit_stamp () in
+    if stamp > 0 then t.pack_stamps <- stamp :: t.pack_stamps
   end
 
 let submit_envelope t service env =
@@ -430,16 +439,18 @@ let route_one name _halves t =
          stalled client never blocks the others. A slow inbox parks the
          delivered frame itself and the entry's offset, which [pump]
          reads again; a direct session is handed a view into the frame.
-         Either way the frame is kept alive, never copied. A park that
-         would pass the limit cuts the session instead. *)
+         Either way the frame is kept alive, never copied. The park is
+         charged the entry's encoded size, the span [dec] has just read;
+         one that would pass the limit cuts the session instead. *)
       (match s.s_inbox with
       | Some q ->
-          let frame = Codec.decoder_buffer t.dec in
-          let parked = s.s_parked_bytes + Bytes.length frame in
+          let size = Codec.decoder_pos t.dec - (t.r_entry lsr 2) in
+          let parked = s.s_parked_bytes + size in
           if parked > slow_inbox_limit_bytes then cut t s
           else begin
             counted t;
-            Bytes_ring.push q frame t.r_entry;
+            Bytes_ring.push q (Codec.decoder_buffer t.dec)
+              (parked_entry ~entry:t.r_entry ~size);
             s.s_parked_bytes <- parked
           end
       | None ->

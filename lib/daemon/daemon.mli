@@ -88,18 +88,17 @@ val create : ?pack_threshold:int -> member:Member.t -> unit -> t
     Client envelopes smaller than [pack_threshold] bytes are packed
     into a single protocol packet of at most [pack_threshold] bytes —
     Spread's packing feature for amortizing per-packet costs over small
-    messages ([~pack_threshold:1300] fills a 1,500 B frame). The
-    default, 0, packs nothing. Every submission (App, Join, Leave) is
-    written once into one frame buffer: one at or above the threshold
-    is submitted at once; smaller ones accumulate in it back to back,
-    and a flush submits a single one as it is or puts a Batch header in
-    front of two or more. Buffered submissions are
-    flushed together when a token or commit token arrives for
-    processing, and when a live timer fires. A timer superseded by a
-    re-arm of its key never fires (see {!Participant.action}), so it
-    flushes nothing: in steady state a pack holds what accumulated
-    between two token visits. Packing trades a little latency for large
-    small-message throughput gains. *)
+    messages. The default, 1,300, fills a 1,500 B frame; 0 packs
+    nothing. Every submission (App, Join, Leave) is written once into
+    one frame buffer: one at or above the threshold is submitted at
+    once; smaller ones accumulate in it back to back, and a flush
+    submits a single one as it is or puts a Batch header in front of
+    two or more. Buffered submissions are flushed together when a token
+    or commit token arrives for processing, and when a live timer
+    fires. A timer superseded by a re-arm of its key never fires (see
+    {!Participant.action}), so it flushes nothing: in steady state a
+    pack holds what accumulated between two token visits. Packing
+    trades a little latency for large small-message throughput gains. *)
 
 val flush : t -> unit
 (** Force out any buffered packed submissions now. *)
@@ -164,10 +163,12 @@ val session_member_name : t -> session -> string
     when full, is half empty.
 
     An inbox is bounded. Each parked message charges its session the
-    length of its frame (a Batch frame once per entry parked from it,
-    so the charge bounds the frame bytes the inbox keeps alive), and a
-    delivery whose park would take the charge past
-    {!slow_inbox_limit_bytes} ends the session instead, as a Spread
+    encoded size of its own entry, not the length of the frame that
+    carries it: a Batch whose k entries all park charges its bytes once
+    (less its 5 B header), not k times, and {!pump} gives each entry's
+    size back as it hands the entry over. A delivery whose park would
+    take the charge past {!slow_inbox_limit_bytes} ends the session
+    instead, as a Spread
     daemon cuts off a client that falls too far behind: its Leave for
     every joined group is ordered through the ring, its backlog is
     dropped unread, and it leaves the daemon, so the name is free to
@@ -176,13 +177,14 @@ val session_member_name : t -> session -> string
     {!pump} on the cut session returns 0 and {!disconnect} does nothing.
     Every other session keeps its delivery, and the cut session's
     multicasts already ordered are delivered and applied as usual. So
-    one session keeps at most the limit in frames alive, plus 32 B of
-    ring per parked message. *)
+    one session keeps at most the limit in parked entries alive, plus
+    32 B of ring per parked message; a frame of which it parks only
+    some entries is kept alive whole. *)
 
 val slow_inbox_limit_bytes : int
-(** 256 KiB: the frame bytes one slow session may hold parked. It is
+(** 256 KiB: the entry bytes one slow session may hold parked. It is
     about a thousand of the production workload's ~240 B KV write
-    frames, an eighth of a second of the ~8,500 writes/s its ring
+    entries, an eighth of a second of the ~8,500 writes/s its ring
     orders: a client that pauses briefly is never cut, and one that
     drains at a fixed rate below the ring's is cut and reconnects
     instead of growing the daemon for as long as it lags. A fixed
@@ -204,8 +206,9 @@ val inbox_depth : t -> session -> int
 (** Messages currently parked; 0 for direct-delivery sessions. *)
 
 val inbox_bytes : t -> session -> int
-(** The frame bytes charged for the parked messages, never more than
-    {!slow_inbox_limit_bytes}; 0 for direct-delivery sessions. *)
+(** The entry bytes charged for the parked messages (each its own
+    encoded size), never more than {!slow_inbox_limit_bytes}; 0 for
+    direct-delivery sessions. *)
 
 val is_cut : t -> session -> bool
 (** The daemon ended this session at the inbox limit. The session is

@@ -494,6 +494,7 @@ let hand_driven_replica () =
   in
   let d = Aring_daemon.Daemon.create ~member:m () in
   let kv = Kv.create ~cluster_size:ring_size ~daemon:d () in
+  Aring_daemon.Daemon.flush d;
   ignore (Engine.drain_pending engine);
   let p = Aring_daemon.Daemon.participant d in
   let seq = ref 0 in
@@ -505,7 +506,9 @@ let hand_driven_replica () =
             { d_ring = Engine.ring_id engine; seq = !seq; pid = 1; d_round = 1;
               post_token = false; service = Types.Agreed; payload }))
   in
+  (* The daemon packs: a flush submits the one envelope it holds. *)
   let take () =
+    Aring_daemon.Daemon.flush d;
     match Engine.drain_pending engine with
     | [ (_, frame) ] -> frame
     | l -> Alcotest.failf "%d frames submitted, expected one" (List.length l)

@@ -1740,6 +1740,33 @@ let test_pump_after_name_table_reset () =
   check Alcotest.bool "every field as the direct session had it" true
     (!slow_log = !direct_log)
 
+(* A slow session is charged each parked entry's own encoded size, not
+   the length of the frame that carries it: a Batch of four App entries
+   (and a Join, which parks nothing) charges the four entries' sizes
+   once, and each pump gives back the size of the entry it hands over. *)
+let test_slow_inbox_charges_each_entry () =
+  let d = bare_daemon () in
+  let slow = tabled d ~name:"slow" ~group:"g" quiet in
+  Daemon.set_slow_receiver d slow true;
+  let apps =
+    List.map
+      (fun n -> Envelope.App { sender = "#tx#1"; groups = [ "g" ]; payload = Bytes.make n 'p' })
+      [ 10; 200; 40; 700 ]
+  in
+  let batch = Envelope.Batch (Envelope.Join { member = "#j#2"; group = "h" } :: apps) in
+  deliver d batch;
+  let sizes = List.map Envelope.encoded_size apps in
+  check Alcotest.int "four entries parked" 4 (Daemon.inbox_depth d slow);
+  check Alcotest.int "the entries' sizes, summed"
+    (List.fold_left ( + ) 0 sizes) (Daemon.inbox_bytes d slow);
+  check Alcotest.bool "less than the frame charged once per entry" true
+    (Daemon.inbox_bytes d slow < 4 * Bytes.length (Envelope.encode batch));
+  check Alcotest.int "one pumped" 1 (Daemon.pump d slow ~max:1);
+  check Alcotest.int "the first entry's size given back"
+    (List.fold_left ( + ) 0 (List.tl sizes)) (Daemon.inbox_bytes d slow);
+  check Alcotest.int "the rest pumped" 3 (Daemon.pump d slow ~max:max_int);
+  check Alcotest.int "nothing charged once drained" 0 (Daemon.inbox_bytes d slow)
+
 (* -------------------------------------------------------------------- *)
 (* Slow-inbox limit                                                      *)
 
@@ -2030,4 +2057,6 @@ let suite =
     ("slow inbox cut at its limit", `Quick, test_slow_inbox_cut_at_limit);
     ("slow inbox pumped at the ring's rate is never cut", `Quick,
      test_slow_inbox_pumped_never_cut);
+    ("slow inbox charges each parked entry its own size", `Quick,
+     test_slow_inbox_charges_each_entry);
   ]

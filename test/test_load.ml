@@ -233,7 +233,7 @@ let test_kv_preset_partition () =
    stream does). *)
 let test_kv_transfer_buffered_peak () =
   let r = Lazy.force kv_partition_run in
-  check (Alcotest.float 0.) "app.buffered_peak" 2.
+  check (Alcotest.float 0.) "app.buffered_peak" 1.
     (Aring_obs.Metrics.gauge_value (Aring_obs.Metrics.gauge r.Load.metrics "app.buffered_peak"))
 
 (* A malformed partition window is rejected at every ring count, not

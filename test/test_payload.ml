@@ -139,12 +139,14 @@ let quiet =
   }
 
 (* A daemon on an operational one-member ring: what it submits lands in
-   the engine's pending queue, where [submitted] reads it back. *)
+   the engine's pending queue, where [submitted] flushes the daemon and
+   reads it back. *)
 let single_daemon ?pack_threshold () =
   let m = Member.create ~params:Params.default ~me:0 ~initial_ring:[| 0 |] () in
   ignore ((Member.participant m).start ());
   let d = Daemon.create ?pack_threshold ~member:m () in
   let submitted () =
+    Daemon.flush d;
     match Member.node m with
     | Some node -> Engine.drain_pending (Node.engine node)
     | None -> Alcotest.fail "a member with an initial ring starts operational"
